@@ -1,14 +1,10 @@
 package main
 
-// Bulk-ingest tooling: the NDJSON replay mode (`-replay file.ndjson`)
-// feeds a captured request stream through the daemon's batched intake —
-// one RequestSpec per line, blank lines marking slot boundaries — and
-// the load generator (`-loadgen`) drives SubmitBatch at a fixed offered
-// rate against the wall-clock engine, reporting admit/shed/p99 in
+// The load generator (`-loadgen`) drives SubmitBatch at a fixed offered
+// rate against the wall-clock cluster, reporting admit/shed/p99 in
 // benchjson's format so CI can gate ingest-path regressions.
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,114 +14,9 @@ import (
 	"strings"
 	"time"
 
+	"mecoffload/internal/cluster"
 	"mecoffload/internal/serve"
 )
-
-// runReplayNDJSON replays an NDJSON request trace through the batched
-// intake: every group of non-blank lines becomes one SubmitBatch, every
-// blank line a slot boundary (so consecutive blanks replay idle slots),
-// exactly the wire format of POST /v1/requests:batch.
-func runReplayNDJSON(eng *serve.Engine, path string, out io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	var (
-		group    strings.Builder
-		baseLine = 1 // file line the current group starts on
-		lineNo   = 0
-		slots    = 0
-		accepted = 0
-		badLines = 0
-	)
-	flushGroup := func() error {
-		defer func() {
-			group.Reset()
-			baseLine = lineNo + 1
-		}()
-		if group.Len() > 0 {
-			lines, lineErrs, err := serve.DecodeBatch(strings.NewReader(group.String()), 0, 0)
-			if err != nil {
-				return fmt.Errorf("slot %d: %w", slots, err)
-			}
-			specs := make([]serve.RequestSpec, 0, len(lines))
-			for _, ln := range lines {
-				if verr := eng.ValidateSpec(ln.Spec); verr != nil {
-					lineErrs = append(lineErrs, serve.LineError{Line: ln.Line, Error: verr.Error()})
-					continue
-				}
-				specs = append(specs, ln.Spec)
-			}
-			for _, le := range lineErrs {
-				if badLines < 10 {
-					fmt.Fprintf(out, "replay: line %d: %s\n", baseLine+le.Line-1, le.Error)
-				}
-				badLines++
-			}
-			res, err := eng.SubmitBatch(specs)
-			if err != nil {
-				return fmt.Errorf("slot %d: %w", slots, err)
-			}
-			accepted += len(res.IDs)
-			if err := eng.Flush(); err != nil {
-				return err
-			}
-		}
-		slots++
-		return eng.Tick()
-	}
-
-	br := bufio.NewReaderSize(f, 1<<20)
-	for {
-		line, rerr := br.ReadString('\n')
-		if rerr != nil && !errors.Is(rerr, io.EOF) {
-			return rerr
-		}
-		if len(line) > 0 {
-			lineNo++
-		}
-		switch {
-		case strings.TrimSpace(line) != "":
-			group.WriteString(line)
-			if !strings.HasSuffix(line, "\n") {
-				group.WriteByte('\n')
-			}
-		case len(line) > 0:
-			// Blank line: slot boundary.
-			if err := flushGroup(); err != nil {
-				return err
-			}
-		}
-		if errors.Is(rerr, io.EOF) {
-			break
-		}
-	}
-	if group.Len() > 0 {
-		if err := flushGroup(); err != nil {
-			return err
-		}
-	}
-
-	// Drain the tail so every admitted stream departs before the summary.
-	if err := eng.Drain(); err != nil {
-		return err
-	}
-	for eng.Alive() {
-		if err := eng.Tick(); err != nil {
-			if errors.Is(err, serve.ErrStopped) {
-				break
-			}
-			return err
-		}
-	}
-	m := eng.Metrics()
-	fmt.Fprintf(out, "replayed %d ndjson slots: accepted=%d badlines=%d admitted=%d shed=%d served=%d evicted=%d expired=%d reward=$%.0f over %d slots\n",
-		slots, accepted, badLines, m.Submitted.Load(), m.Shed.Load(), m.Served.Load(),
-		m.Evicted.Load(), m.Expired.Load(), m.Reward.Load(), m.Ticks.Load())
-	return nil
-}
 
 // loadGates are the pass/fail thresholds of a load run; zero values
 // disable a gate.
@@ -167,9 +58,11 @@ type bench struct {
 }
 
 // runLoadgen drives the batched intake at a fixed offered rate for the
-// given window against a wall-clock (internal-ticker) engine, then
-// flushes, verifies the bounded-queue invariants, and applies the gates.
-func runLoadgen(eng *serve.Engine, targetRPS int, window time.Duration, batchSize int,
+// given window against a wall-clock cluster — the router, the shards'
+// ingest pumps and the cluster clock under exactly the contention of the
+// HTTP daemon — then flushes, verifies the bounded-queue invariants on
+// every shard, and applies the gates.
+func runLoadgen(c *cluster.Cluster, stations, targetRPS int, window time.Duration, batchSize int,
 	gates loadGates, jsonPath string, out io.Writer) error {
 	if targetRPS <= 0 || batchSize <= 0 {
 		return fmt.Errorf("loadgen: offered rate and batch size must be positive")
@@ -183,7 +76,7 @@ func runLoadgen(eng *serve.Engine, targetRPS int, window time.Duration, batchSiz
 		// skips the default-spec RNG draws and the shedding policy has a
 		// reward gradient to act on.
 		specs[i] = serve.RequestSpec{
-			AccessStation: i % eng.NumStations(),
+			AccessStation: i % stations,
 			Outcomes: []serve.OutcomeSpec{
 				{RateMBs: 40, Prob: 1, Reward: float64(300 + (i*7)%400)},
 			},
@@ -204,7 +97,7 @@ func runLoadgen(eng *serve.Engine, targetRPS int, window time.Duration, batchSiz
 		}
 		next = next.Add(interval)
 		t0 := time.Now()
-		res, err := eng.SubmitBatch(specs)
+		res, err := c.SubmitBatch(specs)
 		lat := time.Since(t0)
 		rep.Offered += batchSize
 		switch {
@@ -221,21 +114,19 @@ func runLoadgen(eng *serve.Engine, targetRPS int, window time.Duration, batchSiz
 
 	// Bounded-queue invariant: the generation window must end with both
 	// ingest queues inside their configured bounds.
-	if d, c := eng.RingDepth(), eng.RingCap(); d > c {
-		return fmt.Errorf("loadgen: ring depth %d exceeds capacity %d", d, c)
+	if err := c.CheckIngestBounds(); err != nil {
+		return fmt.Errorf("loadgen: %w", err)
 	}
-	if d, c := int(eng.StagedDepth()), eng.StageCap(); d > c {
-		return fmt.Errorf("loadgen: staged depth %d exceeds capacity %d", d, c)
-	}
-	if err := eng.Flush(); err != nil {
+	if err := c.Flush(); err != nil {
 		return err
 	}
-	m := eng.Metrics()
-	rep.Admitted = m.Submitted.Load()
-	rep.Shed = m.Shed.Load()
-	rep.Rejected = m.Rejected.Load()
+	t := c.Totals()
+	rep.Admitted = t.Submitted
+	rep.Shed = t.Shed
+	rep.Rejected = t.Rejected
 	// Conservation: every accepted request is admitted, shed, or
-	// rejected once the flush completes.
+	// rejected once the flush completes (summed over shards, a request
+	// the clock re-homed counted once).
 	if rep.Admitted+rep.Shed+rep.Rejected != uint64(rep.Accepted) {
 		return fmt.Errorf("loadgen: %d accepted but %d+%d+%d accounted (admitted+shed+rejected)",
 			rep.Accepted, rep.Admitted, rep.Shed, rep.Rejected)

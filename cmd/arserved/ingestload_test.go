@@ -11,6 +11,12 @@ import (
 // TestNDJSONReplayMode replays a small NDJSON trace (blank lines as
 // slot boundaries, one bad line) through the batched intake.
 func TestNDJSONReplayMode(t *testing.T) {
+	for _, shards := range []string{"1", "2"} {
+		t.Run("shards="+shards, func(t *testing.T) { testNDJSONReplayMode(t, shards) })
+	}
+}
+
+func testNDJSONReplayMode(t *testing.T, shards string) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.ndjson")
 	body := `{"accessStation":0,"durationSlots":2}
@@ -29,12 +35,13 @@ func TestNDJSONReplayMode(t *testing.T) {
 		"-replay", trace,
 		"-stations", "4",
 		"-seed", "7",
+		"-shards", shards,
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	text := out.String()
-	if !strings.Contains(text, "replayed 3 ndjson slots") {
+	if !strings.Contains(text, "replayed 3 ndjson slots across "+shards+" shards") {
 		t.Fatalf("missing ndjson summary:\n%s", text)
 	}
 	if !strings.Contains(text, "accepted=4 badlines=1") {
@@ -49,6 +56,12 @@ func TestNDJSONReplayMode(t *testing.T) {
 // summary, the benchjson artifact, and the accounting conservation the
 // generator enforces internally.
 func TestLoadgenMode(t *testing.T) {
+	for _, shards := range []string{"1", "2"} {
+		t.Run("shards="+shards, func(t *testing.T) { testLoadgenMode(t, shards) })
+	}
+}
+
+func testLoadgenMode(t *testing.T, shards string) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "load.json")
 	var out syncBuffer
@@ -61,6 +74,7 @@ func TestLoadgenMode(t *testing.T) {
 		"-tick", "20ms",
 		"-max-pending", "256",
 		"-load-out", jsonPath,
+		"-shards", shards,
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())

@@ -3,12 +3,15 @@
 // behind an HTTP JSON API, advancing one scheduling slot per wall-clock
 // tick against live per-station capacity, checkpointing bandit arm
 // statistics and in-flight assignments so a restart resumes learning.
+// There is one serving path: a cluster of -shards scheduler shards
+// (default 1) behind a request router, whatever the mode.
 //
 // Usage:
 //
 //	arserved -addr :8080 -stations 20 -tick 50ms -checkpoint state.json
-//	arserved -scheduler ocorp -trace
+//	arserved -shards 4 -scheduler ocorp -trace
 //	arserved -replay trace.json -requests-per-30fps 1
+//	arserved -replay trace.ndjson -shards 2
 //
 // Endpoints: POST /v1/requests, GET /v1/requests/{id}, /metrics,
 // /healthz, /readyz. SIGTERM or SIGINT triggers a graceful drain: intake
@@ -67,25 +70,24 @@ func run(args []string, out io.Writer) error {
 		seed       = fs.Int64("seed", 42, "random seed")
 		tick       = fs.Duration("tick", 50*time.Millisecond, "wall-clock length of one scheduling slot")
 		slotMS     = fs.Float64("slot-ms", mec.DefaultSlotLengthMS, "model slot length in milliseconds")
-		shards     = fs.Int("shards", 4, "state shards")
-		ckptPath   = fs.String("checkpoint", "", "checkpoint file (restore on start, rewrite periodically)")
+		shards     = fs.Int("shards", 1, "scheduler shards behind the request router (1 to the station count)")
+		ckptPath   = fs.String("checkpoint", "", "checkpoint manifest (restore on start at any shard count, rewrite periodically; per-shard snapshots are written beside it)")
 		ckptEvery  = fs.Int("checkpoint-every", 50, "ticks between checkpoints")
-		ckptAsync  = fs.Bool("checkpoint-async", true, "write periodic checkpoints on a background goroutine (copy-on-write snapshot off the slot clock); shutdown and explicit checkpoints are always synchronous")
-		trace      = fs.Bool("trace", false, "print one line per slot (arsim trace format)")
+		ckptAsync  = fs.Bool("checkpoint-async", true, "write periodic checkpoints on a background goroutine (copy-on-write snapshot off the slot clock); shutdown checkpoints are always synchronous")
+		trace      = fs.Bool("trace", false, "print one line per slot and shard (arsim trace format; prefixed [shard k] when -shards > 1)")
 		drainAfter = fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight streams on shutdown")
-		replay     = fs.String("replay", "", "replay a workload trace JSON as a load generator instead of serving HTTP")
+		replay     = fs.String("replay", "", "replay a trace as a load generator instead of serving HTTP: a workload frame-trace JSON, or (*.ndjson) one request per line with blank lines as slot boundaries")
 		replayRate = fs.Int("requests-per-30fps", 1, "replay: requests per second per 30 fps of trace")
 		replayDump = fs.String("replay-dump", "", "replay: write per-slot admission decisions as JSON to this file")
 		workers    = fs.Int("workers", 1, "concurrent component solves per slot LP (dynamicrr only; decisions are identical for every value)")
 		increment  = fs.Bool("incremental", false, "reuse cached decisions of unchanged candidate-graph components between slots (dynamicrr/local-ratio; decisions are identical to a full re-solve)")
-		clShards   = fs.Int("cluster-shards", 0, "run N scheduler shards behind the cluster router (0 = single engine)")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		blockRate  = fs.Int("block-profile", 0, "blocking-profile sample threshold in ns for /debug/pprof/block (1 = every event, 0 = off; needs -pprof-addr)")
 		mutexFrac  = fs.Int("mutex-profile", 0, "mutex-contention sample fraction for /debug/pprof/mutex (1 = every contended lock, 0 = off; needs -pprof-addr)")
 
-		ringCap    = fs.Int("ring", 0, "batched-ingest ring capacity (0 = default 4096, rounded up to a power of two)")
-		stageCap   = fs.Int("stage", 0, "batched-ingest overflow-stage capacity before reward-aware shedding (0 = default 4096)")
-		maxPending = fs.Int("max-pending", 0, "pending requests before the loop stops draining the ingest ring (0 = default 16384)")
+		ringCap    = fs.Int("ring", 0, "batched-ingest ring capacity per shard (0 = default 4096, rounded up to a power of two)")
+		stageCap   = fs.Int("stage", 0, "batched-ingest overflow-stage capacity per shard before reward-aware shedding (0 = default 4096)")
+		maxPending = fs.Int("max-pending", 0, "pending requests per shard before the loop stops draining the ingest ring (0 = default 16384)")
 
 		loadgen        = fs.Bool("loadgen", false, "drive the batched intake at a fixed offered load instead of serving HTTP")
 		offered        = fs.Int("offered", 100000, "loadgen: offered load in requests per second")
@@ -98,6 +100,9 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *loadgen && *replay != "" {
+		return errors.New("-loadgen and -replay are mutually exclusive")
 	}
 
 	var net_ *mec.Network
@@ -121,6 +126,11 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		net_ = n
+	}
+	// Rejected, not clamped: a shard count the topology cannot honour is a
+	// typo, and a daemon that quietly ran a different layout would hide it.
+	if *shards < 1 || *shards > net_.NumStations() {
+		return fmt.Errorf("-shards %d: want 1 to %d (at most one shard per station)", *shards, net_.NumStations())
 	}
 
 	// Contention profiles are sampled from process start so an epoch
@@ -146,7 +156,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "arserved: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	// The engine flips LocalRatio on when the scheduler name is
+	// The engines flip LocalRatio on when the scheduler name is
 	// "local-ratio"; the daemon only forwards the worker count, the
 	// incremental toggle, and an optional -bandit arm policy. A
 	// checkpointed bandit snapshot overrides the policy on restore, so
@@ -154,8 +164,8 @@ func run(args []string, out io.Writer) error {
 	drrOpts := sim.DynamicRROptions{Workers: *workers, Incremental: *increment}
 	if *banditSpec != "" {
 		// Validate the spec up front so a typo fails at startup, then
-		// pass the spec (not an instance) so cluster shards each parse
-		// their own policy.
+		// pass the spec (not an instance) so the shards each parse their
+		// own policy.
 		if _, err := bandit.Parse(*banditSpec, banditKappa, 0); err != nil {
 			return err
 		}
@@ -164,13 +174,13 @@ func run(args []string, out io.Writer) error {
 		drrOpts.PolicySeed = rnd.Derive(*seed, "bandit:"+*banditSpec)
 	}
 
-	cfg := serve.Config{
+	cfg := cluster.Config{
 		Net:             net_,
+		Shards:          *shards,
 		SchedulerName:   *schedName,
 		DynamicRR:       drrOpts,
 		SlotLengthMS:    *slotMS,
-		Rng:             rnd.New(*seed, "serve"),
-		Shards:          *shards,
+		Seed:            *seed,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
 		AsyncCheckpoint: *ckptAsync,
@@ -184,116 +194,56 @@ func run(args []string, out io.Writer) error {
 	if *trace {
 		cfg.TraceWriter = out
 	}
-
-	if *clShards > 0 {
-		if *loadgen {
-			return errors.New("-loadgen does not support -cluster-shards; drive the cluster over HTTP or use -replay")
-		}
-		ccfg := cluster.Config{
-			Net:             net_,
-			Shards:          *clShards,
-			SchedulerName:   *schedName,
-			DynamicRR:       drrOpts,
-			SlotLengthMS:    *slotMS,
-			Seed:            *seed,
-			CheckpointPath:  *ckptPath,
-			CheckpointEvery: *ckptEvery,
-			AsyncCheckpoint: *ckptAsync,
-			RingCapacity:    *ringCap,
-			StageCapacity:   *stageCap,
-			MaxPending:      *maxPending,
-			Logf:            cfg.Logf,
-		}
-		if *replay != "" {
-			return runClusterReplay(ccfg, *replay, *replayDump, out)
-		}
-		ccfg.TickInterval = *tick
-		return runClusterServe(ccfg, *addr, *drainAfter, out)
+	// Replay keeps the manual clock (model time advances as fast as the
+	// scheduler runs); serving and the load generator run the wall clock.
+	var dump *oracle.ReplayDump
+	if *replay == "" {
+		cfg.TickInterval = *tick
+	} else if *replayDump != "" {
+		// The observer runs under the cluster clock, which the replay
+		// drives from this goroutine, so the dump needs no lock.
+		dump = &oracle.ReplayDump{}
+		cfg.SlotObserver = cluster.DumpObserver(dump)
 	}
 
-	if *loadgen {
-		if *replay != "" {
-			return errors.New("-loadgen and -replay are mutually exclusive")
-		}
-		// The load generator runs against the real wall-clock engine: the
-		// internal ticker schedules slots while batches arrive, exactly
-		// the contention profile of the HTTP daemon.
-		cfg.TickInterval = *tick
-		eng, err := serve.New(cfg)
-		if err != nil {
-			return err
-		}
-		eng.Start()
-		defer func() { _ = eng.Stop() }()
-		return runLoadgen(eng, *offered, *loadDuration, *loadBatch, loadGates{
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return err
+	}
+	c.Start()
+	// Stop is idempotent: the modes call it themselves where its error (a
+	// failed final checkpoint) is the run's result; this covers the rest.
+	defer func() { _ = c.Stop() }()
+	switch {
+	case *loadgen:
+		return runLoadgen(c, net_.NumStations(), *offered, *loadDuration, *loadBatch, loadGates{
 			MaxP99MS:       *loadMaxP99,
 			MinOfferedFrac: *loadMinOffered,
 			MinAdmitted:    *loadMinAdmit,
 		}, *loadOut, out)
+	case *replay != "":
+		return runReplay(c, *replay, replayParams{
+			stations:     net_.NumStations(),
+			slotMS:       *slotMS,
+			perThirtyFPS: *replayRate,
+			rng:          rnd.New(*seed, "replay"),
+			dump:         dump,
+			dumpPath:     *replayDump,
+		}, out)
 	}
+	return serveHTTP(c, *addr, *drainAfter, fmt.Sprintf("%s scheduler, %d shards, %d stations",
+		*schedName, c.Shards(), net_.NumStations()), out)
+}
 
-	if *replay != "" {
-		// Replay mode keeps the manual clock (TickInterval zero): model
-		// time advances as fast as the scheduler runs.
-		var dump *oracle.ReplayDump
-		if *replayDump != "" {
-			// The observer runs on the loop goroutine; runReplay's drain
-			// waits for that goroutine to exit, so reading the dump after
-			// it returns is race-free.
-			dump = &oracle.ReplayDump{}
-			cfg.SlotObserver = func(rep sim.SlotReport) {
-				if len(rep.Admitted) > 0 {
-					dump.Slots = append(dump.Slots, oracle.SlotAdmissions{
-						Slot:     rep.Slot,
-						Admitted: append([]int(nil), rep.Admitted...),
-						Reward:   rep.Reward,
-					})
-				}
-				dump.TotalReward += rep.Reward
-			}
-		}
-		eng, err := serve.New(cfg)
-		if err != nil {
-			return err
-		}
-		eng.Start()
-		defer func() { _ = eng.Stop() }()
-		if strings.HasSuffix(*replay, ".ndjson") {
-			// NDJSON traces replay through the batched intake: one
-			// request per line, blank lines marking slot boundaries —
-			// the same wire format as POST /v1/requests:batch.
-			if err := runReplayNDJSON(eng, *replay, out); err != nil {
-				return err
-			}
-		} else if err := runReplay(eng, *replay, *slotMS, *replayRate, rnd.New(*seed, "replay"), out); err != nil {
-			return err
-		}
-		if dump != nil {
-			<-eng.Done()
-			dump.Submitted = int(eng.Metrics().Submitted.Load())
-			data, err := json.MarshalIndent(dump, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*replayDump, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	cfg.TickInterval = *tick
-	eng, err := serve.New(cfg)
+// serveHTTP is the daemon lifecycle: listen, announce, wait for SIGTERM
+// or SIGINT, drain with a bounded wait, write the final checkpoint
+// (Stop), shut the listener down, exit 0.
+func serveHTTP(c *cluster.Cluster, addr string, drainAfter time.Duration, what string, out io.Writer) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	eng.Start()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: serve.Handler(eng)}
+	srv := &http.Server{Handler: cluster.Handler(c)}
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- srv.Serve(ln) }()
 
@@ -302,104 +252,161 @@ func run(args []string, out io.Writer) error {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	defer signal.Stop(sigs)
-	fmt.Fprintf(out, "arserved: %s scheduler, %d stations, listening on %s\n",
-		eng.SchedulerName(), net_.NumStations(), ln.Addr())
+	fmt.Fprintf(out, "arserved: %s, listening on %s\n", what, ln.Addr())
 
 	select {
 	case sig := <-sigs:
 		fmt.Fprintf(out, "arserved: %v, draining\n", sig)
 	case err := <-httpDone:
-		_ = eng.Stop()
 		return fmt.Errorf("http server: %w", err)
-	case <-eng.Done():
-		// The engine loop exited on its own (a drain requested elsewhere).
+	case <-c.Done():
+		// Every shard loop exited on its own (a drain requested elsewhere).
 	}
 
 	// Graceful drain: refuse new work, let streams depart, checkpoint.
-	if err := eng.Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
+	if err := c.Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
 		fmt.Fprintf(out, "arserved: drain: %v\n", err)
 	}
 	select {
-	case <-eng.Done():
+	case <-c.Done():
 		fmt.Fprintln(out, "arserved: drained cleanly")
-	case <-time.After(*drainAfter):
-		fmt.Fprintf(out, "arserved: drain timeout after %v, stopping with streams in flight\n", *drainAfter)
+	case <-time.After(drainAfter):
+		fmt.Fprintf(out, "arserved: drain timeout after %v, stopping with streams in flight\n", drainAfter)
 	}
-	if err := eng.Stop(); err != nil {
+	if err := c.Stop(); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	return nil
+	return srv.Shutdown(ctx)
 }
 
-// runReplay feeds a captured frame trace through the daemon core as a
-// load generator: every trace second maps to 1000/slotMS slots, with a
-// request volume proportional to the second's frame rate and a demand
-// distribution pinned to the second's scaled pipeline rate.
-func runReplay(eng *serve.Engine, path string, slotMS float64, perThirtyFPS int, rng *rand.Rand, out io.Writer) error {
+// replayParams are the knobs of one -replay run; the frame-trace fields
+// are unused for NDJSON traces, which carry their own specs.
+type replayParams struct {
+	stations     int
+	slotMS       float64
+	perThirtyFPS int
+	rng          *rand.Rand
+	dump         *oracle.ReplayDump // non-nil with -replay-dump
+	dumpPath     string
+}
+
+// runReplay feeds a trace through the cluster as fast as the scheduler
+// runs, drains the tail so every admitted stream departs, stops the
+// cluster and prints the run's summary (one format per trace kind, at
+// any shard count). An .ndjson trace replays through
+// the batched intake (one request per line, blank lines marking slot
+// boundaries — the wire format of POST /v1/requests:batch); anything
+// else is a workload frame trace (replayFrames).
+func runReplay(c *cluster.Cluster, path string, rp replayParams, out io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	tr, rerr := workload.ReadTrace(f)
-	cerr := f.Close()
-	if rerr != nil {
-		return rerr
+	var (
+		st      cluster.ReplayStats
+		seconds int
+		ndjson  = strings.HasSuffix(path, ".ndjson")
+	)
+	if ndjson {
+		badShown := 0
+		st, err = cluster.ReplayNDJSON(c, f, func(line int, msg string) {
+			if badShown < 10 {
+				fmt.Fprintf(out, "replay: line %d: %s\n", line, msg)
+			}
+			badShown++
+		})
+	} else {
+		seconds, st.Accepted, err = replayFrames(c, f, rp)
 	}
-	if cerr != nil {
-		return cerr
+	_ = f.Close()
+	if err != nil {
+		return err
 	}
+	if err := c.Stop(); err != nil {
+		return err
+	}
+	<-c.Done()
 
+	t := c.Totals()
+	if ndjson {
+		in, _ := c.MigratedCounts()
+		var migrations uint64
+		for _, n := range in {
+			migrations += n
+		}
+		fmt.Fprintf(out, "replayed %d ndjson slots across %d shards: accepted=%d badlines=%d admitted=%d shed=%d served=%d evicted=%d expired=%d reward=$%.0f migrations=%d over %d slots\n",
+			st.Slots, c.Shards(), st.Accepted, st.BadLines, t.Submitted, t.Shed, t.Served,
+			t.Evicted, t.Expired, t.Reward, migrations, c.Slot())
+	} else {
+		fmt.Fprintf(out, "replayed %d trace seconds: submitted=%d served=%d evicted=%d expired=%d reward=$%.0f over %d slots\n",
+			seconds, st.Accepted, t.Served, t.Evicted, t.Expired, t.Reward, c.Slot())
+	}
+	if rp.dump != nil {
+		rp.dump.Submitted = st.Accepted
+		data, err := json.MarshalIndent(rp.dump, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(rp.dumpPath, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayFrames turns a captured frame trace into load: every trace
+// second maps to 1000/slotMS slots, with a request volume proportional
+// to the second's frame rate and a demand distribution pinned to the
+// second's scaled pipeline rate. It returns the trace length in seconds
+// and the number of requests submitted.
+func replayFrames(c *cluster.Cluster, src io.Reader, rp replayParams) (seconds, submitted int, err error) {
+	tr, err := workload.ReadTrace(src)
+	if err != nil {
+		return 0, 0, err
+	}
 	rates := tr.ScaleToRate(workload.DefaultMinRate, workload.DefaultMaxRate)
-	slotsPerSecond := int(1000/slotMS + 0.5)
+	slotsPerSecond := int(1000/rp.slotMS + 0.5)
 	if slotsPerSecond < 1 {
 		slotsPerSecond = 1
 	}
-	submitted := 0
 	for s, fps := range tr.FPS {
-		n := perThirtyFPS * fps / 30
+		n := rp.perThirtyFPS * fps / 30
 		if n < 1 {
 			n = 1
 		}
 		for k := 0; k < n; k++ {
 			unit := workload.DefaultMinUnitReward +
-				rng.Float64()*(workload.DefaultMaxUnitReward-workload.DefaultMinUnitReward)
+				rp.rng.Float64()*(workload.DefaultMaxUnitReward-workload.DefaultMinUnitReward)
 			spec := serve.RequestSpec{
-				AccessStation: submitted % eng.NumStations(),
+				AccessStation: submitted % rp.stations,
 				Outcomes: []serve.OutcomeSpec{
 					{RateMBs: rates[s], Prob: 1, Reward: unit * rates[s]},
 				},
 			}
-			if _, _, err := eng.Submit(spec); err != nil {
-				return fmt.Errorf("replay second %d: %w", s, err)
+			if _, _, err := c.Submit(spec); err != nil {
+				return 0, 0, fmt.Errorf("replay second %d: %w", s, err)
 			}
 			submitted++
 		}
 		for k := 0; k < slotsPerSecond; k++ {
-			if err := eng.Tick(); err != nil {
-				return err
+			if err := c.Tick(); err != nil {
+				return 0, 0, err
 			}
 		}
 	}
 	// Drain the tail so every admitted stream departs before the summary.
-	if err := eng.Drain(); err != nil {
-		return err
+	if err := c.Drain(); err != nil {
+		return 0, 0, err
 	}
-	for eng.Alive() {
-		if err := eng.Tick(); err != nil {
+	for c.Alive() {
+		if err := c.Tick(); err != nil {
 			if errors.Is(err, serve.ErrStopped) {
 				break
 			}
-			return err
+			return 0, 0, err
 		}
 	}
-	m := eng.Metrics()
-	fmt.Fprintf(out, "replayed %d trace seconds: submitted=%d served=%d evicted=%d expired=%d reward=$%.0f over %d slots\n",
-		len(tr.FPS), m.Submitted.Load(), m.Served.Load(), m.Evicted.Load(), m.Expired.Load(),
-		m.Reward.Load(), m.Ticks.Load())
-	return nil
+	return len(tr.FPS), submitted, nil
 }

@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"mecoffload/internal/cluster"
+	"mecoffload/internal/serve"
 	"mecoffload/internal/workload"
 )
 
@@ -73,12 +75,33 @@ func TestReplayMode(t *testing.T) {
 	if !strings.Contains(text, "slot    0  pending ") {
 		t.Fatalf("missing trace lines in:\n%s", text)
 	}
-	m := regexp.MustCompile(`submitted=(\d+) served=(\d+)`).FindStringSubmatch(text)
+	summary := regexp.MustCompile(`submitted=(\d+) served=(\d+)`)
+	m := summary.FindStringSubmatch(text)
 	if m == nil {
 		t.Fatalf("summary not parseable:\n%s", text)
 	}
 	if m[1] == "0" || m[2] == "0" {
 		t.Fatalf("replay did no work: %s", m[0])
+	}
+	if strings.Contains(text, "[shard ") {
+		t.Fatalf("one shard must keep arsim's unprefixed trace format:\n%s", text)
+	}
+
+	// The same flags at two shards: frame traces replay through the
+	// router, and -trace reaches every shard under its own prefix.
+	sharded := &syncBuffer{}
+	err = run([]string{"-replay", path, "-stations", "4", "-seed", "7", "-trace", "-shards", "2"}, sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = sharded.String()
+	for _, want := range []string{"replayed 5 trace seconds", "[shard 0] slot    0  pending ", "[shard 1] slot    0  pending "} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("2-shard replay output missing %q:\n%s", want, text)
+		}
+	}
+	if m2 := summary.FindStringSubmatch(text); m2 == nil || m2[1] != m[1] || m2[2] == "0" {
+		t.Fatalf("2-shard replay summary %v, want submitted=%s and work served", m2, m[1])
 	}
 }
 
@@ -144,7 +167,7 @@ func TestServeModeSignalDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(metrics) == 0 {
 		t.Fatalf("metrics scrape %d, %d bytes", resp.StatusCode, len(metrics))
 	}
-	if !strings.Contains(string(metrics), "arserved_ticks_total") {
+	if !strings.Contains(string(metrics), `arserved_cluster_ticks_total{shard="0"}`) {
 		t.Fatal("metrics missing tick counter")
 	}
 	for _, ep := range []string{"/healthz", "/readyz"} {
@@ -172,8 +195,22 @@ func TestServeModeSignalDrain(t *testing.T) {
 	if !strings.Contains(out.String(), "drained cleanly") {
 		t.Fatalf("no clean drain marker:\n%s", out.String())
 	}
-	if _, err := os.Stat(ckpt); err != nil {
+	// The final manifest is written after the shard's loop has exited; it
+	// must still hold what the shard learned and counted.
+	var man cluster.Manifest
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
 		t.Fatalf("no checkpoint written at shutdown: %v", err)
+	}
+	if err := json.Unmarshal(data, &man); err != nil || len(man.Shards) != 1 {
+		t.Fatalf("final manifest (err %v): %s", err, data)
+	}
+	ck, err := serve.LoadCheckpoint(filepath.Join(filepath.Dir(ckpt), man.Shards[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Totals.Submitted != 5 || ck.Totals.Ticks == 0 || ck.Bandit == nil || ck.Bandit.Policy.T == 0 {
+		t.Fatalf("final checkpoint after a clean drain lost the shard's state: totals %+v bandit %+v", ck.Totals, ck.Bandit)
 	}
 }
 
@@ -188,5 +225,20 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-scenario-in", "/does/not/exist.json"}, &out); err == nil {
 		t.Fatal("missing scenario accepted")
+	}
+	// The removed flag fails at parsing instead of changing meaning.
+	err := run([]string{"-cluster-shards", "2", "-replay", "/does/not/exist.json"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-cluster-shards: %v, want an unknown-flag error", err)
+	}
+	// A shard count the topology cannot honour is rejected, not clamped.
+	for _, n := range []string{"0", "-1", "5", "999"} {
+		err := run([]string{"-shards", n, "-stations", "4", "-replay", "/does/not/exist.json"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Fatalf("-shards %s on 4 stations: %v, want a -shards range error", n, err)
+		}
+	}
+	if err := run([]string{"-loadgen", "-replay", "x.json"}, &out); err == nil {
+		t.Fatal("-loadgen with -replay accepted")
 	}
 }

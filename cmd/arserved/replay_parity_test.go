@@ -13,12 +13,14 @@ import (
 	"mecoffload/internal/workload"
 )
 
-// TestReplayMatchesGoldenOracle: arserved -replay must reproduce the
-// oracle's golden frame replay decision for decision. Together with the
-// matching test on cmd/arsim, this proves the two commands produce
-// identical per-slot admissions and total reward on the same trace and
-// seed, through the daemon's full channel/shard machinery on one side
-// and the bare engine on the other.
+// TestReplayMatchesGoldenOracle: arserved -replay — a 1-shard cluster —
+// must reproduce the oracle's golden frame replay decision for decision.
+// Together with the matching test on cmd/arsim, this proves the two
+// commands produce identical per-slot admissions and total reward on the
+// same trace and seed, through the daemon's full router/channel/shard
+// machinery on one side and the bare engine on the other. Admissions
+// compare as sets per slot: the cluster reports ascending ids, the
+// planner admission order.
 func TestReplayMatchesGoldenOracle(t *testing.T) {
 	trace := writeTrace(t, 4)
 	dumpPath := filepath.Join(t.TempDir(), "decisions.json")
@@ -66,7 +68,7 @@ func TestReplayMatchesGoldenOracle(t *testing.T) {
 	if want.Submitted == 0 || len(want.Slots) == 0 {
 		t.Fatalf("golden replay is vacuous: %+v", want)
 	}
-	if !got.Equal(want) {
-		t.Fatalf("arserved -replay diverges from the golden oracle replay: %s", got.Diff(want))
+	if d := got.Normalized().Diff(want.Normalized()); d != "" {
+		t.Fatalf("arserved -replay diverges from the golden oracle replay: %s", d)
 	}
 }

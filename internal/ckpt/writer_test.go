@@ -2,6 +2,9 @@ package ckpt
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -202,5 +205,32 @@ func TestWriterSupersededSyncWaiterUnblocked(t *testing.T) {
 	close(block)
 	if err := <-second; err != nil {
 		t.Fatalf("second SubmitWait = %v", err)
+	}
+}
+
+// TestWriteFileAtomic: the new bytes replace the old in one step, no
+// temp file survives, and a failed write leaves the previous file alone.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	for _, body := range []string{"first", "second, longer"} {
+		if err := WriteFileAtomic(path, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != body {
+			t.Fatalf("read back %q (%v), want %q", got, err, body)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after two writes, want only the file", len(entries))
+	}
+	missing := filepath.Join(dir, "no-such-dir", "state.json")
+	if err := WriteFileAtomic(missing, []byte("x")); err == nil || !strings.Contains(err.Error(), "creating temp file") {
+		t.Fatalf("write into a missing directory: %v, want a temp-file error", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"mecoffload/internal/bandit"
+	"mecoffload/internal/ckpt"
 	"mecoffload/internal/serve"
 	"mecoffload/internal/sim"
 )
@@ -94,8 +95,11 @@ func shardFile(base string, shard int, gen uint64) string {
 // proceeds in the background, latest generation winning if the clock
 // laps the disk. The manifest is still written atomically AFTER every
 // shard file, so a crash mid-write leaves the previous generation fully
-// intact. Dead (fully drained) shards contribute an empty snapshot so
-// restore still sees every partition.
+// intact. A shard that already drained and exited contributes the
+// snapshot it took on the way out — learner, counters, no requests — so
+// the final manifest of a clean shutdown loses nothing; only a shard with
+// no snapshot at all gets an empty placeholder, so restore still sees
+// every partition.
 func (c *Cluster) checkpointLocked(syncWrite bool) error {
 	if c.clockStopped {
 		return serve.ErrStopped
@@ -128,6 +132,12 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 				Slot:      c.slot,
 				Scheduler: man.Scheduler,
 			}
+		} else if nd.rehomedIn > 0 {
+			// Persist Submitted as Totals reports it: each accepted request
+			// once. On a copy — a drained shard's snapshot is shared.
+			cp := *ck
+			cp.Totals.Submitted -= nd.rehomedIn
+			ck = &cp
 		}
 		snaps[k] = ck
 		files[k] = shardFile(base, k, gen)
@@ -165,44 +175,53 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 	return c.ckw.Submit(job)
 }
 
-// writeManifest persists the manifest atomically: temp file in the same
-// directory, fsync, rename.
+// writeManifest persists the manifest atomically (ckpt.WriteFileAtomic).
 func writeManifest(path string, man *Manifest) error {
 	data, err := json.MarshalIndent(man, "", " ")
 	if err != nil {
 		return fmt.Errorf("cluster: encoding manifest: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("cluster: manifest temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: writing manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: syncing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("cluster: publishing manifest: %w", err)
+	if err := ckpt.WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("cluster: publishing manifest %s: %w", path, err)
 	}
 	return nil
 }
 
-// loadManifest reads a manifest and every shard snapshot it names.
-func loadManifest(path string) (*Manifest, []*serve.Checkpoint, error) {
+// loadManifest reads a manifest and every shard snapshot it names. A
+// file that is instead a version-1 single-engine checkpoint — what a
+// daemon from before the cluster became the only serving path left at
+// -checkpoint — reads as a one-shard manifest over all `stations`
+// stations (legacyManifest). That format does not record how many
+// stations its daemon had, so a topology change is caught only when a live
+// request or stream names a station the topology lacks; a checkpoint from
+// a smaller topology restores. Anything else is an error: the caller
+// never starts empty over a file it cannot read.
+func loadManifest(path string, stations int) (*Manifest, []*serve.Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil, ErrNoManifest
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: reading manifest: %w", err)
+	}
+	// A manifest always carries "shards" and never "totals"; an engine
+	// checkpoint is the reverse.
+	var probe struct {
+		Shards json.RawMessage `json:"shards"`
+		Totals json.RawMessage `json:"totals"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return nil, nil, fmt.Errorf("cluster: decoding manifest %s: %w", path, err)
+	}
+	if probe.Shards == nil {
+		if probe.Totals == nil {
+			return nil, nil, fmt.Errorf("cluster: %s is neither a cluster manifest nor a single-engine checkpoint", path)
+		}
+		ck, err := serve.DecodeCheckpoint(data, path)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cluster: single-engine checkpoint: %w", err)
+		}
+		return legacyManifest(ck, stations), []*serve.Checkpoint{ck}, nil
 	}
 	var man Manifest
 	if err := json.Unmarshal(data, &man); err != nil {
@@ -221,6 +240,30 @@ func loadManifest(path string) (*Manifest, []*serve.Checkpoint, error) {
 		snaps[i] = ck
 	}
 	return &man, snaps, nil
+}
+
+// legacyManifest describes a single-engine checkpoint as the one-shard
+// manifest it is equivalent to: the engine owned every station under its
+// own index and its external ids were the ids clients hold, so the
+// station map and the id table are identities. composeRestore then
+// re-partitions it like any manifest (and rejects a checkpoint whose
+// requests or streams name stations the topology does not have); the
+// next checkpoint rewrites the file as a real manifest, generation 1.
+func legacyManifest(ck *serve.Checkpoint, stations int) *Manifest {
+	sh := manifestShard{Stations: make([]int, stations)}
+	for i := range sh.Stations {
+		sh.Stations[i] = i
+	}
+	for _, cr := range ck.Requests {
+		sh.IDs = append(sh.IDs, manifestIDPair{Ext: cr.ExternalID, Global: cr.ExternalID})
+	}
+	return &Manifest{
+		Version:      ManifestVersion,
+		Slot:         ck.Slot,
+		Scheduler:    ck.Scheduler,
+		NextGlobalID: ck.NextExternalID,
+		Shards:       []manifestShard{sh},
+	}
 }
 
 // globalRequest is one live request lifted into global id space during
@@ -245,12 +288,15 @@ type globalRequest struct {
 func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*serve.Checkpoint, error) {
 	var merged []globalRequest
 	var banditSnap *bandit.LipschitzSnapshot
+	var banditSlot int
 	var totals serve.Totals
 	for si, sh := range man.Shards {
 		ck := snaps[si]
 		addTotals(&totals, ck.Totals)
-		if banditSnap == nil && ck.Bandit != nil {
-			banditSnap = ck.Bandit
+		// A shard that drained early stopped learning at its exit slot:
+		// take the learner that saw the most slots (first shard on a tie).
+		if ck.Bandit != nil && (banditSnap == nil || ck.Slot > banditSlot) {
+			banditSnap, banditSlot = ck.Bandit, ck.Slot
 		}
 		ext2pair := make(map[uint64]manifestIDPair, len(sh.IDs))
 		for _, p := range sh.IDs {

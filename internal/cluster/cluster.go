@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,8 +46,10 @@ type Config struct {
 	Seed int64
 	// CheckpointPath, when set, names the cluster manifest; per-shard
 	// snapshots are written beside it. New restores from an existing
-	// manifest — with any shard count — and the cluster rewrites it
-	// every CheckpointEvery slots (default 50) and at Stop.
+	// manifest — with any shard count; a version-1 single-engine
+	// checkpoint left there by an older daemon reads as a one-shard
+	// manifest — and the cluster rewrites it every CheckpointEvery slots
+	// (default 50) and at Stop.
 	CheckpointPath  string
 	CheckpointEvery int
 	// AsyncCheckpoint takes checkpoint I/O off the cluster clock: under
@@ -78,6 +81,11 @@ type Config struct {
 	MaxRouted int
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
+	// TraceWriter, when non-nil, receives every shard's per-slot trace
+	// line (arsim's trace format). With more than one shard each line is
+	// prefixed "[shard k] "; a single shard's output is byte-identical to
+	// arsim -trace.
+	TraceWriter io.Writer
 	// SlotObserver, when set, receives each cluster slot's admitted
 	// global ids (ascending) and the globally aggregated reward, after
 	// every shard ticked. Replay harnesses use it to build decision
@@ -133,6 +141,12 @@ type shardNode struct {
 
 	migratedIn  atomic.Uint64
 	migratedOut atomic.Uint64
+	// rehomedIn counts the engine re-submissions the clock made into this
+	// shard for requests already accepted once (migration and handover
+	// handoffs, and their compensations; guarded by the cluster's clock
+	// lock). Each shows up a second time in the engine's submitted counter;
+	// Totals and the checkpoint take it back out.
+	rehomedIn uint64
 
 	// Epoch-worker plumbing. The persistent worker goroutine (started by
 	// New, terminated by Stop closing epochC) blocks on epochC and
@@ -180,15 +194,15 @@ func (nd *shardNode) epochWorker() {
 				}
 			}
 		case epSnapshot:
+			// A shard that already drained and exited has nothing to flush
+			// and answers Snapshot with the state it exited in.
 			nd.snap, nd.snapErr = nil, nil
-			if nd.eng.Alive() {
-				if err := nd.eng.Flush(); err != nil && !errors.Is(err, serve.ErrStopped) {
-					nd.snapErr = err
-				} else if snap, err := nd.eng.Snapshot(); err == nil {
-					nd.snap = snap
-				} else if !errors.Is(err, serve.ErrStopped) {
-					nd.snapErr = err
-				}
+			if err := nd.eng.Flush(); err != nil && !errors.Is(err, serve.ErrStopped) {
+				nd.snapErr = err
+			} else if snap, err := nd.eng.Snapshot(); err == nil {
+				nd.snap = snap
+			} else if !errors.Is(err, serve.ErrStopped) {
+				nd.snapErr = err
 			}
 		}
 		msg.wg.Done()
@@ -233,6 +247,24 @@ func (nd *shardNode) takeReports() []shardSlotReport {
 	nd.spare = r
 	nd.mu.Unlock()
 	return r
+}
+
+// shardTraceWriter labels one shard's trace lines and serializes them
+// with the other shards' onto the shared sink (the engines write from
+// their own loop goroutines, one Write per line).
+type shardTraceWriter struct {
+	mu     *sync.Mutex
+	w      io.Writer
+	prefix string
+}
+
+func (s *shardTraceWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := io.WriteString(s.w, s.prefix); err != nil {
+		return 0, err
+	}
+	return s.w.Write(p)
 }
 
 // Cluster is N scheduler shards behind one router and one clock.
@@ -354,7 +386,7 @@ func New(cfg Config) (*Cluster, error) {
 	// Restore from an existing manifest, shard-count-agnostic.
 	var restores []*serve.Checkpoint
 	if cfg.CheckpointPath != "" {
-		man, snaps, err := loadManifest(cfg.CheckpointPath)
+		man, snaps, err := loadManifest(cfg.CheckpointPath, cfg.Net.NumStations())
 		if err != nil && !errors.Is(err, ErrNoManifest) {
 			return nil, err
 		}
@@ -391,12 +423,12 @@ func New(cfg Config) (*Cluster, error) {
 		shardDrift, c.crossHandovers = splitDrift(cfg.Drift, owner, c.nodes)
 	}
 
+	var traceMu sync.Mutex
 	for k, nd := range c.nodes {
 		scfg := serve.Config{
 			Net:                nd.subnet,
 			SchedulerName:      cfg.SchedulerName,
 			DynamicRR:          cfg.DynamicRR,
-			TickInterval:       0, // the cluster owns the clock
 			SlotLengthMS:       cfg.SlotLengthMS,
 			Rng:                rnd.New(cfg.Seed, fmt.Sprintf("cluster-shard-%d", k)),
 			RetrySeed:          rnd.Derive(cfg.Seed, fmt.Sprintf("cluster-retry-%d", k)),
@@ -417,6 +449,13 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		if shardDrift != nil {
 			scfg.Drift = shardDrift[k]
+		}
+		switch {
+		case cfg.TraceWriter == nil:
+		case len(c.nodes) == 1:
+			scfg.TraceWriter = cfg.TraceWriter
+		default:
+			scfg.TraceWriter = &shardTraceWriter{mu: &traceMu, w: cfg.TraceWriter, prefix: fmt.Sprintf("[shard %d] ", k)}
 		}
 		eng, err := serve.New(scfg)
 		if err != nil {
@@ -512,8 +551,9 @@ func (c *Cluster) tickLocked() error {
 	}
 	// One barrier runs the slot on every shard worker, fused with the
 	// previous slot's deferred feedback and — on sweep slots — the
-	// free-capacity refresh the migration pricing needs.
-	wantFree := c.cfg.MigrationEvery > 0 && (c.slot+1)%c.cfg.MigrationEvery == 0
+	// free-capacity refresh the migration pricing needs. A single shard
+	// has no migration target, so it never sweeps.
+	wantFree := len(c.nodes) > 1 && c.cfg.MigrationEvery > 0 && (c.slot+1)%c.cfg.MigrationEvery == 0
 	c.epoch(epochMsg{op: epTick, fbSlot: c.fbSlot, fbReward: c.fbReward, hasFB: c.fbValid, wantFree: wantFree})
 	c.fbValid = false
 	alive := 0
@@ -620,6 +660,17 @@ func (c *Cluster) Submit(spec serve.RequestSpec) (uint64, int, error) {
 		return 0, 0, err
 	}
 	return c.router.bind(shard, ext, spanCands), slot, nil
+}
+
+// rehome re-submits an already-accepted request to a shard on the
+// clock's behalf (a migration or handover handoff, or its compensation;
+// callers hold c.mu) and returns its new shard-local id.
+func (c *Cluster) rehome(shard int, spec serve.RequestSpec, spanCands []int) (uint64, error) {
+	ext, _, err := c.nodes[shard].eng.Submit(c.localSpec(shard, spec, spanCands))
+	if err == nil {
+		c.nodes[shard].rehomedIn++
+	}
+	return ext, err
 }
 
 // routedSpec is one SubmitBatch spec's routing decision.
@@ -882,3 +933,34 @@ func (c *Cluster) PartitionTable() [][]int {
 
 // RouterStats returns the routing counters.
 func (c *Cluster) RouterStats() RouterStats { return c.router.stats() }
+
+// Totals sums the shards' cumulative counters, with Submitted counting
+// every accepted request once: the clock's handoff re-submissions are
+// subtracted (read under the clock lock, so the sum and the correction
+// agree; checkpoints persist the corrected figure, so it holds across
+// restarts). Ticks counts shard slots; Slot is the cluster clock.
+func (c *Cluster) Totals() serve.Totals {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var t serve.Totals
+	for _, nd := range c.nodes {
+		addTotals(&t, nd.eng.Metrics().Totals())
+		t.Submitted -= nd.rehomedIn
+	}
+	return t
+}
+
+// CheckIngestBounds verifies that every shard's ingest ring and overflow
+// stage sit inside their configured capacities — the bounded-queue
+// invariant the load generator asserts after a saturating run.
+func (c *Cluster) CheckIngestBounds() error {
+	for k, nd := range c.nodes {
+		if d, limit := nd.eng.RingDepth(), nd.eng.RingCap(); d > limit {
+			return fmt.Errorf("cluster: shard %d ring depth %d exceeds capacity %d", k, d, limit)
+		}
+		if d, limit := int(nd.eng.StagedDepth()), nd.eng.StageCap(); d > limit {
+			return fmt.Errorf("cluster: shard %d staged depth %d exceeds capacity %d", k, d, limit)
+		}
+	}
+	return nil
+}

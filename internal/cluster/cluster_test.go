@@ -20,6 +20,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -278,8 +281,13 @@ func TestClusterCheckpointReshard(t *testing.T) {
 	}
 }
 
-// TestClusterHandlerMetrics drives the HTTP surface end to end and
-// checks the per-shard labeled exposition.
+// TestClusterHandlerMetrics pins the one /metrics page: the per-shard
+// labeled series of a 4-shard cluster; then, at one shard and at three,
+// a well-formed page with every per-shard series present once per shard,
+// every global station once, and the union of what the single-engine
+// page used to carry (warm-start, component solves, slot errors,
+// saturation, ring and stage depth, station capacity) now under a shard
+// label. A stopped cluster still renders.
 func TestClusterHandlerMetrics(t *testing.T) {
 	net := islandNetwork(t, 4, 2)
 	c, err := cluster.New(parityConfig(net, 4))
@@ -298,11 +306,7 @@ func TestClusterHandlerMetrics(t *testing.T) {
 	if err := c.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := c.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
+	got := scrape(t, c)
 	for _, want := range []string{
 		`arserved_cluster_shards 4`,
 		`arserved_cluster_requests_total{shard="0",result="submitted"} 1`,
@@ -315,4 +319,230 @@ func TestClusterHandlerMetrics(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, got)
 		}
 	}
+
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			net := islandNetwork(t, 3, 2)
+			cfg := parityConfig(net, shards)
+			cfg.DynamicRR.Incremental = true
+			c, err := cluster.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			defer func() { _ = c.Stop() }()
+			// Two busy slots, so the dirty-component tracker has counted.
+			for slot := 0; slot < 2; slot++ {
+				for st := 0; st < 6; st++ {
+					if _, _, err := c.Submit(serve.RequestSpec{AccessStation: st, DurationSlots: 3}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := c.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			text := scrape(t, c)
+			samples, types := parseExposition(t, text)
+
+			for _, family := range []string{
+				"requests_total", "reward_dollars_total", "ticks_total", "slot_errors_total",
+				"pending_requests", "active_streams", "batches_total", "batch_requests_total",
+				"saturated_total", "intake_depth", "intake_ring_depth", "intake_staged_depth",
+				"migrations_total", "slot_duration_ms", "intake_latency_ms", "lp_warmstart_total",
+				"lp_warmstart_hit_ratio", "component_solves_total", "station_used_mhz",
+				"station_capacity_mhz", "shards", "slot", "routed_total", "checkpoints_total",
+				"checkpoints_dropped_total",
+			} {
+				if types["arserved_cluster_"+family] == "" {
+					t.Errorf("family arserved_cluster_%s missing", family)
+				}
+			}
+			for _, want := range []string{`result="rejected"`, `result="departed"`, `path="clean"`, `path="lp"`, `outcome="hit"`} {
+				if !strings.Contains(text, want) {
+					t.Errorf("exposition has no %s series", want)
+				}
+			}
+
+			// Group the labeled series by everything but the shard: each
+			// must appear exactly once per shard. Station gauges belong to
+			// one shard each, so there every GLOBAL station appears once.
+			perSeries := map[string]map[string]int{}
+			stations := map[string]map[string]int{}
+			for _, s := range samples {
+				shard, ok := s.labels["shard"]
+				if !ok {
+					continue
+				}
+				if st, ok := s.labels["station"]; ok {
+					if stations[s.name] == nil {
+						stations[s.name] = map[string]int{}
+					}
+					stations[s.name][st]++
+					continue
+				}
+				var rest []string
+				for k, v := range s.labels {
+					if k != "shard" {
+						rest = append(rest, k+"="+v)
+					}
+				}
+				sort.Strings(rest)
+				key := s.name + "{" + strings.Join(rest, ",") + "}"
+				if perSeries[key] == nil {
+					perSeries[key] = map[string]int{}
+				}
+				perSeries[key][shard]++
+			}
+			if len(perSeries) < 30 {
+				t.Fatalf("only %d per-shard series parsed", len(perSeries))
+			}
+			for key, byShard := range perSeries {
+				for k := 0; k < shards; k++ {
+					if n := byShard[strconv.Itoa(k)]; n != 1 {
+						t.Errorf("series %s has %d samples for shard %d, want 1", key, n, k)
+					}
+				}
+				if len(byShard) != shards {
+					t.Errorf("series %s spans shards %v, want exactly %d", key, byShard, shards)
+				}
+			}
+			for _, name := range []string{"arserved_cluster_station_used_mhz", "arserved_cluster_station_capacity_mhz"} {
+				for st := 0; st < 6; st++ {
+					if n := stations[name][strconv.Itoa(st)]; n != 1 {
+						t.Errorf("%s has %d samples for station %d, want 1", name, n, st)
+					}
+				}
+			}
+
+			// A stopped cluster still renders a well-formed page.
+			if err := c.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			parseExposition(t, scrape(t, c))
+		})
+	}
+
+	// The default full-re-solve scheduler: by the second busy slot the
+	// LP-PT re-solves from the previous slot's basis, so the warm-start
+	// hit rate on /metrics is positive; and with no dirty-component
+	// tracker the component-solve family is absent, not rendered as
+	// all-zero counters.
+	full, err := cluster.New(cluster.Config{Net: islandNetwork(t, 1, 4), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.Start()
+	defer func() { _ = full.Stop() }()
+	for slot := 0; slot < 2; slot++ {
+		for i := 0; i < 8; i++ {
+			if _, _, err := full.Submit(serve.RequestSpec{AccessStation: i % 4, DurationSlots: 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := full.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := scrape(t, full)
+	if !regexp.MustCompile(`arserved_cluster_lp_warmstart_total\{shard="0",outcome="hit"\} [1-9]`).MatchString(text) {
+		t.Errorf("no warm-start hits after the second slot:\n%s", text)
+	}
+	if strings.Contains(text, `arserved_cluster_lp_warmstart_hit_ratio{shard="0"} 0`+"\n") {
+		t.Error("warm-start hit ratio still zero after the second slot")
+	}
+	if strings.Contains(text, "arserved_cluster_component_solves_total") {
+		t.Error("component-solve counters rendered without an incremental tracker")
+	}
+}
+
+func scrape(t *testing.T, c *cluster.Cluster) string {
+	t.Helper()
+	var b strings.Builder
+	if err := c.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// promSample is one parsed sample line of a text exposition.
+type promSample struct {
+	name   string
+	labels map[string]string
+}
+
+// parseExposition checks a scrape against the Prometheus text format —
+// every line is a HELP, a TYPE or a well-formed sample; every family has
+// exactly one HELP and one TYPE, ahead of its samples — and returns the
+// samples and each family's type.
+func parseExposition(t *testing.T, text string) ([]promSample, map[string]string) {
+	t.Helper()
+	var (
+		sampleRE = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$`)
+		labelRE  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="([^"\\]*)"$`)
+		helps    = map[string]int{}
+		types    = map[string]string{}
+		samples  []promSample
+	)
+	for i, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, help, _ := strings.Cut(rest, " ")
+			if help == "" {
+				t.Fatalf("line %d: HELP without text: %q", i+1, line)
+			}
+			helps[name]++
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			if _, dup := types[name]; dup {
+				t.Fatalf("line %d: second TYPE for %s", i+1, name)
+			}
+			if typ != "counter" && typ != "gauge" && typ != "histogram" {
+				t.Fatalf("line %d: unknown type %q", i+1, typ)
+			}
+			types[name] = typ
+			continue
+		}
+		m := sampleRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("line %d is not a sample: %q", i+1, line)
+		}
+		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
+			t.Fatalf("line %d: value %q: %v", i+1, m[3], err)
+		}
+		s := promSample{name: m[1], labels: map[string]string{}}
+		if m[2] != "" {
+			for _, kv := range strings.Split(m[2], ",") {
+				lm := labelRE.FindStringSubmatch(kv)
+				if lm == nil {
+					t.Fatalf("line %d: bad label %q", i+1, kv)
+				}
+				s.labels[lm[1]] = lm[2]
+			}
+		}
+		family := s.name
+		if types[family] == "" {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(s.name, suffix); ok && types[base] == "histogram" {
+					family = base
+				}
+			}
+		}
+		if types[family] == "" {
+			t.Fatalf("line %d: sample %s precedes its family's TYPE", i+1, s.name)
+		}
+		samples = append(samples, s)
+	}
+	for name := range types {
+		if helps[name] != 1 {
+			t.Fatalf("family %s has %d HELP lines, want 1", name, helps[name])
+		}
+	}
+	for name, n := range helps {
+		if _, ok := types[name]; !ok || n != 1 {
+			t.Fatalf("family %s: %d HELP lines, TYPE present: %v", name, n, ok)
+		}
+	}
+	return samples, types
 }

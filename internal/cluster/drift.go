@@ -108,17 +108,17 @@ func (c *Cluster) applyCrossHandoversLocked() {
 				// in a single engine.
 				spec.AccessStation = h.From
 				spec.DeadlineMS = c.cfg.SlotLengthMS / 2
-				if rext, _, rerr := src.eng.Submit(c.localSpec(src.idx, spec, nil)); rerr == nil && hasG {
+				if rext, rerr := c.rehome(src.idx, spec, nil); rerr == nil && hasG {
 					c.router.rebind(g, src.idx, rext, false)
 				}
 				continue
 			}
-			next, _, err := dst.eng.Submit(c.localSpec(dst.idx, spec, nil))
+			next, err := c.rehome(dst.idx, spec, nil)
 			if err != nil {
 				// Compensate: back to the source under its old station so
 				// the request is never lost mid-handover.
 				spec.AccessStation = h.From
-				if rext, _, rerr := src.eng.Submit(c.localSpec(src.idx, spec, nil)); rerr == nil && hasG {
+				if rext, rerr := c.rehome(src.idx, spec, nil); rerr == nil && hasG {
 					c.router.rebind(g, src.idx, rext, false)
 				} else if rerr != nil {
 					c.cfg.Logf("cluster: handover %d->%d lost request %d (target: %v, source: %v)",

@@ -8,14 +8,13 @@ import (
 	"net/http"
 	"strconv"
 
+	"mecoffload/internal/core"
 	"mecoffload/internal/serve"
 )
 
-// Handler builds the cluster's HTTP API. The surface mirrors the
-// single-engine serve.Handler — same endpoints, same status codes, same
-// 503 overload contract (the jittered Retry-After comes from shard 0's
-// seeded stream) — so clients cannot tell one engine from N shards,
-// except on /metrics, which exposes every gauge per shard under an
+// Handler builds the daemon's HTTP API — the only one: a single engine
+// is served as a 1-shard cluster, and clients cannot tell one shard from
+// N except on /metrics, which exposes every per-engine figure under an
 // explicit shard label:
 //
 //	POST /v1/requests        submit one RequestSpec, 202 + {id, slot, state}
@@ -24,6 +23,12 @@ import (
 //	GET  /metrics            per-shard labeled Prometheus exposition
 //	GET  /healthz            200 while any shard is alive
 //	GET  /readyz             200 while every shard ticks and accepts intake
+//
+// Overload contract: a 503 (draining, stopped, or ingest saturation)
+// always carries a Retry-After header and a JSON body with a jittered
+// retryAfterMS hint (serve.Engine.WriteUnavailable, from shard 0's seeded
+// stream); under saturation the batch path sheds the lowest
+// expected-reward requests first before refusing batches outright.
 func Handler(c *Cluster) http.Handler {
 	mux := http.NewServeMux()
 	front := c.nodes[0].eng // overload contract + jitter stream
@@ -48,23 +53,25 @@ func Handler(c *Cluster) http.Handler {
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 			return
 		}
 		id, slot, err := c.Submit(spec)
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusAccepted, submitResponse{ID: id, Slot: slot, State: serve.StatePending})
+			serve.WriteJSON(w, http.StatusAccepted, submitResponse{ID: id, Slot: slot, State: serve.StatePending})
 		case errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrStopped):
 			front.WriteUnavailable(w, err)
 		case errors.Is(err, serve.ErrBadSpec):
-			writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 		default:
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		}
 	})
 
 	mux.HandleFunc("POST /v1/requests:batch", func(w http.ResponseWriter, r *http.Request) {
+		// Batches beyond 32 MiB fail with 413 rather than buffering
+		// without limit.
 		body := http.MaxBytesReader(w, r.Body, 32<<20)
 		lines, lineErrs, err := serve.DecodeBatch(body, 0, 0)
 		if err != nil {
@@ -73,9 +80,11 @@ func Handler(c *Cluster) http.Handler {
 			if errors.Is(err, serve.ErrBatchTooLarge) || errors.As(err, &tooBig) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			writeJSON(w, status, errorResponse{Error: "bad batch: " + err.Error()})
+			serve.WriteJSON(w, status, errorResponse{Error: "bad batch: " + err.Error()})
 			return
 		}
+		// Validate up front so malformed specs come back as line errors
+		// instead of asynchronous sheds.
 		specs := make([]serve.RequestSpec, 0, len(lines))
 		for _, ln := range lines {
 			if verr := c.ValidateSpec(ln.Spec); verr != nil {
@@ -85,13 +94,13 @@ func Handler(c *Cluster) http.Handler {
 			specs = append(specs, ln.Spec)
 		}
 		if len(specs) == 0 && len(lineErrs) == 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
+			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
 			return
 		}
 		res, err := c.SubmitBatch(specs)
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusOK, batchResponse{
+			serve.WriteJSON(w, http.StatusOK, batchResponse{
 				Accepted: len(res.IDs),
 				Shed:     res.Shed,
 				IDs:      res.IDs,
@@ -100,14 +109,14 @@ func Handler(c *Cluster) http.Handler {
 		case errors.Is(err, serve.ErrSaturated), errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrStopped):
 			front.WriteUnavailable(w, err)
 		default:
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		}
 	})
 
 	mux.HandleFunc("GET /v1/requests/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request id"})
+			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request id"})
 			return
 		}
 		rec, ok, err := c.Status(id)
@@ -116,10 +125,10 @@ func Handler(c *Cluster) http.Handler {
 			return
 		}
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown request"})
+			serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown request"})
 			return
 		}
-		writeJSON(w, http.StatusOK, rec)
+		serve.WriteJSON(w, http.StatusOK, rec)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -148,15 +157,12 @@ func Handler(c *Cluster) http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// WriteProm renders the cluster's Prometheus exposition: every family
-// carries a shard label so operators see per-shard slot latency, queue
-// depth, and migration flow, plus cluster-level routing counters.
+// WriteProm renders the daemon's one Prometheus exposition. Cluster-level
+// families (shard count, clock, routing, checkpoints) carry no shard
+// label; everything an engine measures is rendered once per shard under
+// shard="k", so an operator sees per-shard slot latency, queue depth, LP
+// warm-start and component-solve behaviour, and migration flow at any
+// shard count. Station gauges are labeled with GLOBAL station ids.
 func (c *Cluster) WriteProm(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -164,105 +170,145 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
+	family := func(name, typ, help string) {
+		p("# HELP arserved_cluster_%s %s\n# TYPE arserved_cluster_%s %s\n", name, help, name, typ)
+	}
+	// perShard renders one sample per shard; labeled renders one sample
+	// per shard and label value.
+	perShard := func(name, typ, help string, val func(nd *shardNode) any) {
+		family(name, typ, help)
+		for k, nd := range c.nodes {
+			p("arserved_cluster_%s{shard=\"%d\"} %v\n", name, k, val(nd))
+		}
+	}
+	type labeledValue struct {
+		label string
+		v     any
+	}
+	labeled := func(name, typ, help, key string, vals func(nd *shardNode) []labeledValue) {
+		family(name, typ, help)
+		for k, nd := range c.nodes {
+			for _, lv := range vals(nd) {
+				p("arserved_cluster_%s{shard=\"%d\",%s=\"%s\"} %v\n", name, k, key, lv.label, lv.v)
+			}
+		}
+	}
+	histogram := func(name, help string, snap func(m *serve.Metrics) serve.HistogramSnapshot) {
+		family(name, "histogram", help)
+		for k, nd := range c.nodes {
+			h := snap(nd.eng.Metrics())
+			for i, b := range h.Bounds {
+				p("arserved_cluster_%s_bucket{shard=\"%d\",le=\"%g\"} %d\n", name, k, b, h.Counts[i])
+			}
+			p("arserved_cluster_%s_bucket{shard=\"%d\",le=\"+Inf\"} %d\n", name, k, h.Count)
+			p("arserved_cluster_%s_sum{shard=\"%d\"} %g\n", name, k, h.Sum)
+			p("arserved_cluster_%s_count{shard=\"%d\"} %d\n", name, k, h.Count)
+		}
+	}
 
-	p("# HELP arserved_cluster_shards Configured scheduler shards.\n")
-	p("# TYPE arserved_cluster_shards gauge\n")
+	family("shards", "gauge", "Configured scheduler shards.")
 	p("arserved_cluster_shards %d\n", len(c.nodes))
-
-	p("# HELP arserved_cluster_slot The cluster clock's next scheduling slot.\n")
-	p("# TYPE arserved_cluster_slot gauge\n")
+	family("slot", "gauge", "The cluster clock's next scheduling slot.")
 	p("arserved_cluster_slot %d\n", c.Slot())
-
 	rs := c.RouterStats()
-	p("# HELP arserved_cluster_routed_total Requests routed, by path.\n")
-	p("# TYPE arserved_cluster_routed_total counter\n")
+	family("routed_total", "counter", "Requests routed, by path.")
 	p("arserved_cluster_routed_total{path=\"fast\"} %d\n", rs.FastPath)
 	p("arserved_cluster_routed_total{path=\"spanning\"} %d\n", rs.Spanning)
 	p("arserved_cluster_routed_total{path=\"no_candidate\"} %d\n", rs.NoCandidate)
-
-	p("# HELP arserved_cluster_checkpoints_total Cluster manifests written.\n")
-	p("# TYPE arserved_cluster_checkpoints_total counter\n")
+	family("checkpoints_total", "counter", "Cluster manifests written.")
 	p("arserved_cluster_checkpoints_total %d\n", c.checkpoints.Load())
-
-	p("# HELP arserved_cluster_checkpoints_dropped_total Async snapshot generations superseded before reaching disk.\n")
-	p("# TYPE arserved_cluster_checkpoints_dropped_total counter\n")
+	family("checkpoints_dropped_total", "counter", "Async snapshot generations superseded before reaching disk.")
 	p("arserved_cluster_checkpoints_dropped_total %d\n", c.CheckpointsDropped())
 
-	p("# HELP arserved_cluster_requests_total Per-shard requests by terminal result.\n")
-	p("# TYPE arserved_cluster_requests_total counter\n")
-	for k, nd := range c.nodes {
+	labeled("requests_total", "counter", "Per-shard requests by terminal result.", "result", func(nd *shardNode) []labeledValue {
 		m := nd.eng.Metrics()
-		p("arserved_cluster_requests_total{shard=\"%d\",result=\"submitted\"} %d\n", k, m.Submitted.Load())
-		p("arserved_cluster_requests_total{shard=\"%d\",result=\"admitted\"} %d\n", k, m.Admitted.Load())
-		p("arserved_cluster_requests_total{shard=\"%d\",result=\"served\"} %d\n", k, m.Served.Load())
-		p("arserved_cluster_requests_total{shard=\"%d\",result=\"evicted\"} %d\n", k, m.Evicted.Load())
-		p("arserved_cluster_requests_total{shard=\"%d\",result=\"expired\"} %d\n", k, m.Expired.Load())
-		p("arserved_cluster_requests_total{shard=\"%d\",result=\"shed\"} %d\n", k, m.Shed.Load())
-	}
+		return []labeledValue{
+			{"submitted", m.Submitted.Load()}, {"rejected", m.Rejected.Load()},
+			{"admitted", m.Admitted.Load()}, {"served", m.Served.Load()},
+			{"evicted", m.Evicted.Load()}, {"expired", m.Expired.Load()},
+			{"departed", m.Departed.Load()}, {"shed", m.Shed.Load()},
+		}
+	})
+	perShard("reward_dollars_total", "counter", "Per-shard realized reward.",
+		func(nd *shardNode) any { return nd.eng.Metrics().Reward.Load() })
+	perShard("ticks_total", "counter", "Per-shard scheduling slots executed.",
+		func(nd *shardNode) any { return nd.eng.Metrics().Ticks.Load() })
+	perShard("slot_errors_total", "counter", "Per-shard slots whose scheduler returned an error.",
+		func(nd *shardNode) any { return nd.eng.Metrics().SlotErrors.Load() })
+	perShard("pending_requests", "gauge", "Per-shard admission-queue depth.",
+		func(nd *shardNode) any { return nd.eng.Metrics().PendingDepth.Load() })
+	perShard("active_streams", "gauge", "Per-shard streams occupying service instances.",
+		func(nd *shardNode) any { return nd.eng.Metrics().ActiveStreams.Load() })
 
-	p("# HELP arserved_cluster_reward_dollars_total Per-shard realized reward.\n")
-	p("# TYPE arserved_cluster_reward_dollars_total counter\n")
-	for k, nd := range c.nodes {
-		p("arserved_cluster_reward_dollars_total{shard=\"%d\"} %g\n", k, nd.eng.Metrics().Reward.Load())
-	}
+	perShard("batches_total", "counter", "Per-shard bulk intake batches accepted.",
+		func(nd *shardNode) any { return nd.eng.Metrics().Batches.Load() })
+	perShard("batch_requests_total", "counter", "Per-shard requests carried by accepted bulk batches.",
+		func(nd *shardNode) any { return nd.eng.Metrics().BatchRequests.Load() })
+	perShard("saturated_total", "counter", "Per-shard bulk batches refused because the ingest path was saturated.",
+		func(nd *shardNode) any { return nd.eng.Metrics().Saturated.Load() })
+	perShard("intake_depth", "gauge", "Per-shard ingest ring plus overflow-stage depth.",
+		func(nd *shardNode) any { return nd.eng.Metrics().IntakeDepth.Load() + nd.eng.StagedDepth() })
+	perShard("intake_ring_depth", "gauge", "Per-shard entries waiting in the ingest ring.",
+		func(nd *shardNode) any { return nd.eng.Metrics().IntakeDepth.Load() })
+	perShard("intake_staged_depth", "gauge", "Per-shard entries waiting in the reward-sorted overflow stage.",
+		func(nd *shardNode) any { return nd.eng.StagedDepth() })
 
-	p("# HELP arserved_cluster_pending_requests Per-shard admission-queue depth.\n")
-	p("# TYPE arserved_cluster_pending_requests gauge\n")
-	for k, nd := range c.nodes {
-		p("arserved_cluster_pending_requests{shard=\"%d\"} %d\n", k, nd.eng.Metrics().PendingDepth.Load())
-	}
-
-	p("# HELP arserved_cluster_intake_depth Per-shard ingest ring plus overflow-stage depth.\n")
-	p("# TYPE arserved_cluster_intake_depth gauge\n")
-	for k, nd := range c.nodes {
-		m := nd.eng.Metrics()
-		p("arserved_cluster_intake_depth{shard=\"%d\"} %d\n", k, m.IntakeDepth.Load()+nd.eng.StagedDepth())
-	}
-
-	p("# HELP arserved_cluster_active_streams Per-shard streams occupying service instances.\n")
-	p("# TYPE arserved_cluster_active_streams gauge\n")
-	for k, nd := range c.nodes {
-		p("arserved_cluster_active_streams{shard=\"%d\"} %d\n", k, nd.eng.Metrics().ActiveStreams.Load())
-	}
-
-	p("# HELP arserved_cluster_migrations_total Committed cross-shard handoffs per shard and direction.\n")
-	p("# TYPE arserved_cluster_migrations_total counter\n")
+	family("migrations_total", "counter", "Committed cross-shard handoffs per shard and direction.")
 	in, out := c.MigratedCounts()
 	for k := range c.nodes {
 		p("arserved_cluster_migrations_total{shard=\"%d\",direction=\"in\"} %d\n", k, in[k])
 		p("arserved_cluster_migrations_total{shard=\"%d\",direction=\"out\"} %d\n", k, out[k])
 	}
 
-	p("# HELP arserved_cluster_slot_duration_ms Per-shard scheduling latency of one slot.\n")
-	p("# TYPE arserved_cluster_slot_duration_ms histogram\n")
-	for k, nd := range c.nodes {
-		h := nd.eng.Metrics().SlotDurationSnapshot()
-		for i, b := range h.Bounds {
-			p("arserved_cluster_slot_duration_ms_bucket{shard=\"%d\",le=\"%g\"} %d\n", k, b, h.Counts[i])
+	histogram("slot_duration_ms", "Per-shard scheduling latency of one slot.", (*serve.Metrics).SlotDurationSnapshot)
+	histogram("intake_latency_ms", "Per-shard batched-ingest handoff latency (pump enqueue to planner append).", (*serve.Metrics).IntakeLatencySnapshot)
+
+	labeled("lp_warmstart_total", "counter", "Per-shard LP-PT warm-start basis lookups by outcome.", "outcome", func(nd *shardNode) []labeledValue {
+		hits, misses := nd.eng.WarmStats()
+		return []labeledValue{{"hit", hits}, {"miss", misses}}
+	})
+	perShard("lp_warmstart_hit_ratio", "gauge", "Per-shard fraction of LP-PT solves seeded from a previous basis.", func(nd *shardNode) any {
+		hits, misses := nd.eng.WarmStats()
+		if hits+misses == 0 {
+			return 0.0
 		}
-		p("arserved_cluster_slot_duration_ms_bucket{shard=\"%d\",le=\"+Inf\"} %d\n", k, h.Count)
-		p("arserved_cluster_slot_duration_ms_sum{shard=\"%d\"} %g\n", k, h.Sum)
-		p("arserved_cluster_slot_duration_ms_count{shard=\"%d\"} %d\n", k, h.Count)
+		return float64(hits) / float64(hits+misses)
+	})
+	// The component-solve split exists only under the incremental or
+	// local-ratio scheduler; without a tracker the family is absent rather
+	// than rendered as all-zero counters.
+	tracked := false
+	for _, nd := range c.nodes {
+		tracked = tracked || nd.eng.IncStats() != (core.IncStats{})
+	}
+	if tracked {
+		labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, local-ratio certifies and skips the LP, fallback failed certification, lp is a full component solve.", "path", func(nd *shardNode) []labeledValue {
+			inc := nd.eng.IncStats()
+			// In local-ratio-only mode the counters-only tracker never
+			// counts dirty solves, so the residual lp bucket clamps at zero.
+			lpSolves := int64(inc.DirtySolves) - int64(inc.FastPath) - int64(inc.FastFallback)
+			if lpSolves < 0 {
+				lpSolves = 0
+			}
+			return []labeledValue{{"clean", inc.CleanHits}, {"local-ratio", inc.FastPath}, {"fallback", inc.FastFallback}, {"lp", lpSolves}}
+		})
 	}
 
-	p("# HELP arserved_cluster_intake_latency_ms Per-shard batched-ingest handoff latency.\n")
-	p("# TYPE arserved_cluster_intake_latency_ms histogram\n")
+	gauges := make([][]serve.StationGauge, len(c.nodes))
 	for k, nd := range c.nodes {
-		h := nd.eng.Metrics().IntakeLatencySnapshot()
-		for i, b := range h.Bounds {
-			p("arserved_cluster_intake_latency_ms_bucket{shard=\"%d\",le=\"%g\"} %d\n", k, b, h.Counts[i])
-		}
-		p("arserved_cluster_intake_latency_ms_bucket{shard=\"%d\",le=\"+Inf\"} %d\n", k, h.Count)
-		p("arserved_cluster_intake_latency_ms_sum{shard=\"%d\"} %g\n", k, h.Sum)
-		p("arserved_cluster_intake_latency_ms_count{shard=\"%d\"} %d\n", k, h.Count)
+		gauges[k] = nd.eng.Gauges()
 	}
-
-	p("# HELP arserved_cluster_station_used_mhz Realized MHz per global station, from its owning shard.\n")
-	p("# TYPE arserved_cluster_station_used_mhz gauge\n")
-	for k, nd := range c.nodes {
-		for _, g := range nd.eng.Gauges() {
-			p("arserved_cluster_station_used_mhz{shard=\"%d\",station=\"%d\"} %g\n", k, nd.stations[g.Station], g.UsedMHz)
+	stations := func(name, help string, val func(g serve.StationGauge) float64) {
+		family(name, "gauge", help)
+		for k, nd := range c.nodes {
+			for _, g := range gauges[k] {
+				p("arserved_cluster_%s{shard=\"%d\",station=\"%d\"} %g\n", name, k, nd.stations[g.Station], val(g))
+			}
 		}
 	}
+	stations("station_used_mhz", "Realized MHz per global station, from its owning shard.",
+		func(g serve.StationGauge) float64 { return g.UsedMHz })
+	stations("station_capacity_mhz", "Configured MHz capacity per global station.",
+		func(g serve.StationGauge) float64 { return g.CapacityMHz })
 	return err
 }

@@ -151,7 +151,7 @@ func (c *Cluster) sweepLocked() {
 			// Out of budget: hand it back to the source rather than grant
 			// the move free time. It will expire where it waited.
 			spec.DeadlineMS = c.cfg.SlotLengthMS / 2
-			if ext, _, rerr := src.eng.Submit(c.localSpec(sc.shard, spec, sc.cands)); rerr == nil {
+			if ext, rerr := c.rehome(sc.shard, spec, sc.cands); rerr == nil {
 				c.router.rebind(sc.global, sc.shard, ext, true)
 			}
 			m.Phase, m.Reason = PhaseAborted, "deadline exhausted"
@@ -159,11 +159,11 @@ func (c *Cluster) sweepLocked() {
 			continue
 		}
 		// Phase two: commit at the target.
-		ext, _, err := c.nodes[target].eng.Submit(c.localSpec(target, spec, sc.cands))
+		ext, err := c.rehome(target, spec, sc.cands)
 		if err != nil {
 			// Compensate: the request goes back to its source shard.
 			m.Phase, m.Reason = PhaseAborted, "target refused: "+err.Error()
-			if rext, _, rerr := src.eng.Submit(c.localSpec(sc.shard, spec, sc.cands)); rerr == nil {
+			if rext, rerr := c.rehome(sc.shard, spec, sc.cands); rerr == nil {
 				c.router.rebind(sc.global, sc.shard, rext, true)
 			} else {
 				c.cfg.Logf("cluster: migration %d lost compensation (source: %v, target: %v)",

@@ -336,3 +336,57 @@ func TestClusterCandidateShrinksEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestTotalsCountHandoffsOnceAcrossRestart: a cross-partition handover
+// re-submits the request at its new shard, which that engine counts as a
+// submission. Totals reports every accepted request once all the same —
+// and keeps doing so after a restart, where only the manifest is left to
+// say how many of the persisted submissions were the clock's own.
+func TestTotalsCountHandoffsOnceAcrossRestart(t *testing.T) {
+	net := capIslands(t, []float64{3200, 3200, 1200, 3200, 3200, 6400, 3200, 3200})
+	const from, to = 4, 10 // island 2 -> island 5, across the 2-shard edge
+	cfg := driftParityConfig(net, 2, &sim.Drift{Handovers: []sim.Handover{{Slot: 3, From: from, To: to}}})
+	cfg.CheckpointPath = t.TempDir() + "/cluster.json"
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	// The stranded request of TestClusterHandoverAcrossPartition, plus one
+	// routine stream per shard.
+	specs := []serve.RequestSpec{
+		{AccessStation: from, DeadlineMS: 2000, DurationSlots: 2, Outcomes: []serve.OutcomeSpec{{RateMBs: 150, Prob: 1, Reward: 777}}},
+		{AccessStation: 0, DurationSlots: 2, Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}},
+		{AccessStation: 14, DurationSlots: 2, Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 101}}},
+	}
+	for _, spec := range specs {
+		if _, _, err := c.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in, _ := c.MigratedCounts()
+	if in[0]+in[1] == 0 {
+		t.Fatal("the handover never crossed the partition: nothing was re-submitted")
+	}
+	want := c.Totals()
+	if want.Submitted != uint64(len(specs)) || want.Admitted != uint64(len(specs)) {
+		t.Fatalf("totals %+v, want %d submitted and admitted", want, len(specs))
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	defer func() { _ = r.Stop() }()
+	if got := r.Totals(); got != want {
+		t.Fatalf("totals after the restart %+v, want %+v", got, want)
+	}
+}

@@ -21,9 +21,8 @@ type ReplayStats struct {
 // ReplayNDJSON replays an NDJSON request trace through the cluster's
 // batched intake: every group of non-blank lines becomes one routed
 // SubmitBatch, every blank line a slot boundary (consecutive blanks
-// replay idle slots) — the exact wire format of POST /v1/requests:batch
-// and of the single-engine replay mode, so the same trace file drives
-// both. After the trace, intake drains and the cluster keeps ticking
+// replay idle slots) — the exact wire format of POST /v1/requests:batch.
+// After the trace, intake drains and the cluster keeps ticking
 // until every shard has settled its pending requests and released its
 // streams. lineErr (optional) receives one callback per malformed line.
 func ReplayNDJSON(c *Cluster, src io.Reader, lineErr func(line int, msg string)) (ReplayStats, error) {
@@ -114,6 +113,24 @@ func ReplayNDJSON(c *Cluster, src io.Reader, lineErr func(line int, msg string))
 	return st, nil
 }
 
+// DumpObserver returns a Config.SlotObserver that records the decision
+// trace into dump the way oracle.FrameReplay does: one SlotAdmissions per
+// admitting slot (global ids, ascending), every slot's reward in the
+// total. Reward is credited at admission, so a slot that admits nothing
+// adds none. dump.Submitted is the caller's to set.
+func DumpObserver(dump *oracle.ReplayDump) func(slot int, admitted []uint64, reward float64) {
+	return func(slot int, admitted []uint64, reward float64) {
+		if len(admitted) > 0 {
+			ids := make([]int, len(admitted))
+			for i, g := range admitted {
+				ids[i] = int(g)
+			}
+			dump.Slots = append(dump.Slots, oracle.SlotAdmissions{Slot: slot, Admitted: ids, Reward: reward})
+		}
+		dump.TotalReward += reward
+	}
+}
+
 // ReplayDump replays a trace through a freshly built cluster and
 // returns the decision trace in global-id space: one SlotAdmissions per
 // admitting slot, ids being submission ordinals — directly comparable
@@ -121,17 +138,7 @@ func ReplayNDJSON(c *Cluster, src io.Reader, lineErr func(line int, msg string))
 // consumes. The passed config's SlotObserver is overridden.
 func ReplayDump(cfg Config, trace string) (*oracle.ReplayDump, error) {
 	dump := &oracle.ReplayDump{}
-	cfg.SlotObserver = func(slot int, admitted []uint64, reward float64) {
-		if len(admitted) == 0 && reward == 0 {
-			return
-		}
-		ids := make([]int, len(admitted))
-		for i, g := range admitted {
-			ids[i] = int(g)
-		}
-		dump.Slots = append(dump.Slots, oracle.SlotAdmissions{Slot: slot, Admitted: ids, Reward: reward})
-		dump.TotalReward += reward
-	}
+	cfg.SlotObserver = DumpObserver(dump)
 	cfg.TickInterval = 0
 	c, err := New(cfg)
 	if err != nil {

@@ -46,7 +46,7 @@ func DiffCluster(run func(shards int) (*ReplayDump, error), shardCounts ...int) 
 		return fmt.Errorf("oracle: cluster parity trace is trivial (submitted=%d, admitting slots=%d)",
 			ref.Submitted, len(ref.Slots))
 	}
-	refN := normalizeDump(ref)
+	refN := ref.Normalized()
 	for _, n := range shardCounts {
 		if n < 1 {
 			return fmt.Errorf("oracle: bad shard count %d", n)
@@ -58,7 +58,7 @@ func DiffCluster(run func(shards int) (*ReplayDump, error), shardCounts ...int) 
 		if got == nil {
 			return fmt.Errorf("oracle: cluster shards=%d run returned no dump", n)
 		}
-		if d := refN.Diff(normalizeDump(got)); d != "" {
+		if d := refN.Diff(got.Normalized()); d != "" {
 			return fmt.Errorf("oracle: cluster shards=1 vs shards=%d diverge: %s", n, d)
 		}
 	}
@@ -120,10 +120,10 @@ func DiffCheckpointDirs(dirA, dirB string) error {
 	return nil
 }
 
-// normalizeDump clones a dump with each slot's admissions sorted
-// ascending, removing the cross-shard merge order as a comparison
-// dimension.
-func normalizeDump(d *ReplayDump) *ReplayDump {
+// Normalized clones a dump with each slot's admissions sorted
+// ascending, removing the admission (and cross-shard merge) order as a
+// comparison dimension.
+func (d *ReplayDump) Normalized() *ReplayDump {
 	out := &ReplayDump{Submitted: d.Submitted, TotalReward: d.TotalReward}
 	out.Slots = make([]SlotAdmissions, len(d.Slots))
 	for i, s := range d.Slots {

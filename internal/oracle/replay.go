@@ -68,11 +68,14 @@ const maxReplaySlots = 1 << 20
 // (rnd.New(seed, "replay") for unit rewards, round-robin access
 // stations, single-outcome demand pinned to the second's scaled pipeline
 // rate, paper-default deadline/hold/pipeline) and drives a bare
-// sim.Engine with DynamicRR under rnd.New(seed, "serve"), mirroring
-// arserved's runReplay slot for slot — including the drain tail — but
-// through none of the daemon's channel, shard, or checkpoint machinery.
-// cmd/arsim -replay and cmd/arserved -replay must both reproduce its
-// dump exactly. The engine runs with the oracle's invariant checker
+// sim.Engine with DynamicRR under rnd.New(seed, "cluster-shard-0") — the
+// stream arserved's shard 0 draws from — mirroring arserved's runReplay
+// slot for slot — including the drain tail — but through none of the
+// daemon's router, channel, shard, or checkpoint machinery.
+// cmd/arsim -replay and cmd/arserved -replay (a 1-shard cluster) must
+// both reproduce its dump, per-slot admissions compared as sets
+// (Normalized): the planner reports admission order, the cluster
+// ascending ids. The engine runs with the oracle's invariant checker
 // installed.
 func FrameReplay(net *mec.Network, tr *workload.FrameTrace, seed int64, slotMS float64, perThirtyFPS int) (*ReplayDump, error) {
 	if net == nil || tr == nil {
@@ -81,7 +84,7 @@ func FrameReplay(net *mec.Network, tr *workload.FrameTrace, seed int64, slotMS f
 	if slotMS == 0 {
 		slotMS = mec.DefaultSlotLengthMS
 	}
-	planner, err := sim.NewLiveEngine(net, rnd.New(seed, "serve"), slotMS)
+	planner, err := sim.NewLiveEngine(net, rnd.New(seed, "cluster-shard-0"), slotMS)
 	if err != nil {
 		return nil, err
 	}

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"mecoffload/internal/bandit"
+	"mecoffload/internal/ckpt"
 	"mecoffload/internal/sim"
 )
 
@@ -66,33 +66,16 @@ type Checkpoint struct {
 	Totals         Totals                    `json:"totals"`
 }
 
-// WriteCheckpoint atomically persists a checkpoint: write to a temp file
-// in the same directory, fsync, rename. A crash mid-write leaves the
-// previous checkpoint intact.
+// WriteCheckpoint atomically persists a checkpoint (ckpt.WriteFileAtomic:
+// temp file in the same directory, fsync, rename). A crash mid-write
+// leaves the previous checkpoint intact.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
 	data, err := json.MarshalIndent(ck, "", " ")
 	if err != nil {
 		return fmt.Errorf("serve: encoding checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("serve: committing checkpoint: %w", err)
+	if err := ckpt.WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("serve: writing checkpoint %s: %w", path, err)
 	}
 	return nil
 }
@@ -107,12 +90,18 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
 	}
+	return DecodeCheckpoint(data, path)
+}
+
+// DecodeCheckpoint decodes and version-checks checkpoint bytes the caller
+// already read; name is only for error messages.
+func DecodeCheckpoint(data []byte, name string) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("serve: decoding checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("serve: decoding checkpoint %s: %w", name, err)
 	}
 	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("serve: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
+		return nil, fmt.Errorf("serve: checkpoint %s has version %d, want %d", name, ck.Version, checkpointVersion)
 	}
 	return &ck, nil
 }

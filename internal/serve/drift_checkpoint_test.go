@@ -11,7 +11,8 @@ import (
 
 // TestCheckpointResumeDriftPolicies runs the checkpoint/restore cycle
 // with every drift-aware arm policy: an engine configured via
-// PolicySpec, killed after a checkpoint, must restore the policy's full
+// PolicySpec, killed after a checkpoint (Snapshot, through the on-disk
+// encoding, back in via Config.Restore), must restore the policy's full
 // learning state (windows, discounted counts, detector statistics,
 // restart counters) and keep learning from it — the serve-layer
 // counterpart of the bandit snapshot property tests.
@@ -23,9 +24,8 @@ func TestCheckpointResumeDriftPolicies(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "arserved.ckpt")
 			net := testNetwork(t, 4)
 			cfg := Config{
-				Net:            net,
-				CheckpointPath: path,
-				DynamicRR:      sim.DynamicRROptions{PolicySpec: spec, PolicySeed: 7},
+				Net:       net,
+				DynamicRR: sim.DynamicRROptions{PolicySpec: spec, PolicySeed: 7},
 			}
 
 			e1 := testEngine(t, cfg)
@@ -35,9 +35,7 @@ func TestCheckpointResumeDriftPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := e1.CheckpointNow(); err != nil {
-				t.Fatal(err)
-			}
+			cfg.Restore = snapshotViaDisk(t, e1, path)
 			want, err := e1.BanditSnapshot()
 			if err != nil {
 				t.Fatal(err)

@@ -1,12 +1,14 @@
-// Package serve turns the repo's offline AR-offloading simulation into a
-// long-running admission daemon: requests arrive over an HTTP JSON API,
-// buffer into the current scheduling slot, and a wall-clock ticker runs a
+// Package serve is the admission engine one scheduler shard runs:
+// requests buffer into the current scheduling slot, and each Tick runs a
 // sim.Scheduler (the paper's DynamicRR by default) against live
 // per-station capacity state, reusing the warm-started LP-PT bases across
 // consecutive ticks. Mutable observability state is sharded across
 // goroutine-owned shards (shard.go); bandit arm statistics and in-flight
-// assignments checkpoint to disk (checkpoint.go) so a restarted daemon
-// resumes learning instead of resetting its successive-elimination state.
+// assignments snapshot into a Checkpoint (checkpoint.go) so a restarted
+// daemon resumes learning instead of resetting its successive-elimination
+// state. The engine has no clock, HTTP surface or checkpoint file of its
+// own: internal/cluster owns all three, and a single engine is served as
+// a 1-shard cluster.
 package serve
 
 import (
@@ -21,7 +23,6 @@ import (
 	"time"
 
 	"mecoffload/internal/bandit"
-	"mecoffload/internal/ckpt"
 	"mecoffload/internal/core"
 	"mecoffload/internal/dist"
 	"mecoffload/internal/mec"
@@ -81,39 +82,19 @@ type Config struct {
 	SchedulerName string
 	// DynamicRR tunes the default scheduler; ignored for baselines.
 	DynamicRR sim.DynamicRROptions
-	// TickInterval is the wall-clock length of one scheduling slot. Zero
-	// disables the internal ticker: slots advance only via Tick, the mode
-	// tests and benchmarks use.
-	TickInterval time.Duration
 	// SlotLengthMS is the model slot length (default
-	// mec.DefaultSlotLengthMS); it is independent of TickInterval so a
-	// daemon can replay model time faster or slower than the wall clock.
+	// mec.DefaultSlotLengthMS); it is independent of the wall-clock tick
+	// cadence, so a daemon can replay model time faster or slower.
 	SlotLengthMS float64
 	// Rng drives demand realization and spec defaults. Required.
 	Rng *rand.Rand
 	// Shards is the number of state shards (default 4, at most one per
 	// station).
 	Shards int
-	// CheckpointPath, when set, enables checkpointing: New restores from
-	// the file when it exists, and the engine rewrites it every
-	// CheckpointEvery ticks (default 50) and at shutdown.
-	CheckpointPath  string
-	CheckpointEvery int
-	// AsyncCheckpoint moves periodic checkpoint I/O off the loop
-	// goroutine: the slot boundary only extracts a copy-on-write
-	// snapshot, and JSON encoding, the temp-file write, fsync, and the
-	// atomic rename run on a dedicated single-flight writer goroutine
-	// (internal/ckpt). A snapshot queued behind an unfinished write is
-	// replaced by the next one (latest wins); explicit CheckpointNow,
-	// drain, and Stop checkpoints remain synchronous through the same
-	// writer, so the final state is always durable and never clobbered
-	// by an older in-flight write's rename.
-	AsyncCheckpoint bool
-	// Restore, when non-nil, seeds the engine from an in-memory
-	// checkpoint instead of loading CheckpointPath. The cluster layer
-	// uses it to hand each shard its slice of a composed cluster
-	// manifest; CheckpointPath may still be set for subsequent periodic
-	// rewrites.
+	// Restore, when non-nil, seeds the engine from a checkpoint: the
+	// cluster layer hands each shard its slice of a composed manifest.
+	// State leaves the same way it arrives — Snapshot returns the
+	// in-memory checkpoint the cluster persists.
 	Restore *Checkpoint
 	// DeferFeedback suppresses the planner's in-slot bandit feedback;
 	// the caller delivers slot rewards explicitly via DeliverFeedback.
@@ -129,8 +110,8 @@ type Config struct {
 	// TraceWriter, when non-nil, receives one line per slot in arsim's
 	// trace format, so offline and online runs are diffable.
 	TraceWriter io.Writer
-	// Logf, when non-nil, receives operational log lines (checkpoint
-	// writes, scheduler errors).
+	// Logf, when non-nil, receives operational log lines (scheduler
+	// errors, compaction).
 	Logf func(format string, args ...any)
 	// CompactAfter bounds the planner's decided-request backlog: once
 	// more than this many settled requests accumulate, the engine rebuilds
@@ -208,12 +189,6 @@ type Engine struct {
 	snapC    chan snapMsg
 	extractC chan extractMsg
 
-	// ckw is the single-flight background checkpoint writer, non-nil
-	// only with Config.AsyncCheckpoint and a CheckpointPath. The loop
-	// goroutine owns submission; the loop's exit closes it (draining the
-	// last pending write) before loopDone closes.
-	ckw *ckpt.Writer
-
 	// retryRng is the engine-scoped Retry-After jitter stream, seeded
 	// from Config.RetrySeed via internal/rnd so overload behaviour
 	// replays deterministically. Guarded by retryMu: HTTP handlers hit
@@ -221,9 +196,13 @@ type Engine struct {
 	retryMu  sync.Mutex
 	retryRng *rand.Rand
 
-	loopDone   chan struct{}
-	shardStop  sync.Once
-	shardsDone chan struct{}
+	loopDone chan struct{}
+	// drainedSnap is the state a fully drained engine left behind: written
+	// by the loop as it exits on drain completion, read only after loopDone
+	// closes, and never modified again.
+	drainedSnap *Checkpoint
+	shardStop   sync.Once
+	shardsDone  chan struct{}
 
 	// Batched ingest path (see ingest.go). nextExt is atomic because
 	// both the loop (single-POST intake) and the pump (batch intake)
@@ -269,7 +248,6 @@ type controlKind int
 
 const (
 	ctlTick controlKind = iota
-	ctlCheckpoint
 	ctlDrain
 	ctlStop
 	ctlFlushRing
@@ -310,8 +288,7 @@ type extractReply struct {
 	err     error
 }
 
-// New builds an engine, restoring checkpointed state when
-// cfg.CheckpointPath names an existing file.
+// New builds an engine, restoring checkpointed state from cfg.Restore.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("serve: nil network")
@@ -330,9 +307,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if n := cfg.Net.NumStations(); cfg.Shards > n {
 		cfg.Shards = n
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 50
 	}
 	if cfg.CompactAfter <= 0 {
 		cfg.CompactAfter = 4096
@@ -378,14 +352,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	ck := cfg.Restore
-	if ck == nil && cfg.CheckpointPath != "" {
-		loaded, err := LoadCheckpoint(cfg.CheckpointPath)
-		if err != nil && !errors.Is(err, ErrNoCheckpoint) {
-			return nil, err
-		}
-		ck = loaded
-	}
-
 	var banditSnap *bandit.LipschitzSnapshot
 	if ck != nil {
 		banditSnap = ck.Bandit
@@ -414,10 +380,6 @@ func New(cfg Config) (*Engine, error) {
 		e.seedRegistry(ck)
 	} else if err := e.installEmpty(); err != nil {
 		return nil, err
-	}
-	// Started last so no error path above leaks the writer goroutine.
-	if cfg.AsyncCheckpoint && cfg.CheckpointPath != "" {
-		e.ckw = ckpt.NewWriter(cfg.Logf)
 	}
 	return e, nil
 }
@@ -686,9 +648,6 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 // SchedulerName returns the active scheduler's name.
 func (e *Engine) SchedulerName() string { return e.sched.Name() }
 
-// NumStations returns the served topology's station count.
-func (e *Engine) NumStations() int { return e.cfg.Net.NumStations() }
-
 // WarmStats returns the LP warm-start cache statistics (zero for
 // schedulers without an LP path).
 func (e *Engine) WarmStats() (hits, misses uint64) {
@@ -788,48 +747,32 @@ func (e *Engine) Gauges() []StationGauge {
 	return out
 }
 
-// Tick advances the engine by one scheduling slot. It is the manual
-// clock used when Config.TickInterval is zero (tests, benchmarks, replay
-// harnesses); with an internal ticker it simply injects an extra slot.
+// Tick advances the engine by one scheduling slot. The engine has no
+// clock of its own: the cluster's epoch workers (or a test) call it.
 func (e *Engine) Tick() error { return e.controlCall(ctlTick) }
 
-// CheckpointNow writes a checkpoint immediately.
-func (e *Engine) CheckpointNow() error { return e.controlCall(ctlCheckpoint) }
-
-// WaitCheckpoints blocks until every asynchronously submitted checkpoint
-// write has reached disk. A no-op without Config.AsyncCheckpoint.
-func (e *Engine) WaitCheckpoints() {
-	if e.ckw != nil {
-		e.ckw.Wait()
-	}
-}
-
-// CheckpointsDropped reports how many async snapshots were superseded by
-// a newer one before reaching disk (always 0 without AsyncCheckpoint).
-func (e *Engine) CheckpointsDropped() uint64 {
-	if e.ckw == nil {
-		return 0
-	}
-	return e.ckw.Dropped()
-}
-
-// Snapshot captures the engine's live state as an in-memory checkpoint
-// without touching disk. It reflects only requests the planner has seen:
+// Snapshot captures the engine's live state as an in-memory checkpoint.
+// It reflects only requests the planner has seen:
 // callers who need batched-ingest residue included (the cluster
-// checkpoint path) must Flush first.
+// checkpoint path) must Flush first. An engine that drained to completion
+// keeps answering with the state it exited in (shared between calls: read,
+// do not modify), so a checkpoint taken after a clean drain still carries
+// its learner and counters; one Stop halted first fails with ErrStopped.
 func (e *Engine) Snapshot() (*Checkpoint, error) {
 	msg := snapMsg{reply: make(chan snapReply, 1)}
 	select {
 	case e.snapC <- msg:
+		select {
+		case rep := <-msg.reply:
+			return rep.ck, rep.err
+		case <-e.loopDone:
+		}
 	case <-e.loopDone:
+	}
+	if e.drainedSnap == nil {
 		return nil, ErrStopped
 	}
-	select {
-	case rep := <-msg.reply:
-		return rep.ck, rep.err
-	case <-e.loopDone:
-		return nil, ErrStopped
-	}
+	return e.drainedSnap, nil
 }
 
 // Extract removes a pending (undecided) request from the engine and
@@ -870,11 +813,12 @@ func (e *Engine) TickWithFeedback(fbSlot int, reward float64) error {
 
 // Drain stops intake (Submit fails with ErrDraining) and lets the engine
 // run until every pending request is decided and every stream departs,
-// at which point the loop checkpoints and exits.
+// at which point the loop exits.
 func (e *Engine) Drain() error { return e.controlCall(ctlDrain) }
 
-// Stop halts the loop immediately after a final checkpoint, without
-// waiting for in-flight streams. Shard goroutines terminate too.
+// Stop halts the loop immediately, without waiting for in-flight
+// streams; a caller that wants the state kept takes a Snapshot first.
+// Shard goroutines terminate too.
 func (e *Engine) Stop() error {
 	err := e.controlCall(ctlStop)
 	if errors.Is(err, ErrStopped) {
@@ -921,23 +865,6 @@ func (e *Engine) Alive() bool {
 	}
 }
 
-// Ready reports scheduling liveness: the loop is running, intake is
-// open, and — when an internal ticker drives the clock — a slot executed
-// within the last three tick intervals.
-func (e *Engine) Ready() bool {
-	if !e.Alive() || e.Draining() {
-		return false
-	}
-	if e.cfg.TickInterval <= 0 {
-		return true
-	}
-	last := e.metrics.LastTickNano.Load()
-	if last == 0 {
-		return false
-	}
-	return time.Since(time.Unix(0, last)) < 3*e.cfg.TickInterval
-}
-
 // controlCall sends a control message and waits for the loop's reply.
 func (e *Engine) controlCall(kind controlKind) error {
 	return e.sendControl(controlMsg{kind: kind})
@@ -968,30 +895,12 @@ func (e *Engine) sendControl(msg controlMsg) error {
 // goroutine that advances the scheduler and its bandit.
 func (e *Engine) loop() {
 	defer close(e.loopDone)
-	if e.ckw != nil {
-		// LIFO: the writer drains its last pending checkpoint before
-		// loopDone closes, so Done() implies durability.
-		defer e.ckw.Close()
-	}
-
-	var tickC <-chan time.Time
-	if e.cfg.TickInterval > 0 {
-		ticker := time.NewTicker(e.cfg.TickInterval)
-		defer ticker.Stop()
-		tickC = ticker.C
-	}
-
 	for {
 		select {
 		case msg := <-e.intake:
 			msg.reply <- e.handleIntake(msg.spec)
 		case <-e.ringC:
 			e.drainRing(false)
-		case <-tickC:
-			e.runSlot()
-			if e.drainComplete() {
-				return
-			}
 		case msg := <-e.snapC:
 			ck, err := e.snapshotState()
 			msg.reply <- snapReply{ck: ck, err: err}
@@ -1005,8 +914,6 @@ func (e *Engine) loop() {
 				if e.drainComplete() {
 					return
 				}
-			case ctlCheckpoint:
-				msg.reply <- e.checkpoint()
 			case ctlFlushRing:
 				e.drainRing(true)
 				msg.reply <- nil
@@ -1037,13 +944,6 @@ func (e *Engine) loop() {
 					return
 				}
 			case ctlStop:
-				// Same quiesce before the final checkpoint: accepted
-				// requests still staged in the ingest path persist as
-				// pending instead of being dropped on SIGTERM.
-				e.quiesceIngest()
-				if err := e.checkpoint(); err != nil {
-					e.cfg.Logf("arserved: final checkpoint failed: %v", err)
-				}
 				msg.reply <- nil
 				return
 			}
@@ -1055,9 +955,10 @@ func (e *Engine) loop() {
 // the planner (loop goroutine only): the pump stops accepting batches
 // and surrenders its overflow stage, the loop force-drains the ring, and
 // every surrendered entry is appended as pending in submission order. A
-// final checkpoint (or a drain) then sees every accepted request instead
-// of dropping the stage and ring residue on the floor. Idempotent: a
-// second call finds an already-stopped pump with an empty stage.
+// drain (and any Snapshot taken after it) then sees every accepted
+// request instead of dropping the stage and ring residue on the floor.
+// Idempotent: a second call finds an already-stopped pump with an empty
+// stage.
 func (e *Engine) quiesceIngest() {
 	e.metrics.drainFlag.Store(true)
 	var staged []ingestEntry
@@ -1118,15 +1019,20 @@ func (e *Engine) handleExtract(ext uint64) extractReply {
 	return extractReply{spec: le.spec, arrival: le.arrival}
 }
 
-// drainComplete checkpoints and reports true once a draining engine has
-// no work left.
+// drainComplete reports true once a draining engine has no work left,
+// and on that transition records the final state for Snapshot: the loop
+// exits right after, and what it learned must outlive it. Feedback still
+// deferred for the exit slot (Config.DeferFeedback) is not in it; that
+// matters only when the slot pulled an arm and left nothing running.
 func (e *Engine) drainComplete() bool {
-	if !e.drain || len(e.pending) > 0 || e.planner.NumRunning() > 0 {
+	if !e.drain || len(e.pending) != 0 || e.planner.NumRunning() != 0 {
 		return false
 	}
-	if err := e.checkpoint(); err != nil {
-		e.cfg.Logf("arserved: drain checkpoint failed: %v", err)
+	ck, err := e.snapshotState()
+	if err != nil {
+		e.cfg.Logf("arserved: final snapshot of the drained engine failed: %v", err)
 	}
+	e.drainedSnap = ck
 	return true
 }
 
@@ -1268,7 +1174,6 @@ func (e *Engine) runSlot() {
 	e.metrics.Ticks.Inc()
 	e.metrics.PendingDepth.Store(int64(len(e.pending)))
 	e.metrics.ActiveStreams.Store(int64(e.planner.NumRunning()))
-	e.metrics.LastTickNano.Store(time.Now().UnixNano())
 
 	// Publish per-station occupancy and the request events to the shards.
 	// Occupancy only moves when streams start or end, so an idle slot sends
@@ -1321,23 +1226,19 @@ func (e *Engine) runSlot() {
 			e.cfg.Logf("arserved: compaction failed (continuing uncompacted): %v", err)
 		}
 	}
-	if e.cfg.CheckpointPath != "" && e.slot%e.cfg.CheckpointEvery == 0 {
-		if err := e.periodicCheckpoint(); err != nil {
-			e.cfg.Logf("arserved: checkpoint failed: %v", err)
-		}
-	}
 }
 
 // snapshotState captures the live set as a checkpoint (loop goroutine
-// only). It is the shared substrate of disk checkpoints and in-memory
-// compaction.
+// only). It is the shared substrate of Snapshot and in-memory compaction;
+// everything mutable is deep-copied, so the cluster's checkpoint writer
+// may encode the result while the loop keeps scheduling.
 func (e *Engine) snapshotState() (*Checkpoint, error) {
 	ck := &Checkpoint{
 		Version:        checkpointVersion,
 		Slot:           e.slot,
 		NextExternalID: e.nextExt.Load(),
 		Scheduler:      e.cfg.SchedulerName,
-		Totals:         e.metrics.totals(),
+		Totals:         e.metrics.Totals(),
 	}
 	if d, ok := e.sched.(*sim.DynamicRR); ok && d.Bandit() != nil {
 		snap, err := d.Bandit().Snapshot()
@@ -1367,57 +1268,6 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 		ck.Running = append(ck.Running, s)
 	}
 	return ck, nil
-}
-
-// writeJob returns the disk half of a checkpoint: encode, temp-file
-// write, fsync, rename. The snapshot is copy-on-write (snapshotState
-// deep-copies everything mutable), so the closure is safe to run on the
-// writer goroutine while the loop keeps scheduling.
-func (e *Engine) writeJob(ck *Checkpoint) func() error {
-	return func() error {
-		if err := WriteCheckpoint(e.cfg.CheckpointPath, ck); err != nil {
-			return err
-		}
-		e.metrics.Checkpoints.Inc()
-		return nil
-	}
-}
-
-// periodicCheckpoint is runSlot's cadence checkpoint (loop goroutine
-// only). With the async writer it only extracts the snapshot and hands
-// the write off fire-and-forget (latest-wins if a write is still in
-// flight); otherwise it writes inline.
-func (e *Engine) periodicCheckpoint() error {
-	if e.cfg.CheckpointPath == "" {
-		return nil
-	}
-	ck, err := e.snapshotState()
-	if err != nil {
-		return err
-	}
-	if e.ckw != nil {
-		return e.ckw.Submit(e.writeJob(ck))
-	}
-	return e.writeJob(ck)()
-}
-
-// checkpoint writes the current state to disk synchronously (loop
-// goroutine only): CheckpointNow, drain completion, and Stop land here.
-// With the async writer the write still routes through it (SubmitWait),
-// which both flushes any older in-flight write and guarantees this —
-// newest — snapshot performs the final rename.
-func (e *Engine) checkpoint() error {
-	if e.cfg.CheckpointPath == "" {
-		return nil
-	}
-	ck, err := e.snapshotState()
-	if err != nil {
-		return err
-	}
-	if e.ckw != nil {
-		return e.ckw.SubmitWait(e.writeJob(ck))
-	}
-	return e.writeJob(ck)()
 }
 
 // compact rebuilds the planner from the live set, dropping the settled

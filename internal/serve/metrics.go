@@ -1,13 +1,8 @@
 package serve
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"sync/atomic"
-
-	"mecoffload/internal/core"
 )
 
 // slotDurationBucketsMS are the upper bounds (milliseconds) of the slot
@@ -98,8 +93,9 @@ func (m *Metrics) SlotDurationSnapshot() HistogramSnapshot { return m.SlotDurati
 // IntakeLatencySnapshot copies the intake-latency histogram.
 func (m *Metrics) IntakeLatencySnapshot() HistogramSnapshot { return m.IntakeLatency.snapshot() }
 
-// Metrics is the daemon's metric surface. All fields are safe for
-// concurrent read while the engine loop writes.
+// Metrics is one engine's metric surface; the cluster's WriteProm is its
+// only exposition. All fields are safe for concurrent read while the
+// engine loop writes.
 type Metrics struct {
 	Submitted    counter // requests accepted into the intake queue
 	Rejected     counter // requests refused at intake (draining)
@@ -109,7 +105,6 @@ type Metrics struct {
 	Expired      counter // pending requests whose deadline became unreachable
 	Departed     counter // streams that completed their hold and released
 	Ticks        counter // scheduling slots executed
-	Checkpoints  counter // checkpoints written
 	SlotErrors   counter // slots whose scheduler returned an error
 	Reward       floatCounter
 	SlotDuration *histogram
@@ -124,7 +119,6 @@ type Metrics struct {
 	// Gauges, written by the engine loop each tick.
 	PendingDepth  atomic.Int64
 	ActiveStreams atomic.Int64
-	LastTickNano  atomic.Int64
 	CurrentSlot   atomic.Int64
 	// IntakeDepth is the ingest ring's depth; the staged-entry gauge
 	// lives on the engine (stagedDepth) because the pump owns it.
@@ -133,9 +127,10 @@ type Metrics struct {
 	drainFlag atomic.Bool
 }
 
-// totals captures the cumulative counters for checkpointing, so a
-// restarted daemon's /metrics stays cumulative across the restart.
-func (m *Metrics) totals() Totals {
+// Totals captures the cumulative counters: checkpoints persist them so a
+// restarted daemon's /metrics stays cumulative across the restart, and
+// the cluster sums them across shards for its run summaries.
+func (m *Metrics) Totals() Totals {
 	return Totals{
 		Submitted: m.Submitted.Load(),
 		Rejected:  m.Rejected.Load(),
@@ -185,136 +180,4 @@ type StationGauge struct {
 	Station     int
 	UsedMHz     float64
 	CapacityMHz float64
-}
-
-// WriteProm renders the metric set in Prometheus text exposition format
-// (version 0.0.4). warmHits/warmMisses come from the scheduler's LP
-// warm-start cache; staged is the pump's overflow-stage depth; stations
-// come from the shards; inc carries the dirty-component tracker's
-// counters (all zero unless the scheduler runs incremental or
-// local-ratio mode, in which case the component-solve split shows how
-// often the slot skipped the LP).
-func (m *Metrics) WriteProm(w io.Writer, warmHits, warmMisses uint64, staged int64, stations []StationGauge, inc core.IncStats) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-
-	p("# HELP arserved_requests_total AR offloading requests by terminal result.\n")
-	p("# TYPE arserved_requests_total counter\n")
-	p("arserved_requests_total{result=\"submitted\"} %d\n", m.Submitted.Load())
-	p("arserved_requests_total{result=\"rejected\"} %d\n", m.Rejected.Load())
-	p("arserved_requests_total{result=\"admitted\"} %d\n", m.Admitted.Load())
-	p("arserved_requests_total{result=\"served\"} %d\n", m.Served.Load())
-	p("arserved_requests_total{result=\"evicted\"} %d\n", m.Evicted.Load())
-	p("arserved_requests_total{result=\"expired\"} %d\n", m.Expired.Load())
-	p("arserved_requests_total{result=\"departed\"} %d\n", m.Departed.Load())
-	p("arserved_requests_total{result=\"shed\"} %d\n", m.Shed.Load())
-
-	p("# HELP arserved_reward_dollars_total Realized reward credited across all slots.\n")
-	p("# TYPE arserved_reward_dollars_total counter\n")
-	p("arserved_reward_dollars_total %g\n", m.Reward.Load())
-
-	p("# HELP arserved_ticks_total Scheduling slots executed.\n")
-	p("# TYPE arserved_ticks_total counter\n")
-	p("arserved_ticks_total %d\n", m.Ticks.Load())
-
-	p("# HELP arserved_checkpoints_total Checkpoints written to disk.\n")
-	p("# TYPE arserved_checkpoints_total counter\n")
-	p("arserved_checkpoints_total %d\n", m.Checkpoints.Load())
-
-	p("# HELP arserved_slot_errors_total Slots whose scheduler returned an error.\n")
-	p("# TYPE arserved_slot_errors_total counter\n")
-	p("arserved_slot_errors_total %d\n", m.SlotErrors.Load())
-
-	p("# HELP arserved_pending_requests Requests waiting in the admission queue.\n")
-	p("# TYPE arserved_pending_requests gauge\n")
-	p("arserved_pending_requests %d\n", m.PendingDepth.Load())
-
-	p("# HELP arserved_batches_total Bulk intake batches accepted.\n")
-	p("# TYPE arserved_batches_total counter\n")
-	p("arserved_batches_total %d\n", m.Batches.Load())
-	p("# HELP arserved_batch_requests_total Requests carried by accepted bulk batches.\n")
-	p("# TYPE arserved_batch_requests_total counter\n")
-	p("arserved_batch_requests_total %d\n", m.BatchRequests.Load())
-	p("# HELP arserved_saturated_total Bulk batches refused because the ingest path was saturated.\n")
-	p("# TYPE arserved_saturated_total counter\n")
-	p("arserved_saturated_total %d\n", m.Saturated.Load())
-	p("# HELP arserved_intake_ring_depth Entries waiting in the ingest ring.\n")
-	p("# TYPE arserved_intake_ring_depth gauge\n")
-	p("arserved_intake_ring_depth %d\n", m.IntakeDepth.Load())
-	p("# HELP arserved_intake_staged_depth Entries waiting in the reward-sorted overflow stage.\n")
-	p("# TYPE arserved_intake_staged_depth gauge\n")
-	p("arserved_intake_staged_depth %d\n", staged)
-
-	p("# HELP arserved_intake_latency_ms Batched-ingest handoff latency (pump enqueue to planner append).\n")
-	p("# TYPE arserved_intake_latency_ms histogram\n")
-	for i, b := range m.IntakeLatency.bounds {
-		p("arserved_intake_latency_ms_bucket{le=\"%g\"} %d\n", b, m.IntakeLatency.counts[i].Load())
-	}
-	p("arserved_intake_latency_ms_bucket{le=\"+Inf\"} %d\n", m.IntakeLatency.total.Load())
-	p("arserved_intake_latency_ms_sum %g\n", m.IntakeLatency.sum.Load())
-	p("arserved_intake_latency_ms_count %d\n", m.IntakeLatency.total.Load())
-
-	p("# HELP arserved_active_streams Streams currently occupying service instances.\n")
-	p("# TYPE arserved_active_streams gauge\n")
-	p("arserved_active_streams %d\n", m.ActiveStreams.Load())
-
-	p("# HELP arserved_current_slot The engine's current scheduling slot.\n")
-	p("# TYPE arserved_current_slot gauge\n")
-	p("arserved_current_slot %d\n", m.CurrentSlot.Load())
-
-	p("# HELP arserved_slot_duration_ms Scheduling latency of one slot in milliseconds.\n")
-	p("# TYPE arserved_slot_duration_ms histogram\n")
-	for i, b := range m.SlotDuration.bounds {
-		p("arserved_slot_duration_ms_bucket{le=\"%g\"} %d\n", b, m.SlotDuration.counts[i].Load())
-	}
-	p("arserved_slot_duration_ms_bucket{le=\"+Inf\"} %d\n", m.SlotDuration.total.Load())
-	p("arserved_slot_duration_ms_sum %g\n", m.SlotDuration.sum.Load())
-	p("arserved_slot_duration_ms_count %d\n", m.SlotDuration.total.Load())
-
-	p("# HELP arserved_lp_warmstart_total LP-PT warm-start basis lookups by outcome.\n")
-	p("# TYPE arserved_lp_warmstart_total counter\n")
-	p("arserved_lp_warmstart_total{outcome=\"hit\"} %d\n", warmHits)
-	p("arserved_lp_warmstart_total{outcome=\"miss\"} %d\n", warmMisses)
-	p("# HELP arserved_lp_warmstart_hit_ratio Fraction of LP-PT solves seeded from a previous basis.\n")
-	p("# TYPE arserved_lp_warmstart_hit_ratio gauge\n")
-	ratio := 0.0
-	if total := warmHits + warmMisses; total > 0 {
-		ratio = float64(warmHits) / float64(total)
-	}
-	p("arserved_lp_warmstart_hit_ratio %g\n", ratio)
-
-	if inc != (core.IncStats{}) {
-		// In local-ratio-only mode the counters-only tracker never counts
-		// dirty solves, so the residual lp bucket clamps at zero there.
-		lpSolves := int64(inc.DirtySolves) - int64(inc.FastPath) - int64(inc.FastFallback)
-		if lpSolves < 0 {
-			lpSolves = 0
-		}
-		p("# HELP arserved_component_solves_total Per-slot LP component decisions by path: clean replays the cached decision, local-ratio certifies and skips the LP, fallback failed certification, lp is a full component solve.\n")
-		p("# TYPE arserved_component_solves_total counter\n")
-		p("arserved_component_solves_total{path=\"clean\"} %d\n", inc.CleanHits)
-		p("arserved_component_solves_total{path=\"local-ratio\"} %d\n", inc.FastPath)
-		p("arserved_component_solves_total{path=\"fallback\"} %d\n", inc.FastFallback)
-		p("arserved_component_solves_total{path=\"lp\"} %d\n", lpSolves)
-	}
-
-	if len(stations) > 0 {
-		sorted := append([]StationGauge(nil), stations...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a].Station < sorted[b].Station })
-		p("# HELP arserved_station_used_mhz Realized MHz committed per base station.\n")
-		p("# TYPE arserved_station_used_mhz gauge\n")
-		for _, s := range sorted {
-			p("arserved_station_used_mhz{station=\"%d\"} %g\n", s.Station, s.UsedMHz)
-		}
-		p("# HELP arserved_station_capacity_mhz Configured MHz capacity per base station.\n")
-		p("# TYPE arserved_station_capacity_mhz gauge\n")
-		for _, s := range sorted {
-			p("arserved_station_capacity_mhz{station=\"%d\"} %g\n", s.Station, s.CapacityMHz)
-		}
-	}
-	return err
 }

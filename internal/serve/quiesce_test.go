@@ -1,9 +1,12 @@
 package serve
 
 // Shutdown quiesce contract: a request the batched-ingest path has
-// ACCEPTED (returned an id for) must never be dropped by Stop — whatever
-// is still sitting in the pump's overflow stage or the ring lands in the
-// final checkpoint as pending, and a restore answers status for it.
+// ACCEPTED (returned an id for) must never be dropped by a shutdown —
+// whatever is still sitting in the pump's overflow stage or the ring
+// lands in the final checkpoint as pending, and a restore answers status
+// for it. At the engine the shutdown is Drain (quiesce) then Snapshot;
+// the daemon-level form — cluster.Stop writes the manifest — is
+// TestClusterStopPersistsIngestResidue in internal/cluster.
 
 import (
 	"math/rand"
@@ -12,19 +15,17 @@ import (
 )
 
 // TestStopPersistsIngestResidue accepts a batch far larger than the
-// ring, so most of it is still staged in the pump when Stop fires, then
-// proves the final checkpoint carries every accepted id and a restored
-// engine can still schedule all of them.
+// ring, so most of it is still staged in the pump when the shutdown
+// fires, then proves the final checkpoint carries every accepted id and
+// a restored engine can still schedule all of them.
 func TestStopPersistsIngestResidue(t *testing.T) {
-	dir := t.TempDir()
-	ck := filepath.Join(dir, "arserved.ckpt")
+	ck := filepath.Join(t.TempDir(), "arserved.ckpt")
 	net := testNetwork(t, 4)
 	cfg := Config{
-		Net:            net,
-		Rng:            rand.New(rand.NewSource(3)),
-		CheckpointPath: ck,
-		RingCapacity:   4, // force the overflow stage into play
-		StageCapacity:  256,
+		Net:           net,
+		Rng:           rand.New(rand.NewSource(3)),
+		RingCapacity:  4, // force the overflow stage into play
+		StageCapacity: 256,
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -47,14 +48,13 @@ func TestStopPersistsIngestResidue(t *testing.T) {
 	if len(res.IDs) != len(specs) {
 		t.Fatalf("accepted %d of %d", len(res.IDs), len(specs))
 	}
-	// Stop immediately: no tick ever ran, so nothing was pulled into the
-	// planner by scheduling — the ring and stage still hold the batch.
-	if err := e.Stop(); err != nil {
+	// Shut down immediately: no tick ever ran, so nothing was pulled into
+	// the planner by scheduling — the ring and stage still hold the batch.
+	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-
-	snap, err := LoadCheckpoint(ck)
-	if err != nil {
+	snap := snapshotViaDisk(t, e, ck)
+	if err := e.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	persisted := make(map[uint64]bool, len(snap.Requests))
@@ -69,7 +69,7 @@ func TestStopPersistsIngestResidue(t *testing.T) {
 
 	// A restored engine must answer status for every accepted id and
 	// drain them all to a decision.
-	r, err := New(Config{Net: net, Rng: rand.New(rand.NewSource(4)), CheckpointPath: ck})
+	r, err := New(Config{Net: net, Rng: rand.New(rand.NewSource(4)), Restore: snap})
 	if err != nil {
 		t.Fatal(err)
 	}

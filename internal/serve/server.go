@@ -2,41 +2,18 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
 )
 
-// submitResponse is the body of a successful POST /v1/requests.
-type submitResponse struct {
-	ID    uint64 `json:"id"`
-	Slot  int    `json:"slot"`
-	State string `json:"state"`
-}
-
-// errorResponse is the structured error body of every non-2xx response.
-// RetryAfterMS is set on 503s: a jittered client backoff hint mirroring
-// the Retry-After header at millisecond resolution.
-type errorResponse struct {
+// unavailableResponse is the structured body of a 503: a jittered client
+// backoff hint mirroring the Retry-After header at millisecond
+// resolution.
+type unavailableResponse struct {
 	Error        string `json:"error"`
 	RetryAfterMS int    `json:"retryAfterMS,omitempty"`
 }
-
-// batchResponse is the body of POST /v1/requests:batch. IDs are the
-// external ids of the accepted lines in submission order (error lines
-// excluded); Shed counts requests dropped by the reward-aware overload
-// policy while this batch was ingested.
-type batchResponse struct {
-	Accepted int         `json:"accepted"`
-	Shed     int         `json:"shed"`
-	IDs      []uint64    `json:"ids,omitempty"`
-	Errors   []LineError `json:"errors,omitempty"`
-}
-
-// maxBatchBody bounds the NDJSON request body; batches beyond it fail
-// with 413 rather than buffering without limit.
-const maxBatchBody = 32 << 20
 
 // retryAfterHint picks the jittered backoff hint for a 503: between one
 // and two base intervals, uniformly, so a synchronized burst of shed
@@ -56,141 +33,19 @@ func (e *Engine) retryAfterHint(base time.Duration) (header string, ms int) {
 	return strconv.Itoa(secs), int(d / time.Millisecond)
 }
 
-// WriteUnavailable emits the 503 overload contract: Retry-After header
-// plus the structured JSON body with the millisecond hint, jittered
-// from the engine's seeded stream. Exported so the cluster handler
-// shares one overload contract with the single-engine API.
+// WriteUnavailable emits the 503 overload contract (draining, stopped,
+// or ingest saturation): Retry-After header plus the structured JSON
+// body with the millisecond hint, jittered from the engine's seeded
+// stream. The cluster handler answers every 503 through shard 0's.
 func (e *Engine) WriteUnavailable(w http.ResponseWriter, err error) {
 	header, ms := e.retryAfterHint(500 * time.Millisecond)
 	w.Header().Set("Retry-After", header)
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error(), RetryAfterMS: ms})
+	WriteJSON(w, http.StatusServiceUnavailable, unavailableResponse{Error: err.Error(), RetryAfterMS: ms})
 }
 
-// Handler builds the daemon's HTTP API around an engine:
-//
-//	POST /v1/requests        submit one RequestSpec, 202 + {id, slot, state}
-//	POST /v1/requests:batch  NDJSON bulk submit, 200 + {accepted, shed, ids, errors}
-//	GET  /v1/requests/{id}   request status from the owning shard
-//	GET  /metrics            Prometheus text exposition
-//	GET  /healthz            200 while the engine loop is alive
-//	GET  /readyz             200 while ticking and accepting intake
-//
-// Overload contract: a 503 (draining, stopped, or ingest saturation)
-// always carries a Retry-After header and a JSON body with a jittered
-// retryAfterMS hint; under saturation the batch path sheds the lowest
-// expected-reward requests first before refusing batches outright.
-func Handler(e *Engine) http.Handler {
-	mux := http.NewServeMux()
-
-	mux.HandleFunc("POST /v1/requests", func(w http.ResponseWriter, r *http.Request) {
-		var spec RequestSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-			return
-		}
-		id, slot, err := e.Submit(spec)
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusAccepted, submitResponse{ID: id, Slot: slot, State: StatePending})
-		case errors.Is(err, ErrDraining), errors.Is(err, ErrStopped):
-			e.WriteUnavailable(w, err)
-		case errors.Is(err, ErrBadSpec):
-			writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		}
-	})
-
-	mux.HandleFunc("POST /v1/requests:batch", func(w http.ResponseWriter, r *http.Request) {
-		body := http.MaxBytesReader(w, r.Body, maxBatchBody)
-		lines, lineErrs, err := DecodeBatch(body, 0, 0)
-		if err != nil {
-			status := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.Is(err, ErrBatchTooLarge) || errors.As(err, &tooBig) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeJSON(w, status, errorResponse{Error: "bad batch: " + err.Error()})
-			return
-		}
-		// Validate up front so malformed specs come back as line errors
-		// instead of asynchronous sheds.
-		specs := make([]RequestSpec, 0, len(lines))
-		for _, ln := range lines {
-			if verr := e.ValidateSpec(ln.Spec); verr != nil {
-				lineErrs = append(lineErrs, LineError{Line: ln.Line, Error: verr.Error()})
-				continue
-			}
-			specs = append(specs, ln.Spec)
-		}
-		if len(specs) == 0 && len(lineErrs) == 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
-			return
-		}
-		res, err := e.SubmitBatch(specs)
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusOK, batchResponse{
-				Accepted: len(res.IDs),
-				Shed:     res.Shed,
-				IDs:      res.IDs,
-				Errors:   lineErrs,
-			})
-		case errors.Is(err, ErrSaturated), errors.Is(err, ErrDraining), errors.Is(err, ErrStopped):
-			e.WriteUnavailable(w, err)
-		default:
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		}
-	})
-
-	mux.HandleFunc("GET /v1/requests/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request id"})
-			return
-		}
-		rec, ok, err := e.Status(id)
-		if err != nil {
-			e.WriteUnavailable(w, err)
-			return
-		}
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown request"})
-			return
-		}
-		writeJSON(w, http.StatusOK, rec)
-	})
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		hits, misses := e.WarmStats()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = e.Metrics().WriteProm(w, hits, misses, e.StagedDepth(), e.Gauges(), e.IncStats())
-	})
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if e.Alive() {
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte("ok\n"))
-			return
-		}
-		http.Error(w, "engine stopped", http.StatusServiceUnavailable)
-	})
-
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if e.Ready() {
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte("ready\n"))
-			return
-		}
-		http.Error(w, "not ready", http.StatusServiceUnavailable)
-	})
-
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a response with the given
+// status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)

@@ -15,17 +15,17 @@ import (
 
 // TestConcurrentSubmitTickCheckpoint interleaves every public engine
 // entry point from concurrent goroutines — submissions, manual ticks,
-// forced checkpoints, status polls, and gauge scrapes — then drains. Run
+// checkpoint snapshots written to disk, status polls, and gauge scrapes
+// — then drains. Run
 // under -race in CI, this covers the shard map, the metrics counters,
 // and the control-channel serialization of internal/serve/shard.go.
 func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
-	dir := t.TempDir()
+	ckptPath := filepath.Join(t.TempDir(), "state.json")
 	e := testEngine(t, Config{
-		Net:            testNetwork(t, 6),
-		Rng:            rand.New(rand.NewSource(7)),
-		Shards:         3,
-		CheckpointPath: filepath.Join(dir, "state.json"),
-		StepChecker:    oracle.EngineChecker(),
+		Net:         testNetwork(t, 6),
+		Rng:         rand.New(rand.NewSource(7)),
+		Shards:      3,
+		StepChecker: oracle.EngineChecker(),
 	})
 
 	const (
@@ -61,7 +61,11 @@ func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
 				return
 			}
 			if i%10 == 9 {
-				if err := e.CheckpointNow(); err != nil && !errors.Is(err, ErrStopped) {
+				snap, err := e.Snapshot()
+				if err == nil {
+					err = WriteCheckpoint(ckptPath, snap)
+				}
+				if err != nil && !errors.Is(err, ErrStopped) {
 					t.Errorf("checkpoint at tick %d: %v", i, err)
 					return
 				}
