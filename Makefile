@@ -105,9 +105,12 @@ bench-check:
 ## bench-smoke: compile-and-run-once pass over the benchmark harness,
 ## mirroring the CI bench-smoke job. No regression gate here: at
 ## -benchtime 1x neither timings nor allocation counts are comparable
-## to the amortized baseline (bench-check is the gate).
+## to the amortized baseline (bench-check is the gate). The one check
+## that does run is BenchmarkClusterSweepBacklog's own: sweep- and
+## checkpoint-slot tick time flat within 2x from 1k to 100k settled
+## spanning requests of routing history.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkIncrementalServeSlot|BenchmarkLocalRatio|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkLocalRatio|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -tee -out bench-smoke.json
 
 ## tick-jitter: the stop-the-world smoke gate — with async checkpoints
@@ -121,14 +124,17 @@ tick-jitter:
 ## load-smoke: build arserved and drive the batched intake at 100k req/s
 ## offered for 2s on a tiny topology, failing on admit-rate collapse,
 ## queue growth past the configured bounds, or a batch-submit p99 over
-## 50ms (the CI load-smoke job runs the same command with CI-safe
-## thresholds and archives load-smoke.json).
+## 50ms — on one shard, then again on two, where requests span both and
+## the migration sweep runs beside the intake (the CI load-smoke job runs
+## the same loop with CI-safe thresholds and archives both reports).
 load-smoke:
 	$(GO) build -o arserved-load ./cmd/arserved
-	./arserved-load -loadgen -stations 4 -offered 100000 -load-duration 2s \
-		-load-batch 500 -tick 50ms -max-pending 512 -stage 512 \
-		-load-out load-smoke.json -load-min-offered-frac 0.9 \
-		-load-max-p99-ms 50 -load-min-admitted 1000
+	for n in 1 2; do \
+		./arserved-load -loadgen -shards $$n -stations 4 -offered 100000 -load-duration 2s \
+			-load-batch 500 -tick 50ms -max-pending 512 -stage 512 \
+			-load-out load-smoke-shards$$n.json -load-min-offered-frac 0.9 \
+			-load-max-p99-ms 50 -load-min-admitted 1000 || exit 1; \
+	done
 
 ## fuzz: seed-corpus regression then a short fuzzing budget.
 fuzz:
@@ -165,4 +171,5 @@ clean:
 	rm -f mecoffload.test bench-smoke.txt bench-smoke.json bench-new.json \
 		bench-ingest.json bench-raw.txt bench-cluster-raw.txt \
 		bench-cluster-new.json bench-incremental-raw.txt \
-		bench-incremental-new.json arserved-load load-smoke.json
+		bench-incremental-new.json arserved-load load-smoke-shards1.json \
+		load-smoke-shards2.json

@@ -206,3 +206,119 @@ func BenchmarkClusterTickJitter(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkClusterSweepBacklog measures what routing HISTORY costs the
+// cluster clock: the tick time of migration-sweep slots and of (async)
+// checkpoint slots on a 2-shard cluster whose every request spans both
+// shards, after 1k, 10k and 100k such requests have been routed and
+// settled. The sweep walks the router's worklist of possibly-pending
+// requests and the manifest id table is built from the shard snapshots'
+// live requests, so both must cost the handful of live requests whatever
+// the backlog: the benchmark reports the two medians per backlog size
+// and fails unless each stays within 2x from 1k to 100k.
+func BenchmarkClusterSweepBacklog(b *testing.B) {
+	// A 12-slot cycle with the sweep every 4th slot and a checkpoint every
+	// 6th has two sweep-only slots, one checkpoint-only slot and one slot
+	// doing both (not sampled).
+	const migrationEvery, checkpointEvery, cycle, cyclesPerOp = 4, 6, 12, 8
+	backlogs := []int{1_000, 10_000, 100_000}
+	sweepNS := make([]float64, len(backlogs))
+	ckptNS := make([]float64, len(backlogs))
+	for bi, backlog := range backlogs {
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			// One 8-station chain: a single component cut into two chunks,
+			// so candidate sets span the shards.
+			net := benchIslandNetwork(b, 1, 8)
+			c, err := cluster.New(cluster.Config{
+				Net:             net,
+				Shards:          2,
+				SchedulerName:   "dynamicrr",
+				Seed:            17,
+				MigrationEvery:  migrationEvery,
+				CheckpointPath:  filepath.Join(b.TempDir(), "cluster.json"),
+				CheckpointEvery: checkpointEvery,
+				AsyncCheckpoint: true,
+				// Small intake bounds make the backlog cheap to build: all but
+				// a few of each flood batch are shed on arrival — routed,
+				// spanning, and settled without costing an LP variable.
+				RingCapacity:  64,
+				StageCapacity: 64,
+				MaxPending:    64,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Start()
+			defer func() { _ = c.Stop() }()
+
+			spec := func(i int) serve.RequestSpec {
+				return serve.RequestSpec{
+					AccessStation: i % net.NumStations(),
+					DurationSlots: 2,
+					Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: float64(300 + (i*7)%400)}},
+				}
+			}
+			slot := func(specs []serve.RequestSpec) time.Duration {
+				if _, err := c.SubmitBatch(specs); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				if err := c.Tick(); err != nil {
+					b.Fatal(err)
+				}
+				return time.Since(start)
+			}
+			flood := make([]serve.RequestSpec, 1000)
+			for i := range flood {
+				flood[i] = spec(i)
+			}
+			for routed := 0; routed < backlog; routed += len(flood) {
+				slot(flood)
+			}
+			if rs := c.RouterStats(); rs.Spanning < uint64(backlog) {
+				b.Fatalf("backlog: %d of %d routed requests span shards", rs.Spanning, rs.Routed)
+			}
+			burst := flood[:8]
+			// Settle the flood and realign to a cycle boundary; the first
+			// sweep after the flood is the one that prunes it.
+			for i := 0; i < 2*cycle || c.Slot()%cycle != 0; i++ {
+				slot(burst)
+			}
+
+			var sweep, ckpt []time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < cyclesPerOp*cycle; k++ {
+					d := slot(burst)
+					switch s := c.Slot() % cycle; {
+					case s%migrationEvery == 0 && s%checkpointEvery != 0:
+						sweep = append(sweep, d)
+					case s%checkpointEvery == 0 && s%migrationEvery != 0:
+						ckpt = append(ckpt, d)
+					}
+				}
+			}
+			b.StopTimer()
+			c.WaitCheckpoints()
+			slices.Sort(sweep)
+			slices.Sort(ckpt)
+			sweepNS[bi] = float64(sweep[len(sweep)/2])
+			ckptNS[bi] = float64(ckpt[len(ckpt)/2])
+			b.ReportMetric(sweepNS[bi], "sweep-tick-p50-ns")
+			b.ReportMetric(ckptNS[bi], "ckpt-tick-p50-ns")
+		})
+	}
+	last := len(backlogs) - 1
+	for _, m := range []struct {
+		name string
+		ns   []float64
+	}{{"sweep", sweepNS}, {"checkpoint", ckptNS}} {
+		if m.ns[0] > 0 && m.ns[last] > 2*m.ns[0] {
+			b.Fatalf("%s-slot tick grows with routing history: p50 %.0f ns after %d settled spanning requests, %.0f ns after %d",
+				m.name, m.ns[0], backlogs[0], m.ns[last], backlogs[last])
+		}
+	}
+}

@@ -102,8 +102,9 @@ func TestTakeReportsDoubleBuffer(t *testing.T) {
 // per-tick `go func` spawn plus the `sort.Slice` closure made this
 // impossible; a regression here means something put per-slot garbage
 // back on the clock path. (AllocsPerRun may race a GC clearing the
-// engines' reply-channel pools; the assert tolerates the occasional
-// refill but not a per-tick allocation.)
+// engines' reply-channel pools; idleTickAllocBudget tolerates the
+// occasional refill but not a per-tick allocation, and is looser only
+// under the race detector, where sync.Pool drops Puts.)
 func TestIdleTickEpochAllocFree(t *testing.T) {
 	net := allocTestNetwork(t)
 	c, err := New(Config{
@@ -134,8 +135,8 @@ func TestIdleTickEpochAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 0.05 {
-		t.Fatalf("idle cluster tick allocates %v per run, want 0", allocs)
+	if allocs > idleTickAllocBudget {
+		t.Fatalf("idle cluster tick allocates %v per run, want <= %v", allocs, idleTickAllocBudget)
 	}
 }
 

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"mecoffload/internal/bandit"
@@ -53,19 +55,23 @@ type Manifest struct {
 	Shards       []manifestShard `json:"shards"`
 }
 
-// bindings snapshots one shard's live id table for the manifest.
-func (rt *router) bindings(shard int) []manifestIDPair {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	out := make([]manifestIDPair, 0, len(rt.ext2global[shard]))
-	for ext, g := range rt.ext2global[shard] {
-		pair := manifestIDPair{Ext: ext, Global: g}
-		if loc, ok := rt.table[g]; ok {
-			pair.Spanning = loc.cands
-		}
-		out = append(out, pair)
+// bindings builds one shard's manifest id table: a pair for each live
+// request in the shard's snapshot — the only ids composeRestore ever
+// looks up — in ascending global id. A request the router no longer
+// knows (evicted past MaxRouted) gets no pair.
+func (rt *router) bindings(shard int, live []serve.CheckpointRequest) []manifestIDPair {
+	if len(live) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Global < out[b].Global })
+	out := make([]manifestIDPair, 0, len(live))
+	rt.mu.RLock()
+	for _, cr := range live {
+		if g, ok := rt.ext2global[shard][cr.ExternalID]; ok {
+			out = append(out, manifestIDPair{Ext: cr.ExternalID, Global: g, Spanning: rt.table[g].cands})
+		}
+	}
+	rt.mu.RUnlock()
+	slices.SortFunc(out, func(a, b manifestIDPair) int { return cmp.Compare(a.Global, b.Global) })
 	return out
 }
 
@@ -145,7 +151,7 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 			Index:    k,
 			Stations: append([]int(nil), nd.stations...),
 			File:     filepath.Base(files[k]),
-			IDs:      c.router.bindings(k),
+			IDs:      c.router.bindings(k, ck.Requests),
 		})
 	}
 	man.NextGlobalID = c.router.stats().Routed

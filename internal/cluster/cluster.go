@@ -304,6 +304,10 @@ type Cluster struct {
 	// tickAdmitted is tickLocked's reusable global reward-aggregation id
 	// list (mu-guarded), grown once and recycled every slot.
 	tickAdmitted []uint64
+	// sweepWork and sweepSettled are sweepLocked's reusable worklist
+	// snapshot and prune list (mu-guarded).
+	sweepWork    []spanCandidate
+	sweepSettled []uint64
 	// submitScratch pools SubmitBatch's routing scratch (route table,
 	// per-shard spec slices, zip cursors) across concurrent batches.
 	submitScratch sync.Pool
@@ -324,8 +328,11 @@ type Cluster struct {
 	drainFlag    atomic.Bool
 	checkpoints  atomic.Uint64
 
-	migMu   sync.Mutex
-	journal []Migration
+	// journal is a ring of the last journalCap migration entries; journalN
+	// counts every entry ever appended (both migMu-guarded).
+	migMu    sync.Mutex
+	journal  [journalCap]Migration
+	journalN uint64
 }
 
 // New builds a cluster: the station partition, one engine per shard,

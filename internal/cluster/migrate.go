@@ -30,6 +30,8 @@ type Migration struct {
 	Slot   int     `json:"slot"`
 }
 
+// journalCap is the size of the migration journal, a fixed ring: an
+// append overwrites the oldest entry and moves nothing.
 const journalCap = 256
 
 // Migrations returns a copy of the bounded migration journal, oldest
@@ -37,15 +39,18 @@ const journalCap = 256
 func (c *Cluster) Migrations() []Migration {
 	c.migMu.Lock()
 	defer c.migMu.Unlock()
-	return append([]Migration(nil), c.journal...)
+	n := min(c.journalN, journalCap)
+	out := make([]Migration, 0, n)
+	for i := c.journalN - n; i < c.journalN; i++ {
+		out = append(out, c.journal[i%journalCap])
+	}
+	return out
 }
 
 func (c *Cluster) journalAppend(m Migration) {
 	c.migMu.Lock()
-	c.journal = append(c.journal, m)
-	if over := len(c.journal) - journalCap; over > 0 {
-		c.journal = append(c.journal[:0], c.journal[over:]...)
-	}
+	c.journal[c.journalN%journalCap] = m
+	c.journalN++
 	c.migMu.Unlock()
 }
 
@@ -73,32 +78,37 @@ func shrinkDeadline(spec serve.RequestSpec, waited int, slotMS float64) float64 
 	return d - float64(waited)*slotMS
 }
 
-// sweepLocked runs one migration round under the cluster clock lock:
-// every still-pending spanning request is proposed against the shard
-// with the most spare capacity among its candidate owners — using the
-// free-capacity fractions the shard workers computed inside this slot's
-// tick epoch (shardNode.computeFreeFrac), so the sweep itself touches no
-// engine gauges — priced by the free-fraction advantage, and committed
-// through the two-phase handoff — phase one extracts the request from its source shard's
-// planner (aborting benignly if it settled or started running first),
-// phase two submits it to the target with a deadline shrunk by the time
-// already waited. A refused phase two compensates by re-submitting to
-// the source, so a request is never lost mid-handoff. Commits per sweep
-// are capped by MigrationBurst.
+// sweepLocked runs one migration round under the cluster clock lock. It
+// walks the router's worklist — the spanning requests that may still be
+// pending, in ascending global id — and first asks each one's shard
+// registry whether it still is: a request that is not (decided, expired,
+// shed, or a terminal record the registry has since evicted) can never be
+// pending at that shard again, so it leaves the worklist for good. The
+// walk therefore costs the live spanning requests plus those settled
+// since the last sweep, whatever the router has routed before.
+//
+// A still-pending request is proposed against the shard with the most
+// spare capacity among its candidate owners — using the free-capacity
+// fractions the shard workers computed inside this slot's tick epoch
+// (shardNode.computeFreeFrac), so the sweep itself touches no engine
+// gauges — priced by the free-fraction advantage, and committed through
+// the two-phase handoff: phase one extracts the request from its source
+// shard's planner (aborting benignly if it settled or started running
+// first), phase two submits it to the target with a deadline shrunk by
+// the time already waited. A refused phase two compensates by
+// re-submitting to the source, so a request is never lost mid-handoff.
+// Commits per sweep are capped by MigrationBurst; past the cap the walk
+// only prunes.
+//
+// Only real proposals are journaled, and a request is journaled as
+// "settled" at most once: that entry is written when it is pruned.
 func (c *Cluster) sweepLocked() {
-	work := c.router.spanningRequests()
-	if len(work) == 0 {
-		return
-	}
+	work := c.router.spanningRequests(c.sweepWork[:0])
+	c.sweepWork = work
+	settled := c.sweepSettled[:0]
 	committed := 0
 	for _, sc := range work {
-		if committed >= c.cfg.MigrationBurst {
-			break
-		}
 		src := c.nodes[sc.shard]
-		if !src.eng.Alive() {
-			continue
-		}
 		// Propose: best alive target shard owning at least one candidate.
 		target, best := -1, 0.0
 		for _, st := range sc.cands {
@@ -106,36 +116,39 @@ func (c *Cluster) sweepLocked() {
 			if k == sc.shard || !c.nodes[k].eng.Alive() {
 				continue
 			}
-			if adv := c.nodes[k].freeFrac - c.nodes[sc.shard].freeFrac; target < 0 || adv > best {
+			if adv := c.nodes[k].freeFrac - src.freeFrac; target < 0 || adv > best {
 				target, best = k, adv
 			}
 		}
-		if target < 0 {
-			continue
-		}
+		// Below the hysteresis the move is not worth the handoff and the
+		// request stays put, unjournaled.
+		proposed := committed < c.cfg.MigrationBurst && src.eng.Alive() &&
+			target >= 0 && best >= c.cfg.MigrationHysteresis
 		m := Migration{Global: sc.global, From: sc.shard, To: target, Price: best, Slot: c.slot}
-		if best < c.cfg.MigrationHysteresis {
-			// Not worth the handoff; stay put. Only journal real proposals.
-			continue
-		}
-		m.Phase = PhasePriced
 
-		// The deadline budget check needs the arrival slot, which Status
-		// knows without disturbing the planner.
+		// The registry answers without disturbing the planner; anything
+		// but pending is final for this shard/ext.
 		rec, ok, err := src.eng.Status(sc.ext)
 		if err != nil || !ok || rec.State != serve.StatePending {
-			m.Phase, m.Reason = PhaseAborted, "settled"
-			c.journalAppend(m)
+			settled = append(settled, sc.global)
+			if proposed {
+				m.Phase, m.Reason = PhaseAborted, "settled"
+				c.journalAppend(m)
+			}
+			continue
+		}
+		if !proposed {
 			continue
 		}
 		// Phase one: extract from the source planner.
 		spec, arrival, err := src.eng.Extract(sc.ext)
 		if err != nil {
-			m.Phase = PhaseAborted
+			m.Phase, m.Reason = PhaseAborted, err.Error()
 			if errors.Is(err, serve.ErrNotPending) {
-				m.Reason = "settled" // decided between Status and Extract
-			} else {
-				m.Reason = err.Error()
+				// Pending in the registry but not the planner's to give: still
+				// queued in the ingest ring, or shed since Status answered.
+				// It stays listed; the next sweep's Status tells which.
+				m.Reason = "not in planner"
 			}
 			c.journalAppend(m)
 			continue
@@ -180,4 +193,6 @@ func (c *Cluster) sweepLocked() {
 		c.journalAppend(m)
 		committed++
 	}
+	c.sweepSettled = settled
+	c.router.pruneSpanning(settled)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mecoffload/internal/mec"
@@ -13,7 +14,8 @@ type location struct {
 	shard int
 	ext   uint64
 	// cands are the request's global candidate stations, kept only when
-	// they span more than one shard — the migration sweep's worklist.
+	// they span more than one shard: what the migration sweep prices and
+	// the manifest records for a live spanning request.
 	cands []int
 }
 
@@ -31,6 +33,13 @@ type router struct {
 	ext2global []map[uint64]uint64 // per shard: shard ext -> global id
 	order      []uint64            // bind order, for bounded eviction
 	maxRouted  int
+	// span is the migration sweep's worklist: the global ids of spanning
+	// requests that may still be pending, ascending. insertLocked appends
+	// (ids are handed out, and restored, in ascending order, so no sort is
+	// ever needed) and the sweep prunes an id the first time it finds the
+	// request can never be pending again, so the list tracks live
+	// requests, not routing history. Every id on it is in table.
+	span []uint64
 
 	// Routing counters (mu-guarded; read via RouterStats).
 	fastPath    uint64
@@ -127,6 +136,8 @@ func (rt *router) bind(shard int, ext uint64, spanCands []int) uint64 {
 }
 
 // bindAt re-registers a known global id during a manifest restore.
+// composeRestore calls it in ascending id order, before any bind, which
+// is what keeps order and span ascending.
 func (rt *router) bindAt(g uint64, shard int, ext uint64, spanCands []int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -140,6 +151,9 @@ func (rt *router) insertLocked(g uint64, shard int, ext uint64, spanCands []int)
 	rt.table[g] = &location{shard: shard, ext: ext, cands: spanCands}
 	rt.ext2global[shard][ext] = g
 	rt.order = append(rt.order, g)
+	if len(spanCands) > 0 {
+		rt.span = append(rt.span, g)
+	}
 	for len(rt.table) > rt.maxRouted && len(rt.order) > 0 {
 		old := rt.order[0]
 		rt.order = rt.order[1:]
@@ -147,10 +161,17 @@ func (rt *router) insertLocked(g uint64, shard int, ext uint64, spanCands []int)
 			delete(rt.ext2global[loc.shard], loc.ext)
 			delete(rt.table, old)
 		}
+		// The evicted id is the table's smallest, so on the ascending
+		// worklist it can only be the head.
+		if len(rt.span) > 0 && rt.span[0] == old {
+			rt.span = rt.span[1:]
+		}
 	}
 }
 
-// rebind moves a migrated request to its new shard and local id.
+// rebind moves a migrated request to its new shard and local id. With
+// keepSpanning it stays on the sweep's worklist under the new location;
+// without, it stops being a migration candidate.
 func (rt *router) rebind(g uint64, shard int, ext uint64, keepSpanning bool) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -160,8 +181,11 @@ func (rt *router) rebind(g uint64, shard int, ext uint64, keepSpanning bool) boo
 	}
 	delete(rt.ext2global[loc.shard], loc.ext)
 	loc.shard, loc.ext = shard, ext
-	if !keepSpanning {
+	if !keepSpanning && loc.cands != nil {
 		loc.cands = nil
+		if i, found := slices.BinarySearch(rt.span, g); found {
+			rt.span = slices.Delete(rt.span, i, i+1)
+		}
 	}
 	rt.ext2global[shard][ext] = g
 	return true
@@ -209,27 +233,40 @@ type spanCandidate struct {
 	cands  []int
 }
 
-// spanningRequests snapshots every routed request whose candidate set
-// spans shards, in ascending global-id order.
-func (rt *router) spanningRequests() []spanCandidate {
+// spanningRequests appends the sweep's worklist to dst, in ascending
+// global-id order: every spanning request not yet pruned, at its current
+// location. The cost is the length of the worklist, not of the table.
+func (rt *router) spanningRequests(dst []spanCandidate) []spanCandidate {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	var out []spanCandidate
-	for g, loc := range rt.table {
-		if len(loc.cands) > 0 {
-			out = append(out, spanCandidate{global: g, shard: loc.shard, ext: loc.ext, cands: loc.cands})
-		}
+	for _, g := range rt.span {
+		loc := rt.table[g]
+		dst = append(dst, spanCandidate{global: g, shard: loc.shard, ext: loc.ext, cands: loc.cands})
 	}
-	sortSpan(out)
-	return out
+	return dst
 }
 
-func sortSpan(s []spanCandidate) {
-	for j := 1; j < len(s); j++ {
-		for k := j; k > 0 && s[k].global < s[k-1].global; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
+// pruneSpanning drops the given ids (ascending, as the sweep met them)
+// from the worklist. Ids bound since the sweep's snapshot sit behind all
+// of them and stay.
+func (rt *router) pruneSpanning(done []uint64) {
+	if len(done) == 0 {
+		return
 	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	keep := rt.span[:0]
+	for _, g := range rt.span {
+		// An id evicted from the head since the snapshot is simply absent.
+		for len(done) > 0 && done[0] < g {
+			done = done[1:]
+		}
+		if len(done) > 0 && done[0] == g {
+			continue
+		}
+		keep = append(keep, g)
+	}
+	rt.span = keep
 }
 
 // RouterStats is the routing counter snapshot exposed on /metrics.
