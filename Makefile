@@ -27,13 +27,16 @@ race:
 cluster-parity:
 	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore' ./internal/cluster/
 
-## incremental-parity: the per-slot decision-cost correctness gate — the
-## oracle differentials proving the dirty-component incremental cache and
-## the LP-free local-ratio fast path emit decision streams identical to
-## the full stable re-solve, plus the dirty-set edge-case suite, all
-## under the race detector (same as the CI incremental-parity job).
+## incremental-parity: the decision path's correctness gate — the oracle
+## differentials proving that DynamicRR as shipped (clean components
+## replay their cached decision) and the LP-free local-ratio fast path
+## emit decision streams identical to the oracle's reference, which
+## re-solves every component every slot; the dirty-set and
+## second-sighting edge-case suite; the bounded name table; and the
+## default 1-shard cluster against the reference on the steady wave —
+## all under the race detector (same as the CI incremental-parity job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestDiffLocalRatioLP|TestIncCache' ./internal/oracle/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestDiffLocalRatioLP|TestIncCache|TestOnlineNamesBoundedByComponent|TestDefaultClusterReusesDecisions' ./internal/oracle/ ./internal/core/ ./internal/cluster/
 
 ## drift: the adaptivity correctness gate — seeded regret-bound
 ## assertions proving the drift-aware policies beat stationary UCB1 on
@@ -81,9 +84,9 @@ bench:
 ## meaningful against a baseline recorded on the same machine; allocs/op
 ## is deterministic everywhere. CI runs the same gate A/B against the
 ## merge base on one runner (bench-regression job). The incremental
-## gate protects only the fast modes: mode=full and mode=lp are the
-## deliberately slow contrast baselines, and the full re-solve's LP
-## jitter would trip the 10% gate on noise alone.
+## gate protects only the shipped modes: mode=full and mode=lp are the
+## oracle's re-solve-everything reference, the deliberately slow
+## contrast, and its LP jitter would trip the 10% gate on noise alone.
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSlot' -benchtime 1000x -benchmem . \
 		| $(GO) run ./cmd/benchjson -tee -out bench-new.json

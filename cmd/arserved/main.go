@@ -80,7 +80,6 @@ func run(args []string, out io.Writer) error {
 		replayRate = fs.Int("requests-per-30fps", 1, "replay: requests per second per 30 fps of trace")
 		replayDump = fs.String("replay-dump", "", "replay: write per-slot admission decisions as JSON to this file")
 		workers    = fs.Int("workers", 1, "concurrent component solves per slot LP (dynamicrr only; decisions are identical for every value)")
-		increment  = fs.Bool("incremental", false, "reuse cached decisions of unchanged candidate-graph components between slots (dynamicrr/local-ratio; decisions are identical to a full re-solve)")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		blockRate  = fs.Int("block-profile", 0, "blocking-profile sample threshold in ns for /debug/pprof/block (1 = every event, 0 = off; needs -pprof-addr)")
 		mutexFrac  = fs.Int("mutex-profile", 0, "mutex-contention sample fraction for /debug/pprof/mutex (1 = every contended lock, 0 = off; needs -pprof-addr)")
@@ -157,11 +156,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The engines flip LocalRatio on when the scheduler name is
-	// "local-ratio"; the daemon only forwards the worker count, the
-	// incremental toggle, and an optional -bandit arm policy. A
-	// checkpointed bandit snapshot overrides the policy on restore, so
-	// learning resumes rather than restarting.
-	drrOpts := sim.DynamicRROptions{Workers: *workers, Incremental: *increment}
+	// "local-ratio"; the daemon only forwards the worker count and an
+	// optional -bandit arm policy. A checkpointed bandit snapshot
+	// overrides the policy on restore, so learning resumes rather than
+	// restarting.
+	drrOpts := sim.DynamicRROptions{Workers: *workers}
 	if *banditSpec != "" {
 		// Validate the spec up front so a typo fails at startup, then
 		// pass the spec (not an instance) so the shards each parse their

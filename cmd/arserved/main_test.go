@@ -226,10 +226,12 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-scenario-in", "/does/not/exist.json"}, &out); err == nil {
 		t.Fatal("missing scenario accepted")
 	}
-	// The removed flag fails at parsing instead of changing meaning.
-	err := run([]string{"-cluster-shards", "2", "-replay", "/does/not/exist.json"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-cluster-shards: %v, want an unknown-flag error", err)
+	// A removed flag fails at parsing instead of changing meaning.
+	for _, removed := range [][]string{{"-cluster-shards", "2"}, {"-incremental"}} {
+		err := run(append(removed, "-replay", "/does/not/exist.json"), &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%v: %v, want an unknown-flag error", removed, err)
+		}
 	}
 	// A shard count the topology cannot honour is rejected, not clamped.
 	for _, n := range []string{"0", "-1", "5", "999"} {

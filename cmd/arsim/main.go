@@ -92,7 +92,6 @@ func run(args []string, out io.Writer) (err error) {
 		replayDump = fs.String("replay-dump", "", "replay: write per-slot admission decisions as JSON to this file")
 		slotMS     = fs.Float64("slot-ms", mec.DefaultSlotLengthMS, "replay: model slot length in milliseconds")
 		workers    = fs.Int("workers", 1, "concurrent component solves per slot LP (dynamicrr only; decisions are identical for every value)")
-		increment  = fs.Bool("incremental", false, "reuse cached decisions of unchanged candidate-graph components between slots (dynamicrr/local-ratio; decisions are identical to a full re-solve)")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
@@ -164,9 +163,8 @@ func run(args []string, out io.Writer) (err error) {
 	switch *schedName {
 	case "dynamicrr", "local-ratio":
 		dopts := sim.DynamicRROptions{
-			Workers:     *workers,
-			Incremental: *increment,
-			LocalRatio:  *schedName == "local-ratio",
+			Workers:    *workers,
+			LocalRatio: *schedName == "local-ratio",
 		}
 		if *banditSpec != "" {
 			pol, err := bandit.Parse(*banditSpec, banditKappa, rnd.Derive(*seed, "bandit:"+*banditSpec))

@@ -42,6 +42,16 @@ func TestRunUnknownScheduler(t *testing.T) {
 	}
 }
 
+// TestRemovedIncrementalFlag: decision reuse is the one path, so the flag
+// that used to select it fails at parsing instead of being ignored.
+func TestRemovedIncrementalFlag(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-incremental", "-requests", "10", "-horizon", "5"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-incremental: %v, want an unknown-flag error", err)
+	}
+}
+
 func TestRunDumpAndScenarioRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	scen := filepath.Join(dir, "scen.json")

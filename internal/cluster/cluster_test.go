@@ -323,15 +323,13 @@ func TestClusterHandlerMetrics(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			net := islandNetwork(t, 3, 2)
-			cfg := parityConfig(net, shards)
-			cfg.DynamicRR.Incremental = true
-			c, err := cluster.New(cfg)
+			c, err := cluster.New(parityConfig(net, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
 			c.Start()
 			defer func() { _ = c.Stop() }()
-			// Two busy slots, so the dirty-component tracker has counted.
+			// Two busy slots, so the decision cache has counted.
 			for slot := 0; slot < 2; slot++ {
 				for st := 0; st < 6; st++ {
 					if _, _, err := c.Submit(serve.RequestSpec{AccessStation: st, DurationSlots: 3}); err != nil {
@@ -423,36 +421,45 @@ func TestClusterHandlerMetrics(t *testing.T) {
 		})
 	}
 
-	// The default full-re-solve scheduler: by the second busy slot the
-	// LP-PT re-solves from the previous slot's basis, so the warm-start
-	// hit rate on /metrics is positive; and with no dirty-component
-	// tracker the component-solve family is absent, not rendered as
-	// all-zero counters.
-	full, err := cluster.New(cluster.Config{Net: islandNetwork(t, 1, 4), Seed: 7})
+	// The zero-value scheduler. The component-solve family is rendered
+	// from the first scrape on, before anything was solved. Then the same
+	// wave every slot: its second sighting re-solves from the first one's
+	// basis, so the warm-start hit rate is positive, and from the third on
+	// the components replay, so path="clean" counts.
+	def, err := cluster.New(cluster.Config{Net: islandNetwork(t, 2, 2), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.Start()
-	defer func() { _ = full.Stop() }()
-	for slot := 0; slot < 2; slot++ {
-		for i := 0; i < 8; i++ {
-			if _, _, err := full.Submit(serve.RequestSpec{AccessStation: i % 4, DurationSlots: 3}); err != nil {
+	def.Start()
+	defer func() { _ = def.Stop() }()
+	for _, path := range []string{"clean", "local-ratio", "fallback", "lp"} {
+		if want := fmt.Sprintf(`arserved_cluster_component_solves_total{shard="0",path=%q} 0`, path); !strings.Contains(scrape(t, def), want+"\n") {
+			t.Errorf("idle exposition missing %q", want)
+		}
+	}
+	for slot := 0; slot < 6; slot++ {
+		for st := 0; st < 4; st += 2 {
+			if _, _, err := def.Submit(serve.RequestSpec{
+				AccessStation: st,
+				DurationSlots: 1,
+				Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 400}},
+			}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := full.Tick(); err != nil {
+		if err := def.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	text := scrape(t, full)
+	text := scrape(t, def)
 	if !regexp.MustCompile(`arserved_cluster_lp_warmstart_total\{shard="0",outcome="hit"\} [1-9]`).MatchString(text) {
-		t.Errorf("no warm-start hits after the second slot:\n%s", text)
+		t.Errorf("no warm-start hits on the re-solved wave:\n%s", text)
 	}
 	if strings.Contains(text, `arserved_cluster_lp_warmstart_hit_ratio{shard="0"} 0`+"\n") {
-		t.Error("warm-start hit ratio still zero after the second slot")
+		t.Error("warm-start hit ratio still zero after the re-solved wave")
 	}
-	if strings.Contains(text, "arserved_cluster_component_solves_total") {
-		t.Error("component-solve counters rendered without an incremental tracker")
+	if !regexp.MustCompile(`arserved_cluster_component_solves_total\{shard="0",path="clean"\} [1-9]`).MatchString(text) {
+		t.Errorf("no clean component replays after a repeated wave:\n%s", text)
 	}
 }
 

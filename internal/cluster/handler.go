@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"mecoffload/internal/core"
 	"mecoffload/internal/serve"
 )
 
@@ -274,25 +273,16 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 		}
 		return float64(hits) / float64(hits+misses)
 	})
-	// The component-solve split exists only under the incremental or
-	// local-ratio scheduler; without a tracker the family is absent rather
-	// than rendered as all-zero counters.
-	tracked := false
-	for _, nd := range c.nodes {
-		tracked = tracked || nd.eng.IncStats() != (core.IncStats{})
-	}
-	if tracked {
-		labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, local-ratio certifies and skips the LP, fallback failed certification, lp is a full component solve.", "path", func(nd *shardNode) []labeledValue {
-			inc := nd.eng.IncStats()
-			// In local-ratio-only mode the counters-only tracker never
-			// counts dirty solves, so the residual lp bucket clamps at zero.
-			lpSolves := int64(inc.DirtySolves) - int64(inc.FastPath) - int64(inc.FastFallback)
-			if lpSolves < 0 {
-				lpSolves = 0
-			}
-			return []labeledValue{{"clean", inc.CleanHits}, {"local-ratio", inc.FastPath}, {"fallback", inc.FastFallback}, {"lp", lpSolves}}
-		})
-	}
+	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, local-ratio certifies and skips the LP, fallback failed certification, lp is a full component solve.", "path", func(nd *shardNode) []labeledValue {
+		inc := nd.eng.IncStats()
+		// The counters are read one by one while the shard may be
+		// mid-slot, so the residual lp bucket clamps at zero.
+		lpSolves := int64(inc.DirtySolves) - int64(inc.FastPath) - int64(inc.FastFallback)
+		if lpSolves < 0 {
+			lpSolves = 0
+		}
+		return []labeledValue{{"clean", inc.CleanHits}, {"local-ratio", inc.FastPath}, {"fallback", inc.FastFallback}, {"lp", lpSolves}}
+	})
 
 	gauges := make([][]serve.StationGauge, len(c.nodes))
 	for k, nd := range c.nodes {

@@ -46,11 +46,12 @@ type BatchOptions struct {
 	// block-diagonal LP-PT concurrently (0 or 1 = serial). Decisions are
 	// bit-identical for every value.
 	Workers int
-	// Inc, when non-nil, enables the incremental re-solve: connected
-	// components of the candidate graph whose exact LP input signature is
-	// unchanged since the cached solve are clean and reuse the cached
-	// canonical decision; only dirty components touch the LP. Decisions
-	// are identical to a full re-solve of every component
+	// Inc is the decision cache: connected components of the candidate
+	// graph whose exact LP input signature matches a cached canonical
+	// solve are clean and replay it; only dirty components touch the LP.
+	// The online scheduler always passes one. Nil re-solves every
+	// component every slot — the reference the oracle differentials
+	// compare against, decision for decision
 	// (oracle.DiffIncrementalFull pins the contract).
 	Inc *IncCache
 	// LocalRatio enables the LP-free local-ratio fast path on dirty
@@ -59,13 +60,6 @@ type BatchOptions struct {
 	// emitted combinatorially; otherwise the warm-started LP-PT runs.
 	// Decisions are identical either way (oracle.DiffLocalRatioLP).
 	LocalRatio bool
-	// StableLP forces the renaming-invariant solve mode (positional LP
-	// variable names, exact-shard warm seeds) without reusing any cached
-	// decision. Inc and LocalRatio imply it; on its own it is the
-	// full-resolve-every-slot baseline the oracle differentials compare
-	// the incremental and fast-path runs against. The default (all three
-	// off) keeps the historical naming and nearest-shard warm fallback.
-	StableLP bool
 }
 
 // ScheduleBatch admits requests from opts.Active into the network using
@@ -128,13 +122,13 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 			waitSlots:    opts.WaitSlots,
 			slotLengthMS: opts.SlotLengthMS,
 			names:        opts.Warm.nameTable(),
+			positional:   true,
 		}, solveCfg{
 			warm:    opts.Warm,
 			pass:    pass,
 			workers: opts.Workers,
 			inc:     opts.Inc,
 			fast:    opts.LocalRatio,
-			stable:  opts.StableLP,
 		}, sc, &sc.merged)
 		if err != nil {
 			return totalAdmitted, err

@@ -182,18 +182,16 @@ type compSolve struct {
 	vars []slotVar // global request indices, component-local var indices
 	y    []float64
 	obj  float64
-	// cached, when non-nil, is the incremental cache entry this clean
-	// component reuses instead of solving anything.
+	// cached, when non-nil, is the decision-cache entry this clean
+	// component replays instead of solving anything.
 	cached *incEntry
-	// canonY/canonObj is the canonical solution stored back into the
-	// incremental cache: for an LP solve, the result of re-solving from
-	// this solve's own optimal basis — bit-for-bit what a full re-solve
-	// of the unchanged component computes next slot, because next slot's
-	// warm seed IS this basis; for the deterministic fast path, the
-	// solution itself.
-	canonY   []float64
-	canonObj float64
-	err      error
+	// canonical marks a fresh solve whose solution every further solve of
+	// the unchanged component reproduces, so the cache may replay it: the
+	// LP solve of a signature's second sighting (seeded from the first
+	// one's own optimal basis, it pivots zero times, and so does every
+	// solve after it), or a local-ratio certificate (the unique optimum).
+	canonical bool
+	err       error
 }
 
 // solveCfg bundles the solver-side knobs of solveDecomposed (the LP-side
@@ -202,22 +200,11 @@ type solveCfg struct {
 	warm    *WarmCache
 	pass    int
 	workers int
-	// inc enables the incremental re-solve when non-nil and caching (a
-	// counters-only IncCache tracks the fast path without reusing
-	// decisions — see NewIncCounters).
+	// inc, when non-nil, replays the cached decision of every component
+	// whose signature it has solved twice; nil re-solves everything.
 	inc *IncCache
 	// fast enables the local-ratio fast path on dirty components.
 	fast bool
-	// stable selects the renaming-invariant solve mode: positional
-	// variable names and exact-shard warm seeds. In this mode a
-	// component whose shape repeats across slots produces a bit-identical
-	// LP regardless of global request ids — the property the incremental
-	// clean check and the fast-path/LP parity proofs stand on. inc and
-	// fast imply it; the oracle baselines set it alone so a
-	// full-resolve-every-slot run stays decision-comparable to an
-	// incremental run. Off (the default) preserves the historical global
-	// naming and nearest-shard fallback bit for bit.
-	stable bool
 }
 
 // solveDecomposed builds and solves the slot LP component by component on
@@ -227,15 +214,15 @@ type solveCfg struct {
 // are solved independently (the LP is block-diagonal) and the merge order
 // is fixed, so parallelism changes wall-clock time and nothing else.
 //
-// In stable mode (see solveCfg), additionally:
-//
-//   - cfg.inc caching enables the incremental re-solve: components whose
-//     exact input signature matches the cached one are *clean* and reuse
-//     the cached canonical solution without building an LP; dirty
-//     components are solved (LP result used for this slot, same as a full
-//     run), then canonicalized and cached. A full-resolve run and an
-//     incremental run therefore agree decision for decision — the oracle
-//     differential DiffIncrementalFull pins that contract.
+//   - cfg.inc enables decision reuse: a component whose exact input
+//     signature matches a cached canonical solution is *clean* and
+//     replays it without building an LP. A dirty component is solved
+//     exactly as without the cache; a signature miss then caches the
+//     signature alone, and the first matching sighting — whose warm seed
+//     is the miss's own optimal basis — caches its solution too. A run
+//     with the cache and a run without therefore agree decision for
+//     decision — the oracle differential DiffIncrementalFull pins that
+//     contract.
 //   - cfg.fast enables the LP-free fast path on dirty components: when
 //     tryLocalRatio's certificate holds, its schedule is provably the
 //     unique LP optimum and is used (and cached) directly.
@@ -256,15 +243,10 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 		}
 		opts.active = all
 	}
-	if cfg.inc != nil || cfg.fast {
-		cfg.stable = true
-	}
 	inc := cfg.inc
-	caching := inc != nil && inc.entries != nil
 	warm, pass := cfg.warm, cfg.pass
 	m.reset(len(reqs))
-	record := caching || cfg.fast
-	comps := splitComponents(n, reqs, opts, sc, record)
+	comps := splitComponents(n, reqs, opts, sc, inc != nil || cfg.fast)
 	if len(comps) == 0 {
 		return nil
 	}
@@ -275,10 +257,11 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	// Clean check, sequential and before the workers: build each
 	// component's exact signature and compare it word-for-word against
 	// the cached entry under the same (pass, shard) key. A match means
-	// the component's LP would be bit-identical to the one the cached
-	// canonical solution solves, so the solve is skipped entirely.
+	// the component's LP is bit-identical to the one the entry was solved
+	// on: a canonical entry is replayed and the solve skipped entirely, a
+	// signature-only entry makes this solve the canonical one.
 	var sigOff []int
-	if caching {
+	if inc != nil {
 		sc.sigs = sc.sigs[:0]
 		sigOff = growInts(&sc.sigOff, len(comps)+1)
 		for k := range comps {
@@ -287,37 +270,34 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 		}
 		sigOff[len(comps)] = len(sc.sigs)
 		for k := range comps {
-			sig := sc.sigs[sigOff[k]:sigOff[k+1]]
-			if e := inc.get(pass, comps[k].key); e != nil && wordsEqual(e.sig, sig) {
-				results[k] = compSolve{cached: e}
+			e := inc.get(pass, comps[k].key)
+			seen := e != nil && wordsEqual(e.sig, sc.sigs[sigOff[k]:sigOff[k+1]])
+			if seen && e.canonical {
+				results[k].cached = e
 				inc.cleanHits.Add(1)
-			} else {
-				inc.dirtySolves.Add(1)
+				continue
 			}
+			results[k].canonical = seen
+			inc.dirtySolves.Add(1)
 		}
 	}
 
 	// Resolve every dirty component's warm-start seed before the workers
 	// launch, against a fixed pre-pass cache snapshot: that keeps the
 	// seeds — and therefore the chosen optimal vertices — identical for
-	// every worker count. In stable mode lookups are exact-shard only: a
+	// every worker count. Positional names go with exact-shard seeds: a
 	// nearest-shard basis would resolve onto a different component's
-	// positionally-named requests and churn the chosen vertex from slot
-	// to slot, and the incremental parity argument leans on each
-	// component re-seeding from its own previous basis.
+	// positionally-named requests, and the decision cache's parity
+	// argument leans on each component re-seeding from its own previous
+	// basis. The offline passes, named by request index, take the nearest.
 	for k := range comps {
-		if results[k].cached != nil {
-			seeds[k] = nil
-			continue
-		}
-		if cfg.stable {
-			seeds[k] = warm.get(pass, comps[k].key)
-		} else {
-			seeds[k] = warm.getNear(pass, comps[k].key)
+		if results[k].cached == nil {
+			seeds[k] = warm.get(pass, comps[k].key, !opts.positional)
 		}
 	}
 	solveOne := func(k int) {
-		if results[k].cached != nil {
+		r := &results[k]
+		if r.cached != nil {
 			return
 		}
 		comp := comps[k]
@@ -325,42 +305,26 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 		copts.active = comp.reqs
 		copts.stations = comp.stations
 		copts.byReq = m.byReq // disjoint request sets: no write overlap
-		copts.positional = cfg.stable
 		if cfg.fast {
 			if vars, y, obj, ok := tryLocalRatio(n, reqs, comp, copts); ok {
 				inc.addFastPath()
-				results[k] = compSolve{vars: vars, y: y, obj: obj, canonY: y, canonObj: obj}
+				*r = compSolve{vars: vars, y: y, obj: obj, canonical: true}
 				return
 			}
 			inc.addFastFallback()
 		}
 		model, err := buildLP(n, reqs, copts)
 		if err != nil {
-			results[k] = compSolve{err: err}
+			r.err = err
 			return
 		}
 		y, obj, basis, err := model.solveWarm(seeds[k])
 		if err != nil {
-			results[k] = compSolve{err: err}
+			r.err = err
 			return
 		}
 		warm.put(pass, comp.key, basis)
-		cs := compSolve{vars: model.vars, y: y, obj: obj}
-		if caching {
-			// Canonicalize: next slot, if this component is clean, the
-			// full-resolve baseline computes solveWarm(basis) on the
-			// bit-identical problem. Cache exactly that result so clean
-			// reuse and full re-solve can never drift apart (re-seeding
-			// an optimal basis pivots zero times, so the slot after next
-			// re-captures this same basis, and so on).
-			cy, cobj, _, cerr := model.solveWarm(basis)
-			if cerr != nil {
-				results[k] = compSolve{err: cerr}
-				return
-			}
-			cs.canonY, cs.canonObj = cy, cobj
-		}
-		results[k] = cs
+		r.vars, r.y, r.obj = model.vars, y, obj
 	}
 	forEachParallel(len(comps), cfg.workers, solveOne)
 
@@ -395,8 +359,8 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 				}
 			}
 		}
-		if caching {
-			inc.put(pass, comps[k].key, sc.sigs[sigOff[k]:sigOff[k+1]], r.vars, comps[k].reqs, r.canonY, r.canonObj)
+		if inc != nil {
+			inc.put(pass, comps[k].key, sc.sigs[sigOff[k]:sigOff[k+1]], r, comps[k].reqs)
 		}
 	}
 	return nil

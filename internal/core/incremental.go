@@ -7,17 +7,17 @@ import (
 	"mecoffload/internal/mec"
 )
 
-// IncStats counts what the incremental re-solve and the local-ratio fast
-// path did since the cache was created. CleanHits + DirtySolves is the
-// total number of component solves requested; FastPath + FastFallback is
-// the number of dirty components the local-ratio certification examined.
+// IncStats counts what decision reuse and the local-ratio fast path did
+// since the cache was created. CleanHits + DirtySolves is the total
+// number of component solves requested; FastPath + FastFallback is the
+// number of dirty components the local-ratio certification examined.
 type IncStats struct {
-	// CleanHits is the number of components whose signature matched the
-	// cached one, so the cached per-component decision was reused without
-	// touching the LP.
+	// CleanHits is the number of components whose signature matched a
+	// cached canonical decision, which was replayed without touching the
+	// LP.
 	CleanHits uint64
-	// DirtySolves is the number of components that had to be re-solved
-	// (signature miss or first sighting).
+	// DirtySolves is the number of components that had to be solved: a
+	// signature miss, or the first matching sighting that canonicalizes.
 	DirtySolves uint64
 	// FastPath is the number of dirty components the local-ratio
 	// certification admitted without building an LP.
@@ -28,31 +28,38 @@ type IncStats struct {
 }
 
 // incEntry is one cached per-component decision: the exact LP input
-// signature it is valid for, the solved variables in *position space*
-// (slotVar.req is the request's position within the component's request
-// list, not a global index), the canonical fractional solution, and its
-// objective. Position space makes the entry independent of the global
-// request ids of the slot that produced it: a later slot whose component
-// has the same shape reuses it even though every request id changed.
+// signature it is valid for and, once canonical, the solved variables in
+// *position space* (slotVar.req is the request's position within the
+// component's request list, not a global index), the fractional solution,
+// and its objective. Position space makes the entry independent of the
+// global request ids of the slot that produced it: a later slot whose
+// component has the same shape reuses it even though every request id
+// changed.
 type incEntry struct {
-	sig  []uint64
-	vars []slotVar
-	y    []float64
-	obj  float64
+	sig []uint64
+	// canonical reports that vars/y/obj hold the solution every further
+	// solve of this signature returns, so a match may replay it. A
+	// signature's first solve is not: it pivoted there from an older
+	// basis, and only a solve seeded from its own optimal basis — which
+	// the second sighting is — reproduces itself bit for bit.
+	canonical bool
+	vars      []slotVar
+	y         []float64
+	obj       float64
 }
 
-// IncCache is the dirty-component tracker of the incremental scheduler.
-// It files one entry per (rounding pass, component shard) — the same keys
-// the WarmCache uses — holding the component's full LP input signature
-// and its canonical solution. A component is *clean* when its signature
-// this slot is bit-identical to the cached one: every quantity the LP is
-// built from (slot grid, residual capacities, share caps, candidate
-// stations, demand distributions) is unchanged, so the LP itself is
-// bit-identical and the cached solution IS the solution the full re-solve
-// would compute. Everything else — an arrival, a departure, a realized
-// rate that moved the residual capacity, a C^th change that reshaped the
-// admissible set — flips some word of the signature and marks the
-// component dirty.
+// IncCache is the online scheduler's decision cache. It files one entry
+// per (rounding pass, component shard) — the same keys the WarmCache uses
+// — holding the component's full LP input signature and, from the second
+// sighting on, its canonical solution. A component is *clean* when its
+// signature this slot is bit-identical to a cached canonical one: every
+// quantity the LP is built from (slot grid, residual capacities, share
+// caps, candidate stations, demand distributions) is unchanged, so the LP
+// itself is bit-identical and the cached solution IS the solution a
+// re-solve would compute. Everything else — an arrival, a departure, a
+// realized rate that moved the residual capacity, a C^th change that
+// reshaped the admissible set — flips some word of the signature and
+// marks the component dirty.
 //
 // The entry map is only touched by the scheduling goroutine (the
 // clean-check before the solver workers launch and the put after the
@@ -67,18 +74,9 @@ type IncCache struct {
 	entries map[warmKey]*incEntry
 }
 
-// NewIncCache returns an empty dirty-component tracker.
+// NewIncCache returns an empty decision cache.
 func NewIncCache() *IncCache {
 	return &IncCache{entries: make(map[warmKey]*incEntry)}
-}
-
-// NewIncCounters returns a counters-only tracker: the local-ratio
-// fast-path statistics are recorded but no decision is ever cached or
-// reused. A LocalRatio-only run uses it so FastPath/FastFallback stay
-// observable (the oracle's all-certified assertion depends on them)
-// without pulling in the incremental machinery.
-func NewIncCounters() *IncCache {
-	return &IncCache{}
 }
 
 // Stats returns the cache's clean/dirty/fast-path counters. Nil-safe.
@@ -95,8 +93,8 @@ func (c *IncCache) Stats() IncStats {
 }
 
 // addFastPath / addFastFallback bump the local-ratio counters from the
-// solver workers. Nil-safe: a run with the fast path on but the
-// incremental cache off simply goes uncounted.
+// solver workers. Nil-safe: a run with the fast path on but no decision
+// cache simply goes uncounted.
 func (c *IncCache) addFastPath() {
 	if c != nil {
 		c.fastPath.Add(1)
@@ -114,13 +112,13 @@ func (c *IncCache) get(pass, shard int) *incEntry {
 	return c.entries[warmKey{pass: pass, shard: shard}]
 }
 
-// put stores a freshly solved component: sig is copied, vars are
-// converted from global request indices to positions within compReqs
-// (which lists the component's requests in the order the LP was built
-// over), and y/obj are the canonical solution — the one a warm re-solve
-// from this solve's own optimal basis produces, i.e. exactly what a full
-// re-solve of the unchanged component computes next slot.
-func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, compReqs []int, y []float64, obj float64) {
+// put files a freshly solved component under its signature (copied). A
+// canonical solve also caches its solution for replay: vars are converted
+// from global request indices to positions within compReqs (which lists
+// the component's requests in the order the LP was built over). Anything
+// else caches the signature alone, so the next matching sighting knows to
+// canonicalize.
+func (c *IncCache) put(pass, shard int, sig []uint64, r *compSolve, compReqs []int) {
 	k := warmKey{pass: pass, shard: shard}
 	e := c.entries[k]
 	if e == nil {
@@ -128,9 +126,13 @@ func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, compReqs [
 		c.entries[k] = e
 	}
 	e.sig = append(e.sig[:0], sig...)
-	e.vars = e.vars[:0]
+	e.canonical = r.canonical
+	e.vars, e.y = e.vars[:0], e.y[:0]
+	if !r.canonical {
+		return
+	}
 	pos := 0
-	for _, sv := range vars {
+	for _, sv := range r.vars {
 		// vars are grouped by request in compReqs order, so the position
 		// cursor only ever advances.
 		for compReqs[pos] != sv.req {
@@ -138,8 +140,8 @@ func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, compReqs [
 		}
 		e.vars = append(e.vars, slotVar{req: pos, station: sv.station, slot: sv.slot, er: sv.er})
 	}
-	e.y = append(e.y[:0], y...)
-	e.obj = obj
+	e.y = append(e.y, r.y...)
+	e.obj = r.obj
 }
 
 // appendCompSig appends one component's exact LP input vector to buf:

@@ -55,13 +55,16 @@ type lpOptions struct {
 	// names, when non-nil, interns row/column names across slots.
 	names *nameCache
 	// positional names variables and assign rows by the request's
-	// position within active instead of its global index. Consecutive
+	// position within active instead of its global index; the online
+	// per-slot LPs set it, the offline ones (whose request indices are
+	// the same from pass to pass and run to run) do not. Consecutive
 	// slots of a long-running daemon assign fresh global ids to every
-	// arrival, so global names make structurally identical slot LPs look
-	// different; positional names make them bit-identical, which is what
-	// lets the incremental cache prove a component unchanged and the warm
-	// cache resolve a previous basis without any misses. Station indices
-	// (and cap rows) keep their global ids — stations are stable.
+	// arrival, so global names would make structurally identical slot LPs
+	// look different and grow the interned-name table without bound;
+	// positional names make them bit-identical, which is what lets the
+	// decision cache prove a component unchanged and the warm cache
+	// resolve a previous basis without any misses. Station indices (and
+	// cap rows) keep their global ids — stations are stable.
 	positional bool
 	// byReq, when non-nil, is used as the model's byReq backing instead of
 	// allocating one (entries for active requests must be length-0 and

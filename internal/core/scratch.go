@@ -52,10 +52,12 @@ var slotScratchPool = sync.Pool{New: func() any { return new(slotScratch) }}
 func getSlotScratch() *slotScratch   { return slotScratchPool.Get().(*slotScratch) }
 func putSlotScratch(sc *slotScratch) { slotScratchPool.Put(sc) }
 
-// growInts resizes *buf to n without clearing (callers overwrite).
+// growInts resizes *buf to n without clearing (callers overwrite). It
+// grows geometrically: posOf is sized by the request slice, which a live
+// engine extends every slot, and an exact fit would reallocate every slot.
 func growInts(buf *[]int, n int) []int {
 	if cap(*buf) < n {
-		*buf = make([]int, n)
+		*buf = make([]int, n, 2*n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

@@ -40,7 +40,9 @@ type WarmCache struct {
 
 	// names interns LP row/column names across slots so the per-slot
 	// rebuild of structurally identical problems does not re-allocate
-	// thousands of identical strings.
+	// thousands of identical strings. The online path names requests by
+	// their position within the component, so the table is bounded by the
+	// largest component seen, not by how many requests ever arrived.
 	names nameCache
 }
 
@@ -59,31 +61,11 @@ func (c *WarmCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// get returns the stored basis for a (rounding pass, shard) pair (nil
-// when absent). Safe for concurrent use.
-func (c *WarmCache) get(pass, shard int) *lp.Basis {
-	if c == nil {
-		return nil
-	}
-	c.mu.RLock()
-	p := c.slots[warmKey{pass: pass, shard: shard}]
-	c.mu.RUnlock()
-	if p == nil {
-		c.misses.Add(1)
-		return nil
-	}
-	b := p.Load()
-	if b == nil {
-		c.misses.Add(1)
-		return nil
-	}
-	c.hits.Add(1)
-	return b
-}
-
-// getNear returns the stored basis for (pass, shard), falling back to the
-// same pass's entry with the nearest shard key when the exact key is
-// absent. Components are labeled by their smallest station, so the label
+// get returns the stored basis for a (rounding pass, shard) pair, nil
+// when absent. The online path looks up exactly: a component re-seeds
+// from its own previous basis or cold. The offline rounding passes set
+// nearest: an absent key then falls back to the same pass's entry with
+// the nearest shard key. Components are labeled by their smallest station, so the label
 // drifts when that station saturates out of the candidate graph; the
 // nearest stored basis still covers mostly the same rows and columns, and
 // the name-based resolution simply drops whatever no longer applies. The
@@ -91,13 +73,13 @@ func (c *WarmCache) get(pass, shard int) *lp.Basis {
 // shard). Safe for concurrent use, but determinism across worker counts
 // additionally requires that no put for the same pass runs concurrently —
 // solveDecomposed therefore resolves all seeds before its workers start.
-func (c *WarmCache) getNear(pass, shard int) *lp.Basis {
+func (c *WarmCache) get(pass, shard int, nearest bool) *lp.Basis {
 	if c == nil {
 		return nil
 	}
 	c.mu.RLock()
 	p := c.slots[warmKey{pass: pass, shard: shard}]
-	if p == nil {
+	if p == nil && nearest {
 		bestDist, bestShard := -1, -1
 		for k, cand := range c.slots {
 			if k.pass != pass || cand.Load() == nil {
@@ -114,16 +96,15 @@ func (c *WarmCache) getNear(pass, shard int) *lp.Basis {
 		}
 	}
 	c.mu.RUnlock()
-	if p == nil {
-		c.misses.Add(1)
-		return nil
+	var b *lp.Basis
+	if p != nil {
+		b = p.Load()
 	}
-	b := p.Load()
 	if b == nil {
 		c.misses.Add(1)
-		return nil
+	} else {
+		c.hits.Add(1)
 	}
-	c.hits.Add(1)
 	return b
 }
 

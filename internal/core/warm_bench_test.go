@@ -46,7 +46,7 @@ func BenchmarkWarmCacheSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := i % warmBenchShards
-		if c.get(0, s) == nil {
+		if c.get(0, s, false) == nil {
 			b.Fatal("miss on warmed shard")
 		}
 		c.put(0, s, basis)
@@ -92,7 +92,7 @@ func BenchmarkWarmCacheParallel(b *testing.B) {
 		next++
 		mu.Unlock()
 		for pb.Next() {
-			if c.get(0, shard) == nil {
+			if c.get(0, shard, false) == nil {
 				b.Fatal("miss on warmed shard")
 			}
 			c.put(0, shard, basis)

@@ -95,21 +95,21 @@ func TestLPPTWarmColdObjectiveProperty(t *testing.T) {
 // caller skip "if warm != nil" guards.
 func TestWarmCacheNilSafe(t *testing.T) {
 	var w *WarmCache
-	if got := w.get(0, 0); got != nil {
+	if got := w.get(0, 0, false); got != nil {
 		t.Fatalf("nil cache get = %v", got)
 	}
 	w.put(0, 0, &lp.Basis{}) // must not panic
 	c := NewWarmCache()
-	if got := c.get(3, 0); got != nil {
+	if got := c.get(3, 0, false); got != nil {
 		t.Fatalf("empty cache get = %v", got)
 	}
 	b := &lp.Basis{}
 	c.put(3, 0, b)
-	if got := c.get(3, 0); got != b {
+	if got := c.get(3, 0, false); got != b {
 		t.Fatalf("cache round-trip lost the basis")
 	}
 	c.put(3, 0, nil) // nil puts are dropped, keeping the last real basis
-	if got := c.get(3, 0); got != b {
+	if got := c.get(3, 0, false); got != b {
 		t.Fatalf("nil put evicted the cached basis")
 	}
 }
@@ -125,7 +125,7 @@ func TestWarmCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				pass := (g + i) % 4
-				if b := c.get(pass, g%2); b != nil {
+				if b := c.get(pass, g%2, false); b != nil {
 					_ = b.Size()
 				}
 				c.put(pass, g%2, &lp.Basis{})

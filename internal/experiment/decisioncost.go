@@ -2,23 +2,24 @@ package experiment
 
 import "mecoffload/internal/core"
 
-// DecisionCost compares the three per-slot decision engines of the online
-// scheduler — full LP-PT, incremental LP-PT (dirty-component re-solve),
-// and the local-ratio fast path with LP fallback — as the workload grows.
-// Reward and latency columns measure fidelity: the incremental and
-// fast-path variants are exact reformulations, so any reward gap beyond
-// rng noise is a bug (the oracle differentials pin the stronger
-// decision-for-decision claim on a shared trace; here each variant runs
-// its own full simulation). The runtime column measures what the
-// reformulations buy: clean components skip the LP entirely, certified
-// components skip even building one.
+// DecisionCost compares the per-slot decision engines of the online
+// scheduler — the oracle's full re-solve of every component every slot,
+// DynamicRR as shipped (clean components replay their cached decision),
+// and the local-ratio fast path on top of it — as the workload grows.
+// Reward and latency columns measure fidelity: reuse and the fast path
+// are exact reformulations, so any reward gap beyond rng noise is a bug
+// (the oracle differentials pin the stronger decision-for-decision claim
+// on a shared trace; here each variant runs its own full simulation).
+// The runtime column measures what the reformulations buy: clean
+// components skip the LP entirely, certified components skip even
+// building one.
 func DecisionCost(opts Options) (*Table, error) {
 	opts.fill()
 	tbl := &Table{
 		ID:         "decision-cost",
-		Title:      "Per-slot decision cost: LP-PT vs incremental vs local-ratio",
+		Title:      "Per-slot decision cost: full re-solve vs decision reuse vs local-ratio",
 		XLabel:     "requests",
-		Algorithms: []string{AlgoDynamicRR, AlgoIncRR, AlgoLocalRatio},
+		Algorithms: []string{AlgoFullResolve, AlgoDynamicRR, AlgoLocalRatio},
 	}
 	xs := defaultXRequests()
 	err := sweep(opts, tbl, xs,

@@ -19,6 +19,7 @@ import (
 	"mecoffload/internal/baseline"
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
+	"mecoffload/internal/oracle"
 	"mecoffload/internal/sim"
 	"mecoffload/internal/stats"
 	"mecoffload/internal/workload"
@@ -33,10 +34,11 @@ const (
 	AlgoGreedy    = "Greedy"
 	AlgoHeuKKT    = "HeuKKT"
 	AlgoDynamicRR = "DynamicRR"
-	// AlgoIncRR is DynamicRR with the dirty-component incremental
-	// re-solve on; decisions match AlgoDynamicRR-with-StableLP
-	// decision for decision (oracle.DiffIncrementalFull).
-	AlgoIncRR = "DynamicRR-Inc"
+	// AlgoFullResolve is the oracle's reference DynamicRR: no decision
+	// reuse, every component's LP re-solved every slot. Decisions match
+	// AlgoDynamicRR decision for decision (oracle.DiffIncrementalFull);
+	// decision-cost runs it as the baseline reuse is priced against.
+	AlgoFullResolve = "DynamicRR-Full"
 	// AlgoLocalRatio is DynamicRR with the LP-free local-ratio fast
 	// path on dirty components (oracle.DiffLocalRatioLP pins parity).
 	AlgoLocalRatio = "LocalRatio"
@@ -208,8 +210,8 @@ func newScheduler(algo string) (sim.Scheduler, error) {
 	switch algo {
 	case AlgoDynamicRR:
 		return sim.NewDynamicRR(sim.DynamicRROptions{})
-	case AlgoIncRR:
-		return sim.NewDynamicRR(sim.DynamicRROptions{Incremental: true})
+	case AlgoFullResolve:
+		return oracle.ReferenceDynamicRR(sim.DynamicRROptions{})
 	case AlgoLocalRatio:
 		return sim.NewDynamicRR(sim.DynamicRROptions{LocalRatio: true})
 	case AlgoOCORP:

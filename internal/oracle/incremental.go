@@ -12,17 +12,35 @@ import (
 	"mecoffload/internal/workload"
 )
 
-// ErrNoCleanHits reports that an incremental diff passed decision parity
+// ErrNoCleanHits reports that a reuse diff passed decision parity
 // but the trace never produced a clean component, so the cache went
 // unexercised. The fuzz harness tolerates it (arbitrary inputs need not
 // repeat a component); the curated tests treat it as a failure.
 var ErrNoCleanHits = errors.New("oracle: incremental run had no clean hits")
 
-// incRun executes one DynamicRR simulation with the given solve-mode
-// options and returns the result, the per-slot reward vector, and the
-// scheduler (for its incremental counters).
-func incRun(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions) (*core.Result, []float64, *sim.DynamicRR, error) {
-	sched, err := sim.NewDynamicRR(dopts)
+// ReferenceDynamicRR builds DynamicRR as the differentials' reference:
+// the same scheduler with its decision cache taken out, so every slot
+// re-solves every component's LP from the component's previous basis.
+// This is the only place the full re-solve is reachable from; no daemon,
+// flag or option selects it.
+func ReferenceDynamicRR(opts sim.DynamicRROptions) (*sim.DynamicRR, error) {
+	sched, err := sim.NewDynamicRR(opts)
+	if err != nil {
+		return nil, err
+	}
+	sched.SetIncCache(nil)
+	return sched, nil
+}
+
+// incRun executes one DynamicRR simulation — the production scheduler, or
+// the reference when reference is set — and returns the result, the
+// per-slot reward vector, and the scheduler (for its cache counters).
+func incRun(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions, reference bool) (*core.Result, []float64, *sim.DynamicRR, error) {
+	mk := sim.NewDynamicRR
+	if reference {
+		mk = ReferenceDynamicRR
+	}
+	sched, err := mk(dopts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -55,33 +73,30 @@ func diffRuns(aName, bName string, a, b *core.Result, aRew, bRew []float64) erro
 	return nil
 }
 
-// DiffIncrementalFull is the incremental scheduler's correctness oracle:
-// it runs DynamicRR over the same workload twice — once re-solving every
-// component every slot (the StableLP baseline), once with the
-// dirty-component cache reusing clean components' decisions — and
-// requires the two runs to agree decision for decision: identical
-// admission tables, identical per-slot reward vectors, identical totals.
-// The engine's invariant checker stays installed in both runs. It also
-// demands the incremental run actually exercised the cache (CleanHits >
-// 0): a trace where every component is always dirty proves nothing.
+// DiffIncrementalFull is decision reuse's correctness oracle: it runs
+// DynamicRR over the same workload twice — once as the reference,
+// re-solving every component every slot, once as shipped, replaying clean
+// components' cached decisions — and requires the two runs to agree
+// decision for decision: identical admission tables, identical per-slot
+// reward vectors, identical totals. The engine's invariant checker stays
+// installed in both runs. It also demands the reuse run actually
+// exercised the cache (CleanHits > 0): a trace where every component is
+// always dirty proves nothing.
 //
 // dopts carries the scheduler configuration both runs share (workers,
-// rounding denominator, bandit shape); its Incremental/LocalRatio/
-// StableLP fields are overridden per run.
+// rounding denominator, bandit shape); LocalRatio is forced off, the fast
+// path has its own differential.
 func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions) error {
-	fullOpts := dopts
-	fullOpts.Incremental, fullOpts.LocalRatio, fullOpts.StableLP = false, false, true
-	full, fullRew, _, err := incRun(n, reqs, seed, cfg, fullOpts)
+	dopts.LocalRatio = false
+	full, fullRew, _, err := incRun(n, reqs, seed, cfg, dopts, true)
 	if err != nil {
 		return fmt.Errorf("oracle: full re-solve run: %w", err)
 	}
-	incOpts := dopts
-	incOpts.Incremental, incOpts.LocalRatio, incOpts.StableLP = true, false, false
-	inc, incRew, sched, err := incRun(n, reqs, seed, cfg, incOpts)
+	inc, incRew, sched, err := incRun(n, reqs, seed, cfg, dopts, false)
 	if err != nil {
-		return fmt.Errorf("oracle: incremental run: %w", err)
+		return fmt.Errorf("oracle: reuse run: %w", err)
 	}
-	if err := diffRuns("full", "incremental", full, inc, fullRew, incRew); err != nil {
+	if err := diffRuns("full", "reuse", full, inc, fullRew, incRew); err != nil {
 		return err
 	}
 	if st := sched.IncStats(); st.CleanHits == 0 {
@@ -91,10 +106,11 @@ func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg si
 }
 
 // DiffLocalRatioLP is the fast path's correctness oracle: it runs
-// DynamicRR over the same workload twice — once through the warm-started
-// LP-PT on every component (StableLP baseline), once with the local-ratio
-// certification admitting components combinatorially — and requires
-// decision-for-decision agreement.
+// DynamicRR over the same workload twice — once as the reference, through
+// the warm-started LP-PT on every component every slot, once with the
+// local-ratio certification admitting components combinatorially (and the
+// decision cache replaying them) — and requires decision-for-decision
+// agreement.
 //
 // The trace must be *all-certified*: every component the fast-path run
 // examines must pass certification (FastFallback == 0, FastPath > 0), and
@@ -111,14 +127,11 @@ func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg si
 // fractional rounding would leave residual passes whose halved slot grid
 // rarely certifies.
 func DiffLocalRatioLP(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config) error {
-	base := sim.DynamicRROptions{RoundingDenominator: 1, StableLP: true}
-	lp, lpRew, _, err := incRun(n, reqs, seed, cfg, base)
+	lp, lpRew, _, err := incRun(n, reqs, seed, cfg, sim.DynamicRROptions{RoundingDenominator: 1}, true)
 	if err != nil {
 		return fmt.Errorf("oracle: LP-PT run: %w", err)
 	}
-	fast := base
-	fast.LocalRatio = true
-	lr, lrRew, sched, err := incRun(n, reqs, seed, cfg, fast)
+	lr, lrRew, sched, err := incRun(n, reqs, seed, cfg, sim.DynamicRROptions{RoundingDenominator: 1, LocalRatio: true}, false)
 	if err != nil {
 		return fmt.Errorf("oracle: local-ratio run: %w", err)
 	}

@@ -68,7 +68,8 @@ const maxReplaySlots = 1 << 20
 // (rnd.New(seed, "replay") for unit rewards, round-robin access
 // stations, single-outcome demand pinned to the second's scaled pipeline
 // rate, paper-default deadline/hold/pipeline) and drives a bare
-// sim.Engine with DynamicRR under rnd.New(seed, "cluster-shard-0") — the
+// sim.Engine with the reference DynamicRR (no decision reuse, see
+// ReferenceDynamicRR) under rnd.New(seed, "cluster-shard-0") — the
 // stream arserved's shard 0 draws from — mirroring arserved's runReplay
 // slot for slot — including the drain tail — but through none of the
 // daemon's router, channel, shard, or checkpoint machinery.
@@ -89,7 +90,7 @@ func FrameReplay(net *mec.Network, tr *workload.FrameTrace, seed int64, slotMS f
 		return nil, err
 	}
 	planner.SetStepChecker(EngineChecker())
-	sched, err := sim.NewDynamicRR(sim.DynamicRROptions{})
+	sched, err := ReferenceDynamicRR(sim.DynamicRROptions{})
 	if err != nil {
 		return nil, err
 	}

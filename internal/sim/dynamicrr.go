@@ -55,22 +55,10 @@ type DynamicRROptions struct {
 	// per-slot LP-PT concurrently (0 or 1 = serial). Scheduling decisions
 	// are bit-identical for every value; see core.BatchOptions.Workers.
 	Workers int
-	// Incremental enables the dirty-component re-solve: between slots the
-	// scheduler tracks which connected components of the request-station
-	// candidate graph changed and reuses the cached decision of clean ones
-	// instead of rebuilding their LP. Decisions match a full re-solve of
-	// every component decision-for-decision
-	// (oracle.DiffIncrementalFull pins the contract).
-	Incremental bool
 	// LocalRatio enables the LP-free local-ratio fast path on dirty
 	// components; see core.BatchOptions.LocalRatio. Decisions are
 	// identical either way (oracle.DiffLocalRatioLP).
 	LocalRatio bool
-	// StableLP forces the renaming-invariant solve mode without reusing
-	// cached decisions — the full-resolve baseline the oracle
-	// differentials compare the incremental run against. Implied by
-	// Incremental and LocalRatio.
-	StableLP bool
 }
 
 // DynamicRR is Algorithm 3: the online learning scheduler for the dynamic
@@ -95,8 +83,11 @@ type DynamicRR struct {
 	// occupancy, so the previous slot's optimal basis re-solves in a few
 	// pivots.
 	warm *core.WarmCache
-	// inc is the dirty-component tracker (nil unless Incremental or
-	// LocalRatio is on; counters-only for LocalRatio without Incremental).
+	// inc is the decision cache: between slots it tracks which connected
+	// components of the request-station candidate graph changed and
+	// replays the cached decision of clean ones instead of rebuilding
+	// their LP. Decisions match a re-solve of every component decision
+	// for decision (oracle.DiffIncrementalFull pins the contract).
 	inc *core.IncCache
 	// sortedBuf and admittedBuf are per-slot scratch reused across
 	// Schedule calls so the steady-state slot path stops allocating.
@@ -119,15 +110,7 @@ func NewDynamicRR(opts DynamicRROptions) (*DynamicRR, error) {
 		return nil, fmt.Errorf("%w: [%v, %v] kappa=%d",
 			ErrBadThreshold, opts.MinThresholdMHz, opts.MaxThresholdMHz, opts.Kappa)
 	}
-	var inc *core.IncCache
-	switch {
-	case opts.Incremental:
-		inc = core.NewIncCache()
-	case opts.LocalRatio:
-		// Counters only: track how often the fast path fires without
-		// caching any decision.
-		inc = core.NewIncCounters()
-	}
+	inc := core.NewIncCache()
 	if opts.Learner != nil {
 		return &DynamicRR{learner: opts.Learner, opts: opts, warm: core.NewWarmCache(), inc: inc}, nil
 	}
@@ -174,9 +157,14 @@ func (d *DynamicRR) Learner() ThresholdLearner { return d.learner }
 // serving daemon's warm-start hit-rate metric.
 func (d *DynamicRR) Warm() *core.WarmCache { return d.warm }
 
-// IncStats reports the dirty-component tracker's clean/dirty/fast-path
-// counters; all zero when neither Incremental nor LocalRatio is on.
+// IncStats reports the decision cache's clean/dirty/fast-path counters.
 func (d *DynamicRR) IncStats() core.IncStats { return d.inc.Stats() }
+
+// SetIncCache swaps the scheduler's decision cache. It exists for
+// internal/oracle, which passes nil to get the reference every
+// differential compares against: the same scheduler re-solving every
+// component every slot.
+func (d *DynamicRR) SetIncCache(c *core.IncCache) { d.inc = c }
 
 // LastThreshold returns the C^th value the bandit selected for the most
 // recent Schedule call, and whether Schedule has run at all. The oracle's
@@ -235,7 +223,6 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 		Workers:             d.opts.Workers,
 		Inc:                 d.inc,
 		LocalRatio:          d.opts.LocalRatio,
-		StableLP:            d.opts.StableLP,
 	})
 	if err != nil {
 		return nil, err
