@@ -64,12 +64,13 @@ oracle:
 
 ## bench: the hot-path benchmarks, timed (LP warm-start contrast
 ## included), converted to BENCH_PR5.json by cmd/benchjson. The gated
-## serve-slot benchmarks run at a pinned iteration count so their
-## allocs/op is exactly reproducible — that JSON is the baseline
-## `make bench-check` compares future runs against.
+## serve-slot benchmarks run at a pinned iteration count and on one P so
+## their allocs/op is exactly reproducible (with more Ps, GC timing moves
+## the count by a few per op through the per-P sync.Pool caches) — that
+## JSON is the baseline `make bench-check` compares future runs against.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkLPPTSlot' -benchmem . | tee bench-raw.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkServeSlot' -benchtime 1000x -benchmem . | tee -a bench-raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkServeSlot' -cpu 1 -benchtime 1000x -benchmem . | tee -a bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkServeIngest' -benchtime 200x -benchmem . | tee -a bench-raw.txt
 	$(GO) run ./cmd/benchjson -in bench-raw.txt -out BENCH_PR5.json
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterServeSlot' -benchtime 200x -benchmem . | tee bench-cluster-raw.txt
@@ -78,32 +79,19 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalServeSlot|BenchmarkLocalRatio' -benchtime 1000x -benchmem . | tee bench-incremental-raw.txt
 	$(GO) run ./cmd/benchjson -in bench-incremental-raw.txt -out BENCH_PR8.json
 
-## bench-check: re-run the gated serve-slot benchmarks at the baseline's
-## pinned iteration count and fail on a >10% ns/op regression or any
-## allocs/op increase versus the committed BENCH_PR5.json. ns/op is only
-## meaningful against a baseline recorded on the same machine; allocs/op
-## is deterministic everywhere. CI runs the same gate A/B against the
-## merge base on one runner (bench-regression job). The incremental
-## gate protects only the shipped modes: mode=full and mode=lp are the
-## oracle's re-solve-everything reference, the deliberately slow
-## contrast, and its LP jitter would trip the 10% gate on noise alone.
+## bench-check: re-run the serve-slot benchmarks exactly as `make bench`
+## recorded them and fail on any allocs/op increase versus the committed
+## BENCH_PR5.json (BenchmarkServeSlotSteady stays at 0: the
+## zero-allocation idle slot). There is no ns/op comparison here: against a
+## baseline recorded in another session, back-to-back runs of one binary
+## read -34% ... +28% (PR 15), so a 10% gate resolves nothing. Timing is
+## gated where it can be, A/B against the merge base on one runner (CI's
+## bench-regression job), and end to end by `go run ./bench`.
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkServeSlot' -benchtime 1000x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkServeSlot' -cpu 1 -benchtime 1000x -benchmem . \
 		| $(GO) run ./cmd/benchjson -tee -out bench-new.json
-	$(GO) test -run '^$$' -bench 'BenchmarkServeIngest' -benchtime 200x -benchmem . \
-		| $(GO) run ./cmd/benchjson -tee -out bench-ingest.json
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterServeSlot' -benchtime 200x -benchmem . \
-		| $(GO) run ./cmd/benchjson -tee -out bench-cluster-new.json
-	$(GO) run ./cmd/benchjson -compare -old BENCH_PR5.json -new bench-new.json -gate '^BenchmarkServeSlot'
-	$(GO) run ./cmd/benchjson -compare -old BENCH_PR5.json -new bench-ingest.json \
-		-gate '^BenchmarkServeIngest' -allocs-gate '^$$'
-	$(GO) run ./cmd/benchjson -compare -old BENCH_PR10.json -new bench-cluster-new.json \
-		-gate '^BenchmarkClusterServeSlot' -allocs-gate '^$$'
-	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalServeSlot|BenchmarkLocalRatio' -benchtime 1000x -benchmem . \
-		| $(GO) run ./cmd/benchjson -tee -out bench-incremental-new.json
-	$(GO) run ./cmd/benchjson -compare -old BENCH_PR8.json -new bench-incremental-new.json \
-		-gate '^Benchmark(IncrementalServeSlot|LocalRatio)/mode=(incremental|local-ratio|fastpath)' \
-		-allocs-gate '^$$'
+	$(GO) run ./cmd/benchjson -compare -old BENCH_PR5.json -new bench-new.json \
+		-gate '^BenchmarkServeSlot' -max-ns-regress inf
 
 ## bench-smoke: compile-and-run-once pass over the benchmark harness,
 ## mirroring the CI bench-smoke job. No regression gate here: at
@@ -172,7 +160,5 @@ vet:
 
 clean:
 	rm -f mecoffload.test bench-smoke.txt bench-smoke.json bench-new.json \
-		bench-ingest.json bench-raw.txt bench-cluster-raw.txt \
-		bench-cluster-new.json bench-incremental-raw.txt \
-		bench-incremental-new.json arserved-load load-smoke-shards1.json \
-		load-smoke-shards2.json
+		bench-raw.txt bench-cluster-raw.txt bench-incremental-raw.txt \
+		arserved-load load-smoke-shards1.json load-smoke-shards2.json

@@ -51,7 +51,7 @@ func benchIslandNetwork(b *testing.B, islands, per int) *mec.Network {
 // and 8 shards over the same 8-island topology. The per-slot LP work
 // partitions cleanly along islands, so ServeSlot throughput must scale
 // monotonically from 1 to 4 shards (the acceptance gate this benchmark
-// pins; see Makefile bench / BENCH_PR7.json).
+// pins; see Makefile bench / BENCH_PR10.json).
 func BenchmarkClusterServeSlot(b *testing.B) {
 	const islands, per = 8, 4
 	for _, shards := range []int{1, 2, 4, 8} {

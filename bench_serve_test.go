@@ -13,7 +13,7 @@ import (
 // BenchmarkServeSlot measures one daemon scheduling slot under steady
 // load: each iteration submits a small arrival burst and ticks the
 // admission engine once, exercising intake, DynamicRR with the
-// warm-started LP-PT, settlement, and the shard fan-out — the loop a
+// warm-started LP-PT, settlement, and the request table — the loop a
 // production arserved runs every tick interval.
 func BenchmarkServeSlot(b *testing.B) {
 	benchServeSlot(b, nil)
@@ -29,7 +29,7 @@ func BenchmarkServeSlotOracle(b *testing.B) {
 // BenchmarkServeSlotSteady measures the quiescent slot path: no
 // arrivals, no in-flight streams, just the per-tick engine loop a
 // drained daemon spins on. This path is allocation-free — the engine
-// reuses its slot scratch and skips shard publishing on idle slots —
+// reuses its slot scratch and leaves the request table alone on idle slots —
 // and the benchjson gate fails the build if allocs/op ever leaves 0
 // (TestRunSlotIdleNoAllocs pins the same contract in-process).
 func BenchmarkServeSlotSteady(b *testing.B) {
@@ -100,7 +100,7 @@ func benchServeSlot(b *testing.B, check sim.StepChecker) {
 
 // BenchmarkServeIngest measures the batched intake pipeline end to end:
 // each iteration submits one batch through SubmitBatch (pricing, ring
-// transit, registry fan-out), flushes it into the planner, and ticks —
+// transit, request-table inserts), flushes it into the planner, and ticks —
 // the per-batch cost a bulk replay or the NDJSON endpoint pays. Gated
 // by the benchjson regression check alongside the slot benchmarks.
 func BenchmarkServeIngest(b *testing.B) {

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"mecoffload/internal/graph"
 	"mecoffload/internal/mec"
@@ -186,6 +189,43 @@ func TestSubmitBatchScratchReuse(t *testing.T) {
 	for i, id := range res.IDs {
 		if id != uint64(4+i) {
 			t.Fatalf("batch 2 ids = %v, want [4 5]", res.IDs)
+		}
+	}
+}
+
+// TestStopLeavesNoGoroutines: a started 2-shard cluster with async
+// checkpoints runs two goroutines per engine (pump, loop), an epoch worker
+// per shard and the checkpoint writer; after Stop the process is back to
+// the goroutine count it had before New.
+func TestStopLeavesNoGoroutines(t *testing.T) {
+	net := allocTestNetwork(t)
+	base := runtime.NumGoroutine()
+	c, err := New(Config{
+		Net: net, Shards: 2, Seed: 5,
+		CheckpointPath: filepath.Join(t.TempDir(), "cluster.json"), CheckpointEvery: 2, AsyncCheckpoint: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	if got := runtime.NumGoroutine() - base; got < 6 {
+		t.Fatalf("a started 2-shard cluster runs %d goroutines, want at least 2 engines x (pump, loop) + 2 epoch workers", got)
+	}
+	for slot := 0; slot < 6; slot++ {
+		if _, err := c.SubmitBatch([]serve.RequestSpec{{AccessStation: slot % 4, DurationSlots: 2}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Stop, %d before New:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }

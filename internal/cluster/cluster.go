@@ -71,13 +71,12 @@ type Config struct {
 	MigrationBurst      int
 	MigrationHysteresis float64
 	// Per-shard engine bounds, passed through to serve.Config.
-	RingCapacity       int
-	StageCapacity      int
-	MaxPending         int
-	BatchQueue         int
-	MaxRecordsPerShard int
+	RingCapacity  int
+	StageCapacity int
+	MaxPending    int
+	BatchQueue    int
 	// MaxRouted bounds the router's request table (default 1<<20;
-	// oldest entries evict first, like the shard registries).
+	// oldest entries evict first, like the engines' request tables).
 	MaxRouted int
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
@@ -433,20 +432,19 @@ func New(cfg Config) (*Cluster, error) {
 	var traceMu sync.Mutex
 	for k, nd := range c.nodes {
 		scfg := serve.Config{
-			Net:                nd.subnet,
-			SchedulerName:      cfg.SchedulerName,
-			DynamicRR:          cfg.DynamicRR,
-			SlotLengthMS:       cfg.SlotLengthMS,
-			Rng:                rnd.New(cfg.Seed, fmt.Sprintf("cluster-shard-%d", k)),
-			RetrySeed:          rnd.Derive(cfg.Seed, fmt.Sprintf("cluster-retry-%d", k)),
-			DeferFeedback:      true,
-			DecisionObserver:   nd.observe,
-			StepChecker:        cfg.StepChecker,
-			RingCapacity:       cfg.RingCapacity,
-			StageCapacity:      cfg.StageCapacity,
-			MaxPending:         cfg.MaxPending,
-			BatchQueue:         cfg.BatchQueue,
-			MaxRecordsPerShard: cfg.MaxRecordsPerShard,
+			Net:              nd.subnet,
+			SchedulerName:    cfg.SchedulerName,
+			DynamicRR:        cfg.DynamicRR,
+			SlotLengthMS:     cfg.SlotLengthMS,
+			Rng:              rnd.New(cfg.Seed, fmt.Sprintf("cluster-shard-%d", k)),
+			RetrySeed:        rnd.Derive(cfg.Seed, fmt.Sprintf("cluster-retry-%d", k)),
+			DeferFeedback:    true,
+			DecisionObserver: nd.observe,
+			StepChecker:      cfg.StepChecker,
+			RingCapacity:     cfg.RingCapacity,
+			StageCapacity:    cfg.StageCapacity,
+			MaxPending:       cfg.MaxPending,
+			BatchQueue:       cfg.BatchQueue,
 			Logf: func(format string, args ...any) {
 				cfg.Logf("[shard %d] "+format, append([]any{k}, args...)...)
 			},

@@ -80,9 +80,9 @@ func shrinkDeadline(spec serve.RequestSpec, waited int, slotMS float64) float64 
 
 // sweepLocked runs one migration round under the cluster clock lock. It
 // walks the router's worklist — the spanning requests that may still be
-// pending, in ascending global id — and first asks each one's shard
-// registry whether it still is: a request that is not (decided, expired,
-// shed, or a terminal record the registry has since evicted) can never be
+// pending, in ascending global id — and first asks each one's engine
+// whether it still is: a request that is not (decided, expired, shed, or a
+// terminal record the engine's table has since evicted) can never be
 // pending at that shard again, so it leaves the worklist for good. The
 // walk therefore costs the live spanning requests plus those settled
 // since the last sweep, whatever the router has routed before.
@@ -126,8 +126,8 @@ func (c *Cluster) sweepLocked() {
 			target >= 0 && best >= c.cfg.MigrationHysteresis
 		m := Migration{Global: sc.global, From: sc.shard, To: target, Price: best, Slot: c.slot}
 
-		// The registry answers without disturbing the planner; anything
-		// but pending is final for this shard/ext.
+		// Status reads the engine's request table without disturbing the
+		// planner; anything but pending is final for this shard/ext.
 		rec, ok, err := src.eng.Status(sc.ext)
 		if err != nil || !ok || rec.State != serve.StatePending {
 			settled = append(settled, sc.global)
@@ -145,7 +145,7 @@ func (c *Cluster) sweepLocked() {
 		if err != nil {
 			m.Phase, m.Reason = PhaseAborted, err.Error()
 			if errors.Is(err, serve.ErrNotPending) {
-				// Pending in the registry but not the planner's to give: still
+				// Pending in the table but not the planner's to give: still
 				// queued in the ingest ring, or shed since Status answered.
 				// It stays listed; the next sweep's Status tells which.
 				m.Reason = "not in planner"

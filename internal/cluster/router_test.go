@@ -288,7 +288,7 @@ func TestMigrationRace(t *testing.T) {
 			t.Fatalf("request %d: %v", id, err)
 		}
 		if err != nil {
-			break // engines already stopped; registry gone with them
+			break // engines already stopped; their tables closed with them
 		}
 		if !ok {
 			t.Fatalf("request %d lost", id)

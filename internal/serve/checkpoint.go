@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/ckpt"
+	"mecoffload/internal/core"
 	"mecoffload/internal/sim"
 )
 
@@ -104,4 +106,156 @@ func DecodeCheckpoint(data []byte, name string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("serve: checkpoint %s has version %d, want %d", name, ck.Version, checkpointVersion)
 	}
 	return &ck, nil
+}
+
+// installEmpty sets up a fresh planner with no live requests.
+func (e *Engine) installEmpty() error {
+	planner, err := sim.NewLiveEngine(e.cfg.Net, e.cfg.Rng, e.cfg.SlotLengthMS)
+	if err != nil {
+		return err
+	}
+	planner.SetStepChecker(e.cfg.StepChecker)
+	planner.SetFeedbackDeferred(e.cfg.DeferFeedback)
+	if err := planner.SetDrift(e.cfg.Drift); err != nil {
+		return err
+	}
+	e.planner = planner
+	e.res = &core.Result{Algorithm: e.sched.Name()}
+	e.pending = nil
+	e.settled = 0
+	clear(e.table.byIdx) // a compaction renumbers the planner
+	e.table.byIdx = e.table.byIdx[:0]
+	return nil
+}
+
+// install rebuilds the planner from a checkpoint (or, during compaction,
+// from an in-memory checkpoint of the live set): live requests re-append
+// in arrival order under fresh dense planner indices, and in-flight
+// streams restore their exact ledger deltas. Then the request table learns
+// the new indices; a restored request gets its row here, so status lookups
+// keep answering for every live request across a restart.
+func (e *Engine) install(ck *Checkpoint) error {
+	if err := e.installEmpty(); err != nil {
+		return err
+	}
+	e.slot = ck.Slot
+	e.metrics.CurrentSlot.Store(int64(ck.Slot))
+
+	reqs := append([]CheckpointRequest(nil), ck.Requests...)
+	sort.Slice(reqs, func(a, b int) bool {
+		if reqs[a].ArrivalSlot != reqs[b].ArrivalSlot {
+			return reqs[a].ArrivalSlot < reqs[b].ArrivalSlot
+		}
+		return reqs[a].ExternalID < reqs[b].ExternalID
+	})
+	ext2int := make(map[uint64]int, len(reqs))
+	for i, cr := range reqs {
+		r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, i, cr.ArrivalSlot, cr.Spec)
+		if err != nil {
+			return fmt.Errorf("request %d: %w", cr.ExternalID, err)
+		}
+		if err := e.planner.Append(r); err != nil {
+			return err
+		}
+		d := core.Decision{RequestID: i, Station: -1}
+		if cr.Running {
+			d.Admitted, d.Served = true, true
+		} else {
+			e.pending = append(e.pending, i)
+		}
+		e.res.Decisions = append(e.res.Decisions, d)
+		ext2int[cr.ExternalID] = i
+	}
+
+	running := make([]sim.RunningSnapshot, 0, len(ck.Running))
+	for _, s := range ck.Running {
+		internal, ok := ext2int[uint64(s.Request)]
+		if !ok {
+			return fmt.Errorf("running stream references unknown request %d", s.Request)
+		}
+		s.Request = internal
+		running = append(running, s)
+	}
+	if err := e.planner.RestoreRunning(running); err != nil {
+		return err
+	}
+
+	e.table.mu.Lock()
+	for i, cr := range reqs {
+		req := e.table.rows[cr.ExternalID]
+		if req == nil {
+			req = newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
+			e.table.insert(req)
+		}
+		e.table.attach(req, i, cr.ArrivalSlot)
+	}
+	for _, s := range running {
+		if e.table.byIdx[s.Request].rec.State == StatePending { // a restored stream, not a compacted one
+			e.table.serving(s.Request, ck.Slot, s.ProcStation, 0, 0)
+		}
+	}
+	e.table.mu.Unlock()
+	e.metrics.PendingDepth.Store(int64(len(e.pending)))
+	e.metrics.ActiveStreams.Store(int64(e.planner.NumRunning()))
+	return nil
+}
+
+// snapshotState captures the live set as a checkpoint (loop goroutine
+// only). It is the shared substrate of Snapshot and in-memory compaction;
+// everything mutable is deep-copied, so the cluster's checkpoint writer
+// may encode the result while the loop keeps scheduling.
+func (e *Engine) snapshotState() (*Checkpoint, error) {
+	ck := &Checkpoint{
+		Version:        checkpointVersion,
+		Slot:           e.slot,
+		NextExternalID: e.nextExt.Load(),
+		Scheduler:      e.cfg.SchedulerName,
+		Totals:         e.metrics.Totals(),
+	}
+	if d, ok := e.sched.(*sim.DynamicRR); ok && d.Bandit() != nil {
+		snap, err := d.Bandit().Snapshot()
+		if err == nil {
+			ck.Bandit = snap
+		} else if !errors.Is(err, bandit.ErrUnsupportedSnapshot) {
+			return nil, err
+		}
+	}
+	for _, req := range e.table.byIdx {
+		if req != nil {
+			ck.Requests = append(ck.Requests, CheckpointRequest{
+				ExternalID:  req.rec.ID,
+				ArrivalSlot: req.live.arrival,
+				Running:     req.rec.State == StateServing,
+				Spec:        req.live.spec,
+			})
+		}
+	}
+	sort.Slice(ck.Requests, func(a, b int) bool { return ck.Requests[a].ExternalID < ck.Requests[b].ExternalID })
+	for _, s := range e.planner.SnapshotRunning() {
+		req := e.table.byIdx[s.Request]
+		if req == nil {
+			// A stream whose row settled would leak; fail loudly instead
+			// of checkpointing an unrecoverable state.
+			return nil, fmt.Errorf("serve: running request %d missing from the request table", s.Request)
+		}
+		s.Request = int(req.rec.ID)
+		ck.Running = append(ck.Running, s)
+	}
+	return ck, nil
+}
+
+// compact rebuilds the planner from the live set, dropping the settled
+// backlog so a long-running daemon's memory stays bounded by its live
+// request count rather than its lifetime request count.
+func (e *Engine) compact() error {
+	ck, err := e.snapshotState()
+	if err != nil {
+		return err
+	}
+	before := len(e.planner.Requests())
+	if err := e.install(ck); err != nil {
+		return err
+	}
+	e.cfg.Logf("arserved: compacted planner %d -> %d requests", before, len(e.planner.Requests()))
+	return nil
 }

@@ -2,8 +2,9 @@
 // requests buffer into the current scheduling slot, and each Tick runs a
 // sim.Scheduler (the paper's DynamicRR by default) against live
 // per-station capacity state, reusing the warm-started LP-PT bases across
-// consecutive ticks. Mutable observability state is sharded across
-// goroutine-owned shards (shard.go); bandit arm statistics and in-flight
+// consecutive ticks. An engine is two goroutines — the intake pump and the
+// loop that owns the planner — and one request table (table.go) both
+// write and status lookups read; bandit arm statistics and in-flight
 // assignments snapshot into a Checkpoint (checkpoint.go) so a restarted
 // daemon resumes learning instead of resetting its successive-elimination
 // state. The engine has no clock, HTTP surface or checkpoint file of its
@@ -17,19 +18,15 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/core"
-	"mecoffload/internal/dist"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/oracle"
 	"mecoffload/internal/rnd"
 	"mecoffload/internal/sim"
-	"mecoffload/internal/workload"
 )
 
 // Errors returned by the engine's public API.
@@ -42,33 +39,6 @@ var (
 	// never existed. Migration treats it as a benign abort.
 	ErrNotPending = errors.New("serve: request is not pending")
 )
-
-// TaskSpec is one pipeline stage of a submitted request.
-type TaskSpec struct {
-	Name     string  `json:"name"`
-	OutputKb float64 `json:"outputKb"`
-	WorkMS   float64 `json:"workMS"`
-}
-
-// OutcomeSpec is one (rate, reward) outcome of a submitted request's
-// demand distribution.
-type OutcomeSpec struct {
-	RateMBs float64 `json:"rateMBs"`
-	Prob    float64 `json:"prob"`
-	Reward  float64 `json:"reward"`
-}
-
-// RequestSpec is the JSON body of POST /v1/requests. Zero-valued fields
-// take the paper's workload defaults: a 200 ms deadline, a 20-slot hold,
-// the canonical four-stage AR pipeline, and a five-point demand
-// distribution over 30-50 MB/s.
-type RequestSpec struct {
-	AccessStation int           `json:"accessStation"`
-	DeadlineMS    float64       `json:"deadlineMS,omitempty"`
-	DurationSlots int           `json:"durationSlots,omitempty"`
-	Tasks         []TaskSpec    `json:"tasks,omitempty"`
-	Outcomes      []OutcomeSpec `json:"outcomes,omitempty"`
-}
 
 // Config parameterizes New.
 type Config struct {
@@ -88,9 +58,6 @@ type Config struct {
 	SlotLengthMS float64
 	// Rng drives demand realization and spec defaults. Required.
 	Rng *rand.Rand
-	// Shards is the number of state shards (default 4, at most one per
-	// station).
-	Shards int
 	// Restore, when non-nil, seeds the engine from a checkpoint: the
 	// cluster layer hands each shard its slice of a composed manifest.
 	// State leaves the same way it arrives — Snapshot returns the
@@ -117,9 +84,6 @@ type Config struct {
 	// more than this many settled requests accumulate, the engine rebuilds
 	// its planner state from the live set (default 4096).
 	CompactAfter int
-	// MaxRecordsPerShard bounds the status registry (default 65536
-	// records per shard; oldest terminal records evict first).
-	MaxRecordsPerShard int
 	// RingCapacity bounds the batched-ingest SPSC ring between the
 	// intake pump and the engine loop (default 4096, rounded up to a
 	// power of two).
@@ -168,21 +132,15 @@ type Config struct {
 	DecisionObserver func(slot int, admitted []uint64, reward float64)
 }
 
-// liveEntry tracks one live (pending or running) request inside the loop.
-type liveEntry struct {
-	ext     uint64
-	spec    RequestSpec
-	arrival int
-	running bool
-}
-
-// Engine is the admission daemon core. All mutable planner state is owned
-// by the loop goroutine; other goroutines interact only through channels.
+// Engine is the admission daemon core. The planner is owned by the loop
+// goroutine and the stage by the pump; they meet in the ingest ring and
+// the request table, and other goroutines reach both only through
+// channels and the table's read side.
 type Engine struct {
 	cfg     Config
 	metrics *Metrics
 	sched   sim.Scheduler
-	shards  []*shard
+	table   *table
 
 	intake   chan intakeMsg
 	control  chan controlMsg
@@ -201,8 +159,6 @@ type Engine struct {
 	// by the loop as it exits on drain completion, read only after loopDone
 	// closes, and never modified again.
 	drainedSnap *Checkpoint
-	shardStop   sync.Once
-	shardsDone  chan struct{}
 
 	// Batched ingest path (see ingest.go). nextExt is atomic because
 	// both the loop (single-POST intake) and the pump (batch intake)
@@ -225,12 +181,133 @@ type Engine struct {
 	res     *core.Result
 	pending []int
 	slot    int
-	live    map[int]*liveEntry // internal id -> live request
-	settled int                // decided requests still occupying planner slices
+	settled int // decided requests still occupying planner slices
 	drain   bool
 	// admittedExtBuf is runSlot's reusable external-id scratch for the
 	// DecisionObserver; valid only until the next slot by contract.
 	admittedExtBuf []uint64
+}
+
+// New builds an engine, restoring checkpointed state from cfg.Restore.
+func New(cfg Config) (*Engine, error) {
+	if cfg.Net == nil {
+		return nil, fmt.Errorf("serve: nil network")
+	}
+	if cfg.Rng == nil {
+		return nil, fmt.Errorf("serve: nil rng")
+	}
+	if cfg.SchedulerName == "" {
+		cfg.SchedulerName = "dynamicrr"
+	}
+	if cfg.SlotLengthMS == 0 {
+		cfg.SlotLengthMS = mec.DefaultSlotLengthMS
+	}
+	if cfg.CompactAfter <= 0 {
+		cfg.CompactAfter = 4096
+	}
+	if cfg.RingCapacity <= 0 {
+		cfg.RingCapacity = 4096
+	}
+	if cfg.StageCapacity <= 0 {
+		cfg.StageCapacity = 4096
+	}
+	if cfg.MaxPending <= 0 {
+		cfg.MaxPending = 16384
+	}
+	if cfg.BatchQueue <= 0 {
+		cfg.BatchQueue = 8
+	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	if cfg.StepChecker == nil && oracleEnv() {
+		cfg.StepChecker = oracle.EngineChecker()
+	}
+
+	stations := make([]StationGauge, cfg.Net.NumStations())
+	for i := range stations {
+		stations[i] = StationGauge{Station: i, CapacityMHz: cfg.Net.Capacity(i)}
+	}
+	e := &Engine{
+		cfg:      cfg,
+		metrics:  NewMetrics(),
+		table:    newTable(maxRecords, stations),
+		intake:   make(chan intakeMsg, 1024),
+		control:  make(chan controlMsg),
+		snapC:    make(chan snapMsg),
+		extractC: make(chan extractMsg),
+		loopDone: make(chan struct{}),
+		ring:     newIngestRing(cfg.RingCapacity),
+		batchC:   make(chan batchMsg, cfg.BatchQueue),
+		ringC:    make(chan struct{}, 1),
+		spaceC:   make(chan struct{}, 1),
+		pumpDone: make(chan struct{}),
+		retryRng: rnd.New(cfg.RetrySeed, "retry-after"),
+	}
+
+	ck := cfg.Restore
+	var banditSnap *bandit.LipschitzSnapshot
+	if ck != nil {
+		banditSnap = ck.Bandit
+	}
+	sched, err := buildScheduler(cfg.SchedulerName, cfg.DynamicRR, banditSnap)
+	if err != nil {
+		return nil, err
+	}
+	e.sched = sched
+
+	if ck != nil {
+		e.nextExt.Store(ck.NextExternalID)
+		e.metrics.restoreTotals(ck.Totals)
+		if err := e.install(ck); err != nil {
+			return nil, fmt.Errorf("serve: restoring checkpoint: %w", err)
+		}
+	} else if err := e.installEmpty(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// buildScheduler constructs the named scheduler, seeding DynamicRR's
+// threshold learner from a checkpointed snapshot when one is given.
+func buildScheduler(name string, opts sim.DynamicRROptions, snap *bandit.LipschitzSnapshot) (sim.Scheduler, error) {
+	switch name {
+	case "dynamicrr", "local-ratio":
+		if name == "local-ratio" {
+			opts.LocalRatio = true
+		}
+		if snap != nil {
+			lip, err := bandit.RestoreLipschitz(snap)
+			if err != nil {
+				return nil, fmt.Errorf("serve: restoring bandit: %w", err)
+			}
+			opts.MinThresholdMHz, opts.MaxThresholdMHz = 0, 0
+			if snap.Min > 0 {
+				opts.MinThresholdMHz, opts.MaxThresholdMHz = snap.Min, snap.Max
+			}
+			opts.Kappa = lip.Kappa()
+			opts.Policy = lip.Policy()
+		}
+		return sim.NewDynamicRR(opts)
+	case "ocorp":
+		return &sim.OnlineOCORP{}, nil
+	case "greedy":
+		return &sim.OnlineGreedy{}, nil
+	case "heukkt":
+		return &sim.OnlineHeuKKT{}, nil
+	default:
+		return nil, fmt.Errorf("serve: unknown scheduler %q", name)
+	}
+}
+
+// oracleEnv reports whether the MEC_ORACLE environment variable asks for
+// runtime invariant checking.
+func oracleEnv() bool {
+	switch os.Getenv("MEC_ORACLE") {
+	case "1", "true", "on":
+		return true
+	}
+	return false
 }
 
 type intakeMsg struct {
@@ -288,356 +365,9 @@ type extractReply struct {
 	err     error
 }
 
-// New builds an engine, restoring checkpointed state from cfg.Restore.
-func New(cfg Config) (*Engine, error) {
-	if cfg.Net == nil {
-		return nil, fmt.Errorf("serve: nil network")
-	}
-	if cfg.Rng == nil {
-		return nil, fmt.Errorf("serve: nil rng")
-	}
-	if cfg.SchedulerName == "" {
-		cfg.SchedulerName = "dynamicrr"
-	}
-	if cfg.SlotLengthMS == 0 {
-		cfg.SlotLengthMS = mec.DefaultSlotLengthMS
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	if n := cfg.Net.NumStations(); cfg.Shards > n {
-		cfg.Shards = n
-	}
-	if cfg.CompactAfter <= 0 {
-		cfg.CompactAfter = 4096
-	}
-	if cfg.MaxRecordsPerShard <= 0 {
-		cfg.MaxRecordsPerShard = 65536
-	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = 4096
-	}
-	if cfg.StageCapacity <= 0 {
-		cfg.StageCapacity = 4096
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 16384
-	}
-	if cfg.BatchQueue <= 0 {
-		cfg.BatchQueue = 8
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.StepChecker == nil && oracleEnv() {
-		cfg.StepChecker = oracle.EngineChecker()
-	}
-
-	e := &Engine{
-		cfg:        cfg,
-		metrics:    NewMetrics(),
-		intake:     make(chan intakeMsg, 1024),
-		control:    make(chan controlMsg),
-		snapC:      make(chan snapMsg),
-		extractC:   make(chan extractMsg),
-		loopDone:   make(chan struct{}),
-		shardsDone: make(chan struct{}),
-		ring:       newIngestRing(cfg.RingCapacity),
-		batchC:     make(chan batchMsg, cfg.BatchQueue),
-		ringC:      make(chan struct{}, 1),
-		spaceC:     make(chan struct{}, 1),
-		pumpDone:   make(chan struct{}),
-		live:       map[int]*liveEntry{},
-		retryRng:   rnd.New(cfg.RetrySeed, "retry-after"),
-	}
-
-	ck := cfg.Restore
-	var banditSnap *bandit.LipschitzSnapshot
-	if ck != nil {
-		banditSnap = ck.Bandit
-	}
-	sched, err := buildScheduler(cfg.SchedulerName, cfg.DynamicRR, banditSnap)
-	if err != nil {
-		return nil, err
-	}
-	e.sched = sched
-
-	// Shards partition stations round-robin by index.
-	for s := 0; s < cfg.Shards; s++ {
-		caps := map[int]float64{}
-		for i := 0; i < cfg.Net.NumStations(); i++ {
-			if i%cfg.Shards == s {
-				caps[i] = cfg.Net.Capacity(i)
-			}
-		}
-		e.shards = append(e.shards, newShard(s, caps, cfg.MaxRecordsPerShard))
-	}
-
-	if ck != nil {
-		if err := e.install(ck); err != nil {
-			return nil, fmt.Errorf("serve: restoring checkpoint: %w", err)
-		}
-		e.seedRegistry(ck)
-	} else if err := e.installEmpty(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// buildScheduler constructs the named scheduler, seeding DynamicRR's
-// threshold learner from a checkpointed snapshot when one is given.
-func buildScheduler(name string, opts sim.DynamicRROptions, snap *bandit.LipschitzSnapshot) (sim.Scheduler, error) {
-	switch name {
-	case "dynamicrr", "local-ratio":
-		if name == "local-ratio" {
-			opts.LocalRatio = true
-		}
-		if snap != nil {
-			lip, err := bandit.RestoreLipschitz(snap)
-			if err != nil {
-				return nil, fmt.Errorf("serve: restoring bandit: %w", err)
-			}
-			opts.MinThresholdMHz, opts.MaxThresholdMHz = 0, 0
-			if snap.Min > 0 {
-				opts.MinThresholdMHz, opts.MaxThresholdMHz = snap.Min, snap.Max
-			}
-			opts.Kappa = lip.Kappa()
-			opts.Policy = lip.Policy()
-		}
-		return sim.NewDynamicRR(opts)
-	case "ocorp":
-		return &sim.OnlineOCORP{}, nil
-	case "greedy":
-		return &sim.OnlineGreedy{}, nil
-	case "heukkt":
-		return &sim.OnlineHeuKKT{}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown scheduler %q", name)
-	}
-}
-
-// oracleEnv reports whether the MEC_ORACLE environment variable asks for
-// runtime invariant checking.
-func oracleEnv() bool {
-	switch os.Getenv("MEC_ORACLE") {
-	case "1", "true", "on":
-		return true
-	}
-	return false
-}
-
-// installEmpty sets up a fresh planner with no live requests.
-func (e *Engine) installEmpty() error {
-	planner, err := sim.NewLiveEngine(e.cfg.Net, e.cfg.Rng, e.cfg.SlotLengthMS)
-	if err != nil {
-		return err
-	}
-	planner.SetStepChecker(e.cfg.StepChecker)
-	planner.SetFeedbackDeferred(e.cfg.DeferFeedback)
-	if err := planner.SetDrift(e.cfg.Drift); err != nil {
-		return err
-	}
-	e.planner = planner
-	e.res = &core.Result{Algorithm: e.sched.Name()}
-	e.pending = nil
-	e.settled = 0
-	return nil
-}
-
-// install rebuilds the planner from a checkpoint (or, during compaction,
-// from an in-memory checkpoint of the live set): live requests re-append
-// in arrival order under fresh dense internal ids, and in-flight streams
-// restore their exact ledger deltas.
-func (e *Engine) install(ck *Checkpoint) error {
-	if err := e.installEmpty(); err != nil {
-		return err
-	}
-	e.slot = ck.Slot
-	e.nextExt.Store(ck.NextExternalID)
-	e.live = map[int]*liveEntry{}
-	e.metrics.restoreTotals(ck.Totals)
-	e.metrics.CurrentSlot.Store(int64(ck.Slot))
-
-	reqs := append([]CheckpointRequest(nil), ck.Requests...)
-	sort.Slice(reqs, func(a, b int) bool {
-		if reqs[a].ArrivalSlot != reqs[b].ArrivalSlot {
-			return reqs[a].ArrivalSlot < reqs[b].ArrivalSlot
-		}
-		return reqs[a].ExternalID < reqs[b].ExternalID
-	})
-	ext2int := make(map[uint64]int, len(reqs))
-	for i, cr := range reqs {
-		r, err := e.buildRequest(i, cr.ArrivalSlot, cr.Spec)
-		if err != nil {
-			return fmt.Errorf("request %d: %w", cr.ExternalID, err)
-		}
-		if err := e.planner.Append(r); err != nil {
-			return err
-		}
-		d := core.Decision{RequestID: i, Station: -1}
-		if cr.Running {
-			d.Admitted, d.Served = true, true
-		}
-		e.res.Decisions = append(e.res.Decisions, d)
-		e.live[i] = &liveEntry{ext: cr.ExternalID, spec: cr.Spec, arrival: cr.ArrivalSlot, running: cr.Running}
-		ext2int[cr.ExternalID] = i
-		if !cr.Running {
-			e.pending = append(e.pending, i)
-		}
-	}
-
-	running := make([]sim.RunningSnapshot, 0, len(ck.Running))
-	for _, s := range ck.Running {
-		internal, ok := ext2int[uint64(s.Request)]
-		if !ok {
-			return fmt.Errorf("running stream references unknown request %d", s.Request)
-		}
-		s.Request = internal
-		running = append(running, s)
-	}
-	if err := e.planner.RestoreRunning(running); err != nil {
-		return err
-	}
-	e.metrics.PendingDepth.Store(int64(len(e.pending)))
-	e.metrics.ActiveStreams.Store(int64(e.planner.NumRunning()))
-	return nil
-}
-
-// seedRegistry repopulates the observability registries from a restored
-// checkpoint, so GET /v1/requests/{id} keeps answering for every live
-// request across a restart. Called only from New, before the shard
-// goroutines start, so mutating shard state directly is race-free and
-// cannot deadlock on a full command channel.
-func (e *Engine) seedRegistry(ck *Checkpoint) {
-	procOf := make(map[uint64]int, len(ck.Running))
-	for _, s := range ck.Running {
-		procOf[uint64(s.Request)] = s.ProcStation
-	}
-	reqs := append([]CheckpointRequest(nil), ck.Requests...)
-	sort.Slice(reqs, func(a, b int) bool {
-		if reqs[a].ArrivalSlot != reqs[b].ArrivalSlot {
-			return reqs[a].ArrivalSlot < reqs[b].ArrivalSlot
-		}
-		return reqs[a].ExternalID < reqs[b].ExternalID
-	})
-	for _, cr := range reqs {
-		sh := e.shards[int(cr.ExternalID)%len(e.shards)]
-		sh.apply(requestEvent{id: cr.ExternalID, kind: evSubmitted, slot: cr.ArrivalSlot})
-		if cr.Running {
-			st, ok := procOf[cr.ExternalID]
-			if !ok {
-				st = -1
-			}
-			sh.apply(requestEvent{id: cr.ExternalID, kind: evServing, slot: ck.Slot, station: st})
-		}
-	}
-}
-
-// buildRequest materializes a spec into a planner request, applying the
-// paper-default pipeline, deadline, hold, and demand distribution.
-func (e *Engine) buildRequest(id, arrival int, spec RequestSpec) (*mec.Request, error) {
-	return e.buildRequestRng(e.cfg.Rng, id, arrival, spec)
-}
-
-// buildRequestRng is buildRequest with an explicit randomness source for
-// the default-outcome unit-reward draw, so ValidateSpec can check a spec
-// without consuming the engine's stream.
-func (e *Engine) buildRequestRng(rng *rand.Rand, id, arrival int, spec RequestSpec) (*mec.Request, error) {
-	return materializeSpec(e.cfg.Net, rng, id, arrival, spec)
-}
-
-// MaterializeSpec builds the planner request a spec would become against
-// an arbitrary topology, without consuming any engine randomness (the
-// default-outcome unit-reward draw uses a fixed throwaway source). The
-// cluster router uses it to compute a request's candidate stations over
-// the full topology before the owning shard re-materializes the spec
-// against its own sub-network. Safe for concurrent use.
-func MaterializeSpec(net *mec.Network, spec RequestSpec) (*mec.Request, error) {
-	return materializeSpec(net, rand.New(rand.NewSource(0)), 0, 0, spec)
-}
-
-// materializeSpec applies the paper-default pipeline, deadline, hold, and
-// demand distribution to a spec and validates the result.
-func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec RequestSpec) (*mec.Request, error) {
-	if spec.AccessStation < 0 || spec.AccessStation >= net.NumStations() {
-		return nil, fmt.Errorf("%w: access station %d out of [0, %d)", ErrBadSpec, spec.AccessStation, net.NumStations())
-	}
-	deadline := spec.DeadlineMS
-	if deadline == 0 {
-		deadline = 200
-	}
-	if deadline < 0 {
-		return nil, fmt.Errorf("%w: deadline %v", ErrBadSpec, deadline)
-	}
-	dur := spec.DurationSlots
-	if dur == 0 {
-		dur = 20
-	}
-	if dur < 0 {
-		return nil, fmt.Errorf("%w: duration %d slots", ErrBadSpec, dur)
-	}
-	tasks := make([]mec.Task, 0, 4)
-	if len(spec.Tasks) == 0 {
-		for _, st := range workload.CanonicalPipeline() {
-			tasks = append(tasks, mec.Task{Name: st.Name, OutputKb: st.OutputKb, WorkMS: st.BaseWorkMS})
-		}
-	} else {
-		for _, ts := range spec.Tasks {
-			if ts.OutputKb < 0 || ts.WorkMS < 0 {
-				return nil, fmt.Errorf("%w: task %+v", ErrBadSpec, ts)
-			}
-			tasks = append(tasks, mec.Task{Name: ts.Name, OutputKb: ts.OutputKb, WorkMS: ts.WorkMS})
-		}
-	}
-	outcomes := spec.Outcomes
-	if len(outcomes) == 0 {
-		outcomes = defaultOutcomes(rng)
-	}
-	distOutcomes := make([]dist.Outcome, 0, len(outcomes))
-	for _, o := range outcomes {
-		distOutcomes = append(distOutcomes, dist.Outcome{Rate: o.RateMBs, Prob: o.Prob, Reward: o.Reward})
-	}
-	d, err := dist.NewRateReward(distOutcomes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	r := &mec.Request{
-		ID:            id,
-		ArrivalSlot:   arrival,
-		AccessStation: spec.AccessStation,
-		Tasks:         tasks,
-		DeadlineMS:    deadline,
-		DurationSlots: dur,
-		Dist:          d,
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	return r, nil
-}
-
-// defaultOutcomes draws the paper-default five-point demand distribution:
-// rates evenly spaced over [30, 50] MB/s, uniform probabilities, and a
-// unit reward uniform in [12, 15] dollars per MB/s.
-func defaultOutcomes(rng *rand.Rand) []OutcomeSpec {
-	const support = workload.DefaultRateSupport
-	unit := workload.DefaultMinUnitReward +
-		rng.Float64()*(workload.DefaultMaxUnitReward-workload.DefaultMinUnitReward)
-	out := make([]OutcomeSpec, support)
-	for i := 0; i < support; i++ {
-		rate := workload.DefaultMinRate +
-			float64(i)*(workload.DefaultMaxRate-workload.DefaultMinRate)/float64(support-1)
-		out[i] = OutcomeSpec{RateMBs: rate, Prob: 1.0 / support, Reward: unit * rate}
-	}
-	return out
-}
-
-// Start launches the shard goroutines, the intake pump, and the engine
+// Start launches the engine's two goroutines: the intake pump and the
 // loop.
 func (e *Engine) Start() {
-	for _, s := range e.shards {
-		go s.run()
-	}
 	go e.pump()
 	go e.loop()
 }
@@ -681,75 +411,53 @@ func (e *Engine) BanditSnapshot() (*bandit.LipschitzSnapshot, error) {
 // Reply channels for Submit and control calls are pooled: both run once
 // per request or per tick, and each would otherwise allocate a fresh
 // one-slot channel. A channel returns to its pool only after the normal
-// reply is received; abandoned channels (loop exit races) are simply
-// dropped for the GC, since the loop may still hold a reference.
+// reply is received.
 var (
 	intakeReplyPool = sync.Pool{New: func() any { return make(chan intakeReply, 1) }}
 	ctlReplyPool    = sync.Pool{New: func() any { return make(chan error, 1) }}
 )
 
+// ask sends msg to the loop on c and waits for the answer on reply; ok is
+// false when the loop exited first (a pooled reply channel is then left to
+// the GC: the loop may still hold it).
+func ask[M, R any](e *Engine, c chan<- M, msg M, reply <-chan R) (rep R, ok bool) {
+	select {
+	case c <- msg:
+	case <-e.loopDone:
+		return rep, false
+	}
+	select {
+	case rep = <-reply:
+		return rep, true
+	case <-e.loopDone:
+		return rep, false
+	}
+}
+
 // Submit queues a request for the next scheduling slot and returns its
 // externally visible id.
 func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
 	reply := intakeReplyPool.Get().(chan intakeReply)
-	msg := intakeMsg{spec: spec, reply: reply}
-	select {
-	case e.intake <- msg:
-	case <-e.loopDone:
-		intakeReplyPool.Put(reply) // never enqueued: safe to reuse
+	rep, ok := ask(e, e.intake, intakeMsg{spec: spec, reply: reply}, reply)
+	if !ok {
 		return 0, 0, ErrStopped
 	}
-	select {
-	case rep := <-msg.reply:
-		intakeReplyPool.Put(reply)
-		return rep.id, rep.slot, rep.err
-	case <-e.loopDone:
-		return 0, 0, ErrStopped
-	}
+	intakeReplyPool.Put(reply)
+	return rep.id, rep.slot, rep.err
 }
 
-// Status looks up a request's current record. Shards outlive the engine
-// loop (a drained engine still answers status queries) and stop only at
-// Stop, after which lookups fail with ErrStopped.
-func (e *Engine) Status(id uint64) (RequestRecord, bool, error) {
-	sh := e.shards[int(id)%len(e.shards)]
-	msg := statusMsg{id: id, reply: make(chan statusReply, 1)}
-	select {
-	case sh.cmds <- msg:
-	case <-e.shardsDone:
-		return RequestRecord{}, false, ErrStopped
-	}
-	select {
-	case rep := <-msg.reply:
-		return rep.rec, rep.ok, nil
-	case <-e.shardsDone:
-		return RequestRecord{}, false, ErrStopped
-	}
-}
+// Status looks up a request's current record; an id the table never saw,
+// or has evicted, is unknown (false, nil error). The table outlives the
+// engine loop — a drained engine still answers — and closes only at Stop,
+// after which lookups fail with ErrStopped.
+func (e *Engine) Status(id uint64) (RequestRecord, bool, error) { return e.table.status(id) }
 
-// Gauges assembles the per-station occupancy gauges from every shard.
-func (e *Engine) Gauges() []StationGauge {
-	var out []StationGauge
-	for _, sh := range e.shards {
-		msg := gaugesMsg{reply: make(chan []StationGauge, 1)}
-		select {
-		case sh.cmds <- msg:
-		case <-e.shardsDone:
-			return out
-		}
-		select {
-		case g := <-msg.reply:
-			out = append(out, g...)
-		case <-e.shardsDone:
-			return out
-		}
-	}
-	return out
-}
+// Gauges returns the per-station occupancy gauges, by station index.
+func (e *Engine) Gauges() []StationGauge { return e.table.gauges() }
 
 // Tick advances the engine by one scheduling slot. The engine has no
 // clock of its own: the cluster's epoch workers (or a test) call it.
-func (e *Engine) Tick() error { return e.controlCall(ctlTick) }
+func (e *Engine) Tick() error { return e.sendControl(controlMsg{kind: ctlTick}) }
 
 // Snapshot captures the engine's live state as an in-memory checkpoint.
 // It reflects only requests the planner has seen:
@@ -759,15 +467,9 @@ func (e *Engine) Tick() error { return e.controlCall(ctlTick) }
 // do not modify), so a checkpoint taken after a clean drain still carries
 // its learner and counters; one Stop halted first fails with ErrStopped.
 func (e *Engine) Snapshot() (*Checkpoint, error) {
-	msg := snapMsg{reply: make(chan snapReply, 1)}
-	select {
-	case e.snapC <- msg:
-		select {
-		case rep := <-msg.reply:
-			return rep.ck, rep.err
-		case <-e.loopDone:
-		}
-	case <-e.loopDone:
+	reply := make(chan snapReply, 1)
+	if rep, ok := ask(e, e.snapC, snapMsg{reply: reply}, reply); ok {
+		return rep.ck, rep.err
 	}
 	if e.drainedSnap == nil {
 		return nil, ErrStopped
@@ -781,18 +483,12 @@ func (e *Engine) Snapshot() (*Checkpoint, error) {
 // request already scheduled, terminated, or is unknown, which makes a
 // stale migration proposal a benign abort rather than a double-admit.
 func (e *Engine) Extract(ext uint64) (RequestSpec, int, error) {
-	msg := extractMsg{ext: ext, reply: make(chan extractReply, 1)}
-	select {
-	case e.extractC <- msg:
-	case <-e.loopDone:
+	reply := make(chan extractReply, 1)
+	rep, ok := ask(e, e.extractC, extractMsg{ext: ext, reply: reply}, reply)
+	if !ok {
 		return RequestSpec{}, 0, ErrStopped
 	}
-	select {
-	case rep := <-msg.reply:
-		return rep.spec, rep.arrival, rep.err
-	case <-e.loopDone:
-		return RequestSpec{}, 0, ErrStopped
-	}
+	return rep.spec, rep.arrival, rep.err
 }
 
 // DeliverFeedback hands the scheduler a slot's (externally aggregated)
@@ -814,31 +510,20 @@ func (e *Engine) TickWithFeedback(fbSlot int, reward float64) error {
 // Drain stops intake (Submit fails with ErrDraining) and lets the engine
 // run until every pending request is decided and every stream departs,
 // at which point the loop exits.
-func (e *Engine) Drain() error { return e.controlCall(ctlDrain) }
+func (e *Engine) Drain() error { return e.sendControl(controlMsg{kind: ctlDrain}) }
 
 // Stop halts the loop immediately, without waiting for in-flight
 // streams; a caller that wants the state kept takes a Snapshot first.
-// Shard goroutines terminate too.
+// The request table closes too.
 func (e *Engine) Stop() error {
-	err := e.controlCall(ctlStop)
+	err := e.sendControl(controlMsg{kind: ctlStop})
 	if errors.Is(err, ErrStopped) {
 		err = nil
 	}
-	e.stopShards()
+	e.table.mu.Lock()
+	e.table.closed = true
+	e.table.mu.Unlock()
 	return err
-}
-
-// stopShards terminates the shard goroutines (idempotent: a second Stop
-// must not enqueue into a channel nobody drains anymore).
-func (e *Engine) stopShards() {
-	e.shardStop.Do(func() {
-		for _, sh := range e.shards {
-			done := make(chan struct{})
-			sh.cmds <- stopMsg{done: done}
-			<-done
-		}
-		close(e.shardsDone)
-	})
 }
 
 // Done is closed when the engine loop has exited (drain complete or
@@ -846,14 +531,7 @@ func (e *Engine) stopShards() {
 func (e *Engine) Done() <-chan struct{} { return e.loopDone }
 
 // Draining reports whether intake is closed.
-func (e *Engine) Draining() bool {
-	select {
-	case <-e.loopDone:
-		return true
-	default:
-	}
-	return e.metrics.drainFlag.Load()
-}
+func (e *Engine) Draining() bool { return !e.Alive() || e.metrics.drainFlag.Load() }
 
 // Alive reports whether the engine loop is still running.
 func (e *Engine) Alive() bool {
@@ -865,423 +543,14 @@ func (e *Engine) Alive() bool {
 	}
 }
 
-// controlCall sends a control message and waits for the loop's reply.
-func (e *Engine) controlCall(kind controlKind) error {
-	return e.sendControl(controlMsg{kind: kind})
-}
-
 // sendControl attaches a pooled reply channel to msg, sends it to the
 // loop, and waits for the reply.
 func (e *Engine) sendControl(msg controlMsg) error {
-	reply := ctlReplyPool.Get().(chan error)
-	msg.reply = reply
-	select {
-	case e.control <- msg:
-	case <-e.loopDone:
-		ctlReplyPool.Put(reply) // never enqueued: safe to reuse
+	msg.reply = ctlReplyPool.Get().(chan error)
+	err, ok := ask(e, e.control, msg, msg.reply)
+	if !ok {
 		return ErrStopped
 	}
-	select {
-	case err := <-msg.reply:
-		ctlReplyPool.Put(reply)
-		return err
-	case <-e.loopDone:
-		return ErrStopped
-	}
-}
-
-// loop is the engine's single-writer core: it owns the planner, the
-// pending queue, and the live-request table, and it is the only
-// goroutine that advances the scheduler and its bandit.
-func (e *Engine) loop() {
-	defer close(e.loopDone)
-	for {
-		select {
-		case msg := <-e.intake:
-			msg.reply <- e.handleIntake(msg.spec)
-		case <-e.ringC:
-			e.drainRing(false)
-		case msg := <-e.snapC:
-			ck, err := e.snapshotState()
-			msg.reply <- snapReply{ck: ck, err: err}
-		case msg := <-e.extractC:
-			msg.reply <- e.handleExtract(msg.ext)
-		case msg := <-e.control:
-			switch msg.kind {
-			case ctlTick:
-				e.runSlot()
-				msg.reply <- nil
-				if e.drainComplete() {
-					return
-				}
-			case ctlFlushRing:
-				e.drainRing(true)
-				msg.reply <- nil
-			case ctlFeedback:
-				if fb, ok := e.sched.(sim.FeedbackScheduler); ok {
-					fb.Feedback(msg.slot, msg.reward)
-				}
-				msg.reply <- nil
-			case ctlTickFeedback:
-				if fb, ok := e.sched.(sim.FeedbackScheduler); ok {
-					fb.Feedback(msg.slot, msg.reward)
-				}
-				e.runSlot()
-				msg.reply <- nil
-				if e.drainComplete() {
-					return
-				}
-			case ctlDrain:
-				// Quiesce the ingest path before raising the drain flag:
-				// requests already accepted into the stage or ring become
-				// pending (and thus drain to a decision) instead of being
-				// rejected behind the submitter's back.
-				e.quiesceIngest()
-				e.drain = true
-				e.metrics.drainFlag.Store(true)
-				msg.reply <- nil
-				if e.drainComplete() {
-					return
-				}
-			case ctlStop:
-				msg.reply <- nil
-				return
-			}
-		}
-	}
-}
-
-// quiesceIngest closes the batched-ingest path and hands its residue to
-// the planner (loop goroutine only): the pump stops accepting batches
-// and surrenders its overflow stage, the loop force-drains the ring, and
-// every surrendered entry is appended as pending in submission order. A
-// drain (and any Snapshot taken after it) then sees every accepted
-// request instead of dropping the stage and ring residue on the floor.
-// Idempotent: a second call finds an already-stopped pump with an empty
-// stage.
-func (e *Engine) quiesceIngest() {
-	e.metrics.drainFlag.Store(true)
-	var staged []ingestEntry
-	msg := batchMsg{collect: true, reply: batchReplyChan()}
-	select {
-	case e.batchC <- msg:
-		select {
-		case rep := <-msg.reply:
-			staged = rep.staged
-			putBatchReplyChan(msg.reply)
-		case <-e.pumpDone:
-		}
-	case <-e.pumpDone:
-	}
-	// The residue must land even if a drain flag is already up: these
-	// requests were accepted before intake closed.
-	wasDrain := e.drain
-	e.drain = false
-	e.drainRing(true)
-	sort.Slice(staged, func(a, b int) bool { return staged[a].seq < staged[b].seq })
-	for _, ent := range staged {
-		e.ingestOne(ent)
-	}
-	e.drain = wasDrain
-	e.stagedDepth.Store(0)
-	e.metrics.IntakeDepth.Store(int64(e.ring.Len()))
-	e.metrics.PendingDepth.Store(int64(len(e.pending)))
-}
-
-// handleExtract removes one pending request from the planner for
-// cross-shard migration (loop goroutine only). Only undecided requests
-// are extractable: once a request scheduled, its service instance is
-// pinned to this engine's stations. The registry records the request as
-// migrated (a terminal state here; the target shard owns it from now
-// on).
-func (e *Engine) handleExtract(ext uint64) extractReply {
-	internal := -1
-	for j, le := range e.live {
-		if le.ext == ext && !le.running {
-			internal = j
-			break
-		}
-	}
-	if internal < 0 {
-		return extractReply{err: ErrNotPending}
-	}
-	for k, j := range e.pending {
-		if j == internal {
-			e.pending = append(e.pending[:k], e.pending[k+1:]...)
-			break
-		}
-	}
-	le := e.live[internal]
-	delete(e.live, internal)
-	e.settled++
-	e.metrics.PendingDepth.Store(int64(len(e.pending)))
-	e.shardEvent(requestEvent{id: ext, kind: evMigrated, slot: e.slot})
-	return extractReply{spec: le.spec, arrival: le.arrival}
-}
-
-// drainComplete reports true once a draining engine has no work left,
-// and on that transition records the final state for Snapshot: the loop
-// exits right after, and what it learned must outlive it. Feedback still
-// deferred for the exit slot (Config.DeferFeedback) is not in it; that
-// matters only when the slot pulled an arm and left nothing running.
-func (e *Engine) drainComplete() bool {
-	if !e.drain || len(e.pending) != 0 || e.planner.NumRunning() != 0 {
-		return false
-	}
-	ck, err := e.snapshotState()
-	if err != nil {
-		e.cfg.Logf("arserved: final snapshot of the drained engine failed: %v", err)
-	}
-	e.drainedSnap = ck
-	return true
-}
-
-// handleIntake admits one request into the pending queue (loop goroutine
-// only).
-func (e *Engine) handleIntake(spec RequestSpec) intakeReply {
-	if e.drain {
-		e.metrics.Rejected.Inc()
-		return intakeReply{err: ErrDraining}
-	}
-	internal := len(e.planner.Requests())
-	r, err := e.buildRequest(internal, e.slot, spec)
-	if err != nil {
-		e.metrics.Rejected.Inc()
-		return intakeReply{err: err}
-	}
-	if err := e.planner.Append(r); err != nil {
-		e.metrics.Rejected.Inc()
-		return intakeReply{err: err}
-	}
-	ext := e.nextExt.Add(1) - 1
-	e.res.Decisions = append(e.res.Decisions, core.Decision{RequestID: internal, Station: -1})
-	e.pending = append(e.pending, internal)
-	e.live[internal] = &liveEntry{ext: ext, spec: spec, arrival: e.slot, running: false}
-	e.metrics.Submitted.Inc()
-	e.metrics.PendingDepth.Store(int64(len(e.pending)))
-	e.shardEvent(requestEvent{id: ext, kind: evSubmitted, slot: e.slot})
-	return intakeReply{id: ext, slot: e.slot}
-}
-
-// shardEvent publishes one event to the owning shard (loop goroutine
-// only; shards drain fast, so a blocking send is fine).
-func (e *Engine) shardEvent(ev requestEvent) {
-	sh := e.shards[int(ev.id)%len(e.shards)]
-	sh.cmds <- slotMsg{events: []requestEvent{ev}}
-}
-
-// runSlot executes one scheduling slot end to end (loop goroutine only).
-func (e *Engine) runSlot() {
-	// Pull whatever the batch path delivered before this slot, up to the
-	// pending bound, so a batch submitted before the tick schedules in
-	// this slot exactly like single-POST arrivals would.
-	e.drainRing(false)
-	t := e.slot
-	depth := len(e.pending)
-	start := time.Now()
-	pending, rep, err := e.planner.Step(e.sched, e.res, t, e.pending)
-	durMS := float64(time.Since(start)) / float64(time.Millisecond)
-	e.pending = pending
-	if err != nil {
-		// A scheduler failure leaves this slot unscheduled; the requests
-		// stay pending and the next slot retries.
-		e.metrics.SlotErrors.Inc()
-		e.cfg.Logf("arserved: slot %d scheduler error: %v", t, err)
-	}
-	if e.cfg.SlotObserver != nil {
-		e.cfg.SlotObserver(rep)
-	}
-	if e.cfg.DecisionObserver != nil {
-		admittedExt := e.admittedExtBuf[:0]
-		for _, j := range rep.Admitted {
-			if le, ok := e.live[j]; ok {
-				admittedExt = append(admittedExt, le.ext)
-			}
-		}
-		e.admittedExtBuf = admittedExt
-		e.cfg.DecisionObserver(t, admittedExt, rep.Reward)
-	}
-
-	// Fold the slot report into metrics and shard events. The per-shard
-	// event slices allocate only on slots that actually produce events, so
-	// an idle slot (no arrivals, departures, or admissions) runs
-	// allocation-free.
-	var events [][]requestEvent
-	push := func(ev requestEvent) {
-		if events == nil {
-			events = make([][]requestEvent, len(e.shards))
-		}
-		s := int(ev.id) % len(e.shards)
-		events[s] = append(events[s], ev)
-	}
-	for _, j := range rep.Departed {
-		if le, ok := e.live[j]; ok {
-			push(requestEvent{id: le.ext, kind: evCompleted, slot: t})
-			delete(e.live, j)
-			e.settled++
-		}
-		e.metrics.Departed.Inc()
-	}
-	for _, j := range rep.Expired {
-		if le, ok := e.live[j]; ok {
-			push(requestEvent{id: le.ext, kind: evExpired, slot: t})
-			delete(e.live, j)
-			e.settled++
-		}
-		e.metrics.Expired.Inc()
-	}
-	// Outage evictions destroy running streams mid-hold: the record moves
-	// to evicted (rewards credited at admission stay credited, matching
-	// the planner's outage semantics).
-	for _, j := range rep.OutageEvicted {
-		if le, ok := e.live[j]; ok {
-			push(requestEvent{id: le.ext, kind: evEvicted, slot: t})
-			delete(e.live, j)
-			e.settled++
-		}
-		e.metrics.Evicted.Inc()
-	}
-	// rep.Served is a (small) subset of rep.Admitted; a linear membership
-	// scan avoids a per-slot map allocation.
-	isServed := func(j int) bool {
-		for _, s := range rep.Served {
-			if s == j {
-				return true
-			}
-		}
-		return false
-	}
-	for _, j := range rep.Admitted {
-		e.metrics.Admitted.Inc()
-		le, ok := e.live[j]
-		if !ok {
-			continue
-		}
-		d := e.res.Decisions[j]
-		if isServed(j) {
-			le.running = true
-			push(requestEvent{id: le.ext, kind: evServing, slot: t, station: d.Station, reward: d.Reward, latencyMS: d.LatencyMS})
-			e.metrics.Served.Inc()
-		} else {
-			push(requestEvent{id: le.ext, kind: evEvicted, slot: t, station: d.Station})
-			delete(e.live, j)
-			e.settled++
-			e.metrics.Evicted.Inc()
-		}
-	}
-	e.metrics.Reward.Add(rep.Reward)
-	e.metrics.SlotDuration.Observe(durMS)
-	e.metrics.Ticks.Inc()
-	e.metrics.PendingDepth.Store(int64(len(e.pending)))
-	e.metrics.ActiveStreams.Store(int64(e.planner.NumRunning()))
-
-	// Publish per-station occupancy and the request events to the shards.
-	// Occupancy only moves when streams start or end, so an idle slot sends
-	// nothing at all: the shards' gauges are still exact and the loop's hot
-	// path stays free of channel traffic (and of the interface boxing a
-	// slotMsg send implies).
-	used := e.planner.Used()
-	dirty := len(rep.Departed) > 0 || len(rep.Admitted) > 0
-	if dirty || events != nil {
-		for s, sh := range e.shards {
-			var su []stationUsed
-			if dirty {
-				for i := s; i < len(used); i += len(e.shards) {
-					su = append(su, stationUsed{station: i, usedMHz: used[i]})
-				}
-			}
-			var evs []requestEvent
-			if events != nil {
-				evs = events[s]
-			}
-			if su == nil && evs == nil {
-				continue
-			}
-			sh.cmds <- slotMsg{used: su, events: evs}
-		}
-	}
-
-	// Per-slot trace line, format-compatible with arsim -trace.
-	if e.cfg.TraceWriter != nil {
-		total := e.cfg.Net.TotalCapacity()
-		sumUsed := 0.0
-		for _, u := range used {
-			sumUsed += u
-		}
-		line := fmt.Sprintf("slot %4d  pending %3d  admitted %3d  utilization %5.1f%%",
-			t, depth, len(rep.Admitted), 100*sumUsed/total)
-		if d, ok := e.sched.(*sim.DynamicRR); ok && d.Bandit() != nil {
-			if best, ok := d.Bandit().Policy().(interface{ BestArm() int }); ok {
-				line += fmt.Sprintf("  threshold %4.0f MHz", d.Bandit().Value(best.BestArm()))
-			}
-		}
-		fmt.Fprintln(e.cfg.TraceWriter, line)
-	}
-
-	e.slot++
-	e.metrics.CurrentSlot.Store(int64(e.slot))
-
-	if e.settled > e.cfg.CompactAfter {
-		if err := e.compact(); err != nil {
-			e.cfg.Logf("arserved: compaction failed (continuing uncompacted): %v", err)
-		}
-	}
-}
-
-// snapshotState captures the live set as a checkpoint (loop goroutine
-// only). It is the shared substrate of Snapshot and in-memory compaction;
-// everything mutable is deep-copied, so the cluster's checkpoint writer
-// may encode the result while the loop keeps scheduling.
-func (e *Engine) snapshotState() (*Checkpoint, error) {
-	ck := &Checkpoint{
-		Version:        checkpointVersion,
-		Slot:           e.slot,
-		NextExternalID: e.nextExt.Load(),
-		Scheduler:      e.cfg.SchedulerName,
-		Totals:         e.metrics.Totals(),
-	}
-	if d, ok := e.sched.(*sim.DynamicRR); ok && d.Bandit() != nil {
-		snap, err := d.Bandit().Snapshot()
-		if err == nil {
-			ck.Bandit = snap
-		} else if !errors.Is(err, bandit.ErrUnsupportedSnapshot) {
-			return nil, err
-		}
-	}
-	for _, le := range e.live {
-		ck.Requests = append(ck.Requests, CheckpointRequest{
-			ExternalID:  le.ext,
-			ArrivalSlot: le.arrival,
-			Running:     le.running,
-			Spec:        le.spec,
-		})
-	}
-	sort.Slice(ck.Requests, func(a, b int) bool { return ck.Requests[a].ExternalID < ck.Requests[b].ExternalID })
-	for _, s := range e.planner.SnapshotRunning() {
-		le, ok := e.live[s.Request]
-		if !ok {
-			// A stream whose bookkeeping entry vanished would leak; fail
-			// loudly instead of checkpointing an unrecoverable state.
-			return nil, fmt.Errorf("serve: running request %d missing from live table", s.Request)
-		}
-		s.Request = int(le.ext)
-		ck.Running = append(ck.Running, s)
-	}
-	return ck, nil
-}
-
-// compact rebuilds the planner from the live set, dropping the settled
-// backlog so a long-running daemon's memory stays bounded by its live
-// request count rather than its lifetime request count.
-func (e *Engine) compact() error {
-	ck, err := e.snapshotState()
-	if err != nil {
-		return err
-	}
-	before := len(e.planner.Requests())
-	if err := e.install(ck); err != nil {
-		return err
-	}
-	e.cfg.Logf("arserved: compacted planner %d -> %d requests", before, len(e.planner.Requests()))
-	return nil
+	ctlReplyPool.Put(msg.reply)
+	return err
 }

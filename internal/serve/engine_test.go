@@ -58,7 +58,7 @@ func submitN(t *testing.T, e *Engine, n int) []uint64 {
 }
 
 // TestEngineLifecycle drives submit -> tick -> serve -> depart through
-// the daemon core and checks the status registry tracks each transition.
+// the daemon core and checks the request table tracks each transition.
 func TestEngineLifecycle(t *testing.T) {
 	e := testEngine(t, Config{})
 	ids := submitN(t, e, 6)

@@ -4,7 +4,7 @@ package serve
 // batch handlers (and the bulk replay/load generators) hand decoded
 // spec batches to SubmitBatch, which enqueues them on a small bounded
 // channel; the pump goroutine prices each request, assigns its external
-// id, publishes its registry record, and pushes it through the
+// id, inserts its row into the request table, and pushes it through the
 // stage/ring pair toward the engine loop. The overload policy is a
 // strict chain of bounded queues:
 //
@@ -18,11 +18,9 @@ package serve
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"time"
 
-	"mecoffload/internal/core"
 	"mecoffload/internal/workload"
 )
 
@@ -119,7 +117,7 @@ func (e *Engine) Flush() error {
 		if err := e.pumpBarrier(); err != nil {
 			return err
 		}
-		if err := e.controlCall(ctlFlushRing); err != nil {
+		if err := e.sendControl(controlMsg{kind: ctlFlushRing}); err != nil {
 			return err
 		}
 		if e.ring.Len() == 0 && e.stagedDepth.Load() == 0 {
@@ -134,19 +132,12 @@ func (e *Engine) Flush() error {
 // pumpBarrier round-trips the pump goroutine, guaranteeing every batch
 // enqueued before the call has been processed.
 func (e *Engine) pumpBarrier() error {
-	msg := batchMsg{barrier: true, reply: batchReplyChan()}
-	select {
-	case e.batchC <- msg:
-	case <-e.loopDone:
+	reply := batchReplyChan()
+	if _, ok := ask(e, e.batchC, batchMsg{barrier: true, reply: reply}, reply); !ok {
 		return ErrStopped
 	}
-	select {
-	case <-msg.reply:
-		putBatchReplyChan(msg.reply)
-		return nil
-	case <-e.loopDone:
-		return ErrStopped
-	}
+	putBatchReplyChan(reply)
+	return nil
 }
 
 // Reply channels for batch calls are pooled like the intake/control
@@ -194,52 +185,34 @@ func (e *Engine) pump() {
 	}
 }
 
-// pumpBatch prices, registers, and enqueues one batch (pump goroutine
-// only).
+// pumpBatch registers, prices, and enqueues one batch (pump goroutine
+// only). The table lock is held for the inserts alone — a row exists
+// before its entry can reach the loop — and once more if anything shed.
 func (e *Engine) pumpBatch(specs []RequestSpec) batchReply {
 	now := time.Now().UnixNano()
 	slot := int(e.metrics.CurrentSlot.Load())
 	ids := make([]uint64, len(specs))
-	perShard := make([][]requestEvent, len(e.shards))
-	for i := range specs {
-		ext := e.nextExt.Add(1) - 1
-		ids[i] = ext
-		s := int(ext) % len(e.shards)
-		perShard[s] = append(perShard[s], requestEvent{id: ext, kind: evSubmitted, slot: slot})
-	}
-	// Register the whole batch first — one registry message per shard,
-	// not per request — so a shed (or a loop-side decision) during the
-	// push phase always finds its record already pending.
-	for s, evs := range perShard {
-		if len(evs) > 0 {
-			e.shardSend(e.shards[s], slotMsg{events: evs})
-		}
-	}
-	e.shedBuf = e.shedBuf[:0]
+	reqs := make([]*request, len(specs))
 	for i, spec := range specs {
-		e.pumpPush(ingestEntry{
-			spec:    spec,
-			ext:     ids[i],
-			price:   specPrice(spec),
-			seq:     e.pumpSeq,
-			enqNano: now,
-		})
+		ids[i] = e.nextExt.Add(1) - 1
+		reqs[i] = newRequest(ids[i], slot, spec)
+	}
+	e.table.mu.Lock()
+	e.table.insert(reqs...)
+	e.table.mu.Unlock()
+
+	e.shedBuf = e.shedBuf[:0]
+	for i, req := range reqs {
+		e.pumpPush(ingestEntry{req: req, price: specPrice(specs[i]), seq: e.pumpSeq, enqNano: now})
 		e.pumpSeq++
 	}
-	// Sheds publish like submissions: grouped into one registry message
-	// per shard per batch, not one per victim.
 	if n := len(e.shedBuf); n > 0 {
 		e.metrics.Shed.Add(uint64(n))
-		shedShard := make([][]requestEvent, len(e.shards))
+		e.table.mu.Lock()
 		for _, victim := range e.shedBuf {
-			s := int(victim.ext) % len(e.shards)
-			shedShard[s] = append(shedShard[s], requestEvent{id: victim.ext, kind: evShed, slot: slot})
+			e.table.shed(victim.req, slot)
 		}
-		for s, evs := range shedShard {
-			if len(evs) > 0 {
-				e.shardSend(e.shards[s], slotMsg{events: evs})
-			}
-		}
+		e.table.mu.Unlock()
 	}
 	return batchReply{ids: ids, shed: len(e.shedBuf)}
 }
@@ -288,70 +261,6 @@ func (e *Engine) pumpDrainStage() {
 	}
 }
 
-// shardSend publishes to a shard without deadlocking against shutdown:
-// once the shards have stopped the message is dropped (the registry is
-// gone anyway).
-func (e *Engine) shardSend(sh *shard, m slotMsg) {
-	select {
-	case sh.cmds <- m:
-	case <-e.shardsDone:
-	}
-}
-
-// drainRing consumes ring entries into the planner (loop goroutine
-// only). Unless forced, it respects the MaxPending bound — the
-// backpressure signal that lets the ring fill, the stage engage, and
-// the shedding policy take over when the scheduler cannot keep up.
-func (e *Engine) drainRing(force bool) {
-	consumed := 0
-	for force || len(e.pending) < e.cfg.MaxPending {
-		ent, ok := e.ring.TryPop()
-		if !ok {
-			break
-		}
-		consumed++
-		e.ingestOne(ent)
-	}
-	if consumed > 0 {
-		e.metrics.IntakeDepth.Store(int64(e.ring.Len()))
-		e.metrics.PendingDepth.Store(int64(len(e.pending)))
-		select {
-		case e.spaceC <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// ingestOne appends one batch-path request to the planner (loop
-// goroutine only). Its registry record already exists (the pump
-// published evSubmitted); failures surface as shed records so the id
-// stays resolvable.
-func (e *Engine) ingestOne(ent ingestEntry) {
-	reject := func() {
-		e.metrics.Rejected.Inc()
-		e.shardEvent(requestEvent{id: ent.ext, kind: evShed, slot: e.slot})
-	}
-	if e.drain {
-		reject()
-		return
-	}
-	internal := len(e.planner.Requests())
-	r, err := e.buildRequest(internal, e.slot, ent.spec)
-	if err != nil {
-		reject()
-		return
-	}
-	if err := e.planner.Append(r); err != nil {
-		reject()
-		return
-	}
-	e.res.Decisions = append(e.res.Decisions, core.Decision{RequestID: internal, Station: -1})
-	e.pending = append(e.pending, internal)
-	e.live[internal] = &liveEntry{ext: ent.ext, spec: ent.spec, arrival: e.slot}
-	e.metrics.Submitted.Inc()
-	e.metrics.IntakeLatency.Observe(float64(time.Now().UnixNano()-ent.enqNano) / 1e6)
-}
-
 // StagedDepth returns the pump's overflow-stage depth (gauge-grade;
 // exact only from the pump goroutine).
 func (e *Engine) StagedDepth() int64 { return e.stagedDepth.Load() }
@@ -365,13 +274,3 @@ func (e *Engine) RingCap() int { return e.ring.Cap() }
 
 // StageCap returns the configured overflow-stage capacity.
 func (e *Engine) StageCap() int { return e.cfg.StageCapacity }
-
-// ValidateSpec checks a spec exactly as intake would, without admitting
-// it (and without consuming engine randomness — the default-outcome
-// unit-reward draw uses a throwaway source). Batch handlers validate
-// lines up front so per-line errors surface in the HTTP response
-// rather than as asynchronous sheds. Safe for concurrent use.
-func (e *Engine) ValidateSpec(spec RequestSpec) error {
-	_, err := e.buildRequestRng(rand.New(rand.NewSource(0)), 0, 0, spec)
-	return err
-}

@@ -1,0 +1,257 @@
+package serve
+
+// What the request table promises the engine's callers across the events
+// that rebuild or retire it: a restore, an in-memory compaction, an
+// extract, a drain and a Stop.
+
+import (
+	"errors"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// liveRecords returns the record of every pending or serving id.
+func liveRecords(t *testing.T, e *Engine, ids []uint64) map[uint64]RequestRecord {
+	t.Helper()
+	out := map[uint64]RequestRecord{}
+	for _, id := range ids {
+		rec, ok, err := e.Status(id)
+		if err != nil {
+			t.Fatalf("status %d: %v", id, err)
+		}
+		if ok && (rec.State == StatePending || rec.State == StateServing) {
+			out[id] = rec
+		}
+	}
+	return out
+}
+
+// TestStatusAcrossRestoreAndCompaction: every live request answers with
+// the same state before a Snapshot and after New(Config{Restore}), and
+// with the identical record across an in-memory compaction — which also
+// leaves the engine scheduling those requests to completion. The engines
+// are never started: the test is their loop goroutine.
+func TestStatusAcrossRestoreAndCompaction(t *testing.T) {
+	net := testNetwork(t, 4)
+	e, err := New(Config{Net: net, Rng: rand.New(rand.NewSource(42)), CompactAfter: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four stations: a first wave of one-slot holds that has settled by the
+	// snapshot, then long holds of which some serve and the rest stay pending.
+	var ids []uint64
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 40; i++ {
+			hold := 30
+			if round == 0 {
+				hold = 1
+			}
+			rep := e.handleIntake(RequestSpec{AccessStation: i % 4, DurationSlots: hold, DeadlineMS: 2000})
+			if rep.err != nil {
+				t.Fatal(rep.err)
+			}
+			ids = append(ids, rep.id)
+		}
+		e.runSlot()
+	}
+	before := liveRecords(t, e, ids)
+	states := map[string]int{}
+	for _, rec := range before {
+		states[rec.State]++
+	}
+	if states[StatePending] == 0 || states[StateServing] == 0 || len(before) == len(ids) {
+		t.Fatalf("want pending, serving and settled requests, got %v of %d", states, len(ids))
+	}
+
+	snap, err := e.snapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := New(Config{Net: net, Rng: rand.New(rand.NewSource(42)), Restore: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := liveRecords(t, restored, ids)
+	if len(after) != len(before) {
+		t.Fatalf("%d live requests before the snapshot, %d after the restore", len(before), len(after))
+	}
+	for id, want := range before {
+		if got := after[id]; got.State != want.State || got.SubmittedSlot != want.SubmittedSlot {
+			t.Fatalf("request %d restored as %+v, was %+v", id, got, want)
+		}
+	}
+
+	planned := len(e.planner.Requests())
+	if err := e.compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.planner.Requests()); n != len(before) || n >= planned {
+		t.Fatalf("compaction left %d planner requests of %d, want the %d live ones", n, planned, len(before))
+	}
+	for id, want := range before {
+		if got, ok, _ := e.Status(id); !ok || got != want {
+			t.Fatalf("request %d after compaction: %+v ok=%v, was %+v", id, got, ok, want)
+		}
+	}
+	for i := 0; i < 80; i++ {
+		e.runSlot()
+	}
+	for id := range before {
+		if rec, _, _ := e.Status(id); rec.State == StatePending || rec.State == StateServing {
+			t.Fatalf("request %d still %s 80 slots after the compaction", id, rec.State)
+		}
+	}
+	if got := e.metrics.SlotErrors.Load(); got != 0 {
+		t.Fatalf("%d slot errors", got)
+	}
+}
+
+// TestExtractOnlyPending: Extract hands over a request the planner holds
+// undecided and records it migrated; anything else — unknown, serving,
+// already terminal, already extracted — is ErrNotPending and leaves the
+// record alone.
+func TestExtractOnlyPending(t *testing.T) {
+	e := testEngine(t, Config{})
+	spec := RequestSpec{AccessStation: 1, DurationSlots: 5, DeadlineMS: 2000}
+	served, _, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _, _ := e.Status(served); rec.State != StateServing {
+		t.Fatalf("setup: request %d is %s, want serving", served, rec.State)
+	}
+	pending, _, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, id := range map[string]uint64{"unknown": 999, "serving": served} {
+		before, _, _ := e.Status(id)
+		if _, _, err := e.Extract(id); !errors.Is(err, ErrNotPending) {
+			t.Fatalf("extract of a %s request: %v, want ErrNotPending", name, err)
+		}
+		if after, _, _ := e.Status(id); after != before {
+			t.Fatalf("refused extract moved the %s record: %+v -> %+v", name, before, after)
+		}
+	}
+	got, arrival, err := e.Extract(pending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AccessStation != spec.AccessStation || got.DurationSlots != spec.DurationSlots || arrival != 1 {
+		t.Fatalf("extracted spec %+v arrival %d, want %+v arrival 1", got, arrival, spec)
+	}
+	if rec, _, _ := e.Status(pending); rec.State != StateMigrated || rec.DecisionSlot != 1 {
+		t.Fatalf("extracted request recorded as %+v, want migrated at slot 1", rec)
+	}
+	if _, _, err := e.Extract(pending); !errors.Is(err, ErrNotPending) {
+		t.Fatalf("second extract: %v, want ErrNotPending", err)
+	}
+	if got := e.Metrics().PendingDepth.Load(); got != 0 {
+		t.Fatalf("pending depth %d after the extract, want 0", got)
+	}
+
+	// A drained engine keeps answering; a stopped one does not.
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12 && e.Alive(); i++ {
+		if err := e.Tick(); err != nil && !errors.Is(err, ErrStopped) {
+			t.Fatal(err)
+		}
+	}
+	if e.Alive() {
+		t.Fatal("engine did not drain")
+	}
+	if rec, ok, err := e.Status(served); err != nil || !ok || rec.State != StateCompleted {
+		t.Fatalf("status on a drained engine: %+v ok=%v err=%v, want completed", rec, ok, err)
+	}
+	if err := e.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Status(served); !errors.Is(err, ErrStopped) {
+		t.Fatalf("status after Stop: %v, want ErrStopped", err)
+	}
+}
+
+// engineGoroutines counts the goroutines running a serve.Engine method.
+func engineGoroutines() (n int) {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "serve.(*Engine).") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestEngineRunsTwoGoroutines: Start launches the pump and the loop and
+// nothing else, and Stop takes both down.
+func TestEngineRunsTwoGoroutines(t *testing.T) {
+	settle := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); engineGoroutines() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d engine goroutines still running, want %d", engineGoroutines(), want)
+			}
+		}
+	}
+	settle(0) // earlier tests' engines have exited
+	e, err := New(Config{Net: testNetwork(t, 4), Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	e.Start()
+	if got := runtime.NumGoroutine() - before; got != 2 {
+		t.Fatalf("Start launched %d goroutines, want 2 (pump, loop)", got)
+	}
+	settle(2)
+	if _, err := e.SubmitBatch([]RequestSpec{{AccessStation: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	settle(0)
+}
+
+// TestCompactionDoesNotRewindPumpState: the pump hands out ids and counts
+// batches while the loop compacts; re-installing the loop's own snapshot
+// must leave the id allocator and the counters where the pump put them,
+// or two requests share an id.
+func TestCompactionDoesNotRewindPumpState(t *testing.T) {
+	e, err := New(Config{Net: testNetwork(t, 4), Rng: rand.New(rand.NewSource(42))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if rep := e.handleIntake(RequestSpec{AccessStation: i}); rep.err != nil {
+			t.Fatal(rep.err)
+		}
+	}
+	ck, err := e.snapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.nextExt.Add(5) // the pump, between the loop's snapshot and its install
+	e.metrics.BatchRequests.Add(5)
+	if err := e.install(ck); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.nextExt.Load(); got != 8 {
+		t.Fatalf("id allocator at %d after the compaction, want 8", got)
+	}
+	if got := e.metrics.BatchRequests.Load(); got != 5 {
+		t.Fatalf("batch-request counter at %d after the compaction, want 5", got)
+	}
+}

@@ -174,8 +174,8 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// StationGauge is one station's exposed capacity state, assembled from
-// the shard that owns it.
+// StationGauge is one station's exposed capacity state, as the request
+// table last recorded it.
 type StationGauge struct {
 	Station     int
 	UsedMHz     float64

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,27 +15,55 @@ import (
 )
 
 // TestConcurrentSubmitTickCheckpoint interleaves every public engine
-// entry point from concurrent goroutines — submissions, manual ticks,
+// entry point from concurrent goroutines — single and batched
+// submissions, manual ticks (with a compaction every few of them),
 // checkpoint snapshots written to disk, status polls, and gauge scrapes
-// — then drains. Run
-// under -race in CI, this covers the shard map, the metrics counters,
-// and the control-channel serialization of internal/serve/shard.go.
+// — then drains: every id is handed out once and every request settles. Run
+// under -race in CI, this covers the request table's lock discipline
+// (table.go), the metrics counters, and the control-channel
+// serialization.
 func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
 	ckptPath := filepath.Join(t.TempDir(), "state.json")
 	e := testEngine(t, Config{
-		Net:         testNetwork(t, 6),
-		Rng:         rand.New(rand.NewSource(7)),
-		Shards:      3,
-		StepChecker: oracle.EngineChecker(),
+		Net:          testNetwork(t, 6),
+		Rng:          rand.New(rand.NewSource(7)),
+		CompactAfter: 8,
+		StepChecker:  oracle.EngineChecker(),
 	})
 
 	const (
 		submitters = 4
 		perWorker  = 25
+		batches    = 20
+		perBatch   = 5
 		ticks      = 40
+		total      = submitters*perWorker + batches*perBatch
 	)
 	var wg sync.WaitGroup
-	ids := make(chan uint64, submitters*perWorker)
+	ids := make(chan uint64, total)
+	allIDs := make(chan uint64, total)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		specs := make([]RequestSpec, perBatch)
+		for b := 0; b < batches; b++ {
+			for i := range specs {
+				specs[i] = RequestSpec{AccessStation: (b + i) % e.cfg.Net.NumStations(), DurationSlots: 2}
+			}
+			res, err := e.SubmitBatch(specs)
+			for errors.Is(err, ErrSaturated) {
+				runtime.Gosched()
+				res, err = e.SubmitBatch(specs)
+			}
+			if err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+			for _, id := range res.IDs {
+				allIDs <- id
+			}
+		}
+	}()
 	for w := 0; w < submitters; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -49,6 +78,7 @@ func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
 					return
 				}
 				ids <- id
+				allIDs <- id
 			}
 		}(w)
 	}
@@ -112,16 +142,27 @@ func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	close(allIDs)
+	seen := make(map[uint64]bool, total)
+	for id := range allIDs {
+		if seen[id] {
+			t.Fatalf("external id %d handed out twice", id)
+		}
+		seen[id] = true
+	}
 	m := e.Metrics()
-	if got := m.Submitted.Load(); got != submitters*perWorker {
-		t.Fatalf("submitted %d, want %d", got, submitters*perWorker)
+	if got := m.Submitted.Load(); got != total {
+		t.Fatalf("submitted %d, want %d", got, total)
+	}
+	if got := m.BatchRequests.Load(); got != batches*perBatch {
+		t.Fatalf("batch requests counter %d, want %d", got, batches*perBatch)
 	}
 	if m.SlotErrors.Load() != 0 {
 		t.Fatalf("%d slot errors during a healthy run", m.SlotErrors.Load())
 	}
 	settled := m.Served.Load() + m.Evicted.Load() + m.Expired.Load() + m.Rejected.Load()
-	if settled != submitters*perWorker {
-		t.Fatalf("settled %d of %d submitted", settled, submitters*perWorker)
+	if settled != total {
+		t.Fatalf("settled %d of %d submitted", settled, total)
 	}
 }
 

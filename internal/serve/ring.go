@@ -27,11 +27,10 @@ import (
 
 // ingestEntry is one request travelling the batch intake path.
 type ingestEntry struct {
-	spec    RequestSpec
-	ext     uint64  // externally visible id, assigned by the pump
-	price   float64 // expected reward under the spec's demand distribution
-	seq     uint64  // pump-local arrival ordinal, for deterministic ties
-	enqNano int64   // enqueue timestamp for the intake-latency histogram
+	req     *request // its row in the request table; the spec rides in req.live
+	price   float64  // expected reward under the spec's demand distribution
+	seq     uint64   // pump-local arrival ordinal, for deterministic ties
+	enqNano int64    // enqueue timestamp for the intake-latency histogram
 }
 
 // ingestRing is the bounded SPSC ring. Capacity is rounded up to a power

@@ -14,11 +14,11 @@ func TestRingFIFO(t *testing.T) {
 		t.Fatalf("capacity 3 rounded to %d, want 4", r.Cap())
 	}
 	for i := 0; i < 4; i++ {
-		if !r.TryPush(ingestEntry{ext: uint64(i)}) {
+		if !r.TryPush(ingestEntry{seq: uint64(i)}) {
 			t.Fatalf("push %d refused below capacity", i)
 		}
 	}
-	if r.TryPush(ingestEntry{ext: 99}) {
+	if r.TryPush(ingestEntry{seq: 99}) {
 		t.Fatal("push accepted on a full ring")
 	}
 	if r.Len() != 4 {
@@ -26,8 +26,8 @@ func TestRingFIFO(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		e, ok := r.TryPop()
-		if !ok || e.ext != uint64(i) {
-			t.Fatalf("pop %d = (%v, %v), want ext %d", i, e.ext, ok, i)
+		if !ok || e.seq != uint64(i) {
+			t.Fatalf("pop %d = (%v, %v), want seq %d", i, e.seq, ok, i)
 		}
 	}
 	if _, ok := r.TryPop(); ok {
@@ -47,7 +47,7 @@ func TestRingSPSCNoDropNoDup(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			for !r.TryPush(ingestEntry{ext: uint64(i), seq: uint64(i)}) {
+			for !r.TryPush(ingestEntry{seq: uint64(i)}) {
 				// Yield while full: on one CPU a pure spin starves the
 				// consumer for whole scheduling quanta.
 				runtime.Gosched()
@@ -61,8 +61,8 @@ func TestRingSPSCNoDropNoDup(t *testing.T) {
 			runtime.Gosched()
 			continue
 		}
-		if e.ext != uint64(i) || e.seq != uint64(i) {
-			t.Fatalf("pop %d saw entry %d/%d: dropped or duplicated", i, e.ext, e.seq)
+		if e.seq != uint64(i) {
+			t.Fatalf("pop %d saw entry %d: dropped or duplicated", i, e.seq)
 		}
 		i++
 	}
@@ -80,24 +80,24 @@ func TestRingSPSCNoDropNoDup(t *testing.T) {
 func TestStageBufferOrder(t *testing.T) {
 	var s stageBuffer
 	// Prices 3, 1, 2, and two entries tied at price 2 (seq 2 older, seq 3 newer).
-	s.insert(ingestEntry{ext: 0, price: 3, seq: 0})
-	s.insert(ingestEntry{ext: 1, price: 1, seq: 1})
-	s.insert(ingestEntry{ext: 2, price: 2, seq: 2})
-	s.insert(ingestEntry{ext: 3, price: 2, seq: 3})
+	s.insert(ingestEntry{price: 3, seq: 0})
+	s.insert(ingestEntry{price: 1, seq: 1})
+	s.insert(ingestEntry{price: 2, seq: 2})
+	s.insert(ingestEntry{price: 2, seq: 3})
 
-	if got := s.popLowest(); got.ext != 1 {
-		t.Fatalf("first shed took ext %d (price %g), want the price-1 entry", got.ext, got.price)
+	if got := s.popLowest(); got.seq != 1 {
+		t.Fatalf("first shed took seq %d (price %g), want the price-1 entry", got.seq, got.price)
 	}
 	// Tie at price 2: the newer entry (seq 3) sheds before the older.
-	if got := s.popLowest(); got.ext != 3 {
-		t.Fatalf("tie shed took ext %d, want the newer entry 3", got.ext)
+	if got := s.popLowest(); got.seq != 3 {
+		t.Fatalf("tie shed took seq %d, want the newer entry 3", got.seq)
 	}
 	// Drain order: highest price first.
-	if got := s.popHighest(); got.ext != 0 {
-		t.Fatalf("drain took ext %d, want the price-3 entry", got.ext)
+	if got := s.popHighest(); got.seq != 0 {
+		t.Fatalf("drain took seq %d, want the price-3 entry", got.seq)
 	}
-	if got := s.popHighest(); got.ext != 2 {
-		t.Fatalf("drain took ext %d, want the remaining entry", got.ext)
+	if got := s.popHighest(); got.seq != 2 {
+		t.Fatalf("drain took seq %d, want the remaining entry", got.seq)
 	}
 	if s.len() != 0 {
 		t.Fatalf("stage still holds %d entries", s.len())
