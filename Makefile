@@ -17,7 +17,7 @@ test:
 ## race: concurrency-sensitive packages under the race detector
 ## (shortened experiment profile, same as the CI race job).
 race:
-	$(GO) test -race -short ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/cluster/... ./internal/oracle/... ./cmd/arserved/...
+	$(GO) test -race -short ./internal/lp/... ./internal/core/... ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/cluster/... ./internal/oracle/... ./cmd/arserved/...
 
 ## cluster-parity: the sharding correctness gate — the oracle replay
 ## differential proving 1-, 2-, and 8-shard clusters emit identical
@@ -99,10 +99,13 @@ bench-check:
 ## to the amortized baseline (bench-check is the gate). The one check
 ## that does run is BenchmarkClusterSweepBacklog's own: sweep- and
 ## checkpoint-slot tick time flat within 2x from 1k to 100k settled
-## spanning requests of routing history.
+## spanning requests of routing history. BenchmarkBuildLP (the slot LP's
+## builder, alone and beside its solve, on three shapes) lives in
+## internal/core because it calls the unexported builder.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkLocalRatio|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -tee -out bench-smoke.json
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildLP' -benchtime 1x -benchmem ./internal/core/
 
 ## tick-jitter: the stop-the-world smoke gate — with async checkpoints
 ## firing every 4 slots on a loaded 2-shard cluster, the max tick pause

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"mecoffload/internal/mec"
@@ -53,11 +54,13 @@ func (o *ApproOptions) fill() {
 	}
 }
 
-// tentative is one rounded (request, station, slot) pre-assignment.
+// tentative is one rounded (request, station, slot) pre-assignment; rate
+// is the request's expected data rate, the admission sweep's sort key.
 type tentative struct {
 	req     int
 	station int
 	slot    int
+	rate    float64
 }
 
 // Appro is Algorithm 1: the randomized 1/8-approximation for the reward
@@ -180,7 +183,7 @@ func roundAssignments(vars []slotVar, byReq [][]int, y []float64, reqs []*mec.Re
 			acc += y[idx] / denom
 			if u < acc {
 				sv := vars[idx]
-				pre = append(pre, tentative{req: j, station: sv.station, slot: sv.slot})
+				pre = append(pre, tentative{req: j, station: sv.station, slot: sv.slot, rate: reqs[j].ExpectedRate()})
 				break
 			}
 		}
@@ -224,68 +227,57 @@ func admitSlotBySlot(n *mec.Network, reqs []*mec.Request, pre []tentative, rng *
 	copy(base, used)
 	passUsed := func(i int) float64 { return used[i] - base[i] }
 
-	// Group tentative assignments by (station, slot).
-	type key struct{ station, slot int }
-	groups := make(map[key][]int)
-	maxSlot := 0
-	for _, t := range pre {
-		k := key{t.station, t.slot}
-		groups[k] = append(groups[k], t.req)
-		if t.slot > maxSlot {
-			maxSlot = t.slot
+	// The sweep goes slot by slot, station by station, and within one
+	// (station, slot) group in increasing expected data rate (the realized
+	// rate is still hidden at this point), ties by request index: a total
+	// order, so one sort of the tentatives lays the whole sweep out.
+	slices.SortFunc(pre, func(a, b tentative) int {
+		if c := cmp.Compare(a.slot, b.slot); c != 0 {
+			return c
 		}
-	}
+		if c := cmp.Compare(a.station, b.station); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.rate, b.rate); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.req, b.req)
+	})
 
 	admitted := 0
-	for l := 1; l <= maxSlot; l++ {
-		for i := 0; i < n.NumStations(); i++ {
-			cand := groups[key{i, l}]
-			if len(cand) == 0 {
-				continue
+	for _, t := range pre {
+		j, i, l := t.req, t.station, t.slot
+		limit := float64(l) * slotMHz
+		if passUsed(i) > limit {
+			if hooks.migrate == nil || !hooks.migrate(i, l, passUsed) || passUsed(i) > limit {
+				continue // reject r_j (Algorithm 1 step 6 fails)
 			}
-			// Candidates in increasing expected data rate: the realized
-			// rate is still hidden at this point.
-			sort.Slice(cand, func(a, b int) bool {
-				ra, rb := reqs[cand[a]].ExpectedRate(), reqs[cand[b]].ExpectedRate()
-				if ra != rb {
-					return ra < rb
-				}
-				return cand[a] < cand[b]
-			})
-			limit := float64(l) * slotMHz
-			for _, j := range cand {
-				if passUsed(i) > limit {
-					if hooks.migrate == nil || !hooks.migrate(i, l, passUsed) || passUsed(i) > limit {
-						continue // reject r_j (Algorithm 1 step 6 fails)
-					}
-				}
-				r := reqs[j]
-				d := &res.Decisions[j]
-				d.Admitted = true
-				d.Station = i
-				d.Slot = l
-				if waitOf != nil {
-					d.WaitSlots = waitOf(j)
-				}
-				d.TaskStations = consolidated(r, i)
-				d.LatencyMS = latencyOf(n, r, d.TaskStations, d.WaitSlots, slotLenMS)
-				admitted++
-				// The rate instantiates and reveals on scheduling. The
-				// algorithm watches realized demand: an overflowing
-				// request is evicted before it can overload the station
-				// (it earns nothing, per Eq. (8)).
-				out := r.Realize(rng)
-				demand := n.RateToMHz(out.Rate)
-				switch {
-				case fitsWithin(used[i], demand, n.Capacity(i)):
-					used[i] += demand
-				case hooks.overflow != nil && hooks.overflow(j, i):
-					// Distributed across stations; ledgers updated by the
-					// hook.
-				default:
-					d.Evicted = true
-				}
-			}
+		}
+		r := reqs[j]
+		d := &res.Decisions[j]
+		d.Admitted = true
+		d.Station = i
+		d.Slot = l
+		if waitOf != nil {
+			d.WaitSlots = waitOf(j)
+		}
+		d.TaskStations = consolidated(r, i)
+		d.LatencyMS = latencyOf(n, r, d.TaskStations, d.WaitSlots, slotLenMS)
+		admitted++
+		// The rate instantiates and reveals on scheduling. The
+		// algorithm watches realized demand: an overflowing
+		// request is evicted before it can overload the station
+		// (it earns nothing, per Eq. (8)).
+		out := r.Realize(rng)
+		demand := n.RateToMHz(out.Rate)
+		switch {
+		case fitsWithin(used[i], demand, n.Capacity(i)):
+			used[i] += demand
+		case hooks.overflow != nil && hooks.overflow(j, i):
+			// Distributed across stations; ledgers updated by the
+			// hook.
+		default:
+			d.Evicted = true
 		}
 	}
 	return admitted

@@ -133,7 +133,12 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 		if c < 0 {
 			c = len(comps)
 			rootComp[root] = c
-			comps = append(comps, component{key: i})
+			// A recycled slot hands its station and request lists on.
+			var old component
+			if c < cap(comps) {
+				old = comps[:c+1][c]
+			}
+			comps = append(comps, component{key: i, stations: old.stations[:0], reqs: old.reqs[:0]})
 		}
 		comps[c].stations = append(comps[c].stations, i)
 	}
@@ -144,7 +149,7 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 		c := rootComp[find(firstOf[k])]
 		comps[c].reqs = append(comps[c].reqs, j)
 	}
-	sc.comps = comps // retain the component-struct backing for reuse
+	sc.comps = comps // retain the components and their lists for reuse
 	return comps
 }
 
@@ -313,12 +318,19 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			}
 			inc.addFastFallback()
 		}
+		// The problem and the builder's temporaries are borrowed for this
+		// one solve; vars and y are written into the component's own result
+		// storage, which nothing touches again before the merge.
+		bs := buildScratchPool.Get().(*buildScratch)
+		defer buildScratchPool.Put(bs)
+		copts.scratch = bs
+		copts.vars = r.vars
 		model, err := buildLP(n, reqs, copts)
 		if err != nil {
 			r.err = err
 			return
 		}
-		y, obj, basis, err := model.solveWarm(seeds[k])
+		y, obj, basis, err := model.solveWarm(seeds[k], r.y)
 		if err != nil {
 			r.err = err
 			return

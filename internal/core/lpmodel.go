@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"mecoffload/internal/lp"
 	"mecoffload/internal/mec"
@@ -71,7 +72,38 @@ type lpOptions struct {
 	// len(byReq) >= len(reqs)). Concurrent component builds share one
 	// backing: their active sets are disjoint, so the writes never overlap.
 	byReq [][]int
+	// vars, when non-nil, is the backing the model's variable list is built
+	// into (from length 0). solveDecomposed passes each component's own, so
+	// the list outlives the build scratch until the merge.
+	vars []slotVar
+	// scratch, when non-nil, supplies the problem and the builder's
+	// temporaries; nil builds into fresh storage.
+	scratch *buildScratch
 }
+
+// buildScratch is the reusable state of one LP build: the problem itself
+// (rebuilt in place through lp.Problem.Reset) and the builder's
+// temporaries. The model buildLP returns lives in it, so a scratch serves
+// one build at a time and the model is valid until the next build over the
+// same scratch. solveDecomposed checks one out per component solve.
+type buildScratch struct {
+	model lpModel
+	terms []lp.Term
+	// default active / stations lists when the options leave them nil
+	active   []int
+	stations []int
+	// variables bucketed by station for the constraint-(10) rows: stPos
+	// maps a station index to its position in the stations list, bucket
+	// holds the variable indices of station position s, ascending, at
+	// bucket[bucketOff[s]:bucketOff[s+1]], and fill is the counting pass's
+	// write cursor per station.
+	stPos     []int
+	bucket    []int
+	bucketOff []int
+	fill      []int
+}
+
+var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // buildLP constructs the resource-slot-indexed relaxation LP (Section
 // IV-A) over the active requests:
@@ -88,6 +120,12 @@ type lpOptions struct {
 // compact. The paper's constraint (10) RHS is written 2*l*C_l; the
 // division by C_unit here converts it to data-rate units so both sides of
 // the inequality carry the same dimension.
+//
+// Variables are generated request by request (active order), station by
+// station (ascending), slot by slot; rows are the assign rows in active
+// order, then the cap rows station by station, slot by slot, each row's
+// terms in ascending variable order. The warm cache, the decision cache
+// and every pinned digest depend on exactly that order.
 func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, error) {
 	if n == nil {
 		return nil, ErrNilNetwork
@@ -98,9 +136,13 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	if opts.slotLengthMS == 0 {
 		opts.slotLengthMS = mec.DefaultSlotLengthMS
 	}
+	bs := opts.scratch
+	if bs == nil {
+		bs = new(buildScratch)
+	}
 	active := opts.active
 	if active == nil {
-		active = make([]int, len(reqs))
+		active = growInts(&bs.active, len(reqs))
 		for j := range active {
 			active[j] = j
 		}
@@ -115,19 +157,31 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	}
 	stations := opts.stations
 	if stations == nil {
-		stations = make([]int, n.NumStations())
+		stations = growInts(&bs.stations, n.NumStations())
 		for i := range stations {
 			stations[i] = i
 		}
 	}
 
-	prob := lp.NewProblem(lp.Maximize)
-	byReq := opts.byReq
-	if byReq == nil {
-		byReq = make([][]int, len(reqs))
+	m := &bs.model
+	if m.prob == nil {
+		m.prob = lp.NewProblem(lp.Maximize)
+	} else {
+		m.prob.Reset()
 	}
-	m := &lpModel{prob: prob, byReq: byReq}
+	prob := m.prob
+	m.vars = opts.vars[:0]
+	m.byReq = opts.byReq
+	if m.byReq == nil {
+		m.byReq = make([][]int, len(reqs))
+	}
 
+	// bucketOff[s+1] counts station position s's variables while they are
+	// generated, and becomes the bucket's end offset below.
+	bucketOff := growInts(&bs.bucketOff, len(stations)+1)
+	for s := range bucketOff {
+		bucketOff[s] = 0
+	}
 	for k, j := range active {
 		r := reqs[j]
 		nameIdx := j
@@ -138,7 +192,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		if opts.waitSlots != nil {
 			wait = opts.waitSlots(j)
 		}
-		for _, i := range stations {
+		for s, i := range stations {
 			// Constraint (11): drop stations that cannot meet the
 			// deadline even with the current waiting time.
 			if !r.DelayFeasible(n, i, wait, opts.slotLengthMS) {
@@ -157,6 +211,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 				idx := len(m.vars)
 				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er, v: v})
 				m.byReq[j] = append(m.byReq[j], idx)
+				bucketOff[s+1]++
 			}
 		}
 	}
@@ -167,6 +222,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	}
 
 	// Constraint (9): each request starts in at most one slot.
+	terms := bs.terms[:0]
 	for k, j := range active {
 		if len(m.byReq[j]) == 0 {
 			continue
@@ -175,7 +231,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		if opts.positional {
 			nameIdx = k
 		}
-		terms := make([]lp.Term, 0, len(m.byReq[j]))
+		terms = terms[:0]
 		for _, idx := range m.byReq[j] {
 			terms = append(terms, lp.Term{Var: m.vars[idx].v, Coef: 1})
 		}
@@ -184,25 +240,55 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		}
 	}
 
+	// Bucket the variables by station with a stable counting pass: each
+	// bucket lists its station's variables in ascending index order, which
+	// is the order a scan of all of m.vars would meet them in.
+	stPos := growInts(&bs.stPos, n.NumStations())
+	fill := growInts(&bs.fill, len(stations))
+	for s, i := range stations {
+		stPos[i] = s
+		bucketOff[s+1] += bucketOff[s]
+		fill[s] = bucketOff[s]
+	}
+	bucket := growInts(&bs.bucket, len(m.vars))
+	for idx := range m.vars {
+		s := stPos[m.vars[idx].station]
+		bucket[fill[s]] = idx
+		fill[s]++
+	}
+
 	// Constraint (10) per (station, slot): truncated expected occupancy of
 	// all variables starting at or below slot l is at most 2*l*C_l/C_unit.
-	for _, i := range stations {
+	// The coefficient depends on the request and the row only, and a
+	// request's variables are adjacent in the bucket with ascending slots,
+	// so it is computed once per run of equal requests.
+	for s, i := range stations {
+		own := bucket[bucketOff[s]:bucketOff[s+1]]
+		if len(own) == 0 {
+			continue
+		}
+		shareCap := 0.0
+		if opts.shareCapFor != nil {
+			shareCap = opts.shareCapFor(i)
+		}
 		L := int(capOf(i) / slotMHz)
 		for l := 1; l <= L; l++ {
 			slotCap := float64(l) * slotMHz / n.CUnit() // l*C_l/C_unit in MB/s
-			var terms []lp.Term
-			for idx := range m.vars {
+			trunc := slotCap
+			if shareCap > 0 {
+				trunc = math.Min(trunc, shareCap)
+			}
+			terms = terms[:0]
+			req, coef := -1, 0.0
+			for _, idx := range own {
 				sv := &m.vars[idx]
-				if sv.station != i || sv.slot > l {
+				if sv.slot > l {
 					continue
 				}
-				trunc := slotCap
-				if opts.shareCapFor != nil {
-					if sc := opts.shareCapFor(i); sc > 0 {
-						trunc = math.Min(trunc, sc)
-					}
+				if sv.req != req {
+					req = sv.req
+					coef = reqs[req].Dist.ExpectedTruncatedRate(trunc)
 				}
-				coef := reqs[sv.req].Dist.ExpectedTruncatedRate(trunc)
 				if coef <= 0 {
 					continue
 				}
@@ -216,21 +302,23 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 			}
 		}
 	}
+	bs.terms = terms
 	return m, nil
 }
 
 // solve runs the simplex and returns the fractional y values aligned with
 // m.vars, plus the LP optimum.
 func (m *lpModel) solve() ([]float64, float64, error) {
-	y, opt, _, err := m.solveWarm(nil)
+	y, opt, _, err := m.solveWarm(nil, nil)
 	return y, opt, err
 }
 
-// solveWarm is solve seeded from a previous optimal basis (nil = cold).
-// It additionally returns this solve's optimal basis so the caller can
-// seed the next structurally similar LP: the next rounding pass, the next
-// time slot's LP-PT, or the next repetition of the same experiment cell.
-func (m *lpModel) solveWarm(warm *lp.Basis) ([]float64, float64, *lp.Basis, error) {
+// solveWarm is solve seeded from a previous optimal basis (nil = cold),
+// writing the y values into ybuf's storage when it is large enough. It
+// additionally returns this solve's optimal basis so the caller can seed
+// the next structurally similar LP: the next rounding pass, the next time
+// slot's LP-PT, or the next repetition of the same experiment cell.
+func (m *lpModel) solveWarm(warm *lp.Basis, ybuf []float64) ([]float64, float64, *lp.Basis, error) {
 	if m.prob.NumVars() == 0 {
 		return nil, 0, nil, nil
 	}
@@ -241,9 +329,9 @@ func (m *lpModel) solveWarm(warm *lp.Basis) ([]float64, float64, *lp.Basis, erro
 	if sol.Status != lp.StatusOptimal {
 		return nil, 0, nil, fmt.Errorf("%w: %v", ErrLPFailed, sol.Status)
 	}
-	y := make([]float64, len(m.vars))
+	y := ybuf[:0]
 	for idx := range m.vars {
-		y[idx] = sol.Value(m.vars[idx].v)
+		y = append(y, sol.Value(m.vars[idx].v))
 	}
 	return y, sol.Objective, sol.Basis, nil
 }

@@ -7,11 +7,15 @@ import (
 )
 
 // slotScratch bundles the reusable buffers of one scheduling call:
-// the decomposition's union-find arrays, the merged LP view, and the
+// the decomposition's union-find arrays and component lists, each
+// component's LP variables and solution, the merged LP view, and the
 // rounding/admission work lists. ScheduleBatch and runRounding borrow one
-// from slotScratchPool per call, so a long-running daemon's per-slot
-// scheduling amortizes to (near) zero steady-state allocations outside
-// the simplex itself.
+// from slotScratchPool per call; the LP itself is built in a buildScratch
+// borrowed per component solve. Together they take a long-running daemon's
+// per-slot scheduling to (near) zero steady-state allocations outside the
+// simplex: what a warmed slot still allocates is what each solve returns
+// (Solution, Basis), a few closures per rounding pass, and one TaskStations
+// list per admitted request (TestScheduleBatchSteadyAllocs).
 type slotScratch struct {
 	// decomposition
 	parent    []int
@@ -33,7 +37,9 @@ type slotScratch struct {
 	sigs   []uint64
 	sigOff []int
 
-	// per-component solve results and warm-start seeds
+	// per-component solve results and warm-start seeds; results[k] owns
+	// component k's vars/y storage from the build until the merge, and
+	// keeps it for the next slot
 	results []compSolve
 	seeds   []*lp.Basis
 
@@ -76,16 +82,20 @@ func growBoolsClear(buf *[]bool, n int) []bool {
 	return b
 }
 
-// growCompSolves resizes *buf to n and zeroes every entry (stale cached
-// pointers or errors from a previous slot must not leak into this one).
+// growCompSolves resizes *buf to n and resets every entry (stale cached
+// pointers or errors from a previous slot must not leak into this one),
+// keeping each entry's vars/y storage: a component's LP variables and
+// solution are built straight into it.
 func growCompSolves(buf *[]compSolve, n int) []compSolve {
 	if cap(*buf) < n {
-		*buf = make([]compSolve, n)
+		grown := make([]compSolve, n)
+		copy(grown, (*buf)[:cap(*buf)])
+		*buf = grown
 	}
 	*buf = (*buf)[:n]
 	b := *buf
 	for i := range b {
-		b[i] = compSolve{}
+		b[i] = compSolve{vars: b[i].vars[:0], y: b[i].y[:0]}
 	}
 	return b
 }

@@ -68,11 +68,11 @@ func TestLPPTWarmColdObjectiveProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, coldObj, _, err := model.solveWarm(nil)
+			_, coldObj, _, err := model.solveWarm(nil, nil)
 			if err != nil {
 				t.Fatalf("seed %d slot %d cold: %v", seed, slot, err)
 			}
-			_, warmObj, basis, err := model.solveWarm(warm)
+			_, warmObj, basis, err := model.solveWarm(warm, nil)
 			if err != nil {
 				t.Fatalf("seed %d slot %d warm: %v", seed, slot, err)
 			}

@@ -165,22 +165,45 @@ func (p *Problem) NumVars() int { return len(p.cols) }
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.rows) }
 
+// Reset empties the problem for rebuilding under the same sense, keeping
+// its row, column and per-column entry storage. A caller that rebuilds a
+// similar problem again and again (the per-slot LP-PT) builds into one
+// Problem and, once that has seen its largest shape, allocates nothing.
+// Solutions and bases of earlier solves stay valid: they alias nothing of
+// the problem.
+func (p *Problem) Reset() {
+	p.rows = p.rows[:0]
+	p.cols = p.cols[:0]
+}
+
+// addColumn appends a column, taking over the entry storage a column at
+// this position held before the last Reset.
+func (p *Problem) addColumn(name string, obj float64, integer bool) Var {
+	j := len(p.cols)
+	var entries []entry
+	if j < cap(p.cols) {
+		entries = p.cols[:j+1][j].entries[:0]
+	}
+	p.cols = append(p.cols, column{name: name, hash: nameHash(name), obj: obj, integer: integer, entries: entries})
+	return Var(j)
+}
+
 // AddVariable adds a continuous variable x >= 0 with the given objective
 // coefficient and returns its handle.
 func (p *Problem) AddVariable(name string, obj float64) Var {
-	p.cols = append(p.cols, column{name: name, hash: nameHash(name), obj: obj})
-	return Var(len(p.cols) - 1)
+	return p.addColumn(name, obj, false)
 }
 
 // AddIntegerVariable adds an integer variable x >= 0 (branched on by
 // SolveInteger; treated as continuous by Solve).
 func (p *Problem) AddIntegerVariable(name string, obj float64) Var {
-	p.cols = append(p.cols, column{name: name, hash: nameHash(name), obj: obj, integer: true})
-	return Var(len(p.cols) - 1)
+	return p.addColumn(name, obj, true)
 }
 
 // AddConstraint adds the constraint sum(terms) op rhs. Terms referencing
-// the same variable are accumulated. Returns the constraint index.
+// the same variable are accumulated, and a variable whose coefficients sum
+// to zero gets no entry. Returns the constraint index. An invalid term
+// rejects the whole constraint and leaves the problem as it was.
 func (p *Problem) AddConstraint(name string, op Op, rhs float64, terms ...Term) (int, error) {
 	if op != LE && op != GE && op != EQ {
 		return 0, fmt.Errorf("lp: invalid op %v", op)
@@ -188,26 +211,38 @@ func (p *Problem) AddConstraint(name string, op Op, rhs float64, terms ...Term) 
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return 0, fmt.Errorf("%w: rhs %v", ErrBadCoef, rhs)
 	}
-	r := len(p.rows)
-	p.rows = append(p.rows, row{name: name, hash: nameHash(name), op: op, rhs: rhs})
-	// Accumulate duplicate variables within the same constraint.
-	acc := make(map[Var]float64, len(terms))
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(p.cols) {
-			p.rows = p.rows[:r]
 			return 0, fmt.Errorf("%w: %d", ErrBadVariable, t.Var)
 		}
 		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-			p.rows = p.rows[:r]
 			return 0, fmt.Errorf("%w: %v on var %d", ErrBadCoef, t.Coef, t.Var)
 		}
-		acc[t.Var] += t.Coef
 	}
-	for v, c := range acc {
-		if c == 0 {
+	r := len(p.rows)
+	p.rows = append(p.rows, row{name: name, hash: nameHash(name), op: op, rhs: rhs})
+	// Rows are appended in index order, so a column's entries are sorted by
+	// row and its last entry belongs to row r exactly when an earlier term
+	// of this constraint already touched the column: duplicates accumulate
+	// there, with no staging map.
+	maybeZero := false
+	for _, t := range terms {
+		es := p.cols[t.Var].entries
+		if n := len(es); n > 0 && es[n-1].row == r {
+			es[n-1].coef += t.Coef
+			maybeZero = true
 			continue
 		}
-		p.cols[v].entries = append(p.cols[v].entries, entry{row: r, coef: c})
+		p.cols[t.Var].entries = append(es, entry{row: r, coef: t.Coef})
+		maybeZero = maybeZero || t.Coef == 0
+	}
+	if maybeZero {
+		for _, t := range terms {
+			es := p.cols[t.Var].entries
+			if n := len(es); n > 0 && es[n-1].row == r && es[n-1].coef == 0 {
+				p.cols[t.Var].entries = es[:n-1]
+			}
+		}
 	}
 	return r, nil
 }

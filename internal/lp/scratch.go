@@ -6,11 +6,14 @@ import "sync"
 // LPs back to back, and before recycling each solve allocated a few
 // hundred kilobytes of matrix backing and state vectors that immediately
 // became garbage — enough for the collector to show up next to the
-// pricing loop in profiles. A solveScratch bundles every large per-solve
-// buffer; solveDirect checks one out of the pool and returns it when the
-// solve finishes. Nothing reachable from a Solution may alias the scratch
-// (X, Dual, and Basis are freshly allocated), which is what makes the
-// recycling safe.
+// pricing loop in profiles. A solveScratch bundles every per-solve
+// buffer: the standard form (matrix arena, costs, and the conversion's
+// row-operator and slack-basis work lists), the simplex state vectors, and
+// the factorization. solveDirect checks one out of the pool and returns it
+// when the solve finishes. Nothing reachable from a Solution may alias the
+// scratch (X, Dual, and Basis are freshly allocated), which is what makes
+// the recycling safe. The builder side recycles separately: a Problem is
+// rebuilt in place through Reset.
 type solveScratch struct {
 	sf  standardForm
 	st  simplexState

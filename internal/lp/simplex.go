@@ -59,6 +59,11 @@ type standardForm struct {
 	// flipped marks original rows whose sign was negated to make b >= 0;
 	// needed to map internal duals back to the caller's rows.
 	flipped []bool
+	// conversion scratch, reused across solves (see toStandard): each
+	// row's operator after sign normalization, and the slack that can start
+	// in the basis (-1 for none).
+	opsBuf        []Op
+	slackBasisBuf []int
 	// resolve scratch, reused across solves (see resolveBasis).
 	colsBuf     []int
 	claimedBuf  []bool
@@ -75,7 +80,10 @@ func (p *Problem) toStandard(sf *standardForm) *standardForm {
 	sf.b = growFloats(sf.b, m)
 	sf.flipped = growBools(sf.flipped, m)
 	flip := sf.flipped
-	ops := make([]Op, m)
+	if cap(sf.opsBuf) < m {
+		sf.opsBuf = make([]Op, m)
+	}
+	ops := sf.opsBuf[:m]
 	for i := range p.rows {
 		r := &p.rows[i]
 		rhs, op := r.rhs, r.op
@@ -122,7 +130,8 @@ func (p *Problem) toStandard(sf *standardForm) *standardForm {
 
 	// Slack/surplus columns. A slack on a <= row (rhs >= 0) can start in
 	// the basis; a surplus on a >= row cannot (it would be negative).
-	slackBasis := make([]int, m)
+	sf.slackBasisBuf = growInts(sf.slackBasisBuf, m)
+	slackBasis := sf.slackBasisBuf
 	sf.slackCol = growInts(sf.slackCol, m)
 	for i := range slackBasis {
 		slackBasis[i] = -1

@@ -1,8 +1,11 @@
 package lp
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -144,6 +147,207 @@ func TestDuplicateTermsAccumulate(t *testing.T) {
 	sol := mustOptimal(t, p)
 	if !almostEq(sol.Value(x), 2) {
 		t.Fatalf("x = %v, want 2", sol.Value(x))
+	}
+}
+
+// sameSolution reports the first field in which two solves differ, floats
+// compared by their bits ("" when they agree on everything a caller can
+// observe: status, objective, X, duals, pivot count and basis).
+func sameSolution(a, b *Solution) string {
+	bitsEq := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case a.Status != b.Status:
+		return fmt.Sprintf("status %v vs %v", a.Status, b.Status)
+	case math.Float64bits(a.Objective) != math.Float64bits(b.Objective):
+		return fmt.Sprintf("objective %v vs %v", a.Objective, b.Objective)
+	case !bitsEq(a.X, b.X):
+		return fmt.Sprintf("x %v vs %v", a.X, b.X)
+	case !bitsEq(a.Dual, b.Dual):
+		return fmt.Sprintf("dual %v vs %v", a.Dual, b.Dual)
+	case a.Iterations != b.Iterations:
+		return fmt.Sprintf("iterations %d vs %d", a.Iterations, b.Iterations)
+	case !reflect.DeepEqual(a.Basis, b.Basis):
+		return fmt.Sprintf("basis %+v vs %+v", a.Basis, b.Basis)
+	}
+	return ""
+}
+
+// columnEntries deep-copies every column's entry list.
+func columnEntries(p *Problem) [][]entry {
+	out := make([][]entry, len(p.cols))
+	for j := range p.cols {
+		out[j] = append([]entry{}, p.cols[j].entries...)
+	}
+	return out
+}
+
+func TestDuplicateTermsNonAdjacent(t *testing.T) {
+	// (x,1),(y,2),(x,3) is the row 4x + 2y <= 8: the second x term finds
+	// x's entry although y's was added in between.
+	p := NewProblem(Maximize)
+	x := p.AddVariable("x", 3)
+	y := p.AddVariable("y", 1)
+	mustConstraint(t, p, "ux", LE, 5, Term{x, 1})
+	mustConstraint(t, p, "dup", LE, 8, Term{x, 1}, Term{y, 2}, Term{x, 3})
+	want := [][]entry{{{0, 1}, {1, 4}}, {{1, 2}}}
+	if got := columnEntries(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("entries %v, want %v", got, want)
+	}
+	sol := mustOptimal(t, p)
+	if !almostEq(sol.Value(x), 2) || !almostEq(sol.Value(y), 0) {
+		t.Fatalf("x=%v y=%v, want (2, 0)", sol.Value(x), sol.Value(y))
+	}
+}
+
+func TestDuplicateTermsCancelAcrossAnotherVariable(t *testing.T) {
+	// (x,1),(y,2),(x,-1): x's coefficients sum to zero, so x gets no entry
+	// and the problem solves exactly as if the row had never named x.
+	build := func(withX bool) (*Problem, Var) {
+		p := NewProblem(Maximize)
+		x := p.AddVariable("x", 1)
+		y := p.AddVariable("y", 1)
+		mustConstraint(t, p, "ux", LE, 3, Term{x, 1})
+		if withX {
+			mustConstraint(t, p, "c", LE, 4, Term{x, 1}, Term{y, 2}, Term{x, -1})
+		} else {
+			mustConstraint(t, p, "c", LE, 4, Term{y, 2})
+		}
+		return p, x
+	}
+	p, x := build(true)
+	if got, want := p.cols[x].entries, []entry{{0, 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("x entries %v, want %v", got, want)
+	}
+	q, _ := build(false)
+	if diff := sameSolution(mustOptimal(t, p), mustOptimal(t, q)); diff != "" {
+		t.Fatalf("cancelled x changed the solve: %s", diff)
+	}
+}
+
+func TestInvalidTermLeavesProblemUntouched(t *testing.T) {
+	// The bad term comes last, after terms that were fine on their own: none
+	// of them may have left a trace.
+	for _, tc := range []struct {
+		name string
+		bad  Term
+		want error
+	}{
+		{"unknown variable", Term{Var(99), 1}, ErrBadVariable},
+		{"negative variable", Term{Var(-1), 1}, ErrBadVariable},
+		{"NaN", Term{0, math.NaN()}, ErrBadCoef},
+		{"+Inf", Term{1, math.Inf(1)}, ErrBadCoef},
+		{"-Inf", Term{1, math.Inf(-1)}, ErrBadCoef},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProblem(Maximize)
+			x := p.AddVariable("x", 2)
+			y := p.AddVariable("y", 1)
+			mustConstraint(t, p, "c1", LE, 4, Term{x, 1}, Term{y, 1})
+			mustConstraint(t, p, "c2", LE, 6, Term{x, 1}, Term{y, 3})
+			before, entries := mustOptimal(t, p), columnEntries(p)
+			_, err := p.AddConstraint("bad", LE, 1, Term{x, 1}, Term{y, 2}, Term{x, 1}, tc.bad)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if p.NumConstraints() != 2 {
+				t.Fatalf("%d constraints after the rejected one, want 2", p.NumConstraints())
+			}
+			if got := columnEntries(p); !reflect.DeepEqual(got, entries) {
+				t.Fatalf("entries %v, want %v", got, entries)
+			}
+			if diff := sameSolution(mustOptimal(t, p), before); diff != "" {
+				t.Fatalf("rejected constraint changed the solve: %s", diff)
+			}
+		})
+	}
+}
+
+// TestResetRebuildMatchesFresh rebuilds one Problem through Reset for 200
+// rounds of seeded random LPs whose shape grows and shrinks from round to
+// round, with duplicate and cancelling terms, all three operators and
+// integer markers, and requires each rebuild to be indistinguishable from
+// a fresh NewProblem: the same dense snapshot, and bit for bit the same
+// cold solve and the same solve warm-started from the previous round.
+func TestResetRebuildMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	reused := NewProblem(Maximize)
+	var prev *Basis
+	statuses := map[Status]int{}
+	for round := 0; round < 200; round++ {
+		n, m := 1+rng.Intn(12), 1+rng.Intn(10)
+		if round%7 == 0 {
+			n, m = 1+rng.Intn(3), 1+rng.Intn(2) // shrink hard now and then
+		}
+		fresh := NewProblem(Maximize)
+		reused.Reset()
+		if reused.NumVars() != 0 || reused.NumConstraints() != 0 {
+			t.Fatalf("round %d: Reset left %d vars, %d rows", round, reused.NumVars(), reused.NumConstraints())
+		}
+		for j := 0; j < n; j++ {
+			name, obj := fmt.Sprintf("x%d", j), float64(rng.Intn(9)-2)
+			if rng.Intn(5) == 0 {
+				fresh.AddIntegerVariable(name, obj)
+				reused.AddIntegerVariable(name, obj)
+			} else {
+				fresh.AddVariable(name, obj)
+				reused.AddVariable(name, obj)
+			}
+		}
+		for i := 0; i < m; i++ {
+			var terms []Term
+			for k := rng.Intn(2 * n); k >= 0; k-- {
+				terms = append(terms, Term{Var(rng.Intn(n)), float64(rng.Intn(7) - 1)})
+			}
+			if rng.Intn(4) == 0 { // a pair that cancels exactly
+				v := Var(rng.Intn(n))
+				terms = append(terms, Term{v, 2.5}, Term{Var(rng.Intn(n)), 1}, Term{v, -2.5})
+			}
+			op, rhs := LE, float64(1+rng.Intn(20))
+			switch rng.Intn(8) {
+			case 0:
+				op = GE
+			case 1:
+				op, rhs = EQ, float64(rng.Intn(4))
+			}
+			name := fmt.Sprintf("r%d", i)
+			mustConstraint(t, fresh, name, op, rhs, terms...)
+			mustConstraint(t, reused, name, op, rhs, terms...)
+		}
+		if !reflect.DeepEqual(reused.Dense(), fresh.Dense()) {
+			t.Fatalf("round %d: rebuilt problem differs from the fresh one", round)
+		}
+		for _, warm := range []*Basis{nil, prev} {
+			want, err := fresh.SolveWithOptions(SolveOptions{WarmStart: warm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reused.SolveWithOptions(SolveOptions{WarmStart: warm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameSolution(got, want); diff != "" {
+				t.Fatalf("round %d (warm=%v): %s", round, warm != nil, diff)
+			}
+			if warm == nil {
+				statuses[want.Status]++
+				if want.Basis != nil {
+					prev = want.Basis
+				}
+			}
+		}
+	}
+	if statuses[StatusOptimal] < 50 || statuses[StatusUnbounded]+statuses[StatusInfeasible] < 10 {
+		t.Fatalf("outcomes %v: the generator lost its coverage", statuses)
 	}
 }
 

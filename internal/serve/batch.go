@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Batch decode limits. Callers can pass smaller limits; zero selects the
@@ -50,6 +51,11 @@ type batchWire struct {
 	RequestSpec
 }
 
+// batchReaders recycles DecodeBatch's 64 KB read buffer from POST to POST.
+// A reader goes back detached from its source (Reset(nil)), so the pool
+// pins no request body.
+var batchReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // DecodeBatch reads NDJSON request lines. Blank (whitespace-only) lines
 // are skipped. Lines that fail to decode, exceed maxLineBytes, or reuse
 // a non-empty client id already seen in this batch come back as
@@ -67,10 +73,19 @@ func DecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineEr
 		errs  []LineError
 		seen  map[string]int // client id -> first line
 	)
-	br := bufio.NewReaderSize(r, 64<<10)
+	br := batchReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil)
+		batchReaders.Put(br)
+	}()
+	// One line buffer serves every line of the call. Nothing decoded may
+	// alias it: encoding/json copies every string it hands out.
+	var lineBuf []byte
 	lineNo, requests := 0, 0
 	for {
-		line, tooLong, err := readLimitedLine(br, maxLineBytes)
+		line, tooLong, err := readLimitedLine(br, maxLineBytes, lineBuf[:0])
+		lineBuf = line
 		if err != nil && !errors.Is(err, io.EOF) {
 			return lines, errs, err
 		}
@@ -117,18 +132,19 @@ func DecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineEr
 	}
 }
 
-// readLimitedLine reads one newline-terminated line, consuming and
-// flagging (rather than returning) lines longer than limit. The final
-// line may be unterminated (a truncated upload); it is still returned,
-// with io.EOF.
-func readLimitedLine(br *bufio.Reader, limit int) (line []byte, tooLong bool, err error) {
+// readLimitedLine reads one newline-terminated line into buf's storage,
+// consuming and flagging (rather than returning) lines longer than limit.
+// The final line may be unterminated (a truncated upload); it is still
+// returned, with io.EOF.
+func readLimitedLine(br *bufio.Reader, limit int, buf []byte) (line []byte, tooLong bool, err error) {
+	line = buf
 	for {
 		chunk, rerr := br.ReadSlice('\n')
 		if !tooLong {
 			line = append(line, chunk...)
 			if len(line) > limit {
 				tooLong = true
-				line = nil
+				line = line[:0]
 			}
 		}
 		switch {

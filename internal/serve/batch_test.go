@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,50 @@ func TestDecodeBatchOversizedLine(t *testing.T) {
 	}
 	if len(errs) != 1 || errs[0].Line != 1 || !strings.Contains(errs[0].Error, "exceeds") {
 		t.Fatalf("errors = %+v, want one oversize error on line 1", errs)
+	}
+}
+
+// TestDecodeBatchOverlongLineThenGoodLine: a physical line longer than the
+// reader's whole 64 KB buffer is consumed chunk by chunk and reported, and
+// the line after it decodes from the same line buffer the long one was
+// abandoned in.
+func TestDecodeBatchOverlongLineThenGoodLine(t *testing.T) {
+	long := `{"id":"big","pad":"` + strings.Repeat("x", 200<<10) + `"}`
+	good := `{"id":"ok","accessStation":3,"outcomes":[{"rateMBs":40,"prob":1,"reward":500}]}`
+	lines, errs, err := DecodeBatch(strings.NewReader(long+"\n"+good+"\n"), 0, 1024)
+	if err != nil {
+		t.Fatalf("DecodeBatch: %v", err)
+	}
+	if len(errs) != 1 || errs[0].Line != 1 || !strings.Contains(errs[0].Error, "exceeds") {
+		t.Fatalf("errors = %+v, want one oversize error on line 1", errs)
+	}
+	if len(lines) != 1 || lines[0].ClientID != "ok" || lines[0].Line != 2 ||
+		lines[0].Spec.AccessStation != 3 || len(lines[0].Spec.Outcomes) != 1 || lines[0].Spec.Outcomes[0].Reward != 500 {
+		t.Fatalf("good lines = %+v", lines)
+	}
+}
+
+// TestDecodeBatchLinesDoNotAliasLineBuffer: every line of a call is read
+// into one buffer, so whatever the first line decoded to — its client id,
+// its outcomes — must be its own copy and read the same after a second,
+// longer line has been read over it; and after another call has reused the
+// pooled reader.
+func TestDecodeBatchLinesDoNotAliasLineBuffer(t *testing.T) {
+	first := `{"id":"first-client","outcomes":[{"rateMBs":31,"prob":0.25,"reward":111},{"rateMBs":47,"prob":0.75,"reward":222}]}`
+	second := `{"id":"SECOND-CLIENT-WITH-A-LONGER-NAME","outcomes":[{"rateMBs":99,"prob":1,"reward":999}],"deadlineMS":12345}`
+	lines, errs, err := DecodeBatch(strings.NewReader(first+"\n"+second+"\n"), 0, 0)
+	if err != nil || len(errs) != 0 || len(lines) != 2 {
+		t.Fatalf("DecodeBatch: %d lines, errs %+v, err %v", len(lines), errs, err)
+	}
+	if _, _, err := DecodeBatch(strings.NewReader(strings.Repeat("z", len(first))+"\n"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []OutcomeSpec{{RateMBs: 31, Prob: 0.25, Reward: 111}, {RateMBs: 47, Prob: 0.75, Reward: 222}}
+	if got := lines[0]; got.ClientID != "first-client" || got.Line != 1 || !reflect.DeepEqual(got.Spec.Outcomes, want) {
+		t.Fatalf("first line = %+v after the second was read", got)
+	}
+	if got := lines[1]; got.ClientID != "SECOND-CLIENT-WITH-A-LONGER-NAME" || got.Spec.DeadlineMS != 12345 {
+		t.Fatalf("second line = %+v", got)
 	}
 }
 

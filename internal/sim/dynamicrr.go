@@ -7,6 +7,7 @@ import (
 
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/core"
+	"mecoffload/internal/mec"
 )
 
 // ErrBadThreshold reports an invalid threshold range for DynamicRR.
@@ -89,10 +90,18 @@ type DynamicRR struct {
 	// their LP. Decisions match a re-solve of every component decision
 	// for decision (oracle.DiffIncrementalFull pins the contract).
 	inc *core.IncCache
-	// sortedBuf and admittedBuf are per-slot scratch reused across
+	// keyBuf, sortedBuf and admittedBuf are per-slot scratch reused across
 	// Schedule calls so the steady-state slot path stops allocating.
+	keyBuf      []rateKey
 	sortedBuf   []int
 	admittedBuf []int
+}
+
+// rateKey is one pending request's place in R_t's admission order:
+// increasing expected data rate, ties by request index.
+type rateKey struct {
+	rate float64
+	req  int
 }
 
 var _ Scheduler = (*DynamicRR)(nil)
@@ -181,24 +190,12 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 
 	// Step 10-11: increasing expected data rate; admit into R_t while the
 	// average share of the free capacity stays at least C^th.
-	d.sortedBuf = append(d.sortedBuf[:0], pending...)
-	sorted := d.sortedBuf
-	reqs := eng.Requests()
-	slices.SortFunc(sorted, func(a, b int) int {
-		ra, rb := reqs[a].ExpectedRate(), reqs[b].ExpectedRate()
-		switch {
-		case ra < rb:
-			return -1
-		case ra > rb:
-			return 1
-		default:
-			return a - b
-		}
-	})
 	nMax := int(eng.FreeCapacity() / cth)
 	if nMax <= 0 {
 		return nil, nil
 	}
+	reqs := eng.Requests()
+	sorted := d.sortByExpectedRate(reqs, pending)
 	if nMax < len(sorted) {
 		sorted = sorted[:nMax]
 	}
@@ -237,6 +234,34 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 	}
 	d.admittedBuf = admitted
 	return admitted, nil
+}
+
+// sortByExpectedRate returns pending in increasing expected data rate,
+// ties by request index, in a buffer the next call reuses. The pending set
+// runs to thousands of requests when arrivals outpace capacity, so each
+// rate (a loop over the request's outcomes) is computed once, not once per
+// comparison.
+func (d *DynamicRR) sortByExpectedRate(reqs []*mec.Request, pending []int) []int {
+	keys := d.keyBuf[:0]
+	for _, j := range pending {
+		keys = append(keys, rateKey{rate: reqs[j].ExpectedRate(), req: j})
+	}
+	slices.SortFunc(keys, func(a, b rateKey) int {
+		switch {
+		case a.rate < b.rate:
+			return -1
+		case a.rate > b.rate:
+			return 1
+		default:
+			return a.req - b.req
+		}
+	})
+	sorted := d.sortedBuf[:0]
+	for _, k := range keys {
+		sorted = append(sorted, k.req)
+	}
+	d.keyBuf, d.sortedBuf = keys, sorted
+	return sorted
 }
 
 // Feedback implements FeedbackScheduler: the slot reward updates the arm
