@@ -101,11 +101,15 @@ bench-check:
 ## checkpoint-slot tick time flat within 2x from 1k to 100k settled
 ## spanning requests of routing history. BenchmarkBuildLP (the slot LP's
 ## builder, alone and beside its solve, on three shapes) lives in
-## internal/core because it calls the unexported builder.
+## internal/core because it calls the unexported builder, and
+## BenchmarkDecodeBatch (the NDJSON line scanner beside its encoding/json
+## reference, on the three bodies the end-to-end workloads post) in
+## internal/serve because the reference is a test file there.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkLocalRatio|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -tee -out bench-smoke.json
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildLP' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBatch' -benchtime 1x -benchmem ./internal/serve/
 
 ## tick-jitter: the stop-the-world smoke gate — with async checkpoints
 ## firing every 4 slots on a loaded 2-shard cluster, the max tick pause
@@ -139,7 +143,8 @@ fuzz:
 	$(GO) test -fuzz 'FuzzParse' -fuzztime 30s ./internal/lp/
 	$(GO) test -fuzz 'FuzzOracleLP' -fuzztime 30s ./internal/oracle/
 	$(GO) test -fuzz 'FuzzDirtySet' -fuzztime 30s ./internal/oracle/
-	$(GO) test -fuzz 'FuzzBatchDecode' -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz 'FuzzBatchDecode$$' -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz 'FuzzBatchDecodeMatchesReference' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz 'FuzzScenarioDecode$$' -fuzztime 30s ./internal/scenario/
 
 ## lint: staticcheck (correctness checks only, see staticcheck.conf) and

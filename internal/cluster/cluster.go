@@ -753,29 +753,28 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 	// Zip shard results back into submission order, allocating global
 	// ids in that order so they stay dense submission ordinals.
 	next := sc.next
+	locs := make([]location, 0, len(specs)) // the router keeps these
 	var out serve.BatchResult
-	failed := 0
 	var firstErr error
 	for i := range specs {
 		k := routes[i].shard
 		if shardErr[k] != nil {
-			failed++
 			if firstErr == nil {
 				firstErr = shardErr[k]
 			}
 			continue
 		}
-		ext := results[k].IDs[next[k]]
+		locs = append(locs, location{shard: k, ext: results[k].IDs[next[k]], cands: routes[i].spanCands})
 		next[k]++
-		out.IDs = append(out.IDs, c.router.bind(k, ext, routes[i].spanCands))
 	}
+	if len(locs) == 0 {
+		return serve.BatchResult{}, firstErr
+	}
+	out.IDs = c.router.bindBatch(locs)
 	for k, res := range results {
 		if shardErr[k] == nil {
 			out.Shed += res.Shed
 		}
-	}
-	if failed == len(specs) {
-		return serve.BatchResult{}, firstErr
 	}
 	return out, nil
 }
@@ -810,8 +809,7 @@ func (c *Cluster) Status(id uint64) (serve.RequestRecord, bool, error) {
 // ValidateSpec checks a spec against the full topology exactly as the
 // owning shard's intake would.
 func (c *Cluster) ValidateSpec(spec serve.RequestSpec) error {
-	_, err := serve.MaterializeSpec(c.net, spec)
-	return err
+	return serve.ValidateSpec(c.net, spec)
 }
 
 // Drain closes intake on every shard; the cluster keeps ticking (via

@@ -48,11 +48,21 @@ func Handler(c *Cluster) http.Handler {
 	}
 
 	mux.HandleFunc("POST /v1/requests", func(w http.ResponseWriter, r *http.Request) {
+		// One spec has the bounds one batch line has: at most a line's
+		// bytes, and nothing after the object.
 		var spec serve.RequestSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.DefaultMaxLineBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+			status := http.StatusBadRequest
+			if bodyTooLarge(err) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			serve.WriteJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
+			return
+		}
+		if dec.More() {
+			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: trailing data after JSON object"})
 			return
 		}
 		id, slot, err := c.Submit(spec)
@@ -75,8 +85,7 @@ func Handler(c *Cluster) http.Handler {
 		lines, lineErrs, err := serve.DecodeBatch(body, 0, 0)
 		if err != nil {
 			status := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.Is(err, serve.ErrBatchTooLarge) || errors.As(err, &tooBig) {
+			if errors.Is(err, serve.ErrBatchTooLarge) || bodyTooLarge(err) {
 				status = http.StatusRequestEntityTooLarge
 			}
 			serve.WriteJSON(w, status, errorResponse{Error: "bad batch: " + err.Error()})
@@ -154,6 +163,13 @@ func Handler(c *Cluster) http.Handler {
 	})
 
 	return mux
+}
+
+// bodyTooLarge reports whether reading a request body stopped at its
+// http.MaxBytesReader limit.
+func bodyTooLarge(err error) bool {
+	var tooBig *http.MaxBytesError
+	return errors.As(err, &tooBig)
 }
 
 // WriteProm renders the daemon's one Prometheus exposition. Cluster-level

@@ -207,6 +207,79 @@ func TestHTTPErrorPaths(t *testing.T) {
 	})
 }
 
+// TestHTTPSingleSubmitBounds: POST /v1/requests holds one spec to the
+// bounds the batch path holds one line to — at most a line's bytes (413
+// past that) and nothing after the object (400) — and a well-formed body,
+// trailing newline included, is still a 202.
+func TestHTTPSingleSubmitBounds(t *testing.T) {
+	eachShardCount(t, func(t *testing.T, c *cluster.Cluster, url string) {
+		for _, tc := range []struct {
+			name, body string
+			want       int
+		}{
+			{"well-formed", `{"accessStation":1,"durationSlots":2}`, http.StatusAccepted},
+			{"trailing newline", "{\"accessStation\":1}\r\n", http.StatusAccepted},
+			{"trailing garbage", `{"accessStation":1} garbage`, http.StatusBadRequest},
+			{"second object", `{"accessStation":1}{"accessStation":2}`, http.StatusBadRequest},
+			{"oversized", `{"accessStation":1,"tasks":[{"name":"` + strings.Repeat("x", serve.DefaultMaxLineBytes) + `"}]}`, http.StatusRequestEntityTooLarge},
+		} {
+			resp, out := post(t, url+"/v1/requests", "application/json", strings.NewReader(tc.body))
+			if resp.StatusCode != tc.want {
+				t.Fatalf("%s -> %d, want %d: %.200s", tc.name, resp.StatusCode, tc.want, out)
+			}
+		}
+		if got := c.Totals().Submitted; got != 2 {
+			t.Fatalf("%d requests submitted, want the 2 well-formed ones", got)
+		}
+	})
+}
+
+// TestHTTPBatchMixedLines: one POST mixing lines the scanner decodes, lines
+// only encoding/json decodes (an escaped id, a case-folded key) and
+// malformed ones answers exactly as the wire contract says, whichever
+// decoder read each line.
+func TestHTTPBatchMixedLines(t *testing.T) {
+	eachShardCount(t, func(t *testing.T, c *cluster.Cluster, url string) {
+		body := strings.Join([]string{
+			`{"id":"a","accessStation":0,"outcomes":[{"rateMBs":40,"prob":1,"reward":500}]}`,
+			`{"id":"\u0062","accessStation":1}`,
+			`{"AccessStation":2}`,
+			`{"id":"a","accessStation":3}`,
+			`{"accessStation":01}`,
+			`{"accessStation":1} trailing`,
+			`{"accessStation":1,"outcomes":[{"rateMBs":40,"prob":0.5,"reward":500}]}`,
+		}, "\n") + "\n"
+		resp, out := postNDJSON(t, url, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch -> %d: %s", resp.StatusCode, out)
+		}
+		var br batchResponse
+		if err := json.Unmarshal(out, &br); err != nil {
+			t.Fatal(err)
+		}
+		if br.Accepted != 3 || len(br.IDs) != 3 {
+			t.Fatalf("batch response %+v, want lines 1-3 accepted", br)
+		}
+		want := []struct {
+			line int
+			text string
+		}{
+			{4, `duplicate id "a" (first used on line 1)`},
+			{5, "bad line: invalid character '1' after object key:value pair"},
+			{6, "trailing data after JSON object"},
+			{7, "total mass 0.5"},
+		}
+		if len(br.Errors) != len(want) {
+			t.Fatalf("line errors %+v, want %d", br.Errors, len(want))
+		}
+		for i, w := range want {
+			if got := br.Errors[i]; got.Line != w.line || !strings.Contains(got.Error, w.text) {
+				t.Fatalf("line error %d = %+v, want line %d mentioning %q", i, got, w.line, w.text)
+			}
+		}
+	})
+}
+
 // TestHealthEndpoints checks liveness and readiness gating.
 func TestHealthEndpoints(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, c *cluster.Cluster, url string) {

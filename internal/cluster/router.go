@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -79,16 +78,11 @@ func newRouter(net *mec.Network, owner []int, slotMS float64, shards, maxRouted 
 // it would in a single engine). The returned candidate list is in
 // global station ids, nil unless it spans shards.
 func (rt *router) route(spec serve.RequestSpec) (shard int, spanCands []int, err error) {
-	net := rt.net
-	if spec.AccessStation < 0 || spec.AccessStation >= net.NumStations() {
-		return 0, nil, fmt.Errorf("%w: access station %d out of [0, %d)",
-			serve.ErrBadSpec, spec.AccessStation, net.NumStations())
-	}
 	bufp, _ := rt.candBufs.Get().(*[]int)
 	if bufp == nil {
 		bufp = new([]int)
 	}
-	cands, err := serve.SpecCandidates(net, spec, (*bufp)[:0])
+	cands, err := serve.SpecCandidates(rt.net, spec, (*bufp)[:0])
 	*bufp = cands[:0:cap(cands)]
 	defer rt.candBufs.Put(bufp)
 	if err != nil {
@@ -131,8 +125,25 @@ func (rt *router) bind(shard int, ext uint64, spanCands []int) uint64 {
 	defer rt.mu.Unlock()
 	g := rt.nextGlobal
 	rt.nextGlobal++
-	rt.insertLocked(g, shard, ext, spanCands)
+	rt.insertLocked(g, &location{shard: shard, ext: ext, cands: spanCands})
 	return g
+}
+
+// bindBatch is bind for a whole accepted batch: ids are allocated in slice
+// order under one lock acquisition. The table keeps pointers into locs, so
+// a batch costs the router one allocation of rows (the caller's) and one of
+// ids; the rows are released together, once eviction has passed the last
+// of them.
+func (rt *router) bindBatch(locs []location) []uint64 {
+	ids := make([]uint64, len(locs))
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for i := range locs {
+		ids[i] = rt.nextGlobal
+		rt.nextGlobal++
+		rt.insertLocked(ids[i], &locs[i])
+	}
+	return ids
 }
 
 // bindAt re-registers a known global id during a manifest restore.
@@ -144,14 +155,14 @@ func (rt *router) bindAt(g uint64, shard int, ext uint64, spanCands []int) {
 	if g >= rt.nextGlobal {
 		rt.nextGlobal = g + 1
 	}
-	rt.insertLocked(g, shard, ext, spanCands)
+	rt.insertLocked(g, &location{shard: shard, ext: ext, cands: spanCands})
 }
 
-func (rt *router) insertLocked(g uint64, shard int, ext uint64, spanCands []int) {
-	rt.table[g] = &location{shard: shard, ext: ext, cands: spanCands}
-	rt.ext2global[shard][ext] = g
+func (rt *router) insertLocked(g uint64, loc *location) {
+	rt.table[g] = loc
+	rt.ext2global[loc.shard][loc.ext] = g
 	rt.order = append(rt.order, g)
-	if len(spanCands) > 0 {
+	if len(loc.cands) > 0 {
 		rt.span = append(rt.span, g)
 	}
 	for len(rt.table) > rt.maxRouted && len(rt.order) > 0 {

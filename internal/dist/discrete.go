@@ -48,12 +48,56 @@ type RateReward struct {
 	cum []float64
 }
 
+// Mass is NewRateReward's validity rule, applied one outcome at a time and
+// in the caller's order: every value finite and non-negative, at least one
+// outcome with positive probability, probabilities summing to 1. A caller
+// that holds outcomes in another shape (serve's wire specs) runs the same
+// rule through it without building a distribution, and is then certain
+// NewRateReward accepts the same list.
+type Mass struct {
+	n     int // outcomes with positive probability
+	total float64
+}
+
+// Add checks one outcome's values and counts its probability.
+func (m *Mass) Add(o Outcome) error {
+	if o.Prob < 0 || math.IsNaN(o.Prob) || math.IsInf(o.Prob, 0) {
+		return fmt.Errorf("%w: prob %v", ErrBadProb, o.Prob)
+	}
+	if o.Rate < 0 || math.IsNaN(o.Rate) || math.IsInf(o.Rate, 0) ||
+		o.Reward < 0 || math.IsNaN(o.Reward) || math.IsInf(o.Reward, 0) {
+		return fmt.Errorf("%w: rate %v reward %v", ErrBadValue, o.Rate, o.Reward)
+	}
+	if o.Prob > 0 {
+		m.n++
+		m.total += o.Prob
+	}
+	return nil
+}
+
+// Check judges the outcomes added so far as a whole.
+func (m *Mass) Check() error {
+	if m.n == 0 {
+		return ErrEmpty
+	}
+	if math.Abs(m.total-1) > probEps {
+		return fmt.Errorf("%w: total mass %v", ErrBadProb, m.total)
+	}
+	return nil
+}
+
 // NewRateReward validates and constructs a distribution. The outcomes are
 // copied, sorted by rate, and duplicate rates are merged (probabilities
 // added, rewards probability-weighted).
 func NewRateReward(outcomes []Outcome) (*RateReward, error) {
-	if len(outcomes) == 0 {
-		return nil, ErrEmpty
+	var mass Mass
+	for _, o := range outcomes {
+		if err := mass.Add(o); err != nil {
+			return nil, err
+		}
+	}
+	if err := mass.Check(); err != nil {
+		return nil, err
 	}
 	os := make([]Outcome, len(outcomes))
 	copy(os, outcomes)
@@ -61,13 +105,6 @@ func NewRateReward(outcomes []Outcome) (*RateReward, error) {
 
 	merged := os[:0]
 	for _, o := range os {
-		if o.Prob < 0 || math.IsNaN(o.Prob) || math.IsInf(o.Prob, 0) {
-			return nil, fmt.Errorf("%w: prob %v", ErrBadProb, o.Prob)
-		}
-		if o.Rate < 0 || math.IsNaN(o.Rate) || math.IsInf(o.Rate, 0) ||
-			o.Reward < 0 || math.IsNaN(o.Reward) || math.IsInf(o.Reward, 0) {
-			return nil, fmt.Errorf("%w: rate %v reward %v", ErrBadValue, o.Rate, o.Reward)
-		}
 		if o.Prob == 0 {
 			continue
 		}
@@ -78,16 +115,6 @@ func NewRateReward(outcomes []Outcome) (*RateReward, error) {
 			continue
 		}
 		merged = append(merged, o)
-	}
-	if len(merged) == 0 {
-		return nil, ErrEmpty
-	}
-	total := 0.0
-	for _, o := range merged {
-		total += o.Prob
-	}
-	if math.Abs(total-1) > probEps {
-		return nil, fmt.Errorf("%w: total mass %v", ErrBadProb, total)
 	}
 	d := &RateReward{
 		outcomes: append([]Outcome(nil), merged...),

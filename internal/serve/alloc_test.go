@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -27,26 +26,30 @@ func TestRunSlotIdleNoAllocs(t *testing.T) {
 	}
 }
 
-// TestValidateSpecAllocatesNoSource: validating a line must not build a
-// math/rand source (4.9 KB each) only to throw its one draw away. A whole
-// validation, default outcomes included, has to fit well under that, and
-// the default-outcome spec still validates.
+// TestValidateSpecAllocatesNoSource: validating a line builds nothing — no
+// math/rand source for a draw it would throw away (4.9 KB, once), no
+// request, no distribution. Zero allocations for every shape of valid spec,
+// and the default-outcome spec still validates and materializes.
 func TestValidateSpecAllocatesNoSource(t *testing.T) {
 	e, err := New(Config{Net: testNetwork(t, 4), Rng: rand.New(rand.NewSource(42))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 2000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if err := e.ValidateSpec(RequestSpec{AccessStation: i % 4}); err != nil {
-			t.Fatalf("default-outcome spec rejected: %v", err)
-		}
+	specs := []RequestSpec{
+		{AccessStation: 3},
+		{AccessStation: 1, DurationSlots: 2, Outcomes: []OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 500}}},
+		{DeadlineMS: 100, Tasks: []TaskSpec{{Name: "t", OutputKb: 1, WorkMS: 5}},
+			Outcomes: []OutcomeSpec{{RateMBs: 30, Prob: 0.5, Reward: 100}, {RateMBs: 50, Prob: 0.5, Reward: 200}}},
 	}
-	runtime.ReadMemStats(&after)
-	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 2048 {
-		t.Fatalf("ValidateSpec allocates %d B per call; a rand source alone is 4.9 KB", perCall)
+	allocs := testing.AllocsPerRun(500, func() {
+		for _, spec := range specs {
+			if err := e.ValidateSpec(spec); err != nil {
+				t.Fatalf("valid spec %+v rejected: %v", spec, err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ValidateSpec allocates %v times per %d valid specs, want 0", allocs, len(specs))
 	}
 	r, err := MaterializeSpec(e.cfg.Net, RequestSpec{})
 	if err != nil {

@@ -62,6 +62,23 @@ var batchReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 6
 // LineErrors; only exceeding maxLines (or an underlying read error)
 // fails the whole batch.
 func DecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineError, error) {
+	var d batchDecoder
+	return d.decode(r, maxLines, maxLineBytes)
+}
+
+// batchDecoder is the state of one DecodeBatch call: the storage its
+// lines' Tasks and Outcomes are carved from, and how many lines left the
+// fast grammar.
+type batchDecoder struct {
+	tasks    arena[TaskSpec]
+	outcomes arena[OutcomeSpec]
+	// fallbacks counts the lines handed to encoding/json. Nothing reads it
+	// but tests: a canonical line that lands here is still decoded
+	// correctly, only slowly.
+	fallbacks int
+}
+
+func (d *batchDecoder) decode(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineError, error) {
 	if maxLines <= 0 {
 		maxLines = DefaultMaxBatchLines
 	}
@@ -72,6 +89,10 @@ func DecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineEr
 		lines []BatchLine
 		errs  []LineError
 		seen  map[string]int // client id -> first line
+		// w is every line's decode target, overwritten whole by whichever
+		// decoder reads the line; it escapes through the encoding/json
+		// fallback, so one serves the whole call.
+		w batchWire
 	)
 	br := batchReaders.Get().(*bufio.Reader)
 	br.Reset(r)
@@ -80,7 +101,7 @@ func DecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineEr
 		batchReaders.Put(br)
 	}()
 	// One line buffer serves every line of the call. Nothing decoded may
-	// alias it: encoding/json copies every string it hands out.
+	// alias it: both line decoders copy every string they hand out.
 	var lineBuf []byte
 	lineNo, requests := 0, 0
 	for {
@@ -100,18 +121,12 @@ func DecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineEr
 			case tooLong:
 				errs = append(errs, LineError{Line: lineNo, Error: fmt.Sprintf("line exceeds %d bytes", maxLineBytes)})
 			default:
-				var w batchWire
-				dec := json.NewDecoder(bytes.NewReader(line))
-				dec.DisallowUnknownFields()
-				if derr := dec.Decode(&w); derr != nil {
-					errs = append(errs, LineError{Line: lineNo, Error: "bad line: " + derr.Error()})
-					break
-				}
-				// Trailing garbage after the JSON object is a malformed
-				// line, not a second request.
-				if dec.More() {
-					errs = append(errs, LineError{Line: lineNo, Error: "trailing data after JSON object"})
-					break
+				if !d.fastLine(line, &w) {
+					d.fallbacks++
+					if msg := decodeLineJSON(line, &w); msg != "" {
+						errs = append(errs, LineError{Line: lineNo, Error: msg})
+						break
+					}
 				}
 				if w.ID != "" {
 					if seen == nil {
@@ -130,6 +145,25 @@ func DecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineEr
 			return lines, errs, nil
 		}
 	}
+}
+
+// decodeLineJSON decodes one line with encoding/json and returns the
+// line's error text, empty when it decoded. It is the definition of the
+// wire contract and of every decode error a client reads; fastLine only
+// ever agrees with it or steps aside.
+func decodeLineJSON(line []byte, w *batchWire) string {
+	*w = batchWire{}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(w); err != nil {
+		return "bad line: " + err.Error()
+	}
+	// Trailing garbage after the JSON object is a malformed line, not a
+	// second request.
+	if dec.More() {
+		return "trailing data after JSON object"
+	}
+	return ""
 }
 
 // readLimitedLine reads one newline-terminated line into buf's storage,

@@ -193,9 +193,17 @@ func (e *Engine) pumpBatch(specs []RequestSpec) batchReply {
 	slot := int(e.metrics.CurrentSlot.Load())
 	ids := make([]uint64, len(specs))
 	reqs := make([]*request, len(specs))
+	// Rows come rowChunk at a time, not two allocations a line.
+	var rows []request
+	var lives []liveState
 	for i, spec := range specs {
+		if len(rows) == 0 {
+			n := min(rowChunk, len(specs)-i)
+			rows, lives = make([]request, n), make([]liveState, n)
+		}
 		ids[i] = e.nextExt.Add(1) - 1
-		reqs[i] = newRequest(ids[i], slot, spec)
+		reqs[i] = initRequest(&rows[0], &lives[0], ids[i], slot, spec)
+		rows, lives = rows[1:], lives[1:]
 	}
 	e.table.mu.Lock()
 	e.table.insert(reqs...)

@@ -1,10 +1,12 @@
 package serve
 
-// Spec materialization: the wire shape of a request and the one function,
-// materializeSpec, that turns it into the planner's mec.Request.
+// Spec materialization: the wire shape of a request, the one rule that
+// accepts or rejects it (checkSpec), and the one function, materializeSpec,
+// that turns an accepted one into the planner's mec.Request.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mecoffload/internal/dist"
@@ -52,43 +54,104 @@ func (zeroSource) Seed(int64)   {}
 var validationRng = rand.New(zeroSource{})
 
 // MaterializeSpec builds the planner request a spec would become against
-// an arbitrary topology, without consuming any engine randomness. The
-// cluster router uses it to compute a request's candidate stations over
-// the full topology before the owning shard re-materializes the spec
-// against its own sub-network. Safe for concurrent use.
+// an arbitrary topology, without consuming any engine randomness. Safe for
+// concurrent use.
 func MaterializeSpec(net *mec.Network, spec RequestSpec) (*mec.Request, error) {
 	return materializeSpec(net, validationRng, 0, 0, spec)
 }
 
-// ValidateSpec checks a spec exactly as intake would, without admitting
-// it and without consuming engine randomness. Batch handlers validate
-// lines up front so per-line errors surface in the HTTP response rather
-// than as asynchronous sheds. Safe for concurrent use.
-func (e *Engine) ValidateSpec(spec RequestSpec) error {
-	_, err := MaterializeSpec(e.cfg.Net, spec)
+// ValidateSpec checks a spec against a topology exactly as intake would:
+// it fails when, and only when, MaterializeSpec does, with the same error,
+// and allocates nothing unless it fails. Safe for concurrent use.
+func ValidateSpec(net *mec.Network, spec RequestSpec) error {
+	_, err := checkSpec(net, spec)
 	return err
 }
 
-// materializeSpec applies the paper-default pipeline, deadline, hold, and
-// demand distribution to a spec and validates the result. rng feeds only
-// the default-outcome unit-reward draw.
-func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec RequestSpec) (*mec.Request, error) {
+// ValidateSpec checks a spec against the engine's topology. Batch handlers
+// validate lines up front so per-line errors surface in the HTTP response
+// rather than as asynchronous sheds. Safe for concurrent use.
+func (e *Engine) ValidateSpec(spec RequestSpec) error {
+	return ValidateSpec(e.cfg.Net, spec)
+}
+
+// specFacts is what checkSpec works out on its way through a valid spec.
+type specFacts struct {
+	deadlineMS float64 // the spec's, or the default
+	workMS     float64 // total pipeline work, of the spec's tasks or the canonical ones
+	// minPosRate is the smallest rate that carries positive reward mass,
+	// +Inf when no outcome does.
+	minPosRate float64
+}
+
+// canonicalWorkMS is the total pipeline work of a default-task spec.
+var canonicalWorkMS = func() float64 {
+	total := 0.0
+	for _, st := range workload.CanonicalPipeline() {
+		total += st.BaseWorkMS
+	}
+	return total
+}()
+
+// checkSpec is the one accept/reject rule for a spec: materializeSpec
+// builds only what it accepted, and SpecCandidates routes only that. It
+// applies the paper defaults the way materializeSpec does and allocates
+// nothing on the accepting path.
+func checkSpec(net *mec.Network, spec RequestSpec) (specFacts, error) {
 	if spec.AccessStation < 0 || spec.AccessStation >= net.NumStations() {
-		return nil, fmt.Errorf("%w: access station %d out of [0, %d)", ErrBadSpec, spec.AccessStation, net.NumStations())
+		return specFacts{}, fmt.Errorf("%w: access station %d out of [0, %d)", ErrBadSpec, spec.AccessStation, net.NumStations())
 	}
-	deadline := spec.DeadlineMS
-	if deadline == 0 {
-		deadline = 200
+	f := specFacts{deadlineMS: spec.DeadlineMS, workMS: canonicalWorkMS, minPosRate: workload.DefaultMinRate}
+	if f.deadlineMS == 0 {
+		f.deadlineMS = 200
 	}
-	if deadline < 0 {
-		return nil, fmt.Errorf("%w: deadline %v", ErrBadSpec, deadline)
+	if f.deadlineMS < 0 {
+		return specFacts{}, fmt.Errorf("%w: deadline %v", ErrBadSpec, f.deadlineMS)
+	}
+	if spec.DurationSlots < 0 {
+		return specFacts{}, fmt.Errorf("%w: duration %d slots", ErrBadSpec, spec.DurationSlots)
+	}
+	if len(spec.Tasks) > 0 {
+		f.workMS = 0
+		for _, ts := range spec.Tasks {
+			if ts.OutputKb < 0 || ts.WorkMS < 0 {
+				return specFacts{}, fmt.Errorf("%w: task %+v", ErrBadSpec, ts)
+			}
+			f.workMS += ts.WorkMS
+		}
+	}
+	// Default outcomes have uniform positive probabilities and positive
+	// rewards at every support rate, so they are valid and their smallest
+	// positive-mass rate is the support minimum.
+	if len(spec.Outcomes) > 0 {
+		f.minPosRate = math.Inf(1)
+		var mass dist.Mass
+		for _, o := range spec.Outcomes {
+			if err := mass.Add(dist.Outcome{Rate: o.RateMBs, Prob: o.Prob, Reward: o.Reward}); err != nil {
+				return specFacts{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+			}
+			if o.Prob*o.Reward > 0 && o.RateMBs < f.minPosRate {
+				f.minPosRate = o.RateMBs
+			}
+		}
+		if err := mass.Check(); err != nil {
+			return specFacts{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		}
+	}
+	return f, nil
+}
+
+// materializeSpec applies the paper-default pipeline, deadline, hold, and
+// demand distribution to a spec checkSpec accepts. rng feeds only the
+// default-outcome unit-reward draw.
+func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec RequestSpec) (*mec.Request, error) {
+	facts, err := checkSpec(net, spec)
+	if err != nil {
+		return nil, err
 	}
 	dur := spec.DurationSlots
 	if dur == 0 {
 		dur = 20
-	}
-	if dur < 0 {
-		return nil, fmt.Errorf("%w: duration %d slots", ErrBadSpec, dur)
 	}
 	tasks := make([]mec.Task, 0, 4)
 	if len(spec.Tasks) == 0 {
@@ -97,9 +160,6 @@ func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec Req
 		}
 	} else {
 		for _, ts := range spec.Tasks {
-			if ts.OutputKb < 0 || ts.WorkMS < 0 {
-				return nil, fmt.Errorf("%w: task %+v", ErrBadSpec, ts)
-			}
 			tasks = append(tasks, mec.Task{Name: ts.Name, OutputKb: ts.OutputKb, WorkMS: ts.WorkMS})
 		}
 	}
@@ -120,7 +180,7 @@ func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec Req
 		ArrivalSlot:   arrival,
 		AccessStation: spec.AccessStation,
 		Tasks:         tasks,
-		DeadlineMS:    deadline,
+		DeadlineMS:    facts.deadlineMS,
 		DurationSlots: dur,
 		Dist:          d,
 	}

@@ -1,89 +1,25 @@
 package serve
 
-import (
-	"fmt"
-	"math"
-
-	"mecoffload/internal/mec"
-	"mecoffload/internal/workload"
-)
-
-// canonicalWorkMS is the total pipeline work of a default-task spec,
-// precomputed so SpecCandidates never rebuilds the canonical pipeline.
-var canonicalWorkMS = func() float64 {
-	total := 0.0
-	for _, st := range workload.CanonicalPipeline() {
-		total += st.BaseWorkMS
-	}
-	return total
-}()
+import "mecoffload/internal/mec"
 
 // SpecCandidates computes the candidate stations of a spec — the stations
 // on which the per-slot LP would create at least one placement variable
 // for the materialized request at zero wait, against unloaded capacities —
-// without materializing the request. It applies exactly MaterializeSpec's
-// defaults and validation and exactly core.CandidateStations' feasibility
-// rule (TestSpecCandidatesMatchesMaterialized pins the equivalence), but
-// allocation-free: results are appended into buf (reused at [:0]). The
-// cluster router calls this on every routed spec, so the ingest fast path
-// stays off the allocator.
+// without materializing the request. It accepts what MaterializeSpec
+// accepts (both ask checkSpec) and applies exactly core.CandidateStations'
+// feasibility rule (TestSpecCandidatesMatchesMaterialized pins the
+// equivalence), but allocation-free: results are appended into buf (reused
+// at [:0]). The cluster router calls this on every routed spec, so the
+// ingest fast path stays off the allocator.
 //
 // The demand side of the candidate rule only needs the smallest rate that
 // carries positive reward mass: ER at slot 1 is positive iff some outcome
 // with prob*reward > 0 fits the station's spare capacity, and outcomes are
 // screened bottom-up by rate.
 func SpecCandidates(net *mec.Network, spec RequestSpec, buf []int) ([]int, error) {
-	if spec.AccessStation < 0 || spec.AccessStation >= net.NumStations() {
-		return nil, fmt.Errorf("%w: access station %d out of [0, %d)",
-			ErrBadSpec, spec.AccessStation, net.NumStations())
-	}
-	deadline := spec.DeadlineMS
-	if deadline == 0 {
-		deadline = 200
-	}
-	if deadline < 0 {
-		return nil, fmt.Errorf("%w: deadline %v", ErrBadSpec, deadline)
-	}
-	if spec.DurationSlots < 0 {
-		return nil, fmt.Errorf("%w: duration %d slots", ErrBadSpec, spec.DurationSlots)
-	}
-	workMS := canonicalWorkMS
-	if len(spec.Tasks) > 0 {
-		workMS = 0
-		for _, ts := range spec.Tasks {
-			if ts.OutputKb < 0 || ts.WorkMS < 0 {
-				return nil, fmt.Errorf("%w: task %+v", ErrBadSpec, ts)
-			}
-			workMS += ts.WorkMS
-		}
-	}
-	// Default outcomes have uniform positive probabilities and positive
-	// rewards at every support rate, so their smallest positive-mass rate
-	// is the support minimum.
-	minPosRate := workload.DefaultMinRate
-	if len(spec.Outcomes) > 0 {
-		minPosRate = math.Inf(1)
-		totalProb := 0.0
-		for _, o := range spec.Outcomes {
-			if o.Prob < 0 || math.IsNaN(o.Prob) || math.IsInf(o.Prob, 0) {
-				return nil, fmt.Errorf("%w: prob %v", ErrBadSpec, o.Prob)
-			}
-			if o.RateMBs < 0 || math.IsNaN(o.RateMBs) || math.IsInf(o.RateMBs, 0) ||
-				o.Reward < 0 || math.IsNaN(o.Reward) || math.IsInf(o.Reward, 0) {
-				return nil, fmt.Errorf("%w: rate %v reward %v", ErrBadSpec, o.RateMBs, o.Reward)
-			}
-			if o.Prob == 0 {
-				continue
-			}
-			totalProb += o.Prob
-			if o.Prob*o.Reward > 0 && o.RateMBs < minPosRate {
-				minPosRate = o.RateMBs
-			}
-		}
-		// Mirror dist.NewRateReward's normalization check (probEps).
-		if math.Abs(totalProb-1) > 1e-9 {
-			return nil, fmt.Errorf("%w: outcome probability mass %v", ErrBadSpec, totalProb)
-		}
+	facts, err := checkSpec(net, spec)
+	if err != nil {
+		return nil, err
 	}
 	slotMHz := net.SlotMHz()
 	cUnit := net.CUnit()
@@ -100,10 +36,13 @@ func SpecCandidates(net *mec.Network, spec RequestSpec, buf []int) ([]int, error
 		if capI < slotMHz {
 			continue
 		}
-		if net.RoundTripDelayMS(spec.AccessStation, i)+workMS*st.SpeedFactor > deadline {
+		// Written as mec.Request.DelayFeasible writes it, so that a NaN
+		// deadline or work figure (accepted, never schedulable) has no
+		// candidates here either.
+		if d := net.RoundTripDelayMS(spec.AccessStation, i) + facts.workMS*st.SpeedFactor; !(d <= facts.deadlineMS) {
 			continue
 		}
-		if minPosRate > (capI-slotMHz)/cUnit {
+		if facts.minPosRate > (capI-slotMHz)/cUnit {
 			continue
 		}
 		buf = append(buf, i)

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -44,11 +45,52 @@ func specCandNetwork(t *testing.T) *mec.Network {
 	return net
 }
 
-// TestSpecCandidatesMatchesMaterialized pins SpecCandidates' contract: for
-// every spec — defaults, custom pipelines, custom distributions, and every
-// validation failure — it must agree exactly with materializing the spec
-// and asking core.CandidateStations, the rule the router used before the
-// allocation-free path existed.
+// hostileSpec draws a spec from the values a client should never send and
+// sometimes will: negative, NaN and infinite deadlines, rates, rewards and
+// probabilities, mass off 1 by a lot or by a rounding error, empty and
+// negative tasks, stations outside the topology. About half come out valid.
+func hostileSpec(rng *rand.Rand) serve.RequestSpec {
+	odd := []float64{0, -1, -0.0, 1e-12, 1e300, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	val := func(sane float64) float64 {
+		if rng.Intn(8) == 0 {
+			return odd[rng.Intn(len(odd))]
+		}
+		return sane
+	}
+	spec := serve.RequestSpec{
+		AccessStation: rng.Intn(6) - 1,
+		DeadlineMS:    val(float64(rng.Intn(5)) * 60),
+		DurationSlots: rng.Intn(6) - 1,
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		spec.Tasks = append(spec.Tasks, serve.TaskSpec{Name: "t", OutputKb: val(10), WorkMS: val(float64(rng.Intn(200)))})
+	}
+	if n := rng.Intn(5); n > 0 {
+		for i := 0; i < n; i++ {
+			prob := 1 / float64(n)
+			switch rng.Intn(12) {
+			case 0:
+				prob += 1e-9 * rng.NormFloat64() // on the tolerance's edge
+			case 1:
+				prob = rng.Float64()
+			}
+			spec.Outcomes = append(spec.Outcomes, serve.OutcomeSpec{
+				RateMBs: val(float64(rng.Intn(150))),
+				Prob:    val(prob),
+				Reward:  val(float64(rng.Intn(2)) * 100),
+			})
+		}
+	}
+	return spec
+}
+
+// TestSpecCandidatesMatchesMaterialized pins the one-rule contract: for
+// every spec — defaults, custom pipelines, custom distributions, every
+// validation failure, and a seeded sweep of hostile ones — ValidateSpec and
+// SpecCandidates reject exactly what MaterializeSpec rejects, with the
+// same ErrBadSpec error, and on the rest SpecCandidates agrees with
+// materializing the spec and asking core.CandidateStations, the rule the
+// router used before the allocation-free path existed.
 func TestSpecCandidatesMatchesMaterialized(t *testing.T) {
 	net := specCandNetwork(t)
 	specs := []serve.RequestSpec{
@@ -113,8 +155,12 @@ func TestSpecCandidatesMatchesMaterialized(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
+	for k := 0; k < 5000; k++ {
+		specs = append(specs, hostileSpec(rng))
+	}
 
 	var buf []int
+	rejected := 0
 	for si, spec := range specs {
 		got, gotErr := serve.SpecCandidates(net, spec, buf[:0])
 		buf = got[:0:cap(got)]
@@ -126,7 +172,17 @@ func TestSpecCandidatesMatchesMaterialized(t *testing.T) {
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("spec %d (%+v): SpecCandidates err = %v, materialized err = %v", si, spec, gotErr, wantErr)
 		}
+		valErr := serve.ValidateSpec(net, spec)
+		if (valErr == nil) != (wantErr == nil) {
+			t.Fatalf("spec %d (%+v): ValidateSpec err = %v, materialized err = %v", si, spec, valErr, wantErr)
+		}
 		if gotErr != nil {
+			rejected++
+			for _, err := range []error{gotErr, valErr, wantErr} {
+				if !errors.Is(err, serve.ErrBadSpec) || err.Error() != wantErr.Error() {
+					t.Fatalf("spec %d (%+v): error %q, materialized error %q, both must be ErrBadSpec", si, spec, err, wantErr)
+				}
+			}
 			continue
 		}
 		if len(got) == 0 && len(want) == 0 {
@@ -135,6 +191,9 @@ func TestSpecCandidatesMatchesMaterialized(t *testing.T) {
 		if !reflect.DeepEqual(append([]int(nil), got...), want) {
 			t.Fatalf("spec %d (%+v): SpecCandidates = %v, materialized rule = %v", si, spec, got, want)
 		}
+	}
+	if rejected < len(specs)/4 || rejected > 3*len(specs)/4 {
+		t.Fatalf("%d of %d specs rejected: the sweep no longer exercises both sides of the rule", rejected, len(specs))
 	}
 }
 

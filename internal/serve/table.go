@@ -94,11 +94,25 @@ func newTable(max int, stations []StationGauge) *table {
 	return &table{max: max, rows: make(map[uint64]*request), stations: stations}
 }
 
+// rowChunk is how many rows of a batch share one allocation. Rows carved
+// from one array are freed together: the records when eviction has passed
+// all of them, the live parts when the last of them settles, so one
+// long-lived stream pins at most rowChunk live parts (5.5 KB), not its
+// batch's.
+const rowChunk = 64
+
 func newRequest(id uint64, slot int, spec RequestSpec) *request {
-	return &request{
+	return initRequest(new(request), new(liveState), id, slot, spec)
+}
+
+// initRequest fills in a pending row in storage the caller provides.
+func initRequest(req *request, live *liveState, id uint64, slot int, spec RequestSpec) *request {
+	*live = liveState{spec: spec, idx: -1}
+	*req = request{
 		rec:  RequestRecord{ID: id, State: StatePending, Station: -1, SubmittedSlot: slot},
-		live: &liveState{spec: spec, idx: -1},
+		live: live,
 	}
+	return req
 }
 
 // insert links pending rows at the young end of the submission order and
