@@ -28,15 +28,15 @@ cluster-parity:
 	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore' ./internal/cluster/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
-## differentials proving that DynamicRR as shipped (clean components
-## replay their cached decision) and the LP-free local-ratio fast path
-## emit decision streams identical to the oracle's reference, which
-## re-solves every component every slot; the dirty-set and
+## differential proving that DynamicRR as shipped (clean components
+## replay their cached decision) emits a decision stream identical to the
+## oracle's reference, which re-solves every component every slot; the
+## seed-before-put ordering rule of the offline passes; the dirty-set and
 ## second-sighting edge-case suite; the bounded name table; and the
 ## default 1-shard cluster against the reference on the steady wave —
 ## all under the race detector (same as the CI incremental-parity job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestDiffLocalRatioLP|TestIncCache|TestOnlineNamesBoundedByComponent|TestDefaultClusterReusesDecisions' ./internal/oracle/ ./internal/core/ ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestApproSeedsResolveBeforeThePassStoresAny|TestIncCache|TestOnlineNamesBoundedByComponent|TestDefaultClusterReusesDecisions' ./internal/oracle/ ./internal/core/ ./internal/cluster/
 
 ## drift: the adaptivity correctness gate — seeded regret-bound
 ## assertions proving the drift-aware policies beat stationary UCB1 on
@@ -62,8 +62,9 @@ oracle:
 		echo "seeded capacity mutant passed the oracle suite" >&2; exit 1; fi
 	@echo "oracle: mutant caught"
 
-## bench: the hot-path benchmarks, timed (LP warm-start contrast
-## included), converted to BENCH_PR5.json by cmd/benchjson. The gated
+## bench: the hot-path benchmarks, timed (LP warm-start contrast and the
+## decision-reuse slot against the oracle's full re-solve included),
+## converted to BENCH_PR5.json by cmd/benchjson. The gated
 ## serve-slot benchmarks run at a pinned iteration count and on one P so
 ## their allocs/op is exactly reproducible (with more Ps, GC timing moves
 ## the count by a few per op through the per-P sync.Pool caches) — that
@@ -72,12 +73,11 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkLPPTSlot' -benchmem . | tee bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSlot' -cpu 1 -benchtime 1000x -benchmem . | tee -a bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkServeIngest' -benchtime 200x -benchmem . | tee -a bench-raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalServeSlot' -benchtime 1000x -benchmem . | tee -a bench-raw.txt
 	$(GO) run ./cmd/benchjson -in bench-raw.txt -out BENCH_PR5.json
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterServeSlot' -benchtime 200x -benchmem . | tee bench-cluster-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterTickJitter' -benchtime 200x . | tee -a bench-cluster-raw.txt
 	$(GO) run ./cmd/benchjson -in bench-cluster-raw.txt -out BENCH_PR10.json
-	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalServeSlot|BenchmarkLocalRatio' -benchtime 1000x -benchmem . | tee bench-incremental-raw.txt
-	$(GO) run ./cmd/benchjson -in bench-incremental-raw.txt -out BENCH_PR8.json
 
 ## bench-check: re-run the serve-slot benchmarks exactly as `make bench`
 ## recorded them and fail on any allocs/op increase versus the committed
@@ -106,7 +106,7 @@ bench-check:
 ## reference, on the three bodies the end-to-end workloads post) in
 ## internal/serve because the reference is a test file there.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkLocalRatio|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -tee -out bench-smoke.json
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildLP' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBatch' -benchtime 1x -benchmem ./internal/serve/
@@ -168,5 +168,5 @@ vet:
 
 clean:
 	rm -f mecoffload.test bench-smoke.txt bench-smoke.json bench-new.json \
-		bench-raw.txt bench-cluster-raw.txt bench-incremental-raw.txt \
+		bench-raw.txt bench-cluster-raw.txt \
 		arserved-load load-smoke-shards1.json load-smoke-shards2.json

@@ -1,12 +1,10 @@
 package mecoffload
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"mecoffload/internal/core"
-	"mecoffload/internal/dist"
 	"mecoffload/internal/graph"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/oracle"
@@ -22,9 +20,7 @@ import (
 // one-slot hold and denominator-1 rounding the trace reaches a fixed
 // point where every slot re-presents bit-identical component signatures
 // — the high-clean-fraction regime the dirty-component cache is built
-// for. The rate-80 outcome fits only the head station's spare capacity,
-// so the head strictly dominates every other placement and the
-// local-ratio certificate holds too.
+// for.
 func benchPeriodicSpecs(islands, per int) []serve.RequestSpec {
 	specs := make([]serve.RequestSpec, islands)
 	for i := range specs {
@@ -42,26 +38,23 @@ func benchPeriodicSpecs(islands, per int) []serve.RequestSpec {
 }
 
 // BenchmarkIncrementalServeSlot measures one daemon scheduling slot on a
-// high-clean-fraction periodic trace under the daemon's two decision
-// engines — DynamicRR as shipped (mode=incremental: clean components
-// replay their cached decision) and with the LP-free local-ratio fast
-// path on top (mode=local-ratio) — against the contrast the reuse path
-// removed: mode=full steps the same waves through a bare sim live engine
+// high-clean-fraction periodic trace under DynamicRR as shipped
+// (mode=incremental: clean components replay their cached decision)
+// against the contrast the reuse path removed: mode=full steps the same
+// waves through a bare sim live engine
 // under oracle.ReferenceDynamicRR, which re-solves every component every
 // slot. No serve.Engine can be built around the reference, so mode=full
 // leaves out the engine's own per-tick work (tens of microseconds
 // against the milliseconds of LP it prices) and is ungated. The trace
 // repeats the same wave every slot, so from the third slot on every
 // component replays; the ns/op ratio against mode=full is the headline
-// speedup recorded in BENCH_PR8.json. oracle.DiffIncrementalFull and
-// oracle.DiffLocalRatioLP prove all three emit identical decisions; this
-// benchmark only prices them.
+// speedup recorded in BENCH_PR5.json. oracle.DiffIncrementalFull proves
+// both emit identical decisions; this benchmark only prices them.
 func BenchmarkIncrementalServeSlot(b *testing.B) {
 	const islands = 16
 	// Disconnected 4-station islands: every island is one LP component
 	// with heterogeneous capacities, so the full re-solve prices a real
-	// multi-station LP per component while the head station stays the
-	// strictly unique best placement.
+	// multi-station LP per component.
 	specs := benchPeriodicSpecs(islands, len(benchIslandCaps))
 
 	b.Run("mode=full", func(b *testing.B) {
@@ -111,81 +104,65 @@ func BenchmarkIncrementalServeSlot(b *testing.B) {
 		}
 	})
 
-	for _, mode := range []struct {
-		name string
-		opts sim.DynamicRROptions
-	}{
-		{"incremental", sim.DynamicRROptions{RoundingDenominator: 1}},
-		{"local-ratio", sim.DynamicRROptions{RoundingDenominator: 1, LocalRatio: true}},
-	} {
-		b.Run(fmt.Sprintf("mode=%s", mode.name), func(b *testing.B) {
-			eng, err := serve.New(serve.Config{
-				Net:       benchHeteroIslands(b, islands, benchIslandCaps),
-				Rng:       rand.New(rand.NewSource(23)),
-				DynamicRR: mode.opts,
-			})
-			if err != nil {
+	b.Run("mode=incremental", func(b *testing.B) {
+		eng, err := serve.New(serve.Config{
+			Net:       benchHeteroIslands(b, islands, benchIslandCaps),
+			Rng:       rand.New(rand.NewSource(23)),
+			DynamicRR: sim.DynamicRROptions{RoundingDenominator: 1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.Start()
+		defer func() { _ = eng.Stop() }()
+
+		// Reach the periodic fixed point before the clock starts.
+		for w := 0; w < 4; w++ {
+			if _, err := eng.SubmitBatch(specs); err != nil {
 				b.Fatal(err)
 			}
-			eng.Start()
-			defer func() { _ = eng.Stop() }()
-
-			// Reach the periodic fixed point before the clock starts.
-			for w := 0; w < 4; w++ {
-				if _, err := eng.SubmitBatch(specs); err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.Tick(); err != nil {
-					b.Fatal(err)
-				}
+			if err := eng.Flush(); err != nil {
+				b.Fatal(err)
 			}
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Intake happens off the clock: the benchmark prices the
-				// scheduling slot, not ingest.
-				b.StopTimer()
-				if _, err := eng.SubmitBatch(specs); err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := eng.Tick(); err != nil {
-					b.Fatal(err)
-				}
+			if err := eng.Tick(); err != nil {
+				b.Fatal(err)
 			}
+		}
+
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Intake happens off the clock: the benchmark prices the
+			// scheduling slot, not ingest.
 			b.StopTimer()
-			st := eng.IncStats()
-			switch {
-			case st.CleanHits == 0:
-				b.Fatal("no clean hits: the trace is not periodic")
-			case mode.opts.LocalRatio && st.FastPath == 0:
-				b.Fatal("local-ratio mode certified no component")
+			if _, err := eng.SubmitBatch(specs); err != nil {
+				b.Fatal(err)
 			}
-			if b.N > 1 {
-				b.ReportMetric(float64(st.CleanHits)/float64(st.CleanHits+st.DirtySolves), "clean-frac")
-				if mode.opts.LocalRatio {
-					b.ReportMetric(float64(st.FastPath)/float64(st.FastPath+st.FastFallback), "certified-frac")
-				}
+			if err := eng.Flush(); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			b.StartTimer()
+			if err := eng.Tick(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		st := eng.IncStats()
+		if st.CleanHits == 0 {
+			b.Fatal("no clean hits: the trace is not periodic")
+		}
+		if b.N > 1 {
+			b.ReportMetric(float64(st.CleanHits)/float64(st.CleanHits+st.DirtySolves), "clean-frac")
+		}
+	})
 }
 
 // benchIslandCaps are the per-island station capacities of the
 // incremental benchmark's network. The head station's spare slot-1
 // capacity, (3000-1000)/20 = 100 MB/s, fits both the rate-60 and the
 // rate-80 outcome; every tail station fits only rate 60, and no station
-// pays anything at slot 2 ((cap-2000)/20 < 60 everywhere). A two-outcome
-// request therefore has a strictly unique best placement at the head —
-// the local-ratio certificate holds — while the component LP still
-// carries all four stations' variables for the full re-solve to price.
+// pays anything at slot 2 ((cap-2000)/20 < 60 everywhere). The component
+// LP carries all four stations' variables for the full re-solve to price.
 var benchIslandCaps = []float64{3000, 2500, 2400, 2300}
 
 // benchHeteroIslands builds `islands` disconnected chains of len(caps)
@@ -215,100 +192,4 @@ func benchHeteroIslands(b *testing.B, islands int, caps []float64) *mec.Network 
 		b.Fatal(err)
 	}
 	return net
-}
-
-// BenchmarkLocalRatio prices the pure per-batch decision cost — no
-// daemon, no settlement, just ScheduleBatch — on the same all-certified
-// instance: 16 single-station components, one rate-60 request each.
-// mode=lp builds and solves each component's LP, warm-started (no
-// decision cache: the oracle's reference); mode=incremental replays the
-// decision cache (every component clean from the third run on);
-// mode=fastpath, also without a cache, certifies and emits the schedule
-// combinatorially without touching the LP. The deltas are the
-// microsecond cost of admission per decision engine.
-func BenchmarkLocalRatio(b *testing.B) {
-	const stations = 16
-	// Single-station islands at 3000 MHz: (3000-1000)/20 = 100 >= 60 pays
-	// slot 1 in full, (3000-2000)/20 = 50 < 60 pays slot 2 nothing, so a
-	// rate-60 request's best placement is strictly unique on every island.
-	net := benchHeteroIslands(b, stations, []float64{3000})
-	reqs := make([]*mec.Request, stations)
-	active := make([]int, stations)
-	for i := range reqs {
-		d, err := dist.NewRateReward([]dist.Outcome{
-			{Rate: 60, Prob: 1, Reward: float64(100 + 17*i)},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reqs[i] = &mec.Request{
-			ID:            i,
-			AccessStation: i,
-			Tasks:         []mec.Task{{Name: "render", OutputKb: 100, WorkMS: 30}},
-			DeadlineMS:    200,
-			DurationSlots: 4,
-			Dist:          d,
-		}
-		active[i] = i
-	}
-	modes := []struct {
-		name string
-		inc  *core.IncCache
-		opts core.BatchOptions
-	}{
-		{"lp", nil, core.BatchOptions{}},
-		{"incremental", core.NewIncCache(), core.BatchOptions{}},
-		{"fastpath", nil, core.BatchOptions{LocalRatio: true}},
-	}
-	for _, mode := range modes {
-		b.Run(fmt.Sprintf("mode=%s", mode.name), func(b *testing.B) {
-			warm := core.NewWarmCache()
-			used := make([]float64, stations)
-			res := &core.Result{Decisions: make([]core.Decision, stations)}
-			rng := rand.New(rand.NewSource(31))
-			run := func(inc *core.IncCache) {
-				for i := range used {
-					used[i] = 0
-				}
-				for i := range res.Decisions {
-					res.Decisions[i] = core.Decision{RequestID: i, Station: -1}
-				}
-				opts := mode.opts
-				opts.Active = active
-				opts.Used = used
-				opts.RoundingDenominator = 1
-				opts.Passes = 1
-				opts.Warm = warm
-				opts.Inc = inc
-				if _, err := core.ScheduleBatch(net, reqs, res, rng, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if mode.opts.LocalRatio {
-				// Prove certification once, through a throwaway cache's
-				// counters; the timed runs carry none.
-				probe := core.NewIncCache()
-				run(probe)
-				if st := probe.Stats(); st.FastFallback != 0 || st.FastPath == 0 {
-					b.Fatalf("instance is not all-certified: %+v", st)
-				}
-			}
-			for w := 0; w < 2; w++ {
-				run(mode.inc) // warm the LP basis; the second sighting fills the decision cache
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(mode.inc)
-			}
-			b.StopTimer()
-			if mode.inc != nil {
-				if st := mode.inc.Stats(); st.CleanHits == 0 {
-					b.Fatalf("steady state never went clean: %+v", st)
-				} else if b.N > 1 {
-					b.ReportMetric(float64(st.CleanHits)/float64(st.CleanHits+st.DirtySolves), "clean-frac")
-				}
-			}
-		})
-	}
 }

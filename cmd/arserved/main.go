@@ -63,7 +63,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("arserved", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, local-ratio, ocorp, greedy, heukkt")
+		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, ocorp, greedy, heukkt")
 		banditSpec = fs.String("bandit", "", "arm policy for dynamicrr: se, ucb1, sw-ucb[:w], d-ucb[:g], exp3s[:g[,a]], restart:<inner> (empty = se; a restored checkpoint wins)")
 		stations   = fs.Int("stations", 20, "number of base stations (generated topology)")
 		scenIn     = fs.String("scenario-in", "", "load the topology from this scenario JSON instead of generating one")
@@ -79,7 +79,6 @@ func run(args []string, out io.Writer) error {
 		replay     = fs.String("replay", "", "replay a trace as a load generator instead of serving HTTP: a workload frame-trace JSON, or (*.ndjson) one request per line with blank lines as slot boundaries")
 		replayRate = fs.Int("requests-per-30fps", 1, "replay: requests per second per 30 fps of trace")
 		replayDump = fs.String("replay-dump", "", "replay: write per-slot admission decisions as JSON to this file")
-		workers    = fs.Int("workers", 1, "concurrent component solves per slot LP (dynamicrr only; decisions are identical for every value)")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		blockRate  = fs.Int("block-profile", 0, "blocking-profile sample threshold in ns for /debug/pprof/block (1 = every event, 0 = off; needs -pprof-addr)")
 		mutexFrac  = fs.Int("mutex-profile", 0, "mutex-contention sample fraction for /debug/pprof/mutex (1 = every contended lock, 0 = off; needs -pprof-addr)")
@@ -102,6 +101,12 @@ func run(args []string, out io.Writer) error {
 	}
 	if *loadgen && *replay != "" {
 		return errors.New("-loadgen and -replay are mutually exclusive")
+	}
+	// Rejected, not clamped: a non-positive interval would select the
+	// cluster's manual clock, and a daemon on it accepts requests forever
+	// and never decides one. Only a replay drives the clock itself.
+	if *replay == "" && *tick <= 0 {
+		return fmt.Errorf("-tick %v: want a positive slot interval", *tick)
 	}
 
 	var net_ *mec.Network
@@ -155,12 +160,10 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "arserved: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	// The engines flip LocalRatio on when the scheduler name is
-	// "local-ratio"; the daemon only forwards the worker count and an
-	// optional -bandit arm policy. A checkpointed bandit snapshot
-	// overrides the policy on restore, so learning resumes rather than
-	// restarting.
-	drrOpts := sim.DynamicRROptions{Workers: *workers}
+	// The daemon only forwards an optional -bandit arm policy. A
+	// checkpointed bandit snapshot overrides the policy on restore, so
+	// learning resumes rather than restarting.
+	var drrOpts sim.DynamicRROptions
 	if *banditSpec != "" {
 		// Validate the spec up front so a typo fails at startup, then
 		// pass the spec (not an instance) so the shards each parse their

@@ -227,7 +227,7 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal("missing scenario accepted")
 	}
 	// A removed flag fails at parsing instead of changing meaning.
-	for _, removed := range [][]string{{"-cluster-shards", "2"}, {"-incremental"}} {
+	for _, removed := range [][]string{{"-cluster-shards", "2"}, {"-incremental"}, {"-workers", "2"}} {
 		err := run(append(removed, "-replay", "/does/not/exist.json"), &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%v: %v, want an unknown-flag error", removed, err)
@@ -242,5 +242,18 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-loadgen", "-replay", "x.json"}, &out); err == nil {
 		t.Fatal("-loadgen with -replay accepted")
+	}
+	// A removed scheduler name is an unknown one.
+	err := run([]string{"-scheduler", "local-ratio", "-replay", "/does/not/exist.json"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
+		t.Fatalf("-scheduler local-ratio: %v, want an unknown-scheduler error", err)
+	}
+	// A non-positive -tick would serve on the manual clock and never decide
+	// anything; only a replay, which drives the clock itself, ignores it.
+	for _, args := range [][]string{{"-tick", "0"}, {"-tick", "-50ms"}, {"-tick", "0", "-loadgen"}} {
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "-tick") {
+			t.Fatalf("%v: %v, want a -tick error", args, err)
+		}
 	}
 }

@@ -76,7 +76,7 @@ func (ts *traceScheduler) Schedule(eng *sim.Engine, res *core.Result, t int, pen
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("arsim", flag.ContinueOnError)
 	var (
-		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, local-ratio, ocorp, greedy, heukkt")
+		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, ocorp, greedy, heukkt")
 		banditSpec = fs.String("bandit", "", "arm policy for dynamicrr: se, ucb1, sw-ucb[:w], d-ucb[:g], exp3s[:g[,a]], restart:<inner> (empty = se)")
 		requests   = fs.Int("requests", 300, "number of AR requests")
 		stations   = fs.Int("stations", 20, "number of base stations")
@@ -91,7 +91,6 @@ func run(args []string, out io.Writer) (err error) {
 		replayRate = fs.Int("requests-per-30fps", 1, "replay: requests per second per 30 fps of trace")
 		replayDump = fs.String("replay-dump", "", "replay: write per-slot admission decisions as JSON to this file")
 		slotMS     = fs.Float64("slot-ms", mec.DefaultSlotLengthMS, "replay: model slot length in milliseconds")
-		workers    = fs.Int("workers", 1, "concurrent component solves per slot LP (dynamicrr only; decisions are identical for every value)")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
@@ -161,11 +160,8 @@ func run(args []string, out io.Writer) (err error) {
 
 	var sched sim.Scheduler
 	switch *schedName {
-	case "dynamicrr", "local-ratio":
-		dopts := sim.DynamicRROptions{
-			Workers:    *workers,
-			LocalRatio: *schedName == "local-ratio",
-		}
+	case "dynamicrr":
+		var dopts sim.DynamicRROptions
 		if *banditSpec != "" {
 			pol, err := bandit.Parse(*banditSpec, banditKappa, rnd.Derive(*seed, "bandit:"+*banditSpec))
 			if err != nil {

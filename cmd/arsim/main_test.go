@@ -42,13 +42,21 @@ func TestRunUnknownScheduler(t *testing.T) {
 	}
 }
 
-// TestRemovedIncrementalFlag: decision reuse is the one path, so the flag
-// that used to select it fails at parsing instead of being ignored.
+// TestRemovedIncrementalFlag: decision reuse is the one path and its
+// component pass is sequential, so the flags that used to select either
+// fail at parsing instead of being ignored, and the scheduler name that
+// switched the local-ratio certificate on is an unknown one.
 func TestRemovedIncrementalFlag(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-incremental", "-requests", "10", "-horizon", "5"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-incremental: %v, want an unknown-flag error", err)
+	for _, removed := range [][]string{{"-incremental"}, {"-workers", "2"}} {
+		err := run(append(removed, "-requests", "10", "-horizon", "5"), &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%v: %v, want an unknown-flag error", removed, err)
+		}
+	}
+	err := run([]string{"-scheduler", "local-ratio", "-requests", "10", "-horizon", "5"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
+		t.Fatalf("-scheduler local-ratio: %v, want an unknown-scheduler error", err)
 	}
 }
 
@@ -80,10 +88,15 @@ func TestRunDumpAndScenarioRoundTrip(t *testing.T) {
 	}
 }
 
+// firstLine is the run summary without its wall-clock field, the one part
+// of it two runs of the same scenario may differ in.
 func firstLine(s string) string {
 	s = strings.TrimSpace(s)
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
+		s = s[:i]
+	}
+	if i := strings.Index(s, " runtime="); i >= 0 {
+		s = s[:i]
 	}
 	return s
 }

@@ -814,8 +814,12 @@ func (c *Cluster) ValidateSpec(spec serve.RequestSpec) error {
 
 // Drain closes intake on every shard; the cluster keeps ticking (via
 // its internal clock or the caller's) until every shard has decided its
-// pending requests and released its streams.
+// pending requests and released its streams. It takes the clock lock so
+// no migration or handover is between its extract and its re-submit when
+// the shards start refusing; from here on the clock starts neither.
 func (c *Cluster) Drain() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.drainFlag.Store(true)
 	for _, nd := range c.nodes {
 		if err := nd.eng.Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {

@@ -432,7 +432,7 @@ func TestClusterHandlerMetrics(t *testing.T) {
 	}
 	def.Start()
 	defer func() { _ = def.Stop() }()
-	for _, path := range []string{"clean", "local-ratio", "fallback", "lp"} {
+	for _, path := range []string{"clean", "lp"} {
 		if want := fmt.Sprintf(`arserved_cluster_component_solves_total{shard="0",path=%q} 0`, path); !strings.Contains(scrape(t, def), want+"\n") {
 			t.Errorf("idle exposition missing %q", want)
 		}

@@ -55,7 +55,12 @@ func splitDrift(d *sim.Drift, owner []int, nodes []*shardNode) (perShard []*sim.
 // re-homed request the identical remaining budget, which is what keeps
 // decision dumps parity-comparable across shard counts
 // (TestClusterHandoverAcrossPartition pins this).
+//
+// A handover that falls due on a draining cluster is dropped and its
+// requests stay at the From station: the To shard's intake is closed, and
+// what cannot be put back is never extracted.
 func (c *Cluster) applyCrossHandoversLocked() {
+	draining := c.drainFlag.Load()
 	for c.crossCur < len(c.crossHandovers) && c.crossHandovers[c.crossCur].Slot <= c.slot {
 		h := c.crossHandovers[c.crossCur]
 		c.crossCur++
@@ -64,7 +69,7 @@ func (c *Cluster) applyCrossHandoversLocked() {
 		}
 		src := c.nodes[c.owner[h.From]]
 		dst := c.nodes[c.owner[h.To]]
-		if !src.eng.Alive() || !dst.eng.Alive() {
+		if draining || !src.eng.Alive() || !dst.eng.Alive() {
 			continue
 		}
 		fromLocal, ok := src.localOf[h.From]

@@ -289,15 +289,9 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 		}
 		return float64(hits) / float64(hits+misses)
 	})
-	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, local-ratio certifies and skips the LP, fallback failed certification, lp is a full component solve.", "path", func(nd *shardNode) []labeledValue {
+	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, lp is a component solve.", "path", func(nd *shardNode) []labeledValue {
 		inc := nd.eng.IncStats()
-		// The counters are read one by one while the shard may be
-		// mid-slot, so the residual lp bucket clamps at zero.
-		lpSolves := int64(inc.DirtySolves) - int64(inc.FastPath) - int64(inc.FastFallback)
-		if lpSolves < 0 {
-			lpSolves = 0
-		}
-		return []labeledValue{{"clean", inc.CleanHits}, {"local-ratio", inc.FastPath}, {"fallback", inc.FastFallback}, {"lp", lpSolves}}
+		return []labeledValue{{"clean", inc.CleanHits}, {"lp", inc.DirtySolves}}
 	})
 
 	gauges := make([][]serve.StationGauge, len(c.nodes))

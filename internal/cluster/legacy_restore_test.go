@@ -175,6 +175,72 @@ func TestLegacyCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestRemovedSchedulerNameRestores: an older daemon run with the since
+// removed `-scheduler local-ratio` recorded that name in its checkpoint —
+// the version-1 file, and every shard file of a manifest. The field is a
+// record, not a selector: both restore under the default scheduler with
+// the learner they hold intact.
+func TestRemovedSchedulerNameRestores(t *testing.T) {
+	raw, err := os.ReadFile(legacyFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := func(data []byte) []byte {
+		out := bytes.Replace(data, []byte(`"scheduler": "dynamicrr"`), []byte(`"scheduler": "local-ratio"`), 1)
+		if bytes.Equal(out, data) {
+			t.Fatal("no scheduler field to rename")
+		}
+		return out
+	}
+	var legacy serve.Checkpoint
+	if err := json.Unmarshal(renamed(raw), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	wantBandit, err := json.Marshal(legacy.Bandit)
+	if err != nil || legacy.Scheduler != "local-ratio" || legacy.Bandit == nil {
+		t.Fatalf("fixture: scheduler %q, bandit %v, err %v", legacy.Scheduler, legacy.Bandit, err)
+	}
+
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := os.WriteFile(path, renamed(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.Config{Net: legacyNetwork(t), Shards: 2, Seed: 42, CheckpointPath: path}
+	// Round 0 reads the version-1 file, round 1 the manifest round 0 left,
+	// its shard files renamed back to what the older daemon wrote.
+	for round := 0; round < 2; round++ {
+		c, err := cluster.New(cfg)
+		if err != nil {
+			t.Fatalf("round %d: restoring under the default scheduler: %v", round, err)
+		}
+		c.Start()
+		if got := c.Totals(); got != legacy.Totals {
+			t.Fatalf("round %d: restored totals %+v, want %+v", round, got, legacy.Totals)
+		}
+		if err := c.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		man, snaps := shardSnapshots(t, path)
+		for k, ck := range snaps {
+			got, err := json.Marshal(ck.Bandit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantBandit) || ck.Scheduler != "dynamicrr" {
+				t.Fatalf("round %d shard %d: scheduler %q, bandit %s, want dynamicrr and %s", round, k, ck.Scheduler, got, wantBandit)
+			}
+			file := filepath.Join(filepath.Dir(path), man.Shards[k].File)
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, renamed(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestLegacyCheckpointRejected: a file at -checkpoint that cannot be
 // restored fails New loudly and is left as it was — the daemon never
 // starts empty over it.

@@ -98,7 +98,10 @@ func shrinkDeadline(spec serve.RequestSpec, waited int, slotMS float64) float64 
 // the time already waited. A refused phase two compensates by
 // re-submitting to the source, so a request is never lost mid-handoff.
 // Commits per sweep are capped by MigrationBurst; past the cap the walk
-// only prunes.
+// only prunes. It only prunes on a draining cluster too: intake is closed
+// on every shard, phase two and its compensation would both be refused,
+// and what cannot be put back is never extracted (Drain takes the clock
+// lock, so intake cannot close between a proposal and its phase two).
 //
 // Only real proposals are journaled, and a request is journaled as
 // "settled" at most once: that entry is written when it is pruned.
@@ -107,6 +110,7 @@ func (c *Cluster) sweepLocked() {
 	c.sweepWork = work
 	settled := c.sweepSettled[:0]
 	committed := 0
+	draining := c.drainFlag.Load()
 	for _, sc := range work {
 		src := c.nodes[sc.shard]
 		// Propose: best alive target shard owning at least one candidate.
@@ -122,7 +126,7 @@ func (c *Cluster) sweepLocked() {
 		}
 		// Below the hysteresis the move is not worth the handoff and the
 		// request stays put, unjournaled.
-		proposed := committed < c.cfg.MigrationBurst && src.eng.Alive() &&
+		proposed := !draining && committed < c.cfg.MigrationBurst && src.eng.Alive() &&
 			target >= 0 && best >= c.cfg.MigrationHysteresis
 		m := Migration{Global: sc.global, From: sc.shard, To: target, Price: best, Slot: c.slot}
 

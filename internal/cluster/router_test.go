@@ -7,6 +7,8 @@ package cluster_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -300,4 +302,87 @@ func TestMigrationRace(t *testing.T) {
 	}
 	_ = c.Stop()
 	<-c.Done()
+}
+
+// TestDrainKeepsRequestsMidHandoff: a sweep slot that falls after Drain
+// finds shard 0 saturated with pending spanning requests and shard 1
+// alive with capacity to spare — a free-capacity gap far above the
+// hysteresis — and must move nothing: every shard's intake is closed, so
+// a request extracted for the handoff could be re-submitted nowhere,
+// neither at the target nor back at the source. Every accepted request
+// still ends admitted, expired or shed.
+func TestDrainKeepsRequestsMidHandoff(t *testing.T) {
+	net := bridgedNetwork(t, 2, 4)
+	cfg := parityConfig(net, 2)
+	cfg.MigrationEvery = 2
+	cfg.MigrationBurst = 8
+	cfg.MigrationHysteresis = 0.01
+	var logMu sync.Mutex
+	var logged []string
+	cfg.Logf = func(format string, a ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, a...))
+		logMu.Unlock()
+	}
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer func() { _ = c.Stop() }()
+
+	// 40 requests of 800 MHz each, all homed on shard 0 (the owner of
+	// their smallest candidate station): its four 3200 MHz stations run at
+	// most 16 at once, for longer than the test ticks before the drain.
+	const accepted = 40
+	for i := 0; i < accepted; i++ {
+		if _, _, err := c.Submit(serve.RequestSpec{
+			AccessStation: i % net.NumStations(),
+			DurationSlots: 6,
+			DeadlineMS:    2000,
+			Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: float64(100 + i)}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs := c.RouterStats(); rs.Spanning != accepted {
+		t.Fatalf("%d of %d requests span the partition; the sweep needs all of them listed", rs.Spanning, accepted)
+	}
+	// Slot 1 sweeps a burst over to shard 1 and slot 2 starts it there, so
+	// shard 1 outlives the drain as a target and shard 0 still queues.
+	for slot := 0; slot < 3; slot++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Migrations()
+	if in, _ := c.MigratedCounts(); in[1] == 0 {
+		t.Fatalf("no request migrated to shard 1 before the drain: %+v", before)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for slot := 3; c.Alive(); slot++ { // slot 3 sweeps
+		if err := c.Tick(); err != nil && !errors.Is(err, serve.ErrStopped) {
+			t.Fatal(err)
+		}
+		if slot > 200 {
+			t.Fatal("drain did not settle in 200 slots")
+		}
+	}
+	if after := c.Migrations(); len(after) != len(before) {
+		t.Errorf("a draining cluster proposed migrations: %+v", after[len(before):])
+	}
+	tot := c.Totals()
+	if got := tot.Admitted + tot.Expired + tot.Shed; got != accepted || tot.Submitted != accepted {
+		t.Errorf("accepted %d, but admitted %d + expired %d + shed %d = %d (submitted %d)",
+			accepted, tot.Admitted, tot.Expired, tot.Shed, got, tot.Submitted)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "lost") {
+			t.Errorf("logged: %s", line)
+		}
+	}
 }

@@ -37,12 +37,6 @@ type ApproOptions struct {
 	// stores this run's bases back. Warm starting never changes the LP
 	// optimum — only the simplex iteration count.
 	Warm *WarmCache
-	// Workers bounds the goroutines solving independent components of the
-	// block-diagonal slot LP concurrently (0 or 1 solves them serially on
-	// the calling goroutine). Results are bit-identical for every value:
-	// the component decomposition is always on and the merge order is
-	// fixed, so Workers trades wall-clock time only.
-	Workers int
 }
 
 func (o *ApproOptions) fill() {
@@ -134,7 +128,7 @@ func runRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Appro
 			slotMHz:      slotMHz,
 			slotLengthMS: opts.SlotLengthMS,
 			names:        opts.Warm.nameTable(),
-		}, solveCfg{warm: opts.Warm, pass: pass, workers: opts.Workers}, sc, &sc.merged)
+		}, solveCfg{warm: opts.Warm, pass: pass}, sc, &sc.merged)
 		if err != nil {
 			return nil, err
 		}

@@ -39,13 +39,8 @@ type BatchOptions struct {
 	// optimal basis of the corresponding pass of the previous slot's
 	// batch (consecutive slots differ only by arrivals, departures, and
 	// residual capacity, so the old basis is near-optimal) and stores
-	// this slot's bases back. Bases are filed per (pass, component shard),
-	// so each worker of the decomposed solve warm-starts independently.
+	// this slot's bases back. Bases are filed per (pass, component shard).
 	Warm *WarmCache
-	// Workers bounds the goroutines solving independent components of the
-	// block-diagonal LP-PT concurrently (0 or 1 = serial). Decisions are
-	// bit-identical for every value.
-	Workers int
 	// Inc is the decision cache: connected components of the candidate
 	// graph whose exact LP input signature matches a cached canonical
 	// solve are clean and replay it; only dirty components touch the LP.
@@ -54,12 +49,6 @@ type BatchOptions struct {
 	// compare against, decision for decision
 	// (oracle.DiffIncrementalFull pins the contract).
 	Inc *IncCache
-	// LocalRatio enables the LP-free local-ratio fast path on dirty
-	// components: when its certificate proves the component uncontended
-	// (unique argmax per request, one-hot point feasible), the schedule is
-	// emitted combinatorially; otherwise the warm-started LP-PT runs.
-	// Decisions are identical either way (oracle.DiffLocalRatioLP).
-	LocalRatio bool
 }
 
 // ScheduleBatch admits requests from opts.Active into the network using
@@ -123,13 +112,7 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 			slotLengthMS: opts.SlotLengthMS,
 			names:        opts.Warm.nameTable(),
 			positional:   true,
-		}, solveCfg{
-			warm:    opts.Warm,
-			pass:    pass,
-			workers: opts.Workers,
-			inc:     opts.Inc,
-			fast:    opts.LocalRatio,
-		}, sc, &sc.merged)
+		}, solveCfg{warm: opts.Warm, pass: pass, inc: opts.Inc}, sc, &sc.merged)
 		if err != nil {
 			return totalAdmitted, err
 		}

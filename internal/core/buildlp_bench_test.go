@@ -49,7 +49,7 @@ func churnBatch(t testing.TB, stations, count int, deadlineMS float64) (*mec.Net
 // benchmark builds most (churn_mesh's ~117 variables x 41 rows,
 // ingest_flood's ~52 x 21) and churn_mesh with four times the requests,
 // whose build must cost about four times as much, not sixteen. Each iteration
-// rebuilds in place over one scratch, as a solver worker does; allocs/op
+// rebuilds in place over one scratch, as solveDecomposed does; allocs/op
 // of the build rows is the builder's steady-state garbage and must read 0.
 func BenchmarkBuildLP(b *testing.B) {
 	shapes := []struct {

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
+	"slices"
 
+	"mecoffload/internal/lp"
 	"mecoffload/internal/mec"
 )
 
@@ -44,9 +44,9 @@ func hasCandidate(n *mec.Network, r *mec.Request, i, wait int, capI, slotMHz, sl
 //
 // When record is set, the scan additionally captures each active
 // request's candidate station list (sc.cands/sc.candOff, indexed by
-// active position via sc.posOf) — the incremental signatures and the
-// local-ratio certification consume them, and recording during this scan
-// means candidacy is never recomputed.
+// active position via sc.posOf) — the incremental signatures consume
+// them, and recording during this scan means candidacy is never
+// recomputed.
 func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *slotScratch, record bool) []component {
 	nS := n.NumStations()
 	parent := growInts(&sc.parent, nS)
@@ -179,58 +179,47 @@ func (m *mergedModel) reset(numReqs int) {
 	}
 }
 
-// compSolve is one component's build-and-solve outcome. Exactly one of
-// three shapes: a clean-cache hit (cached != nil, nothing was solved), a
-// fresh solve (vars/y/obj from the LP or the local-ratio fast path), or
-// an error.
-type compSolve struct {
-	vars []slotVar // global request indices, component-local var indices
-	y    []float64
-	obj  float64
-	// cached, when non-nil, is the decision-cache entry this clean
+// compPlan is what solveDecomposed's look-up pass decided for one
+// component before anything is solved: replay a cached decision, or solve
+// from this seed.
+type compPlan struct {
+	// replay, when non-nil, is the decision-cache entry this clean
 	// component replays instead of solving anything.
-	cached *incEntry
-	// canonical marks a fresh solve whose solution every further solve of
-	// the unchanged component reproduces, so the cache may replay it: the
-	// LP solve of a signature's second sighting (seeded from the first
-	// one's own optimal basis, it pivots zero times, and so does every
-	// solve after it), or a local-ratio certificate (the unique optimum).
+	replay *incEntry
+	// seed is a dirty component's warm-start basis (nil = cold).
+	seed *lp.Basis
+	// canonical marks the solve of a signature's second sighting: seeded
+	// from the first one's own optimal basis it pivots zero times, and so
+	// does every solve after it, so the cache may replay its solution.
 	canonical bool
-	err       error
 }
 
 // solveCfg bundles the solver-side knobs of solveDecomposed (the LP-side
 // knobs travel in lpOptions).
 type solveCfg struct {
-	warm    *WarmCache
-	pass    int
-	workers int
+	warm *WarmCache
+	pass int
 	// inc, when non-nil, replays the cached decision of every component
 	// whose signature it has solved twice; nil re-solves everything.
 	inc *IncCache
-	// fast enables the local-ratio fast path on dirty components.
-	fast bool
 }
 
-// solveDecomposed builds and solves the slot LP component by component on
-// a bounded worker pool, each component warm-started from its own shard's
-// basis, and merges the results into m in ascending component-key order.
-// The merged output is bit-identical for every workers value: components
-// are solved independently (the LP is block-diagonal) and the merge order
-// is fixed, so parallelism changes wall-clock time and nothing else.
+// solveDecomposed builds and solves the slot LP component by component,
+// each component warm-started from its own shard's basis, and appends the
+// results to m in ascending component-key order. It is sequential on
+// purpose: a slot is a handful of sub-millisecond solves, and the axes
+// that do run in parallel are coarser — the cluster's shards and the
+// experiment grid's cells each own their caches and call this from one
+// goroutine.
 //
-//   - cfg.inc enables decision reuse: a component whose exact input
-//     signature matches a cached canonical solution is *clean* and
-//     replays it without building an LP. A dirty component is solved
-//     exactly as without the cache; a signature miss then caches the
-//     signature alone, and the first matching sighting — whose warm seed
-//     is the miss's own optimal basis — caches its solution too. A run
-//     with the cache and a run without therefore agree decision for
-//     decision — the oracle differential DiffIncrementalFull pins that
-//     contract.
-//   - cfg.fast enables the LP-free fast path on dirty components: when
-//     tryLocalRatio's certificate holds, its schedule is provably the
-//     unique LP optimum and is used (and cached) directly.
+// cfg.inc enables decision reuse: a component whose exact input signature
+// matches a cached canonical solution is *clean* and replays it without
+// building an LP. A dirty component is solved exactly as without the
+// cache; a signature miss then caches the signature alone, and the first
+// matching sighting — whose warm seed is the miss's own optimal basis —
+// caches its solution too. A run with the cache and a run without
+// therefore agree decision for decision — the oracle differential
+// DiffIncrementalFull pins that contract.
 func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg solveCfg, sc *slotScratch, m *mergedModel) error {
 	if opts.slotLengthMS == 0 {
 		opts.slotLengthMS = mec.DefaultSlotLengthMS
@@ -251,108 +240,63 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	inc := cfg.inc
 	warm, pass := cfg.warm, cfg.pass
 	m.reset(len(reqs))
-	comps := splitComponents(n, reqs, opts, sc, inc != nil || cfg.fast)
+	comps := splitComponents(n, reqs, opts, sc, inc != nil)
 	if len(comps) == 0 {
 		return nil
 	}
 
-	results := growCompSolves(&sc.results, len(comps))
-	seeds := growSeeds(&sc.seeds, len(comps))
-
-	// Clean check, sequential and before the workers: build each
-	// component's exact signature and compare it word-for-word against
-	// the cached entry under the same (pass, shard) key. A match means
-	// the component's LP is bit-identical to the one the entry was solved
+	// Look-up pass: a component's exact signature is compared word for
+	// word against the cached entry under the same (pass, shard) key. A
+	// match means its LP is bit-identical to the one the entry was solved
 	// on: a canonical entry is replayed and the solve skipped entirely, a
-	// signature-only entry makes this solve the canonical one.
+	// signature-only entry makes this solve the canonical one. Every dirty
+	// component's warm-start seed is resolved here too, because all of a
+	// pass's warm.get calls must precede its first warm.put: the offline
+	// passes (named by request index) fall back to the nearest shard's
+	// basis, and would otherwise be seeded from a basis this very pass
+	// stored. The online passes look up exactly — a nearest-shard basis
+	// would resolve onto a different component's positionally-named
+	// requests, and the decision cache's parity argument leans on each
+	// component re-seeding from its own previous basis.
+	plans := growPlans(&sc.plans, len(comps))
 	var sigOff []int
 	if inc != nil {
 		sc.sigs = sc.sigs[:0]
 		sigOff = growInts(&sc.sigOff, len(comps)+1)
-		for k := range comps {
+	}
+	for k := range comps {
+		if inc != nil {
 			sigOff[k] = len(sc.sigs)
 			sc.sigs = appendCompSig(sc.sigs, reqs, opts, comps[k], sc)
-		}
-		sigOff[len(comps)] = len(sc.sigs)
-		for k := range comps {
 			e := inc.get(pass, comps[k].key)
-			seen := e != nil && wordsEqual(e.sig, sc.sigs[sigOff[k]:sigOff[k+1]])
+			seen := e != nil && slices.Equal(e.sig, sc.sigs[sigOff[k]:])
 			if seen && e.canonical {
-				results[k].cached = e
+				plans[k].replay = e
 				inc.cleanHits.Add(1)
 				continue
 			}
-			results[k].canonical = seen
+			plans[k].canonical = seen
 			inc.dirtySolves.Add(1)
 		}
+		plans[k].seed = warm.get(pass, comps[k].key, !opts.positional)
+	}
+	if inc != nil {
+		sigOff[len(comps)] = len(sc.sigs)
 	}
 
-	// Resolve every dirty component's warm-start seed before the workers
-	// launch, against a fixed pre-pass cache snapshot: that keeps the
-	// seeds — and therefore the chosen optimal vertices — identical for
-	// every worker count. Positional names go with exact-shard seeds: a
-	// nearest-shard basis would resolve onto a different component's
-	// positionally-named requests, and the decision cache's parity
-	// argument leans on each component re-seeding from its own previous
-	// basis. The offline passes, named by request index, take the nearest.
-	for k := range comps {
-		if results[k].cached == nil {
-			seeds[k] = warm.get(pass, comps[k].key, !opts.positional)
-		}
-	}
-	solveOne := func(k int) {
-		r := &results[k]
-		if r.cached != nil {
-			return
-		}
-		comp := comps[k]
-		copts := opts
-		copts.active = comp.reqs
-		copts.stations = comp.stations
-		copts.byReq = m.byReq // disjoint request sets: no write overlap
-		if cfg.fast {
-			if vars, y, obj, ok := tryLocalRatio(n, reqs, comp, copts); ok {
-				inc.addFastPath()
-				*r = compSolve{vars: vars, y: y, obj: obj, canonical: true}
-				return
-			}
-			inc.addFastFallback()
-		}
-		// The problem and the builder's temporaries are borrowed for this
-		// one solve; vars and y are written into the component's own result
-		// storage, which nothing touches again before the merge.
-		bs := buildScratchPool.Get().(*buildScratch)
-		defer buildScratchPool.Put(bs)
-		copts.scratch = bs
-		copts.vars = r.vars
-		model, err := buildLP(n, reqs, copts)
-		if err != nil {
-			r.err = err
-			return
-		}
-		y, obj, basis, err := model.solveWarm(seeds[k], r.y)
-		if err != nil {
-			r.err = err
-			return
-		}
-		warm.put(pass, comp.key, basis)
-		r.vars, r.y, r.obj = model.vars, y, obj
-	}
-	forEachParallel(len(comps), cfg.workers, solveOne)
-
-	// Deterministic merge: components in key order, local variable indices
-	// rebased onto the global concatenation. Clean components materialize
-	// their position-space cached vars back into global request indices.
-	for k := range results {
-		r := &results[k]
-		if r.err != nil {
-			return r.err
-		}
+	// One pass in key order: replay or build-solve, append to the merged
+	// model with local variable indices rebased onto the concatenation,
+	// and cache. A clean component materializes its position-space cached
+	// vars back into global request indices.
+	copts := opts
+	copts.byReq = m.byReq
+	copts.scratch = &sc.build
+	for k, comp := range comps {
 		offset := len(m.vars)
-		if e := r.cached; e != nil {
+		if e := plans[k].replay; e != nil {
 			for t := range e.vars {
 				cv := &e.vars[t]
-				j := comps[k].reqs[cv.req]
+				j := comp.reqs[cv.req]
 				m.vars = append(m.vars, slotVar{req: j, station: cv.station, slot: cv.slot, er: cv.er})
 				m.byReq[j] = append(m.byReq[j], offset+t)
 			}
@@ -360,11 +304,29 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			m.obj += e.obj
 			continue
 		}
-		m.vars = append(m.vars, r.vars...)
-		m.y = append(m.y, r.y...)
-		m.obj += r.obj
+		// The model lives in sc.build until the next component's build; vars
+		// and y are copied out into m before that.
+		copts.active = comp.reqs
+		copts.stations = comp.stations
+		copts.vars = sc.vars
+		model, err := buildLP(n, reqs, copts)
+		if err != nil {
+			return err
+		}
+		sc.vars = model.vars
+		y, obj, basis, err := model.solveWarm(plans[k].seed, sc.y)
+		if err != nil {
+			return err
+		}
+		if y != nil {
+			sc.y = y
+		}
+		warm.put(pass, comp.key, basis)
+		m.vars = append(m.vars, model.vars...)
+		m.y = append(m.y, y...)
+		m.obj += obj
 		if offset > 0 {
-			for _, j := range comps[k].reqs {
+			for _, j := range comp.reqs {
 				idxs := m.byReq[j]
 				for t := range idxs {
 					idxs[t] += offset
@@ -372,52 +334,8 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			}
 		}
 		if inc != nil {
-			inc.put(pass, comps[k].key, sc.sigs[sigOff[k]:sigOff[k+1]], r, comps[k].reqs)
+			inc.put(pass, comp.key, sc.sigs[sigOff[k]:sigOff[k+1]], plans[k].canonical, model.vars, y, obj, comp.reqs)
 		}
 	}
 	return nil
-}
-
-// wordsEqual reports whether two signature slices are identical.
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// forEachParallel runs f(0..n-1) on at most `workers` goroutines. workers
-// <= 1 runs inline. The iteration set is fixed up front, so the result is
-// independent of how indices are interleaved across workers.
-func forEachParallel(n, workers int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

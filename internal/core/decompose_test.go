@@ -43,7 +43,7 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 		}
 
 		sc := getSlotScratch()
-		err = solveDecomposed(n, reqs, lpOptions{}, solveCfg{workers: 4}, sc, &sc.merged)
+		err = solveDecomposed(n, reqs, lpOptions{}, solveCfg{}, sc, &sc.merged)
 		if err != nil {
 			putSlotScratch(sc)
 			t.Fatal(err)

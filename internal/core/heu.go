@@ -20,9 +20,6 @@ type HeuOptions struct {
 	// Warm mirrors ApproOptions.Warm: per-pass LP warm-start bases
 	// carried across structurally similar runs.
 	Warm *WarmCache
-	// Workers mirrors ApproOptions.Workers: the bound on concurrent
-	// component solves of the block-diagonal LP (0 or 1 = serial).
-	Workers int
 }
 
 // Heu is Algorithm 2: the efficient heuristic for the reward maximization
@@ -39,7 +36,6 @@ func Heu(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts HeuOptions) (
 		RoundingDenominator: opts.RoundingDenominator,
 		Passes:              opts.Passes,
 		Warm:                opts.Warm,
-		Workers:             opts.Workers,
 	}
 	a.fill()
 	mk := func(res *Result, used []float64) admissionHooks {

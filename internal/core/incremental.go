@@ -7,10 +7,9 @@ import (
 	"mecoffload/internal/mec"
 )
 
-// IncStats counts what decision reuse and the local-ratio fast path did
-// since the cache was created. CleanHits + DirtySolves is the total
-// number of component solves requested; FastPath + FastFallback is the
-// number of dirty components the local-ratio certification examined.
+// IncStats counts what decision reuse did since the cache was created.
+// CleanHits + DirtySolves is the total number of component solves
+// requested.
 type IncStats struct {
 	// CleanHits is the number of components whose signature matched a
 	// cached canonical decision, which was replayed without touching the
@@ -19,12 +18,9 @@ type IncStats struct {
 	// DirtySolves is the number of components that had to be solved: a
 	// signature miss, or the first matching sighting that canonicalizes.
 	DirtySolves uint64
-	// FastPath is the number of dirty components the local-ratio
-	// certification admitted without building an LP.
-	FastPath uint64
-	// FastFallback is the number of dirty components where the
-	// certification failed and the warm-started LP-PT ran instead.
-	FastFallback uint64
+	// FastPath and FastFallback are always zero: bench/trace.go, their
+	// sole reader, still compiles against them.
+	FastPath, FastFallback uint64
 }
 
 // incEntry is one cached per-component decision: the exact LP input
@@ -61,15 +57,12 @@ type incEntry struct {
 // reshaped the admissible set — flips some word of the signature and
 // marks the component dirty.
 //
-// The entry map is only touched by the scheduling goroutine (the
-// clean-check before the solver workers launch and the put after the
-// deterministic merge), so it needs no lock; the counters are atomic
-// because the local-ratio counters are bumped inside the worker pool.
+// The entry map is only touched by the scheduling goroutine, so it needs
+// no lock; the counters are atomic because /metrics reads them from
+// another goroutine.
 type IncCache struct {
-	cleanHits    atomic.Uint64
-	dirtySolves  atomic.Uint64
-	fastPath     atomic.Uint64
-	fastFallback atomic.Uint64
+	cleanHits   atomic.Uint64
+	dirtySolves atomic.Uint64
 
 	entries map[warmKey]*incEntry
 }
@@ -79,32 +72,12 @@ func NewIncCache() *IncCache {
 	return &IncCache{entries: make(map[warmKey]*incEntry)}
 }
 
-// Stats returns the cache's clean/dirty/fast-path counters. Nil-safe.
+// Stats returns the cache's clean/dirty counters. Nil-safe.
 func (c *IncCache) Stats() IncStats {
 	if c == nil {
 		return IncStats{}
 	}
-	return IncStats{
-		CleanHits:    c.cleanHits.Load(),
-		DirtySolves:  c.dirtySolves.Load(),
-		FastPath:     c.fastPath.Load(),
-		FastFallback: c.fastFallback.Load(),
-	}
-}
-
-// addFastPath / addFastFallback bump the local-ratio counters from the
-// solver workers. Nil-safe: a run with the fast path on but no decision
-// cache simply goes uncounted.
-func (c *IncCache) addFastPath() {
-	if c != nil {
-		c.fastPath.Add(1)
-	}
-}
-
-func (c *IncCache) addFastFallback() {
-	if c != nil {
-		c.fastFallback.Add(1)
-	}
+	return IncStats{CleanHits: c.cleanHits.Load(), DirtySolves: c.dirtySolves.Load()}
 }
 
 // get returns the entry for a (pass, shard) pair, nil when absent.
@@ -118,7 +91,7 @@ func (c *IncCache) get(pass, shard int) *incEntry {
 // the component's requests in the order the LP was built over). Anything
 // else caches the signature alone, so the next matching sighting knows to
 // canonicalize.
-func (c *IncCache) put(pass, shard int, sig []uint64, r *compSolve, compReqs []int) {
+func (c *IncCache) put(pass, shard int, sig []uint64, canonical bool, vars []slotVar, y []float64, obj float64, compReqs []int) {
 	k := warmKey{pass: pass, shard: shard}
 	e := c.entries[k]
 	if e == nil {
@@ -126,13 +99,13 @@ func (c *IncCache) put(pass, shard int, sig []uint64, r *compSolve, compReqs []i
 		c.entries[k] = e
 	}
 	e.sig = append(e.sig[:0], sig...)
-	e.canonical = r.canonical
+	e.canonical = canonical
 	e.vars, e.y = e.vars[:0], e.y[:0]
-	if !r.canonical {
+	if !canonical {
 		return
 	}
 	pos := 0
-	for _, sv := range r.vars {
+	for _, sv := range vars {
 		// vars are grouped by request in compReqs order, so the position
 		// cursor only ever advances.
 		for compReqs[pos] != sv.req {
@@ -140,8 +113,8 @@ func (c *IncCache) put(pass, shard int, sig []uint64, r *compSolve, compReqs []i
 		}
 		e.vars = append(e.vars, slotVar{req: pos, station: sv.station, slot: sv.slot, er: sv.er})
 	}
-	e.y = append(e.y, r.y...)
-	e.obj = r.obj
+	e.y = append(e.y, y...)
+	e.obj = obj
 }
 
 // appendCompSig appends one component's exact LP input vector to buf:

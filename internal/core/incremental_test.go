@@ -80,12 +80,11 @@ func incSlot(t *testing.T, n *mec.Network, reqs []*mec.Request, active []int, ba
 // component re-solved every slot) through the same slots, the per-slot
 // refinement of the end-to-end oracle.DiffIncrementalFull contract.
 type incHarness struct {
-	t          *testing.T
-	n          *mec.Network
-	reqs       []*mec.Request
-	localRatio bool
-	inc        *IncCache
-	warm, ref  *WarmCache
+	t         *testing.T
+	n         *mec.Network
+	reqs      []*mec.Request
+	inc       *IncCache
+	warm, ref *WarmCache
 }
 
 func newIncHarness(t *testing.T, n *mec.Network, reqs []*mec.Request) *incHarness {
@@ -100,7 +99,7 @@ func (h *incHarness) slot(name string, active []int, used []float64, wantClean, 
 	h.t.Helper()
 	before := h.inc.Stats()
 	hits0, misses0 := h.warm.Stats()
-	got := incSlot(h.t, h.n, h.reqs, active, used, BatchOptions{Inc: h.inc, Warm: h.warm, LocalRatio: h.localRatio})
+	got := incSlot(h.t, h.n, h.reqs, active, used, BatchOptions{Inc: h.inc, Warm: h.warm})
 	now := h.inc.Stats()
 	clean, dirty := now.CleanHits-before.CleanHits, now.DirtySolves-before.DirtySolves
 	if clean != wantClean || dirty != wantDirty {
@@ -124,8 +123,7 @@ func (h *incHarness) slot(name string, active []int, used []float64, wantClean, 
 // caches that solution; replay starts at the next match and builds no LP.
 // Any change between the two sightings — capacity, an arrival, a
 // departure — starts the count over, and so does a signature coming back
-// after another one took its cache slot. A local-ratio certificate is
-// canonical at its first sighting.
+// after another one took its cache slot.
 func TestIncCacheSecondSighting(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
@@ -141,35 +139,34 @@ func TestIncCacheSecondSighting(t *testing.T) {
 	one, both := []int{0}, []int{0, 1}
 	idle, loaded := []float64{0, 0}, []float64{500, 0}
 	cases := []struct {
-		name       string
-		localRatio bool
-		steps      []step
+		name  string
+		steps []step
 	}{
-		{"miss, canonicalize, replay", false, []step{
+		{"miss, canonicalize, replay", []step{
 			{"miss", one, idle, 0, 1},
 			{"second sighting", one, idle, 0, 1},
 			{"replay", one, idle, 1, 0},
 			{"replay again", one, idle, 1, 0},
 		}},
-		{"capacity change between sightings", false, []step{
+		{"capacity change between sightings", []step{
 			{"miss", one, idle, 0, 1},
 			{"capacity moved: miss", one, loaded, 0, 1},
 			{"second sighting of the new level", one, loaded, 0, 1},
 			{"replay", one, loaded, 1, 0},
 		}},
-		{"arrival between sightings", false, []step{
+		{"arrival between sightings", []step{
 			{"miss", one, idle, 0, 1},
 			{"arrival: miss", both, idle, 0, 1},
 			{"second sighting", both, idle, 0, 1},
 			{"replay", both, idle, 1, 0},
 		}},
-		{"departure between sightings", false, []step{
+		{"departure between sightings", []step{
 			{"miss", both, idle, 0, 1},
 			{"departure: miss", one, idle, 0, 1},
 			{"second sighting", one, idle, 0, 1},
 			{"replay", one, idle, 1, 0},
 		}},
-		{"a signature that comes back starts over", false, []step{
+		{"a signature that comes back starts over", []step{
 			{"miss", one, idle, 0, 1},
 			{"second sighting", one, idle, 0, 1},
 			{"replay", one, idle, 1, 0},
@@ -178,20 +175,12 @@ func TestIncCacheSecondSighting(t *testing.T) {
 			{"second sighting", one, idle, 0, 1},
 			{"replay", one, idle, 1, 0},
 		}},
-		{"local-ratio certificate is canonical at once", true, []step{
-			{"certified", one, idle, 0, 1},
-			{"replay", one, idle, 1, 0},
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newIncHarness(t, n, reqs)
-			h.localRatio = tc.localRatio
 			for _, st := range tc.steps {
 				h.slot(st.name, st.active, st.used, st.clean, st.dirty)
-			}
-			if st := h.inc.Stats(); tc.localRatio && (st.FastPath != 1 || st.FastFallback != 0) {
-				t.Fatalf("fast path counters %+v, want one certified component", st)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"mecoffload/internal/lp"
 	"mecoffload/internal/mec"
@@ -69,12 +68,11 @@ type lpOptions struct {
 	positional bool
 	// byReq, when non-nil, is used as the model's byReq backing instead of
 	// allocating one (entries for active requests must be length-0 and
-	// len(byReq) >= len(reqs)). Concurrent component builds share one
-	// backing: their active sets are disjoint, so the writes never overlap.
+	// len(byReq) >= len(reqs)). solveDecomposed's component builds share
+	// the merged model's: their active sets are disjoint.
 	byReq [][]int
 	// vars, when non-nil, is the backing the model's variable list is built
-	// into (from length 0). solveDecomposed passes each component's own, so
-	// the list outlives the build scratch until the merge.
+	// into (from length 0).
 	vars []slotVar
 	// scratch, when non-nil, supplies the problem and the builder's
 	// temporaries; nil builds into fresh storage.
@@ -85,7 +83,8 @@ type lpOptions struct {
 // (rebuilt in place through lp.Problem.Reset) and the builder's
 // temporaries. The model buildLP returns lives in it, so a scratch serves
 // one build at a time and the model is valid until the next build over the
-// same scratch. solveDecomposed checks one out per component solve.
+// same scratch. solveDecomposed builds every component of a slot in its
+// slotScratch's.
 type buildScratch struct {
 	model lpModel
 	terms []lp.Term
@@ -102,8 +101,6 @@ type buildScratch struct {
 	bucketOff []int
 	fill      []int
 }
-
-var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // buildLP constructs the resource-slot-indexed relaxation LP (Section
 // IV-A) over the active requests:

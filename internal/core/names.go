@@ -1,19 +1,15 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // nameCache interns the LP row and column names ("y[j,i,l]", "assign[j]",
 // "cap[i,l]") that buildLP would otherwise fmt.Sprintf afresh every slot.
 // Consecutive slots rebuild near-identical problems, so after the first
 // few slots every name is a cache hit and the per-slot build allocates no
 // name strings at all. The zero value is ready to use; a nil *nameCache
-// falls back to formatting. Safe for concurrent use by the component
-// worker pool (reads vastly outnumber writes).
+// falls back to formatting. Like the WarmCache that holds it, a table
+// belongs to one scheduling goroutine.
 type nameCache struct {
-	mu sync.RWMutex
 	y  map[[3]int32]string
 	as map[int32]string
 	cp map[[2]int32]string
@@ -35,19 +31,14 @@ func (c *nameCache) yName(j, i, l int) string {
 		return fmt.Sprintf("y[%d,%d,%d]", j, i, l)
 	}
 	k := [3]int32{int32(j), int32(i), int32(l)}
-	c.mu.RLock()
 	s, ok := c.y[k]
-	c.mu.RUnlock()
-	if ok {
-		return s
+	if !ok {
+		if c.y == nil {
+			c.y = make(map[[3]int32]string)
+		}
+		s = fmt.Sprintf("y[%d,%d,%d]", j, i, l)
+		c.y[k] = s
 	}
-	s = fmt.Sprintf("y[%d,%d,%d]", j, i, l)
-	c.mu.Lock()
-	if c.y == nil {
-		c.y = make(map[[3]int32]string)
-	}
-	c.y[k] = s
-	c.mu.Unlock()
 	return s
 }
 
@@ -56,19 +47,14 @@ func (c *nameCache) assignName(j int) string {
 		return fmt.Sprintf("assign[%d]", j)
 	}
 	k := int32(j)
-	c.mu.RLock()
 	s, ok := c.as[k]
-	c.mu.RUnlock()
-	if ok {
-		return s
+	if !ok {
+		if c.as == nil {
+			c.as = make(map[int32]string)
+		}
+		s = fmt.Sprintf("assign[%d]", j)
+		c.as[k] = s
 	}
-	s = fmt.Sprintf("assign[%d]", j)
-	c.mu.Lock()
-	if c.as == nil {
-		c.as = make(map[int32]string)
-	}
-	c.as[k] = s
-	c.mu.Unlock()
 	return s
 }
 
@@ -77,18 +63,13 @@ func (c *nameCache) capName(i, l int) string {
 		return fmt.Sprintf("cap[%d,%d]", i, l)
 	}
 	k := [2]int32{int32(i), int32(l)}
-	c.mu.RLock()
 	s, ok := c.cp[k]
-	c.mu.RUnlock()
-	if ok {
-		return s
+	if !ok {
+		if c.cp == nil {
+			c.cp = make(map[[2]int32]string)
+		}
+		s = fmt.Sprintf("cap[%d,%d]", i, l)
+		c.cp[k] = s
 	}
-	s = fmt.Sprintf("cap[%d,%d]", i, l)
-	c.mu.Lock()
-	if c.cp == nil {
-		c.cp = make(map[[2]int32]string)
-	}
-	c.cp[k] = s
-	c.mu.Unlock()
 	return s
 }

@@ -1,17 +1,12 @@
 package core
 
-import (
-	"sync"
-
-	"mecoffload/internal/lp"
-)
+import "sync"
 
 // slotScratch bundles the reusable buffers of one scheduling call:
-// the decomposition's union-find arrays and component lists, each
-// component's LP variables and solution, the merged LP view, and the
-// rounding/admission work lists. ScheduleBatch and runRounding borrow one
-// from slotScratchPool per call; the LP itself is built in a buildScratch
-// borrowed per component solve. Together they take a long-running daemon's
+// the decomposition's union-find arrays and component lists, the LP under
+// construction with its variables and solution, the merged LP view, and
+// the rounding/admission work lists. ScheduleBatch and runRounding borrow
+// one from slotScratchPool per call. It takes a long-running daemon's
 // per-slot scheduling to (near) zero steady-state allocations outside the
 // simplex: what a warmed slot still allocates is what each solve returns
 // (Solution, Basis), a few closures per rounding pass, and one TaskStations
@@ -28,7 +23,7 @@ type slotScratch struct {
 	// per-request candidate station lists recorded during the
 	// splitComponents scan (flat list + offsets per active position,
 	// posOf maps global request index -> active position); consumed by
-	// the incremental signatures and the local-ratio certification.
+	// the incremental signatures.
 	cands   []int
 	candOff []int
 	posOf   []int
@@ -37,11 +32,12 @@ type slotScratch struct {
 	sigs   []uint64
 	sigOff []int
 
-	// per-component solve results and warm-start seeds; results[k] owns
-	// component k's vars/y storage from the build until the merge, and
-	// keeps it for the next slot
-	results []compSolve
-	seeds   []*lp.Basis
+	// what the look-up pass decided per component, then the one LP build
+	// every dirty component in turn is built, solved and merged out of
+	plans []compPlan
+	build buildScratch
+	vars  []slotVar
+	y     []float64
 
 	// merged LP view shared across rounding passes
 	merged mergedModel
@@ -82,35 +78,14 @@ func growBoolsClear(buf *[]bool, n int) []bool {
 	return b
 }
 
-// growCompSolves resizes *buf to n and resets every entry (stale cached
-// pointers or errors from a previous slot must not leak into this one),
-// keeping each entry's vars/y storage: a component's LP variables and
-// solution are built straight into it.
-func growCompSolves(buf *[]compSolve, n int) []compSolve {
+// growPlans resizes *buf to n and clears it.
+func growPlans(buf *[]compPlan, n int) []compPlan {
 	if cap(*buf) < n {
-		grown := make([]compSolve, n)
-		copy(grown, (*buf)[:cap(*buf)])
-		*buf = grown
+		*buf = make([]compPlan, n)
 	}
 	*buf = (*buf)[:n]
-	b := *buf
-	for i := range b {
-		b[i] = compSolve{vars: b[i].vars[:0], y: b[i].y[:0]}
-	}
-	return b
-}
-
-// growSeeds resizes *buf to n and clears it.
-func growSeeds(buf *[]*lp.Basis, n int) []*lp.Basis {
-	if cap(*buf) < n {
-		*buf = make([]*lp.Basis, n)
-	}
-	*buf = (*buf)[:n]
-	b := *buf
-	for i := range b {
-		b[i] = nil
-	}
-	return b
+	clear(*buf)
+	return *buf
 }
 
 // growFloatsClear resizes *buf to n and clears it.

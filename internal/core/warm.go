@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"mecoffload/internal/lp"
@@ -23,20 +22,17 @@ type warmKey struct {
 // basis is kept per (rounding pass, shard): pass k of one run is
 // structurally closest to pass k of the next (same slot grid, similar
 // residual shape), and the per-component decomposition solves each shard
-// independently, so each worker warm-starts from its own shard's basis
-// without contending for the others.
+// independently, so each component warm-starts from its own shard's
+// basis.
 //
 // A nil *WarmCache is valid and disables warm starting. A non-nil cache
-// is safe for concurrent use by the solver worker pool: lookups take a
-// read lock on the key map and load an atomic pointer, so concurrent
-// get/put on different shards never serialize on one mutex (the write
-// lock is only taken the first time a key appears).
+// belongs to one scheduling goroutine; only the hit/miss counters are
+// atomic, because /metrics reads them from another.
 type WarmCache struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 
-	mu    sync.RWMutex
-	slots map[warmKey]*atomic.Pointer[lp.Basis]
+	bases map[warmKey]*lp.Basis
 
 	// names interns LP row/column names across slots so the per-slot
 	// rebuild of structurally identical problems does not re-allocate
@@ -48,7 +44,7 @@ type WarmCache struct {
 
 // NewWarmCache returns an empty cache.
 func NewWarmCache() *WarmCache {
-	return &WarmCache{slots: make(map[warmKey]*atomic.Pointer[lp.Basis])}
+	return &WarmCache{bases: make(map[warmKey]*lp.Basis)}
 }
 
 // Stats returns how many basis lookups found a seed basis (hits) versus
@@ -65,24 +61,23 @@ func (c *WarmCache) Stats() (hits, misses uint64) {
 // when absent. The online path looks up exactly: a component re-seeds
 // from its own previous basis or cold. The offline rounding passes set
 // nearest: an absent key then falls back to the same pass's entry with
-// the nearest shard key. Components are labeled by their smallest station, so the label
-// drifts when that station saturates out of the candidate graph; the
-// nearest stored basis still covers mostly the same rows and columns, and
-// the name-based resolution simply drops whatever no longer applies. The
-// fallback choice is deterministic (smallest distance, then smallest
-// shard). Safe for concurrent use, but determinism across worker counts
-// additionally requires that no put for the same pass runs concurrently —
-// solveDecomposed therefore resolves all seeds before its workers start.
+// the nearest shard key. Components are labeled by their smallest
+// station, so the label drifts when that station saturates out of the
+// candidate graph; the nearest stored basis still covers mostly the same
+// rows and columns, and the name-based resolution simply drops whatever
+// no longer applies. The fallback choice is deterministic (smallest
+// distance, then smallest shard) given the stored keys, which is why
+// solveDecomposed resolves all of a pass's seeds before it stores the
+// pass's first basis.
 func (c *WarmCache) get(pass, shard int, nearest bool) *lp.Basis {
 	if c == nil {
 		return nil
 	}
-	c.mu.RLock()
-	p := c.slots[warmKey{pass: pass, shard: shard}]
-	if p == nil && nearest {
+	b := c.bases[warmKey{pass: pass, shard: shard}]
+	if b == nil && nearest {
 		bestDist, bestShard := -1, -1
-		for k, cand := range c.slots {
-			if k.pass != pass || cand.Load() == nil {
+		for k, cand := range c.bases {
+			if k.pass != pass {
 				continue
 			}
 			d := k.shard - shard
@@ -90,15 +85,10 @@ func (c *WarmCache) get(pass, shard int, nearest bool) *lp.Basis {
 				d = -d
 			}
 			if bestDist < 0 || d < bestDist || (d == bestDist && k.shard < bestShard) {
-				p = cand
+				b = cand
 				bestDist, bestShard = d, k.shard
 			}
 		}
-	}
-	c.mu.RUnlock()
-	var b *lp.Basis
-	if p != nil {
-		b = p.Load()
 	}
 	if b == nil {
 		c.misses.Add(1)
@@ -110,25 +100,12 @@ func (c *WarmCache) get(pass, shard int, nearest bool) *lp.Basis {
 
 // put stores the optimal basis of a (rounding pass, shard) pair,
 // replacing any previous one (latest wins: the most recent solve is
-// structurally closest to the next). Safe for concurrent use.
+// structurally closest to the next).
 func (c *WarmCache) put(pass, shard int, b *lp.Basis) {
 	if c == nil || b == nil {
 		return
 	}
-	k := warmKey{pass: pass, shard: shard}
-	c.mu.RLock()
-	p := c.slots[k]
-	c.mu.RUnlock()
-	if p == nil {
-		c.mu.Lock()
-		p = c.slots[k]
-		if p == nil {
-			p = &atomic.Pointer[lp.Basis]{}
-			c.slots[k] = p
-		}
-		c.mu.Unlock()
-	}
-	p.Store(b)
+	c.bases[warmKey{pass: pass, shard: shard}] = b
 }
 
 // nameTable returns the cache's interned-name table (nil receiver safe:

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"mecoffload/internal/lp"
@@ -112,27 +111,6 @@ func TestWarmCacheNilSafe(t *testing.T) {
 	if got := c.get(3, 0, false); got != b {
 		t.Fatalf("nil put evicted the cached basis")
 	}
-}
-
-// TestWarmCacheConcurrent hammers one cache from many goroutines the way
-// the experiment sweep's repetitions do; the race detector is the judge.
-func TestWarmCacheConcurrent(t *testing.T) {
-	c := NewWarmCache()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				pass := (g + i) % 4
-				if b := c.get(pass, g%2, false); b != nil {
-					_ = b.Size()
-				}
-				c.put(pass, g%2, &lp.Basis{})
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestApproWarmAcrossRepetitions runs Appro twice on re-realized workloads

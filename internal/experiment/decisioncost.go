@@ -3,23 +3,21 @@ package experiment
 import "mecoffload/internal/core"
 
 // DecisionCost compares the per-slot decision engines of the online
-// scheduler — the oracle's full re-solve of every component every slot,
-// DynamicRR as shipped (clean components replay their cached decision),
-// and the local-ratio fast path on top of it — as the workload grows.
-// Reward and latency columns measure fidelity: reuse and the fast path
-// are exact reformulations, so any reward gap beyond rng noise is a bug
-// (the oracle differentials pin the stronger decision-for-decision claim
-// on a shared trace; here each variant runs its own full simulation).
-// The runtime column measures what the reformulations buy: clean
-// components skip the LP entirely, certified components skip even
-// building one.
+// scheduler — the oracle's full re-solve of every component every slot
+// and DynamicRR as shipped (clean components replay their cached
+// decision) — as the workload grows. Reward and latency columns measure
+// fidelity: reuse is an exact reformulation, so any reward gap beyond rng
+// noise is a bug (the oracle differential pins the stronger
+// decision-for-decision claim on a shared trace; here each variant runs
+// its own full simulation). The runtime column measures what the
+// reformulation buys: clean components skip the LP entirely.
 func DecisionCost(opts Options) (*Table, error) {
 	opts.fill()
 	tbl := &Table{
 		ID:         "decision-cost",
-		Title:      "Per-slot decision cost: full re-solve vs decision reuse vs local-ratio",
+		Title:      "Per-slot decision cost: full re-solve vs decision reuse",
 		XLabel:     "requests",
-		Algorithms: []string{AlgoFullResolve, AlgoDynamicRR, AlgoLocalRatio},
+		Algorithms: []string{AlgoFullResolve, AlgoDynamicRR},
 	}
 	xs := defaultXRequests()
 	err := sweep(opts, tbl, xs,

@@ -39,9 +39,6 @@ const (
 	// AlgoDynamicRR decision for decision (oracle.DiffIncrementalFull);
 	// decision-cost runs it as the baseline reuse is priced against.
 	AlgoFullResolve = "DynamicRR-Full"
-	// AlgoLocalRatio is DynamicRR with the LP-free local-ratio fast
-	// path on dirty components (oracle.DiffLocalRatioLP pins parity).
-	AlgoLocalRatio = "LocalRatio"
 )
 
 // Errors returned by the harness.
@@ -212,8 +209,6 @@ func newScheduler(algo string) (sim.Scheduler, error) {
 		return sim.NewDynamicRR(sim.DynamicRROptions{})
 	case AlgoFullResolve:
 		return oracle.ReferenceDynamicRR(sim.DynamicRROptions{})
-	case AlgoLocalRatio:
-		return sim.NewDynamicRR(sim.DynamicRROptions{LocalRatio: true})
 	case AlgoOCORP:
 		return &sim.OnlineOCORP{}, nil
 	case AlgoGreedy:

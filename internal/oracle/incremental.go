@@ -83,11 +83,9 @@ func diffRuns(aName, bName string, a, b *core.Result, aRew, bRew []float64) erro
 // exercised the cache (CleanHits > 0): a trace where every component is
 // always dirty proves nothing.
 //
-// dopts carries the scheduler configuration both runs share (workers,
-// rounding denominator, bandit shape); LocalRatio is forced off, the fast
-// path has its own differential.
+// dopts carries the scheduler configuration both runs share (rounding
+// denominator, bandit shape).
 func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions) error {
-	dopts.LocalRatio = false
 	full, fullRew, _, err := incRun(n, reqs, seed, cfg, dopts, true)
 	if err != nil {
 		return fmt.Errorf("oracle: full re-solve run: %w", err)
@@ -103,44 +101,4 @@ func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg si
 		return fmt.Errorf("%w (%d dirty solves): the trace does not exercise the cache", ErrNoCleanHits, st.DirtySolves)
 	}
 	return nil
-}
-
-// DiffLocalRatioLP is the fast path's correctness oracle: it runs
-// DynamicRR over the same workload twice — once as the reference, through
-// the warm-started LP-PT on every component every slot, once with the
-// local-ratio certification admitting components combinatorially (and the
-// decision cache replaying them) — and requires decision-for-decision
-// agreement.
-//
-// The trace must be *all-certified*: every component the fast-path run
-// examines must pass certification (FastFallback == 0, FastPath > 0), and
-// the function errors otherwise. The restriction is load-bearing, not
-// cosmetic: a certified component provably has a unique LP optimum, so
-// parity there is unconditional, but a certified solve stores no basis
-// into the warm cache — after the first fallback the two runs' warm
-// caches can differ, and a later degenerate LP may legitimately return
-// different optimal vertices. Parity of certified decisions is exactly
-// the contract the fast path claims ("only fire when it provably matches
-// LP-PT"), and this oracle pins it end to end.
-//
-// Both runs use RoundingDenominator 1 so admission is deterministic;
-// fractional rounding would leave residual passes whose halved slot grid
-// rarely certifies.
-func DiffLocalRatioLP(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config) error {
-	lp, lpRew, _, err := incRun(n, reqs, seed, cfg, sim.DynamicRROptions{RoundingDenominator: 1}, true)
-	if err != nil {
-		return fmt.Errorf("oracle: LP-PT run: %w", err)
-	}
-	lr, lrRew, sched, err := incRun(n, reqs, seed, cfg, sim.DynamicRROptions{RoundingDenominator: 1, LocalRatio: true}, false)
-	if err != nil {
-		return fmt.Errorf("oracle: local-ratio run: %w", err)
-	}
-	st := sched.IncStats()
-	if st.FastFallback != 0 {
-		return fmt.Errorf("oracle: trace is not all-certified: %d components fell back to the LP (fastPath=%d)", st.FastFallback, st.FastPath)
-	}
-	if st.FastPath == 0 {
-		return fmt.Errorf("oracle: local-ratio run certified no component: the trace does not exercise the fast path")
-	}
-	return diffRuns("lp-pt", "local-ratio", lp, lr, lpRew, lrRew)
 }

@@ -22,23 +22,9 @@ import (
 // deterministically — the diff fails if none is reused. Rounding
 // denominator 1 keeps admission deterministic so the waves stay aligned.
 func TestDiffIncrementalFull(t *testing.T) {
-	net, reqs := certifiableScenario(t, 6, 4)
+	net, reqs := periodicIslands(t, 6, 4)
 	err := DiffIncrementalFull(net, reqs, 83, sim.Config{Horizon: 50},
 		sim.DynamicRROptions{RoundingDenominator: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDiffIncrementalFullParallel repeats the incremental diff with the
-// component solves fanned out over a worker pool in both runs, so the
-// cache's sequential clean-check composes with the parallel dirty
-// solves. Under the -race CI job this also races the fast-path counters
-// and the warm cache against the pool.
-func TestDiffIncrementalFullParallel(t *testing.T) {
-	net, reqs := certifiableScenario(t, 6, 4)
-	err := DiffIncrementalFull(net, reqs, 93, sim.Config{Horizon: 50},
-		sim.DynamicRROptions{RoundingDenominator: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +48,15 @@ func TestDiffIncrementalGenericWorkload(t *testing.T) {
 	}
 }
 
-// certifiableScenario builds the all-certified trace DiffLocalRatioLP
-// requires: `stations` disconnected single-station islands (a request's
-// access station is its only delay-feasible candidate), each with 3000
-// MHz capacity, and one single-outcome request per station with rate 60
-// MB/s. At the default 1000 MHz slot grid and C_unit 20, a request's ER
-// at slot 1 is its full reward ((3000-1000)/20 = 100 >= 60) while slot 2
-// cuts it to zero ((3000-2000)/20 = 50 < 60), so the per-request argmax
-// is strictly unique; with one request per station the one-hot point is
-// trivially capacity-feasible. Arrivals are staggered so a departing
-// stream frees its station before the next wave, and each wave repeats
-// the previous wave's station/distribution pairing exactly — the trace
-// therefore also drives the incremental cache deterministically: wave
-// w's component signatures are bit-identical to wave 0's.
-func certifiableScenario(t *testing.T, stations, waves int) (*mec.Network, []*mec.Request) {
+// periodicIslands builds the trace that drives the decision cache
+// deterministically: `stations` disconnected single-station islands (a
+// request's access station is its only delay-feasible candidate), each
+// with 3000 MHz capacity, and one single-outcome request per station with
+// rate 60 MB/s. Arrivals are staggered so a departing stream frees its
+// station before the next wave, and each wave repeats the previous wave's
+// station/distribution pairing exactly, so wave w's component signatures
+// are bit-identical to wave 0's.
+func periodicIslands(t *testing.T, stations, waves int) (*mec.Network, []*mec.Request) {
 	t.Helper()
 	g := graph.New(stations)
 	nodes := make([]topology.Node, stations)
@@ -116,34 +97,6 @@ func certifiableScenario(t *testing.T, stations, waves int) (*mec.Network, []*me
 		}
 	}
 	return net, reqs
-}
-
-// TestDiffLocalRatioLP pins the fast path's LP parity on an all-certified
-// trace: every component the local-ratio run examines must certify
-// (FastFallback == 0) and the resulting decisions must match the
-// warm-started LP-PT run bit for bit.
-func TestDiffLocalRatioLP(t *testing.T) {
-	net, reqs := certifiableScenario(t, 6, 3)
-	if err := DiffLocalRatioLP(net, reqs, 101, sim.Config{Horizon: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDiffLocalRatioLPRejectsUncertified pins the oracle's guard: a
-// contended generic workload falls back to the LP somewhere, and the diff
-// must refuse to vouch for such a trace rather than compare runs whose
-// warm caches may have diverged.
-func TestDiffLocalRatioLPRejectsUncertified(t *testing.T) {
-	n := oracleNet(t, 4, 111)
-	reqs := oracleWorkload(t, workload.Config{
-		NumRequests:    40,
-		NumStations:    4,
-		ArrivalHorizon: 10,
-	}, 112)
-	err := DiffLocalRatioLP(n, reqs, 113, sim.Config{Horizon: 30})
-	if err == nil {
-		t.Fatal("expected the uncertified trace to be rejected")
-	}
 }
 
 // FuzzDirtySet fuzzes the incremental scheduler's parity contract over

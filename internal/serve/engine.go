@@ -45,10 +45,9 @@ type Config struct {
 	// Net is the MEC topology to serve (required).
 	Net *mec.Network
 	// SchedulerName selects the per-slot scheduler: "dynamicrr"
-	// (default), "local-ratio" (DynamicRR with the LP-free local-ratio
-	// fast path on), "ocorp", "greedy", or "heukkt". The engine
-	// constructs the scheduler itself so a checkpointed bandit state can
-	// be restored into it.
+	// (default), "ocorp", "greedy", or "heukkt". The engine constructs
+	// the scheduler itself so a checkpointed bandit state can be restored
+	// into it.
 	SchedulerName string
 	// DynamicRR tunes the default scheduler; ignored for baselines.
 	DynamicRR sim.DynamicRROptions
@@ -272,10 +271,7 @@ func New(cfg Config) (*Engine, error) {
 // threshold learner from a checkpointed snapshot when one is given.
 func buildScheduler(name string, opts sim.DynamicRROptions, snap *bandit.LipschitzSnapshot) (sim.Scheduler, error) {
 	switch name {
-	case "dynamicrr", "local-ratio":
-		if name == "local-ratio" {
-			opts.LocalRatio = true
-		}
+	case "dynamicrr":
 		if snap != nil {
 			lip, err := bandit.RestoreLipschitz(snap)
 			if err != nil {
@@ -387,8 +383,8 @@ func (e *Engine) WarmStats() (hits, misses uint64) {
 	return 0, 0
 }
 
-// IncStats returns the dirty-component tracker's counters (all zero for
-// schedulers without the incremental re-solve or the fast path).
+// IncStats returns the decision cache's counters (all zero for
+// schedulers other than DynamicRR).
 func (e *Engine) IncStats() core.IncStats {
 	if d, ok := e.sched.(*sim.DynamicRR); ok {
 		return d.IncStats()

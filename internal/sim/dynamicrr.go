@@ -52,14 +52,6 @@ type DynamicRROptions struct {
 	Passes int
 	// RoundingDenominator mirrors core.ApproOptions (default 4).
 	RoundingDenominator float64
-	// Workers bounds the goroutines solving independent components of the
-	// per-slot LP-PT concurrently (0 or 1 = serial). Scheduling decisions
-	// are bit-identical for every value; see core.BatchOptions.Workers.
-	Workers int
-	// LocalRatio enables the LP-free local-ratio fast path on dirty
-	// components; see core.BatchOptions.LocalRatio. Decisions are
-	// identical either way (oracle.DiffLocalRatioLP).
-	LocalRatio bool
 }
 
 // DynamicRR is Algorithm 3: the online learning scheduler for the dynamic
@@ -166,7 +158,7 @@ func (d *DynamicRR) Learner() ThresholdLearner { return d.learner }
 // serving daemon's warm-start hit-rate metric.
 func (d *DynamicRR) Warm() *core.WarmCache { return d.warm }
 
-// IncStats reports the decision cache's clean/dirty/fast-path counters.
+// IncStats reports the decision cache's clean/dirty counters.
 func (d *DynamicRR) IncStats() core.IncStats { return d.inc.Stats() }
 
 // SetIncCache swaps the scheduler's decision cache. It exists for
@@ -217,9 +209,7 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 		Passes:              d.opts.Passes,
 		Distribute:          true,
 		Warm:                d.warm,
-		Workers:             d.opts.Workers,
 		Inc:                 d.inc,
-		LocalRatio:          d.opts.LocalRatio,
 	})
 	if err != nil {
 		return nil, err
