@@ -21,11 +21,12 @@ race:
 
 ## cluster-parity: the sharding correctness gate — the oracle replay
 ## differential proving 1-, 2-, and 8-shard clusters emit identical
-## decision streams, plus the reshard-restore and migration-race
-## contracts, all under the race detector (same as the CI
-## cluster-parity job).
+## decision streams, plus the reshard-restore contracts (a stream older
+## than the router's window and the version-1 manifest fixture among
+## them) and the migration-race contract, all under the race detector
+## (same as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore' ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestManifestV1Restores|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore' ./internal/cluster/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components

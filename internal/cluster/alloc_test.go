@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,7 +51,7 @@ func allocTestNetwork(t *testing.T) *mec.Network {
 // tolerates the occasional refill but not a per-call allocation.)
 func TestRouteFastPathAllocFree(t *testing.T) {
 	net := allocTestNetwork(t)
-	rt := newRouter(net, []int{0, 0, 1, 1}, mec.DefaultSlotLengthMS, 2, 0)
+	rt := newRouter(net, []int{0, 0, 1, 1}, maxRouted)
 	spec := serve.RequestSpec{
 		AccessStation: 2,
 		DurationSlots: 6,
@@ -189,6 +191,49 @@ func TestSubmitBatchScratchReuse(t *testing.T) {
 	for i, id := range res.IDs {
 		if id != uint64(4+i) {
 			t.Fatalf("batch 2 ids = %v, want [4 5]", res.IDs)
+		}
+	}
+}
+
+// TestRefusedShardLeavesHoles: ids are reserved for the whole batch before
+// the shards see it, so a shard that refuses its share (here: it is
+// draining) fails its own lines and nobody else's — the accepted lines keep
+// the ids their positions in the batch gave them, the refused ids are never
+// used again and answer as unknown.
+func TestRefusedShardLeavesHoles(t *testing.T) {
+	net := allocTestNetwork(t)
+	c, err := New(Config{Net: net, Shards: 2, Seed: 5, MigrationEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer func() { _ = c.Stop() }()
+	mk := func(station int) serve.RequestSpec {
+		return serve.RequestSpec{AccessStation: station, DurationSlots: 2, Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}}
+	}
+	// An idle engine exits as soon as it drains; its reply may lose to that.
+	if err := c.nodes[1].eng.Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
+		t.Fatal(err)
+	}
+	// Stations 0,1 are shard 0's; 2,3 the draining shard 1's.
+	res, err := c.SubmitBatch([]serve.RequestSpec{mk(0), mk(2), mk(1), mk(3), mk(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{0, 2, 4}; !slices.Equal(res.IDs, want) {
+		t.Fatalf("accepted ids %v, want %v", res.IDs, want)
+	}
+	if _, _, err := c.Submit(mk(2)); err == nil {
+		t.Fatal("a draining shard accepted a request")
+	}
+	id, _, err := c.Submit(mk(1))
+	if err != nil || id != 6 {
+		t.Fatalf("next id %d (err %v), want 6: ids 1, 3 and 5 stay holes", id, err)
+	}
+	for g := uint64(0); g <= 6; g++ {
+		rec, ok, err := c.Status(g)
+		if accepted := g%2 == 0; err != nil || ok != accepted || (ok && rec.ID != g) {
+			t.Fatalf("status(%d) = %+v known=%v err=%v, want known=%v", g, rec, ok, err, accepted)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,24 +15,25 @@ import (
 	"mecoffload/internal/sim"
 )
 
-// ManifestVersion is the cluster manifest format version.
-const ManifestVersion = 1
+// ManifestVersion is the cluster manifest format version written. Version
+// 2 shard snapshots carry cluster ids; version 1, still read, numbered
+// each shard's requests locally and translated through a per-shard id
+// table.
+const ManifestVersion = 2
 
 // ErrNoManifest reports a missing manifest file (a fresh start).
 var ErrNoManifest = errors.New("cluster: no manifest")
 
-// manifestIDPair records one live request's identity: its shard-local
-// external id, its cluster-global id, and — for spanning requests — its
-// global candidate stations.
+// manifestIDPair is one entry of a version-1 manifest's id table: a
+// request's shard-local id and the cluster id clients hold.
 type manifestIDPair struct {
-	Ext      uint64 `json:"ext"`
-	Global   uint64 `json:"global"`
-	Spanning []int  `json:"spanning,omitempty"`
+	Ext    uint64 `json:"ext"`
+	Global uint64 `json:"global"`
 }
 
 // manifestShard describes one shard's snapshot: which global stations
-// it owned, the snapshot file (relative to the manifest), and the id
-// table translating its local ids back to cluster ids.
+// it owned and the snapshot file (relative to the manifest). IDs is read
+// from version-1 manifests and never written.
 type manifestShard struct {
 	Index    int              `json:"index"`
 	Stations []int            `json:"stations"`
@@ -53,34 +53,6 @@ type Manifest struct {
 	Scheduler    string          `json:"scheduler"`
 	NextGlobalID uint64          `json:"nextGlobalId"`
 	Shards       []manifestShard `json:"shards"`
-}
-
-// bindings builds one shard's manifest id table: a pair for each live
-// request in the shard's snapshot — the only ids composeRestore ever
-// looks up — in ascending global id. A request the router no longer
-// knows (evicted past MaxRouted) gets no pair.
-func (rt *router) bindings(shard int, live []serve.CheckpointRequest) []manifestIDPair {
-	if len(live) == 0 {
-		return nil
-	}
-	out := make([]manifestIDPair, 0, len(live))
-	rt.mu.RLock()
-	for _, cr := range live {
-		if g, ok := rt.ext2global[shard][cr.ExternalID]; ok {
-			out = append(out, manifestIDPair{Ext: cr.ExternalID, Global: g, Spanning: rt.table[g].cands})
-		}
-	}
-	rt.mu.RUnlock()
-	slices.SortFunc(out, func(a, b manifestIDPair) int { return cmp.Compare(a.Global, b.Global) })
-	return out
-}
-
-func (rt *router) setNextGlobal(n uint64) {
-	rt.mu.Lock()
-	if n > rt.nextGlobal {
-		rt.nextGlobal = n
-	}
-	rt.mu.Unlock()
 }
 
 // shardFile names one shard's snapshot for one manifest generation.
@@ -151,7 +123,6 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 			Index:    k,
 			Stations: append([]int(nil), nd.stations...),
 			File:     filepath.Base(files[k]),
-			IDs:      c.router.bindings(k, ck.Requests),
 		})
 	}
 	man.NextGlobalID = c.router.stats().Routed
@@ -233,7 +204,7 @@ func loadManifest(path string, stations int) (*Manifest, []*serve.Checkpoint, er
 	if err := json.Unmarshal(data, &man); err != nil {
 		return nil, nil, fmt.Errorf("cluster: decoding manifest %s: %w", path, err)
 	}
-	if man.Version != ManifestVersion {
+	if man.Version != 1 && man.Version != ManifestVersion {
 		return nil, nil, fmt.Errorf("cluster: manifest %s has version %d, want %d", path, man.Version, ManifestVersion)
 	}
 	dir := filepath.Dir(path)
@@ -250,8 +221,8 @@ func loadManifest(path string, stations int) (*Manifest, []*serve.Checkpoint, er
 
 // legacyManifest describes a single-engine checkpoint as the one-shard
 // manifest it is equivalent to: the engine owned every station under its
-// own index and its external ids were the ids clients hold, so the
-// station map and the id table are identities. composeRestore then
+// own index and its ids were the ids clients hold, so the station map is
+// the identity and the snapshot is a current one. composeRestore then
 // re-partitions it like any manifest (and rejects a checkpoint whose
 // requests or streams name stations the topology does not have); the
 // next checkpoint rewrites the file as a real manifest, generation 1.
@@ -259,9 +230,6 @@ func legacyManifest(ck *serve.Checkpoint, stations int) *Manifest {
 	sh := manifestShard{Stations: make([]int, stations)}
 	for i := range sh.Stations {
 		sh.Stations[i] = i
-	}
-	for _, cr := range ck.Requests {
-		sh.IDs = append(sh.IDs, manifestIDPair{Ext: cr.ExternalID, Global: cr.ExternalID})
 	}
 	return &Manifest{
 		Version:      ManifestVersion,
@@ -272,25 +240,51 @@ func legacyManifest(ck *serve.Checkpoint, stations int) *Manifest {
 	}
 }
 
-// globalRequest is one live request lifted into global id space during
-// restore composition.
+// globalRequest is one live request lifted into global station ids
+// during restore composition.
 type globalRequest struct {
-	global   uint64
-	arrival  int
-	spec     serve.RequestSpec // AccessStation in global ids
-	spanning []int
-	running  *sim.RunningSnapshot // stations in global ids; nil if pending
+	id      uint64
+	arrival int
+	spec    serve.RequestSpec    // AccessStation in global ids
+	running *sim.RunningSnapshot // stations in global ids; nil if pending
+}
+
+// globalizeIDs rewrites a version-1 shard snapshot, which numbered its
+// requests locally, into cluster ids through the manifest's id table — the
+// one legacy branch of the restore. The snapshot is edited in place: it was
+// decoded for this restore and nothing else reads it.
+func globalizeIDs(sh manifestShard, ck *serve.Checkpoint) error {
+	clusterID := make(map[uint64]uint64, len(sh.IDs))
+	for _, p := range sh.IDs {
+		clusterID[p.Ext] = p.Global
+	}
+	for i := range ck.Requests {
+		g, ok := clusterID[ck.Requests[i].ExternalID]
+		if !ok {
+			return fmt.Errorf("request ext=%d missing from manifest id table", ck.Requests[i].ExternalID)
+		}
+		ck.Requests[i].ExternalID = g
+	}
+	for i := range ck.Running {
+		g, ok := clusterID[uint64(ck.Running[i].Request)]
+		if !ok {
+			return fmt.Errorf("running stream ext=%d missing from manifest id table", ck.Running[i].Request)
+		}
+		ck.Running[i].Request = int(g)
+	}
+	return nil
 }
 
 // composeRestore merges the manifest's per-shard snapshots into one
-// global request set and re-partitions it onto the CURRENT shard
-// layout, which may differ from the one that wrote the manifest.
-// Pending requests re-route through the normal candidate rule; running
-// streams must land on a shard owning every station they hold shares on
-// — a stream split by the new partition is a loud error, not a silent
-// drop. The learner state is cloned into every new shard (each shard's
-// bandit continues from the global reward history) and lifetime totals
-// accumulate onto shard 0 so cluster-wide counters survive resharding.
+// request set and re-partitions it onto the CURRENT shard layout, which
+// may differ from the one that wrote the manifest. Every request keeps its
+// id. Pending requests re-route through the normal candidate rule (which
+// also re-derives a spanning request's candidates); running streams must
+// land on a shard owning every station they hold shares on — a stream
+// split by the new partition is a loud error, not a silent drop. The
+// learner state is cloned into every new shard (each shard's bandit
+// continues from the global reward history) and lifetime totals accumulate
+// onto shard 0 so cluster-wide counters survive resharding.
 func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*serve.Checkpoint, error) {
 	var merged []globalRequest
 	var banditSnap *bandit.LipschitzSnapshot
@@ -304,44 +298,41 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 		if ck.Bandit != nil && (banditSnap == nil || ck.Slot > banditSlot) {
 			banditSnap, banditSlot = ck.Bandit, ck.Slot
 		}
-		ext2pair := make(map[uint64]manifestIDPair, len(sh.IDs))
-		for _, p := range sh.IDs {
-			ext2pair[p.Ext] = p
+		if man.Version == 1 {
+			if err := globalizeIDs(sh, ck); err != nil {
+				return nil, fmt.Errorf("shard %d %w", sh.Index, err)
+			}
 		}
-		runOf := make(map[uint64]sim.RunningSnapshot, len(ck.Running))
-		for _, rs := range ck.Running {
-			runOf[uint64(rs.Request)] = rs
+		runOf := make(map[uint64]*sim.RunningSnapshot, len(ck.Running))
+		for i := range ck.Running {
+			runOf[uint64(ck.Running[i].Request)] = &ck.Running[i]
 		}
 		for _, cr := range ck.Requests {
-			pair, ok := ext2pair[cr.ExternalID]
-			if !ok {
-				return nil, fmt.Errorf("shard %d request ext=%d missing from manifest id table", sh.Index, cr.ExternalID)
-			}
 			if cr.Spec.AccessStation < 0 || cr.Spec.AccessStation >= len(sh.Stations) {
-				return nil, fmt.Errorf("shard %d request ext=%d access station %d outside its partition", sh.Index, cr.ExternalID, cr.Spec.AccessStation)
+				return nil, fmt.Errorf("shard %d request %d access station %d outside its partition", sh.Index, cr.ExternalID, cr.Spec.AccessStation)
 			}
-			gr := globalRequest{
-				global:   pair.Global,
-				arrival:  cr.ArrivalSlot,
-				spec:     cr.Spec,
-				spanning: pair.Spanning,
-			}
+			gr := globalRequest{id: cr.ExternalID, arrival: cr.ArrivalSlot, spec: cr.Spec}
 			gr.spec.AccessStation = sh.Stations[cr.Spec.AccessStation]
 			if cr.Running {
-				rs, ok := runOf[cr.ExternalID]
-				if !ok {
-					return nil, fmt.Errorf("shard %d request ext=%d marked running but has no stream snapshot", sh.Index, cr.ExternalID)
+				rs := runOf[cr.ExternalID]
+				if rs == nil {
+					return nil, fmt.Errorf("shard %d request %d marked running but has no stream snapshot", sh.Index, cr.ExternalID)
 				}
-				grs, err := globalizeStream(rs, sh.Stations)
+				var err error
+				gr.running, err = remapStream(rs, func(l int) (int, error) {
+					if l < 0 || l >= len(sh.Stations) {
+						return 0, fmt.Errorf("stream station %d outside its partition", l)
+					}
+					return sh.Stations[l], nil
+				})
 				if err != nil {
-					return nil, fmt.Errorf("shard %d request ext=%d: %w", sh.Index, cr.ExternalID, err)
+					return nil, fmt.Errorf("shard %d request %d: %w", sh.Index, cr.ExternalID, err)
 				}
-				gr.running = grs
 			}
 			merged = append(merged, gr)
 		}
 	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].global < merged[b].global })
+	sort.Slice(merged, func(a, b int) bool { return merged[a].id < merged[b].id })
 
 	out := make([]*serve.Checkpoint, len(c.parts))
 	for k := range out {
@@ -351,77 +342,80 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 			Scheduler: man.Scheduler,
 		}
 	}
-	nextExt := make([]uint64, len(c.parts))
-	for _, gr := range merged {
-		var shard int
-		if gr.running != nil {
-			s, err := c.streamOwner(gr.running)
-			if err != nil {
-				return nil, fmt.Errorf("running stream for global id %d: %w", gr.global, err)
-			}
-			shard = s
-		} else {
-			s, spanCands, err := c.router.route(gr.spec)
-			if err != nil {
-				return nil, fmt.Errorf("re-routing global id %d: %w", gr.global, err)
-			}
-			shard, gr.spanning = s, spanCands
+	live := make([]routed, 0, len(merged))
+	for i, gr := range merged {
+		if i > 0 && merged[i-1].id == gr.id {
+			return nil, fmt.Errorf("request id %d appears twice", gr.id)
 		}
-		ext := nextExt[shard]
-		nextExt[shard]++
-		spec := gr.spec
-		spec.AccessStation = c.localIndex(shard, spec.AccessStation, gr.spanning)
-		cr := serve.CheckpointRequest{
-			ExternalID:  ext,
-			ArrivalSlot: gr.arrival,
-			Spec:        spec,
+		shard, spanCands, err := c.router.route(gr.spec)
+		if err != nil {
+			return nil, fmt.Errorf("re-routing request %d: %w", gr.id, err)
 		}
+		cr := serve.CheckpointRequest{ExternalID: gr.id, ArrivalSlot: gr.arrival, Spec: gr.spec}
 		if gr.running != nil {
+			// A stream stays where its stations are, and is nobody's
+			// migration candidate.
+			if shard, err = c.streamOwner(gr.running); err != nil {
+				return nil, fmt.Errorf("running stream for request %d: %w", gr.id, err)
+			}
+			ls, err := remapStream(gr.running, func(g int) (int, error) {
+				l, ok := c.nodes[shard].localOf[g] // streamOwner proved every station lands here
+				if !ok {
+					return 0, fmt.Errorf("station %d not owned by shard %d", g, shard)
+				}
+				return l, nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("running stream for request %d: %w", gr.id, err)
+			}
 			cr.Running = true
-			ls, err := localizeStream(gr.running, shard, c.owner, c.parts)
-			if err != nil {
-				return nil, fmt.Errorf("running stream for global id %d: %w", gr.global, err)
-			}
-			ls.Request = int(ext)
 			out[shard].Running = append(out[shard].Running, *ls)
+			live = append(live, routed{id: gr.id, shard: shard})
+		} else {
+			live = append(live, routed{id: gr.id, shard: shard, cands: spanCands})
 		}
+		cr.Spec = c.localSpec(shard, gr.spec, spanCands)
 		out[shard].Requests = append(out[shard].Requests, cr)
-		c.router.bindAt(gr.global, shard, ext, gr.spanning)
 	}
+	c.router.restore(man.NextGlobalID, live)
+	next := c.router.stats().Routed
 	for k := range out {
-		out[k].NextExternalID = nextExt[k]
+		out[k].NextExternalID = next
 		out[k].Bandit = banditSnap.Clone()
 	}
 	addTotals(&out[0].Totals, totals)
-	c.router.setNextGlobal(man.NextGlobalID)
 	return out, nil
 }
 
-// localIndex maps a global station onto a shard-local one, applying the
-// same nearest-owned-candidate stand-in rule as live submission.
-func (c *Cluster) localIndex(shard, globalStation int, spanCands []int) int {
-	part := c.parts[shard]
-	for l, g := range part {
-		if g == globalStation {
-			return l
+// restore sets a fresh router to a manifest's state: ids continue at next
+// (or past the newest live id, should the manifest's counter be behind),
+// live are the restored requests in ascending id on the shards they were
+// re-partitioned onto, and those with candidates are listed for the sweep.
+// The window opens at the first live id it can cover; what lies between
+// the live ids is unknown.
+func (rt *router) restore(next uint64, live []routed) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if n := len(live); n > 0 && live[n-1].id >= next {
+		next = live[n-1].id + 1
+	}
+	rt.nextGlobal, rt.base = next, next
+	first, _ := slices.BinarySearchFunc(live, next-min(next, uint64(rt.window)), routed.compareID)
+	if first < len(live) {
+		rt.base = live[first].id
+	}
+	rt.shards = make([]int32, next-rt.base)
+	for i := range rt.shards {
+		rt.shards[i] = unknownShard
+	}
+	for _, sc := range live[first:] {
+		rt.shards[sc.id-rt.base] = int32(sc.shard)
+	}
+	for _, sc := range live {
+		if len(sc.cands) > 0 {
+			rt.span = append(rt.span, sc)
 		}
 	}
-	var owned []int
-	for _, st := range spanCands {
-		if c.owner[st] == shard {
-			owned = append(owned, st)
-		}
-	}
-	if len(owned) == 0 {
-		owned = part
-	}
-	nearest, _ := c.net.NearestStation(globalStation, owned)
-	for l, g := range part {
-		if g == nearest {
-			return l
-		}
-	}
-	return 0
 }
 
 // streamOwner finds the unique new shard owning every station a running
@@ -459,81 +453,34 @@ func (c *Cluster) streamOwner(rs *sim.RunningSnapshot) (int, error) {
 	return shard, nil
 }
 
-// globalizeStream lifts a shard-local running snapshot into global
-// station ids.
-func globalizeStream(rs sim.RunningSnapshot, stations []int) (*sim.RunningSnapshot, error) {
-	mapSt := func(l int) (int, error) {
-		if l < 0 || l >= len(stations) {
-			return 0, fmt.Errorf("stream station %d outside its partition", l)
-		}
-		return stations[l], nil
-	}
-	out := rs
-	out.Shares = make(map[int]float64, len(rs.Shares))
-	for l, v := range rs.Shares {
-		g, err := mapSt(l)
-		if err != nil {
-			return nil, err
-		}
-		out.Shares[g] = v
-	}
-	if rs.ExpShares != nil {
-		out.ExpShares = make(map[int]float64, len(rs.ExpShares))
-		for l, v := range rs.ExpShares {
-			g, err := mapSt(l)
-			if err != nil {
-				return nil, err
+// remapStream returns a copy of a running snapshot with every station it
+// names passed through mapSt: shard-local to global when a snapshot is
+// lifted out of the partition that wrote it, global to shard-local when it
+// lands on its new shard.
+func remapStream(rs *sim.RunningSnapshot, mapSt func(int) (int, error)) (*sim.RunningSnapshot, error) {
+	var err error
+	remap := func(shares map[int]float64) map[int]float64 {
+		out := make(map[int]float64, len(shares))
+		for from, mhz := range shares {
+			to, merr := mapSt(from)
+			if merr != nil {
+				err = merr
 			}
-			out.ExpShares[g] = v
+			out[to] = mhz
 		}
-	}
-	g, err := mapSt(rs.ProcStation)
-	if err != nil {
-		return nil, err
-	}
-	out.ProcStation = g
-	return &out, nil
-}
-
-// localizeStream maps a global-station stream onto one new shard's
-// local ids; streamOwner already proved every station lands there.
-func localizeStream(rs *sim.RunningSnapshot, shard int, owner []int, parts [][]int) (*sim.RunningSnapshot, error) {
-	localOf := make(map[int]int, len(parts[shard]))
-	for l, g := range parts[shard] {
-		localOf[g] = l
-	}
-	mapSt := func(g int) (int, error) {
-		l, ok := localOf[g]
-		if !ok {
-			return 0, fmt.Errorf("station %d not owned by shard %d", g, shard)
-		}
-		return l, nil
+		return out
 	}
 	out := *rs
-	out.Shares = make(map[int]float64, len(rs.Shares))
-	for g, v := range rs.Shares {
-		l, err := mapSt(g)
-		if err != nil {
-			return nil, err
-		}
-		out.Shares[l] = v
-	}
+	out.Shares = remap(rs.Shares)
 	if rs.ExpShares != nil {
-		out.ExpShares = make(map[int]float64, len(rs.ExpShares))
-		for g, v := range rs.ExpShares {
-			l, err := mapSt(g)
-			if err != nil {
-				return nil, err
-			}
-			out.ExpShares[l] = v
-		}
+		out.ExpShares = remap(rs.ExpShares)
 	}
-	l, err := mapSt(rs.ProcStation)
-	if err != nil {
-		return nil, err
+	proc, perr := mapSt(rs.ProcStation)
+	if perr != nil {
+		err = perr
 	}
-	out.ProcStation = l
-	return &out, nil
+	out.ProcStation = proc
+	return &out, err
 }
 
 func addTotals(dst *serve.Totals, src serve.Totals) {

@@ -75,9 +75,6 @@ type Config struct {
 	StageCapacity int
 	MaxPending    int
 	BatchQueue    int
-	// MaxRouted bounds the router's request table (default 1<<20;
-	// oldest entries evict first, like the engines' request tables).
-	MaxRouted int
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
 	// TraceWriter, when non-nil, receives every shard's per-slot trace
@@ -86,7 +83,7 @@ type Config struct {
 	// arsim -trace.
 	TraceWriter io.Writer
 	// SlotObserver, when set, receives each cluster slot's admitted
-	// global ids (ascending) and the globally aggregated reward, after
+	// request ids (ascending) and the globally aggregated reward, after
 	// every shard ticked. Replay harnesses use it to build decision
 	// dumps for oracle.DiffCluster. The admitted slice is scratch
 	// reused on the next slot — copy it if it outlives the call.
@@ -96,7 +93,7 @@ type Config struct {
 // shardSlotReport is one shard's decision report for one slot.
 type shardSlotReport struct {
 	slot     int
-	admitted []uint64 // shard-local external ids
+	admitted []uint64 // request ids
 	reward   float64
 }
 
@@ -300,12 +297,12 @@ type Cluster struct {
 	// cursor the clock advances (mu-guarded).
 	crossHandovers []sim.Handover
 	crossCur       int
-	// tickAdmitted is tickLocked's reusable global reward-aggregation id
-	// list (mu-guarded), grown once and recycled every slot.
+	// tickAdmitted is tickLocked's reusable list of the slot's admitted
+	// ids (mu-guarded), grown once and recycled every slot.
 	tickAdmitted []uint64
 	// sweepWork and sweepSettled are sweepLocked's reusable worklist
 	// snapshot and prune list (mu-guarded).
-	sweepWork    []spanCandidate
+	sweepWork    []routed
 	sweepSettled []uint64
 	// submitScratch pools SubmitBatch's routing scratch (route table,
 	// per-shard spec slices, zip cursors) across concurrent batches.
@@ -387,7 +384,19 @@ func New(cfg Config) (*Cluster, error) {
 		done:       make(chan struct{}),
 		tickerStop: make(chan struct{}),
 	}
-	c.router = newRouter(cfg.Net, owner, cfg.SlotLengthMS, cfg.Shards, cfg.MaxRouted)
+	c.router = newRouter(cfg.Net, owner, maxRouted)
+
+	for k, part := range parts {
+		subnet, err := subNetwork(cfg.Net, part)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d sub-network: %w", k, err)
+		}
+		nd := &shardNode{idx: k, subnet: subnet, stations: part, localOf: make(map[int]int, len(part))}
+		for l, g := range part {
+			nd.localOf[g] = l
+		}
+		c.nodes = append(c.nodes, nd)
+	}
 
 	// Restore from an existing manifest, shard-count-agnostic.
 	var restores []*serve.Checkpoint
@@ -404,18 +413,6 @@ func New(cfg Config) (*Cluster, error) {
 			c.slot = man.Slot
 			c.manifestGen = man.Generation
 		}
-	}
-
-	for k, part := range parts {
-		subnet, err := subNetwork(cfg.Net, part)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d sub-network: %w", k, err)
-		}
-		nd := &shardNode{idx: k, subnet: subnet, stations: part, localOf: make(map[int]int, len(part))}
-		for l, g := range part {
-			nd.localOf[g] = l
-		}
-		c.nodes = append(c.nodes, nd)
 	}
 
 	// Split the drift script across the shards (global ids validate
@@ -577,7 +574,7 @@ func (c *Cluster) tickLocked() error {
 	for _, nd := range c.nodes {
 		for _, r := range nd.takeReports() {
 			total += r.reward
-			admitted = c.router.appendGlobals(admitted, nd.idx, r.admitted)
+			admitted = append(admitted, r.admitted...)
 		}
 	}
 	c.tickAdmitted = admitted
@@ -653,76 +650,67 @@ func (c *Cluster) localSpec(shard int, spec serve.RequestSpec, spanCands []int) 
 	return spec
 }
 
-// Submit routes one request to its owning shard and returns its global
-// id and the shard's current slot.
+// Submit routes one request to its owning shard and returns its id and
+// the shard's current slot.
 func (c *Cluster) Submit(spec serve.RequestSpec) (uint64, int, error) {
 	shard, spanCands, err := c.router.route(spec)
 	if err != nil {
 		return 0, 0, err
 	}
-	ext, slot, err := c.nodes[shard].eng.Submit(c.localSpec(shard, spec, spanCands))
+	req := []routed{{shard: shard, cands: spanCands}}
+	c.router.reserve(req)
+	slot, err := c.nodes[shard].eng.SubmitAs(req[0].id, c.localSpec(shard, spec, spanCands))
 	if err != nil {
 		return 0, 0, err
 	}
-	return c.router.bind(shard, ext, spanCands), slot, nil
-}
-
-// rehome re-submits an already-accepted request to a shard on the
-// clock's behalf (a migration or handover handoff, or its compensation;
-// callers hold c.mu) and returns its new shard-local id.
-func (c *Cluster) rehome(shard int, spec serve.RequestSpec, spanCands []int) (uint64, error) {
-	ext, _, err := c.nodes[shard].eng.Submit(c.localSpec(shard, spec, spanCands))
-	if err == nil {
-		c.nodes[shard].rehomedIn++
+	if spanCands != nil {
+		c.router.list(req)
 	}
-	return ext, err
-}
-
-// routedSpec is one SubmitBatch spec's routing decision.
-type routedSpec struct {
-	shard     int
-	spanCands []int
+	return req[0].id, slot, nil
 }
 
 // batchScratch is SubmitBatch's pooled routing scratch. The engines copy
-// every spec they keep before replying, so the per-shard slices are free
-// for reuse as soon as the call returns.
+// every spec they keep, and read their ids, before replying, so the
+// per-shard slices are free for reuse as soon as the call returns.
 type batchScratch struct {
-	routes   []routedSpec
+	routes   []routed
 	perShard [][]serve.RequestSpec
-	results  []serve.BatchResult
+	ids      [][]uint64
+	shed     []int
 	shardErr []error
-	next     []int
+	listed   []routed // the accepted spanning requests among routes
 }
 
 // reset sizes the scratch for one batch over `shards` shards.
 func (sc *batchScratch) reset(specs, shards int) {
 	if cap(sc.routes) < specs {
-		sc.routes = make([]routedSpec, specs)
+		sc.routes = make([]routed, specs)
 	}
 	sc.routes = sc.routes[:specs]
 	if cap(sc.perShard) < shards {
 		sc.perShard = make([][]serve.RequestSpec, shards)
-		sc.results = make([]serve.BatchResult, shards)
+		sc.ids = make([][]uint64, shards)
+		sc.shed = make([]int, shards)
 		sc.shardErr = make([]error, shards)
-		sc.next = make([]int, shards)
 	}
 	sc.perShard = sc.perShard[:shards]
-	sc.results = sc.results[:shards]
+	sc.ids = sc.ids[:shards]
+	sc.shed = sc.shed[:shards]
 	sc.shardErr = sc.shardErr[:shards]
-	sc.next = sc.next[:shards]
 	for k := 0; k < shards; k++ {
 		sc.perShard[k] = sc.perShard[k][:0]
-		sc.results[k] = serve.BatchResult{}
+		sc.ids[k] = sc.ids[k][:0]
+		sc.shed[k] = 0
 		sc.shardErr[k] = nil
-		sc.next[k] = 0
 	}
 }
 
-// SubmitBatch routes a batch across shards and submits each shard's
-// slice through its engine's batched-ingest path. Global ids come back
-// in submission order. Shards that refuse (saturation, drain) fail
-// their requests; the call errors only when every spec failed.
+// SubmitBatch routes a batch across shards, reserves the batch's ids in
+// submission order, and submits each shard's slice under its ids through
+// the engine's batched-ingest path. The ids of the accepted requests come
+// back in submission order. Shards that refuse (saturation, drain) fail
+// their requests, whose ids stay unused; the call errors only when every
+// spec failed.
 func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, error) {
 	if len(specs) == 0 {
 		return serve.BatchResult{}, nil
@@ -739,41 +727,44 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 		if err != nil {
 			return serve.BatchResult{}, err
 		}
-		routes[i] = routedSpec{shard: shard, spanCands: spanCands}
+		routes[i] = routed{shard: shard, cands: spanCands}
 		perShard[shard] = append(perShard[shard], c.localSpec(shard, spec, spanCands))
 	}
-	results := sc.results
+	c.router.reserve(routes)
+	for _, r := range routes {
+		sc.ids[r.shard] = append(sc.ids[r.shard], r.id)
+	}
 	shardErr := sc.shardErr
 	for k, slice := range perShard {
 		if len(slice) == 0 {
 			continue
 		}
-		results[k], shardErr[k] = c.nodes[k].eng.SubmitBatch(slice)
+		sc.shed[k], shardErr[k] = c.nodes[k].eng.SubmitBatchAs(sc.ids[k], slice)
 	}
-	// Zip shard results back into submission order, allocating global
-	// ids in that order so they stay dense submission ordinals.
-	next := sc.next
-	locs := make([]location, 0, len(specs)) // the router keeps these
-	var out serve.BatchResult
+	// Report what the shards accepted, in submission order.
+	out := serve.BatchResult{IDs: make([]uint64, 0, len(specs))}
 	var firstErr error
-	for i := range specs {
-		k := routes[i].shard
-		if shardErr[k] != nil {
+	for _, r := range routes {
+		if shardErr[r.shard] != nil {
 			if firstErr == nil {
-				firstErr = shardErr[k]
+				firstErr = shardErr[r.shard]
 			}
 			continue
 		}
-		locs = append(locs, location{shard: k, ext: results[k].IDs[next[k]], cands: routes[i].spanCands})
-		next[k]++
+		out.IDs = append(out.IDs, r.id)
+		if r.cands != nil {
+			sc.listed = append(sc.listed, r)
+		}
 	}
-	if len(locs) == 0 {
+	if len(out.IDs) == 0 {
 		return serve.BatchResult{}, firstErr
 	}
-	out.IDs = c.router.bindBatch(locs)
-	for k, res := range results {
+	c.router.list(sc.listed)
+	clear(sc.listed) // the worklist owns the candidate lists now
+	sc.listed = sc.listed[:0]
+	for k, shed := range sc.shed {
 		if shardErr[k] == nil {
-			out.Shed += res.Shed
+			out.Shed += shed
 		}
 	}
 	return out, nil
@@ -790,20 +781,14 @@ func (c *Cluster) Flush() error {
 	return nil
 }
 
-// Status resolves a global id to its current record; migrated requests
-// resolve at their new owner. The returned record carries the global
-// id.
+// Status resolves an id to its current record; migrated requests resolve
+// at their new owner.
 func (c *Cluster) Status(id uint64) (serve.RequestRecord, bool, error) {
-	shard, ext, ok := c.router.lookup(id)
+	shard, ok := c.router.lookup(id)
 	if !ok {
 		return serve.RequestRecord{}, false, nil
 	}
-	rec, ok, err := c.nodes[shard].eng.Status(ext)
-	if err != nil || !ok {
-		return serve.RequestRecord{}, ok, err
-	}
-	rec.ID = id
-	return rec, true, nil
+	return c.nodes[shard].eng.Status(id)
 }
 
 // ValidateSpec checks a spec against the full topology exactly as the

@@ -46,15 +46,14 @@ func splitDrift(d *sim.Drift, owner []int, nodes []*shardNode) (perShard []*sim.
 
 // applyCrossHandoversLocked fires every cross-partition handover due at
 // the current slot, before the shards tick: each pending request at the
-// From station is extracted from its owning shard and re-submitted at
-// the To station's shard with its deadline shrunk by the time already
-// waited — the same two-phase handoff migration uses, so the request
-// keeps its global id and no budget is gained or lost by the move. A
-// single engine re-points such requests in place with their arrival
-// clock intact; shrinking the deadline by the elapsed wait leaves the
-// re-homed request the identical remaining budget, which is what keeps
+// From station goes through handoff to the To station's shard — the move
+// migration uses, so the request keeps its id and no budget is gained or
+// lost. A single engine re-points such requests in place with their
+// arrival clock intact; shrinking the deadline by the elapsed wait leaves
+// the re-homed request the identical remaining budget, which is what keeps
 // decision dumps parity-comparable across shard counts
-// (TestClusterHandoverAcrossPartition pins this).
+// (TestClusterHandoverAcrossPartition pins this). A handed-over request
+// stops being a migration candidate.
 //
 // A handover that falls due on a draining cluster is dropped and its
 // requests stay at the From station: the To shard's intake is closed, and
@@ -87,55 +86,13 @@ func (c *Cluster) applyCrossHandoversLocked() {
 			c.cfg.Logf("cluster: handover %d->%d snapshot: %v", h.From, h.To, err)
 			continue
 		}
-		// Snapshot order is not deterministic; extraction order must be
-		// (it fixes the target shard's submission order).
-		var exts []uint64
+		// snap.Requests is in ascending id, which fixes the order the target
+		// shard sees the requests in. One that settled since the snapshot
+		// fails phase one and stays where it is.
 		for _, cr := range snap.Requests {
 			if !cr.Running && cr.Spec.AccessStation == fromLocal {
-				exts = append(exts, cr.ExternalID)
+				c.handoff(cr.ExternalID, src.idx, dst.idx, h.To, nil, false)
 			}
-		}
-		sort.Slice(exts, func(i, j int) bool { return exts[i] < exts[j] })
-		for _, ext := range exts {
-			spec, arrival, err := src.eng.Extract(ext)
-			if err != nil {
-				continue // settled between Snapshot and Extract
-			}
-			waited := c.slot - arrival
-			if waited < 0 {
-				waited = 0
-			}
-			g, hasG := c.router.globalOf(src.idx, ext)
-			spec.AccessStation = h.To
-			spec.DeadlineMS = shrinkDeadline(spec, waited, c.cfg.SlotLengthMS)
-			if spec.DeadlineMS <= 0 {
-				// Out of budget: expire where it waited, as it would have
-				// in a single engine.
-				spec.AccessStation = h.From
-				spec.DeadlineMS = c.cfg.SlotLengthMS / 2
-				if rext, rerr := c.rehome(src.idx, spec, nil); rerr == nil && hasG {
-					c.router.rebind(g, src.idx, rext, false)
-				}
-				continue
-			}
-			next, err := c.rehome(dst.idx, spec, nil)
-			if err != nil {
-				// Compensate: back to the source under its old station so
-				// the request is never lost mid-handover.
-				spec.AccessStation = h.From
-				if rext, rerr := c.rehome(src.idx, spec, nil); rerr == nil && hasG {
-					c.router.rebind(g, src.idx, rext, false)
-				} else if rerr != nil {
-					c.cfg.Logf("cluster: handover %d->%d lost request %d (target: %v, source: %v)",
-						h.From, h.To, ext, err, rerr)
-				}
-				continue
-			}
-			if hasG {
-				c.router.rebind(g, dst.idx, next, false)
-			}
-			src.migratedOut.Add(1)
-			dst.migratedIn.Add(1)
 		}
 	}
 }

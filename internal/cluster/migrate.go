@@ -7,14 +7,11 @@ import (
 	"mecoffload/internal/serve"
 )
 
-// Migration phases. A migration is proposed by the sweep, priced by the
-// free-capacity advantage of its target shard, and either committed
-// through the two-phase handoff or aborted (below-hysteresis price, the
-// request settled first, the deadline budget ran out, or the target
-// refused).
+// Migration phases. The sweep proposes a migration when the free-capacity
+// advantage of the target shard reaches the hysteresis, and journals it as
+// committed through the two-phase handoff or as aborted (the request
+// settled first, the deadline budget ran out, or the target refused).
 const (
-	PhaseProposed  = "proposed"
-	PhasePriced    = "priced"
 	PhaseCommitted = "committed"
 	PhaseAborted   = "aborted"
 )
@@ -78,30 +75,89 @@ func shrinkDeadline(spec serve.RequestSpec, waited int, slotMS float64) float64 
 	return d - float64(waited)*slotMS
 }
 
+// rehome re-submits an already-accepted request to a shard on the clock's
+// behalf, under the id it has had since it was first accepted (callers hold
+// c.mu).
+func (c *Cluster) rehome(shard int, id uint64, spec serve.RequestSpec, spanCands []int) error {
+	_, err := c.nodes[shard].eng.SubmitAs(id, c.localSpec(shard, spec, spanCands))
+	if err == nil {
+		c.nodes[shard].rehomedIn++
+	}
+	return err
+}
+
+// handoff is the one way a pending request changes shards, for the
+// migration sweep and for a cross-partition handover alike (callers hold
+// c.mu). Phase one extracts the request from shard `from`'s planner, which
+// fails benignly if it settled or started running first. Phase two submits
+// it to shard `to` under the same id, at global access station `station`
+// (negative: the one it had), with a deadline shrunk by the time already
+// waited, so the move never grants extra time. A request out of budget, or
+// one the target refuses, goes back to `from` as it was, so none is lost
+// mid-handoff; `listed` says whether it remains a migration candidate
+// wherever it ends up. The result is empty when the move committed and
+// otherwise why it did not.
+func (c *Cluster) handoff(id uint64, from, to, station int, cands []int, listed bool) string {
+	src := c.nodes[from]
+	spec, arrival, err := src.eng.Extract(id)
+	if errors.Is(err, serve.ErrNotPending) {
+		// Pending in the table but not the planner's to give: still queued
+		// in the ingest ring, or settled since the caller looked.
+		return "not in planner"
+	}
+	if err != nil {
+		return err.Error()
+	}
+	spec.AccessStation = src.stations[spec.AccessStation]
+	spec.DeadlineMS = shrinkDeadline(spec, max(c.slot-arrival, 0), c.cfg.SlotLengthMS)
+	var reason string
+	if spec.DeadlineMS <= 0 {
+		// Out of budget: it expires where it waited, as it would have in a
+		// single engine, rather than gain time by moving.
+		spec.DeadlineMS = c.cfg.SlotLengthMS / 2
+		reason = "deadline exhausted"
+	} else {
+		moved := spec
+		if station >= 0 {
+			moved.AccessStation = station
+		}
+		err := c.rehome(to, id, moved, cands)
+		if err == nil {
+			c.router.move(id, to, listed)
+			src.migratedOut.Add(1)
+			c.nodes[to].migratedIn.Add(1)
+			return ""
+		}
+		reason = "target refused: " + err.Error()
+	}
+	if err := c.rehome(from, id, spec, cands); err != nil {
+		c.cfg.Logf("cluster: request %d lost compensation on its way from shard %d to %d (%s; source: %v)",
+			id, from, to, reason, err)
+		return reason + "; compensation failed: " + err.Error()
+	}
+	c.router.move(id, from, listed)
+	return reason
+}
+
 // sweepLocked runs one migration round under the cluster clock lock. It
 // walks the router's worklist — the spanning requests that may still be
-// pending, in ascending global id — and first asks each one's engine
-// whether it still is: a request that is not (decided, expired, shed, or a
-// terminal record the engine's table has since evicted) can never be
-// pending at that shard again, so it leaves the worklist for good. The
-// walk therefore costs the live spanning requests plus those settled
-// since the last sweep, whatever the router has routed before.
+// pending, in ascending id — and first asks each one's engine whether it
+// still is: a request that is not (decided, expired, shed, or a terminal
+// record the engine's table has since evicted) can never be pending at that
+// shard again, so it leaves the worklist for good. The walk therefore costs
+// the live spanning requests plus those settled since the last sweep,
+// whatever the router has routed before.
 //
 // A still-pending request is proposed against the shard with the most
 // spare capacity among its candidate owners — using the free-capacity
 // fractions the shard workers computed inside this slot's tick epoch
 // (shardNode.computeFreeFrac), so the sweep itself touches no engine
 // gauges — priced by the free-fraction advantage, and committed through
-// the two-phase handoff: phase one extracts the request from its source
-// shard's planner (aborting benignly if it settled or started running
-// first), phase two submits it to the target with a deadline shrunk by
-// the time already waited. A refused phase two compensates by
-// re-submitting to the source, so a request is never lost mid-handoff.
-// Commits per sweep are capped by MigrationBurst; past the cap the walk
-// only prunes. It only prunes on a draining cluster too: intake is closed
-// on every shard, phase two and its compensation would both be refused,
-// and what cannot be put back is never extracted (Drain takes the clock
-// lock, so intake cannot close between a proposal and its phase two).
+// handoff. Commits per sweep are capped by MigrationBurst; past the cap the
+// walk only prunes. It only prunes on a draining cluster too: intake is
+// closed on every shard, phase two and its compensation would both be
+// refused, and what cannot be put back is never extracted (Drain takes the
+// clock lock, so intake cannot close between a proposal and its phase two).
 //
 // Only real proposals are journaled, and a request is journaled as
 // "settled" at most once: that entry is written when it is pruned.
@@ -128,15 +184,15 @@ func (c *Cluster) sweepLocked() {
 		// request stays put, unjournaled.
 		proposed := !draining && committed < c.cfg.MigrationBurst && src.eng.Alive() &&
 			target >= 0 && best >= c.cfg.MigrationHysteresis
-		m := Migration{Global: sc.global, From: sc.shard, To: target, Price: best, Slot: c.slot}
+		m := Migration{Global: sc.id, From: sc.shard, To: target, Price: best, Phase: PhaseAborted, Slot: c.slot}
 
 		// Status reads the engine's request table without disturbing the
-		// planner; anything but pending is final for this shard/ext.
-		rec, ok, err := src.eng.Status(sc.ext)
+		// planner; anything but pending is final for this request here.
+		rec, ok, err := src.eng.Status(sc.id)
 		if err != nil || !ok || rec.State != serve.StatePending {
-			settled = append(settled, sc.global)
+			settled = append(settled, sc.id)
 			if proposed {
-				m.Phase, m.Reason = PhaseAborted, "settled"
+				m.Reason = "settled"
 				c.journalAppend(m)
 			}
 			continue
@@ -144,59 +200,15 @@ func (c *Cluster) sweepLocked() {
 		if !proposed {
 			continue
 		}
-		// Phase one: extract from the source planner.
-		spec, arrival, err := src.eng.Extract(sc.ext)
-		if err != nil {
-			m.Phase, m.Reason = PhaseAborted, err.Error()
-			if errors.Is(err, serve.ErrNotPending) {
-				// Pending in the table but not the planner's to give: still
-				// queued in the ingest ring, or shed since Status answered.
-				// It stays listed; the next sweep's Status tells which.
-				m.Reason = "not in planner"
-			}
-			c.journalAppend(m)
-			continue
+		// A request the planner would not give up stays listed; the next
+		// sweep's Status tells whether it was in the ring or has settled.
+		if m.Reason = c.handoff(sc.id, sc.shard, target, -1, sc.cands, true); m.Reason == "" {
+			m.Phase = PhaseCommitted
+			committed++
 		}
-		waited := c.slot - arrival
-		if waited < 0 {
-			waited = 0
-		}
-		// Globalize the source-local spec before re-homing it.
-		spec.AccessStation = src.stations[spec.AccessStation]
-		spec.DeadlineMS = shrinkDeadline(spec, waited, c.cfg.SlotLengthMS)
-		if spec.DeadlineMS <= 0 {
-			// Out of budget: hand it back to the source rather than grant
-			// the move free time. It will expire where it waited.
-			spec.DeadlineMS = c.cfg.SlotLengthMS / 2
-			if ext, rerr := c.rehome(sc.shard, spec, sc.cands); rerr == nil {
-				c.router.rebind(sc.global, sc.shard, ext, true)
-			}
-			m.Phase, m.Reason = PhaseAborted, "deadline exhausted"
-			c.journalAppend(m)
-			continue
-		}
-		// Phase two: commit at the target.
-		ext, err := c.rehome(target, spec, sc.cands)
-		if err != nil {
-			// Compensate: the request goes back to its source shard.
-			m.Phase, m.Reason = PhaseAborted, "target refused: "+err.Error()
-			if rext, rerr := c.rehome(sc.shard, spec, sc.cands); rerr == nil {
-				c.router.rebind(sc.global, sc.shard, rext, true)
-			} else {
-				c.cfg.Logf("cluster: migration %d lost compensation (source: %v, target: %v)",
-					sc.global, rerr, err)
-				m.Reason += "; compensation failed: " + rerr.Error()
-			}
-			c.journalAppend(m)
-			continue
-		}
-		c.router.rebind(sc.global, target, ext, true)
-		src.migratedOut.Add(1)
-		c.nodes[target].migratedIn.Add(1)
-		m.Phase = PhaseCommitted
 		c.journalAppend(m)
-		committed++
 	}
+	clear(work) // the worklist's candidate lists are not the scratch's to keep alive
 	c.sweepSettled = settled
 	c.router.pruneSpanning(settled)
 }

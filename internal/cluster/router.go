@@ -1,49 +1,54 @@
 package cluster
 
 import (
+	"cmp"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mecoffload/internal/mec"
 	"mecoffload/internal/serve"
 )
 
-// location is one routed request's current position in the cluster.
-type location struct {
-	shard int
-	ext   uint64
-	// cands are the request's global candidate stations, kept only when
-	// they span more than one shard: what the migration sweep prices and
-	// the manifest records for a live spanning request.
-	cands []int
-}
+// maxRouted is how many of the newest ids the router can place on a shard
+// (serve's maxRecords is the engines' bound on what they remember of them).
+const maxRouted = 1 << 20
 
-// router owns the global id space and the request→shard map. Routing is
-// pure (partition + candidate rule); the table exists so status lookups
-// and migrations can find a request after the fact.
+// unknownShard marks an id in the router's window that a restore did not
+// bring back.
+const unknownShard = -1
+
+// router owns the id space and routing. Routing is pure (partition +
+// candidate rule). The router hands out every request's id, which the
+// engines then use as their own, so all it has to remember of a request is
+// which shard holds it now — for status lookups — and, while a spanning
+// request may still be pending, what the migration sweep needs to move it.
 type router struct {
 	net    *mec.Network
 	owner  []int // global station -> shard
-	slotMS float64
+	window int   // maxRouted; smaller only in tests
 
 	mu         sync.RWMutex
 	nextGlobal uint64
-	table      map[uint64]*location
-	ext2global []map[uint64]uint64 // per shard: shard ext -> global id
-	order      []uint64            // bind order, for bounded eviction
-	maxRouted  int
-	// span is the migration sweep's worklist: the global ids of spanning
-	// requests that may still be pending, ascending. insertLocked appends
-	// (ids are handed out, and restored, in ascending order, so no sort is
-	// ever needed) and the sweep prunes an id the first time it finds the
-	// request can never be pending again, so the list tracks live
-	// requests, not routing history. Every id on it is in table.
-	span []uint64
+	// shards[id-base] is the shard holding request id. Ids are handed out,
+	// and restored, in ascending order, so the window is a slice that grows
+	// at its young end and drops from its old one once it is `window` long.
+	// An id below base answers Status as unknown and is otherwise
+	// unaffected: its engine still holds, schedules and checkpoints it.
+	base   uint64
+	shards []int32
+	// span is the migration sweep's worklist: the spanning requests that
+	// may still be pending, ascending by id, each with its current shard and
+	// its own candidate list. The sweep prunes an entry the first time it
+	// finds the request can never be pending again, which is also what
+	// frees the candidates, so the list tracks live requests, not routing
+	// history. It is independent of the window.
+	span []routed
 
-	// Routing counters (mu-guarded; read via RouterStats).
-	fastPath    uint64
-	spanning    uint64
-	noCandidate uint64
+	// Routing counters (read via RouterStats).
+	fastPath    atomic.Uint64
+	spanning    atomic.Uint64
+	noCandidate atomic.Uint64
 
 	// candBufs pools candidate-list scratch across concurrent route
 	// calls: the list is computed, inspected, and (unless it spans
@@ -52,22 +57,8 @@ type router struct {
 	candBufs sync.Pool
 }
 
-func newRouter(net *mec.Network, owner []int, slotMS float64, shards, maxRouted int) *router {
-	if maxRouted <= 0 {
-		maxRouted = 1 << 20
-	}
-	rt := &router{
-		net:        net,
-		owner:      owner,
-		slotMS:     slotMS,
-		table:      make(map[uint64]*location),
-		ext2global: make([]map[uint64]uint64, shards),
-		maxRouted:  maxRouted,
-	}
-	for k := range rt.ext2global {
-		rt.ext2global[k] = make(map[uint64]uint64)
-	}
-	return rt
+func newRouter(net *mec.Network, owner []int, window int) *router {
+	return &router{net: net, owner: owner, window: window}
 }
 
 // route decides the owning shard for a spec: the shard owning every
@@ -89,177 +80,104 @@ func (rt *router) route(spec serve.RequestSpec) (shard int, spanCands []int, err
 		return 0, nil, err
 	}
 	if len(cands) == 0 {
-		rt.mu.Lock()
-		rt.noCandidate++
-		rt.mu.Unlock()
+		rt.noCandidate.Add(1)
 		return rt.owner[spec.AccessStation], nil, nil
 	}
 	home := rt.owner[cands[0]]
-	multi := false
 	for _, i := range cands[1:] {
 		if rt.owner[i] != home {
-			multi = true
-			break
+			rt.spanning.Add(1)
+			// The sweep's worklist keeps a spanning request's candidates;
+			// copy them out of the pooled scratch.
+			return home, append([]int(nil), cands...), nil
 		}
 	}
-	rt.mu.Lock()
-	if multi {
-		rt.spanning++
-	} else {
-		rt.fastPath++
-	}
-	rt.mu.Unlock()
-	if !multi {
-		return home, nil, nil
-	}
-	// Spanning candidates are retained in the routing table; copy them
-	// out of the pooled scratch.
-	return home, append([]int(nil), cands...), nil
+	rt.fastPath.Add(1)
+	return home, nil, nil
 }
 
-// bind allocates the next global id for a freshly accepted request and
-// records its location. Global ids are dense submission ordinals, which
-// makes cluster decision dumps directly comparable across shard counts.
-func (rt *router) bind(shard int, ext uint64, spanCands []int) uint64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	g := rt.nextGlobal
-	rt.nextGlobal++
-	rt.insertLocked(g, &location{shard: shard, ext: ext, cands: spanCands})
-	return g
+// routed is one request as the router knows it: its id, the shard holding
+// it now, and — for a spanning request — its global candidate stations.
+type routed struct {
+	id    uint64
+	shard int
+	cands []int
 }
 
-// bindBatch is bind for a whole accepted batch: ids are allocated in slice
-// order under one lock acquisition. The table keeps pointers into locs, so
-// a batch costs the router one allocation of rows (the caller's) and one of
-// ids; the rows are released together, once eviction has passed the last
-// of them.
-func (rt *router) bindBatch(locs []location) []uint64 {
-	ids := make([]uint64, len(locs))
+// reserve numbers reqs with the next ids, in slice order under one lock
+// acquisition, and places each on its shard. Ids are dense submission
+// ordinals, which makes cluster decision dumps directly comparable across
+// shard counts. A reserved id whose engine then refuses the request stays a
+// hole: placed, and unknown to that shard.
+func (rt *router) reserve(reqs []routed) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for i := range locs {
-		ids[i] = rt.nextGlobal
+	for i := range reqs {
+		reqs[i].id = rt.nextGlobal
 		rt.nextGlobal++
-		rt.insertLocked(ids[i], &locs[i])
+		rt.shards = append(rt.shards, int32(reqs[i].shard))
 	}
-	return ids
+	if over := len(rt.shards) - rt.window; over > 0 {
+		rt.shards = rt.shards[over:]
+		rt.base += uint64(over)
+	}
 }
 
-// bindAt re-registers a known global id during a manifest restore.
-// composeRestore calls it in ascending id order, before any bind, which
-// is what keeps order and span ascending.
-func (rt *router) bindAt(g uint64, shard int, ext uint64, spanCands []int) {
+func (sc routed) compareID(id uint64) int { return cmp.Compare(sc.id, id) }
+
+// list puts spanning requests their engines accepted on the sweep's
+// worklist. entries are one Submit's, ascending; they go in behind every
+// id reserved earlier, which is the end of the list unless a concurrent
+// Submit that reserved later has listed first.
+func (rt *router) list(entries []routed) {
+	if len(entries) == 0 {
+		return
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if g >= rt.nextGlobal {
-		rt.nextGlobal = g + 1
-	}
-	rt.insertLocked(g, &location{shard: shard, ext: ext, cands: spanCands})
+	i, _ := slices.BinarySearchFunc(rt.span, entries[0].id, routed.compareID)
+	rt.span = slices.Insert(rt.span, i, entries...)
 }
 
-func (rt *router) insertLocked(g uint64, loc *location) {
-	rt.table[g] = loc
-	rt.ext2global[loc.shard][loc.ext] = g
-	rt.order = append(rt.order, g)
-	if len(loc.cands) > 0 {
-		rt.span = append(rt.span, g)
-	}
-	for len(rt.table) > rt.maxRouted && len(rt.order) > 0 {
-		old := rt.order[0]
-		rt.order = rt.order[1:]
-		if loc, ok := rt.table[old]; ok {
-			delete(rt.ext2global[loc.shard], loc.ext)
-			delete(rt.table, old)
-		}
-		// The evicted id is the table's smallest, so on the ascending
-		// worklist it can only be the head.
-		if len(rt.span) > 0 && rt.span[0] == old {
-			rt.span = rt.span[1:]
-		}
-	}
-}
-
-// rebind moves a migrated request to its new shard and local id. With
-// keepSpanning it stays on the sweep's worklist under the new location;
-// without, it stops being a migration candidate.
-func (rt *router) rebind(g uint64, shard int, ext uint64, keepSpanning bool) bool {
+// move records that request id now sits on shard, and whether it remains a
+// migration candidate: if not, it leaves the sweep's worklist.
+func (rt *router) move(id uint64, shard int, listed bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	loc, ok := rt.table[g]
-	if !ok {
-		return false
+	if id >= rt.base && id-rt.base < uint64(len(rt.shards)) {
+		rt.shards[id-rt.base] = int32(shard)
 	}
-	delete(rt.ext2global[loc.shard], loc.ext)
-	loc.shard, loc.ext = shard, ext
-	if !keepSpanning && loc.cands != nil {
-		loc.cands = nil
-		if i, found := slices.BinarySearch(rt.span, g); found {
+	if i, found := slices.BinarySearchFunc(rt.span, id, routed.compareID); found {
+		if listed {
+			rt.span[i].shard = shard
+		} else {
 			rt.span = slices.Delete(rt.span, i, i+1)
 		}
 	}
-	rt.ext2global[shard][ext] = g
-	return true
 }
 
-// lookup resolves a global id to its current shard and local id.
-func (rt *router) lookup(g uint64) (shard int, ext uint64, ok bool) {
+// lookup resolves an id to the shard holding it now.
+func (rt *router) lookup(id uint64) (shard int, ok bool) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	loc, ok := rt.table[g]
-	if !ok {
-		return 0, 0, false
+	if id < rt.base || id-rt.base >= uint64(len(rt.shards)) {
+		return 0, false
 	}
-	return loc.shard, loc.ext, true
+	shard = int(rt.shards[id-rt.base])
+	return shard, shard != unknownShard
 }
 
-// globalOf resolves a shard-local id back to its global id.
-func (rt *router) globalOf(shard int, ext uint64) (uint64, bool) {
+// spanningRequests appends the sweep's worklist to dst, in ascending id
+// order. The cost is the length of the worklist, whatever was routed
+// before.
+func (rt *router) spanningRequests(dst []routed) []routed {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	g, ok := rt.ext2global[shard][ext]
-	return g, ok
-}
-
-// appendGlobals resolves a batch of one shard's local ids under a single
-// read-lock acquisition, appending the hits to dst. The tick loop's
-// reward aggregation uses it instead of a per-id globalOf round-trip.
-func (rt *router) appendGlobals(dst []uint64, shard int, exts []uint64) []uint64 {
-	rt.mu.RLock()
-	m := rt.ext2global[shard]
-	for _, ext := range exts {
-		if g, ok := m[ext]; ok {
-			dst = append(dst, g)
-		}
-	}
-	rt.mu.RUnlock()
-	return dst
-}
-
-// spanCandidate is one migration-sweep worklist entry.
-type spanCandidate struct {
-	global uint64
-	shard  int
-	ext    uint64
-	cands  []int
-}
-
-// spanningRequests appends the sweep's worklist to dst, in ascending
-// global-id order: every spanning request not yet pruned, at its current
-// location. The cost is the length of the worklist, not of the table.
-func (rt *router) spanningRequests(dst []spanCandidate) []spanCandidate {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	for _, g := range rt.span {
-		loc := rt.table[g]
-		dst = append(dst, spanCandidate{global: g, shard: loc.shard, ext: loc.ext, cands: loc.cands})
-	}
-	return dst
+	return append(dst, rt.span...)
 }
 
 // pruneSpanning drops the given ids (ascending, as the sweep met them)
-// from the worklist. Ids bound since the sweep's snapshot sit behind all
-// of them and stay.
+// from the worklist. Ids listed since the sweep's snapshot stay.
 func (rt *router) pruneSpanning(done []uint64) {
 	if len(done) == 0 {
 		return
@@ -267,16 +185,16 @@ func (rt *router) pruneSpanning(done []uint64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	keep := rt.span[:0]
-	for _, g := range rt.span {
-		// An id evicted from the head since the snapshot is simply absent.
-		for len(done) > 0 && done[0] < g {
+	for _, sc := range rt.span {
+		for len(done) > 0 && done[0] < sc.id {
 			done = done[1:]
 		}
-		if len(done) > 0 && done[0] == g {
+		if len(done) > 0 && done[0] == sc.id {
 			continue
 		}
-		keep = append(keep, g)
+		keep = append(keep, sc)
 	}
+	clear(rt.span[len(keep):]) // let go of the pruned candidate lists
 	rt.span = keep
 }
 
@@ -292,9 +210,9 @@ func (rt *router) stats() RouterStats {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	return RouterStats{
-		FastPath:    rt.fastPath,
-		Spanning:    rt.spanning,
-		NoCandidate: rt.noCandidate,
+		FastPath:    rt.fastPath.Load(),
+		Spanning:    rt.spanning.Load(),
+		NoCandidate: rt.noCandidate.Load(),
 		Routed:      rt.nextGlobal,
 	}
 }

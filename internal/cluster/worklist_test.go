@@ -1,14 +1,15 @@
 package cluster
 
-// The migration sweep's worklist and the manifest id table are both
-// indexes over the router's table that must stay proportional to live
-// requests. These tests hold them to the table they index: a test-only
-// reference that scans the whole table and sorts (what the sweep itself
-// did before the worklist existed) must agree with the worklist on every
-// id that can still be pending, in the same order, and a cluster fed the
-// reference must commit exactly the same migrations.
+// The migration sweep's worklist must stay proportional to live requests,
+// and the manifest to what the shard snapshots hold. These tests hold the
+// worklist to a model of the routing history kept in the test: it must
+// agree with the model on every request that can still be pending, in the
+// same order, and a cluster whose sweep is fed the whole history — what the
+// sweep walked before the worklist existed — must commit exactly the same
+// migrations.
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"mecoffload/internal/graph"
@@ -53,116 +55,142 @@ func chainTestNetwork(t testing.TB, n int) *mec.Network {
 	return net
 }
 
-// referenceSpanning is the sweep's worklist as it was computed before the
-// router kept one: every table entry with spanning candidates, settled or
-// not, sorted by global id.
-func referenceSpanning(rt *router) []spanCandidate {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	var out []spanCandidate
-	for g, loc := range rt.table {
-		if len(loc.cands) > 0 {
-			out = append(out, spanCandidate{global: g, shard: loc.shard, ext: loc.ext, cands: loc.cands})
-		}
-	}
-	slices.SortFunc(out, func(a, b spanCandidate) int { return cmp.Compare(a.global, b.global) })
-	return out
-}
+func byID(a, b routed) int { return cmp.Compare(a.id, b.id) }
 
 // TestWorklistMatchesTableScan drives a router through seeded random
-// binds, rebinds, prunes, MaxRouted evictions and manifest-style restores
-// and requires, after every step, that the worklist is the reference scan
-// minus the pruned ids: same entries, same ascending order.
+// reservations (single and batched, some left as holes by a refusing shard),
+// moves, prunes, window evictions and manifest-style restores against a
+// model held here — every id's shard, and the listed spanning requests —
+// and requires, after every step, that the worklist is the model's listed
+// set in ascending id with each entry's current shard and own candidates,
+// and that an id resolves to its shard exactly while the window covers it.
 func TestWorklistMatchesTableScan(t *testing.T) {
-	const shards, maxRouted = 3, 48
+	const shards, window = 3, 48
 	net := chainTestNetwork(t, 6)
 	owner := []int{0, 0, 1, 1, 2, 2}
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rt := newRouter(net, owner, mec.DefaultSlotLengthMS, shards, maxRouted)
-		nextExt := make([]uint64, shards)
-		pruned := map[uint64]bool{}
-		newExt := func(shard int) uint64 {
-			nextExt[shard]++
-			return nextExt[shard] - 1
+		rt := newRouter(net, owner, window)
+		placed := map[uint64]int{}    // every id the router was told a shard for
+		listed := map[uint64]routed{} // what the worklist must hold
+		var next uint64
+		reserve := func(n int) {
+			routes := make([]routed, n)
+			for i := range routes {
+				routes[i].shard = rng.Intn(shards)
+				if rng.Intn(3) > 0 {
+					routes[i].cands = []int{rng.Intn(2), 2 + rng.Intn(4)}
+				}
+			}
+			rt.reserve(routes)
+			refuses := -1 // one shard may refuse its share of the batch
+			if rng.Intn(4) == 0 {
+				refuses = rng.Intn(shards)
+			}
+			var entries []routed
+			for i, r := range routes {
+				if r.id != next+uint64(i) {
+					t.Fatalf("seed %d: reserve handed out %d, want %d", seed, r.id, next+uint64(i))
+				}
+				placed[r.id] = r.shard
+				if r.cands != nil && r.shard != refuses {
+					entries, listed[r.id] = append(entries, r), r
+				}
+			}
+			rt.list(entries)
+			next += uint64(n)
 		}
 		check := func(step int, op string) {
 			t.Helper()
-			var want []spanCandidate
-			for _, sc := range referenceSpanning(rt) {
-				if !pruned[sc.global] {
-					want = append(want, sc)
-				}
+			want := make([]routed, 0, len(listed))
+			for _, sc := range listed {
+				want = append(want, sc)
 			}
-			got := rt.spanningRequests(nil)
-			if !reflect.DeepEqual(got, want) {
+			slices.SortFunc(want, byID)
+			if got := rt.spanningRequests(nil); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 				t.Fatalf("seed %d step %d (%s): worklist\n got  %v\n want %v", seed, step, op, got, want)
+			}
+			if rt.stats().Routed != next || len(rt.shards) > window {
+				t.Fatalf("seed %d step %d (%s): routed %d (want %d), window holds %d > %d",
+					seed, step, op, rt.stats().Routed, next, len(rt.shards), window)
+			}
+			for id := uint64(0); id <= next; id++ {
+				shard, known := placed[id]
+				known = known && id+window >= next
+				if got, ok := rt.lookup(id); ok != known || (ok && got != shard) {
+					t.Fatalf("seed %d step %d (%s): lookup(%d) = %d, %v; model %d, %v (next %d)", seed, step, op, id, got, ok, shard, known, next)
+				}
 			}
 		}
 		for step := 0; step < 600; step++ {
 			var op string
 			switch k := rng.Intn(20); {
+			case k < 8:
+				op = "reserve"
+				reserve(1)
 			case k < 10:
-				op = "bind"
-				shard := rng.Intn(shards)
-				var cands []int
-				if rng.Intn(3) > 0 {
-					cands = []int{rng.Intn(2), 2 + rng.Intn(4)}
-				}
-				rt.bind(shard, newExt(shard), cands)
+				op = "reserve batch"
+				reserve(2 + rng.Intn(9))
 			case k < 14:
-				op = "rebind"
-				if rt.nextGlobal == 0 {
+				op = "move"
+				if next == 0 {
 					continue
 				}
-				// May name an evicted id; rebind must then refuse.
-				g := uint64(rng.Int63n(int64(rt.nextGlobal)))
-				shard := rng.Intn(shards)
-				keep := rng.Intn(4) > 0
-				_, known := rt.table[g]
-				if rt.rebind(g, shard, newExt(shard), keep) != known {
-					t.Fatalf("seed %d step %d: rebind(%d) known=%v", seed, step, g, known)
+				// May name an id the window has passed: the worklist entry
+				// moves all the same.
+				id := uint64(rng.Int63n(int64(next)))
+				shard, keep := rng.Intn(shards), rng.Intn(4) > 0
+				if _, ok := placed[id]; !ok {
+					continue // a hole a restore left: no request to move
+				}
+				rt.move(id, shard, keep)
+				placed[id] = shard
+				if sc, ok := listed[id]; ok && keep {
+					sc.shard = shard
+					listed[id] = sc
+				} else {
+					delete(listed, id)
 				}
 			case k < 19:
 				op = "prune"
 				var done []uint64
 				for _, sc := range rt.spanningRequests(nil) {
 					if rng.Intn(3) == 0 {
-						done = append(done, sc.global)
-						pruned[sc.global] = true
+						done = append(done, sc.id)
+						delete(listed, sc.id)
 					}
 				}
-				// The sweep may also hand back an id evicted meanwhile.
+				// Requests listed after the sweep's snapshot stay.
 				if len(done) > 0 && rng.Intn(2) == 0 {
-					for i := 0; i < 8; i++ {
-						rt.bind(0, newExt(0), nil)
-					}
+					reserve(8)
 				}
 				rt.pruneSpanning(done)
 			default:
 				op = "restore"
-				// composeRestore: a fresh router, every live request bound
-				// again at its old global id, ascending.
-				var live []uint64
-				for g := range rt.table {
-					if !pruned[g] {
-						live = append(live, g)
+				// composeRestore: a fresh router told the live requests in
+				// ascending id — here the listed ones plus a few unlisted
+				// (running streams), some older than the window can cover.
+				live := make([]routed, 0, len(listed))
+				for _, sc := range listed {
+					live = append(live, sc)
+				}
+				for id, shard := range placed {
+					if _, ok := listed[id]; !ok && rng.Intn(8) == 0 {
+						live = append(live, routed{id: id, shard: shard})
 					}
 				}
-				slices.Sort(live)
-				fresh := newRouter(net, owner, mec.DefaultSlotLengthMS, shards, maxRouted)
-				nextExt = make([]uint64, shards)
-				for _, g := range live {
-					loc := rt.table[g]
-					fresh.bindAt(g, loc.shard, newExt(loc.shard), loc.cands)
+				slices.SortFunc(live, byID)
+				rt = newRouter(net, owner, window)
+				rt.restore(next, live)
+				placed = map[uint64]int{}
+				for _, sc := range live {
+					placed[sc.id] = sc.shard
 				}
-				fresh.setNextGlobal(rt.nextGlobal)
-				rt, pruned = fresh, map[uint64]bool{}
 			}
 			check(step, op)
-			if len(rt.table) > maxRouted {
-				t.Fatalf("seed %d step %d: table holds %d > MaxRouted %d", seed, step, len(rt.table), maxRouted)
-			}
+		}
+		if next < 4*window {
+			t.Fatalf("seed %d: only %d ids, the window never moved", seed, next)
 		}
 	}
 }
@@ -172,17 +200,18 @@ type sweepRun struct {
 	journal   []Migration // every entry, in append order
 	decisions []string    // one line per slot: admitted ids and reward
 	listed    int         // worklist length at the end
-	history   int         // reference-scan length at the end
+	history   int         // spanning requests ever listed
 	maxListed int         // largest worklist seen right after a sweep
 }
 
 // runSweepScript drives a 2-shard cluster over a 4-station chain through
 // a seeded submit/flush/tick schedule with the sweep on every other slot
 // and a low hysteresis, so handoffs commit, the burst cap bites and most
-// requests settle between sweeps. With useReference the router's worklist
-// is overwritten from the reference scan before every tick, so the sweep
-// walks the whole routing history like the table scan did. afterSweep,
-// when set, runs after every sweep slot.
+// requests settle between sweeps. The run keeps every spanning request the
+// worklist ever showed it, at the last shard it was seen on; with
+// useReference the router's worklist is overwritten with that whole history
+// before every tick, so the sweep walks it like the table scan did.
+// afterSweep, when set, runs after every sweep slot.
 func runSweepScript(t *testing.T, slots int, useReference bool, afterSweep func(c *Cluster)) sweepRun {
 	t.Helper()
 	var run sweepRun
@@ -207,6 +236,7 @@ func runSweepScript(t *testing.T, slots int, useReference bool, afterSweep func(
 	defer func() { _ = c.Stop() }()
 
 	rng := rand.New(rand.NewSource(23))
+	history := map[uint64]routed{}
 	var seen uint64
 	for slot := 0; slot < slots; slot++ {
 		var specs []serve.RequestSpec
@@ -224,13 +254,16 @@ func runSweepScript(t *testing.T, slots int, useReference bool, afterSweep func(
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		for _, sc := range c.router.spanningRequests(nil) {
+			history[sc.id] = sc // a pruned request settled on the shard it was last seen on
+		}
 		if useReference {
-			ref := referenceSpanning(c.router)
 			c.router.mu.Lock()
 			c.router.span = c.router.span[:0]
-			for _, sc := range ref {
-				c.router.span = append(c.router.span, sc.global)
+			for _, sc := range history {
+				c.router.span = append(c.router.span, sc)
 			}
+			slices.SortFunc(c.router.span, byID)
 			c.router.mu.Unlock()
 		}
 		if err := c.Tick(); err != nil {
@@ -252,7 +285,7 @@ func runSweepScript(t *testing.T, slots int, useReference bool, afterSweep func(
 		}
 	}
 	run.listed = len(c.router.spanningRequests(nil))
-	run.history = len(referenceSpanning(c.router))
+	run.history = len(history)
 	return run
 }
 
@@ -300,10 +333,10 @@ func TestSweepDifferentialAgainstTableScan(t *testing.T) {
 func TestWorklistTracksLiveRequests(t *testing.T) {
 	allPending := func(c *Cluster) {
 		for _, sc := range c.router.spanningRequests(nil) {
-			rec, ok, err := c.nodes[sc.shard].eng.Status(sc.ext)
+			rec, ok, err := c.nodes[sc.shard].eng.Status(sc.id)
 			if err != nil || !ok || rec.State != serve.StatePending {
 				t.Fatalf("slot %d: request %d still listed after the sweep in state %q (known=%v, err=%v)",
-					c.Slot(), sc.global, rec.State, ok, err)
+					c.Slot(), sc.id, rec.State, ok, err)
 			}
 		}
 	}
@@ -397,10 +430,10 @@ func TestJournalRing(t *testing.T) {
 }
 
 // TestManifestIDsAreLiveIDs: however much the router has routed, a
-// shard's manifest id table names exactly the requests in that shard's
-// snapshot; and a manifest that also carries a pair for every request
-// ever routed — what the table held before it was built from the
-// snapshot — restores to the same cluster at 1, 2 and 8 shards.
+// version-2 manifest carries no per-request entry at all — the shard
+// snapshots speak cluster ids themselves — and each shard file holds
+// exactly the requests live on that shard, which restore under their ids
+// at 1, 2 and 8 shards.
 func TestManifestIDsAreLiveIDs(t *testing.T) {
 	net := chainTestNetwork(t, 8)
 	dir := t.TempDir()
@@ -455,14 +488,6 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 		submitted++
 		live = append(live, id)
 	}
-	type routed struct {
-		shard int
-		ext   uint64
-	}
-	history := map[uint64]routed{}
-	for g, loc := range c.router.table {
-		history[g] = routed{loc.shard, loc.ext}
-	}
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -476,106 +501,298 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
-	var listed []uint64
+	if man.Version != 2 || man.NextGlobalID != uint64(submitted) || bytes.Contains(data, []byte(`"ids"`)) {
+		t.Fatalf("manifest version %d, next id %d (want 2, %d), or it carries an id table:\n%s", man.Version, man.NextGlobalID, submitted, data)
+	}
+	var inSnaps []uint64
 	for _, sh := range man.Shards {
+		if sh.IDs != nil {
+			t.Fatalf("shard %d: manifest carries per-request entries %+v", sh.Index, sh.IDs)
+		}
 		ck, err := serve.LoadCheckpoint(filepath.Join(dir, sh.File))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var inSnap, inTable []uint64
 		for _, cr := range ck.Requests {
-			inSnap = append(inSnap, cr.ExternalID)
-		}
-		for _, p := range sh.IDs {
-			inTable = append(inTable, p.Ext)
-			listed = append(listed, p.Global)
-		}
-		slices.Sort(inSnap)
-		slices.Sort(inTable)
-		if !slices.Equal(inSnap, inTable) {
-			t.Fatalf("shard %d: manifest ids name exts %v, snapshot holds %v", sh.Index, inTable, inSnap)
-		}
-		if !slices.IsSortedFunc(sh.IDs, func(a, b manifestIDPair) int { return cmp.Compare(a.Global, b.Global) }) {
-			t.Fatalf("shard %d: manifest ids not in ascending global id: %+v", sh.Index, sh.IDs)
+			if shard, ok := c.router.lookup(cr.ExternalID); !ok || shard != sh.Index {
+				t.Fatalf("shard %d file holds request %d, which the router placed on shard %d (known=%v)", sh.Index, cr.ExternalID, shard, ok)
+			}
+			inSnaps = append(inSnaps, cr.ExternalID)
 		}
 	}
-	slices.Sort(listed)
-	if !slices.Equal(listed, live) {
-		t.Fatalf("manifest lists global ids %v, live are %v (of %d routed)", listed, live, submitted)
+	slices.Sort(inSnaps)
+	if !slices.Equal(inSnaps, live) {
+		t.Fatalf("shard files hold requests %v, live are %v (of %d routed)", inSnaps, live, submitted)
 	}
 
-	// The parent's format: every routed request keeps its pair.
-	padded := man
-	padded.Shards = slices.Clone(man.Shards)
-	stale := 0
-	for k := range padded.Shards {
-		sh := &padded.Shards[k]
-		sh.IDs = slices.Clone(sh.IDs)
-		for g, r := range history {
-			if r.shard == sh.Index && !slices.Contains(live, g) {
-				sh.IDs = append(sh.IDs, manifestIDPair{Ext: r.ext, Global: g, Spanning: []int{0, 7}})
-				stale++
-			}
-		}
-		slices.SortFunc(sh.IDs, func(a, b manifestIDPair) int { return cmp.Compare(a.Global, b.Global) })
-	}
-
-	if stale != submitted-len(live) {
-		t.Fatalf("padded %d stale pairs, want one per settled request (%d)", stale, submitted-len(live))
-	}
-
-	restore := func(shards int, man *Manifest) []string {
-		rdir := t.TempDir()
-		for _, sh := range man.Shards {
-			blob, err := os.ReadFile(filepath.Join(dir, sh.File))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(rdir, sh.File), blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := writeManifest(filepath.Join(rdir, "cluster.json"), man); err != nil {
-			t.Fatal(err)
-		}
-		var state []string
+	for _, shards := range []int{1, 2, 8} {
 		rcfg := cfg
 		rcfg.Shards = shards
-		rcfg.CheckpointPath = filepath.Join(rdir, "cluster.json")
-		rcfg.SlotObserver = func(slot int, admitted []uint64, reward float64) {
-			state = append(state, fmt.Sprintf("slot %d %v %.6f", slot, admitted, reward))
-		}
 		rc, err := New(rcfg)
 		if err != nil {
 			t.Fatalf("restore at %d shards: %v", shards, err)
 		}
 		rc.Start()
-		defer func() { _ = rc.Stop() }()
-		state = append(state, fmt.Sprintf("routed %d slot %d table %d listed %v",
-			rc.RouterStats().Routed, rc.Slot(), len(rc.router.table), rc.router.spanningRequests(nil)))
+		if got := rc.RouterStats().Routed; got != uint64(submitted) {
+			t.Fatalf("restore at %d shards: id allocator at %d, want %d", shards, got, submitted)
+		}
 		for g := uint64(0); g < uint64(submitted); g++ {
 			rec, ok, err := rc.Status(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ok != slices.Contains(live, g) || (ok && rec.State != serve.StatePending) {
-				t.Fatalf("restore at %d shards: request %d known=%v state %q", shards, g, ok, rec.State)
+			if ok != slices.Contains(live, g) || (ok && (rec.ID != g || rec.State != serve.StatePending)) {
+				t.Fatalf("restore at %d shards: request %d known=%v as %+v", shards, g, ok, rec)
 			}
-			state = append(state, fmt.Sprintf("%d %v %+v", g, ok, rec))
 		}
-		for i := 0; i < 10; i++ {
-			if err := rc.Tick(); err != nil {
+		// Stop rewrites the manifest, at this shard count, for the next round.
+		if err := rc.Stop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLiveRequestOutlivesRouterEntry: a stream that is still running after
+// the router's window has moved past its id is checkpointed and restored
+// like any other live request. (With a per-request router table bounded by
+// age, such a stream had no entry in the manifest's id table and every
+// manifest written from then on refused to restore.)
+func TestLiveRequestOutlivesRouterEntry(t *testing.T) {
+	cfg := Config{
+		Net:            chainTestNetwork(t, 4),
+		Shards:         1,
+		Seed:           3,
+		CheckpointPath: filepath.Join(t.TempDir(), "cluster.json"),
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.router = newRouter(c.net, c.owner, 4)
+	c.Start()
+	spec := serve.RequestSpec{AccessStation: 1, DurationSlots: 500, Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}}
+	stream, _, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok, err := c.Status(stream); err != nil || !ok || rec.State != serve.StateServing {
+		t.Fatalf("stream %d: %+v ok=%v err=%v, want serving", stream, rec, ok, err)
+	}
+	spec.DurationSlots = 1
+	for i := 0; i < 8; i++ {
+		if _, _, err := c.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := c.Status(stream); ok || err != nil {
+		t.Fatalf("stream %d is below a 4-id window after 8 more submits, but Status says known=%v err=%v", stream, ok, err)
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	rc, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	rc.Start()
+	defer func() { _ = rc.Stop() }()
+	if rec, ok, err := rc.nodes[0].eng.Status(stream); err != nil || !ok || rec.State != serve.StateServing {
+		t.Fatalf("restored stream %d on its shard: %+v ok=%v err=%v, want serving", stream, rec, ok, err)
+	}
+	if rec, ok, err := rc.Status(stream); err != nil || (ok && rec.State != serve.StateServing) {
+		t.Fatalf("restored stream %d by its id: %+v ok=%v err=%v, want unknown or serving", stream, rec, ok, err)
+	}
+	if id, _, err := rc.Submit(spec); err != nil || id != 9 {
+		t.Fatalf("first id after the restore %d (err %v), want 9", id, err)
+	}
+}
+
+// TestManifestV1Restores: testdata/manifest_v1 is a version-1 manifest as
+// the tree before cluster ids reached the engines wrote it — two shards
+// over chainTestNetwork(8), shard files numbered locally, an id table in
+// the manifest; among its 26 live requests are running streams, pending
+// requests, and both kinds re-homed to shard 1 by the migration sweep under
+// a local id that differs from their cluster id. It must restore at 1, 2
+// and 4 shards with every id answering in its state, the learner intact,
+// the id allocator where it stood — and be rewritten as version 2.
+func TestManifestV1Restores(t *testing.T) {
+	const fixture = "testdata/manifest_v1"
+	var man Manifest
+	data, err := os.ReadFile(filepath.Join(fixture, "cluster.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.Version != 1 || len(man.Shards) != 2 {
+		t.Fatalf("fixture is a version-%d manifest of %d shards, want version 1 of 2", man.Version, len(man.Shards))
+	}
+	wantState := map[uint64]string{}
+	var wantBandit []byte
+	rehomedPending, rehomedRunning := 0, 0
+	for _, sh := range man.Shards {
+		ck, err := serve.LoadCheckpoint(filepath.Join(fixture, sh.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantBandit == nil {
+			if wantBandit, err = json.Marshal(ck.Bandit); err != nil {
 				t.Fatal(err)
 			}
 		}
-		state = append(state, fmt.Sprintf("totals %+v", rc.Totals()))
-		return state
-	}
-	for _, shards := range []int{1, 2, 8} {
-		want := restore(shards, &man)
-		got := restore(shards, &padded)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("restore at %d shards differs\n live-only manifest: %v\n padded manifest:    %v", shards, want, got)
+		clusterID := map[uint64]uint64{}
+		for _, p := range sh.IDs {
+			clusterID[p.Ext] = p.Global
 		}
+		for _, cr := range ck.Requests {
+			g, ok := clusterID[cr.ExternalID]
+			if !ok {
+				t.Fatalf("fixture shard %d: request ext=%d has no pair", sh.Index, cr.ExternalID)
+			}
+			wantState[g] = serve.StatePending
+			if cr.Running {
+				wantState[g] = serve.StateServing
+			}
+			if g != cr.ExternalID && cr.Running {
+				rehomedRunning++
+			} else if g != cr.ExternalID {
+				rehomedPending++
+			}
+		}
+	}
+	if rehomedPending == 0 || rehomedRunning == 0 || len(wantState) != 26 {
+		t.Fatalf("fixture holds %d requests, %d pending and %d running under a local id of their own: want 26, some, some",
+			len(wantState), rehomedPending, rehomedRunning)
+	}
+
+	for _, shards := range []int{1, 2, 4} {
+		dir := t.TempDir()
+		entries, err := os.ReadDir(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range entries {
+			blob, err := os.ReadFile(filepath.Join(fixture, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ent.Name()), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := Config{
+			Net:            chainTestNetwork(t, 8),
+			Shards:         shards,
+			SchedulerName:  "dynamicrr",
+			DynamicRR:      sim.DynamicRROptions{RoundingDenominator: 1},
+			Seed:           7,
+			CheckpointPath: filepath.Join(dir, "cluster.json"),
+			MigrationEvery: 2,
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("restore at %d shards: %v", shards, err)
+		}
+		if c.Slot() != man.Slot || c.RouterStats().Routed != man.NextGlobalID {
+			t.Fatalf("restore at %d shards: slot %d next id %d, want %d and %d", shards, c.Slot(), c.RouterStats().Routed, man.Slot, man.NextGlobalID)
+		}
+		for _, nd := range c.nodes { // not started yet: the learners are nobody's but the test's
+			snap, err := nd.eng.BanditSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := json.Marshal(snap); !bytes.Equal(got, wantBandit) {
+				t.Fatalf("restore at %d shards: shard %d learner\n got  %s\n want %s", shards, nd.idx, got, wantBandit)
+			}
+		}
+		c.Start()
+		for g := uint64(0); g < man.NextGlobalID; g++ {
+			rec, ok, err := c.Status(g)
+			if err != nil || ok != (wantState[g] != "") || (ok && (rec.ID != g || rec.State != wantState[g])) {
+				t.Fatalf("restore at %d shards: request %d answers %+v (known=%v, err=%v), want state %q", shards, g, rec, ok, err, wantState[g])
+			}
+		}
+		// Streams hold for 60 slots; within 45 every pending request has been
+		// admitted or has expired, under the id it came with.
+		for i := 0; i < 45; i++ {
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g, was := range wantState {
+			rec, ok, err := c.Status(g)
+			if err != nil || !ok || rec.State == serve.StatePending || rec.State == serve.StateMigrated ||
+				(was == serve.StateServing && rec.State != serve.StateServing) {
+				t.Fatalf("restore at %d shards: request %d (%s at the restore) is %+v after 45 slots (known=%v, err=%v)", shards, g, was, rec, ok, err)
+			}
+		}
+		if err := c.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		rewritten, err := os.ReadFile(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(rewritten, []byte(`"version": 2`)) || bytes.Contains(rewritten, []byte(`"ids"`)) {
+			t.Fatalf("restore at %d shards: the manifest written at Stop is not a version-2 one:\n%s", shards, rewritten)
+		}
+	}
+}
+
+// TestConcurrentSubmitsKeepWorklistSorted: submitters reserve ids in one
+// order and list their spanning requests in another (whoever's engines
+// answer first), so a listing can land behind ids reserved after it; the
+// worklist must come out ascending with every accepted spanning request on
+// it exactly once, whatever the interleaving.
+func TestConcurrentSubmitsKeepWorklistSorted(t *testing.T) {
+	net := chainTestNetwork(t, 4)
+	c, err := New(Config{Net: net, Shards: 2, Seed: 9, MigrationEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer func() { _ = c.Stop() }()
+	const workers, rounds = 4, 40
+	accepted := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			spec := serve.RequestSpec{AccessStation: w, DurationSlots: 2, DeadlineMS: 2000,
+				Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}}
+			for i := 0; i < rounds; i++ {
+				if i%2 == 0 {
+					if id, _, err := c.Submit(spec); err == nil {
+						accepted[w] = append(accepted[w], id)
+					}
+					continue
+				}
+				if res, err := c.SubmitBatch([]serve.RequestSpec{spec, spec, spec}); err == nil {
+					accepted[w] = append(accepted[w], res.IDs...)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var want []uint64
+	for _, ids := range accepted {
+		want = append(want, ids...)
+	}
+	slices.Sort(want)
+	var got []uint64
+	for _, sc := range c.router.spanningRequests(nil) {
+		got = append(got, sc.id)
+	}
+	if rs := c.RouterStats(); rs.Spanning != rs.Routed || len(want) == 0 {
+		t.Fatalf("%d of %d routed requests span the shards: the chain no longer makes every request spanning", rs.Spanning, rs.Routed)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("worklist %v\naccepted %v", got, want)
 	}
 }

@@ -121,13 +121,14 @@ type Config struct {
 	// It must not call back into the engine. Replay harnesses use it to
 	// capture per-slot admission decisions for parity checks.
 	SlotObserver func(sim.SlotReport)
-	// DecisionObserver, when set, receives each slot's admitted external
+	// DecisionObserver, when set, receives each slot's admitted request
 	// ids (in admission order) and the slot's realized reward, called on
 	// the loop goroutine after settlement. It must not call back into
 	// the engine. The admitted slice is scratch the engine reuses on its
 	// next slot — copy it if it must outlive the inter-tick window. The
 	// cluster uses it to aggregate shard rewards into the global
-	// feedback signal and to build parity dumps in external id space.
+	// feedback signal and to build parity dumps; the ids are the ones it
+	// submitted the requests under.
 	DecisionObserver func(slot int, admitted []uint64, reward float64)
 }
 
@@ -159,9 +160,10 @@ type Engine struct {
 	// closes, and never modified again.
 	drainedSnap *Checkpoint
 
-	// Batched ingest path (see ingest.go). nextExt is atomic because
-	// both the loop (single-POST intake) and the pump (batch intake)
-	// allocate external ids from it.
+	// Batched ingest path (see ingest.go). nextExt numbers the requests
+	// of callers that hand no id down (Submit, SubmitBatch) and stays above
+	// every id a caller did hand down (takeID); it is atomic because both the
+	// loop (single-POST intake) and the pump (batch intake) move it.
 	ring        *ingestRing
 	batchC      chan batchMsg
 	ringC       chan struct{} // pump -> loop: ring became non-empty
@@ -182,9 +184,9 @@ type Engine struct {
 	slot    int
 	settled int // decided requests still occupying planner slices
 	drain   bool
-	// admittedExtBuf is runSlot's reusable external-id scratch for the
+	// admittedBuf is runSlot's reusable request-id scratch for the
 	// DecisionObserver; valid only until the next slot by contract.
-	admittedExtBuf []uint64
+	admittedBuf []uint64
 }
 
 // New builds an engine, restoring checkpointed state from cfg.Restore.
@@ -307,8 +309,12 @@ func oracleEnv() bool {
 }
 
 type intakeMsg struct {
-	spec  RequestSpec
-	reply chan intakeReply
+	spec RequestSpec
+	// id is the caller's id for the request when numbered is set; otherwise
+	// the loop takes the next one of its own.
+	id       uint64
+	numbered bool
+	reply    chan intakeReply
 }
 
 type intakeReply struct {
@@ -351,7 +357,7 @@ type snapReply struct {
 // extractMsg asks the loop to remove one pending request for cross-shard
 // migration.
 type extractMsg struct {
-	ext   uint64
+	id    uint64
 	reply chan extractReply
 }
 
@@ -430,16 +436,44 @@ func ask[M, R any](e *Engine, c chan<- M, msg M, reply <-chan R) (rep R, ok bool
 	}
 }
 
-// Submit queues a request for the next scheduling slot and returns its
-// externally visible id.
+// Submit queues a request for the next scheduling slot under the engine's
+// own numbering and returns its id.
 func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
-	reply := intakeReplyPool.Get().(chan intakeReply)
-	rep, ok := ask(e, e.intake, intakeMsg{spec: spec, reply: reply}, reply)
+	return e.submit(intakeMsg{spec: spec})
+}
+
+// SubmitAs is Submit under an id the caller chose: the cluster's id, which
+// the row, the DecisionObserver report, Extract, Snapshot and Status then
+// all carry. The id must not name a request live in this engine; one that
+// left by Extract may come back under it.
+func (e *Engine) SubmitAs(id uint64, spec RequestSpec) (int, error) {
+	_, slot, err := e.submit(intakeMsg{spec: spec, id: id, numbered: true})
+	return slot, err
+}
+
+func (e *Engine) submit(msg intakeMsg) (uint64, int, error) {
+	msg.reply = intakeReplyPool.Get().(chan intakeReply)
+	rep, ok := ask(e, e.intake, msg, msg.reply)
 	if !ok {
 		return 0, 0, ErrStopped
 	}
-	intakeReplyPool.Put(reply)
+	intakeReplyPool.Put(msg.reply)
 	return rep.id, rep.slot, rep.err
+}
+
+// takeID settles a new request's id: the engine's next when the caller
+// numbered nothing, else the caller's, with the engine's own numbering kept
+// above it.
+func (e *Engine) takeID(id uint64, numbered bool) uint64 {
+	if !numbered {
+		return e.nextExt.Add(1) - 1
+	}
+	for next := e.nextExt.Load(); id >= next; next = e.nextExt.Load() {
+		if e.nextExt.CompareAndSwap(next, id+1) {
+			break
+		}
+	}
+	return id
 }
 
 // Status looks up a request's current record; an id the table never saw,
@@ -478,9 +512,9 @@ func (e *Engine) Snapshot() (*Checkpoint, error) {
 // two-phase migration handoff. It fails with ErrNotPending when the
 // request already scheduled, terminated, or is unknown, which makes a
 // stale migration proposal a benign abort rather than a double-admit.
-func (e *Engine) Extract(ext uint64) (RequestSpec, int, error) {
+func (e *Engine) Extract(id uint64) (RequestSpec, int, error) {
 	reply := make(chan extractReply, 1)
-	rep, ok := ask(e, e.extractC, extractMsg{ext: ext, reply: reply}, reply)
+	rep, ok := ask(e, e.extractC, extractMsg{id: id, reply: reply}, reply)
 	if !ok {
 		return RequestSpec{}, 0, ErrStopped
 	}

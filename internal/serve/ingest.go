@@ -3,10 +3,10 @@ package serve
 // The intake pump: the single producer of the SPSC ingest ring. HTTP
 // batch handlers (and the bulk replay/load generators) hand decoded
 // spec batches to SubmitBatch, which enqueues them on a small bounded
-// channel; the pump goroutine prices each request, assigns its external
-// id, inserts its row into the request table, and pushes it through the
-// stage/ring pair toward the engine loop. The overload policy is a
-// strict chain of bounded queues:
+// channel; the pump goroutine prices each request, gives it its id (the
+// caller's, or the engine's next), inserts its row into the request table,
+// and pushes it through the stage/ring pair toward the engine loop. The
+// overload policy is a strict chain of bounded queues:
 //
 //	pending (MaxPending, loop)  <- ring (RingCapacity, SPSC)
 //	  <- stage (StageCapacity, reward-sorted, sheds lowest E[reward])
@@ -18,6 +18,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -37,9 +38,8 @@ const defaultSpecPrice = (workload.DefaultMinRate + workload.DefaultMaxRate) / 2
 
 // BatchResult summarizes one SubmitBatch call.
 type BatchResult struct {
-	// IDs are the external ids assigned to the batch's specs, in
-	// submission order. An id is durable for status lookups even if its
-	// request is later shed.
+	// IDs are the ids of the batch's specs, in submission order. An id is
+	// durable for status lookups even if its request is later shed.
 	IDs []uint64
 	// Shed is the number of requests (from this batch or earlier ones)
 	// shed by the reward-aware policy while this batch was ingested.
@@ -47,7 +47,10 @@ type BatchResult struct {
 }
 
 type batchMsg struct {
-	specs   []RequestSpec
+	specs []RequestSpec
+	// ids are the caller's ids for specs, one each; nil asks the pump to
+	// number the batch itself.
+	ids     []uint64
 	barrier bool
 	// collect asks the pump to stop accepting batches and surrender its
 	// overflow stage — the shutdown quiesce (see Engine.quiesceIngest).
@@ -65,13 +68,29 @@ type batchReply struct {
 	rejected bool
 }
 
-// SubmitBatch queues a pre-validated batch of specs for ingest. It
-// fails fast with ErrSaturated when the pump's inbox is full (the
-// overload backstop behind the shedding stage), and with ErrDraining /
-// ErrStopped like Submit. Specs should have passed ValidateSpec; a spec
-// the loop still rejects is counted and recorded as shed.
+// SubmitBatch queues a pre-validated batch of specs for ingest under the
+// engine's own numbering. It fails fast with ErrSaturated when the pump's
+// inbox is full (the overload backstop behind the shedding stage), and
+// with ErrDraining / ErrStopped like Submit. Specs should have passed
+// ValidateSpec; a spec the loop still rejects is counted and recorded as
+// shed.
 func (e *Engine) SubmitBatch(specs []RequestSpec) (BatchResult, error) {
-	if len(specs) == 0 {
+	return e.submitBatch(batchMsg{specs: specs})
+}
+
+// SubmitBatchAs is SubmitBatch under ids the caller chose, one per spec
+// and under SubmitAs's rule; it reports how many requests shed. Neither
+// slice is kept past the call.
+func (e *Engine) SubmitBatchAs(ids []uint64, specs []RequestSpec) (shed int, err error) {
+	if len(ids) != len(specs) {
+		return 0, fmt.Errorf("serve: %d ids for %d specs", len(ids), len(specs))
+	}
+	res, err := e.submitBatch(batchMsg{specs: specs, ids: ids})
+	return res.Shed, err
+}
+
+func (e *Engine) submitBatch(msg batchMsg) (BatchResult, error) {
+	if len(msg.specs) == 0 {
 		return BatchResult{}, nil
 	}
 	if e.Draining() {
@@ -80,7 +99,7 @@ func (e *Engine) SubmitBatch(specs []RequestSpec) (BatchResult, error) {
 		}
 		return BatchResult{}, ErrDraining
 	}
-	msg := batchMsg{specs: specs, reply: batchReplyChan()}
+	msg.reply = batchReplyChan()
 	select {
 	case e.batchC <- msg:
 	default:
@@ -98,7 +117,7 @@ func (e *Engine) SubmitBatch(specs []RequestSpec) (BatchResult, error) {
 			return BatchResult{}, ErrDraining
 		}
 		e.metrics.Batches.Inc()
-		e.metrics.BatchRequests.Add(uint64(len(specs)))
+		e.metrics.BatchRequests.Add(uint64(len(msg.specs)))
 		return BatchResult{IDs: rep.ids, Shed: rep.shed}, nil
 	case <-e.loopDone:
 		return BatchResult{}, ErrStopped
@@ -171,7 +190,7 @@ func (e *Engine) pump() {
 			case stopped:
 				msg.reply <- batchReply{rejected: true}
 			default:
-				msg.reply <- e.pumpBatch(msg.specs)
+				msg.reply <- e.pumpBatch(msg.ids, msg.specs)
 			}
 		case <-e.spaceC:
 			// The loop freed ring space: move staged work in, most
@@ -188,10 +207,13 @@ func (e *Engine) pump() {
 // pumpBatch registers, prices, and enqueues one batch (pump goroutine
 // only). The table lock is held for the inserts alone — a row exists
 // before its entry can reach the loop — and once more if anything shed.
-func (e *Engine) pumpBatch(specs []RequestSpec) batchReply {
+func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) batchReply {
 	now := time.Now().UnixNano()
 	slot := int(e.metrics.CurrentSlot.Load())
-	ids := make([]uint64, len(specs))
+	numbered := ids != nil
+	if !numbered {
+		ids = make([]uint64, len(specs))
+	}
 	reqs := make([]*request, len(specs))
 	// Rows come rowChunk at a time, not two allocations a line.
 	var rows []request
@@ -201,7 +223,7 @@ func (e *Engine) pumpBatch(specs []RequestSpec) batchReply {
 			n := min(rowChunk, len(specs)-i)
 			rows, lives = make([]request, n), make([]liveState, n)
 		}
-		ids[i] = e.nextExt.Add(1) - 1
+		ids[i] = e.takeID(ids[i], numbered)
 		reqs[i] = initRequest(&rows[0], &lives[0], ids[i], slot, spec)
 		rows, lives = rows[1:], lives[1:]
 	}

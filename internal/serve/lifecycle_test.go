@@ -7,6 +7,7 @@ package serve
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func TestStatusAcrossRestoreAndCompaction(t *testing.T) {
 			if round == 0 {
 				hold = 1
 			}
-			rep := e.handleIntake(RequestSpec{AccessStation: i % 4, DurationSlots: hold, DeadlineMS: 2000})
+			rep := e.handleIntake(intakeMsg{spec: RequestSpec{AccessStation: i % 4, DurationSlots: hold, DeadlineMS: 2000}})
 			if rep.err != nil {
 				t.Fatal(rep.err)
 			}
@@ -180,6 +181,95 @@ func TestExtractOnlyPending(t *testing.T) {
 	}
 }
 
+// TestIDReturnsAfterExtract: a request keeps one id while the cluster moves
+// it between engines. An id that left engine A by Extract and comes back —
+// at once (a handoff's compensation) or after a stay on engine B — revives
+// its migrated row: A answers pending, then the decision, under that id;
+// and because the row is live again, eviction walking past the position it
+// has held since its first arrival leaves it alone.
+func TestIDReturnsAfterExtract(t *testing.T) {
+	var admitted []uint64
+	a := testEngine(t, Config{DecisionObserver: func(_ int, ids []uint64, _ float64) {
+		admitted = append(admitted, ids...)
+	}})
+	b := testEngine(t, Config{})
+	const bound = 8
+	a.table.mu.Lock()
+	a.table.max = bound
+	a.table.mu.Unlock()
+	spec := RequestSpec{AccessStation: 1, DurationSlots: 5, DeadlineMS: 2000}
+	const id = 100
+	state := func(e *Engine) string {
+		t.Helper()
+		rec, ok, err := e.Status(id)
+		if err != nil || !ok || rec.ID != id {
+			t.Fatalf("status(%d) = %+v ok=%v err=%v", id, rec, ok, err)
+		}
+		return rec.State
+	}
+	move := func(from, to *Engine) {
+		t.Helper()
+		got, _, err := from.Extract(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := state(from); s != StateMigrated {
+			t.Fatalf("extracted request is %s at its source, want migrated", s)
+		}
+		if _, err := to.SubmitAs(id, got); err != nil {
+			t.Fatal(err)
+		}
+		if s := state(to); s != StatePending {
+			t.Fatalf("re-homed request is %s at its target, want pending", s)
+		}
+	}
+	if _, err := a.SubmitAs(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	move(a, a) // the same-sweep compensation
+	move(a, b)
+	move(b, a) // A -> B -> A
+	if s := state(b); s != StateMigrated {
+		t.Fatalf("request is %s at the engine it left, want migrated", s)
+	}
+
+	// Fill A's table with terminal rows until eviction has passed the
+	// oldest position several times over.
+	for other := uint64(0); other < 4*bound; other++ {
+		if _, err := a.SubmitAs(other, spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := a.Extract(other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.table.mu.RLock()
+	rows, oldest := len(a.table.rows), a.table.head.rec.ID
+	a.table.mu.RUnlock()
+	if rows > bound || oldest != id {
+		t.Fatalf("table holds %d rows (bound %d), oldest id %d: want the bound kept and the revived row still first", rows, bound, oldest)
+	}
+	if _, ok, _ := a.Status(0); ok {
+		t.Fatal("the oldest terminal row was not evicted: eviction never reached the revived row's position")
+	}
+	if s := state(a); s != StatePending {
+		t.Fatalf("revived request is %s after eviction passed it, want pending", s)
+	}
+	if got := a.nextExt.Load(); got != id+1 {
+		t.Fatalf("the engine's own numbering stands at %d, want past the largest id it was handed (%d)", got, id+1)
+	}
+
+	if err := a.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if s := state(a); s != StateServing {
+		t.Fatalf("revived request is %s after a slot, want serving", s)
+	}
+	if !reflect.DeepEqual(admitted, []uint64{id}) {
+		t.Fatalf("decision report names %v, want [%d]", admitted, id)
+	}
+}
+
 // engineGoroutines counts the goroutines running a serve.Engine method.
 func engineGoroutines() (n int) {
 	buf := make([]byte, 1<<20)
@@ -235,7 +325,7 @@ func TestCompactionDoesNotRewindPumpState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if rep := e.handleIntake(RequestSpec{AccessStation: i}); rep.err != nil {
+		if rep := e.handleIntake(intakeMsg{spec: RequestSpec{AccessStation: i}}); rep.err != nil {
 			t.Fatal(rep.err)
 		}
 	}

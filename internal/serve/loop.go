@@ -19,14 +19,14 @@ func (e *Engine) loop() {
 	for {
 		select {
 		case msg := <-e.intake:
-			msg.reply <- e.handleIntake(msg.spec)
+			msg.reply <- e.handleIntake(msg)
 		case <-e.ringC:
 			e.drainRing(false)
 		case msg := <-e.snapC:
 			ck, err := e.snapshotState()
 			msg.reply <- snapReply{ck: ck, err: err}
 		case msg := <-e.extractC:
-			msg.reply <- e.handleExtract(msg.ext)
+			msg.reply <- e.handleExtract(msg.id)
 		case msg := <-e.control:
 			switch msg.kind {
 			case ctlTick, ctlTickFeedback:
@@ -91,22 +91,24 @@ func (e *Engine) admit(spec RequestSpec) (int, error) {
 	return idx, nil
 }
 
-// handleIntake admits one single-POST request. Its external id is
-// allocated only once the planner took it, so a refused spec consumes
-// none.
-func (e *Engine) handleIntake(spec RequestSpec) intakeReply {
-	idx, err := e.admit(spec)
+// handleIntake admits one single-POST request. An id of the engine's own
+// is allocated only once the planner took the request, so a refused spec
+// consumes none.
+func (e *Engine) handleIntake(msg intakeMsg) intakeReply {
+	idx, err := e.admit(msg.spec)
 	if err != nil {
 		e.metrics.Rejected.Inc()
 		return intakeReply{err: err}
 	}
-	req := newRequest(e.nextExt.Add(1)-1, e.slot, spec)
-	e.table.attach(req, idx, e.slot)
+	id := e.takeID(msg.id, msg.numbered)
+	req := newRequest(id, e.slot, msg.spec)
 	e.table.mu.Lock()
 	e.table.insert(req)
+	req = e.table.rows[id] // its earlier row, revived, when the id is back from an Extract
 	e.table.mu.Unlock()
+	e.table.attach(req, idx, e.slot)
 	e.metrics.PendingDepth.Store(int64(len(e.pending)))
-	return intakeReply{id: req.rec.ID, slot: e.slot}
+	return intakeReply{id: id, slot: e.slot}
 }
 
 // ingestOne admits one batch-path request off the ring. Its row already
@@ -191,10 +193,10 @@ func (e *Engine) quiesceIngest() {
 // once a request scheduled its service instance is pinned to this
 // engine's stations. The record becomes migrated (terminal here; the
 // target shard owns the request from now on).
-func (e *Engine) handleExtract(ext uint64) extractReply {
+func (e *Engine) handleExtract(id uint64) extractReply {
 	e.table.mu.Lock()
 	defer e.table.mu.Unlock()
-	req := e.table.rows[ext]
+	req := e.table.rows[id]
 	if req == nil || req.rec.State != StatePending || req.live.idx < 0 {
 		return extractReply{err: ErrNotPending}
 	}

@@ -47,12 +47,12 @@ func (e *Engine) observe(t int, rep sim.SlotReport) {
 		e.cfg.SlotObserver(rep)
 	}
 	if e.cfg.DecisionObserver != nil {
-		admittedExt := e.admittedExtBuf[:0]
+		admitted := e.admittedBuf[:0]
 		for _, j := range rep.Admitted {
-			admittedExt = append(admittedExt, e.table.byIdx[j].rec.ID)
+			admitted = append(admitted, e.table.byIdx[j].rec.ID)
 		}
-		e.admittedExtBuf = admittedExt
-		e.cfg.DecisionObserver(t, admittedExt, rep.Reward)
+		e.admittedBuf = admitted
+		e.cfg.DecisionObserver(t, admitted, rep.Reward)
 	}
 }
 

@@ -1,11 +1,15 @@
 package serve
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // The request table: everything one engine knows about a request, keyed
-// by external id, behind one RWMutex. A row is the externally visible
-// RequestRecord plus, only while the request is undecided or in service,
-// the loop-side state the planner needs. Every state transition is a
+// by the id its caller knows it by (the cluster's id, or the engine's own
+// numbering when nobody hands one down), behind one RWMutex. A row is the
+// externally visible RequestRecord plus, only while the request is
+// undecided or in service, the loop-side state the planner needs. Every state transition is a
 // method called where the transition happens: the pump inserts and sheds,
 // the loop does the rest.
 //
@@ -120,8 +124,24 @@ func initRequest(req *request, live *liveState, id uint64, slot int, spec Reques
 // walk starts at the old end and stops as soon as the table fits (or at
 // the rows just linked), so one call costs the rows it evicts plus the
 // live rows it steps over to reach them, whatever the table's size.
+//
+// An id whose terminal row the table still holds — it left by Extract and
+// the cluster has brought it back — takes that row over where it is linked
+// and reqs[i] is repointed at it: a second row under the id would be
+// deleted from rows when eviction reached the first. The revived row is
+// live, so eviction steps over its old position like any live row's. An id
+// that is live here is the caller's bug.
 func (t *table) insert(reqs ...*request) (evicted, skipped int) {
-	for _, req := range reqs {
+	var first *request // the oldest row linked by this call
+	for i, req := range reqs {
+		if old := t.rows[req.rec.ID]; old != nil {
+			if old.live != nil {
+				panic(fmt.Sprintf("serve: request id %d submitted while it is live", req.rec.ID))
+			}
+			old.rec, old.live = req.rec, req.live
+			reqs[i] = old
+			continue
+		}
 		t.rows[req.rec.ID] = req
 		if t.tail == nil {
 			t.head = req
@@ -129,9 +149,15 @@ func (t *table) insert(reqs ...*request) (evicted, skipped int) {
 			t.tail.next = req
 		}
 		t.tail = req
+		if first == nil {
+			first = req
+		}
+	}
+	if first == nil {
+		return 0, 0 // nothing was linked, so the table did not grow
 	}
 	link := &t.head // the pointer that leads to old
-	for old := t.head; len(t.rows) > t.max && old != reqs[0]; old = old.next {
+	for old := t.head; len(t.rows) > t.max && old != first; old = old.next {
 		if old.live != nil {
 			link = &old.next
 			skipped++

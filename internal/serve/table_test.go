@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -19,8 +23,9 @@ func (m modelRow) live() bool { return m.state == StatePending || m.state == Sta
 // retained id answers with the model's state and each evicted id is
 // unknown; shed moves only a pending record the planner has not seen; the
 // table never exceeds its bound; no live record is ever evicted; evictions
-// take the oldest terminal record first; and one insert walks no more rows
-// than it evicts plus the live rows there are.
+// take the oldest terminal record first; one insert walks no more rows
+// than it evicts plus the live rows there are; and a migrated id that comes
+// back revives its row at the position it already holds.
 func TestTableProperty(t *testing.T) {
 	const bound, maxLive, steps = 48, 24, 30000
 	for seed := int64(1); seed <= 4; seed++ {
@@ -57,7 +62,7 @@ func TestTableProperty(t *testing.T) {
 
 		for step := 0; step < steps; step++ {
 			slot++
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(11); {
 			case op < 3: // submitted, then the bound is enforced
 				if numLive() >= maxLive {
 					continue
@@ -111,6 +116,14 @@ func TestTableProperty(t *testing.T) {
 					if m.state == StatePending && m.idx < 0 {
 						m.state = StateShed
 					}
+				}
+			case op == 8: // a migrated id comes back: its row revives where it is linked
+				if m := pick(func(m *modelRow) bool { return m.state == StateMigrated }); m != nil && numLive() < maxLive {
+					reqs := []*request{newRequest(m.req.rec.ID, slot, RequestSpec{})}
+					if evicted, skipped := tb.insert(reqs...); evicted+skipped != 0 || reqs[0] != m.req {
+						t.Fatalf("seed %d step %d: reviving id %d walked %d+%d rows, row reused: %v", seed, step, m.req.rec.ID, evicted, skipped, reqs[0] == m.req)
+					}
+					m.state, m.idx = StatePending, -1
 				}
 			default: // compaction: live planner rows re-attach under fresh indices
 				clear(tb.byIdx)
@@ -199,5 +212,126 @@ func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 		if _, ok, _ := tb.status(id); !ok {
 			t.Fatalf("live id %d was evicted", id)
 		}
+	}
+}
+
+// TestEntryPointsAgree: handing an engine the ids it would have taken
+// itself changes nothing. For each intake path, one engine numbers a
+// schedule of submissions itself and its twin is handed the same ids; after
+// every slot their rows, their decision reports and their snapshots must be
+// identical, byte for byte.
+func TestEntryPointsAgree(t *testing.T) {
+	spec := func(i int) RequestSpec {
+		return RequestSpec{AccessStation: i % 4, DurationSlots: 1 + i%3, DeadlineMS: float64(200 + 100*(i%4)),
+			Outcomes: []OutcomeSpec{{RateMBs: float64(40 + 20*(i%3)), Prob: 1, Reward: float64(100 + i)}}}
+	}
+	type engine struct {
+		*Engine
+		decisions []string
+	}
+	build := func(t *testing.T) *engine {
+		en := &engine{}
+		en.Engine = testEngine(t, Config{
+			Net: testNetwork(t, 4), Rng: rand.New(rand.NewSource(42)),
+			DecisionObserver: func(slot int, admitted []uint64, reward float64) {
+				en.decisions = append(en.decisions, fmt.Sprintf("%d %v %.6f", slot, admitted, reward))
+			},
+		})
+		return en
+	}
+	cases := []struct {
+		name string
+		// submit sends specs[0..n) as ids first..first+n-1: own numbers
+		// them itself, as hands them the ids.
+		own func(t *testing.T, e *Engine, specs []RequestSpec) []uint64
+		as  func(t *testing.T, e *Engine, first uint64, specs []RequestSpec)
+	}{
+		{"single",
+			func(t *testing.T, e *Engine, specs []RequestSpec) (ids []uint64) {
+				for _, s := range specs {
+					id, _, err := e.Submit(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, id)
+				}
+				return ids
+			},
+			func(t *testing.T, e *Engine, first uint64, specs []RequestSpec) {
+				for i, s := range specs {
+					if _, err := e.SubmitAs(first+uint64(i), s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}},
+		{"batch",
+			func(t *testing.T, e *Engine, specs []RequestSpec) []uint64 {
+				res, err := e.SubmitBatch(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return res.IDs
+			},
+			func(t *testing.T, e *Engine, first uint64, specs []RequestSpec) {
+				ids := make([]uint64, len(specs))
+				for i := range ids {
+					ids[i] = first + uint64(i)
+				}
+				if shed, err := e.SubmitBatchAs(ids, specs); err != nil || shed != 0 {
+					t.Fatalf("shed %d, err %v", shed, err)
+				}
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			own, as := build(t), build(t)
+			var next uint64
+			for slot := 0; slot < 12; slot++ {
+				var specs []RequestSpec
+				for i := 0; i < 5+slot%4; i++ {
+					specs = append(specs, spec(int(next)+i))
+				}
+				ids := tc.own(t, own.Engine, specs)
+				if len(ids) != len(specs) || ids[0] != next {
+					t.Fatalf("slot %d: the self-numbering engine handed out %v, want %d ids from %d", slot, ids, len(specs), next)
+				}
+				tc.as(t, as.Engine, next, specs)
+				next += uint64(len(specs))
+				for _, e := range []*engine{own, as} {
+					if err := e.Tick(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id := uint64(0); id < next; id++ {
+					a, aok, aerr := own.Status(id)
+					b, bok, berr := as.Status(id)
+					if a != b || aok != bok || aerr != nil || berr != nil || !aok {
+						t.Fatalf("slot %d id %d: rows differ: %+v (%v, %v) against %+v (%v, %v)", slot, id, a, aok, aerr, b, bok, berr)
+					}
+				}
+				var snaps [2][]byte
+				for k, e := range []*engine{own, as} {
+					ck, err := e.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if snaps[k], err = json.Marshal(ck); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(snaps[0], snaps[1]) {
+					t.Fatalf("slot %d: snapshots differ\n self-numbered: %s\n handed ids:    %s", slot, snaps[0], snaps[1])
+				}
+			}
+			if !reflect.DeepEqual(own.decisions, as.decisions) || len(own.decisions) == 0 {
+				t.Fatalf("decision reports differ\n self-numbered: %v\n handed ids:    %v", own.decisions, as.decisions)
+			}
+		})
 	}
 }
