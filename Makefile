@@ -33,22 +33,25 @@ cluster-parity:
 ## replay their cached decision) emits a decision stream identical to the
 ## oracle's reference, which re-solves every component every slot; the
 ## seed-before-put ordering rule of the offline passes; the dirty-set and
-## second-sighting edge-case suite; the bounded name table; and the
-## default 1-shard cluster against the reference on the steady wave —
+## second-sighting edge-case suite; the bounded name table; the
+## default 1-shard cluster against the reference on the steady wave; and
+## an engine that compacts every few slots against one that never does —
 ## all under the race detector (same as the CI incremental-parity job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestApproSeedsResolveBeforeThePassStoresAny|TestIncCache|TestOnlineNamesBoundedByComponent|TestDefaultClusterReusesDecisions' ./internal/oracle/ ./internal/core/ ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestApproSeedsResolveBeforeThePassStoresAny|TestIncCache|TestOnlineNamesBoundedByComponent|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible' ./internal/oracle/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 
 ## drift: the adaptivity correctness gate — seeded regret-bound
 ## assertions proving the drift-aware policies beat stationary UCB1 on
 ## every drifting scenario (and stay within tolerance on the i.i.d.
 ## control), the metamorphic invariance suites (arm relabeling, scenario
-## time shift), the drift-policy checkpoint/restore cycle, and the
-## cluster mobility edge-case parity differentials, all with pinned
-## seeds under the race detector (same as the CI drift-parity job).
+## time shift), the drift-policy checkpoint/restore cycle, the cluster
+## mobility edge-case parity differentials, and a handed-over request's
+## station and drawn distribution surviving checkpoint and Extract, all
+## with pinned seeds under the race detector (same as the CI drift-parity
+## job).
 drift:
 	$(GO) test -race -count=1 -run \
-		'TestDriftAware|TestDriftTraceStructure|TestDriftPoliciesRecoverFromShift|TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDriftPolicies|TestClusterHandoverAcrossPartition|TestClusterOutageWithInflightStreams|TestClusterCandidateShrinksEmpty' \
+		'TestDriftAware|TestDriftTraceStructure|TestDriftPoliciesRecoverFromShift|TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDriftPolicies|TestClusterHandoverAcrossPartition|TestClusterOutageWithInflightStreams|TestClusterCandidateShrinksEmpty|TestHandoverSurvivesCheckpointAndExtract|TestDrawnOutcomesSurviveCheckpointAndExtract' \
 		./internal/experiment/ ./internal/bandit/ ./internal/scenario/ ./internal/serve/ ./internal/cluster/
 
 ## oracle: differential oracle suite plus the mutation smoke check,

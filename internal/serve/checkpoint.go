@@ -108,7 +108,9 @@ func DecodeCheckpoint(data []byte, name string) (*Checkpoint, error) {
 	return &ck, nil
 }
 
-// installEmpty sets up a fresh planner with no live requests.
+// installEmpty sets up the new engine's planner with no requests; New
+// calls it once, directly or through install, before the table holds a
+// row.
 func (e *Engine) installEmpty() error {
 	planner, err := sim.NewLiveEngine(e.cfg.Net, e.cfg.Rng, e.cfg.SlotLengthMS)
 	if err != nil {
@@ -121,19 +123,15 @@ func (e *Engine) installEmpty() error {
 	}
 	e.planner = planner
 	e.res = &core.Result{Algorithm: e.sched.Name()}
-	e.pending = nil
-	e.settled = 0
-	clear(e.table.byIdx) // a compaction renumbers the planner
-	e.table.byIdx = e.table.byIdx[:0]
 	return nil
 }
 
-// install rebuilds the planner from a checkpoint (or, during compaction,
-// from an in-memory checkpoint of the live set): live requests re-append
-// in arrival order under fresh dense planner indices, and in-flight
-// streams restore their exact ledger deltas. Then the request table learns
-// the new indices; a restored request gets its row here, so status lookups
-// keep answering for every live request across a restart.
+// install restores the planner from a checkpoint: live requests append in
+// arrival order under dense planner indices, and in-flight streams restore
+// their exact ledger deltas. A request whose spec carries no outcomes (a
+// checkpoint written before specs recorded the drawn default ones) draws
+// them here. Each restored request gets its row, so status lookups keep
+// answering for every live request across a restart.
 func (e *Engine) install(ck *Checkpoint) error {
 	if err := e.installEmpty(); err != nil {
 		return err
@@ -149,8 +147,12 @@ func (e *Engine) install(ck *Checkpoint) error {
 		return reqs[a].ExternalID < reqs[b].ExternalID
 	})
 	ext2int := make(map[uint64]int, len(reqs))
-	for i, cr := range reqs {
-		r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, i, cr.ArrivalSlot, cr.Spec)
+	for i := range reqs {
+		cr := &reqs[i]
+		if _, dup := ext2int[cr.ExternalID]; dup {
+			return fmt.Errorf("request %d listed twice", cr.ExternalID)
+		}
+		r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, i, cr.ArrivalSlot, &cr.Spec)
 		if err != nil {
 			return fmt.Errorf("request %d: %w", cr.ExternalID, err)
 		}
@@ -182,17 +184,12 @@ func (e *Engine) install(ck *Checkpoint) error {
 
 	e.table.mu.Lock()
 	for i, cr := range reqs {
-		req := e.table.rows[cr.ExternalID]
-		if req == nil {
-			req = newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
-			e.table.insert(req)
-		}
+		req := newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
+		e.table.insert(req)
 		e.table.attach(req, i, cr.ArrivalSlot)
 	}
 	for _, s := range running {
-		if e.table.byIdx[s.Request].rec.State == StatePending { // a restored stream, not a compacted one
-			e.table.serving(s.Request, ck.Slot, s.ProcStation, 0, 0)
-		}
+		e.table.serving(s.Request, ck.Slot, s.ProcStation, 0, 0)
 	}
 	e.table.mu.Unlock()
 	e.metrics.PendingDepth.Store(int64(len(e.pending)))
@@ -201,8 +198,8 @@ func (e *Engine) install(ck *Checkpoint) error {
 }
 
 // snapshotState captures the live set as a checkpoint (loop goroutine
-// only). It is the shared substrate of Snapshot and in-memory compaction;
-// everything mutable is deep-copied, so the cluster's checkpoint writer
+// only): what Snapshot answers and a drained engine leaves behind.
+// Everything mutable is deep-copied, so the cluster's checkpoint writer
 // may encode the result while the loop keeps scheduling.
 func (e *Engine) snapshotState() (*Checkpoint, error) {
 	ck := &Checkpoint{
@@ -244,18 +241,27 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 	return ck, nil
 }
 
-// compact rebuilds the planner from the live set, dropping the settled
-// backlog so a long-running daemon's memory stays bounded by its live
-// request count rather than its lifetime request count.
+// compact drops the settled backlog from the planner so a long-running
+// daemon's memory stays bounded by its live request count rather than its
+// lifetime request count. The live requests — the rows byIdx still holds,
+// in planner order, which is arrival order — are renumbered densely in
+// place: the planner keeps their requests as they are (nothing is
+// re-materialized or re-drawn) and the rows learn their new indices.
 func (e *Engine) compact() error {
-	ck, err := e.snapshotState()
+	before := len(e.planner.Requests())
+	var keep []int
+	for idx, req := range e.table.byIdx {
+		if req != nil {
+			keep = append(keep, idx)
+		}
+	}
+	pending, err := e.planner.Compact(keep, e.res, e.pending)
 	if err != nil {
 		return err
 	}
-	before := len(e.planner.Requests())
-	if err := e.install(ck); err != nil {
-		return err
-	}
-	e.cfg.Logf("arserved: compacted planner %d -> %d requests", before, len(e.planner.Requests()))
+	e.pending = pending
+	e.table.compact()
+	e.settled = 0
+	e.cfg.Logf("arserved: compacted planner %d -> %d requests", before, len(keep))
 	return nil
 }

@@ -73,7 +73,9 @@ func (e *Engine) feedback(slot int, reward float64) {
 
 // admit appends one request to the planner as pending and returns its
 // planner index: the one way in, for single POSTs and ring entries alike.
-func (e *Engine) admit(spec RequestSpec) (int, error) {
+// Paper-default outcomes drawn for it are written into spec (see
+// materializeSpec), which the caller's row keeps.
+func (e *Engine) admit(spec *RequestSpec) (int, error) {
 	if e.drain {
 		return 0, ErrDraining
 	}
@@ -95,7 +97,7 @@ func (e *Engine) admit(spec RequestSpec) (int, error) {
 // is allocated only once the planner took the request, so a refused spec
 // consumes none.
 func (e *Engine) handleIntake(msg intakeMsg) intakeReply {
-	idx, err := e.admit(msg.spec)
+	idx, err := e.admit(&msg.spec)
 	if err != nil {
 		e.metrics.Rejected.Inc()
 		return intakeReply{err: err}
@@ -115,7 +117,7 @@ func (e *Engine) handleIntake(msg intakeMsg) intakeReply {
 // exists (the pump inserted it); a refusal surfaces as a shed record so
 // the id stays resolvable.
 func (e *Engine) ingestOne(ent ingestEntry) {
-	idx, err := e.admit(ent.req.live.spec)
+	idx, err := e.admit(&ent.req.live.spec)
 	if err != nil {
 		e.metrics.Rejected.Inc()
 		e.table.mu.Lock()

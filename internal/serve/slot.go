@@ -58,14 +58,21 @@ func (e *Engine) observe(t int, rep sim.SlotReport) {
 
 // settle folds the report into the request table and the counters, under
 // one acquisition of the table lock — and none on an idle slot (no
-// arrivals, departures, or admissions), which also stays allocation-free.
+// arrivals, departures, admissions or handovers), which also stays
+// allocation-free.
 func (e *Engine) settle(t int, rep sim.SlotReport) {
 	gone := len(rep.Departed) + len(rep.Expired) + len(rep.OutageEvicted)
-	if gone+len(rep.Admitted) == 0 {
+	if gone+len(rep.Admitted)+len(rep.HandedOver) == 0 {
 		return
 	}
 	served := 0
 	e.table.mu.Lock()
+	// A handover re-pointed these pending requests; their rows, still live
+	// before the finishes below, record the station the user moved to, so a
+	// checkpoint or an Extract hands on where the request is now.
+	for _, j := range rep.HandedOver {
+		e.table.byIdx[j].live.spec.AccessStation = e.planner.Requests()[j].AccessStation
+	}
 	for _, j := range rep.Departed {
 		e.table.finish(j, StateCompleted, t)
 	}

@@ -57,7 +57,7 @@ var validationRng = rand.New(zeroSource{})
 // an arbitrary topology, without consuming any engine randomness. Safe for
 // concurrent use.
 func MaterializeSpec(net *mec.Network, spec RequestSpec) (*mec.Request, error) {
-	return materializeSpec(net, validationRng, 0, 0, spec)
+	return materializeSpec(net, validationRng, 0, 0, &spec)
 }
 
 // ValidateSpec checks a spec against a topology exactly as intake would:
@@ -143,11 +143,16 @@ func checkSpec(net *mec.Network, spec RequestSpec) (specFacts, error) {
 
 // materializeSpec applies the paper-default pipeline, deadline, hold, and
 // demand distribution to a spec checkSpec accepts. rng feeds only the
-// default-outcome unit-reward draw.
-func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec RequestSpec) (*mec.Request, error) {
-	facts, err := checkSpec(net, spec)
+// default-outcome unit-reward draw, and the drawn outcomes are written into
+// spec: the caller's copy then names the distribution the request holds,
+// so a checkpoint or a migration hands that on instead of a second draw.
+func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec *RequestSpec) (*mec.Request, error) {
+	facts, err := checkSpec(net, *spec)
 	if err != nil {
 		return nil, err
+	}
+	if len(spec.Outcomes) == 0 {
+		spec.Outcomes = defaultOutcomes(rng)
 	}
 	dur := spec.DurationSlots
 	if dur == 0 {
@@ -163,12 +168,8 @@ func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec Req
 			tasks = append(tasks, mec.Task{Name: ts.Name, OutputKb: ts.OutputKb, WorkMS: ts.WorkMS})
 		}
 	}
-	outcomes := spec.Outcomes
-	if len(outcomes) == 0 {
-		outcomes = defaultOutcomes(rng)
-	}
-	distOutcomes := make([]dist.Outcome, 0, len(outcomes))
-	for _, o := range outcomes {
+	distOutcomes := make([]dist.Outcome, 0, len(spec.Outcomes))
+	for _, o := range spec.Outcomes {
 		distOutcomes = append(distOutcomes, dist.Outcome{Rate: o.RateMBs, Prob: o.Prob, Reward: o.Reward})
 	}
 	d, err := dist.NewRateReward(distOutcomes)

@@ -87,7 +87,8 @@ type table struct {
 	// head..tail chain every row in submission order for eviction.
 	head, tail *request
 	// byIdx maps a planner index to its row, nil once that request
-	// settled; reset when compaction renumbers the planner.
+	// settled. Compaction drops the nil entries in place, as the planner
+	// drops their requests, and renumbers each row's live.idx to match.
 	byIdx []*request
 	// stations holds the capacities the engine was built with and the
 	// occupancy as of the last slot that moved it.
@@ -184,7 +185,22 @@ func (t *table) shed(req *request, slot int) {
 // goroutine only; needs no lock (see the ownership note above).
 func (t *table) attach(req *request, idx, arrival int) {
 	req.live.idx, req.live.arrival = idx, arrival
-	t.byIdx = append(t.byIdx, req) // idx == len(byIdx): both count planner appends since the last reset
+	t.byIdx = append(t.byIdx, req) // idx == len(byIdx): both count the planner's requests
+}
+
+// compact follows the planner's compaction: the settled (nil) entries of
+// byIdx go, and every live row's idx becomes its new, dense position. Loop
+// goroutine only, like attach.
+func (t *table) compact() {
+	live := t.byIdx[:0]
+	for _, req := range t.byIdx {
+		if req != nil {
+			req.live.idx = len(live)
+			live = append(live, req)
+		}
+	}
+	clear(t.byIdx[len(live):])
+	t.byIdx = live
 }
 
 // serving: the request at planner index idx was admitted and survived

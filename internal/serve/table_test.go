@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -125,14 +126,20 @@ func TestTableProperty(t *testing.T) {
 					}
 					m.state, m.idx = StatePending, -1
 				}
-			default: // compaction: live planner rows re-attach under fresh indices
-				clear(tb.byIdx)
-				tb.byIdx = tb.byIdx[:0]
+			default: // compaction: the live planner rows close ranks, in planner order
+				tb.compact()
+				var rows []*modelRow
 				for _, id := range order {
 					if m := model[id]; m.live() && m.idx >= 0 {
-						m.idx = len(tb.byIdx)
-						tb.attach(m.req, m.idx, m.req.live.arrival)
+						rows = append(rows, m)
 					}
+				}
+				slices.SortFunc(rows, func(a, b *modelRow) int { return a.idx - b.idx })
+				for k, m := range rows {
+					m.idx = k
+				}
+				if len(tb.byIdx) != len(rows) {
+					t.Fatalf("seed %d step %d: %d planner indices after compaction, %d live rows", seed, step, len(tb.byIdx), len(rows))
 				}
 			}
 
@@ -154,8 +161,8 @@ func TestTableProperty(t *testing.T) {
 				if (req.live != nil) != m.live() {
 					t.Fatalf("seed %d step %d: id %d in state %q has live part %v", seed, step, id, m.state, req.live != nil)
 				}
-				if m.live() && m.idx >= 0 && tb.byIdx[m.idx] != req {
-					t.Fatalf("seed %d step %d: planner index %d does not lead to id %d", seed, step, m.idx, id)
+				if m.live() && m.idx >= 0 && (tb.byIdx[m.idx] != req || req.live.idx != m.idx) {
+					t.Fatalf("seed %d step %d: planner index %d does not lead to id %d and back", seed, step, m.idx, id)
 				}
 				if req.next == nil && req != tb.tail {
 					t.Fatalf("seed %d step %d: tail does not point at the youngest row", seed, step)

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"mecoffload/internal/bandit"
@@ -61,7 +62,9 @@ type DynamicRROptions struct {
 //     Lipschitz bandit (successive elimination by default),
 //  2. sorts the pending requests by increasing expected data rate and
 //     admits them into R_t while the average free computing resource per
-//     admitted request stays at least C^th (the round-robin share test),
+//     admitted request stays at least C^th (the round-robin share test):
+//     R_t is the first ⌊free/C^th⌋ of that order, so only those are
+//     selected and sorted, never the whole parked backlog,
 //  3. schedules R_t with algorithm Heu, the LP replaced by LP-PT, and
 //  4. feeds the slot's realized reward back to the bandit.
 type DynamicRR struct {
@@ -181,16 +184,14 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 	d.lastArm, d.lastCth, d.played = arm, cth, true
 
 	// Step 10-11: increasing expected data rate; admit into R_t while the
-	// average share of the free capacity stays at least C^th.
+	// average share of the free capacity stays at least C^th; nMax bounds
+	// how much of the order is ever sorted.
 	nMax := int(eng.FreeCapacity() / cth)
 	if nMax <= 0 {
 		return nil, nil
 	}
 	reqs := eng.Requests()
-	sorted := d.sortByExpectedRate(reqs, pending)
-	if nMax < len(sorted) {
-		sorted = sorted[:nMax]
-	}
+	sorted := d.sortByExpectedRate(reqs, pending, nMax)
 
 	// Step 12: Heu with LP-PT (constraint (23) truncates by C(bs_i)/|R_t|).
 	rt := float64(len(sorted))
@@ -226,32 +227,86 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 	return admitted, nil
 }
 
-// sortByExpectedRate returns pending in increasing expected data rate,
-// ties by request index, in a buffer the next call reuses. The pending set
-// runs to thousands of requests when arrivals outpace capacity, so each
-// rate (a loop over the request's outcomes) is computed once, not once per
-// comparison.
-func (d *DynamicRR) sortByExpectedRate(reqs []*mec.Request, pending []int) []int {
+// sortByExpectedRate returns the first limit requests of pending in
+// increasing expected data rate, ties by request index (all of pending when
+// limit reaches its length), in a buffer the next call reuses. The pending
+// set runs to thousands of requests when arrivals outpace capacity, while
+// R_t takes a few dozen: each rate (a loop over the request's outcomes) is
+// computed once, not once per comparison, and only the limit smallest keys
+// are sorted. The order is total, so the prefix is exactly the full sort's.
+func (d *DynamicRR) sortByExpectedRate(reqs []*mec.Request, pending []int, limit int) []int {
 	keys := d.keyBuf[:0]
 	for _, j := range pending {
 		keys = append(keys, rateKey{rate: reqs[j].ExpectedRate(), req: j})
 	}
-	slices.SortFunc(keys, func(a, b rateKey) int {
-		switch {
-		case a.rate < b.rate:
-			return -1
-		case a.rate > b.rate:
-			return 1
-		default:
-			return a.req - b.req
-		}
-	})
+	d.keyBuf = keys
+	if limit < len(keys) {
+		selectSmallest(keys, limit)
+		keys = keys[:limit]
+	}
+	slices.SortFunc(keys, compareRate)
 	sorted := d.sortedBuf[:0]
 	for _, k := range keys {
 		sorted = append(sorted, k.req)
 	}
-	d.keyBuf, d.sortedBuf = keys, sorted
+	d.sortedBuf = sorted
 	return sorted
+}
+
+// compareRate is R_t's total order on rate keys.
+func compareRate(a, b rateKey) int {
+	switch {
+	case a.rate < b.rate:
+		return -1
+	case a.rate > b.rate:
+		return 1
+	default:
+		return a.req - b.req
+	}
+}
+
+// selectSmallest reorders keys so that the k smallest under compareRate
+// come first, in no particular order (0 < k < len(keys)): quickselect with
+// a median-of-three pivot. Should the partitions keep coming out lopsided,
+// it sorts what is left instead, so a crafted rate sequence cannot make a
+// slot quadratic.
+func selectSmallest(keys []rateKey, k int) {
+	lo, hi := 0, len(keys)-1
+	for budget := 2 * bits.Len(uint(len(keys))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.SortFunc(keys[lo:hi+1], compareRate)
+			return
+		}
+		// Median of keys[lo], keys[mid], keys[hi] to keys[hi] as the pivot.
+		mid := int(uint(lo+hi) >> 1)
+		if compareRate(keys[mid], keys[lo]) < 0 {
+			keys[mid], keys[lo] = keys[lo], keys[mid]
+		}
+		if compareRate(keys[hi], keys[lo]) < 0 {
+			keys[hi], keys[lo] = keys[lo], keys[hi]
+		}
+		if compareRate(keys[mid], keys[hi]) < 0 {
+			keys[mid], keys[hi] = keys[hi], keys[mid]
+		}
+		p := lo
+		for j := lo; j < hi; j++ {
+			if compareRate(keys[j], keys[hi]) < 0 {
+				keys[p], keys[j] = keys[j], keys[p]
+				p++
+			}
+		}
+		keys[p], keys[hi] = keys[hi], keys[p]
+		// keys[lo:p] < keys[p] < keys[p+1:hi+1]; the k-th smallest is at
+		// index k-1, on one side of p or at it.
+		switch {
+		case p == k-1:
+			return
+		case p < k-1:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
 }
 
 // Feedback implements FeedbackScheduler: the slot reward updates the arm

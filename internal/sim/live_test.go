@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mecoffload/internal/core"
@@ -228,5 +229,80 @@ func TestSnapshotRestoreRunning(t *testing.T) {
 	fresh, _ := NewLiveEngine(net, rand.New(rand.NewSource(4)), 0)
 	if err := fresh.RestoreRunning(bad); err == nil {
 		t.Fatal("expected error for out-of-range station in snapshot")
+	}
+}
+
+// TestCompactRenumbersLiveRequests: Compact keeps exactly the listed
+// requests — the same values, renumbered densely in order, with their
+// decisions, streams and pending places following them — and leaves the
+// ledgers alone; a keep list that would drop a running or pending request
+// is refused with nothing changed.
+func TestCompactRenumbersLiveRequests(t *testing.T) {
+	net := liveTestNetwork(t, 3)
+	eng, err := NewLiveEngine(net, rand.New(rand.NewSource(5)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &core.Result{}
+	appendReq := func(id, arrival, hold int) {
+		if err := eng.Append(liveRequest(t, id, arrival, id%3, hold, 35)); err != nil {
+			t.Fatal(err)
+		}
+		res.Decisions = append(res.Decisions, core.Decision{RequestID: id, Station: -1})
+	}
+	var pending []int
+	for id := 0; id < 6; id++ {
+		appendReq(id, 0, 1+id%3) // holds 1, 2, 3, 1, 2, 3
+		pending = append(pending, id)
+	}
+	for tick := 0; tick < 3; tick++ { // admit all six, then let the 1- and 2-slot holds depart
+		if pending, _, err = eng.Step(accessStub{}, res, tick, pending); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendReq(6, 3, 2)
+	appendReq(7, 3, 2)
+	pending = append(pending, 6, 7)
+	keep := []int{2, 5, 6, 7} // the two running 3-slot holds, the two pending
+	if eng.NumRunning() != 2 {
+		t.Fatalf("setup: %d running, want 2", eng.NumRunning())
+	}
+	old := slices.Clone(eng.Requests())
+	used := slices.Clone(eng.Used())
+
+	if _, err := eng.Compact([]int{2, 6, 7}, res, pending); err == nil {
+		t.Fatal("compact dropping running request 5 succeeded")
+	}
+	if _, err := eng.Compact([]int{2, 5, 6}, res, pending); err == nil {
+		t.Fatal("compact dropping pending request 7 succeeded")
+	}
+	if !slices.Equal(eng.Requests(), old) || old[5].ID != 5 || !slices.Equal(pending, []int{6, 7}) {
+		t.Fatal("a refused compaction changed the engine")
+	}
+
+	if pending, err = eng.Compact(keep, res, pending); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pending, []int{2, 3}) {
+		t.Fatalf("pending renumbered to %v, want [2 3]", pending)
+	}
+	for k, j := range keep {
+		if r := eng.Requests()[k]; r != old[j] || r.ID != k {
+			t.Fatalf("request %d: not the old request %d renumbered", k, j)
+		}
+		if d := res.Decisions[k]; d.RequestID != k || d.Admitted != (j < 6) {
+			t.Fatalf("decision %d: %+v, want request %d's", k, d, j)
+		}
+	}
+	if len(eng.Requests()) != len(keep) || len(res.Decisions) != len(keep) {
+		t.Fatalf("%d requests, %d decisions after compaction, want %d", len(eng.Requests()), len(res.Decisions), len(keep))
+	}
+	var running []int
+	for _, s := range eng.SnapshotRunning() {
+		running = append(running, s.Request)
+	}
+	slices.Sort(running)
+	if !slices.Equal(running, []int{0, 1}) || !slices.Equal(eng.Used(), used) {
+		t.Fatalf("running %v, used %v after compaction; want [0 1] and the ledger untouched %v", running, eng.Used(), used)
 	}
 }

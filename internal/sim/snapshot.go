@@ -1,6 +1,12 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"mecoffload/internal/core"
+	"mecoffload/internal/mec"
+)
 
 // RunningSnapshot serializes one in-service stream's exact ledger deltas:
 // everything release needs to undo the admission at departure. The
@@ -91,6 +97,54 @@ func (e *Engine) RestoreRunning(snaps []RunningSnapshot) error {
 		e.active = append(e.active, ru)
 	}
 	return nil
+}
+
+// Compact drops every request of a live engine but those at the strictly
+// ascending indices keep and renumbers the kept ones densely in that order:
+// keep[k] becomes request k. They stay the same *mec.Request values, with
+// ID k, so each keeps its demand distribution, the access station a
+// handover moved it to and the outcome it realized; its in-service stream,
+// its res.Decisions entry and its place in pending follow it. Every running
+// and every pending request must be kept. pending is remapped in place and
+// returned. The ledgers, the drift cursors and the rng are not touched, so
+// a compacted engine goes on deciding exactly as an uncompacted one would.
+// On error nothing has changed.
+func (e *Engine) Compact(keep []int, res *core.Result, pending []int) ([]int, error) {
+	if len(res.Decisions) != len(e.reqs) {
+		return pending, fmt.Errorf("sim: compact: %d decisions for %d requests", len(res.Decisions), len(e.reqs))
+	}
+	for k, j := range keep {
+		if j < 0 || j >= len(e.reqs) || (k > 0 && j <= keep[k-1]) {
+			return pending, fmt.Errorf("sim: compact: kept index %d out of order or range [0, %d)", j, len(e.reqs))
+		}
+	}
+	// A kept request's new index is its position in keep.
+	for _, ru := range e.active {
+		if _, ok := slices.BinarySearch(keep, ru.req); !ok {
+			return pending, fmt.Errorf("sim: compact would drop running request %d", ru.req)
+		}
+	}
+	for _, j := range pending {
+		if _, ok := slices.BinarySearch(keep, j); !ok {
+			return pending, fmt.Errorf("sim: compact would drop pending request %d", j)
+		}
+	}
+	for i := range e.active {
+		e.active[i].req, _ = slices.BinarySearch(keep, e.active[i].req)
+	}
+	for i, j := range pending {
+		pending[i], _ = slices.BinarySearch(keep, j)
+	}
+	// Fresh slices sized to the live set, not the backlog's high-water
+	// mark: between compactions they grow with arrivals as before.
+	reqs := make([]*mec.Request, len(keep))
+	decisions := make([]core.Decision, len(keep))
+	for k, j := range keep {
+		reqs[k], decisions[k] = e.reqs[j], res.Decisions[j]
+		reqs[k].ID, decisions[k].RequestID = k, k
+	}
+	e.reqs, res.Decisions = reqs, decisions
+	return pending, nil
 }
 
 // copyShares clones a station->MHz map (nil stays nil).
