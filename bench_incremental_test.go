@@ -47,8 +47,8 @@ func benchPeriodicSpecs(islands, per int) []serve.RequestSpec {
 // leaves out the engine's own per-tick work (tens of microseconds
 // against the milliseconds of LP it prices) and is ungated. The trace
 // repeats the same wave every slot, so from the third slot on every
-// component replays; the ns/op ratio against mode=full is the headline
-// speedup recorded in BENCH_PR5.json. oracle.DiffIncrementalFull proves
+// component replays; the ns/op ratio against mode=full is the speedup
+// EXPERIMENTS.md reports. oracle.DiffIncrementalFull proves
 // both emit identical decisions; this benchmark only prices them.
 func BenchmarkIncrementalServeSlot(b *testing.B) {
 	const islands = 16

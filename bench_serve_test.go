@@ -29,9 +29,11 @@ func BenchmarkServeSlotOracle(b *testing.B) {
 // BenchmarkServeSlotSteady measures the quiescent slot path: no
 // arrivals, no in-flight streams, just the per-tick engine loop a
 // drained daemon spins on. This path is allocation-free — the engine
-// reuses its slot scratch and leaves the request table alone on idle slots —
-// and the benchjson gate fails the build if allocs/op ever leaves 0
-// (TestRunSlotIdleNoAllocs pins the same contract in-process).
+// reuses its slot scratch and leaves the request table alone on idle slots.
+// TestServeSlotAllocBudget (internal/serve) pins it at 0 allocations,
+// beside the budgets of the loaded slot BenchmarkServeSlot and
+// BenchmarkServeSlotOracle time, and TestRunSlotIdleNoAllocs pins the
+// same contract on the loop's slot function alone.
 func BenchmarkServeSlotSteady(b *testing.B) {
 	net, err := mec.RandomNetwork(20, 3000, 3600, rand.New(rand.NewSource(17)))
 	if err != nil {
@@ -101,8 +103,9 @@ func benchServeSlot(b *testing.B, check sim.StepChecker) {
 // BenchmarkServeIngest measures the batched intake pipeline end to end:
 // each iteration submits one batch through SubmitBatch (pricing, ring
 // transit, request-table inserts), flushes it into the planner, and ticks —
-// the per-batch cost a bulk replay or the NDJSON endpoint pays. Gated
-// by the benchjson regression check alongside the slot benchmarks.
+// the per-batch cost a bulk replay or the NDJSON endpoint pays. A
+// profiling tool: the ingest path's end-to-end cost is `go run ./bench`'s
+// ingest_flood workload.
 func BenchmarkServeIngest(b *testing.B) {
 	net, err := mec.RandomNetwork(20, 3000, 3600, rand.New(rand.NewSource(17)))
 	if err != nil {

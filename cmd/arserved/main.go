@@ -86,21 +86,9 @@ func run(args []string, out io.Writer) error {
 		ringCap    = fs.Int("ring", 0, "batched-ingest ring capacity per shard (0 = default 4096, rounded up to a power of two)")
 		stageCap   = fs.Int("stage", 0, "batched-ingest overflow-stage capacity per shard before reward-aware shedding (0 = default 4096)")
 		maxPending = fs.Int("max-pending", 0, "pending requests per shard before the loop stops draining the ingest ring (0 = default 16384)")
-
-		loadgen        = fs.Bool("loadgen", false, "drive the batched intake at a fixed offered load instead of serving HTTP")
-		offered        = fs.Int("offered", 100000, "loadgen: offered load in requests per second")
-		loadDuration   = fs.Duration("load-duration", 2*time.Second, "loadgen: generation window")
-		loadBatch      = fs.Int("load-batch", 256, "loadgen: requests per batch submit")
-		loadOut        = fs.String("load-out", "", "loadgen: write a benchjson-format summary to this file")
-		loadMaxP99     = fs.Float64("load-max-p99-ms", 0, "loadgen: fail when batch-submit p99 exceeds this many milliseconds (0 disables)")
-		loadMinOffered = fs.Float64("load-min-offered-frac", 0, "loadgen: fail when the achieved offered rate falls below this fraction of -offered (0 disables)")
-		loadMinAdmit   = fs.Uint64("load-min-admitted", 0, "loadgen: fail when fewer requests reached the planner (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *loadgen && *replay != "" {
-		return errors.New("-loadgen and -replay are mutually exclusive")
 	}
 	// Rejected, not clamped: a non-positive interval would select the
 	// cluster's manual clock, and a daemon on it accepts requests forever
@@ -197,7 +185,7 @@ func run(args []string, out io.Writer) error {
 		cfg.TraceWriter = out
 	}
 	// Replay keeps the manual clock (model time advances as fast as the
-	// scheduler runs); serving and the load generator run the wall clock.
+	// scheduler runs); serving runs the wall clock.
 	var dump *oracle.ReplayDump
 	if *replay == "" {
 		cfg.TickInterval = *tick
@@ -216,14 +204,7 @@ func run(args []string, out io.Writer) error {
 	// Stop is idempotent: the modes call it themselves where its error (a
 	// failed final checkpoint) is the run's result; this covers the rest.
 	defer func() { _ = c.Stop() }()
-	switch {
-	case *loadgen:
-		return runLoadgen(c, net_.NumStations(), *offered, *loadDuration, *loadBatch, loadGates{
-			MaxP99MS:       *loadMaxP99,
-			MinOfferedFrac: *loadMinOffered,
-			MinAdmitted:    *loadMinAdmit,
-		}, *loadOut, out)
-	case *replay != "":
+	if *replay != "" {
 		return runReplay(c, *replay, replayParams{
 			stations:     net_.NumStations(),
 			slotMS:       *slotMS,

@@ -105,6 +105,50 @@ func TestReplayMode(t *testing.T) {
 	}
 }
 
+// TestNDJSONReplayMode replays a small NDJSON trace (blank lines as
+// slot boundaries, one bad line) through the batched intake.
+func TestNDJSONReplayMode(t *testing.T) {
+	for _, shards := range []string{"1", "2"} {
+		t.Run("shards="+shards, func(t *testing.T) { testNDJSONReplayMode(t, shards) })
+	}
+}
+
+func testNDJSONReplayMode(t *testing.T, shards string) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.ndjson")
+	body := `{"accessStation":0,"durationSlots":2}
+{"accessStation":1,"durationSlots":2}
+
+{"accessStation":2,"outcomes":[{"prob":1,"rateMBs":40,"reward":500}]}
+{not json
+
+{"accessStation":3}
+`
+	if err := os.WriteFile(trace, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out syncBuffer
+	err := run([]string{
+		"-replay", trace,
+		"-stations", "4",
+		"-seed", "7",
+		"-shards", shards,
+	}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	text := out.String()
+	if !strings.Contains(text, "replayed 3 ndjson slots across "+shards+" shards") {
+		t.Fatalf("missing ndjson summary:\n%s", text)
+	}
+	if !strings.Contains(text, "accepted=4 badlines=1") {
+		t.Fatalf("wrong accept/badline accounting:\n%s", text)
+	}
+	if !strings.Contains(text, "replay: line 5:") {
+		t.Fatalf("bad line not reported with its absolute file line:\n%s", text)
+	}
+}
+
 // TestServeModeSignalDrain boots the full HTTP daemon on an ephemeral
 // port, exercises the API, then SIGTERMs the process and checks run
 // returns nil after a clean drain — the same sequence the CI smoke job
@@ -227,7 +271,12 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal("missing scenario accepted")
 	}
 	// A removed flag fails at parsing instead of changing meaning.
-	for _, removed := range [][]string{{"-cluster-shards", "2"}, {"-incremental"}, {"-workers", "2"}} {
+	for _, removed := range [][]string{
+		{"-cluster-shards", "2"}, {"-incremental"}, {"-workers", "2"},
+		{"-loadgen"}, {"-offered", "100000"}, {"-load-duration", "2s"}, {"-load-batch", "500"},
+		{"-load-out", "load.json"}, {"-load-max-p99-ms", "50"}, {"-load-min-offered-frac", "0.9"},
+		{"-load-min-admitted", "1000"},
+	} {
 		err := run(append(removed, "-replay", "/does/not/exist.json"), &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%v: %v, want an unknown-flag error", removed, err)
@@ -240,9 +289,6 @@ func TestBadFlags(t *testing.T) {
 			t.Fatalf("-shards %s on 4 stations: %v, want a -shards range error", n, err)
 		}
 	}
-	if err := run([]string{"-loadgen", "-replay", "x.json"}, &out); err == nil {
-		t.Fatal("-loadgen with -replay accepted")
-	}
 	// A removed scheduler name is an unknown one.
 	err := run([]string{"-scheduler", "local-ratio", "-replay", "/does/not/exist.json"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
@@ -250,7 +296,7 @@ func TestBadFlags(t *testing.T) {
 	}
 	// A non-positive -tick would serve on the manual clock and never decide
 	// anything; only a replay, which drives the clock itself, ignores it.
-	for _, args := range [][]string{{"-tick", "0"}, {"-tick", "-50ms"}, {"-tick", "0", "-loadgen"}} {
+	for _, args := range [][]string{{"-tick", "0"}, {"-tick", "-50ms"}} {
 		err := run(args, &out)
 		if err == nil || !strings.Contains(err.Error(), "-tick") {
 			t.Fatalf("%v: %v, want a -tick error", args, err)

@@ -941,18 +941,3 @@ func (c *Cluster) Totals() serve.Totals {
 	}
 	return t
 }
-
-// CheckIngestBounds verifies that every shard's ingest ring and overflow
-// stage sit inside their configured capacities — the bounded-queue
-// invariant the load generator asserts after a saturating run.
-func (c *Cluster) CheckIngestBounds() error {
-	for k, nd := range c.nodes {
-		if d, limit := nd.eng.RingDepth(), nd.eng.RingCap(); d > limit {
-			return fmt.Errorf("cluster: shard %d ring depth %d exceeds capacity %d", k, d, limit)
-		}
-		if d, limit := int(nd.eng.StagedDepth()), nd.eng.StageCap(); d > limit {
-			return fmt.Errorf("cluster: shard %d staged depth %d exceeds capacity %d", k, d, limit)
-		}
-	}
-	return nil
-}

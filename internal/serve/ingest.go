@@ -1,7 +1,7 @@
 package serve
 
 // The intake pump: the single producer of the SPSC ingest ring. HTTP
-// batch handlers (and the bulk replay/load generators) hand decoded
+// batch handlers (and the bulk replay) hand decoded
 // spec batches to SubmitBatch, which enqueues them on a small bounded
 // channel; the pump goroutine prices each request, gives it its id (the
 // caller's, or the engine's next), inserts its row into the request table,
@@ -297,10 +297,3 @@ func (e *Engine) StagedDepth() int64 { return e.stagedDepth.Load() }
 
 // RingDepth returns the ingest ring's current depth (gauge-grade).
 func (e *Engine) RingDepth() int { return e.ring.Len() }
-
-// RingCap returns the ingest ring's capacity (RingCapacity rounded up
-// to a power of two).
-func (e *Engine) RingCap() int { return e.ring.Cap() }
-
-// StageCap returns the configured overflow-stage capacity.
-func (e *Engine) StageCap() int { return e.cfg.StageCapacity }
