@@ -85,7 +85,7 @@ func run(args []string, out io.Writer) error {
 
 		ringCap    = fs.Int("ring", 0, "batched-ingest ring capacity per shard (0 = default 4096, rounded up to a power of two)")
 		stageCap   = fs.Int("stage", 0, "batched-ingest overflow-stage capacity per shard before reward-aware shedding (0 = default 4096)")
-		maxPending = fs.Int("max-pending", 0, "pending requests per shard before the loop stops draining the ingest ring (0 = default 16384)")
+		maxPending = fs.Int("max-pending", 0, "pending requests per shard past which a slot stops draining the ingest ring (0 = default 16384)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,15 +102,12 @@ func TestTakeReportsDoubleBuffer(t *testing.T) {
 }
 
 // TestIdleTickEpochAllocFree pins the epoch machine's floor: one cluster
-// tick — the epoch broadcast to the persistent shard workers, the fused
-// feedback delivery, the report fan-in, and the SlotObserver callback —
-// allocates NOTHING on an idle slot, across all goroutines. The old
-// per-tick `go func` spawn plus the `sort.Slice` closure made this
-// impossible; a regression here means something put per-slot garbage
-// back on the clock path. (AllocsPerRun may race a GC clearing the
-// engines' reply-channel pools; idleTickAllocBudget tolerates the
-// occasional refill but not a per-tick allocation, and is looser only
-// under the race detector, where sync.Pool drops Puts.)
+// tick — the epoch broadcast to the shard workers, the fused feedback
+// delivery, both engines' slots, the report fan-in, and the SlotObserver
+// callback — allocates NOTHING on an idle slot, across all goroutines. The
+// old per-tick `go func` spawn plus the `sort.Slice` closure made this
+// impossible; a regression here means something put per-slot garbage back
+// on the clock path.
 func TestIdleTickEpochAllocFree(t *testing.T) {
 	net := allocTestNetwork(t)
 	c, err := New(Config{
@@ -128,8 +126,8 @@ func TestIdleTickEpochAllocFree(t *testing.T) {
 	}
 	c.Start()
 	defer func() { _ = c.Stop() }()
-	// Warm every reusable buffer: reply-channel pools, the epoch
-	// WaitGroup, report double-buffers, the admitted scratch.
+	// Warm every reusable buffer: the epoch WaitGroup, report
+	// double-buffers, the admitted scratch.
 	for i := 0; i < 8; i++ {
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
@@ -140,8 +138,8 @@ func TestIdleTickEpochAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > idleTickAllocBudget {
-		t.Fatalf("idle cluster tick allocates %v per run, want <= %v", allocs, idleTickAllocBudget)
+	if allocs != 0 {
+		t.Fatalf("idle cluster tick allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -238,13 +236,36 @@ func TestRefusedShardLeavesHoles(t *testing.T) {
 	}
 }
 
+// TestClusterGoroutines: a shard costs one goroutine, its epoch worker,
+// and shard 0 not even that — the clock runs its share of every epoch
+// itself. New plus Start on the manual clock without a checkpoint path
+// adds exactly shards − 1 goroutines, and Stop takes them all down.
+func TestClusterGoroutines(t *testing.T) {
+	net := allocTestNetwork(t)
+	for _, shards := range []int{1, 2, 4} {
+		base := settledGoroutines(t)
+		c, err := New(Config{Net: net, Shards: shards, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		if got := runtime.NumGoroutine() - base; got != shards-1 {
+			t.Fatalf("%d shards: New + Start added %d goroutines, want %d epoch workers", shards, got, shards-1)
+		}
+		if err := c.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base)
+	}
+}
+
 // TestStopLeavesNoGoroutines: a started 2-shard cluster with async
-// checkpoints runs two goroutines per engine (pump, loop), an epoch worker
-// per shard and the checkpoint writer; after Stop the process is back to
-// the goroutine count it had before New.
+// checkpoints runs one epoch worker (shard 1's) and the checkpoint writer;
+// after a Stop that follows batches, slots, checkpoints and a drain, the
+// process is back to the goroutine count it had before New.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	net := allocTestNetwork(t)
-	base := runtime.NumGoroutine()
+	base := settledGoroutines(t)
 	c, err := New(Config{
 		Net: net, Shards: 2, Seed: 5,
 		CheckpointPath: filepath.Join(t.TempDir(), "cluster.json"), CheckpointEvery: 2, AsyncCheckpoint: true,
@@ -253,8 +274,8 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	if got := runtime.NumGoroutine() - base; got < 6 {
-		t.Fatalf("a started 2-shard cluster runs %d goroutines, want at least 2 engines x (pump, loop) + 2 epoch workers", got)
+	if got := runtime.NumGoroutine() - base; got != 2 {
+		t.Fatalf("a started 2-shard cluster runs %d goroutines, want 2 (shard 1's epoch worker, the checkpoint writer)", got)
 	}
 	for slot := 0; slot < 6; slot++ {
 		if _, err := c.SubmitBatch([]serve.RequestSpec{{AccessStation: slot % 4, DurationSlots: 2}}); err != nil {
@@ -264,9 +285,44 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-c.Done():
+	default:
+		t.Fatal("Stop returned with Done still open")
+	}
+	waitGoroutines(t, base)
+}
+
+// settledGoroutines waits until no epoch worker of an earlier cluster is
+// left (they leave after its Stop returns) and returns the goroutine count.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	workers := func() (n int) {
+		buf := make([]byte, 1<<20)
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "cluster.(*shardNode).epochWorker") {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); workers() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d epoch workers of earlier clusters still running", workers())
+		}
+	}
+	return runtime.NumGoroutine()
+}
+
+// waitGoroutines waits for the process to be back at base goroutines.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)

@@ -97,7 +97,7 @@ type shardSlotReport struct {
 	reward   float64
 }
 
-// epochOp selects what one epoch barrier asks of every shard worker.
+// epochOp selects what one epoch barrier asks of every shard.
 type epochOp int
 
 const (
@@ -112,11 +112,12 @@ const (
 	// epSnapshot flushes batched-ingest residue and extracts the shard's
 	// copy-on-write checkpoint snapshot into nd.snap.
 	epSnapshot
+	// epFlush moves every accepted batch into the shard's planner.
+	epFlush
 )
 
-// epochMsg is one barrier broadcast to the persistent shard workers. It
-// is sent by value (no allocation) and carries the reusable WaitGroup
-// the coordinator waits on.
+// epochMsg is one barrier broadcast to the shards. It is sent by value
+// (no allocation) and carries the reusable WaitGroup the clock waits on.
 type epochMsg struct {
 	op       epochOp
 	fbSlot   int
@@ -144,18 +145,18 @@ type shardNode struct {
 	// Totals and the checkpoint take it back out.
 	rehomedIn uint64
 
-	// Epoch-worker plumbing. The persistent worker goroutine (started by
-	// New, terminated by Stop closing epochC) blocks on epochC and
-	// writes its results into the fields below; the coordinator reads
-	// them only after the epoch's WaitGroup settles, so the barrier is
-	// the only synchronization they need.
+	// Epoch results. run writes them inside an epoch (on the shard's
+	// worker, or on the clock's goroutine for shard 0) and the clock reads
+	// them only after the epoch's WaitGroup settles, so the barrier is the
+	// only synchronization they need. epochC is nil for shard 0.
 	epochC   chan epochMsg
 	err      error
 	freeFrac float64
 	snap     *serve.Checkpoint
 	snapErr  error
 
-	mu      sync.Mutex
+	// reports are the slot reports the engine's DecisionObserver appended
+	// inside the tick epoch; the clock takes them after its barrier.
 	reports []shardSlotReport
 	// spare is the report buffer the previous takeReports handed out,
 	// recycled once its consumer is done: takeReports swaps the two, so
@@ -164,53 +165,65 @@ type shardNode struct {
 	spare []shardSlotReport
 }
 
-// epochWorker is the persistent per-shard goroutine: it replaces the
-// per-tick `go func` spawn, so a slot costs one channel send and one
-// WaitGroup decrement per shard instead of a goroutine creation.
+// epochWorker is the persistent goroutine of a shard other than shard 0:
+// a slot costs it one channel send and one WaitGroup decrement, and the
+// slot itself runs here, inside the engine's Tick.
 func (nd *shardNode) epochWorker() {
 	for msg := range nd.epochC {
-		switch msg.op {
-		case epTick:
-			switch {
-			case !nd.eng.Alive():
-				nd.err = serve.ErrStopped
-			case msg.hasFB:
-				nd.err = nd.eng.TickWithFeedback(msg.fbSlot, msg.fbReward)
-			default:
-				nd.err = nd.eng.Tick()
-			}
-			if msg.wantFree {
-				nd.freeFrac = nd.computeFreeFrac()
-			}
-		case epSettle:
-			nd.err = nil
-			if msg.hasFB && nd.eng.Alive() {
-				if err := nd.eng.DeliverFeedback(msg.fbSlot, msg.fbReward); err != nil && !errors.Is(err, serve.ErrStopped) {
-					nd.err = err
-				}
-			}
-		case epSnapshot:
-			// A shard that already drained and exited has nothing to flush
-			// and answers Snapshot with the state it exited in.
-			nd.snap, nd.snapErr = nil, nil
-			if err := nd.eng.Flush(); err != nil && !errors.Is(err, serve.ErrStopped) {
-				nd.snapErr = err
-			} else if snap, err := nd.eng.Snapshot(); err == nil {
-				nd.snap = snap
-			} else if !errors.Is(err, serve.ErrStopped) {
-				nd.snapErr = err
-			}
-		}
+		nd.run(msg)
 		msg.wg.Done()
 	}
+}
+
+// run carries out one epoch's operation on the shard's engine. An engine
+// that has exited answers ErrStopped, which the clock counts as a dead
+// shard.
+func (nd *shardNode) run(msg epochMsg) {
+	switch msg.op {
+	case epTick:
+		nd.err = nil
+		if msg.hasFB {
+			nd.err = nd.eng.DeliverFeedback(msg.fbSlot, msg.fbReward)
+		}
+		if nd.err == nil {
+			nd.err = nd.eng.Tick()
+		}
+		if msg.wantFree {
+			nd.freeFrac = nd.computeFreeFrac()
+		}
+	case epSettle:
+		nd.err = nil
+		if msg.hasFB {
+			nd.err = ignoreStopped(nd.eng.DeliverFeedback(msg.fbSlot, msg.fbReward))
+		}
+	case epSnapshot:
+		// A shard that already drained and exited has nothing to flush
+		// and answers Snapshot with the state it exited in.
+		nd.snap, nd.snapErr = nil, ignoreStopped(nd.eng.Flush())
+		if nd.snapErr == nil {
+			snap, err := nd.eng.Snapshot()
+			nd.snap, nd.snapErr = snap, ignoreStopped(err)
+		}
+	case epFlush:
+		nd.err = ignoreStopped(nd.eng.Flush())
+	}
+}
+
+// ignoreStopped drops serve.ErrStopped: a shard that exited has nothing
+// left to flush, settle or snapshot beyond what it left behind.
+func ignoreStopped(err error) error {
+	if errors.Is(err, serve.ErrStopped) {
+		return nil
+	}
+	return err
 }
 
 // computeFreeFrac returns the shard's spare-capacity fraction: occupancy
 // from the engine's station gauges against the sub-network's EFFECTIVE
 // capacities, so a shard mid-outage stops attracting migrations instead
 // of advertising its dark stations' nominal MHz. A dead shard, or one
-// with no effective capacity, counts as fully loaded. It runs on the
-// epoch worker during sweep slots, off the coordinator's critical path.
+// with no effective capacity, counts as fully loaded. It runs in the
+// shard's share of a sweep slot's tick epoch, in parallel with the others.
 func (nd *shardNode) computeFreeFrac() float64 {
 	if !nd.eng.Alive() {
 		return 0
@@ -227,9 +240,7 @@ func (nd *shardNode) computeFreeFrac() float64 {
 }
 
 func (nd *shardNode) observe(slot int, admitted []uint64, reward float64) {
-	nd.mu.Lock()
 	nd.reports = append(nd.reports, shardSlotReport{slot: slot, admitted: admitted, reward: reward})
-	nd.mu.Unlock()
 }
 
 // takeReports returns the accumulated slot reports and re-arms the node
@@ -237,17 +248,15 @@ func (nd *shardNode) observe(slot int, admitted []uint64, reward float64) {
 // slice is only valid until the next takeReports call — the tick loop
 // consumes it immediately.
 func (nd *shardNode) takeReports() []shardSlotReport {
-	nd.mu.Lock()
 	r := nd.reports
 	nd.reports = nd.spare[:0]
 	nd.spare = r
-	nd.mu.Unlock()
 	return r
 }
 
 // shardTraceWriter labels one shard's trace lines and serializes them
 // with the other shards' onto the shared sink (the engines write from
-// their own loop goroutines, one Write per line).
+// their shares of the tick epoch, one Write per line).
 type shardTraceWriter struct {
 	mu     *sync.Mutex
 	w      io.Writer
@@ -272,8 +281,9 @@ type Cluster struct {
 	nodes  []*shardNode
 	router *router
 
-	// mu serializes the cluster clock: Tick, the migration sweep, and
-	// checkpoint extraction. Submit/Status take only the router's lock.
+	// mu serializes the cluster clock: Tick, Flush, Drain, the migration
+	// sweep, and checkpoint extraction. Submit/Status take only the
+	// router's lock and the owning engine's.
 	mu          sync.Mutex
 	slot        int
 	manifestGen uint64
@@ -316,7 +326,10 @@ type Cluster struct {
 	ckw      *ckpt.Writer
 	diskPrev []string
 
+	// done closes in the call that sees the last engine exit
+	// (markDoneLocked, mu-guarded).
 	done         chan struct{}
+	doneClosed   bool
 	tickerStop   chan struct{}
 	startOnce    sync.Once
 	stopOnce     sync.Once
@@ -465,9 +478,10 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		nd.eng = eng
 	}
-	// Persistent epoch workers and the checkpoint writer start last so
-	// no error path above leaks a goroutine. Stop closes both.
-	for _, nd := range c.nodes {
+	// The epoch workers and the checkpoint writer start last so no error
+	// path above leaks a goroutine. Stop closes both. Shard 0 has no
+	// worker: the clock runs its share of an epoch itself.
+	for _, nd := range c.nodes[1:] {
 		nd.epochC = make(chan epochMsg, 1)
 		go nd.epochWorker()
 	}
@@ -477,32 +491,34 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// epoch broadcasts one barrier to every shard worker and waits for all
-// of them: the per-slot synchronization cost is N buffered channel sends
-// plus one WaitGroup wait, with no goroutine creation. Callers hold c.mu
-// (which serializes epochs) and must have checked clockStopped.
+// epoch runs one operation on every shard and waits for all of them: it
+// hands the message to the workers of shards 1…N−1, runs shard 0's share
+// on the calling goroutine, and waits — N−1 buffered channel sends plus
+// one WaitGroup wait, with no goroutine creation. Callers hold c.mu (which
+// serializes epochs) and must have checked clockStopped.
 func (c *Cluster) epoch(msg epochMsg) {
-	c.epochWG.Add(len(c.nodes))
+	c.epochWG.Add(len(c.nodes) - 1)
 	msg.wg = &c.epochWG
-	for _, nd := range c.nodes {
+	for _, nd := range c.nodes[1:] {
 		nd.epochC <- msg
 	}
+	c.nodes[0].run(msg)
 	c.epochWG.Wait()
 }
 
-// Start launches every shard engine, the done watcher, and — with a
-// tick interval — the cluster clock.
+// markDoneLocked closes Done once no shard engine is alive; the clock
+// calls it after every call that can end an engine (callers hold c.mu).
+func (c *Cluster) markDoneLocked() {
+	if !c.doneClosed && !c.Alive() {
+		c.doneClosed = true
+		close(c.done)
+	}
+}
+
+// Start launches the cluster clock when there is a tick interval; the
+// engines and the epoch workers need no starting.
 func (c *Cluster) Start() {
 	c.startOnce.Do(func() {
-		for _, nd := range c.nodes {
-			nd.eng.Start()
-		}
-		go func() {
-			for _, nd := range c.nodes {
-				<-nd.eng.Done()
-			}
-			close(c.done)
-		}()
 		if c.cfg.TickInterval > 0 {
 			go c.runTicker()
 		}
@@ -551,13 +567,14 @@ func (c *Cluster) tickLocked() error {
 	if c.crossCur < len(c.crossHandovers) {
 		c.applyCrossHandoversLocked()
 	}
-	// One barrier runs the slot on every shard worker, fused with the
+	// One barrier runs the slot on every shard, fused with the
 	// previous slot's deferred feedback and — on sweep slots — the
 	// free-capacity refresh the migration pricing needs. A single shard
 	// has no migration target, so it never sweeps.
 	wantFree := len(c.nodes) > 1 && c.cfg.MigrationEvery > 0 && (c.slot+1)%c.cfg.MigrationEvery == 0
 	c.epoch(epochMsg{op: epTick, fbSlot: c.fbSlot, fbReward: c.fbReward, hasFB: c.fbValid, wantFree: wantFree})
 	c.fbValid = false
+	c.markDoneLocked()
 	alive := 0
 	for _, nd := range c.nodes {
 		switch {
@@ -770,12 +787,18 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 	return out, nil
 }
 
-// Flush blocks until every accepted batch has reached the shard
-// planners; replay harnesses call it before ticking.
+// Flush moves every accepted batch into the shard planners, all shards in
+// one epoch; replay harnesses call it before ticking.
 func (c *Cluster) Flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.clockStopped {
+		return nil
+	}
+	c.epoch(epochMsg{op: epFlush})
 	for _, nd := range c.nodes {
-		if err := nd.eng.Flush(); err != nil && !errors.Is(err, serve.ErrStopped) {
-			return err
+		if nd.err != nil {
+			return nd.err
 		}
 	}
 	return nil
@@ -806,8 +829,9 @@ func (c *Cluster) Drain() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.drainFlag.Store(true)
+	defer c.markDoneLocked()
 	for _, nd := range c.nodes {
-		if err := nd.eng.Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
+		if err := ignoreStopped(nd.eng.Drain()); err != nil {
 			return err
 		}
 	}
@@ -833,17 +857,16 @@ func (c *Cluster) Stop() error {
 		// blocked on c.mu across this critical section sees clockStopped
 		// instead of sending on a closed channel.
 		c.clockStopped = true
-		for _, nd := range c.nodes {
+		for _, nd := range c.nodes[1:] {
 			close(nd.epochC)
 		}
+		for _, nd := range c.nodes {
+			_ = nd.eng.Stop()
+		}
+		c.markDoneLocked()
 		c.mu.Unlock()
 		if c.ckw != nil {
 			c.ckw.Close()
-		}
-		for _, nd := range c.nodes {
-			if serr := nd.eng.Stop(); serr != nil && !errors.Is(serr, serve.ErrStopped) && err == nil {
-				err = serr
-			}
 		}
 	})
 	return err
@@ -866,7 +889,8 @@ func (c *Cluster) CheckpointsDropped() uint64 {
 	return c.ckw.Dropped()
 }
 
-// Done is closed when every shard engine has exited.
+// Done is closed when every shard engine has exited, by the cluster call
+// that saw the last one go.
 func (c *Cluster) Done() <-chan struct{} { return c.done }
 
 // Alive reports whether any shard engine still runs.

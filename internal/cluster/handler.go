@@ -276,7 +276,7 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	}
 
 	histogram("slot_duration_ms", "Per-shard scheduling latency of one slot.", (*serve.Metrics).SlotDurationSnapshot)
-	histogram("intake_latency_ms", "Per-shard batched-ingest handoff latency (pump enqueue to planner append).", (*serve.Metrics).IntakeLatencySnapshot)
+	histogram("intake_latency_ms", "Per-shard batched-ingest handoff latency (door enqueue to planner append, including the wait for the next flush or slot).", (*serve.Metrics).IntakeLatencySnapshot)
 
 	labeled("lp_warmstart_total", "counter", "Per-shard LP-PT warm-start basis lookups by outcome.", "outcome", func(nd *shardNode) []labeledValue {
 		hits, misses := nd.eng.WarmStats()

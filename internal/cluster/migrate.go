@@ -150,7 +150,7 @@ func (c *Cluster) handoff(id uint64, from, to, station int, cands []int, listed 
 //
 // A still-pending request is proposed against the shard with the most
 // spare capacity among its candidate owners — using the free-capacity
-// fractions the shard workers computed inside this slot's tick epoch
+// fractions the shards computed inside this slot's tick epoch
 // (shardNode.computeFreeFrac), so the sweep itself touches no engine
 // gauges — priced by the free-fraction advantage, and committed through
 // handoff. Commits per sweep are capped by MigrationBurst; past the cap the

@@ -197,10 +197,10 @@ func (e *Engine) install(ck *Checkpoint) error {
 	return nil
 }
 
-// snapshotState captures the live set as a checkpoint (loop goroutine
-// only): what Snapshot answers and a drained engine leaves behind.
+// snapshotState captures the live set as a checkpoint (planner lock
+// held): what Snapshot answers and a drained engine leaves behind.
 // Everything mutable is deep-copied, so the cluster's checkpoint writer
-// may encode the result while the loop keeps scheduling.
+// may encode the result while the engine keeps scheduling.
 func (e *Engine) snapshotState() (*Checkpoint, error) {
 	ck := &Checkpoint{
 		Version:        checkpointVersion,

@@ -22,7 +22,7 @@ type heldRequest struct {
 }
 
 // pendingHeld maps every pending request's id to what the planner holds
-// for it. The caller is the engine's loop goroutine, or between its slots.
+// for it. The caller makes no engine call at the same time.
 func pendingHeld(e *Engine) map[uint64]heldRequest {
 	out := map[uint64]heldRequest{}
 	for _, j := range e.pending {
@@ -40,8 +40,8 @@ func pendingHeld(e *Engine) map[uint64]heldRequest {
 // engine that compacts every few slots decides exactly as one that never
 // does — slot for slot, on one seed and one default-spec trace with
 // handovers every third slot. A compaction keeps every pending request's
-// drawn distribution and its handed-over access station. The engines are
-// never started: the test is their loop goroutine.
+// drawn distribution and its handed-over access station. The test runs the
+// slots and the mid-run compaction itself, between its own calls.
 func TestCompactionIsInvisible(t *testing.T) {
 	const slots, stations = 300, 4
 	drift := &sim.Drift{}
@@ -66,11 +66,11 @@ func TestCompactionIsInvisible(t *testing.T) {
 		for slot := 0; slot < slots; slot++ {
 			for n := 8 + arrivals.Intn(8); n > 0; n-- {
 				spec := RequestSpec{AccessStation: arrivals.Intn(stations), DurationSlots: 2 + arrivals.Intn(10), DeadlineMS: 1000}
-				rep := e.handleIntake(intakeMsg{spec: spec})
-				if rep.err != nil {
-					t.Fatal(rep.err)
+				id, _, err := e.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
 				}
-				submitted[rep.id] = spec.AccessStation
+				submitted[id] = spec.AccessStation
 			}
 			e.runSlot()
 			if probe != nil {

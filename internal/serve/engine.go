@@ -2,9 +2,11 @@
 // requests buffer into the current scheduling slot, and each Tick runs a
 // sim.Scheduler (the paper's DynamicRR by default) against live
 // per-station capacity state, reusing the warm-started LP-PT bases across
-// consecutive ticks. An engine is two goroutines — the intake pump and the
-// loop that owns the planner — and one request table (table.go) both
-// write and status lookups read; bandit arm statistics and in-flight
+// consecutive ticks. An engine runs no goroutine: it is two locks — the
+// planner lock every call that reads or moves the planner takes, and the
+// door lock the batch path takes — and one request table (table.go) both
+// write and status lookups read, so every state change happens inside a
+// call, on the caller's goroutine. Bandit arm statistics and in-flight
 // assignments snapshot into a Checkpoint (checkpoint.go) so a restarted
 // daemon resumes learning instead of resetting its successive-elimination
 // state. The engine has no clock, HTTP surface or checkpoint file of its
@@ -83,21 +85,22 @@ type Config struct {
 	// more than this many settled requests accumulate, the engine rebuilds
 	// its planner state from the live set (default 4096).
 	CompactAfter int
-	// RingCapacity bounds the batched-ingest SPSC ring between the
-	// intake pump and the engine loop (default 4096, rounded up to a
-	// power of two).
+	// RingCapacity bounds the batched-ingest SPSC ring between the door
+	// and the planner (default 4096, rounded up to a power of two).
 	RingCapacity int
-	// StageCapacity bounds the pump's reward-sorted overflow stage;
+	// StageCapacity bounds the door's reward-sorted overflow stage;
 	// once the ring and the stage are both full, the lowest
 	// expected-reward request sheds (default 4096).
 	StageCapacity int
-	// MaxPending bounds the loop's pending queue: the loop stops
-	// draining the ring once this many requests await scheduling, which
-	// is the backpressure signal that engages the shedding stage
-	// (default 16384). Single-POST intake is not subject to it.
+	// MaxPending bounds the pending queue: the ring drain at slot start
+	// and before a single-request submit stops once this many requests
+	// await scheduling, which is the backpressure signal that engages the
+	// shedding stage (default 16384). Flush, and the request a
+	// single-request submit admits, are not subject to it.
 	MaxPending int
-	// BatchQueue bounds the pump's inbox in batches; a full inbox fails
-	// SubmitBatch with ErrSaturated (default 8).
+	// BatchQueue bounds how many batches may wait at the door besides
+	// the one inside it; the next one fails SubmitBatch with ErrSaturated
+	// (default 8).
 	BatchQueue int
 	// StepChecker, when set, is installed on the planner and runs the
 	// oracle's invariant checks after every slot; a violation surfaces as
@@ -116,36 +119,34 @@ type Config struct {
 	// the restart is not re-applied (capacity scales live on Net, which
 	// a fresh process rebuilds nominal).
 	Drift *sim.Drift
-	// SlotObserver, when set, receives every slot report from the loop
-	// goroutine, after the slot has settled but before metrics publish.
-	// It must not call back into the engine. Replay harnesses use it to
-	// capture per-slot admission decisions for parity checks.
+	// SlotObserver, when set, receives every slot report inside Tick,
+	// after the slot has settled but before metrics publish. It runs
+	// under the planner lock and must not call back into the engine.
+	// Replay harnesses use it to capture per-slot admission decisions for
+	// parity checks.
 	SlotObserver func(sim.SlotReport)
 	// DecisionObserver, when set, receives each slot's admitted request
-	// ids (in admission order) and the slot's realized reward, called on
-	// the loop goroutine after settlement. It must not call back into
-	// the engine. The admitted slice is scratch the engine reuses on its
-	// next slot — copy it if it must outlive the inter-tick window. The
-	// cluster uses it to aggregate shard rewards into the global
-	// feedback signal and to build parity dumps; the ids are the ones it
-	// submitted the requests under.
+	// ids (in admission order) and the slot's realized reward, inside
+	// Tick after settlement. It runs under the planner lock and must not
+	// call back into the engine. The admitted slice is scratch the
+	// engine reuses on its next slot — copy it if it must outlive the
+	// inter-tick window. The cluster uses it to aggregate shard rewards
+	// into the global feedback signal and to build parity dumps; the ids
+	// are the ones it submitted the requests under.
 	DecisionObserver func(slot int, admitted []uint64, reward float64)
 }
 
-// Engine is the admission daemon core. The planner is owned by the loop
-// goroutine and the stage by the pump; they meet in the ingest ring and
-// the request table, and other goroutines reach both only through
-// channels and the table's read side.
+// Engine is the admission daemon core. It runs no goroutine: the planner
+// belongs to whichever call holds mu, the stage to whichever batch holds
+// door, and the two meet in the ingest ring (produced under door, consumed
+// under mu) and the request table. The lock order is mu, then door, then
+// the table's; a batch at the door never takes mu, so a batch submission
+// never waits for a slot.
 type Engine struct {
 	cfg     Config
 	metrics *Metrics
 	sched   sim.Scheduler
 	table   *table
-
-	intake   chan intakeMsg
-	control  chan controlMsg
-	snapC    chan snapMsg
-	extractC chan extractMsg
 
 	// retryRng is the engine-scoped Retry-After jitter stream, seeded
 	// from Config.RetrySeed via internal/rnd so overload behaviour
@@ -154,30 +155,16 @@ type Engine struct {
 	retryMu  sync.Mutex
 	retryRng *rand.Rand
 
-	loopDone chan struct{}
-	// drainedSnap is the state a fully drained engine left behind: written
-	// by the loop as it exits on drain completion, read only after loopDone
-	// closes, and never modified again.
-	drainedSnap *Checkpoint
-
-	// Batched ingest path (see ingest.go). nextExt numbers the requests
-	// of callers that hand no id down (Submit, SubmitBatch) and stays above
-	// every id a caller did hand down (takeID); it is atomic because both the
-	// loop (single-POST intake) and the pump (batch intake) move it.
-	ring        *ingestRing
-	batchC      chan batchMsg
-	ringC       chan struct{} // pump -> loop: ring became non-empty
-	spaceC      chan struct{} // loop -> pump: ring space freed
-	pumpDone    chan struct{}
+	// nextExt numbers the requests of callers that hand no id down (Submit,
+	// SubmitBatch) and stays above every id a caller did hand down
+	// (takeID); it is atomic because both locks' holders move it.
 	nextExt     atomic.Uint64
+	ring        *ingestRing
 	stagedDepth atomic.Int64
+	atDoor      atomic.Int64 // batches waiting at the door or inside it
 
-	// Pump-owned state.
-	stage   stageBuffer
-	pumpSeq uint64
-	shedBuf []ingestEntry // per-batch shed victims, reused across batches
-
-	// Loop-owned state.
+	// The planner lock and what it guards.
+	mu      sync.Mutex
 	planner *sim.Engine
 	res     *core.Result
 	pending []int
@@ -187,6 +174,17 @@ type Engine struct {
 	// admittedBuf is runSlot's reusable request-id scratch for the
 	// DecisionObserver; valid only until the next slot by contract.
 	admittedBuf []uint64
+	// done closes, under mu, when the engine exits: in the call that
+	// completes a drain, or at Stop. drainedSnap is the state a drain left
+	// behind, never modified after.
+	done        chan struct{}
+	drainedSnap *Checkpoint
+
+	// The door lock and what it guards (see ingest.go).
+	door    sync.Mutex
+	stage   stageBuffer
+	pumpSeq uint64
+	shedBuf []ingestEntry // per-batch shed victims, reused across batches
 }
 
 // New builds an engine, restoring checkpointed state from cfg.Restore.
@@ -233,16 +231,8 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		metrics:  NewMetrics(),
 		table:    newTable(maxRecords, stations),
-		intake:   make(chan intakeMsg, 1024),
-		control:  make(chan controlMsg),
-		snapC:    make(chan snapMsg),
-		extractC: make(chan extractMsg),
-		loopDone: make(chan struct{}),
+		done:     make(chan struct{}),
 		ring:     newIngestRing(cfg.RingCapacity),
-		batchC:   make(chan batchMsg, cfg.BatchQueue),
-		ringC:    make(chan struct{}, 1),
-		spaceC:   make(chan struct{}, 1),
-		pumpDone: make(chan struct{}),
 		retryRng: rnd.New(cfg.RetrySeed, "retry-after"),
 	}
 
@@ -308,71 +298,9 @@ func oracleEnv() bool {
 	return false
 }
 
-type intakeMsg struct {
-	spec RequestSpec
-	// id is the caller's id for the request when numbered is set; otherwise
-	// the loop takes the next one of its own.
-	id       uint64
-	numbered bool
-	reply    chan intakeReply
-}
-
-type intakeReply struct {
-	id   uint64
-	slot int
-	err  error
-}
-
-type controlKind int
-
-const (
-	ctlTick controlKind = iota
-	ctlDrain
-	ctlStop
-	ctlFlushRing
-	ctlFeedback
-	// ctlTickFeedback fuses a deferred-feedback delivery with the next
-	// slot: the loop applies the reward, then runs the slot, all in one
-	// control round-trip. The cluster's shard workers use it so
-	// tick+feedback cost one epoch barrier instead of two.
-	ctlTickFeedback
-)
-
-type controlMsg struct {
-	kind  controlKind
-	reply chan error
-	// ctlFeedback / ctlTickFeedback payload (see DeliverFeedback).
-	slot   int
-	reward float64
-}
-
-// snapMsg asks the loop for an in-memory checkpoint of the live state.
-type snapMsg struct{ reply chan snapReply }
-
-type snapReply struct {
-	ck  *Checkpoint
-	err error
-}
-
-// extractMsg asks the loop to remove one pending request for cross-shard
-// migration.
-type extractMsg struct {
-	id    uint64
-	reply chan extractReply
-}
-
-type extractReply struct {
-	spec    RequestSpec
-	arrival int
-	err     error
-}
-
-// Start launches the engine's two goroutines: the intake pump and the
-// loop.
-func (e *Engine) Start() {
-	go e.pump()
-	go e.loop()
-}
+// Start does nothing: the engine runs no goroutine, and every state change
+// happens inside a call. It stays because the benchmark harness calls it.
+func (e *Engine) Start() {}
 
 // Metrics returns the engine's metric surface.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
@@ -400,9 +328,9 @@ func (e *Engine) IncStats() core.IncStats {
 
 // BanditSnapshot captures the DynamicRR threshold learner's state; it
 // errors for baselines and for custom learners that cannot snapshot.
-// Safe only while the loop is stopped or from within tests that own the
-// tick cadence (the learner is loop-owned state).
 func (e *Engine) BanditSnapshot() (*bandit.LipschitzSnapshot, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	d, ok := e.sched.(*sim.DynamicRR)
 	if !ok || d.Bandit() == nil {
 		return nil, fmt.Errorf("serve: scheduler %s has no snapshottable bandit", e.sched.Name())
@@ -410,36 +338,21 @@ func (e *Engine) BanditSnapshot() (*bandit.LipschitzSnapshot, error) {
 	return d.Bandit().Snapshot()
 }
 
-// Reply channels for Submit and control calls are pooled: both run once
-// per request or per tick, and each would otherwise allocate a fresh
-// one-slot channel. A channel returns to its pool only after the normal
-// reply is received.
-var (
-	intakeReplyPool = sync.Pool{New: func() any { return make(chan intakeReply, 1) }}
-	ctlReplyPool    = sync.Pool{New: func() any { return make(chan error, 1) }}
-)
-
-// ask sends msg to the loop on c and waits for the answer on reply; ok is
-// false when the loop exited first (a pooled reply channel is then left to
-// the GC: the loop may still hold it).
-func ask[M, R any](e *Engine, c chan<- M, msg M, reply <-chan R) (rep R, ok bool) {
-	select {
-	case c <- msg:
-	case <-e.loopDone:
-		return rep, false
+// lock takes the planner lock for a call that needs a running engine; once
+// the engine has exited it fails with ErrStopped, holding nothing.
+func (e *Engine) lock() error {
+	e.mu.Lock()
+	if !e.Alive() {
+		e.mu.Unlock()
+		return ErrStopped
 	}
-	select {
-	case rep = <-reply:
-		return rep, true
-	case <-e.loopDone:
-		return rep, false
-	}
+	return nil
 }
 
 // Submit queues a request for the next scheduling slot under the engine's
 // own numbering and returns its id.
 func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
-	return e.submit(intakeMsg{spec: spec})
+	return e.submit(0, false, spec)
 }
 
 // SubmitAs is Submit under an id the caller chose: the cluster's id, which
@@ -447,18 +360,34 @@ func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
 // all carry. The id must not name a request live in this engine; one that
 // left by Extract may come back under it.
 func (e *Engine) SubmitAs(id uint64, spec RequestSpec) (int, error) {
-	_, slot, err := e.submit(intakeMsg{spec: spec, id: id, numbered: true})
+	_, slot, err := e.submit(id, true, spec)
 	return slot, err
 }
 
-func (e *Engine) submit(msg intakeMsg) (uint64, int, error) {
-	msg.reply = intakeReplyPool.Get().(chan intakeReply)
-	rep, ok := ask(e, e.intake, msg, msg.reply)
-	if !ok {
-		return 0, 0, ErrStopped
+// submit drains the ring before it admits, so below the MaxPending bound
+// the planner sees a request after every batch accepted before it. An id
+// of the engine's own is allocated only once the planner took the
+// request, so a refused spec consumes none.
+func (e *Engine) submit(id uint64, numbered bool, spec RequestSpec) (uint64, int, error) {
+	if err := e.lock(); err != nil {
+		return 0, 0, err
 	}
-	intakeReplyPool.Put(msg.reply)
-	return rep.id, rep.slot, rep.err
+	defer e.mu.Unlock()
+	e.drainRing(false)
+	idx, err := e.admit(&spec)
+	if err != nil {
+		e.metrics.Rejected.Inc()
+		return 0, 0, err
+	}
+	id = e.takeID(id, numbered)
+	req := newRequest(id, e.slot, spec)
+	e.table.mu.Lock()
+	e.table.insert(req)
+	req = e.table.rows[id] // its earlier row, revived, when the id is back from an Extract
+	e.table.mu.Unlock()
+	e.table.attach(req, idx, e.slot)
+	e.metrics.PendingDepth.Store(int64(len(e.pending)))
+	return id, e.slot, nil
 }
 
 // takeID settles a new request's id: the engine's next when the caller
@@ -478,16 +407,25 @@ func (e *Engine) takeID(id uint64, numbered bool) uint64 {
 
 // Status looks up a request's current record; an id the table never saw,
 // or has evicted, is unknown (false, nil error). The table outlives the
-// engine loop — a drained engine still answers — and closes only at Stop,
-// after which lookups fail with ErrStopped.
+// engine's exit — a drained engine still answers — and closes only at
+// Stop, after which lookups fail with ErrStopped.
 func (e *Engine) Status(id uint64) (RequestRecord, bool, error) { return e.table.status(id) }
 
 // Gauges returns the per-station occupancy gauges, by station index.
 func (e *Engine) Gauges() []StationGauge { return e.table.gauges() }
 
-// Tick advances the engine by one scheduling slot. The engine has no
-// clock of its own: the cluster's epoch workers (or a test) call it.
-func (e *Engine) Tick() error { return e.sendControl(controlMsg{kind: ctlTick}) }
+// Tick advances the engine by one scheduling slot, on the caller's
+// goroutine. The engine has no clock of its own: the cluster's epoch
+// workers (or a test) call it.
+func (e *Engine) Tick() error {
+	if err := e.lock(); err != nil {
+		return err
+	}
+	defer e.mu.Unlock()
+	e.runSlot()
+	e.exitIfDrained()
+	return nil
+}
 
 // Snapshot captures the engine's live state as an in-memory checkpoint.
 // It reflects only requests the planner has seen:
@@ -497,9 +435,10 @@ func (e *Engine) Tick() error { return e.sendControl(controlMsg{kind: ctlTick}) 
 // do not modify), so a checkpoint taken after a clean drain still carries
 // its learner and counters; one Stop halted first fails with ErrStopped.
 func (e *Engine) Snapshot() (*Checkpoint, error) {
-	reply := make(chan snapReply, 1)
-	if rep, ok := ask(e, e.snapC, snapMsg{reply: reply}, reply); ok {
-		return rep.ck, rep.err
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.Alive() {
+		return e.snapshotState()
 	}
 	if e.drainedSnap == nil {
 		return nil, ErrStopped
@@ -513,74 +452,75 @@ func (e *Engine) Snapshot() (*Checkpoint, error) {
 // request already scheduled, terminated, or is unknown, which makes a
 // stale migration proposal a benign abort rather than a double-admit.
 func (e *Engine) Extract(id uint64) (RequestSpec, int, error) {
-	reply := make(chan extractReply, 1)
-	rep, ok := ask(e, e.extractC, extractMsg{id: id, reply: reply}, reply)
-	if !ok {
-		return RequestSpec{}, 0, ErrStopped
+	if err := e.lock(); err != nil {
+		return RequestSpec{}, 0, err
 	}
-	return rep.spec, rep.arrival, rep.err
+	defer e.mu.Unlock()
+	return e.extract(id)
 }
 
 // DeliverFeedback hands the scheduler a slot's (externally aggregated)
-// realized reward on the loop goroutine. Only meaningful with
-// Config.DeferFeedback set; a no-op for schedulers without learning
-// feedback.
+// realized reward. Only meaningful with Config.DeferFeedback set; a no-op
+// for schedulers without learning feedback.
 func (e *Engine) DeliverFeedback(slot int, reward float64) error {
-	return e.sendControl(controlMsg{kind: ctlFeedback, slot: slot, reward: reward})
-}
-
-// TickWithFeedback delivers slot fbSlot's aggregated reward and then
-// runs the next slot in a single control round-trip — the fused epoch
-// message the cluster's persistent shard workers send so a tick plus its
-// deferred feedback cost one barrier, not a barrier and a serial loop.
-func (e *Engine) TickWithFeedback(fbSlot int, reward float64) error {
-	return e.sendControl(controlMsg{kind: ctlTickFeedback, slot: fbSlot, reward: reward})
-}
-
-// Drain stops intake (Submit fails with ErrDraining) and lets the engine
-// run until every pending request is decided and every stream departs,
-// at which point the loop exits.
-func (e *Engine) Drain() error { return e.sendControl(controlMsg{kind: ctlDrain}) }
-
-// Stop halts the loop immediately, without waiting for in-flight
-// streams; a caller that wants the state kept takes a Snapshot first.
-// The request table closes too.
-func (e *Engine) Stop() error {
-	err := e.sendControl(controlMsg{kind: ctlStop})
-	if errors.Is(err, ErrStopped) {
-		err = nil
+	if err := e.lock(); err != nil {
+		return err
 	}
+	defer e.mu.Unlock()
+	if fb, ok := e.sched.(sim.FeedbackScheduler); ok {
+		fb.Feedback(slot, reward)
+	}
+	return nil
+}
+
+// Drain stops intake (Submit fails with ErrDraining), moves every request
+// the door already accepted into the planner, and lets the engine run
+// until every pending request is decided and every stream departs. The
+// call that sees that — this one, or a later Tick — exits the engine.
+func (e *Engine) Drain() error {
+	if err := e.lock(); err != nil {
+		return err
+	}
+	defer e.mu.Unlock()
+	if !e.drain {
+		// The flag closes the door first, so the forced drain that follows
+		// hands the planner everything the door accepted: the residue is
+		// decided (and in any later Snapshot), not dropped.
+		e.metrics.drainFlag.Store(true)
+		e.drainRing(true)
+		e.drain = true
+	}
+	e.exitIfDrained()
+	return nil
+}
+
+// Stop exits the engine at once, without waiting for in-flight streams; a
+// caller that wants the state kept takes a Snapshot first. The request
+// table closes too.
+func (e *Engine) Stop() error {
+	e.mu.Lock()
+	if e.Alive() {
+		close(e.done)
+	}
+	e.mu.Unlock()
 	e.table.mu.Lock()
 	e.table.closed = true
 	e.table.mu.Unlock()
-	return err
+	return nil
 }
 
-// Done is closed when the engine loop has exited (drain complete or
-// stopped).
-func (e *Engine) Done() <-chan struct{} { return e.loopDone }
+// Done is closed when the engine has exited (drain complete or stopped).
+func (e *Engine) Done() <-chan struct{} { return e.done }
 
 // Draining reports whether intake is closed.
 func (e *Engine) Draining() bool { return !e.Alive() || e.metrics.drainFlag.Load() }
 
-// Alive reports whether the engine loop is still running.
+// Alive reports whether the engine has not exited yet.
 func (e *Engine) Alive() bool {
 	select {
-	case <-e.loopDone:
+	case <-e.done:
 		return false
 	default:
 		return true
 	}
-}
-
-// sendControl attaches a pooled reply channel to msg, sends it to the
-// loop, and waits for the reply.
-func (e *Engine) sendControl(msg controlMsg) error {
-	msg.reply = ctlReplyPool.Get().(chan error)
-	err, ok := ask(e, e.control, msg, msg.reply)
-	if !ok {
-		return ErrStopped
-	}
-	ctlReplyPool.Put(msg.reply)
-	return err
 }

@@ -205,7 +205,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal("test wants in-flight streams at the kill point")
 	}
 	// Simulate kill -9: abandon e1 without any orderly shutdown. (Cleanup
-	// still stops its goroutines at test end.)
+	// still stops it at test end.)
 
 	cfg.Rng = rand.New(rand.NewSource(43))
 	e2, err := New(cfg)
@@ -279,8 +279,8 @@ func snapshotViaDisk(t *testing.T, e *Engine, path string) *Checkpoint {
 	return loaded
 }
 
-// TestDrain closes intake and lets the engine run dry: the loop exits on
-// its own once nothing is pending or running, and late submissions get
+// TestDrain closes intake and lets the engine run dry: the tick that
+// leaves nothing pending or running exits it, and late submissions get
 // ErrDraining.
 func TestDrain(t *testing.T) {
 	e := testEngine(t, Config{})
@@ -302,12 +302,12 @@ func TestDrain(t *testing.T) {
 	select {
 	case <-e.Done():
 	default:
-		t.Fatal("drained engine loop still running after work ran dry")
+		t.Fatal("drained engine still alive after work ran dry")
 	}
 	if _, _, err := e.Submit(RequestSpec{AccessStation: 0}); err != ErrStopped {
 		t.Fatalf("submit after drain exit: %v, want ErrStopped", err)
 	}
-	// The exited loop left its final state behind for Snapshot, and a
+	// The exited engine left its final state behind for Snapshot, and a
 	// later Stop does not take it away.
 	for _, when := range []string{"after drain exit", "after Stop"} {
 		snap, err := e.Snapshot()

@@ -1,16 +1,18 @@
 package serve
 
-// The intake pump: the single producer of the SPSC ingest ring. HTTP
-// batch handlers (and the bulk replay) hand decoded
-// spec batches to SubmitBatch, which enqueues them on a small bounded
-// channel; the pump goroutine prices each request, gives it its id (the
-// caller's, or the engine's next), inserts its row into the request table,
-// and pushes it through the stage/ring pair toward the engine loop. The
-// overload policy is a strict chain of bounded queues:
+// The door: the batch path's side of the engine and the single producer
+// of the SPSC ingest ring. HTTP batch handlers (and the bulk replay) hand
+// decoded spec batches to SubmitBatch, which takes the door lock on the
+// caller's goroutine, prices each request, gives it its id (the caller's,
+// or the engine's next), inserts its row into the request table, and
+// pushes it through the stage/ring pair toward the planner. The ring
+// drains into the planner under the planner lock: at slot start, before a
+// single-request submit, in Flush and in Drain. The overload policy is a
+// strict chain of bounded queues:
 //
-//	pending (MaxPending, loop)  <- ring (RingCapacity, SPSC)
+//	pending (MaxPending)  <- ring (RingCapacity, SPSC)
 //	  <- stage (StageCapacity, reward-sorted, sheds lowest E[reward])
-//	    <- batch channel (BatchQueue)  <- 503 + Retry-After
+//	    <- the door (BatchQueue waiting)  <- 503 + Retry-After
 //
 // Below saturation nothing ever sits in the stage, so batched intake
 // appends in exact submission order — decision-for-decision identical
@@ -19,7 +21,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"mecoffload/internal/workload"
@@ -46,36 +47,14 @@ type BatchResult struct {
 	Shed int
 }
 
-type batchMsg struct {
-	specs []RequestSpec
-	// ids are the caller's ids for specs, one each; nil asks the pump to
-	// number the batch itself.
-	ids     []uint64
-	barrier bool
-	// collect asks the pump to stop accepting batches and surrender its
-	// overflow stage — the shutdown quiesce (see Engine.quiesceIngest).
-	collect bool
-	reply   chan batchReply
-}
-
-type batchReply struct {
-	ids  []uint64
-	shed int
-	// staged is the surrendered overflow stage (collect replies only).
-	staged []ingestEntry
-	// rejected marks a batch that arrived after the pump stopped; the
-	// caller maps it to ErrDraining/ErrStopped.
-	rejected bool
-}
-
 // SubmitBatch queues a pre-validated batch of specs for ingest under the
-// engine's own numbering. It fails fast with ErrSaturated when the pump's
-// inbox is full (the overload backstop behind the shedding stage), and
-// with ErrDraining / ErrStopped like Submit. Specs should have passed
-// ValidateSpec; a spec the loop still rejects is counted and recorded as
-// shed.
+// engine's own numbering. It fails fast with ErrSaturated when BatchQueue
+// batches already wait at the door (the overload backstop behind the
+// shedding stage), and with ErrDraining / ErrStopped like Submit. Specs
+// should have passed ValidateSpec; a spec the planner still rejects is
+// counted and recorded as shed.
 func (e *Engine) SubmitBatch(specs []RequestSpec) (BatchResult, error) {
-	return e.submitBatch(batchMsg{specs: specs})
+	return e.submitBatch(nil, specs)
 }
 
 // SubmitBatchAs is SubmitBatch under ids the caller chose, one per spec
@@ -85,129 +64,68 @@ func (e *Engine) SubmitBatchAs(ids []uint64, specs []RequestSpec) (shed int, err
 	if len(ids) != len(specs) {
 		return 0, fmt.Errorf("serve: %d ids for %d specs", len(ids), len(specs))
 	}
-	res, err := e.submitBatch(batchMsg{specs: specs, ids: ids})
+	res, err := e.submitBatch(ids, specs)
 	return res.Shed, err
 }
 
-func (e *Engine) submitBatch(msg batchMsg) (BatchResult, error) {
-	if len(msg.specs) == 0 {
+// submitBatch runs the batch through the door on the caller's goroutine.
+// It holds the door lock, never the planner lock, so a batch waits for
+// the batches ahead of it and for a ring drain's refill, never for a slot.
+func (e *Engine) submitBatch(ids []uint64, specs []RequestSpec) (BatchResult, error) {
+	if len(specs) == 0 {
 		return BatchResult{}, nil
 	}
 	if e.Draining() {
-		if !e.Alive() {
-			return BatchResult{}, ErrStopped
-		}
-		return BatchResult{}, ErrDraining
+		return BatchResult{}, e.refusal()
 	}
-	msg.reply = batchReplyChan()
-	select {
-	case e.batchC <- msg:
-	default:
+	if e.atDoor.Add(1) > int64(e.cfg.BatchQueue)+1 {
+		e.atDoor.Add(-1)
 		e.metrics.Saturated.Inc()
 		return BatchResult{}, ErrSaturated
 	}
-	select {
-	case rep := <-msg.reply:
-		putBatchReplyChan(msg.reply)
-		if rep.rejected {
-			// The pump stopped between our Draining check and the send.
-			if !e.Alive() {
-				return BatchResult{}, ErrStopped
-			}
-			return BatchResult{}, ErrDraining
-		}
-		e.metrics.Batches.Inc()
-		e.metrics.BatchRequests.Add(uint64(len(msg.specs)))
-		return BatchResult{IDs: rep.ids, Shed: rep.shed}, nil
-	case <-e.loopDone:
-		return BatchResult{}, ErrStopped
+	defer e.atDoor.Add(-1)
+	e.door.Lock()
+	defer e.door.Unlock()
+	// A drain raises its flag before its forced ring drain takes the door,
+	// so a batch that passes this check is in the ring or the stage before
+	// that drain looks.
+	if e.Draining() {
+		return BatchResult{}, e.refusal()
 	}
+	ids, shed := e.pumpBatch(ids, specs)
+	e.metrics.Batches.Inc()
+	e.metrics.BatchRequests.Add(uint64(len(specs)))
+	return BatchResult{IDs: ids, Shed: shed}, nil
 }
 
-// Flush blocks until every batch accepted so far has been appended to
-// the planner: the pump's inbox is empty, the stage has drained, and
-// the loop has consumed the ring (ignoring the MaxPending backpressure
-// bound, which exists for wall-clock overload, not for replay
-// harnesses). Replay and the oracle differential call it before
-// ticking, so a slot schedules exactly the requests submitted before
-// it.
-func (e *Engine) Flush() error {
-	for i := 0; ; i++ {
-		if err := e.pumpBarrier(); err != nil {
-			return err
-		}
-		if err := e.sendControl(controlMsg{kind: ctlFlushRing}); err != nil {
-			return err
-		}
-		if e.ring.Len() == 0 && e.stagedDepth.Load() == 0 {
-			return nil
-		}
-		if i > 1<<20 {
-			return errors.New("serve: flush did not converge")
-		}
-	}
-}
-
-// pumpBarrier round-trips the pump goroutine, guaranteeing every batch
-// enqueued before the call has been processed.
-func (e *Engine) pumpBarrier() error {
-	reply := batchReplyChan()
-	if _, ok := ask(e, e.batchC, batchMsg{barrier: true, reply: reply}, reply); !ok {
+// refusal is what closed intake answers: ErrStopped once the engine has
+// exited, ErrDraining before.
+func (e *Engine) refusal() error {
+	if !e.Alive() {
 		return ErrStopped
 	}
-	putBatchReplyChan(reply)
+	return ErrDraining
+}
+
+// Flush appends every batch accepted so far to the planner, in one forced
+// ring drain that ignores the MaxPending backpressure bound (it exists for
+// wall-clock overload, not for replay harnesses). Replay and the oracle
+// differential call it before ticking, so a slot schedules exactly the
+// requests submitted before it.
+func (e *Engine) Flush() error {
+	if err := e.lock(); err != nil {
+		return err
+	}
+	defer e.mu.Unlock()
+	e.drainRing(true)
 	return nil
 }
 
-// Reply channels for batch calls are pooled like the intake/control
-// ones; a channel abandoned on loop exit is dropped for the GC.
-var batchReplyPool = sync.Pool{New: func() any { return make(chan batchReply, 1) }}
-
-func batchReplyChan() chan batchReply     { return batchReplyPool.Get().(chan batchReply) }
-func putBatchReplyChan(c chan batchReply) { batchReplyPool.Put(c) }
-
-// pump is the intake pump goroutine: the single producer of the ingest
-// ring. It exits when the engine loop does. After a collect message
-// (shutdown quiesce) it keeps answering barriers but rejects new batches
-// and stops touching the stage/ring — the loop owns the residue from
-// that point on.
-func (e *Engine) pump() {
-	defer close(e.pumpDone)
-	stopped := false
-	for {
-		select {
-		case msg := <-e.batchC:
-			switch {
-			case msg.barrier:
-				msg.reply <- batchReply{}
-			case msg.collect:
-				staged := make([]ingestEntry, 0, e.stage.len())
-				for e.stage.len() > 0 {
-					staged = append(staged, e.stage.popLowest())
-				}
-				stopped = true
-				msg.reply <- batchReply{staged: staged}
-			case stopped:
-				msg.reply <- batchReply{rejected: true}
-			default:
-				msg.reply <- e.pumpBatch(msg.ids, msg.specs)
-			}
-		case <-e.spaceC:
-			// The loop freed ring space: move staged work in, most
-			// valuable first.
-			if !stopped {
-				e.pumpDrainStage()
-			}
-		case <-e.loopDone:
-			return
-		}
-	}
-}
-
-// pumpBatch registers, prices, and enqueues one batch (pump goroutine
-// only). The table lock is held for the inserts alone — a row exists
-// before its entry can reach the loop — and once more if anything shed.
-func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) batchReply {
+// pumpBatch registers, prices, and enqueues one batch (door lock held)
+// and returns its ids and how many requests shed. The table lock is held
+// for the inserts alone — a row exists before its entry can reach the
+// planner — and once more if anything shed.
+func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) ([]uint64, int) {
 	now := time.Now().UnixNano()
 	slot := int(e.metrics.CurrentSlot.Load())
 	numbered := ids != nil
@@ -244,12 +162,11 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) batchReply {
 		}
 		e.table.mu.Unlock()
 	}
-	return batchReply{ids: ids, shed: len(e.shedBuf)}
+	return ids, len(e.shedBuf)
 }
 
 // pumpPush routes one entry through the stage/ring pair and applies the
-// shedding policy, appending victims to e.shedBuf (pump goroutine
-// only).
+// shedding policy, appending victims to e.shedBuf (door lock held).
 func (e *Engine) pumpPush(ent ingestEntry) {
 	if e.stage.len() >= e.cfg.StageCapacity {
 		e.pumpDrainStage()
@@ -270,8 +187,8 @@ func (e *Engine) pumpPush(ent ingestEntry) {
 	e.stagedDepth.Store(int64(e.stage.len()))
 }
 
-// pumpDrainStage moves staged entries into the ring, most valuable
-// first, and wakes the loop when it delivered anything.
+// pumpDrainStage moves staged entries into the ring, most valuable first
+// (door lock held).
 func (e *Engine) pumpDrainStage() {
 	pushed := 0
 	for e.stage.len() > 0 {
@@ -284,15 +201,11 @@ func (e *Engine) pumpDrainStage() {
 	if pushed > 0 {
 		e.stagedDepth.Store(int64(e.stage.len()))
 		e.metrics.IntakeDepth.Store(int64(e.ring.Len()))
-		select {
-		case e.ringC <- struct{}{}:
-		default:
-		}
 	}
 }
 
-// StagedDepth returns the pump's overflow-stage depth (gauge-grade;
-// exact only from the pump goroutine).
+// StagedDepth returns the door's overflow-stage depth (gauge-grade;
+// exact only under the door lock).
 func (e *Engine) StagedDepth() int64 { return e.stagedDepth.Load() }
 
 // RingDepth returns the ingest ring's current depth (gauge-grade).

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
-	"time"
 )
 
 // pricedSpec builds a spec whose expected reward is exactly price.
@@ -77,18 +79,19 @@ func TestSubmitBatchLifecycle(t *testing.T) {
 }
 
 // TestSubmitBatchShedsLowestReward is the overload-policy test worked
-// out entry by entry: ring capacity 4, stage capacity 4, and a loop that
-// will not drain (MaxPending already exceeded by two single-POST
-// requests). A batch of ten requests priced 1..10 must keep prices 1-4
-// in the ring (FIFO, admitted first), stage 7-10, and shed exactly the
-// two cheapest staged requests, 5 and 6.
+// out entry by entry: ring capacity 4, stage capacity 4, and a pending
+// queue already past MaxPending (two single-POST requests over a bound
+// of one). A batch of ten requests priced 1..10 must keep prices 1-4 in
+// the ring (FIFO, admitted first), stage 7-10, and shed exactly the two
+// cheapest staged requests, 5 and 6.
 func TestSubmitBatchShedsLowestReward(t *testing.T) {
 	e := testEngine(t, Config{
 		RingCapacity:  4,
 		StageCapacity: 4,
 		MaxPending:    1,
 	})
-	// Two single-POST requests exceed MaxPending so drainRing backs off.
+	// Two single-POST requests exceed MaxPending, so no drain before a
+	// slot would take the ring in.
 	pre := submitN(t, e, 2)
 	specs := make([]RequestSpec, 10)
 	for i := range specs {
@@ -142,8 +145,8 @@ func TestSubmitBatchEdgeCases(t *testing.T) {
 	if err != nil || len(res.IDs) != 0 || res.Shed != 0 {
 		t.Fatalf("empty batch = (%+v, %v), want zero result", res, err)
 	}
-	// A pending request keeps a draining manual-tick loop alive (an empty
-	// drained engine exits immediately, which is the ErrStopped case).
+	// A pending request keeps a draining manual-tick engine alive (an
+	// empty drained engine exits immediately, which is the ErrStopped case).
 	submitN(t, e, 1)
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
@@ -156,12 +159,6 @@ func TestSubmitBatchEdgeCases(t *testing.T) {
 	}
 	if _, err := e.SubmitBatch([]RequestSpec{{}}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped SubmitBatch err = %v, want ErrStopped", err)
-	}
-	// The pump goroutine must exit with the loop.
-	select {
-	case <-e.pumpDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("pump goroutine did not exit on engine stop")
 	}
 }
 
@@ -176,5 +173,94 @@ func TestValidateSpec(t *testing.T) {
 	bad := RequestSpec{Outcomes: []OutcomeSpec{{Prob: -1, RateMBs: 40, Reward: 1}}}
 	if err := e.ValidateSpec(bad); err == nil {
 		t.Fatal("negative-probability spec validated")
+	}
+}
+
+// TestInterleavedIntakeIsDeterministic: one call sequence gives one
+// outcome. Twenty slots of a two-spec SubmitBatch, a one-spec Submit and a
+// Tick, with no Flush, run forty times on identically seeded engines and
+// end in the same snapshot requests and the same record for every id —
+// the records of the same sixty default specs sent one by one through
+// Submit, in the same order. A single-request submit drains the ring
+// first, so the planner sees requests in submission order whichever path
+// they came by.
+func TestInterleavedIntakeIsDeterministic(t *testing.T) {
+	const slots, runs = 20, 40
+	net := testNetwork(t, 4)
+	type outcome struct {
+		Requests []CheckpointRequest
+		Records  []RequestRecord
+	}
+	run := func(interleaved bool) outcome {
+		t.Helper()
+		e, err := New(Config{Net: net, Rng: rand.New(rand.NewSource(7))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		defer func() { _ = e.Stop() }()
+		var ids []uint64
+		submit := func(spec RequestSpec) {
+			id, _, err := e.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for s := 0; s < slots; s++ {
+			specs := []RequestSpec{{AccessStation: 3 * s % 4}, {AccessStation: (3*s + 1) % 4}, {AccessStation: (3*s + 2) % 4}}
+			if interleaved {
+				res, err := e.SubmitBatch(specs[:2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, res.IDs...)
+				submit(specs[2])
+			} else {
+				for _, spec := range specs {
+					submit(spec)
+				}
+			}
+			if err := e.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{Requests: snap.Requests}
+		for _, id := range ids {
+			rec, ok, err := e.Status(id)
+			if err != nil || !ok {
+				t.Fatalf("status %d: ok=%v err=%v", id, ok, err)
+			}
+			out.Records = append(out.Records, rec)
+		}
+		return out
+	}
+
+	want := run(false)
+	states := map[string]int{}
+	for _, rec := range want.Records {
+		states[rec.State]++
+	}
+	if len(want.Records) != 3*slots || states[StatePending] == 0 || states[StateServing] == 0 {
+		t.Fatalf("vacuous run: %d records in states %v, %d live at the end", len(want.Records), states, len(want.Requests))
+	}
+	outcomes := map[string]int{}
+	diverged := -1
+	for i := 0; i < runs; i++ {
+		got := run(true)
+		outcomes[fmt.Sprintf("%+v", got)]++
+		if diverged < 0 && !reflect.DeepEqual(got, want) {
+			diverged = i
+		}
+	}
+	if len(outcomes) != 1 {
+		t.Fatalf("%d runs of one call sequence ended in %d different outcomes", runs, len(outcomes))
+	}
+	if diverged >= 0 {
+		t.Fatal("interleaved batch and single submissions decide differently from the same specs submitted one by one")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // liveRecords returns the record of every pending or serving id.
@@ -33,8 +32,8 @@ func liveRecords(t *testing.T, e *Engine, ids []uint64) map[uint64]RequestRecord
 // TestStatusAcrossRestoreAndCompaction: every live request answers with
 // the same state before a Snapshot and after New(Config{Restore}), and
 // with the identical record across an in-memory compaction — which also
-// leaves the engine scheduling those requests to completion. The engines
-// are never started: the test is their loop goroutine.
+// leaves the engine scheduling those requests to completion. The test runs
+// the slots, the snapshot and the compaction itself, between its own calls.
 func TestStatusAcrossRestoreAndCompaction(t *testing.T) {
 	net := testNetwork(t, 4)
 	e, err := New(Config{Net: net, Rng: rand.New(rand.NewSource(42)), CompactAfter: 1 << 20})
@@ -50,11 +49,11 @@ func TestStatusAcrossRestoreAndCompaction(t *testing.T) {
 			if round == 0 {
 				hold = 1
 			}
-			rep := e.handleIntake(intakeMsg{spec: RequestSpec{AccessStation: i % 4, DurationSlots: hold, DeadlineMS: 2000}})
-			if rep.err != nil {
-				t.Fatal(rep.err)
+			id, _, err := e.Submit(RequestSpec{AccessStation: i % 4, DurationSlots: hold, DeadlineMS: 2000})
+			if err != nil {
+				t.Fatal(err)
 			}
-			ids = append(ids, rep.id)
+			ids = append(ids, id)
 		}
 		e.runSlot()
 	}
@@ -281,54 +280,55 @@ func engineGoroutines() (n int) {
 	return n
 }
 
-// TestEngineRunsTwoGoroutines: Start launches the pump and the loop and
-// nothing else, and Stop takes both down.
-func TestEngineRunsTwoGoroutines(t *testing.T) {
-	settle := func(want int) {
+// TestEngineRunsNoGoroutines: an engine is locks, not goroutines. Across
+// New, Start, a batch, a slot and Stop no goroutine runs an Engine method
+// outside the call that made it, and none is left behind.
+func TestEngineRunsNoGoroutines(t *testing.T) {
+	check := func(when string) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); engineGoroutines() != want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d engine goroutines still running, want %d", engineGoroutines(), want)
-			}
+		if n := engineGoroutines(); n != 0 {
+			t.Fatalf("%s: %d goroutines run an engine method, want 0", when, n)
 		}
 	}
-	settle(0) // earlier tests' engines have exited
+	before := runtime.NumGoroutine()
 	e, err := New(Config{Net: testNetwork(t, 4), Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
 	e.Start()
-	if got := runtime.NumGoroutine() - before; got != 2 {
-		t.Fatalf("Start launched %d goroutines, want 2 (pump, loop)", got)
-	}
-	settle(2)
+	check("after Start")
 	if _, err := e.SubmitBatch([]RequestSpec{{AccessStation: 0}}); err != nil {
 		t.Fatal(err)
 	}
+	check("after SubmitBatch")
 	if err := e.Tick(); err != nil {
 		t.Fatal(err)
 	}
+	check("after Tick")
 	if err := e.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	settle(0)
+	check("after Stop")
+	if got := runtime.NumGoroutine() - before; got > 0 {
+		t.Fatalf("the engine's life left %d more goroutines running", got)
+	}
 }
 
-// TestCompactionDoesNotRewindPumpState: the pump hands out ids and counts
-// batches while the loop compacts; compaction must leave the id allocator
-// and the counters where the pump put them, or two requests share an id.
+// TestCompactionDoesNotRewindPumpState: a batch at the door hands out ids
+// and counts batches while a slot compacts under the planner lock;
+// compaction must leave the id allocator and the counters where the door
+// put them, or two requests share an id.
 func TestCompactionDoesNotRewindPumpState(t *testing.T) {
 	e, err := New(Config{Net: testNetwork(t, 4), Rng: rand.New(rand.NewSource(42))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if rep := e.handleIntake(intakeMsg{spec: RequestSpec{AccessStation: i}}); rep.err != nil {
-			t.Fatal(rep.err)
+		if _, _, err := e.Submit(RequestSpec{AccessStation: i}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	e.nextExt.Add(5) // the pump, while the loop compacts
+	e.nextExt.Add(5) // the door, while the slot compacts
 	e.metrics.BatchRequests.Add(5)
 	if err := e.compact(); err != nil {
 		t.Fatal(err)

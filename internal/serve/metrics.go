@@ -11,10 +11,10 @@ import (
 // range finely and the overload range coarsely.
 var slotDurationBucketsMS = []float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
 
-// intakeLatencyBucketsMS resolve the batched-ingest handoff (pump
-// enqueue to planner append). A healthy handoff completes well inside a
-// tick; the coarse tail captures overload, where entries wait in the
-// ring behind the MaxPending backpressure bound.
+// intakeLatencyBucketsMS resolve the batched-ingest handoff (door
+// enqueue to planner append), which includes the wait for the next Flush,
+// slot or single-request submit. The coarse tail captures overload, where
+// entries wait in the ring behind the MaxPending backpressure bound.
 var intakeLatencyBucketsMS = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 500}
 
 // counter is a monotonically increasing uint64 safe for concurrent use.
@@ -41,7 +41,7 @@ func (f *floatCounter) Add(x float64) {
 func (f *floatCounter) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // histogram is a fixed-bucket Prometheus-style histogram. Observe is
-// called only by the engine loop; Load-side readers may race benignly
+// called only under the planner lock; Load-side readers may race benignly
 // between bucket and sum reads (standard for lock-free exposition).
 type histogram struct {
 	bounds []float64
@@ -95,7 +95,7 @@ func (m *Metrics) IntakeLatencySnapshot() HistogramSnapshot { return m.IntakeLat
 
 // Metrics is one engine's metric surface; the cluster's WriteProm is its
 // only exposition. All fields are safe for concurrent read while the
-// engine loop writes.
+// engine writes.
 type Metrics struct {
 	Submitted    counter // requests accepted into the intake queue
 	Rejected     counter // requests refused at intake (draining)
@@ -110,18 +110,18 @@ type Metrics struct {
 	SlotDuration *histogram
 
 	// Batched ingest path.
-	Batches       counter    // SubmitBatch calls accepted by the pump
+	Batches       counter    // SubmitBatch calls accepted at the door
 	BatchRequests counter    // requests carried by those batches
 	Shed          counter    // requests dropped by reward-aware shedding
 	Saturated     counter    // batches refused with ErrSaturated (503)
-	IntakeLatency *histogram // pump enqueue -> planner append, ms
+	IntakeLatency *histogram // door enqueue -> planner append, ms
 
-	// Gauges, written by the engine loop each tick.
+	// Gauges, written under the planner lock.
 	PendingDepth  atomic.Int64
 	ActiveStreams atomic.Int64
 	CurrentSlot   atomic.Int64
 	// IntakeDepth is the ingest ring's depth; the staged-entry gauge
-	// lives on the engine (stagedDepth) because the pump owns it.
+	// lives on the engine (stagedDepth) because the door owns it.
 	IntakeDepth atomic.Int64
 
 	drainFlag atomic.Bool

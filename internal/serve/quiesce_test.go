@@ -2,7 +2,7 @@ package serve
 
 // Shutdown quiesce contract: a request the batched-ingest path has
 // ACCEPTED (returned an id for) must never be dropped by a shutdown —
-// whatever is still sitting in the pump's overflow stage or the ring
+// whatever is still sitting in the door's overflow stage or the ring
 // lands in the final checkpoint as pending, and a restore answers status
 // for it. At the engine the shutdown is Drain (quiesce) then Snapshot;
 // the daemon-level form — cluster.Stop writes the manifest — is
@@ -15,7 +15,7 @@ import (
 )
 
 // TestStopPersistsIngestResidue accepts a batch far larger than the
-// ring, so most of it is still staged in the pump when the shutdown
+// ring, so most of it is still staged at the door when the shutdown
 // fires, then proves the final checkpoint carries every accepted id and
 // a restored engine can still schedule all of them.
 func TestStopPersistsIngestResidue(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"mecoffload/internal/bandit"
 	"mecoffload/internal/core"
 	"mecoffload/internal/oracle"
 	"mecoffload/internal/sim"
@@ -20,8 +21,7 @@ import (
 // checkpoint snapshots written to disk, status polls, and gauge scrapes
 // — then drains: every id is handed out once and every request settles. Run
 // under -race in CI, this covers the request table's lock discipline
-// (table.go), the metrics counters, and the control-channel
-// serialization.
+// (table.go), the metrics counters, and the planner and door locks.
 func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
 	ckptPath := filepath.Join(t.TempDir(), "state.json")
 	e := testEngine(t, Config{
@@ -211,7 +211,7 @@ func TestOracleEnvInstallsChecker(t *testing.T) {
 }
 
 // TestFailingCheckerCountsSlotErrors: a violated invariant must not crash
-// the daemon — the slot is aborted, SlotErrors increments, and the loop
+// the daemon — the slot is aborted, SlotErrors increments, and the engine
 // keeps serving subsequent ticks.
 func TestFailingCheckerCountsSlotErrors(t *testing.T) {
 	fail := func(*sim.Engine, *core.Result, sim.SlotReport, sim.StepInfo) error {
@@ -221,7 +221,7 @@ func TestFailingCheckerCountsSlotErrors(t *testing.T) {
 	submitN(t, e, 3)
 	for i := 0; i < 4; i++ {
 		if err := e.Tick(); err != nil {
-			t.Fatalf("tick %d returned %v; checker failures must stay inside the loop", i, err)
+			t.Fatalf("tick %d returned %v; checker failures must stay inside the slot", i, err)
 		}
 	}
 	m := e.Metrics()
@@ -230,5 +230,44 @@ func TestFailingCheckerCountsSlotErrors(t *testing.T) {
 	}
 	if !e.Alive() && m.Ticks.Load() != 4 {
 		t.Fatalf("engine stopped ticking after checker failures (ticks %d)", m.Ticks.Load())
+	}
+}
+
+// TestBanditSnapshotWhileTicking: BanditSnapshot takes the planner lock, so
+// reading the learner while another goroutine ticks it is safe (this test
+// runs under -race in CI).
+func TestBanditSnapshotWhileTicking(t *testing.T) {
+	e := testEngine(t, Config{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 40; i++ {
+			for k := 0; k < 2; k++ {
+				if _, _, err := e.Submit(RequestSpec{AccessStation: (i + k) % 4, DurationSlots: 2}); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+			if err := e.Tick(); err != nil {
+				t.Errorf("tick %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	var last *bandit.LipschitzSnapshot
+	for ticking := true; ticking; {
+		select {
+		case <-done:
+			ticking = false
+		default:
+		}
+		snap, err := e.BanditSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = snap
+	}
+	if last.Policy.T == 0 {
+		t.Fatal("the learner never moved while it was snapshotted")
 	}
 }

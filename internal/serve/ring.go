@@ -3,14 +3,14 @@ package serve
 // The high-throughput ingest path's two queue primitives.
 //
 // ingestRing is a bounded single-producer/single-consumer ring buffer in
-// the classic Lamport style: the producer (the intake pump goroutine)
-// only advances tail, the consumer (the engine loop) only advances head,
-// and the atomic cursor stores establish the happens-before edges that
-// make the slot handoff safe without locks. It sits between HTTP intake
-// and the engine loop so a burst of batch submissions never contends
-// with a scheduling tick.
+// the classic Lamport style: the producer (whoever holds the door lock)
+// only advances tail, the consumer (whoever holds the planner lock) only
+// advances head, and the atomic cursor stores establish the happens-before
+// edges that make the handoff safe without a lock shared by both sides. It
+// sits between HTTP intake and the planner so a burst of batch submissions
+// never contends with a scheduling tick.
 //
-// stageBuffer is the pump-owned overflow stage that implements the
+// stageBuffer is the door's overflow stage that implements the
 // reward-aware shedding policy: entries that cannot enter a full ring
 // wait here ordered by expected reward, drain back into the ring
 // highest-expected-reward first, and — once the stage itself overflows —
@@ -29,7 +29,7 @@ import (
 type ingestEntry struct {
 	req     *request // its row in the request table; the spec rides in req.live
 	price   float64  // expected reward under the spec's demand distribution
-	seq     uint64   // pump-local arrival ordinal, for deterministic ties
+	seq     uint64   // door-local arrival ordinal, for deterministic ties
 	enqNano int64    // enqueue timestamp for the intake-latency histogram
 }
 
@@ -64,8 +64,7 @@ func (r *ingestRing) Len() int {
 	return int(r.tail.Load() - r.head.Load())
 }
 
-// TryPush appends one entry; false when the ring is full. Producer
-// goroutine only.
+// TryPush appends one entry; false when the ring is full. Producer only.
 func (r *ingestRing) TryPush(e ingestEntry) bool {
 	t := r.tail.Load()
 	if t-r.head.Load() == uint64(len(r.buf)) {
@@ -77,7 +76,7 @@ func (r *ingestRing) TryPush(e ingestEntry) bool {
 }
 
 // TryPop removes the oldest entry; false when the ring is empty.
-// Consumer goroutine only.
+// Consumer only.
 func (r *ingestRing) TryPop() (ingestEntry, bool) {
 	h := r.head.Load()
 	if r.tail.Load() == h {
@@ -97,7 +96,7 @@ func (r *ingestRing) TryPop() (ingestEntry, bool) {
 // among equal prices, the newest — which is exactly what the shedding
 // policy drops first; the last index is the most valuable — and, among
 // equal prices, the oldest — which is what drains into the ring first.
-// Owned entirely by the pump goroutine.
+// Guarded by the door lock.
 type stageBuffer struct {
 	entries []ingestEntry
 }

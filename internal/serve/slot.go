@@ -1,8 +1,9 @@
 package serve
 
 // One scheduling slot, as the sequence of phases runSlot lists. Each phase
-// below has that one call site; drainRing (loop.go) is the one the slot
-// shares with ring wake-ups, Flush and the quiesce. Loop goroutine only.
+// below has that one call site; drainRing (planner.go) is the one the slot
+// shares with single-request submits, Flush and Drain. Tick runs it
+// with the planner lock held.
 
 import (
 	"fmt"

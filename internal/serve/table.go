@@ -9,17 +9,17 @@ import (
 // by the id its caller knows it by (the cluster's id, or the engine's own
 // numbering when nobody hands one down), behind one RWMutex. A row is the
 // externally visible RequestRecord plus, only while the request is
-// undecided or in service, the loop-side state the planner needs. Every state transition is a
-// method called where the transition happens: the pump inserts and sheds,
-// the loop does the rest.
+// undecided or in service, the planner-side state the planner needs. Every
+// state transition is a method called where the transition happens: the
+// door inserts and sheds, the planner lock's holder does the rest.
 //
 // The map, the submission-order list, the records and each row's live
 // pointer are written and read under mu. byIdx and what a live pointer
-// leads to belong to the loop goroutine alone (the pump fills a row in
-// before handing it over through the ring), so the loop reads them without
-// the lock. Transition methods expect the caller to hold the write lock:
-// once per batch in the pump, once per slot that decided something in the
-// loop, never on an idle slot.
+// leads to belong to the planner lock (the door fills a row in before
+// handing it over through the ring), so its holder reads them without the
+// table lock. Transition methods expect the caller to hold the write lock:
+// once per batch at the door, once per slot that decided something, never
+// on an idle slot.
 
 // Request lifecycle states exposed by GET /v1/requests/{id}.
 const (
@@ -71,8 +71,8 @@ type request struct {
 }
 
 // liveState is what the planner side needs of an undecided or in-service
-// request. idx is the planner's index for it, -1 until the loop appends it
-// (it is still travelling the ingest stage and ring).
+// request. idx is the planner's index for it, -1 until the planner
+// appends it (it is still travelling the ingest stage and ring).
 type liveState struct {
 	spec    RequestSpec
 	arrival int
@@ -172,7 +172,7 @@ func (t *table) insert(reqs ...*request) (evicted, skipped int) {
 }
 
 // shed drops a pending request the planner has not seen: an overload
-// victim of the stage, or one the loop refused at ingest. A request the
+// victim of the stage, or one the planner refused at ingest. A request the
 // planner holds is the scheduler's to decide.
 func (t *table) shed(req *request, slot int) {
 	if req.live == nil || req.live.idx >= 0 {
@@ -181,16 +181,16 @@ func (t *table) shed(req *request, slot int) {
 	req.rec.State, req.rec.DecisionSlot, req.live = StateShed, slot, nil
 }
 
-// attach records that the planner now holds req at index idx. Loop
-// goroutine only; needs no lock (see the ownership note above).
+// attach records that the planner now holds req at index idx. Planner
+// lock held; needs no table lock (see the ownership note above).
 func (t *table) attach(req *request, idx, arrival int) {
 	req.live.idx, req.live.arrival = idx, arrival
 	t.byIdx = append(t.byIdx, req) // idx == len(byIdx): both count the planner's requests
 }
 
 // compact follows the planner's compaction: the settled (nil) entries of
-// byIdx go, and every live row's idx becomes its new, dense position. Loop
-// goroutine only, like attach.
+// byIdx go, and every live row's idx becomes its new, dense position.
+// Planner lock held, like attach.
 func (t *table) compact() {
 	live := t.byIdx[:0]
 	for _, req := range t.byIdx {
