@@ -36,13 +36,15 @@ cluster-parity:
 ## differential proving that DynamicRR as shipped (clean components
 ## replay their cached decision) emits a decision stream identical to the
 ## oracle's reference, which re-solves every component every slot; the
-## seed-before-put ordering rule of the offline passes; the dirty-set and
-## second-sighting edge-case suite; the bounded name table; the
-## default 1-shard cluster against the reference on the steady wave; and
-## an engine that compacts every few slots against one that never does —
-## all under the race detector (same as the CI incremental-parity job).
+## property that replay rests on (a cold solve is a function of its LP
+## alone, whatever the pooled scratch held); the seed-before-put ordering
+## rule of the offline passes; the dirty-set and first-sighting edge-case
+## suite; the default 1-shard cluster against the reference on the steady
+## wave; and an engine that compacts every few slots against one that
+## never does — all under the race detector (same as the CI
+## incremental-parity job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestApproSeedsResolveBeforeThePassStoresAny|TestIncCache|TestOnlineNamesBoundedByComponent|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible' ./internal/oracle/ ./internal/core/ ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestApproSeedsResolveBeforeThePassStoresAny|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 
 ## drift: the adaptivity correctness gate — seeded regret-bound
 ## assertions proving the drift-aware policies beat stationary UCB1 on
@@ -103,14 +105,15 @@ bench-smoke:
 tick-jitter:
 	$(GO) test -race -count=1 -run 'TestTickPauseBoundWhileCheckpointing' ./internal/cluster/
 
-## fuzz: seed-corpus regression then a short fuzzing budget.
+## fuzz: seed-corpus regression then a short fuzzing budget (FuzzOracleLP,
+## the differential behind the simplex's pricing, gets twice the others').
 fuzz:
 	$(GO) test -run 'FuzzParse' ./internal/lp/
 	$(GO) test -run 'FuzzOracleLP|FuzzDirtySet' ./internal/oracle/
 	$(GO) test -run 'FuzzBatchDecode' ./internal/serve/
 	$(GO) test -run 'FuzzScenarioDecode|FuzzScenarioV1Decode' ./internal/scenario/
 	$(GO) test -fuzz 'FuzzParse' -fuzztime 30s ./internal/lp/
-	$(GO) test -fuzz 'FuzzOracleLP' -fuzztime 30s ./internal/oracle/
+	$(GO) test -fuzz 'FuzzOracleLP' -fuzztime 60s ./internal/oracle/
 	$(GO) test -fuzz 'FuzzDirtySet' -fuzztime 30s ./internal/oracle/
 	$(GO) test -fuzz 'FuzzBatchDecode$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz 'FuzzBatchDecodeMatchesReference' -fuzztime 30s ./internal/serve/

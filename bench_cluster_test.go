@@ -81,7 +81,7 @@ func BenchmarkClusterServeSlot(b *testing.B) {
 					},
 				}
 			}
-			// Warm every shard's LP basis cache.
+			// One loaded slot on every shard first.
 			if _, err := c.SubmitBatch(burst); err != nil {
 				b.Fatal(err)
 			}

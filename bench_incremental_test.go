@@ -46,7 +46,7 @@ func benchPeriodicSpecs(islands, per int) []serve.RequestSpec {
 // slot. No serve.Engine can be built around the reference, so mode=full
 // leaves out the engine's own per-tick work (tens of microseconds
 // against the milliseconds of LP it prices) and is ungated. The trace
-// repeats the same wave every slot, so from the third slot on every
+// repeats the same wave every slot, so from the second slot on every
 // component replays; the ns/op ratio against mode=full is the speedup
 // EXPERIMENTS.md reports. oracle.DiffIncrementalFull proves
 // both emit identical decisions; this benchmark only prices them.

@@ -12,8 +12,8 @@ import (
 
 // BenchmarkServeSlot measures one daemon scheduling slot under steady
 // load: each iteration submits a small arrival burst and ticks the
-// admission engine once, exercising intake, DynamicRR with the
-// warm-started LP-PT, settlement, and the request table — the loop a
+// admission engine once, exercising intake, DynamicRR with its cold
+// per-component LP-PT solves, settlement, and the request table — the loop a
 // production arserved runs every tick interval.
 func BenchmarkServeSlot(b *testing.B) {
 	benchServeSlot(b, nil)
@@ -71,7 +71,7 @@ func benchServeSlot(b *testing.B, check sim.StepChecker) {
 	eng.Start()
 	defer func() { _ = eng.Stop() }()
 
-	// Warm the LP basis cache so iterations measure the steady state.
+	// One loaded slot first, so iterations measure the steady state.
 	for i := 0; i < 4; i++ {
 		if _, _, err := eng.Submit(serve.RequestSpec{AccessStation: i % 20, DurationSlots: 4}); err != nil {
 			b.Fatal(err)
@@ -92,11 +92,6 @@ func benchServeSlot(b *testing.B, check sim.StepChecker) {
 		if err := eng.Tick(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	hits, misses := eng.WarmStats()
-	if total := hits + misses; total > 0 {
-		b.ReportMetric(float64(hits)/float64(total), "warm-hit-ratio")
 	}
 }
 
@@ -129,7 +124,7 @@ func BenchmarkServeIngest(b *testing.B) {
 			},
 		}
 	}
-	// Warm the pipeline and the LP basis cache.
+	// One batch first, so iterations measure the steady state.
 	if _, err := eng.SubmitBatch(specs); err != nil {
 		b.Fatal(err)
 	}

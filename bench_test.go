@@ -349,9 +349,10 @@ func buildBenchLPPT(net *mec.Network, reqs []*mec.Request, active []int, used []
 }
 
 // benchSlotSequence pre-builds a drifting sequence of per-slot LP-PT
-// instances at the default scenario: the active set churns and occupancy
-// accumulates from slot to slot, exactly the warm-start workload of
-// sim.DynamicRR.
+// instances at the default scenario: 15 % of the active set churns and
+// occupancy accumulates from slot to slot — a sequence a warm start suits,
+// unlike the benchmark's churn_mesh, whose R_t turns over almost
+// completely each slot (which is why DynamicRR solves cold).
 func benchSlotSequence(b *testing.B, stations, requests, slots int) []*lp.Problem {
 	b.Helper()
 	net, reqs := benchFixture(b, stations, requests)
@@ -391,12 +392,11 @@ func benchSlotSequence(b *testing.B, stations, requests, slots int) []*lp.Proble
 	return probs
 }
 
-// BenchmarkLPColdVsWarm contrasts solving each slot of an LP-PT sequence
-// from scratch against warm-starting from the previous slot's optimal
-// basis (the production configuration). Slot 0 has no predecessor and is
-// solved identically (cold) by both configurations, so it is primed in
-// setup and both arms time the same slots 1..n — the steady-state cost a
-// DynamicRR run pays per slot. The warm path must reach the same
+// BenchmarkLPColdVsWarm contrasts solving each slot of a slowly drifting
+// LP-PT sequence from scratch against warm-starting from the previous
+// slot's optimal basis. Slot 0 has no predecessor and is solved
+// identically (cold) by both configurations, so it is primed in setup and
+// both arms time the same slots 1..n. The warm path must reach the same
 // objectives — to 1e-9, checked every iteration — in a fraction of the
 // time.
 func BenchmarkLPColdVsWarm(b *testing.B) {
@@ -441,9 +441,8 @@ func BenchmarkLPColdVsWarm(b *testing.B) {
 	b.Run("warm", func(b *testing.B) { solveSeq(b, true) })
 }
 
-// BenchmarkLPPTSlot measures one warmed per-slot LP-PT solve in isolation:
-// the steady-state marginal cost of a DynamicRR slot's LP once the basis
-// from the previous slot is in hand.
+// BenchmarkLPPTSlot measures one warm-started LP-PT solve of that
+// drifting sequence in isolation, the basis of the slot before in hand.
 func BenchmarkLPPTSlot(b *testing.B) {
 	probs := benchSlotSequence(b, 20, 200, 2)
 	seed, err := probs[0].Solve()

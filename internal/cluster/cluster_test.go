@@ -285,7 +285,7 @@ func TestClusterCheckpointReshard(t *testing.T) {
 // labeled series of a 4-shard cluster; then, at one shard and at three,
 // a well-formed page with every per-shard series present once per shard,
 // every global station once, and the union of what the single-engine
-// page used to carry (warm-start, component solves, slot errors,
+// page used to carry (component solves, slot errors,
 // saturation, ring and stage depth, station capacity) now under a shard
 // label. A stopped cluster still renders.
 func TestClusterHandlerMetrics(t *testing.T) {
@@ -347,8 +347,8 @@ func TestClusterHandlerMetrics(t *testing.T) {
 				"requests_total", "reward_dollars_total", "ticks_total", "slot_errors_total",
 				"pending_requests", "active_streams", "batches_total", "batch_requests_total",
 				"saturated_total", "intake_depth", "intake_ring_depth", "intake_staged_depth",
-				"migrations_total", "slot_duration_ms", "intake_latency_ms", "lp_warmstart_total",
-				"lp_warmstart_hit_ratio", "component_solves_total", "station_used_mhz",
+				"migrations_total", "slot_duration_ms", "intake_latency_ms",
+				"component_solves_total", "station_used_mhz",
 				"station_capacity_mhz", "shards", "slot", "routed_total", "checkpoints_total",
 				"checkpoints_dropped_total",
 			} {
@@ -356,7 +356,7 @@ func TestClusterHandlerMetrics(t *testing.T) {
 					t.Errorf("family arserved_cluster_%s missing", family)
 				}
 			}
-			for _, want := range []string{`result="rejected"`, `result="departed"`, `path="clean"`, `path="lp"`, `outcome="hit"`} {
+			for _, want := range []string{`result="rejected"`, `result="departed"`, `path="clean"`, `path="lp"`} {
 				if !strings.Contains(text, want) {
 					t.Errorf("exposition has no %s series", want)
 				}
@@ -423,9 +423,8 @@ func TestClusterHandlerMetrics(t *testing.T) {
 
 	// The zero-value scheduler. The component-solve family is rendered
 	// from the first scrape on, before anything was solved. Then the same
-	// wave every slot: its second sighting re-solves from the first one's
-	// basis, so the warm-start hit rate is positive, and from the third on
-	// the components replay, so path="clean" counts.
+	// wave every slot: from its second sighting on the components replay,
+	// so path="clean" counts.
 	def, err := cluster.New(cluster.Config{Net: islandNetwork(t, 2, 2), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -452,12 +451,6 @@ func TestClusterHandlerMetrics(t *testing.T) {
 		}
 	}
 	text := scrape(t, def)
-	if !regexp.MustCompile(`arserved_cluster_lp_warmstart_total\{shard="0",outcome="hit"\} [1-9]`).MatchString(text) {
-		t.Errorf("no warm-start hits on the re-solved wave:\n%s", text)
-	}
-	if strings.Contains(text, `arserved_cluster_lp_warmstart_hit_ratio{shard="0"} 0`+"\n") {
-		t.Error("warm-start hit ratio still zero after the re-solved wave")
-	}
 	if !regexp.MustCompile(`arserved_cluster_component_solves_total\{shard="0",path="clean"\} [1-9]`).MatchString(text) {
 		t.Errorf("no clean component replays after a repeated wave:\n%s", text)
 	}

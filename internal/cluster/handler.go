@@ -175,9 +175,9 @@ func bodyTooLarge(err error) bool {
 // WriteProm renders the daemon's one Prometheus exposition. Cluster-level
 // families (shard count, clock, routing, checkpoints) carry no shard
 // label; everything an engine measures is rendered once per shard under
-// shard="k", so an operator sees per-shard slot latency, queue depth, LP
-// warm-start and component-solve behaviour, and migration flow at any
-// shard count. Station gauges are labeled with GLOBAL station ids.
+// shard="k", so an operator sees per-shard slot latency, queue depth,
+// component replays and solves, and migration flow at any shard count.
+// Station gauges are labeled with GLOBAL station ids.
 func (c *Cluster) WriteProm(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -278,17 +278,6 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	histogram("slot_duration_ms", "Per-shard scheduling latency of one slot.", (*serve.Metrics).SlotDurationSnapshot)
 	histogram("intake_latency_ms", "Per-shard batched-ingest handoff latency (door enqueue to planner append, including the wait for the next flush or slot).", (*serve.Metrics).IntakeLatencySnapshot)
 
-	labeled("lp_warmstart_total", "counter", "Per-shard LP-PT warm-start basis lookups by outcome.", "outcome", func(nd *shardNode) []labeledValue {
-		hits, misses := nd.eng.WarmStats()
-		return []labeledValue{{"hit", hits}, {"miss", misses}}
-	})
-	perShard("lp_warmstart_hit_ratio", "gauge", "Per-shard fraction of LP-PT solves seeded from a previous basis.", func(nd *shardNode) any {
-		hits, misses := nd.eng.WarmStats()
-		if hits+misses == 0 {
-			return 0.0
-		}
-		return float64(hits) / float64(hits+misses)
-	})
 	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, lp is a component solve.", "path", func(nd *shardNode) []labeledValue {
 		inc := nd.eng.IncStats()
 		return []labeledValue{{"clean", inc.CleanHits}, {"lp", inc.DirtySolves}}

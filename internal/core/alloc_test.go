@@ -13,16 +13,16 @@ import (
 
 // TestScheduleBatchSteadyAllocs pins the garbage of a warmed slot on the
 // path that really builds the LP (Inc nil: every component is built and
-// solved every time). What is left is a constant per rounding pass — the
-// Solution and the Basis each LP solve returns, its warm-basis resolve
-// tables, a few closures — times at most four passes, plus the
-// TaskStations list of each admitted request. Nothing scales with
-// requests x stations: the builder alone used to allocate some 2 500 times
-// on the first shape, and a batch with four times as many variables fits
-// the same budget.
+// solved every time), cold and unnamed as DynamicRR solves it. What is
+// left is a constant per rounding pass — the Solution each LP solve
+// returns with its X, Dual and Basis, a few closures — times at most four
+// passes, plus the TaskStations list of each admitted request. Nothing
+// scales with requests x stations: the LP build alone used to allocate
+// some 2 500 times on the first shape, and a batch with four times as many
+// variables fits the same budget.
 func TestScheduleBatchSteadyAllocs(t *testing.T) {
 	for _, shape := range []struct{ stations, requests int }{{20, 12}, {20, 24}, {40, 24}} {
-		budget := float64(64 + shape.requests)
+		budget := float64(32 + shape.requests)
 		net, reqs, baseUsed := churnBatch(t, shape.stations, shape.requests, 200)
 		res := newBatchResult(reqs)
 		active := make([]int, len(reqs))
@@ -31,11 +31,9 @@ func TestScheduleBatchSteadyAllocs(t *testing.T) {
 		}
 		used := make([]float64, len(baseUsed))
 		rng := rand.New(rand.NewSource(3))
-		warm := NewWarmCache()
 		opts := BatchOptions{
 			Active:      active,
 			Used:        used,
-			Warm:        warm,
 			ShareCapMBs: func(i int) float64 { return net.Capacity(i) / float64(len(reqs)) / net.CUnit() },
 		}
 		var batchErr error
@@ -54,7 +52,7 @@ func TestScheduleBatchSteadyAllocs(t *testing.T) {
 			}
 		}
 		for i := 0; i < 3; i++ {
-			slot() // warm the scratches, the name table and the basis cache
+			slot() // grow the pooled scratches to this shape
 		}
 		allocs := testing.AllocsPerRun(50, slot)
 		if batchErr != nil {

@@ -36,18 +36,19 @@ type BatchOptions struct {
 	// batch runs Appro's consolidated admission.
 	Distribute bool
 	// Warm, when non-nil, seeds each rounding pass's LP-PT from the
-	// optimal basis of the corresponding pass of the previous slot's
-	// batch (consecutive slots differ only by arrivals, departures, and
-	// residual capacity, so the old basis is near-optimal) and stores
-	// this slot's bases back. Bases are filed per (pass, component shard).
+	// optimal basis of the corresponding pass of the previous batch and
+	// stores this batch's bases back, filed per (pass, component shard).
+	// The online scheduler passes none: its slot LPs solve cold and
+	// unnamed (see WarmCache). Warm and Inc are mutually exclusive
+	// (ErrWarmWithInc).
 	Warm *WarmCache
 	// Inc is the decision cache: connected components of the candidate
-	// graph whose exact LP input signature matches a cached canonical
-	// solve are clean and replay it; only dirty components touch the LP.
-	// The online scheduler always passes one. Nil re-solves every
-	// component every slot — the reference the oracle differentials
-	// compare against, decision for decision
-	// (oracle.DiffIncrementalFull pins the contract).
+	// graph whose exact LP input signature matches a cached solve are
+	// clean and replay it; only dirty components touch the LP. The online
+	// scheduler always passes one. Nil re-solves every component every
+	// slot — the reference the oracle differentials compare against,
+	// decision for decision (oracle.DiffIncrementalFull pins the
+	// contract).
 	Inc *IncCache
 }
 
@@ -62,6 +63,9 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 	}
 	if len(reqs) == 0 {
 		return 0, ErrNoRequests
+	}
+	if opts.Warm != nil && opts.Inc != nil {
+		return 0, ErrWarmWithInc
 	}
 	if len(opts.Active) == 0 {
 		return 0, nil

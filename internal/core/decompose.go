@@ -12,7 +12,8 @@ import (
 // station it is delay-feasible on with positive expected reward, so the
 // slot LP is block-diagonal across components and each block solves
 // independently. key is the smallest station index of the component — the
-// stable shard label the warm cache files the component's basis under.
+// stable shard label the decision and warm caches file the component
+// under.
 type component struct {
 	key      int
 	stations []int // ascending
@@ -188,10 +189,6 @@ type compPlan struct {
 	replay *incEntry
 	// seed is a dirty component's warm-start basis (nil = cold).
 	seed *lp.Basis
-	// canonical marks the solve of a signature's second sighting: seeded
-	// from the first one's own optimal basis it pivots zero times, and so
-	// does every solve after it, so the cache may replay its solution.
-	canonical bool
 }
 
 // solveCfg bundles the solver-side knobs of solveDecomposed (the LP-side
@@ -200,26 +197,27 @@ type solveCfg struct {
 	warm *WarmCache
 	pass int
 	// inc, when non-nil, replays the cached decision of every component
-	// whose signature it has solved twice; nil re-solves everything.
+	// whose signature it has solved before; nil re-solves everything. The
+	// replay is only exact for cold solves, so inc and warm never meet
+	// (ScheduleBatch refuses the pair).
 	inc *IncCache
 }
 
 // solveDecomposed builds and solves the slot LP component by component,
-// each component warm-started from its own shard's basis, and appends the
-// results to m in ascending component-key order. It is sequential on
-// purpose: a slot is a handful of sub-millisecond solves, and the axes
-// that do run in parallel are coarser — the cluster's shards and the
-// experiment grid's cells each own their caches and call this from one
-// goroutine.
+// each component warm-started from its own shard's basis when cfg.warm is
+// set and cold otherwise, and appends the results to m in ascending
+// component-key order. It is sequential on purpose: a slot is a handful
+// of sub-millisecond solves, and the axes that do run in parallel are
+// coarser — the cluster's shards and the experiment grid's cells each own
+// their caches and call this from one goroutine.
 //
 // cfg.inc enables decision reuse: a component whose exact input signature
-// matches a cached canonical solution is *clean* and replays it without
-// building an LP. A dirty component is solved exactly as without the
-// cache; a signature miss then caches the signature alone, and the first
-// matching sighting — whose warm seed is the miss's own optimal basis —
-// caches its solution too. A run with the cache and a run without
-// therefore agree decision for decision — the oracle differential
-// DiffIncrementalFull pins that contract.
+// matches the cached one is *clean* and replays the cached solution
+// without building an LP. A dirty component is solved exactly as without
+// the cache, cold, and its solution is cached. A cold solve is a pure
+// function of its LP, so a run with the cache and a run without agree
+// decision for decision — the oracle differential DiffIncrementalFull
+// pins that contract.
 func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg solveCfg, sc *slotScratch, m *mergedModel) error {
 	if opts.slotLengthMS == 0 {
 		opts.slotLengthMS = mec.DefaultSlotLengthMS
@@ -248,16 +246,14 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	// Look-up pass: a component's exact signature is compared word for
 	// word against the cached entry under the same (pass, shard) key. A
 	// match means its LP is bit-identical to the one the entry was solved
-	// on: a canonical entry is replayed and the solve skipped entirely, a
-	// signature-only entry makes this solve the canonical one. Every dirty
-	// component's warm-start seed is resolved here too, because all of a
-	// pass's warm.get calls must precede its first warm.put: the offline
-	// passes (named by request index) fall back to the nearest shard's
-	// basis, and would otherwise be seeded from a basis this very pass
-	// stored. The online passes look up exactly — a nearest-shard basis
-	// would resolve onto a different component's positionally-named
-	// requests, and the decision cache's parity argument leans on each
-	// component re-seeding from its own previous basis.
+	// on, and the entry is replayed with the solve skipped entirely. Every
+	// dirty component's warm-start seed is resolved here too, because all
+	// of a pass's warm.get calls must precede its first warm.put: the
+	// offline passes (named by request index) fall back to the nearest
+	// shard's basis, and would otherwise be seeded from a basis this very
+	// pass stored. ScheduleBatch's passes look up exactly — a
+	// nearest-shard basis would resolve onto a different component's
+	// positionally-named requests.
 	plans := growPlans(&sc.plans, len(comps))
 	var sigOff []int
 	if inc != nil {
@@ -269,13 +265,11 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			sigOff[k] = len(sc.sigs)
 			sc.sigs = appendCompSig(sc.sigs, reqs, opts, comps[k], sc)
 			e := inc.get(pass, comps[k].key)
-			seen := e != nil && slices.Equal(e.sig, sc.sigs[sigOff[k]:])
-			if seen && e.canonical {
+			if e != nil && slices.Equal(e.sig, sc.sigs[sigOff[k]:]) {
 				plans[k].replay = e
 				inc.cleanHits.Add(1)
 				continue
 			}
-			plans[k].canonical = seen
 			inc.dirtySolves.Add(1)
 		}
 		plans[k].seed = warm.get(pass, comps[k].key, !opts.positional)
@@ -334,7 +328,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			}
 		}
 		if inc != nil {
-			inc.put(pass, comp.key, sc.sigs[sigOff[k]:sigOff[k+1]], plans[k].canonical, model.vars, y, obj, comp.reqs)
+			inc.put(pass, comp.key, sc.sigs[sigOff[k]:sigOff[k+1]], model.vars, y, obj, comp.reqs)
 		}
 	}
 	return nil

@@ -12,11 +12,10 @@ import (
 // requested.
 type IncStats struct {
 	// CleanHits is the number of components whose signature matched a
-	// cached canonical decision, which was replayed without touching the
-	// LP.
+	// cached decision, which was replayed without touching the LP.
 	CleanHits uint64
-	// DirtySolves is the number of components that had to be solved: a
-	// signature miss, or the first matching sighting that canonicalizes.
+	// DirtySolves is the number of components that had to be solved: their
+	// signature missed.
 	DirtySolves uint64
 	// FastPath and FastFallback are always zero: bench/trace.go, their
 	// sole reader, still compiles against them.
@@ -24,38 +23,32 @@ type IncStats struct {
 }
 
 // incEntry is one cached per-component decision: the exact LP input
-// signature it is valid for and, once canonical, the solved variables in
-// *position space* (slotVar.req is the request's position within the
-// component's request list, not a global index), the fractional solution,
-// and its objective. Position space makes the entry independent of the
-// global request ids of the slot that produced it: a later slot whose
-// component has the same shape reuses it even though every request id
-// changed.
+// signature it is valid for, the solved variables in *position space*
+// (slotVar.req is the request's position within the component's request
+// list, not a global index), the fractional solution, and its objective.
+// Position space makes the entry independent of the global request ids of
+// the slot that produced it: a later slot whose component has the same
+// shape reuses it even though every request id changed.
 type incEntry struct {
-	sig []uint64
-	// canonical reports that vars/y/obj hold the solution every further
-	// solve of this signature returns, so a match may replay it. A
-	// signature's first solve is not: it pivoted there from an older
-	// basis, and only a solve seeded from its own optimal basis — which
-	// the second sighting is — reproduces itself bit for bit.
-	canonical bool
-	vars      []slotVar
-	y         []float64
-	obj       float64
+	sig  []uint64
+	vars []slotVar
+	y    []float64
+	obj  float64
 }
 
 // IncCache is the online scheduler's decision cache. It files one entry
-// per (rounding pass, component shard) — the same keys the WarmCache uses
-// — holding the component's full LP input signature and, from the second
-// sighting on, its canonical solution. A component is *clean* when its
-// signature this slot is bit-identical to a cached canonical one: every
-// quantity the LP is built from (slot grid, residual capacities, share
-// caps, candidate stations, demand distributions) is unchanged, so the LP
-// itself is bit-identical and the cached solution IS the solution a
-// re-solve would compute. Everything else — an arrival, a departure, a
-// realized rate that moved the residual capacity, a C^th change that
-// reshaped the admissible set — flips some word of the signature and
-// marks the component dirty.
+// per (rounding pass, component shard) holding the component's full LP
+// input signature and the solution of the solve that met it. A component
+// is *clean* when its signature this slot is bit-identical to the cached
+// one: every quantity the LP is built from (slot grid, residual
+// capacities, share caps, candidate stations, demand distributions) is
+// unchanged, so the LP itself is bit-identical. A cold solve is a pure
+// function of its LP (lp's TestColdSolveIsPure), and the slot path solves
+// cold, so the cached solution IS the solution a re-solve would compute
+// — from the second sighting on, a component replays its first solve.
+// Everything else — an arrival, a departure, a realized rate that moved
+// the residual capacity, a C^th change that reshaped the admissible set —
+// flips some word of the signature and marks the component dirty.
 //
 // The entry map is only touched by the scheduling goroutine, so it needs
 // no lock; the counters are atomic because /metrics reads them from
@@ -85,13 +78,11 @@ func (c *IncCache) get(pass, shard int) *incEntry {
 	return c.entries[warmKey{pass: pass, shard: shard}]
 }
 
-// put files a freshly solved component under its signature (copied). A
-// canonical solve also caches its solution for replay: vars are converted
-// from global request indices to positions within compReqs (which lists
-// the component's requests in the order the LP was built over). Anything
-// else caches the signature alone, so the next matching sighting knows to
-// canonicalize.
-func (c *IncCache) put(pass, shard int, sig []uint64, canonical bool, vars []slotVar, y []float64, obj float64, compReqs []int) {
+// put files a freshly solved component under its signature (copied) with
+// its solution: vars are converted from global request indices to
+// positions within compReqs (which lists the component's requests in the
+// order the LP was built over).
+func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, y []float64, obj float64, compReqs []int) {
 	k := warmKey{pass: pass, shard: shard}
 	e := c.entries[k]
 	if e == nil {
@@ -99,11 +90,7 @@ func (c *IncCache) put(pass, shard int, sig []uint64, canonical bool, vars []slo
 		c.entries[k] = e
 	}
 	e.sig = append(e.sig[:0], sig...)
-	e.canonical = canonical
 	e.vars, e.y = e.vars[:0], e.y[:0]
-	if !canonical {
-		return
-	}
 	pos := 0
 	for _, sv := range vars {
 		// vars are grouped by request in compReqs order, so the position

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mecoffload/internal/dist"
@@ -75,55 +77,85 @@ func incSlot(t *testing.T, n *mec.Network, reqs []*mec.Request, active []int, ba
 	return res
 }
 
-// incHarness steps the scheduler as shipped (decision cache + warm cache)
-// and the reference (its own warm cache, no decision cache: every
-// component re-solved every slot) through the same slots, the per-slot
-// refinement of the end-to-end oracle.DiffIncrementalFull contract.
+// incHarness steps the scheduler as shipped (decision cache, cold solves)
+// and the reference (no decision cache: every component re-solved every
+// slot, cold) through the same slots, the per-slot refinement of the
+// end-to-end oracle.DiffIncrementalFull contract.
 type incHarness struct {
-	t         *testing.T
-	n         *mec.Network
-	reqs      []*mec.Request
-	inc       *IncCache
-	warm, ref *WarmCache
+	t    *testing.T
+	n    *mec.Network
+	reqs []*mec.Request
+	inc  *IncCache
+	// scratches lists every slot scratch the batches made: the slot LPs
+	// they built are inspected there.
+	scratches func() []*slotScratch
 }
 
 func newIncHarness(t *testing.T, n *mec.Network, reqs []*mec.Request) *incHarness {
-	return &incHarness{t: t, n: n, reqs: reqs, inc: NewIncCache(), warm: NewWarmCache(), ref: NewWarmCache()}
+	return &incHarness{t: t, n: n, reqs: reqs, inc: NewIncCache(), scratches: trackSlotScratches(t)}
+}
+
+// trackSlotScratches swaps in a slot-scratch pool that records every
+// scratch it makes — whatever the pool later drops, the list keeps — and
+// restores the package's pool when the test ends. The batches it serves
+// run on the test's goroutine.
+func trackSlotScratches(t *testing.T) func() []*slotScratch {
+	saved := slotScratchPool
+	var made []*slotScratch
+	slotScratchPool = &sync.Pool{New: func() any {
+		sc := new(slotScratch)
+		made = append(made, sc)
+		return sc
+	}}
+	t.Cleanup(func() { slotScratchPool = saved })
+	return func() []*slotScratch { return made }
 }
 
 // slot runs one slot on both sides and asserts the clean/dirty counter
-// movement, that exactly the dirty components reached the LP stage (each
-// looks its warm seed up once; a replayed one builds nothing), and that
-// the decisions equal the reference's.
+// movement, that the decisions equal the reference's, and that the slot
+// LP — built with the options DynamicRR passes — is unnamed: the slot path
+// resolves no basis, so it formats and interns no names.
 func (h *incHarness) slot(name string, active []int, used []float64, wantClean, wantDirty uint64) *Result {
 	h.t.Helper()
 	before := h.inc.Stats()
-	hits0, misses0 := h.warm.Stats()
-	got := incSlot(h.t, h.n, h.reqs, active, used, BatchOptions{Inc: h.inc, Warm: h.warm})
+	got := incSlot(h.t, h.n, h.reqs, active, used, BatchOptions{Inc: h.inc})
 	now := h.inc.Stats()
 	clean, dirty := now.CleanHits-before.CleanHits, now.DirtySolves-before.DirtySolves
 	if clean != wantClean || dirty != wantDirty {
 		h.t.Fatalf("%s: clean=%d dirty=%d, want clean=%d dirty=%d", name, clean, dirty, wantClean, wantDirty)
 	}
-	hits, misses := h.warm.Stats()
-	if lookups := hits + misses - hits0 - misses0; lookups != wantDirty {
-		h.t.Fatalf("%s: %d components reached the LP stage, want %d", name, lookups, wantDirty)
-	}
-	want := incSlot(h.t, h.n, h.reqs, active, used, BatchOptions{Warm: h.ref})
+	want := incSlot(h.t, h.n, h.reqs, active, used, BatchOptions{})
 	if !reflect.DeepEqual(got.Decisions, want.Decisions) {
 		h.t.Fatalf("%s: decisions diverge from the full re-solve:\nreuse: %+v\n full: %+v",
 			name, got.Decisions, want.Decisions)
 	}
+	built := 0
+	for _, sc := range h.scratches() {
+		prob := sc.build.model.prob
+		if prob == nil {
+			continue
+		}
+		d := prob.Dense()
+		for _, names := range [][]string{d.Names, d.RowNames} {
+			for _, nm := range names {
+				if nm != "" {
+					h.t.Fatalf("%s: the slot LP names %q", name, nm)
+				}
+			}
+		}
+		built += len(d.Names)
+	}
+	if built == 0 {
+		h.t.Fatalf("%s: no slot LP with variables was built", name)
+	}
 	return got
 }
 
-// TestIncCacheSecondSighting pins second-sighting canonicalization: a
-// signature miss solves and caches the signature only; the first matching
-// sighting solves again, seeded from the miss's own optimal basis, and
-// caches that solution; replay starts at the next match and builds no LP.
-// Any change between the two sightings — capacity, an arrival, a
-// departure — starts the count over, and so does a signature coming back
-// after another one took its cache slot.
+// TestIncCacheSecondSighting pins first-sighting replay: a signature miss
+// solves cold and caches the solution, and the second sighting already
+// replays it, building no LP. Any change — capacity, an arrival, a
+// departure — is a miss that caches the new signature, and a signature
+// coming back after another one took its cache slot misses again.
 func TestIncCacheSecondSighting(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
@@ -142,37 +174,31 @@ func TestIncCacheSecondSighting(t *testing.T) {
 		name  string
 		steps []step
 	}{
-		{"miss, canonicalize, replay", []step{
+		{"miss, replay, replay", []step{
 			{"miss", one, idle, 0, 1},
-			{"second sighting", one, idle, 0, 1},
 			{"replay", one, idle, 1, 0},
 			{"replay again", one, idle, 1, 0},
 		}},
 		{"capacity change between sightings", []step{
 			{"miss", one, idle, 0, 1},
 			{"capacity moved: miss", one, loaded, 0, 1},
-			{"second sighting of the new level", one, loaded, 0, 1},
-			{"replay", one, loaded, 1, 0},
+			{"replay the new level", one, loaded, 1, 0},
 		}},
 		{"arrival between sightings", []step{
 			{"miss", one, idle, 0, 1},
 			{"arrival: miss", both, idle, 0, 1},
-			{"second sighting", both, idle, 0, 1},
 			{"replay", both, idle, 1, 0},
 		}},
 		{"departure between sightings", []step{
 			{"miss", both, idle, 0, 1},
 			{"departure: miss", one, idle, 0, 1},
-			{"second sighting", one, idle, 0, 1},
 			{"replay", one, idle, 1, 0},
 		}},
 		{"a signature that comes back starts over", []step{
 			{"miss", one, idle, 0, 1},
-			{"second sighting", one, idle, 0, 1},
 			{"replay", one, idle, 1, 0},
 			{"capacity moved: miss", one, loaded, 0, 1},
 			{"back: miss again", one, idle, 0, 1},
-			{"second sighting", one, idle, 0, 1},
 			{"replay", one, idle, 1, 0},
 		}},
 	}
@@ -189,9 +215,8 @@ func TestIncCacheSecondSighting(t *testing.T) {
 // TestIncCacheFeedbackOnlySlotStaysClean pins the quiet-slot contract:
 // slots with no arrivals, no departures, and unchanged residual capacity
 // (only bandit feedback happened elsewhere) re-present bit-identical
-// component signatures, so once the second sighting has canonicalized
-// them every component is a clean hit and the cached decisions are
-// replayed exactly.
+// component signatures, so from the second such slot on every component
+// is a clean hit and the cached decisions are replayed exactly.
 func TestIncCacheFeedbackOnlySlotStaysClean(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
@@ -202,11 +227,12 @@ func TestIncCacheFeedbackOnlySlotStaysClean(t *testing.T) {
 	h := newIncHarness(t, n, reqs)
 
 	h.slot("slot 1 (cold cache)", []int{0, 1}, used, 0, 2)
-	h.slot("slot 2 (second sighting)", []int{0, 1}, used, 0, 2)
-	res := h.slot("slot 3 (feedback-only)", []int{0, 1}, used, 2, 0)
-	for j := range reqs {
-		if !res.Decisions[j].Admitted {
-			t.Fatalf("request %d not admitted on the clean replay", j)
+	for _, name := range []string{"slot 2 (feedback-only)", "slot 3 (feedback-only)"} {
+		res := h.slot(name, []int{0, 1}, used, 2, 0)
+		for j := range reqs {
+			if !res.Decisions[j].Admitted {
+				t.Fatalf("%s: request %d not admitted on the clean replay", name, j)
+			}
 		}
 	}
 }
@@ -214,8 +240,8 @@ func TestIncCacheFeedbackOnlySlotStaysClean(t *testing.T) {
 // TestIncCacheDepartureDirtiesComponent pins the departure edge case: a
 // request leaving mid-stream changes its component's candidate list, so
 // that component (and only that component) re-solves; an untouched
-// component on another station stays clean. Once the post-departure shape
-// has been seen twice, the stream's steady state is clean again.
+// component on another station stays clean. From the next slot on, the
+// stream's steady state is clean again.
 func TestIncCacheDepartureDirtiesComponent(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
@@ -227,13 +253,12 @@ func TestIncCacheDepartureDirtiesComponent(t *testing.T) {
 	h := newIncHarness(t, n, reqs)
 
 	h.slot("slot 1 (cold cache)", []int{0, 1, 2}, used, 0, 2)
-	h.slot("slot 2 (second sighting)", []int{0, 1, 2}, used, 0, 2)
+	h.slot("slot 2 (replay)", []int{0, 1, 2}, used, 2, 0)
 
 	// Request 0 departs: station 0's component shrinks (dirty), station
 	// 1's is untouched (clean).
 	h.slot("slot 3 (departure)", []int{1, 2}, used, 1, 1)
-	h.slot("slot 4 (second sighting of the new shape)", []int{1, 2}, used, 1, 1)
-	h.slot("slot 5 (post-departure steady state)", []int{1, 2}, used, 2, 0)
+	h.slot("slot 4 (post-departure steady state)", []int{1, 2}, used, 2, 0)
 }
 
 // TestIncCacheBridgeMergesAndSplits pins the merge/split edge case: a
@@ -254,15 +279,16 @@ func TestIncCacheBridgeMergesAndSplits(t *testing.T) {
 	h := newIncHarness(t, n, reqs)
 
 	h.slot("slot 1 (two islands)", []int{0, 1}, used, 0, 2)
-	h.slot("slot 2 (second sighting)", []int{0, 1}, used, 0, 2)
+	h.slot("slot 2 (replay)", []int{0, 1}, used, 2, 0)
 
-	// The bridge arrives: one merged component, necessarily dirty.
+	// The bridge arrives: one merged component, necessarily dirty; the
+	// same merged shape replays the slot after.
 	h.slot("slot 3 (merged by bridge)", []int{0, 1, 2}, used, 0, 1)
+	h.slot("slot 4 (merged replay)", []int{0, 1, 2}, used, 1, 0)
 
 	// The bridge departs: the islands reappear. Key 0 was overwritten by
-	// the merged solve (dirty again); key 1 still holds slot 2's entry.
-	h.slot("slot 4 (split)", []int{0, 1}, used, 1, 1)
-	h.slot("slot 5 (second sighting of island 0)", []int{0, 1}, used, 1, 1)
+	// the merged solve (dirty again); key 1 still holds slot 1's entry.
+	h.slot("slot 5 (split)", []int{0, 1}, used, 1, 1)
 	h.slot("slot 6 (post-split steady state)", []int{0, 1}, used, 2, 0)
 }
 
@@ -281,67 +307,27 @@ func TestIncCacheCapacityChangeInvalidates(t *testing.T) {
 	h := newIncHarness(t, n, reqs)
 
 	h.slot("slot 1 (cold cache)", []int{0, 1}, []float64{0, 0}, 0, 2)
-	h.slot("slot 2 (second sighting)", []int{0, 1}, []float64{0, 0}, 0, 2)
+	h.slot("slot 2 (replay)", []int{0, 1}, []float64{0, 0}, 2, 0)
 
 	// 500 MHz lands on station 0 (a long-running admission elsewhere):
 	// its component's residual capacity changes, so the cached decision
 	// must not be replayed; station 1 is untouched.
 	loaded := []float64{500, 0}
 	h.slot("slot 3 (capacity change)", []int{0, 1}, loaded, 1, 1)
-	h.slot("slot 4 (second sighting of the new level)", []int{0, 1}, loaded, 1, 1)
-	h.slot("slot 5 (new level cached)", []int{0, 1}, loaded, 2, 0)
+	h.slot("slot 4 (new level cached)", []int{0, 1}, loaded, 2, 0)
 }
 
-// TestOnlineNamesBoundedByComponent pins the long-lived daemon's memory
-// contract: the online path names LP rows and columns by a request's
-// position within its component, so slots of churny arrivals under
-// monotonically growing request ids leave the warm cache's interned
-// names bounded by the largest component seen — not by how many requests
-// ever arrived, the leak the request-id-keyed naming had. With and
-// without the decision cache: the reference re-solve shares the naming.
-func TestOnlineNamesBoundedByComponent(t *testing.T) {
-	for name, inc := range map[string]*IncCache{"reuse": NewIncCache(), "reference": nil} {
-		t.Run(name, func(t *testing.T) { testOnlineNamesBounded(t, inc) })
-	}
-}
-
-func testOnlineNamesBounded(t *testing.T, inc *IncCache) {
+// TestScheduleBatchRefusesWarmWithInc pins why the decision cache may
+// replay a first solve: the batch that could seed a solve from an older
+// basis cannot also reuse decisions.
+func TestScheduleBatchRefusesWarmWithInc(t *testing.T) {
 	n := incTestNetwork(t)
-	const slots, maxWave = 200, 5
-	warm := NewWarmCache()
-	rng := rand.New(rand.NewSource(17))
-	var reqs []*mec.Request
-	interned := func() int { return len(warm.names.y) + len(warm.names.as) + len(warm.names.cp) }
-	var afterWarmup int
-	for slot := 0; slot < slots; slot++ {
-		// A fresh wave of 1..maxWave requests, every id new, one bridging
-		// both stations so the whole wave is one component.
-		var active []int
-		for k, wave := 0, 1+rng.Intn(maxWave); k < wave; k++ {
-			id := len(reqs)
-			deadline := 40.0
-			if k == 0 {
-				deadline = 200
-			}
-			reqs = append(reqs, incTestRequest(t, id, rng.Intn(2), deadline, float64(100+rng.Intn(100))))
-			active = append(active, id)
-		}
-		used := []float64{float64(rng.Intn(4)) * 250, float64(rng.Intn(4)) * 250}
-		incSlot(t, n, reqs, active, used, BatchOptions{Inc: inc, Warm: warm})
-		if slot == slots/4 {
-			afterWarmup = interned()
-		}
-	}
-	// Per station at most 3 resource slots (3000 MHz / 1000): maxWave
-	// positions x 2 stations x 3 slots y-names, maxWave assign rows, 2 x 3
-	// cap rows.
-	const bound = maxWave*2*3 + maxWave + 2*3
-	if got := interned(); got > bound {
-		t.Fatalf("%d interned names after %d slots and %d request ids, want at most %d", got, slots, len(reqs), bound)
-	} else if got < afterWarmup {
-		t.Fatalf("interned names shrank: %d after %d", got, afterWarmup)
-	}
-	if afterWarmup == 0 {
-		t.Fatal("nothing was interned: the test does not exercise the name table")
+	reqs := []*mec.Request{incTestRequest(t, 0, 0, 40, 120)}
+	res := &Result{Decisions: make([]Decision, len(reqs))}
+	_, err := ScheduleBatch(n, reqs, res, rand.New(rand.NewSource(1)), BatchOptions{
+		Active: []int{0}, Used: []float64{0, 0}, Warm: NewWarmCache(), Inc: NewIncCache(),
+	})
+	if !errors.Is(err, ErrWarmWithInc) {
+		t.Fatalf("err = %v, want ErrWarmWithInc", err)
 	}
 }

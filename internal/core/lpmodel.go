@@ -52,19 +52,17 @@ type lpOptions struct {
 	// station indices (ascending); nil means all. The per-component
 	// decomposition uses it to build one block of the block-diagonal LP.
 	stations []int
-	// names, when non-nil, interns row/column names across slots.
+	// names, when non-nil, interns row/column names across solves; nil
+	// leaves every row and column unnamed (nothing warm starts then).
 	names *nameCache
 	// positional names variables and assign rows by the request's
-	// position within active instead of its global index; the online
-	// per-slot LPs set it, the offline ones (whose request indices are
-	// the same from pass to pass and run to run) do not. Consecutive
-	// slots of a long-running daemon assign fresh global ids to every
-	// arrival, so global names would make structurally identical slot LPs
-	// look different and grow the interned-name table without bound;
-	// positional names make them bit-identical, which is what lets the
-	// decision cache prove a component unchanged and the warm cache
-	// resolve a previous basis without any misses. Station indices (and
-	// cap rows) keep their global ids — stations are stable.
+	// position within active instead of its global index, and makes warm
+	// seeds resolve by exact shard; ScheduleBatch sets it, the offline
+	// passes (whose request indices are the same from pass to pass and run
+	// to run) do not. Consecutive batches assign fresh global ids to every
+	// arrival, so global names would make structurally identical LPs look
+	// different and grow the interned-name table without bound. Station
+	// indices (and cap rows) keep their global ids — stations are stable.
 	positional bool
 	// byReq, when non-nil, is used as the model's byReq backing instead of
 	// allocating one (entries for active requests must be length-0 and

@@ -21,6 +21,11 @@ var (
 	ErrNoRequests = errors.New("core: no requests")
 	ErrNilNetwork = errors.New("core: nil network")
 	ErrLPFailed   = errors.New("core: LP relaxation did not solve to optimality")
+	// ErrWarmWithInc rejects a batch that sets both BatchOptions.Warm and
+	// BatchOptions.Inc: the decision cache replays a component's first
+	// solve, which is only the solve a re-solve would repeat when it is
+	// cold.
+	ErrWarmWithInc = errors.New("core: a batch cannot both warm start and reuse decisions")
 )
 
 // Decision records the fate of one request under an algorithm run.

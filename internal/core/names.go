@@ -3,12 +3,13 @@ package core
 import "fmt"
 
 // nameCache interns the LP row and column names ("y[j,i,l]", "assign[j]",
-// "cap[i,l]") that buildLP would otherwise fmt.Sprintf afresh every slot.
-// Consecutive slots rebuild near-identical problems, so after the first
-// few slots every name is a cache hit and the per-slot build allocates no
-// name strings at all. The zero value is ready to use; a nil *nameCache
-// falls back to formatting. Like the WarmCache that holds it, a table
-// belongs to one scheduling goroutine.
+// "cap[i,l]") that buildLP would otherwise fmt.Sprintf afresh every pass.
+// Only a WarmCache holds one: names exist so that a warm basis can be
+// resolved onto a later problem whose indices shifted. A nil *nameCache
+// names nothing — every row and column gets the empty name, and the build
+// formats no strings — which is how the per-slot online path, which never
+// warm starts, builds. Like the WarmCache that holds it, a table belongs
+// to one scheduling goroutine.
 type nameCache struct {
 	y  map[[3]int32]string
 	as map[int32]string
@@ -27,7 +28,10 @@ func fits(vals ...int) bool {
 }
 
 func (c *nameCache) yName(j, i, l int) string {
-	if c == nil || !fits(j, i, l) {
+	if c == nil {
+		return ""
+	}
+	if !fits(j, i, l) {
 		return fmt.Sprintf("y[%d,%d,%d]", j, i, l)
 	}
 	k := [3]int32{int32(j), int32(i), int32(l)}
@@ -43,7 +47,10 @@ func (c *nameCache) yName(j, i, l int) string {
 }
 
 func (c *nameCache) assignName(j int) string {
-	if c == nil || !fits(j) {
+	if c == nil {
+		return ""
+	}
+	if !fits(j) {
 		return fmt.Sprintf("assign[%d]", j)
 	}
 	k := int32(j)
@@ -59,7 +66,10 @@ func (c *nameCache) assignName(j int) string {
 }
 
 func (c *nameCache) capName(i, l int) string {
-	if c == nil || !fits(i, l) {
+	if c == nil {
+		return ""
+	}
+	if !fits(i, l) {
 		return fmt.Sprintf("cap[%d,%d]", i, l)
 	}
 	k := [2]int32{int32(i), int32(l)}

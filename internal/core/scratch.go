@@ -9,8 +9,9 @@ import "sync"
 // one from slotScratchPool per call. It takes a long-running daemon's
 // per-slot scheduling to (near) zero steady-state allocations outside the
 // simplex: what a warmed slot still allocates is what each solve returns
-// (Solution, Basis), a few closures per rounding pass, and one TaskStations
-// list per admitted request (TestScheduleBatchSteadyAllocs).
+// (Solution and its X, Dual and Basis), a few closures per rounding pass,
+// and one TaskStations list per admitted request
+// (TestScheduleBatchSteadyAllocs).
 type slotScratch struct {
 	// decomposition
 	parent    []int
@@ -49,7 +50,9 @@ type slotScratch struct {
 	base      []float64
 }
 
-var slotScratchPool = sync.Pool{New: func() any { return new(slotScratch) }}
+// slotScratchPool is a pointer so a test can swap in a pool that records
+// the scratches it makes.
+var slotScratchPool = &sync.Pool{New: func() any { return new(slotScratch) }}
 
 func getSlotScratch() *slotScratch   { return slotScratchPool.Get().(*slotScratch) }
 func putSlotScratch(sc *slotScratch) { slotScratchPool.Put(sc) }

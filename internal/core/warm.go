@@ -17,28 +17,30 @@ type warmKey struct {
 }
 
 // WarmCache carries optimal LP bases across structurally similar solves:
-// consecutive time slots of the online LP-PT, repetitions of the same
-// experiment grid cell, or successive rounding passes of Appro/Heu. One
-// basis is kept per (rounding pass, shard): pass k of one run is
-// structurally closest to pass k of the next (same slot grid, similar
-// residual shape), and the per-component decomposition solves each shard
-// independently, so each component warm-starts from its own shard's
-// basis.
+// repetitions of the same experiment grid cell, or successive rounding
+// passes of Appro/Heu. One basis is kept per (rounding pass, shard): pass
+// k of one run is structurally closest to pass k of the next (same slot
+// grid, similar residual shape), and the per-component decomposition
+// solves each shard independently, so each component warm-starts from its
+// own shard's basis.
+//
+// The online scheduler does not use one. Its R_t turns over almost
+// completely from slot to slot, so the previous slot's basis describes
+// requests that are gone: measured on the benchmark's churn_mesh slot
+// LPs, a warm seed saved under one pivot per solve and cost more time
+// than it saved, names and basis replay included.
 //
 // A nil *WarmCache is valid and disables warm starting. A non-nil cache
-// belongs to one scheduling goroutine; only the hit/miss counters are
-// atomic, because /metrics reads them from another.
+// belongs to one goroutine; only the hit/miss counters are atomic, so
+// another may read them.
 type WarmCache struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 
 	bases map[warmKey]*lp.Basis
 
-	// names interns LP row/column names across slots so the per-slot
-	// rebuild of structurally identical problems does not re-allocate
-	// thousands of identical strings. The online path names requests by
-	// their position within the component, so the table is bounded by the
-	// largest component seen, not by how many requests ever arrived.
+	// names interns LP row/column names across runs so each rebuild does
+	// not re-allocate thousands of identical strings.
 	names nameCache
 }
 
@@ -58,8 +60,8 @@ func (c *WarmCache) Stats() (hits, misses uint64) {
 }
 
 // get returns the stored basis for a (rounding pass, shard) pair, nil
-// when absent. The online path looks up exactly: a component re-seeds
-// from its own previous basis or cold. The offline rounding passes set
+// when absent. ScheduleBatch looks up exactly: a component re-seeds from
+// its own previous basis or cold. The offline rounding passes set
 // nearest: an absent key then falls back to the same pass's entry with
 // the nearest shard key. Components are labeled by their smallest
 // station, so the label drifts when that station saturates out of the
@@ -109,7 +111,7 @@ func (c *WarmCache) put(pass, shard int, b *lp.Basis) {
 }
 
 // nameTable returns the cache's interned-name table (nil receiver safe:
-// a nil cache means names are formatted on the fly).
+// without a cache nothing is warm started, so nothing is named).
 func (c *WarmCache) nameTable() *nameCache {
 	if c == nil {
 		return nil

@@ -95,8 +95,8 @@ func Fig4(opts Options) (*Table, error) {
 			return genInstance(opts.Stations, onlineWorkload(int(x), opts.Horizon), instSeed(opts.Seed, 4, xi, rep))
 		},
 		func(inst *instance, algo string, x float64, rep int, _ *core.WarmCache) (*core.Result, error) {
-			// Online runs warm-start slot-to-slot inside DynamicRR instead
-			// of across repetitions.
+			// Online runs solve their slot LPs cold, so the cell's warm
+			// cache goes unused.
 			xi := indexOf(xs, x)
 			return runOnline(inst, algo, runSeed(opts.Seed, 4, xi, rep, algoIndex(tbl, algo)),
 				opts.Horizon+20, !opts.SkipAudit)

@@ -11,13 +11,21 @@
 //
 // Scale notes: the relaxations solved here have a few hundred rows and up
 // to tens of thousands of columns. The solver stores the constraint matrix
-// in compressed-sparse-column form and maintains the basis inverse in
-// product form (a periodically refactorized reference inverse plus an
-// eta file of pivot updates), prices with devex partial pricing, and can
-// warm-start from a previous solution's basis (Solution.Basis and
-// SolveOptions.WarmStart) — the right trade-offs at that shape (m << n)
-// and for the sequences of slightly-perturbed LPs the per-slot online
-// algorithms generate.
+// in compressed-sparse-column form with a row-wise copy, maintains the
+// basis inverse in product form (a periodically refactorized reference
+// inverse plus an eta file of pivot updates), and keeps every column's
+// reduced cost up to date from the pivot row instead of re-pricing each
+// pivot, choosing the entering column by devex score. It can warm-start
+// from a previous solution's basis (Solution.Basis and
+// SolveOptions.WarmStart), which pays when consecutive LPs share most of
+// their basis: Appro/Heu's rounding passes, an experiment cell's
+// repetitions, branch-and-bound nodes. It does not pay on the per-slot
+// online LP-PT, whose request set turns over almost completely every
+// slot: on 25 921 of the benchmark's churn_mesh component solves
+// (41 × 113 on average) a seed from the previous slot saved one pivot in
+// fourteen (12.6 against 13.6) and still took longer than a cold solve
+// (median 42 µs against 40 µs) before the names and basis capture it
+// needs, so that path solves cold and unnamed.
 package lp
 
 import (

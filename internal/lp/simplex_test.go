@@ -575,8 +575,9 @@ func TestContradictoryEqualities(t *testing.T) {
 }
 
 func TestManyVariablesPartialPricing(t *testing.T) {
-	// Thousands of columns exercise the partial-pricing path; the optimum
-	// of this separable problem is known in closed form.
+	// Thousands of columns, all tied in groups of equal cost, exercise the
+	// full-width pricing scan and its tie-breaking; the optimum of this
+	// separable problem is known in closed form.
 	p := NewProblem(Maximize)
 	const n = 3000
 	terms := make([]Term, n)

@@ -40,8 +40,7 @@ func (a *csc) col(j int) ([]int, []float64) {
 }
 
 // dot computes v . A_j for a dense vector v. The reslicing lets the
-// compiler drop the per-element bounds checks in the pricing loop, which
-// calls this hundreds of times per pivot.
+// compiler drop the per-element bounds checks in the full pricing loop.
 func (a *csc) dot(v []float64, j int) float64 {
 	s, e := a.ptr[j], a.ptr[j+1]
 	ri := a.ri[s:e]
@@ -52,4 +51,45 @@ func (a *csc) dot(v []float64, j int) float64 {
 		d += v[ri[k]] * vx[k]
 	}
 	return d
+}
+
+// csr is the row-wise copy of a csc matrix: the nonzeros of row i are
+// ci[ptr[i]:ptr[i+1]] / vx[ptr[i]:ptr[i+1]], in ascending column order.
+// The simplex builds the pivot row e_r^T B^{-1} A from it by accumulating
+// only the rows where e_r^T B^{-1} is nonzero.
+type csr struct {
+	ptr []int
+	ci  []int
+	vx  []float64
+}
+
+// transpose rebuilds t as the row-wise copy of the m-row matrix a, reusing
+// t's storage.
+func (t *csr) transpose(a *csc, m int) {
+	t.ptr = growInts(t.ptr, m+1)
+	clear(t.ptr)
+	for _, r := range a.ri {
+		t.ptr[r+1]++
+	}
+	for i := 0; i < m; i++ {
+		t.ptr[i+1] += t.ptr[i]
+	}
+	nnz := len(a.ri)
+	t.ci = growInts(t.ci, nnz)
+	t.vx = growFloats(t.vx, nnz)
+	// Fill each row from its end backwards while the columns are walked in
+	// descending order, so ptr[i] ends where it started and every row comes
+	// out ascending.
+	for j := a.numCols() - 1; j >= 0; j-- {
+		for k := a.ptr[j+1] - 1; k >= a.ptr[j]; k-- {
+			r := a.ri[k]
+			t.ptr[r+1]--
+			p := t.ptr[r+1]
+			t.ci[p] = j
+			t.vx[p] = a.vx[k]
+		}
+	}
+	// Each ptr[i+1] now holds row i's start; shift back into place.
+	copy(t.ptr, t.ptr[1:])
+	t.ptr[m] = nnz
 }

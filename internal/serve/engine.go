@@ -1,12 +1,13 @@
 // Package serve is the admission engine one scheduler shard runs:
 // requests buffer into the current scheduling slot, and each Tick runs a
 // sim.Scheduler (the paper's DynamicRR by default) against live
-// per-station capacity state, reusing the warm-started LP-PT bases across
-// consecutive ticks. An engine runs no goroutine: it is two locks — the
-// planner lock every call that reads or moves the planner takes, and the
-// door lock the batch path takes — and one request table (table.go) both
-// write and status lookups read, so every state change happens inside a
-// call, on the caller's goroutine. Bandit arm statistics and in-flight
+// per-station capacity state, replaying the cached decision of every LP-PT
+// component whose input did not change since an earlier tick. An engine
+// runs no goroutine: it is two locks — the planner lock every call that
+// reads or moves the planner takes, and the door lock the batch path
+// takes — and one request table (table.go) both write and status lookups
+// read, so every state change happens inside a call, on the caller's
+// goroutine. Bandit arm statistics and in-flight
 // assignments snapshot into a Checkpoint (checkpoint.go) so a restarted
 // daemon resumes learning instead of resetting its successive-elimination
 // state. The engine has no clock, HTTP surface or checkpoint file of its
@@ -308,14 +309,9 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 // SchedulerName returns the active scheduler's name.
 func (e *Engine) SchedulerName() string { return e.sched.Name() }
 
-// WarmStats returns the LP warm-start cache statistics (zero for
-// schedulers without an LP path).
-func (e *Engine) WarmStats() (hits, misses uint64) {
-	if d, ok := e.sched.(*sim.DynamicRR); ok {
-		return d.Warm().Stats()
-	}
-	return 0, 0
-}
+// WarmStats always returns (0, 0): the slot LP solves cold. It stays
+// because bench/trace.go, its sole reader, still compiles against it.
+func (e *Engine) WarmStats() (hits, misses uint64) { return 0, 0 }
 
 // IncStats returns the decision cache's counters (all zero for
 // schedulers other than DynamicRR).

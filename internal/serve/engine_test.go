@@ -127,38 +127,6 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 }
 
-// TestWarmStartHitRate pins the warm start of a re-solved component: two
-// light requests a tick on a mesh that never saturates keep one component
-// under the same key (its smallest station) while the occupancy the first
-// pair committed changes its signature, so the second tick cannot replay
-// — it re-solves, seeded from the first tick's basis. (How /metrics
-// renders the hit rate is pinned on the one exposition, in
-// internal/cluster.)
-func TestWarmStartHitRate(t *testing.T) {
-	e := testEngine(t, Config{})
-	for tick := 0; tick < 2; tick++ {
-		for i := 0; i < 2; i++ {
-			if _, _, err := e.Submit(RequestSpec{
-				AccessStation: i,
-				DurationSlots: 3,
-				Outcomes:      []OutcomeSpec{{RateMBs: 10, Prob: 1, Reward: 100}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := e.IncStats(); st.CleanHits != 0 || st.DirtySolves < 2 {
-		t.Fatalf("component solves %+v, want the second tick re-solved, not replayed", st)
-	}
-	hits, misses := e.WarmStats()
-	if hits == 0 {
-		t.Fatalf("warm-start hits = 0 after second tick (misses = %d)", misses)
-	}
-}
-
 // TestIncrementalMetrics pins the decision cache's observability on a
 // default engine: after two busy slots it has counted component solves.
 func TestIncrementalMetrics(t *testing.T) {
@@ -416,7 +384,7 @@ func TestCheckpointFileFormat(t *testing.T) {
 }
 
 // TestBaselineSchedulers checks the -scheduler flag's engine paths: every
-// baseline runs slots without bandit or warm-start support.
+// baseline runs slots without a bandit or an LP.
 func TestBaselineSchedulers(t *testing.T) {
 	for _, name := range []string{"ocorp", "greedy", "heukkt"} {
 		t.Run(name, func(t *testing.T) {

@@ -22,7 +22,9 @@ import (
 // measured count, so one extra allocation per slot fails it. The cases
 // run in this order on purpose: the plain slot's count includes the
 // process-wide pooled LP storage growing to this shape (about 30 a slot
-// over the 1000 runs), which the oracle case then finds grown.
+// over the 1000 runs), which the oracle case then finds grown. Run after
+// the rest of the package, the plain count reads 152 or 153 depending on
+// what the pools kept.
 func TestServeSlotAllocBudget(t *testing.T) {
 	if oracleEnv() {
 		t.Skip("MEC_ORACLE installs the per-slot checker on every engine")
@@ -39,8 +41,8 @@ func TestServeSlotAllocBudget(t *testing.T) {
 		check  sim.StepChecker
 		budget float64
 	}{
-		{"plain", nil, 169},
-		{"oracle", oracle.EngineChecker(), 214},
+		{"plain", nil, 153},
+		{"oracle", oracle.EngineChecker(), 198},
 	} {
 		e := newEngine(tc.check)
 		i := 0

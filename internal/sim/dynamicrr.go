@@ -74,11 +74,6 @@ type DynamicRR struct {
 	lastCth float64
 	played  bool
 	opts    DynamicRROptions
-	// warm carries the per-pass LP-PT bases from slot to slot:
-	// consecutive slots differ only by arrivals, departures, and realized
-	// occupancy, so the previous slot's optimal basis re-solves in a few
-	// pivots.
-	warm *core.WarmCache
 	// inc is the decision cache: between slots it tracks which connected
 	// components of the request-station candidate graph changed and
 	// replays the cached decision of clean ones instead of rebuilding
@@ -116,7 +111,7 @@ func NewDynamicRR(opts DynamicRROptions) (*DynamicRR, error) {
 	}
 	inc := core.NewIncCache()
 	if opts.Learner != nil {
-		return &DynamicRR{learner: opts.Learner, opts: opts, warm: core.NewWarmCache(), inc: inc}, nil
+		return &DynamicRR{learner: opts.Learner, opts: opts, inc: inc}, nil
 	}
 	pol := opts.Policy
 	if pol == nil && opts.PolicySpec != "" {
@@ -140,7 +135,7 @@ func NewDynamicRR(opts DynamicRROptions) (*DynamicRR, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicRR{learner: lip, lip: lip, opts: opts, warm: core.NewWarmCache(), inc: inc}, nil
+	return &DynamicRR{learner: lip, lip: lip, opts: opts, inc: inc}, nil
 }
 
 // Name implements Scheduler.
@@ -156,10 +151,6 @@ func (d *DynamicRR) Bandit() *bandit.Lipschitz { return d.lip }
 
 // Learner exposes the active threshold learner.
 func (d *DynamicRR) Learner() ThresholdLearner { return d.learner }
-
-// Warm exposes the scheduler's LP warm-start cache; its Stats feed the
-// serving daemon's warm-start hit-rate metric.
-func (d *DynamicRR) Warm() *core.WarmCache { return d.warm }
 
 // IncStats reports the decision cache's clean/dirty counters.
 func (d *DynamicRR) IncStats() core.IncStats { return d.inc.Stats() }
@@ -193,7 +184,9 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 	reqs := eng.Requests()
 	sorted := d.sortByExpectedRate(reqs, pending, nMax)
 
-	// Step 12: Heu with LP-PT (constraint (23) truncates by C(bs_i)/|R_t|).
+	// Step 12: Heu with LP-PT (constraint (23) truncates by C(bs_i)/|R_t|),
+	// each dirty component solved cold: R_t turns over nearly completely
+	// from slot to slot, so no earlier basis is worth seeding from.
 	rt := float64(len(sorted))
 	net := eng.Net()
 	shareCap := func(i int) float64 {
@@ -209,7 +202,6 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 		RoundingDenominator: d.opts.RoundingDenominator,
 		Passes:              d.opts.Passes,
 		Distribute:          true,
-		Warm:                d.warm,
 		Inc:                 d.inc,
 	})
 	if err != nil {
