@@ -26,11 +26,13 @@ race:
 ## them), the migration-race contract, the saturated batched intake
 ## staying inside its queue bounds and accounting for every accepted
 ## request at 1 and 2 shards, one interleaving of batch and single
-## submits giving one outcome on every run, and the goroutine census (an
+## submits giving one outcome on every run, the door's buffer against
+## its naive reference and its overflow rule worked out entry by entry
+## (shed the cheapest, drain the survivors oldest first), and the goroutine census (an
 ## engine runs none, a cluster runs shards − 1), all under the race
 ## detector (same as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestManifestV1Restores|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestEngineRunsNoGoroutines|TestClusterGoroutines' ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestManifestV1Restores|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines' ./internal/cluster/ ./internal/serve/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components
@@ -107,17 +109,21 @@ tick-jitter:
 
 ## fuzz: seed-corpus regression then a short fuzzing budget (FuzzOracleLP,
 ## the differential behind the simplex's pricing, gets twice the others').
+## FuzzCheckpointRestore's seeds are whole checkpoints (up to 22 KB), and
+## the default 60 s minimization of each new input would eat its budget.
 fuzz:
 	$(GO) test -run 'FuzzParse' ./internal/lp/
 	$(GO) test -run 'FuzzOracleLP|FuzzDirtySet' ./internal/oracle/
 	$(GO) test -run 'FuzzBatchDecode' ./internal/serve/
 	$(GO) test -run 'FuzzScenarioDecode|FuzzScenarioV1Decode' ./internal/scenario/
+	$(GO) test -run 'FuzzCheckpointRestore' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzParse' -fuzztime 30s ./internal/lp/
 	$(GO) test -fuzz 'FuzzOracleLP' -fuzztime 60s ./internal/oracle/
 	$(GO) test -fuzz 'FuzzDirtySet' -fuzztime 30s ./internal/oracle/
 	$(GO) test -fuzz 'FuzzBatchDecode$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz 'FuzzBatchDecodeMatchesReference' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz 'FuzzScenarioDecode$$' -fuzztime 30s ./internal/scenario/
+	$(GO) test -fuzz 'FuzzCheckpointRestore' -fuzztime 30s -fuzzminimizetime 5s ./internal/cluster/
 
 ## lint: staticcheck (correctness checks only, see staticcheck.conf) and
 ## govulncheck, both at pinned versions via the module proxy — nothing is

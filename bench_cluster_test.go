@@ -241,9 +241,8 @@ func BenchmarkClusterSweepBacklog(b *testing.B) {
 				// Small intake bounds make the backlog cheap to build: all but
 				// a few of each flood batch are shed on arrival — routed,
 				// spanning, and settled without costing an LP variable.
-				RingCapacity:  64,
-				StageCapacity: 64,
-				MaxPending:    64,
+				DoorCapacity: 128,
+				MaxPending:   64,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -96,8 +96,8 @@ func benchServeSlot(b *testing.B, check sim.StepChecker) {
 }
 
 // BenchmarkServeIngest measures the batched intake pipeline end to end:
-// each iteration submits one batch through SubmitBatch (pricing, ring
-// transit, request-table inserts), flushes it into the planner, and ticks —
+// each iteration submits one batch through SubmitBatch (pricing, the
+// door, request-table inserts), flushes it into the planner, and ticks —
 // the per-batch cost a bulk replay or the NDJSON endpoint pays. A
 // profiling tool: the ingest path's end-to-end cost is `go run ./bench`'s
 // ingest_flood workload.

@@ -83,9 +83,8 @@ func run(args []string, out io.Writer) error {
 		blockRate  = fs.Int("block-profile", 0, "blocking-profile sample threshold in ns for /debug/pprof/block (1 = every event, 0 = off; needs -pprof-addr)")
 		mutexFrac  = fs.Int("mutex-profile", 0, "mutex-contention sample fraction for /debug/pprof/mutex (1 = every contended lock, 0 = off; needs -pprof-addr)")
 
-		ringCap    = fs.Int("ring", 0, "batched-ingest ring capacity per shard (0 = default 4096, rounded up to a power of two)")
-		stageCap   = fs.Int("stage", 0, "batched-ingest overflow-stage capacity per shard before reward-aware shedding (0 = default 4096)")
-		maxPending = fs.Int("max-pending", 0, "pending requests per shard past which a slot stops draining the ingest ring (0 = default 16384)")
+		doorCap    = fs.Int("door", 0, "batched-ingest requests per shard waiting for the planner before reward-aware shedding (0 = default 8192)")
+		maxPending = fs.Int("max-pending", 0, "pending requests per shard past which a slot stops draining the door (0 = default 16384)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,6 +94,20 @@ func run(args []string, out io.Writer) error {
 	// and never decides one. Only a replay drives the clock itself.
 	if *replay == "" && *tick <= 0 {
 		return fmt.Errorf("-tick %v: want a positive slot interval", *tick)
+	}
+	// Also rejected, not clamped or ignored: each of these is a typo the
+	// daemon would otherwise run with quietly changed.
+	switch {
+	case *ckptEvery < 1:
+		return fmt.Errorf("-checkpoint-every %d: want at least 1 tick", *ckptEvery)
+	case *doorCap < 0:
+		return fmt.Errorf("-door %d: want 0 (the default) or a positive capacity", *doorCap)
+	case *maxPending < 0:
+		return fmt.Errorf("-max-pending %d: want 0 (the default) or a positive bound", *maxPending)
+	case *blockRate > 0 && *pprofAddr == "":
+		return fmt.Errorf("-block-profile %d: needs -pprof-addr, the only reader of the samples", *blockRate)
+	case *mutexFrac > 0 && *pprofAddr == "":
+		return fmt.Errorf("-mutex-profile %d: needs -pprof-addr, the only reader of the samples", *mutexFrac)
 	}
 
 	var net_ *mec.Network
@@ -174,8 +187,7 @@ func run(args []string, out io.Writer) error {
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
 		AsyncCheckpoint: *ckptAsync,
-		RingCapacity:    *ringCap,
-		StageCapacity:   *stageCap,
+		DoorCapacity:    *doorCap,
 		MaxPending:      *maxPending,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(out, format+"\n", a...)

@@ -275,7 +275,7 @@ func TestBadFlags(t *testing.T) {
 		{"-cluster-shards", "2"}, {"-incremental"}, {"-workers", "2"},
 		{"-loadgen"}, {"-offered", "100000"}, {"-load-duration", "2s"}, {"-load-batch", "500"},
 		{"-load-out", "load.json"}, {"-load-max-p99-ms", "50"}, {"-load-min-offered-frac", "0.9"},
-		{"-load-min-admitted", "1000"},
+		{"-load-min-admitted", "1000"}, {"-ring", "4096"}, {"-stage", "4096"},
 	} {
 		err := run(append(removed, "-replay", "/does/not/exist.json"), &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -300,6 +300,18 @@ func TestBadFlags(t *testing.T) {
 		err := run(args, &out)
 		if err == nil || !strings.Contains(err.Error(), "-tick") {
 			t.Fatalf("%v: %v, want a -tick error", args, err)
+		}
+	}
+	// A value the daemon would clamp, default or never read is a typo, and
+	// the error names its flag instead of running with something else.
+	for _, args := range [][]string{
+		{"-checkpoint-every", "-5"}, {"-checkpoint-every", "0"},
+		{"-max-pending", "-1"}, {"-door", "-1"},
+		{"-block-profile", "1000"}, {"-mutex-profile", "5"},
+	} {
+		err := run(append(args, "-replay", "/does/not/exist.json"), &out)
+		if want := strings.Join(args, " ") + ":"; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("%v: %v, want an error starting %q", args, err, want)
 		}
 	}
 }

@@ -314,6 +314,9 @@ func RestorePolicy(s *PolicySnapshot) (Policy, error) {
 		if err != nil {
 			return nil, err
 		}
+		if s.Next < 0 || s.Next >= len(s.Arms) {
+			return nil, fmt.Errorf("%w: round-robin cursor %d out of range", ErrUnsupportedSnapshot, s.Next)
+		}
 		se.t = s.T
 		se.next = s.Next
 		se.minObs, se.maxObs, se.seen = s.MinObs, s.MaxObs, s.Seen

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -210,6 +211,11 @@ func loadManifest(path string, stations int) (*Manifest, []*serve.Checkpoint, er
 	dir := filepath.Dir(path)
 	snaps := make([]*serve.Checkpoint, len(man.Shards))
 	for i, sh := range man.Shards {
+		// The writer names files beside the manifest; a name that leaves
+		// its directory is corruption, not a file to open.
+		if filepath.Base(sh.File) != sh.File || !filepath.IsLocal(sh.File) {
+			return nil, nil, fmt.Errorf("cluster: manifest %s names shard file %q outside its directory", path, sh.File)
+		}
 		ck, err := serve.LoadCheckpoint(filepath.Join(dir, sh.File))
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: shard %d snapshot: %w", sh.Index, err)
@@ -346,6 +352,9 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 	for i, gr := range merged {
 		if i > 0 && merged[i-1].id == gr.id {
 			return nil, fmt.Errorf("request id %d appears twice", gr.id)
+		}
+		if gr.id == math.MaxUint64 {
+			return nil, fmt.Errorf("request id %d leaves no id to allocate after it", gr.id)
 		}
 		shard, spanCands, err := c.router.route(gr.spec)
 		if err != nil {

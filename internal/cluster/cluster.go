@@ -71,10 +71,9 @@ type Config struct {
 	MigrationBurst      int
 	MigrationHysteresis float64
 	// Per-shard engine bounds, passed through to serve.Config.
-	RingCapacity  int
-	StageCapacity int
-	MaxPending    int
-	BatchQueue    int
+	DoorCapacity int
+	MaxPending   int
+	BatchQueue   int
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
 	// TraceWriter, when non-nil, receives every shard's per-slot trace
@@ -451,8 +450,7 @@ func New(cfg Config) (*Cluster, error) {
 			DeferFeedback:    true,
 			DecisionObserver: nd.observe,
 			StepChecker:      cfg.StepChecker,
-			RingCapacity:     cfg.RingCapacity,
-			StageCapacity:    cfg.StageCapacity,
+			DoorCapacity:     cfg.DoorCapacity,
 			MaxPending:       cfg.MaxPending,
 			BatchQueue:       cfg.BatchQueue,
 			Logf: func(format string, args ...any) {

@@ -286,7 +286,7 @@ func TestClusterCheckpointReshard(t *testing.T) {
 // a well-formed page with every per-shard series present once per shard,
 // every global station once, and the union of what the single-engine
 // page used to carry (component solves, slot errors,
-// saturation, ring and stage depth, station capacity) now under a shard
+// saturation, door depth, station capacity) now under a shard
 // label. A stopped cluster still renders.
 func TestClusterHandlerMetrics(t *testing.T) {
 	net := islandNetwork(t, 4, 2)
@@ -346,8 +346,7 @@ func TestClusterHandlerMetrics(t *testing.T) {
 			for _, family := range []string{
 				"requests_total", "reward_dollars_total", "ticks_total", "slot_errors_total",
 				"pending_requests", "active_streams", "batches_total", "batch_requests_total",
-				"saturated_total", "intake_depth", "intake_ring_depth", "intake_staged_depth",
-				"migrations_total", "slot_duration_ms", "intake_latency_ms",
+				"saturated_total", "intake_depth", "migrations_total", "slot_duration_ms", "intake_latency_ms",
 				"component_solves_total", "station_used_mhz",
 				"station_capacity_mhz", "shards", "slot", "routed_total", "checkpoints_total",
 				"checkpoints_dropped_total",

@@ -75,9 +75,9 @@ func (c *Cluster) applyCrossHandoversLocked() {
 		if !ok {
 			continue
 		}
-		// Ring residue must be visible: a request batch-submitted just
-		// before this tick hands over in a single engine (its loop drains
-		// the ring before the slot's drift transitions fire).
+		// Door residue must be visible: a request batch-submitted just
+		// before this tick hands over in a single engine (its slot drains
+		// the door before the slot's drift transitions fire).
 		if err := src.eng.Flush(); err != nil {
 			c.cfg.Logf("cluster: handover %d->%d flush: %v", h.From, h.To, err)
 		}

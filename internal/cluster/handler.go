@@ -261,12 +261,8 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 		func(nd *shardNode) any { return nd.eng.Metrics().BatchRequests.Load() })
 	perShard("saturated_total", "counter", "Per-shard bulk batches refused because the ingest path was saturated.",
 		func(nd *shardNode) any { return nd.eng.Metrics().Saturated.Load() })
-	perShard("intake_depth", "gauge", "Per-shard ingest ring plus overflow-stage depth.",
-		func(nd *shardNode) any { return nd.eng.Metrics().IntakeDepth.Load() + nd.eng.StagedDepth() })
-	perShard("intake_ring_depth", "gauge", "Per-shard entries waiting in the ingest ring.",
+	perShard("intake_depth", "gauge", "Per-shard bulk intake requests waiting at the door for the planner.",
 		func(nd *shardNode) any { return nd.eng.Metrics().IntakeDepth.Load() })
-	perShard("intake_staged_depth", "gauge", "Per-shard entries waiting in the reward-sorted overflow stage.",
-		func(nd *shardNode) any { return nd.eng.StagedDepth() })
 
 	family("migrations_total", "counter", "Committed cross-shard handoffs per shard and direction.")
 	in, out := c.MigratedCounts()

@@ -11,19 +11,18 @@ import (
 
 // TestSaturatedIngestConserves drives the batched intake far past what 4
 // stations admit — 40 batches of 500 explicit specs, a slot after every
-// 4th, on the manual clock — with the ring, the stage and the pending
-// queue all bounded at 512. Every shard's ring and stage stay inside
-// their bounds after every batch, the shedding policy actually fires, and
-// once flushed every accepted request is admitted, shed or rejected
-// exactly once (Totals counts a request the clock re-homed once). At two
-// shards requests span both and the migration sweep runs beside the
-// intake.
+// 4th, on the manual clock — with the door bounded at 1024 and the
+// pending queue at 512. Every shard's door stays inside its bound after
+// every batch, the shedding policy actually fires, and once flushed every
+// accepted request is admitted, shed or rejected exactly once (Totals
+// counts a request the clock re-homed once). At two shards requests span
+// both and the migration sweep runs beside the intake.
 func TestSaturatedIngestConserves(t *testing.T) {
 	const (
-		stations, bound    = 4, 512 // bound: a power of two, so it is the ring's capacity
-		batches, batchSize = 40, 500
-		batchesPerSlot     = 4
-		minAdmitted        = 1000
+		stations, door, maxPending = 4, 1024, 512
+		batches, batchSize         = 40, 500
+		batchesPerSlot             = 4
+		minAdmitted                = 1000
 	)
 	specs := make([]serve.RequestSpec, batchSize)
 	for i := range specs {
@@ -42,7 +41,7 @@ func TestSaturatedIngestConserves(t *testing.T) {
 			}
 			c, err := New(Config{
 				Net: net, Shards: shards, Seed: 42,
-				RingCapacity: bound, StageCapacity: bound, MaxPending: bound,
+				DoorCapacity: door, MaxPending: maxPending,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -59,11 +58,8 @@ func TestSaturatedIngestConserves(t *testing.T) {
 				accepted += len(res.IDs)
 				shed += res.Shed
 				for k, nd := range c.nodes {
-					if d := nd.eng.RingDepth(); d > bound {
-						t.Fatalf("batch %d: shard %d ring depth %d exceeds %d", b, k, d, bound)
-					}
-					if d := nd.eng.StagedDepth(); d > bound {
-						t.Fatalf("batch %d: shard %d staged depth %d exceeds %d", b, k, d, bound)
+					if d := nd.eng.Metrics().IntakeDepth.Load(); d > door {
+						t.Fatalf("batch %d: shard %d door depth %d exceeds %d", b, k, d, door)
 					}
 				}
 				if b%batchesPerSlot == 0 {

@@ -261,6 +261,7 @@ func TestLegacyCheckpointRejected(t *testing.T) {
 		{"wrong version", bytes.Replace(raw, []byte(`"version": 1`), []byte(`"version": 2`), 1), full, "version 2"},
 		{"neither format", []byte(`{"version": 1, "slot": 3}`), full, "neither a cluster manifest nor a single-engine checkpoint"},
 		{"station count", raw, oneIsland, "outside its partition"},
+		{"shard file outside", []byte(`{"version": 2, "shards": [{"index": 0, "stations": [0], "file": "../state.json"}]}`), full, "outside its directory"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,17 +288,14 @@ func TestLegacyCheckpointRejected(t *testing.T) {
 
 // TestClusterStopPersistsIngestResidue is the daemon-level shutdown
 // quiesce contract: a batch the intake ACCEPTED but the planner has not
-// seen — most of it still in the pump's overflow stage — lands in the
-// manifest Stop writes, and a restored cluster answers for and schedules
-// every id.
+// seen — all of it still at the door — lands in the manifest Stop
+// writes, and a restored cluster answers for and schedules every id.
 func TestClusterStopPersistsIngestResidue(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			net := islandNetwork(t, 2, 2)
 			cfg := parityConfig(net, shards)
 			cfg.CheckpointPath = filepath.Join(t.TempDir(), "cluster.json")
-			cfg.RingCapacity = 4 // force the overflow stage into play
-			cfg.StageCapacity = 256
 			c, err := cluster.New(cfg)
 			if err != nil {
 				t.Fatal(err)

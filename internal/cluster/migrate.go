@@ -102,7 +102,7 @@ func (c *Cluster) handoff(id uint64, from, to, station int, cands []int, listed 
 	spec, arrival, err := src.eng.Extract(id)
 	if errors.Is(err, serve.ErrNotPending) {
 		// Pending in the table but not the planner's to give: still queued
-		// in the ingest ring, or settled since the caller looked.
+		// at the door, or settled since the caller looked.
 		return "not in planner"
 	}
 	if err != nil {
@@ -201,7 +201,7 @@ func (c *Cluster) sweepLocked() {
 			continue
 		}
 		// A request the planner would not give up stays listed; the next
-		// sweep's Status tells whether it was in the ring or has settled.
+		// sweep's Status tells whether it was at the door or has settled.
 		if m.Reason = c.handoff(sc.id, sc.shard, target, -1, sc.cands, true); m.Reason == "" {
 			m.Phase = PhaseCommitted
 			committed++

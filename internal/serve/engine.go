@@ -86,17 +86,14 @@ type Config struct {
 	// more than this many settled requests accumulate, the engine rebuilds
 	// its planner state from the live set (default 4096).
 	CompactAfter int
-	// RingCapacity bounds the batched-ingest SPSC ring between the door
-	// and the planner (default 4096, rounded up to a power of two).
-	RingCapacity int
-	// StageCapacity bounds the door's reward-sorted overflow stage;
-	// once the ring and the stage are both full, the lowest
-	// expected-reward request sheds (default 4096).
-	StageCapacity int
-	// MaxPending bounds the pending queue: the ring drain at slot start
+	// DoorCapacity bounds the batch-path requests waiting at the door for
+	// the planner; once it is full, each arrival sheds the request with the
+	// lowest expected reward, the newest among equal ones (default 8192).
+	DoorCapacity int
+	// MaxPending bounds the pending queue: the door's drain at slot start
 	// and before a single-request submit stops once this many requests
-	// await scheduling, which is the backpressure signal that engages the
-	// shedding stage (default 16384). Flush, and the request a
+	// await scheduling, which is the backpressure signal that lets the door
+	// fill and shed (default 16384). Flush, and the request a
 	// single-request submit admits, are not subject to it.
 	MaxPending int
 	// BatchQueue bounds how many batches may wait at the door besides
@@ -138,11 +135,11 @@ type Config struct {
 }
 
 // Engine is the admission daemon core. It runs no goroutine: the planner
-// belongs to whichever call holds mu, the stage to whichever batch holds
-// door, and the two meet in the ingest ring (produced under door, consumed
-// under mu) and the request table. The lock order is mu, then door, then
-// the table's; a batch at the door never takes mu, so a batch submission
-// never waits for a slot.
+// belongs to whichever call holds mu, the door's buffer to whichever call
+// holds door — a batch appending to it, or a planner-lock holder taking
+// from it — and the two sides share the request table. The lock order is
+// mu, then door, then the table's; a batch at the door never takes mu, so
+// a batch submission never waits for a slot.
 type Engine struct {
 	cfg     Config
 	metrics *Metrics
@@ -159,10 +156,8 @@ type Engine struct {
 	// nextExt numbers the requests of callers that hand no id down (Submit,
 	// SubmitBatch) and stays above every id a caller did hand down
 	// (takeID); it is atomic because both locks' holders move it.
-	nextExt     atomic.Uint64
-	ring        *ingestRing
-	stagedDepth atomic.Int64
-	atDoor      atomic.Int64 // batches waiting at the door or inside it
+	nextExt atomic.Uint64
+	atDoor  atomic.Int64 // batches waiting at the door or inside it
 
 	// The planner lock and what it guards.
 	mu      sync.Mutex
@@ -175,6 +170,9 @@ type Engine struct {
 	// admittedBuf is runSlot's reusable request-id scratch for the
 	// DecisionObserver; valid only until the next slot by contract.
 	admittedBuf []uint64
+	// taken is drainDoor's spare storage for the entries it takes; it
+	// trades places with the door's buffer on every full take.
+	taken []ingestEntry
 	// done closes, under mu, when the engine exits: in the call that
 	// completes a drain, or at Stop. drainedSnap is the state a drain left
 	// behind, never modified after.
@@ -183,7 +181,7 @@ type Engine struct {
 
 	// The door lock and what it guards (see ingest.go).
 	door    sync.Mutex
-	stage   stageBuffer
+	intake  doorBuffer
 	pumpSeq uint64
 	shedBuf []ingestEntry // per-batch shed victims, reused across batches
 }
@@ -205,11 +203,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CompactAfter <= 0 {
 		cfg.CompactAfter = 4096
 	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = 4096
-	}
-	if cfg.StageCapacity <= 0 {
-		cfg.StageCapacity = 4096
+	if cfg.DoorCapacity <= 0 {
+		cfg.DoorCapacity = 8192
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 16384
@@ -233,7 +228,6 @@ func New(cfg Config) (*Engine, error) {
 		metrics:  NewMetrics(),
 		table:    newTable(maxRecords, stations),
 		done:     make(chan struct{}),
-		ring:     newIngestRing(cfg.RingCapacity),
 		retryRng: rnd.New(cfg.RetrySeed, "retry-after"),
 	}
 
@@ -360,7 +354,7 @@ func (e *Engine) SubmitAs(id uint64, spec RequestSpec) (int, error) {
 	return slot, err
 }
 
-// submit drains the ring before it admits, so below the MaxPending bound
+// submit drains the door before it admits, so below the MaxPending bound
 // the planner sees a request after every batch accepted before it. An id
 // of the engine's own is allocated only once the planner took the
 // request, so a refused spec consumes none.
@@ -369,7 +363,7 @@ func (e *Engine) submit(id uint64, numbered bool, spec RequestSpec) (uint64, int
 		return 0, 0, err
 	}
 	defer e.mu.Unlock()
-	e.drainRing(false)
+	e.drainDoor(false)
 	idx, err := e.admit(&spec)
 	if err != nil {
 		e.metrics.Rejected.Inc()
@@ -483,7 +477,7 @@ func (e *Engine) Drain() error {
 		// hands the planner everything the door accepted: the residue is
 		// decided (and in any later Snapshot), not dropped.
 		e.metrics.drainFlag.Store(true)
-		e.drainRing(true)
+		e.drainDoor(true)
 		e.drain = true
 	}
 	e.exitIfDrained()

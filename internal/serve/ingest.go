@@ -1,26 +1,26 @@
 package serve
 
-// The door: the batch path's side of the engine and the single producer
-// of the SPSC ingest ring. HTTP batch handlers (and the bulk replay) hand
-// decoded spec batches to SubmitBatch, which takes the door lock on the
-// caller's goroutine, prices each request, gives it its id (the caller's,
-// or the engine's next), inserts its row into the request table, and
-// pushes it through the stage/ring pair toward the planner. The ring
-// drains into the planner under the planner lock: at slot start, before a
-// single-request submit, in Flush and in Drain. The overload policy is a
-// strict chain of bounded queues:
+// The door: the batch path's side of the engine. HTTP batch handlers (and
+// the bulk replay) hand decoded spec batches to SubmitBatch, which takes
+// the door lock on the caller's goroutine, prices each request, gives it
+// its id (the caller's, or the engine's next), inserts its row into the
+// request table, and appends it to the door's one bounded buffer. The
+// planner lock's holder takes the buffer's entries, oldest first: at slot
+// start, before a single-request submit, in Flush and in Drain. The
+// overload policy is a strict chain of bounded queues:
 //
-//	pending (MaxPending)  <- ring (RingCapacity, SPSC)
-//	  <- stage (StageCapacity, reward-sorted, sheds lowest E[reward])
-//	    <- the door (BatchQueue waiting)  <- 503 + Retry-After
+//	pending (MaxPending)  <- door (DoorCapacity, sheds lowest E[reward])
+//	  <- batches waiting at the door (BatchQueue)  <- 503 + Retry-After
 //
-// Below saturation nothing ever sits in the stage, so batched intake
-// appends in exact submission order — decision-for-decision identical
-// to the single-POST path (the oracle differential enforces this).
+// A request the door does not shed reaches the planner in exact
+// submission order, so batched intake decides as the single-POST path
+// does (the oracle differential enforces this).
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mecoffload/internal/workload"
@@ -50,7 +50,7 @@ type BatchResult struct {
 // SubmitBatch queues a pre-validated batch of specs for ingest under the
 // engine's own numbering. It fails fast with ErrSaturated when BatchQueue
 // batches already wait at the door (the overload backstop behind the
-// shedding stage), and with ErrDraining / ErrStopped like Submit. Specs
+// door's shedding), and with ErrDraining / ErrStopped like Submit. Specs
 // should have passed ValidateSpec; a spec the planner still rejects is
 // counted and recorded as shed.
 func (e *Engine) SubmitBatch(specs []RequestSpec) (BatchResult, error) {
@@ -70,7 +70,8 @@ func (e *Engine) SubmitBatchAs(ids []uint64, specs []RequestSpec) (shed int, err
 
 // submitBatch runs the batch through the door on the caller's goroutine.
 // It holds the door lock, never the planner lock, so a batch waits for
-// the batches ahead of it and for a ring drain's refill, never for a slot.
+// the batches ahead of it and for a drain taking the buffer, never for a
+// slot.
 func (e *Engine) submitBatch(ids []uint64, specs []RequestSpec) (BatchResult, error) {
 	if len(specs) == 0 {
 		return BatchResult{}, nil
@@ -86,9 +87,8 @@ func (e *Engine) submitBatch(ids []uint64, specs []RequestSpec) (BatchResult, er
 	defer e.atDoor.Add(-1)
 	e.door.Lock()
 	defer e.door.Unlock()
-	// A drain raises its flag before its forced ring drain takes the door,
-	// so a batch that passes this check is in the ring or the stage before
-	// that drain looks.
+	// A drain raises its flag before its forced take from the door, so a
+	// batch that passes this check is in the buffer before that take looks.
 	if e.Draining() {
 		return BatchResult{}, e.refusal()
 	}
@@ -108,8 +108,8 @@ func (e *Engine) refusal() error {
 }
 
 // Flush appends every batch accepted so far to the planner, in one forced
-// ring drain that ignores the MaxPending backpressure bound (it exists for
-// wall-clock overload, not for replay harnesses). Replay and the oracle
+// drain of the door that ignores the MaxPending backpressure bound (it
+// exists for wall-clock overload, not for replay harnesses). Replay and the oracle
 // differential call it before ticking, so a slot schedules exactly the
 // requests submitted before it.
 func (e *Engine) Flush() error {
@@ -117,7 +117,7 @@ func (e *Engine) Flush() error {
 		return err
 	}
 	defer e.mu.Unlock()
-	e.drainRing(true)
+	e.drainDoor(true)
 	return nil
 }
 
@@ -151,9 +151,13 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) ([]uint64, int) {
 
 	e.shedBuf = e.shedBuf[:0]
 	for i, req := range reqs {
-		e.pumpPush(ingestEntry{req: req, price: specPrice(specs[i]), seq: e.pumpSeq, enqNano: now})
+		ent := ingestEntry{req: req, price: specPrice(specs[i]), seq: e.pumpSeq, enqNano: now}
+		if victim, shed := e.intake.push(ent, e.cfg.DoorCapacity); shed {
+			e.shedBuf = append(e.shedBuf, victim)
+		}
 		e.pumpSeq++
 	}
+	e.metrics.IntakeDepth.Store(int64(len(e.intake.entries)))
 	if n := len(e.shedBuf); n > 0 {
 		e.metrics.Shed.Add(uint64(n))
 		e.table.mu.Lock()
@@ -165,48 +169,100 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) ([]uint64, int) {
 	return ids, len(e.shedBuf)
 }
 
-// pumpPush routes one entry through the stage/ring pair and applies the
-// shedding policy, appending victims to e.shedBuf (door lock held).
-func (e *Engine) pumpPush(ent ingestEntry) {
-	if e.stage.len() >= e.cfg.StageCapacity {
-		e.pumpDrainStage()
-		// Saturated fast path: an arrival at or below the stage's floor
-		// price would be the next shed victim anyway (price ties break
-		// newest-first, and this entry is the newest), so shed it O(1)
-		// instead of churning the sorted stage with an insert + evict.
-		if e.stage.len() >= e.cfg.StageCapacity && ent.price <= e.stage.entries[0].price {
-			e.shedBuf = append(e.shedBuf, ent)
+// RingDepth returns how many requests wait at the door (gauge-grade). It
+// stays because the benchmark harness, its sole caller, still reads it.
+func (e *Engine) RingDepth() int { return int(e.metrics.IntakeDepth.Load()) }
+
+// StagedDepth always returns 0: the door has no overflow stage. It stays
+// because the benchmark harness, its sole caller, still reads it.
+func (e *Engine) StagedDepth() int64 { return 0 }
+
+// ingestEntry is one request waiting at the door.
+type ingestEntry struct {
+	req     *request // its row in the request table; the spec rides in req.live
+	price   float64  // expected reward under the spec's demand distribution
+	seq     uint64   // door-local arrival ordinal: the drain order and the shed tie-break
+	enqNano int64    // enqueue timestamp for the intake-latency histogram
+}
+
+// doorBuffer is the door's one bounded buffer, guarded by the door lock;
+// entries are pushed in increasing seq. Below its bound it is a slice in
+// arrival order and a push costs an append. The first push that finds it
+// full heapifies it in place into a min-heap on shedsBefore, so that push
+// and every later one sheds in O(log n) at most; the next take sorts it
+// back into arrival order.
+type doorBuffer struct {
+	entries []ingestEntry
+	heaped  bool
+}
+
+// shedsBefore is the shedding order: the lower expected reward first, and
+// between equal ones the newer arrival.
+func shedsBefore(a, b ingestEntry) bool {
+	if a.price != b.price {
+		return a.price < b.price
+	}
+	return a.seq > b.seq
+}
+
+// push appends ent unless the buffer already holds capacity entries; then
+// the entry first in shedding order, ent included, leaves and is returned.
+func (d *doorBuffer) push(ent ingestEntry, capacity int) (victim ingestEntry, shed bool) {
+	if len(d.entries) < capacity {
+		d.entries = append(d.entries, ent)
+		return ingestEntry{}, false
+	}
+	if !d.heaped {
+		for i := len(d.entries)/2 - 1; i >= 0; i-- {
+			d.siftDown(i)
+		}
+		d.heaped = true
+	}
+	// ent is the newest entry, so at or below the floor price it is the
+	// victim itself: shed in O(1), the heap untouched.
+	if shedsBefore(ent, d.entries[0]) {
+		return ent, true
+	}
+	victim, d.entries[0] = d.entries[0], ent
+	d.siftDown(0)
+	return victim, true
+}
+
+func (d *doorBuffer) siftDown(i int) {
+	h := d.entries
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
 			return
 		}
-	}
-	e.stage.insert(ent)
-	e.pumpDrainStage()
-	for e.stage.len() > e.cfg.StageCapacity {
-		e.shedBuf = append(e.shedBuf, e.stage.popLowest())
-	}
-	e.stagedDepth.Store(int64(e.stage.len()))
-}
-
-// pumpDrainStage moves staged entries into the ring, most valuable first
-// (door lock held).
-func (e *Engine) pumpDrainStage() {
-	pushed := 0
-	for e.stage.len() > 0 {
-		if !e.ring.TryPush(e.stage.entries[len(e.stage.entries)-1]) {
-			break
+		if c+1 < len(h) && shedsBefore(h[c+1], h[c]) {
+			c++
 		}
-		e.stage.popHighest()
-		pushed++
-	}
-	if pushed > 0 {
-		e.stagedDepth.Store(int64(e.stage.len()))
-		e.metrics.IntakeDepth.Store(int64(e.ring.Len()))
+		if !shedsBefore(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
-// StagedDepth returns the door's overflow-stage depth (gauge-grade;
-// exact only under the door lock).
-func (e *Engine) StagedDepth() int64 { return e.stagedDepth.Load() }
-
-// RingDepth returns the ingest ring's current depth (gauge-grade).
-func (e *Engine) RingDepth() int { return e.ring.Len() }
+// take removes the oldest limit entries (every entry when limit < 0) and
+// returns them in arrival order. Taking every entry trades storage with
+// dst, which must hold no entry the caller still needs; taking a prefix
+// copies it into dst.
+func (d *doorBuffer) take(limit int, dst []ingestEntry) []ingestEntry {
+	if d.heaped {
+		slices.SortFunc(d.entries, func(a, b ingestEntry) int { return cmp.Compare(a.seq, b.seq) })
+		d.heaped = false
+	}
+	if limit < 0 || limit >= len(d.entries) {
+		out := d.entries
+		d.entries = dst[:0]
+		return out
+	}
+	dst = append(dst[:0], d.entries[:limit]...)
+	n := copy(d.entries, d.entries[limit:])
+	clear(d.entries[n:]) // pins no request past its take
+	d.entries = d.entries[:n]
+	return dst
+}

@@ -43,8 +43,8 @@ func TestSubmitBatchLifecycle(t *testing.T) {
 	if got := e.metrics.Submitted.Load(); got != 6 {
 		t.Fatalf("submitted = %d, want 6", got)
 	}
-	if e.RingDepth() != 0 || e.StagedDepth() != 0 {
-		t.Fatalf("post-flush depths ring=%d staged=%d, want 0/0", e.RingDepth(), e.StagedDepth())
+	if d := e.metrics.IntakeDepth.Load(); d != 0 {
+		t.Fatalf("post-flush door depth %d, want 0", d)
 	}
 	for _, id := range res.IDs {
 		rec, ok, err := e.Status(id)
@@ -79,19 +79,18 @@ func TestSubmitBatchLifecycle(t *testing.T) {
 }
 
 // TestSubmitBatchShedsLowestReward is the overload-policy test worked
-// out entry by entry: ring capacity 4, stage capacity 4, and a pending
-// queue already past MaxPending (two single-POST requests over a bound
-// of one). A batch of ten requests priced 1..10 must keep prices 1-4 in
-// the ring (FIFO, admitted first), stage 7-10, and shed exactly the two
-// cheapest staged requests, 5 and 6.
+// out entry by entry: a door of 8 and a pending queue already past
+// MaxPending (two single-POST requests over a bound of one). A batch of
+// ten requests priced 1..10 must shed exactly the two cheapest, 1 and 2,
+// whichever arrived first, and Flush must admit the 8 survivors in
+// arrival order.
 func TestSubmitBatchShedsLowestReward(t *testing.T) {
 	e := testEngine(t, Config{
-		RingCapacity:  4,
-		StageCapacity: 4,
-		MaxPending:    1,
+		DoorCapacity: 8,
+		MaxPending:   1,
 	})
 	// Two single-POST requests exceed MaxPending, so no drain before a
-	// slot would take the ring in.
+	// slot would take from the door.
 	pre := submitN(t, e, 2)
 	specs := make([]RequestSpec, 10)
 	for i := range specs {
@@ -102,9 +101,9 @@ func TestSubmitBatchShedsLowestReward(t *testing.T) {
 		t.Fatalf("SubmitBatch: %v", err)
 	}
 	if res.Shed != 2 {
-		t.Fatalf("shed = %d, want 2 (prices 5 and 6)", res.Shed)
+		t.Fatalf("shed = %d, want 2 (prices 1 and 2)", res.Shed)
 	}
-	shed := map[uint64]bool{res.IDs[4]: true, res.IDs[5]: true}
+	shed := map[uint64]bool{res.IDs[0]: true, res.IDs[1]: true}
 	for i, id := range res.IDs {
 		rec, ok, err := e.Status(id)
 		if err != nil || !ok {
@@ -121,13 +120,18 @@ func TestSubmitBatchShedsLowestReward(t *testing.T) {
 	if got := e.metrics.Shed.Load(); got != 2 {
 		t.Fatalf("shed counter = %d, want 2", got)
 	}
-	// Flush force-drains ring and stage; the 8 survivors plus the two
-	// single-POST requests are all admitted.
+	// Flush force-drains the door; the 8 survivors follow the two
+	// single-POST requests into the planner, oldest first.
 	if err := e.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if got := e.metrics.Submitted.Load(); got != 10 {
 		t.Fatalf("submitted = %d, want 10 (2 singles + 8 surviving batch)", got)
+	}
+	for i, id := range res.IDs[2:] {
+		if idx := e.table.rows[id].live.idx; idx != 2+i {
+			t.Fatalf("price %d (id %d) admitted at planner index %d, want %d", i+3, id, idx, 2+i)
+		}
 	}
 	for _, id := range pre {
 		rec, ok, _ := e.Status(id)
@@ -181,7 +185,7 @@ func TestValidateSpec(t *testing.T) {
 // Tick, with no Flush, run forty times on identically seeded engines and
 // end in the same snapshot requests and the same record for every id —
 // the records of the same sixty default specs sent one by one through
-// Submit, in the same order. A single-request submit drains the ring
+// Submit, in the same order. A single-request submit drains the door
 // first, so the planner sees requests in submission order whichever path
 // they came by.
 func TestInterleavedIntakeIsDeterministic(t *testing.T) {

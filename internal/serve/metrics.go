@@ -14,7 +14,7 @@ var slotDurationBucketsMS = []float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000
 // intakeLatencyBucketsMS resolve the batched-ingest handoff (door
 // enqueue to planner append), which includes the wait for the next Flush,
 // slot or single-request submit. The coarse tail captures overload, where
-// entries wait in the ring behind the MaxPending backpressure bound.
+// entries wait at the door behind the MaxPending backpressure bound.
 var intakeLatencyBucketsMS = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 500}
 
 // counter is a monotonically increasing uint64 safe for concurrent use.
@@ -120,8 +120,8 @@ type Metrics struct {
 	PendingDepth  atomic.Int64
 	ActiveStreams atomic.Int64
 	CurrentSlot   atomic.Int64
-	// IntakeDepth is the ingest ring's depth; the staged-entry gauge
-	// lives on the engine (stagedDepth) because the door owns it.
+	// IntakeDepth is how many batch-path requests wait at the door,
+	// written under the door lock.
 	IntakeDepth atomic.Int64
 
 	drainFlag atomic.Bool

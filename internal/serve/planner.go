@@ -1,6 +1,6 @@
 package serve
 
-// What the planner lock guards between slots: admit, the ring drain,
+// What the planner lock guards between slots: admit, the door's drain,
 // extract, and the exit a drain ends in. Every function here runs with
 // e.mu held; a tick hands over to runSlot (slot.go).
 
@@ -11,7 +11,7 @@ import (
 )
 
 // admit appends one request to the planner as pending and returns its
-// planner index: the one way in, for single POSTs and ring entries alike.
+// planner index: the one way in, for single POSTs and door entries alike.
 // Paper-default outcomes drawn for it are written into spec (see
 // materializeSpec), which the caller's row keeps.
 func (e *Engine) admit(spec *RequestSpec) (int, error) {
@@ -32,7 +32,7 @@ func (e *Engine) admit(spec *RequestSpec) (int, error) {
 	return idx, nil
 }
 
-// ingestOne admits one batch-path request off the ring. Its row already
+// ingestOne admits one batch-path request taken from the door. Its row already
 // exists (the door inserted it); a refusal surfaces as a shed record so
 // the id stays resolvable.
 func (e *Engine) ingestOne(ent ingestEntry) {
@@ -48,40 +48,44 @@ func (e *Engine) ingestOne(ent ingestEntry) {
 	e.metrics.IntakeLatency.Observe(float64(time.Now().UnixNano()-ent.enqNano) / 1e6)
 }
 
-// drainRing consumes ring entries into the planner and refills the ring
-// from the stage, most valuable first, under the door lock, until both are
-// empty. Unless forced, it stops at the MaxPending bound — the
-// backpressure signal that lets the ring fill, the stage engage, and the
-// shedding policy take over when the scheduler cannot keep up. Every batch
-// that left the door before the call is seen: the refill waits for the one
-// inside it.
-func (e *Engine) drainRing(force bool) {
+// drainDoor admits the door's entries into the planner, oldest first.
+// Unless forced, it stops at the MaxPending bound — the backpressure
+// signal that lets the door fill and its shedding rule take over when the
+// scheduler cannot keep up. The door lock is held only to take entries,
+// never while they are admitted; every batch that left the door before the
+// call is seen, as the take waits for the one inside it.
+func (e *Engine) drainDoor(force bool) {
 	consumed := 0
-	for {
-		for force || len(e.pending) < e.cfg.MaxPending {
-			ent, ok := e.ring.TryPop()
-			if !ok {
-				break
-			}
-			consumed++
-			e.ingestOne(ent)
+	for force || len(e.pending) < e.cfg.MaxPending {
+		limit := -1
+		if !force {
+			limit = e.cfg.MaxPending - len(e.pending)
 		}
 		e.door.Lock()
-		e.pumpDrainStage()
+		taken := e.intake.take(limit, e.taken)
+		e.metrics.IntakeDepth.Store(int64(len(e.intake.entries)))
 		e.door.Unlock()
-		if e.ring.Len() == 0 || (!force && len(e.pending) >= e.cfg.MaxPending) {
+		for _, ent := range taken {
+			e.ingestOne(ent)
+		}
+		consumed += len(taken)
+		clear(taken)
+		e.taken = taken[:0]
+		// A forced take held everything; an empty one leaves nothing. A
+		// bounded take admitted up to the bound unless the planner refused
+		// some, whose places the next pass fills.
+		if force || len(taken) == 0 {
 			break
 		}
 	}
 	if consumed > 0 {
-		e.metrics.IntakeDepth.Store(int64(e.ring.Len()))
 		e.metrics.PendingDepth.Store(int64(len(e.pending)))
 	}
 }
 
 // extract removes one pending request from the planner for cross-shard
 // migration. Only a request the planner holds undecided is extractable:
-// one still in the ring is not the planner's to give, and once a request
+// one still at the door is not the planner's to give, and once a request
 // scheduled its service instance is pinned to this engine's stations. The
 // record becomes migrated (terminal here; the target shard owns the
 // request from now on).

@@ -2,8 +2,8 @@ package serve
 
 // Shutdown quiesce contract: a request the batched-ingest path has
 // ACCEPTED (returned an id for) must never be dropped by a shutdown —
-// whatever is still sitting in the door's overflow stage or the ring
-// lands in the final checkpoint as pending, and a restore answers status
+// whatever is still waiting at the door lands in the final checkpoint
+// as pending, and a restore answers status
 // for it. At the engine the shutdown is Drain (quiesce) then Snapshot;
 // the daemon-level form — cluster.Stop writes the manifest — is
 // TestClusterStopPersistsIngestResidue in internal/cluster.
@@ -14,20 +14,14 @@ import (
 	"testing"
 )
 
-// TestStopPersistsIngestResidue accepts a batch far larger than the
-// ring, so most of it is still staged at the door when the shutdown
-// fires, then proves the final checkpoint carries every accepted id and
-// a restored engine can still schedule all of them.
+// TestStopPersistsIngestResidue accepts a batch and shuts down before
+// any call moves it into the planner, so all of it is still at the door
+// when the shutdown fires, then proves the final checkpoint carries every
+// accepted id and a restored engine can still schedule all of them.
 func TestStopPersistsIngestResidue(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "arserved.ckpt")
 	net := testNetwork(t, 4)
-	cfg := Config{
-		Net:           net,
-		Rng:           rand.New(rand.NewSource(3)),
-		RingCapacity:  4, // force the overflow stage into play
-		StageCapacity: 256,
-	}
-	e, err := New(cfg)
+	e, err := New(Config{Net: net, Rng: rand.New(rand.NewSource(3))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +43,7 @@ func TestStopPersistsIngestResidue(t *testing.T) {
 		t.Fatalf("accepted %d of %d", len(res.IDs), len(specs))
 	}
 	// Shut down immediately: no tick ever ran, so nothing was pulled into
-	// the planner by scheduling — the ring and stage still hold the batch.
+	// the planner by scheduling — the door still holds the batch.
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package serve
 
 // One scheduling slot, as the sequence of phases runSlot lists. Each phase
-// below has that one call site; drainRing (planner.go) is the one the slot
+// below has that one call site; drainDoor (planner.go) is the one the slot
 // shares with single-request submits, Flush and Drain. Tick runs it
 // with the planner lock held.
 
@@ -17,7 +17,7 @@ func (e *Engine) runSlot() {
 	// Pull whatever the batch path delivered before this slot, up to the
 	// pending bound, so a batch submitted before the tick schedules in
 	// this slot exactly like single-POST arrivals would.
-	e.drainRing(false)
+	e.drainDoor(false)
 	t, depth := e.slot, len(e.pending)
 	rep, durMS := e.step(t)
 	e.observe(t, rep)

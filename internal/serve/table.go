@@ -16,7 +16,7 @@ import (
 // The map, the submission-order list, the records and each row's live
 // pointer are written and read under mu. byIdx and what a live pointer
 // leads to belong to the planner lock (the door fills a row in before
-// handing it over through the ring), so its holder reads them without the
+// the planner can take it from the door), so its holder reads them without the
 // table lock. Transition methods expect the caller to hold the write lock:
 // once per batch at the door, once per slot that decided something, never
 // on an idle slot.
@@ -72,7 +72,7 @@ type request struct {
 
 // liveState is what the planner side needs of an undecided or in-service
 // request. idx is the planner's index for it, -1 until the planner
-// appends it (it is still travelling the ingest stage and ring).
+// appends it (it is still waiting at the door).
 type liveState struct {
 	spec    RequestSpec
 	arrival int
@@ -172,7 +172,7 @@ func (t *table) insert(reqs ...*request) (evicted, skipped int) {
 }
 
 // shed drops a pending request the planner has not seen: an overload
-// victim of the stage, or one the planner refused at ingest. A request the
+// victim of the door, or one the planner refused at ingest. A request the
 // planner holds is the scheduler's to decide.
 func (t *table) shed(req *request, slot int) {
 	if req.live == nil || req.live.idx >= 0 {

@@ -91,7 +91,7 @@ func TestTableProperty(t *testing.T) {
 				if evicted != want {
 					t.Fatalf("seed %d step %d: evicted %d rows, model evicts %d", seed, step, evicted, want)
 				}
-			case op == 3: // a ring drain appends an entry to the planner
+			case op == 3: // a drain of the door appends an entry to the planner
 				if m := pick(func(m *modelRow) bool { return m.state == StatePending && m.idx < 0 }); m != nil {
 					m.idx = len(tb.byIdx)
 					tb.attach(m.req, m.idx, slot)
