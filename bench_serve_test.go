@@ -1,8 +1,11 @@
 package mecoffload
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"mecoffload/internal/mec"
 	"mecoffload/internal/oracle"
@@ -92,6 +95,68 @@ func benchServeSlot(b *testing.B, check sim.StepChecker) {
 		if err := eng.Tick(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServeSlotBacklog measures what the decided backlog costs a
+// loaded slot: one engine that never compacts (CompactAfter 1<<20), 12
+// default-spec Submits and one Tick per slot on BenchmarkServeSlot's
+// network, and the median Tick over 64 loaded slots once 1k, 8k and 32k
+// requests have been decided. A slot's passes walk its batch, not every
+// request index since the last compaction, so the benchmark fails unless
+// the 32k median stays within 1.5x of the 1k one. On a 2-vCPU shared Xeon
+// it reads ≈ 600 / 640 / 640 µs; while the task migrator scanned every
+// decision and the rounding passes every index it read ≈ 730 / 850 /
+// 1 200 µs.
+func BenchmarkServeSlotBacklog(b *testing.B) {
+	const perSlot, samples = 12, 64
+	backlogs := []int{1_000, 8_000, 32_000}
+	medians := make([]time.Duration, len(backlogs))
+	for n := 0; n < b.N; n++ {
+		net, err := mec.RandomNetwork(20, 3000, 3600, rand.New(rand.NewSource(17)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := serve.New(serve.Config{Net: net, Rng: rand.New(rand.NewSource(18)), CompactAfter: 1 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := eng.Metrics()
+		i := 0
+		slot := func() time.Duration {
+			for k := 0; k < perSlot; k++ {
+				if _, _, err := eng.Submit(serve.RequestSpec{AccessStation: i % 20, DurationSlots: 4}); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+			start := time.Now()
+			if err := eng.Tick(); err != nil {
+				b.Fatal(err)
+			}
+			return time.Since(start)
+		}
+		ticks := make([]time.Duration, samples)
+		for bi, backlog := range backlogs {
+			for m.Admitted.Load()+m.Expired.Load() < uint64(backlog) {
+				slot()
+			}
+			for s := range ticks {
+				ticks[s] = slot()
+			}
+			slices.Sort(ticks)
+			medians[bi] = ticks[samples/2]
+		}
+		if err := eng.Stop(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for bi, backlog := range backlogs {
+		b.ReportMetric(float64(medians[bi].Microseconds()), fmt.Sprintf("tick-p50-us@%dk", backlog/1000))
+	}
+	if last := len(backlogs) - 1; float64(medians[last]) > 1.5*float64(medians[0]) {
+		b.Fatalf("a loaded slot grows with the decided backlog: tick p50 %v after %d decided requests, %v after %d",
+			medians[0], backlogs[0], medians[last], backlogs[last])
 	}
 }
 

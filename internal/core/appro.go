@@ -139,7 +139,7 @@ func runRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Appro
 			break
 		}
 
-		sc.pre = roundAssignments(sc.merged.vars, sc.merged.byReq, sc.merged.y, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
+		sc.pre = roundAssignments(&sc.merged, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
 		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, res, hooks, used, nil, sc)
 		if admitted == 0 {
 			break
@@ -161,22 +161,24 @@ func runRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Appro
 	return res, nil
 }
 
-// roundAssignments performs Algorithm 1 step 2: each request lands on
-// (i, l) with probability y_jil/denom, or nowhere. Requests draw in
-// ascending global index order (one draw per request with variables), so
-// the rng consumption is independent of how the LP was decomposed. pre is
-// an optional reused buffer; the filled slice is returned.
-func roundAssignments(vars []slotVar, byReq [][]int, y []float64, reqs []*mec.Request, rng *rand.Rand, denom float64, pre []tentative) []tentative {
-	for j := range reqs {
-		if len(byReq[j]) == 0 {
+// roundAssignments performs Algorithm 1 step 2 over the merged model m:
+// each request lands on (i, l) with probability y_jil/denom, or nowhere.
+// Requests draw in ascending global index order (one draw per request with
+// variables), so the rng consumption is independent of how the LP was
+// decomposed; the walk is the pass's own sorted request list, not the
+// whole index space. pre is an optional reused buffer; the filled slice is
+// returned.
+func roundAssignments(m *mergedModel, reqs []*mec.Request, rng *rand.Rand, denom float64, pre []tentative) []tentative {
+	for _, j := range m.reqs {
+		if len(m.byReq[j]) == 0 {
 			continue
 		}
 		u := rng.Float64()
 		acc := 0.0
-		for _, idx := range byReq[j] {
-			acc += y[idx] / denom
+		for _, idx := range m.byReq[j] {
+			acc += m.y[idx] / denom
 			if u < acc {
-				sv := vars[idx]
+				sv := m.vars[idx]
 				pre = append(pre, tentative{req: j, station: sv.station, slot: sv.slot, rate: reqs[j].ExpectedRate()})
 				break
 			}

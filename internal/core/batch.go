@@ -86,12 +86,8 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 	defer putSlotScratch(sc)
 	var hooks admissionHooks
 	if opts.Distribute {
-		inBatch := growBoolsClear(&sc.inBatch, len(reqs))
-		for _, j := range opts.Active {
-			inBatch[j] = true
-		}
 		hooks = admissionHooks{
-			migrate:  newTaskMigrator(n, reqs, res, used, opts.SlotLengthMS, func(j int) bool { return inBatch[j] }),
+			migrate:  newTaskMigrator(n, reqs, res, used, opts.SlotLengthMS, opts.Active),
 			overflow: newOverflowSplitter(n, reqs, res, used, opts.SlotLengthMS),
 		}
 	}
@@ -123,7 +119,7 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 		if len(sc.merged.y) == 0 {
 			break
 		}
-		sc.pre = roundAssignments(sc.merged.vars, sc.merged.byReq, sc.merged.y, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
+		sc.pre = roundAssignments(&sc.merged, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
 		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, res, hooks, used, opts.WaitSlots, sc)
 		totalAdmitted += admitted
 		if admitted == 0 {

@@ -163,21 +163,29 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 type mergedModel struct {
 	vars  []slotVar
 	byReq [][]int // global request index -> indices into vars
-	y     []float64
-	obj   float64
+	// reqs is the pass's request list, ascending: only these entries of
+	// byReq can be non-empty.
+	reqs []int
+	y    []float64
+	obj  float64
 }
 
-// reset clears the merged model for a new pass, retaining capacity.
-func (m *mergedModel) reset(numReqs int) {
+// reset clears the merged model for a pass over the active requests,
+// retaining capacity. Only the previous pass's requests can hold
+// variables, so only their lists are cleared: a live engine's request
+// indices run up to its whole decided backlog, and a pass costs its batch.
+func (m *mergedModel) reset(numReqs int, active []int) {
 	m.vars = m.vars[:0]
 	m.y = m.y[:0]
 	m.obj = 0
-	for j := range m.byReq {
+	for _, j := range m.reqs {
 		m.byReq[j] = m.byReq[j][:0]
 	}
 	for len(m.byReq) < numReqs {
 		m.byReq = append(m.byReq, nil)
 	}
+	m.reqs = append(m.reqs[:0], active...)
+	slices.Sort(m.reqs)
 }
 
 // compPlan is what solveDecomposed's look-up pass decided for one
@@ -237,7 +245,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	}
 	inc := cfg.inc
 	warm, pass := cfg.warm, cfg.pass
-	m.reset(len(reqs))
+	m.reset(len(reqs), opts.active)
 	comps := splitComponents(n, reqs, opts, sc, inc != nil)
 	if len(comps) == 0 {
 		return nil

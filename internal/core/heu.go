@@ -38,9 +38,13 @@ func Heu(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts HeuOptions) (
 		Warm:                opts.Warm,
 	}
 	a.fill()
+	all := make([]int, len(reqs))
+	for j := range all {
+		all[j] = j
+	}
 	mk := func(res *Result, used []float64) admissionHooks {
 		return admissionHooks{
-			migrate:  newTaskMigrator(n, reqs, res, used, a.SlotLengthMS, nil),
+			migrate:  newTaskMigrator(n, reqs, res, used, a.SlotLengthMS, all),
 			overflow: newOverflowSplitter(n, reqs, res, used, a.SlotLengthMS),
 			finish: func() {
 				distributionPass(n, reqs, nil, res, used, rng, a.SlotLengthMS, nil)
@@ -90,6 +94,7 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 			totalWork += t.WorkMS
 		}
 		eDemand := n.RateToMHz(r.ExpectedRate())
+		neighbors := n.NeighborsByDistance(r.AccessStation)
 		planned := make([]int, k)
 		delta := make(map[int]float64)
 		feasible := true
@@ -99,15 +104,18 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 				share = r.Tasks[ti].WorkMS / totalWork
 			}
 			need := eDemand * share
-			// Nearest-first keeps backhaul hops (and thus latency) low.
+			// Nearest-first keeps backhaul hops (and thus latency) low: the
+			// access station (c = -1), then its neighbours by distance.
 			planned[ti] = -1
-			for _, st := range append([]int{r.AccessStation}, n.NeighborsByDistance(r.AccessStation)...) {
-				if !fitsWithin(used[st]+delta[st], need, n.Capacity(st)) {
-					continue
+			for c := -1; c < len(neighbors) && planned[ti] < 0; c++ {
+				st := r.AccessStation
+				if c >= 0 {
+					st = neighbors[c]
 				}
-				planned[ti] = st
-				delta[st] += need
-				break
+				if fitsWithin(used[st]+delta[st], need, n.Capacity(st)) {
+					planned[ti] = st
+					delta[st] += need
+				}
 			}
 			if planned[ti] == -1 {
 				feasible = false
@@ -228,23 +236,23 @@ func newOverflowSplitter(n *mec.Network, reqs []*mec.Request, res *Result, used 
 }
 
 // newTaskMigrator returns Algorithm 2's adjustment step as a migrator
-// closure over the running result and the global occupancy ledger. When
-// eligible is non-nil, only requests it accepts may donate a task — the
-// online per-slot batches use this to avoid disturbing streams admitted in
-// earlier slots, whose resource holds are already committed.
-func newTaskMigrator(n *mec.Network, reqs []*mec.Request, res *Result, used []float64, slotLenMS float64, eligible func(int) bool) migrator {
+// closure over the running result and the global occupancy ledger. Only
+// the requests listed in ids may donate a task: the online per-slot
+// batches list their own, so streams admitted in earlier slots, whose
+// resource holds are already committed, stay put and the scan costs the
+// batch, not the decided backlog. The list may come in any order; the
+// donor is the one an ascending scan would pick.
+func newTaskMigrator(n *mec.Network, reqs []*mec.Request, res *Result, used []float64, slotLenMS float64, ids []int) migrator {
 	return func(station, slot int, passUsed func(int) float64) bool {
 		// Step 11: among requests already admitted and served on this
 		// station, pick the one with the maximum realized data rate that
-		// still executes at least one task here.
+		// still executes at least one task here, the lowest index among
+		// equal rates.
 		donor := -1
 		donorRate := -1.0
-		for j := range res.Decisions {
+		for _, j := range ids {
 			d := &res.Decisions[j]
 			if !d.Admitted || d.Evicted {
-				continue
-			}
-			if eligible != nil && !eligible(j) {
 				continue
 			}
 			out, ok := reqs[j].Realized()
@@ -261,7 +269,7 @@ func newTaskMigrator(n *mec.Network, reqs []*mec.Request, res *Result, used []fl
 			if !onStation {
 				continue
 			}
-			if out.Rate > donorRate {
+			if out.Rate > donorRate || (out.Rate == donorRate && j < donor) {
 				donor, donorRate = j, out.Rate
 			}
 		}

@@ -98,6 +98,9 @@ type buildScratch struct {
 	bucket    []int
 	bucketOff []int
 	fill      []int
+	// coef holds one station's cap-row coefficients, at the bucket position
+	// where each request's run starts.
+	coef []float64
 }
 
 // buildLP constructs the resource-slot-indexed relaxation LP (Section
@@ -254,37 +257,44 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 
 	// Constraint (10) per (station, slot): truncated expected occupancy of
 	// all variables starting at or below slot l is at most 2*l*C_l/C_unit.
-	// The coefficient depends on the request and the row only, and a
-	// request's variables are adjacent in the bucket with ascending slots,
-	// so it is computed once per run of equal requests.
+	// The coefficient E[min(rho_j, trunc)] depends on the request and the
+	// row's truncation only. A request's variables are adjacent in the
+	// bucket with ascending slots, so it is computed once per run of equal
+	// requests, into coef at the run's first position, and reused on the
+	// station's later rows while trunc stays put — under LP-PT's share cap
+	// it does from the first slot that reaches the cap on.
 	for s, i := range stations {
 		own := bucket[bucketOff[s]:bucketOff[s+1]]
 		if len(own) == 0 {
 			continue
 		}
+		coefs := growFloatsClear(&bs.coef, len(own))
 		shareCap := 0.0
 		if opts.shareCapFor != nil {
 			shareCap = opts.shareCapFor(i)
 		}
 		L := int(capOf(i) / slotMHz)
+		lastTrunc := math.NaN()
 		for l := 1; l <= L; l++ {
 			slotCap := float64(l) * slotMHz / n.CUnit() // l*C_l/C_unit in MB/s
 			trunc := slotCap
 			if shareCap > 0 {
 				trunc = math.Min(trunc, shareCap)
 			}
+			fresh := trunc != lastTrunc
+			lastTrunc = trunc
 			terms = terms[:0]
 			req, coef := -1, 0.0
-			for _, idx := range own {
+			for k, idx := range own {
 				sv := &m.vars[idx]
-				if sv.slot > l {
-					continue
-				}
 				if sv.req != req {
 					req = sv.req
-					coef = reqs[req].Dist.ExpectedTruncatedRate(trunc)
+					if fresh {
+						coefs[k] = reqs[req].Dist.ExpectedTruncatedRate(trunc)
+					}
+					coef = coefs[k]
 				}
-				if coef <= 0 {
+				if sv.slot > l || coef <= 0 {
 					continue
 				}
 				terms = append(terms, lp.Term{Var: sv.v, Coef: coef})

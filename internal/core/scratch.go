@@ -45,7 +45,6 @@ type slotScratch struct {
 
 	// rounding/admission
 	undecided []int
-	inBatch   []bool
 	pre       []tentative
 	base      []float64
 }

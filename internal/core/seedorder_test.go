@@ -19,7 +19,7 @@ func referenceSolveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOption
 	if opts.slotLengthMS == 0 {
 		opts.slotLengthMS = mec.DefaultSlotLengthMS
 	}
-	m.reset(len(reqs))
+	m.reset(len(reqs), opts.active)
 	comps := splitComponents(n, reqs, opts, sc, false)
 	seeds := make([]*lp.Basis, len(comps))
 	for k := range comps {
@@ -102,7 +102,7 @@ func referenceAppro(t *testing.T, n *mec.Network, reqs []*mec.Request, rng *rand
 		if len(sc.merged.y) == 0 {
 			break
 		}
-		sc.pre = roundAssignments(sc.merged.vars, sc.merged.byReq, sc.merged.y, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
+		sc.pre = roundAssignments(&sc.merged, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
 		if admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, res, admissionHooks{}, used, nil, sc) == 0 {
 			break
 		}

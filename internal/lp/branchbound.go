@@ -213,27 +213,25 @@ func (p *Problem) floorCandidate(sol *Solution, intVars []Var) *Solution {
 		}
 	}
 	// Verify feasibility row by row.
-	lhs := make([]float64, len(p.rows))
-	for j := range p.cols {
-		if x[j] == 0 {
-			continue
-		}
-		for _, e := range p.cols[j].entries {
-			lhs[e.row] += e.coef * x[j]
-		}
-	}
 	for i, r := range p.rows {
+		lhs := 0.0
+		cols, vals := p.rowEntries(i)
+		for k, j := range cols {
+			if x[j] != 0 {
+				lhs += vals[k] * x[j]
+			}
+		}
 		switch r.op {
 		case LE:
-			if lhs[i] > r.rhs+feasTol {
+			if lhs > r.rhs+feasTol {
 				return nil
 			}
 		case GE:
-			if lhs[i] < r.rhs-feasTol {
+			if lhs < r.rhs-feasTol {
 				return nil
 			}
 		case EQ:
-			if math.Abs(lhs[i]-r.rhs) > feasTol {
+			if math.Abs(lhs-r.rhs) > feasTol {
 				return nil
 			}
 		}
@@ -250,18 +248,7 @@ func (p *Problem) floorCandidate(sol *Solution, intVars []Var) *Solution {
 // removed afterwards.
 func (p *Problem) solveNode(node *bbNode, opts SolveOptions) (*Solution, error) {
 	nRows := len(p.rows)
-	defer func() {
-		// Roll back the temporary rows and their column entries.
-		p.rows = p.rows[:nRows]
-		for j := range p.cols {
-			es := p.cols[j].entries
-			k := len(es)
-			for k > 0 && es[k-1].row >= nRows {
-				k--
-			}
-			p.cols[j].entries = es[:k]
-		}
-	}()
+	defer p.truncateRows(nRows)
 
 	// Deterministic iteration order keeps solves reproducible.
 	for _, v := range sortedVars(node.floors) {

@@ -41,15 +41,16 @@ func (p *Problem) Dense() *Dense {
 		d.Ops[r] = p.rows[r].op
 		d.RHS[r] = p.rows[r].rhs
 		d.RowNames[r] = p.rows[r].name
+		cols, vals := p.rowEntries(r)
+		for k, v := range cols {
+			d.A[r][v] = vals[k]
+		}
 	}
 	for v := range p.cols {
 		c := &p.cols[v]
 		d.Obj[v] = c.obj
 		d.Integer[v] = c.integer
 		d.Names[v] = c.name
-		for _, e := range c.entries {
-			d.A[e.row][v] += e.coef
-		}
 	}
 	return d
 }

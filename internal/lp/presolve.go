@@ -11,93 +11,66 @@ package lp
 //
 // (x >= 0 supplies the other side). It returns the fixed mask and count.
 func (p *Problem) detectFixedZero() ([]bool, int) {
-	// Only zero-rhs rows can pin; without any, skip the nonzero scan (the
-	// common case for the per-slot relaxations, which solve in sequence and
-	// should not pay a full matrix pass each for a B&B-only shape).
-	any := false
-	for i := range p.rows {
-		if r := p.rows[i].rhs; r <= feasTol && r >= -feasTol {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil, 0
-	}
-	type rowAgg struct {
-		nnz  int
-		col  int
-		coef float64
-	}
-	rows := make([]rowAgg, len(p.rows))
-	for j := range p.cols {
-		for _, e := range p.cols[j].entries {
-			r := &rows[e.row]
-			r.nnz++
-			r.col = j
-			r.coef = e.coef
-		}
-	}
-	fixed := make([]bool, len(p.cols))
+	var fixed []bool
 	n := 0
-	for i, agg := range rows {
-		if agg.nnz != 1 || fixed[agg.col] {
+	for i := range p.rows {
+		rhs, op := p.rows[i].rhs, p.rows[i].op
+		cols, vals := p.rowEntries(i)
+		// Only zero-rhs singleton rows can pin: the per-slot relaxations
+		// have none, and pay one pass over the row headers.
+		if len(cols) != 1 || rhs > feasTol || rhs < -feasTol {
 			continue
 		}
-		rhs, op := p.rows[i].rhs, p.rows[i].op
 		pin := false
-		switch op {
+		switch coef := vals[0]; op {
 		case LE:
-			pin = agg.coef > 0 && rhs <= feasTol && rhs >= -feasTol
+			pin = coef > 0
 		case GE:
-			pin = agg.coef < 0 && rhs <= feasTol && rhs >= -feasTol
+			pin = coef < 0
 		case EQ:
-			pin = agg.coef != 0 && rhs <= feasTol && rhs >= -feasTol
+			pin = coef != 0
 		}
-		if pin {
-			fixed[agg.col] = true
+		if !pin {
+			continue
+		}
+		if fixed == nil {
+			fixed = make([]bool, len(p.cols))
+		}
+		if !fixed[cols[0]] {
+			fixed[cols[0]] = true
 			n++
 		}
 	}
 	return fixed, n
 }
 
-// solveReduced rebuilds the problem without the fixed columns, solves it,
-// and expands the solution back to the original variable space. Row
-// indices are preserved so dual values map one to one.
+// solveReduced solves the problem without the fixed columns and expands
+// the solution back to the original variable space. The reduced problem
+// keeps every row in place — entries of fixed columns vanish (their value
+// is zero) — so dual values map one to one.
 func (p *Problem) solveReduced(fixed []bool, opts SolveOptions) (*Solution, error) {
 	q := NewProblem(p.sense)
-	remap := make([]Var, len(p.cols)) // old -> new (valid where !fixed)
+	remap := make([]int, len(p.cols)) // old -> new (valid where !fixed)
 	for j := range p.cols {
 		if fixed[j] {
 			continue
 		}
-		remap[j] = q.AddVariable(p.cols[j].name, p.cols[j].obj)
+		remap[j] = len(q.cols)
+		q.cols = append(q.cols, p.cols[j])
 	}
-	// Rows are recreated in order; entries of fixed columns vanish
-	// (their value is zero).
-	type term struct {
-		v Var
-		c float64
+	// The renumbering keeps column order, so each filtered row stays
+	// ascending, distinct and free of zeros.
+	for i := range p.rows {
+		cols, vals := p.rowEntries(i)
+		for k, j := range cols {
+			if !fixed[j] {
+				q.mat.ci = append(q.mat.ci, remap[j])
+				q.mat.vx = append(q.mat.vx, vals[k])
+			}
+		}
+		q.mat.ptr = append(q.mat.ptr, len(q.mat.ci))
 	}
-	rowTerms := make([][]term, len(p.rows))
-	for j := range p.cols {
-		if fixed[j] {
-			continue
-		}
-		for _, e := range p.cols[j].entries {
-			rowTerms[e.row] = append(rowTerms[e.row], term{v: remap[j], c: e.coef})
-		}
-	}
-	for i, r := range p.rows {
-		terms := make([]Term, len(rowTerms[i]))
-		for k, t := range rowTerms[i] {
-			terms[k] = Term{Var: t.v, Coef: t.c}
-		}
-		if _, err := q.AddConstraint(r.name, r.op, r.rhs, terms...); err != nil {
-			return nil, err
-		}
-	}
+	q.rows = append(q.rows, p.rows...)
 	if q.NumVars() == 0 {
 		// Everything fixed at zero: feasibility reduces to checking the
 		// constant rows, which the empty-variable solve cannot express;

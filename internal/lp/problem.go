@@ -10,12 +10,19 @@
 // offers none in the standard library.
 //
 // Scale notes: the relaxations solved here have a few hundred rows and up
-// to tens of thousands of columns. The solver stores the constraint matrix
-// in compressed-sparse-column form with a row-wise copy, maintains the
-// basis inverse in product form (a periodically refactorized reference
-// inverse plus an eta file of pivot updates), and keeps every column's
-// reduced cost up to date from the pivot row instead of re-pricing each
-// pivot, choosing the entering column by devex score. It can warm-start
+// to tens of thousands of columns. A Problem stores its constraints the
+// way they are built, row-wise and compressed (one flat row pointer,
+// column and value array): AddConstraint appends a row's terms
+// contiguously, accumulating duplicates in place, so building costs the
+// nonzeros and a rebuild through Reset allocates nothing. A solve copies
+// the rows straight into the standard form's row-wise matrix, slack and
+// artificial entries appended, and makes the compressed-sparse-column
+// matrix the simplex prices from with one transpose. The solver maintains
+// the basis inverse in product form (a periodically refactorized
+// reference inverse plus an eta file of pivot updates), and keeps every
+// column's reduced cost up to date from the pivot row — built from the
+// row-wise copy — instead of re-pricing each pivot, choosing the entering
+// column by devex score. It can warm-start
 // from a previous solution's basis (Solution.Basis and
 // SolveOptions.WarmStart), which pays when consecutive LPs share most of
 // their basis: Appro/Heu's rounding passes, an experiment cell's
@@ -32,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Sense selects the optimization direction of a problem.
@@ -118,16 +126,10 @@ type column struct {
 	hash    uint64
 	obj     float64
 	integer bool
-	entries []entry // filled when constraints reference the column
 }
 
-// entry is one nonzero of the sparse column.
-type entry struct {
-	row  int
-	coef float64
-}
-
-// row holds one constraint.
+// row holds one constraint; its nonzeros live in the problem's row-wise
+// matrix.
 type row struct {
 	name string
 	hash uint64
@@ -154,6 +156,13 @@ type Problem struct {
 	sense Sense
 	cols  []column
 	rows  []row
+	// mat is the constraint matrix, stored row-wise as it is built: each
+	// AddConstraint appends one row, its columns ascending and distinct,
+	// with no zero coefficient.
+	mat csr
+	// mark[j] is where column j's entry in the row being added sits in
+	// mat, if it has one there (see AddConstraint).
+	mark []int
 }
 
 // NewProblem returns an empty problem with the given optimization sense.
@@ -161,7 +170,7 @@ func NewProblem(sense Sense) *Problem {
 	if sense != Minimize && sense != Maximize {
 		sense = Minimize
 	}
-	return &Problem{sense: sense}
+	return &Problem{sense: sense, mat: csr{ptr: []int{0}}}
 }
 
 // Sense returns the optimization direction.
@@ -174,26 +183,37 @@ func (p *Problem) NumVars() int { return len(p.cols) }
 func (p *Problem) NumConstraints() int { return len(p.rows) }
 
 // Reset empties the problem for rebuilding under the same sense, keeping
-// its row, column and per-column entry storage. A caller that rebuilds a
-// similar problem again and again (the per-slot LP-PT) builds into one
-// Problem and, once that has seen its largest shape, allocates nothing.
-// Solutions and bases of earlier solves stay valid: they alias nothing of
-// the problem.
+// its row, column and matrix storage. A caller that rebuilds a similar
+// problem again and again (the per-slot LP-PT) builds into one Problem
+// and, once that has seen its largest shape, allocates nothing. Solutions
+// and bases of earlier solves stay valid: they alias nothing of the
+// problem.
 func (p *Problem) Reset() {
-	p.rows = p.rows[:0]
 	p.cols = p.cols[:0]
+	p.truncateRows(0)
 }
 
-// addColumn appends a column, taking over the entry storage a column at
-// this position held before the last Reset.
-func (p *Problem) addColumn(name string, obj float64, integer bool) Var {
-	j := len(p.cols)
-	var entries []entry
-	if j < cap(p.cols) {
-		entries = p.cols[:j+1][j].entries[:0]
+// truncateRows drops every constraint from row nRows on.
+func (p *Problem) truncateRows(nRows int) {
+	end := 0
+	if nRows > 0 {
+		end = p.mat.ptr[nRows]
 	}
-	p.cols = append(p.cols, column{name: name, hash: nameHash(name), obj: obj, integer: integer, entries: entries})
-	return Var(j)
+	p.rows = p.rows[:nRows]
+	p.mat.ptr = append(p.mat.ptr[:nRows], end)
+	p.mat.ci = p.mat.ci[:end]
+	p.mat.vx = p.mat.vx[:end]
+}
+
+func (p *Problem) addColumn(name string, obj float64, integer bool) Var {
+	p.cols = append(p.cols, column{name: name, hash: nameHash(name), obj: obj, integer: integer})
+	return Var(len(p.cols) - 1)
+}
+
+// rowEntries returns views of row i's columns and coefficients.
+func (p *Problem) rowEntries(i int) ([]int, []float64) {
+	s, e := p.mat.ptr[i], p.mat.ptr[i+1]
+	return p.mat.ci[s:e], p.mat.vx[s:e]
 }
 
 // AddVariable adds a continuous variable x >= 0 with the given objective
@@ -227,32 +247,61 @@ func (p *Problem) AddConstraint(name string, op Op, rhs float64, terms ...Term) 
 			return 0, fmt.Errorf("%w: %v on var %d", ErrBadCoef, t.Coef, t.Var)
 		}
 	}
-	r := len(p.rows)
-	p.rows = append(p.rows, row{name: name, hash: nameHash(name), op: op, rhs: rhs})
-	// Rows are appended in index order, so a column's entries are sorted by
-	// row and its last entry belongs to row r exactly when an earlier term
-	// of this constraint already touched the column: duplicates accumulate
-	// there, with no staging map.
-	maybeZero := false
+	if len(p.mark) < len(p.cols) {
+		p.mark = append(p.mark, make([]int, len(p.cols)-len(p.mark))...)
+	}
+	// The row's terms are appended in arrival order, each column once:
+	// mark[j] points at j's entry when an earlier term of this row already
+	// placed one, and duplicates accumulate there, with no staging map. A
+	// mark left by an earlier row, or by a build before Reset, points before
+	// start or at another column's entry, so the check needs no clearing.
+	start := len(p.mat.ci)
+	sorted, maybeZero := true, false
 	for _, t := range terms {
-		es := p.cols[t.Var].entries
-		if n := len(es); n > 0 && es[n-1].row == r {
-			es[n-1].coef += t.Coef
+		j := int(t.Var)
+		if k := p.mark[j]; k >= start && k < len(p.mat.ci) && p.mat.ci[k] == j {
+			p.mat.vx[k] += t.Coef
 			maybeZero = true
 			continue
 		}
-		p.cols[t.Var].entries = append(es, entry{row: r, coef: t.Coef})
+		if n := len(p.mat.ci); n > start && p.mat.ci[n-1] > j {
+			sorted = false
+		}
+		p.mark[j] = len(p.mat.ci)
+		p.mat.ci = append(p.mat.ci, j)
+		p.mat.vx = append(p.mat.vx, t.Coef)
 		maybeZero = maybeZero || t.Coef == 0
 	}
 	if maybeZero {
-		for _, t := range terms {
-			es := p.cols[t.Var].entries
-			if n := len(es); n > 0 && es[n-1].row == r && es[n-1].coef == 0 {
-				p.cols[t.Var].entries = es[:n-1]
+		// Drop the coefficients that summed (or started) at zero.
+		k := start
+		for i := start; i < len(p.mat.ci); i++ {
+			if p.mat.vx[i] != 0 {
+				p.mat.ci[k], p.mat.vx[k] = p.mat.ci[i], p.mat.vx[i]
+				k++
 			}
 		}
+		p.mat.ci, p.mat.vx = p.mat.ci[:k], p.mat.vx[:k]
 	}
-	return r, nil
+	if !sorted {
+		sort.Sort(rowSorter{p.mat.ci[start:], p.mat.vx[start:]})
+	}
+	p.mat.ptr = append(p.mat.ptr, len(p.mat.ci))
+	p.rows = append(p.rows, row{name: name, hash: nameHash(name), op: op, rhs: rhs})
+	return len(p.rows) - 1, nil
+}
+
+// rowSorter orders one row's entries by column.
+type rowSorter struct {
+	ci []int
+	vx []float64
+}
+
+func (s rowSorter) Len() int           { return len(s.ci) }
+func (s rowSorter) Less(a, b int) bool { return s.ci[a] < s.ci[b] }
+func (s rowSorter) Swap(a, b int) {
+	s.ci[a], s.ci[b] = s.ci[b], s.ci[a]
+	s.vx[a], s.vx[b] = s.vx[b], s.vx[a]
 }
 
 // Solution holds the result of a solve.

@@ -56,10 +56,8 @@ type standardForm struct {
 	// needed to map internal duals back to the caller's rows.
 	flipped []bool
 	// conversion scratch, reused across solves (see toStandard): each
-	// row's operator after sign normalization, and the slack that can start
-	// in the basis (-1 for none).
-	opsBuf        []Op
-	slackBasisBuf []int
+	// row's operator after sign normalization.
+	opsBuf []Op
 	// resolve scratch, reused across solves (see resolveBasis).
 	colsBuf     []int
 	claimedBuf  []bool
@@ -69,17 +67,25 @@ type standardForm struct {
 
 // toStandard converts the builder problem into sf, reusing whatever
 // storage sf already carries (it may be a recycled scratch or a zero
-// value). Maximization is handled by negating the objective.
+// value). Maximization is handled by negating the objective. The problem's
+// rows become the row-wise copy at directly — each row's structural
+// entries (sign-flipped where b is), then its slack/surplus, then its
+// artificial, columns ascending — and the column-wise matrix a is at's one
+// transpose.
 func (p *Problem) toStandard(sf *standardForm) *standardForm {
 	m, n := len(p.rows), len(p.cols)
 	sf.m, sf.n = m, n
 	sf.b = growFloats(sf.b, m)
 	sf.flipped = growBools(sf.flipped, m)
-	flip := sf.flipped
 	if cap(sf.opsBuf) < m {
 		sf.opsBuf = make([]Op, m)
 	}
 	ops := sf.opsBuf[:m]
+	// Slack/surplus columns follow the structural ones, one per inequality
+	// row in row order; artificials follow those, one per row whose slack
+	// cannot start in the basis (a surplus on a >= row would be negative;
+	// an = row has none).
+	nSlack := 0
 	for i := range p.rows {
 		r := &p.rows[i]
 		rhs, op := r.rhs, r.op
@@ -93,79 +99,70 @@ func (p *Problem) toStandard(sf *standardForm) *standardForm {
 				op = LE
 			}
 		}
-		flip[i] = neg
+		sf.flipped[i] = neg
 		sf.b[i] = rhs
 		ops[i] = op
+		if op != EQ {
+			nSlack++
+		}
 	}
-
-	if sf.a == nil {
-		sf.a = &csc{}
-	}
-	sf.a.ptr = append(sf.a.ptr[:0], 0)
-	sf.a.ri = sf.a.ri[:0]
-	sf.a.vx = sf.a.vx[:0]
-	sf.c = sf.c[:0]
-	sf.colRow = sf.colRow[:0]
+	sf.artStart = n + nSlack
+	sf.slackCol = growInts(sf.slackCol, m)
+	sf.basis0 = growInts(sf.basis0, m)
+	sf.colRow = growInts(sf.colRow, sf.artStart)
+	sf.c = growFloats(sf.c, sf.artStart)
 	sign := 1.0
 	if p.sense == Maximize {
 		sign = -1
 	}
 	for j := range p.cols {
-		col := &p.cols[j]
-		for _, e := range col.entries {
-			coef := e.coef
-			if flip[e.row] {
-				coef = -coef
-			}
-			sf.a.push(e.row, coef)
-		}
-		sf.a.endCol()
-		sf.c = append(sf.c, sign*col.obj)
-		sf.colRow = append(sf.colRow, -1)
+		sf.c[j] = sign * p.cols[j].obj
+		sf.colRow[j] = -1
 	}
 
-	// Slack/surplus columns. A slack on a <= row (rhs >= 0) can start in
-	// the basis; a surplus on a >= row cannot (it would be negative).
-	sf.slackBasisBuf = growInts(sf.slackBasisBuf, m)
-	slackBasis := sf.slackBasisBuf
-	sf.slackCol = growInts(sf.slackCol, m)
-	for i := range slackBasis {
-		slackBasis[i] = -1
-		sf.slackCol[i] = -1
-	}
+	at := &sf.at
+	at.ptr = append(at.ptr[:0], 0)
+	at.ci, at.vx = at.ci[:0], at.vx[:0]
+	slack := n
 	for i, op := range ops {
-		switch op {
-		case LE:
-			sf.a.appendUnit(i, 1)
+		cols, vals := p.rowEntries(i)
+		at.ci = append(at.ci, cols...)
+		k := len(at.vx)
+		at.vx = append(at.vx, vals...)
+		if sf.flipped[i] {
+			for ; k < len(at.vx); k++ {
+				at.vx[k] = -at.vx[k]
+			}
+		}
+		sf.slackCol[i] = -1
+		if op != EQ {
+			sgn := 1.0
+			if op == GE {
+				sgn = -1
+			}
+			at.ci = append(at.ci, slack)
+			at.vx = append(at.vx, sgn)
+			sf.slackCol[i] = slack
+			sf.c[slack], sf.colRow[slack] = 0, i
+			slack++
+		}
+		if op == LE {
+			sf.basis0[i] = sf.slackCol[i]
+		} else {
+			art := len(sf.c)
+			at.ci = append(at.ci, art)
+			at.vx = append(at.vx, 1)
 			sf.c = append(sf.c, 0)
 			sf.colRow = append(sf.colRow, i)
-			sf.slackCol[i] = sf.a.numCols() - 1
-			slackBasis[i] = sf.slackCol[i]
-		case GE:
-			sf.a.appendUnit(i, -1)
-			sf.c = append(sf.c, 0)
-			sf.colRow = append(sf.colRow, i)
-			sf.slackCol[i] = sf.a.numCols() - 1
-		case EQ:
-			// no slack
+			sf.basis0[i] = art
 		}
+		at.ptr = append(at.ptr, len(at.ci))
 	}
-
-	// Artificials for rows without a basic slack.
-	sf.artStart = sf.a.numCols()
-	sf.basis0 = growInts(sf.basis0, m)
-	for i := range sf.basis0 {
-		if slackBasis[i] >= 0 {
-			sf.basis0[i] = slackBasis[i]
-			continue
-		}
-		sf.a.appendUnit(i, 1)
-		sf.c = append(sf.c, 0)
-		sf.colRow = append(sf.colRow, i)
-		sf.basis0[i] = sf.a.numCols() - 1
+	sf.nTotal = len(sf.c)
+	if sf.a == nil {
+		sf.a = &csc{}
 	}
-	sf.nTotal = sf.a.numCols()
-	sf.at.transpose(sf.a, m)
+	sf.a.fromRows(at, sf.nTotal)
 	return sf
 }
 

@@ -182,11 +182,24 @@ func sameSolution(a, b *Solution) string {
 	return ""
 }
 
-// columnEntries deep-copies every column's entry list.
+// entry is one nonzero of a column: its row and coefficient.
+type entry struct {
+	row  int
+	coef float64
+}
+
+// columnEntries lists every column's nonzeros in ascending row order, read
+// off the problem's row-wise matrix.
 func columnEntries(p *Problem) [][]entry {
 	out := make([][]entry, len(p.cols))
-	for j := range p.cols {
-		out[j] = append([]entry{}, p.cols[j].entries...)
+	for j := range out {
+		out[j] = []entry{}
+	}
+	for i := range p.rows {
+		cols, vals := p.rowEntries(i)
+		for k, j := range cols {
+			out[j] = append(out[j], entry{row: i, coef: vals[k]})
+		}
 	}
 	return out
 }
@@ -225,7 +238,7 @@ func TestDuplicateTermsCancelAcrossAnotherVariable(t *testing.T) {
 		return p, x
 	}
 	p, x := build(true)
-	if got, want := p.cols[x].entries, []entry{{0, 1}}; !reflect.DeepEqual(got, want) {
+	if got, want := columnEntries(p)[x], []entry{{0, 1}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("x entries %v, want %v", got, want)
 	}
 	q, _ := build(false)

@@ -10,29 +10,6 @@ type csc struct {
 	vx  []float64
 }
 
-// numCols returns the number of columns appended so far.
-func (a *csc) numCols() int { return len(a.ptr) - 1 }
-
-// push appends one nonzero to the column currently being assembled;
-// endCol seals it. Together they let a builder stream entries straight
-// into the shared backing arrays without a per-column staging buffer.
-func (a *csc) push(row int, val float64) {
-	a.ri = append(a.ri, row)
-	a.vx = append(a.vx, val)
-}
-
-// endCol seals the column assembled by preceding push calls.
-func (a *csc) endCol() {
-	a.ptr = append(a.ptr, len(a.ri))
-}
-
-// appendUnit adds a column with a single nonzero.
-func (a *csc) appendUnit(row int, val float64) {
-	a.ri = append(a.ri, row)
-	a.vx = append(a.vx, val)
-	a.ptr = append(a.ptr, len(a.ri))
-}
-
 // col returns views of column j's row indices and values.
 func (a *csc) col(j int) ([]int, []float64) {
 	s, e := a.ptr[j], a.ptr[j+1]
@@ -53,43 +30,46 @@ func (a *csc) dot(v []float64, j int) float64 {
 	return d
 }
 
-// csr is the row-wise copy of a csc matrix: the nonzeros of row i are
-// ci[ptr[i]:ptr[i+1]] / vx[ptr[i]:ptr[i+1]], in ascending column order.
-// The simplex builds the pivot row e_r^T B^{-1} A from it by accumulating
-// only the rows where e_r^T B^{-1} is nonzero.
+// fromRows rebuilds a as the column-wise copy of the n-column row-wise
+// matrix t, reusing a's storage: one counting pass, one scatter. Each
+// column comes out in ascending row order.
+func (a *csc) fromRows(t *csr, n int) {
+	a.ptr = growInts(a.ptr, n+1)
+	clear(a.ptr)
+	for _, j := range t.ci {
+		a.ptr[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		a.ptr[j+1] += a.ptr[j]
+	}
+	nnz := len(t.ci)
+	a.ri = growInts(a.ri, nnz)
+	a.vx = growFloats(a.vx, nnz)
+	// Fill each column from its end backwards while the rows are walked in
+	// descending order, so ptr[j] ends where it started and every column
+	// comes out ascending.
+	for i := len(t.ptr) - 2; i >= 0; i-- {
+		for k := t.ptr[i+1] - 1; k >= t.ptr[i]; k-- {
+			j := t.ci[k]
+			a.ptr[j+1]--
+			p := a.ptr[j+1]
+			a.ri[p] = i
+			a.vx[p] = t.vx[k]
+		}
+	}
+	// Each ptr[j+1] now holds column j's start; shift back into place.
+	copy(a.ptr, a.ptr[1:])
+	a.ptr[n] = nnz
+}
+
+// csr is a compressed-sparse-row matrix: the nonzeros of row i are
+// ci[ptr[i]:ptr[i+1]] / vx[ptr[i]:ptr[i+1]], in ascending column order. A
+// Problem stores its constraints this way as they are added, and the
+// simplex builds the pivot row e_r^T B^{-1} A from the standard form's
+// row-wise copy by accumulating only the rows where e_r^T B^{-1} is
+// nonzero.
 type csr struct {
 	ptr []int
 	ci  []int
 	vx  []float64
-}
-
-// transpose rebuilds t as the row-wise copy of the m-row matrix a, reusing
-// t's storage.
-func (t *csr) transpose(a *csc, m int) {
-	t.ptr = growInts(t.ptr, m+1)
-	clear(t.ptr)
-	for _, r := range a.ri {
-		t.ptr[r+1]++
-	}
-	for i := 0; i < m; i++ {
-		t.ptr[i+1] += t.ptr[i]
-	}
-	nnz := len(a.ri)
-	t.ci = growInts(t.ci, nnz)
-	t.vx = growFloats(t.vx, nnz)
-	// Fill each row from its end backwards while the columns are walked in
-	// descending order, so ptr[i] ends where it started and every row comes
-	// out ascending.
-	for j := a.numCols() - 1; j >= 0; j-- {
-		for k := a.ptr[j+1] - 1; k >= a.ptr[j]; k-- {
-			r := a.ri[k]
-			t.ptr[r+1]--
-			p := t.ptr[r+1]
-			t.ci[p] = j
-			t.vx[p] = a.vx[k]
-		}
-	}
-	// Each ptr[i+1] now holds row i's start; shift back into place.
-	copy(t.ptr, t.ptr[1:])
-	t.ptr[m] = nnz
 }

@@ -1,11 +1,14 @@
 package mec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mecoffload/internal/dist"
+	"mecoffload/internal/graph"
 	"mecoffload/internal/topology"
 )
 
@@ -123,6 +126,95 @@ func TestNeighborsByDistance(t *testing.T) {
 	nearest, d := net.NearestStation(0, []int{1, 2, 3})
 	if nearest < 1 || nearest > 3 || d <= 0 {
 		t.Fatalf("nearest = %d at %v", nearest, d)
+	}
+}
+
+// referenceNeighbors is NeighborsByDistance as it stood while it sorted on
+// every call: the other stations in index order, insertion-sorted by
+// delay, so equal delays keep index order.
+func referenceNeighbors(n *Network, from int) []int {
+	out := []int{}
+	for i := range n.stations {
+		if i != from {
+			out = append(out, i)
+		}
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && n.ap.Dist(from, out[j]) < n.ap.Dist(from, out[j-1]); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}
+
+// TestNeighborsByDistanceMatchesSort: the order computed once per network
+// is the order the per-call sort gave, for every station of RandomNetwork
+// meshes of several sizes and of two topologies where most delays tie (a
+// unit-weight ring and a unit-weight graph split into islands, whose
+// unreachable stations all sit at +Inf). A caller appending to the shared
+// slice must not reach the next station's list.
+func TestNeighborsByDistanceMatchesSort(t *testing.T) {
+	nets := map[string]*Network{}
+	for seed := int64(1); seed <= 12; seed++ {
+		nets[fmt.Sprintf("random seed %d", seed)] = testNet(t, 1+int(seed)*3, seed)
+	}
+	for _, tc := range []struct {
+		name  string
+		edges func(g *graph.Graph, n int) error
+	}{
+		{"ring", func(g *graph.Graph, n int) error {
+			for i := 0; i < n; i++ {
+				if _, err := g.AddEdge(i, (i+1)%n, 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"islands", func(g *graph.Graph, n int) error {
+			for i := 0; i+1 < n; i++ {
+				if i%4 != 3 {
+					if _, err := g.AddEdge(i, i+1, 1); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}},
+	} {
+		const n = 12
+		g := graph.New(n)
+		if err := tc.edges(g, n); err != nil {
+			t.Fatal(err)
+		}
+		stations := make([]BaseStation, n)
+		for i := range stations {
+			stations[i].CapacityMHz = 1000
+		}
+		net, err := NewNetwork(NetworkConfig{Stations: stations, Topo: &topology.Topology{Graph: g, Nodes: make([]topology.Node, n)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[tc.name] = net
+	}
+	ties := 0
+	for name, net := range nets {
+		for from := 0; from < net.NumStations(); from++ {
+			got, want := net.NeighborsByDistance(from), referenceNeighbors(net, from)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: neighbors of %d = %v, sorted per call %v", name, from, got, want)
+			}
+			for i := 1; i < len(want); i++ {
+				if net.OneWayDelayMS(from, want[i]) == net.OneWayDelayMS(from, want[i-1]) {
+					ties++
+				}
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%s: neighbors of %d have spare capacity %d: an append would overwrite the next list", name, from, cap(got)-len(got))
+			}
+		}
+	}
+	if ties < 100 {
+		t.Fatalf("only %d tied neighbor pairs: the tie-breaking went unexercised", ties)
 	}
 }
 

@@ -12,9 +12,11 @@
 package mec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mecoffload/internal/graph"
 	"mecoffload/internal/topology"
@@ -73,6 +75,10 @@ type Network struct {
 	// ones. Lazily allocated by SetCapacityScale so the common stationary
 	// case costs one nil check per Capacity read.
 	capScale []float64
+	// neighbors holds every station's other stations by ascending backhaul
+	// delay, station i's at [i*(N-1), (i+1)*(N-1)): the topology is
+	// immutable, so NeighborsByDistance sorts nothing.
+	neighbors []int
 }
 
 // NetworkConfig parameterizes NewNetwork.
@@ -121,13 +127,28 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			return nil, fmt.Errorf("%w: station %d speed factor %v", ErrBadCapacity, i, stations[i].SpeedFactor)
 		}
 	}
-	return &Network{
+	n := &Network{
 		stations: stations,
 		topo:     cfg.Topo,
 		ap:       cfg.Topo.Graph.AllPairsShortestPaths(),
 		slotMHz:  cfg.SlotMHz,
 		cUnit:    cfg.CUnit,
-	}, nil
+	}
+	k := len(stations) - 1
+	n.neighbors = make([]int, 0, len(stations)*k)
+	for from := range stations {
+		start := len(n.neighbors)
+		for i := range stations {
+			if i != from {
+				n.neighbors = append(n.neighbors, i)
+			}
+		}
+		// Stable: stations at equal delay keep index order.
+		slices.SortStableFunc(n.neighbors[start:], func(a, b int) int {
+			return cmp.Compare(n.ap.Dist(from, a), n.ap.Dist(from, b))
+		})
+	}
+	return n, nil
 }
 
 // NumStations returns |BS|.
@@ -244,21 +265,12 @@ func (n *Network) NearestStation(from int, candidates []int) (int, float64) {
 }
 
 // NeighborsByDistance returns all other stations sorted by ascending
-// backhaul delay from the given station.
+// backhaul delay from the given station, equal delays in index order. The
+// slice is shared and computed once per network: callers must not modify
+// it.
 func (n *Network) NeighborsByDistance(from int) []int {
-	out := make([]int, 0, len(n.stations)-1)
-	for i := range n.stations {
-		if i != from {
-			out = append(out, i)
-		}
-	}
-	// Insertion sort by distance: station counts are small (10-50).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && n.ap.Dist(from, out[j]) < n.ap.Dist(from, out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	k := len(n.stations) - 1
+	return n.neighbors[from*k : (from+1)*k : (from+1)*k]
 }
 
 // Edges returns the backhaul links with their per-unit delays (ms).
