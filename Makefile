@@ -86,18 +86,20 @@ bench:
 ## mirroring the CI bench-smoke job. No regression gate here: at
 ## -benchtime 1x neither timings nor allocation counts mean anything
 ## (`make bench` measures, the AllocsPerRun tests pin). The checks that
-## do run are two backlog gates: BenchmarkClusterSweepBacklog's sweep- and
-## checkpoint-slot tick time flat within 2x from 1k to 100k settled
-## spanning requests of routing history, and BenchmarkServeSlotBacklog's
-## loaded-slot tick flat within 1.5x from 1k to 32k decided requests on
-## an engine that never compacts. BenchmarkBuildLP (the slot LP's
+## do run are two backlog gates and a network-size gate:
+## BenchmarkClusterSweepBacklog's sweep- and checkpoint-slot tick time flat
+## within 2x from 1k to 100k settled spanning requests of routing history,
+## BenchmarkServeSlotBacklog's loaded-slot tick flat within 1.5x from 1k to
+## 32k decided requests on an engine that never compacts, and
+## BenchmarkServeSlotStations' clean-slot tick within 2x from 64 to 1 024
+## stations. BenchmarkBuildLP (the slot LP's
 ## builder, alone and beside its solve, on three shapes) lives in
 ## internal/core because it calls the unexported builder, and
 ## BenchmarkDecodeBatch (the NDJSON line scanner beside its encoding/json
 ## reference, on the three bodies the end-to-end workloads post) in
 ## internal/serve because the reference is a test file there.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeSlotBacklog|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeSlotBacklog|BenchmarkServeSlotStations|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildLP' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBatch' -benchtime 1x -benchmem ./internal/serve/
 

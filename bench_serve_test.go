@@ -160,6 +160,73 @@ func BenchmarkServeSlotBacklog(b *testing.B) {
 	}
 }
 
+// BenchmarkServeSlotStations measures what the network's size costs a
+// clean slot: BenchmarkIncrementalServeSlot's 16-request steady wave on
+// its 16 four-station islands, padded with idle islands to 64, 256 and
+// 1 024 stations, and the median Tick over 256 slots after 16 warm-up
+// slots, each slot's wave submitted and flushed off the clock. Every
+// sampled slot replays all of its components (the benchmark fails if one
+// reaches the LP). A request can only reach its own island, and delay
+// feasibility is walked out from its access station, so the benchmark
+// fails unless the 1 024-station median stays within 2x of the 64-station
+// one. On a 2-vCPU shared Xeon it reads ≈ 18 / 19 / 25 µs; while every
+// rounding pass and expiry scanned every station per request the 64- and
+// 1 024-station medians read ≈ 36 and 215–230 µs.
+func BenchmarkServeSlotStations(b *testing.B) {
+	const warmup, samples = 16, 256
+	sizes := []int{64, 256, 1024}
+	specs := benchPeriodicSpecs(16, len(benchIslandCaps))
+	medians := make([]time.Duration, len(sizes))
+	for n := 0; n < b.N; n++ {
+		for si, size := range sizes {
+			eng, err := serve.New(serve.Config{
+				Net:       benchHeteroIslands(b, size/len(benchIslandCaps), benchIslandCaps),
+				Rng:       rand.New(rand.NewSource(23)),
+				DynamicRR: sim.DynamicRROptions{RoundingDenominator: 1},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			slot := func() time.Duration {
+				if _, err := eng.SubmitBatch(specs); err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				if err := eng.Tick(); err != nil {
+					b.Fatal(err)
+				}
+				return time.Since(start)
+			}
+			for w := 0; w < warmup; w++ {
+				slot()
+			}
+			dirty := eng.IncStats().DirtySolves
+			ticks := make([]time.Duration, samples)
+			for s := range ticks {
+				ticks[s] = slot()
+			}
+			if d := eng.IncStats().DirtySolves - dirty; d != 0 {
+				b.Fatalf("%d stations: %d component solves in the sampled slots, want every component to replay", size, d)
+			}
+			if err := eng.Stop(); err != nil {
+				b.Fatal(err)
+			}
+			slices.Sort(ticks)
+			medians[si] = ticks[samples/2]
+		}
+	}
+	for si, size := range sizes {
+		b.ReportMetric(float64(medians[si].Microseconds()), fmt.Sprintf("tick-p50-us@%d", size))
+	}
+	if last := len(sizes) - 1; float64(medians[last]) > 2*float64(medians[0]) {
+		b.Fatalf("a clean slot grows with the network: tick p50 %v at %d stations, %v at %d",
+			medians[0], sizes[0], medians[last], sizes[last])
+	}
+}
+
 // BenchmarkServeIngest measures the batched intake pipeline end to end:
 // each iteration submits one batch through SubmitBatch (pricing, the
 // door, request-table inserts), flushes it into the planner, and ticks —

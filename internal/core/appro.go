@@ -105,6 +105,7 @@ func runRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Appro
 	for j := range undecided {
 		undecided[j] = j
 	}
+	sc.reach.fill(n, reqs, undecided, nil, opts.SlotLengthMS)
 	maxPasses := opts.Passes
 	if maxPasses <= 0 {
 		maxPasses = maxAutoPasses
@@ -127,6 +128,7 @@ func runRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Appro
 			capOf:        capOf,
 			slotMHz:      slotMHz,
 			slotLengthMS: opts.SlotLengthMS,
+			reach:        &sc.reach,
 			names:        opts.Warm.nameTable(),
 		}, solveCfg{warm: opts.Warm, pass: pass}, sc, &sc.merged)
 		if err != nil {

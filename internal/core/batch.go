@@ -94,6 +94,8 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 
 	sc.undecided = append(sc.undecided[:0], opts.Active...)
 	undecided := sc.undecided
+	// The waits are fixed within the slot, and so is constraint (11).
+	sc.reach.fill(n, reqs, opts.Active, opts.WaitSlots, opts.SlotLengthMS)
 	totalAdmitted := 0
 	slotMHz := n.SlotMHz()
 	for pass := 0; pass < maxPasses && len(undecided) > 0; pass++ {
@@ -110,6 +112,7 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 			shareCapFor:  opts.ShareCapMBs,
 			waitSlots:    opts.WaitSlots,
 			slotLengthMS: opts.SlotLengthMS,
+			reach:        &sc.reach,
 			names:        opts.Warm.nameTable(),
 			positional:   true,
 		}, solveCfg{warm: opts.Warm, pass: pass, inc: opts.Inc}, sc, &sc.merged)

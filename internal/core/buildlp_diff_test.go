@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -332,12 +333,16 @@ func requireSameModel(t *testing.T, label string, got, want *lpModel, numReqs in
 // TestBuildLPMatchesReference is the builder differential: on seeded
 // random components the in-place builder — one scratch reused across all
 // of them, so every build follows one of another shape — produces the
-// LP the reference produces, and the simplex walks it the same way.
+// LP the reference produces, and the simplex walks it the same way. The
+// reference tests every station of the build for delay feasibility; the
+// builder reads reach lists, computed per build (fresh) or once over every
+// request (reused).
 func TestBuildLPMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	names := &nameCache{}
 	bs := new(buildScratch)
 	var vars []slotVar
+	var reach reachLists
 	built, capRows := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		net := diffNetwork(t, rng, 1+rng.Intn(3), 1+rng.Intn(4))
@@ -355,7 +360,14 @@ func TestBuildLPMatchesReference(t *testing.T) {
 		}
 		requireSameModel(t, label+" fresh", fresh, want, len(reqs))
 
-		opts.scratch, opts.vars = bs, vars
+		// The reused build reads reach lists filled once over every request,
+		// as a scheduling call's rounding passes read the call's.
+		all := make([]int, len(reqs))
+		for j := range all {
+			all[j] = j
+		}
+		reach.fill(net, reqs, all, opts.waitSlots, cmp.Or(opts.slotLengthMS, mec.DefaultSlotLengthMS))
+		opts.scratch, opts.vars, opts.reach = bs, vars, &reach
 		got, err := buildLP(net, reqs, opts)
 		if err != nil {
 			t.Fatalf("%s: reused: %v", label, err)

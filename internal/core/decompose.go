@@ -20,28 +20,71 @@ type component struct {
 	reqs     []int // active request indices, in the caller's active order
 }
 
-// hasCandidate reports whether at least one y_{j,i,l} variable would be
-// created for (request j, station i): the pair is delay-feasible and slot
-// l=1 has positive expected reward. ER_jil is non-increasing in l (the
-// rate ceiling (cap_i - l*C_l)/C_unit shrinks as l grows), so testing
-// l=1 is exact.
-func hasCandidate(n *mec.Network, r *mec.Request, i, wait int, capI, slotMHz, slotLenMS float64) bool {
-	if capI < slotMHz { // L = floor(capI/slotMHz) < 1: no slots at all
-		return false
+// reachLists holds each scheduled request's delay-feasible stations
+// (constraint (11), mec.Request.AppendReach), ascending. A request's wait
+// is fixed within a scheduling call, so ScheduleBatch and runRounding fill
+// the lists once and every rounding pass reads them; a pass's active
+// requests are a subset of the call's.
+type reachLists struct {
+	stations []int
+	off      []int // request at position k: stations[off[k]:off[k+1]]
+	pos      []int // global request index -> position; valid for filled requests only
+}
+
+// fill computes the reach lists of the active requests.
+func (rl *reachLists) fill(n *mec.Network, reqs []*mec.Request, active []int, waitSlots func(int) int, slotLenMS float64) {
+	rl.stations = rl.stations[:0]
+	off := growInts(&rl.off, len(active)+1)
+	pos := growInts(&rl.pos, len(reqs))
+	for k, j := range active {
+		wait := 0
+		if waitSlots != nil {
+			wait = waitSlots(j)
+		}
+		off[k], pos[j] = len(rl.stations), k
+		rl.stations = reqs[j].AppendReach(rl.stations, n, wait, slotLenMS)
 	}
-	if !r.DelayFeasible(n, i, wait, slotLenMS) {
+	off[len(active)] = len(rl.stations)
+}
+
+// of returns request j's delay-feasible stations.
+func (rl *reachLists) of(j int) []int {
+	k := rl.pos[j]
+	return rl.stations[rl.off[k]:rl.off[k+1]]
+}
+
+// reachOf returns the reach lists the options carry, or fills rl over
+// active when they carry none.
+func (o *lpOptions) reachOf(n *mec.Network, reqs []*mec.Request, active []int, rl *reachLists) *reachLists {
+	if o.reach != nil {
+		return o.reach
+	}
+	rl.fill(n, reqs, active, o.waitSlots, o.slotLengthMS)
+	return rl
+}
+
+// hasCandidate reports whether at least one y_{j,i,l} variable would be
+// created for (request j, station i), given that i is on j's reach list:
+// slot l=1 has positive expected reward. ER_jil is non-increasing in l
+// (the rate ceiling (cap_i - l*C_l)/C_unit shrinks as l grows), so testing
+// l=1 is exact.
+func hasCandidate(n *mec.Network, r *mec.Request, capI, slotMHz float64) bool {
+	if capI < slotMHz { // L = floor(capI/slotMHz) < 1: no slots at all
 		return false
 	}
 	return r.Dist.RewardMassBelow((capI-slotMHz)/n.CUnit()) > 0
 }
 
 // splitComponents partitions the active requests and their candidate
-// stations into connected components via union-find over stations.
-// Requests with no feasible station appear in no component (the LP has no
-// variable for them; they stay undecided). Components are returned in
-// ascending order of their key, and their station and request lists
-// preserve ascending-station and caller-active order respectively — the
-// orderings the deterministic merge in solveDecomposed relies on.
+// stations into connected components via union-find over stations. A
+// request's candidates are the stations on its reach list (opts.reach,
+// which the caller must set) that pass hasCandidate, so a request costs
+// the stations it can reach, not the network. Requests with no feasible
+// station appear in no component (the LP has no variable for them; they
+// stay undecided). Components are returned in ascending order of their
+// key, and their station and request lists preserve ascending-station and
+// caller-active order respectively — the orderings the deterministic merge
+// in solveDecomposed relies on.
 //
 // When record is set, the scan additionally captures each active
 // request's candidate station list (sc.cands/sc.candOff, indexed by
@@ -87,17 +130,13 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 	}
 	for k, j := range opts.active {
 		r := reqs[j]
-		wait := 0
-		if opts.waitSlots != nil {
-			wait = opts.waitSlots(j)
-		}
 		if record {
 			candOff[k] = len(cands)
 			posOf[j] = k
 		}
 		first := -1
-		for i := 0; i < nS; i++ {
-			if !hasCandidate(n, r, i, wait, capOf(i), opts.slotMHz, opts.slotLengthMS) {
+		for _, i := range opts.reach.of(j) {
+			if !hasCandidate(n, r, capOf(i), opts.slotMHz) {
 				continue
 			}
 			if record {
@@ -243,6 +282,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 		}
 		opts.active = all
 	}
+	opts.reach = opts.reachOf(n, reqs, opts.active, &sc.reach)
 	inc := cfg.inc
 	warm, pass := cfg.warm, cfg.pass
 	m.reset(len(reqs), opts.active)

@@ -73,10 +73,12 @@ func TestSplitComponentsPartition(t *testing.T) {
 	}
 	sc := getSlotScratch()
 	defer putSlotScratch(sc)
+	sc.reach.fill(n, reqs, active, nil, mec.DefaultSlotLengthMS)
 	comps := splitComponents(n, reqs, lpOptions{
 		active:       active,
 		slotMHz:      n.SlotMHz(),
 		slotLengthMS: mec.DefaultSlotLengthMS,
+		reach:        &sc.reach,
 	}, sc, false)
 	if len(comps) == 0 {
 		t.Fatal("no components over a dense workload")

@@ -48,6 +48,11 @@ type lpOptions struct {
 	waitSlots func(req int) int
 	// slotLengthMS converts waitSlots into milliseconds.
 	slotLengthMS float64
+	// reach, when non-nil, holds the delay-feasible stations under
+	// waitSlots and slotLengthMS of every active request (and possibly of
+	// more), computed once per scheduling call; nil makes solveDecomposed
+	// and buildLP compute them for their own active requests.
+	reach *reachLists
 	// stations restricts variable and capacity-row creation to these
 	// station indices (ascending); nil means all. The per-component
 	// decomposition uses it to build one block of the block-diagonal LP.
@@ -86,9 +91,11 @@ type lpOptions struct {
 type buildScratch struct {
 	model lpModel
 	terms []lp.Term
-	// default active / stations lists when the options leave them nil
+	// default active / stations / reach lists when the options leave them
+	// nil
 	active   []int
 	stations []int
+	reach    reachLists
 	// variables bucketed by station for the constraint-(10) rows: stPos
 	// maps a station index to its position in the stations list, bucket
 	// holds the variable indices of station position s, ascending, at
@@ -115,9 +122,11 @@ type buildScratch struct {
 //
 // Variables are created only for delay-feasible (j, i) pairs and slots
 // with positive expected reward ER_jil (Eq. (8)), which keeps the LP
-// compact. The paper's constraint (10) RHS is written 2*l*C_l; the
-// division by C_unit here converts it to data-rate units so both sides of
-// the inequality carry the same dimension.
+// compact. A request's delay-feasible stations are its reach list
+// (opts.reach), so constraint (11) costs the stations the request can
+// reach, not the build's station set. The paper's constraint (10) RHS is
+// written 2*l*C_l; the division by C_unit here converts it to data-rate
+// units so both sides of the inequality carry the same dimension.
 //
 // Variables are generated request by request (active order), station by
 // station (ascending), slot by slot; rows are the assign rows in active
@@ -160,6 +169,14 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 			stations[i] = i
 		}
 	}
+	reach := opts.reachOf(n, reqs, active, &bs.reach)
+	// stPos maps a station of this build to its position in stations. It is
+	// never cleared: an entry left by another build holds a position that
+	// is past the list or names another station.
+	stPos := growInts(&bs.stPos, n.NumStations())
+	for s, i := range stations {
+		stPos[i] = s
+	}
 
 	m := &bs.model
 	if m.prob == nil {
@@ -186,14 +203,11 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		if opts.positional {
 			nameIdx = k
 		}
-		wait := 0
-		if opts.waitSlots != nil {
-			wait = opts.waitSlots(j)
-		}
-		for s, i := range stations {
-			// Constraint (11): drop stations that cannot meet the
-			// deadline even with the current waiting time.
-			if !r.DelayFeasible(n, i, wait, opts.slotLengthMS) {
+		// Constraint (11): only the stations that can meet the deadline
+		// with the current waiting time, ascending.
+		for _, i := range reach.of(j) {
+			s := stPos[i]
+			if s >= len(stations) || stations[s] != i {
 				continue
 			}
 			capI := capOf(i)
@@ -241,10 +255,8 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	// Bucket the variables by station with a stable counting pass: each
 	// bucket lists its station's variables in ascending index order, which
 	// is the order a scan of all of m.vars would meet them in.
-	stPos := growInts(&bs.stPos, n.NumStations())
 	fill := growInts(&bs.fill, len(stations))
-	for s, i := range stations {
-		stPos[i] = s
+	for s := range stations {
 		bucketOff[s+1] += bucketOff[s]
 		fill[s] = bucketOff[s]
 	}

@@ -21,6 +21,10 @@ type slotScratch struct {
 	comps     []component
 	activeAll []int
 
+	// the call's delay-feasible stations per request, filled once per
+	// ScheduleBatch or runRounding call
+	reach reachLists
+
 	// per-request candidate station lists recorded during the
 	// splitComponents scan (flat list + offsets per active position,
 	// posOf maps global request index -> active position); consumed by

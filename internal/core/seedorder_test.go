@@ -20,6 +20,7 @@ func referenceSolveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOption
 		opts.slotLengthMS = mec.DefaultSlotLengthMS
 	}
 	m.reset(len(reqs), opts.active)
+	opts.reach = opts.reachOf(n, reqs, opts.active, &sc.reach)
 	comps := splitComponents(n, reqs, opts, sc, false)
 	seeds := make([]*lp.Basis, len(comps))
 	for k := range comps {

@@ -218,6 +218,127 @@ func TestNeighborsByDistanceMatchesSort(t *testing.T) {
 	}
 }
 
+// fullScanReach is the delay-feasibility rule as the slot path applied it
+// before Reach existed: every station tested, in index order.
+func fullScanReach(n *Network, r *Request, wait int, slotLenMS float64) []int {
+	out := []int{}
+	for i := range n.stations {
+		if r.DelayFeasible(n, i, wait, slotLenMS) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// reachTestNets returns the networks TestReachMatchesFullScan walks:
+// RandomNetwork meshes, unit-weight islands of four (delays tie inside an
+// island and are +Inf across), and a unit-weight ring with a zero-weight
+// spur (a neighbour tied with the access station itself), an isolated
+// station and a station whose speed factor is NaN.
+func reachTestNets(t *testing.T) []*Network {
+	t.Helper()
+	var nets []*Network
+	for seed := int64(1); seed <= 8; seed++ {
+		nets = append(nets, testNet(t, 3+int(seed)*3, seed))
+	}
+	build := func(n int, edges [][3]float64, speed func(i int) float64) *Network {
+		g := graph.New(n)
+		for _, e := range edges {
+			if _, err := g.AddEdge(int(e[0]), int(e[1]), e[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stations := make([]BaseStation, n)
+		for i := range stations {
+			stations[i] = BaseStation{CapacityMHz: 1000, SpeedFactor: speed(i)}
+		}
+		net, err := NewNetwork(NetworkConfig{Stations: stations, Topo: &topology.Topology{Graph: g, Nodes: make([]topology.Node, n)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	var islands [][3]float64
+	for i := 0; i+1 < 16; i++ {
+		if i%4 != 3 {
+			islands = append(islands, [3]float64{float64(i), float64(i + 1), 1})
+		}
+	}
+	nets = append(nets, build(16, islands, func(i int) float64 { return 0.5 + float64(i%3)*0.5 }))
+	ring := [][3]float64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1}, {5, 0, 1}, {2, 6, 0}}
+	nets = append(nets, build(8, ring, func(i int) float64 {
+		if i == 4 {
+			return math.NaN()
+		}
+		return 1
+	}))
+	return nets
+}
+
+// TestReachMatchesFullScan: AppendReach, which tests only the stations
+// Network.Reach walks out from the access station, lists exactly the
+// stations a scan of every station accepts, in ascending order, after
+// whatever dst already held. Deadlines are drawn on the cut itself (wait
+// plus a round trip, with zero processing delay, so the station at the cut
+// is feasible with equality) and on Eq. (2)'s exact delay, and include
+// NaN, +Inf and zero; waits run from 0 to past every deadline; work is
+// zero, positive, NaN or +Inf.
+func TestReachMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	works := []float64{0, 0, 7, 42, math.NaN(), math.Inf(1)}
+	var cut, onCut, unsorted int
+	for ni, net := range reachTestNets(t) {
+		nS := net.NumStations()
+		for trial := 0; trial < 400; trial++ {
+			slotLen := []float64{DefaultSlotLengthMS, 1}[rng.Intn(2)]
+			r := &Request{
+				AccessStation: rng.Intn(nS),
+				Tasks:         []Task{{Name: "t", WorkMS: works[rng.Intn(len(works))]}},
+			}
+			wait := rng.Intn(7)
+			waitMS := float64(wait) * slotLen
+			i := rng.Intn(nS)
+			st, err := net.Station(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch rng.Intn(6) {
+			case 0:
+				r.DeadlineMS = []float64{math.NaN(), math.Inf(1), 0}[rng.Intn(3)]
+			case 1:
+				r.DeadlineMS = 300 * rng.Float64()
+			case 2:
+				r.DeadlineMS = waitMS + (net.RoundTripDelayMS(r.AccessStation, i) + r.ProcDelayMS(st))
+			default:
+				r.DeadlineMS = waitMS + net.RoundTripDelayMS(r.AccessStation, i)
+			}
+			prefix := []int{-1, -2}
+			got := r.AppendReach(append([]int(nil), prefix...), net, wait, slotLen)
+			want := append(prefix, fullScanReach(net, r, wait, slotLen)...)
+			if !slices.Equal(got, want) {
+				t.Fatalf("net %d access %d wait %d×%v deadline %v work %v: AppendReach %v, full scan %v",
+					ni, r.AccessStation, wait, slotLen, r.DeadlineMS, r.Tasks[0].WorkMS, got[2:], want[2:])
+			}
+			reach := net.Reach(r.AccessStation, waitMS, r.DeadlineMS)
+			if len(reach) < nS && len(want) > 2 {
+				cut++
+			}
+			if cap(reach) != len(reach) {
+				t.Fatalf("net %d: Reach from %d has spare capacity: an append would overwrite its order", ni, r.AccessStation)
+			}
+			if r.Tasks[0].WorkMS == 0 && slices.Contains(want[2:], i) && waitMS+net.RoundTripDelayMS(r.AccessStation, i) == r.DeadlineMS {
+				onCut++
+			}
+			if len(reach) > 2 && !slices.IsSorted(reach) && len(want) > 3 {
+				unsorted++
+			}
+		}
+	}
+	if cut < 800 || onCut < 600 || unsorted < 1000 {
+		t.Fatalf("coverage: %d cut walks, %d feasible stations exactly on the cut, %d walks out of index order", cut, onCut, unsorted)
+	}
+}
+
 func mkRequest(t *testing.T, id int) *Request {
 	t.Helper()
 	d, err := dist.NewRateReward([]dist.Outcome{

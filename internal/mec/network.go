@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 
 	"mecoffload/internal/graph"
 	"mecoffload/internal/topology"
@@ -75,10 +76,11 @@ type Network struct {
 	// ones. Lazily allocated by SetCapacityScale so the common stationary
 	// case costs one nil check per Capacity read.
 	capScale []float64
-	// neighbors holds every station's other stations by ascending backhaul
-	// delay, station i's at [i*(N-1), (i+1)*(N-1)): the topology is
-	// immutable, so NeighborsByDistance sorts nothing.
-	neighbors []int
+	// byDelay holds every station's stations by ascending backhaul delay,
+	// station i's at [i*N, (i+1)*N): i itself first, then the others, equal
+	// delays in index order. The topology is immutable, so neither
+	// NeighborsByDistance nor Reach sorts anything.
+	byDelay []int
 }
 
 // NetworkConfig parameterizes NewNetwork.
@@ -134,17 +136,17 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		slotMHz:  cfg.SlotMHz,
 		cUnit:    cfg.CUnit,
 	}
-	k := len(stations) - 1
-	n.neighbors = make([]int, 0, len(stations)*k)
+	n.byDelay = make([]int, 0, len(stations)*len(stations))
 	for from := range stations {
-		start := len(n.neighbors)
+		n.byDelay = append(n.byDelay, from)
+		start := len(n.byDelay)
 		for i := range stations {
 			if i != from {
-				n.neighbors = append(n.neighbors, i)
+				n.byDelay = append(n.byDelay, i)
 			}
 		}
 		// Stable: stations at equal delay keep index order.
-		slices.SortStableFunc(n.neighbors[start:], func(a, b int) int {
+		slices.SortStableFunc(n.byDelay[start:], func(a, b int) int {
 			return cmp.Compare(n.ap.Dist(from, a), n.ap.Dist(from, b))
 		})
 	}
@@ -269,8 +271,32 @@ func (n *Network) NearestStation(from int, candidates []int) (int, float64) {
 // slice is shared and computed once per network: callers must not modify
 // it.
 func (n *Network) NeighborsByDistance(from int) []int {
-	k := len(n.stations) - 1
-	return n.neighbors[from*k : (from+1)*k : (from+1)*k]
+	k := len(n.stations)
+	return n.byDelay[from*k+1 : (from+1)*k : (from+1)*k]
+}
+
+// Reach returns the stations a request entering the network at access
+// could still be served on within deadlineMS after waitMS of waiting,
+// judged on transmission alone: access itself, then
+// NeighborsByDistance(access) up to the first station i with
+// waitMS + RoundTripDelayMS(access, i) > deadlineMS. Pass waitMS as
+// float64(waitSlots)*slotLengthMS, the term Request.DelayFeasible adds.
+//
+// The list is nearest first and holds every delay-feasible station: the
+// stations are sorted by round trip and float addition is monotone, so
+// once the round trip alone overshoots the deadline at one station it does
+// at every later one; processing delay is never negative (NewNetwork
+// rejects negative speed factors, Request.Validate negative work), so
+// Eq. (2)'s delay overshoots wherever the round trip alone does; and a NaN
+// or +Inf deadline never cuts. Being monotone along the list, the cut is
+// found by binary search. The slice is shared: callers must not modify it.
+func (n *Network) Reach(access int, waitMS, deadlineMS float64) []int {
+	k := len(n.stations)
+	order := n.byDelay[access*k : (access+1)*k]
+	cut := sort.Search(k, func(p int) bool {
+		return waitMS+n.RoundTripDelayMS(access, order[p]) > deadlineMS
+	})
+	return order[:cut:cut]
 }
 
 // Edges returns the backhaul links with their per-unit delays (ms).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mecoffload/internal/dist"
 )
@@ -164,6 +165,32 @@ func (r *Request) ServiceDelayMS(n *Network, i int) float64 {
 func (r *Request) DelayFeasible(n *Network, i int, waitSlots int, slotLengthMS float64) bool {
 	d := float64(waitSlots)*slotLengthMS + r.ServiceDelayMS(n, i)
 	return d <= r.DeadlineMS
+}
+
+// AppendReach appends to dst, in ascending index order, the stations r
+// can be served on within its deadline after waitSlots slots of waiting:
+// exactly the stations DelayFeasible accepts, found by testing only
+// n.Reach from r's access station instead of every station. When the reach
+// is the whole network they are tested in index order, which needs no
+// sort.
+func (r *Request) AppendReach(dst []int, n *Network, waitSlots int, slotLengthMS float64) []int {
+	reach := n.Reach(r.AccessStation, float64(waitSlots)*slotLengthMS, r.DeadlineMS)
+	if len(reach) == len(n.stations) {
+		for i := range n.stations {
+			if r.DelayFeasible(n, i, waitSlots, slotLengthMS) {
+				dst = append(dst, i)
+			}
+		}
+		return dst
+	}
+	start := len(dst)
+	for _, i := range reach {
+		if r.DelayFeasible(n, i, waitSlots, slotLengthMS) {
+			dst = append(dst, i)
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // CloneShallow returns a copy of the request with realization state

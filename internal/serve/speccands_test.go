@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mecoffload/internal/core"
 	"mecoffload/internal/graph"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/serve"
@@ -84,13 +83,34 @@ func hostileSpec(rng *rand.Rand) serve.RequestSpec {
 	return spec
 }
 
+// candidateStations is the full-scan reference for the slot LP's candidate
+// rule, evaluated at zero wait against unloaded capacities, as the router
+// applied it before the allocation-free path existed (it was
+// core.CandidateStations): station i is a candidate when it fits a full
+// resource slot, serving r there meets the deadline, and some outcome with
+// positive reward fits the station's spare capacity above that slot. Every
+// station is tested, in ascending order.
+func candidateStations(n *mec.Network, r *mec.Request) []int {
+	slotMHz := n.SlotMHz()
+	var out []int
+	for i := 0; i < n.NumStations(); i++ {
+		capI := n.Capacity(i)
+		if capI < slotMHz || !r.DelayFeasible(n, i, 0, mec.DefaultSlotLengthMS) {
+			continue
+		}
+		if r.Dist.RewardMassBelow((capI-slotMHz)/n.CUnit()) > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // TestSpecCandidatesMatchesMaterialized pins the one-rule contract: for
 // every spec — defaults, custom pipelines, custom distributions, every
 // validation failure, and a seeded sweep of hostile ones — ValidateSpec and
 // SpecCandidates reject exactly what MaterializeSpec rejects, with the
 // same ErrBadSpec error, and on the rest SpecCandidates agrees with
-// materializing the spec and asking core.CandidateStations, the rule the
-// router used before the allocation-free path existed.
+// materializing the spec and scanning every station (candidateStations).
 func TestSpecCandidatesMatchesMaterialized(t *testing.T) {
 	net := specCandNetwork(t)
 	specs := []serve.RequestSpec{
@@ -167,7 +187,7 @@ func TestSpecCandidatesMatchesMaterialized(t *testing.T) {
 		var want []int
 		r, wantErr := serve.MaterializeSpec(net, spec)
 		if wantErr == nil {
-			want = core.CandidateStations(net, r, 0, mec.DefaultSlotLengthMS)
+			want = candidateStations(net, r)
 		}
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("spec %d (%+v): SpecCandidates err = %v, materialized err = %v", si, spec, gotErr, wantErr)

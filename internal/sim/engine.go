@@ -446,15 +446,18 @@ func (e *Engine) release(t int) []int {
 
 // expire drops pending requests whose deadline is unreachable: even if
 // scheduled this slot on the latency-optimal station, D_j would exceed
-// D̂_j. Dropped requests stay rejected in the final result and are
-// recorded in rep.Expired.
+// D̂_j. Only the stations within the request's reach of its current access
+// station (mec.Network.Reach) can meet it, and they are tested nearest
+// first, so a request that keeps its deadline usually costs one test.
+// Dropped requests stay rejected in the final result and are recorded in
+// rep.Expired.
 func (e *Engine) expire(pending []int, t int, rep *SlotReport) []int {
 	keep := pending[:0]
 	for _, j := range pending {
 		r := e.reqs[j]
 		wait := t - r.ArrivalSlot
 		ok := false
-		for i := 0; i < e.net.NumStations(); i++ {
+		for _, i := range e.net.Reach(r.AccessStation, float64(wait)*e.slotL, r.DeadlineMS) {
 			if r.DelayFeasible(e.net, i, wait, e.slotL) {
 				ok = true
 				break
