@@ -39,14 +39,15 @@ cluster-parity:
 ## replay their cached decision) emits a decision stream identical to the
 ## oracle's reference, which re-solves every component every slot; the
 ## property that replay rests on (a cold solve is a function of its LP
-## alone, whatever the pooled scratch held); the seed-before-put ordering
-## rule of the offline passes; the dirty-set and first-sighting edge-case
+## alone, whatever the pooled scratch held); Appro and Heu over the shared
+## pass loop against the offline loop they used to run, decision for
+## decision; the dirty-set and first-sighting edge-case
 ## suite; the default 1-shard cluster against the reference on the steady
 ## wave; and an engine that compacts every few slots against one that
 ## never does — all under the race detector (same as the CI
 ## incremental-parity job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestApproSeedsResolveBeforeThePassStoresAny|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 
 ## drift: the adaptivity correctness gate — seeded regret-bound
 ## assertions proving the drift-aware policies beat stationary UCB1 on
@@ -99,7 +100,7 @@ bench:
 ## reference, on the three bodies the end-to-end workloads post) in
 ## internal/serve because the reference is a test file there.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeSlotBacklog|BenchmarkServeSlotStations|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkHeu|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeSlotBacklog|BenchmarkServeSlotStations|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildLP' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBatch' -benchtime 1x -benchmem ./internal/serve/
 

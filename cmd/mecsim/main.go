@@ -47,6 +47,14 @@ func run(args []string, out io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-reps", *reps}, {"-stations", *stations}, {"-requests", *requests}, {"-horizon", *horizon}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: want 0 (the default) or a positive size", f.name, f.v)
+		}
+	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err

@@ -42,3 +42,21 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatal("want error for unknown experiment")
 	}
 }
+
+// TestRunRejectsNegativeSizes pins the flag contract: a negative size is
+// refused before anything runs, with an error that starts with the flag
+// (fig3 used to panic in makeslice, regret to print an all-zero table).
+func TestRunRejectsNegativeSizes(t *testing.T) {
+	for _, flag := range []string{"-reps", "-stations", "-requests", "-horizon"} {
+		for _, exp := range []string{"fig3", "regret"} {
+			var out strings.Builder
+			err := run([]string{"-experiment", exp, flag, "-1"}, &out)
+			if err == nil || !strings.HasPrefix(err.Error(), flag+" -1") {
+				t.Errorf("%s %s -1: err = %v, want one starting with %q", exp, flag, err, flag)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s %s -1 printed %q", exp, flag, out.String())
+			}
+		}
+	}
+}

@@ -9,7 +9,8 @@ import (
 	"mecoffload/internal/mec"
 )
 
-// maxAutoPasses bounds the iterative-rounding loop when Passes is 0.
+// maxAutoPasses bounds Appro's and Heu's iterative-rounding loop when
+// Passes is 0.
 const maxAutoPasses = 16
 
 // ApproOptions tunes Algorithm 1.
@@ -26,26 +27,12 @@ type ApproOptions struct {
 	// admission sweep — the variant Theorem 1's 1/8 ratio is proved for.
 	// Passes == 0 (the default used in the experiments) repeats the
 	// procedure on the residual instance (undecided requests, residual
-	// capacities) until a pass admits nothing, which only adds reward:
-	// each pass individually retains the per-pass guarantee, and the
-	// union fills the capacity the single analyzed pass leaves idle by
-	// design (it admits each request with probability <= y/4).
+	// capacities) until a pass admits nothing, at most maxAutoPasses
+	// times, which only adds reward: each pass individually retains the
+	// per-pass guarantee, and the union fills the capacity the single
+	// analyzed pass leaves idle by design (it admits each request with
+	// probability <= y/4).
 	Passes int
-	// Warm, when non-nil, seeds each rounding pass's LP from the optimal
-	// basis of the corresponding pass of a previous structurally similar
-	// run (e.g. an earlier repetition of the same experiment cell) and
-	// stores this run's bases back. Warm starting never changes the LP
-	// optimum — only the simplex iteration count.
-	Warm *WarmCache
-}
-
-func (o *ApproOptions) fill() {
-	if o.SlotLengthMS == 0 {
-		o.SlotLengthMS = mec.DefaultSlotLengthMS
-	}
-	if o.RoundingDenominator == 0 {
-		o.RoundingDenominator = 4
-	}
 }
 
 // tentative is one rounded (request, station, slot) pre-assignment; rate
@@ -72,14 +59,18 @@ type tentative struct {
 // Rates realize (and rewards are earned or forfeited) only after
 // admission, exactly as in the paper's model of uncertain demands.
 func Appro(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ApproOptions) (*Result, error) {
-	opts.fill()
-	return runRounding(n, reqs, rng, opts, "Appro", nil)
+	return solveOffline(n, reqs, rng, "Appro", BatchOptions{
+		SlotLengthMS:        opts.SlotLengthMS,
+		RoundingDenominator: opts.RoundingDenominator,
+		Passes:              opts.Passes,
+	})
 }
 
-// runRounding is the shared engine of Appro and Heu: iterative LP-guided
-// randomized rounding with slot-by-slot admission, optionally with Heu's
-// task-migration hook.
-func runRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ApproOptions, name string, mkHooks func(*Result, []float64) admissionHooks) (*Result, error) {
+// solveOffline runs ScheduleBatch's pass loop for Appro and Heu: every
+// request active, waiting nothing, against a fresh occupancy ledger, with
+// maxAutoPasses passes when opts.Passes is 0. It records pass 0's LP
+// optimum as the result's bound and settles the rewards.
+func solveOffline(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, name string, opts BatchOptions) (*Result, error) {
 	if n == nil {
 		return nil, ErrNilNetwork
 	}
@@ -87,77 +78,21 @@ func runRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Appro
 		return nil, ErrNoRequests
 	}
 	start := time.Now()
-
 	res := &Result{Algorithm: name, Decisions: make([]Decision, len(reqs))}
+	opts.Active = make([]int, len(reqs))
 	for j := range res.Decisions {
 		res.Decisions[j] = Decision{RequestID: j, Station: -1}
+		opts.Active[j] = j
 	}
-
-	used := make([]float64, n.NumStations()) // realized MHz per station
-	var hooks admissionHooks
-	if mkHooks != nil {
-		hooks = mkHooks(res, used)
+	opts.Used = make([]float64, n.NumStations()) // realized MHz per station
+	if opts.Passes <= 0 {
+		opts.Passes = maxAutoPasses
 	}
-
-	sc := getSlotScratch()
-	defer putSlotScratch(sc)
-	undecided := growInts(&sc.undecided, len(reqs))
-	for j := range undecided {
-		undecided[j] = j
+	_, bound, err := roundingLoop(n, reqs, res, rng, opts)
+	if err != nil {
+		return nil, err
 	}
-	sc.reach.fill(n, reqs, undecided, nil, opts.SlotLengthMS)
-	maxPasses := opts.Passes
-	if maxPasses <= 0 {
-		maxPasses = maxAutoPasses
-	}
-
-	slotMHz := n.SlotMHz()
-	for pass := 0; pass < maxPasses && len(undecided) > 0; pass++ {
-		if pass > 0 {
-			// Refine the slot grid on the residual instance: leftovers
-			// smaller than one default slot would otherwise be invisible
-			// to the slot-indexed relaxation. Pass 0 always uses the
-			// paper's grid.
-			if half := slotMHz / 2; half >= n.SlotMHz()/8 {
-				slotMHz = half
-			}
-		}
-		capOf := func(i int) float64 { return n.Capacity(i) - used[i] }
-		err := solveDecomposed(n, reqs, lpOptions{
-			active:       undecided,
-			capOf:        capOf,
-			slotMHz:      slotMHz,
-			slotLengthMS: opts.SlotLengthMS,
-			reach:        &sc.reach,
-			names:        opts.Warm.nameTable(),
-		}, solveCfg{warm: opts.Warm, pass: pass}, sc, &sc.merged)
-		if err != nil {
-			return nil, err
-		}
-		if pass == 0 {
-			res.ExpectedLPBound = sc.merged.obj
-		}
-		if len(sc.merged.y) == 0 {
-			break
-		}
-
-		sc.pre = roundAssignments(&sc.merged, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
-		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, res, hooks, used, nil, sc)
-		if admitted == 0 {
-			break
-		}
-		next := undecided[:0]
-		for _, j := range undecided {
-			if !res.Decisions[j].Admitted {
-				next = append(next, j)
-			}
-		}
-		undecided = next
-	}
-
-	if hooks.finish != nil {
-		hooks.finish()
-	}
+	res.ExpectedLPBound = bound
 	Evaluate(n, reqs, res, rng)
 	res.Runtime = time.Since(start)
 	return res, nil
@@ -207,10 +142,6 @@ type overflowHandler func(req, station int) bool
 type admissionHooks struct {
 	migrate  migrator
 	overflow overflowHandler
-	// finish runs once after the rounding passes converge and before the
-	// final evaluation; Heu uses it to distribute still-rejected requests
-	// over fragmented residual capacity.
-	finish func()
 }
 
 // admitSlotBySlot performs Algorithm 1 steps 3-7 over the tentative

@@ -197,10 +197,9 @@ func TestRoundAssignmentsMatchesFullScan(t *testing.T) {
 			used[i] = 0.6 * rng.Float64() * net.Capacity(i)
 		}
 		opts := lpOptions{
-			active:     active,
-			capOf:      func(i int) float64 { return net.Capacity(i) - used[i] },
-			slotMHz:    net.SlotMHz(),
-			positional: true,
+			active:  active,
+			capOf:   func(i int) float64 { return net.Capacity(i) - used[i] },
+			slotMHz: net.SlotMHz(),
 		}
 		if err := solveDecomposed(net, reqs, opts, solveCfg{}, sc, &sc.merged); err != nil {
 			t.Fatal(err)

@@ -31,6 +31,7 @@ type BatchOptions struct {
 	// Passes mirrors ApproOptions; the per-slot default is 4 — the
 	// bandit threshold already throttles R_t, so the batch tries to admit
 	// most of it (the next time slot retries whatever remains pending).
+	// Appro and Heu run the same loop with a default of maxAutoPasses.
 	Passes int
 	// Distribute enables Heu's task-distribution hooks; without it the
 	// batch runs Appro's consolidated admission.
@@ -38,9 +39,9 @@ type BatchOptions struct {
 	// Warm, when non-nil, seeds each rounding pass's LP-PT from the
 	// optimal basis of the corresponding pass of the previous batch and
 	// stores this batch's bases back, filed per (pass, component shard).
-	// The online scheduler passes none: its slot LPs solve cold and
-	// unnamed (see WarmCache). Warm and Inc are mutually exclusive
-	// (ErrWarmWithInc).
+	// Only the benchmark's layer probes pass one: the online scheduler's
+	// slot LPs and the offline passes solve cold and unnamed (see
+	// WarmCache). Warm and Inc are mutually exclusive (ErrWarmWithInc).
 	Warm *WarmCache
 	// Inc is the decision cache: connected components of the candidate
 	// graph whose exact LP input signature matches a cached solve are
@@ -52,8 +53,8 @@ type BatchOptions struct {
 	Inc *IncCache
 }
 
-// ScheduleBatch admits requests from opts.Active into the network using
-// the rounding machinery of algorithms Appro/Heu, writing placements into
+// ScheduleBatch admits requests from opts.Active into the network with
+// the iterative rounding of algorithms Appro/Heu, writing placements into
 // res.Decisions and the occupancy ledger opts.Used. Rewards are NOT
 // settled here — the online engine evaluates slot by slot. It returns the
 // number of newly admitted (possibly evicted-on-realization) requests.
@@ -70,6 +71,19 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 	if len(opts.Active) == 0 {
 		return 0, nil
 	}
+	admitted, _, err := roundingLoop(n, reqs, res, rng, opts)
+	return admitted, err
+}
+
+// roundingLoop is the one iterative-rounding pass loop: ScheduleBatch runs
+// it over a slot's batch, Appro and Heu (solveOffline) over a whole
+// offline instance. Each pass solves the LP over the undecided requests
+// and residual capacities, rounds, and admits slot by slot; the loop stops
+// after opts.Passes passes, once every request is decided, or at the first
+// pass that admits nothing. With Distribute, the requests still undecided
+// then go through Heu's final distribution pass. It returns the number of
+// requests admitted and pass 0's LP optimum.
+func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand, opts BatchOptions) (int, float64, error) {
 	if opts.SlotLengthMS == 0 {
 		opts.SlotLengthMS = mec.DefaultSlotLengthMS
 	}
@@ -94,12 +108,16 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 
 	sc.undecided = append(sc.undecided[:0], opts.Active...)
 	undecided := sc.undecided
-	// The waits are fixed within the slot, and so is constraint (11).
+	// The waits are fixed within the call, and so is constraint (11).
 	sc.reach.fill(n, reqs, opts.Active, opts.WaitSlots, opts.SlotLengthMS)
-	totalAdmitted := 0
+	totalAdmitted, bound := 0, 0.0
 	slotMHz := n.SlotMHz()
 	for pass := 0; pass < maxPasses && len(undecided) > 0; pass++ {
 		if pass > 0 {
+			// Refine the slot grid on the residual instance: leftovers
+			// smaller than one default slot would otherwise be invisible
+			// to the slot-indexed relaxation. Pass 0 always uses the
+			// paper's grid.
 			if half := slotMHz / 2; half >= n.SlotMHz()/8 {
 				slotMHz = half
 			}
@@ -114,10 +132,12 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 			slotLengthMS: opts.SlotLengthMS,
 			reach:        &sc.reach,
 			names:        opts.Warm.nameTable(),
-			positional:   true,
 		}, solveCfg{warm: opts.Warm, pass: pass, inc: opts.Inc}, sc, &sc.merged)
 		if err != nil {
-			return totalAdmitted, err
+			return totalAdmitted, bound, err
+		}
+		if pass == 0 {
+			bound = sc.merged.obj
 		}
 		if len(sc.merged.y) == 0 {
 			break
@@ -143,7 +163,7 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 		distributionPass(n, reqs, undecided, res, used, rng, opts.SlotLengthMS, opts.WaitSlots)
 		totalAdmitted += countAdmitted(res, undecided) - before
 	}
-	return totalAdmitted, nil
+	return totalAdmitted, bound, nil
 }
 
 // countAdmitted counts admitted decisions among the given request indices.

@@ -75,7 +75,6 @@ func BenchmarkBuildLP(b *testing.B) {
 		opts := lpOptions{
 			capOf:       func(i int) float64 { return net.Capacity(i) - used[i] },
 			shareCapFor: func(i int) float64 { return net.Capacity(i) / rt / net.CUnit() },
-			positional:  true,
 			scratch:     new(buildScratch),
 		}
 		var y []float64

@@ -18,8 +18,9 @@ import (
 // referenceBuildLP is buildLP as it stood before the builder took its
 // storage from a scratch and bucketed variables by station: a fresh
 // problem, a term slice per row, and a scan of every variable for every
-// (station, slot) row. It is kept, body unchanged, as the reference the
-// in-place builder must reproduce row for row and bit for bit.
+// (station, slot) row. It is kept, body unchanged but for its names
+// (positional, as the builder's are), as the reference the in-place
+// builder must reproduce row for row and bit for bit.
 func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, error) {
 	if n == nil {
 		return nil, ErrNilNetwork
@@ -62,10 +63,6 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpM
 
 	for k, j := range active {
 		r := reqs[j]
-		nameIdx := j
-		if opts.positional {
-			nameIdx = k
-		}
 		wait := 0
 		if opts.waitSlots != nil {
 			wait = opts.waitSlots(j)
@@ -85,7 +82,7 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpM
 				if er <= 0 {
 					continue
 				}
-				v := prob.AddVariable(opts.names.yName(nameIdx, i, l), er)
+				v := prob.AddVariable(opts.names.yName(k, i, l), er)
 				idx := len(m.vars)
 				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er, v: v})
 				m.byReq[j] = append(m.byReq[j], idx)
@@ -103,15 +100,11 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpM
 		if len(m.byReq[j]) == 0 {
 			continue
 		}
-		nameIdx := j
-		if opts.positional {
-			nameIdx = k
-		}
 		terms := make([]lp.Term, 0, len(m.byReq[j]))
 		for _, idx := range m.byReq[j] {
 			terms = append(terms, lp.Term{Var: m.vars[idx].v, Coef: 1})
 		}
-		if _, err := prob.AddConstraint(opts.names.assignName(nameIdx), lp.LE, 1, terms...); err != nil {
+		if _, err := prob.AddConstraint(opts.names.assignName(k), lp.LE, 1, terms...); err != nil {
 			return nil, err
 		}
 	}
@@ -226,8 +219,7 @@ func diffRequests(t *testing.T, rng *rand.Rand, net *mec.Network, count int) []*
 // stations left with less than one slot), one of the four rounding passes'
 // slot sizes, the share cap off, on, or non-positive, an optional waiting
 // time, an active subset (sometimes empty, sometimes nil = all), a
-// station subset, and positional or global names with or without the
-// interned-name table.
+// station subset, and names from the interned-name table or none.
 func diffOptions(rng *rand.Rand, net *mec.Network, numReqs int, names *nameCache) lpOptions {
 	used := make([]float64, net.NumStations())
 	for i := range used {
@@ -239,9 +231,8 @@ func diffOptions(rng *rand.Rand, net *mec.Network, numReqs int, names *nameCache
 		}
 	}
 	opts := lpOptions{
-		capOf:      func(i int) float64 { return net.Capacity(i) - used[i] },
-		slotMHz:    net.SlotMHz() / float64(int(1)<<rng.Intn(4)),
-		positional: rng.Intn(2) == 0,
+		capOf:   func(i int) float64 { return net.Capacity(i) - used[i] },
+		slotMHz: net.SlotMHz() / float64(int(1)<<rng.Intn(4)),
 	}
 	if rng.Intn(3) == 0 {
 		opts.slotMHz = 0 // the network default
@@ -435,10 +426,9 @@ func TestComponentResultsSurviveUntilMerge(t *testing.T) {
 			used[i] = 0.5 * rng.Float64() * net.Capacity(i)
 		}
 		opts := lpOptions{
-			active:     active,
-			capOf:      func(i int) float64 { return net.Capacity(i) - used[i] },
-			slotMHz:    net.SlotMHz(),
-			positional: true,
+			active:  active,
+			capOf:   func(i int) float64 { return net.Capacity(i) - used[i] },
+			slotMHz: net.SlotMHz(),
 		}
 		if err := solveDecomposed(net, reqs, opts, solveCfg{}, sc, &sc.merged); err != nil {
 			t.Fatal(err)

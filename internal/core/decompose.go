@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"mecoffload/internal/lp"
 	"mecoffload/internal/mec"
 )
 
@@ -12,8 +11,8 @@ import (
 // station it is delay-feasible on with positive expected reward, so the
 // slot LP is block-diagonal across components and each block solves
 // independently. key is the smallest station index of the component — the
-// stable shard label the decision and warm caches file the component
-// under.
+// stable shard label the decision cache (and a WarmCache) files the
+// component under.
 type component struct {
 	key      int
 	stations []int // ascending
@@ -22,9 +21,9 @@ type component struct {
 
 // reachLists holds each scheduled request's delay-feasible stations
 // (constraint (11), mec.Request.AppendReach), ascending. A request's wait
-// is fixed within a scheduling call, so ScheduleBatch and runRounding fill
-// the lists once and every rounding pass reads them; a pass's active
-// requests are a subset of the call's.
+// is fixed within a scheduling call, so roundingLoop fills the lists once
+// and every rounding pass reads them; a pass's active requests are a
+// subset of the call's.
 type reachLists struct {
 	stations []int
 	off      []int // request at position k: stations[off[k]:off[k+1]]
@@ -227,17 +226,6 @@ func (m *mergedModel) reset(numReqs int, active []int) {
 	slices.Sort(m.reqs)
 }
 
-// compPlan is what solveDecomposed's look-up pass decided for one
-// component before anything is solved: replay a cached decision, or solve
-// from this seed.
-type compPlan struct {
-	// replay, when non-nil, is the decision-cache entry this clean
-	// component replays instead of solving anything.
-	replay *incEntry
-	// seed is a dirty component's warm-start basis (nil = cold).
-	seed *lp.Basis
-}
-
 // solveCfg bundles the solver-side knobs of solveDecomposed (the LP-side
 // knobs travel in lpOptions).
 type solveCfg struct {
@@ -255,8 +243,8 @@ type solveCfg struct {
 // set and cold otherwise, and appends the results to m in ascending
 // component-key order. It is sequential on purpose: a slot is a handful
 // of sub-millisecond solves, and the axes that do run in parallel are
-// coarser — the cluster's shards and the experiment grid's cells each own
-// their caches and call this from one goroutine.
+// coarser — the cluster's shards each own their caches, the experiment
+// grid's cells their instances, and each calls this from one goroutine.
 //
 // cfg.inc enables decision reuse: a component whose exact input signature
 // matches the cached one is *clean* and replays the cached solution
@@ -294,35 +282,23 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	// Look-up pass: a component's exact signature is compared word for
 	// word against the cached entry under the same (pass, shard) key. A
 	// match means its LP is bit-identical to the one the entry was solved
-	// on, and the entry is replayed with the solve skipped entirely. Every
-	// dirty component's warm-start seed is resolved here too, because all
-	// of a pass's warm.get calls must precede its first warm.put: the
-	// offline passes (named by request index) fall back to the nearest
-	// shard's basis, and would otherwise be seeded from a basis this very
-	// pass stored. ScheduleBatch's passes look up exactly — a
-	// nearest-shard basis would resolve onto a different component's
-	// positionally-named requests.
-	plans := growPlans(&sc.plans, len(comps))
+	// on, and the entry is replayed with the solve skipped entirely.
+	replays := growReplays(&sc.replays, len(comps))
 	var sigOff []int
 	if inc != nil {
 		sc.sigs = sc.sigs[:0]
 		sigOff = growInts(&sc.sigOff, len(comps)+1)
-	}
-	for k := range comps {
-		if inc != nil {
+		for k := range comps {
 			sigOff[k] = len(sc.sigs)
 			sc.sigs = appendCompSig(sc.sigs, reqs, opts, comps[k], sc)
 			e := inc.get(pass, comps[k].key)
 			if e != nil && slices.Equal(e.sig, sc.sigs[sigOff[k]:]) {
-				plans[k].replay = e
+				replays[k] = e
 				inc.cleanHits.Add(1)
 				continue
 			}
 			inc.dirtySolves.Add(1)
 		}
-		plans[k].seed = warm.get(pass, comps[k].key, !opts.positional)
-	}
-	if inc != nil {
 		sigOff[len(comps)] = len(sc.sigs)
 	}
 
@@ -335,7 +311,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	copts.scratch = &sc.build
 	for k, comp := range comps {
 		offset := len(m.vars)
-		if e := plans[k].replay; e != nil {
+		if e := replays[k]; e != nil {
 			for t := range e.vars {
 				cv := &e.vars[t]
 				j := comp.reqs[cv.req]
@@ -356,7 +332,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			return err
 		}
 		sc.vars = model.vars
-		y, obj, basis, err := model.solveWarm(plans[k].seed, sc.y)
+		y, obj, basis, err := model.solveWarm(warm.get(pass, comp.key), sc.y)
 		if err != nil {
 			return err
 		}

@@ -17,9 +17,6 @@ type HeuOptions struct {
 	// Passes mirrors ApproOptions: 1 = single literal pass, 0 = iterate
 	// until no progress.
 	Passes int
-	// Warm mirrors ApproOptions.Warm: per-pass LP warm-start bases
-	// carried across structurally similar runs.
-	Warm *WarmCache
 }
 
 // Heu is Algorithm 2: the efficient heuristic for the reward maximization
@@ -29,29 +26,16 @@ type HeuOptions struct {
 // the maximum realized data rate on bs_i to the closest base station that
 // can host it without violating the request's latency requirement or the
 // destination's capacity, then re-tests admission (Algorithm 2 steps
-// 11-14).
+// 11-14). A request whose realized demand overflows its station sheds
+// tasks to neighbours instead of being evicted, and after the last pass
+// the requests still rejected are distributed over the residual capacity.
 func Heu(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts HeuOptions) (*Result, error) {
-	a := ApproOptions{
+	return solveOffline(n, reqs, rng, "Heu", BatchOptions{
 		SlotLengthMS:        opts.SlotLengthMS,
 		RoundingDenominator: opts.RoundingDenominator,
 		Passes:              opts.Passes,
-		Warm:                opts.Warm,
-	}
-	a.fill()
-	all := make([]int, len(reqs))
-	for j := range all {
-		all[j] = j
-	}
-	mk := func(res *Result, used []float64) admissionHooks {
-		return admissionHooks{
-			migrate:  newTaskMigrator(n, reqs, res, used, a.SlotLengthMS, all),
-			overflow: newOverflowSplitter(n, reqs, res, used, a.SlotLengthMS),
-			finish: func() {
-				distributionPass(n, reqs, nil, res, used, rng, a.SlotLengthMS, nil)
-			},
-		}
-	}
-	return runRounding(n, reqs, rng, a, "Heu", mk)
+		Distribute:          true,
+	})
 }
 
 // distributionPass admits still-rejected requests by distributing their
@@ -59,15 +43,9 @@ func Heu(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts HeuOptions) (
 // passes cannot reach (no single station fits a whole request any more,
 // but several can share one). Requests are tried in decreasing expected
 // reward; realized demands that overflow are evicted just like in the
-// main sweep. active limits the candidates (nil means every request);
-// waitOf supplies per-request waiting slots in the online setting.
+// main sweep. active lists the candidates; waitOf supplies per-request
+// waiting slots in the online setting (nil means no waiting).
 func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Result, used []float64, rng *rand.Rand, slotLenMS float64, waitOf func(int) int) {
-	if active == nil {
-		active = make([]int, len(reqs))
-		for j := range active {
-			active[j] = j
-		}
-	}
 	order := make([]int, 0, len(active))
 	for _, j := range active {
 		if !res.Decisions[j].Admitted {

@@ -59,16 +59,13 @@ type lpOptions struct {
 	stations []int
 	// names, when non-nil, interns row/column names across solves; nil
 	// leaves every row and column unnamed (nothing warm starts then).
+	// Variables and assign rows are named by the request's position within
+	// active, not its global index: consecutive batches assign fresh global
+	// ids to every arrival, so global names would make structurally
+	// identical LPs look different and grow the interned-name table without
+	// bound. Station indices (and cap rows) keep their global ids —
+	// stations are stable.
 	names *nameCache
-	// positional names variables and assign rows by the request's
-	// position within active instead of its global index, and makes warm
-	// seeds resolve by exact shard; ScheduleBatch sets it, the offline
-	// passes (whose request indices are the same from pass to pass and run
-	// to run) do not. Consecutive batches assign fresh global ids to every
-	// arrival, so global names would make structurally identical LPs look
-	// different and grow the interned-name table without bound. Station
-	// indices (and cap rows) keep their global ids — stations are stable.
-	positional bool
 	// byReq, when non-nil, is used as the model's byReq backing instead of
 	// allocating one (entries for active requests must be length-0 and
 	// len(byReq) >= len(reqs)). solveDecomposed's component builds share
@@ -199,10 +196,6 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	}
 	for k, j := range active {
 		r := reqs[j]
-		nameIdx := j
-		if opts.positional {
-			nameIdx = k
-		}
 		// Constraint (11): only the stations that can meet the deadline
 		// with the current waiting time, ascending.
 		for _, i := range reach.of(j) {
@@ -219,7 +212,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 				if er <= 0 {
 					continue
 				}
-				v := prob.AddVariable(opts.names.yName(nameIdx, i, l), er)
+				v := prob.AddVariable(opts.names.yName(k, i, l), er)
 				idx := len(m.vars)
 				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er, v: v})
 				m.byReq[j] = append(m.byReq[j], idx)
@@ -239,15 +232,11 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		if len(m.byReq[j]) == 0 {
 			continue
 		}
-		nameIdx := j
-		if opts.positional {
-			nameIdx = k
-		}
 		terms = terms[:0]
 		for _, idx := range m.byReq[j] {
 			terms = append(terms, lp.Term{Var: m.vars[idx].v, Coef: 1})
 		}
-		if _, err := prob.AddConstraint(opts.names.assignName(nameIdx), lp.LE, 1, terms...); err != nil {
+		if _, err := prob.AddConstraint(opts.names.assignName(k), lp.LE, 1, terms...); err != nil {
 			return nil, err
 		}
 	}
@@ -332,9 +321,8 @@ func (m *lpModel) solve() ([]float64, float64, error) {
 
 // solveWarm is solve seeded from a previous optimal basis (nil = cold),
 // writing the y values into ybuf's storage when it is large enough. It
-// additionally returns this solve's optimal basis so the caller can seed
-// the next structurally similar LP: the next rounding pass, the next time
-// slot's LP-PT, or the next repetition of the same experiment cell.
+// additionally returns this solve's optimal basis so a WarmCache can seed
+// the same pass and shard of the next batch.
 func (m *lpModel) solveWarm(warm *lp.Basis, ybuf []float64) ([]float64, float64, *lp.Basis, error) {
 	if m.prob.NumVars() == 0 {
 		return nil, 0, nil, nil

@@ -5,8 +5,8 @@ import "sync"
 // slotScratch bundles the reusable buffers of one scheduling call:
 // the decomposition's union-find arrays and component lists, the LP under
 // construction with its variables and solution, the merged LP view, and
-// the rounding/admission work lists. ScheduleBatch and runRounding borrow
-// one from slotScratchPool per call. It takes a long-running daemon's
+// the rounding/admission work lists. roundingLoop (ScheduleBatch, Appro
+// and Heu) borrows one from slotScratchPool per call. It takes a long-running daemon's
 // per-slot scheduling to (near) zero steady-state allocations outside the
 // simplex: what a warmed slot still allocates is what each solve returns
 // (Solution and its X, Dual and Basis), a few closures per rounding pass,
@@ -22,7 +22,7 @@ type slotScratch struct {
 	activeAll []int
 
 	// the call's delay-feasible stations per request, filled once per
-	// ScheduleBatch or runRounding call
+	// roundingLoop call
 	reach reachLists
 
 	// per-request candidate station lists recorded during the
@@ -37,12 +37,13 @@ type slotScratch struct {
 	sigs   []uint64
 	sigOff []int
 
-	// what the look-up pass decided per component, then the one LP build
-	// every dirty component in turn is built, solved and merged out of
-	plans []compPlan
-	build buildScratch
-	vars  []slotVar
-	y     []float64
+	// the decision-cache entry the look-up pass found each clean component
+	// (nil for a dirty one), then the one LP build every dirty component in
+	// turn is built, solved and merged out of
+	replays []*incEntry
+	build   buildScratch
+	vars    []slotVar
+	y       []float64
 
 	// merged LP view shared across rounding passes
 	merged mergedModel
@@ -84,10 +85,10 @@ func growBoolsClear(buf *[]bool, n int) []bool {
 	return b
 }
 
-// growPlans resizes *buf to n and clears it.
-func growPlans(buf *[]compPlan, n int) []compPlan {
+// growReplays resizes *buf to n and clears it.
+func growReplays(buf *[]*incEntry, n int) []*incEntry {
 	if cap(*buf) < n {
-		*buf = make([]compPlan, n)
+		*buf = make([]*incEntry, n)
 	}
 	*buf = (*buf)[:n]
 	clear(*buf)

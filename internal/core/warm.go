@@ -16,19 +16,19 @@ type warmKey struct {
 	shard int
 }
 
-// WarmCache carries optimal LP bases across structurally similar solves:
-// repetitions of the same experiment grid cell, or successive rounding
-// passes of Appro/Heu. One basis is kept per (rounding pass, shard): pass
-// k of one run is structurally closest to pass k of the next (same slot
-// grid, similar residual shape), and the per-component decomposition
-// solves each shard independently, so each component warm-starts from its
-// own shard's basis.
+// WarmCache carries optimal LP bases from one ScheduleBatch call to the
+// next: one basis is kept per (rounding pass, shard), and each component
+// warm-starts from its own shard's basis of the same pass, resolved by
+// the positional row and column names the batch's LP carries.
 //
-// The online scheduler does not use one. Its R_t turns over almost
+// Nothing in the scheduler uses one. The online slot LPs turn over almost
 // completely from slot to slot, so the previous slot's basis describes
 // requests that are gone: measured on the benchmark's churn_mesh slot
 // LPs, a warm seed saved under one pivot per solve and cost more time
-// than it saved, names and basis replay included.
+// than it saved, names and basis replay included. Offline, chaining
+// Appro/Heu bases across an experiment cell's repetitions lost to cold
+// solves on every table but one (EXPERIMENTS.md, "Offline warm start").
+// The type survives for the benchmark's layer probes.
 //
 // A nil *WarmCache is valid and disables warm starting. A non-nil cache
 // belongs to one goroutine; only the hit/miss counters are atomic, so
@@ -50,8 +50,7 @@ func NewWarmCache() *WarmCache {
 }
 
 // Stats returns how many basis lookups found a seed basis (hits) versus
-// fell back to a cold solve (misses). The serving daemon exports the
-// ratio as its LP warm-start hit rate.
+// fell back to a cold solve (misses).
 func (c *WarmCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
@@ -60,38 +59,12 @@ func (c *WarmCache) Stats() (hits, misses uint64) {
 }
 
 // get returns the stored basis for a (rounding pass, shard) pair, nil
-// when absent. ScheduleBatch looks up exactly: a component re-seeds from
-// its own previous basis or cold. The offline rounding passes set
-// nearest: an absent key then falls back to the same pass's entry with
-// the nearest shard key. Components are labeled by their smallest
-// station, so the label drifts when that station saturates out of the
-// candidate graph; the nearest stored basis still covers mostly the same
-// rows and columns, and the name-based resolution simply drops whatever
-// no longer applies. The fallback choice is deterministic (smallest
-// distance, then smallest shard) given the stored keys, which is why
-// solveDecomposed resolves all of a pass's seeds before it stores the
-// pass's first basis.
-func (c *WarmCache) get(pass, shard int, nearest bool) *lp.Basis {
+// when absent: a component re-seeds from its own previous basis or cold.
+func (c *WarmCache) get(pass, shard int) *lp.Basis {
 	if c == nil {
 		return nil
 	}
 	b := c.bases[warmKey{pass: pass, shard: shard}]
-	if b == nil && nearest {
-		bestDist, bestShard := -1, -1
-		for k, cand := range c.bases {
-			if k.pass != pass {
-				continue
-			}
-			d := k.shard - shard
-			if d < 0 {
-				d = -d
-			}
-			if bestDist < 0 || d < bestDist || (d == bestDist && k.shard < bestShard) {
-				b = cand
-				bestDist, bestShard = d, k.shard
-			}
-		}
-	}
 	if b == nil {
 		c.misses.Add(1)
 	} else {

@@ -94,49 +94,21 @@ func TestLPPTWarmColdObjectiveProperty(t *testing.T) {
 // caller skip "if warm != nil" guards.
 func TestWarmCacheNilSafe(t *testing.T) {
 	var w *WarmCache
-	if got := w.get(0, 0, false); got != nil {
+	if got := w.get(0, 0); got != nil {
 		t.Fatalf("nil cache get = %v", got)
 	}
 	w.put(0, 0, &lp.Basis{}) // must not panic
 	c := NewWarmCache()
-	if got := c.get(3, 0, false); got != nil {
+	if got := c.get(3, 0); got != nil {
 		t.Fatalf("empty cache get = %v", got)
 	}
 	b := &lp.Basis{}
 	c.put(3, 0, b)
-	if got := c.get(3, 0, false); got != b {
+	if got := c.get(3, 0); got != b {
 		t.Fatalf("cache round-trip lost the basis")
 	}
 	c.put(3, 0, nil) // nil puts are dropped, keeping the last real basis
-	if got := c.get(3, 0, false); got != b {
+	if got := c.get(3, 0); got != b {
 		t.Fatalf("nil put evicted the cached basis")
-	}
-}
-
-// TestApproWarmAcrossRepetitions runs Appro twice on re-realized workloads
-// with a shared cache — the experiment-sweep pattern — and checks the
-// second run still passes the feasibility audit.
-func TestApproWarmAcrossRepetitions(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	net, err := mec.RandomNetwork(6, 3000, 3600, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := workload.Generate(workload.Config{
-		NumRequests: 30, NumStations: 6, GeometricRates: true,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewWarmCache()
-	for rep := 0; rep < 3; rep++ {
-		workload.Reset(reqs)
-		res, err := Appro(net, reqs, rand.New(rand.NewSource(int64(rep)+100)), ApproOptions{Warm: cache})
-		if err != nil {
-			t.Fatalf("rep %d: %v", rep, err)
-		}
-		if err := Audit(net, reqs, res); err != nil {
-			t.Fatalf("rep %d audit: %v", rep, err)
-		}
 	}
 }

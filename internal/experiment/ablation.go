@@ -16,7 +16,9 @@ import (
 // the reward cost of more conservative rounding and the feasibility risk
 // of more aggressive rounding.
 func AblationRounding(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "ablation-rounding",
 		Title:      "Ablation A1: Appro rounding denominator",
@@ -29,11 +31,11 @@ func AblationRounding(opts Options) (*Table, error) {
 			xi := indexOf(xs, x)
 			return genInstance(opts.Stations, offlineWorkload(opts.Requests), instSeed(opts.Seed, 21, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, warm *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			workload.Reset(inst.reqs)
 			rng := rand.New(rand.NewSource(runSeed(opts.Seed, 21, xi, rep, 0)))
-			res, err := core.Appro(inst.net, inst.reqs, rng, core.ApproOptions{RoundingDenominator: x, Warm: warm})
+			res, err := core.Appro(inst.net, inst.reqs, rng, core.ApproOptions{RoundingDenominator: x})
 			if err != nil {
 				return nil, err
 			}
@@ -52,7 +54,9 @@ func AblationRounding(opts Options) (*Table, error) {
 // (the T*eta*eps term), too many slow down elimination (the sqrt(kappa T)
 // term) — Theorem 3's trade-off made measurable.
 func AblationKappa(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "ablation-kappa",
 		Title:      "Ablation A2: DynamicRR threshold arms (kappa)",
@@ -66,7 +70,7 @@ func AblationKappa(opts Options) (*Table, error) {
 			return genInstance(opts.Stations, onlineWorkload(regretRequests, opts.Horizon),
 				instSeed(opts.Seed, 22, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, _ *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			return runDynamicVariant(inst, sim.DynamicRROptions{Kappa: int(x)},
 				runSeed(opts.Seed, 22, xi, rep, 0), opts)
@@ -88,7 +92,9 @@ const (
 // successive elimination against UCB1, epsilon-greedy, and a fixed
 // mid-range threshold (no learning).
 func AblationPolicy(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "ablation-policy",
 		Title:      "Ablation A3: DynamicRR bandit policy",
@@ -101,7 +107,7 @@ func AblationPolicy(opts Options) (*Table, error) {
 			return genInstance(opts.Stations, onlineWorkload(int(x), opts.Horizon),
 				instSeed(opts.Seed, 23, 0, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, _ *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			seed := runSeed(opts.Seed, 23, 0, rep, algoIndex(tbl, algo))
 			pol, err := newPolicy(algo, seed, opts)
 			if err != nil {
@@ -173,7 +179,9 @@ const (
 // the reward-aware LP selection of Appro/Heu matters more and the gap
 // over the reward-blind baselines widens.
 func AblationRewardModel(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "ablation-rewardmodel",
 		Title:      "Ablation A6: unit-price vs demand-independent rewards (Heu vs OCORP)",
@@ -188,9 +196,9 @@ func AblationRewardModel(opts Options) (*Table, error) {
 			cfg.IndependentRewards = x == 1
 			return genInstance(opts.Stations, cfg, instSeed(opts.Seed, 26, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, warm *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runOffline(inst, algo, runSeed(opts.Seed, 26, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit, warm)
+			return runOffline(inst, algo, runSeed(opts.Seed, 26, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit)
 		})
 	return tbl, err
 }
@@ -208,7 +216,9 @@ const (
 // T*eta*epsilon term of Theorem 3, zooming refines itself around the
 // optimum instead.
 func AblationDiscretization(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "ablation-discretization",
 		Title:      "Ablation A5: fixed vs adaptive (zooming) threshold discretization",
@@ -221,7 +231,7 @@ func AblationDiscretization(opts Options) (*Table, error) {
 			return genInstance(opts.Stations, onlineWorkload(int(x), opts.Horizon),
 				instSeed(opts.Seed, 25, 0, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, _ *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			seed := runSeed(opts.Seed, 25, 0, rep, algoIndex(tbl, algo))
 			var dopts sim.DynamicRROptions
 			switch algo {
@@ -248,7 +258,9 @@ func AblationDiscretization(opts Options) (*Table, error) {
 // capacity better but enlarge the LP; coarser slots strand residual
 // capacity.
 func AblationSlotSize(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "ablation-slotsize",
 		Title:      "Ablation A4: resource-slot size C_l",
@@ -284,9 +296,9 @@ func AblationSlotSize(opts Options) (*Table, error) {
 			}
 			return &instance{net: net, reqs: reqs}, nil
 		},
-		func(inst *instance, algo string, x float64, rep int, warm *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runOffline(inst, algo, runSeed(opts.Seed, 24, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit, warm)
+			return runOffline(inst, algo, runSeed(opts.Seed, 24, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit)
 		})
 	return tbl, err
 }

@@ -12,7 +12,9 @@ import "mecoffload/internal/core"
 // its own full simulation). The runtime column measures what the
 // reformulation buys: clean components skip the LP entirely.
 func DecisionCost(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "decision-cost",
 		Title:      "Per-slot decision cost: full re-solve vs decision reuse",
@@ -25,7 +27,7 @@ func DecisionCost(opts Options) (*Table, error) {
 			xi := indexOf(xs, x)
 			return genInstance(opts.Stations, onlineWorkload(int(x), opts.Horizon), instSeed(opts.Seed, 8, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, _ *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			// Same run seed for every variant: fidelity columns compare
 			// like against like on identical realization draws.

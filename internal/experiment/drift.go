@@ -58,7 +58,9 @@ type DriftResult struct {
 // under stationarity, Drift checks that drift-aware policies keep regret
 // bounded when the environment shifts under the learner.
 func Drift(opts Options) (*DriftResult, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	out := &DriftResult{Kappa: driftKappa}
 	for si, name := range scenario.BuiltinNames() {
 		curves, err := driftScenario(opts, si, name)

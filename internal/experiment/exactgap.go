@@ -17,7 +17,9 @@ const AlgoHindsight = "Hindsight"
 // every realized rate). Theorem 1 promises E[Appro] >= Opt/8; in practice
 // the measured gap is far smaller — this experiment shows by how much.
 func ExactGap(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "exactgap",
 		Title:      "Exact vs approximation on small instances (E11)",
@@ -31,13 +33,13 @@ func ExactGap(opts Options) (*Table, error) {
 			xi := indexOf(xs, x)
 			return genInstance(stations, offlineWorkload(int(x)), instSeed(opts.Seed, 11, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, warm *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			seed := runSeed(opts.Seed, 11, xi, rep, algoIndex(tbl, algo))
 			if algo == AlgoHindsight {
 				return hindsightResult(inst, seed)
 			}
-			return runOffline(inst, algo, seed, !opts.SkipAudit, warm)
+			return runOffline(inst, algo, seed, !opts.SkipAudit)
 		})
 	return tbl, err
 }

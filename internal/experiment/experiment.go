@@ -45,6 +45,9 @@ const (
 var (
 	ErrUnknownAlgorithm = errors.New("experiment: unknown algorithm")
 	ErrAuditFailed      = errors.New("experiment: result failed feasibility audit")
+	// ErrNegativeSize rejects a negative Repetitions, Stations, Requests
+	// or Horizon (zero selects the default).
+	ErrNegativeSize = errors.New("experiment: negative size")
 )
 
 // Defaults shared by all experiments (paper Section VI-A).
@@ -83,7 +86,16 @@ type Options struct {
 	Exp3Gamma, Exp3Alpha float64
 }
 
-func (o *Options) fill() {
+// fill rejects a negative size and replaces each zero one by its default.
+func (o *Options) fill() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Repetitions", o.Repetitions}, {"Stations", o.Stations}, {"Requests", o.Requests}, {"Horizon", o.Horizon}} {
+		if f.v < 0 {
+			return fmt.Errorf("%w: %s = %d", ErrNegativeSize, f.name, f.v)
+		}
+	}
 	if o.Repetitions == 0 {
 		o.Repetitions = DefaultRepetitions
 	}
@@ -99,6 +111,7 @@ func (o *Options) fill() {
 	if o.Parallel == 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
+	return nil
 }
 
 // Cell aggregates one (x, algorithm) point over repetitions.
@@ -164,11 +177,8 @@ func genInstance(stations int, wcfg workload.Config, seed int64) (*instance, err
 }
 
 // runOffline executes one offline algorithm on a fresh realization of the
-// instance's workload. warm (may be nil) carries LP warm-start bases
-// between repetitions of the same experiment cell: the repetitions differ
-// only in the random draw, so the previous repetition's optimal basis is a
-// near-optimal starting point for the next.
-func runOffline(inst *instance, algo string, seed int64, audit bool, warm *core.WarmCache) (*core.Result, error) {
+// instance's workload.
+func runOffline(inst *instance, algo string, seed int64, audit bool) (*core.Result, error) {
 	workload.Reset(inst.reqs)
 	rng := rand.New(rand.NewSource(seed))
 	var (
@@ -177,9 +187,9 @@ func runOffline(inst *instance, algo string, seed int64, audit bool, warm *core.
 	)
 	switch algo {
 	case AlgoAppro:
-		res, err = core.Appro(inst.net, inst.reqs, rng, core.ApproOptions{Warm: warm})
+		res, err = core.Appro(inst.net, inst.reqs, rng, core.ApproOptions{})
 	case AlgoHeu:
-		res, err = core.Heu(inst.net, inst.reqs, rng, core.HeuOptions{Warm: warm})
+		res, err = core.Heu(inst.net, inst.reqs, rng, core.HeuOptions{})
 	case AlgoExact:
 		res, err = core.Exact(inst.net, inst.reqs, rng, core.ExactOptions{})
 	case AlgoOCORP:
@@ -243,64 +253,52 @@ func runOnline(inst *instance, algo string, seed int64, horizon int, audit bool)
 	return res, nil
 }
 
-// cellJob is one (row, algorithm) grid cell of a sweep — the unit of
-// parallelism. A cell's repetitions run sequentially inside its job so
-// the chain of LP warm-start bases they share is identical for every
-// worker count.
+// cellJob is one repetition of one (row, algorithm) grid cell of a
+// sweep — the unit of parallelism. Repetitions share no state, so any
+// worker may run any of them.
 type cellJob struct {
 	row     int
 	algoIdx int
+	rep     int
 }
 
 // sweep runs a generic experiment grid in parallel and aggregates cells.
 //   - xs: the x-axis values;
 //   - makeInstance(x, rep) draws the instance;
-//   - run(inst, algo, rep, warm) executes one algorithm; warm is the
-//     cell's shared LP warm-start cache (repetitions of one cell solve
-//     structurally identical LPs, so their bases transfer).
+//   - run(inst, algo, x, rep) executes one algorithm on it.
 //
 // Determinism contract: the produced Table is identical for every
-// Options.Parallel value (wall-clock RuntimeMS aside). Cells are
-// independent — each owns its warm cache and derives its rngs from
+// Options.Parallel value (wall-clock RuntimeMS aside). Jobs are
+// independent — each draws its own instance and derives its rngs from
 // (x, rep) only — and results are aggregated after a barrier in fixed
 // (row, algorithm, repetition) order, so neither worker count nor
 // completion order can reorder a Summary's Add sequence.
 func sweep(opts Options, tbl *Table, xs []float64,
 	makeInstance func(x float64, rep int) (*instance, error),
-	run func(inst *instance, algo string, x float64, rep int, warm *core.WarmCache) (*core.Result, error)) error {
+	run func(inst *instance, algo string, x float64, rep int) (*core.Result, error)) error {
 
 	tbl.Rows = make([]Row, len(xs))
 	for i, x := range xs {
 		tbl.Rows[i] = Row{X: x}
 	}
 
-	jobs := make([]cellJob, 0, len(xs)*len(tbl.Algorithms))
+	jobs := make([]cellJob, 0, len(xs)*len(tbl.Algorithms)*opts.Repetitions)
 	for i := range xs {
 		for a := range tbl.Algorithms {
-			jobs = append(jobs, cellJob{row: i, algoIdx: a})
+			for rep := 0; rep < opts.Repetitions; rep++ {
+				jobs = append(jobs, cellJob{row: i, algoIdx: a, rep: rep})
+			}
 		}
 	}
-	results := make([][]*core.Result, len(jobs)) // per job, then per rep
+	results := make([]*core.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	runJob := func(k int) {
 		jb := jobs[k]
-		algo := tbl.Algorithms[jb.algoIdx]
-		warm := core.NewWarmCache()
-		out := make([]*core.Result, 0, opts.Repetitions)
-		for rep := 0; rep < opts.Repetitions; rep++ {
-			inst, err := makeInstance(xs[jb.row], rep)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			res, err := run(inst, algo, xs[jb.row], rep, warm)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			out = append(out, res)
+		inst, err := makeInstance(xs[jb.row], jb.rep)
+		if err == nil {
+			results[k], err = run(inst, tbl.Algorithms[jb.algoIdx], xs[jb.row], jb.rep)
 		}
-		results[k] = out
+		errs[k] = err
 	}
 
 	workers := opts.Parallel
@@ -339,13 +337,12 @@ func sweep(opts Options, tbl *Table, xs []float64,
 			}
 			continue
 		}
+		res := results[k]
 		c := tbl.Rows[jb.row].cell(tbl.Algorithms[jb.algoIdx])
-		for _, res := range results[k] {
-			c.Reward.Add(res.TotalReward)
-			c.LatencyMS.Add(res.AvgLatencyMS())
-			c.RuntimeMS.Add(float64(res.Runtime.Microseconds()) / 1000)
-			c.Served.Add(float64(res.Served))
-		}
+		c.Reward.Add(res.TotalReward)
+		c.LatencyMS.Add(res.AvgLatencyMS())
+		c.RuntimeMS.Add(float64(res.Runtime.Microseconds()) / 1000)
+		c.Served.Add(float64(res.Served))
 	}
 	return firstErr
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -142,7 +143,7 @@ func TestUnknownAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runOffline(inst, "Nope", 1, false, nil); err == nil {
+	if _, err := runOffline(inst, "Nope", 1, false); err == nil {
 		t.Error("want error for unknown offline algorithm")
 	}
 	if _, err := runOnline(inst, "Nope", 1, 10, false); err == nil {
@@ -283,5 +284,18 @@ func TestLearningCurveRuns(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(csv.String()), "\n")) != 1+len(lc.WindowStart) {
 		t.Fatal("CSV row count wrong")
+	}
+}
+
+// TestNegativeSizesRejected pins Options' contract: zero selects a
+// default, a negative size is an error, never a panic or an empty table.
+func TestNegativeSizesRejected(t *testing.T) {
+	for _, opts := range []Options{{Repetitions: -1}, {Stations: -2}, {Requests: -1}, {Horizon: -5}} {
+		if _, err := Fig3(opts); !errors.Is(err, ErrNegativeSize) {
+			t.Errorf("Fig3(%+v): err = %v, want ErrNegativeSize", opts, err)
+		}
+		if _, err := Regret(opts); !errors.Is(err, ErrNegativeSize) {
+			t.Errorf("Regret(%+v): err = %v, want ErrNegativeSize", opts, err)
+		}
 	}
 }

@@ -57,7 +57,9 @@ func onlineWorkload(numRequests, horizon int) workload.Config {
 // running time (c) of the offline algorithms Appro, Heu, Greedy, OCORP,
 // and HeuKKT as the number of requests grows from 100 to 300.
 func Fig3(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "fig3",
 		Title:      "Offline reward maximization vs number of requests (Fig. 3)",
@@ -70,9 +72,9 @@ func Fig3(opts Options) (*Table, error) {
 			xi := indexOf(xs, x)
 			return genInstance(opts.Stations, offlineWorkload(int(x)), instSeed(opts.Seed, 3, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, warm *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runOffline(inst, algo, runSeed(opts.Seed, 3, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit, warm)
+			return runOffline(inst, algo, runSeed(opts.Seed, 3, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit)
 		})
 	return tbl, err
 }
@@ -81,7 +83,9 @@ func Fig3(opts Options) (*Table, error) {
 // online algorithms DynamicRR, OCORP, Greedy, and HeuKKT as the number of
 // requests grows from 100 to 300 over a fixed arrival horizon.
 func Fig4(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "fig4",
 		Title:      "Online dynamic reward maximization vs number of requests (Fig. 4)",
@@ -94,9 +98,7 @@ func Fig4(opts Options) (*Table, error) {
 			xi := indexOf(xs, x)
 			return genInstance(opts.Stations, onlineWorkload(int(x), opts.Horizon), instSeed(opts.Seed, 4, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, _ *core.WarmCache) (*core.Result, error) {
-			// Online runs solve their slot LPs cold, so the cell's warm
-			// cache goes unused.
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			return runOnline(inst, algo, runSeed(opts.Seed, 4, xi, rep, algoIndex(tbl, algo)),
 				opts.Horizon+20, !opts.SkipAudit)
@@ -110,7 +112,9 @@ func Fig4(opts Options) (*Table, error) {
 // online variant over the default horizon, as in the paper's mixed
 // comparison.
 func Fig5(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "fig5",
 		Title:      "All algorithms vs number of base stations (Fig. 5)",
@@ -123,7 +127,7 @@ func Fig5(opts Options) (*Table, error) {
 			xi := indexOf(xs, x)
 			return genInstance(int(x), offlineWorkload(opts.Requests), instSeed(opts.Seed, 5, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, warm *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			seed := runSeed(opts.Seed, 5, xi, rep, algoIndex(tbl, algo))
 			if algo == AlgoDynamicRR {
@@ -132,7 +136,7 @@ func Fig5(opts Options) (*Table, error) {
 				spread := spreadArrivals(inst, opts.Horizon, seed)
 				return runOnline(spread, algo, seed, opts.Horizon+20, !opts.SkipAudit)
 			}
-			return runOffline(inst, algo, seed, !opts.SkipAudit, warm)
+			return runOffline(inst, algo, seed, !opts.SkipAudit)
 		})
 	return tbl, err
 }
@@ -141,7 +145,9 @@ func Fig5(opts Options) (*Table, error) {
 // online algorithms as the maximum data rate of a request grows from 15 to
 // 35 MB/s (minimum rate fixed at 10 MB/s).
 func Fig6(opts Options) (*Table, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:         "fig6",
 		Title:      "Online algorithms vs maximum data rate (Fig. 6)",
@@ -157,7 +163,7 @@ func Fig6(opts Options) (*Table, error) {
 			cfg.MaxRate = x
 			return genInstance(opts.Stations, cfg, instSeed(opts.Seed, 6, xi, rep))
 		},
-		func(inst *instance, algo string, x float64, rep int, _ *core.WarmCache) (*core.Result, error) {
+		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			return runOnline(inst, algo, runSeed(opts.Seed, 6, xi, rep, algoIndex(tbl, algo)),
 				opts.Horizon+20, !opts.SkipAudit)

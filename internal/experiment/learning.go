@@ -29,7 +29,9 @@ type LearningCurve struct {
 
 // Learning runs E12.
 func Learning(opts Options) (*LearningCurve, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	windows := regretHorizon / learningWindow
 	out := &LearningCurve{
 		WindowStart: make([]int, windows),

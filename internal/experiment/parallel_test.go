@@ -26,9 +26,9 @@ func csvSansRuntime(t *testing.T, tbl *Table) string {
 
 // TestSweepWorkerCountInvariance pins the parallel sweep's determinism
 // contract: the same seed must yield a byte-identical results CSV at
-// every worker count. Fig. 3 exercises the offline path with cross-rep
-// warm-start chaining; Fig. 6 exercises the online path with per-slot
-// LP decomposition inside DynamicRR.
+// every worker count. Fig. 3 exercises the offline Appro/Heu rounding
+// passes; Fig. 6 exercises the online path with per-slot LP
+// decomposition inside DynamicRR.
 func TestSweepWorkerCountInvariance(t *testing.T) {
 	figs := []struct {
 		name string

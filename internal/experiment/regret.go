@@ -46,7 +46,9 @@ type RegretResult struct {
 // at geometric checkpoints. Sub-linear growth (flattening against the
 // bound curve) is the reproduced claim.
 func Regret(opts Options) (*RegretResult, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	checkpoints := []int{25, 50, 100, 150, 200, 250, regretHorizon}
 	out := &RegretResult{
 		Checkpoints: checkpoints,
