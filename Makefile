@@ -22,8 +22,9 @@ race:
 ## cluster-parity: the sharding correctness gate — the oracle replay
 ## differential proving 1-, 2-, and 8-shard clusters emit identical
 ## decision streams, plus the reshard-restore contracts (a stream older
-## than the router's window and the version-1 manifest fixture among
-## them), the migration-race contract, the saturated batched intake
+## than the router's window among them) and the restore refusing every
+## file that is not a manifest of the one format written for this
+## topology, the migration-race contract, the saturated batched intake
 ## staying inside its queue bounds and accounting for every accepted
 ## request at 1 and 2 shards, one interleaving of batch and single
 ## submits giving one outcome on every run, the door's buffer against
@@ -32,7 +33,7 @@ race:
 ## engine runs none, a cluster runs shards − 1), all under the race
 ## detector (same as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestManifestV1Restores|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines' ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines' ./internal/cluster/ ./internal/serve/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components

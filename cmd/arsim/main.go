@@ -8,16 +8,9 @@
 //
 //	arsim -scheduler dynamicrr -requests 300 -horizon 120 -stations 20
 //	arsim -scheduler ocorp -trace
-//	arsim -replay trace.json -requests-per-30fps 1 -replay-dump decisions.json
-//
-// Replay mode feeds a captured frame trace through the oracle's golden
-// replay (the bare engine equivalent of arserved -replay) so offline and
-// daemon runs of the same trace and seed are diffable decision for
-// decision.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +19,6 @@ import (
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
-	"mecoffload/internal/oracle"
 	"mecoffload/internal/prof"
 	"mecoffload/internal/rnd"
 	"mecoffload/internal/scenario"
@@ -87,10 +79,6 @@ func run(args []string, out io.Writer) (err error) {
 		dumpJSON   = fs.String("dump", "", "write the run trace (decisions + per-slot series) as JSON to this file")
 		scenOut    = fs.String("scenario-out", "", "write the generated scenario as JSON to this file")
 		scenIn     = fs.String("scenario-in", "", "load the scenario from this JSON file instead of generating one")
-		replay     = fs.String("replay", "", "replay a workload trace JSON through the golden engine instead of simulating")
-		replayRate = fs.Int("requests-per-30fps", 1, "replay: requests per second per 30 fps of trace")
-		replayDump = fs.String("replay-dump", "", "replay: write per-slot admission decisions as JSON to this file")
-		slotMS     = fs.Float64("slot-ms", mec.DefaultSlotLengthMS, "replay: model slot length in milliseconds")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
@@ -106,10 +94,6 @@ func run(args []string, out io.Writer) (err error) {
 			err = perr
 		}
 	}()
-
-	if *replay != "" {
-		return runReplayGolden(*replay, *stations, *seed, *slotMS, *replayRate, *replayDump, out)
-	}
 
 	var (
 		net  *mec.Network
@@ -233,44 +217,6 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		if cerr != nil {
 			return cerr
-		}
-	}
-	return nil
-}
-
-// runReplayGolden replays a frame trace through oracle.FrameReplay with
-// the same topology seed label ("topology") arserved uses, so the two
-// commands are decision-for-decision comparable on identical flags.
-func runReplayGolden(path string, stations int, seed int64, slotMS float64, perThirtyFPS int, dumpPath string, out io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	tr, rerr := workload.ReadTrace(f)
-	cerr := f.Close()
-	if rerr != nil {
-		return rerr
-	}
-	if cerr != nil {
-		return cerr
-	}
-	net, err := mec.RandomNetwork(stations, 3000, 3600, rnd.New(seed, "topology"))
-	if err != nil {
-		return err
-	}
-	dump, err := oracle.FrameReplay(net, tr, seed, slotMS, perThirtyFPS)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "replayed %d trace seconds: submitted=%d reward=$%.0f over %d admitting slots\n",
-		len(tr.FPS), dump.Submitted, dump.TotalReward, len(dump.Slots))
-	if dumpPath != "" {
-		data, err := json.MarshalIndent(dump, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(dumpPath, append(data, '\n'), 0o644); err != nil {
-			return err
 		}
 	}
 	return nil

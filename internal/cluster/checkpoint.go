@@ -16,30 +16,20 @@ import (
 	"mecoffload/internal/sim"
 )
 
-// ManifestVersion is the cluster manifest format version written. Version
-// 2 shard snapshots carry cluster ids; version 1, still read, numbered
-// each shard's requests locally and translated through a per-shard id
-// table.
+// ManifestVersion is the one cluster manifest format version written and
+// read. Its shard snapshots carry cluster ids; version 1, which numbered
+// each shard's requests locally behind a per-shard id table, is refused.
 const ManifestVersion = 2
 
 // ErrNoManifest reports a missing manifest file (a fresh start).
 var ErrNoManifest = errors.New("cluster: no manifest")
 
-// manifestIDPair is one entry of a version-1 manifest's id table: a
-// request's shard-local id and the cluster id clients hold.
-type manifestIDPair struct {
-	Ext    uint64 `json:"ext"`
-	Global uint64 `json:"global"`
-}
-
 // manifestShard describes one shard's snapshot: which global stations
-// it owned and the snapshot file (relative to the manifest). IDs is read
-// from version-1 manifests and never written.
+// it owned and the snapshot file (relative to the manifest).
 type manifestShard struct {
-	Index    int              `json:"index"`
-	Stations []int            `json:"stations"`
-	File     string           `json:"file"`
-	IDs      []manifestIDPair `json:"ids,omitempty"`
+	Index    int    `json:"index"`
+	Stations []int  `json:"stations"`
+	File     string `json:"file"`
 }
 
 // Manifest composes per-shard serve checkpoints into one recoverable
@@ -165,16 +155,11 @@ func writeManifest(path string, man *Manifest) error {
 	return nil
 }
 
-// loadManifest reads a manifest and every shard snapshot it names. A
-// file that is instead a version-1 single-engine checkpoint — what a
-// daemon from before the cluster became the only serving path left at
-// -checkpoint — reads as a one-shard manifest over all `stations`
-// stations (legacyManifest). That format does not record how many
-// stations its daemon had, so a topology change is caught only when a live
-// request or stream names a station the topology lacks; a checkpoint from
-// a smaller topology restores. Anything else is an error: the caller
-// never starts empty over a file it cannot read.
-func loadManifest(path string, stations int) (*Manifest, []*serve.Checkpoint, error) {
+// loadManifest reads a version-2 manifest and every shard snapshot it
+// names. Anything else — a missing or foreign shard file, an older
+// manifest, a single-engine checkpoint — is an error: the caller never
+// starts empty over a file it cannot read.
+func loadManifest(path string) (*Manifest, []*serve.Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil, ErrNoManifest
@@ -182,30 +167,11 @@ func loadManifest(path string, stations int) (*Manifest, []*serve.Checkpoint, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: reading manifest: %w", err)
 	}
-	// A manifest always carries "shards" and never "totals"; an engine
-	// checkpoint is the reverse.
-	var probe struct {
-		Shards json.RawMessage `json:"shards"`
-		Totals json.RawMessage `json:"totals"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, nil, fmt.Errorf("cluster: decoding manifest %s: %w", path, err)
-	}
-	if probe.Shards == nil {
-		if probe.Totals == nil {
-			return nil, nil, fmt.Errorf("cluster: %s is neither a cluster manifest nor a single-engine checkpoint", path)
-		}
-		ck, err := serve.DecodeCheckpoint(data, path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: single-engine checkpoint: %w", err)
-		}
-		return legacyManifest(ck, stations), []*serve.Checkpoint{ck}, nil
-	}
 	var man Manifest
 	if err := json.Unmarshal(data, &man); err != nil {
 		return nil, nil, fmt.Errorf("cluster: decoding manifest %s: %w", path, err)
 	}
-	if man.Version != 1 && man.Version != ManifestVersion {
+	if man.Version != ManifestVersion {
 		return nil, nil, fmt.Errorf("cluster: manifest %s has version %d, want %d", path, man.Version, ManifestVersion)
 	}
 	dir := filepath.Dir(path)
@@ -225,25 +191,26 @@ func loadManifest(path string, stations int) (*Manifest, []*serve.Checkpoint, er
 	return &man, snaps, nil
 }
 
-// legacyManifest describes a single-engine checkpoint as the one-shard
-// manifest it is equivalent to: the engine owned every station under its
-// own index and its ids were the ids clients hold, so the station map is
-// the identity and the snapshot is a current one. composeRestore then
-// re-partitions it like any manifest (and rejects a checkpoint whose
-// requests or streams name stations the topology does not have); the
-// next checkpoint rewrites the file as a real manifest, generation 1.
-func legacyManifest(ck *serve.Checkpoint, stations int) *Manifest {
-	sh := manifestShard{Stations: make([]int, stations)}
-	for i := range sh.Stations {
-		sh.Stations[i] = i
+// checkStations refuses a manifest written for another topology: its
+// shards' station lists, taken together, must name each of the network's
+// stations exactly once. Every manifest checkpointLocked writes does,
+// placeholder shards included, so only a foreign or corrupt file fails.
+func checkStations(man *Manifest, stations int) error {
+	seen := make([]bool, stations)
+	listed, covered := 0, 0
+	for _, sh := range man.Shards {
+		listed += len(sh.Stations)
+		for _, st := range sh.Stations {
+			if st >= 0 && st < stations && !seen[st] {
+				seen[st] = true
+				covered++
+			}
+		}
 	}
-	return &Manifest{
-		Version:      ManifestVersion,
-		Slot:         ck.Slot,
-		Scheduler:    ck.Scheduler,
-		NextGlobalID: ck.NextExternalID,
-		Shards:       []manifestShard{sh},
+	if listed != stations || covered != stations {
+		return fmt.Errorf("manifest lists %d stations over its shards, not each of the network's %d exactly once", listed, stations)
 	}
+	return nil
 }
 
 // globalRequest is one live request lifted into global station ids
@@ -255,43 +222,22 @@ type globalRequest struct {
 	running *sim.RunningSnapshot // stations in global ids; nil if pending
 }
 
-// globalizeIDs rewrites a version-1 shard snapshot, which numbered its
-// requests locally, into cluster ids through the manifest's id table — the
-// one legacy branch of the restore. The snapshot is edited in place: it was
-// decoded for this restore and nothing else reads it.
-func globalizeIDs(sh manifestShard, ck *serve.Checkpoint) error {
-	clusterID := make(map[uint64]uint64, len(sh.IDs))
-	for _, p := range sh.IDs {
-		clusterID[p.Ext] = p.Global
-	}
-	for i := range ck.Requests {
-		g, ok := clusterID[ck.Requests[i].ExternalID]
-		if !ok {
-			return fmt.Errorf("request ext=%d missing from manifest id table", ck.Requests[i].ExternalID)
-		}
-		ck.Requests[i].ExternalID = g
-	}
-	for i := range ck.Running {
-		g, ok := clusterID[uint64(ck.Running[i].Request)]
-		if !ok {
-			return fmt.Errorf("running stream ext=%d missing from manifest id table", ck.Running[i].Request)
-		}
-		ck.Running[i].Request = int(g)
-	}
-	return nil
-}
-
 // composeRestore merges the manifest's per-shard snapshots into one
 // request set and re-partitions it onto the CURRENT shard layout, which
-// may differ from the one that wrote the manifest. Every request keeps its
-// id. Pending requests re-route through the normal candidate rule (which
-// also re-derives a spanning request's candidates); running streams must
-// land on a shard owning every station they hold shares on — a stream
-// split by the new partition is a loud error, not a silent drop. The
-// learner state is cloned into every new shard (each shard's bandit
-// continues from the global reward history) and lifetime totals accumulate
-// onto shard 0 so cluster-wide counters survive resharding.
+// may differ from the one that wrote the manifest, over the SAME stations
+// (checkStations refuses a manifest written for another topology). Every
+// request keeps its id. Pending requests re-route through the normal
+// candidate rule (which also re-derives a spanning request's candidates);
+// running streams must land on a shard owning every station they hold
+// shares on — a stream split by the new partition is a loud error, not a
+// silent drop. The learner state is cloned into every new shard (each
+// shard's bandit continues from the global reward history) and lifetime
+// totals accumulate onto shard 0 so cluster-wide counters survive
+// resharding.
 func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*serve.Checkpoint, error) {
+	if err := checkStations(man, len(c.owner)); err != nil {
+		return nil, err
+	}
 	var merged []globalRequest
 	var banditSnap *bandit.LipschitzSnapshot
 	var banditSlot int
@@ -303,11 +249,6 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 		// take the learner that saw the most slots (first shard on a tie).
 		if ck.Bandit != nil && (banditSnap == nil || ck.Slot > banditSlot) {
 			banditSnap, banditSlot = ck.Bandit, ck.Slot
-		}
-		if man.Version == 1 {
-			if err := globalizeIDs(sh, ck); err != nil {
-				return nil, fmt.Errorf("shard %d %w", sh.Index, err)
-			}
 		}
 		runOf := make(map[uint64]*sim.RunningSnapshot, len(ck.Running))
 		for i := range ck.Running {

@@ -1,0 +1,185 @@
+package cluster
+
+// Restore reads one format, the one checkpointLocked writes: a version-2
+// manifest over version-1 shard snapshots, whose station lists cover the
+// network it is restored onto exactly once. Everything else fails New and
+// stays on disk as it was.
+
+import (
+	"bytes"
+	"encoding/json"
+	"maps"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"mecoffload/internal/mec"
+	"mecoffload/internal/serve"
+)
+
+// generationFiles names the manifest and the two shard files of the one
+// generation a 2-shard liveGeneration writes.
+func generationFiles(manifest, shard0, shard1 []byte) map[string][]byte {
+	return map[string][]byte{
+		"cluster.json":             manifest,
+		"cluster.json.shard0.gen1": shard0,
+		"cluster.json.shard1.gen1": shard1,
+	}
+}
+
+// writeFiles writes files into a fresh directory and returns the path of
+// its cluster.json.
+func writeFiles(t *testing.T, files map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return filepath.Join(dir, "cluster.json")
+}
+
+// TestCheckpointRejected: a file at CheckpointPath that is not a manifest
+// of the one format, or was written for another topology, fails New at any
+// shard count, and every file in its directory is left byte for byte as it
+// was — the daemon never starts empty over state it cannot read.
+func TestCheckpointRejected(t *testing.T) {
+	net4, net8 := chainTestNetwork(t, 4), chainTestNetwork(t, 8)
+	man, s0, s1 := liveGeneration(t, Config{Net: net8}, 8)
+	live := generationFiles(man, s0, s1)
+	with := func(name string, data []byte) map[string][]byte {
+		files := maps.Clone(live)
+		files[name] = data
+		return files
+	}
+	wrongShard := bytes.Replace(s0, []byte(`"version": 1`), []byte(`"version": 2`), 1)
+	if bytes.Equal(wrongShard, s0) {
+		t.Fatal("shard file has no version field to corrupt")
+	}
+	cases := []struct {
+		name    string
+		files   map[string][]byte
+		net     *mec.Network
+		wantErr string
+	}{
+		{"truncated", with("cluster.json", man[:len(man)/2]), net8, "decoding manifest"},
+		{"empty", with("cluster.json", nil), net8, "decoding manifest"},
+		{"manifest version 1", with("cluster.json", []byte(`{"version": 1, "slot": 4, "nextGlobalId": 24, "shards": [`+
+			`{"index": 0, "stations": [0, 1, 2, 3], "file": "cluster.json.shard0.gen1", "ids": []}, `+
+			`{"index": 1, "stations": [4, 5, 6, 7], "file": "cluster.json.shard1.gen1", "ids": []}]}`)), net8, "has version 1, want 2"},
+		// A shard file is a serve.Checkpoint, the format the single-engine
+		// daemon wrote at -checkpoint.
+		{"single-engine checkpoint", with("cluster.json", s0), net8, "has version 1, want 2"},
+		{"shard file outside", with("cluster.json", []byte(`{"version": 2, "shards": [`+
+			`{"index": 0, "stations": [0, 1, 2, 3, 4, 5, 6, 7], "file": "../cluster.json"}]}`)), net8, "outside its directory"},
+		{"shard file version", with("cluster.json.shard0.gen1", wrongShard), net8, "has version 2, want 1"},
+		// Every live request of either generation names only stations both
+		// networks have (no sweep moves one onto stations 4-7), so nothing
+		// but the guard tells the topologies apart.
+		{"topology 4 to 8", generationFiles(liveGeneration(t, Config{Net: net4}, 4)), net8, "lists 4 stations over its shards, not each of the network's 8"},
+		{"topology 8 to 4", generationFiles(liveGeneration(t, Config{Net: net8, MigrationEvery: -1}, 4)), net4, "lists 8 stations over its shards, not each of the network's 4"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeFiles(t, tc.files)
+			for _, shards := range []int{1, 2} {
+				_, err := New(Config{Net: tc.net, Shards: shards, Seed: 7, CheckpointPath: path})
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("shards=%d: New = %v, want an error containing %q", shards, err, tc.wantErr)
+				}
+			}
+			entries, err := os.ReadDir(filepath.Dir(path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(tc.files) {
+				t.Fatalf("refused restore left %d files, want the %d it was given", len(entries), len(tc.files))
+			}
+			for name, want := range tc.files {
+				got, err := os.ReadFile(filepath.Join(filepath.Dir(path), name))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("refused restore changed %s (read error %v)", name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestRemovedSchedulerNameRestores: an older daemon run with the since
+// removed `-scheduler local-ratio` recorded that name in its manifest and
+// every shard file. The field is a record, not a selector: the generation
+// restores under the default scheduler with the learner it holds intact.
+func TestRemovedSchedulerNameRestores(t *testing.T) {
+	net := chainTestNetwork(t, 8)
+	schedulerField := regexp.MustCompile(`"scheduler": "[^"]*"`)
+	renamed := func(data []byte) []byte {
+		if !schedulerField.Match(data) {
+			t.Fatal("no scheduler field to rename")
+		}
+		return schedulerField.ReplaceAll(data, []byte(`"scheduler": "local-ratio"`))
+	}
+	man, s0, s1 := liveGeneration(t, Config{Net: net}, 8)
+	path := writeFiles(t, generationFiles(renamed(man), renamed(s0), renamed(s1)))
+	old, snaps, err := loadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The restore continues from the learner that saw the most slots, and
+	// counts the lifetime totals of every shard.
+	var want serve.Totals
+	learner := snaps[0]
+	for _, ck := range snaps {
+		addTotals(&want, ck.Totals)
+		if ck.Slot > learner.Slot {
+			learner = ck
+		}
+	}
+	wantBandit, err := json.Marshal(learner.Bandit)
+	if err != nil || old.Scheduler != "local-ratio" || learner.Scheduler != "local-ratio" || learner.Bandit == nil || want.Submitted == 0 {
+		t.Fatalf("generation: scheduler %q / %q, bandit %v, totals %+v, err %v", old.Scheduler, learner.Scheduler, learner.Bandit, want, err)
+	}
+
+	cfg := Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: path}
+	// Round 1 reads the generation round 0 left, renamed back to what the
+	// older daemon wrote.
+	for round := 0; round < 2; round++ {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("round %d: restoring under the default scheduler: %v", round, err)
+		}
+		c.Start()
+		if got := c.Totals(); got != want {
+			t.Fatalf("round %d: restored totals %+v, want %+v", round, got, want)
+		}
+		if err := c.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		written, snaps, err := loadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := []string{path}
+		for k, ck := range snaps {
+			got, err := json.Marshal(ck.Bandit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantBandit) || written.Scheduler == "local-ratio" || ck.Scheduler != "dynamicrr" {
+				t.Fatalf("round %d shard %d: scheduler %q / %q, bandit %s, want dynamicrr and %s", round, k, written.Scheduler, ck.Scheduler, got, wantBandit)
+			}
+			files = append(files, filepath.Join(filepath.Dir(path), written.Shards[k].File))
+		}
+		for _, file := range files {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, renamed(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -46,10 +46,11 @@ type Config struct {
 	Seed int64
 	// CheckpointPath, when set, names the cluster manifest; per-shard
 	// snapshots are written beside it. New restores from an existing
-	// manifest — with any shard count; a version-1 single-engine
-	// checkpoint left there by an older daemon reads as a one-shard
-	// manifest — and the cluster rewrites it every CheckpointEvery slots
-	// (default 50) and at Stop.
+	// manifest at any shard count, provided its shards' station lists
+	// cover Net's stations exactly once (a manifest written for another
+	// topology, an older manifest version or any other file there fails
+	// New and is left as it was), and the cluster rewrites it every
+	// CheckpointEvery slots (default 50) and at Stop.
 	CheckpointPath  string
 	CheckpointEvery int
 	// AsyncCheckpoint takes checkpoint I/O off the cluster clock: under
@@ -73,7 +74,6 @@ type Config struct {
 	// Per-shard engine bounds, passed through to serve.Config.
 	DoorCapacity int
 	MaxPending   int
-	BatchQueue   int
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
 	// TraceWriter, when non-nil, receives every shard's per-slot trace
@@ -413,7 +413,7 @@ func New(cfg Config) (*Cluster, error) {
 	// Restore from an existing manifest, shard-count-agnostic.
 	var restores []*serve.Checkpoint
 	if cfg.CheckpointPath != "" {
-		man, snaps, err := loadManifest(cfg.CheckpointPath, cfg.Net.NumStations())
+		man, snaps, err := loadManifest(cfg.CheckpointPath)
 		if err != nil && !errors.Is(err, ErrNoManifest) {
 			return nil, err
 		}
@@ -452,7 +452,6 @@ func New(cfg Config) (*Cluster, error) {
 			StepChecker:      cfg.StepChecker,
 			DoorCapacity:     cfg.DoorCapacity,
 			MaxPending:       cfg.MaxPending,
-			BatchQueue:       cfg.BatchQueue,
 			Logf: func(format string, args ...any) {
 				cfg.Logf("[shard %d] "+format, append([]any{k}, args...)...)
 			},

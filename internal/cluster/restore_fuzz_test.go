@@ -14,38 +14,21 @@ import (
 // generation-1 shard files and restores a 2-shard cluster over
 // chainTestNetwork(8) from them. Restore must never panic. A refused
 // checkpoint is left byte for byte as it was; an accepted one runs a slot
-// and stops cleanly, writing its own manifest. The seeds are the three
-// formats read today: the version-1 manifest fixture, the version-1
-// single-engine fixture, and a version-2 generation a live cluster wrote.
+// and stops cleanly, writing its own manifest. The seeds are the one format
+// read: a generation a live cluster wrote over the same network, and one
+// written over chainTestNetwork(4), which the station guard refuses.
 func FuzzCheckpointRestore(f *testing.F) {
 	net := chainTestNetwork(f, 8)
-	read := func(path string) []byte {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
+	for _, n := range []*mec.Network{net, chainTestNetwork(f, 4)} {
+		man, s0, s1 := liveGeneration(f, Config{Net: n}, n.NumStations())
+		f.Add(man, s0, s1)
 	}
-	f.Add(read("testdata/manifest_v1/cluster.json"),
-		read("testdata/manifest_v1/cluster.json.shard0.gen1"),
-		read("testdata/manifest_v1/cluster.json.shard1.gen1"))
-	f.Add(read("testdata/legacy_v1_engine.json"), []byte{}, []byte{})
-	man, s0, s1 := liveGeneration(f, net)
-	f.Add(man, s0, s1)
 
 	f.Fuzz(func(t *testing.T, manifest, shard0, shard1 []byte) {
-		dir := t.TempDir()
-		files := map[string][]byte{
-			"cluster.json":             manifest,
-			"cluster.json.shard0.gen1": shard0,
-			"cluster.json.shard1.gen1": shard1,
-		}
-		for name, data := range files {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c, err := New(Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: filepath.Join(dir, "cluster.json")})
+		files := generationFiles(manifest, shard0, shard1)
+		path := writeFiles(t, files)
+		dir := filepath.Dir(path)
+		c, err := New(Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: path})
 		if err != nil {
 			for name, want := range files {
 				if got, rerr := os.ReadFile(filepath.Join(dir, name)); rerr != nil || !bytes.Equal(got, want) {
@@ -64,36 +47,38 @@ func FuzzCheckpointRestore(f *testing.F) {
 	})
 }
 
-// liveGeneration runs a 2-shard cluster over net for a few slots with
-// pending and running requests on both shards, stops it, and returns the
-// manifest and the two shard files of the one generation Stop wrote.
-func liveGeneration(f *testing.F, net *mec.Network) (manifest, shard0, shard1 []byte) {
-	dir := f.TempDir()
-	path := filepath.Join(dir, "cluster.json")
-	c, err := New(Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: path})
+// liveGeneration runs a 2-shard cluster under cfg (its network and any
+// tuning) for a few slots with pending and running requests accessing
+// stations 0..access-1, stops it, and returns the manifest and the two
+// shard files of the one generation Stop wrote.
+func liveGeneration(tb testing.TB, cfg Config, access int) (manifest, shard0, shard1 []byte) {
+	tb.Helper()
+	dir := tb.TempDir()
+	cfg.Shards, cfg.Seed, cfg.CheckpointPath = 2, 7, filepath.Join(dir, "cluster.json")
+	c, err := New(cfg)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	c.Start()
 	for slot := 0; slot < 4; slot++ {
 		specs := make([]serve.RequestSpec, 6)
 		for i := range specs {
-			specs[i] = serve.RequestSpec{AccessStation: (slot + i) % net.NumStations(), DurationSlots: 5}
+			specs[i] = serve.RequestSpec{AccessStation: (slot + i) % access, DurationSlots: 5}
 		}
 		if _, err := c.SubmitBatch(specs); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := c.Tick(); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := c.Stop(); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	read := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			f.Fatalf("the live cluster's first generation: %v", err)
+			tb.Fatalf("the live cluster's first generation: %v", err)
 		}
 		return data
 	}

@@ -506,9 +506,6 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 	}
 	var inSnaps []uint64
 	for _, sh := range man.Shards {
-		if sh.IDs != nil {
-			t.Fatalf("shard %d: manifest carries per-request entries %+v", sh.Index, sh.IDs)
-		}
 		ck, err := serve.LoadCheckpoint(filepath.Join(dir, sh.File))
 		if err != nil {
 			t.Fatal(err)
@@ -608,139 +605,6 @@ func TestLiveRequestOutlivesRouterEntry(t *testing.T) {
 	}
 	if id, _, err := rc.Submit(spec); err != nil || id != 9 {
 		t.Fatalf("first id after the restore %d (err %v), want 9", id, err)
-	}
-}
-
-// TestManifestV1Restores: testdata/manifest_v1 is a version-1 manifest as
-// the tree before cluster ids reached the engines wrote it — two shards
-// over chainTestNetwork(8), shard files numbered locally, an id table in
-// the manifest; among its 26 live requests are running streams, pending
-// requests, and both kinds re-homed to shard 1 by the migration sweep under
-// a local id that differs from their cluster id. It must restore at 1, 2
-// and 4 shards with every id answering in its state, the learner intact,
-// the id allocator where it stood — and be rewritten as version 2.
-func TestManifestV1Restores(t *testing.T) {
-	const fixture = "testdata/manifest_v1"
-	var man Manifest
-	data, err := os.ReadFile(filepath.Join(fixture, "cluster.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &man); err != nil {
-		t.Fatal(err)
-	}
-	if man.Version != 1 || len(man.Shards) != 2 {
-		t.Fatalf("fixture is a version-%d manifest of %d shards, want version 1 of 2", man.Version, len(man.Shards))
-	}
-	wantState := map[uint64]string{}
-	var wantBandit []byte
-	rehomedPending, rehomedRunning := 0, 0
-	for _, sh := range man.Shards {
-		ck, err := serve.LoadCheckpoint(filepath.Join(fixture, sh.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantBandit == nil {
-			if wantBandit, err = json.Marshal(ck.Bandit); err != nil {
-				t.Fatal(err)
-			}
-		}
-		clusterID := map[uint64]uint64{}
-		for _, p := range sh.IDs {
-			clusterID[p.Ext] = p.Global
-		}
-		for _, cr := range ck.Requests {
-			g, ok := clusterID[cr.ExternalID]
-			if !ok {
-				t.Fatalf("fixture shard %d: request ext=%d has no pair", sh.Index, cr.ExternalID)
-			}
-			wantState[g] = serve.StatePending
-			if cr.Running {
-				wantState[g] = serve.StateServing
-			}
-			if g != cr.ExternalID && cr.Running {
-				rehomedRunning++
-			} else if g != cr.ExternalID {
-				rehomedPending++
-			}
-		}
-	}
-	if rehomedPending == 0 || rehomedRunning == 0 || len(wantState) != 26 {
-		t.Fatalf("fixture holds %d requests, %d pending and %d running under a local id of their own: want 26, some, some",
-			len(wantState), rehomedPending, rehomedRunning)
-	}
-
-	for _, shards := range []int{1, 2, 4} {
-		dir := t.TempDir()
-		entries, err := os.ReadDir(fixture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range entries {
-			blob, err := os.ReadFile(filepath.Join(fixture, ent.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, ent.Name()), blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cfg := Config{
-			Net:            chainTestNetwork(t, 8),
-			Shards:         shards,
-			SchedulerName:  "dynamicrr",
-			DynamicRR:      sim.DynamicRROptions{RoundingDenominator: 1},
-			Seed:           7,
-			CheckpointPath: filepath.Join(dir, "cluster.json"),
-			MigrationEvery: 2,
-		}
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatalf("restore at %d shards: %v", shards, err)
-		}
-		if c.Slot() != man.Slot || c.RouterStats().Routed != man.NextGlobalID {
-			t.Fatalf("restore at %d shards: slot %d next id %d, want %d and %d", shards, c.Slot(), c.RouterStats().Routed, man.Slot, man.NextGlobalID)
-		}
-		for _, nd := range c.nodes { // not started yet: the learners are nobody's but the test's
-			snap, err := nd.eng.BanditSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := json.Marshal(snap); !bytes.Equal(got, wantBandit) {
-				t.Fatalf("restore at %d shards: shard %d learner\n got  %s\n want %s", shards, nd.idx, got, wantBandit)
-			}
-		}
-		c.Start()
-		for g := uint64(0); g < man.NextGlobalID; g++ {
-			rec, ok, err := c.Status(g)
-			if err != nil || ok != (wantState[g] != "") || (ok && (rec.ID != g || rec.State != wantState[g])) {
-				t.Fatalf("restore at %d shards: request %d answers %+v (known=%v, err=%v), want state %q", shards, g, rec, ok, err, wantState[g])
-			}
-		}
-		// Streams hold for 60 slots; within 45 every pending request has been
-		// admitted or has expired, under the id it came with.
-		for i := 0; i < 45; i++ {
-			if err := c.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for g, was := range wantState {
-			rec, ok, err := c.Status(g)
-			if err != nil || !ok || rec.State == serve.StatePending || rec.State == serve.StateMigrated ||
-				(was == serve.StateServing && rec.State != serve.StateServing) {
-				t.Fatalf("restore at %d shards: request %d (%s at the restore) is %+v after 45 slots (known=%v, err=%v)", shards, g, was, rec, ok, err)
-			}
-		}
-		if err := c.Stop(); err != nil {
-			t.Fatal(err)
-		}
-		rewritten, err := os.ReadFile(cfg.CheckpointPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(rewritten, []byte(`"version": 2`)) || bytes.Contains(rewritten, []byte(`"ids"`)) {
-			t.Fatalf("restore at %d shards: the manifest written at Stop is not a version-2 one:\n%s", shards, rewritten)
-		}
 	}
 }
 

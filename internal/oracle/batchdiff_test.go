@@ -16,7 +16,6 @@ import (
 	"mecoffload/internal/mec"
 	"mecoffload/internal/oracle"
 	"mecoffload/internal/serve"
-	"mecoffload/internal/sim"
 )
 
 // diffSpecs derives a deterministic per-slot spec stream mixing
@@ -59,15 +58,15 @@ func runIntake(t *testing.T, specs [][]serve.RequestSpec,
 	e, err := serve.New(serve.Config{
 		Net: net,
 		Rng: rand.New(rand.NewSource(7)),
-		SlotObserver: func(rep sim.SlotReport) {
-			if len(rep.Admitted) > 0 {
-				dump.Slots = append(dump.Slots, oracle.SlotAdmissions{
-					Slot:     rep.Slot,
-					Admitted: append([]int(nil), rep.Admitted...),
-					Reward:   rep.Reward,
-				})
+		DecisionObserver: func(slot int, admitted []uint64, reward float64) {
+			if len(admitted) > 0 {
+				ids := make([]int, len(admitted))
+				for i, id := range admitted {
+					ids[i] = int(id)
+				}
+				dump.Slots = append(dump.Slots, oracle.SlotAdmissions{Slot: slot, Admitted: ids, Reward: reward})
 			}
-			dump.TotalReward += rep.Reward
+			dump.TotalReward += reward
 		},
 	})
 	if err != nil {

@@ -63,7 +63,7 @@ func (d *ReplayDump) Diff(o *ReplayDump) string {
 // arrival, so hitting the cap means the model leaked work.
 const maxReplaySlots = 1 << 20
 
-// FrameReplay is the trusted reference for the daemons' frame-trace
+// FrameReplay is the trusted reference for the daemon's frame-trace
 // replay mode: it derives the same request stream from the trace
 // (rnd.New(seed, "replay") for unit rewards, round-robin access
 // stations, single-outcome demand pinned to the second's scaled pipeline
@@ -73,11 +73,10 @@ const maxReplaySlots = 1 << 20
 // stream arserved's shard 0 draws from — mirroring arserved's runReplay
 // slot for slot — including the drain tail — but through none of the
 // daemon's router, channel, shard, or checkpoint machinery.
-// cmd/arsim -replay and cmd/arserved -replay (a 1-shard cluster) must
-// both reproduce its dump, per-slot admissions compared as sets
-// (Normalized): the planner reports admission order, the cluster
-// ascending ids. The engine runs with the oracle's invariant checker
-// installed.
+// cmd/arserved -replay (a 1-shard cluster) must reproduce its dump,
+// per-slot admissions compared as sets (Normalized): the planner reports
+// admission order, the cluster ascending ids. The engine runs with the
+// oracle's invariant checker installed.
 func FrameReplay(net *mec.Network, tr *workload.FrameTrace, seed int64, slotMS float64, perThirtyFPS int) (*ReplayDump, error) {
 	if net == nil || tr == nil {
 		return nil, fmt.Errorf("oracle: nil network or trace")

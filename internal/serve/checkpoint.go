@@ -82,8 +82,8 @@ func WriteCheckpoint(path string, ck *Checkpoint) error {
 	return nil
 }
 
-// LoadCheckpoint reads a checkpoint; ErrNoCheckpoint when the file is
-// absent.
+// LoadCheckpoint reads and version-checks a checkpoint; ErrNoCheckpoint
+// when the file is absent.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -92,18 +92,12 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
 	}
-	return DecodeCheckpoint(data, path)
-}
-
-// DecodeCheckpoint decodes and version-checks checkpoint bytes the caller
-// already read; name is only for error messages.
-func DecodeCheckpoint(data []byte, name string) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("serve: decoding checkpoint %s: %w", name, err)
+		return nil, fmt.Errorf("serve: decoding checkpoint %s: %w", path, err)
 	}
 	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("serve: checkpoint %s has version %d, want %d", name, ck.Version, checkpointVersion)
+		return nil, fmt.Errorf("serve: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
 	}
 	return &ck, nil
 }

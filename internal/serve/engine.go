@@ -96,10 +96,6 @@ type Config struct {
 	// fill and shed (default 16384). Flush, and the request a
 	// single-request submit admits, are not subject to it.
 	MaxPending int
-	// BatchQueue bounds how many batches may wait at the door besides
-	// the one inside it; the next one fails SubmitBatch with ErrSaturated
-	// (default 8).
-	BatchQueue int
 	// StepChecker, when set, is installed on the planner and runs the
 	// oracle's invariant checks after every slot; a violation surfaces as
 	// a slot error (the slot's requests stay pending and SlotErrors
@@ -117,12 +113,6 @@ type Config struct {
 	// the restart is not re-applied (capacity scales live on Net, which
 	// a fresh process rebuilds nominal).
 	Drift *sim.Drift
-	// SlotObserver, when set, receives every slot report inside Tick,
-	// after the slot has settled but before metrics publish. It runs
-	// under the planner lock and must not call back into the engine.
-	// Replay harnesses use it to capture per-slot admission decisions for
-	// parity checks.
-	SlotObserver func(sim.SlotReport)
 	// DecisionObserver, when set, receives each slot's admitted request
 	// ids (in admission order) and the slot's realized reward, inside
 	// Tick after settlement. It runs under the planner lock and must not
@@ -208,9 +198,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 16384
-	}
-	if cfg.BatchQueue <= 0 {
-		cfg.BatchQueue = 8
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}

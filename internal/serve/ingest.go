@@ -10,7 +10,7 @@ package serve
 // overload policy is a strict chain of bounded queues:
 //
 //	pending (MaxPending)  <- door (DoorCapacity, sheds lowest E[reward])
-//	  <- batches waiting at the door (BatchQueue)  <- 503 + Retry-After
+//	  <- batches waiting at the door (batchQueue)  <- 503 + Retry-After
 //
 // A request the door does not shed reaches the planner in exact
 // submission order, so batched intake decides as the single-POST path
@@ -30,6 +30,10 @@ import (
 // right now; HTTP maps it to 503 with a jittered Retry-After.
 var ErrSaturated = errors.New("serve: ingest saturated, retry later")
 
+// batchQueue bounds how many batches may wait at the door besides the one
+// inside it; the next one fails SubmitBatch with ErrSaturated.
+const batchQueue = 8
+
 // defaultSpecPrice is the expected reward of a default-spec request:
 // the paper-default rate support's mean rate at the midpoint unit
 // reward. Kept deterministic so pricing never consumes engine
@@ -48,7 +52,7 @@ type BatchResult struct {
 }
 
 // SubmitBatch queues a pre-validated batch of specs for ingest under the
-// engine's own numbering. It fails fast with ErrSaturated when BatchQueue
+// engine's own numbering. It fails fast with ErrSaturated when batchQueue
 // batches already wait at the door (the overload backstop behind the
 // door's shedding), and with ErrDraining / ErrStopped like Submit. Specs
 // should have passed ValidateSpec; a spec the planner still rejects is
@@ -79,7 +83,7 @@ func (e *Engine) submitBatch(ids []uint64, specs []RequestSpec) (BatchResult, er
 	if e.Draining() {
 		return BatchResult{}, e.refusal()
 	}
-	if e.atDoor.Add(1) > int64(e.cfg.BatchQueue)+1 {
+	if e.atDoor.Add(1) > batchQueue+1 {
 		e.atDoor.Add(-1)
 		e.metrics.Saturated.Inc()
 		return BatchResult{}, ErrSaturated

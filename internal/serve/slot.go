@@ -41,12 +41,9 @@ func (e *Engine) step(t int) (sim.SlotReport, float64) {
 	return rep, durMS
 }
 
-// observe hands the report to the configured observers, before settle
-// drops the rows of requests admitted and evicted in the same slot.
+// observe hands the slot's admitted ids to the DecisionObserver, before
+// settle drops the rows of requests admitted and evicted in the same slot.
 func (e *Engine) observe(t int, rep sim.SlotReport) {
-	if e.cfg.SlotObserver != nil {
-		e.cfg.SlotObserver(rep)
-	}
 	if e.cfg.DecisionObserver != nil {
 		admitted := e.admittedBuf[:0]
 		for _, j := range rep.Admitted {
