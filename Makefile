@@ -44,11 +44,13 @@ cluster-parity:
 ## pass loop against the offline loop they used to run, decision for
 ## decision; the dirty-set and first-sighting edge-case
 ## suite; the default 1-shard cluster against the reference on the steady
-## wave; and an engine that compacts every few slots against one that
-## never does — all under the race detector (same as the CI
+## wave; an engine that compacts every few slots against one that
+## never does; the slot LP's dropped cap rows against the unpruned LP and
+## the dense reference simplex; and the per-station column cap of the
+## refined passes — all under the race detector (same as the CI
 ## incremental-parity job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 
 ## drift: the adaptivity correctness gate — seeded regret-bound
 ## assertions proving the drift-aware policies beat stationary UCB1 on

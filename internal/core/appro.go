@@ -68,8 +68,9 @@ func Appro(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ApproOption
 
 // solveOffline runs ScheduleBatch's pass loop for Appro and Heu: every
 // request active, waiting nothing, against a fresh occupancy ledger, with
-// maxAutoPasses passes when opts.Passes is 0. It records pass 0's LP
-// optimum as the result's bound and settles the rewards.
+// maxAutoPasses passes when opts.Passes is 0, and the refined passes on
+// the uniform halving grid. It records pass 0's LP optimum as the
+// result's bound and settles the rewards.
 func solveOffline(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, name string, opts BatchOptions) (*Result, error) {
 	if n == nil {
 		return nil, ErrNilNetwork
@@ -88,7 +89,7 @@ func solveOffline(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, name stri
 	if opts.Passes <= 0 {
 		opts.Passes = maxAutoPasses
 	}
-	_, bound, err := roundingLoop(n, reqs, res, rng, opts)
+	_, bound, err := roundingLoop(n, reqs, res, rng, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -148,10 +149,11 @@ type admissionHooks struct {
 // assignments, filling res, and returns the number of newly admitted
 // requests. used is the global realized-occupancy ledger (MHz per
 // station); the per-slot occupancy test measures only this pass's growth
-// on top of the snapshot taken at entry. When migrate is non-nil
-// (Algorithm 2), a failed occupancy test triggers one migration attempt
-// before the request is rejected.
-func admitSlotBySlot(n *mec.Network, reqs []*mec.Request, pre []tentative, rng *rand.Rand, slotLenMS, slotMHz float64, res *Result, hooks admissionHooks, used []float64, waitOf func(int) int, sc *slotScratch) int {
+// on top of the snapshot taken at entry, against l slots of the pass's
+// grid: grid[i] on station i when grid is non-nil, slotMHz otherwise.
+// When migrate is non-nil (Algorithm 2), a failed occupancy test triggers
+// one migration attempt before the request is rejected.
+func admitSlotBySlot(n *mec.Network, reqs []*mec.Request, pre []tentative, rng *rand.Rand, slotLenMS, slotMHz float64, grid []float64, res *Result, hooks admissionHooks, used []float64, waitOf func(int) int, sc *slotScratch) int {
 	base := growFloatsClear(&sc.base, len(used))
 	copy(base, used)
 	passUsed := func(i int) float64 { return used[i] - base[i] }
@@ -176,7 +178,11 @@ func admitSlotBySlot(n *mec.Network, reqs []*mec.Request, pre []tentative, rng *
 	admitted := 0
 	for _, t := range pre {
 		j, i, l := t.req, t.station, t.slot
-		limit := float64(l) * slotMHz
+		g := slotMHz
+		if grid != nil {
+			g = grid[i]
+		}
+		limit := float64(l) * g
 		if passUsed(i) > limit {
 			if hooks.migrate == nil || !hooks.migrate(i, l, passUsed) || passUsed(i) > limit {
 				continue // reject r_j (Algorithm 1 step 6 fails)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 
 	"mecoffload/internal/mec"
@@ -32,6 +33,8 @@ type BatchOptions struct {
 	// bandit threshold already throttles R_t, so the batch tries to admit
 	// most of it (the next time slot retries whatever remains pending).
 	// Appro and Heu run the same loop with a default of maxAutoPasses.
+	// A per-slot refined pass caps each station's slot columns at the
+	// paper grid's count (roundingLoop).
 	Passes int
 	// Distribute enables Heu's task-distribution hooks; without it the
 	// batch runs Appro's consolidated admission.
@@ -71,7 +74,7 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 	if len(opts.Active) == 0 {
 		return 0, nil
 	}
-	admitted, _, err := roundingLoop(n, reqs, res, rng, opts)
+	admitted, _, err := roundingLoop(n, reqs, res, rng, opts, true)
 	return admitted, err
 }
 
@@ -83,7 +86,19 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 // pass that admits nothing. With Distribute, the requests still undecided
 // then go through Heu's final distribution pass. It returns the number of
 // requests admitted and pass 0's LP optimum.
-func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand, opts BatchOptions) (int, float64, error) {
+//
+// Pass 0 solves on the paper's grid C_l. Pass k >= 1 refines it to
+// C_l/2^k, floored at C_l/8. With stationGrid (the per-slot batch), each
+// station's refined grid is in addition at least its residual R_i spread
+// over ⌈C(bs_i)/C_l⌉ slots,
+//
+//	g_i = max(C_l/2^k, R_i/⌈C(bs_i)/C_l⌉) <= C_l,
+//
+// so a (request, station) pair gets at most as many slot columns as the
+// paper's grid has slots on the station, and only a leftover smaller than
+// a paper slot is cut finer than C_l. Offline, every station shares the
+// halving grid.
+func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand, opts BatchOptions, stationGrid bool) (int, float64, error) {
 	if opts.SlotLengthMS == 0 {
 		opts.SlotLengthMS = mec.DefaultSlotLengthMS
 	}
@@ -122,11 +137,16 @@ func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Ra
 				slotMHz = half
 			}
 		}
+		var grid []float64
+		if stationGrid && pass > 0 {
+			grid = sc.fillGrid(n, used, slotMHz)
+		}
 		capOf := func(i int) float64 { return n.Capacity(i) - used[i] }
 		err := solveDecomposed(n, reqs, lpOptions{
 			active:       undecided,
 			capOf:        capOf,
 			slotMHz:      slotMHz,
+			grid:         grid,
 			shareCapFor:  opts.ShareCapMBs,
 			waitSlots:    opts.WaitSlots,
 			slotLengthMS: opts.SlotLengthMS,
@@ -143,7 +163,7 @@ func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Ra
 			break
 		}
 		sc.pre = roundAssignments(&sc.merged, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
-		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, res, hooks, used, opts.WaitSlots, sc)
+		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, grid, res, hooks, used, opts.WaitSlots, sc)
 		totalAdmitted += admitted
 		if admitted == 0 {
 			break
@@ -164,6 +184,22 @@ func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Ra
 		totalAdmitted += countAdmitted(res, undecided) - before
 	}
 	return totalAdmitted, bound, nil
+}
+
+// fillGrid sets the per-slot batch's refined grid of every station,
+// g_i = max(fine, R_i/⌈C(bs_i)/C_l⌉), from the residual capacities at the
+// pass's start, and returns it.
+func (sc *slotScratch) fillGrid(n *mec.Network, used []float64, fine float64) []float64 {
+	nS := n.NumStations()
+	if cap(sc.grid) < nS {
+		sc.grid = make([]float64, nS)
+	}
+	sc.grid = sc.grid[:nS]
+	for i := range sc.grid {
+		capI := n.Capacity(i)
+		sc.grid[i] = max(fine, (capI-used[i])/math.Ceil(capI/n.SlotMHz()))
+	}
+	return sc.grid
 }
 
 // countAdmitted counts admitted decisions among the given request indices.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"mecoffload/internal/dist"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/workload"
 )
@@ -180,4 +182,142 @@ func TestScheduleBatchSequentialFillsToCapacity(t *testing.T) {
 		}
 	}
 	workload.Reset(nil) // no-op guard: Reset must tolerate nil
+}
+
+// TestRefinedPassColumnsCapped: a per-slot batch's refined pass k >= 1
+// solves on the per-station grid g_i = max(C_l/2^k, floored at C_l/8,
+// R_i/⌈C(bs_i)/C_l⌉) <= C_l, so no pass builds more than ⌈C(bs_i)/C_l⌉
+// columns for a (request, station) pair, and a request's candidate
+// stations (hasCandidate, on the same grid) are exactly the stations it
+// has columns on. The decision cache files every component solve of every
+// pass under its signature, which names each station's g_i and residual
+// and each request's candidates, beside the columns the solve built; the
+// test reads both from there, over slots whose random ledgers leave
+// stations with whole slots free (the cap sets g_i) and with leftovers
+// below one paper slot (the fine grid does).
+func TestRefinedPassColumnsCapped(t *testing.T) {
+	net, reqs, _ := churnBatch(t, 20, 40, 200)
+	rng := rand.New(rand.NewSource(5))
+	inc := NewIncCache()
+	cl := net.SlotMHz()
+	cover := func(i int) int { return int(math.Ceil(net.Capacity(i) / cl)) }
+	capped, fine := 0, 0
+	for slot := 0; slot < 40; slot++ {
+		var active []int
+		for j := range reqs {
+			if rng.Intn(3) == 0 {
+				active = append(active, j)
+			}
+		}
+		used := make([]float64, net.NumStations())
+		for i := range used {
+			used[i] = 0.95 * rng.Float64() * net.Capacity(i)
+		}
+		workload.Reset(reqs)
+		rt := float64(max(1, len(active)))
+		if _, err := ScheduleBatch(net, reqs, newBatchResult(reqs), rng, BatchOptions{
+			Active:      active,
+			Used:        used,
+			ShareCapMBs: func(i int) float64 { return net.Capacity(i) / rt / net.CUnit() },
+			Distribute:  true,
+			Inc:         inc,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for key, e := range inc.entries {
+			// slot length, station count, then per station its index,
+			// g_i, residual and share cap
+			nS := int(e.sig[1])
+			for s := 0; s < nS; s++ {
+				w := e.sig[2+4*s:]
+				i, g, residual := int(w[0]), math.Float64frombits(w[1]), math.Float64frombits(w[2])
+				want := cl
+				if key.pass > 0 {
+					floor := cl / float64(int(1)<<min(key.pass, 3))
+					want = max(floor, residual/float64(cover(i)))
+					if want > floor {
+						capped++
+					} else {
+						fine++
+					}
+				}
+				if g != want || g > cl {
+					t.Fatalf("slot %d pass %d station %d: grid %v MHz, want %v (residual %v)", slot, key.pass, i, g, want, residual)
+				}
+			}
+			cols := map[[2]int]int{}
+			for _, sv := range e.vars {
+				cols[[2]int{sv.req, sv.station}]++
+			}
+			for pair, c := range cols {
+				if c > cover(pair[1]) {
+					t.Fatalf("slot %d pass %d: request %d has %d columns on station %d, want at most %d",
+						slot, key.pass, pair[0], c, pair[1], cover(pair[1]))
+				}
+			}
+			// then the request count, and per request its candidates and
+			// its outcomes (three words each)
+			at := 2 + 4*nS
+			nReq := int(e.sig[at])
+			at++
+			for k := 0; k < nReq; k++ {
+				cands := e.sig[at+1 : at+1+int(e.sig[at])]
+				at += 1 + len(cands)
+				at += 1 + 3*int(e.sig[at])
+				for _, i := range cands {
+					if cols[[2]int{k, int(i)}] == 0 {
+						t.Fatalf("slot %d pass %d: request %d has station %d as a candidate and no column there", slot, key.pass, k, i)
+					}
+				}
+				n := 0
+				for pair := range cols {
+					if pair[0] == k {
+						n++
+					}
+				}
+				if n != len(cands) {
+					t.Fatalf("slot %d pass %d: request %d has columns on %d stations, %d candidates", slot, key.pass, k, n, len(cands))
+				}
+			}
+			if at != len(e.sig) {
+				t.Fatalf("slot %d pass %d: signature of %d words, read %d", slot, key.pass, len(e.sig), at)
+			}
+		}
+	}
+	if capped < 100 || fine < 100 {
+		t.Fatalf("refined stations: %d on the capped grid, %d on the fine one; the ledgers lost their coverage", capped, fine)
+	}
+}
+
+// TestAdmissionUsesStationGrid: the admission sweep tests a tentative at
+// slot l of station i against l slots of the pass's grid on i, the grid
+// its LP was built on. Three 600 MHz requests pre-assigned to slot 1 of a
+// 3000 MHz station: on a refined pass's 500 MHz grid only the first passes
+// the occupancy test, and on the station's capped 1000 MHz grid the second
+// does too.
+func TestAdmissionUsesStationGrid(t *testing.T) {
+	net := buildTestNetwork(t, []float64{3000})
+	d, err := dist.NewRateReward([]dist.Outcome{{Rate: 30, Prob: 1, Reward: 400}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]*mec.Request, 3)
+	for j := range reqs {
+		reqs[j] = &mec.Request{ID: j, Tasks: []mec.Task{{Name: "render", OutputKb: 100, WorkMS: 30}}, DeadlineMS: 200, Dist: d}
+	}
+	for _, tc := range []struct {
+		grid []float64
+		want int
+	}{{nil, 1}, {[]float64{1000}, 2}} {
+		workload.Reset(reqs)
+		var pre []tentative
+		for j := range reqs {
+			pre = append(pre, tentative{req: j, station: 0, slot: 1, rate: 30})
+		}
+		got := admitSlotBySlot(net, reqs, pre, rand.New(rand.NewSource(1)), mec.DefaultSlotLengthMS, 500, tc.grid,
+			newBatchResult(reqs), admissionHooks{}, make([]float64, 1), nil, new(slotScratch))
+		if got != tc.want {
+			t.Fatalf("grid %v: admitted %d, want %d", tc.grid, got, tc.want)
+		}
+	}
 }

@@ -19,9 +19,11 @@ import (
 // storage from a scratch and bucketed variables by station: a fresh
 // problem, a term slice per row, and a scan of every variable for every
 // (station, slot) row. It is kept, body unchanged but for its names
-// (positional, as the builder's are), as the reference the in-place
-// builder must reproduce row for row and bit for bit.
-func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, error) {
+// (positional, as the builder's are), the per-station grid and the
+// dropped cap rows, as the reference the in-place builder must reproduce
+// row for row and bit for bit. With prune false it emits every cap row
+// that has a term: the unpruned LP the exactness test compares against.
+func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions, prune bool) (*lpModel, error) {
 	if n == nil {
 		return nil, ErrNilNetwork
 	}
@@ -42,9 +44,8 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpM
 	if capOf == nil {
 		capOf = n.Capacity
 	}
-	slotMHz := opts.slotMHz
-	if slotMHz <= 0 {
-		slotMHz = n.SlotMHz()
+	if opts.slotMHz <= 0 {
+		opts.slotMHz = n.SlotMHz()
 	}
 	stations := opts.stations
 	if stations == nil {
@@ -73,7 +74,7 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpM
 			if !r.DelayFeasible(n, i, wait, opts.slotLengthMS) {
 				continue
 			}
-			capI := capOf(i)
+			capI, slotMHz := capOf(i), opts.slotOf(i)
 			L := int(capI / slotMHz)
 			for l := 1; l <= L; l++ {
 				// Eq. (8): reward mass of rates that fit above slot l.
@@ -112,9 +113,13 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpM
 	// Constraint (10) per (station, slot): truncated expected occupancy of
 	// all variables starting at or below slot l is at most 2*l*C_l/C_unit.
 	for _, i := range stations {
+		slotMHz := opts.slotOf(i)
 		L := int(capOf(i) / slotMHz)
 		for l := 1; l <= L; l++ {
 			slotCap := float64(l) * slotMHz / n.CUnit() // l*C_l/C_unit in MB/s
+			if prune && !referenceRowCanBind(n, reqs, opts, m.vars, i, slotCap) {
+				continue
+			}
 			var terms []lp.Term
 			for idx := range m.vars {
 				sv := &m.vars[idx]
@@ -142,6 +147,28 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpM
 		}
 	}
 	return m, nil
+}
+
+// referenceRowCanBind reports whether the cap row of station i with
+// right-hand side 2*slotCap can bind: whether the coefficients of the
+// requests with a variable on the station, one per request in variable
+// order, sum to at least the right-hand side.
+func referenceRowCanBind(n *mec.Network, reqs []*mec.Request, opts lpOptions, vars []slotVar, i int, slotCap float64) bool {
+	trunc := slotCap
+	if opts.shareCapFor != nil {
+		if sc := opts.shareCapFor(i); sc > 0 {
+			trunc = math.Min(trunc, sc)
+		}
+	}
+	sum, last := 0.0, -1
+	for _, sv := range vars {
+		if sv.station != i || sv.req == last {
+			continue
+		}
+		last = sv.req
+		sum += reqs[sv.req].Dist.ExpectedTruncatedRate(trunc)
+	}
+	return sum >= 2*slotCap*(1-1e-9)
 }
 
 // diffNetwork builds `islands` disconnected chains of per stations with
@@ -217,7 +244,8 @@ func diffRequests(t *testing.T, rng *rand.Rand, net *mec.Network, count int) []*
 
 // diffOptions draws the LP-side knobs: a random occupancy ledger (some
 // stations left with less than one slot), one of the four rounding passes'
-// slot sizes, the share cap off, on, or non-positive, an optional waiting
+// slot sizes, sometimes refined per station as a per-slot batch's refined
+// pass does, the share cap off, on, or non-positive, an optional waiting
 // time, an active subset (sometimes empty, sometimes nil = all), a
 // station subset, and names from the interned-name table or none.
 func diffOptions(rng *rand.Rand, net *mec.Network, numReqs int, names *nameCache) lpOptions {
@@ -234,8 +262,12 @@ func diffOptions(rng *rand.Rand, net *mec.Network, numReqs int, names *nameCache
 		capOf:   func(i int) float64 { return net.Capacity(i) - used[i] },
 		slotMHz: net.SlotMHz() / float64(int(1)<<rng.Intn(4)),
 	}
-	if rng.Intn(3) == 0 {
+	switch rng.Intn(3) {
+	case 0:
 		opts.slotMHz = 0 // the network default
+	case 1:
+		sc := new(slotScratch)
+		opts.grid = sc.fillGrid(net, used, cmp.Or(opts.slotMHz, net.SlotMHz()))
 	}
 	switch rng.Intn(3) {
 	case 0:
@@ -324,7 +356,8 @@ func requireSameModel(t *testing.T, label string, got, want *lpModel, numReqs in
 // TestBuildLPMatchesReference is the builder differential: on seeded
 // random components the in-place builder — one scratch reused across all
 // of them, so every build follows one of another shape — produces the
-// LP the reference produces, and the simplex walks it the same way. The
+// LP the reference produces, cap rows that cannot bind dropped alike, and
+// the simplex walks it the same way. The
 // reference tests every station of the build for delay feasibility; the
 // builder reads reach lists, computed per build (fresh) or once over every
 // request (reused).
@@ -334,14 +367,14 @@ func TestBuildLPMatchesReference(t *testing.T) {
 	bs := new(buildScratch)
 	var vars []slotVar
 	var reach reachLists
-	built, capRows := 0, 0
+	built, gridBuilt, rows, keptCap, dropped := 0, 0, 0, 0, 0
 	for trial := 0; trial < 300; trial++ {
 		net := diffNetwork(t, rng, 1+rng.Intn(3), 1+rng.Intn(4))
 		reqs := diffRequests(t, rng, net, 1+rng.Intn(14))
 		opts := diffOptions(rng, net, len(reqs), names)
 		label := fmt.Sprintf("trial %d", trial)
 
-		want, err := referenceBuildLP(net, reqs, opts)
+		want, err := referenceBuildLP(net, reqs, opts, true)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", label, err)
 		}
@@ -370,7 +403,21 @@ func TestBuildLPMatchesReference(t *testing.T) {
 			continue
 		}
 		built++
-		capRows += want.prob.NumConstraints()
+		full, err := referenceBuildLP(net, reqs, opts, false)
+		if err != nil {
+			t.Fatalf("%s: unpruned reference: %v", label, err)
+		}
+		rows += full.prob.NumConstraints()
+		dropped += full.prob.NumConstraints() - want.prob.NumConstraints()
+		keptCap += want.prob.NumConstraints()
+		for j := range reqs {
+			if len(want.byReq[j]) > 0 {
+				keptCap-- // an assign row
+			}
+		}
+		if opts.grid != nil {
+			gridBuilt++
+		}
 		wantSol, err := want.prob.Solve()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -390,8 +437,11 @@ func TestBuildLPMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if built < 150 || capRows < 10*built {
-		t.Fatalf("only %d of 300 trials built an LP (%d rows): the generator lost its coverage", built, capRows)
+	// rows counts the unpruned LPs' rows; the pruned ones must both keep
+	// and drop cap rows, and some builds must run on a per-station grid.
+	if built < 150 || rows < 10*built || keptCap < built || dropped < built || gridBuilt < built/4 {
+		t.Fatalf("only %d of 300 trials built an LP (%d rows unpruned, %d cap rows kept, %d dropped, %d builds on a per-station grid): the generator lost its coverage",
+			built, rows, keptCap, dropped, gridBuilt)
 	}
 }
 
@@ -441,7 +491,7 @@ func TestComponentResultsSurviveUntilMerge(t *testing.T) {
 		for k, comp := range comps {
 			copts := opts
 			copts.active, copts.stations = comp.reqs, comp.stations
-			want, err := referenceBuildLP(net, reqs, copts)
+			want, err := referenceBuildLP(net, reqs, copts, true)
 			if err != nil {
 				t.Fatal(err)
 			}

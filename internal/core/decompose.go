@@ -135,7 +135,7 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 		}
 		first := -1
 		for _, i := range opts.reach.of(j) {
-			if !hasCandidate(n, r, capOf(i), opts.slotMHz) {
+			if !hasCandidate(n, r, capOf(i), opts.slotOf(i)) {
 				continue
 			}
 			if record {

@@ -40,12 +40,13 @@ type incEntry struct {
 // per (rounding pass, component shard) holding the component's full LP
 // input signature and the solution of the solve that met it. A component
 // is *clean* when its signature this slot is bit-identical to the cached
-// one: every quantity the LP is built from (slot grid, residual
-// capacities, share caps, candidate stations, demand distributions) is
-// unchanged, so the LP itself is bit-identical. A cold solve is a pure
-// function of its LP (lp's TestColdSolveIsPure), and the slot path solves
-// cold, so the cached solution IS the solution a re-solve would compute
-// — from the second sighting on, a component replays its first solve.
+// one: every quantity the LP is built from (each station's slot grid,
+// residual capacities, share caps, candidate stations, demand
+// distributions) is unchanged, so the LP itself is bit-identical. A cold
+// solve is a pure function of its LP (lp's TestColdSolveIsPure), and the
+// slot path solves cold, so the cached solution IS the solution a
+// re-solve would compute — from the second sighting on, a component
+// replays its first solve.
 // Everything else — an arrival, a departure, a realized rate that moved
 // the residual capacity, a C^th change that reshaped the admissible set —
 // flips some word of the signature and marks the component dirty.
@@ -105,9 +106,10 @@ func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, y []float6
 }
 
 // appendCompSig appends one component's exact LP input vector to buf:
-// the slot grid, then per station its index, residual capacity, and
-// share-cap truncation, then per request its candidate station list and
-// its full (rate, prob, reward) distribution, all as raw float bits.
+// the slot length, then per station its index, slot size g_i (the pass's
+// grid on that station), residual capacity, and share-cap truncation,
+// then per request its candidate station list and its full (rate, prob,
+// reward) distribution, all as raw float bits.
 // Two slots with equal signatures build bit-identical positional LPs:
 // every coefficient of the objective (Eq. (8)'s ER via RewardMassBelow),
 // of constraint (10) (ExpectedTruncatedRate of min(l*C_l/C_unit,
@@ -119,7 +121,6 @@ func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, y []float6
 // verdict can never be a collision.
 func appendCompSig(buf []uint64, reqs []*mec.Request, opts lpOptions, comp component, sc *slotScratch) []uint64 {
 	buf = append(buf,
-		math.Float64bits(opts.slotMHz),
 		math.Float64bits(opts.slotLengthMS),
 		uint64(len(comp.stations)))
 	for _, i := range comp.stations {
@@ -127,7 +128,7 @@ func appendCompSig(buf []uint64, reqs []*mec.Request, opts lpOptions, comp compo
 		if opts.shareCapFor != nil {
 			shareBits = math.Float64bits(opts.shareCapFor(i))
 		}
-		buf = append(buf, uint64(i), math.Float64bits(opts.capOf(i)), shareBits)
+		buf = append(buf, uint64(i), math.Float64bits(opts.slotOf(i)), math.Float64bits(opts.capOf(i)), shareBits)
 	}
 	buf = append(buf, uint64(len(comp.reqs)))
 	for _, j := range comp.reqs {

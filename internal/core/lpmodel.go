@@ -38,6 +38,11 @@ type lpOptions struct {
 	// network default). Iterative rounding passes refine the grid on
 	// residual capacities that are smaller than one default slot.
 	slotMHz float64
+	// grid, when non-nil, is the slot size per station (indexed by station
+	// index) and overrides slotMHz: a per-slot batch's refined passes give
+	// each station its own grid (roundingLoop). nil means slotMHz on every
+	// station.
+	grid []float64
 	// shareCap, when non-nil, additionally truncates the expected
 	// occupancy of constraint (10): LP-PT's min{C(bs_i)/|R_t|, rho_j,
 	// l*C_l/C_unit} term (constraint (23)). The returned value is in
@@ -77,6 +82,15 @@ type lpOptions struct {
 	// scratch, when non-nil, supplies the problem and the builder's
 	// temporaries; nil builds into fresh storage.
 	scratch *buildScratch
+}
+
+// slotOf returns station i's resource-slot size: its grid entry, or
+// slotMHz when the options carry no per-station grid.
+func (o *lpOptions) slotOf(i int) float64 {
+	if o.grid != nil {
+		return o.grid[i]
+	}
+	return o.slotMHz
 }
 
 // buildScratch is the reusable state of one LP build: the problem itself
@@ -123,7 +137,9 @@ type buildScratch struct {
 // (opts.reach), so constraint (11) costs the stations the request can
 // reach, not the build's station set. The paper's constraint (10) RHS is
 // written 2*l*C_l; the division by C_unit here converts it to data-rate
-// units so both sides of the inequality carry the same dimension.
+// units so both sides of the inequality carry the same dimension. C_l is
+// the station's slot size (opts.slotOf), and a cap row that cannot bind
+// is not built.
 //
 // Variables are generated request by request (active order), station by
 // station (ascending), slot by slot; rows are the assign rows in active
@@ -155,9 +171,8 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	if capOf == nil {
 		capOf = n.Capacity
 	}
-	slotMHz := opts.slotMHz
-	if slotMHz <= 0 {
-		slotMHz = n.SlotMHz()
+	if opts.slotMHz <= 0 {
+		opts.slotMHz = n.SlotMHz()
 	}
 	stations := opts.stations
 	if stations == nil {
@@ -203,7 +218,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 			if s >= len(stations) || stations[s] != i {
 				continue
 			}
-			capI := capOf(i)
+			capI, slotMHz := capOf(i), opts.slotOf(i)
 			L := int(capI / slotMHz)
 			for l := 1; l <= L; l++ {
 				// Eq. (8): reward mass of rates that fit above slot l.
@@ -264,6 +279,15 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	// requests, into coef at the run's first position, and reused on the
 	// station's later rows while trunc stays put — under LP-PT's share cap
 	// it does from the first slot that reaches the cap on.
+	//
+	// A row that cannot bind is never emitted. ER is non-increasing in l,
+	// so every request with a variable on the station has one at slot 1
+	// and a term in every row; its terms sum to at most its coefficient,
+	// because row (9) caps its variables at a sum of 1. When the
+	// coefficients of all the station's requests sum to less than the
+	// right-hand side, the row's slack is positive at every feasible point:
+	// it is basic in every basic solution and its dual is 0, so dropping
+	// the row leaves the optimum and the pivots as they were.
 	for s, i := range stations {
 		own := bucket[bucketOff[s]:bucketOff[s+1]]
 		if len(own) == 0 {
@@ -274,26 +298,35 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		if opts.shareCapFor != nil {
 			shareCap = opts.shareCapFor(i)
 		}
+		slotMHz := opts.slotOf(i)
 		L := int(capOf(i) / slotMHz)
-		lastTrunc := math.NaN()
+		lastTrunc, fill := math.NaN(), 0.0
 		for l := 1; l <= L; l++ {
 			slotCap := float64(l) * slotMHz / n.CUnit() // l*C_l/C_unit in MB/s
 			trunc := slotCap
 			if shareCap > 0 {
 				trunc = math.Min(trunc, shareCap)
 			}
-			fresh := trunc != lastTrunc
-			lastTrunc = trunc
+			if trunc != lastTrunc {
+				lastTrunc, fill = trunc, 0
+				req := -1
+				for k, idx := range own {
+					if r := m.vars[idx].req; r != req {
+						req = r
+						coefs[k] = reqs[r].Dist.ExpectedTruncatedRate(trunc)
+						fill += coefs[k]
+					}
+				}
+			}
+			if fill < 2*slotCap*(1-1e-9) {
+				continue
+			}
 			terms = terms[:0]
 			req, coef := -1, 0.0
 			for k, idx := range own {
 				sv := &m.vars[idx]
 				if sv.req != req {
-					req = sv.req
-					if fresh {
-						coefs[k] = reqs[req].Dist.ExpectedTruncatedRate(trunc)
-					}
-					coef = coefs[k]
+					req, coef = sv.req, coefs[k]
 				}
 				if sv.slot > l || coef <= 0 {
 					continue

@@ -77,10 +77,24 @@ func TestBuildLPStructure(t *testing.T) {
 			t.Fatalf("variable at slot %d should not exist", sv.slot)
 		}
 	}
-	// Rows: 2 assignment + per station slots l=1..3 with terms
-	// (l=3 row covers l'<=3 variables, so it exists).
-	if got := m.prob.NumConstraints(); got != 2+2*3 {
-		t.Fatalf("constraints = %d, want 8", got)
+	// Rows: 2 assignment rows, and no cap row. Each request's cap-row
+	// coefficient is E[min(rho, l*C_l/C_unit)] = E[rho] = 40 on every slot
+	// (l*C_l/C_unit = 50 l >= 50), so a row's two requests fill at most 80
+	// of its right-hand side 2*50*l = 100 l: none can bind, none is built.
+	if got := m.prob.NumConstraints(); got != 2 {
+		t.Fatalf("constraints = %d, want 2", got)
+	}
+
+	// Six requests fill 240: rows l=1 (100) and l=2 (200) can bind on
+	// each station and are built, row l=3 (300) cannot.
+	for j := 2; j < 6; j++ {
+		reqs = append(reqs, twoRateRequest(t, j))
+	}
+	if m, err = buildLP(net, reqs, lpOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.prob.NumConstraints(); got != 6+2*2 {
+		t.Fatalf("constraints = %d, want 10", got)
 	}
 }
 

@@ -1,0 +1,94 @@
+package core_test
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"mecoffload/internal/core"
+	"mecoffload/internal/lp"
+	"mecoffload/internal/oracle"
+)
+
+// almostEqual compares under a relative tolerance anchored at magnitude 1.
+func almostEqual(a, b, e float64) bool {
+	return math.Abs(a-b) <= e*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// TestDroppedCapRowsAreExact: the slot LP's builder drops every cap row
+// (10) whose requests' coefficients cannot fill its right-hand side. On
+// random LP-PT instances the pruned LP has the optimum of the unpruned
+// one (and of the dense reference simplex), every dropped row has
+// positive slack at the unpruned optimum, and while the unpruned LP has
+// fewer than 128 rows — below that the solver refactors on the same
+// schedule whatever the row count — the pruned solve returns the same y,
+// bit for bit, in as many pivots.
+func TestDroppedCapRowsAreExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	solved, dropped, bitChecked := 0, 0, 0
+	for trial := 0; trial < 400; trial++ {
+		pair := core.RandomPrunedLPPair(t, rng)
+		if pair.Pruned == nil {
+			continue
+		}
+		solved++
+		pd, fd := pair.Pruned.Dense(), pair.Full.Dense()
+		if !slices.Equal(pd.Names, fd.Names) {
+			t.Fatalf("trial %d: pruning changed the columns", trial)
+		}
+		pSol, err := pair.Pruned.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fSol, err := pair.Full.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dSol, err := oracle.SolveDense(fd, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pSol.Status != lp.StatusOptimal || fSol.Status != lp.StatusOptimal || dSol.Status != lp.StatusOptimal {
+			t.Fatalf("trial %d: status pruned %v, unpruned %v, dense %v", trial, pSol.Status, fSol.Status, dSol.Status)
+		}
+		if !almostEqual(pSol.Objective, fSol.Objective, 1e-9) || !almostEqual(pSol.Objective, dSol.Objective, 1e-7) {
+			t.Fatalf("trial %d: optimum pruned %v, unpruned %v, dense %v", trial, pSol.Objective, fSol.Objective, dSol.Objective)
+		}
+
+		// The pruned rows are the unpruned ones minus the dropped, in order.
+		kept := 0
+		for r, name := range fd.RowNames {
+			if kept < len(pd.RowNames) && pd.RowNames[kept] == name {
+				kept++
+				continue
+			}
+			dropped++
+			slack := fd.RHS[r]
+			for v, a := range fd.A[r] {
+				slack -= a * fSol.X[v]
+			}
+			if fd.Ops[r] != lp.LE || !(slack > 0) {
+				t.Fatalf("trial %d: dropped row %s has slack %v at the unpruned optimum", trial, name, slack)
+			}
+		}
+		if kept != len(pd.RowNames) {
+			t.Fatalf("trial %d: the pruned LP has rows the unpruned one lacks", trial)
+		}
+
+		if len(fd.RowNames) < 128 {
+			bitChecked++
+			if pSol.Iterations != fSol.Iterations {
+				t.Fatalf("trial %d: %d pivots pruned, %d unpruned", trial, pSol.Iterations, fSol.Iterations)
+			}
+			for v := range fSol.X {
+				if math.Float64bits(pSol.X[v]) != math.Float64bits(fSol.X[v]) {
+					t.Fatalf("trial %d: y[%s] = %v pruned, %v unpruned", trial, fd.Names[v], pSol.X[v], fSol.X[v])
+				}
+			}
+		}
+	}
+	if solved < 200 || dropped < solved || bitChecked < solved/2 {
+		t.Fatalf("%d of 400 trials solved, %d rows dropped, %d compared bit for bit: the generator lost its coverage", solved, dropped, bitChecked)
+	}
+}

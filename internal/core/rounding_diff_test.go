@@ -89,7 +89,7 @@ func referenceRunRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, o
 		}
 
 		sc.pre = roundAssignments(&sc.merged, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
-		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, res, hooks.admissionHooks, used, nil, sc)
+		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, nil, res, hooks.admissionHooks, used, nil, sc)
 		if admitted == 0 {
 			break
 		}

@@ -48,6 +48,9 @@ type slotScratch struct {
 	// merged LP view shared across rounding passes
 	merged mergedModel
 
+	// the refined pass's slot size per station (roundingLoop)
+	grid []float64
+
 	// rounding/admission
 	undecided []int
 	pre       []tentative

@@ -49,7 +49,7 @@ type DynamicRROptions struct {
 	// bandit.Zooming for adaptive discretization); when set, Kappa and
 	// Policy are ignored.
 	Learner ThresholdLearner
-	// Passes bounds per-slot rounding passes (zero selects 2).
+	// Passes bounds per-slot rounding passes (zero selects 4).
 	Passes int
 	// RoundingDenominator mirrors core.ApproOptions (default 4).
 	RoundingDenominator float64
