@@ -46,11 +46,13 @@ cluster-parity:
 ## suite; the default 1-shard cluster against the reference on the steady
 ## wave; an engine that compacts every few slots against one that
 ## never does; the slot LP's dropped cap rows against the unpruned LP and
-## the dense reference simplex; and the per-station column cap of the
-## refined passes — all under the race detector (same as the CI
-## incremental-parity job).
+## the dense reference simplex; the per-station column cap of the
+## refined passes; the draw-first rounding pass against the loop that
+## solves every component before it draws, per slot and offline, and the
+## assign-row margin its skip rests on — all under the race detector
+## (same as the CI incremental-parity job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 
 ## drift: the adaptivity correctness gate — seeded regret-bound
 ## assertions proving the drift-aware policies beat stationary UCB1 on

@@ -274,7 +274,7 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	histogram("slot_duration_ms", "Per-shard scheduling latency of one slot.", (*serve.Metrics).SlotDurationSnapshot)
 	histogram("intake_latency_ms", "Per-shard batched-ingest handoff latency (door enqueue to planner append, including the wait for the next flush or slot).", (*serve.Metrics).IntakeLatencySnapshot)
 
-	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, lp is a component solve.", "path", func(nd *shardNode) []labeledValue {
+	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, lp is a component solve. A component none of whose rounding draws can place a request is neither.", "path", func(nd *shardNode) []labeledValue {
 		inc := nd.eng.IncStats()
 		return []labeledValue{{"clean", inc.CleanHits}, {"lp", inc.DirtySolves}}
 	})

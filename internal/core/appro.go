@@ -101,17 +101,18 @@ func solveOffline(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, name stri
 
 // roundAssignments performs Algorithm 1 step 2 over the merged model m:
 // each request lands on (i, l) with probability y_jil/denom, or nowhere.
-// Requests draw in ascending global index order (one draw per request with
-// variables), so the rng consumption is independent of how the LP was
-// decomposed; the walk is the pass's own sorted request list, not the
-// whole index space. pre is an optional reused buffer; the filled slice is
-// returned.
-func roundAssignments(m *mergedModel, reqs []*mec.Request, rng *rand.Rand, denom float64, pre []tentative) []tentative {
-	for _, j := range m.reqs {
+// It draws nothing: draws holds the uniform drawRounding drew for each
+// request of the pass, by position in m.reqs, before the solve — in
+// ascending global index order, one per request with a candidate station,
+// so the rng consumption is independent of how the LP was decomposed and
+// of which components were solved. Only requests holding variables are
+// read. pre is an optional reused buffer; the filled slice is returned.
+func roundAssignments(m *mergedModel, reqs []*mec.Request, draws []float64, denom float64, pre []tentative) []tentative {
+	for p, j := range m.reqs {
 		if len(m.byReq[j]) == 0 {
 			continue
 		}
-		u := rng.Float64()
+		u := draws[p]
 		acc := 0.0
 		for _, idx := range m.byReq[j] {
 			acc += m.y[idx] / denom

@@ -178,8 +178,9 @@ func TestTaskMigratorMatchesFullScan(t *testing.T) {
 // request slice shorter than the last one, as after a compaction — and
 // requires two things after every merge: no request outside the pass holds
 // a variable (reset cleared everything the previous pass left), and the
-// pass's sorted walk draws the rng exactly as the scan of every index
-// does.
+// draws made over the pass's sorted request list before the solve round
+// exactly as the scan of every index drawing after it does, rng stream
+// included.
 func TestRoundAssignmentsMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	net := diffNetwork(t, rng, 4, 3)
@@ -201,7 +202,9 @@ func TestRoundAssignmentsMatchesFullScan(t *testing.T) {
 			capOf:   func(i int) float64 { return net.Capacity(i) - used[i] },
 			slotMHz: net.SlotMHz(),
 		}
-		if err := solveDecomposed(net, reqs, opts, solveCfg{}, sc, &sc.merged); err != nil {
+		seed := rng.Int63()
+		wantRng, gotRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		if err := solveDecomposed(net, reqs, opts, solveCfg{rng: gotRng, denom: 4}, sc, &sc.merged); err != nil {
 			t.Fatal(err)
 		}
 		m := &sc.merged
@@ -210,10 +213,8 @@ func TestRoundAssignmentsMatchesFullScan(t *testing.T) {
 				t.Fatalf("pass %d: request %d outside the pass holds variables %v", pass, j, m.byReq[j])
 			}
 		}
-		seed := rng.Int63()
-		wantRng, gotRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		want := referenceRoundAssignments(m.vars, m.byReq, m.y, reqs, wantRng, 4)
-		got := roundAssignments(m, reqs, gotRng, 4, nil)
+		got := roundAssignments(m, reqs, sc.draws, 4, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: pre %v, full scan %v", pass, got, want)
 		}

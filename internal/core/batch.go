@@ -79,18 +79,25 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 }
 
 // roundingLoop is the one iterative-rounding pass loop: ScheduleBatch runs
-// it over a slot's batch, Appro and Heu (solveOffline) over a whole
-// offline instance. Each pass solves the LP over the undecided requests
-// and residual capacities, rounds, and admits slot by slot; the loop stops
-// after opts.Passes passes, once every request is decided, or at the first
-// pass that admits nothing. With Distribute, the requests still undecided
-// then go through Heu's final distribution pass. It returns the number of
-// requests admitted and pass 0's LP optimum.
+// it over a slot's batch (perSlot), Appro and Heu (solveOffline) over a
+// whole offline instance. Each pass splits the LP over the undecided
+// requests and residual capacities into its components, draws the
+// rounding uniforms, solves the components those draws can round in,
+// rounds, and admits slot by slot; the loop stops after opts.Passes
+// passes, once every request is decided, or at the first pass that admits
+// nothing. With Distribute, the requests still undecided then go through
+// Heu's final distribution pass. It returns the number of requests
+// admitted and pass 0's LP optimum.
+//
+// A component none of whose requests drew below 1/denominator cannot
+// place anything, so it is not solved (drawRounding). Decisions and the
+// rng stream are those of solving every component and then drawing. Only
+// offline pass 0 solves every component, because its optimum is
+// Result.ExpectedLPBound; the per-slot batch reports no bound.
 //
 // Pass 0 solves on the paper's grid C_l. Pass k >= 1 refines it to
-// C_l/2^k, floored at C_l/8. With stationGrid (the per-slot batch), each
-// station's refined grid is in addition at least its residual R_i spread
-// over ⌈C(bs_i)/C_l⌉ slots,
+// C_l/2^k, floored at C_l/8. Per slot, each station's refined grid is in
+// addition at least its residual R_i spread over ⌈C(bs_i)/C_l⌉ slots,
 //
 //	g_i = max(C_l/2^k, R_i/⌈C(bs_i)/C_l⌉) <= C_l,
 //
@@ -98,7 +105,7 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 // paper's grid has slots on the station, and only a leftover smaller than
 // a paper slot is cut finer than C_l. Offline, every station shares the
 // halving grid.
-func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand, opts BatchOptions, stationGrid bool) (int, float64, error) {
+func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand, opts BatchOptions, perSlot bool) (int, float64, error) {
 	if opts.SlotLengthMS == 0 {
 		opts.SlotLengthMS = mec.DefaultSlotLengthMS
 	}
@@ -138,7 +145,7 @@ func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Ra
 			}
 		}
 		var grid []float64
-		if stationGrid && pass > 0 {
+		if perSlot && pass > 0 {
 			grid = sc.fillGrid(n, used, slotMHz)
 		}
 		capOf := func(i int) float64 { return n.Capacity(i) - used[i] }
@@ -152,7 +159,10 @@ func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Ra
 			slotLengthMS: opts.SlotLengthMS,
 			reach:        &sc.reach,
 			names:        opts.Warm.nameTable(),
-		}, solveCfg{warm: opts.Warm, pass: pass, inc: opts.Inc}, sc, &sc.merged)
+		}, solveCfg{
+			warm: opts.Warm, pass: pass, inc: opts.Inc,
+			rng: rng, denom: opts.RoundingDenominator, skipDead: perSlot || pass > 0,
+		}, sc, &sc.merged)
 		if err != nil {
 			return totalAdmitted, bound, err
 		}
@@ -160,9 +170,11 @@ func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Ra
 			bound = sc.merged.obj
 		}
 		if len(sc.merged.y) == 0 {
+			// Nothing was solved, so the draws can place nothing: the
+			// pass would admit no request.
 			break
 		}
-		sc.pre = roundAssignments(&sc.merged, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
+		sc.pre = roundAssignments(&sc.merged, reqs, sc.draws, opts.RoundingDenominator, sc.pre[:0])
 		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, grid, res, hooks, used, opts.WaitSlots, sc)
 		totalAdmitted += admitted
 		if admitted == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"slices"
 
 	"mecoffload/internal/mec"
@@ -85,10 +86,12 @@ func hasCandidate(n *mec.Network, r *mec.Request, capI, slotMHz float64) bool {
 // caller-active order respectively — the orderings the deterministic merge
 // in solveDecomposed relies on.
 //
-// When record is set, the scan additionally captures each active
-// request's candidate station list (sc.cands/sc.candOff, indexed by
-// active position via sc.posOf) — the incremental signatures consume
-// them, and recording during this scan means candidacy is never
+// The scan leaves each active request's component in sc.compOf, by
+// active position (-1 for none), and that position in sc.posOf, by global
+// index: drawRounding reads both. When record is set, it additionally
+// captures each active request's candidate station list
+// (sc.cands/sc.candOff, by active position) — the incremental signatures
+// consume them, and recording during this scan means candidacy is never
 // recomputed.
 func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *slotScratch, record bool) []component {
 	nS := n.NumStations()
@@ -121,17 +124,17 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 		capOf = n.Capacity
 	}
 	var cands []int
-	var candOff, posOf []int
+	var candOff []int
 	if record {
 		cands = sc.cands[:0]
 		candOff = growInts(&sc.candOff, len(opts.active)+1)
-		posOf = growInts(&sc.posOf, len(reqs))
 	}
+	posOf := growInts(&sc.posOf, len(reqs))
 	for k, j := range opts.active {
 		r := reqs[j]
+		posOf[j] = k
 		if record {
 			candOff[k] = len(cands)
-			posOf[j] = k
 		}
 		first := -1
 		for _, i := range opts.reach.of(j) {
@@ -181,15 +184,51 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 		}
 		comps[c].stations = append(comps[c].stations, i)
 	}
+	compOf := growInts(&sc.compOf, len(opts.active))
 	for k, j := range opts.active {
+		compOf[k] = -1
 		if firstOf[k] < 0 {
 			continue
 		}
 		c := rootComp[find(firstOf[k])]
 		comps[c].reqs = append(comps[c].reqs, j)
+		compOf[k] = c
 	}
 	sc.comps = comps // retain the components and their lists for reuse
 	return comps
+}
+
+// drawSlack widens the reach of a rounding draw past 1/denom: the
+// solver's feasibility tolerance lets a request's Σ_il y_jil exceed row
+// (9)'s 1 by far less (TestAssignRowMassWithinSlack pins 1e-9).
+const drawSlack = 1e-6
+
+// drawRounding draws Algorithm 1 step 2's uniform u_j for every request of
+// the pass that belongs to a component, in ascending request index — reqs
+// is the merged model's sorted request list — and stores it in sc.draws at
+// the request's position in reqs. It returns, per component, whether one
+// of its requests drew below (1+drawSlack)/denom. A request is placed only
+// when u_j falls below Σ_il y_jil/denom, a sum row (9) holds to 1, so a
+// component without such a draw rounds nothing whatever its LP says.
+// These are the draws roundAssignments used to make after the solve: the
+// same requests in the same order, since a request has a variable exactly
+// when it has a candidate station, and neither build nor solve touches
+// the rng.
+func (sc *slotScratch) drawRounding(reqs []int, comps []component, rng *rand.Rand, denom float64) []bool {
+	draws := growFloatsClear(&sc.draws, len(reqs))
+	live := growBoolsClear(&sc.live, len(comps))
+	reach := (1 + drawSlack) / denom
+	for p, j := range reqs {
+		c := sc.compOf[sc.posOf[j]]
+		if c < 0 {
+			continue // no variable: roundAssignments never reads draws[p]
+		}
+		draws[p] = rng.Float64()
+		if draws[p] < reach {
+			live[c] = true
+		}
+	}
+	return live
 }
 
 // mergedModel is the deterministic concatenation of the per-component LP
@@ -236,6 +275,14 @@ type solveCfg struct {
 	// replay is only exact for cold solves, so inc and warm never meet
 	// (ScheduleBatch refuses the pair).
 	inc *IncCache
+	// rng, when non-nil, makes the pass's rounding draws against denom
+	// (drawRounding) as soon as the components are known, before any of
+	// them is solved. With skipDead (which needs rng), a component none of
+	// whose draws can round is left out: no signature, no cache look-up or
+	// put, no build, no solve, and no variables in the merged model.
+	rng      *rand.Rand
+	denom    float64
+	skipDead bool
 }
 
 // solveDecomposed builds and solves the slot LP component by component,
@@ -252,7 +299,9 @@ type solveCfg struct {
 // the cache, cold, and its solution is cached. A cold solve is a pure
 // function of its LP, so a run with the cache and a run without agree
 // decision for decision — the oracle differential DiffIncrementalFull
-// pins that contract.
+// pins that contract. A component cfg.skipDead leaves out is neither
+// clean nor dirty: it never reaches the look-up, and the entry filed
+// under its key stays the exact solution of that entry's own signature.
 func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg solveCfg, sc *slotScratch, m *mergedModel) error {
 	if opts.slotLengthMS == 0 {
 		opts.slotLengthMS = mec.DefaultSlotLengthMS
@@ -278,6 +327,10 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	if len(comps) == 0 {
 		return nil
 	}
+	var live []bool
+	if cfg.rng != nil {
+		live = sc.drawRounding(m.reqs, comps, cfg.rng, cfg.denom)
+	}
 
 	// Look-up pass: a component's exact signature is compared word for
 	// word against the cached entry under the same (pass, shard) key. A
@@ -290,6 +343,9 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 		sigOff = growInts(&sc.sigOff, len(comps)+1)
 		for k := range comps {
 			sigOff[k] = len(sc.sigs)
+			if cfg.skipDead && !live[k] {
+				continue
+			}
 			sc.sigs = appendCompSig(sc.sigs, reqs, opts, comps[k], sc)
 			e := inc.get(pass, comps[k].key)
 			if e != nil && slices.Equal(e.sig, sc.sigs[sigOff[k]:]) {
@@ -310,6 +366,9 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	copts.byReq = m.byReq
 	copts.scratch = &sc.build
 	for k, comp := range comps {
+		if cfg.skipDead && !live[k] {
+			continue
+		}
 		offset := len(m.vars)
 		if e := replays[k]; e != nil {
 			for t := range e.vars {

@@ -10,8 +10,12 @@ import (
 // PrunedLPPair is one random LP-PT instance built twice: Pruned by buildLP,
 // which drops the cap rows that cannot bind, and Full by the reference
 // builder with every cap row kept. Both are named alike, so a row of one
-// is found in the other by name; their columns are the same.
-type PrunedLPPair struct{ Pruned, Full *lp.Problem }
+// is found in the other by name; their columns are the same. ColReq
+// holds the request index of each column.
+type PrunedLPPair struct {
+	Pruned, Full *lp.Problem
+	ColReq       []int
+}
 
 // RandomPrunedLPPair draws an instance the way the builder differential
 // does — random chains, ledgers, slot grids (per station in some draws),
@@ -40,5 +44,9 @@ func RandomPrunedLPPair(t *testing.T, rng *rand.Rand) PrunedLPPair {
 	if pruned.prob.NumVars() == 0 {
 		return PrunedLPPair{Full: full.prob}
 	}
-	return PrunedLPPair{Pruned: pruned.prob, Full: full.prob}
+	colReq := make([]int, len(pruned.vars))
+	for _, sv := range pruned.vars {
+		colReq[sv.v] = sv.req
+	}
+	return PrunedLPPair{Pruned: pruned.prob, Full: full.prob, ColReq: colReq}
 }

@@ -8,8 +8,10 @@ import (
 )
 
 // IncStats counts what decision reuse did since the cache was created.
-// CleanHits + DirtySolves is the total number of component solves
-// requested.
+// CleanHits + DirtySolves is the number of components that reached the
+// look-up. A component the pass's rounding draws rule out — none of its
+// requests drew below 1/denominator, so it could round nothing — is never
+// looked up and counts as neither.
 type IncStats struct {
 	// CleanHits is the number of components whose signature matched a
 	// cached decision, which was replayed without touching the LP.
@@ -50,6 +52,9 @@ type incEntry struct {
 // Everything else — an arrival, a departure, a realized rate that moved
 // the residual capacity, a C^th change that reshaped the admissible set —
 // flips some word of the signature and marks the component dirty.
+// A component the rounding draws rule out is neither: it is not looked
+// up, and its entry stays the exact solution of the entry's own
+// signature until a later pass that can round the component compares it.
 //
 // The entry map is only touched by the scheduling goroutine, so it needs
 // no lock; the counters are atomic because /metrics reads them from

@@ -88,8 +88,9 @@ func referenceRunRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, o
 			break
 		}
 
-		sc.pre = roundAssignments(&sc.merged, reqs, rng, opts.RoundingDenominator, sc.pre[:0])
-		admitted := admitSlotBySlot(n, reqs, sc.pre, rng, opts.SlotLengthMS, slotMHz, nil, res, hooks.admissionHooks, used, nil, sc)
+		m := &sc.merged
+		pre := referenceRoundAssignments(m.vars, m.byReq, m.y, reqs, rng, opts.RoundingDenominator)
+		admitted := admitSlotBySlot(n, reqs, pre, rng, opts.SlotLengthMS, slotMHz, nil, res, hooks.admissionHooks, used, nil, sc)
 		if admitted == 0 {
 			break
 		}

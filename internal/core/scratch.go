@@ -26,12 +26,20 @@ type slotScratch struct {
 	reach reachLists
 
 	// per-request candidate station lists recorded during the
-	// splitComponents scan (flat list + offsets per active position,
-	// posOf maps global request index -> active position); consumed by
-	// the incremental signatures.
+	// splitComponents scan (flat list + offsets per active position),
+	// consumed by the incremental signatures; posOf maps global request
+	// index -> active position and compOf active position -> component
+	// (-1: no candidate station).
 	cands   []int
 	candOff []int
 	posOf   []int
+	compOf  []int
+
+	// the pass's rounding draws, indexed by position in its sorted request
+	// list (mergedModel.reqs), and whether each component holds a draw
+	// that can round (drawRounding)
+	draws []float64
+	live  []bool
 
 	// incremental signatures of this slot's components (flat + offsets)
 	sigs   []uint64

@@ -105,7 +105,7 @@ func checkSpec(net *mec.Network, spec RequestSpec) (specFacts, error) {
 	if f.deadlineMS == 0 {
 		f.deadlineMS = 200
 	}
-	if f.deadlineMS < 0 {
+	if !nonNegFinite(f.deadlineMS) {
 		return specFacts{}, fmt.Errorf("%w: deadline %v", ErrBadSpec, f.deadlineMS)
 	}
 	if spec.DurationSlots < 0 {
@@ -114,7 +114,7 @@ func checkSpec(net *mec.Network, spec RequestSpec) (specFacts, error) {
 	if len(spec.Tasks) > 0 {
 		f.workMS = 0
 		for _, ts := range spec.Tasks {
-			if ts.OutputKb < 0 || ts.WorkMS < 0 {
+			if !nonNegFinite(ts.OutputKb) || !nonNegFinite(ts.WorkMS) {
 				return specFacts{}, fmt.Errorf("%w: task %+v", ErrBadSpec, ts)
 			}
 			f.workMS += ts.WorkMS
@@ -140,6 +140,11 @@ func checkSpec(net *mec.Network, spec RequestSpec) (specFacts, error) {
 	}
 	return f, nil
 }
+
+// nonNegFinite reports whether x is a number in [0, +Inf). JSON cannot
+// carry a NaN or an infinity, but a Go caller of Submit can, and a
+// checkpoint holding one would no longer encode.
+func nonNegFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // materializeSpec applies the paper-default pipeline, deadline, hold, and
 // demand distribution to a spec checkSpec accepts. rng feeds only the
