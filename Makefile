@@ -122,12 +122,13 @@ tick-jitter:
 ## FuzzCheckpointRestore's seeds are whole checkpoints (up to 22 KB), and
 ## the default 60 s minimization of each new input would eat its budget.
 fuzz:
-	$(GO) test -run 'FuzzParse' ./internal/lp/
+	$(GO) test -run 'FuzzParse|FuzzSolveInteger' ./internal/lp/
 	$(GO) test -run 'FuzzOracleLP|FuzzDirtySet' ./internal/oracle/
 	$(GO) test -run 'FuzzBatchDecode' ./internal/serve/
 	$(GO) test -run 'FuzzScenarioDecode|FuzzScenarioV1Decode' ./internal/scenario/
 	$(GO) test -run 'FuzzCheckpointRestore' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzParse' -fuzztime 30s ./internal/lp/
+	$(GO) test -fuzz 'FuzzSolveInteger' -fuzztime 30s ./internal/lp/
 	$(GO) test -fuzz 'FuzzOracleLP' -fuzztime 60s ./internal/oracle/
 	$(GO) test -fuzz 'FuzzDirtySet' -fuzztime 30s ./internal/oracle/
 	$(GO) test -fuzz 'FuzzBatchDecode$$' -fuzztime 30s ./internal/serve/

@@ -66,7 +66,9 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "status: %s\n", sol.Status)
-	if sol.Status != lp.StatusOptimal {
+	// X is set for an optimum, and for the incumbent of a branch and bound
+	// that ran out of nodes before it could prove it optimal.
+	if sol.X == nil {
 		return nil
 	}
 	fmt.Fprintf(out, "objective: %g\n", sol.Objective)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,39 @@ func TestRunInteger(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "objective: 220") {
 		t.Fatalf("wrong integer objective:\n%s", out.String())
+	}
+}
+
+// TestRunNodeCappedIncumbent: max Σx over 21 binaries with 2Σx <= 21
+// has its relaxation at 10.5 until more than half the variables are
+// fixed, so branch and bound exhausts its 100 000 nodes. The incumbent
+// (10, found by flooring the root) is printed under the iteration-limit
+// status, not as an optimum.
+func TestRunNodeCappedIncumbent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 000 branch-and-bound nodes")
+	}
+	var src strings.Builder
+	src.WriteString("max: x0")
+	for i := 1; i < 21; i++ {
+		fmt.Fprintf(&src, " + x%d", i)
+	}
+	src.WriteString("\nc: 2 x0")
+	for i := 1; i < 21; i++ {
+		fmt.Fprintf(&src, " + 2 x%d", i)
+	}
+	src.WriteString(" <= 21\n")
+	for i := 0; i < 21; i++ {
+		fmt.Fprintf(&src, "u%d: x%d <= 1\nint x%d\n", i, i, i)
+	}
+	var out strings.Builder
+	if err := run(nil, strings.NewReader(src.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"status: iteration-limit", "objective: 10", "nodes: 100000"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -158,7 +158,6 @@ func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Ra
 			waitSlots:    opts.WaitSlots,
 			slotLengthMS: opts.SlotLengthMS,
 			reach:        &sc.reach,
-			names:        opts.Warm.nameTable(),
 		}, solveCfg{
 			warm: opts.Warm, pass: pass, inc: opts.Inc,
 			rng: rng, denom: opts.RoundingDenominator, skipDead: perSlot || pass > 0,

@@ -9,8 +9,9 @@ import (
 
 // PrunedLPPair is one random LP-PT instance built twice: Pruned by buildLP,
 // which drops the cap rows that cannot bind, and Full by the reference
-// builder with every cap row kept. Both are named alike, so a row of one
-// is found in the other by name; their columns are the same. ColReq
+// builder with every cap row kept. Their columns are the same, and the
+// pruned rows are the full build's rows with the dropped ones left out, in
+// order, so a row of one is found in the other by its content. ColReq
 // holds the request index of each column.
 type PrunedLPPair struct {
 	Pruned, Full *lp.Problem
@@ -26,8 +27,7 @@ func RandomPrunedLPPair(t *testing.T, rng *rand.Rand) PrunedLPPair {
 	t.Helper()
 	net := diffNetwork(t, rng, 1+rng.Intn(3), 1+rng.Intn(4))
 	reqs := diffRequests(t, rng, net, 1+rng.Intn(30))
-	opts := diffOptions(rng, net, len(reqs), nil)
-	opts.names = &nameCache{}
+	opts := diffOptions(rng, net, len(reqs))
 	rt := len(reqs)
 	if opts.active != nil {
 		rt = max(1, len(opts.active))

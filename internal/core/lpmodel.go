@@ -62,15 +62,6 @@ type lpOptions struct {
 	// station indices (ascending); nil means all. The per-component
 	// decomposition uses it to build one block of the block-diagonal LP.
 	stations []int
-	// names, when non-nil, interns row/column names across solves; nil
-	// leaves every row and column unnamed (nothing warm starts then).
-	// Variables and assign rows are named by the request's position within
-	// active, not its global index: consecutive batches assign fresh global
-	// ids to every arrival, so global names would make structurally
-	// identical LPs look different and grow the interned-name table without
-	// bound. Station indices (and cap rows) keep their global ids —
-	// stations are stable.
-	names *nameCache
 	// byReq, when non-nil, is used as the model's byReq backing instead of
 	// allocating one (entries for active requests must be length-0 and
 	// len(byReq) >= len(reqs)). solveDecomposed's component builds share
@@ -209,7 +200,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	for s := range bucketOff {
 		bucketOff[s] = 0
 	}
-	for k, j := range active {
+	for _, j := range active {
 		r := reqs[j]
 		// Constraint (11): only the stations that can meet the deadline
 		// with the current waiting time, ascending.
@@ -227,7 +218,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 				if er <= 0 {
 					continue
 				}
-				v := prob.AddVariable(opts.names.yName(k, i, l), er)
+				v := prob.AddVariable("", er)
 				idx := len(m.vars)
 				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er, v: v})
 				m.byReq[j] = append(m.byReq[j], idx)
@@ -243,7 +234,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 
 	// Constraint (9): each request starts in at most one slot.
 	terms := bs.terms[:0]
-	for k, j := range active {
+	for _, j := range active {
 		if len(m.byReq[j]) == 0 {
 			continue
 		}
@@ -251,7 +242,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		for _, idx := range m.byReq[j] {
 			terms = append(terms, lp.Term{Var: m.vars[idx].v, Coef: 1})
 		}
-		if _, err := prob.AddConstraint(opts.names.assignName(k), lp.LE, 1, terms...); err != nil {
+		if _, err := prob.AddConstraint("", lp.LE, 1, terms...); err != nil {
 			return nil, err
 		}
 	}
@@ -336,7 +327,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 			if len(terms) == 0 {
 				continue
 			}
-			if _, err := prob.AddConstraint(opts.names.capName(i, l), lp.LE, 2*slotCap, terms...); err != nil {
+			if _, err := prob.AddConstraint("", lp.LE, 2*slotCap, terms...); err != nil {
 				return nil, err
 			}
 		}

@@ -187,8 +187,9 @@ func TestBuildLPEmptyWhenInfeasible(t *testing.T) {
 	}
 }
 
-// TestVariableNamesAreInformative: downstream debugging relies on the
-// y[j,i,l] naming convention.
+// TestVariableNamesAreInformative: the LP's columns carry no names, so
+// debugging reads a column's request, station and slot off the model's
+// variable list.
 func TestVariableNamesAreInformative(t *testing.T) {
 	net := buildTestNetwork(t, []float64{3200})
 	m, err := buildLP(net, []*mec.Request{twoRateRequest(t, 0)}, lpOptions{})

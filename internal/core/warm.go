@@ -18,14 +18,15 @@ type warmKey struct {
 
 // WarmCache carries optimal LP bases from one ScheduleBatch call to the
 // next: one basis is kept per (rounding pass, shard), and each component
-// warm-starts from its own shard's basis of the same pass, resolved by
-// the positional row and column names the batch's LP carries.
+// warm-starts from its own shard's basis of the same pass, read by
+// position — the columns and rows at the stored indices, where the new LP
+// has them; entries past its end are dropped.
 //
 // Nothing in the scheduler uses one. The online slot LPs turn over almost
 // completely from slot to slot, so the previous slot's basis describes
 // requests that are gone: measured on the benchmark's churn_mesh slot
 // LPs, a warm seed saved under one pivot per solve and cost more time
-// than it saved, names and basis replay included. Offline, chaining
+// than it saved, basis replay included. Offline, chaining
 // Appro/Heu bases across an experiment cell's repetitions lost to cold
 // solves on every table but one (EXPERIMENTS.md, "Offline warm start").
 // The type survives for the benchmark's layer probes.
@@ -38,10 +39,6 @@ type WarmCache struct {
 	misses atomic.Uint64
 
 	bases map[warmKey]*lp.Basis
-
-	// names interns LP row/column names across runs so each rebuild does
-	// not re-allocate thousands of identical strings.
-	names nameCache
 }
 
 // NewWarmCache returns an empty cache.
@@ -81,13 +78,4 @@ func (c *WarmCache) put(pass, shard int, b *lp.Basis) {
 		return
 	}
 	c.bases[warmKey{pass: pass, shard: shard}] = b
-}
-
-// nameTable returns the cache's interned-name table (nil receiver safe:
-// without a cache nothing is warm started, so nothing is named).
-func (c *WarmCache) nameTable() *nameCache {
-	if c == nil {
-		return nil
-	}
-	return &c.names
 }

@@ -1,27 +1,25 @@
 package lp
 
-// Basis is an opaque warm-start handle: the set of basic columns at the
-// end of a successful solve, identified both by index (fast path when the
-// same problem is re-solved) and by variable/row name (so the basis can be
-// re-applied to a structurally similar problem whose indices shifted —
-// the per-slot LP-PT instances of consecutive time slots, the per-pass
-// residual LPs of iterative rounding, or a branch-and-bound child node).
-// Entries that no longer resolve in the target problem are silently
-// dropped; missing rows are covered by their slack or artificial. A Basis
-// is immutable and safe for concurrent use by multiple solves.
+// Basis is an opaque warm-start handle: the basic columns at the end of a
+// successful solve, each recorded by position — a structural variable by
+// its index, the slack or surplus of a row by the row's index. A solve
+// seeded with it reads it by position only, so it fits a problem that keeps
+// the captured problem's variables and rows where they were: the same
+// problem with drifted coefficients, or the same problem with rows
+// appended (a branch-and-bound child is its parent plus one bound row).
+// Entries out of range in the target problem, and entries for a row that
+// is an equality there, are dropped; rows left uncovered start with their
+// slack or artificial. A Basis is immutable and safe for concurrent use by
+// multiple solves.
 type Basis struct {
 	entries []basisEntry
 }
 
-// basisEntry names one basic column: a structural variable, or the
-// slack/surplus column of a named row. The name hash is copied from the
-// problem at capture time so resolution against a shifted problem needs
-// no string hashing.
+// basisEntry is one basic column: structural variable idx, or the
+// slack/surplus column of row idx.
 type basisEntry struct {
 	isRow bool
-	name  string
-	hash  uint64
-	idx   int // variable index (structural) or row index (slack) at capture
+	idx   int
 }
 
 // Size returns the number of recorded basic columns.
@@ -32,117 +30,57 @@ func (b *Basis) Size() int {
 	return len(b.entries)
 }
 
+// withRow returns b plus the slack of row r. When b is the optimal basis
+// of a problem with r rows, that is the exact basis of the problem with one
+// more row appended: the new row's slack takes the new basis position.
+func (b *Basis) withRow(r int) *Basis {
+	entries := make([]basisEntry, len(b.entries), len(b.entries)+1)
+	copy(entries, b.entries)
+	return &Basis{entries: append(entries, basisEntry{isRow: true, idx: r})}
+}
+
 // captureBasis records the current basis of a solved standard form.
 // Artificial columns are skipped: they carry no information worth
 // re-applying (a warm application covers their rows automatically).
-func captureBasis(p *Problem, sf *standardForm, basis []int) *Basis {
+func captureBasis(sf *standardForm, basis []int) *Basis {
 	wb := &Basis{entries: make([]basisEntry, 0, len(basis))}
 	for _, j := range basis {
 		switch {
 		case j < sf.n:
-			wb.entries = append(wb.entries, basisEntry{name: p.cols[j].name, hash: p.cols[j].hash, idx: j})
+			wb.entries = append(wb.entries, basisEntry{idx: j})
 		case j < sf.artStart:
-			r := sf.colRow[j]
-			wb.entries = append(wb.entries, basisEntry{isRow: true, name: p.rows[r].name, hash: p.rows[r].hash, idx: r})
+			wb.entries = append(wb.entries, basisEntry{isRow: true, idx: sf.colRow[j]})
 		}
 	}
 	return wb
 }
 
-// resolveBasis maps a warm basis onto this standard form, returning the
-// distinct standard-form column indices that should seed the basis. Each
-// entry first tries its captured index (valid when the target problem has
-// the same variable/row there under the same name); otherwise it falls
-// back to a name lookup built in one pass over the problem. Unresolvable
-// entries are dropped.
-func (sf *standardForm) resolveBasis(p *Problem, wb *Basis) []int {
+// resolveBasis maps a warm basis onto this standard form by position,
+// returning the distinct standard-form column indices that should seed the
+// basis. Entries out of range, and row entries whose row has no slack (an
+// equality), are dropped.
+func (sf *standardForm) resolveBasis(wb *Basis) []int {
 	if wb == nil || len(wb.entries) == 0 {
 		return nil
 	}
 	cols := sf.colsBuf[:0]
 	sf.claimedBuf = growBools(sf.claimedBuf, sf.nTotal)
 	claimed := sf.claimedBuf
-	for i := range claimed {
-		claimed[i] = false
-	}
-	misses := sf.missBuf[:0]
+	clear(claimed)
 	for _, e := range wb.entries {
 		j := -1
 		if e.isRow {
-			if e.idx >= 0 && e.idx < len(p.rows) && p.rows[e.idx].name == e.name {
+			if e.idx >= 0 && e.idx < sf.m {
 				j = sf.slackCol[e.idx]
 			}
-		} else if e.idx >= 0 && e.idx < len(p.cols) && p.cols[e.idx].name == e.name {
+		} else if e.idx >= 0 && e.idx < sf.n {
 			j = e.idx
 		}
-		if j < 0 {
-			misses = append(misses, e)
-			continue
-		}
-		if !claimed[j] {
+		if j >= 0 && !claimed[j] {
 			claimed[j] = true
 			cols = append(cols, j)
 		}
 	}
-	if len(misses) > 0 {
-		// The misses (a basis holds at most a few hundred entries) are
-		// indexed by their precomputed name hashes, then a single scan over
-		// the problem's columns and rows probes that small table — the
-		// reverse of indexing the problem, which would hash thousands of
-		// column names on every warm solve. A 4096-bit bloom mask in front
-		// of the map keeps the scan to a couple of instructions per
-		// non-matching column. Hash hits verify the actual name; an entry
-		// lost to a hash collision is merely dropped, which warm-start
-		// semantics already allow.
-		var mask [64]uint64
-		varMiss := make(map[uint64]int, len(misses))
-		rowMiss := make(map[uint64]int, len(misses))
-		for i := range misses {
-			h := misses[i].hash
-			mask[(h>>6)&63] |= 1 << (h & 63)
-			if misses[i].isRow {
-				if _, ok := rowMiss[h]; !ok {
-					rowMiss[h] = i
-				}
-			} else if _, ok := varMiss[h]; !ok {
-				varMiss[h] = i
-			}
-		}
-		sf.resolvedBuf = growInts(sf.resolvedBuf, len(misses))
-		resolved := sf.resolvedBuf
-		for i := range resolved {
-			resolved[i] = -1
-		}
-		if len(varMiss) > 0 {
-			for j := range p.cols {
-				h := p.cols[j].hash
-				if mask[(h>>6)&63]&(1<<(h&63)) == 0 {
-					continue
-				}
-				if i, ok := varMiss[h]; ok && resolved[i] < 0 && p.cols[j].name == misses[i].name {
-					resolved[i] = j
-				}
-			}
-		}
-		if len(rowMiss) > 0 {
-			for r := range p.rows {
-				h := p.rows[r].hash
-				if mask[(h>>6)&63]&(1<<(h&63)) == 0 {
-					continue
-				}
-				if i, ok := rowMiss[h]; ok && resolved[i] < 0 && p.rows[r].name == misses[i].name {
-					resolved[i] = sf.slackCol[r]
-				}
-			}
-		}
-		for i := range misses {
-			if j := resolved[i]; j >= 0 && !claimed[j] {
-				claimed[j] = true
-				cols = append(cols, j)
-			}
-		}
-	}
-	sf.missBuf = misses
 	sf.colsBuf = cols
 	return cols
 }

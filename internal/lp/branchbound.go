@@ -1,33 +1,70 @@
 package lp
 
 import (
-	"fmt"
+	"container/heap"
 	"math"
-	"sort"
 )
 
 // intTol is the tolerance within which a value counts as integral.
 const intTol = 1e-6
 
-// bbNode is one branch-and-bound subproblem: a set of extra bound
-// constraints (var <= floor or var >= ceil) layered on the root problem.
+// bbNode is one branch-and-bound subproblem: its parent's subproblem plus
+// one bound row, v op value (v <= floor or v >= ceil); the root has no
+// parent and no row. A node's LP is the root problem with the rows of its
+// chain appended root first, so a child's LP is its parent's plus one row
+// at the end, and a variable branched on twice carries both rows.
 type bbNode struct {
+	parent *bbNode
+	v      Var
+	op     Op
+	value  float64
 	// bound is the parent LP objective, used for best-first ordering and
 	// pruning (an upper bound for maximization).
-	bound  float64
-	floors map[Var]float64 // v <= value
-	ceils  map[Var]float64 // v >= value
-	depth  int
-	// warm is the parent node's optimal basis: the child LP differs by a
-	// single bound row, so seeding from it typically re-solves in a few
-	// pivots (and falls back to a cold start when the new bound makes
-	// the parent basis primal infeasible).
-	warm *Basis
+	bound float64
+	// basis is the parent's optimal basis plus the slack of the node's own
+	// row: an exact basis of the node's LP that only the new row makes
+	// primal infeasible, so a few dual simplex pivots repair it. nil at
+	// the root, which keeps any caller-provided warm start.
+	basis *Basis
+	// seq numbers the nodes in creation order; among equal bounds the
+	// newest is solved first, so a run is a function of its input.
+	seq int
+}
+
+// openNodes is the best-first heap of unsolved nodes; better orders two
+// bounds in the problem's sense.
+type openNodes struct {
+	nodes  []*bbNode
+	better func(a, b float64) bool
+}
+
+func (h *openNodes) Len() int { return len(h.nodes) }
+
+func (h *openNodes) Less(a, b int) bool {
+	x, y := h.nodes[a], h.nodes[b]
+	if x.bound != y.bound {
+		return h.better(x.bound, y.bound)
+	}
+	return x.seq > y.seq
+}
+
+func (h *openNodes) Swap(a, b int) { h.nodes[a], h.nodes[b] = h.nodes[b], h.nodes[a] }
+
+func (h *openNodes) Push(x any) { h.nodes = append(h.nodes, x.(*bbNode)) }
+
+func (h *openNodes) Pop() any {
+	n := len(h.nodes) - 1
+	node := h.nodes[n]
+	h.nodes[n] = nil
+	h.nodes = h.nodes[:n]
+	return node
 }
 
 // IntegerOptions tunes SolveInteger.
 type IntegerOptions struct {
 	// MaxNodes caps explored branch-and-bound nodes; zero means 100000.
+	// A solve that stops at the cap while an open node could still beat
+	// its incumbent returns the incumbent with StatusIterLimit.
 	MaxNodes int
 	// RelativeGap prunes nodes whose LP bound improves on the incumbent
 	// by less than this fraction, trading exactness for tractability on
@@ -73,6 +110,7 @@ func (p *Problem) SolveIntegerWithOptions(opts IntegerOptions) (*Solution, error
 		incumbent    *Solution
 		totalIters   int
 		nodesVisited int
+		seq          int
 	)
 	// pruneBound inflates the incumbent objective by the gap tolerance:
 	// nodes not beating it are cut.
@@ -84,25 +122,15 @@ func (p *Problem) SolveIntegerWithOptions(opts IntegerOptions) (*Solution, error
 		}
 		return b - slack
 	}
-	root := &bbNode{depth: 0}
+	root := &bbNode{bound: math.Inf(-1)}
 	if maximize {
 		root.bound = math.Inf(1)
-	} else {
-		root.bound = math.Inf(-1)
 	}
-	open := []*bbNode{root}
+	open := &openNodes{nodes: []*bbNode{root}, better: better}
+	var path []*bbNode
 
-	for len(open) > 0 && nodesVisited < maxNodes {
-		// Best-first: pop the node with the most promising parent bound.
-		best := 0
-		for i := 1; i < len(open); i++ {
-			if better(open[i].bound, open[best].bound) {
-				best = i
-			}
-		}
-		node := open[best]
-		open[best] = open[len(open)-1]
-		open = open[:len(open)-1]
+	for open.Len() > 0 && nodesVisited < maxNodes {
+		node := heap.Pop(open).(*bbNode)
 		nodesVisited++
 
 		// Prune against the incumbent (plus gap tolerance) before solving.
@@ -110,10 +138,11 @@ func (p *Problem) SolveIntegerWithOptions(opts IntegerOptions) (*Solution, error
 			continue
 		}
 
-		sol, err := p.solveNode(node, opts.LP)
+		sol, rows, err := p.solveNode(node, opts.LP, &path)
 		if err != nil {
 			return nil, err
 		}
+		node.basis = nil // solved: only its children's bases are needed
 		totalIters += sol.Iterations
 		if sol.Status == StatusUnbounded {
 			// An unbounded relaxation at the root means the MIP is
@@ -163,38 +192,25 @@ func (p *Problem) SolveIntegerWithOptions(opts IntegerOptions) (*Solution, error
 		}
 
 		x := sol.X[branch]
-		lo, hi := math.Floor(x), math.Ceil(x)
-		down := &bbNode{
-			bound:  sol.Objective,
-			floors: cloneBounds(node.floors),
-			ceils:  cloneBounds(node.ceils),
-			depth:  node.depth + 1,
-			warm:   sol.Basis,
-		}
-		if cur, ok := down.floors[branch]; !ok || lo < cur {
-			down.floors[branch] = lo
-		}
-		up := &bbNode{
-			bound:  sol.Objective,
-			floors: cloneBounds(node.floors),
-			ceils:  cloneBounds(node.ceils),
-			depth:  node.depth + 1,
-			warm:   sol.Basis,
-		}
-		if cur, ok := up.ceils[branch]; !ok || hi > cur {
-			up.ceils[branch] = hi
-		}
-		open = append(open, down, up)
+		basis := sol.Basis.withRow(rows)
+		seq += 2
+		heap.Push(open, &bbNode{parent: node, v: branch, op: LE, value: math.Floor(x), bound: sol.Objective, basis: basis, seq: seq - 1})
+		heap.Push(open, &bbNode{parent: node, v: branch, op: GE, value: math.Ceil(x), bound: sol.Objective, basis: basis, seq: seq})
 	}
 
 	if incumbent == nil {
 		// Distinguish a proven-infeasible program (open set exhausted)
 		// from an exhausted node budget.
 		status := StatusInfeasible
-		if len(open) > 0 {
+		if open.Len() > 0 {
 			status = StatusIterLimit
 		}
 		return &Solution{Status: status, Iterations: totalIters, Nodes: nodesVisited}, nil
+	}
+	// The heap's top holds the best open bound: if it could still beat the
+	// incumbent, the node budget ran out before optimality was proven.
+	if open.Len() > 0 && better(open.nodes[0].bound, pruneBound()) {
+		incumbent.Status = StatusIterLimit
 	}
 	incumbent.Iterations = totalIters
 	incumbent.Nodes = nodesVisited
@@ -243,46 +259,28 @@ func (p *Problem) floorCandidate(sol *Solution, intVars []Var) *Solution {
 	return &Solution{Status: StatusOptimal, Objective: obj, X: x}
 }
 
-// solveNode solves the LP relaxation of the root problem plus the node's
-// branching bounds. The bounds are appended as temporary constraints and
-// removed afterwards.
-func (p *Problem) solveNode(node *bbNode, opts SolveOptions) (*Solution, error) {
+// solveNode solves the LP relaxation of the root problem plus the bound
+// rows of the node's chain, appended root first and removed afterwards. It
+// also returns the node LP's row count, the index a child's row takes.
+// path is the chain walk's scratch.
+func (p *Problem) solveNode(node *bbNode, opts SolveOptions, path *[]*bbNode) (*Solution, int, error) {
 	nRows := len(p.rows)
 	defer p.truncateRows(nRows)
 
-	// Deterministic iteration order keeps solves reproducible.
-	for _, v := range sortedVars(node.floors) {
-		if _, err := p.AddConstraint(fmt.Sprintf("bb-le-%d", v), LE, node.floors[v], Term{Var: v, Coef: 1}); err != nil {
-			return nil, err
+	chain := (*path)[:0]
+	for n := node; n.parent != nil; n = n.parent {
+		chain = append(chain, n)
+	}
+	*path = chain
+	for k := len(chain) - 1; k >= 0; k-- {
+		n := chain[k]
+		if _, err := p.AddConstraint("", n.op, n.value, Term{Var: n.v, Coef: 1}); err != nil {
+			return nil, 0, err
 		}
 	}
-	for _, v := range sortedVars(node.ceils) {
-		if _, err := p.AddConstraint(fmt.Sprintf("bb-ge-%d", v), GE, node.ceils[v], Term{Var: v, Coef: 1}); err != nil {
-			return nil, err
-		}
+	if node.basis != nil {
+		opts.WarmStart = node.basis
 	}
-	// Seed the child LP from the parent's optimal basis; the solver
-	// discards it automatically if the new branching bound cuts it off.
-	// The root node keeps any caller-provided warm start.
-	if node.warm != nil {
-		opts.WarmStart = node.warm
-	}
-	return p.SolveWithOptions(opts)
-}
-
-func cloneBounds(m map[Var]float64) map[Var]float64 {
-	out := make(map[Var]float64, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func sortedVars(m map[Var]float64) []Var {
-	vs := make([]Var, 0, len(m))
-	for v := range m {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
+	sol, err := p.SolveWithOptions(opts)
+	return sol, len(p.rows), err
 }

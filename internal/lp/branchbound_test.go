@@ -153,3 +153,41 @@ func TestSolveIntegerAgainstEnumeration(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveIntegerNodeCapIsNotOptimal pins what a node-capped solve
+// reports. max 10x + 6y + 6z s.t. 4x + 3y + 3z <= 6 over binaries has the
+// optimum 12 (y = z = 1); its root relaxation reads 14 and floors to the
+// incumbent 10 (x = 1). With one node the open children can still beat
+// 10, so the solve returns that incumbent as an iteration limit; with a
+// gap wide enough that nothing open can beat it, or with nodes enough to
+// close the tree, it is optimal.
+func TestSolveIntegerNodeCapIsNotOptimal(t *testing.T) {
+	build := func() *Problem {
+		p := NewProblem(Maximize)
+		x := p.AddIntegerVariable("x", 10)
+		y := p.AddIntegerVariable("y", 6)
+		z := p.AddIntegerVariable("z", 6)
+		mustConstraint(t, p, "cap", LE, 6, Term{x, 4}, Term{y, 3}, Term{z, 3})
+		for _, v := range []Var{x, y, z} {
+			mustConstraint(t, p, "ub", LE, 1, Term{v, 1})
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		opts   IntegerOptions
+		status Status
+		obj    float64
+	}{
+		{IntegerOptions{MaxNodes: 1}, StatusIterLimit, 10},
+		{IntegerOptions{MaxNodes: 1, RelativeGap: 0.5}, StatusOptimal, 10},
+		{IntegerOptions{}, StatusOptimal, 12},
+	} {
+		sol, err := build().SolveIntegerWithOptions(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != tc.status || !almostEq(sol.Objective, tc.obj) || sol.X == nil {
+			t.Fatalf("%+v: status %v objective %v X %v, want %v %v with X", tc.opts, sol.Status, sol.Objective, sol.X, tc.status, tc.obj)
+		}
+	}
+}

@@ -23,16 +23,16 @@
 // column's reduced cost up to date from the pivot row — built from the
 // row-wise copy — instead of re-pricing each pivot, choosing the entering
 // column by devex score. It can warm-start
-// from a previous solution's basis (Solution.Basis and
-// SolveOptions.WarmStart), which pays when consecutive LPs share most of
-// their basis: Appro/Heu's rounding passes, an experiment cell's
-// repetitions, branch-and-bound nodes. It does not pay on the per-slot
-// online LP-PT, whose request set turns over almost completely every
-// slot: on 25 921 of the benchmark's churn_mesh component solves
-// (41 × 113 on average) a seed from the previous slot saved one pivot in
-// fourteen (12.6 against 13.6) and still took longer than a cold solve
-// (median 42 µs against 40 µs) before the names and basis capture it
-// needs, so that path solves cold and unnamed.
+// from a previous solution's basis, read by position (Solution.Basis and
+// SolveOptions.WarmStart), which pays when the next LP keeps the last
+// one's variables and rows in place: branch and bound seeds each node
+// with its parent's optimal basis plus the slack of the one bound row the
+// node appends. It does not pay on the per-slot online LP-PT, whose
+// request set turns over almost completely every slot: on 25 921 of the
+// benchmark's churn_mesh component solves (41 × 113 on average) a seed
+// from the previous slot saved one pivot in fourteen (12.6 against 13.6)
+// and still took longer than a cold solve (median 42 µs against 40 µs),
+// so that path solves cold.
 package lp
 
 import (
@@ -118,12 +118,9 @@ type Term struct {
 	Coef float64
 }
 
-// column holds the builder-side description of one variable. The name
-// hash is precomputed at build time so warm-basis resolution never has to
-// hash thousands of column names inside a solve.
+// column holds the builder-side description of one variable.
 type column struct {
 	name    string
-	hash    uint64
 	obj     float64
 	integer bool
 }
@@ -132,20 +129,8 @@ type column struct {
 // matrix.
 type row struct {
 	name string
-	hash uint64
 	op   Op
 	rhs  float64
-}
-
-// nameHash is FNV-1a, fixed here (rather than hash/fnv) to keep the hot
-// path allocation free.
-func nameHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // Problem is a linear (or mixed-integer) program under construction. All
@@ -206,7 +191,7 @@ func (p *Problem) truncateRows(nRows int) {
 }
 
 func (p *Problem) addColumn(name string, obj float64, integer bool) Var {
-	p.cols = append(p.cols, column{name: name, hash: nameHash(name), obj: obj, integer: integer})
+	p.cols = append(p.cols, column{name: name, obj: obj, integer: integer})
 	return Var(len(p.cols) - 1)
 }
 
@@ -287,7 +272,7 @@ func (p *Problem) AddConstraint(name string, op Op, rhs float64, terms ...Term) 
 		sort.Sort(rowSorter{p.mat.ci[start:], p.mat.vx[start:]})
 	}
 	p.mat.ptr = append(p.mat.ptr, len(p.mat.ci))
-	p.rows = append(p.rows, row{name: name, hash: nameHash(name), op: op, rhs: rhs})
+	p.rows = append(p.rows, row{name: name, op: op, rhs: rhs})
 	return len(p.rows) - 1, nil
 }
 
@@ -306,8 +291,10 @@ func (s rowSorter) Swap(a, b int) {
 
 // Solution holds the result of a solve.
 type Solution struct {
-	// Status reports how the solve terminated. X and Objective are only
-	// meaningful for StatusOptimal.
+	// Status reports how the solve terminated. X and Objective are
+	// meaningful for StatusOptimal, and for an integer solve that ran out
+	// of nodes holding an incumbent it could not prove optimal
+	// (StatusIterLimit with X set).
 	Status Status
 	// Objective is the optimal objective value in the problem's original
 	// sense.
@@ -323,10 +310,10 @@ type Solution struct {
 	// constraint: Dual[i] = dObjective/d rhs_i. Only set for continuous
 	// solves that reach StatusOptimal; nil for integer solves.
 	Dual []float64
-	// Basis is the optimal basis, usable as SolveOptions.WarmStart for a
-	// subsequent structurally similar solve (the next time slot's LP-PT,
-	// the next rounding pass, a branch-and-bound child). Only set for
-	// continuous solves that reach StatusOptimal.
+	// Basis is the optimal basis by position, usable as
+	// SolveOptions.WarmStart for a later solve of a problem that keeps
+	// this one's variables and rows in place (a branch-and-bound child).
+	// Only set for continuous solves that reach StatusOptimal.
 	Basis *Basis
 }
 

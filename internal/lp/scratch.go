@@ -9,7 +9,7 @@ import "sync"
 // pricing loop in profiles. A solveScratch bundles every per-solve
 // buffer: the standard form (matrix arena, costs, and the conversion's
 // row-operator and slack-basis work lists), the simplex state vectors, and
-// the factorization. solveDirect checks one out of the pool and returns it
+// the factorization. SolveWithOptions checks one out of the pool and returns it
 // when the solve finishes. Nothing reachable from a Solution may alias the
 // scratch (X, Dual, and Basis are freshly allocated), which is what makes
 // the recycling safe. The builder side recycles separately: a Problem is

@@ -59,10 +59,8 @@ type standardForm struct {
 	// row's operator after sign normalization.
 	opsBuf []Op
 	// resolve scratch, reused across solves (see resolveBasis).
-	colsBuf     []int
-	claimedBuf  []bool
-	missBuf     []basisEntry
-	resolvedBuf []int
+	colsBuf    []int
+	claimedBuf []bool
 }
 
 // toStandard converts the builder problem into sf, reusing whatever
@@ -873,14 +871,13 @@ type SolveOptions struct {
 	// budget of 200*(m+50) per phase.
 	MaxIterations int
 	// WarmStart seeds the solve from the basis of a previous solution
-	// (Solution.Basis), typically of a structurally similar problem: the
-	// previous time slot's LP-PT, the previous rounding pass, the same
-	// grid cell's previous repetition, or a branch-and-bound parent node.
-	// Basis columns are matched by index and name; entries that no longer
-	// resolve are dropped. A seeded basis that is primal infeasible for
-	// this problem is repaired with dual simplex pivots; if the repair
-	// fails the solver falls back to a cold start. Warm starting never
-	// changes the result — only the iteration count.
+	// (Solution.Basis) of a problem whose variables and rows sit where
+	// this one's do — a branch-and-bound node's parent, or the same
+	// problem with drifted coefficients. Basis columns are matched by
+	// position; entries out of range are dropped. A seeded basis that is
+	// primal infeasible for this problem is repaired with dual simplex
+	// pivots; if the repair fails the solver falls back to a cold start.
+	// Warm starting never changes the result — only the iteration count.
 	WarmStart *Basis
 }
 
@@ -896,22 +893,14 @@ func (p *Problem) SolveWithOptions(opts SolveOptions) (*Solution, error) {
 	if len(p.cols) == 0 {
 		return nil, ErrNoVariables
 	}
-	if fixed, n := p.detectFixedZero(); n > 0 {
-		return p.solveReduced(fixed, opts)
-	}
-	return p.solveDirect(opts)
-}
-
-// solveDirect runs the two-phase simplex without the presolve step, on a
-// scratch from the pool.
-func (p *Problem) solveDirect(opts SolveOptions) (*Solution, error) {
 	sc := scratchPool.Get().(*solveScratch)
 	defer scratchPool.Put(sc)
 	return p.solveIn(sc, opts), nil
 }
 
-// solveIn is solveDirect on the given scratch. Whatever the scratch held
-// from earlier solves, a cold solve's result depends on p alone.
+// solveIn runs the two-phase simplex on the given scratch. Whatever the
+// scratch held from earlier solves, a cold solve's result depends on p
+// alone.
 func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 	sf := p.toStandard(&sc.sf)
 	st := &sc.st
@@ -922,7 +911,7 @@ func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 	}
 
 	if opts.WarmStart != nil {
-		if cols := sf.resolveBasis(p, opts.WarmStart); len(cols) > 0 {
+		if cols := sf.resolveBasis(opts.WarmStart); len(cols) > 0 {
 			if !st.warmStart(cols) && !st.dualRestore() {
 				// The seed could not be repaired: discard and start cold.
 				st.resetToBasis0()
@@ -1007,7 +996,7 @@ func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 		}
 		sol.Dual[i] = d
 	}
-	sol.Basis = captureBasis(p, sf, st.basis)
+	sol.Basis = captureBasis(sf, st.basis)
 	return sol
 }
 

@@ -10,9 +10,10 @@ import (
 // change the optimum, only the pivot count.
 func tightEq(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b)) }
 
-// randomLEProblem builds a random bounded maximization LP with named
-// variables and LE rows (the shape of the paper's relaxations). Names are
-// deterministic in the indices so perturbed re-builds map onto each other.
+// randomLEProblem builds a random bounded maximization LP with LE rows
+// (the shape of the paper's relaxations). A perturbed rebuild from the same
+// seed keeps every variable and row at its index, so a basis of one maps
+// onto the other by position.
 func randomLEProblem(rng *rand.Rand, nVars, nCons int, jitter float64) *Problem {
 	p := NewProblem(Maximize)
 	vars := make([]Var, nVars)
@@ -200,14 +201,22 @@ func TestWarmStartInfeasibleBasisFallsBack(t *testing.T) {
 	}
 }
 
-// TestWarmStartStaleBasisHarmless feeds a basis captured from an entirely
-// unrelated problem: none of its names resolve, so the solve degrades to a
-// cold start and must still find the optimum.
+// TestWarmStartStaleBasisHarmless feeds a basis captured from a larger,
+// unrelated problem: its entries past the target's variables and rows are
+// dropped and the rest seed an arbitrary basis, so the solve must still
+// find the optimum.
 func TestWarmStartStaleBasisHarmless(t *testing.T) {
-	other := NewProblem(Maximize)
-	a := other.AddVariable("alien[0]", 5)
-	mustAdd(other, "zrow", LE, 3, Term{a, 1})
+	other := randomLEProblem(rand.New(rand.NewSource(3)), 12, 9, 0)
 	alien := mustOptimal(t, other).Basis
+	outOfRange := 0
+	for _, e := range alien.entries {
+		if e.idx >= 2 { // the target has two variables and two rows
+			outOfRange++
+		}
+	}
+	if outOfRange == 0 {
+		t.Fatalf("alien basis %+v has no entry out of the target's range", alien.entries)
+	}
 
 	p := NewProblem(Maximize)
 	x := p.AddVariable("x", 3)
@@ -220,6 +229,62 @@ func TestWarmStartStaleBasisHarmless(t *testing.T) {
 	}
 	if sol.Status != StatusOptimal || !almostEq(sol.Objective, 12) {
 		t.Fatalf("stale warm solve: status %v objective %v, want 12", sol.Status, sol.Objective)
+	}
+}
+
+// TestWarmStartAppendedRow is the branch-and-bound chain's contract: a
+// problem plus one appended bound row that cuts its optimum off, seeded
+// from the problem's optimal basis plus the new row's slack, reaches the
+// cold optimum in no more pivots than the cold solve.
+func TestWarmStartAppendedRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	checked := 0
+	for trial := 0; trial < 60; trial++ {
+		nVars, nCons := 4+rng.Intn(12), 3+rng.Intn(10)
+		seed := rng.Int63()
+		base := randomLEProblem(rand.New(rand.NewSource(seed)), nVars, nCons, 0)
+		sol := mustOptimal(t, base)
+		v := Var(-1)
+		for j, x := range sol.X {
+			if x > 0.5 && (v < 0 || x > sol.X[v]) {
+				v = Var(j)
+			}
+		}
+		if v < 0 {
+			continue
+		}
+		// The down branch keeps v below its optimal value, the up branch
+		// above it; an up branch past the box is infeasible and skipped.
+		op, rhs := LE, math.Floor(sol.X[v]*0.75)
+		if trial%2 == 1 {
+			op, rhs = GE, math.Floor(sol.X[v])+1
+		}
+		child := func() *Problem {
+			p := randomLEProblem(rand.New(rand.NewSource(seed)), nVars, nCons, 0)
+			mustAdd(p, "", op, rhs, Term{v, 1})
+			return p
+		}
+		cold, err := child().Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Status != StatusOptimal {
+			continue
+		}
+		warm, err := child().SolveWithOptions(SolveOptions{WarmStart: sol.Basis.withRow(base.NumConstraints())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != StatusOptimal || !tightEq(warm.Objective, cold.Objective) {
+			t.Fatalf("trial %d: warm %v %v, cold %v", trial, warm.Status, warm.Objective, cold.Objective)
+		}
+		if warm.Iterations > cold.Iterations {
+			t.Fatalf("trial %d: %v %v row: warm pivoted %d, cold %d", trial, op, rhs, warm.Iterations, cold.Iterations)
+		}
+		checked++
+	}
+	if checked < 30 {
+		t.Fatalf("only %d of 60 trials compared: the generator lost its coverage", checked)
 	}
 }
 

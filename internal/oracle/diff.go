@@ -45,8 +45,8 @@ func DiffDense(p *lp.Problem, tol float64) error {
 
 // DiffWarmCold solves the problem cold and warm-started from a basis
 // captured on a structurally similar problem, and requires the two solves
-// to agree on status and (when optimal) objective. Warm starts resolve
-// basis entries by name, silently dropping unresolvable ones, so any
+// to agree on status and (when optimal) objective. Warm starts read
+// basis entries by position, silently dropping those out of range, so any
 // basis is legal input — the solves must still converge to the same
 // optimum. Iteration-limited runs pass vacuously.
 func DiffWarmCold(p *lp.Problem, basis *lp.Basis, tol float64) error {
