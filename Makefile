@@ -29,11 +29,14 @@ race:
 ## request at 1 and 2 shards, one interleaving of batch and single
 ## submits giving one outcome on every run, the door's buffer against
 ## its naive reference and its overflow rule worked out entry by entry
-## (shed the cheapest, drain the survivors oldest first), and the goroutine census (an
-## engine runs none, a cluster runs shards − 1), all under the race
-## detector (same as the CI cluster-parity job).
+## (shed the cheapest, drain the survivors oldest first), the goroutine census (an
+## engine runs none, a cluster runs shards − 1), restore refusing a
+## running stream no engine could have written (a negative share among
+## them), and the engine's stream ledgers bit-identical to a map-based
+## reference, all under the race detector (same as the CI cluster-parity
+## job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines' ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components

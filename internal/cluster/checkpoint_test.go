@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +77,9 @@ func TestCheckpointRejected(t *testing.T) {
 		{"shard file outside", with("cluster.json", []byte(`{"version": 2, "shards": [`+
 			`{"index": 0, "stations": [0, 1, 2, 3, 4, 5, 6, 7], "file": "../cluster.json"}]}`)), net8, "outside its directory"},
 		{"shard file version", with("cluster.json.shard0.gen1", wrongShard), net8, "has version 2, want 1"},
+		// A negative share would hand its station capacity it does not
+		// have.
+		{"negative share", with("cluster.json.shard0.gen1", negatedShare(t, s0)), net8, "is negative or not finite"},
 		// Every live request of either generation names only stations both
 		// networks have (no sweep moves one onto stations 4-7), so nothing
 		// but the guard tells the topologies apart.
@@ -106,6 +110,20 @@ func TestCheckpointRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// negatedShare returns a shard file with the first realized share of its
+// first running stream negated.
+func negatedShare(tb testing.TB, shard []byte) []byte {
+	tb.Helper()
+	key := []byte(`"shares": {`)
+	at := bytes.Index(shard, key)
+	if at < 0 {
+		tb.Fatal("shard file holds no running stream")
+	}
+	at += len(key)
+	at += bytes.Index(shard[at:], []byte(`": `)) + len(`": `)
+	return slices.Concat(shard[:at], []byte("-"), shard[at:])
 }
 
 // TestRemovedSchedulerNameRestores: an older daemon run with the since

@@ -4,19 +4,24 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
+	"mecoffload/internal/oracle"
 	"mecoffload/internal/serve"
+	"mecoffload/internal/sim"
 )
 
 // FuzzCheckpointRestore writes fuzzed bytes as a manifest and its two
 // generation-1 shard files and restores a 2-shard cluster over
 // chainTestNetwork(8) from them. Restore must never panic. A refused
 // checkpoint is left byte for byte as it was; an accepted one runs a slot
-// and stops cleanly, writing its own manifest. The seeds are the one format
-// read: a generation a live cluster wrote over the same network, and one
-// written over chainTestNetwork(4), which the station guard refuses.
+// under the oracle's per-slot invariant checker and stops cleanly, writing
+// its own manifest. The seeds are the one format read: a generation a live
+// cluster wrote over the same network, and one written over
+// chainTestNetwork(4), which the station guard refuses.
 func FuzzCheckpointRestore(f *testing.F) {
 	net := chainTestNetwork(f, 8)
 	for _, n := range []*mec.Network{net, chainTestNetwork(f, 4)} {
@@ -28,7 +33,23 @@ func FuzzCheckpointRestore(f *testing.F) {
 		files := generationFiles(manifest, shard0, shard1)
 		path := writeFiles(t, files)
 		dir := filepath.Dir(path)
-		c, err := New(Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: path})
+		// An engine logs a failed check and goes on; the first one fails
+		// the run.
+		var (
+			mu        sync.Mutex
+			violation error
+		)
+		check := oracle.EngineChecker()
+		keepFirst := func(e *sim.Engine, res *core.Result, rep sim.SlotReport, info sim.StepInfo) error {
+			err := check(e, res, rep, info)
+			mu.Lock()
+			defer mu.Unlock()
+			if violation == nil {
+				violation = err
+			}
+			return err
+		}
+		c, err := New(Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: path, StepChecker: keepFirst})
 		if err != nil {
 			for name, want := range files {
 				if got, rerr := os.ReadFile(filepath.Join(dir, name)); rerr != nil || !bytes.Equal(got, want) {
@@ -43,6 +64,11 @@ func FuzzCheckpointRestore(f *testing.F) {
 		}
 		if err := c.Stop(); err != nil {
 			t.Fatalf("stop after restore: %v", err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if violation != nil {
+			t.Fatalf("restored state breaks an invariant: %v", violation)
 		}
 	})
 }

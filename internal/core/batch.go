@@ -96,15 +96,17 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 // Result.ExpectedLPBound; the per-slot batch reports no bound.
 //
 // Pass 0 solves on the paper's grid C_l. Pass k >= 1 refines it to
-// C_l/2^k, floored at C_l/8. Per slot, each station's refined grid is in
-// addition at least its residual R_i spread over ⌈C(bs_i)/C_l⌉ slots,
+// C_l/2^k, floored at C_l/8. Per slot, each station's refined grid is
+// instead its residual R_i split into ⌈C(bs_i)/C_l⌉ equal slots, floored
+// at C_l/2^k,
 //
 //	g_i = max(C_l/2^k, R_i/⌈C(bs_i)/C_l⌉) <= C_l,
 //
 // so a (request, station) pair gets at most as many slot columns as the
-// paper's grid has slots on the station, and only a leftover smaller than
-// a paper slot is cut finer than C_l. Offline, every station shares the
-// halving grid.
+// paper's grid has slots on the station. The grid is below C_l whenever
+// the residual is below the capacity: with C_l = 1000 and C(bs_i) = 3000,
+// R_i = 2500 gets 833 MHz slots in pass 1 and R_i = 1200 gets 400 MHz
+// slots in pass 2. Offline, every station shares the halving grid.
 func roundingLoop(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand, opts BatchOptions, perSlot bool) (int, float64, error) {
 	if opts.SlotLengthMS == 0 {
 		opts.SlotLengthMS = mec.DefaultSlotLengthMS

@@ -60,6 +60,7 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 		return order[a] < order[b]
 	})
 
+	var delta, realized stationLoads
 	for _, j := range order {
 		r := reqs[j]
 		wait := 0
@@ -74,7 +75,7 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 		eDemand := n.RateToMHz(r.ExpectedRate())
 		neighbors := n.NeighborsByDistance(r.AccessStation)
 		planned := make([]int, k)
-		delta := make(map[int]float64)
+		delta = delta[:0]
 		feasible := true
 		for ti := 0; ti < k; ti++ {
 			share := 1.0 / float64(k)
@@ -90,9 +91,9 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 				if c >= 0 {
 					st = neighbors[c]
 				}
-				if fitsWithin(used[st]+delta[st], need, n.Capacity(st)) {
+				if fitsWithin(used[st]+delta.of(st), need, n.Capacity(st)) {
 					planned[ti] = st
-					delta[st] += need
+					delta = delta.add(st, need)
 				}
 			}
 			if planned[ti] == -1 {
@@ -117,13 +118,13 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 
 		// Reveal the rate and commit realized shares, or evict.
 		out := r.Realize(rng)
-		realized := make(map[int]float64, len(delta))
-		fits := true
+		realized = realized[:0]
 		for ti, st := range planned {
-			realized[st] += demandShare(n, r, ti, out.Rate)
+			realized = realized.add(st, demandShare(n, r, ti, out.Rate))
 		}
-		for st, add := range realized {
-			if !fitsWithin(used[st], add, n.Capacity(st)) {
+		fits := true
+		for _, l := range realized {
+			if !fitsWithin(used[l.station], l.mhz, n.Capacity(l.station)) {
 				fits = false
 				break
 			}
@@ -132,8 +133,8 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 			d.Evicted = true
 			continue
 		}
-		for st, add := range realized {
-			used[st] += add
+		for _, l := range realized {
+			used[l.station] += l.mhz
 		}
 	}
 }
@@ -144,6 +145,7 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 // distributed — largest first — to the nearest stations with spare
 // capacity until the remainder fits, instead of evicting the request.
 func newOverflowSplitter(n *mec.Network, reqs []*mec.Request, res *Result, used []float64, slotLenMS float64) overflowHandler {
+	var delta stationLoads // tentative extra load per station
 	return func(req, station int) bool {
 		r := reqs[req]
 		d := &res.Decisions[req]
@@ -177,7 +179,7 @@ func newOverflowSplitter(n *mec.Network, reqs []*mec.Request, res *Result, used 
 		}
 
 		placement := append([]int(nil), d.TaskStations...)
-		delta := make(map[int]float64) // tentative extra load per station
+		delta = delta[:0]
 		remaining := demand
 		neighbors := n.NeighborsByDistance(station)
 		for _, k := range order {
@@ -185,7 +187,7 @@ func newOverflowSplitter(n *mec.Network, reqs []*mec.Request, res *Result, used 
 				break
 			}
 			for _, dest := range neighbors {
-				if !fitsWithin(used[dest]+delta[dest], shares[k], n.Capacity(dest)) {
+				if !fitsWithin(used[dest]+delta.of(dest), shares[k], n.Capacity(dest)) {
 					continue
 				}
 				old := placement[k]
@@ -194,7 +196,7 @@ func newOverflowSplitter(n *mec.Network, reqs []*mec.Request, res *Result, used 
 					placement[k] = old
 					continue
 				}
-				delta[dest] += shares[k]
+				delta = delta.add(dest, shares[k])
 				remaining -= shares[k]
 				break
 			}
@@ -204,8 +206,8 @@ func newOverflowSplitter(n *mec.Network, reqs []*mec.Request, res *Result, used 
 		}
 		// Commit.
 		used[station] += remaining
-		for dest, add := range delta {
-			used[dest] += add
+		for _, l := range delta {
+			used[l.station] += l.mhz
 		}
 		d.TaskStations = placement
 		d.LatencyMS = latencyOf(n, r, placement, d.WaitSlots, slotLenMS)
@@ -319,4 +321,39 @@ func migrateOneTask(n *mec.Network, r *mec.Request, d *Decision, station int, us
 		}
 	}
 	return false
+}
+
+// stationLoad is one station's entry in a stationLoads list.
+type stationLoad struct {
+	station int
+	mhz     float64
+}
+
+// stationLoads is a request's MHz per station, one entry per station in
+// the order first added. A request's tasks touch a few stations, so a
+// scan of the list beats a map.
+type stationLoads []stationLoad
+
+// of returns the MHz listed for station st, 0 when it has no entry.
+func (l stationLoads) of(st int) float64 {
+	for _, e := range l {
+		if e.station == st {
+			return e.mhz
+		}
+	}
+	return 0
+}
+
+// add adds mhz to station st's entry, appending a zero entry first when
+// st has none, and returns the list.
+func (l stationLoads) add(st int, mhz float64) stationLoads {
+	i := 0
+	for i < len(l) && l[i].station != st {
+		i++
+	}
+	if i == len(l) {
+		l = append(l, stationLoad{station: st})
+	}
+	l[i].mhz += mhz
+	return l
 }

@@ -54,7 +54,7 @@ type CheckpointRequest struct {
 
 // Checkpoint is the daemon's durable state: the slot clock, the id
 // allocator, the bandit's arm statistics, every live request's spec, and
-// the exact ledger deltas of the in-flight streams. Running entries key
+// the per-station holds of the in-flight streams. Running entries key
 // streams by EXTERNAL request id; install remaps them onto the dense
 // internal ids the rebuilt planner assigns.
 type Checkpoint struct {
@@ -122,7 +122,8 @@ func (e *Engine) installEmpty() error {
 
 // install restores the planner from a checkpoint: live requests append in
 // arrival order under dense planner indices, and in-flight streams restore
-// their exact ledger deltas. A request whose spec carries no outcomes (a
+// the holds release subtracts (sim.RestoreRunning refuses a stream no
+// engine could have written). A request whose spec carries no outcomes (a
 // checkpoint written before specs recorded the drawn default ones) draws
 // them here. Each restored request gets its row, so status lookups keep
 // answering for every live request across a restart.

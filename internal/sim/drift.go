@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -166,33 +167,18 @@ func (e *Engine) applyDrift(t int, pending []int, rep *SlotReport) {
 }
 
 // evictStation removes every running stream holding realized shares on
-// station st, undoing its exact ledger deltas on all stations it
-// touches. Returns the evicted request ids in active order.
+// station st, subtracting its holds on all stations it touches. Returns
+// the evicted request ids in active order.
 func (e *Engine) evictStation(st int) []int {
 	var evicted []int
 	keep := e.active[:0]
 	for _, ru := range e.active {
-		if _, hit := ru.shares[st]; !hit {
+		if !slices.ContainsFunc(ru.holds, func(h hold) bool { return h.station == st }) {
 			keep = append(keep, ru)
 			continue
 		}
 		evicted = append(evicted, ru.req)
-		for s, mhz := range ru.shares {
-			e.used[s] -= mhz
-			if e.used[s] < 0 {
-				e.used[s] = 0
-			}
-		}
-		for s, mhz := range ru.expShares {
-			e.expected[s] -= mhz
-			if e.expected[s] < 0 {
-				e.expected[s] = 0
-			}
-		}
-		e.procMS[ru.procStation] -= ru.procMS
-		if e.procMS[ru.procStation] < 0 {
-			e.procMS[ru.procStation] = 0
-		}
+		e.drop(&ru)
 	}
 	e.active = keep
 	return evicted

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mecoffload/internal/core"
@@ -46,16 +47,51 @@ type FeedbackScheduler interface {
 	Feedback(t int, slotReward float64)
 }
 
-// running tracks one in-service request together with the exact ledger
-// deltas to undo at departure.
+// hold is one station's part of a running stream: the realized MHz the
+// stream's tasks hold there and the expected MHz the oblivious planning
+// view counts for them.
+type hold struct {
+	station  int
+	mhz, exp float64
+}
+
+// addHold adds one task's realized and expected MHz to the hold on
+// station st among holds[lo:], appending a zero hold there first when
+// there is none, so each value is its tasks' shares summed in task order.
+func addHold(holds []hold, lo, st int, mhz, exp float64) []hold {
+	i := lo
+	for i < len(holds) && holds[i].station != st {
+		i++
+	}
+	if i == len(holds) {
+		holds = append(holds, hold{station: st})
+	}
+	holds[i].mhz += mhz
+	holds[i].exp += exp
+	return holds
+}
+
+// unhold subtracts v from ledger[i], clamping the ledger at zero.
+func unhold(ledger []float64, i int, v float64) {
+	ledger[i] -= v
+	if ledger[i] < 0 {
+		ledger[i] = 0
+	}
+}
+
+// running tracks one in-service request together with what release
+// subtracts from the ledgers at departure: its holds, the realized
+// demand's per-task shares Σ_k demand·w_k/W summed per station. That is not
+// always what admission added. For an oblivious scheduler settle adds the
+// holds themselves, but an uncertainty-aware one books the demand as one
+// figure (core.admitSlotBySlot), and the shares can sum to a value that
+// differs from it in the last bit.
 type running struct {
 	req     int
 	endSlot int
-	// shares maps station -> realized MHz held there.
-	shares map[int]float64
-	// expShares maps station -> expected MHz counted in the oblivious
-	// planning view.
-	expShares map[int]float64
+	// holds lists every station the stream's tasks run on once: in the
+	// order TaskStations first names it, or by station when restored.
+	holds []hold
 	// procStation and procMS record the backlog-proxy contribution.
 	procStation int
 	procMS      float64
@@ -82,8 +118,11 @@ type Engine struct {
 	// slotRewards[t] is the realized reward credited at slot t; the regret
 	// experiment compares its prefix sums across policies.
 	slotRewards []float64
-	// overloaded is settle's per-station scratch, reused across slots.
+	// overloaded, batch and holds are settle's per-slot scratch, reused
+	// across slots.
 	overloaded []bool
+	batch      []member
+	holds      []hold
 	// check, when set, is invoked at the end of every Step (see
 	// SetStepChecker).
 	check StepChecker
@@ -411,8 +450,8 @@ func (e *Engine) Step(sched Scheduler, res *core.Result, t int, pending []int) (
 	return keep, rep, nil
 }
 
-// release frees the resources of requests departing at slot t by undoing
-// exactly the deltas recorded at admission. It returns the ids of the
+// release frees the resources of requests departing at slot t by
+// subtracting the holds recorded at admission. It returns the ids of the
 // departed requests (nil when none depart).
 func (e *Engine) release(t int) []int {
 	var departed []int
@@ -423,25 +462,20 @@ func (e *Engine) release(t int) []int {
 			continue
 		}
 		departed = append(departed, ru.req)
-		for st, mhz := range ru.shares {
-			e.used[st] -= mhz
-			if e.used[st] < 0 {
-				e.used[st] = 0
-			}
-		}
-		for st, mhz := range ru.expShares {
-			e.expected[st] -= mhz
-			if e.expected[st] < 0 {
-				e.expected[st] = 0
-			}
-		}
-		e.procMS[ru.procStation] -= ru.procMS
-		if e.procMS[ru.procStation] < 0 {
-			e.procMS[ru.procStation] = 0
-		}
+		e.drop(&ru)
 	}
 	e.active = keep
 	return departed
+}
+
+// drop subtracts a running stream's holds and backlog contribution from
+// the ledgers, clamping each at zero.
+func (e *Engine) drop(ru *running) {
+	for _, h := range ru.holds {
+		unhold(e.used, h.station, h.mhz)
+		unhold(e.expected, h.station, h.exp)
+	}
+	unhold(e.procMS, ru.procStation, ru.procMS)
 }
 
 // expire drops pending requests whose deadline is unreachable: even if
@@ -472,18 +506,19 @@ func (e *Engine) expire(pending []int, t int, rep *SlotReport) []int {
 	return keep
 }
 
+// member is one of settle's admissions this slot: the request and the
+// span of settle's hold scratch its stream's holds occupy.
+type member struct {
+	req, lo, hi int
+}
+
 // settle evaluates this slot's admissions: realizes rates for oblivious
 // schedulers, applies the shared overload semantics (a station whose
 // realized load exceeds capacity fails every request admitted to it this
 // slot), credits rewards, and registers survivors as running streams. It
 // returns the slot's realized reward.
 func (e *Engine) settle(res *core.Result, t int, admitted []int, aware bool) float64 {
-	type member struct {
-		req    int
-		shares map[int]float64
-	}
-	var batch []member
-
+	batch, holds := e.batch[:0], e.holds[:0]
 	for _, j := range admitted {
 		d := &res.Decisions[j]
 		if !d.Admitted {
@@ -495,28 +530,30 @@ func (e *Engine) settle(res *core.Result, t int, admitted []int, aware bool) flo
 		}
 		r := e.reqs[j]
 		out := r.Realize(e.rng)
-		shares := make(map[int]float64, len(d.TaskStations))
 		totalWork := 0.0
 		for _, task := range r.Tasks {
 			totalWork += task.WorkMS
 		}
 		demand := e.net.RateToMHz(out.Rate)
+		eDemand := e.net.RateToMHz(r.ExpectedRate())
+		lo := len(holds)
 		for k, st := range d.TaskStations {
 			frac := 1.0 / float64(len(r.Tasks))
 			if totalWork > 0 {
 				frac = r.Tasks[k].WorkMS / totalWork
 			}
-			shares[st] += demand * frac
+			holds = addHold(holds, lo, st, demand*frac, eDemand*frac)
 		}
 		if !aware {
 			// Oblivious schedulers did not touch the realized ledger; the
 			// stream physically lands on the stations regardless.
-			for st, mhz := range shares {
-				e.used[st] += mhz
+			for _, h := range holds[lo:] {
+				e.used[h.station] += h.mhz
 			}
 		}
-		batch = append(batch, member{req: j, shares: shares})
+		batch = append(batch, member{req: j, lo: lo, hi: len(holds)})
 	}
+	e.batch, e.holds = batch, holds
 	if len(batch) == 0 {
 		return 0
 	}
@@ -536,20 +573,18 @@ func (e *Engine) settle(res *core.Result, t int, admitted []int, aware bool) flo
 	for _, m := range batch {
 		d := &res.Decisions[m.req]
 		r := e.reqs[m.req]
+		run := holds[m.lo:m.hi]
 		ok := d.LatencyMS <= r.DeadlineMS+1e-9
-		for st := range m.shares {
-			if overloaded[st] {
+		for _, h := range run {
+			if overloaded[h.station] {
 				ok = false
 				break
 			}
 		}
 		if !ok {
 			// The stream is dropped at the end of the slot; free its hold.
-			for st, mhz := range m.shares {
-				e.used[st] -= mhz
-				if e.used[st] < 0 {
-					e.used[st] = 0
-				}
+			for _, h := range run {
+				unhold(e.used, h.station, h.mhz)
 			}
 			continue
 		}
@@ -560,29 +595,16 @@ func (e *Engine) settle(res *core.Result, t int, admitted []int, aware bool) flo
 		res.Served++
 		slotReward += out.Reward
 
-		// Register the running stream with the exact ledger deltas to
-		// undo at departure.
+		// Register the running stream with the holds release subtracts at
+		// departure.
 		ru := running{
 			req:         m.req,
 			endSlot:     t + r.HoldSlots(),
-			shares:      m.shares,
-			expShares:   make(map[int]float64, len(m.shares)),
+			holds:       slices.Clone(run),
 			procStation: d.TaskStations[0],
 		}
-		eDemand := e.net.RateToMHz(r.ExpectedRate())
-		totalWork := 0.0
-		for _, task := range r.Tasks {
-			totalWork += task.WorkMS
-		}
-		for k, st := range d.TaskStations {
-			frac := 1.0 / float64(len(r.Tasks))
-			if totalWork > 0 {
-				frac = r.Tasks[k].WorkMS / totalWork
-			}
-			ru.expShares[st] += eDemand * frac
-		}
-		for st, mhz := range ru.expShares {
-			e.expected[st] += mhz
+		for _, h := range run {
+			e.expected[h.station] += h.exp
 		}
 		if station, err := e.net.Station(ru.procStation); err == nil {
 			ru.procMS = r.ProcDelayMS(station)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -229,6 +230,71 @@ func TestSnapshotRestoreRunning(t *testing.T) {
 	fresh, _ := NewLiveEngine(net, rand.New(rand.NewSource(4)), 0)
 	if err := fresh.RestoreRunning(bad); err == nil {
 		t.Fatal("expected error for out-of-range station in snapshot")
+	}
+}
+
+// TestRestoreRunningRefusesImpossibleStreams: a snapshot no engine could
+// have written — a negative or non-finite share, expected share or
+// ProcMS, a stream holding no station, expected shares off its realized
+// stations, streams holding more than a station has — is refused as a
+// whole: nothing is restored, so a restore can never over-commit
+// capacity.
+func TestRestoreRunningRefusesImpossibleStreams(t *testing.T) {
+	net, err := mec.RandomNetwork(4, 3000, 3600, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	for i := 0; i < net.NumStations(); i++ {
+		total += net.Capacity(i)
+	}
+	good := RunningSnapshot{Request: 0, EndSlot: 5, Shares: map[int]float64{0: 800, 1: 200},
+		ExpShares: map[int]float64{0: 700, 1: 175}, ProcStation: 0, ProcMS: 40}
+	with := func(edit func(s *RunningSnapshot)) RunningSnapshot {
+		s := good
+		s.Shares, s.ExpShares = maps.Clone(good.Shares), maps.Clone(good.ExpShares)
+		edit(&s)
+		return s
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for name, bad := range map[string]RunningSnapshot{
+		"negative share":           with(func(s *RunningSnapshot) { s.Shares = map[int]float64{0: -3000}; s.ExpShares = map[int]float64{0: 0} }),
+		"infinite share":           with(func(s *RunningSnapshot) { s.Shares[1] = inf }),
+		"NaN share":                with(func(s *RunningSnapshot) { s.Shares[0] = nan }),
+		"negative expected share":  with(func(s *RunningSnapshot) { s.ExpShares[1] = -1 }),
+		"NaN expected share":       with(func(s *RunningSnapshot) { s.ExpShares[0] = nan }),
+		"negative procMS":          with(func(s *RunningSnapshot) { s.ProcMS = -40 }),
+		"infinite procMS":          with(func(s *RunningSnapshot) { s.ProcMS = inf }),
+		"no station":               with(func(s *RunningSnapshot) { s.Shares, s.ExpShares = nil, nil }),
+		"no expected shares":       with(func(s *RunningSnapshot) { s.ExpShares = nil }),
+		"expected share elsewhere": with(func(s *RunningSnapshot) { s.ExpShares[2] = 10 }),
+		"share out of range":       with(func(s *RunningSnapshot) { s.Shares[4], s.ExpShares[4] = 1, 1 }),
+		"over capacity":            with(func(s *RunningSnapshot) { s.Shares[1] = net.Capacity(1) }),
+	} {
+		eng, err := NewLiveEngine(net, rand.New(rand.NewSource(2)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The bad stream comes second: the good one before it must not
+		// be restored either.
+		if err := eng.RestoreRunning([]RunningSnapshot{with(func(*RunningSnapshot) {}), bad}); err == nil {
+			t.Errorf("%s: restored, free capacity now %.0f of %.0f MHz", name, eng.FreeCapacity(), total)
+			continue
+		}
+		if eng.NumRunning() != 0 || eng.FreeCapacity() != total {
+			t.Errorf("%s: refused restore left %d streams, %.0f of %.0f MHz free", name, eng.NumRunning(), eng.FreeCapacity(), total)
+		}
+	}
+
+	eng, err := NewLiveEngine(net, rand.New(rand.NewSource(2)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RestoreRunning([]RunningSnapshot{good}); err != nil {
+		t.Fatalf("a stream the engine could have written: %v", err)
+	}
+	if got := eng.FreeCapacity(); got != total-1000 {
+		t.Fatalf("free capacity %.0f MHz after restoring 1000, want %.0f", got, total-1000)
 	}
 }
 

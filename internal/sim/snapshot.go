@@ -2,16 +2,17 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
 )
 
-// RunningSnapshot serializes one in-service stream's exact ledger deltas:
-// everything release needs to undo the admission at departure. The
-// serving daemon persists these so a restarted process resumes with the
-// same streams occupying the same capacity.
+// RunningSnapshot serializes one in-service stream: everything release
+// needs to undo the admission at departure. The serving daemon persists
+// these so a restarted process resumes with the same streams occupying
+// the same capacity.
 type RunningSnapshot struct {
 	// Request is the id of the running request within its engine.
 	Request int `json:"request"`
@@ -19,7 +20,8 @@ type RunningSnapshot struct {
 	EndSlot int `json:"endSlot"`
 	// Shares maps station -> realized MHz held there.
 	Shares map[int]float64 `json:"shares"`
-	// ExpShares maps station -> expected MHz in the oblivious view.
+	// ExpShares maps station -> expected MHz in the oblivious view. It
+	// names the same stations as Shares.
 	ExpShares map[int]float64 `json:"expShares,omitempty"`
 	// ProcStation and ProcMS record the backlog-proxy contribution.
 	ProcStation int     `json:"procStation"`
@@ -31,17 +33,21 @@ type RunningSnapshot struct {
 func (e *Engine) NumRunning() int { return len(e.active) }
 
 // SnapshotRunning captures the engine's in-service streams. The maps in
-// the snapshots are copies; mutating them does not perturb the engine.
+// the snapshots are fresh; mutating them does not perturb the engine.
 func (e *Engine) SnapshotRunning() []RunningSnapshot {
 	out := make([]RunningSnapshot, 0, len(e.active))
 	for _, ru := range e.active {
 		s := RunningSnapshot{
 			Request:     ru.req,
 			EndSlot:     ru.endSlot,
-			Shares:      copyShares(ru.shares),
-			ExpShares:   copyShares(ru.expShares),
+			Shares:      make(map[int]float64, len(ru.holds)),
+			ExpShares:   make(map[int]float64, len(ru.holds)),
 			ProcStation: ru.procStation,
 			ProcMS:      ru.procMS,
+		}
+		for _, h := range ru.holds {
+			s.Shares[h.station] = h.mhz
+			s.ExpShares[h.station] = h.exp
 		}
 		out = append(out, s)
 	}
@@ -50,53 +56,91 @@ func (e *Engine) SnapshotRunning() []RunningSnapshot {
 
 // RestoreRunning re-registers previously snapshotted streams into a fresh
 // engine, rebuilding the realized, expected, and backlog ledgers from
-// their recorded deltas. It must be called before the first Step and at
-// most once; station indices are validated against the network.
+// their recorded holds. It must be called before the first Step and at
+// most once. Nothing is restored unless every snapshot is one the engine
+// could have written: its stations within the network, at least one
+// realized share, expected shares on exactly the stations of the realized
+// ones, every share and ProcMS finite and not negative, and the realized
+// shares of all streams within each station's capacity (the tolerance
+// settle allows).
 func (e *Engine) RestoreRunning(snaps []RunningSnapshot) error {
 	if len(e.active) > 0 {
 		return fmt.Errorf("sim: RestoreRunning on an engine with %d active streams", len(e.active))
 	}
-	n := e.net.NumStations()
-	for _, s := range snaps {
-		if s.ProcStation < 0 || s.ProcStation >= n {
-			return fmt.Errorf("sim: snapshot request %d: proc station %d out of range", s.Request, s.ProcStation)
+	load := make([]float64, e.net.NumStations())
+	for i := range snaps {
+		if err := e.checkSnapshot(&snaps[i]); err != nil {
+			return fmt.Errorf("sim: snapshot request %d: %w", snaps[i].Request, err)
 		}
-		for st := range s.Shares {
-			if st < 0 || st >= n {
-				return fmt.Errorf("sim: snapshot request %d: station %d out of range", s.Request, st)
-			}
+		for st, mhz := range snaps[i].Shares {
+			load[st] += mhz
 		}
-		for st := range s.ExpShares {
-			if st < 0 || st >= n {
-				return fmt.Errorf("sim: snapshot request %d: station %d out of range", s.Request, st)
-			}
+	}
+	for st, mhz := range load {
+		if c := e.net.Capacity(st); mhz > c+1e-6 {
+			return fmt.Errorf("sim: running streams hold %v MHz on station %d, over its %v MHz", mhz, st, c)
 		}
 	}
 	for _, s := range snaps {
 		ru := running{
 			req:         s.Request,
 			endSlot:     s.EndSlot,
-			shares:      copyShares(s.Shares),
-			expShares:   copyShares(s.ExpShares),
+			holds:       make([]hold, 0, len(s.Shares)),
 			procStation: s.ProcStation,
 			procMS:      s.ProcMS,
 		}
-		if ru.shares == nil {
-			ru.shares = map[int]float64{}
+		for st, mhz := range s.Shares {
+			ru.holds = append(ru.holds, hold{station: st, mhz: mhz, exp: s.ExpShares[st]})
 		}
-		if ru.expShares == nil {
-			ru.expShares = map[int]float64{}
-		}
-		for st, mhz := range ru.shares {
-			e.used[st] += mhz
-		}
-		for st, mhz := range ru.expShares {
-			e.expected[st] += mhz
+		slices.SortFunc(ru.holds, func(a, b hold) int { return a.station - b.station })
+		for _, h := range ru.holds {
+			e.used[h.station] += h.mhz
+			e.expected[h.station] += h.exp
 		}
 		e.procMS[ru.procStation] += ru.procMS
 		e.active = append(e.active, ru)
 	}
 	return nil
+}
+
+// checkSnapshot reports why a running snapshot could not have come from
+// SnapshotRunning over this engine's network, or nil.
+func (e *Engine) checkSnapshot(s *RunningSnapshot) error {
+	n := e.net.NumStations()
+	if s.ProcStation < 0 || s.ProcStation >= n {
+		return fmt.Errorf("proc station %d out of range", s.ProcStation)
+	}
+	if !finiteNonNegative(s.ProcMS) {
+		return fmt.Errorf("procMS %v is negative or not finite", s.ProcMS)
+	}
+	if len(s.Shares) == 0 {
+		return fmt.Errorf("holds no station")
+	}
+	for st, mhz := range s.Shares {
+		if st < 0 || st >= n {
+			return fmt.Errorf("station %d out of range", st)
+		}
+		if !finiteNonNegative(mhz) {
+			return fmt.Errorf("share %v MHz on station %d is negative or not finite", mhz, st)
+		}
+	}
+	for st, mhz := range s.ExpShares {
+		if _, ok := s.Shares[st]; !ok {
+			return fmt.Errorf("expected share on station %d, which holds no realized share", st)
+		}
+		if !finiteNonNegative(mhz) {
+			return fmt.Errorf("expected share %v MHz on station %d is negative or not finite", mhz, st)
+		}
+	}
+	if len(s.ExpShares) != len(s.Shares) {
+		return fmt.Errorf("expected shares on %d stations, realized shares on %d", len(s.ExpShares), len(s.Shares))
+	}
+	return nil
+}
+
+// finiteNonNegative reports whether v is a finite number >= 0.
+func finiteNonNegative(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1)
 }
 
 // Compact drops every request of a live engine but those at the strictly
@@ -145,16 +189,4 @@ func (e *Engine) Compact(keep []int, res *core.Result, pending []int) ([]int, er
 	}
 	e.reqs, res.Decisions = reqs, decisions
 	return pending, nil
-}
-
-// copyShares clones a station->MHz map (nil stays nil).
-func copyShares(m map[int]float64) map[int]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[int]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
