@@ -36,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"mecoffload/internal/bandit"
 	"mecoffload/internal/cluster"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/oracle"
@@ -44,7 +43,6 @@ import (
 	"mecoffload/internal/rnd"
 	"mecoffload/internal/scenario"
 	"mecoffload/internal/serve"
-	"mecoffload/internal/sim"
 	"mecoffload/internal/workload"
 )
 
@@ -55,16 +53,11 @@ func main() {
 	}
 }
 
-// banditKappa is the arm count a -bandit policy is built with; it
-// matches DynamicRR's default threshold discretization.
-const banditKappa = 16
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("arserved", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, ocorp, greedy, heukkt")
-		banditSpec = fs.String("bandit", "", "arm policy for dynamicrr: se, ucb1, sw-ucb[:w], d-ucb[:g], exp3s[:g[,a]], restart:<inner> (empty = se; a restored checkpoint wins)")
 		stations   = fs.Int("stations", 20, "number of base stations (generated topology)")
 		scenIn     = fs.String("scenario-in", "", "load the topology from this scenario JSON instead of generating one")
 		seed       = fs.Int64("seed", 42, "random seed")
@@ -161,27 +154,10 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "arserved: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	// The daemon only forwards an optional -bandit arm policy. A
-	// checkpointed bandit snapshot overrides the policy on restore, so
-	// learning resumes rather than restarting.
-	var drrOpts sim.DynamicRROptions
-	if *banditSpec != "" {
-		// Validate the spec up front so a typo fails at startup, then
-		// pass the spec (not an instance) so the shards each parse their
-		// own policy.
-		if _, err := bandit.Parse(*banditSpec, banditKappa, 0); err != nil {
-			return err
-		}
-		drrOpts.Kappa = banditKappa
-		drrOpts.PolicySpec = *banditSpec
-		drrOpts.PolicySeed = rnd.Derive(*seed, "bandit:"+*banditSpec)
-	}
-
 	cfg := cluster.Config{
 		Net:             net_,
 		Shards:          *shards,
 		SchedulerName:   *schedName,
-		DynamicRR:       drrOpts,
 		SlotLengthMS:    *slotMS,
 		Seed:            *seed,
 		CheckpointPath:  *ckptPath,

@@ -276,6 +276,7 @@ func TestBadFlags(t *testing.T) {
 		{"-loadgen"}, {"-offered", "100000"}, {"-load-duration", "2s"}, {"-load-batch", "500"},
 		{"-load-out", "load.json"}, {"-load-max-p99-ms", "50"}, {"-load-min-offered-frac", "0.9"},
 		{"-load-min-admitted", "1000"}, {"-ring", "4096"}, {"-stage", "4096"},
+		{"-bandit", "sw-ucb"},
 	} {
 		err := run(append(removed, "-replay", "/does/not/exist.json"), &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 
-	"mecoffload/internal/bandit"
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/prof"
@@ -26,10 +25,6 @@ import (
 	"mecoffload/internal/stats"
 	"mecoffload/internal/workload"
 )
-
-// banditKappa is the arm count a -bandit policy is built with; it
-// matches DynamicRR's default threshold discretization.
-const banditKappa = 16
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -68,19 +63,18 @@ func (ts *traceScheduler) Schedule(eng *sim.Engine, res *core.Result, t int, pen
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("arsim", flag.ContinueOnError)
 	var (
-		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, ocorp, greedy, heukkt")
-		banditSpec = fs.String("bandit", "", "arm policy for dynamicrr: se, ucb1, sw-ucb[:w], d-ucb[:g], exp3s[:g[,a]], restart:<inner> (empty = se)")
-		requests   = fs.Int("requests", 300, "number of AR requests")
-		stations   = fs.Int("stations", 20, "number of base stations")
-		horizon    = fs.Int("horizon", 120, "arrival horizon in slots")
-		seed       = fs.Int64("seed", 42, "random seed")
-		trace      = fs.Bool("trace", false, "print one line per slot")
-		hist       = fs.Bool("hist", false, "print the latency histogram of served requests")
-		dumpJSON   = fs.String("dump", "", "write the run trace (decisions + per-slot series) as JSON to this file")
-		scenOut    = fs.String("scenario-out", "", "write the generated scenario as JSON to this file")
-		scenIn     = fs.String("scenario-in", "", "load the scenario from this JSON file instead of generating one")
-		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = fs.String("memprofile", "", "write an allocation profile to this file at exit")
+		schedName = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, ocorp, greedy, heukkt")
+		requests  = fs.Int("requests", 300, "number of AR requests")
+		stations  = fs.Int("stations", 20, "number of base stations")
+		horizon   = fs.Int("horizon", 120, "arrival horizon in slots")
+		seed      = fs.Int64("seed", 42, "random seed")
+		trace     = fs.Bool("trace", false, "print one line per slot")
+		hist      = fs.Bool("hist", false, "print the latency histogram of served requests")
+		dumpJSON  = fs.String("dump", "", "write the run trace (decisions + per-slot series) as JSON to this file")
+		scenOut   = fs.String("scenario-out", "", "write the generated scenario as JSON to this file")
+		scenIn    = fs.String("scenario-in", "", "load the scenario from this JSON file instead of generating one")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,16 +139,7 @@ func run(args []string, out io.Writer) (err error) {
 	var sched sim.Scheduler
 	switch *schedName {
 	case "dynamicrr":
-		var dopts sim.DynamicRROptions
-		if *banditSpec != "" {
-			pol, err := bandit.Parse(*banditSpec, banditKappa, rnd.Derive(*seed, "bandit:"+*banditSpec))
-			if err != nil {
-				return err
-			}
-			dopts.Kappa = banditKappa
-			dopts.Policy = pol
-		}
-		d, err := sim.NewDynamicRR(dopts)
+		d, err := sim.NewDynamicRR(sim.DynamicRROptions{})
 		if err != nil {
 			return err
 		}

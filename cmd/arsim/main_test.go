@@ -47,12 +47,14 @@ func TestRunUnknownScheduler(t *testing.T) {
 // fail at parsing instead of being ignored, and the scheduler name that
 // switched the local-ratio certificate on is an unknown one. The frame-trace
 // replay mode and its flags are gone too: arserved -replay is the replay,
-// held to oracle.FrameReplay.
+// held to oracle.FrameReplay. So is -bandit: successive elimination is
+// the one arm policy.
 func TestRemovedIncrementalFlag(t *testing.T) {
 	var out strings.Builder
 	for _, removed := range [][]string{
 		{"-incremental"}, {"-workers", "2"},
 		{"-replay", "trace.json"}, {"-requests-per-30fps", "1"}, {"-replay-dump", "decisions.json"}, {"-slot-ms", "50"},
+		{"-bandit", "sw-ucb"},
 	} {
 		err := run(append(removed, "-requests", "10", "-horizon", "5"), &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

@@ -31,18 +31,16 @@ func main() {
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("mecsim", flag.ContinueOnError)
 	var (
-		exp       = fs.String("experiment", "all", "experiment id (fig3..fig6, regret, ablation-*, all)")
-		reps      = fs.Int("reps", experiment.DefaultRepetitions, "repetitions per cell")
-		seed      = fs.Int64("seed", 42, "base random seed")
-		stations  = fs.Int("stations", experiment.DefaultStations, "number of base stations")
-		requests  = fs.Int("requests", experiment.DefaultRequests, "workload size for fixed-|R| sweeps")
-		horizon   = fs.Int("horizon", experiment.DefaultHorizon, "online arrival horizon in slots")
-		parallel  = fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS; results are identical for every value)")
-		csvPath   = fs.String("csv", "", "also write results as CSV to this file")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write an allocation profile to this file at exit")
-		exp3Gamma = fs.Float64("exp3-gamma", 0, "Exp3 exploration mix for ablation-policy (0 = default)")
-		exp3Alpha = fs.Float64("exp3-alpha", 0, "Exp3.S weight-sharing rate for ablation-policy (0 = default)")
+		exp      = fs.String("experiment", "all", "experiment id (fig3..fig6, regret, ablation-*, all)")
+		reps     = fs.Int("reps", experiment.DefaultRepetitions, "repetitions per cell")
+		seed     = fs.Int64("seed", 42, "base random seed")
+		stations = fs.Int("stations", experiment.DefaultStations, "number of base stations")
+		requests = fs.Int("requests", experiment.DefaultRequests, "workload size for fixed-|R| sweeps")
+		horizon  = fs.Int("horizon", experiment.DefaultHorizon, "online arrival horizon in slots")
+		parallel = fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS; results are identical for every value)")
+		csvPath  = fs.String("csv", "", "also write results as CSV to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,8 +70,6 @@ func run(args []string, out io.Writer) (err error) {
 		Requests:    *requests,
 		Horizon:     *horizon,
 		Parallel:    *parallel,
-		Exp3Gamma:   *exp3Gamma,
-		Exp3Alpha:   *exp3Alpha,
 	}
 
 	var csv io.Writer

@@ -1,9 +1,10 @@
 // Package bandit implements the multi-armed-bandit policies behind the
 // paper's DynamicRR algorithm (Section V): a successive-elimination policy
-// with UCB/LCB confidence bounds over a finite arm set, plus UCB1 and
-// epsilon-greedy used for ablations, and a Lipschitz wrapper that maps a
-// continuous threshold interval [min, max] onto kappa discretized arms
-// (fixed discretization, Eq. (21) and Theorem 3).
+// with UCB/LCB confidence bounds over a finite arm set, plus UCB1,
+// epsilon-greedy and a fixed arm used for ablations, and a Lipschitz
+// wrapper that maps a continuous threshold interval [min, max] onto kappa
+// discretized arms (fixed discretization, Eq. (21) and Theorem 3).
+// Successive elimination is the one policy a checkpoint can persist.
 //
 // All policies share the Policy interface: Select returns the arm to play
 // this round; Update feeds back the observed reward. Rewards may live on
@@ -195,18 +196,6 @@ func (se *SuccessiveElimination) eliminate() {
 	}
 }
 
-// Reset implements Resettable: reactivate every arm and wipe all
-// statistics, as if freshly constructed.
-func (se *SuccessiveElimination) Reset() {
-	for i := range se.arms {
-		se.arms[i] = armStats{}
-		se.active[i] = true
-	}
-	se.nActive = len(se.arms)
-	se.t, se.next = 0, 0
-	se.minObs, se.maxObs, se.seen = 0, 0, false
-}
-
 // UCB1 is the classic optimism-in-face-of-uncertainty policy, provided as
 // an ablation baseline for the arm-selection step of DynamicRR.
 type UCB1 struct {
@@ -269,15 +258,6 @@ func (u *UCB1) Update(arm int, reward float64) {
 		u.minObs = math.Min(u.minObs, reward)
 		u.maxObs = math.Max(u.maxObs, reward)
 	}
-}
-
-// Reset implements Resettable.
-func (u *UCB1) Reset() {
-	for i := range u.arms {
-		u.arms[i] = armStats{}
-	}
-	u.t = 0
-	u.minObs, u.maxObs, u.seen = 0, 0, false
 }
 
 // EpsilonGreedy explores uniformly with probability eps and exploits the

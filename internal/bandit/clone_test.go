@@ -7,26 +7,17 @@ import (
 )
 
 // richSnapshot builds a snapshot exercising every Clone-copied field: a
-// Restart supervisor (detectors + recursive Inner) over an Exp3.S
-// (weights, rng seed/draws), wrapped in a Lipschitz interval. The inner
-// window/arm slices come from real driven policies, not literals, so the
-// test tracks the snapshot schema.
+// successive-elimination learner driven until some arms are eliminated,
+// wrapped in a Lipschitz interval. The arm slice comes from a real driven
+// policy, not literals, so the test tracks the snapshot schema.
 func richSnapshot(t *testing.T) *LipschitzSnapshot {
 	t.Helper()
-	inner, err := NewExp3Seeded(6, 0.1, 0.01, 42)
+	se, err := NewSuccessiveElimination(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := NewPageHinkley(0.05, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := NewRestart(inner, ph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(rs, []float64{1, 5, 2, 8, 3, 4}, 80, rand.New(rand.NewSource(9)))
-	lip, err := NewLipschitz(rs, 200, 1200)
+	drive(se, []float64{1, 5, 2, 8, 3, 4}, 600, rand.New(rand.NewSource(9)))
+	lip, err := NewLipschitz(se, 200, 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +42,21 @@ func TestLipschitzSnapshotClone(t *testing.T) {
 		t.Fatalf("restoring clone: %v", err)
 	}
 
-	// Mutate every slice and nested snapshot in the clone; the original
-	// must not move.
+	// Mutate the clone's arms and scalars; the original must not move.
 	p := clone.Policy
-	if p.Kind != KindRestart || p.Inner == nil || len(p.Detectors) == 0 {
-		t.Fatalf("test setup: expected a restart snapshot with detectors, got %q", p.Kind)
+	if len(p.Arms) == 0 || p.T == 0 {
+		t.Fatal("test setup: expected a driven policy with arms")
 	}
-	if len(p.Inner.Weights) == 0 || len(p.Inner.Arms) == 0 {
-		t.Fatalf("test setup: expected exp3 inner with weights/arms")
+	eliminated := false
+	for _, a := range p.Arms {
+		eliminated = eliminated || !a.Active
 	}
-	p.Detectors[0].N += 1000
-	p.Inner.Weights[0] *= 7
-	p.Inner.Arms[0].Sum += 99
-	p.Inner.T += 5
+	if !eliminated {
+		t.Fatal("test setup: expected an eliminated arm")
+	}
+	p.Arms[0].Sum += 99
+	p.Arms[1].Active = !p.Arms[1].Active
+	p.T += 5
 	clone.Min = -1
 	if reflect.DeepEqual(snap, clone) {
 		t.Fatal("mutating the clone should diverge it from the original")
@@ -84,27 +77,5 @@ func TestPolicySnapshotCloneNil(t *testing.T) {
 	var l *LipschitzSnapshot
 	if l.Clone() != nil {
 		t.Fatal("nil LipschitzSnapshot should clone to nil")
-	}
-}
-
-// TestSlidingWindowSnapshotClone covers the window-ring slice, which the
-// restart/exp3 composite above doesn't exercise.
-func TestSlidingWindowSnapshotClone(t *testing.T) {
-	sw, err := NewSlidingWindowUCB(4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(sw, []float64{1, 4, 2, 3}, 40, rand.New(rand.NewSource(11)))
-	snap := sw.Snapshot()
-	clone := snap.Clone()
-	if !reflect.DeepEqual(snap, clone) {
-		t.Fatal("clone differs from original")
-	}
-	if len(clone.Window) == 0 {
-		t.Fatal("test setup: expected a populated window")
-	}
-	clone.Window[0].Reward += 100
-	if snap.Window[0].Reward == clone.Window[0].Reward {
-		t.Fatal("window ring aliased between clone and original")
 	}
 }

@@ -4,70 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 )
 
-// snapshotCases enumerates every snapshottable policy configuration. Each
-// builder returns a fresh policy; the property below drives it, snapshots
-// mid-run through JSON (the daemon checkpoint path), and requires the
-// restored copy's continuation to be decision-identical to the
-// uninterrupted original.
-func snapshotCases(t *testing.T, k int, seed int64) map[string]func() Policy {
-	t.Helper()
-	must := func(p Policy, err error) Policy {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	return map[string]func() Policy{
-		"se":    func() Policy { return must(NewSuccessiveElimination(k)) },
-		"ucb1":  func() Policy { return must(NewUCB1(k)) },
-		"fixed": func() Policy { return must(NewFixed(k, 1)) },
-		"sw-ucb": func() Policy {
-			return must(NewSlidingWindowUCB(k, 32))
-		},
-		"d-ucb": func() Policy {
-			return must(NewDiscountedUCB(k, 0.95))
-		},
-		"exp3s": func() Policy {
-			return must(NewExp3Seeded(k, 0.1, 0.01, seed))
-		},
-		"restart:se": func() Policy {
-			se, err := NewSuccessiveElimination(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return must(NewRestart(se, nil))
-		},
-		"restart:sw-ucb": func() Policy {
-			sw, err := NewSlidingWindowUCB(k, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A twitchy detector so restarts actually fire inside the test
-			// horizon and their state is exercised by the round-trip.
-			ph, err := NewPageHinkley(0.001, 0.3, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return must(NewRestart(sw, ph))
-		},
-		"restart:exp3s": func() Policy {
-			e, err := NewExp3Seeded(k, 0.2, 0, seed+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return must(NewRestart(e, nil))
-		},
-	}
-}
-
 // propReward is a deterministic drifting reward: distinct per arm, with a
-// mean shift mid-stream so windowed/discount/restart state is non-trivial
-// when the snapshot is taken.
+// mean shift mid-stream so the elimination state is non-trivial when the
+// snapshot is taken.
 func propReward(arm, step, k int) float64 {
 	base := float64(arm + 1)
 	if step >= 60 {
@@ -76,132 +18,88 @@ func propReward(arm, step, k int) float64 {
 	return base + 0.01*math.Sin(float64(step))
 }
 
-// TestSnapshotRoundTripProperty: for every snapshottable policy, over
-// several cut points, save -> JSON -> load -> continue must match the
-// uninterrupted run decision-for-decision.
+// TestSnapshotRoundTripProperty: for the one snapshottable policy,
+// successive elimination, over several cut points, save -> JSON -> load
+// -> continue must match the uninterrupted run decision-for-decision.
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	const k = 5
-	for name, build := range snapshotCases(t, k, 42) {
-		for _, cut := range []int{0, 1, 17, 80, 140} {
-			t.Run(fmt.Sprintf("%s/cut=%d", name, cut), func(t *testing.T) {
-				p := build()
-				for i := 0; i < cut; i++ {
-					arm := p.Select()
-					p.Update(arm, propReward(arm, i, k))
+	for _, cut := range []int{0, 1, 17, 80, 140} {
+		t.Run(fmt.Sprintf("se/cut=%d", cut), func(t *testing.T) {
+			p, err := NewSuccessiveElimination(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < cut; i++ {
+				arm := p.Select()
+				p.Update(arm, propReward(arm, i, k))
+			}
+			raw, err := json.Marshal(p.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back PolicySnapshot
+			if err := json.Unmarshal(raw, &back); err != nil {
+				t.Fatal(err)
+			}
+			q, err := RestorePolicy(&back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := cut; i < cut+120; i++ {
+				a, b := p.Select(), q.Select()
+				if a != b {
+					t.Fatalf("step %d: original played %d, restored played %d", i, a, b)
 				}
-				sn, ok := p.(Snapshotter)
-				if !ok {
-					t.Fatalf("%T does not implement Snapshotter", p)
+				r := propReward(a, i, k)
+				p.Update(a, r)
+				q.Update(b, r)
+				if p.Plays(a) != q.Plays(a) || p.Mean(a) != q.Mean(a) {
+					t.Fatalf("step %d arm %d: stats diverged (%d, %v) vs (%d, %v)",
+						i, a, p.Plays(a), p.Mean(a), q.Plays(a), q.Mean(a))
 				}
-				snap := sn.Snapshot()
-				if snap == nil {
-					t.Fatalf("%T returned a nil snapshot", p)
-				}
-				raw, err := json.Marshal(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var back PolicySnapshot
-				if err := json.Unmarshal(raw, &back); err != nil {
-					t.Fatal(err)
-				}
-				q, err := RestorePolicy(&back)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := cut; i < cut+120; i++ {
-					a, b := p.Select(), q.Select()
-					if a != b {
-						t.Fatalf("step %d: original played %d, restored played %d", i, a, b)
-					}
-					r := propReward(a, i, k)
-					p.Update(a, r)
-					q.Update(b, r)
-					if p.Plays(a) != q.Plays(a) || p.Mean(a) != q.Mean(a) {
-						t.Fatalf("step %d arm %d: stats diverged (%d, %v) vs (%d, %v)",
-							i, a, p.Plays(a), p.Mean(a), q.Plays(a), q.Mean(a))
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestSnapshotRestoreRejectsCorrupt: table of malformed snapshots every
-// restore path must reject rather than mis-restore.
+// TestSnapshotRestoreRejectsCorrupt: table of malformed snapshots the
+// restore path must reject rather than mis-restore. Each case corrupts a
+// snapshot that restores into a kind no policy writes any more, or into
+// statistics successive elimination cannot produce: Update is its only
+// mutator and bumps the round counter and one arm's plays together, and
+// elimination never drops an unplayed arm.
 func TestSnapshotRestoreRejectsCorrupt(t *testing.T) {
-	arms := []ArmSnapshot{{Plays: 1, Sum: 2}, {Plays: 1, Sum: 3}}
-	cases := map[string]*PolicySnapshot{
-		"sw-ucb window overflows cap": {
-			Kind: KindSlidingWindowUCB, WindowCap: 1, Arms: arms,
-			Window: []WindowEntry{{Arm: 0, Reward: 1}, {Arm: 1, Reward: 2}},
-		},
-		"sw-ucb window arm out of range": {
-			Kind: KindSlidingWindowUCB, WindowCap: 8, Arms: arms,
-			Window: []WindowEntry{{Arm: 7, Reward: 1}},
-		},
-		"sw-ucb negative window arm": {
-			Kind: KindSlidingWindowUCB, WindowCap: 8, Arms: arms,
-			Window: []WindowEntry{{Arm: -1, Reward: 1}},
-		},
-		"d-ucb gamma out of range": {
-			Kind: KindDiscountedUCB, Gamma: 1.5, Arms: arms,
-		},
-		"exp3s weight count mismatch": {
-			Kind: KindExp3S, Gamma: 0.1, Weights: []float64{1}, Arms: arms,
-		},
-		"exp3s bad gamma": {
-			Kind: KindExp3S, Gamma: -2, Weights: []float64{1, 1}, Arms: arms,
-		},
-		"restart missing inner": {
-			Kind: KindRestart, Detectors: []DetectorSnapshot{{Delta: 0.01, Lambda: 1, Warmup: 5}},
-		},
-		"restart missing detectors": {
-			Kind: KindRestart, Inner: &PolicySnapshot{Kind: KindUCB1, Arms: arms},
-		},
-		"restart detector count mismatch": {
-			Kind:      KindRestart,
-			Inner:     &PolicySnapshot{Kind: KindUCB1, Arms: arms},
-			Detectors: []DetectorSnapshot{{Delta: 0.01, Lambda: 1, Warmup: 5}},
-		},
-		"restart unresettable inner": {
-			Kind:  KindRestart,
-			Inner: &PolicySnapshot{Kind: KindFixed, Arms: arms},
-			Detectors: []DetectorSnapshot{
-				{Delta: 0.01, Lambda: 1, Warmup: 5}, {Delta: 0.01, Lambda: 1, Warmup: 5},
-			},
-		},
-		"restart bad detector": {
-			Kind:  KindRestart,
-			Inner: &PolicySnapshot{Kind: KindUCB1, Arms: arms},
-			Detectors: []DetectorSnapshot{
-				{Delta: -1, Lambda: -1, Warmup: 0}, {Delta: -1, Lambda: -1, Warmup: 0},
-			},
-		},
+	valid := func() *PolicySnapshot {
+		return &PolicySnapshot{
+			Kind: KindSuccessiveElimination, T: 3, Next: 1, MinObs: 2, MaxObs: 3, Seen: true,
+			Arms: []ArmSnapshot{{Plays: 2, Sum: 4, Active: true}, {Plays: 1, Sum: 3, Active: true}},
+		}
 	}
-	for name, snap := range cases {
-		if _, err := RestorePolicy(snap); err == nil {
+	if _, err := RestorePolicy(valid()); err != nil {
+		t.Fatalf("the uncorrupted snapshot must restore: %v", err)
+	}
+	cases := map[string]func(s *PolicySnapshot){
+		"retired kind":            func(s *PolicySnapshot) { s.Kind = "sw-ucb" },
+		"no arms":                 func(s *PolicySnapshot) { s.Arms = nil },
+		"cursor out of range":     func(s *PolicySnapshot) { s.Next = 2 },
+		"negative cursor":         func(s *PolicySnapshot) { s.Next = -1 },
+		"negative plays":          func(s *PolicySnapshot) { s.Arms[0].Plays, s.Arms[1].Plays = -1, 4 },
+		"negative rounds":         func(s *PolicySnapshot) { s.T = -7 },
+		"rounds exceed plays":     func(s *PolicySnapshot) { s.T = 4 },
+		"rounds without a reward": func(s *PolicySnapshot) { s.Seen = false },
+		"reward without a round": func(s *PolicySnapshot) {
+			s.T, s.Arms = 0, []ArmSnapshot{{Active: true}, {Active: true}}
+		},
+		"reversed reward range":   func(s *PolicySnapshot) { s.MinObs, s.MaxObs = 3, 2 },
+		"unplayed arm with a sum": func(s *PolicySnapshot) { s.Arms = append(s.Arms, ArmSnapshot{Sum: 1, Active: true}) },
+		"unplayed arm eliminated": func(s *PolicySnapshot) { s.Arms = append(s.Arms, ArmSnapshot{}) },
+		"no active arms":          func(s *PolicySnapshot) { s.Arms[0].Active, s.Arms[1].Active = false, false },
+	}
+	for name, corrupt := range cases {
+		s := valid()
+		corrupt(s)
+		if _, err := RestorePolicy(s); err == nil {
 			t.Errorf("%s: restore accepted a corrupt snapshot", name)
 		}
-	}
-}
-
-// TestExternalRngExp3NotSnapshottable: Exp3 on a caller-supplied rng
-// cannot persist its stream position; the snapshot path must refuse, not
-// silently produce a diverging copy.
-func TestExternalRngExp3NotSnapshottable(t *testing.T) {
-	e, err := NewExp3(3, 0.1, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := e.Snapshot(); snap != nil {
-		t.Fatal("externally-seeded Exp3 produced a snapshot")
-	}
-	lip, err := NewLipschitz(e, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lip.Snapshot(); err == nil {
-		t.Fatal("Lipschitz over externally-seeded Exp3 must not snapshot")
 	}
 }

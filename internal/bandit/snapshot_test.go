@@ -2,6 +2,7 @@ package bandit
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -37,11 +38,10 @@ func TestSuccessiveEliminationSnapshotRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestorePolicy(&back)
+	re, err := RestorePolicy(&back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := restored.(*SuccessiveElimination)
 
 	// Identical statistics...
 	if re.NumActive() != se.NumActive() {
@@ -64,23 +64,6 @@ func TestSuccessiveEliminationSnapshotRoundTrip(t *testing.T) {
 	seqB := drive(re, means, 100, rngB)
 	if !reflect.DeepEqual(seqA, seqB) {
 		t.Fatalf("diverged after restore:\noriginal %v\nrestored %v", seqA, seqB)
-	}
-}
-
-func TestUCB1SnapshotRoundTrip(t *testing.T) {
-	means := []float64{2, 5, 3}
-	u, err := NewUCB1(len(means))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(u, means, 60, rand.New(rand.NewSource(3)))
-	restored, err := RestorePolicy(u.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rngA, rngB := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
-	if a, b := drive(u, means, 50, rngA), drive(restored, means, 50, rngB); !reflect.DeepEqual(a, b) {
-		t.Fatalf("diverged after restore:\noriginal %v\nrestored %v", a, b)
 	}
 }
 
@@ -119,17 +102,26 @@ func TestLipschitzSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotUnsupportedPolicy: only successive elimination persists;
+// a Lipschitz learner over any ablation policy refuses to snapshot, and
+// restore refuses a kind it does not know.
 func TestSnapshotUnsupportedPolicy(t *testing.T) {
 	eg, err := NewEpsilonGreedy(4, 0.1, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lip, err := NewLipschitz(eg, 0, 1)
+	u, err := NewUCB1(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lip.Snapshot(); err == nil {
-		t.Fatal("expected ErrUnsupportedSnapshot for EpsilonGreedy inner policy")
+	for _, pol := range []Policy{eg, u} {
+		lip, err := NewLipschitz(pol, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lip.Snapshot(); !errors.Is(err, ErrUnsupportedSnapshot) {
+			t.Fatalf("%T inner policy: Snapshot = %v, want ErrUnsupportedSnapshot", pol, err)
+		}
 	}
 	if _, err := RestorePolicy(&PolicySnapshot{Kind: "mystery", Arms: []ArmSnapshot{{}}}); err == nil {
 		t.Fatal("expected error for unknown snapshot kind")

@@ -60,6 +60,10 @@ func TestCheckpointRejected(t *testing.T) {
 	if bytes.Equal(wrongShard, s0) {
 		t.Fatal("shard file has no version field to corrupt")
 	}
+	retired := bytes.Replace(s0, []byte(`"kind": "successive-elimination"`), []byte(`"kind": "sw-ucb"`), 1)
+	if bytes.Equal(retired, s0) {
+		t.Fatal("shard file holds no learner kind to rewrite")
+	}
 	cases := []struct {
 		name    string
 		files   map[string][]byte
@@ -80,6 +84,9 @@ func TestCheckpointRejected(t *testing.T) {
 		// A negative share would hand its station capacity it does not
 		// have.
 		{"negative share", with("cluster.json.shard0.gen1", negatedShare(t, s0)), net8, "is negative or not finite"},
+		// A learner written under a policy the daemon no longer has is
+		// refused, not restored as something else.
+		{"retired bandit policy", with("cluster.json.shard0.gen1", retired), net8, `bandit: policy does not support snapshots: kind "sw-ucb"`},
 		// Every live request of either generation names only stations both
 		// networks have (no sweep moves one onto stations 4-7), so nothing
 		// but the guard tells the topologies apart.

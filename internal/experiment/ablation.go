@@ -83,10 +83,14 @@ const (
 	policySE     = "SuccessiveElim"
 	policyUCB1   = "UCB1"
 	policyEps    = "EpsilonGreedy"
-	policyExp3   = "Exp3"
 	policyFixed  = "FixedMid"
 	policyKappaA = 8
 )
+
+// policyStream numbers each A3 policy's realization stream. The numbers
+// belong to the policies, not to column positions, so dropping or adding
+// a column never changes another column's draws.
+var policyStream = map[string]int{policySE: 0, policyUCB1: 1, policyEps: 2, policyFixed: 4}
 
 // AblationPolicy (A3) swaps DynamicRR's arm-selection policy: the paper's
 // successive elimination against UCB1, epsilon-greedy, and a fixed
@@ -99,7 +103,7 @@ func AblationPolicy(opts Options) (*Table, error) {
 		ID:         "ablation-policy",
 		Title:      "Ablation A3: DynamicRR bandit policy",
 		XLabel:     "requests",
-		Algorithms: []string{policySE, policyUCB1, policyEps, policyExp3, policyFixed},
+		Algorithms: []string{policySE, policyUCB1, policyEps, policyFixed},
 	}
 	xs := []float64{float64(regretRequests)}
 	err := sweep(opts, tbl, xs,
@@ -108,8 +112,8 @@ func AblationPolicy(opts Options) (*Table, error) {
 				instSeed(opts.Seed, 23, 0, rep))
 		},
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
-			seed := runSeed(opts.Seed, 23, 0, rep, algoIndex(tbl, algo))
-			pol, err := newPolicy(algo, seed, opts)
+			seed := runSeed(opts.Seed, 23, 0, rep, policyStream[algo])
+			pol, err := newPolicy(algo, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +122,7 @@ func AblationPolicy(opts Options) (*Table, error) {
 	return tbl, err
 }
 
-func newPolicy(name string, seed int64, opts Options) (bandit.Policy, error) {
+func newPolicy(name string, seed int64) (bandit.Policy, error) {
 	switch name {
 	case policySE:
 		return bandit.NewSuccessiveElimination(policyKappaA)
@@ -126,16 +130,6 @@ func newPolicy(name string, seed int64, opts Options) (bandit.Policy, error) {
 		return bandit.NewUCB1(policyKappaA)
 	case policyEps:
 		return bandit.NewEpsilonGreedy(policyKappaA, 0.1, rand.New(rand.NewSource(seed*17+3)))
-	case policyExp3:
-		gamma := opts.Exp3Gamma
-		if gamma == 0 {
-			gamma = bandit.DefaultExp3Gamma
-		}
-		alpha := opts.Exp3Alpha
-		if alpha == 0 {
-			alpha = bandit.DefaultExp3Alpha
-		}
-		return bandit.NewExp3S(policyKappaA, gamma, alpha, rand.New(rand.NewSource(seed*19+5)))
 	case policyFixed:
 		return bandit.NewFixed(policyKappaA, policyKappaA/2)
 	default:

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 
 	"mecoffload/internal/bandit"
-	"mecoffload/internal/rnd"
 	"mecoffload/internal/scenario"
 	"mecoffload/internal/sim"
 	"mecoffload/internal/stats"
@@ -18,11 +16,11 @@ import (
 // document; the learner discretization matches the regret experiment.
 const driftKappa = 8
 
-// DriftPolicies lists the bandit specs the drift experiment compares:
-// the paper's stationary learners against the drift-aware pack. Specs
-// parse via bandit.Parse.
+// DriftPolicies lists the learners the drift experiment runs against the
+// best fixed threshold in hindsight: the paper's successive elimination
+// ("se"), the one arm policy DynamicRR ships.
 func DriftPolicies() []string {
-	return []string{"se", "ucb1", "sw-ucb:100", "d-ucb:0.99", "exp3s", "restart:se"}
+	return []string{"se"}
 }
 
 // DriftScenarioCurves holds one scenario's per-policy reward and regret
@@ -49,14 +47,14 @@ type DriftResult struct {
 	Scenarios []*DriftScenarioCurves
 }
 
-// Drift runs DynamicRR with each policy spec over every builtin drift
-// scenario (diurnal load, flash crowds, mobility handover, correlated
-// outages, plus the stationary i.i.d. control), measuring cumulative
-// reward and regret against the best fixed threshold in hindsight on the
-// same materialized instance. This is the dynamic-environment complement
-// of the Theorem 3 validation: where Regret checks sub-linear growth
-// under stationarity, Drift checks that drift-aware policies keep regret
-// bounded when the environment shifts under the learner.
+// Drift runs DynamicRR's learner over every builtin drift scenario
+// (diurnal load, flash crowds, mobility handover, correlated outages,
+// plus the stationary i.i.d. control), measuring cumulative reward and
+// regret against the best fixed threshold in hindsight on the same
+// materialized instance. This is the dynamic-environment complement of
+// the Theorem 3 validation: where Regret checks sub-linear growth under
+// stationarity, Drift measures how much the learner gives up when the
+// environment shifts under it.
 func Drift(opts Options) (*DriftResult, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -122,7 +120,8 @@ func driftScenario(opts Options, si int, name string) (*DriftScenarioCurves, err
 		}
 
 		for _, spec := range curves.Policies {
-			pol, err := bandit.Parse(spec, driftKappa, rnd.Derive(runSeedRep, "drift-policy:"+spec))
+			// DriftPolicies names one learner, successive elimination.
+			pol, err := bandit.NewSuccessiveElimination(driftKappa)
 			if err != nil {
 				return nil, err
 			}
@@ -235,116 +234,4 @@ func (r *DriftResult) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// DriftTrace maps a drift scenario document onto a k-armed
-// piecewise-stationary bandit environment: every scripted transition
-// (curve breakpoint, burst edge, handover, outage boundary) becomes a
-// change point, with the scenario's slots rescaled to the trace
-// horizon. The environment is the asymmetric two-leader instance that
-// separates forgetting from stationary optimism: arm 0 swings between
-// excellent and terrible across segments while arm 1 pays a steady
-// just-below-peak reward, so arm 0's long-run average converges to the
-// middle — far from either of its true per-segment means. A stationary
-// learner keeps trusting that collapsed average (its confidence radius
-// has shrunk with the sample count) and sits on the wrong leader for
-// bulk of every swing, while windowed, discounted, or restarting
-// learners re-estimate from recent samples and recover at a cost
-// independent of history length. The statistical regression suite runs
-// the drift-aware policies on these traces — the scenario pack's drift
-// structure at bandit level, deterministic and fast — and pins regret
-// orderings with fixed seeds.
-type DriftTrace struct {
-	K       int
-	Horizon int
-	points  []int // ascending change points in (0, Horizon)
-}
-
-// NewDriftTrace derives the trace from a validated scenario document.
-func NewDriftTrace(doc *scenario.DriftDoc, k, horizon int) (*DriftTrace, error) {
-	if err := doc.Validate(); err != nil {
-		return nil, err
-	}
-	if k < 2 || horizon < 1 {
-		return nil, fmt.Errorf("experiment: drift trace needs k >= 2 and a positive horizon (got %d, %d)", k, horizon)
-	}
-	slots := map[int]bool{}
-	add := func(s int) {
-		if s > 0 && s < doc.Horizon {
-			slots[s*horizon/doc.Horizon] = true
-		}
-	}
-	for _, p := range doc.RateCurve {
-		add(p.Slot)
-	}
-	for _, p := range doc.RewardCurve {
-		add(p.Slot)
-	}
-	for _, b := range doc.Bursts {
-		add(b.Start)
-		add(b.End)
-	}
-	for _, h := range doc.Handovers {
-		add(h.Slot)
-	}
-	for _, o := range doc.Outages {
-		add(o.Start)
-		add(o.End)
-	}
-	tr := &DriftTrace{K: k, Horizon: horizon}
-	for s := range slots {
-		if s > 0 && s < horizon {
-			tr.points = append(tr.points, s)
-		}
-	}
-	sort.Ints(tr.points)
-	return tr, nil
-}
-
-// ChangePoints returns the trace's change points (copy).
-func (tr *DriftTrace) ChangePoints() []int {
-	return append([]int(nil), tr.points...)
-}
-
-// segment returns how many change points precede or equal slot t.
-func (tr *DriftTrace) segment(t int) int {
-	n := 0
-	for _, p := range tr.points {
-		if p > t {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// BestArm returns the optimal arm at slot t: the swinging arm 0 in even
-// segments, the steady arm 1 in odd segments.
-func (tr *DriftTrace) BestArm(t int) int { return tr.segment(t) % 2 }
-
-// Mean returns the expected reward of an arm at slot t: arm 0 swings
-// between 0.95 (even segments) and 0.05 (odd segments), arm 1
-// counter-swings between 0.35 and 0.75, and any remaining arms trail
-// with a slight spread so no two are tied. Both leaders moving at every
-// change point keeps the shift visible on whichever arm a learner is
-// currently playing — a restart detector watching only the played arm
-// still fires — while the differing amplitudes and midpoints keep the
-// long-run averages (0.50 vs 0.55) close enough that a stationary
-// learner cannot rank the leaders from history.
-func (tr *DriftTrace) Mean(arm, t int) float64 {
-	even := tr.segment(t)%2 == 0
-	switch arm {
-	case 0:
-		if even {
-			return 0.95
-		}
-		return 0.05
-	case 1:
-		if even {
-			return 0.35
-		}
-		return 0.75
-	default:
-		return 0.2 + 0.04*float64(arm)/float64(tr.K)
-	}
 }

@@ -4,188 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"mecoffload/internal/bandit"
-	"mecoffload/internal/rnd"
 	"mecoffload/internal/scenario"
 )
 
-// The statistical regression suite: every run below is deterministic
-// under its pinned seeds, so the asserted margins are regression pins,
-// not flaky statistical hopes. The traces are the scenario pack's drift
-// structure projected to bandit level (see DriftTrace), where regret is
-// exact — computed from expected means, not noisy realizations.
-
-// Trace dimensions for the regret-bound assertions: two leaders (the
-// asymmetric instance DriftTrace constructs) over a horizon long enough
-// that a stationary learner's sticking cost — proportional to its
-// history length at each change — dominates the drift-aware policies'
-// constant per-change recovery plus linear forgetting tax.
-const (
-	statK       = 2
-	statHorizon = 12000
-	// driftMargin pins the headline claim: on every drifting trace each
-	// drift-aware policy's regret is at most 70% of stationary UCB1's.
-	// Measured worst case under these seeds is 57%.
-	driftMargin = 0.7
-	// iidTax pins the stationary tolerance: on the i.i.d. control trace
-	// a drift-aware policy's forgetting premium stays under 3% of the
-	// horizon's slots (UCB1's own regret there is near zero, so a
-	// multiplicative bound would be meaningless). Measured worst case is
-	// 2.2%.
-	iidTax = 0.03
-)
-
-// driftStatPolicies are the specs the regret-bound suite compares; every
-// one parses through the same grammar the binaries expose. The first
-// three are the acceptance trio (SlidingWindowUCB, DiscountedUCB,
-// Restart over the paper's SuccessiveElimination).
-var driftStatPolicies = []string{"sw-ucb:300", "d-ucb:0.997", "restart:se", "restart:ucb1"}
-
-// driftTraceRegret plays a policy over the trace with common seeded
-// per-step observation noise and returns its exact expected regret.
-func driftTraceRegret(tr *DriftTrace, p bandit.Policy, noise []float64) float64 {
-	regret := 0.0
-	for t := 0; t < tr.Horizon; t++ {
-		arm := p.Select()
-		regret += tr.Mean(tr.BestArm(t), t) - tr.Mean(arm, t)
-		p.Update(arm, tr.Mean(arm, t)+0.1*(noise[t]-0.5))
-	}
-	return regret
-}
-
-func traceNoise(name string, horizon int) []float64 {
-	rng := rnd.New(101, "drift-stat:"+name)
-	out := make([]float64, horizon)
-	for i := range out {
-		out[i] = rng.Float64()
-	}
-	return out
-}
-
-// TestDriftAwareBeatsStationaryOnDrift: on every drifting scenario trace,
-// each drift-aware policy's regret is at most driftMargin of stationary
-// UCB1's — the pinned headline claim of the scenario pack.
-func TestDriftAwareBeatsStationaryOnDrift(t *testing.T) {
-	for _, name := range scenario.BuiltinNames() {
-		if name == "iid" {
-			continue
-		}
-		t.Run(name, func(t *testing.T) {
-			doc, err := scenario.Builtin(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := NewDriftTrace(doc, statK, statHorizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tr.ChangePoints()) == 0 {
-				t.Fatalf("drifting scenario %s mapped to a stationary trace", name)
-			}
-			noise := traceNoise(name, statHorizon)
-			base, err := bandit.Parse("ucb1", statK, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			baseRegret := driftTraceRegret(tr, base, noise)
-			if baseRegret <= 0 {
-				t.Fatalf("stationary UCB1 has no regret on %s — trace carries no drift", name)
-			}
-			for _, spec := range driftStatPolicies {
-				p, err := bandit.Parse(spec, statK, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := driftTraceRegret(tr, p, noise)
-				if r > driftMargin*baseRegret {
-					t.Errorf("%s: regret %.1f vs UCB1 %.1f — exceeds the pinned %.0f%% margin",
-						spec, r, baseRegret, driftMargin*100)
-				}
-			}
-		})
-	}
-}
-
-// TestDriftAwareWithinToleranceOnIID: on the stationary control trace the
-// drift-aware policies pay a bounded forgetting premium — at most iidTax
-// of the horizon — when nothing drifts.
-func TestDriftAwareWithinToleranceOnIID(t *testing.T) {
-	doc, err := scenario.Builtin("iid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewDriftTrace(doc, statK, statHorizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.ChangePoints()) != 0 {
-		t.Fatal("iid trace has change points")
-	}
-	noise := traceNoise("iid", statHorizon)
-	for _, spec := range driftStatPolicies {
-		p, err := bandit.Parse(spec, statK, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := driftTraceRegret(tr, p, noise)
-		if r > iidTax*float64(statHorizon) {
-			t.Errorf("%s: stationary regret %.1f — forgetting tax beyond %.0f%% of %d slots",
-				spec, r, iidTax*100, statHorizon)
-		}
-	}
-}
-
-// TestDriftTraceStructure: the trace derivation maps scenario events to
-// change points and the reward field is well-formed.
-func TestDriftTraceStructure(t *testing.T) {
-	wantPoints := map[string]bool{ // name -> expects change points
-		"iid": false, "diurnal": true, "flash-crowd": true,
-		"mobility-handover": true, "correlated-outage": true,
-	}
-	for name, want := range wantPoints {
-		doc, err := scenario.Builtin(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := NewDriftTrace(doc, 4, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(tr.ChangePoints()) > 0; got != want {
-			t.Errorf("%s: change points present = %v, want %v", name, got, want)
-		}
-		prev := 0
-		for _, cp := range tr.ChangePoints() {
-			if cp <= prev || cp >= 1000 {
-				t.Errorf("%s: change point %d out of order or range", name, cp)
-			}
-			prev = cp
-		}
-		for tt := 0; tt < 1000; tt += 97 {
-			best := tr.BestArm(tt)
-			for arm := 0; arm < 4; arm++ {
-				m := tr.Mean(arm, tt)
-				if m <= 0 || m >= 1 {
-					t.Fatalf("%s: mean(%d, %d) = %v outside (0, 1)", name, arm, tt, m)
-				}
-				if arm != best && m >= tr.Mean(best, tt) {
-					t.Fatalf("%s: arm %d not dominated by best arm %d at %d", name, arm, best, tt)
-				}
-			}
-		}
-	}
-	doc, _ := scenario.Builtin("iid")
-	if _, err := NewDriftTrace(doc, 1, 100); err == nil {
-		t.Error("k=1 trace accepted")
-	}
-	if _, err := NewDriftTrace(doc, 4, 0); err == nil {
-		t.Error("zero horizon accepted")
-	}
-}
-
 // TestDriftExperimentSmoke: the full-simulation harness produces curves
-// for every scenario and policy, deterministic across invocations, and
-// both writers render them.
+// for every scenario, deterministic across invocations, and both writers
+// render them.
 func TestDriftExperimentSmoke(t *testing.T) {
 	opts := Options{Repetitions: 1, Seed: 7}
 	res, err := Drift(opts)

@@ -79,11 +79,6 @@ type Options struct {
 	Parallel int
 	// SkipAudit disables the per-run feasibility audit (benchmarks only).
 	SkipAudit bool
-	// Exp3Gamma and Exp3Alpha configure the Exp3 arm policy in
-	// ablation-policy: gamma is the exploration mix, alpha the
-	// Exp3.1-style floor added to every weight update. Zero values select
-	// bandit.DefaultExp3Gamma / bandit.DefaultExp3Alpha.
-	Exp3Gamma, Exp3Alpha float64
 }
 
 // fill rejects a negative size and replaces each zero one by its default.

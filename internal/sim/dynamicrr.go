@@ -37,14 +37,6 @@ type DynamicRROptions struct {
 	// Policy overrides the arm-selection policy; nil selects the paper's
 	// successive elimination. Used by the ablation study.
 	Policy bandit.Policy
-	// PolicySpec selects the arm policy by bandit.Parse grammar (e.g.
-	// "sw-ucb:100", "restart:se") when Policy is nil; PolicySeed seeds
-	// stochastic policies. Unlike Policy — a live instance that must not
-	// be shared — a spec is safe to fan out to multiple schedulers: each
-	// NewDynamicRR parses its own policy. The cluster relies on this to
-	// give every shard an identical, independent learner.
-	PolicySpec string
-	PolicySeed int64
 	// Learner overrides the whole threshold learner (e.g. a
 	// bandit.Zooming for adaptive discretization); when set, Kappa and
 	// Policy are ignored.
@@ -114,13 +106,6 @@ func NewDynamicRR(opts DynamicRROptions) (*DynamicRR, error) {
 		return &DynamicRR{learner: opts.Learner, opts: opts, inc: inc}, nil
 	}
 	pol := opts.Policy
-	if pol == nil && opts.PolicySpec != "" {
-		var err error
-		pol, err = bandit.Parse(opts.PolicySpec, opts.Kappa, opts.PolicySeed)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if pol == nil {
 		var err error
 		pol, err = bandit.NewSuccessiveElimination(opts.Kappa)
