@@ -636,10 +636,13 @@ func (c *Cluster) settleFeedbackLocked() error {
 }
 
 // localSpec remaps a spec's access station into a shard's local index.
-// When the shard does not own the access station (a spanning request
-// homed elsewhere), the nearest owned candidate station stands in —
-// deterministic, and the documented approximation of the home-shard
-// rule.
+// When the shard does not own the access station, the nearest owned
+// candidate station stands in (deterministic; the delay from the true
+// access station to it is lost, and a later checkpoint records the
+// stand-in as the access station). At intake, and for a request restored
+// pending, that happens only when the access station's owner owns no
+// candidate, since the router homes a request there whenever it does; on
+// a migration it happens for every move off the access station's owner.
 func (c *Cluster) localSpec(shard int, spec serve.RequestSpec, spanCands []int) serve.RequestSpec {
 	nd := c.nodes[shard]
 	if l, ok := nd.localOf[spec.AccessStation]; ok {

@@ -1,0 +1,18 @@
+package cluster
+
+import "mecoffload/internal/serve"
+
+// ShardOf reports the shard the router places request id on now.
+func (c *Cluster) ShardOf(id uint64) (int, bool) { return c.router.lookup(id) }
+
+// Home routes spec as intake does and returns its home shard, whether its
+// candidates span shards, and the global station the home shard's engine
+// takes as its access station.
+func (c *Cluster) Home(spec serve.RequestSpec) (shard int, spanning bool, access int, err error) {
+	shard, cands, err := c.router.route(spec)
+	if err != nil {
+		return 0, false, 0, err
+	}
+	local := c.localSpec(shard, spec, cands)
+	return shard, cands != nil, c.nodes[shard].stations[local.AccessStation], nil
+}

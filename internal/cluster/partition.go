@@ -1,8 +1,10 @@
 // Package cluster runs N scheduler shards — each a serve.Engine owning
-// one station partition — behind a thin router that maps every incoming
-// request's candidate-station set to the owning shard. The partition
-// follows connected components of the backhaul graph (the same
-// components the LP decomposition splits along), shards tick in
+// one station partition — behind a thin router that homes every incoming
+// request from its candidate-station set: on the shard owning all of its
+// candidates, or, when they span partitions, on its access station's shard
+// if that owns one of them, else on the owner of its smallest candidate.
+// The partition follows connected components of the backhaul graph (the
+// same components the LP decomposition splits along), shards tick in
 // lockstep under one cluster clock with globally aggregated bandit
 // feedback, pending requests migrate across partition edges through a
 // two-phase handoff, and per-shard checkpoints compose into one
@@ -30,8 +32,11 @@ import (
 // lowest shard index), so the layout is deterministic and roughly
 // capacity-balanced. With fewer components than shards, stations split
 // into contiguous index chunks instead — correctness never depends on
-// the partition (the router re-homes spanning requests), only parity
-// quality does.
+// the partition (a request whose candidates span chunks homes on its
+// access station's shard when that owns a candidate, and the migration
+// sweep may move it on), only parity and reward do: each shard schedules
+// over the induced subgraph of its own stations, so backhaul paths
+// through another chunk are lost.
 func Partition(net *mec.Network, n int) ([][]int, error) {
 	if net == nil {
 		return nil, fmt.Errorf("cluster: nil network")

@@ -62,12 +62,13 @@ func newRouter(net *mec.Network, owner []int, window int) *router {
 }
 
 // route decides the owning shard for a spec: the shard owning every
-// candidate station (fast path), the shard owning the smallest
-// candidate station when candidates span partitions (the deterministic
-// home-shard rule), or the access station's owner when partitioning
-// leaves no candidate at all (the request will expire there, exactly as
-// it would in a single engine). The returned candidate list is in
-// global station ids, nil unless it spans shards.
+// candidate station (fast path); when candidates span partitions, the
+// access station's owner if it owns one of them, else the owner of the
+// smallest candidate station (the deterministic home-shard rule); or the
+// access station's owner when partitioning leaves no candidate at all
+// (the request will expire there, exactly as it would in a single
+// engine). The returned candidate list is in global station ids, nil
+// unless it spans shards.
 func (rt *router) route(spec serve.RequestSpec) (shard int, spanCands []int, err error) {
 	bufp, _ := rt.candBufs.Get().(*[]int)
 	if bufp == nil {
@@ -87,6 +88,12 @@ func (rt *router) route(spec serve.RequestSpec) (shard int, spanCands []int, err
 	for _, i := range cands[1:] {
 		if rt.owner[i] != home {
 			rt.spanning.Add(1)
+			// Home it where it arrived when that shard can serve it: there
+			// it keeps its true access station and the delays from it.
+			access := rt.owner[spec.AccessStation]
+			if slices.ContainsFunc(cands, func(st int) bool { return rt.owner[st] == access }) {
+				home = access
+			}
 			// The sweep's worklist keeps a spanning request's candidates;
 			// copy them out of the pooled scratch.
 			return home, append([]int(nil), cands...), nil

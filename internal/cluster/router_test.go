@@ -8,6 +8,9 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"mecoffload/internal/cluster"
 	"mecoffload/internal/graph"
 	"mecoffload/internal/mec"
+	"mecoffload/internal/rnd"
 	"mecoffload/internal/serve"
 	"mecoffload/internal/topology"
 )
@@ -140,42 +144,158 @@ func TestRouterFastPath(t *testing.T) {
 	}
 }
 
-// TestRouterSpanningHome pins the deterministic home-shard rule: when
-// candidates span partitions, home is the owner of the smallest
-// candidate station regardless of the access station.
+// TestRouterSpanningHome pins the home-shard rule on bridged islands, one
+// shard per island. A request whose candidates span shards homes on its
+// access station's owner when that shard owns one of them, else on the
+// owner of its smallest candidate; one without candidates homes on the
+// access station's owner; one whose candidates all sit on one shard homes
+// there. A full outage (capacity scale 0) takes a station out of every
+// candidate set, which is how a case leaves a shard without candidates.
 func TestRouterSpanningHome(t *testing.T) {
-	net := bridgedNetwork(t, 2, 2)
+	for _, tc := range []struct {
+		name    string
+		islands int
+		down    []int // stations in full outage
+		access  int
+		rateMBs float64
+		want    int                 // home shard
+		stats   cluster.RouterStats // the route's counter
+	}{
+		{"spanning, access owner owns a candidate", 2, nil, 3, 40, 1,
+			cluster.RouterStats{Spanning: 1, Routed: 1}},
+		{"spanning, access owner owns none", 3, []int{4, 5}, 5, 40, 0,
+			cluster.RouterStats{Spanning: 1, Routed: 1}},
+		// 1e6 MB/s needs 2e7 MHz of slot capacity: infeasible everywhere.
+		{"no candidate", 2, nil, 3, 1e6, 1,
+			cluster.RouterStats{NoCandidate: 1, Routed: 1}},
+		{"every candidate on one shard", 2, []int{0, 1}, 1, 40, 1,
+			cluster.RouterStats{FastPath: 1, Routed: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := bridgedNetwork(t, tc.islands, 2)
+			for _, st := range tc.down {
+				if err := net.SetCapacityScale(st, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, err := cluster.New(parityConfig(net, tc.islands))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			defer func() { _ = c.Stop() }()
+
+			id, _, err := c.Submit(serve.RequestSpec{
+				AccessStation: tc.access,
+				DurationSlots: 1,
+				Outcomes:      []serve.OutcomeSpec{{RateMBs: tc.rateMBs, Prob: 1, Reward: 100}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs := c.RouterStats(); rs != tc.stats {
+				t.Fatalf("stats = %+v, want %+v", rs, tc.stats)
+			}
+			if shard, ok := c.ShardOf(id); !ok || shard != tc.want {
+				t.Fatalf("homed on shard %d (known %v), want shard %d", shard, ok, tc.want)
+			}
+			if _, ok, err := c.Status(id); err != nil || !ok {
+				t.Fatalf("status: ok=%v err=%v", ok, err)
+			}
+			if err := tickUntilSettled(c, id, 8); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRouterHomesAtAccessOwner: on a connected 20-station mesh split into
+// two index chunks, routing is a pure function of the spec; a request with
+// candidates homes on its access station's owner exactly when that shard
+// owns one of them; and a spanning request homed there keeps its own
+// access station, so the home shard's nearest-station stand-in does not
+// fire at intake. Outage rounds take whole chunks or random stations out
+// of the candidate sets, so both sides of "exactly when" occur.
+func TestRouterHomesAtAccessOwner(t *testing.T) {
+	const stations = 20
+	net, err := mec.RandomNetwork(stations, 3000, 3600, rnd.New(42, "topology"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 1; j < stations; j++ {
+		if math.IsInf(net.OneWayDelayMS(0, j), 1) {
+			t.Fatalf("station %d is unreachable from station 0: want a connected mesh", j)
+		}
+	}
+	parts, err := cluster.Partition(net, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := make([]int, stations)
+	for k, part := range parts {
+		for _, st := range part {
+			owner[st] = k
+		}
+	}
 	c, err := cluster.New(parityConfig(net, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	defer func() { _ = c.Stop() }()
 
-	// Access station 3 lives on shard 1, but the bridged topology makes
-	// station 0 a candidate too, so the request homes on shard 0.
-	id, _, err := c.Submit(serve.RequestSpec{
-		AccessStation: 3,
-		DurationSlots: 1,
-		Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	outages := [][]int{nil, parts[0], parts[1], nil}
+	for st := 0; st < stations; st++ {
+		if rng.Intn(3) == 0 {
+			outages[3] = append(outages[3], st)
+		}
 	}
-	rs := c.RouterStats()
-	if rs.Spanning != 1 {
-		t.Fatalf("stats = %+v, want 1 spanning route", rs)
+	var atAccess, elsewhere, spanning int
+	for _, down := range outages {
+		net.ResetCapacityScales()
+		for _, st := range down {
+			if err := net.SetCapacityScale(st, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			spec := serve.RequestSpec{AccessStation: rng.Intn(stations), DurationSlots: 2 + rng.Intn(10)}
+			home, span, access, err := c.Home(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _, _, err := c.Home(spec); err != nil || again != home {
+				t.Fatalf("%+v routed to shard %d, then to %d (%v)", spec, home, again, err)
+			}
+			cands, err := serve.SpecCandidates(net, spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cands) == 0 {
+				continue
+			}
+			accessOwner := owner[spec.AccessStation]
+			ownsOne := slices.ContainsFunc(cands, func(st int) bool { return owner[st] == accessOwner })
+			if (home == accessOwner) != ownsOne {
+				t.Fatalf("%+v (down %v) homed on shard %d; access owner %d owns a candidate: %v (candidates %v)",
+					spec, down, home, accessOwner, ownsOne, cands)
+			}
+			if home == accessOwner {
+				atAccess++
+			} else {
+				elsewhere++
+			}
+			if span {
+				spanning++
+				if home == accessOwner && access != spec.AccessStation {
+					t.Fatalf("%+v homed at its access owner takes station %d for its access station", spec, access)
+				}
+			}
+		}
 	}
-	if _, ok, err := c.Status(id); err != nil || !ok {
-		t.Fatalf("status: ok=%v err=%v", ok, err)
-	}
-	if err := c.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	// Shard 0 (stations 0,1) must have scheduled it: its submitted
-	// counter moved, shard 1's did not.
-	if err := tickUntilSettled(c, id, 8); err != nil {
-		t.Fatal(err)
+	t.Logf("homed at the access owner %d, elsewhere %d; spanning %d", atAccess, elsewhere, spanning)
+	if atAccess == 0 || elsewhere == 0 || spanning == 0 {
+		t.Fatalf("homed at the access owner %d, elsewhere %d, spanning %d: want all three", atAccess, elsewhere, spanning)
 	}
 }
 
@@ -305,7 +425,8 @@ func TestMigrationRace(t *testing.T) {
 }
 
 // TestDrainKeepsRequestsMidHandoff: a sweep slot that falls after Drain
-// finds shard 0 saturated with pending spanning requests and shard 1
+// finds shard 0 saturated with pending spanning requests that arrived at
+// its stations, and shard 1
 // alive with capacity to spare — a free-capacity gap far above the
 // hysteresis — and must move nothing: every shard's intake is closed, so
 // a request extracted for the handoff could be re-submitted nowhere,
@@ -331,13 +452,16 @@ func TestDrainKeepsRequestsMidHandoff(t *testing.T) {
 	c.Start()
 	defer func() { _ = c.Stop() }()
 
-	// 40 requests of 800 MHz each, all homed on shard 0 (the owner of
-	// their smallest candidate station): its four 3200 MHz stations run at
-	// most 16 at once, for longer than the test ticks before the drain.
+	// 40 requests of 800 MHz each, all arriving at shard 0's stations 0-3
+	// and so homed there, their access station's owner, though their
+	// candidates reach shard 1 too: shard 0's four 3200 MHz stations run
+	// at most 16 at once, for longer than the test ticks before the drain,
+	// while shard 1 starts idle.
 	const accepted = 40
+	shard0 := c.PartitionTable()[0]
 	for i := 0; i < accepted; i++ {
 		if _, _, err := c.Submit(serve.RequestSpec{
-			AccessStation: i % net.NumStations(),
+			AccessStation: shard0[i%len(shard0)],
 			DurationSlots: 6,
 			DeadlineMS:    2000,
 			Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: float64(100 + i)}},
