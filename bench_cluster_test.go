@@ -61,7 +61,6 @@ func BenchmarkClusterServeSlot(b *testing.B) {
 			c, err := cluster.New(cluster.Config{
 				Net:            net,
 				Shards:         shards,
-				SchedulerName:  "dynamicrr",
 				Seed:           17,
 				MigrationEvery: -1, // island candidates never span shards
 			})
@@ -141,7 +140,6 @@ func BenchmarkClusterTickJitter(b *testing.B) {
 			cfg := cluster.Config{
 				Net:            net,
 				Shards:         shards,
-				SchedulerName:  "dynamicrr",
 				Seed:           17,
 				MigrationEvery: -1,
 			}
@@ -232,7 +230,6 @@ func BenchmarkClusterSweepBacklog(b *testing.B) {
 			c, err := cluster.New(cluster.Config{
 				Net:             net,
 				Shards:          2,
-				SchedulerName:   "dynamicrr",
 				Seed:            17,
 				MigrationEvery:  migrationEvery,
 				CheckpointPath:  filepath.Join(b.TempDir(), "cluster.json"),

@@ -1,15 +1,15 @@
 // Command arserved is the real-time admission daemon for AR offloading:
-// it serves the repo's schedulers (the paper's DynamicRR by default)
-// behind an HTTP JSON API, advancing one scheduling slot per wall-clock
-// tick against live per-station capacity, checkpointing bandit arm
-// statistics and in-flight assignments so a restart resumes learning.
+// it serves the paper's DynamicRR scheduler behind an HTTP JSON API,
+// advancing one scheduling slot per wall-clock tick against live
+// per-station capacity, checkpointing bandit arm statistics and in-flight
+// assignments so a restart resumes learning. The baselines the paper
+// compares it with run in arsim and mecsim.
 // There is one serving path: a cluster of -shards scheduler shards
 // (default 1) behind a request router, whatever the mode.
 //
 // Usage:
 //
 //	arserved -addr :8080 -stations 20 -tick 50ms -checkpoint state.json
-//	arserved -shards 4 -scheduler ocorp -trace
 //	arserved -replay trace.json -requests-per-30fps 1
 //	arserved -replay trace.ndjson -shards 2
 //
@@ -57,7 +57,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("arserved", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, ocorp, greedy, heukkt")
 		stations   = fs.Int("stations", 20, "number of base stations (generated topology)")
 		scenIn     = fs.String("scenario-in", "", "load the topology from this scenario JSON instead of generating one")
 		seed       = fs.Int64("seed", 42, "random seed")
@@ -157,7 +156,6 @@ func run(args []string, out io.Writer) error {
 	cfg := cluster.Config{
 		Net:             net_,
 		Shards:          *shards,
-		SchedulerName:   *schedName,
 		SlotLengthMS:    *slotMS,
 		Seed:            *seed,
 		CheckpointPath:  *ckptPath,
@@ -202,8 +200,8 @@ func run(args []string, out io.Writer) error {
 			dumpPath:     *replayDump,
 		}, out)
 	}
-	return serveHTTP(c, *addr, *drainAfter, fmt.Sprintf("%s scheduler, %d shards, %d stations",
-		*schedName, c.Shards(), net_.NumStations()), out)
+	return serveHTTP(c, *addr, *drainAfter, fmt.Sprintf("DynamicRR, %d shards, %d stations",
+		c.Shards(), net_.NumStations()), out)
 }
 
 // serveHTTP is the daemon lifecycle: listen, announce, wait for SIGTERM

@@ -261,9 +261,6 @@ func TestServeModeSignalDrain(t *testing.T) {
 // TestBadFlags covers the error paths.
 func TestBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scheduler", "nope", "-replay", "also-missing"}, &out); err == nil {
-		t.Fatal("unknown scheduler accepted")
-	}
 	if err := run([]string{"-replay", "/does/not/exist.json"}, &out); err == nil {
 		t.Fatal("missing trace accepted")
 	}
@@ -276,7 +273,7 @@ func TestBadFlags(t *testing.T) {
 		{"-loadgen"}, {"-offered", "100000"}, {"-load-duration", "2s"}, {"-load-batch", "500"},
 		{"-load-out", "load.json"}, {"-load-max-p99-ms", "50"}, {"-load-min-offered-frac", "0.9"},
 		{"-load-min-admitted", "1000"}, {"-ring", "4096"}, {"-stage", "4096"},
-		{"-bandit", "sw-ucb"},
+		{"-bandit", "sw-ucb"}, {"-scheduler", "ocorp"},
 	} {
 		err := run(append(removed, "-replay", "/does/not/exist.json"), &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -289,11 +286,6 @@ func TestBadFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-shards") {
 			t.Fatalf("-shards %s on 4 stations: %v, want a -shards range error", n, err)
 		}
-	}
-	// A removed scheduler name is an unknown one.
-	err := run([]string{"-scheduler", "local-ratio", "-replay", "/does/not/exist.json"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("-scheduler local-ratio: %v, want an unknown-scheduler error", err)
 	}
 	// A non-positive -tick would serve on the manual clock and never decide
 	// anything; only a replay, which drives the clock itself, ignores it.

@@ -85,7 +85,7 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 		Version:    ManifestVersion,
 		Generation: gen,
 		Slot:       c.slot,
-		Scheduler:  c.nodes[0].eng.SchedulerName(),
+		Scheduler:  "DynamicRR", // a record, as in every shard file
 	}
 	snaps := make([]*serve.Checkpoint, len(c.nodes))
 	files := make([]string, len(c.nodes))

@@ -18,6 +18,7 @@ import (
 
 	"mecoffload/internal/mec"
 	"mecoffload/internal/serve"
+	"mecoffload/internal/sim"
 )
 
 // generationFiles names the manifest and the two shard files of the one
@@ -64,6 +65,10 @@ func TestCheckpointRejected(t *testing.T) {
 	if bytes.Equal(retired, s0) {
 		t.Fatal("shard file holds no learner kind to rewrite")
 	}
+	zeroMin := bytes.Replace(s0, []byte(`"min": 200`), []byte(`"min": 0`), 1)
+	if bytes.Equal(zeroMin, s0) {
+		t.Fatal("shard file holds no learner range to rewrite")
+	}
 	cases := []struct {
 		name    string
 		files   map[string][]byte
@@ -87,6 +92,9 @@ func TestCheckpointRejected(t *testing.T) {
 		// A learner written under a policy the daemon no longer has is
 		// refused, not restored as something else.
 		{"retired bandit policy", with("cluster.json.shard0.gen1", retired), net8, `bandit: policy does not support snapshots: kind "sw-ucb"`},
+		// No engine plays a threshold range starting at 0 MHz; restoring
+		// one must not swap in the default range under the arm statistics.
+		{"learner range at 0", with("cluster.json.shard0.gen1", zeroMin), net8, "threshold range [0, 1200] MHz starts at or below 0"},
 		// Every live request of either generation names only stations both
 		// networks have (no sweep moves one onto stations 4-7), so nothing
 		// but the guard tells the topologies apart.
@@ -133,78 +141,121 @@ func negatedShare(tb testing.TB, shard []byte) []byte {
 	return slices.Concat(shard[:at], []byte("-"), shard[at:])
 }
 
-// TestRemovedSchedulerNameRestores: an older daemon run with the since
-// removed `-scheduler local-ratio` recorded that name in its manifest and
-// every shard file. The field is a record, not a selector: the generation
-// restores under the default scheduler with the learner it holds intact.
+// TestRemovedSchedulerNameRestores: an older daemon run under a since
+// removed `-scheduler` recorded that name in its manifest and every shard
+// file: local-ratio (the deleted LP-free certificate) beside the learner it
+// held, ocorp (a baseline, which has no learner) with none. The field is a
+// record, not a selector: either generation restores under DynamicRR, with
+// the learner it holds or a fresh one, and the generation written back
+// names exactly "DynamicRR" in the manifest and "dynamicrr" in every shard
+// file.
 func TestRemovedSchedulerNameRestores(t *testing.T) {
 	net := chainTestNetwork(t, 8)
 	schedulerField := regexp.MustCompile(`"scheduler": "[^"]*"`)
-	renamed := func(data []byte) []byte {
-		if !schedulerField.Match(data) {
-			t.Fatal("no scheduler field to rename")
-		}
-		return schedulerField.ReplaceAll(data, []byte(`"scheduler": "local-ratio"`))
-	}
-	man, s0, s1 := liveGeneration(t, Config{Net: net}, 8)
-	path := writeFiles(t, generationFiles(renamed(man), renamed(s0), renamed(s1)))
-	old, snaps, err := loadManifest(path)
+	banditField := regexp.MustCompile(`(?s)\n "bandit": \{\n.*?\n \},`)
+	drr, err := sim.NewDynamicRR(sim.DynamicRROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The restore continues from the learner that saw the most slots, and
-	// counts the lifetime totals of every shard.
-	var want serve.Totals
-	learner := snaps[0]
-	for _, ck := range snaps {
-		addTotals(&want, ck.Totals)
-		if ck.Slot > learner.Slot {
-			learner = ck
-		}
+	fresh, err := drr.Bandit().Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantBandit, err := json.Marshal(learner.Bandit)
-	if err != nil || old.Scheduler != "local-ratio" || learner.Scheduler != "local-ratio" || learner.Bandit == nil || want.Submitted == 0 {
-		t.Fatalf("generation: scheduler %q / %q, bandit %v, totals %+v, err %v", old.Scheduler, learner.Scheduler, learner.Bandit, want, err)
+	freshBandit, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		scheduler string
+		learner   bool // the older daemon wrote its learner
+	}{
+		{"local-ratio", true},
+		{"ocorp", false},
+	} {
+		t.Run(tc.scheduler, func(t *testing.T) {
+			older := func(data []byte, shard bool) []byte {
+				if !schedulerField.Match(data) {
+					t.Fatal("no scheduler field to rename")
+				}
+				data = schedulerField.ReplaceAll(data, []byte(`"scheduler": "`+tc.scheduler+`"`))
+				if shard && !tc.learner {
+					if !banditField.Match(data) {
+						t.Fatal("no bandit object to strip")
+					}
+					data = banditField.ReplaceAll(data, nil)
+				}
+				return data
+			}
+			man, s0, s1 := liveGeneration(t, Config{Net: net}, 8)
+			path := writeFiles(t, generationFiles(older(man, false), older(s0, true), older(s1, true)))
+			old, snaps, err := loadManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The restore continues from the learner that saw the most
+			// slots, or a fresh one when no shard holds one, and counts the
+			// lifetime totals of every shard.
+			var want serve.Totals
+			learner := snaps[0]
+			for _, ck := range snaps {
+				addTotals(&want, ck.Totals)
+				if ck.Slot > learner.Slot {
+					learner = ck
+				}
+			}
+			wantBandit := freshBandit
+			if tc.learner {
+				wantBandit, err = json.Marshal(learner.Bandit)
+			}
+			if err != nil || old.Scheduler != tc.scheduler || learner.Scheduler != tc.scheduler || (learner.Bandit != nil) != tc.learner || want.Submitted == 0 {
+				t.Fatalf("generation: scheduler %q / %q, bandit %v, totals %+v, err %v", old.Scheduler, learner.Scheduler, learner.Bandit, want, err)
+			}
 
-	cfg := Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: path}
-	// Round 1 reads the generation round 0 left, renamed back to what the
-	// older daemon wrote.
-	for round := 0; round < 2; round++ {
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatalf("round %d: restoring under the default scheduler: %v", round, err)
-		}
-		c.Start()
-		if got := c.Totals(); got != want {
-			t.Fatalf("round %d: restored totals %+v, want %+v", round, got, want)
-		}
-		if err := c.Stop(); err != nil {
-			t.Fatal(err)
-		}
-		written, snaps, err := loadManifest(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := []string{path}
-		for k, ck := range snaps {
-			got, err := json.Marshal(ck.Bandit)
-			if err != nil {
-				t.Fatal(err)
+			cfg := Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: path}
+			// Round 1 reads the generation round 0 left, renamed back to
+			// what the older daemon wrote.
+			for round := 0; round < 2; round++ {
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatalf("round %d: restoring under DynamicRR: %v", round, err)
+				}
+				c.Start()
+				if got := c.Totals(); got != want {
+					t.Fatalf("round %d: restored totals %+v, want %+v", round, got, want)
+				}
+				if err := c.Stop(); err != nil {
+					t.Fatal(err)
+				}
+				written, snaps, err := loadManifest(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, ck := range snaps {
+					got, err := json.Marshal(ck.Bandit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, wantBandit) {
+						t.Fatalf("round %d shard %d: bandit %s, want %s", round, k, got, wantBandit)
+					}
+				}
+				files := map[string]string{path: `"scheduler": "DynamicRR"`}
+				for _, sh := range written.Shards {
+					files[filepath.Join(filepath.Dir(path), sh.File)] = `"scheduler": "dynamicrr"`
+				}
+				for file, field := range files {
+					data, err := os.ReadFile(file)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := schedulerField.FindAll(data, -1); len(got) != 1 || string(got[0]) != field {
+						t.Fatalf("round %d: %s records %q, want exactly %s", round, filepath.Base(file), got, field)
+					}
+					if err := os.WriteFile(file, older(data, file != path), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			if !bytes.Equal(got, wantBandit) || written.Scheduler == "local-ratio" || ck.Scheduler != "dynamicrr" {
-				t.Fatalf("round %d shard %d: scheduler %q / %q, bandit %s, want dynamicrr and %s", round, k, written.Scheduler, ck.Scheduler, got, wantBandit)
-			}
-			files = append(files, filepath.Join(filepath.Dir(path), written.Shards[k].File))
-		}
-		for _, file := range files {
-			data, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(file, renamed(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		})
 	}
 }

@@ -24,12 +24,11 @@ type Config struct {
 	// Shards is the number of scheduler shards (default 1, at most one
 	// per station).
 	Shards int
-	// SchedulerName, DynamicRR, SlotLengthMS, and StepChecker pass
-	// through to every shard's serve.Config.
-	SchedulerName string
-	DynamicRR     sim.DynamicRROptions
-	SlotLengthMS  float64
-	StepChecker   sim.StepChecker
+	// DynamicRR, SlotLengthMS, and StepChecker pass through to every
+	// shard's serve.Config.
+	DynamicRR    sim.DynamicRROptions
+	SlotLengthMS float64
+	StepChecker  sim.StepChecker
 	// Drift, when non-nil, is the scripted non-stationarity program in
 	// GLOBAL station ids. Outages and same-shard handovers run inside
 	// the owning shard's planner; handovers crossing a partition edge
@@ -442,7 +441,6 @@ func New(cfg Config) (*Cluster, error) {
 	for k, nd := range c.nodes {
 		scfg := serve.Config{
 			Net:              nd.subnet,
-			SchedulerName:    cfg.SchedulerName,
 			DynamicRR:        cfg.DynamicRR,
 			SlotLengthMS:     cfg.SlotLengthMS,
 			Rng:              rnd.New(cfg.Seed, fmt.Sprintf("cluster-shard-%d", k)),

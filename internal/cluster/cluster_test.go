@@ -91,11 +91,10 @@ func islandTrace(islands, per, slots int) string {
 
 func parityConfig(net *mec.Network, shards int) cluster.Config {
 	return cluster.Config{
-		Net:           net,
-		Shards:        shards,
-		SchedulerName: "dynamicrr",
-		DynamicRR:     sim.DynamicRROptions{RoundingDenominator: 1},
-		Seed:          7,
+		Net:       net,
+		Shards:    shards,
+		DynamicRR: sim.DynamicRROptions{RoundingDenominator: 1},
+		Seed:      7,
 	}
 }
 

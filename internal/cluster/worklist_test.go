@@ -219,7 +219,6 @@ func runSweepScript(t *testing.T, slots int, useReference bool, afterSweep func(
 	c, err := New(Config{
 		Net:                 net,
 		Shards:              2,
-		SchedulerName:       "dynamicrr",
 		DynamicRR:           sim.DynamicRROptions{RoundingDenominator: 1},
 		Seed:                11,
 		MigrationEvery:      2,
@@ -441,7 +440,6 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 	cfg := Config{
 		Net:            net,
 		Shards:         2,
-		SchedulerName:  "dynamicrr",
 		DynamicRR:      sim.DynamicRROptions{RoundingDenominator: 1},
 		Seed:           7,
 		CheckpointPath: manifest,

@@ -56,7 +56,10 @@ type CheckpointRequest struct {
 // allocator, the bandit's arm statistics, every live request's spec, and
 // the per-station holds of the in-flight streams. Running entries key
 // streams by EXTERNAL request id; install remaps them onto the dense
-// internal ids the rebuilt planner assigns.
+// internal ids the rebuilt planner assigns. Scheduler is a record, not a
+// selector: the engine writes "dynamicrr" and restores under DynamicRR
+// whatever a file names, with a fresh learner when the file has no Bandit
+// (an older daemon's, run under a baseline).
 type Checkpoint struct {
 	Version        int                       `json:"version"`
 	Slot           int                       `json:"slot"`
@@ -197,20 +200,17 @@ func (e *Engine) install(ck *Checkpoint) error {
 // Everything mutable is deep-copied, so the cluster's checkpoint writer
 // may encode the result while the engine keeps scheduling.
 func (e *Engine) snapshotState() (*Checkpoint, error) {
+	snap, err := e.sched.Bandit().Snapshot()
+	if err != nil {
+		return nil, err
+	}
 	ck := &Checkpoint{
 		Version:        checkpointVersion,
 		Slot:           e.slot,
 		NextExternalID: e.nextExt.Load(),
-		Scheduler:      e.cfg.SchedulerName,
+		Scheduler:      "dynamicrr",
+		Bandit:         snap,
 		Totals:         e.metrics.Totals(),
-	}
-	if d, ok := e.sched.(*sim.DynamicRR); ok && d.Bandit() != nil {
-		snap, err := d.Bandit().Snapshot()
-		if err == nil {
-			ck.Bandit = snap
-		} else if !errors.Is(err, bandit.ErrUnsupportedSnapshot) {
-			return nil, err
-		}
 	}
 	for _, req := range e.table.byIdx {
 		if req != nil {

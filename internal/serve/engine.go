@@ -1,18 +1,17 @@
 // Package serve is the admission engine one scheduler shard runs:
-// requests buffer into the current scheduling slot, and each Tick runs a
-// sim.Scheduler (the paper's DynamicRR by default) against live
-// per-station capacity state, replaying the cached decision of every LP-PT
-// component whose input did not change since an earlier tick. An engine
-// runs no goroutine: it is two locks — the planner lock every call that
-// reads or moves the planner takes, and the door lock the batch path
-// takes — and one request table (table.go) both write and status lookups
-// read, so every state change happens inside a call, on the caller's
-// goroutine. Bandit arm statistics and in-flight
-// assignments snapshot into a Checkpoint (checkpoint.go) so a restarted
-// daemon resumes learning instead of resetting its successive-elimination
-// state. The engine has no clock, HTTP surface or checkpoint file of its
-// own: internal/cluster owns all three, and a single engine is served as
-// a 1-shard cluster.
+// requests buffer into the current scheduling slot, and each Tick runs
+// the paper's DynamicRR against live per-station capacity state,
+// replaying the cached decision of every LP-PT component whose input did
+// not change since an earlier tick. An engine runs no goroutine: it is
+// two locks — the planner lock every call that reads or moves the planner
+// takes, and the door lock the batch path takes — and one request table
+// (table.go) both write and status lookups read, so every state change
+// happens inside a call, on the caller's goroutine. Bandit arm statistics
+// and in-flight assignments snapshot into a Checkpoint (checkpoint.go) so
+// a restarted daemon resumes learning instead of resetting its
+// successive-elimination state. The engine has no clock, HTTP surface or
+// checkpoint file of its own: internal/cluster owns all three, and a
+// single engine is served as a 1-shard cluster.
 package serve
 
 import (
@@ -47,12 +46,10 @@ var (
 type Config struct {
 	// Net is the MEC topology to serve (required).
 	Net *mec.Network
-	// SchedulerName selects the per-slot scheduler: "dynamicrr"
-	// (default), "ocorp", "greedy", or "heukkt". The engine constructs
-	// the scheduler itself so a checkpointed bandit state can be restored
-	// into it.
-	SchedulerName string
-	// DynamicRR tunes the default scheduler; ignored for baselines.
+	// DynamicRR tunes the per-slot scheduler. The engine constructs it
+	// itself so a checkpointed learner can be restored into it, and it
+	// refuses a custom Policy or Learner: the engine checkpoints its
+	// learner, and only the paper's successive elimination can snapshot.
 	DynamicRR sim.DynamicRROptions
 	// SlotLengthMS is the model slot length (default
 	// mec.DefaultSlotLengthMS); it is independent of the wall-clock tick
@@ -133,7 +130,7 @@ type Config struct {
 type Engine struct {
 	cfg     Config
 	metrics *Metrics
-	sched   sim.Scheduler
+	sched   *sim.DynamicRR
 	table   *table
 
 	// retryRng is the engine-scoped Retry-After jitter stream, seeded
@@ -184,8 +181,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("serve: nil rng")
 	}
-	if cfg.SchedulerName == "" {
-		cfg.SchedulerName = "dynamicrr"
+	switch {
+	case cfg.DynamicRR.Policy != nil:
+		return nil, fmt.Errorf("serve: DynamicRR.Policy is set, but the engine checkpoints its learner and only successive elimination can snapshot")
+	case cfg.DynamicRR.Learner != nil:
+		return nil, fmt.Errorf("serve: DynamicRR.Learner is set, but the engine checkpoints its learner and only successive elimination can snapshot")
 	}
 	if cfg.SlotLengthMS == 0 {
 		cfg.SlotLengthMS = mec.DefaultSlotLengthMS
@@ -219,11 +219,13 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	ck := cfg.Restore
-	var banditSnap *bandit.LipschitzSnapshot
-	if ck != nil {
-		banditSnap = ck.Bandit
+	opts := cfg.DynamicRR
+	if ck != nil && ck.Bandit != nil {
+		if err := restoreLearner(&opts, ck.Bandit); err != nil {
+			return nil, err
+		}
 	}
-	sched, err := buildScheduler(cfg.SchedulerName, cfg.DynamicRR, banditSnap)
+	sched, err := sim.NewDynamicRR(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -241,33 +243,23 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// buildScheduler constructs the named scheduler, seeding DynamicRR's
-// threshold learner from a checkpointed snapshot when one is given.
-func buildScheduler(name string, opts sim.DynamicRROptions, snap *bandit.LipschitzSnapshot) (sim.Scheduler, error) {
-	switch name {
-	case "dynamicrr":
-		if snap != nil {
-			lip, err := bandit.RestoreLipschitz(snap)
-			if err != nil {
-				return nil, fmt.Errorf("serve: restoring bandit: %w", err)
-			}
-			opts.MinThresholdMHz, opts.MaxThresholdMHz = 0, 0
-			if snap.Min > 0 {
-				opts.MinThresholdMHz, opts.MaxThresholdMHz = snap.Min, snap.Max
-			}
-			opts.Kappa = lip.Kappa()
-			opts.Policy = lip.Policy()
-		}
-		return sim.NewDynamicRR(opts)
-	case "ocorp":
-		return &sim.OnlineOCORP{}, nil
-	case "greedy":
-		return &sim.OnlineGreedy{}, nil
-	case "heukkt":
-		return &sim.OnlineHeuKKT{}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown scheduler %q", name)
+// restoreLearner points opts at a checkpointed threshold learner: its
+// range, its arm count and its successive-elimination statistics. The
+// range is copied as written; one starting at or below 0 MHz is refused,
+// because no engine could have played it (NewDynamicRR would quietly
+// read (0, 0) as its default range).
+func restoreLearner(opts *sim.DynamicRROptions, snap *bandit.LipschitzSnapshot) error {
+	if snap.Min <= 0 {
+		return fmt.Errorf("serve: restoring bandit: threshold range [%v, %v] MHz starts at or below 0", snap.Min, snap.Max)
 	}
+	lip, err := bandit.RestoreLipschitz(snap)
+	if err != nil {
+		return fmt.Errorf("serve: restoring bandit: %w", err)
+	}
+	opts.MinThresholdMHz, opts.MaxThresholdMHz = snap.Min, snap.Max
+	opts.Kappa = lip.Kappa()
+	opts.Policy = lip.Policy()
+	return nil
 }
 
 // oracleEnv reports whether the MEC_ORACLE environment variable asks for
@@ -287,32 +279,18 @@ func (e *Engine) Start() {}
 // Metrics returns the engine's metric surface.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
-// SchedulerName returns the active scheduler's name.
-func (e *Engine) SchedulerName() string { return e.sched.Name() }
-
 // WarmStats always returns (0, 0): the slot LP solves cold. It stays
 // because bench/trace.go, its sole reader, still compiles against it.
 func (e *Engine) WarmStats() (hits, misses uint64) { return 0, 0 }
 
-// IncStats returns the decision cache's counters (all zero for
-// schedulers other than DynamicRR).
-func (e *Engine) IncStats() core.IncStats {
-	if d, ok := e.sched.(*sim.DynamicRR); ok {
-		return d.IncStats()
-	}
-	return core.IncStats{}
-}
+// IncStats returns the decision cache's counters.
+func (e *Engine) IncStats() core.IncStats { return e.sched.IncStats() }
 
-// BanditSnapshot captures the DynamicRR threshold learner's state; it
-// errors for baselines and for custom learners that cannot snapshot.
+// BanditSnapshot captures the DynamicRR threshold learner's state.
 func (e *Engine) BanditSnapshot() (*bandit.LipschitzSnapshot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d, ok := e.sched.(*sim.DynamicRR)
-	if !ok || d.Bandit() == nil {
-		return nil, fmt.Errorf("serve: scheduler %s has no snapshottable bandit", e.sched.Name())
-	}
-	return d.Bandit().Snapshot()
+	return e.sched.Bandit().Snapshot()
 }
 
 // lock takes the planner lock for a call that needs a running engine; once
@@ -437,16 +415,13 @@ func (e *Engine) Extract(id uint64) (RequestSpec, int, error) {
 }
 
 // DeliverFeedback hands the scheduler a slot's (externally aggregated)
-// realized reward. Only meaningful with Config.DeferFeedback set; a no-op
-// for schedulers without learning feedback.
+// realized reward. Only meaningful with Config.DeferFeedback set.
 func (e *Engine) DeliverFeedback(slot int, reward float64) error {
 	if err := e.lock(); err != nil {
 		return err
 	}
 	defer e.mu.Unlock()
-	if fb, ok := e.sched.(sim.FeedbackScheduler); ok {
-		fb.Feedback(slot, reward)
-	}
+	e.sched.Feedback(slot, reward)
 	return nil
 }
 

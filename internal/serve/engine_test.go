@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"mecoffload/internal/bandit"
 	"mecoffload/internal/mec"
+	"mecoffload/internal/sim"
 )
 
 func testNetwork(t *testing.T, stations int) *mec.Network {
@@ -383,26 +385,30 @@ func TestCheckpointFileFormat(t *testing.T) {
 	}
 }
 
-// TestBaselineSchedulers checks the -scheduler flag's engine paths: every
-// baseline runs slots without a bandit or an LP.
-func TestBaselineSchedulers(t *testing.T) {
-	for _, name := range []string{"ocorp", "greedy", "heukkt"} {
-		t.Run(name, func(t *testing.T) {
-			e := testEngine(t, Config{SchedulerName: name})
-			submitN(t, e, 4)
-			if err := e.Tick(); err != nil {
-				t.Fatal(err)
-			}
-			if e.Metrics().Admitted.Load() == 0 {
-				t.Fatalf("%s admitted nothing", name)
-			}
-			if _, err := e.BanditSnapshot(); err == nil {
-				t.Fatalf("%s claims a bandit snapshot", name)
-			}
-		})
+// TestNewRefusesUnsnapshottableLearner: the engine checkpoints its
+// threshold learner, and only successive elimination can snapshot, so New
+// refuses a DynamicRR option that swaps in another policy or learner, by
+// the option's name.
+func TestNewRefusesUnsnapshottableLearner(t *testing.T) {
+	ucb, err := bandit.NewUCB1(16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{Net: testNetwork(t, 2), Rng: rand.New(rand.NewSource(1)), SchedulerName: "nope"}); err == nil {
-		t.Fatal("unknown scheduler accepted")
+	zooming, err := bandit.NewZooming(200, 1200, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts sim.DynamicRROptions
+	}{
+		{"DynamicRR.Policy", sim.DynamicRROptions{Policy: ucb}},
+		{"DynamicRR.Learner", sim.DynamicRROptions{Learner: zooming}},
+	} {
+		_, err := New(Config{Net: testNetwork(t, 2), Rng: rand.New(rand.NewSource(1)), DynamicRR: tc.opts})
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("New with %s set = %v, want an error naming it", tc.name, err)
+		}
 	}
 }
 

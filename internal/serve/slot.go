@@ -125,10 +125,8 @@ func (e *Engine) publish(t, depth int, rep sim.SlotReport, durMS float64) {
 		}
 		line := fmt.Sprintf("slot %4d  pending %3d  admitted %3d  utilization %5.1f%%",
 			t, depth, len(rep.Admitted), 100*sumUsed/e.cfg.Net.TotalCapacity())
-		if d, ok := e.sched.(*sim.DynamicRR); ok && d.Bandit() != nil {
-			if best, ok := d.Bandit().Policy().(interface{ BestArm() int }); ok {
-				line += fmt.Sprintf("  threshold %4.0f MHz", d.Bandit().Value(best.BestArm()))
-			}
+		if best, ok := e.sched.Bandit().Policy().(interface{ BestArm() int }); ok {
+			line += fmt.Sprintf("  threshold %4.0f MHz", e.sched.Bandit().Value(best.BestArm()))
 		}
 		fmt.Fprintln(e.cfg.TraceWriter, line)
 	}
