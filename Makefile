@@ -33,13 +33,16 @@ race:
 ## engine runs none, a cluster runs shards − 1), restore refusing a
 ## running stream no engine could have written (a negative share among
 ## them), the engine's stream ledgers bit-identical to a map-based
-## reference, and the home-shard rule (a spanning request homes on its
+## reference, every ledger equal bit for bit to its live holds (and 0
+## when none run) under any interleaving of admit, release, evict,
+## compaction and restore, a pre-grid snapshot restoring exact ledgers
+## that drain to 0, and the home-shard rule (a spanning request homes on its
 ## access station's shard when that owns a candidate; a drain moves no
 ## request mid-handoff), and a generation naming a removed scheduler
 ## restoring under DynamicRR and written back naming it, all under the
 ## race detector (same as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestDrainKeepsRequestsMidHandoff|TestRemovedSchedulerNameRestores' ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestDrainKeepsRequestsMidHandoff|TestRemovedSchedulerNameRestores' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components

@@ -161,15 +161,8 @@ func Greedy(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Options) (
 	for j := range order {
 		order[j] = j
 	}
-	totalWork := func(r *mec.Request) float64 {
-		w := 0.0
-		for _, t := range r.Tasks {
-			w += t.WorkMS
-		}
-		return w
-	}
 	sort.Slice(order, func(a, b int) bool {
-		wa, wb := totalWork(reqs[order[a]]), totalWork(reqs[order[b]])
+		wa, wb := reqs[order[a]].WorkMS(), reqs[order[b]].WorkMS()
 		if wa != wb {
 			return wa > wb // decreasing execution time
 		}

@@ -205,7 +205,7 @@ func admitSlotBySlot(n *mec.Network, reqs []*mec.Request, pre []tentative, rng *
 		// request is evicted before it can overload the station
 		// (it earns nothing, per Eq. (8)).
 		out := r.Realize(rng)
-		demand := n.RateToMHz(out.Rate)
+		demand := n.RequestMHz(r, out.Rate)
 		switch {
 		case fitsWithin(used[i], demand, n.Capacity(i)):
 			used[i] += demand

@@ -41,7 +41,7 @@ func TestScheduleBatchBasic(t *testing.T) {
 		}
 	}
 	// The ledger must equal the realized shares of admitted, non-evicted
-	// requests.
+	// requests, bit for bit.
 	want := make([]float64, net.NumStations())
 	for j := 0; j < 8; j++ {
 		d := res.Decisions[j]
@@ -53,16 +53,16 @@ func TestScheduleBatchBasic(t *testing.T) {
 			t.Fatalf("admitted request %d not realized", j)
 		}
 		for k, st := range d.TaskStations {
-			want[st] += demandShare(net, reqs[j], k, out.Rate)
+			want[st] += net.TaskMHz(reqs[j], k, out.Rate)
 		}
 	}
 	for i := range want {
-		if diff := want[i] - used[i]; diff > 1e-6 || diff < -1e-6 {
+		if used[i] != want[i] {
 			t.Fatalf("station %d ledger %v, want %v", i, used[i], want[i])
 		}
 	}
 	for i, u := range used {
-		if u > net.Capacity(i)+1e-6 {
+		if u > net.Capacity(i) {
 			t.Fatalf("station %d over capacity: %v", i, u)
 		}
 	}

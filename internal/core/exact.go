@@ -140,7 +140,7 @@ func Exact(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ExactOption
 		d.TaskStations = consolidated(r, xv.station)
 		d.LatencyMS = latencyOf(n, r, d.TaskStations, 0, opts.SlotLengthMS)
 		out := r.Realize(rng)
-		demand := n.RateToMHz(out.Rate)
+		demand := n.RequestMHz(r, out.Rate)
 		if fitsWithin(used[xv.station], demand, n.Capacity(xv.station)) {
 			used[xv.station] += demand
 		} else {

@@ -68,21 +68,13 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 			wait = waitOf(j)
 		}
 		k := len(r.Tasks)
-		totalWork := 0.0
-		for _, t := range r.Tasks {
-			totalWork += t.WorkMS
-		}
-		eDemand := n.RateToMHz(r.ExpectedRate())
+		work, eRate := r.WorkMS(), r.ExpectedRate()
 		neighbors := n.NeighborsByDistance(r.AccessStation)
 		planned := make([]int, k)
 		delta = delta[:0]
 		feasible := true
 		for ti := 0; ti < k; ti++ {
-			share := 1.0 / float64(k)
-			if totalWork > 0 {
-				share = r.Tasks[ti].WorkMS / totalWork
-			}
-			need := eDemand * share
+			need := n.TaskMHzOfWork(r, ti, eRate, work)
 			// Nearest-first keeps backhaul hops (and thus latency) low: the
 			// access station (c = -1), then its neighbours by distance.
 			planned[ti] = -1
@@ -120,7 +112,7 @@ func distributionPass(n *mec.Network, reqs []*mec.Request, active []int, res *Re
 		out := r.Realize(rng)
 		realized = realized[:0]
 		for ti, st := range planned {
-			realized = realized.add(st, demandShare(n, r, ti, out.Rate))
+			realized = realized.add(st, n.TaskMHzOfWork(r, ti, out.Rate, work))
 		}
 		fits := true
 		for _, l := range realized {
@@ -153,22 +145,14 @@ func newOverflowSplitter(n *mec.Network, reqs []*mec.Request, res *Result, used 
 		if !ok {
 			return false
 		}
-		demand := n.RateToMHz(out.Rate)
-
-		// Shares per task, and tasks in decreasing work order.
+		// Shares per task, and tasks in decreasing share order.
 		shares := make([]float64, len(r.Tasks))
-		totalWork := 0.0
-		for _, t := range r.Tasks {
-			totalWork += t.WorkMS
-		}
 		order := make([]int, len(r.Tasks))
+		work, remaining := r.WorkMS(), 0.0
 		for k := range order {
 			order[k] = k
-			share := 1.0 / float64(len(r.Tasks))
-			if totalWork > 0 {
-				share = r.Tasks[k].WorkMS / totalWork
-			}
-			shares[k] = demand * share
+			shares[k] = n.TaskMHzOfWork(r, k, out.Rate, work)
+			remaining += shares[k]
 		}
 		for a := 0; a < len(order); a++ {
 			for b := a + 1; b < len(order); b++ {
@@ -180,7 +164,6 @@ func newOverflowSplitter(n *mec.Network, reqs []*mec.Request, res *Result, used 
 
 		placement := append([]int(nil), d.TaskStations...)
 		delta = delta[:0]
-		remaining := demand
 		neighbors := n.NeighborsByDistance(station)
 		for _, k := range order {
 			if fitsWithin(used[station], remaining, n.Capacity(station)) {
@@ -270,12 +253,6 @@ func migrateOneTask(n *mec.Network, r *mec.Request, d *Decision, station int, us
 	if !ok {
 		return false
 	}
-	demand := n.RateToMHz(out.Rate)
-	totalWork := 0.0
-	for _, t := range r.Tasks {
-		totalWork += t.WorkMS
-	}
-
 	// This request's tasks on the congested station, in decreasing work
 	// (== demand) share.
 	var tasks []int
@@ -297,11 +274,7 @@ func migrateOneTask(n *mec.Network, r *mec.Request, d *Decision, station int, us
 
 	neighbors := n.NeighborsByDistance(station)
 	for _, k := range tasks {
-		share := 1.0 / float64(len(r.Tasks))
-		if totalWork > 0 {
-			share = r.Tasks[k].WorkMS / totalWork
-		}
-		moved := demand * share
+		moved := n.TaskMHz(r, k, out.Rate)
 		for _, dest := range neighbors {
 			if !fitsWithin(used[dest], moved, n.Capacity(dest)) {
 				continue

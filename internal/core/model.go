@@ -109,20 +109,6 @@ func (r *Result) String() string {
 		r.Algorithm, r.TotalReward, r.Served, len(r.Decisions), r.AvgLatencyMS(), r.Runtime)
 }
 
-// demandShare returns the realized MHz demand task k of request r places
-// on its station, apportioned by processing-work share.
-func demandShare(n *mec.Network, r *mec.Request, k int, rate float64) float64 {
-	totalWork := 0.0
-	for _, t := range r.Tasks {
-		totalWork += t.WorkMS
-	}
-	share := 1.0 / float64(len(r.Tasks))
-	if totalWork > 0 {
-		share = r.Tasks[k].WorkMS / totalWork
-	}
-	return n.RateToMHz(rate) * share
-}
-
 // Evaluate settles the rewards of a placement. Algorithms fill Admitted,
 // Evicted, Station, Slot, TaskStations, WaitSlots, and LatencyMS; Evaluate
 // then realizes any still-hidden data rates, computes each station's
@@ -150,12 +136,12 @@ func Evaluate(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand) 
 		}
 		out := reqs[id].Realize(rng)
 		for k, st := range d.TaskStations {
-			load[st] += demandShare(n, reqs[id], k, out.Rate)
+			load[st] += n.TaskMHz(reqs[id], k, out.Rate)
 		}
 	}
 	overloaded := make([]bool, n.NumStations())
 	for i := range overloaded {
-		overloaded[i] = load[i] > n.Capacity(i)+capacityTol
+		overloaded[i] = load[i] > n.Capacity(i)
 	}
 	res.TotalReward = 0
 	res.Served = 0
@@ -186,9 +172,6 @@ func Evaluate(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand) 
 		res.Served++
 	}
 }
-
-// capacityTol absorbs float drift in capacity comparisons (MHz).
-const capacityTol = 1e-6
 
 // Audit verifies the physical consistency of an evaluated result: station
 // capacities are respected by the realized demands of served requests,
@@ -250,7 +233,7 @@ func Audit(n *mec.Network, reqs []*mec.Request, res *Result) error {
 			if st < 0 || st >= n.NumStations() {
 				return fmt.Errorf("core: audit: request %d task %d on invalid station %d", id, k, st)
 			}
-			used[st] += demandShare(n, r, k, out.Rate)
+			used[st] += n.TaskMHz(r, k, out.Rate)
 		}
 	}
 	if math.Abs(totalReward-res.TotalReward) > 1e-6*(1+math.Abs(res.TotalReward)) {
@@ -261,7 +244,7 @@ func Audit(n *mec.Network, reqs []*mec.Request, res *Result) error {
 			res.Served, served, res.Admitted, admitted)
 	}
 	for i, u := range used {
-		if u > n.Capacity(i)+capacityTol {
+		if u > n.Capacity(i) {
 			return fmt.Errorf("core: audit: station %d used %.1f MHz of %.1f by served requests", i, u, n.Capacity(i))
 		}
 	}

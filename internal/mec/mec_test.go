@@ -446,6 +446,38 @@ func TestRequestDelays(t *testing.T) {
 	}
 }
 
+// TestTaskMHz pins the one task-share formula: work-proportional shares
+// (equal ones for a pipeline with no work) within half a quantum of
+// RateToMHz(rate)·w_k/W, each a multiple of Quantum, and RequestMHz their
+// sum.
+func TestTaskMHz(t *testing.T) {
+	net := testNet(t, 3, 2)
+	r := mkRequest(t, 0)
+	idle := mkRequest(t, 1)
+	for k := range idle.Tasks {
+		idle.Tasks[k].WorkMS = 0
+	}
+	for _, rate := range []float64{30, 33.3, 50 / 3.0} {
+		for _, req := range []*Request{r, idle} {
+			sum := 0.0
+			for k := range req.Tasks {
+				want := net.RateToMHz(rate) / float64(len(req.Tasks))
+				if w := req.WorkMS(); w > 0 {
+					want = net.RateToMHz(rate) * req.Tasks[k].WorkMS / w
+				}
+				got := net.TaskMHz(req, k, rate)
+				if math.Abs(got-want) > Quantum/2 || got != Quantize(got) {
+					t.Fatalf("TaskMHz(request %d, task %d, rate %v) = %v, want %v on the 2⁻²⁰ grid", req.ID, k, rate, got, want)
+				}
+				sum += got
+			}
+			if got := net.RequestMHz(req, rate); got != sum {
+				t.Fatalf("RequestMHz(request %d, rate %v) = %v, want the shares' sum %v", req.ID, rate, got, sum)
+			}
+		}
+	}
+}
+
 func TestHoldSlots(t *testing.T) {
 	r := mkRequest(t, 3)
 	if r.HoldSlots() != 1 {

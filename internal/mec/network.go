@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -239,6 +240,48 @@ func (n *Network) SlotRate(l int) float64 {
 
 // RateToMHz converts a data rate into its computing demand rho*C_unit.
 func (n *Network) RateToMHz(rate float64) float64 { return rate * n.cUnit }
+
+// Quantum is the grid every occupancy ledger lives on: 2⁻²⁰ (MHz, or ms
+// for the backlog proxy). A multiple of it below 2³³ has at most 53
+// significant bits, so float64 adds and subtracts such values exactly. A
+// ledger that books and releases only multiples of Quantum therefore holds
+// the same value whatever order its entries come and go in, and returns to
+// exactly 0 once all are released.
+const Quantum = 1.0 / (1 << 20)
+
+// Quantize rounds v to the nearest multiple of Quantum.
+func Quantize(v float64) float64 { return math.Round(v/Quantum) * Quantum }
+
+// QuantizeDown rounds v down to a multiple of Quantum.
+func QuantizeDown(v float64) float64 { return math.Floor(v/Quantum) * Quantum }
+
+// TaskMHz returns the realized MHz task k of r holds on its station when
+// r's stream runs at data rate rate: RateToMHz(rate)·w_k/W, with w_k the
+// task's WorkMS and W the pipeline's total (equal shares when W is 0),
+// quantized. Every ledger books and releases exactly these shares.
+func (n *Network) TaskMHz(r *Request, k int, rate float64) float64 {
+	return n.TaskMHzOfWork(r, k, rate, r.WorkMS())
+}
+
+// TaskMHzOfWork is TaskMHz for a caller that has summed W = r.WorkMS()
+// once for a loop over r's tasks.
+func (n *Network) TaskMHzOfWork(r *Request, k int, rate, work float64) float64 {
+	share := 1.0 / float64(len(r.Tasks))
+	if work > 0 {
+		share = r.Tasks[k].WorkMS / work
+	}
+	return Quantize(n.RateToMHz(rate) * share)
+}
+
+// RequestMHz returns Σ_k TaskMHz(r, k, rate): what r books on a station
+// that runs all of its tasks.
+func (n *Network) RequestMHz(r *Request, rate float64) float64 {
+	work, sum := r.WorkMS(), 0.0
+	for k := range r.Tasks {
+		sum += n.TaskMHzOfWork(r, k, rate, work)
+	}
+	return sum
+}
 
 // OneWayDelayMS returns the shortest-path one-way transmission delay of
 // rho_unit data between stations u and v (0 when u == v, +Inf when

@@ -134,6 +134,15 @@ func (r *Request) ForceOutcome(o dist.Outcome) {
 	r.realized = true
 }
 
+// WorkMS returns W = Σ_k WorkMS, the pipeline's total nominal work.
+func (r *Request) WorkMS() float64 {
+	total := 0.0
+	for _, t := range r.Tasks {
+		total += t.WorkMS
+	}
+	return total
+}
+
 // ProcDelayMS returns Eq. (2)'s processing term sum_k d^pro_{jki}: the
 // total pipeline processing delay of the request on station st.
 func (r *Request) ProcDelayMS(st BaseStation) float64 {

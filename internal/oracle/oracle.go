@@ -20,15 +20,10 @@ import (
 	"mecoffload/internal/sim"
 )
 
-// capacityTol mirrors core's capacity slack: station loads are sums of
-// float shares, so comparisons allow this absolute tolerance in MHz.
+// capacityTol is the reference's capacity slack in MHz: it recomputes
+// task shares unquantized, and each differs from the mec.Quantum multiple
+// the production ledgers book by at most half a quantum.
 const capacityTol = 1e-6
-
-// ledgerTol bounds the drift allowed between the engine's incremental
-// occupancy ledger and the sum of running-stream shares recomputed from
-// scratch. Release clamps tiny float negatives to zero, so the ledger
-// drifts by at most a few ULPs per departure.
-const ledgerTol = 1e-3
 
 // State is a snapshot of everything the invariant checker inspects. Only
 // Net and UsedMHz are mandatory; nil slices skip the related checks.
@@ -52,7 +47,9 @@ type State struct {
 //   - every station's realized occupancy lies in [0, C(bs_i)] (up to
 //     float tolerance), and the expected ledger is non-negative;
 //   - the occupancy ledger equals the sum of the running streams' shares
-//     (capacity is neither leaked nor double-counted);
+//     bit for bit (capacity is neither leaked nor double-counted; the
+//     shares are multiples of mec.Quantum, so their sum is exact in any
+//     order);
 //   - no request runs twice, and every running request's decision says
 //     admitted, served, and not evicted;
 //   - the bandit's confidence bounds are ordered (LCB ≤ mean ≤ UCB) and
@@ -109,7 +106,7 @@ func Check(s State) error {
 			}
 		}
 		for i := range fromShares {
-			if diff := s.UsedMHz[i] - fromShares[i]; diff > ledgerTol || diff < -ledgerTol {
+			if s.UsedMHz[i] != fromShares[i] {
 				return fmt.Errorf("oracle: station %d ledger %.6f MHz but running shares sum to %.6f MHz",
 					i, s.UsedMHz[i], fromShares[i])
 			}

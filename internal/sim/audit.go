@@ -76,11 +76,6 @@ func AuditTimeline(n *mec.Network, reqs []*mec.Request, res *core.Result, horizo
 		if endSlot > maxSlot {
 			endSlot = maxSlot
 		}
-		totalWork := 0.0
-		for _, task := range r.Tasks {
-			totalWork += task.WorkMS
-		}
-		demand := n.RateToMHz(out.Rate)
 		if len(d.TaskStations) != len(r.Tasks) {
 			return fmt.Errorf("sim: audit: request %d has %d placements for %d tasks",
 				id, len(d.TaskStations), len(r.Tasks))
@@ -89,12 +84,9 @@ func AuditTimeline(n *mec.Network, reqs []*mec.Request, res *core.Result, horizo
 			if st < 0 || st >= n.NumStations() {
 				return fmt.Errorf("sim: audit: request %d task %d on invalid station %d", id, k, st)
 			}
-			frac := 1.0 / float64(len(r.Tasks))
-			if totalWork > 0 {
-				frac = r.Tasks[k].WorkMS / totalWork
-			}
-			diff[st][startSlot] += demand * frac
-			diff[st][endSlot] -= demand * frac
+			mhz := n.TaskMHz(r, k, out.Rate)
+			diff[st][startSlot] += mhz
+			diff[st][endSlot] -= mhz
 		}
 	}
 
@@ -109,7 +101,7 @@ func AuditTimeline(n *mec.Network, reqs []*mec.Request, res *core.Result, horizo
 		load := 0.0
 		for t := 0; t <= maxSlot; t++ {
 			load += diff[i][t]
-			if load > n.Capacity(i)+1e-6 {
+			if load > n.Capacity(i) {
 				return fmt.Errorf("sim: audit: station %d carries %.1f MHz of %.1f at slot %d",
 					i, load, n.Capacity(i), t)
 			}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"mecoffload/internal/core"
-	"mecoffload/internal/mec"
 )
 
 // placeConsolidated writes a consolidated placement for request j admitted
@@ -103,16 +102,9 @@ func (*OnlineGreedy) UncertaintyAware() bool { return false }
 func (*OnlineGreedy) Schedule(eng *Engine, res *core.Result, t int, pending []int) ([]int, error) {
 	reqs := eng.Requests()
 	net := eng.Net()
-	work := func(r *mec.Request) float64 {
-		w := 0.0
-		for _, task := range r.Tasks {
-			w += task.WorkMS
-		}
-		return w
-	}
 	order := append([]int(nil), pending...)
 	sort.Slice(order, func(a, b int) bool {
-		wa, wb := work(reqs[order[a]]), work(reqs[order[b]])
+		wa, wb := reqs[order[a]].WorkMS(), reqs[order[b]].WorkMS()
 		if wa != wb {
 			return wa > wb
 		}

@@ -71,21 +71,12 @@ func addHold(holds []hold, lo, st int, mhz, exp float64) []hold {
 	return holds
 }
 
-// unhold subtracts v from ledger[i], clamping the ledger at zero.
-func unhold(ledger []float64, i int, v float64) {
-	ledger[i] -= v
-	if ledger[i] < 0 {
-		ledger[i] = 0
-	}
-}
-
 // running tracks one in-service request together with what release
-// subtracts from the ledgers at departure: its holds, the realized
-// demand's per-task shares Σ_k demand·w_k/W summed per station. That is not
-// always what admission added. For an oblivious scheduler settle adds the
-// holds themselves, but an uncertainty-aware one books the demand as one
-// figure (core.admitSlotBySlot), and the shares can sum to a value that
-// differs from it in the last bit.
+// subtracts from the ledgers at departure: its holds, its tasks'
+// mec.Network.TaskMHz shares summed per station. Admission booked the same
+// shares (settle itself for an oblivious scheduler, core for an
+// uncertainty-aware one), and they are multiples of mec.Quantum, so release
+// takes back exactly what admission added.
 type running struct {
 	req     int
 	endSlot int
@@ -469,13 +460,13 @@ func (e *Engine) release(t int) []int {
 }
 
 // drop subtracts a running stream's holds and backlog contribution from
-// the ledgers, clamping each at zero.
+// the ledgers.
 func (e *Engine) drop(ru *running) {
 	for _, h := range ru.holds {
-		unhold(e.used, h.station, h.mhz)
-		unhold(e.expected, h.station, h.exp)
+		e.used[h.station] -= h.mhz
+		e.expected[h.station] -= h.exp
 	}
-	unhold(e.procMS, ru.procStation, ru.procMS)
+	e.procMS[ru.procStation] -= ru.procMS
 }
 
 // expire drops pending requests whose deadline is unreachable: even if
@@ -530,19 +521,10 @@ func (e *Engine) settle(res *core.Result, t int, admitted []int, aware bool) flo
 		}
 		r := e.reqs[j]
 		out := r.Realize(e.rng)
-		totalWork := 0.0
-		for _, task := range r.Tasks {
-			totalWork += task.WorkMS
-		}
-		demand := e.net.RateToMHz(out.Rate)
-		eDemand := e.net.RateToMHz(r.ExpectedRate())
+		work, eRate := r.WorkMS(), r.ExpectedRate()
 		lo := len(holds)
 		for k, st := range d.TaskStations {
-			frac := 1.0 / float64(len(r.Tasks))
-			if totalWork > 0 {
-				frac = r.Tasks[k].WorkMS / totalWork
-			}
-			holds = addHold(holds, lo, st, demand*frac, eDemand*frac)
+			holds = addHold(holds, lo, st, e.net.TaskMHzOfWork(r, k, out.Rate, work), e.net.TaskMHzOfWork(r, k, eRate, work))
 		}
 		if !aware {
 			// Oblivious schedulers did not touch the realized ledger; the
@@ -566,7 +548,7 @@ func (e *Engine) settle(res *core.Result, t int, admitted []int, aware bool) flo
 	}
 	overloaded := e.overloaded[:nS]
 	for i := 0; i < nS; i++ {
-		overloaded[i] = e.used[i] > e.net.Capacity(i)+1e-6
+		overloaded[i] = e.used[i] > e.net.Capacity(i)
 	}
 
 	slotReward := 0.0
@@ -584,7 +566,7 @@ func (e *Engine) settle(res *core.Result, t int, admitted []int, aware bool) flo
 		if !ok {
 			// The stream is dropped at the end of the slot; free its hold.
 			for _, h := range run {
-				unhold(e.used, h.station, h.mhz)
+				e.used[h.station] -= h.mhz
 			}
 			continue
 		}
@@ -607,7 +589,7 @@ func (e *Engine) settle(res *core.Result, t int, admitted []int, aware bool) flo
 			e.expected[h.station] += h.exp
 		}
 		if station, err := e.net.Station(ru.procStation); err == nil {
-			ru.procMS = r.ProcDelayMS(station)
+			ru.procMS = mec.Quantize(r.ProcDelayMS(station))
 			e.procMS[ru.procStation] += ru.procMS
 		}
 		e.active = append(e.active, ru)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mecoffload/internal/core"
+	"mecoffload/internal/mec"
 )
 
 // refStream is a running stream as a map-based ledger records it: a
@@ -22,7 +23,9 @@ type refStream struct {
 // refLedger keeps the engine's three ledgers with map-based streams, by
 // the arithmetic the engine used before its streams became runs of holds:
 // settle sums each stream's task shares into maps in TaskStations order,
-// and release, eviction and restore range over the maps.
+// and release, eviction and restore range over the maps. The shares are
+// mec.Network.TaskMHz's and the backlog figures are quantized, as the
+// engine's are, and nothing is clamped.
 type refLedger struct {
 	used, expected, procMS []float64
 	active                 []refStream
@@ -47,20 +50,11 @@ func cloneMap(m map[int]float64) map[int]float64 {
 func (l *refLedger) undo(ru refStream) {
 	for st, mhz := range ru.shares {
 		l.used[st] -= mhz
-		if l.used[st] < 0 {
-			l.used[st] = 0
-		}
 	}
 	for st, mhz := range ru.expShares {
 		l.expected[st] -= mhz
-		if l.expected[st] < 0 {
-			l.expected[st] = 0
-		}
 	}
 	l.procMS[ru.procStation] -= ru.procMS
-	if l.procMS[ru.procStation] < 0 {
-		l.procMS[ru.procStation] = 0
-	}
 }
 
 func (l *refLedger) release(t int) {
@@ -103,17 +97,8 @@ func (l *refLedger) settle(e *Engine, res *core.Result, t int, admitted []int, a
 		r := e.reqs[j]
 		out, _ := r.Realized()
 		shares := make(map[int]float64, len(d.TaskStations))
-		totalWork := 0.0
-		for _, task := range r.Tasks {
-			totalWork += task.WorkMS
-		}
-		demand := e.net.RateToMHz(out.Rate)
 		for k, st := range d.TaskStations {
-			frac := 1.0 / float64(len(r.Tasks))
-			if totalWork > 0 {
-				frac = r.Tasks[k].WorkMS / totalWork
-			}
-			shares[st] += demand * frac
+			shares[st] += e.net.TaskMHz(r, k, out.Rate)
 		}
 		if !aware {
 			for st, mhz := range shares {
@@ -124,7 +109,7 @@ func (l *refLedger) settle(e *Engine, res *core.Result, t int, admitted []int, a
 	}
 	overloaded := make([]bool, len(l.used))
 	for i := range overloaded {
-		overloaded[i] = l.used[i] > e.net.Capacity(i)+1e-6
+		overloaded[i] = l.used[i] > e.net.Capacity(i)
 	}
 	for _, m := range batch {
 		d := &res.Decisions[m.req]
@@ -138,9 +123,6 @@ func (l *refLedger) settle(e *Engine, res *core.Result, t int, admitted []int, a
 		if !ok {
 			for st, mhz := range m.shares {
 				l.used[st] -= mhz
-				if l.used[st] < 0 {
-					l.used[st] = 0
-				}
 			}
 			continue
 		}
@@ -151,23 +133,14 @@ func (l *refLedger) settle(e *Engine, res *core.Result, t int, admitted []int, a
 			expShares:   make(map[int]float64, len(m.shares)),
 			procStation: d.TaskStations[0],
 		}
-		eDemand := e.net.RateToMHz(r.ExpectedRate())
-		totalWork := 0.0
-		for _, task := range r.Tasks {
-			totalWork += task.WorkMS
-		}
 		for k, st := range d.TaskStations {
-			frac := 1.0 / float64(len(r.Tasks))
-			if totalWork > 0 {
-				frac = r.Tasks[k].WorkMS / totalWork
-			}
-			ru.expShares[st] += eDemand * frac
+			ru.expShares[st] += e.net.TaskMHz(r, k, r.ExpectedRate())
 		}
 		for st, mhz := range ru.expShares {
 			l.expected[st] += mhz
 		}
 		if station, err := e.net.Station(ru.procStation); err == nil {
-			ru.procMS = r.ProcDelayMS(station)
+			ru.procMS = mec.Quantize(r.ProcDelayMS(station))
 			l.procMS[ru.procStation] += ru.procMS
 		}
 		l.active = append(l.active, ru)

@@ -61,45 +61,52 @@ func (e *Engine) SnapshotRunning() []RunningSnapshot {
 // could have written: its stations within the network, at least one
 // realized share, expected shares on exactly the stations of the realized
 // ones, every share and ProcMS finite and not negative, and the realized
-// shares of all streams within each station's capacity (the tolerance
-// settle allows).
+// shares of all streams within each station's capacity.
+//
+// Every share and ProcMS is rounded down onto the mec.Quantum grid before
+// it is summed. The engine writes values already on it, which rounding
+// leaves as they are; a snapshot from before the grid holds values off it,
+// and rounding down keeps the restored ledgers exact without lifting a
+// station that was full over its capacity.
 func (e *Engine) RestoreRunning(snaps []RunningSnapshot) error {
 	if len(e.active) > 0 {
 		return fmt.Errorf("sim: RestoreRunning on an engine with %d active streams", len(e.active))
 	}
+	active := make([]running, 0, len(snaps))
 	load := make([]float64, e.net.NumStations())
 	for i := range snaps {
-		if err := e.checkSnapshot(&snaps[i]); err != nil {
-			return fmt.Errorf("sim: snapshot request %d: %w", snaps[i].Request, err)
+		s := &snaps[i]
+		if err := e.checkSnapshot(s); err != nil {
+			return fmt.Errorf("sim: snapshot request %d: %w", s.Request, err)
 		}
-		for st, mhz := range snaps[i].Shares {
-			load[st] += mhz
-		}
-	}
-	for st, mhz := range load {
-		if c := e.net.Capacity(st); mhz > c+1e-6 {
-			return fmt.Errorf("sim: running streams hold %v MHz on station %d, over its %v MHz", mhz, st, c)
-		}
-	}
-	for _, s := range snaps {
 		ru := running{
 			req:         s.Request,
 			endSlot:     s.EndSlot,
 			holds:       make([]hold, 0, len(s.Shares)),
 			procStation: s.ProcStation,
-			procMS:      s.ProcMS,
+			procMS:      mec.QuantizeDown(s.ProcMS),
 		}
 		for st, mhz := range s.Shares {
-			ru.holds = append(ru.holds, hold{station: st, mhz: mhz, exp: s.ExpShares[st]})
+			h := hold{station: st, mhz: mec.QuantizeDown(mhz), exp: mec.QuantizeDown(s.ExpShares[st])}
+			ru.holds = append(ru.holds, h)
+			load[st] += h.mhz
 		}
 		slices.SortFunc(ru.holds, func(a, b hold) int { return a.station - b.station })
+		active = append(active, ru)
+	}
+	for st, mhz := range load {
+		if c := e.net.Capacity(st); mhz > c {
+			return fmt.Errorf("sim: running streams hold %v MHz on station %d, over its %v MHz", mhz, st, c)
+		}
+	}
+	for _, ru := range active {
 		for _, h := range ru.holds {
 			e.used[h.station] += h.mhz
 			e.expected[h.station] += h.exp
 		}
 		e.procMS[ru.procStation] += ru.procMS
-		e.active = append(e.active, ru)
 	}
+	e.active = active
 	return nil
 }
 
