@@ -75,11 +75,13 @@ drift:
 		'TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDecisions|TestClusterHandoverAcrossPartition|TestClusterOutageWithInflightStreams|TestClusterCandidateShrinksEmpty|TestHandoverSurvivesCheckpointAndExtract|TestDrawnOutcomesSurviveCheckpointAndExtract' \
 		./internal/bandit/ ./internal/scenario/ ./internal/serve/ ./internal/cluster/
 
-## oracle: differential oracle suite plus the mutation smoke check,
-## mirroring the CI oracle job — the oraclemutant build must FAIL the
-## suite, proving the oracle still catches seeded capacity bugs.
+## oracle: differential oracle suite, the daemon's packages with the
+## runtime invariant checker on every engine, and the mutation smoke
+## check, mirroring the CI oracle job — the oraclemutant build must FAIL
+## the suite, proving the oracle still catches seeded capacity bugs.
 oracle:
 	MEC_ORACLE=1 $(GO) test -count=1 ./internal/oracle/...
+	MEC_ORACLE=1 $(GO) test -count=1 ./internal/cluster/ ./internal/serve/ ./cmd/arserved/
 	$(GO) build -tags oraclemutant ./...
 	@if $(GO) test -count=1 -tags oraclemutant \
 		-run 'TestHeuRespectsCapacityAndLatency|TestDynamicRRInvariantsOnline' \

@@ -396,9 +396,9 @@ func benchSlotSequence(b *testing.B, stations, requests, slots int) []*lp.Proble
 // identically (cold) by both configurations, so it is primed in setup and
 // both arms time the same slots 1..n. The warm path must reach the same
 // objectives, to 1e-9, checked every iteration. Read by position, the
-// seed pays on this sequence: on a 2-vCPU Xeon the seven timed slots take
-// 10.7–12.1 ms cold (105.3 pivots a solve) and 4.4–4.7 ms warm (25.1
-// pivots a solve), three runs of 30 iterations each.
+// seed pays on this sequence: on a shared 2-vCPU Xeon the seven timed
+// slots take 10.4–14.8 ms cold (110.1 pivots a solve) and 3.6–5.3 ms warm
+// (26.3 pivots a solve), five runs of 30 iterations each.
 func BenchmarkLPColdVsWarm(b *testing.B) {
 	const slots = 8
 	probs := benchSlotSequence(b, 20, 200, slots)

@@ -24,7 +24,7 @@ type bbNode struct {
 	// basis is the parent's optimal basis plus the slack of the node's own
 	// row: an exact basis of the node's LP that only the new row makes
 	// primal infeasible, so a few dual simplex pivots repair it. nil at
-	// the root, which keeps any caller-provided warm start.
+	// the root, which solves cold.
 	basis *Basis
 	// seq numbers the nodes in creation order; among equal bounds the
 	// newest is solved first, so a run is a function of its input.
@@ -70,8 +70,6 @@ type IntegerOptions struct {
 	// by less than this fraction, trading exactness for tractability on
 	// tie-heavy instances (zero = prove optimality exactly).
 	RelativeGap float64
-	// LP carries per-node simplex options.
-	LP SolveOptions
 }
 
 // SolveInteger optimizes the problem with all variables added via
@@ -138,7 +136,7 @@ func (p *Problem) SolveIntegerWithOptions(opts IntegerOptions) (*Solution, error
 			continue
 		}
 
-		sol, rows, err := p.solveNode(node, opts.LP, &path)
+		sol, rows, err := p.solveNode(node, &path)
 		if err != nil {
 			return nil, err
 		}
@@ -260,10 +258,10 @@ func (p *Problem) floorCandidate(sol *Solution, intVars []Var) *Solution {
 }
 
 // solveNode solves the LP relaxation of the root problem plus the bound
-// rows of the node's chain, appended root first and removed afterwards. It
-// also returns the node LP's row count, the index a child's row takes.
-// path is the chain walk's scratch.
-func (p *Problem) solveNode(node *bbNode, opts SolveOptions, path *[]*bbNode) (*Solution, int, error) {
+// rows of the node's chain, appended root first and removed afterwards,
+// seeded from the node's warm basis. It also returns the node LP's row
+// count, the index a child's row takes. path is the chain walk's scratch.
+func (p *Problem) solveNode(node *bbNode, path *[]*bbNode) (*Solution, int, error) {
 	nRows := len(p.rows)
 	defer p.truncateRows(nRows)
 
@@ -278,9 +276,6 @@ func (p *Problem) solveNode(node *bbNode, opts SolveOptions, path *[]*bbNode) (*
 			return nil, 0, err
 		}
 	}
-	if node.basis != nil {
-		opts.WarmStart = node.basis
-	}
-	sol, err := p.SolveWithOptions(opts)
+	sol, err := p.SolveWithOptions(SolveOptions{WarmStart: node.basis})
 	return sol, len(p.rows), err
 }

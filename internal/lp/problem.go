@@ -22,8 +22,8 @@
 // reference inverse plus an eta file of pivot updates), and keeps every
 // column's reduced cost up to date from the pivot row — built from the
 // row-wise copy — instead of re-pricing each pivot, choosing the entering
-// column by devex score. It can warm-start
-// from a previous solution's basis, read by position (Solution.Basis and
+// column by the most negative reduced cost. It can warm-start from a
+// previous solution's basis, read by position (Solution.Basis and
 // SolveOptions.WarmStart), which pays when the next LP keeps the last
 // one's variables and rows in place: branch and bound seeds each node
 // with its parent's optimal basis plus the slack of the one bound row the

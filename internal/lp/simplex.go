@@ -14,12 +14,8 @@ const (
 	// feasTol: slack allowed when checking feasibility/integrality.
 	feasTol = 1e-7
 	// degenerateLimit: consecutive degenerate pivots before switching
-	// from devex pricing to Bland's anti-cycling rule.
+	// from most-negative-reduced-cost pricing to Bland's anti-cycling rule.
 	degenerateLimit = 64
-	// devexResetRatio: when the reference weight carried into a pivot
-	// exceeds this, the devex reference framework is reset to unit
-	// weights (the standard guard against unbounded weight growth).
-	devexResetRatio = 1e10
 	// artValueTol: an artificial variable above this value marks the
 	// basis as primal infeasible for the original rows (phase 1 needed).
 	artValueTol = 1e-6
@@ -180,13 +176,6 @@ type simplexState struct {
 	// alpha is the pivot row's accumulator, indexed by column. It is all
 	// zero between pivots: whoever reads an entry clears it.
 	alpha []float64
-	// devex reference weights, one per column (reset to 1 with each new
-	// reference framework).
-	weights []float64
-	// score is each column's devex score, (d_j+tol)^2/w_j for an improving
-	// column and 0 otherwise, recomputed wherever d_j or w_j moves, so the
-	// pricing scan is a bare maximum.
-	score []float64
 	// refactorBackoff postpones the next refactorization attempt after a
 	// numerically singular rebuild, so a bad basis cannot trigger an
 	// O(m^3) retry on every pivot.
@@ -199,7 +188,6 @@ type simplexState struct {
 	c1         []float64
 	// warm-start scratch, reused across solves (see warmStart).
 	wantedBuf []bool
-	rowCntBuf []int
 }
 
 // init (re)binds the state to a standard form and factorization, reusing
@@ -213,9 +201,7 @@ func (st *simplexState) init(sf *standardForm, fac *factor) {
 	st.basis = growInts(st.basis, m)
 	st.inBas = growBools(st.inBas, sf.nTotal)
 	st.xB = growFloats(st.xB, m)
-	st.weights = growFloats(st.weights, sf.nTotal)
 	st.d = growFloats(st.d, sf.nTotal)
-	st.score = growFloats(st.score, sf.nTotal)
 	st.alpha = growFloats(st.alpha, sf.nTotal)
 	clear(st.alpha)
 	st.nzBuf = growInts(st.nzBuf, len(sf.a.ri))
@@ -239,13 +225,6 @@ func (st *simplexState) resetToBasis0() {
 		st.basis[i] = sf.basis0[i]
 		st.inBas[sf.basis0[i]] = true
 		st.xB[i] = sf.b[i]
-	}
-	st.resetWeights()
-}
-
-func (st *simplexState) resetWeights() {
-	for j := range st.weights {
-		st.weights[j] = 1
 	}
 }
 
@@ -273,25 +252,6 @@ func (st *simplexState) warmStart(cols []int) bool {
 	for _, j := range cols {
 		wanted[j] = true
 	}
-	// rowCount[i] = wanted columns with a nonzero in row i. A row counted
-	// once is private to its column; pivoting there produces an eta whose
-	// fill is just the column's other nonzeros. Preferring private rows
-	// keeps the replayed eta file near-diagonal — in the LP-PT bases most
-	// basic columns are y variables whose assignment row is theirs alone,
-	// so without the preference the magnitude rule tends to pivot them on
-	// shared capacity rows and the eta file densifies, taxing every ftran
-	// and btran of the solve that follows.
-	st.rowCntBuf = growInts(st.rowCntBuf, m)
-	rowCount := st.rowCntBuf
-	for i := range rowCount {
-		rowCount[i] = 0
-	}
-	for _, j := range cols {
-		rows, _ := sf.a.col(j)
-		for _, r := range rows {
-			rowCount[r]++
-		}
-	}
 	u := st.u
 	for _, j := range cols {
 		if st.inBas[j] {
@@ -300,24 +260,14 @@ func (st *simplexState) warmStart(cols []int) bool {
 		st.ftran(j, u)
 		leave := -1
 		best := factorPivotTol
-		leavePriv := -1
-		bestPriv := 1e-3 // private rows still need a well-conditioned pivot
 		for i := 0; i < m; i++ {
 			if wanted[st.basis[i]] {
 				continue
 			}
-			v := math.Abs(u[i])
-			if v > best {
+			if v := math.Abs(u[i]); v > best {
 				best = v
 				leave = i
 			}
-			if rowCount[i] == 1 && v > bestPriv {
-				bestPriv = v
-				leavePriv = i
-			}
-		}
-		if leavePriv >= 0 {
-			leave = leavePriv
 		}
 		if leave < 0 {
 			continue // dependent on the columns already installed
@@ -343,10 +293,11 @@ func (st *simplexState) warmStart(cols []int) bool {
 // whose entering column is restricted to nonbasic slack/surplus columns.
 // A slack is a unit column, so its pivot-row coefficient is just
 // +/-rho[row] and its reduced cost reads off pi — each pivot costs one
-// btran plus O(m), with no sweep over the structural columns. This is
-// exactly the repair the per-slot LP-PT sequence needs: residual
-// capacities shrank, so the violated rows are capacity rows whose slack
-// re-enters while the displaced assignment mass leaves. Restricting the
+// btran plus O(m), with no sweep over the structural columns. A
+// branch-and-bound child's seed violates only its appended bound row, and
+// this stage is what keeps its repair within the cold solve's pivot count:
+// with the full dual simplex alone, TestWarmStartAppendedRow finds a child
+// whose warm solve takes more pivots than its cold one. Restricting the
 // ratio test to slacks can break dual feasibility of the shifted costs,
 // which costs extra phase-2 pivots but never correctness (phase 2
 // reoptimizes with the true costs from whatever feasible basis results).
@@ -454,15 +405,16 @@ func (st *simplexState) slackRestore() bool {
 }
 
 // dualRestore repairs a primal-infeasible warm basis with dual simplex
-// pivots instead of discarding it. This is the payoff case for warm
-// starting the per-slot LP-PT sequence: residual capacities only shrink
-// from slot to slot, so the previous slot's optimal vertex is almost
-// always (slightly) primal infeasible in the next slot's LP, yet only a
-// handful of dual pivots away from feasibility. slackRestore runs first;
-// if some violated row cannot be repaired by re-entering a slack, the
-// full dual simplex below takes over from wherever it stopped. The true
-// costs need not price the warm basis dual feasible (objective
-// coefficients drift too), so nonbasic reduced costs are first shifted up
+// pivots instead of discarding it. This is the payoff case for branch and
+// bound: a node's seed is its parent's optimal basis plus the slack of its
+// one new bound row, a basis of the node's LP that only that row makes
+// primal infeasible, so a handful of dual pivots restore feasibility
+// (TestWarmStartAppendedRow pins that the warm solve never takes more
+// pivots than the cold one). slackRestore runs first; if some violated row
+// cannot be repaired by re-entering a slack, the full dual simplex below
+// takes over from wherever it stopped. The true costs need not price the
+// warm basis dual feasible (a seed may come from a problem with other
+// objective coefficients), so nonbasic reduced costs are first shifted up
 // to zero — the basis is then dual feasible by construction, dual pivots
 // restore xB >= 0, and phase 2 reoptimizes with the true costs from the
 // repaired basis. It reports success; on false the caller must reset to a
@@ -643,26 +595,6 @@ func (st *simplexState) price(c []float64, limit int) {
 		}
 		d[j] = c[j] - sf.a.dot(pi, j)
 	}
-	st.rescore(limit)
-}
-
-// devexScore is the pricing score of a column with reduced cost d and
-// devex weight w: (d+tol)^2/w when the column improves, else 0.
-func devexScore(d, w float64) float64 {
-	if t := d + reducedCostTol; t < 0 {
-		return t * t / w
-	}
-	return 0
-}
-
-// rescore recomputes every column's score below limit from d and the
-// weights.
-func (st *simplexState) rescore(limit int) {
-	d, w := st.d[:limit], st.weights[:limit]
-	score := st.score[:limit]
-	for j := range score {
-		score[j] = devexScore(d[j], w[j])
-	}
 }
 
 // pivotRow accumulates the pivot row alpha_r = e_r^T B^{-1} A into
@@ -702,69 +634,50 @@ func (st *simplexState) pivotRow(r, limit int) []int {
 	return nz[:n]
 }
 
-// applyPivot moves the reduced costs, devex weights and scores across the
-// pivot just made: q = enter came in, out left, nz/st.alpha is the pivot
-// row (cleared here), step = d_q/alpha_q and ratio = w_q/alpha_q^2. Every
-// nonbasic column moves by d_j -= step*alpha_j and out becomes nonbasic
-// at -step; q's reduced cost becomes 0, as every basic column's is. Unless
-// Bland's rule is in force the weights follow the devex recurrence
-// w_j = max(w_j, alpha_j^2*ratio), out's becoming max(ratio, 1), or
-// reset to 1 when the entering weight has grown too far.
-func (st *simplexState) applyPivot(nz []int, enter, out, limit int, step, ratio float64, bland bool) {
-	d, w, score, alpha, inBas := st.d, st.weights, st.score, st.alpha, st.inBas
-	devex := !bland
-	reset := devex && ratio > devexResetRatio
-	if reset {
-		st.resetWeights()
-		devex = false
-	}
+// applyPivot moves the reduced costs across the pivot just made: q =
+// enter came in, out left, nz/st.alpha is the pivot row (cleared here) and
+// step = d_q/alpha_q. Every nonbasic column moves by d_j -= step*alpha_j
+// and out becomes nonbasic at -step; q's reduced cost becomes 0, as every
+// basic column's is.
+func (st *simplexState) applyPivot(nz []int, enter, out, limit int, step float64) {
+	d, alpha, inBas := st.d, st.alpha, st.inBas
 	for _, j := range nz {
 		a := alpha[j]
 		alpha[j] = 0
-		if inBas[j] {
-			continue
+		if !inBas[j] {
+			d[j] -= step * a
 		}
-		d[j] -= step * a
-		if devex {
-			w[j] = max(w[j], a*a*ratio)
-		}
-		score[j] = devexScore(d[j], w[j])
 	}
-	d[enter], score[enter] = 0, 0
+	d[enter] = 0
 	if out < limit {
 		d[out] = -step
-		if devex {
-			w[out] = max(ratio, 1)
-		}
-		score[out] = devexScore(d[out], w[out])
-	}
-	if reset {
-		st.rescore(limit)
 	}
 }
 
-// chooseEntering picks the entering column: the one with the best devex
-// score, or under Bland's rule the first improving column (anti-cycling).
-// It returns -1 when no column improves; basic columns hold d = 0 and
-// score 0, so they never qualify. The scan runs from the last column
-// down, so among tied scores the highest index wins: LP-PT relaxations
-// tie often (requests with equal demand distributions build equal
-// columns), and on the benchmark's slot LPs and the offline relaxations
-// that choice takes 15-30 % fewer pivots than the lowest index.
+// chooseEntering picks the entering column below limit: the one with the
+// most negative reduced cost, or under Bland's rule the first improving
+// column (anti-cycling). It returns -1 when no d_j is below
+// -reducedCostTol; basic columns hold d = 0, so they never qualify. The
+// scan runs from the last column down, so among tied reduced costs the
+// highest index wins: LP-PT relaxations tie often (requests with equal
+// demand distributions build equal columns), and that choice takes fewer
+// pivots than the lowest index — 9 against 16 on the captured churn_mesh
+// slot LP in testdata, 110 against 128 a cold solve on
+// BenchmarkLPColdVsWarm's sequence.
 func (st *simplexState) chooseEntering(limit int, bland bool) int {
+	d := st.d[:limit]
 	if bland {
-		for j, dj := range st.d[:limit] {
+		for j, dj := range d {
 			if dj < -reducedCostTol {
 				return j
 			}
 		}
 		return -1
 	}
-	score := st.score[:limit]
-	enter, best := -1, 0.0
-	for j := len(score) - 1; j >= 0; j-- {
-		if score[j] > best {
-			enter, best = j, score[j]
+	enter, best := -1, -reducedCostTol
+	for j := len(d) - 1; j >= 0; j-- {
+		if d[j] < best {
+			enter, best = j, d[j]
 		}
 	}
 	return enter
@@ -831,9 +744,7 @@ func (st *simplexState) run(c []float64, maxIters int, allowArt bool) Status {
 		}
 
 		nz := st.pivotRow(leave, limit)
-		alphaQ := u[leave]
-		step := st.d[enter] / alphaQ
-		ratio := st.weights[enter] / (alphaQ * alphaQ)
+		step := st.d[enter] / u[leave]
 		out := st.basis[leave]
 
 		// Pivot: update xB, append the eta factor, adjust bookkeeping.
@@ -854,7 +765,7 @@ func (st *simplexState) run(c []float64, maxIters int, allowArt bool) Status {
 		st.basis[leave] = enter
 		st.iters++
 
-		st.applyPivot(nz, enter, out, limit, step, ratio, bland)
+		st.applyPivot(nz, enter, out, limit, step)
 		fresh = false
 		if st.fac.size() >= refactorLimit(m) {
 			st.refactorize()
@@ -949,14 +860,11 @@ func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 	// Pivot out any artificial stuck in the basis at value zero so that
 	// phase 2 cannot drift it away from zero.
 	if st.anyArtificialBasic() {
-		if err := st.purgeArtificials(); err != nil {
-			return &Solution{Status: StatusInfeasible, Iterations: st.iters, Nodes: 1}
-		}
+		st.purgeArtificials()
 	}
 
 	// Phase 2.
 	maxIters += st.iters
-	st.resetWeights()
 	status := st.run(sf.c, maxIters, false)
 	sol := &Solution{Status: status, Iterations: st.iters, Nodes: 1}
 	if status != StatusOptimal {
@@ -1026,7 +934,7 @@ func (st *simplexState) anyArtificialBasic() bool {
 // by pivoting in any non-artificial column with a nonzero entry in that
 // basis row; if none exists the row is redundant and the artificial stays
 // at zero harmlessly (it is cost-zero in phase 2 and barred from pricing).
-func (st *simplexState) purgeArtificials() error {
+func (st *simplexState) purgeArtificials() {
 	m := st.sf.m
 	u := st.u
 	for i := 0; i < m; i++ {
@@ -1053,5 +961,4 @@ func (st *simplexState) purgeArtificials() error {
 			break
 		}
 	}
-	return nil
 }

@@ -618,3 +618,32 @@ func TestZeroCoefficientTermsDropped(t *testing.T) {
 		t.Fatalf("x=%v y=%v, want (2, 5)", sol.Value(x), sol.Value(y))
 	}
 }
+
+// TestChooseEntering pins the pricing rule: the most negative reduced
+// cost below -reducedCostTol enters, ties go to the highest index, and
+// under Bland's rule the lowest improving index enters instead.
+func TestChooseEntering(t *testing.T) {
+	cases := []struct {
+		name  string
+		d     []float64
+		limit int
+		bland bool
+		want  int
+	}{
+		{"most negative wins", []float64{-1, -3, -2, 4}, 4, false, 1},
+		{"equal d goes to the highest index", []float64{-2, -2, 1, -2, 0}, 5, false, 3},
+		{"nothing below -tol", []float64{0, -reducedCostTol, -reducedCostTol / 2, 5}, 4, false, -1},
+		{"basic columns never enter", []float64{0, 3, 0, 0.5, 0}, 5, false, -1},
+		{"columns at or past limit are barred", []float64{-1, -2, -9}, 2, false, 1},
+		{"bland takes the lowest improving index", []float64{1, 0, -1, -5, -1}, 5, true, 2},
+		{"bland with nothing improving", []float64{0, 2, -reducedCostTol}, 3, true, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &simplexState{d: tc.d}
+			if got := st.chooseEntering(tc.limit, tc.bland); got != tc.want {
+				t.Fatalf("chooseEntering(%v, limit %d, bland %v) = %d, want %d", tc.d, tc.limit, tc.bland, got, tc.want)
+			}
+		})
+	}
+}

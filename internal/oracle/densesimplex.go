@@ -26,8 +26,9 @@ const feasEps = 1e-6
 
 // SolveDense solves the snapshot with a textbook two-phase dense tableau
 // simplex under Bland's rule. It is deliberately the opposite of the
-// production solver — dense instead of sparse, Bland instead of devex,
-// no warm starts, no presolve — so the two share no code paths and a bug
+// production solver — a dense tableau instead of a sparse revised simplex
+// with an eta file, Bland's rule throughout instead of the most negative
+// reduced cost, no warm starts — so the two share no code paths and a bug
 // in one cannot hide in the other. Bland's rule guarantees termination
 // without perturbation; maxIter (<= 0 selects 50000) is a safety net
 // that yields StatusIterLimit. Integer markers in the snapshot are

@@ -41,8 +41,6 @@ type DynamicRROptions struct {
 	// bandit.Zooming for adaptive discretization); when set, Kappa and
 	// Policy are ignored.
 	Learner ThresholdLearner
-	// Passes bounds per-slot rounding passes (zero selects 4).
-	Passes int
 	// RoundingDenominator mirrors core.ApproOptions (default 4).
 	RoundingDenominator float64
 }
@@ -185,7 +183,6 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 		ShareCapMBs:         shareCap,
 		SlotLengthMS:        eng.SlotLengthMS(),
 		RoundingDenominator: d.opts.RoundingDenominator,
-		Passes:              d.opts.Passes,
 		Distribute:          true,
 		Inc:                 d.inc,
 	})
