@@ -24,7 +24,7 @@ race:
 ## decision streams, plus the reshard-restore contracts (a stream older
 ## than the router's window among them) and the restore refusing every
 ## file that is not a manifest of the one format written for this
-## topology, the migration-race contract, the saturated batched intake
+## topology, the handoff-race contract, the saturated batched intake
 ## staying inside its queue bounds and accounting for every accepted
 ## request at 1 and 2 shards, one interleaving of batch and single
 ## submits giving one outcome on every run, the door's buffer against
@@ -102,7 +102,7 @@ bench:
 ## -benchtime 1x neither timings nor allocation counts mean anything
 ## (`make bench` measures, the AllocsPerRun tests pin). The checks that
 ## do run are two backlog gates and a network-size gate:
-## BenchmarkClusterSweepBacklog's sweep- and checkpoint-slot tick time flat
+## BenchmarkClusterTickBacklog's plain- and checkpoint-slot tick time flat
 ## within 2x from 1k to 100k settled spanning requests of routing history,
 ## BenchmarkServeSlotBacklog's loaded-slot tick flat within 1.5x from 1k to
 ## 32k decided requests on an engine that never compacts, and
@@ -114,7 +114,7 @@ bench:
 ## reference, on the three bodies the end-to-end workloads post) in
 ## internal/serve because the reference is a test file there.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkHeu|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeSlotBacklog|BenchmarkServeSlotStations|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterSweepBacklog|BenchmarkIncrementalServeSlot|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkHeu|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeSlotBacklog|BenchmarkServeSlotStations|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterTickBacklog|BenchmarkIncrementalServeSlot|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildLP' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBatch' -benchtime 1x -benchmem ./internal/serve/
 

@@ -59,10 +59,9 @@ func BenchmarkClusterServeSlot(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			net := benchIslandNetwork(b, islands, per)
 			c, err := cluster.New(cluster.Config{
-				Net:            net,
-				Shards:         shards,
-				Seed:           17,
-				MigrationEvery: -1, // island candidates never span shards
+				Net:    net,
+				Shards: shards,
+				Seed:   17,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -138,10 +137,9 @@ func BenchmarkClusterTickJitter(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			net := benchIslandNetwork(b, islands, per)
 			cfg := cluster.Config{
-				Net:            net,
-				Shards:         shards,
-				Seed:           17,
-				MigrationEvery: -1,
+				Net:    net,
+				Shards: shards,
+				Seed:   17,
 			}
 			if m.enabled {
 				cfg.CheckpointPath = filepath.Join(b.TempDir(), "cluster.json")
@@ -205,22 +203,19 @@ func BenchmarkClusterTickJitter(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterSweepBacklog measures what routing HISTORY costs the
-// cluster clock: the tick time of migration-sweep slots and of (async)
-// checkpoint slots on a 2-shard cluster whose every request spans both
-// shards, after 1k, 10k and 100k such requests have been routed and
-// settled. The sweep walks the router's worklist of possibly-pending
-// requests and the manifest id table is built from the shard snapshots'
-// live requests, so both must cost the handful of live requests whatever
-// the backlog: the benchmark reports the two medians per backlog size
-// and fails unless each stays within 2x from 1k to 100k.
-func BenchmarkClusterSweepBacklog(b *testing.B) {
-	// A 12-slot cycle with the sweep every 4th slot and a checkpoint every
-	// 6th has two sweep-only slots, one checkpoint-only slot and one slot
-	// doing both (not sampled).
-	const migrationEvery, checkpointEvery, cycle, cyclesPerOp = 4, 6, 12, 8
+// BenchmarkClusterTickBacklog measures what routing HISTORY costs the
+// cluster clock: the tick time of plain slots and of (async) checkpoint
+// slots on a 2-shard cluster whose every request spans both shards, after
+// 1k, 10k and 100k such requests have been routed and settled. A plain
+// tick schedules the shards' live requests and the manifest is built from
+// the shard snapshots' live requests, so both must cost the handful of
+// live requests whatever the backlog: the benchmark reports the two
+// medians per backlog size and fails unless each stays within 2x from 1k
+// to 100k.
+func BenchmarkClusterTickBacklog(b *testing.B) {
+	const checkpointEvery, cyclesPerOp = 6, 16
 	backlogs := []int{1_000, 10_000, 100_000}
-	sweepNS := make([]float64, len(backlogs))
+	plainNS := make([]float64, len(backlogs))
 	ckptNS := make([]float64, len(backlogs))
 	for bi, backlog := range backlogs {
 		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
@@ -231,7 +226,6 @@ func BenchmarkClusterSweepBacklog(b *testing.B) {
 				Net:             net,
 				Shards:          2,
 				Seed:            17,
-				MigrationEvery:  migrationEvery,
 				CheckpointPath:  filepath.Join(b.TempDir(), "cluster.json"),
 				CheckpointEvery: checkpointEvery,
 				AsyncCheckpoint: true,
@@ -278,32 +272,30 @@ func BenchmarkClusterSweepBacklog(b *testing.B) {
 				b.Fatalf("backlog: %d of %d routed requests span shards", rs.Spanning, rs.Routed)
 			}
 			burst := flood[:8]
-			// Settle the flood and realign to a cycle boundary; the first
-			// sweep after the flood is the one that prunes it.
-			for i := 0; i < 2*cycle || c.Slot()%cycle != 0; i++ {
+			// Settle the flood and realign to a checkpoint boundary.
+			for i := 0; i < 4*checkpointEvery || c.Slot()%checkpointEvery != 0; i++ {
 				slot(burst)
 			}
 
-			var sweep, ckpt []time.Duration
+			var plain, ckpt []time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for k := 0; k < cyclesPerOp*cycle; k++ {
+				for k := 0; k < cyclesPerOp*checkpointEvery; k++ {
 					d := slot(burst)
-					switch s := c.Slot() % cycle; {
-					case s%migrationEvery == 0 && s%checkpointEvery != 0:
-						sweep = append(sweep, d)
-					case s%checkpointEvery == 0 && s%migrationEvery != 0:
+					if c.Slot()%checkpointEvery == 0 {
 						ckpt = append(ckpt, d)
+					} else {
+						plain = append(plain, d)
 					}
 				}
 			}
 			b.StopTimer()
 			c.WaitCheckpoints()
-			slices.Sort(sweep)
+			slices.Sort(plain)
 			slices.Sort(ckpt)
-			sweepNS[bi] = float64(sweep[len(sweep)/2])
+			plainNS[bi] = float64(plain[len(plain)/2])
 			ckptNS[bi] = float64(ckpt[len(ckpt)/2])
-			b.ReportMetric(sweepNS[bi], "sweep-tick-p50-ns")
+			b.ReportMetric(plainNS[bi], "plain-tick-p50-ns")
 			b.ReportMetric(ckptNS[bi], "ckpt-tick-p50-ns")
 		})
 	}
@@ -311,7 +303,7 @@ func BenchmarkClusterSweepBacklog(b *testing.B) {
 	for _, m := range []struct {
 		name string
 		ns   []float64
-	}{{"sweep", sweepNS}, {"checkpoint", ckptNS}} {
+	}{{"plain", plainNS}, {"checkpoint", ckptNS}} {
 		if m.ns[0] > 0 && m.ns[last] > 2*m.ns[0] {
 			b.Fatalf("%s-slot tick grows with routing history: p50 %.0f ns after %d settled spanning requests, %.0f ns after %d",
 				m.name, m.ns[0], backlogs[0], m.ns[last], backlogs[last])

@@ -300,14 +300,9 @@ func runReplay(c *cluster.Cluster, path string, rp replayParams, out io.Writer) 
 
 	t := c.Totals()
 	if ndjson {
-		in, _ := c.MigratedCounts()
-		var migrations uint64
-		for _, n := range in {
-			migrations += n
-		}
-		fmt.Fprintf(out, "replayed %d ndjson slots across %d shards: accepted=%d badlines=%d admitted=%d shed=%d served=%d evicted=%d expired=%d reward=$%.0f migrations=%d over %d slots\n",
+		fmt.Fprintf(out, "replayed %d ndjson slots across %d shards: accepted=%d badlines=%d admitted=%d shed=%d served=%d evicted=%d expired=%d reward=$%.0f over %d slots\n",
 			st.Slots, c.Shards(), st.Accepted, st.BadLines, t.Submitted, t.Shed, t.Served,
-			t.Evicted, t.Expired, t.Reward, migrations, c.Slot())
+			t.Evicted, t.Expired, t.Reward, c.Slot())
 	} else {
 		fmt.Fprintf(out, "replayed %d trace seconds: submitted=%d served=%d evicted=%d expired=%d reward=$%.0f over %d slots\n",
 			seconds, st.Accepted, t.Served, t.Evicted, t.Expired, t.Reward, c.Slot())

@@ -297,14 +297,16 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 		if gr.id == math.MaxUint64 {
 			return nil, fmt.Errorf("request id %d leaves no id to allocate after it", gr.id)
 		}
-		shard, spanCands, err := c.router.route(gr.spec)
+		shard, spanCands, spanning, err := c.router.route(gr.spec, nil)
 		if err != nil {
 			return nil, fmt.Errorf("re-routing request %d: %w", gr.id, err)
 		}
+		if !spanning {
+			spanCands = nil
+		}
 		cr := serve.CheckpointRequest{ExternalID: gr.id, ArrivalSlot: gr.arrival, Spec: gr.spec}
 		if gr.running != nil {
-			// A stream stays where its stations are, and is nobody's
-			// migration candidate.
+			// A stream stays where its stations are.
 			if shard, err = c.streamOwner(gr.running); err != nil {
 				return nil, fmt.Errorf("running stream for request %d: %w", gr.id, err)
 			}
@@ -320,10 +322,8 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 			}
 			cr.Running = true
 			out[shard].Running = append(out[shard].Running, *ls)
-			live = append(live, routed{id: gr.id, shard: shard})
-		} else {
-			live = append(live, routed{id: gr.id, shard: shard, cands: spanCands})
 		}
+		live = append(live, routed{id: gr.id, shard: shard})
 		cr.Spec = c.localSpec(shard, gr.spec, spanCands)
 		out[shard].Requests = append(out[shard].Requests, cr)
 	}
@@ -340,9 +340,8 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 // restore sets a fresh router to a manifest's state: ids continue at next
 // (or past the newest live id, should the manifest's counter be behind),
 // live are the restored requests in ascending id on the shards they were
-// re-partitioned onto, and those with candidates are listed for the sweep.
-// The window opens at the first live id it can cover; what lies between
-// the live ids is unknown.
+// re-partitioned onto. The window opens at the first live id it can cover;
+// what lies between the live ids is unknown.
 func (rt *router) restore(next uint64, live []routed) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -360,11 +359,6 @@ func (rt *router) restore(next uint64, live []routed) {
 	}
 	for _, sc := range live[first:] {
 		rt.shards[sc.id-rt.base] = int32(sc.shard)
-	}
-	for _, sc := range live {
-		if len(sc.cands) > 0 {
-			rt.span = append(rt.span, sc)
-		}
 	}
 }
 

@@ -96,10 +96,10 @@ func TestCheckpointRejected(t *testing.T) {
 		// one must not swap in the default range under the arm statistics.
 		{"learner range at 0", with("cluster.json.shard0.gen1", zeroMin), net8, "threshold range [0, 1200] MHz starts at or below 0"},
 		// Every live request of either generation names only stations both
-		// networks have (no sweep moves one onto stations 4-7), so nothing
+		// networks have (each stays where the router homed it), so nothing
 		// but the guard tells the topologies apart.
 		{"topology 4 to 8", generationFiles(liveGeneration(t, Config{Net: net4}, 4)), net8, "lists 4 stations over its shards, not each of the network's 8"},
-		{"topology 8 to 4", generationFiles(liveGeneration(t, Config{Net: net8, MigrationEvery: -1}, 4)), net4, "lists 8 stations over its shards, not each of the network's 4"},
+		{"topology 8 to 4", generationFiles(liveGeneration(t, Config{Net: net8}, 4)), net4, "lists 8 stations over its shards, not each of the network's 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -32,9 +32,10 @@ type Config struct {
 	// Drift, when non-nil, is the scripted non-stationarity program in
 	// GLOBAL station ids. Outages and same-shard handovers run inside
 	// the owning shard's planner; handovers crossing a partition edge
-	// are applied by the cluster clock through the migration handoff, so
+	// are applied by the cluster clock through the two-phase handoff, so
 	// the decision stream stays identical to a single engine running the
-	// same script (the cluster parity contract extends to drift).
+	// same script (the cluster parity contract extends to drift). They
+	// are the only moves a request makes after the router homed it.
 	Drift *sim.Drift
 	// TickInterval drives the cluster clock: shards always run with
 	// manual ticks, and the cluster advances them in lockstep so slot
@@ -62,14 +63,6 @@ type Config struct {
 	// checkpoint at the same slot boundary, and Stop's final manifest is
 	// always written synchronously.
 	AsyncCheckpoint bool
-	// MigrationEvery is the slot period of the cross-shard migration
-	// sweep (default 4; negative disables migration). MigrationBurst
-	// bounds commits per sweep (default 4) and MigrationHysteresis is
-	// the minimum free-capacity-fraction advantage a target shard must
-	// offer (default 0.10).
-	MigrationEvery      int
-	MigrationBurst      int
-	MigrationHysteresis float64
 	// Per-shard engine bounds, passed through to serve.Config.
 	DoorCapacity int
 	MaxPending   int
@@ -99,9 +92,8 @@ type shardSlotReport struct {
 type epochOp int
 
 const (
-	// epTick runs one slot — fused with the previous slot's deferred
-	// feedback when hasFB — and, when wantFree, refreshes the shard's
-	// free-capacity fraction for the migration sweep.
+	// epTick runs one slot, fused with the previous slot's deferred
+	// feedback when hasFB.
 	epTick epochOp = iota
 	// epSettle delivers pending deferred feedback without advancing the
 	// clock; checkpoints and Stop use it so captured bandit state
@@ -121,7 +113,6 @@ type epochMsg struct {
 	fbSlot   int
 	fbReward float64
 	hasFB    bool
-	wantFree bool
 	wg       *sync.WaitGroup
 }
 
@@ -137,21 +128,20 @@ type shardNode struct {
 	migratedIn  atomic.Uint64
 	migratedOut atomic.Uint64
 	// rehomedIn counts the engine re-submissions the clock made into this
-	// shard for requests already accepted once (migration and handover
-	// handoffs, and their compensations; guarded by the cluster's clock
-	// lock). Each shows up a second time in the engine's submitted counter;
-	// Totals and the checkpoint take it back out.
+	// shard for requests already accepted once (handover handoffs and
+	// their compensations; guarded by the cluster's clock lock). Each shows
+	// up a second time in the engine's submitted counter; Totals and the
+	// checkpoint take it back out.
 	rehomedIn uint64
 
 	// Epoch results. run writes them inside an epoch (on the shard's
 	// worker, or on the clock's goroutine for shard 0) and the clock reads
 	// them only after the epoch's WaitGroup settles, so the barrier is the
 	// only synchronization they need. epochC is nil for shard 0.
-	epochC   chan epochMsg
-	err      error
-	freeFrac float64
-	snap     *serve.Checkpoint
-	snapErr  error
+	epochC  chan epochMsg
+	err     error
+	snap    *serve.Checkpoint
+	snapErr error
 
 	// reports are the slot reports the engine's DecisionObserver appended
 	// inside the tick epoch; the clock takes them after its barrier.
@@ -186,9 +176,6 @@ func (nd *shardNode) run(msg epochMsg) {
 		if nd.err == nil {
 			nd.err = nd.eng.Tick()
 		}
-		if msg.wantFree {
-			nd.freeFrac = nd.computeFreeFrac()
-		}
 	case epSettle:
 		nd.err = nil
 		if msg.hasFB {
@@ -214,27 +201,6 @@ func ignoreStopped(err error) error {
 		return nil
 	}
 	return err
-}
-
-// computeFreeFrac returns the shard's spare-capacity fraction: occupancy
-// from the engine's station gauges against the sub-network's EFFECTIVE
-// capacities, so a shard mid-outage stops attracting migrations instead
-// of advertising its dark stations' nominal MHz. A dead shard, or one
-// with no effective capacity, counts as fully loaded. It runs in the
-// shard's share of a sweep slot's tick epoch, in parallel with the others.
-func (nd *shardNode) computeFreeFrac() float64 {
-	if !nd.eng.Alive() {
-		return 0
-	}
-	var used, cap float64
-	for _, g := range nd.eng.Gauges() {
-		used += g.UsedMHz
-		cap += nd.subnet.Capacity(g.Station)
-	}
-	if cap <= 0 {
-		return 0
-	}
-	return (cap - used) / cap
 }
 
 func (nd *shardNode) observe(slot int, admitted []uint64, reward float64) {
@@ -279,8 +245,8 @@ type Cluster struct {
 	nodes  []*shardNode
 	router *router
 
-	// mu serializes the cluster clock: Tick, Flush, Drain, the migration
-	// sweep, and checkpoint extraction. Submit/Status take only the
+	// mu serializes the cluster clock: Tick, Flush, Drain, cross-partition
+	// handovers, and checkpoint extraction. Submit/Status take only the
 	// router's lock and the owning engine's.
 	mu          sync.Mutex
 	slot        int
@@ -308,12 +274,9 @@ type Cluster struct {
 	// tickAdmitted is tickLocked's reusable list of the slot's admitted
 	// ids (mu-guarded), grown once and recycled every slot.
 	tickAdmitted []uint64
-	// sweepWork and sweepSettled are sweepLocked's reusable worklist
-	// snapshot and prune list (mu-guarded).
-	sweepWork    []routed
-	sweepSettled []uint64
-	// submitScratch pools SubmitBatch's routing scratch (route table,
-	// per-shard spec slices, zip cursors) across concurrent batches.
+	// submitScratch pools the routing scratch of Submit and SubmitBatch
+	// (candidate list, route table, per-shard spec slices, zip cursors)
+	// across concurrent calls.
 	submitScratch sync.Pool
 
 	// ckw serializes every checkpoint's disk half (non-nil when
@@ -335,7 +298,7 @@ type Cluster struct {
 	drainFlag    atomic.Bool
 	checkpoints  atomic.Uint64
 
-	// journal is a ring of the last journalCap migration entries; journalN
+	// journal is a ring of the last journalCap handoff entries; journalN
 	// counts every entry ever appended (both migMu-guarded).
 	migMu    sync.Mutex
 	journal  [journalCap]Migration
@@ -362,15 +325,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 50
-	}
-	if cfg.MigrationEvery == 0 {
-		cfg.MigrationEvery = 4
-	}
-	if cfg.MigrationBurst <= 0 {
-		cfg.MigrationBurst = 4
-	}
-	if cfg.MigrationHysteresis == 0 {
-		cfg.MigrationHysteresis = 0.10
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -563,11 +517,8 @@ func (c *Cluster) tickLocked() error {
 		c.applyCrossHandoversLocked()
 	}
 	// One barrier runs the slot on every shard, fused with the
-	// previous slot's deferred feedback and — on sweep slots — the
-	// free-capacity refresh the migration pricing needs. A single shard
-	// has no migration target, so it never sweeps.
-	wantFree := len(c.nodes) > 1 && c.cfg.MigrationEvery > 0 && (c.slot+1)%c.cfg.MigrationEvery == 0
-	c.epoch(epochMsg{op: epTick, fbSlot: c.fbSlot, fbReward: c.fbReward, hasFB: c.fbValid, wantFree: wantFree})
+	// previous slot's deferred feedback.
+	c.epoch(epochMsg{op: epTick, fbSlot: c.fbSlot, fbReward: c.fbReward, hasFB: c.fbValid})
 	c.fbValid = false
 	c.markDoneLocked()
 	alive := 0
@@ -600,9 +551,6 @@ func (c *Cluster) tickLocked() error {
 	if c.cfg.SlotObserver != nil {
 		slices.Sort(admitted)
 		c.cfg.SlotObserver(t, admitted, total)
-	}
-	if wantFree {
-		c.sweepLocked()
 	}
 	if c.cfg.CheckpointPath != "" && c.slot%c.cfg.CheckpointEvery == 0 {
 		if err := c.checkpointLocked(!c.cfg.AsyncCheckpoint); err != nil {
@@ -637,10 +585,10 @@ func (c *Cluster) settleFeedbackLocked() error {
 // When the shard does not own the access station, the nearest owned
 // candidate station stands in (deterministic; the delay from the true
 // access station to it is lost, and a later checkpoint records the
-// stand-in as the access station). At intake, and for a request restored
-// pending, that happens only when the access station's owner owns no
-// candidate, since the router homes a request there whenever it does; on
-// a migration it happens for every move off the access station's owner.
+// stand-in as the access station). For a spanning request that happens
+// only when the access station's owner owns no candidate, since the router
+// homes it there whenever it does; a handoff always names a station its
+// shard owns.
 func (c *Cluster) localSpec(shard int, spec serve.RequestSpec, spanCands []int) serve.RequestSpec {
 	nd := c.nodes[shard]
 	if l, ok := nd.localOf[spec.AccessStation]; ok {
@@ -665,35 +613,57 @@ func (c *Cluster) localSpec(shard int, spec serve.RequestSpec, spanCands []int) 
 	return spec
 }
 
+// place routes spec and returns its home shard and the spec in that
+// shard's local station ids. The candidate list is built in sc.cands, and
+// localSpec reads it there, so routing copies nothing.
+func (c *Cluster) place(sc *batchScratch, spec serve.RequestSpec) (int, serve.RequestSpec, error) {
+	shard, cands, spanning, err := c.router.route(spec, sc.cands[:0])
+	if err != nil {
+		return 0, spec, err
+	}
+	sc.cands = cands
+	if !spanning {
+		cands = nil
+	}
+	return shard, c.localSpec(shard, spec, cands), nil
+}
+
+// scratch takes a routing scratch from the pool; callers put it back.
+func (c *Cluster) scratch() *batchScratch {
+	if sc, ok := c.submitScratch.Get().(*batchScratch); ok {
+		return sc
+	}
+	return &batchScratch{}
+}
+
 // Submit routes one request to its owning shard and returns its id and
 // the shard's current slot.
 func (c *Cluster) Submit(spec serve.RequestSpec) (uint64, int, error) {
-	shard, spanCands, err := c.router.route(spec)
+	sc := c.scratch()
+	defer c.submitScratch.Put(sc)
+	shard, local, err := c.place(sc, spec)
 	if err != nil {
 		return 0, 0, err
 	}
-	req := []routed{{shard: shard, cands: spanCands}}
+	req := []routed{{shard: shard}}
 	c.router.reserve(req)
-	slot, err := c.nodes[shard].eng.SubmitAs(req[0].id, c.localSpec(shard, spec, spanCands))
+	slot, err := c.nodes[shard].eng.SubmitAs(req[0].id, local)
 	if err != nil {
 		return 0, 0, err
-	}
-	if spanCands != nil {
-		c.router.list(req)
 	}
 	return req[0].id, slot, nil
 }
 
-// batchScratch is SubmitBatch's pooled routing scratch. The engines copy
-// every spec they keep, and read their ids, before replying, so the
-// per-shard slices are free for reuse as soon as the call returns.
+// batchScratch is the pooled routing scratch. The engines copy every spec
+// they keep, and read their ids, before replying, so the per-shard slices
+// are free for reuse as soon as the call returns.
 type batchScratch struct {
+	cands    []int // the candidate list of the spec being routed
 	routes   []routed
 	perShard [][]serve.RequestSpec
 	ids      [][]uint64
 	shed     []int
 	shardErr []error
-	listed   []routed // the accepted spanning requests among routes
 }
 
 // reset sizes the scratch for one batch over `shards` shards.
@@ -730,20 +700,17 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 	if len(specs) == 0 {
 		return serve.BatchResult{}, nil
 	}
-	sc, _ := c.submitScratch.Get().(*batchScratch)
-	if sc == nil {
-		sc = &batchScratch{}
-	}
+	sc := c.scratch()
 	defer c.submitScratch.Put(sc)
 	sc.reset(len(specs), len(c.nodes))
 	routes, perShard := sc.routes, sc.perShard
 	for i, spec := range specs {
-		shard, spanCands, err := c.router.route(spec)
+		shard, local, err := c.place(sc, spec)
 		if err != nil {
 			return serve.BatchResult{}, err
 		}
-		routes[i] = routed{shard: shard, cands: spanCands}
-		perShard[shard] = append(perShard[shard], c.localSpec(shard, spec, spanCands))
+		routes[i] = routed{shard: shard}
+		perShard[shard] = append(perShard[shard], local)
 	}
 	c.router.reserve(routes)
 	for _, r := range routes {
@@ -767,16 +734,10 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 			continue
 		}
 		out.IDs = append(out.IDs, r.id)
-		if r.cands != nil {
-			sc.listed = append(sc.listed, r)
-		}
 	}
 	if len(out.IDs) == 0 {
 		return serve.BatchResult{}, firstErr
 	}
-	c.router.list(sc.listed)
-	clear(sc.listed) // the worklist owns the candidate lists now
-	sc.listed = sc.listed[:0]
 	for k, shed := range sc.shed {
 		if shardErr[k] == nil {
 			out.Shed += shed
@@ -802,8 +763,8 @@ func (c *Cluster) Flush() error {
 	return nil
 }
 
-// Status resolves an id to its current record; migrated requests resolve
-// at their new owner.
+// Status resolves an id to its current record; a handed-off request
+// resolves at its new owner.
 func (c *Cluster) Status(id uint64) (serve.RequestRecord, bool, error) {
 	shard, ok := c.router.lookup(id)
 	if !ok {
@@ -821,8 +782,8 @@ func (c *Cluster) ValidateSpec(spec serve.RequestSpec) error {
 // Drain closes intake on every shard; the cluster keeps ticking (via
 // its internal clock or the caller's) until every shard has decided its
 // pending requests and released its streams. It takes the clock lock so
-// no migration or handover is between its extract and its re-submit when
-// the shards start refusing; from here on the clock starts neither.
+// no handover is between its extract and its re-submit when the shards
+// start refusing; from here on the clock starts none.
 func (c *Cluster) Drain() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -936,7 +897,7 @@ func (c *Cluster) Slot() int {
 	return c.slot
 }
 
-// Partition returns the per-shard global station sets.
+// PartitionTable returns the per-shard global station sets.
 func (c *Cluster) PartitionTable() [][]int {
 	out := make([][]int, len(c.parts))
 	for k, p := range c.parts {

@@ -11,7 +11,7 @@ import (
 // and run inside that shard's planner, exactly as they would in a single
 // engine. Handovers whose From and To stations live in different shards
 // cannot be expressed by any one planner — those return separately,
-// sorted by slot, for the cluster clock to apply through the migration
+// sorted by slot, for the cluster clock to apply through the two-phase
 // handoff (applyCrossHandoversLocked).
 func splitDrift(d *sim.Drift, owner []int, nodes []*shardNode) (perShard []*sim.Drift, cross []sim.Handover) {
 	perShard = make([]*sim.Drift, len(nodes))
@@ -46,14 +46,13 @@ func splitDrift(d *sim.Drift, owner []int, nodes []*shardNode) (perShard []*sim.
 
 // applyCrossHandoversLocked fires every cross-partition handover due at
 // the current slot, before the shards tick: each pending request at the
-// From station goes through handoff to the To station's shard — the move
-// migration uses, so the request keeps its id and no budget is gained or
-// lost. A single engine re-points such requests in place with their
-// arrival clock intact; shrinking the deadline by the elapsed wait leaves
-// the re-homed request the identical remaining budget, which is what keeps
-// decision dumps parity-comparable across shard counts
-// (TestClusterHandoverAcrossPartition pins this). A handed-over request
-// stops being a migration candidate.
+// From station goes through handoff to the To station's shard, so the
+// request keeps its id and no budget is gained or lost. A single engine
+// re-points such requests in place with their arrival clock intact;
+// shrinking the deadline by the elapsed wait leaves the re-homed request
+// the identical remaining budget, which is what keeps decision dumps
+// parity-comparable across shard counts (TestClusterHandoverAcrossPartition
+// pins this). Every attempt lands in the handoff journal (Migrations).
 //
 // A handover that falls due on a draining cluster is dropped and its
 // requests stay at the From station: the To shard's intake is closed, and
@@ -91,7 +90,7 @@ func (c *Cluster) applyCrossHandoversLocked() {
 		// fails phase one and stays where it is.
 		for _, cr := range snap.Requests {
 			if !cr.Running && cr.Spec.AccessStation == fromLocal {
-				c.handoff(cr.ExternalID, src.idx, dst.idx, h.To, nil, false)
+				c.handoff(cr.ExternalID, src.idx, dst.idx, h.To)
 			}
 		}
 	}

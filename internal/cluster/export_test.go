@@ -9,10 +9,12 @@ func (c *Cluster) ShardOf(id uint64) (int, bool) { return c.router.lookup(id) }
 // candidates span shards, and the global station the home shard's engine
 // takes as its access station.
 func (c *Cluster) Home(spec serve.RequestSpec) (shard int, spanning bool, access int, err error) {
-	shard, cands, err := c.router.route(spec)
+	sc := c.scratch()
+	defer c.submitScratch.Put(sc)
+	shard, local, err := c.place(sc, spec)
 	if err != nil {
 		return 0, false, 0, err
 	}
-	local := c.localSpec(shard, spec, cands)
-	return shard, cands != nil, c.nodes[shard].stations[local.AccessStation], nil
+	_, _, spanning, _ = c.router.route(spec, nil)
+	return shard, spanning, c.nodes[shard].stations[local.AccessStation], nil
 }

@@ -176,7 +176,7 @@ func bodyTooLarge(err error) bool {
 // families (shard count, clock, routing, checkpoints) carry no shard
 // label; everything an engine measures is rendered once per shard under
 // shard="k", so an operator sees per-shard slot latency, queue depth,
-// component replays and solves, and migration flow at any shard count.
+// component replays and solves, and handoff flow at any shard count.
 // Station gauges are labeled with GLOBAL station ids.
 func (c *Cluster) WriteProm(w io.Writer) error {
 	var err error

@@ -16,7 +16,7 @@ import (
 // every batch, the shedding policy actually fires, and once flushed every
 // accepted request is admitted, shed or rejected exactly once (Totals
 // counts a request the clock re-homed once). At two shards requests span
-// both and the migration sweep runs beside the intake.
+// both.
 func TestSaturatedIngestConserves(t *testing.T) {
 	const (
 		stations, door, maxPending = 4, 1024, 512

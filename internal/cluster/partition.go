@@ -6,10 +6,10 @@
 // The partition follows connected components of the backhaul graph (the
 // same components the LP decomposition splits along), shards tick in
 // lockstep under one cluster clock with globally aggregated bandit
-// feedback, pending requests migrate across partition edges through a
-// two-phase handoff, and per-shard checkpoints compose into one
-// recoverable cluster manifest. The correctness contract is decision
-// parity: on a trace whose candidate components respect the partition,
+// feedback, a request stays on the shard it was homed on unless a
+// cross-partition drift handover moves it through a two-phase handoff,
+// and per-shard checkpoints compose into one recoverable cluster
+// manifest. The correctness contract is decision parity: on a trace whose candidate components respect the partition,
 // a 1-shard and an N-shard cluster make identical schedules
 // (oracle.DiffCluster).
 package cluster
@@ -33,8 +33,8 @@ import (
 // capacity-balanced. With fewer components than shards, stations split
 // into contiguous index chunks instead — correctness never depends on
 // the partition (a request whose candidates span chunks homes on its
-// access station's shard when that owns a candidate, and the migration
-// sweep may move it on), only parity and reward do: each shard schedules
+// access station's shard when that owns a candidate, and stays there),
+// only parity and reward do: each shard schedules
 // over the induced subgraph of its own stations, so backhaul paths
 // through another chunk are lost.
 func Partition(net *mec.Network, n int) ([][]int, error) {

@@ -21,8 +21,7 @@ const unknownShard = -1
 // router owns the id space and routing. Routing is pure (partition +
 // candidate rule). The router hands out every request's id, which the
 // engines then use as their own, so all it has to remember of a request is
-// which shard holds it now — for status lookups — and, while a spanning
-// request may still be pending, what the migration sweep needs to move it.
+// which shard holds it now, for status lookups.
 type router struct {
 	net    *mec.Network
 	owner  []int // global station -> shard
@@ -37,24 +36,11 @@ type router struct {
 	// unaffected: its engine still holds, schedules and checkpoints it.
 	base   uint64
 	shards []int32
-	// span is the migration sweep's worklist: the spanning requests that
-	// may still be pending, ascending by id, each with its current shard and
-	// its own candidate list. The sweep prunes an entry the first time it
-	// finds the request can never be pending again, which is also what
-	// frees the candidates, so the list tracks live requests, not routing
-	// history. It is independent of the window.
-	span []routed
 
 	// Routing counters (read via RouterStats).
 	fastPath    atomic.Uint64
 	spanning    atomic.Uint64
 	noCandidate atomic.Uint64
-
-	// candBufs pools candidate-list scratch across concurrent route
-	// calls: the list is computed, inspected, and (unless it spans
-	// shards, the rare case that copies) discarded, so the fast path
-	// never touches the allocator.
-	candBufs sync.Pool
 }
 
 func newRouter(net *mec.Network, owner []int, window int) *router {
@@ -67,22 +53,17 @@ func newRouter(net *mec.Network, owner []int, window int) *router {
 // smallest candidate station (the deterministic home-shard rule); or the
 // access station's owner when partitioning leaves no candidate at all
 // (the request will expire there, exactly as it would in a single
-// engine). The returned candidate list is in global station ids, nil
-// unless it spans shards.
-func (rt *router) route(spec serve.RequestSpec) (shard int, spanCands []int, err error) {
-	bufp, _ := rt.candBufs.Get().(*[]int)
-	if bufp == nil {
-		bufp = new([]int)
-	}
-	cands, err := serve.SpecCandidates(rt.net, spec, (*bufp)[:0])
-	*bufp = cands[:0:cap(cands)]
-	defer rt.candBufs.Put(bufp)
+// engine). The candidate list, in global station ids, is built in buf's
+// storage and returned with it, so a caller that recycles it routes
+// without allocating.
+func (rt *router) route(spec serve.RequestSpec, buf []int) (shard int, cands []int, spanning bool, err error) {
+	cands, err = serve.SpecCandidates(rt.net, spec, buf)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, false, err
 	}
 	if len(cands) == 0 {
 		rt.noCandidate.Add(1)
-		return rt.owner[spec.AccessStation], nil, nil
+		return rt.owner[spec.AccessStation], cands, false, nil
 	}
 	home := rt.owner[cands[0]]
 	for _, i := range cands[1:] {
@@ -94,21 +75,18 @@ func (rt *router) route(spec serve.RequestSpec) (shard int, spanCands []int, err
 			if slices.ContainsFunc(cands, func(st int) bool { return rt.owner[st] == access }) {
 				home = access
 			}
-			// The sweep's worklist keeps a spanning request's candidates;
-			// copy them out of the pooled scratch.
-			return home, append([]int(nil), cands...), nil
+			return home, cands, true, nil
 		}
 	}
 	rt.fastPath.Add(1)
-	return home, nil, nil
+	return home, cands, false, nil
 }
 
-// routed is one request as the router knows it: its id, the shard holding
-// it now, and — for a spanning request — its global candidate stations.
+// routed is one request as the router knows it: its id and the shard
+// holding it now.
 type routed struct {
 	id    uint64
 	shard int
-	cands []int
 }
 
 // reserve numbers reqs with the next ids, in slice order under one lock
@@ -132,34 +110,12 @@ func (rt *router) reserve(reqs []routed) {
 
 func (sc routed) compareID(id uint64) int { return cmp.Compare(sc.id, id) }
 
-// list puts spanning requests their engines accepted on the sweep's
-// worklist. entries are one Submit's, ascending; they go in behind every
-// id reserved earlier, which is the end of the list unless a concurrent
-// Submit that reserved later has listed first.
-func (rt *router) list(entries []routed) {
-	if len(entries) == 0 {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	i, _ := slices.BinarySearchFunc(rt.span, entries[0].id, routed.compareID)
-	rt.span = slices.Insert(rt.span, i, entries...)
-}
-
-// move records that request id now sits on shard, and whether it remains a
-// migration candidate: if not, it leaves the sweep's worklist.
-func (rt *router) move(id uint64, shard int, listed bool) {
+// move records that request id now sits on shard.
+func (rt *router) move(id uint64, shard int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if id >= rt.base && id-rt.base < uint64(len(rt.shards)) {
 		rt.shards[id-rt.base] = int32(shard)
-	}
-	if i, found := slices.BinarySearchFunc(rt.span, id, routed.compareID); found {
-		if listed {
-			rt.span[i].shard = shard
-		} else {
-			rt.span = slices.Delete(rt.span, i, i+1)
-		}
 	}
 }
 
@@ -172,37 +128,6 @@ func (rt *router) lookup(id uint64) (shard int, ok bool) {
 	}
 	shard = int(rt.shards[id-rt.base])
 	return shard, shard != unknownShard
-}
-
-// spanningRequests appends the sweep's worklist to dst, in ascending id
-// order. The cost is the length of the worklist, whatever was routed
-// before.
-func (rt *router) spanningRequests(dst []routed) []routed {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return append(dst, rt.span...)
-}
-
-// pruneSpanning drops the given ids (ascending, as the sweep met them)
-// from the worklist. Ids listed since the sweep's snapshot stay.
-func (rt *router) pruneSpanning(done []uint64) {
-	if len(done) == 0 {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	keep := rt.span[:0]
-	for _, sc := range rt.span {
-		for len(done) > 0 && done[0] < sc.id {
-			done = done[1:]
-		}
-		if len(done) > 0 && done[0] == sc.id {
-			continue
-		}
-		keep = append(keep, sc)
-	}
-	clear(rt.span[len(keep):]) // let go of the pruned candidate lists
-	rt.span = keep
 }
 
 // RouterStats is the routing counter snapshot exposed on /metrics.

@@ -1,9 +1,9 @@
 package cluster_test
 
 // Router edge cases: requests whose candidate set vanishes after
-// partitioning, the all-candidates-on-one-shard fast path, and the
-// migration sweep racing concurrent submissions and capacity changes
-// (exercised under -race in CI's race job).
+// partitioning, the all-candidates-on-one-shard fast path, and
+// cross-partition handoffs racing concurrent submissions, status polls and
+// a drain (exercised under -race in CI's race job).
 
 import (
 	"errors"
@@ -20,13 +20,14 @@ import (
 	"mecoffload/internal/mec"
 	"mecoffload/internal/rnd"
 	"mecoffload/internal/serve"
+	"mecoffload/internal/sim"
 	"mecoffload/internal/topology"
 )
 
 // bridgedNetwork is islandNetwork plus one backhaul edge between
 // consecutive islands, collapsing everything into a single component:
 // candidate sets span the per-island partition, which is what the
-// spanning home-shard rule and the migration sweep exist for.
+// spanning home-shard rule exists for.
 func bridgedNetwork(t testing.TB, islands, per int) *mec.Network {
 	t.Helper()
 	n := islands * per
@@ -317,20 +318,29 @@ func tickUntilSettled(c *cluster.Cluster, id uint64, max int) error {
 }
 
 // TestMigrationRace floods a bridged 2-shard cluster from concurrent
-// submitters while the clock ticks and the migration sweep runs every
-// slot: proposals race admission-driven capacity changes and status
-// polls. The invariant is that no accepted request is ever lost — every
-// global id resolves to a terminal record after the drain. Run under
-// -race in CI.
+// submitters and status pollers while the clock ticks through a drift
+// script whose cross-partition handovers move station 1's pending requests
+// to station 5 and back every other slot: each handoff's extract and
+// re-submit races intake, admission and lookups. The invariant is that no
+// accepted request is ever lost — every global id resolves to a terminal
+// record after the drain. Run under -race in CI.
 func TestMigrationRace(t *testing.T) {
 	net := bridgedNetwork(t, 2, 4)
 	cfg := parityConfig(net, 2)
-	cfg.MigrationEvery = 1
-	cfg.MigrationBurst = 8
-	cfg.MigrationHysteresis = 0.01
+	cfg.Drift = &sim.Drift{}
+	for slot := 0; slot < 400; slot += 2 {
+		h := sim.Handover{Slot: slot, From: 1, To: 5}
+		if slot%4 == 2 {
+			h.From, h.To = 5, 1
+		}
+		cfg.Drift.Handovers = append(cfg.Drift.Handovers, h)
+	}
 	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if parts := c.PartitionTable(); !slices.Contains(parts[0], 1) || !slices.Contains(parts[1], 5) {
+		t.Fatalf("partition %v: stations 1 and 5 must sit on different shards", parts)
 	}
 	c.Start()
 
@@ -345,9 +355,11 @@ func TestMigrationRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
+				// 800 MHz streams for 6 slots: a shard runs 16 at once, so
+				// requests queue and are pending when a handover falls due.
 				id, _, err := c.Submit(serve.RequestSpec{
 					AccessStation: (w*3 + i) % net.NumStations(),
-					DurationSlots: 1,
+					DurationSlots: 6,
 					DeadlineMS:    2000,
 					Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: float64(100 + i)}},
 				})
@@ -369,7 +381,7 @@ func TestMigrationRace(t *testing.T) {
 			}
 		}
 	}()
-	// Status poller races lookups against the sweep's rebinds.
+	// Status poller races lookups against the handoffs' rebinds.
 	pollDone := make(chan struct{})
 	go func() {
 		defer close(pollDone)
@@ -392,6 +404,16 @@ func TestMigrationRace(t *testing.T) {
 	wg.Wait()
 	close(stopPoll)
 	<-pollDone
+	// Whichever side of the race won, the queue is still there: a few more
+	// handover slots must move some of it.
+	for i := 0; i < 8; i++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in, _ := c.MigratedCounts(); in[0]+in[1] == 0 {
+		t.Fatalf("no handoff committed: %+v", c.Migrations())
+	}
 
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
@@ -424,89 +446,92 @@ func TestMigrationRace(t *testing.T) {
 	<-c.Done()
 }
 
-// TestDrainKeepsRequestsMidHandoff: a sweep slot that falls after Drain
-// finds shard 0 saturated with pending spanning requests that arrived at
-// its stations, and shard 1
-// alive with capacity to spare — a free-capacity gap far above the
-// hysteresis — and must move nothing: every shard's intake is closed, so
-// a request extracted for the handoff could be re-submitted nowhere,
-// neither at the target nor back at the source. Every accepted request
-// still ends admitted, expired or shed.
+// TestDrainKeepsRequestsMidHandoff: a cross-partition handover that falls
+// due after Drain finds shard 0 saturated with pending requests at its From
+// station and shard 1 alive with capacity to spare, and must move nothing
+// and journal nothing: every shard's intake is closed, so a request
+// extracted for the handoff could be re-submitted nowhere, neither at the
+// target nor back at the source. Every accepted request still ends
+// admitted, expired or shed. The same script without the drain hands
+// requests over, so the drained run is not vacuous.
 func TestDrainKeepsRequestsMidHandoff(t *testing.T) {
-	net := bridgedNetwork(t, 2, 4)
-	cfg := parityConfig(net, 2)
-	cfg.MigrationEvery = 2
-	cfg.MigrationBurst = 8
-	cfg.MigrationHysteresis = 0.01
-	var logMu sync.Mutex
-	var logged []string
-	cfg.Logf = func(format string, a ...any) {
-		logMu.Lock()
-		logged = append(logged, fmt.Sprintf(format, a...))
-		logMu.Unlock()
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer func() { _ = c.Stop() }()
+	for _, drain := range []bool{false, true} {
+		t.Run(fmt.Sprintf("drain=%v", drain), func(t *testing.T) {
+			net := bridgedNetwork(t, 2, 4)
+			cfg := parityConfig(net, 2)
+			cfg.Drift = &sim.Drift{Handovers: []sim.Handover{{Slot: 3, From: 1, To: 5}}}
+			var logMu sync.Mutex
+			var logged []string
+			cfg.Logf = func(format string, a ...any) {
+				logMu.Lock()
+				logged = append(logged, fmt.Sprintf(format, a...))
+				logMu.Unlock()
+			}
+			c, err := cluster.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			defer func() { _ = c.Stop() }()
 
-	// 40 requests of 800 MHz each, all arriving at shard 0's stations 0-3
-	// and so homed there, their access station's owner, though their
-	// candidates reach shard 1 too: shard 0's four 3200 MHz stations run
-	// at most 16 at once, for longer than the test ticks before the drain,
-	// while shard 1 starts idle.
-	const accepted = 40
-	shard0 := c.PartitionTable()[0]
-	for i := 0; i < accepted; i++ {
-		if _, _, err := c.Submit(serve.RequestSpec{
-			AccessStation: shard0[i%len(shard0)],
-			DurationSlots: 6,
-			DeadlineMS:    2000,
-			Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: float64(100 + i)}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rs := c.RouterStats(); rs.Spanning != accepted {
-		t.Fatalf("%d of %d requests span the partition; the sweep needs all of them listed", rs.Spanning, accepted)
-	}
-	// Slot 1 sweeps a burst over to shard 1 and slot 2 starts it there, so
-	// shard 1 outlives the drain as a target and shard 0 still queues.
-	for slot := 0; slot < 3; slot++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := c.Migrations()
-	if in, _ := c.MigratedCounts(); in[1] == 0 {
-		t.Fatalf("no request migrated to shard 1 before the drain: %+v", before)
-	}
-	if err := c.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	for slot := 3; c.Alive(); slot++ { // slot 3 sweeps
-		if err := c.Tick(); err != nil && !errors.Is(err, serve.ErrStopped) {
-			t.Fatal(err)
-		}
-		if slot > 200 {
-			t.Fatal("drain did not settle in 200 slots")
-		}
-	}
-	if after := c.Migrations(); len(after) != len(before) {
-		t.Errorf("a draining cluster proposed migrations: %+v", after[len(before):])
-	}
-	tot := c.Totals()
-	if got := tot.Admitted + tot.Expired + tot.Shed; got != accepted || tot.Submitted != accepted {
-		t.Errorf("accepted %d, but admitted %d + expired %d + shed %d = %d (submitted %d)",
-			accepted, tot.Admitted, tot.Expired, tot.Shed, got, tot.Submitted)
-	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	for _, line := range logged {
-		if strings.Contains(line, "lost") {
-			t.Errorf("logged: %s", line)
-		}
+			// 40 requests of 800 MHz each, all arriving at station 1 and so
+			// homed on its shard 0: shard 0's four 3200 MHz stations run at
+			// most 16 at once, for longer than the test ticks before the
+			// handover, while shard 1 stays idle.
+			const accepted = 40
+			for i := 0; i < accepted; i++ {
+				if _, _, err := c.Submit(serve.RequestSpec{
+					AccessStation: 1,
+					DurationSlots: 6,
+					DeadlineMS:    2000,
+					Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: float64(100 + i)}},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for slot := 0; slot < 3; slot++ {
+				if err := c.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if drain {
+				if err := c.Drain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for slot := 3; c.Alive(); slot++ { // slot 3's handover falls due
+				if err := c.Tick(); err != nil && !errors.Is(err, serve.ErrStopped) {
+					t.Fatal(err)
+				}
+				if slot == 3 && !drain {
+					if err := c.Drain(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if slot > 200 {
+					t.Fatal("drain did not settle in 200 slots")
+				}
+			}
+			journal := c.Migrations()
+			in, out := c.MigratedCounts()
+			switch {
+			case drain && (len(journal) != 0 || in[1] != 0 || out[0] != 0):
+				t.Errorf("a draining cluster handed requests off: %d in, %d out, journal %+v", in[1], out[0], journal)
+			case !drain && (in[1] == 0 || in[1] != out[0] || len(journal) == 0):
+				t.Errorf("the handover moved %d in, %d out, journal %+v: want a committed handoff to shard 1", in[1], out[0], journal)
+			}
+			tot := c.Totals()
+			if got := tot.Admitted + tot.Expired + tot.Shed; got != accepted || tot.Submitted != accepted {
+				t.Errorf("accepted %d, but admitted %d + expired %d + shed %d = %d (submitted %d)",
+					accepted, tot.Admitted, tot.Expired, tot.Shed, got, tot.Submitted)
+			}
+			logMu.Lock()
+			defer logMu.Unlock()
+			for _, line := range logged {
+				if strings.Contains(line, "lost") {
+					t.Errorf("logged: %s", line)
+				}
+			}
+		})
 	}
 }

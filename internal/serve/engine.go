@@ -38,7 +38,7 @@ var (
 	ErrBadSpec  = errors.New("serve: invalid request spec")
 	// ErrNotPending reports that Extract found no undecided request with
 	// the given id: it already scheduled, departed, expired, shed, or
-	// never existed. Migration treats it as a benign abort.
+	// never existed. The cluster's handoff treats it as a benign abort.
 	ErrNotPending = errors.New("serve: request is not pending")
 )
 
@@ -403,9 +403,9 @@ func (e *Engine) Snapshot() (*Checkpoint, error) {
 
 // Extract removes a pending (undecided) request from the engine and
 // returns its spec and arrival slot — the prepare half of the cluster's
-// two-phase migration handoff. It fails with ErrNotPending when the
-// request already scheduled, terminated, or is unknown, which makes a
-// stale migration proposal a benign abort rather than a double-admit.
+// two-phase handoff. It fails with ErrNotPending when the request
+// already scheduled, terminated, or is unknown, which makes a handoff of a
+// request that settled first a benign abort rather than a double-admit.
 func (e *Engine) Extract(id uint64) (RequestSpec, int, error) {
 	if err := e.lock(); err != nil {
 		return RequestSpec{}, 0, err
