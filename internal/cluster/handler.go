@@ -7,9 +7,29 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"mecoffload/internal/serve"
 )
+
+// batchBuf is one batch POST's decoded lines and validated specs, reused
+// from POST to POST. SubmitBatch copies every spec into its request's row,
+// so nothing outlives the handler that holds the buffer.
+type batchBuf struct {
+	lines []serve.BatchLine
+	specs []serve.RequestSpec
+}
+
+var batchBufs = sync.Pool{New: func() any { return new(batchBuf) }}
+
+// release clears the buffer, so the pool pins no spec's tasks or
+// outcomes, and puts it back.
+func (b *batchBuf) release() {
+	clear(b.lines)
+	clear(b.specs)
+	b.lines, b.specs = b.lines[:0], b.specs[:0]
+	batchBufs.Put(b)
+}
 
 // Handler builds the daemon's HTTP API — the only one: a single engine
 // is served as a 1-shard cluster, and clients cannot tell one shard from
@@ -82,7 +102,10 @@ func Handler(c *Cluster) http.Handler {
 		// Batches beyond 32 MiB fail with 413 rather than buffering
 		// without limit.
 		body := http.MaxBytesReader(w, r.Body, 32<<20)
-		lines, lineErrs, err := serve.DecodeBatch(body, 0, 0)
+		buf := batchBufs.Get().(*batchBuf)
+		defer buf.release()
+		lines, lineErrs, err := serve.AppendBatch(buf.lines[:0], body, 0, 0)
+		buf.lines = lines
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, serve.ErrBatchTooLarge) || bodyTooLarge(err) {
@@ -93,7 +116,7 @@ func Handler(c *Cluster) http.Handler {
 		}
 		// Validate up front so malformed specs come back as line errors
 		// instead of asynchronous sheds.
-		specs := make([]serve.RequestSpec, 0, len(lines))
+		specs := buf.specs[:0]
 		for _, ln := range lines {
 			if verr := c.ValidateSpec(ln.Spec); verr != nil {
 				lineErrs = append(lineErrs, serve.LineError{Line: ln.Line, Error: verr.Error()})
@@ -101,6 +124,7 @@ func Handler(c *Cluster) http.Handler {
 			}
 			specs = append(specs, ln.Spec)
 		}
+		buf.specs = specs
 		if len(specs) == 0 && len(lineErrs) == 0 {
 			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
 			return

@@ -31,6 +31,10 @@ func ReplayNDJSON(c *Cluster, src io.Reader, lineErr func(line int, msg string))
 		group    strings.Builder
 		baseLine = 1
 		lineNo   = 0
+		// lines and specs are every group's storage in turn: SubmitBatch
+		// copies each spec into its request's row.
+		lines []serve.BatchLine
+		specs []serve.RequestSpec
 	)
 	flushGroup := func() error {
 		defer func() {
@@ -38,11 +42,12 @@ func ReplayNDJSON(c *Cluster, src io.Reader, lineErr func(line int, msg string))
 			baseLine = lineNo + 1
 		}()
 		if group.Len() > 0 {
-			lines, lineErrs, err := serve.DecodeBatch(strings.NewReader(group.String()), 0, 0)
+			decoded, lineErrs, err := serve.AppendBatch(lines[:0], strings.NewReader(group.String()), 0, 0)
+			lines = decoded
 			if err != nil {
 				return fmt.Errorf("cluster replay: slot %d: %w", st.Slots, err)
 			}
-			specs := make([]serve.RequestSpec, 0, len(lines))
+			specs = specs[:0]
 			for _, ln := range lines {
 				if verr := c.ValidateSpec(ln.Spec); verr != nil {
 					lineErrs = append(lineErrs, serve.LineError{Line: ln.Line, Error: verr.Error()})

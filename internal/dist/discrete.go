@@ -87,8 +87,9 @@ func (m *Mass) Check() error {
 }
 
 // NewRateReward validates and constructs a distribution. The outcomes are
-// copied, sorted by rate, and duplicate rates are merged (probabilities
-// added, rewards probability-weighted).
+// copied once, sorted by rate (a list already strictly increasing in rate
+// is left as it is), and duplicate rates are merged (probabilities added,
+// rewards probability-weighted).
 func NewRateReward(outcomes []Outcome) (*RateReward, error) {
 	var mass Mass
 	for _, o := range outcomes {
@@ -101,7 +102,9 @@ func NewRateReward(outcomes []Outcome) (*RateReward, error) {
 	}
 	os := make([]Outcome, len(outcomes))
 	copy(os, outcomes)
-	sort.Slice(os, func(i, j int) bool { return os[i].Rate < os[j].Rate })
+	if !strictlyIncreasing(os) {
+		sort.Slice(os, func(i, j int) bool { return os[i].Rate < os[j].Rate })
+	}
 
 	merged := os[:0]
 	for _, o := range os {
@@ -116,10 +119,8 @@ func NewRateReward(outcomes []Outcome) (*RateReward, error) {
 		}
 		merged = append(merged, o)
 	}
-	d := &RateReward{
-		outcomes: append([]Outcome(nil), merged...),
-		cum:      make([]float64, len(merged)),
-	}
+	n := len(merged)
+	d := &RateReward{outcomes: merged[:n:n], cum: make([]float64, n)}
 	c := 0.0
 	for i, o := range d.outcomes {
 		c += o.Prob
@@ -127,6 +128,17 @@ func NewRateReward(outcomes []Outcome) (*RateReward, error) {
 	}
 	d.cum[len(d.cum)-1] = 1 // guard against float drift
 	return d, nil
+}
+
+// strictlyIncreasing reports whether every outcome's rate exceeds the one
+// before it: the one order in which sorting by rate moves nothing.
+func strictlyIncreasing(os []Outcome) bool {
+	for i := 1; i < len(os); i++ {
+		if os[i].Rate <= os[i-1].Rate {
+			return false
+		}
+	}
+	return true
 }
 
 // Outcomes returns a copy of the support, sorted by increasing rate.

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -231,5 +232,112 @@ func TestOutcomesCopy(t *testing.T) {
 	outs[0].Reward = 999
 	if got, _ := d.RewardFor(10); got != 5 {
 		t.Fatal("Outcomes must return a copy")
+	}
+}
+
+// referenceNewRateReward is NewRateReward as it was before it kept its
+// merged copy and left rate-sorted lists unsorted: it sorts every list and
+// copies the merged outcomes a second time. The differential test below
+// holds NewRateReward to it.
+func referenceNewRateReward(outcomes []Outcome) (*RateReward, error) {
+	var mass Mass
+	for _, o := range outcomes {
+		if err := mass.Add(o); err != nil {
+			return nil, err
+		}
+	}
+	if err := mass.Check(); err != nil {
+		return nil, err
+	}
+	os := make([]Outcome, len(outcomes))
+	copy(os, outcomes)
+	sort.Slice(os, func(i, j int) bool { return os[i].Rate < os[j].Rate })
+
+	merged := os[:0]
+	for _, o := range os {
+		if o.Prob == 0 {
+			continue
+		}
+		if n := len(merged); n > 0 && merged[n-1].Rate == o.Rate {
+			p := merged[n-1].Prob + o.Prob
+			merged[n-1].Reward = (merged[n-1].Reward*merged[n-1].Prob + o.Reward*o.Prob) / p
+			merged[n-1].Prob = p
+			continue
+		}
+		merged = append(merged, o)
+	}
+	d := &RateReward{
+		outcomes: append([]Outcome(nil), merged...),
+		cum:      make([]float64, len(merged)),
+	}
+	c := 0.0
+	for i, o := range d.outcomes {
+		c += o.Prob
+		d.cum[i] = c
+	}
+	d.cum[len(d.cum)-1] = 1
+	return d, nil
+}
+
+// TestNewRateRewardMatchesReference: on random lists — rate-sorted,
+// unsorted, with duplicate rates, with zero-probability entries, of a
+// single outcome — NewRateReward builds what the reference builds, bit for
+// bit, and both sample the same sequence from one seed.
+func TestNewRateRewardMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	bits := func(o Outcome) [3]uint64 {
+		return [3]uint64{math.Float64bits(o.Rate), math.Float64bits(o.Prob), math.Float64bits(o.Reward)}
+	}
+	shapes := []string{"sorted", "unsorted", "duplicates", "zeros", "single"}
+	for trial := 0; trial < 5000; trial++ {
+		shape := shapes[trial%len(shapes)]
+		n := 2 + rng.Intn(7)
+		if shape == "single" {
+			n = 1
+		}
+		list := make([]Outcome, n)
+		weights := 0.0
+		for i := range list {
+			rate := 30 + 20*rng.Float64()
+			if shape == "duplicates" {
+				rate = float64(30 + 10*rng.Intn(3))
+			}
+			w := rng.Float64()
+			if shape == "zeros" && i%2 == 1 {
+				w = 0
+			}
+			list[i] = Outcome{Rate: rate, Prob: w, Reward: 100 + 400*rng.Float64()}
+			weights += w
+		}
+		for i := range list {
+			list[i].Prob /= weights
+		}
+		if shape == "sorted" {
+			sort.Slice(list, func(i, j int) bool { return list[i].Rate < list[j].Rate })
+		}
+		want, werr := referenceNewRateReward(list)
+		got, gerr := NewRateReward(list)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("trial %d (%s): error %v, reference %v", trial, shape, gerr, werr)
+		}
+		if werr != nil {
+			continue
+		}
+		wo, gou := want.Outcomes(), got.Outcomes()
+		if len(wo) != len(gou) || len(want.cum) != len(got.cum) {
+			t.Fatalf("trial %d (%s): %d outcomes, reference %d", trial, shape, len(gou), len(wo))
+		}
+		for i := range wo {
+			if bits(wo[i]) != bits(gou[i]) || math.Float64bits(want.cum[i]) != math.Float64bits(got.cum[i]) {
+				t.Fatalf("trial %d (%s): outcome %d is %+v (cum %v), reference %+v (cum %v)", trial, shape, i, gou[i], got.cum[i], wo[i], want.cum[i])
+			}
+		}
+		seed := rng.Int63()
+		wr, gr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for k := 0; k < 32; k++ {
+			if w, g := want.Sample(wr), got.Sample(gr); bits(w) != bits(g) {
+				t.Fatalf("trial %d (%s): draw %d is %+v, reference %+v", trial, shape, k, g, w)
+			}
+		}
 	}
 }

@@ -3,6 +3,9 @@ package serve
 import (
 	"math/rand"
 	"testing"
+
+	"mecoffload/internal/mec"
+	"mecoffload/internal/workload"
 )
 
 // TestRunSlotIdleNoAllocs pins the daemon's steady-state hot path: an
@@ -57,5 +60,50 @@ func TestValidateSpecAllocatesNoSource(t *testing.T) {
 	}
 	if got := r.Dist.Outcomes(); len(got) == 0 || got[0].Reward <= 0 {
 		t.Fatalf("default outcomes %v: want the paper's five-point support with positive rewards", got)
+	}
+}
+
+// TestMaterializeSpecAllocs pins what materializing one request allocates:
+// the request and its distribution (the struct, its outcomes and their
+// cumulative probabilities), plus, for a spec without outcomes, the
+// default outcomes drawn into the spec. Every default-task request shares
+// one task slice, the outcome list NewRateReward reads lives on the stack,
+// and a rate-sorted list is neither sorted nor copied a second time.
+func TestMaterializeSpecAllocs(t *testing.T) {
+	net := testNetwork(t, 4)
+	rng := rand.New(rand.NewSource(42))
+	for _, tc := range []struct {
+		name string
+		spec RequestSpec
+		want float64
+	}{
+		{"default", RequestSpec{AccessStation: 1}, 5},
+		{"flood", RequestSpec{AccessStation: 2, DurationSlots: 3, Outcomes: []OutcomeSpec{{RateMBs: 41.5, Prob: 1, Reward: 512}}}, 4},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			spec := tc.spec
+			if _, err := materializeSpec(net, rng, 0, 0, &spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != tc.want {
+			t.Errorf("%s spec: materializing allocates %v times, want %v", tc.name, allocs, tc.want)
+		}
+	}
+	a, err := MaterializeSpec(net, RequestSpec{AccessStation: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := MaterializeSpec(net, RequestSpec{AccessStation: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Tasks[0] != &b.Tasks[0] || len(a.Tasks) != cap(a.Tasks) {
+		t.Fatal("default-task requests do not share one full-capacity task slice")
+	}
+	for i, st := range workload.CanonicalPipeline() {
+		if want := (mec.Task{Name: st.Name, OutputKb: st.OutputKb, WorkMS: st.BaseWorkMS}); a.Tasks[i] != want {
+			t.Fatalf("default task %d is %+v, want %+v", i, a.Tasks[i], want)
+		}
 	}
 }

@@ -62,8 +62,14 @@ var batchReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 6
 // LineErrors; only exceeding maxLines (or an underlying read error)
 // fails the whole batch.
 func DecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineError, error) {
+	return AppendBatch(nil, r, maxLines, maxLineBytes)
+}
+
+// AppendBatch is DecodeBatch appending the decoded lines to dst, so a
+// caller that decodes batch after batch reuses one slice's storage.
+func AppendBatch(dst []BatchLine, r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineError, error) {
 	var d batchDecoder
-	return d.decode(r, maxLines, maxLineBytes)
+	return d.decode(dst, r, maxLines, maxLineBytes)
 }
 
 // batchDecoder is the state of one DecodeBatch call: the storage its
@@ -78,7 +84,7 @@ type batchDecoder struct {
 	fallbacks int
 }
 
-func (d *batchDecoder) decode(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineError, error) {
+func (d *batchDecoder) decode(lines []BatchLine, r io.Reader, maxLines, maxLineBytes int) ([]BatchLine, []LineError, error) {
 	if maxLines <= 0 {
 		maxLines = DefaultMaxBatchLines
 	}
@@ -86,9 +92,8 @@ func (d *batchDecoder) decode(r io.Reader, maxLines, maxLineBytes int) ([]BatchL
 		maxLineBytes = DefaultMaxLineBytes
 	}
 	var (
-		lines []BatchLine
-		errs  []LineError
-		seen  map[string]int // client id -> first line
+		errs []LineError
+		seen map[string]int // client id -> first line
 		// w is every line's decode target, overwritten whole by whichever
 		// decoder reads the line; it escapes through the encoding/json
 		// fallback, so one serves the whole call.

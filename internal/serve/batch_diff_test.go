@@ -84,7 +84,7 @@ func referenceDecodeBatch(r io.Reader, maxLines, maxLineBytes int) ([]BatchLine,
 func sameDecode(t *testing.T, body []byte, maxLines, maxLineBytes int) (fallbacks int) {
 	t.Helper()
 	var d batchDecoder
-	got, gotErrs, gotErr := d.decode(bytes.NewReader(body), maxLines, maxLineBytes)
+	got, gotErrs, gotErr := d.decode(nil, bytes.NewReader(body), maxLines, maxLineBytes)
 	want, wantErrs, wantErr := referenceDecodeBatch(bytes.NewReader(body), maxLines, maxLineBytes)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("batch error %v, reference %v\nbody %q", gotErr, wantErr, body)

@@ -243,13 +243,13 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 // place: the planner keeps their requests as they are (nothing is
 // re-materialized or re-drawn) and the rows learn their new indices.
 func (e *Engine) compact() error {
-	before := len(e.planner.Requests())
-	var keep []int
+	keep := e.keep[:0]
 	for idx, req := range e.table.byIdx {
 		if req != nil {
 			keep = append(keep, idx)
 		}
 	}
+	e.keep = keep
 	pending, err := e.planner.Compact(keep, e.res, e.pending)
 	if err != nil {
 		return err
@@ -257,6 +257,5 @@ func (e *Engine) compact() error {
 	e.pending = pending
 	e.table.compact()
 	e.settled = 0
-	e.cfg.Logf("arserved: compacted planner %d -> %d requests", before, len(keep))
 	return nil
 }

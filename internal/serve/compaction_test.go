@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"mecoffload/internal/dist"
@@ -84,7 +86,16 @@ func TestCompactionIsInvisible(t *testing.T) {
 	}
 
 	probed, changed := false, ""
+	selfCompacted, dropped := 0, 0
 	compacting := run(64, func(slot int, e *Engine, submitted map[uint64]int) {
+		// Before the probe's own compaction, count the engine's: every one
+		// drops requests from the planner.
+		if !probed {
+			if n := int(e.metrics.Submitted.Load()) - len(e.planner.Requests()); n > dropped {
+				selfCompacted++
+				dropped = n
+			}
+		}
 		// From slot 200 on (a handover slot), at the first slot that left
 		// settled requests to drop: the engine's own compaction may just
 		// have run.
@@ -134,6 +145,9 @@ func TestCompactionIsInvisible(t *testing.T) {
 	}
 	if !probed {
 		t.Fatal("the mid-run compaction never ran")
+	}
+	if selfCompacted < 2 {
+		t.Fatalf("the engine compacted %d times on its own before slot 200, want it to compact mid-run", selfCompacted)
 	}
 	if changed != "" {
 		t.Fatalf("the mid-run compaction %s", changed)
@@ -241,5 +255,60 @@ func TestDrawnOutcomesSurviveCheckpointAndExtract(t *testing.T) {
 		if !reflect.DeepEqual(outcomes, h.outcomes) {
 			t.Fatalf("extracted request %d materializes as %v, held %v", id, outcomes, h.outcomes)
 		}
+	}
+}
+
+// TestCompactionHoldsCapacity: under steady arrivals and settlements the
+// planner compacts in place whenever an admission would grow its arrays
+// and at least half their entries are settled, so once warmed up their
+// capacity reaches a plateau and stays there, and a compaction allocates
+// nothing.
+func TestCompactionHoldsCapacity(t *testing.T) {
+	const perSlot = 12
+	e := testEngine(t, Config{})
+	slot := func(i int) {
+		for k := 0; k < perSlot; k++ {
+			if _, _, err := e.Submit(RequestSpec{AccessStation: (i + k) % 4, DurationSlots: 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		slot(i)
+	}
+	plateau, compactions := cap(e.res.Decisions), 0
+	for i := 200; i < 1000; i++ {
+		before := len(e.res.Decisions)
+		slot(i)
+		if len(e.res.Decisions) != before+perSlot {
+			compactions++
+		}
+		if c := cap(e.res.Decisions); c > plateau {
+			t.Fatalf("slot %d: the planner's decisions grew to capacity %d past the plateau %d (%d live)", i, c, plateau, len(e.res.Decisions)-e.settled)
+		}
+	}
+	if compactions < 10 {
+		t.Fatalf("%d compactions over 800 steady slots", compactions)
+	}
+	if e.settled == 0 {
+		t.Fatal("nothing settled to compact")
+	}
+	live := len(e.res.Decisions) - e.settled
+	e.keep = slices.Grow(e.keep[:0], live) // the scratch a long-running engine has grown
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := e.compact()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.res.Decisions) != live || len(e.planner.Requests()) != live {
+		t.Fatalf("compaction kept %d decisions and %d requests, want the %d live", len(e.res.Decisions), len(e.planner.Requests()), live)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("a compaction allocated %d times, want 0", n)
 	}
 }

@@ -79,9 +79,10 @@ type Config struct {
 	// Logf, when non-nil, receives operational log lines (scheduler
 	// errors, compaction).
 	Logf func(format string, args ...any)
-	// CompactAfter bounds the planner's decided-request backlog: once
-	// more than this many settled requests accumulate, the engine rebuilds
-	// its planner state from the live set (default 4096).
+	// CompactAfter is the floor under the planner's compaction: an
+	// admission that would grow the planner's arrays first drops their
+	// settled entries in place, when at least half of them and more than
+	// CompactAfter are settled (default 0).
 	CompactAfter int
 	// DoorCapacity bounds the batch-path requests waiting at the door for
 	// the planner; once it is full, each arrival sheds the request with the
@@ -152,7 +153,8 @@ type Engine struct {
 	res     *core.Result
 	pending []int
 	slot    int
-	settled int // decided requests still occupying planner slices
+	settled int   // decided requests still occupying planner slices
+	keep    []int // compact's scratch: the planner indices it keeps
 	drain   bool
 	// admittedBuf is runSlot's reusable request-id scratch for the
 	// DecisionObserver; valid only until the next slot by contract.
@@ -189,9 +191,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.SlotLengthMS == 0 {
 		cfg.SlotLengthMS = mec.DefaultSlotLengthMS
-	}
-	if cfg.CompactAfter <= 0 {
-		cfg.CompactAfter = 4096
 	}
 	if cfg.DoorCapacity <= 0 {
 		cfg.DoorCapacity = 8192

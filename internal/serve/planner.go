@@ -13,10 +13,18 @@ import (
 // admit appends one request to the planner as pending and returns its
 // planner index: the one way in, for single POSTs and door entries alike.
 // Paper-default outcomes drawn for it are written into spec (see
-// materializeSpec), which the caller's row keeps.
+// materializeSpec), which the caller's row keeps. When the append would
+// grow the planner's arrays and at least half their entries (and more than
+// Config.CompactAfter) are settled, the planner is compacted first: the
+// arrays stay near twice the live set instead of growing with the backlog.
 func (e *Engine) admit(spec *RequestSpec) (int, error) {
 	if e.drain {
 		return 0, ErrDraining
+	}
+	if n := len(e.res.Decisions); n == cap(e.res.Decisions) && 2*e.settled >= n && e.settled > e.cfg.CompactAfter {
+		if err := e.compact(); err != nil {
+			e.cfg.Logf("arserved: compaction failed (continuing uncompacted): %v", err)
+		}
 	}
 	idx := len(e.planner.Requests())
 	r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, idx, e.slot, spec)

@@ -132,14 +132,8 @@ func (e *Engine) publish(t, depth int, rep sim.SlotReport, durMS float64) {
 	}
 }
 
-// advance moves the slot clock and compacts the planner once its settled
-// backlog has grown past the bound.
+// advance moves the slot clock.
 func (e *Engine) advance() {
 	e.slot++
 	e.metrics.CurrentSlot.Store(int64(e.slot))
-	if e.settled > e.cfg.CompactAfter {
-		if err := e.compact(); err != nil {
-			e.cfg.Logf("arserved: compaction failed (continuing uncompacted): %v", err)
-		}
-	}
 }

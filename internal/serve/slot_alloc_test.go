@@ -23,7 +23,7 @@ import (
 // run in this order on purpose: the plain slot's count includes the
 // process-wide pooled LP storage growing to this shape (about 30 a slot
 // over the 1000 runs), which the oracle case then finds grown. Run after
-// the rest of the package the plain count reads the same 103 today, but
+// the rest of the package the plain count reads the same 61 today, but
 // it has read one less than its budget before, depending on what the
 // pools kept.
 func TestServeSlotAllocBudget(t *testing.T) {
@@ -42,8 +42,8 @@ func TestServeSlotAllocBudget(t *testing.T) {
 		check  sim.StepChecker
 		budget float64
 	}{
-		{"plain", nil, 103},
-		{"oracle", oracle.EngineChecker(), 160},
+		{"plain", nil, 61},
+		{"oracle", oracle.EngineChecker(), 136},
 	} {
 		e := newEngine(tc.check)
 		i := 0

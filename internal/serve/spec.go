@@ -163,17 +163,17 @@ func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec *Re
 	if dur == 0 {
 		dur = 20
 	}
-	tasks := make([]mec.Task, 0, 4)
-	if len(spec.Tasks) == 0 {
-		for _, st := range workload.CanonicalPipeline() {
-			tasks = append(tasks, mec.Task{Name: st.Name, OutputKb: st.OutputKb, WorkMS: st.BaseWorkMS})
-		}
-	} else {
-		for _, ts := range spec.Tasks {
-			tasks = append(tasks, mec.Task{Name: ts.Name, OutputKb: ts.OutputKb, WorkMS: ts.WorkMS})
+	tasks := defaultTasks
+	if len(spec.Tasks) > 0 {
+		tasks = make([]mec.Task, len(spec.Tasks))
+		for i, ts := range spec.Tasks {
+			tasks[i] = mec.Task{Name: ts.Name, OutputKb: ts.OutputKb, WorkMS: ts.WorkMS}
 		}
 	}
-	distOutcomes := make([]dist.Outcome, 0, len(spec.Outcomes))
+	// NewRateReward copies the list it reads, so a default-sized one can
+	// live on the stack.
+	var buf [workload.DefaultRateSupport]dist.Outcome
+	distOutcomes := buf[:0]
 	for _, o := range spec.Outcomes {
 		distOutcomes = append(distOutcomes, dist.Outcome{Rate: o.RateMBs, Prob: o.Prob, Reward: o.Reward})
 	}
@@ -195,6 +195,19 @@ func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec *Re
 	}
 	return r, nil
 }
+
+// defaultTasks is the canonical pipeline every request submitted without
+// tasks carries. All of them share this one slice: a request's tasks are
+// immutable (see mec.Request.CloneShallow), and its length equals its
+// capacity, so an append to it copies.
+var defaultTasks = func() []mec.Task {
+	pipeline := workload.CanonicalPipeline()
+	tasks := make([]mec.Task, len(pipeline))
+	for i, st := range pipeline {
+		tasks[i] = mec.Task{Name: st.Name, OutputKb: st.OutputKb, WorkMS: st.BaseWorkMS}
+	}
+	return tasks
+}()
 
 // defaultOutcomes draws the paper-default five-point demand distribution:
 // rates evenly spaced over [30, 50] MB/s, uniform probabilities, and a

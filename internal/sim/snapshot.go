@@ -157,9 +157,11 @@ func finiteNonNegative(v float64) bool {
 // handover moved it to and the outcome it realized; its in-service stream,
 // its res.Decisions entry and its place in pending follow it. Every running
 // and every pending request must be kept. pending is remapped in place and
-// returned. The ledgers, the drift cursors and the rng are not touched, so
-// a compacted engine goes on deciding exactly as an uncompacted one would.
-// On error nothing has changed.
+// returned. The request slice and res.Decisions are renumbered in place and
+// keep their capacity, so Compact allocates nothing. The ledgers, the drift
+// cursors and the rng are not touched, so a compacted engine goes on
+// deciding exactly as an uncompacted one would. On error nothing has
+// changed.
 func (e *Engine) Compact(keep []int, res *core.Result, pending []int) ([]int, error) {
 	if len(res.Decisions) != len(e.reqs) {
 		return pending, fmt.Errorf("sim: compact: %d decisions for %d requests", len(res.Decisions), len(e.reqs))
@@ -186,14 +188,16 @@ func (e *Engine) Compact(keep []int, res *core.Result, pending []int) ([]int, er
 	for i, j := range pending {
 		pending[i], _ = slices.BinarySearch(keep, j)
 	}
-	// Fresh slices sized to the live set, not the backlog's high-water
-	// mark: between compactions they grow with arrivals as before.
-	reqs := make([]*mec.Request, len(keep))
-	decisions := make([]core.Decision, len(keep))
+	// In place: keep ascends strictly, so keep[k] >= k and every move
+	// reads an entry no earlier move has overwritten. The cleared tails
+	// release the settled requests; the capacity stays for the arrivals
+	// that follow.
 	for k, j := range keep {
-		reqs[k], decisions[k] = e.reqs[j], res.Decisions[j]
-		reqs[k].ID, decisions[k].RequestID = k, k
+		e.reqs[k], res.Decisions[k] = e.reqs[j], res.Decisions[j]
+		e.reqs[k].ID, res.Decisions[k].RequestID = k, k
 	}
-	e.reqs, res.Decisions = reqs, decisions
+	clear(e.reqs[len(keep):])
+	clear(res.Decisions[len(keep):])
+	e.reqs, res.Decisions = e.reqs[:len(keep)], res.Decisions[:len(keep)]
 	return pending, nil
 }
