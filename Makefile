@@ -21,10 +21,12 @@ race:
 
 ## cluster-parity: the sharding correctness gate — the oracle replay
 ## differential proving 1-, 2-, and 8-shard clusters emit identical
-## decision streams, plus the reshard-restore contracts (a stream older
+## decision streams (a request whose candidate set is or becomes empty
+## among them), plus the reshard-restore contracts (a stream older
 ## than the router's window among them) and the restore refusing every
 ## file that is not a manifest of the one format written for this
-## topology, the handoff-race contract, the saturated batched intake
+## topology, concurrent intake, ticks and a drain losing no accepted
+## request, the saturated batched intake
 ## staying inside its queue bounds and accounting for every accepted
 ## request at 1 and 2 shards, one interleaving of batch and single
 ## submits giving one outcome on every run, the door's buffer against
@@ -37,12 +39,12 @@ race:
 ## when none run) under any interleaving of admit, release, evict,
 ## compaction and restore, a pre-grid snapshot restoring exact ledgers
 ## that drain to 0, and the home-shard rule (a spanning request homes on its
-## access station's shard when that owns a candidate; a drain moves no
-## request mid-handoff), and a generation naming a removed scheduler
+## access station's shard when that owns a candidate), and a generation
+## naming a removed scheduler
 ## restoring under DynamicRR and written back naming it, all under the
 ## race detector (same as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestDrainKeepsRequestsMidHandoff|TestRemovedSchedulerNameRestores' ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components
@@ -65,15 +67,17 @@ incremental-parity:
 
 ## drift: the drift correctness gate — the metamorphic invariance suites
 ## (arm relabeling, scenario time shift), the learner's checkpoint/restore
-## cycle deciding what the uninterrupted engine decides, the cluster
-## mobility edge-case parity differentials, and a handed-over request's
-## station and drawn distribution surviving checkpoint and Extract, all
-## with pinned seeds under the race detector (same as the CI drift-parity
-## job).
+## cycle deciding what the uninterrupted engine decides, a request's drawn
+## distribution surviving a checkpoint, and the simulator's drift script
+## (an outage evicting running streams, a handover re-pointing the
+## pending queue, a drift run deterministic and startable mid-horizon),
+## all with pinned seeds under the race detector (same as the CI
+## drift-parity job). Drift runs in the simulator only: the daemon
+## installs no drift script.
 drift:
 	$(GO) test -race -count=1 -run \
-		'TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDecisions|TestClusterHandoverAcrossPartition|TestClusterOutageWithInflightStreams|TestClusterCandidateShrinksEmpty|TestHandoverSurvivesCheckpointAndExtract|TestDrawnOutcomesSurviveCheckpointAndExtract' \
-		./internal/bandit/ ./internal/scenario/ ./internal/serve/ ./internal/cluster/
+		'TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDecisions|TestDrawnOutcomesSurviveCheckpoint|TestOutageEvictsRunningStreams|TestHandoverMovesPendingQueue|TestDriftRunDeterministic|TestDriftMidHorizonStart' \
+		./internal/bandit/ ./internal/scenario/ ./internal/serve/ ./internal/sim/
 
 ## oracle: differential oracle suite, the daemon's packages with the
 ## runtime invariant checker on every engine, and the mutation smoke

@@ -101,12 +101,6 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 				Slot:      c.slot,
 				Scheduler: man.Scheduler,
 			}
-		} else if nd.rehomedIn > 0 {
-			// Persist Submitted as Totals reports it: each accepted request
-			// once. On a copy — a drained shard's snapshot is shared.
-			cp := *ck
-			cp.Totals.Submitted -= nd.rehomedIn
-			ck = &cp
 		}
 		snaps[k] = ck
 		files[k] = shardFile(base, k, gen)

@@ -29,14 +29,6 @@ type Config struct {
 	DynamicRR    sim.DynamicRROptions
 	SlotLengthMS float64
 	StepChecker  sim.StepChecker
-	// Drift, when non-nil, is the scripted non-stationarity program in
-	// GLOBAL station ids. Outages and same-shard handovers run inside
-	// the owning shard's planner; handovers crossing a partition edge
-	// are applied by the cluster clock through the two-phase handoff, so
-	// the decision stream stays identical to a single engine running the
-	// same script (the cluster parity contract extends to drift). They
-	// are the only moves a request makes after the router homed it.
-	Drift *sim.Drift
 	// TickInterval drives the cluster clock: shards always run with
 	// manual ticks, and the cluster advances them in lockstep so slot
 	// rewards aggregate globally. Zero means manual Tick (tests, replay).
@@ -124,15 +116,6 @@ type shardNode struct {
 	subnet   *mec.Network
 	stations []int       // local station -> global station
 	localOf  map[int]int // global station -> local station
-
-	migratedIn  atomic.Uint64
-	migratedOut atomic.Uint64
-	// rehomedIn counts the engine re-submissions the clock made into this
-	// shard for requests already accepted once (handover handoffs and
-	// their compensations; guarded by the cluster's clock lock). Each shows
-	// up a second time in the engine's submitted counter; Totals and the
-	// checkpoint take it back out.
-	rehomedIn uint64
 
 	// Epoch results. run writes them inside an epoch (on the shard's
 	// worker, or on the clock's goroutine for shard 0) and the clock reads
@@ -245,8 +228,8 @@ type Cluster struct {
 	nodes  []*shardNode
 	router *router
 
-	// mu serializes the cluster clock: Tick, Flush, Drain, cross-partition
-	// handovers, and checkpoint extraction. Submit/Status take only the
+	// mu serializes the cluster clock: Tick, Flush, Drain and checkpoint
+	// extraction. Submit/Status take only the
 	// router's lock and the owning engine's.
 	mu          sync.Mutex
 	slot        int
@@ -266,11 +249,6 @@ type Cluster struct {
 	fbSlot   int
 	fbReward float64
 	fbValid  bool
-	// crossHandovers are the drift handovers whose endpoints live in
-	// different shards, sorted by slot; crossCur is the forward-only
-	// cursor the clock advances (mu-guarded).
-	crossHandovers []sim.Handover
-	crossCur       int
 	// tickAdmitted is tickLocked's reusable list of the slot's admitted
 	// ids (mu-guarded), grown once and recycled every slot.
 	tickAdmitted []uint64
@@ -297,12 +275,6 @@ type Cluster struct {
 	lastTickNano atomic.Int64
 	drainFlag    atomic.Bool
 	checkpoints  atomic.Uint64
-
-	// journal is a ring of the last journalCap handoff entries; journalN
-	// counts every entry ever appended (both migMu-guarded).
-	migMu    sync.Mutex
-	journal  [journalCap]Migration
-	journalN uint64
 }
 
 // New builds a cluster: the station partition, one engine per shard,
@@ -380,17 +352,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// Split the drift script across the shards (global ids validate
-	// against the full topology; each shard re-validates its local
-	// slice at engine construction).
-	var shardDrift []*sim.Drift
-	if cfg.Drift != nil {
-		if err := cfg.Drift.Validate(cfg.Net.NumStations()); err != nil {
-			return nil, fmt.Errorf("cluster: drift script: %w", err)
-		}
-		shardDrift, c.crossHandovers = splitDrift(cfg.Drift, owner, c.nodes)
-	}
-
 	var traceMu sync.Mutex
 	for k, nd := range c.nodes {
 		scfg := serve.Config{
@@ -410,9 +371,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		if restores != nil {
 			scfg.Restore = restores[k]
-		}
-		if shardDrift != nil {
-			scfg.Drift = shardDrift[k]
 		}
 		switch {
 		case cfg.TraceWriter == nil:
@@ -510,12 +468,6 @@ func (c *Cluster) tickLocked() error {
 	if c.clockStopped {
 		return serve.ErrStopped
 	}
-	// Cross-partition handovers fire before the shards tick, so a
-	// request handed over at slot t is schedulable at its new station in
-	// slot t — the same slot a single engine's drift script re-points it.
-	if c.crossCur < len(c.crossHandovers) {
-		c.applyCrossHandoversLocked()
-	}
 	// One barrier runs the slot on every shard, fused with the
 	// previous slot's deferred feedback.
 	c.epoch(epochMsg{op: epTick, fbSlot: c.fbSlot, fbReward: c.fbReward, hasFB: c.fbValid})
@@ -587,8 +539,7 @@ func (c *Cluster) settleFeedbackLocked() error {
 // access station to it is lost, and a later checkpoint records the
 // stand-in as the access station). For a spanning request that happens
 // only when the access station's owner owns no candidate, since the router
-// homes it there whenever it does; a handoff always names a station its
-// shard owns.
+// homes it there whenever it does.
 func (c *Cluster) localSpec(shard int, spec serve.RequestSpec, spanCands []int) serve.RequestSpec {
 	nd := c.nodes[shard]
 	if l, ok := nd.localOf[spec.AccessStation]; ok {
@@ -763,8 +714,8 @@ func (c *Cluster) Flush() error {
 	return nil
 }
 
-// Status resolves an id to its current record; a handed-off request
-// resolves at its new owner.
+// Status resolves an id to its current record at the shard the router
+// homed it on.
 func (c *Cluster) Status(id uint64) (serve.RequestRecord, bool, error) {
 	shard, ok := c.router.lookup(id)
 	if !ok {
@@ -781,9 +732,8 @@ func (c *Cluster) ValidateSpec(spec serve.RequestSpec) error {
 
 // Drain closes intake on every shard; the cluster keeps ticking (via
 // its internal clock or the caller's) until every shard has decided its
-// pending requests and released its streams. It takes the clock lock so
-// no handover is between its extract and its re-submit when the shards
-// start refusing; from here on the clock starts none.
+// pending requests and released its streams. It takes the clock lock, so
+// no slot or checkpoint is under way while the shards close.
 func (c *Cluster) Drain() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -909,18 +859,15 @@ func (c *Cluster) PartitionTable() [][]int {
 // RouterStats returns the routing counters.
 func (c *Cluster) RouterStats() RouterStats { return c.router.stats() }
 
-// Totals sums the shards' cumulative counters, with Submitted counting
-// every accepted request once: the clock's handoff re-submissions are
-// subtracted (read under the clock lock, so the sum and the correction
-// agree; checkpoints persist the corrected figure, so it holds across
-// restarts). Ticks counts shard slots; Slot is the cluster clock.
+// Totals sums the shards' cumulative counters, read under the clock lock
+// so no slot is half counted. Ticks counts shard slots; Slot is the
+// cluster clock.
 func (c *Cluster) Totals() serve.Totals {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var t serve.Totals
 	for _, nd := range c.nodes {
 		addTotals(&t, nd.eng.Metrics().Totals())
-		t.Submitted -= nd.rehomedIn
 	}
 	return t
 }

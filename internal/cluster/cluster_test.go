@@ -311,7 +311,6 @@ func TestClusterHandlerMetrics(t *testing.T) {
 		`arserved_cluster_requests_total{shard="0",result="submitted"} 1`,
 		`arserved_cluster_requests_total{shard="3",result="submitted"} 0`,
 		`arserved_cluster_slot_duration_ms_count{shard="2"}`,
-		`arserved_cluster_migrations_total{shard="1",direction="in"} 0`,
 		`arserved_cluster_routed_total{path="fast"} 1`,
 	} {
 		if !strings.Contains(got, want) {
@@ -345,7 +344,7 @@ func TestClusterHandlerMetrics(t *testing.T) {
 			for _, family := range []string{
 				"requests_total", "reward_dollars_total", "ticks_total", "slot_errors_total",
 				"pending_requests", "active_streams", "batches_total", "batch_requests_total",
-				"saturated_total", "intake_depth", "migrations_total", "slot_duration_ms", "intake_latency_ms",
+				"saturated_total", "intake_depth", "slot_duration_ms", "intake_latency_ms",
 				"component_solves_total", "station_used_mhz",
 				"station_capacity_mhz", "shards", "slot", "routed_total", "checkpoints_total",
 				"checkpoints_dropped_total",

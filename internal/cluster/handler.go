@@ -200,7 +200,7 @@ func bodyTooLarge(err error) bool {
 // families (shard count, clock, routing, checkpoints) carry no shard
 // label; everything an engine measures is rendered once per shard under
 // shard="k", so an operator sees per-shard slot latency, queue depth,
-// component replays and solves, and handoff flow at any shard count.
+// and component replays and solves at any shard count.
 // Station gauges are labeled with GLOBAL station ids.
 func (c *Cluster) WriteProm(w io.Writer) error {
 	var err error
@@ -287,13 +287,6 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 		func(nd *shardNode) any { return nd.eng.Metrics().Saturated.Load() })
 	perShard("intake_depth", "gauge", "Per-shard bulk intake requests waiting at the door for the planner.",
 		func(nd *shardNode) any { return nd.eng.Metrics().IntakeDepth.Load() })
-
-	family("migrations_total", "counter", "Committed cross-shard handoffs per shard and direction.")
-	in, out := c.MigratedCounts()
-	for k := range c.nodes {
-		p("arserved_cluster_migrations_total{shard=\"%d\",direction=\"in\"} %d\n", k, in[k])
-		p("arserved_cluster_migrations_total{shard=\"%d\",direction=\"out\"} %d\n", k, out[k])
-	}
 
 	histogram("slot_duration_ms", "Per-shard scheduling latency of one slot.", (*serve.Metrics).SlotDurationSnapshot)
 	histogram("intake_latency_ms", "Per-shard batched-ingest handoff latency (door enqueue to planner append, including the wait for the next flush or slot).", (*serve.Metrics).IntakeLatencySnapshot)

@@ -14,9 +14,8 @@ import (
 // 4th, on the manual clock — with the door bounded at 1024 and the
 // pending queue at 512. Every shard's door stays inside its bound after
 // every batch, the shedding policy actually fires, and once flushed every
-// accepted request is admitted, shed or rejected exactly once (Totals
-// counts a request the clock re-homed once). At two shards requests span
-// both.
+// accepted request is admitted, shed or rejected exactly once. At two
+// shards requests span both.
 func TestSaturatedIngestConserves(t *testing.T) {
 	const (
 		stations, door, maxPending = 4, 1024, 512

@@ -6,10 +6,8 @@
 // The partition follows connected components of the backhaul graph (the
 // same components the LP decomposition splits along), shards tick in
 // lockstep under one cluster clock with globally aggregated bandit
-// feedback, a request stays on the shard it was homed on unless a
-// cross-partition drift handover moves it through a two-phase handoff,
-// and per-shard checkpoints compose into one recoverable cluster
-// manifest. The correctness contract is decision parity: on a trace whose candidate components respect the partition,
+// feedback, a request stays on the shard it was homed on, and per-shard
+// checkpoints compose into one recoverable cluster manifest. The correctness contract is decision parity: on a trace whose candidate components respect the partition,
 // a 1-shard and an N-shard cluster make identical schedules
 // (oracle.DiffCluster).
 package cluster

@@ -21,7 +21,7 @@ const unknownShard = -1
 // router owns the id space and routing. Routing is pure (partition +
 // candidate rule). The router hands out every request's id, which the
 // engines then use as their own, so all it has to remember of a request is
-// which shard holds it now, for status lookups.
+// the shard it homed it on, for status lookups.
 type router struct {
 	net    *mec.Network
 	owner  []int // global station -> shard
@@ -82,8 +82,7 @@ func (rt *router) route(spec serve.RequestSpec, buf []int) (shard int, cands []i
 	return home, cands, false, nil
 }
 
-// routed is one request as the router knows it: its id and the shard
-// holding it now.
+// routed is one request as the router knows it: its id and its shard.
 type routed struct {
 	id    uint64
 	shard int
@@ -110,16 +109,7 @@ func (rt *router) reserve(reqs []routed) {
 
 func (sc routed) compareID(id uint64) int { return cmp.Compare(sc.id, id) }
 
-// move records that request id now sits on shard.
-func (rt *router) move(id uint64, shard int) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if id >= rt.base && id-rt.base < uint64(len(rt.shards)) {
-		rt.shards[id-rt.base] = int32(shard)
-	}
-}
-
-// lookup resolves an id to the shard holding it now.
+// lookup resolves an id to the shard holding it.
 func (rt *router) lookup(id uint64) (shard int, ok bool) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()

@@ -1,9 +1,8 @@
 package cluster
 
 // The router's id window must agree with a model of the routing history
-// kept in the test, the handoff journal must stay a bounded ring, and the
-// manifest must hold what the shard snapshots hold, however much was
-// routed before.
+// kept in the test, and the manifest must hold what the shard snapshots
+// hold, however much was routed before.
 
 import (
 	"bytes"
@@ -50,8 +49,8 @@ func chainTestNetwork(t testing.TB, n int) *mec.Network {
 }
 
 // TestWorklistMatchesTableScan drives a router through seeded random
-// reservations (single and batched), moves, window evictions and
-// manifest-style restores, which leave holes where an id was not brought
+// reservations (single and batched), window evictions and manifest-style
+// restores, which leave holes where an id was not brought
 // back, against a model held here — every id's shard — and requires, after
 // every step, that an id resolves to its shard exactly while the window
 // covers it and that the window never holds more than its bound.
@@ -94,27 +93,13 @@ func TestWorklistMatchesTableScan(t *testing.T) {
 		}
 		for step := 0; step < 600; step++ {
 			var op string
-			switch k := rng.Intn(20); {
+			switch k := rng.Intn(11); {
 			case k < 8:
 				op = "reserve"
 				reserve(1)
 			case k < 10:
 				op = "reserve batch"
 				reserve(2 + rng.Intn(9))
-			case k < 19:
-				op = "move"
-				if next == 0 {
-					continue
-				}
-				// May name an id the window has passed: nothing changes
-				// that a lookup could see.
-				id := uint64(rng.Int63n(int64(next)))
-				if _, ok := placed[id]; !ok {
-					continue // a hole a restore left: no request to move
-				}
-				shard := rng.Intn(shards)
-				rt.move(id, shard)
-				placed[id] = shard
 			default:
 				op = "restore"
 				// composeRestore: a fresh router told the live requests in
@@ -138,65 +123,6 @@ func TestWorklistMatchesTableScan(t *testing.T) {
 		}
 		if next < 4*window {
 			t.Fatalf("seed %d: only %d ids, the window never moved", seed, next)
-		}
-	}
-}
-
-// TestJournalRing: every handoff attempt appends one entry to a fixed
-// ring — committed when the request moved, aborted with its reason when it
-// did not — and Migrations returns a copy, oldest first, of at most
-// journalCap entries.
-func TestJournalRing(t *testing.T) {
-	c, err := New(Config{Net: chainTestNetwork(t, 4), Shards: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer func() { _ = c.Stop() }()
-	if got := c.Migrations(); len(got) != 0 {
-		t.Fatalf("empty journal returned %d entries", len(got))
-	}
-	moved, _, err := c.Submit(serve.RequestSpec{AccessStation: 0, DurationSlots: 1, Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	handoff := func(id uint64) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.handoff(id, 0, 1, c.parts[1][0])
-	}
-	handoff(moved)
-	if got, want := c.Migrations(), (Migration{Global: moved, From: 0, To: 1, Phase: PhaseCommitted}); len(got) != 1 || got[0] != want {
-		t.Fatalf("journal after one committed handoff: %+v, want [%+v]", got, want)
-	}
-	if shard, ok := c.router.lookup(moved); !ok || shard != 1 {
-		t.Fatalf("request %d handed off to shard 1 resolves to shard %d (known=%v)", moved, shard, ok)
-	}
-	// No shard holds ids from 1000 on: every further attempt aborts.
-	for _, n := range []int{3, journalCap, journalCap + 1, 3*journalCap + 7} {
-		for c.journalN < uint64(n) {
-			handoff(1000 + c.journalN)
-		}
-		got := c.Migrations()
-		want := min(n, journalCap)
-		if len(got) != want {
-			t.Fatalf("after %d attempts: %d entries, want %d", n, len(got), want)
-		}
-		for i, m := range got {
-			attempt := uint64(n - want + i)
-			if attempt == 0 {
-				continue // the committed handoff
-			}
-			if m.Global != 1000+attempt || m.Phase != PhaseAborted || m.Reason == "" {
-				t.Fatalf("after %d attempts: entry %d is %+v, want attempt #%d aborted with a reason", n, i, m, attempt)
-			}
-		}
-		got[0].Global = ^uint64(0)
-		if c.Migrations()[0].Global == ^uint64(0) {
-			t.Fatal("Migrations returned the journal's own storage")
 		}
 	}
 }

@@ -115,9 +115,6 @@ func (e *Engine) installEmpty() error {
 	}
 	planner.SetStepChecker(e.cfg.StepChecker)
 	planner.SetFeedbackDeferred(e.cfg.DeferFeedback)
-	if err := planner.SetDrift(e.cfg.Drift); err != nil {
-		return err
-	}
 	e.planner = planner
 	e.res = &core.Result{Algorithm: e.sched.Name()}
 	return nil

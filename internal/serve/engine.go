@@ -36,10 +36,6 @@ var (
 	ErrStopped  = errors.New("serve: engine stopped")
 	ErrDraining = errors.New("serve: engine draining, not accepting requests")
 	ErrBadSpec  = errors.New("serve: invalid request spec")
-	// ErrNotPending reports that Extract found no undecided request with
-	// the given id: it already scheduled, departed, expired, shed, or
-	// never existed. The cluster's handoff treats it as a benign abort.
-	ErrNotPending = errors.New("serve: request is not pending")
 )
 
 // Config parameterizes New.
@@ -101,16 +97,6 @@ type Config struct {
 	// environment variable is 1/true, which installs
 	// oracle.EngineChecker by default.
 	StepChecker sim.StepChecker
-	// Drift, when non-nil, installs a scripted non-stationarity program
-	// (station outages, mobility handovers; station ids are indices into
-	// Net) on the planner. Streams running on a station when its outage
-	// begins are evicted — their records move to StateEvicted, rewards
-	// already credited at admission stay credited. The script is config,
-	// not checkpointed state: a restored engine re-installs it and skips
-	// transitions already in the past, but an outage window straddling
-	// the restart is not re-applied (capacity scales live on Net, which
-	// a fresh process rebuilds nominal).
-	Drift *sim.Drift
 	// DecisionObserver, when set, receives each slot's admitted request
 	// ids (in admission order) and the slot's realized reward, inside
 	// Tick after settlement. It runs under the planner lock and must not
@@ -310,9 +296,8 @@ func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
 }
 
 // SubmitAs is Submit under an id the caller chose: the cluster's id, which
-// the row, the DecisionObserver report, Extract, Snapshot and Status then
-// all carry. The id must not name a request live in this engine; one that
-// left by Extract may come back under it.
+// the row, the DecisionObserver report, Snapshot and Status then all carry.
+// The id must not name a request whose row this engine still holds.
 func (e *Engine) SubmitAs(id uint64, spec RequestSpec) (int, error) {
 	_, slot, err := e.submit(id, true, spec)
 	return slot, err
@@ -337,7 +322,6 @@ func (e *Engine) submit(id uint64, numbered bool, spec RequestSpec) (uint64, int
 	req := newRequest(id, e.slot, spec)
 	e.table.mu.Lock()
 	e.table.insert(req)
-	req = e.table.rows[id] // its earlier row, revived, when the id is back from an Extract
 	e.table.mu.Unlock()
 	e.table.attach(req, idx, e.slot)
 	e.metrics.PendingDepth.Store(int64(len(e.pending)))
@@ -398,19 +382,6 @@ func (e *Engine) Snapshot() (*Checkpoint, error) {
 		return nil, ErrStopped
 	}
 	return e.drainedSnap, nil
-}
-
-// Extract removes a pending (undecided) request from the engine and
-// returns its spec and arrival slot — the prepare half of the cluster's
-// two-phase handoff. It fails with ErrNotPending when the request
-// already scheduled, terminated, or is unknown, which makes a handoff of a
-// request that settled first a benign abort rather than a double-admit.
-func (e *Engine) Extract(id uint64) (RequestSpec, int, error) {
-	if err := e.lock(); err != nil {
-		return RequestSpec{}, 0, err
-	}
-	defer e.mu.Unlock()
-	return e.extract(id)
 }
 
 // DeliverFeedback hands the scheduler a slot's (externally aggregated)

@@ -1,13 +1,12 @@
 package serve
 
 // What the request table promises the engine's callers across the events
-// that rebuild or retire it: a restore, an in-memory compaction, an
-// extract, a drain and a Stop.
+// that rebuild or retire it: a restore, an in-memory compaction, a drain
+// and a Stop.
 
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -109,55 +108,15 @@ func TestStatusAcrossRestoreAndCompaction(t *testing.T) {
 	}
 }
 
-// TestExtractOnlyPending: Extract hands over a request the planner holds
-// undecided and records it migrated; anything else — unknown, serving,
-// already terminal, already extracted — is ErrNotPending and leaves the
-// record alone.
-func TestExtractOnlyPending(t *testing.T) {
+// TestStatusOutlivesDrainUntilStop: a drained engine keeps answering
+// lookups with the records it exited with; a stopped one fails them with
+// ErrStopped.
+func TestStatusOutlivesDrainUntilStop(t *testing.T) {
 	e := testEngine(t, Config{})
-	spec := RequestSpec{AccessStation: 1, DurationSlots: 5, DeadlineMS: 2000}
-	served, _, err := e.Submit(spec)
+	served, _, err := e.Submit(RequestSpec{AccessStation: 1, DurationSlots: 5, DeadlineMS: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if rec, _, _ := e.Status(served); rec.State != StateServing {
-		t.Fatalf("setup: request %d is %s, want serving", served, rec.State)
-	}
-	pending, _, err := e.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, id := range map[string]uint64{"unknown": 999, "serving": served} {
-		before, _, _ := e.Status(id)
-		if _, _, err := e.Extract(id); !errors.Is(err, ErrNotPending) {
-			t.Fatalf("extract of a %s request: %v, want ErrNotPending", name, err)
-		}
-		if after, _, _ := e.Status(id); after != before {
-			t.Fatalf("refused extract moved the %s record: %+v -> %+v", name, before, after)
-		}
-	}
-	got, arrival, err := e.Extract(pending)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AccessStation != spec.AccessStation || got.DurationSlots != spec.DurationSlots || arrival != 1 {
-		t.Fatalf("extracted spec %+v arrival %d, want %+v arrival 1", got, arrival, spec)
-	}
-	if rec, _, _ := e.Status(pending); rec.State != StateMigrated || rec.DecisionSlot != 1 {
-		t.Fatalf("extracted request recorded as %+v, want migrated at slot 1", rec)
-	}
-	if _, _, err := e.Extract(pending); !errors.Is(err, ErrNotPending) {
-		t.Fatalf("second extract: %v, want ErrNotPending", err)
-	}
-	if got := e.Metrics().PendingDepth.Load(); got != 0 {
-		t.Fatalf("pending depth %d after the extract, want 0", got)
-	}
-
-	// A drained engine keeps answering; a stopped one does not.
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,95 +136,6 @@ func TestExtractOnlyPending(t *testing.T) {
 	}
 	if _, _, err := e.Status(served); !errors.Is(err, ErrStopped) {
 		t.Fatalf("status after Stop: %v, want ErrStopped", err)
-	}
-}
-
-// TestIDReturnsAfterExtract: a request keeps one id while the cluster moves
-// it between engines. An id that left engine A by Extract and comes back —
-// at once (a handoff's compensation) or after a stay on engine B — revives
-// its migrated row: A answers pending, then the decision, under that id;
-// and because the row is live again, eviction walking past the position it
-// has held since its first arrival leaves it alone.
-func TestIDReturnsAfterExtract(t *testing.T) {
-	var admitted []uint64
-	a := testEngine(t, Config{DecisionObserver: func(_ int, ids []uint64, _ float64) {
-		admitted = append(admitted, ids...)
-	}})
-	b := testEngine(t, Config{})
-	const bound = 8
-	a.table.mu.Lock()
-	a.table.max = bound
-	a.table.mu.Unlock()
-	spec := RequestSpec{AccessStation: 1, DurationSlots: 5, DeadlineMS: 2000}
-	const id = 100
-	state := func(e *Engine) string {
-		t.Helper()
-		rec, ok, err := e.Status(id)
-		if err != nil || !ok || rec.ID != id {
-			t.Fatalf("status(%d) = %+v ok=%v err=%v", id, rec, ok, err)
-		}
-		return rec.State
-	}
-	move := func(from, to *Engine) {
-		t.Helper()
-		got, _, err := from.Extract(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := state(from); s != StateMigrated {
-			t.Fatalf("extracted request is %s at its source, want migrated", s)
-		}
-		if _, err := to.SubmitAs(id, got); err != nil {
-			t.Fatal(err)
-		}
-		if s := state(to); s != StatePending {
-			t.Fatalf("re-homed request is %s at its target, want pending", s)
-		}
-	}
-	if _, err := a.SubmitAs(id, spec); err != nil {
-		t.Fatal(err)
-	}
-	move(a, a) // the same-sweep compensation
-	move(a, b)
-	move(b, a) // A -> B -> A
-	if s := state(b); s != StateMigrated {
-		t.Fatalf("request is %s at the engine it left, want migrated", s)
-	}
-
-	// Fill A's table with terminal rows until eviction has passed the
-	// oldest position several times over.
-	for other := uint64(0); other < 4*bound; other++ {
-		if _, err := a.SubmitAs(other, spec); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := a.Extract(other); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.table.mu.RLock()
-	rows, oldest := len(a.table.rows), a.table.head.rec.ID
-	a.table.mu.RUnlock()
-	if rows > bound || oldest != id {
-		t.Fatalf("table holds %d rows (bound %d), oldest id %d: want the bound kept and the revived row still first", rows, bound, oldest)
-	}
-	if _, ok, _ := a.Status(0); ok {
-		t.Fatal("the oldest terminal row was not evicted: eviction never reached the revived row's position")
-	}
-	if s := state(a); s != StatePending {
-		t.Fatalf("revived request is %s after eviction passed it, want pending", s)
-	}
-	if got := a.nextExt.Load(); got != id+1 {
-		t.Fatalf("the engine's own numbering stands at %d, want past the largest id it was handed (%d)", got, id+1)
-	}
-
-	if err := a.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if s := state(a); s != StateServing {
-		t.Fatalf("revived request is %s after a slot, want serving", s)
-	}
-	if !reflect.DeepEqual(admitted, []uint64{id}) {
-		t.Fatalf("decision report names %v, want [%d]", admitted, id)
 	}
 }
 

@@ -1,7 +1,7 @@
 package serve
 
-// What the planner lock guards between slots: admit, the door's drain,
-// extract, and the exit a drain ends in. Every function here runs with
+// What the planner lock guards between slots: admit, the door's drain and
+// the exit a drain ends in. Every function here runs with
 // e.mu held; a tick hands over to runSlot (slot.go).
 
 import (
@@ -89,32 +89,6 @@ func (e *Engine) drainDoor(force bool) {
 	if consumed > 0 {
 		e.metrics.PendingDepth.Store(int64(len(e.pending)))
 	}
-}
-
-// extract removes one pending request from the planner for cross-shard
-// migration. Only a request the planner holds undecided is extractable:
-// one still at the door is not the planner's to give, and once a request
-// scheduled its service instance is pinned to this engine's stations. The
-// record becomes migrated (terminal here; the target shard owns the
-// request from now on).
-func (e *Engine) extract(id uint64) (RequestSpec, int, error) {
-	e.table.mu.Lock()
-	defer e.table.mu.Unlock()
-	req := e.table.rows[id]
-	if req == nil || req.rec.State != StatePending || req.live.idx < 0 {
-		return RequestSpec{}, 0, ErrNotPending
-	}
-	live := req.live
-	for k, j := range e.pending {
-		if j == live.idx {
-			e.pending = append(e.pending[:k], e.pending[k+1:]...)
-			break
-		}
-	}
-	e.table.finish(live.idx, StateMigrated, e.slot)
-	e.settled++
-	e.metrics.PendingDepth.Store(int64(len(e.pending)))
-	return live.spec, live.arrival, nil
 }
 
 // exitIfDrained exits a draining engine that has no work left, recording

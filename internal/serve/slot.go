@@ -56,31 +56,19 @@ func (e *Engine) observe(t int, rep sim.SlotReport) {
 
 // settle folds the report into the request table and the counters, under
 // one acquisition of the table lock — and none on an idle slot (no
-// arrivals, departures, admissions or handovers), which also stays
-// allocation-free.
+// departures, expiries or admissions), which also stays allocation-free.
 func (e *Engine) settle(t int, rep sim.SlotReport) {
-	gone := len(rep.Departed) + len(rep.Expired) + len(rep.OutageEvicted)
-	if gone+len(rep.Admitted)+len(rep.HandedOver) == 0 {
+	gone := len(rep.Departed) + len(rep.Expired)
+	if gone+len(rep.Admitted) == 0 {
 		return
 	}
 	served := 0
 	e.table.mu.Lock()
-	// A handover re-pointed these pending requests; their rows, still live
-	// before the finishes below, record the station the user moved to, so a
-	// checkpoint or an Extract hands on where the request is now.
-	for _, j := range rep.HandedOver {
-		e.table.byIdx[j].live.spec.AccessStation = e.planner.Requests()[j].AccessStation
-	}
 	for _, j := range rep.Departed {
 		e.table.finish(j, StateCompleted, t)
 	}
 	for _, j := range rep.Expired {
 		e.table.finish(j, StateExpired, t)
-	}
-	// An outage destroys running streams mid-hold; the record keeps the
-	// station it was serving on.
-	for _, j := range rep.OutageEvicted {
-		e.table.finish(j, StateEvicted, t)
 	}
 	for _, j := range rep.Admitted {
 		if d := e.res.Decisions[j]; d.Served {
@@ -105,7 +93,7 @@ func (e *Engine) settle(t int, rep sim.SlotReport) {
 	m.Expired.Add(uint64(len(rep.Expired)))
 	m.Admitted.Add(uint64(len(rep.Admitted)))
 	m.Served.Add(uint64(served))
-	m.Evicted.Add(uint64(len(rep.OutageEvicted) + evicted))
+	m.Evicted.Add(uint64(evicted))
 }
 
 // publish updates the per-slot gauges and writes the trace line.

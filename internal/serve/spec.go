@@ -150,7 +150,7 @@ func nonNegFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 // demand distribution to a spec checkSpec accepts. rng feeds only the
 // default-outcome unit-reward draw, and the drawn outcomes are written into
 // spec: the caller's copy then names the distribution the request holds,
-// so a checkpoint or a migration hands that on instead of a second draw.
+// so a checkpoint hands that on instead of a second draw.
 func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec *RequestSpec) (*mec.Request, error) {
 	facts, err := checkSpec(net, *spec)
 	if err != nil {

@@ -36,9 +36,7 @@ func SpecCandidates(net *mec.Network, spec RequestSpec, buf []int) ([]int, error
 	cUnit := net.CUnit()
 	cands := reach[:0]
 	for _, i := range reach {
-		// Effective capacity, not nominal: a station scaled down by an
-		// outage must drop out of the candidate set exactly as it does in
-		// the slot LP.
+		// Effective capacity, as the slot LP reads it.
 		capI := net.Capacity(i)
 		if capI < slotMHz || facts.minPosRate > (capI-slotMHz)/cUnit {
 			continue

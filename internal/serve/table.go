@@ -30,8 +30,7 @@ const (
 	// StateCompleted: stream finished its hold and departed (terminal).
 	StateCompleted = "completed"
 	// StateEvicted: admitted but terminated — demand overflow or deadline
-	// miss at realization (no reward), or a station outage mid-hold
-	// (terminal).
+	// miss at realization (no reward; terminal).
 	StateEvicted = "evicted"
 	// StateExpired: never admitted; deadline became unreachable on every
 	// station (terminal).
@@ -40,10 +39,6 @@ const (
 	// the reward-aware overload policy (or refused at ingest) before
 	// ever reaching the scheduler (terminal).
 	StateShed = "shed"
-	// StateMigrated: handed off to another cluster shard while pending
-	// (terminal for this engine; the cluster router forwards status
-	// lookups to the new owner).
-	StateMigrated = "migrated"
 )
 
 // RequestRecord is one request's externally visible status.
@@ -124,24 +119,16 @@ func initRequest(req *request, live *liveState, id uint64, slot int, spec Reques
 // enforces the bound: oldest terminal record first, a live one never. The
 // walk starts at the old end and stops as soon as the table fits (or at
 // the rows just linked), so one call costs the rows it evicts plus the
-// live rows it steps over to reach them, whatever the table's size.
-//
-// An id whose terminal row the table still holds — it left by Extract and
-// the cluster has brought it back — takes that row over where it is linked
-// and reqs[i] is repointed at it: a second row under the id would be
-// deleted from rows when eviction reached the first. The revived row is
-// live, so eviction steps over its old position like any live row's. An id
-// that is live here is the caller's bug.
+// live rows it steps over to reach them, whatever the table's size. An id
+// whose row the table still holds, live or terminal, is the caller's bug:
+// ids are never reused.
 func (t *table) insert(reqs ...*request) (evicted, skipped int) {
-	var first *request // the oldest row linked by this call
-	for i, req := range reqs {
-		if old := t.rows[req.rec.ID]; old != nil {
-			if old.live != nil {
-				panic(fmt.Sprintf("serve: request id %d submitted while it is live", req.rec.ID))
-			}
-			old.rec, old.live = req.rec, req.live
-			reqs[i] = old
-			continue
+	if len(reqs) == 0 {
+		return 0, 0
+	}
+	for _, req := range reqs {
+		if t.rows[req.rec.ID] != nil {
+			panic(fmt.Sprintf("serve: request id %d submitted twice", req.rec.ID))
 		}
 		t.rows[req.rec.ID] = req
 		if t.tail == nil {
@@ -150,15 +137,9 @@ func (t *table) insert(reqs ...*request) (evicted, skipped int) {
 			t.tail.next = req
 		}
 		t.tail = req
-		if first == nil {
-			first = req
-		}
-	}
-	if first == nil {
-		return 0, 0 // nothing was linked, so the table did not grow
 	}
 	link := &t.head // the pointer that leads to old
-	for old := t.head; len(t.rows) > t.max && old != first; old = old.next {
+	for old := t.head; len(t.rows) > t.max && old != reqs[0]; old = old.next {
 		if old.live != nil {
 			link = &old.next
 			skipped++

@@ -25,8 +25,8 @@ func (m modelRow) live() bool { return m.state == StatePending || m.state == Sta
 // unknown; shed moves only a pending record the planner has not seen; the
 // table never exceeds its bound; no live record is ever evicted; evictions
 // take the oldest terminal record first; one insert walks no more rows
-// than it evicts plus the live rows there are; and a migrated id that comes
-// back revives its row at the position it already holds.
+// than it evicts plus the live rows there are; and inserting an id whose
+// row the table holds, live or terminal, panics and changes nothing.
 func TestTableProperty(t *testing.T) {
 	const bound, maxLive, steps = 48, 24, 30000
 	for seed := int64(1); seed <= 4; seed++ {
@@ -101,14 +101,14 @@ func TestTableProperty(t *testing.T) {
 					tb.serving(m.idx, slot, 1, 2.5, 7)
 					m.state = StateServing
 				}
-			case op == 5: // completed, or evicted by an outage
+			case op == 5: // completed
 				if m := pick(attached(StateServing)); m != nil {
-					m.state = []string{StateCompleted, StateEvicted}[rng.Intn(2)]
+					m.state = StateCompleted
 					tb.finish(m.idx, m.state, slot)
 				}
-			case op == 6: // expired, evicted at realization, or migrated
+			case op == 6: // expired, or evicted at realization
 				if m := pick(attached(StatePending)); m != nil {
-					m.state = []string{StateExpired, StateEvicted, StateMigrated}[rng.Intn(3)]
+					m.state = []string{StateExpired, StateEvicted}[rng.Intn(2)]
 					tb.finish(m.idx, m.state, slot)
 				}
 			case op == 7: // shed, aimed at a row in any state
@@ -118,13 +118,17 @@ func TestTableProperty(t *testing.T) {
 						m.state = StateShed
 					}
 				}
-			case op == 8: // a migrated id comes back: its row revives where it is linked
-				if m := pick(func(m *modelRow) bool { return m.state == StateMigrated }); m != nil && numLive() < maxLive {
-					reqs := []*request{newRequest(m.req.rec.ID, slot, RequestSpec{})}
-					if evicted, skipped := tb.insert(reqs...); evicted+skipped != 0 || reqs[0] != m.req {
-						t.Fatalf("seed %d step %d: reviving id %d walked %d+%d rows, row reused: %v", seed, step, m.req.rec.ID, evicted, skipped, reqs[0] == m.req)
-					}
-					m.state, m.idx = StatePending, -1
+			case op == 8: // an id submitted twice, whatever its row's state
+				if m := pick(func(*modelRow) bool { return true }); m != nil {
+					id := m.req.rec.ID
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("seed %d step %d: id %d inserted again while its %s row is held", seed, step, id, m.state)
+							}
+						}()
+						tb.insert(newRequest(id, slot, RequestSpec{}))
+					}()
 				}
 			default: // compaction: the live planner rows close ranks, in planner order
 				tb.compact()
