@@ -39,12 +39,14 @@ race:
 ## when none run) under any interleaving of admit, release, evict,
 ## compaction and restore, a pre-grid snapshot restoring exact ledgers
 ## that drain to 0, and the home-shard rule (a spanning request homes on its
-## access station's shard when that owns a candidate), and a generation
+## access station's shard when that owns a candidate), a generation
 ## naming a removed scheduler
-## restoring under DynamicRR and written back naming it, all under the
-## race detector (same as the CI cluster-parity job).
+## restoring under DynamicRR and written back naming it, and the one
+## overload rule (a single POST the door sheds on arrival answers 503 +
+## Retry-After, like a refused batch), all under the race detector (same
+## as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores' ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components

@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		blockRate  = fs.Int("block-profile", 0, "blocking-profile sample threshold in ns for /debug/pprof/block (1 = every event, 0 = off; needs -pprof-addr)")
 		mutexFrac  = fs.Int("mutex-profile", 0, "mutex-contention sample fraction for /debug/pprof/mutex (1 = every contended lock, 0 = off; needs -pprof-addr)")
 
-		doorCap    = fs.Int("door", 0, "batched-ingest requests per shard waiting for the planner before reward-aware shedding (0 = default 8192)")
+		doorCap    = fs.Int("door", 0, "requests per shard waiting at the door for the planner before reward-aware shedding (0 = default 8192)")
 		maxPending = fs.Int("max-pending", 0, "pending requests per shard past which a slot stops draining the door (0 = default 16384)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -335,25 +335,33 @@ func replayFrames(c *cluster.Cluster, src io.Reader, rp replayParams) (seconds, 
 	if slotsPerSecond < 1 {
 		slotsPerSecond = 1
 	}
+	var specs []serve.RequestSpec // every second's group in turn
 	for s, fps := range tr.FPS {
 		n := rp.perThirtyFPS * fps / 30
 		if n < 1 {
 			n = 1
 		}
+		specs = specs[:0]
 		for k := 0; k < n; k++ {
 			unit := workload.DefaultMinUnitReward +
 				rp.rng.Float64()*(workload.DefaultMaxUnitReward-workload.DefaultMinUnitReward)
-			spec := serve.RequestSpec{
-				AccessStation: submitted % rp.stations,
+			specs = append(specs, serve.RequestSpec{
+				AccessStation: (submitted + k) % rp.stations,
 				Outcomes: []serve.OutcomeSpec{
 					{RateMBs: rates[s], Prob: 1, Reward: unit * rates[s]},
 				},
-			}
-			if _, _, err := c.Submit(spec); err != nil {
-				return 0, 0, fmt.Errorf("replay second %d: %w", s, err)
-			}
-			submitted++
+			})
 		}
+		// One group through the door, then Flush, which ignores MaxPending:
+		// the planner holds the whole second before its first slot.
+		res, err := c.SubmitBatch(specs)
+		if err == nil {
+			err = c.Flush()
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("replay second %d: %w", s, err)
+		}
+		submitted += len(res.IDs)
 		for k := 0; k < slotsPerSecond; k++ {
 			if err := c.Tick(); err != nil {
 				return 0, 0, err

@@ -54,7 +54,7 @@ func shardFile(base string, shard int, gen uint64) string {
 // checkpointLocked takes a full cluster checkpoint, split into a cheap
 // extraction under the clock lock and a disk job on the single-flight
 // writer. Extraction is one epSnapshot epoch — every shard flushes its
-// batched-ingest residue and hands back a copy-on-write snapshot — plus
+// door's residue and hands back a copy-on-write snapshot — plus
 // the manifest skeleton; JSON encoding, temp files, fsync, the
 // generation-stamped shard renames, the manifest rename, and the
 // previous generation's sweep all run inside the writer job. With

@@ -91,7 +91,7 @@ const (
 	// clock; checkpoints and Stop use it so captured bandit state
 	// matches what a synchronous schedule would have written.
 	epSettle
-	// epSnapshot flushes batched-ingest residue and extracts the shard's
+	// epSnapshot flushes the door's residue and extracts the shard's
 	// copy-on-write checkpoint snapshot into nd.snap.
 	epSnapshot
 	// epFlush moves every accepted batch into the shard's planner.
@@ -229,8 +229,8 @@ type Cluster struct {
 	router *router
 
 	// mu serializes the cluster clock: Tick, Flush, Drain and checkpoint
-	// extraction. Submit/Status take only the
-	// router's lock and the owning engine's.
+	// extraction. Intake and Status take only the router's lock and the
+	// owning engines' door and table locks.
 	mu          sync.Mutex
 	slot        int
 	manifestGen uint64
@@ -252,9 +252,9 @@ type Cluster struct {
 	// tickAdmitted is tickLocked's reusable list of the slot's admitted
 	// ids (mu-guarded), grown once and recycled every slot.
 	tickAdmitted []uint64
-	// submitScratch pools the routing scratch of Submit and SubmitBatch
-	// (candidate list, route table, per-shard spec slices, zip cursors)
-	// across concurrent calls.
+	// submitScratch pools SubmitBatch's routing scratch (candidate list,
+	// route table, per-shard specs, ids and results) across concurrent
+	// calls.
 	submitScratch sync.Pool
 
 	// ckw serializes every checkpoint's disk half (non-nil when
@@ -588,21 +588,10 @@ func (c *Cluster) scratch() *batchScratch {
 }
 
 // Submit routes one request to its owning shard and returns its id and
-// the shard's current slot.
+// the slot it arrived in: a SubmitBatch of one, failing as
+// serve.Engine.Submit does (serve.Single).
 func (c *Cluster) Submit(spec serve.RequestSpec) (uint64, int, error) {
-	sc := c.scratch()
-	defer c.submitScratch.Put(sc)
-	shard, local, err := c.place(sc, spec)
-	if err != nil {
-		return 0, 0, err
-	}
-	req := []routed{{shard: shard}}
-	c.router.reserve(req)
-	slot, err := c.nodes[shard].eng.SubmitAs(req[0].id, local)
-	if err != nil {
-		return 0, 0, err
-	}
-	return req[0].id, slot, nil
+	return serve.Single(c.SubmitBatch([]serve.RequestSpec{spec}))
 }
 
 // batchScratch is the pooled routing scratch. The engines copy every spec
@@ -613,7 +602,7 @@ type batchScratch struct {
 	routes   []routed
 	perShard [][]serve.RequestSpec
 	ids      [][]uint64
-	shed     []int
+	res      []serve.BatchResult
 	shardErr []error
 }
 
@@ -626,25 +615,26 @@ func (sc *batchScratch) reset(specs, shards int) {
 	if cap(sc.perShard) < shards {
 		sc.perShard = make([][]serve.RequestSpec, shards)
 		sc.ids = make([][]uint64, shards)
-		sc.shed = make([]int, shards)
+		sc.res = make([]serve.BatchResult, shards)
 		sc.shardErr = make([]error, shards)
 	}
 	sc.perShard = sc.perShard[:shards]
 	sc.ids = sc.ids[:shards]
-	sc.shed = sc.shed[:shards]
+	sc.res = sc.res[:shards]
 	sc.shardErr = sc.shardErr[:shards]
 	for k := 0; k < shards; k++ {
 		sc.perShard[k] = sc.perShard[k][:0]
 		sc.ids[k] = sc.ids[k][:0]
-		sc.shed[k] = 0
+		sc.res[k] = serve.BatchResult{}
 		sc.shardErr[k] = nil
 	}
 }
 
 // SubmitBatch routes a batch across shards, reserves the batch's ids in
 // submission order, and submits each shard's slice under its ids through
-// the engine's batched-ingest path. The ids of the accepted requests come
-// back in submission order. Shards that refuse (saturation, drain) fail
+// the engine's door. The ids of the accepted requests come back in
+// submission order, with the accepting shards' shed counts summed and the
+// latest of their slots. Shards that refuse (saturation, drain) fail
 // their requests, whose ids stay unused; the call errors only when every
 // spec failed.
 func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, error) {
@@ -672,7 +662,7 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 		if len(slice) == 0 {
 			continue
 		}
-		sc.shed[k], shardErr[k] = c.nodes[k].eng.SubmitBatchAs(sc.ids[k], slice)
+		sc.res[k], shardErr[k] = c.nodes[k].eng.SubmitBatchAs(sc.ids[k], slice)
 	}
 	// Report what the shards accepted, in submission order.
 	out := serve.BatchResult{IDs: make([]uint64, 0, len(specs))}
@@ -689,9 +679,11 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 	if len(out.IDs) == 0 {
 		return serve.BatchResult{}, firstErr
 	}
-	for k, shed := range sc.shed {
+	for k, res := range sc.res {
 		if shardErr[k] == nil {
-			out.Shed += shed
+			out.Shed += res.Shed
+			out.Lost += res.Lost
+			out.Slot = max(out.Slot, res.Slot)
 		}
 	}
 	return out, nil

@@ -46,8 +46,9 @@ func (b *batchBuf) release() {
 // Overload contract: a 503 (draining, stopped, or ingest saturation)
 // always carries a Retry-After header and a JSON body with a jittered
 // retryAfterMS hint (serve.Engine.WriteUnavailable, from shard 0's seeded
-// stream); under saturation the batch path sheds the lowest
-// expected-reward requests first before refusing batches outright.
+// stream). Both POSTs enter through the door, which under saturation
+// sheds the lowest expected-reward requests first and then refuses
+// batches outright; a single POST it sheds on arrival answers 503.
 func Handler(c *Cluster) http.Handler {
 	mux := http.NewServeMux()
 	front := c.nodes[0].eng // overload contract + jitter stream
@@ -89,7 +90,7 @@ func Handler(c *Cluster) http.Handler {
 		switch {
 		case err == nil:
 			serve.WriteJSON(w, http.StatusAccepted, submitResponse{ID: id, Slot: slot, State: serve.StatePending})
-		case errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrStopped):
+		case errors.Is(err, serve.ErrSaturated), errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrStopped):
 			front.WriteUnavailable(w, err)
 		case errors.Is(err, serve.ErrBadSpec):
 			serve.WriteJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
@@ -279,17 +280,17 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	perShard("active_streams", "gauge", "Per-shard streams occupying service instances.",
 		func(nd *shardNode) any { return nd.eng.Metrics().ActiveStreams.Load() })
 
-	perShard("batches_total", "counter", "Per-shard bulk intake batches accepted.",
+	perShard("batches_total", "counter", "Per-shard intake batches accepted at the door (a single POST is a batch of one).",
 		func(nd *shardNode) any { return nd.eng.Metrics().Batches.Load() })
-	perShard("batch_requests_total", "counter", "Per-shard requests carried by accepted bulk batches.",
+	perShard("batch_requests_total", "counter", "Per-shard requests carried by accepted intake batches.",
 		func(nd *shardNode) any { return nd.eng.Metrics().BatchRequests.Load() })
-	perShard("saturated_total", "counter", "Per-shard bulk batches refused because the ingest path was saturated.",
+	perShard("saturated_total", "counter", "Per-shard intake batches refused because the door was saturated.",
 		func(nd *shardNode) any { return nd.eng.Metrics().Saturated.Load() })
-	perShard("intake_depth", "gauge", "Per-shard bulk intake requests waiting at the door for the planner.",
+	perShard("intake_depth", "gauge", "Per-shard requests waiting at the door for the planner.",
 		func(nd *shardNode) any { return nd.eng.Metrics().IntakeDepth.Load() })
 
 	histogram("slot_duration_ms", "Per-shard scheduling latency of one slot.", (*serve.Metrics).SlotDurationSnapshot)
-	histogram("intake_latency_ms", "Per-shard batched-ingest handoff latency (door enqueue to planner append, including the wait for the next flush or slot).", (*serve.Metrics).IntakeLatencySnapshot)
+	histogram("intake_latency_ms", "Per-shard intake handoff latency (door enqueue to planner append, including the wait for the next flush or slot).", (*serve.Metrics).IntakeLatencySnapshot)
 
 	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, lp is a component solve. A component none of whose rounding draws can place a request is neither.", "path", func(nd *shardNode) []labeledValue {
 		inc := nd.eng.IncStats()

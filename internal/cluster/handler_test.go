@@ -43,13 +43,20 @@ type (
 // eachShardCount runs a handler test against a 1-shard and a 2-shard
 // cluster: the contract may not depend on the shard count.
 func eachShardCount(t *testing.T, test func(t *testing.T, c *cluster.Cluster, url string)) {
+	eachShardCountWith(t, cluster.Config{}, test)
+}
+
+// eachShardCountWith is eachShardCount over clusters built from cfg, its
+// network, shard count and seed filled in.
+func eachShardCountWith(t *testing.T, cfg cluster.Config, test func(t *testing.T, c *cluster.Cluster, url string)) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			net, err := mec.RandomNetwork(4, 3000, 3600, rand.New(rand.NewSource(11)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := cluster.New(cluster.Config{Net: net, Shards: shards, Seed: 5})
+			cfg.Net, cfg.Shards, cfg.Seed = net, shards, 5
+			c, err := cluster.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,6 +235,11 @@ func TestHTTPSingleSubmitBounds(t *testing.T) {
 				t.Fatalf("%s -> %d, want %d: %.200s", tc.name, resp.StatusCode, tc.want, out)
 			}
 		}
+		// Submitted counts what the planners hold: the accepted POSTs wait
+		// at the door until a flush or a tick.
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if got := c.Totals().Submitted; got != 2 {
 			t.Fatalf("%d requests submitted, want the 2 well-formed ones", got)
 		}
@@ -391,8 +403,30 @@ func TestHTTPBatchSubmit(t *testing.T) {
 }
 
 // TestHTTPOverloadContract pins the 503 shape: Retry-After header, JSON
-// body with a jittered retryAfterMS hint in [500, 1000).
+// body with a jittered retryAfterMS hint in [500, 1000). Both POSTs answer
+// it while draining, and a single POST answers it when the door sheds it
+// on arrival: every request obeys one overload rule.
 func TestHTTPOverloadContract(t *testing.T) {
+	unavailable := func(t *testing.T, what string, resp *http.Response, out []byte) {
+		t.Helper()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s -> %d, want 503", what, resp.StatusCode)
+		}
+		ra := resp.Header.Get("Retry-After")
+		if ra == "" {
+			t.Fatal("503 without Retry-After header")
+		}
+		var eresp errorResponse
+		if err := json.Unmarshal(out, &eresp); err != nil {
+			t.Fatalf("503 body not structured JSON: %q", out)
+		}
+		if eresp.Error == "" {
+			t.Fatal("503 body missing error message")
+		}
+		if eresp.RetryAfterMS < 500 || eresp.RetryAfterMS >= 1000 {
+			t.Fatalf("retryAfterMS = %d, want jittered in [500, 1000)", eresp.RetryAfterMS)
+		}
+	}
 	eachShardCount(t, func(t *testing.T, c *cluster.Cluster, url string) {
 		// Keep station 0's shard alive through the drain so the refusal is
 		// ErrDraining.
@@ -407,23 +441,41 @@ func TestHTTPOverloadContract(t *testing.T) {
 			func() (*http.Response, []byte) { return postNDJSON(t, url, "{}\n") },
 		} {
 			resp, out := post()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("draining submit -> %d, want 503", resp.StatusCode)
-			}
-			ra := resp.Header.Get("Retry-After")
-			if ra == "" {
-				t.Fatal("503 without Retry-After header")
-			}
-			var eresp errorResponse
-			if err := json.Unmarshal(out, &eresp); err != nil {
-				t.Fatalf("503 body not structured JSON: %q", out)
-			}
-			if eresp.Error == "" {
-				t.Fatal("503 body missing error message")
-			}
-			if eresp.RetryAfterMS < 500 || eresp.RetryAfterMS >= 1000 {
-				t.Fatalf("retryAfterMS = %d, want jittered in [500, 1000)", eresp.RetryAfterMS)
-			}
+			unavailable(t, "draining submit", resp, out)
 		}
+	})
+
+	// A door of one and no tick: every single POST after the first finds
+	// the door full, and the cheaper request of the two sheds.
+	t.Run("shed on arrival", func(t *testing.T) {
+		eachShardCountWith(t, cluster.Config{DoorCapacity: 1}, func(t *testing.T, c *cluster.Cluster, url string) {
+			priced := func(reward float64) serve.RequestSpec {
+				return serve.RequestSpec{AccessStation: 0, Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: reward}}}
+			}
+			submit := func(reward float64) submitResponse {
+				t.Helper()
+				resp, out := postJSON(t, url+"/v1/requests", priced(reward))
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("single POST at $%v -> %d, want 202: %s", reward, resp.StatusCode, out)
+				}
+				var sub submitResponse
+				if err := json.Unmarshal(out, &sub); err != nil {
+					t.Fatal(err)
+				}
+				return sub
+			}
+			first := submit(200)
+			resp, out := postJSON(t, url+"/v1/requests", priced(100))
+			unavailable(t, "cheaper single POST at a full door", resp, out)
+			submit(300)
+			resp, out = get(t, fmt.Sprintf("%s/v1/requests/%d", url, first.ID))
+			var rec serve.RequestRecord
+			if err := json.Unmarshal(out, &rec); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("status of the first request -> %d: %s", resp.StatusCode, out)
+			}
+			if rec.State != serve.StateShed {
+				t.Fatalf("first request %q after a dearer arrival at a full door, want %q", rec.State, serve.StateShed)
+			}
+		})
 	})
 }

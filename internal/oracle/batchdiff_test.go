@@ -1,7 +1,7 @@
-// Batch-intake differential: below saturation, the daemon's NDJSON
-// batch path must admit decision-for-decision identically to the
-// single-POST path. Both harnesses drive the same spec stream into
-// identically seeded engines — one via Submit per request, one via
+// Batch-intake differential: below saturation, how requests are grouped
+// at the door must be invisible to the scheduler. The harnesses drive the
+// same spec stream into identically seeded engines — one via Submit per
+// request (a batch of one each, taken at slot start), one via
 // SubmitBatch+Flush — and must produce bit-for-bit equal replay dumps.
 //
 // This lives in package oracle_test because serve imports oracle (for
@@ -92,9 +92,10 @@ func runIntake(t *testing.T, specs [][]serve.RequestSpec,
 	return dump
 }
 
-// TestBatchIntakeMatchesSingle is the differential itself, run at two
-// batching granularities: one batch per slot, and each slot split into
-// two batches. Grouping must be invisible to the scheduler.
+// TestBatchIntakeMatchesSingle is the differential itself, run against
+// one Submit per request at two batching granularities: one batch per
+// slot, and each slot split into two batches. Grouping must be invisible
+// to the scheduler.
 func TestBatchIntakeMatchesSingle(t *testing.T) {
 	specs := diffSpecs(4, 30, rand.New(rand.NewSource(3)))
 	total := 0

@@ -4,7 +4,7 @@
 // replaying the cached decision of every LP-PT component whose input did
 // not change since an earlier tick. An engine runs no goroutine: it is
 // two locks — the planner lock every call that reads or moves the planner
-// takes, and the door lock the batch path takes — and one request table
+// takes, and the door lock every submission takes — and one request table
 // (table.go) both write and status lookups read, so every state change
 // happens inside a call, on the caller's goroutine. Bandit arm statistics
 // and in-flight assignments snapshot into a Checkpoint (checkpoint.go) so
@@ -80,15 +80,14 @@ type Config struct {
 	// settled entries in place, when at least half of them and more than
 	// CompactAfter are settled (default 0).
 	CompactAfter int
-	// DoorCapacity bounds the batch-path requests waiting at the door for
-	// the planner; once it is full, each arrival sheds the request with the
+	// DoorCapacity bounds the requests waiting at the door for the
+	// planner; once it is full, each arrival sheds the request with the
 	// lowest expected reward, the newest among equal ones (default 8192).
 	DoorCapacity int
 	// MaxPending bounds the pending queue: the door's drain at slot start
-	// and before a single-request submit stops once this many requests
-	// await scheduling, which is the backpressure signal that lets the door
-	// fill and shed (default 16384). Flush, and the request a
-	// single-request submit admits, are not subject to it.
+	// stops once this many requests await scheduling, which is the
+	// backpressure signal that lets the door fill and shed (default
+	// 16384). Flush and Drain are not subject to it.
 	MaxPending int
 	// StepChecker, when set, is installed on the planner and runs the
 	// oracle's invariant checks after every slot; a violation surfaces as
@@ -113,7 +112,7 @@ type Config struct {
 // holds door — a batch appending to it, or a planner-lock holder taking
 // from it — and the two sides share the request table. The lock order is
 // mu, then door, then the table's; a batch at the door never takes mu, so
-// a batch submission never waits for a slot.
+// a submission never waits for a slot.
 type Engine struct {
 	cfg     Config
 	metrics *Metrics
@@ -129,7 +128,8 @@ type Engine struct {
 
 	// nextExt numbers the requests of callers that hand no id down (Submit,
 	// SubmitBatch) and stays above every id a caller did hand down
-	// (takeID); it is atomic because both locks' holders move it.
+	// (takeID). Only the door lock's holder moves it; it is atomic because
+	// snapshotState reads it under the planner lock.
 	nextExt atomic.Uint64
 	atDoor  atomic.Int64 // batches waiting at the door or inside it
 
@@ -158,6 +158,7 @@ type Engine struct {
 	door    sync.Mutex
 	intake  doorBuffer
 	pumpSeq uint64
+	reqBuf  []*request    // per-batch rows, cleared after use
 	shedBuf []ingestEntry // per-batch shed victims, reused across batches
 }
 
@@ -289,60 +290,6 @@ func (e *Engine) lock() error {
 	return nil
 }
 
-// Submit queues a request for the next scheduling slot under the engine's
-// own numbering and returns its id.
-func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
-	return e.submit(0, false, spec)
-}
-
-// SubmitAs is Submit under an id the caller chose: the cluster's id, which
-// the row, the DecisionObserver report, Snapshot and Status then all carry.
-// The id must not name a request whose row this engine still holds.
-func (e *Engine) SubmitAs(id uint64, spec RequestSpec) (int, error) {
-	_, slot, err := e.submit(id, true, spec)
-	return slot, err
-}
-
-// submit drains the door before it admits, so below the MaxPending bound
-// the planner sees a request after every batch accepted before it. An id
-// of the engine's own is allocated only once the planner took the
-// request, so a refused spec consumes none.
-func (e *Engine) submit(id uint64, numbered bool, spec RequestSpec) (uint64, int, error) {
-	if err := e.lock(); err != nil {
-		return 0, 0, err
-	}
-	defer e.mu.Unlock()
-	e.drainDoor(false)
-	idx, err := e.admit(&spec)
-	if err != nil {
-		e.metrics.Rejected.Inc()
-		return 0, 0, err
-	}
-	id = e.takeID(id, numbered)
-	req := newRequest(id, e.slot, spec)
-	e.table.mu.Lock()
-	e.table.insert(req)
-	e.table.mu.Unlock()
-	e.table.attach(req, idx, e.slot)
-	e.metrics.PendingDepth.Store(int64(len(e.pending)))
-	return id, e.slot, nil
-}
-
-// takeID settles a new request's id: the engine's next when the caller
-// numbered nothing, else the caller's, with the engine's own numbering kept
-// above it.
-func (e *Engine) takeID(id uint64, numbered bool) uint64 {
-	if !numbered {
-		return e.nextExt.Add(1) - 1
-	}
-	for next := e.nextExt.Load(); id >= next; next = e.nextExt.Load() {
-		if e.nextExt.CompareAndSwap(next, id+1) {
-			break
-		}
-	}
-	return id
-}
-
 // Status looks up a request's current record; an id the table never saw,
 // or has evicted, is unknown (false, nil error). The table outlives the
 // engine's exit — a drained engine still answers — and closes only at
@@ -366,12 +313,12 @@ func (e *Engine) Tick() error {
 }
 
 // Snapshot captures the engine's live state as an in-memory checkpoint.
-// It reflects only requests the planner has seen:
-// callers who need batched-ingest residue included (the cluster
-// checkpoint path) must Flush first. An engine that drained to completion
-// keeps answering with the state it exited in (shared between calls: read,
-// do not modify), so a checkpoint taken after a clean drain still carries
-// its learner and counters; one Stop halted first fails with ErrStopped.
+// It reflects only requests the planner has seen: callers who need the
+// door's residue included (the cluster checkpoint path) must Flush first.
+// An engine that drained to completion keeps answering with the state it
+// exited in (shared between calls: read, do not modify), so a checkpoint
+// taken after a clean drain still carries its learner and counters; one
+// Stop halted first fails with ErrStopped.
 func (e *Engine) Snapshot() (*Checkpoint, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -1,20 +1,20 @@
 package serve
 
-// The door: the batch path's side of the engine. HTTP batch handlers (and
-// the bulk replay) hand decoded spec batches to SubmitBatch, which takes
-// the door lock on the caller's goroutine, prices each request, gives it
-// its id (the caller's, or the engine's next), inserts its row into the
-// request table, and appends it to the door's one bounded buffer. The
-// planner lock's holder takes the buffer's entries, oldest first: at slot
-// start, before a single-request submit, in Flush and in Drain. The
-// overload policy is a strict chain of bounded queues:
+// The door: the engine's one way in. Submit (a batch of one), HTTP batch
+// handlers and the bulk replay hand decoded specs to submitBatch, which
+// takes the door lock on the caller's goroutine, prices each request,
+// gives it its id (the caller's, or the engine's next), inserts its row
+// into the request table, and appends it to the door's one bounded
+// buffer. The planner lock's holder takes the buffer's entries, oldest
+// first: at slot start, in Flush and in Drain. The overload policy is a
+// strict chain of bounded queues, and every request obeys it:
 //
 //	pending (MaxPending)  <- door (DoorCapacity, sheds lowest E[reward])
 //	  <- batches waiting at the door (batchQueue)  <- 503 + Retry-After
 //
 // A request the door does not shed reaches the planner in exact
-// submission order, so batched intake decides as the single-POST path
-// does (the oracle differential enforces this).
+// submission order, so how requests are grouped into batches is
+// invisible to the scheduler (the oracle differential enforces this).
 
 import (
 	"cmp"
@@ -26,12 +26,13 @@ import (
 	"mecoffload/internal/workload"
 )
 
-// ErrSaturated reports that the ingest path cannot accept the batch
-// right now; HTTP maps it to 503 with a jittered Retry-After.
+// ErrSaturated reports that the door cannot take the request right now:
+// batchQueue batches already wait at it, or it shed a single request on
+// arrival. HTTP maps it to 503 with a jittered Retry-After.
 var ErrSaturated = errors.New("serve: ingest saturated, retry later")
 
 // batchQueue bounds how many batches may wait at the door besides the one
-// inside it; the next one fails SubmitBatch with ErrSaturated.
+// inside it; the next one fails with ErrSaturated.
 const batchQueue = 8
 
 // defaultSpecPrice is the expected reward of a default-spec request:
@@ -41,41 +42,72 @@ const batchQueue = 8
 const defaultSpecPrice = (workload.DefaultMinRate + workload.DefaultMaxRate) / 2 *
 	(workload.DefaultMinUnitReward + workload.DefaultMaxUnitReward) / 2
 
-// BatchResult summarizes one SubmitBatch call.
+// BatchResult summarizes one batch's pass through the door.
 type BatchResult struct {
 	// IDs are the ids of the batch's specs, in submission order. An id is
 	// durable for status lookups even if its request is later shed.
 	IDs []uint64
 	// Shed is the number of requests (from this batch or earlier ones)
-	// shed by the reward-aware policy while this batch was ingested.
-	Shed int
+	// shed by the reward-aware policy while this batch was ingested, and
+	// Lost the number of this batch's own among them.
+	Shed, Lost int
+	// Slot is the slot the batch arrived in: its rows' SubmittedSlot.
+	Slot int
+}
+
+// Single answers a single-request caller from its batch of one: the
+// request's id and arrival slot, or ErrSaturated when the door shed it
+// on arrival.
+func Single(res BatchResult, err error) (uint64, int, error) {
+	if err == nil && res.Lost > 0 {
+		err = ErrSaturated
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.IDs[0], res.Slot, nil
+}
+
+// Submit queues one request under the engine's own numbering and returns
+// its id and the slot it arrived in. It is a batch of one through the
+// door: a spec ValidateSpec refuses fails with ErrBadSpec, counts as
+// rejected and takes no id, and the request fails with ErrSaturated when
+// the door is saturated or sheds it on arrival.
+func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
+	if err := e.ValidateSpec(spec); err != nil {
+		e.metrics.Rejected.Inc()
+		return 0, 0, err
+	}
+	var id [1]uint64
+	return Single(e.submitBatch(id[:0], []RequestSpec{spec}))
 }
 
 // SubmitBatch queues a pre-validated batch of specs for ingest under the
 // engine's own numbering. It fails fast with ErrSaturated when batchQueue
 // batches already wait at the door (the overload backstop behind the
-// door's shedding), and with ErrDraining / ErrStopped like Submit. Specs
-// should have passed ValidateSpec; a spec the planner still rejects is
-// counted and recorded as shed.
+// door's shedding), and with ErrDraining / ErrStopped once intake has
+// closed. Specs should have passed ValidateSpec; a spec the planner still
+// rejects is counted and recorded as shed.
 func (e *Engine) SubmitBatch(specs []RequestSpec) (BatchResult, error) {
 	return e.submitBatch(nil, specs)
 }
 
-// SubmitBatchAs is SubmitBatch under ids the caller chose, one per spec
-// and under SubmitAs's rule; it reports how many requests shed. Neither
-// slice is kept past the call.
-func (e *Engine) SubmitBatchAs(ids []uint64, specs []RequestSpec) (shed int, err error) {
+// SubmitBatchAs is SubmitBatch under ids the caller chose, one per spec:
+// the cluster's, which the rows, the DecisionObserver report, Snapshot and
+// Status then all carry. An id must not name a request whose row this
+// engine still holds. Neither slice is kept past the call.
+func (e *Engine) SubmitBatchAs(ids []uint64, specs []RequestSpec) (BatchResult, error) {
 	if len(ids) != len(specs) {
-		return 0, fmt.Errorf("serve: %d ids for %d specs", len(ids), len(specs))
+		return BatchResult{}, fmt.Errorf("serve: %d ids for %d specs", len(ids), len(specs))
 	}
-	res, err := e.submitBatch(ids, specs)
-	return res.Shed, err
+	return e.submitBatch(ids, specs)
 }
 
 // submitBatch runs the batch through the door on the caller's goroutine.
 // It holds the door lock, never the planner lock, so a batch waits for
 // the batches ahead of it and for a drain taking the buffer, never for a
-// slot.
+// slot. ids holds the caller's ids, one per spec; empty, it is storage
+// for the engine's own numbering (nil allocates).
 func (e *Engine) submitBatch(ids []uint64, specs []RequestSpec) (BatchResult, error) {
 	if len(specs) == 0 {
 		return BatchResult{}, nil
@@ -96,10 +128,10 @@ func (e *Engine) submitBatch(ids []uint64, specs []RequestSpec) (BatchResult, er
 	if e.Draining() {
 		return BatchResult{}, e.refusal()
 	}
-	ids, shed := e.pumpBatch(ids, specs)
+	res := e.pumpBatch(ids, specs)
 	e.metrics.Batches.Inc()
 	e.metrics.BatchRequests.Add(uint64(len(specs)))
-	return BatchResult{IDs: ids, Shed: shed}, nil
+	return res, nil
 }
 
 // refusal is what closed intake answers: ErrStopped once the engine has
@@ -125,18 +157,17 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
-// pumpBatch registers, prices, and enqueues one batch (door lock held)
-// and returns its ids and how many requests shed. The table lock is held
-// for the inserts alone — a row exists before its entry can reach the
-// planner — and once more if anything shed.
-func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) ([]uint64, int) {
+// pumpBatch registers, prices, and enqueues one batch (door lock held).
+// The table lock is held for the inserts alone — a row exists before its
+// entry can reach the planner — and once more if anything shed.
+func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) BatchResult {
 	now := time.Now().UnixNano()
-	slot := int(e.metrics.CurrentSlot.Load())
-	numbered := ids != nil
+	res := BatchResult{Slot: int(e.metrics.CurrentSlot.Load())}
+	numbered := len(ids) > 0
 	if !numbered {
-		ids = make([]uint64, len(specs))
+		ids = slices.Grow(ids, len(specs))[:len(specs)]
 	}
-	reqs := make([]*request, len(specs))
+	reqs := slices.Grow(e.reqBuf, len(specs))[:len(specs)]
 	// Rows come rowChunk at a time, not two allocations a line.
 	var rows []request
 	var lives []liveState
@@ -146,13 +177,14 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) ([]uint64, int) {
 			rows, lives = make([]request, n), make([]liveState, n)
 		}
 		ids[i] = e.takeID(ids[i], numbered)
-		reqs[i] = initRequest(&rows[0], &lives[0], ids[i], slot, spec)
+		reqs[i] = initRequest(&rows[0], &lives[0], ids[i], res.Slot, spec)
 		rows, lives = rows[1:], lives[1:]
 	}
 	e.table.mu.Lock()
 	e.table.insert(reqs...)
 	e.table.mu.Unlock()
 
+	first := e.pumpSeq
 	e.shedBuf = e.shedBuf[:0]
 	for i, req := range reqs {
 		ent := ingestEntry{req: req, price: specPrice(specs[i]), seq: e.pumpSeq, enqNano: now}
@@ -161,16 +193,36 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) ([]uint64, int) {
 		}
 		e.pumpSeq++
 	}
+	clear(reqs) // pins no row past the call
+	e.reqBuf = reqs[:0]
 	e.metrics.IntakeDepth.Store(int64(len(e.intake.entries)))
 	if n := len(e.shedBuf); n > 0 {
 		e.metrics.Shed.Add(uint64(n))
 		e.table.mu.Lock()
 		for _, victim := range e.shedBuf {
-			e.table.shed(victim.req, slot)
+			e.table.shed(victim.req, res.Slot)
+			if victim.seq >= first {
+				res.Lost++
+			}
 		}
 		e.table.mu.Unlock()
 	}
-	return ids, len(e.shedBuf)
+	res.IDs, res.Shed = ids, len(e.shedBuf)
+	return res
+}
+
+// takeID settles a new request's id (door lock held): the engine's next
+// when the caller numbered nothing, else the caller's, with the engine's
+// own numbering kept above it.
+func (e *Engine) takeID(id uint64, numbered bool) uint64 {
+	next := e.nextExt.Load()
+	if !numbered {
+		id = next
+	}
+	if id >= next {
+		e.nextExt.Store(id + 1)
+	}
+	return id
 }
 
 // RingDepth returns how many requests wait at the door (gauge-grade). It

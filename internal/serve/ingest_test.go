@@ -80,8 +80,8 @@ func TestSubmitBatchLifecycle(t *testing.T) {
 
 // TestSubmitBatchShedsLowestReward is the overload-policy test worked
 // out entry by entry: a door of 8 and a pending queue already past
-// MaxPending (two single-POST requests over a bound of one). A batch of
-// ten requests priced 1..10 must shed exactly the two cheapest, 1 and 2,
+// MaxPending (two flushed requests over a bound of one). A batch of ten
+// requests priced 1..10 must shed exactly the two cheapest, 1 and 2,
 // whichever arrived first, and Flush must admit the 8 survivors in
 // arrival order.
 func TestSubmitBatchShedsLowestReward(t *testing.T) {
@@ -89,9 +89,16 @@ func TestSubmitBatchShedsLowestReward(t *testing.T) {
 		DoorCapacity: 8,
 		MaxPending:   1,
 	})
-	// Two single-POST requests exceed MaxPending, so no drain before a
-	// slot would take from the door.
-	pre := submitN(t, e, 2)
+	// Two requests flushed past MaxPending (Flush ignores the bound), so
+	// no slot would take from the door.
+	first, err := e.SubmitBatch([]RequestSpec{{AccessStation: 0, DurationSlots: 3}, {AccessStation: 1, DurationSlots: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	pre := first.IDs
 	specs := make([]RequestSpec, 10)
 	for i := range specs {
 		specs[i] = pricedSpec(0, float64(i+1))
@@ -121,12 +128,12 @@ func TestSubmitBatchShedsLowestReward(t *testing.T) {
 		t.Fatalf("shed counter = %d, want 2", got)
 	}
 	// Flush force-drains the door; the 8 survivors follow the two
-	// single-POST requests into the planner, oldest first.
+	// flushed requests into the planner, oldest first.
 	if err := e.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if got := e.metrics.Submitted.Load(); got != 10 {
-		t.Fatalf("submitted = %d, want 10 (2 singles + 8 surviving batch)", got)
+		t.Fatalf("submitted = %d, want 10 (2 flushed + 8 surviving batch)", got)
 	}
 	for i, id := range res.IDs[2:] {
 		if idx := e.table.rows[id].live.idx; idx != 2+i {
@@ -136,7 +143,7 @@ func TestSubmitBatchShedsLowestReward(t *testing.T) {
 	for _, id := range pre {
 		rec, ok, _ := e.Status(id)
 		if !ok || rec.State != StatePending {
-			t.Fatalf("single-POST request %d disturbed by batch path: %+v", id, rec)
+			t.Fatalf("flushed request %d disturbed by the later batch: %+v", id, rec)
 		}
 	}
 }
@@ -185,9 +192,9 @@ func TestValidateSpec(t *testing.T) {
 // Tick, with no Flush, run forty times on identically seeded engines and
 // end in the same snapshot requests and the same record for every id —
 // the records of the same sixty default specs sent one by one through
-// Submit, in the same order. A single-request submit drains the door
-// first, so the planner sees requests in submission order whichever path
-// they came by.
+// Submit, in the same order. A Submit is a batch of one through the same
+// door, so the planner sees requests in submission order however they
+// were grouped.
 func TestInterleavedIntakeIsDeterministic(t *testing.T) {
 	const slots, runs = 20, 40
 	net := testNetwork(t, 4)

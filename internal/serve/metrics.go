@@ -11,10 +11,10 @@ import (
 // range finely and the overload range coarsely.
 var slotDurationBucketsMS = []float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
 
-// intakeLatencyBucketsMS resolve the batched-ingest handoff (door
-// enqueue to planner append), which includes the wait for the next Flush,
-// slot or single-request submit. The coarse tail captures overload, where
-// entries wait at the door behind the MaxPending backpressure bound.
+// intakeLatencyBucketsMS resolve the intake handoff (door enqueue to
+// planner append), which includes the wait for the next Flush or slot.
+// The coarse tail captures overload, where entries wait at the door
+// behind the MaxPending backpressure bound.
 var intakeLatencyBucketsMS = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 500}
 
 // counter is a monotonically increasing uint64 safe for concurrent use.
@@ -97,8 +97,8 @@ func (m *Metrics) IntakeLatencySnapshot() HistogramSnapshot { return m.IntakeLat
 // only exposition. All fields are safe for concurrent read while the
 // engine writes.
 type Metrics struct {
-	Submitted    counter // requests accepted into the intake queue
-	Rejected     counter // requests refused at intake (draining)
+	Submitted    counter // requests the planner took from the door into pending
+	Rejected     counter // specs Submit refused, and door entries the planner could not take
 	Admitted     counter // scheduler admissions (includes later evictions)
 	Served       counter // admissions that survived settlement
 	Evicted      counter // admissions evicted at realization or by overload
@@ -109,8 +109,8 @@ type Metrics struct {
 	Reward       floatCounter
 	SlotDuration *histogram
 
-	// Batched ingest path.
-	Batches       counter    // SubmitBatch calls accepted at the door
+	// The door, which every request passes (a Submit is a batch of one).
+	Batches       counter    // batches accepted at the door
 	BatchRequests counter    // requests carried by those batches
 	Shed          counter    // requests dropped by reward-aware shedding
 	Saturated     counter    // batches refused with ErrSaturated (503)
@@ -120,7 +120,7 @@ type Metrics struct {
 	PendingDepth  atomic.Int64
 	ActiveStreams atomic.Int64
 	CurrentSlot   atomic.Int64
-	// IntakeDepth is how many batch-path requests wait at the door,
+	// IntakeDepth is how many requests wait at the door,
 	// written under the door lock.
 	IntakeDepth atomic.Int64
 

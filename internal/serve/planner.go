@@ -1,8 +1,9 @@
 package serve
 
-// What the planner lock guards between slots: admit, the door's drain and
-// the exit a drain ends in. Every function here runs with
-// e.mu held; a tick hands over to runSlot (slot.go).
+// What the planner lock guards between slots: the door's drain, the one
+// admission it makes per request, and the exit a drain ends in. Every
+// function here runs with e.mu held; a tick hands over to runSlot
+// (slot.go).
 
 import (
 	"time"
@@ -10,41 +11,25 @@ import (
 	"mecoffload/internal/core"
 )
 
-// admit appends one request to the planner as pending and returns its
-// planner index: the one way in, for single POSTs and door entries alike.
-// Paper-default outcomes drawn for it are written into spec (see
-// materializeSpec), which the caller's row keeps. When the append would
-// grow the planner's arrays and at least half their entries (and more than
+// ingestOne appends one request taken from the door to the planner as
+// pending: the planner's one way in. Its row already exists (the door
+// inserted it), and paper-default outcomes drawn for it are written into
+// the row's spec (see materializeSpec); a refusal surfaces as a shed
+// record so the id stays resolvable. When the append would grow the
+// planner's arrays and at least half their entries (and more than
 // Config.CompactAfter) are settled, the planner is compacted first: the
 // arrays stay near twice the live set instead of growing with the backlog.
-func (e *Engine) admit(spec *RequestSpec) (int, error) {
-	if e.drain {
-		return 0, ErrDraining
-	}
+func (e *Engine) ingestOne(ent ingestEntry) {
 	if n := len(e.res.Decisions); n == cap(e.res.Decisions) && 2*e.settled >= n && e.settled > e.cfg.CompactAfter {
 		if err := e.compact(); err != nil {
 			e.cfg.Logf("arserved: compaction failed (continuing uncompacted): %v", err)
 		}
 	}
 	idx := len(e.planner.Requests())
-	r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, idx, e.slot, spec)
-	if err != nil {
-		return 0, err
+	r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, idx, e.slot, &ent.req.live.spec)
+	if err == nil {
+		err = e.planner.Append(r)
 	}
-	if err := e.planner.Append(r); err != nil {
-		return 0, err
-	}
-	e.res.Decisions = append(e.res.Decisions, core.Decision{RequestID: idx, Station: -1})
-	e.pending = append(e.pending, idx)
-	e.metrics.Submitted.Inc()
-	return idx, nil
-}
-
-// ingestOne admits one batch-path request taken from the door. Its row already
-// exists (the door inserted it); a refusal surfaces as a shed record so
-// the id stays resolvable.
-func (e *Engine) ingestOne(ent ingestEntry) {
-	idx, err := e.admit(&ent.req.live.spec)
 	if err != nil {
 		e.metrics.Rejected.Inc()
 		e.table.mu.Lock()
@@ -52,6 +37,9 @@ func (e *Engine) ingestOne(ent ingestEntry) {
 		e.table.mu.Unlock()
 		return
 	}
+	e.res.Decisions = append(e.res.Decisions, core.Decision{RequestID: idx, Station: -1})
+	e.pending = append(e.pending, idx)
+	e.metrics.Submitted.Inc()
 	e.table.attach(ent.req, idx, e.slot)
 	e.metrics.IntakeLatency.Observe(float64(time.Now().UnixNano()-ent.enqNano) / 1e6)
 }

@@ -2,8 +2,7 @@ package serve
 
 // One scheduling slot, as the sequence of phases runSlot lists. Each phase
 // below has that one call site; drainDoor (planner.go) is the one the slot
-// shares with single-request submits, Flush and Drain. Tick runs it
-// with the planner lock held.
+// shares with Flush and Drain. Tick runs it with the planner lock held.
 
 import (
 	"fmt"
@@ -14,9 +13,8 @@ import (
 
 // runSlot executes one scheduling slot end to end.
 func (e *Engine) runSlot() {
-	// Pull whatever the batch path delivered before this slot, up to the
-	// pending bound, so a batch submitted before the tick schedules in
-	// this slot exactly like single-POST arrivals would.
+	// Pull whatever the door accepted before this slot, up to the pending
+	// bound, so a request submitted before the tick schedules in this slot.
 	e.drainDoor(false)
 	t, depth := e.slot, len(e.pending)
 	rep, durMS := e.step(t)

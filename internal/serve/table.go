@@ -35,9 +35,9 @@ const (
 	// StateExpired: never admitted; deadline became unreachable on every
 	// station (terminal).
 	StateExpired = "expired"
-	// StateShed: accepted into the batched intake path but dropped by
-	// the reward-aware overload policy (or refused at ingest) before
-	// ever reaching the scheduler (terminal).
+	// StateShed: accepted at the door but dropped by the reward-aware
+	// overload policy (or refused at ingest) before ever reaching the
+	// scheduler (terminal).
 	StateShed = "shed"
 )
 

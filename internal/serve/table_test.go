@@ -270,7 +270,7 @@ func TestEntryPointsAgree(t *testing.T) {
 			},
 			func(t *testing.T, e *Engine, first uint64, specs []RequestSpec) {
 				for i, s := range specs {
-					if _, err := e.SubmitAs(first+uint64(i), s); err != nil {
+					if _, err := e.SubmitBatchAs([]uint64{first + uint64(i)}, []RequestSpec{s}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -291,8 +291,8 @@ func TestEntryPointsAgree(t *testing.T) {
 				for i := range ids {
 					ids[i] = first + uint64(i)
 				}
-				if shed, err := e.SubmitBatchAs(ids, specs); err != nil || shed != 0 {
-					t.Fatalf("shed %d, err %v", shed, err)
+				if res, err := e.SubmitBatchAs(ids, specs); err != nil || res.Shed != 0 {
+					t.Fatalf("shed %d, err %v", res.Shed, err)
 				}
 				if err := e.Flush(); err != nil {
 					t.Fatal(err)
