@@ -43,10 +43,12 @@ race:
 ## naming a removed scheduler
 ## restoring under DynamicRR and written back naming it, and the one
 ## overload rule (a single POST the door sheds on arrival answers 503 +
-## Retry-After, like a refused batch), all under the race detector (same
-## as the CI cluster-parity job).
+## Retry-After, like a refused batch), and the one station numbering (a
+## shard's masked network keeps the delays of its own stations bit for
+## bit, and a request's status names a station its shard owns), all under
+## the race detector (same as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract' ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components

@@ -17,9 +17,11 @@ import (
 )
 
 // ManifestVersion is the one cluster manifest format version written and
-// read. Its shard snapshots carry cluster ids; version 1, which numbered
-// each shard's requests locally behind a per-shard id table, is refused.
-const ManifestVersion = 2
+// read. Its shard snapshots carry cluster request ids and global station
+// ids. Version 2, whose shard snapshots numbered stations densely within
+// each shard's partition, and version 1, which also numbered each shard's
+// requests locally behind a per-shard id table, are refused.
+const ManifestVersion = 3
 
 // ErrNoManifest reports a missing manifest file (a fresh start).
 var ErrNoManifest = errors.New("cluster: no manifest")
@@ -106,7 +108,7 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 		files[k] = shardFile(base, k, gen)
 		man.Shards = append(man.Shards, manifestShard{
 			Index:    k,
-			Stations: append([]int(nil), nd.stations...),
+			Stations: append([]int(nil), c.parts[k]...),
 			File:     filepath.Base(files[k]),
 		})
 	}
@@ -149,7 +151,7 @@ func writeManifest(path string, man *Manifest) error {
 	return nil
 }
 
-// loadManifest reads a version-2 manifest and every shard snapshot it
+// loadManifest reads a version-3 manifest and every shard snapshot it
 // names. Anything else — a missing or foreign shard file, an older
 // manifest, a single-engine checkpoint — is an error: the caller never
 // starts empty over a file it cannot read.
@@ -207,32 +209,24 @@ func checkStations(man *Manifest, stations int) error {
 	return nil
 }
 
-// globalRequest is one live request lifted into global station ids
-// during restore composition.
-type globalRequest struct {
-	id      uint64
-	arrival int
-	spec    serve.RequestSpec    // AccessStation in global ids
-	running *sim.RunningSnapshot // stations in global ids; nil if pending
-}
-
 // composeRestore merges the manifest's per-shard snapshots into one
 // request set and re-partitions it onto the CURRENT shard layout, which
 // may differ from the one that wrote the manifest, over the SAME stations
 // (checkStations refuses a manifest written for another topology). Every
-// request keeps its id. Pending requests re-route through the normal
-// candidate rule (which also re-derives a spanning request's candidates);
-// running streams must land on a shard owning every station they hold
-// shares on — a stream split by the new partition is a loud error, not a
-// silent drop. The learner state is cloned into every new shard (each
-// shard's bandit continues from the global reward history) and lifetime
-// totals accumulate onto shard 0 so cluster-wide counters survive
-// resharding.
+// request keeps its id, and every station id means the same station in
+// both layouts. Pending requests re-route through the normal candidate
+// rule (which also re-derives a spanning request's candidates); running
+// streams must land on a shard owning every station they hold shares on —
+// a stream split by the new partition is a loud error, not a silent drop.
+// The learner state is cloned into every new shard (each shard's bandit
+// continues from the global reward history) and lifetime totals
+// accumulate onto shard 0 so cluster-wide counters survive resharding.
 func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*serve.Checkpoint, error) {
 	if err := checkStations(man, len(c.owner)); err != nil {
 		return nil, err
 	}
-	var merged []globalRequest
+	var merged []serve.CheckpointRequest
+	streams := make(map[uint64]*sim.RunningSnapshot)
 	var banditSnap *bandit.LipschitzSnapshot
 	var banditSlot int
 	var totals serve.Totals
@@ -249,31 +243,17 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 			runOf[uint64(ck.Running[i].Request)] = &ck.Running[i]
 		}
 		for _, cr := range ck.Requests {
-			if cr.Spec.AccessStation < 0 || cr.Spec.AccessStation >= len(sh.Stations) {
-				return nil, fmt.Errorf("shard %d request %d access station %d outside its partition", sh.Index, cr.ExternalID, cr.Spec.AccessStation)
-			}
-			gr := globalRequest{id: cr.ExternalID, arrival: cr.ArrivalSlot, spec: cr.Spec}
-			gr.spec.AccessStation = sh.Stations[cr.Spec.AccessStation]
 			if cr.Running {
 				rs := runOf[cr.ExternalID]
 				if rs == nil {
 					return nil, fmt.Errorf("shard %d request %d marked running but has no stream snapshot", sh.Index, cr.ExternalID)
 				}
-				var err error
-				gr.running, err = remapStream(rs, func(l int) (int, error) {
-					if l < 0 || l >= len(sh.Stations) {
-						return 0, fmt.Errorf("stream station %d outside its partition", l)
-					}
-					return sh.Stations[l], nil
-				})
-				if err != nil {
-					return nil, fmt.Errorf("shard %d request %d: %w", sh.Index, cr.ExternalID, err)
-				}
+				streams[cr.ExternalID] = rs
 			}
-			merged = append(merged, gr)
+			merged = append(merged, cr)
 		}
 	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].id < merged[b].id })
+	sort.Slice(merged, func(a, b int) bool { return merged[a].ExternalID < merged[b].ExternalID })
 
 	out := make([]*serve.Checkpoint, len(c.parts))
 	for k := range out {
@@ -284,41 +264,31 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 		}
 	}
 	live := make([]routed, 0, len(merged))
-	for i, gr := range merged {
-		if i > 0 && merged[i-1].id == gr.id {
-			return nil, fmt.Errorf("request id %d appears twice", gr.id)
+	for i, cr := range merged {
+		id := cr.ExternalID
+		if i > 0 && merged[i-1].ExternalID == id {
+			return nil, fmt.Errorf("request id %d appears twice", id)
 		}
-		if gr.id == math.MaxUint64 {
-			return nil, fmt.Errorf("request id %d leaves no id to allocate after it", gr.id)
+		if id == math.MaxUint64 {
+			return nil, fmt.Errorf("request id %d leaves no id to allocate after it", id)
 		}
-		shard, spanCands, spanning, err := c.router.route(gr.spec, nil)
+		shard, spanCands, spanning, err := c.router.route(cr.Spec, nil)
 		if err != nil {
-			return nil, fmt.Errorf("re-routing request %d: %w", gr.id, err)
+			return nil, fmt.Errorf("re-routing request %d: %w", id, err)
 		}
 		if !spanning {
 			spanCands = nil
 		}
-		cr := serve.CheckpointRequest{ExternalID: gr.id, ArrivalSlot: gr.arrival, Spec: gr.spec}
-		if gr.running != nil {
+		if cr.Running {
 			// A stream stays where its stations are.
-			if shard, err = c.streamOwner(gr.running); err != nil {
-				return nil, fmt.Errorf("running stream for request %d: %w", gr.id, err)
+			rs := streams[id]
+			if shard, err = c.streamOwner(rs); err != nil {
+				return nil, fmt.Errorf("running stream for request %d: %w", id, err)
 			}
-			ls, err := remapStream(gr.running, func(g int) (int, error) {
-				l, ok := c.nodes[shard].localOf[g] // streamOwner proved every station lands here
-				if !ok {
-					return 0, fmt.Errorf("station %d not owned by shard %d", g, shard)
-				}
-				return l, nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("running stream for request %d: %w", gr.id, err)
-			}
-			cr.Running = true
-			out[shard].Running = append(out[shard].Running, *ls)
+			out[shard].Running = append(out[shard].Running, *rs)
 		}
-		live = append(live, routed{id: gr.id, shard: shard})
-		cr.Spec = c.localSpec(shard, gr.spec, spanCands)
+		live = append(live, routed{id: id, shard: shard})
+		cr.Spec = c.homeSpec(shard, cr.Spec, spanCands)
 		out[shard].Requests = append(out[shard].Requests, cr)
 	}
 	c.router.restore(man.NextGlobalID, live)
@@ -389,36 +359,6 @@ func (c *Cluster) streamOwner(rs *sim.RunningSnapshot) (int, error) {
 		return 0, fmt.Errorf("stream holds no stations")
 	}
 	return shard, nil
-}
-
-// remapStream returns a copy of a running snapshot with every station it
-// names passed through mapSt: shard-local to global when a snapshot is
-// lifted out of the partition that wrote it, global to shard-local when it
-// lands on its new shard.
-func remapStream(rs *sim.RunningSnapshot, mapSt func(int) (int, error)) (*sim.RunningSnapshot, error) {
-	var err error
-	remap := func(shares map[int]float64) map[int]float64 {
-		out := make(map[int]float64, len(shares))
-		for from, mhz := range shares {
-			to, merr := mapSt(from)
-			if merr != nil {
-				err = merr
-			}
-			out[to] = mhz
-		}
-		return out
-	}
-	out := *rs
-	out.Shares = remap(rs.Shares)
-	if rs.ExpShares != nil {
-		out.ExpShares = remap(rs.ExpShares)
-	}
-	proc, perr := mapSt(rs.ProcStation)
-	if perr != nil {
-		err = perr
-	}
-	out.ProcStation = proc
-	return &out, err
 }
 
 func addTotals(dst *serve.Totals, src serve.Totals) {

@@ -1,9 +1,9 @@
 package cluster
 
-// Restore reads one format, the one checkpointLocked writes: a version-2
-// manifest over version-1 shard snapshots, whose station lists cover the
-// network it is restored onto exactly once. Everything else fails New and
-// stays on disk as it was.
+// Restore reads one format, the one checkpointLocked writes: a version-3
+// manifest over version-1 shard snapshots in global station ids, whose
+// station lists cover the network it is restored onto exactly once.
+// Everything else fails New and stays on disk as it was.
 
 import (
 	"bytes"
@@ -69,6 +69,19 @@ func TestCheckpointRejected(t *testing.T) {
 	if bytes.Equal(zeroMin, s0) {
 		t.Fatal("shard file holds no learner range to rewrite")
 	}
+	version2 := bytes.Replace(man, []byte(`"version": 3`), []byte(`"version": 2`), 1)
+	if bytes.Equal(version2, man) {
+		t.Fatal("manifest has no version field to rewrite")
+	}
+	// Station ids are the network's; one past it is corruption.
+	offNet := func(field string) []byte {
+		re := regexp.MustCompile(`"` + field + `": \d+`)
+		loc := re.FindIndex(s0)
+		if loc == nil {
+			t.Fatalf("shard file has no %s to rewrite", field)
+		}
+		return slices.Concat(s0[:loc[0]], []byte(`"`+field+`": 8`), s0[loc[1]:])
+	}
 	cases := []struct {
 		name    string
 		files   map[string][]byte
@@ -79,13 +92,18 @@ func TestCheckpointRejected(t *testing.T) {
 		{"empty", with("cluster.json", nil), net8, "decoding manifest"},
 		{"manifest version 1", with("cluster.json", []byte(`{"version": 1, "slot": 4, "nextGlobalId": 24, "shards": [`+
 			`{"index": 0, "stations": [0, 1, 2, 3], "file": "cluster.json.shard0.gen1", "ids": []}, `+
-			`{"index": 1, "stations": [4, 5, 6, 7], "file": "cluster.json.shard1.gen1", "ids": []}]}`)), net8, "has version 1, want 2"},
+			`{"index": 1, "stations": [4, 5, 6, 7], "file": "cluster.json.shard1.gen1", "ids": []}]}`)), net8, "has version 1, want 3"},
+		// Version 2 numbered each shard file's stations densely within its
+		// partition; read as global ids they would name other stations.
+		{"manifest version 2", with("cluster.json", version2), net8, "has version 2, want 3"},
 		// A shard file is a serve.Checkpoint, the format the single-engine
 		// daemon wrote at -checkpoint.
-		{"single-engine checkpoint", with("cluster.json", s0), net8, "has version 1, want 2"},
-		{"shard file outside", with("cluster.json", []byte(`{"version": 2, "shards": [`+
+		{"single-engine checkpoint", with("cluster.json", s0), net8, "has version 1, want 3"},
+		{"shard file outside", with("cluster.json", []byte(`{"version": 3, "shards": [`+
 			`{"index": 0, "stations": [0, 1, 2, 3, 4, 5, 6, 7], "file": "../cluster.json"}]}`)), net8, "outside its directory"},
 		{"shard file version", with("cluster.json.shard0.gen1", wrongShard), net8, "has version 2, want 1"},
+		{"access station off the network", with("cluster.json.shard0.gen1", offNet("accessStation")), net8, "access station 8 out of [0, 8)"},
+		{"stream station off the network", with("cluster.json.shard0.gen1", offNet("procStation")), net8, "station 8 out of range"},
 		// A negative share would hand its station capacity it does not
 		// have.
 		{"negative share", with("cluster.json.shard0.gen1", negatedShare(t, s0)), net8, "is negative or not finite"},

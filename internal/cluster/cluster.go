@@ -18,8 +18,9 @@ import (
 
 // Config parameterizes New.
 type Config struct {
-	// Net is the full MEC topology (required). Each shard serves the
-	// induced sub-network of its station partition.
+	// Net is the full MEC topology (required). Each shard schedules over
+	// it in its station ids, with the other shards' stations masked out
+	// and only the backhaul links among its own partition kept.
 	Net *mec.Network
 	// Shards is the number of scheduler shards (default 1, at most one
 	// per station).
@@ -108,14 +109,10 @@ type epochMsg struct {
 	wg       *sync.WaitGroup
 }
 
-// shardNode is one scheduler shard: an engine over an induced
-// sub-network plus the station index maps.
+// shardNode is one scheduler shard: an engine over the shard's masked
+// copy of the network (shardNetwork).
 type shardNode struct {
-	idx      int
-	eng      *serve.Engine
-	subnet   *mec.Network
-	stations []int       // local station -> global station
-	localOf  map[int]int // global station -> local station
+	eng *serve.Engine
 
 	// Epoch results. run writes them inside an epoch (on the shard's
 	// worker, or on the clock's goroutine for shard 0) and the clock reads
@@ -323,18 +320,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.router = newRouter(cfg.Net, owner, maxRouted)
 
-	for k, part := range parts {
-		subnet, err := subNetwork(cfg.Net, part)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d sub-network: %w", k, err)
-		}
-		nd := &shardNode{idx: k, subnet: subnet, stations: part, localOf: make(map[int]int, len(part))}
-		for l, g := range part {
-			nd.localOf[g] = l
-		}
-		c.nodes = append(c.nodes, nd)
-	}
-
 	// Restore from an existing manifest, shard-count-agnostic.
 	var restores []*serve.Checkpoint
 	if cfg.CheckpointPath != "" {
@@ -353,9 +338,14 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	var traceMu sync.Mutex
-	for k, nd := range c.nodes {
+	for k := range parts {
+		nd := &shardNode{}
+		net, err := shardNetwork(cfg.Net, owner, k)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d network: %w", k, err)
+		}
 		scfg := serve.Config{
-			Net:              nd.subnet,
+			Net:              net,
 			DynamicRR:        cfg.DynamicRR,
 			SlotLengthMS:     cfg.SlotLengthMS,
 			Rng:              rnd.New(cfg.Seed, fmt.Sprintf("cluster-shard-%d", k)),
@@ -374,7 +364,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		switch {
 		case cfg.TraceWriter == nil:
-		case len(c.nodes) == 1:
+		case len(parts) == 1:
 			scfg.TraceWriter = cfg.TraceWriter
 		default:
 			scfg.TraceWriter = &shardTraceWriter{mu: &traceMu, w: cfg.TraceWriter, prefix: fmt.Sprintf("[shard %d] ", k)}
@@ -384,6 +374,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: shard %d engine: %w", k, err)
 		}
 		nd.eng = eng
+		c.nodes = append(c.nodes, nd)
 	}
 	// The epoch workers and the checkpoint writer start last so no error
 	// path above leaks a goroutine. Stop closes both. Shard 0 has no
@@ -533,17 +524,16 @@ func (c *Cluster) settleFeedbackLocked() error {
 	return nil
 }
 
-// localSpec remaps a spec's access station into a shard's local index.
-// When the shard does not own the access station, the nearest owned
-// candidate station stands in (deterministic; the delay from the true
-// access station to it is lost, and a later checkpoint records the
-// stand-in as the access station). For a spanning request that happens
-// only when the access station's owner owns no candidate, since the router
-// homes it there whenever it does.
-func (c *Cluster) localSpec(shard int, spec serve.RequestSpec, spanCands []int) serve.RequestSpec {
-	nd := c.nodes[shard]
-	if l, ok := nd.localOf[spec.AccessStation]; ok {
-		spec.AccessStation = l
+// homeSpec returns spec as its home shard takes it. When the shard does
+// not own the access station — the shard's masked network reaches nothing
+// from there — the nearest owned candidate station stands in
+// (deterministic; the delay from the true access station to it is lost,
+// and a later checkpoint records the stand-in as the access station),
+// else the nearest owned station, else the shard's first. For a spanning
+// request that happens only when the access station's owner owns no
+// candidate, since the router homes it there whenever it does.
+func (c *Cluster) homeSpec(shard int, spec serve.RequestSpec, spanCands []int) serve.RequestSpec {
+	if c.owner[spec.AccessStation] == shard {
 		return spec
 	}
 	var owned []int
@@ -553,20 +543,19 @@ func (c *Cluster) localSpec(shard int, spec serve.RequestSpec, spanCands []int) 
 		}
 	}
 	if len(owned) == 0 {
-		owned = nd.stations
+		owned = c.parts[shard]
 	}
 	nearest, _ := c.net.NearestStation(spec.AccessStation, owned)
-	if l, ok := nd.localOf[nearest]; ok {
-		spec.AccessStation = l
-	} else {
-		spec.AccessStation = 0
+	if nearest < 0 {
+		nearest = c.parts[shard][0]
 	}
+	spec.AccessStation = nearest
 	return spec
 }
 
-// place routes spec and returns its home shard and the spec in that
-// shard's local station ids. The candidate list is built in sc.cands, and
-// localSpec reads it there, so routing copies nothing.
+// place routes spec and returns its home shard and the spec as that shard
+// takes it. The candidate list is built in sc.cands, and homeSpec reads it
+// there, so routing copies nothing.
 func (c *Cluster) place(sc *batchScratch, spec serve.RequestSpec) (int, serve.RequestSpec, error) {
 	shard, cands, spanning, err := c.router.route(spec, sc.cands[:0])
 	if err != nil {
@@ -576,7 +565,7 @@ func (c *Cluster) place(sc *batchScratch, spec serve.RequestSpec) (int, serve.Re
 	if !spanning {
 		cands = nil
 	}
-	return shard, c.localSpec(shard, spec, cands), nil
+	return shard, c.homeSpec(shard, spec, cands), nil
 }
 
 // scratch takes a routing scratch from the pool; callers put it back.
@@ -646,12 +635,12 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 	sc.reset(len(specs), len(c.nodes))
 	routes, perShard := sc.routes, sc.perShard
 	for i, spec := range specs {
-		shard, local, err := c.place(sc, spec)
+		shard, homed, err := c.place(sc, spec)
 		if err != nil {
 			return serve.BatchResult{}, err
 		}
 		routes[i] = routed{shard: shard}
-		perShard[shard] = append(perShard[shard], local)
+		perShard[shard] = append(perShard[shard], homed)
 	}
 	c.router.reserve(routes)
 	for _, r := range routes {
@@ -837,15 +826,6 @@ func (c *Cluster) Slot() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.slot
-}
-
-// PartitionTable returns the per-shard global station sets.
-func (c *Cluster) PartitionTable() [][]int {
-	out := make([][]int, len(c.parts))
-	for k, p := range c.parts {
-		out[k] = append([]int(nil), p...)
-	}
-	return out
 }
 
 // RouterStats returns the routing counters.

@@ -17,7 +17,9 @@ package cluster_test
 // as the only parity surface.
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -30,6 +32,7 @@ import (
 	"mecoffload/internal/graph"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/oracle"
+	"mecoffload/internal/rnd"
 	"mecoffload/internal/serve"
 	"mecoffload/internal/sim"
 	"mecoffload/internal/topology"
@@ -173,10 +176,101 @@ func TestPartitionComponents(t *testing.T) {
 	}
 }
 
+// TestShardNetwork pins the network a shard schedules over: every station
+// under its own id; each pair of owned stations at the delay the subgraph
+// induced by the shard's stations gives it, bit for bit; every other
+// station masked — no capacity, on no owned station's reach; and at one
+// shard the configured network itself.
+func TestShardNetwork(t *testing.T) {
+	mesh, err := mec.RandomNetwork(20, 3000, 3600, rnd.New(42, "topology"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	islands := islandNetwork(t, 4, 3)
+	for _, tc := range []struct {
+		name   string
+		net    *mec.Network
+		shards int
+	}{
+		{"mesh at 2 shards", mesh, 2},
+		{"mesh at 4 shards", mesh, 4},
+		{"islands at 2 shards", islands, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := cluster.New(cluster.Config{Net: tc.net, Shards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = c.Stop() }()
+			parts, err := cluster.Partition(tc.net, tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, part := range parts {
+				sn, err := c.ShardNetwork(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sn == tc.net || sn.NumStations() != tc.net.NumStations() {
+					t.Fatalf("shard %d: got the configured network itself or %d stations, want a copy of all %d", k, sn.NumStations(), tc.net.NumStations())
+				}
+				local := make(map[int]int, len(part))
+				for l, st := range part {
+					local[st] = l
+				}
+				induced := graph.New(len(part))
+				for _, e := range tc.net.Edges() {
+					lu, okU := local[e.U]
+					lv, okV := local[e.V]
+					if okU && okV {
+						if _, err := induced.AddEdge(lu, lv, e.Weight); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				ap := induced.AllPairsShortestPaths()
+				for lu, u := range part {
+					if sn.Capacity(u) != tc.net.Capacity(u) {
+						t.Fatalf("shard %d: owned station %d has capacity %v, want %v", k, u, sn.Capacity(u), tc.net.Capacity(u))
+					}
+					for lv, v := range part {
+						want := 0.0
+						if u != v {
+							want = ap.Dist(lu, lv)
+						}
+						if got := sn.OneWayDelayMS(u, v); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("shard %d: delay %d->%d is %v, want %v over the induced subgraph", k, u, v, got, want)
+						}
+					}
+					for _, st := range sn.Reach(u, 0, 1e9) {
+						if _, ok := local[st]; !ok {
+							t.Fatalf("shard %d: masked station %d is on owned station %d's reach", k, st, u)
+						}
+					}
+				}
+				for st := 0; st < tc.net.NumStations(); st++ {
+					if _, ok := local[st]; !ok && sn.Capacity(st) != 0 {
+						t.Fatalf("shard %d: masked station %d has capacity %v, want 0", k, st, sn.Capacity(st))
+					}
+				}
+			}
+		})
+	}
+	c, err := cluster.New(cluster.Config{Net: mesh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Stop() }()
+	if sn, err := c.ShardNetwork(0); err != nil || sn != mesh {
+		t.Fatalf("one shard schedules over %p (err %v), want the configured network %p", sn, err, mesh)
+	}
+}
+
 // TestClusterCheckpointReshard proves the manifest is shard-count
-// agnostic: a 2-shard cluster checkpoints mid-trace with live pending
-// requests, then 1- and 4-shard clusters restore from the same manifest
-// without losing a single live request.
+// agnostic: a 2-shard cluster checkpoints mid-trace with streams in
+// service and live pending requests, its shard files naming only stations
+// of their own part, then 1- and 4-shard clusters restore from the same
+// manifest without losing a single live request.
 func TestClusterCheckpointReshard(t *testing.T) {
 	const islands, per = 4, 2
 	net := islandNetwork(t, islands, per)
@@ -191,8 +285,21 @@ func TestClusterCheckpointReshard(t *testing.T) {
 	}
 	c.Start()
 
-	// Submit one request per island but never tick: every request is
-	// still pending when the manifest is written.
+	// One stream per island enters service...
+	for isl := 0; isl < islands; isl++ {
+		if _, _, err := c.Submit(serve.RequestSpec{
+			AccessStation: isl*per + 1,
+			DurationSlots: 4,
+			Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 500}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	// ...then one request per island that is never ticked: it is still
+	// pending when the manifest is written.
 	var ids []uint64
 	for isl := 0; isl < islands; isl++ {
 		id, _, err := c.Submit(serve.RequestSpec{
@@ -209,8 +316,8 @@ func TestClusterCheckpointReshard(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-c.Done()
-	if _, err := os.Stat(manifest); err != nil {
-		t.Fatalf("manifest not written: %v", err)
+	if streams := ownStationsOnly(t, manifest); streams != islands {
+		t.Fatalf("the 2-shard generation holds %d streams, want %d", streams, islands)
 	}
 
 	for _, shards := range []int{1, 4} {
@@ -278,6 +385,53 @@ func TestClusterCheckpointReshard(t *testing.T) {
 		}
 		<-rc.Done()
 	}
+}
+
+// ownStationsOnly checks that every shard file of the manifest at path
+// names only stations of that shard's part, in the network's station ids:
+// the requests' access stations and the streams' shares and processing
+// stations. It returns how many streams the files hold.
+func ownStationsOnly(t *testing.T, path string) (streams int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("manifest not written: %v", err)
+	}
+	var man cluster.Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range man.Shards {
+		owned := make(map[int]bool, len(sh.Stations))
+		for _, st := range sh.Stations {
+			owned[st] = true
+		}
+		ck, err := serve.LoadCheckpoint(filepath.Join(filepath.Dir(path), sh.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cr := range ck.Requests {
+			if !owned[cr.Spec.AccessStation] {
+				t.Fatalf("shard %d (stations %v): request %d accesses station %d", sh.Index, sh.Stations, cr.ExternalID, cr.Spec.AccessStation)
+			}
+		}
+		for _, rs := range ck.Running {
+			named := []int{rs.ProcStation}
+			for st := range rs.Shares {
+				named = append(named, st)
+			}
+			for st := range rs.ExpShares {
+				named = append(named, st)
+			}
+			for _, st := range named {
+				if !owned[st] {
+					t.Fatalf("shard %d (stations %v): stream %d names station %d", sh.Index, sh.Stations, rs.Request, st)
+				}
+			}
+		}
+		streams += len(ck.Running)
+	}
+	return streams
 }
 
 // TestClusterHandlerMetrics pins the one /metrics page: the per-shard

@@ -202,7 +202,7 @@ func bodyTooLarge(err error) bool {
 // label; everything an engine measures is rendered once per shard under
 // shard="k", so an operator sees per-shard slot latency, queue depth,
 // and component replays and solves at any shard count.
-// Station gauges are labeled with GLOBAL station ids.
+// Station gauges render each station once, from its owning shard.
 func (c *Cluster) WriteProm(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -303,9 +303,9 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	}
 	stations := func(name, help string, val func(g serve.StationGauge) float64) {
 		family(name, "gauge", help)
-		for k, nd := range c.nodes {
-			for _, g := range gauges[k] {
-				p("arserved_cluster_%s{shard=\"%d\",station=\"%d\"} %g\n", name, k, nd.stations[g.Station], val(g))
+		for k, part := range c.parts {
+			for _, st := range part {
+				p("arserved_cluster_%s{shard=\"%d\",station=\"%d\"} %g\n", name, k, st, val(gauges[k][st]))
 			}
 		}
 	}

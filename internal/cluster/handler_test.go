@@ -18,6 +18,7 @@ import (
 
 	"mecoffload/internal/cluster"
 	"mecoffload/internal/mec"
+	"mecoffload/internal/rnd"
 	"mecoffload/internal/serve"
 )
 
@@ -181,6 +182,81 @@ func TestHTTPSubmitAndStatus(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStatusReportsGlobalStation: a record's station is a network station
+// id at any shard count. At two shards on the 20-station mesh, every
+// serving or evicted record GET /v1/requests/{id} returns names a station
+// its shard owns, and both shards place requests.
+func TestStatusReportsGlobalStation(t *testing.T) {
+	const stations = 20
+	net, err := mec.RandomNetwork(stations, 3000, 3600, rnd.New(42, "topology"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := cluster.Partition(net, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := make([]int, stations)
+	for k, part := range parts {
+		for _, st := range part {
+			owner[st] = k
+		}
+	}
+	c, err := cluster.New(cluster.Config{Net: net, Shards: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	srv := httptest.NewServer(cluster.Handler(c))
+	defer func() {
+		srv.Close()
+		_ = c.Stop()
+	}()
+
+	var ids []uint64
+	for slot := 0; slot < 4; slot++ {
+		for st := 0; st < stations; st++ {
+			resp, body := postJSON(t, srv.URL+"/v1/requests", serve.RequestSpec{AccessStation: st, DurationSlots: 8})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit status %d: %s", resp.StatusCode, body)
+			}
+			var sub submitResponse
+			if err := json.Unmarshal(body, &sub); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, sub.ID)
+		}
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	placed := make([]int, len(parts))
+	for _, id := range ids {
+		resp, body := get(t, fmt.Sprintf("%s/v1/requests/%d", srv.URL, id))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status lookup %d: %s", resp.StatusCode, body)
+		}
+		var rec serve.RequestRecord
+		if err := json.Unmarshal(body, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != serve.StateServing && rec.State != serve.StateEvicted {
+			continue
+		}
+		shard, ok := c.ShardOf(id)
+		if !ok {
+			t.Fatalf("request %d has no shard", id)
+		}
+		if rec.Station < 0 || rec.Station >= stations || owner[rec.Station] != shard {
+			t.Fatalf("request %d on shard %d (stations %v) reports %s on station %d", id, shard, parts[shard], rec.State, rec.Station)
+		}
+		placed[shard]++
+	}
+	if placed[0] == 0 || placed[1] == 0 {
+		t.Fatalf("placed %v requests per shard: want both shards to place some", placed)
+	}
 }
 
 // TestHTTPErrorPaths covers the non-2xx API surface.

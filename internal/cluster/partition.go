@@ -7,13 +7,17 @@
 // same components the LP decomposition splits along), shards tick in
 // lockstep under one cluster clock with globally aggregated bandit
 // feedback, a request stays on the shard it was homed on, and per-shard
-// checkpoints compose into one recoverable cluster manifest. The correctness contract is decision parity: on a trace whose candidate components respect the partition,
-// a 1-shard and an N-shard cluster make identical schedules
-// (oracle.DiffCluster).
+// checkpoints compose into one recoverable cluster manifest. A station id
+// means the same station everywhere: every shard schedules over the whole
+// network's numbering, with the stations it does not own masked out. The
+// correctness contract is decision parity: on a trace whose candidate
+// components respect the partition, a 1-shard and an N-shard cluster make
+// identical schedules (oracle.DiffCluster).
 package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mecoffload/internal/graph"
@@ -32,9 +36,9 @@ import (
 // into contiguous index chunks instead — correctness never depends on
 // the partition (a request whose candidates span chunks homes on its
 // access station's shard when that owns a candidate, and stays there),
-// only parity and reward do: each shard schedules
-// over the induced subgraph of its own stations, so backhaul paths
-// through another chunk are lost.
+// only parity and reward do: each shard schedules over the backhaul
+// links between its own stations (shardNetwork), so paths through another
+// chunk are lost.
 func Partition(net *mec.Network, n int) ([][]int, error) {
 	if net == nil {
 		return nil, fmt.Errorf("cluster: nil network")
@@ -120,46 +124,45 @@ func components(net *mec.Network) [][]int {
 	return out
 }
 
-// subNetwork builds the induced sub-network over one partition's
-// stations: the stations keep their capacities and speed factors, every
-// backhaul edge with both endpoints inside the partition carries over,
-// and indices re-map to dense local ids. Each station's capacity is
-// owned by exactly one shard's engine — the cluster never double-counts
-// a MHz.
-func subNetwork(net *mec.Network, stations []int) (*mec.Network, error) {
-	if len(stations) == 0 {
-		return nil, fmt.Errorf("cluster: empty partition")
+// shardNetwork returns the network shard k schedules over: every station
+// of net under its own id, only the backhaul links with both endpoints
+// owned by k, and every station k does not own masked by a full outage
+// (capacity scale 0), so no candidate set, LP row or placement of the
+// shard's ever names one. An owned station keeps its capacity scale and
+// reaches exactly the stations it reaches over the links among the
+// shard's own stations, at the same delays. Each station's capacity is
+// thus owned by exactly one shard's engine — the cluster never
+// double-counts a MHz. A single shard owns everything and gets net
+// itself.
+func shardNetwork(net *mec.Network, owner []int, k int) (*mec.Network, error) {
+	if !slices.ContainsFunc(owner, func(o int) bool { return o != k }) {
+		return net, nil
 	}
-	localOf := make(map[int]int, len(stations))
-	subStations := make([]mec.BaseStation, len(stations))
-	positions := net.NodePositions()
-	nodes := make([]topology.Node, len(stations))
-	for l, g := range stations {
-		localOf[g] = l
-		st, err := net.Station(g)
-		if err != nil {
-			return nil, err
-		}
-		st.ID = l
-		subStations[l] = st
-		if g < len(positions) {
-			nodes[l] = positions[g]
-		}
-	}
-	sg := graph.New(len(stations))
+	g := graph.New(net.NumStations())
 	for _, e := range net.Edges() {
-		lu, okU := localOf[e.U]
-		lv, okV := localOf[e.V]
-		if okU && okV {
-			if _, err := sg.AddEdge(lu, lv, e.Weight); err != nil {
+		if owner[e.U] == k && owner[e.V] == k {
+			if _, err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return mec.NewNetwork(mec.NetworkConfig{
-		Stations: subStations,
-		Topo:     &topology.Topology{Graph: sg, Nodes: nodes},
+	sn, err := mec.NewNetwork(mec.NetworkConfig{
+		Stations: net.Stations(),
+		Topo:     &topology.Topology{Graph: g, Nodes: net.NodePositions()},
 		SlotMHz:  net.SlotMHz(),
 		CUnit:    net.CUnit(),
 	})
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range owner {
+		scale := 0.0
+		if o == k {
+			scale = net.CapacityScale(i)
+		}
+		if err := sn.SetCapacityScale(i, scale); err != nil {
+			return nil, err
+		}
+	}
+	return sn, nil
 }

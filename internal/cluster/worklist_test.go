@@ -128,7 +128,7 @@ func TestWorklistMatchesTableScan(t *testing.T) {
 }
 
 // TestManifestIDsAreLiveIDs: however much the router has routed, a
-// version-2 manifest carries no per-request entry at all — the shard
+// version-3 manifest carries no per-request entry at all — the shard
 // snapshots speak cluster ids themselves — and each shard file holds
 // exactly the requests live on that shard, which restore under their ids
 // at 1, 2 and 8 shards.
@@ -198,8 +198,8 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
-	if man.Version != 2 || man.NextGlobalID != uint64(submitted) || bytes.Contains(data, []byte(`"ids"`)) {
-		t.Fatalf("manifest version %d, next id %d (want 2, %d), or it carries an id table:\n%s", man.Version, man.NextGlobalID, submitted, data)
+	if man.Version != 3 || man.NextGlobalID != uint64(submitted) || bytes.Contains(data, []byte(`"ids"`)) {
+		t.Fatalf("manifest version %d, next id %d (want 3, %d), or it carries an id table:\n%s", man.Version, man.NextGlobalID, submitted, data)
 	}
 	var inSnaps []uint64
 	for _, sh := range man.Shards {
