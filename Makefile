@@ -45,10 +45,14 @@ race:
 ## overload rule (a single POST the door sheds on arrival answers 503 +
 ## Retry-After, like a refused batch), and the one station numbering (a
 ## shard's masked network keeps the delays of its own stations bit for
-## bit, and a request's status names a station its shard owns), all under
+## bit, and a request's status names a station its shard owns), the
+## request table's id window against a map model in every id order a
+## cluster produces (strides, late batches, inserts below the window,
+## restores) and its bound costing what it evicts with no allocation, and
+## a line its shard refused reported as an error of that line, all under
 ## the race detector (same as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork' ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork|TestTableProperty|TestTableEvictionCostsWhatItEvicts|TestTableInsertAllocs|TestRefusedLinesReported' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components
@@ -120,11 +124,13 @@ bench:
 ## internal/core because it calls the unexported builder, and
 ## BenchmarkDecodeBatch (the NDJSON line scanner beside its encoding/json
 ## reference, on the three bodies the end-to-end workloads post) in
-## internal/serve because the reference is a test file there.
+## internal/serve because the reference is a test file there, beside
+## BenchmarkTableInsert (a 500-row batch into a request table at its
+## bound, at id strides 1, 2 and 8).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAppro|BenchmarkHeu|BenchmarkDynamicRRRun|BenchmarkLPColdVsWarm|BenchmarkServeSlot|BenchmarkServeSlotBacklog|BenchmarkServeSlotStations|BenchmarkServeIngest|BenchmarkClusterServeSlot|BenchmarkClusterTickJitter|BenchmarkClusterTickBacklog|BenchmarkIncrementalServeSlot|BenchmarkDriftAdaptivity' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildLP' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBatch' -benchtime 1x -benchmem ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBatch|BenchmarkTableInsert' -benchtime 1x -benchmem ./internal/serve/
 
 ## tick-jitter: the stop-the-world smoke gate — with async checkpoints
 ## firing every 4 slots on a loaded 2-shard cluster, the max tick pause

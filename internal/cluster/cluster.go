@@ -624,8 +624,8 @@ func (sc *batchScratch) reset(specs, shards int) {
 // the engine's door. The ids of the accepted requests come back in
 // submission order, with the accepting shards' shed counts summed and the
 // latest of their slots. Shards that refuse (saturation, drain) fail
-// their requests, whose ids stay unused; the call errors only when every
-// spec failed.
+// their requests, whose ids stay unused, and each refused spec is listed
+// in Refused; the call errors only when every spec failed.
 func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, error) {
 	if len(specs) == 0 {
 		return serve.BatchResult{}, nil
@@ -653,22 +653,27 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 		}
 		sc.res[k], shardErr[k] = c.nodes[k].eng.SubmitBatchAs(sc.ids[k], slice)
 	}
-	// Report what the shards accepted, in submission order.
-	out := serve.BatchResult{IDs: make([]uint64, 0, len(specs))}
-	var firstErr error
-	for _, r := range routes {
-		if shardErr[r.shard] != nil {
-			if firstErr == nil {
-				firstErr = shardErr[r.shard]
-			}
+	return mergeShards(routes, sc.res, shardErr)
+}
+
+// mergeShards reports what the shards did with a batch, in submission
+// order: the ids they accepted, and the position of every spec a shard
+// refused with that shard's refusal; the accepting shards' shed counts
+// summed and the latest of their slots. It fails, with the first refusal,
+// only when no spec was accepted.
+func mergeShards(routes []routed, results []serve.BatchResult, shardErr []error) (serve.BatchResult, error) {
+	out := serve.BatchResult{IDs: make([]uint64, 0, len(routes))}
+	for i, r := range routes {
+		if err := shardErr[r.shard]; err != nil {
+			out.Refused = append(out.Refused, serve.Refusal{Index: i, Err: err})
 			continue
 		}
 		out.IDs = append(out.IDs, r.id)
 	}
 	if len(out.IDs) == 0 {
-		return serve.BatchResult{}, firstErr
+		return serve.BatchResult{}, out.Refused[0].Err
 	}
-	for k, res := range sc.res {
+	for k, res := range results {
 		if shardErr[k] == nil {
 			out.Shed += res.Shed
 			out.Lost += res.Lost

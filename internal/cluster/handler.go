@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -18,6 +19,7 @@ import (
 type batchBuf struct {
 	lines []serve.BatchLine
 	specs []serve.RequestSpec
+	at    []int // the line number of each spec
 }
 
 var batchBufs = sync.Pool{New: func() any { return new(batchBuf) }}
@@ -27,7 +29,7 @@ var batchBufs = sync.Pool{New: func() any { return new(batchBuf) }}
 func (b *batchBuf) release() {
 	clear(b.lines)
 	clear(b.specs)
-	b.lines, b.specs = b.lines[:0], b.specs[:0]
+	b.lines, b.specs, b.at = b.lines[:0], b.specs[:0], b.at[:0]
 	batchBufs.Put(b)
 }
 
@@ -117,15 +119,15 @@ func Handler(c *Cluster) http.Handler {
 		}
 		// Validate up front so malformed specs come back as line errors
 		// instead of asynchronous sheds.
-		specs := buf.specs[:0]
+		specs, at := buf.specs[:0], buf.at[:0]
 		for _, ln := range lines {
 			if verr := c.ValidateSpec(ln.Spec); verr != nil {
 				lineErrs = append(lineErrs, serve.LineError{Line: ln.Line, Error: verr.Error()})
 				continue
 			}
-			specs = append(specs, ln.Spec)
+			specs, at = append(specs, ln.Spec), append(at, ln.Line)
 		}
-		buf.specs = specs
+		buf.specs, buf.at = specs, at
 		if len(specs) == 0 && len(lineErrs) == 0 {
 			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
 			return
@@ -133,6 +135,11 @@ func Handler(c *Cluster) http.Handler {
 		res, err := c.SubmitBatch(specs)
 		switch {
 		case err == nil:
+			// A line its shard refused is an error of that line.
+			for _, r := range res.Refused {
+				lineErrs = append(lineErrs, serve.LineError{Line: at[r.Index], Error: r.Err.Error()})
+			}
+			slices.SortStableFunc(lineErrs, func(a, b serve.LineError) int { return a.Line - b.Line })
 			serve.WriteJSON(w, http.StatusOK, batchResponse{
 				Accepted: len(res.IDs),
 				Shed:     res.Shed,

@@ -177,12 +177,12 @@ func (e *Engine) install(ck *Checkpoint) error {
 		return err
 	}
 
-	e.table.mu.Lock()
+	rows := make([]*request, len(reqs))
 	for i, cr := range reqs {
-		req := newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
-		e.table.insert(req)
-		e.table.attach(req, i, cr.ArrivalSlot)
+		rows[i] = newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
 	}
+	e.table.mu.Lock()
+	e.table.restore(rows)
 	for _, s := range running {
 		e.table.serving(s.Request, ck.Slot, s.ProcStation, 0, 0)
 	}

@@ -53,6 +53,17 @@ type BatchResult struct {
 	Shed, Lost int
 	// Slot is the slot the batch arrived in: its rows' SubmittedSlot.
 	Slot int
+	// Refused lists the specs a cluster shard refused (it was saturated or
+	// draining) while another shard accepted the rest, by position in the
+	// batch, ascending; their ids are not in IDs. An engine refuses a batch
+	// whole, with an error, and leaves it empty.
+	Refused []Refusal
+}
+
+// Refusal is one spec of a batch that its shard refused, and why.
+type Refusal struct {
+	Index int
+	Err   error
 }
 
 // Single answers a single-request caller from its batch of one: the

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -13,13 +16,21 @@ import (
 // state transition is a method called where the transition happens: the
 // door inserts and sheds, the planner lock's holder does the rest.
 //
-// The map, the submission-order list, the records and each row's live
-// pointer are written and read under mu. byIdx and what a live pointer
-// leads to belong to the planner lock (the door fills a row in before
-// the planner can take it from the door), so its holder reads them without the
-// table lock. Transition methods expect the caller to hold the write lock:
-// once per batch at the door, once per slot that decided something, never
-// on an idle slot.
+// A row is found by its id's offset, as the cluster's router finds a
+// shard: ids rise as they are handed out (1 in N of them at N shards), so
+// the rows live in a window indexed by id − base that grows at its young
+// end, and eviction walks a cursor up from base. The few rows whose ids
+// are below base — live rows the cursor stepped over, a concurrent batch's
+// late inserts, rows the window's span cap pushed out — sit in a small
+// spill map, found by hash.
+//
+// The window, the spill, the records and each row's live pointer are
+// written and read under mu. byIdx and what a live pointer leads to
+// belong to the planner lock (the door fills a row in before the planner
+// can take it from the door), so its holder reads them without the table
+// lock. Transition methods expect the caller to hold the write lock: once
+// per batch at the door, once per slot that decided something, never on
+// an idle slot.
 
 // Request lifecycle states exposed by GET /v1/requests/{id}.
 const (
@@ -57,11 +68,15 @@ type RequestRecord struct {
 // and an evicted id answers Status as unknown.
 const maxRecords = 262144
 
+// spanPerRow caps the window at spanPerRow·max ids: enough for one shard
+// in 16 to fill the bound, while a sparser shard's oldest rows go to the
+// spill instead of growing the window further.
+const spanPerRow = 16
+
 // request is one row. live is nil exactly when the record is terminal, so
 // a settled request keeps its 72-byte record and nothing else.
 type request struct {
 	rec  RequestRecord
-	next *request // submission order, oldest first
 	live *liveState
 }
 
@@ -78,9 +93,19 @@ type table struct {
 	mu     sync.RWMutex
 	closed bool
 	max    int
-	rows   map[uint64]*request
-	// head..tail chain every row in submission order for eviction.
-	head, tail *request
+	// The window covers the ids base..base+span-1: the row of id base+k
+	// sits k slots after head in the ring win, a nil slot is a hole (an id
+	// this engine never held, or a row gone). nwin counts its rows. The
+	// ring keeps its storage as base slides up and grows only when the
+	// span outgrows it.
+	win              []*request
+	head, span, nwin int
+	base             uint64
+	// spill holds every row whose id is below base, and done its terminal
+	// rows as a min-heap on id: they are the oldest, so they are the first
+	// to go when the bound needs a place.
+	spill map[uint64]*request
+	done  doneHeap
 	// byIdx maps a planner index to its row, nil once that request
 	// settled. Compaction drops the nil entries in place, as the planner
 	// drops their requests, and renumbers each row's live.idx to match.
@@ -91,7 +116,7 @@ type table struct {
 }
 
 func newTable(max int, stations []StationGauge) *table {
-	return &table{max: max, rows: make(map[uint64]*request), stations: stations}
+	return &table{max: max, stations: stations}
 }
 
 // rowChunk is how many rows of a batch share one allocation. Rows carved
@@ -115,41 +140,165 @@ func initRequest(req *request, live *liveState, id uint64, slot int, spec Reques
 	return req
 }
 
-// insert links pending rows at the young end of the submission order and
-// enforces the bound: oldest terminal record first, a live one never. The
-// walk starts at the old end and stops as soon as the table fits (or at
-// the rows just linked), so one call costs the rows it evicts plus the
-// live rows it steps over to reach them, whatever the table's size. An id
-// whose row the table still holds, live or terminal, is the caller's bug:
-// ids are never reused.
+// row is id's row, nil when the table holds none.
+func (t *table) row(id uint64) *request {
+	if id < t.base {
+		return t.spill[id]
+	}
+	if k := id - t.base; k < uint64(t.span) {
+		return t.win[t.slot(int(k))]
+	}
+	return nil
+}
+
+// slot is the ring index of the window's k-th id.
+func (t *table) slot(k int) int {
+	if k += t.head; k >= len(t.win) {
+		k -= len(t.win)
+	}
+	return k
+}
+
+// insert files pending rows by id and enforces the bound: oldest terminal
+// record first, a live one never. Spilled terminal rows go first; then a
+// cursor moves base up the window, skipping holes, evicting terminal rows
+// and moving live ones to the spill, until the table fits (or the window
+// is empty). The cursor passes each id once, so one call costs the rows it
+// places and evicts plus the live rows it steps over for the first time,
+// whatever the table's size. An id whose row the table still holds, live
+// or terminal, is the caller's bug: ids are never reused.
 func (t *table) insert(reqs ...*request) (evicted, skipped int) {
-	if len(reqs) == 0 {
-		return 0, 0
-	}
 	for _, req := range reqs {
-		if t.rows[req.rec.ID] != nil {
-			panic(fmt.Sprintf("serve: request id %d submitted twice", req.rec.ID))
-		}
-		t.rows[req.rec.ID] = req
-		if t.tail == nil {
-			t.head = req
-		} else {
-			t.tail.next = req
-		}
-		t.tail = req
+		t.place(req)
 	}
-	link := &t.head // the pointer that leads to old
-	for old := t.head; len(t.rows) > t.max && old != reqs[0]; old = old.next {
-		if old.live != nil {
-			link = &old.next
-			skipped++
+	for t.nwin+len(t.spill) > t.max {
+		if len(t.done) > 0 {
+			delete(t.spill, heap.Pop(&t.done).(*request).rec.ID)
+			evicted++
 			continue
 		}
-		delete(t.rows, old.rec.ID)
-		*link = old.next
-		evicted++
+		if t.nwin == 0 {
+			break // every row held is live and spilled
+		}
+		switch req := t.advance(); {
+		case req == nil:
+		case req.live != nil:
+			t.toSpill(req)
+			skipped++
+		default:
+			evicted++
+		}
 	}
 	return evicted, skipped
+}
+
+// place files one row: in the spill below base, else in the window, which
+// restarts at the id when it is empty, and slides up (spilling what it
+// passes) when the id lies more than its span cap above base.
+func (t *table) place(req *request) {
+	id := req.rec.ID
+	if t.row(id) != nil {
+		panic(fmt.Sprintf("serve: request id %d submitted twice", id))
+	}
+	if id < t.base {
+		t.toSpill(req)
+		return
+	}
+	if t.nwin == 0 {
+		t.base, t.head, t.span = id, 0, 0
+	}
+	if limit := uint64(spanPerRow * t.max); id-t.base >= limit {
+		t.slide(id - (limit - 1))
+	}
+	k := int(id - t.base)
+	if k >= len(t.win) {
+		t.grow(k + 1)
+	}
+	t.span = max(t.span, k+1)
+	t.win[t.slot(k)] = req
+	t.nwin++
+}
+
+// slide moves base up to to, spilling every row it passes, and jumps
+// straight there once the window is empty.
+func (t *table) slide(to uint64) {
+	for t.base < to {
+		if t.nwin == 0 {
+			t.base, t.head, t.span = to, 0, 0
+			return
+		}
+		if req := t.advance(); req != nil {
+			t.toSpill(req)
+		}
+	}
+}
+
+// advance moves base one id up and returns the row it passed, if any.
+// The window holds a row, so its span is not empty.
+func (t *table) advance() *request {
+	req := t.win[t.head]
+	t.win[t.head] = nil
+	if t.head++; t.head == len(t.win) {
+		t.head = 0
+	}
+	t.base++
+	t.span--
+	if req != nil {
+		t.nwin--
+	}
+	return req
+}
+
+// grow gives the ring room for n ids, with a quarter to spare so the
+// span's jitter as base slides does not grow it again.
+func (t *table) grow(n int) {
+	win := make([]*request, max(n+n/4, 64))
+	k := copy(win, t.win[t.head:min(t.head+t.span, len(t.win))])
+	copy(win[k:], t.win[:t.span-k])
+	t.win, t.head = win, 0
+}
+
+// toSpill files a row whose id is below base.
+func (t *table) toSpill(req *request) {
+	if t.spill == nil {
+		t.spill = make(map[uint64]*request)
+	}
+	t.spill[req.rec.ID] = req
+	t.spilledDone(req)
+}
+
+// spilledDone queues a terminal spilled row for eviction.
+func (t *table) spilledDone(req *request) {
+	if req.live == nil && req.rec.ID < t.base {
+		heap.Push(&t.done, req)
+	}
+}
+
+// doneHeap orders rows by id, lowest first.
+type doneHeap []*request
+
+func (h doneHeap) Len() int           { return len(h) }
+func (h doneHeap) Less(i, j int) bool { return h[i].rec.ID < h[j].rec.ID }
+func (h doneHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *doneHeap) Push(x any)        { *h = append(*h, x.(*request)) }
+func (h *doneHeap) Pop() any {
+	old := *h
+	req := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return req
+}
+
+// restore loads a checkpoint's live rows, given in planner order, into the
+// empty table: inserted in id order, so the window starts at the oldest,
+// and attached at their positions.
+func (t *table) restore(reqs []*request) {
+	byID := slices.Clone(reqs)
+	slices.SortFunc(byID, func(a, b *request) int { return cmp.Compare(a.rec.ID, b.rec.ID) })
+	t.insert(byID...)
+	for i, req := range reqs {
+		t.attach(req, i, req.rec.SubmittedSlot)
+	}
 }
 
 // shed drops a pending request the planner has not seen: an overload
@@ -160,6 +309,7 @@ func (t *table) shed(req *request, slot int) {
 		return
 	}
 	req.rec.State, req.rec.DecisionSlot, req.live = StateShed, slot, nil
+	t.spilledDone(req)
 }
 
 // attach records that the planner now holds req at index idx. Planner
@@ -203,6 +353,7 @@ func (t *table) finish(idx int, state string, slot int) *RequestRecord {
 	} else {
 		req.rec.DecisionSlot = slot
 	}
+	t.spilledDone(req)
 	return &req.rec
 }
 
@@ -214,8 +365,8 @@ func (t *table) status(id uint64) (RequestRecord, bool, error) {
 	if t.closed {
 		return RequestRecord{}, false, ErrStopped
 	}
-	req, ok := t.rows[id]
-	if !ok {
+	req := t.row(id)
+	if req == nil {
 		return RequestRecord{}, false, nil
 	}
 	return req.rec, true, nil

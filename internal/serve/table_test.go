@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -19,22 +20,73 @@ type modelRow struct {
 
 func (m modelRow) live() bool { return m.state == StatePending || m.state == StateServing }
 
+// checkTableShape checks the window and the spill against each other: every
+// window row sits at its id's offset from base, every spilled id is below
+// base, the row counts add up, the ring is within its span cap, and the
+// eviction heap holds exactly the spill's terminal rows.
+func checkTableShape(t *testing.T, tb *table) {
+	t.Helper()
+	nwin := 0
+	for k := 0; k < tb.span; k++ {
+		if req := tb.win[tb.slot(k)]; req != nil {
+			if req.rec.ID != tb.base+uint64(k) {
+				t.Fatalf("window slot %d past base %d holds id %d", k, tb.base, req.rec.ID)
+			}
+			nwin++
+		}
+	}
+	if nwin != tb.nwin || tb.span > len(tb.win) {
+		t.Fatalf("window counts %d rows over span %d, ring %d, table says %d", nwin, tb.span, len(tb.win), tb.nwin)
+	}
+	if limit := spanPerRow * tb.max; tb.span > limit || len(tb.win) > max(limit+limit/4, 64) {
+		t.Fatalf("window spans %d ids in a ring of %d, cap %d", tb.span, len(tb.win), limit)
+	}
+	terminal := 0
+	for id, req := range tb.spill {
+		if id >= tb.base || req.rec.ID != id {
+			t.Fatalf("spill files row %d under %d, base %d", req.rec.ID, id, tb.base)
+		}
+		if req.live == nil {
+			terminal++
+		}
+	}
+	for _, req := range tb.done {
+		if req.live != nil || tb.spill[req.rec.ID] != req {
+			t.Fatalf("eviction heap holds row %d, which is not a terminal spilled row", req.rec.ID)
+		}
+	}
+	if terminal != len(tb.done) {
+		t.Fatalf("spill holds %d terminal rows, the eviction heap %d", terminal, len(tb.done))
+	}
+}
+
 // TestTableProperty drives the request table with seeded random transition
 // sequences against a map model and checks, after every step: each
 // retained id answers with the model's state and each evicted id is
 // unknown; shed moves only a pending record the planner has not seen; the
 // table never exceeds its bound; no live record is ever evicted; evictions
-// take the oldest terminal record first; one insert walks no more rows
-// than it evicts plus the live rows there are; and inserting an id whose
-// row the table holds, live or terminal, panics and changes nothing.
+// take the lowest-id terminal record first; no insert steps over more rows
+// than are live, and no row is stepped over twice; inserting an id whose
+// row the table holds, live or terminal, in the window or in the spill,
+// panics and changes nothing; and the window and spill keep their shape.
+// Ids come in the orders a cluster produces: a stride per seed (1, 2 and 8
+// as at 1, 2 and 8 shards), runs of holes (some past the window's span
+// cap), and batches reserved early but inserted after later ones — some
+// below base. A restore rebuilds the table from its live rows, as a
+// checkpoint does.
 func TestTableProperty(t *testing.T) {
-	const bound, maxLive, steps = 48, 24, 30000
-	for seed := int64(1); seed <= 4; seed++ {
+	const bound, maxLive, steps = 48, 24, 20000
+	var belowBase, steppedOver, settledInSpill, spilledTerminal, wrappedGrows, restores int
+	for seed := int64(1); seed <= 6; seed++ {
+		stride := []uint64{1, 2, 8}[seed%3]
 		rng := rand.New(rand.NewSource(seed))
 		tb := newTable(bound, nil)
 		model := map[uint64]*modelRow{}
-		var order []uint64 // retained ids, submission order
+		var order []uint64 // retained ids, ascending
+		var inserted []uint64
+		var deferred [][]uint64 // reserved batches not yet inserted
 		var nextID uint64
+		var skippedTotal int
 		slot := 0
 
 		pick := func(ok func(*modelRow) bool) *modelRow {
@@ -60,23 +112,65 @@ func TestTableProperty(t *testing.T) {
 		attached := func(state string) func(*modelRow) bool {
 			return func(m *modelRow) bool { return m.state == state && m.idx >= 0 }
 		}
+		settle := func(m *modelRow, state string) {
+			if m.req.rec.ID < tb.base {
+				settledInSpill++
+			}
+			m.state = state
+		}
 
 		for step := 0; step < steps; step++ {
 			slot++
-			switch op := rng.Intn(11); {
-			case op < 3: // submitted, then the bound is enforced
-				if numLive() >= maxLive {
+			switch op := rng.Intn(13); {
+			case op < 3: // a batch arrives, then the bound is enforced
+				var batch []uint64
+				late := len(deferred) > 0 && rng.Intn(3) == 0
+				if late { // a batch that reserved its ids earlier lands now
+					k := rng.Intn(len(deferred))
+					batch = deferred[k]
+					deferred = slices.Delete(deferred, k, k+1)
+				} else {
+					for range 1 + rng.Intn(3) {
+						batch = append(batch, nextID)
+						nextID += stride
+					}
+					if rng.Intn(8) == 0 { // reserved now, inserted later
+						deferred = append(deferred, batch)
+						continue
+					}
+				}
+				if numLive()+len(batch) > maxLive {
+					if late {
+						deferred = append(deferred, batch)
+					}
 					continue
 				}
-				req := newRequest(nextID, slot, RequestSpec{})
-				evicted, skipped := tb.insert(req)
-				model[nextID] = &modelRow{state: StatePending, idx: -1, req: req}
-				order = append(order, nextID)
-				nextID++
-				if liveBefore := numLive() - 1; skipped > liveBefore {
-					t.Fatalf("seed %d step %d: insert stepped over %d rows with %d live", seed, step, skipped, liveBefore)
+				reqs := make([]*request, len(batch))
+				for i, id := range batch {
+					if id < tb.base {
+						belowBase++
+					}
+					reqs[i] = newRequest(id, slot, RequestSpec{})
+					model[id] = &modelRow{state: StatePending, idx: -1, req: reqs[i]}
+					pos, _ := slices.BinarySearch(order, id)
+					order = slices.Insert(order, pos, id)
+					inserted = append(inserted, id)
 				}
-				// The model evicts oldest-terminal-first down to the bound.
+				wrapped, ring := tb.head+tb.span > len(tb.win), len(tb.win)
+				evicted, skipped := tb.insert(reqs...)
+				if wrapped && len(tb.win) > ring {
+					wrappedGrows++
+				}
+				if skipped > 0 {
+					steppedOver++
+				}
+				if skipped > numLive() {
+					t.Fatalf("seed %d step %d: insert stepped over %d rows with %d live", seed, step, skipped, numLive())
+				}
+				if skippedTotal += skipped; skippedTotal > len(inserted) {
+					t.Fatalf("seed %d step %d: %d rows stepped over, %d ever inserted: a row was stepped over twice", seed, step, skippedTotal, len(inserted))
+				}
+				// The model evicts lowest-id-terminal-first down to the bound.
 				want := 0
 				keep := order[:0]
 				for _, id := range order {
@@ -103,19 +197,19 @@ func TestTableProperty(t *testing.T) {
 				}
 			case op == 5: // completed
 				if m := pick(attached(StateServing)); m != nil {
-					m.state = StateCompleted
+					settle(m, StateCompleted)
 					tb.finish(m.idx, m.state, slot)
 				}
 			case op == 6: // expired, or evicted at realization
 				if m := pick(attached(StatePending)); m != nil {
-					m.state = []string{StateExpired, StateEvicted}[rng.Intn(2)]
+					settle(m, []string{StateExpired, StateEvicted}[rng.Intn(2)])
 					tb.finish(m.idx, m.state, slot)
 				}
 			case op == 7: // shed, aimed at a row in any state
 				if m := pick(func(*modelRow) bool { return true }); m != nil {
 					tb.shed(m.req, slot)
 					if m.state == StatePending && m.idx < 0 {
-						m.state = StateShed
+						settle(m, StateShed)
 					}
 				}
 			case op == 8: // an id submitted twice, whatever its row's state
@@ -130,6 +224,50 @@ func TestTableProperty(t *testing.T) {
 						tb.insert(newRequest(id, slot, RequestSpec{}))
 					}()
 				}
+			case op == 9: // a run of ids routed elsewhere, now and then past the span cap
+				nextID += uint64(rng.Intn(8))
+				if rng.Intn(64) == 0 { // a long one: the span grows, and the ring with it
+					nextID += uint64(rng.Intn(4 * bound))
+				}
+				if rng.Intn(256) == 0 {
+					nextID += uint64(spanPerRow*bound) << uint(rng.Intn(32))
+				}
+			case op == 10 && rng.Intn(128) == 0: // a restore from the live rows
+				restores++
+				for _, id := range order { // the door drains before a snapshot
+					if m := model[id]; m.state == StatePending && m.idx < 0 {
+						m.idx = len(tb.byIdx)
+						tb.attach(m.req, m.idx, slot)
+					}
+				}
+				var rows []*request
+				var serving []int
+				for _, req := range tb.byIdx {
+					if req == nil {
+						continue
+					}
+					m := model[req.rec.ID]
+					m.idx = len(rows)
+					m.req = newRequest(req.rec.ID, req.rec.SubmittedSlot, RequestSpec{})
+					if m.state == StateServing {
+						serving = append(serving, m.idx)
+					}
+					rows = append(rows, m.req)
+				}
+				tb = newTable(bound, nil)
+				tb.restore(rows)
+				for _, idx := range serving {
+					tb.serving(idx, slot, 1, 2.5, 7)
+				}
+				keep := order[:0]
+				for _, id := range order {
+					if model[id].live() {
+						keep = append(keep, id)
+					} else {
+						delete(model, id)
+					}
+				}
+				order = keep
 			default: // compaction: the live planner rows close ranks, in planner order
 				tb.compact()
 				var rows []*modelRow
@@ -147,17 +285,21 @@ func TestTableProperty(t *testing.T) {
 				}
 			}
 
-			if len(tb.rows) != len(order) || len(tb.rows) > bound {
-				t.Fatalf("seed %d step %d: table holds %d rows, model %d, bound %d", seed, step, len(tb.rows), len(order), bound)
+			if held := tb.nwin + len(tb.spill); held != len(order) || held > bound {
+				t.Fatalf("seed %d step %d: table holds %d rows, model %d, bound %d", seed, step, held, len(order), bound)
 			}
-			// The eviction chain is the retained ids in submission order,
-			// and a row carries live state exactly while it is live.
-			req := tb.head
+			checkTableShape(t, tb)
+			if len(tb.done) > 0 {
+				spilledTerminal++
+			}
+			// Every retained id leads to its row, which carries live state
+			// exactly while it is live.
 			for _, id := range order {
-				if req == nil || req.rec.ID != id {
-					t.Fatalf("seed %d step %d: eviction chain diverges from submission order at id %d", seed, step, id)
-				}
 				m := model[id]
+				req := tb.row(id)
+				if req != m.req {
+					t.Fatalf("seed %d step %d: id %d does not lead to its row", seed, step, id)
+				}
 				rec, ok, err := tb.status(id)
 				if err != nil || !ok || rec.State != m.state {
 					t.Fatalf("seed %d step %d: status(%d) = %+v ok=%v err=%v, model state %q", seed, step, id, rec, ok, err, m.state)
@@ -168,17 +310,10 @@ func TestTableProperty(t *testing.T) {
 				if m.live() && m.idx >= 0 && (tb.byIdx[m.idx] != req || req.live.idx != m.idx) {
 					t.Fatalf("seed %d step %d: planner index %d does not lead to id %d and back", seed, step, m.idx, id)
 				}
-				if req.next == nil && req != tb.tail {
-					t.Fatalf("seed %d step %d: tail does not point at the youngest row", seed, step)
-				}
-				req = req.next
-			}
-			if req != nil {
-				t.Fatalf("seed %d step %d: eviction chain holds rows the model evicted", seed, step)
 			}
 		}
 		// Evicted ids are unknown, not errors.
-		for id := uint64(0); id < nextID; id++ {
+		for _, id := range inserted {
 			if _, kept := model[id]; kept {
 				continue
 			}
@@ -186,44 +321,79 @@ func TestTableProperty(t *testing.T) {
 				t.Fatalf("seed %d: evicted id %d still answers (ok=%v err=%v)", seed, id, ok, err)
 			}
 		}
-		if nextID < 4*bound {
-			t.Fatalf("seed %d: only %d submissions, the bound was never under pressure", seed, nextID)
+		if len(inserted) < 4*bound {
+			t.Fatalf("seed %d: only %d submissions, the bound was never under pressure", seed, len(inserted))
 		}
+		// The last id there is: the span cap keeps the window's arithmetic
+		// in range.
+		last := newRequest(math.MaxUint64, slot, RequestSpec{})
+		tb.insert(last)
+		checkTableShape(t, tb)
+		if tb.row(math.MaxUint64) != last {
+			t.Fatalf("seed %d: id 2^64-1 does not lead to its row", seed)
+		}
+	}
+	t.Logf("inserts below base %d, inserts stepping over live rows %d, settles in the spill %d, steps with terminal spilled rows %d, ring grown wrapped %d, restores %d",
+		belowBase, steppedOver, settledInSpill, spilledTerminal, wrappedGrows, restores)
+	if belowBase == 0 || steppedOver == 0 || settledInSpill == 0 || spilledTerminal == 0 || wrappedGrows == 0 || restores == 0 {
+		t.Fatal("a case the window must handle never came up")
 	}
 }
 
-// TestTableEvictionCostsWhatItEvicts pins the walk against table size: with
-// the bound's worth of terminal rows behind a few live ones, an insert
-// walks one evicted row, not the table.
+// TestTableEvictionCostsWhatItEvicts pins the cursor against table size:
+// with the bound's worth of terminal rows behind a few old live ones, the
+// first insert over the bound steps over the live rows once, moving them
+// to the spill, and evicts one row; every later insert evicts one row and
+// steps over nothing. Once the spilled rows settle, they go first.
 func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 	const bound = 4096
 	tb := newTable(bound, nil)
+	old := make([]*request, 8)
 	for id := uint64(0); id < bound; id++ {
 		req := newRequest(id, 0, RequestSpec{})
 		tb.insert(req)
-		if id >= 8 { // the eight oldest stay live, the rest settle
-			tb.attach(req, len(tb.byIdx), 0)
-			tb.finish(req.live.idx, StateExpired, 1)
+		tb.attach(req, len(tb.byIdx), 0)
+		if id < 8 { // the eight oldest stay live, the rest settle
+			old[id] = req
+			continue
 		}
+		tb.finish(req.live.idx, StateExpired, 1)
 	}
 	for id := uint64(bound); id < bound+100; id++ {
-		if evicted, skipped := tb.insert(newRequest(id, 2, RequestSpec{})); evicted != 1 || skipped != 8 {
-			t.Fatalf("insert %d: walked %d evicted + %d skipped rows, want 1 + 8", id, evicted, skipped)
+		want := 0
+		if id == bound {
+			want = 8
+		}
+		if evicted, skipped := tb.insert(newRequest(id, 2, RequestSpec{})); evicted != 1 || skipped != want {
+			t.Fatalf("insert %d: evicted %d and stepped over %d rows, want 1 and %d", id, evicted, skipped, want)
 		}
 	}
-	// A batch steps over the live rows once, not once per row.
+	// A batch evicts its size and steps over nothing.
 	batch := make([]*request, 50)
 	for i := range batch {
 		batch[i] = newRequest(uint64(bound+100+i), 3, RequestSpec{})
 	}
-	if evicted, skipped := tb.insert(batch...); evicted != 50 || skipped != 8 {
-		t.Fatalf("batch insert: walked %d evicted + %d skipped rows, want 50 + 8", evicted, skipped)
+	if evicted, skipped := tb.insert(batch...); evicted != 50 || skipped != 0 {
+		t.Fatalf("batch insert: evicted %d and stepped over %d rows, want 50 and 0", evicted, skipped)
 	}
 	for id := uint64(0); id < 8; id++ {
 		if _, ok, _ := tb.status(id); !ok {
 			t.Fatalf("live id %d was evicted", id)
 		}
 	}
+	// The spilled rows settle and are the next to go, lowest id first.
+	for _, req := range old[:3] {
+		tb.finish(req.live.idx, StateCompleted, 4)
+	}
+	if evicted, skipped := tb.insert(newRequest(bound+150, 4, RequestSpec{}), newRequest(bound+151, 4, RequestSpec{})); evicted != 2 || skipped != 0 {
+		t.Fatalf("insert after settling: evicted %d and stepped over %d rows, want 2 and 0", evicted, skipped)
+	}
+	for id, want := range []bool{false, false, true, true} {
+		if _, ok, _ := tb.status(uint64(id)); ok != want {
+			t.Fatalf("after two evictions, status(%d) known=%v, want %v", id, ok, want)
+		}
+	}
+	checkTableShape(t, tb)
 }
 
 // TestEntryPointsAgree: handing an engine the ids it would have taken
