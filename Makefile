@@ -68,10 +68,12 @@ cluster-parity:
 ## the dense reference simplex; the per-station column cap of the
 ## refined passes; the draw-first rounding pass against the loop that
 ## solves every component before it draws, per slot and offline, and the
-## assign-row margin its skip rests on — all under the race detector
-## (same as the CI incremental-parity job).
+## assign-row margin its skip rests on; the standard form the slot LP's
+## builder writes against the same LP built through lp.Problem, bit for
+## bit — all under the race detector (same as the CI incremental-parity
+## job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack|TestBuildLPWritesStandardForm' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 
 ## drift: the drift correctness gate — the metamorphic invariance suites
 ## (arm relabeling, scenario time shift), the learner's checkpoint/restore

@@ -188,7 +188,7 @@ func TestScheduleBatchSequentialFillsToCapacity(t *testing.T) {
 // solves on the per-station grid g_i = max(C_l/2^k, floored at C_l/8,
 // R_i/⌈C(bs_i)/C_l⌉) <= C_l, so no pass builds more than ⌈C(bs_i)/C_l⌉
 // columns for a (request, station) pair, and a request's candidate
-// stations (hasCandidate, on the same grid) are exactly the stations it
+// stations (positive er1, on the same grid) are exactly the stations it
 // has columns on. The decision cache files every component solve of every
 // pass under its signature, which names each station's g_i and residual
 // and each request's candidates, beside the columns the solve built; the

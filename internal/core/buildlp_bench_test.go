@@ -49,21 +49,23 @@ func churnBatch(t testing.TB, stations, count int, deadlineMS float64) (*mec.Net
 // benchmark builds most (churn_mesh's ~117 variables x 41 rows,
 // ingest_flood's ~52 x 21) and churn_mesh with four times the requests,
 // whose build must cost about four times as much, not sixteen. Each
-// iteration rebuilds in place over one scratch, unnamed, as
-// solveDecomposed does on the slot path; allocs/op of the build rows is
-// the builder's steady-state garbage and must read 0. On a 2-vCPU shared
-// Xeon, build / build+solve read 8.5 / 24 µs, 3.0 / 10 µs and 36 / 123 µs
-// for the three shapes (10 / 28, 3.4 / 10.7 and 40 / 134 µs while the
-// problem stored its matrix by column and the conversion transposed it).
+// iteration rebuilds in place over one scratch, as solveDecomposed does on
+// the slot path, and a build here also scans the reach lists for
+// candidates (splitComponents' job on the slot path); allocs/op is the
+// steady-state garbage and must read 0 on every row. On a 2-vCPU shared
+// Xeon, build / build+solve read 8.0 / 22 µs, 3.1 / 9.5 µs and 40 /
+// 138 µs for the three shapes, medians of three runs (10 / 23, 2.9 / 14
+// and 40 / 152 µs while the builder filled an lp.Problem that each solve
+// lowered into the standard form).
 func BenchmarkBuildLP(b *testing.B) {
 	shapes := []struct {
 		name               string
 		stations, requests int
 		deadlineMS         float64
 	}{
-		{"churn_mesh", 20, 12, 38},    // 128 x 53
-		{"ingest_flood", 4, 12, 38},   // 48 x 21
-		{"churn_mesh_x4", 20, 48, 38}, // 554 x 89: four times the requests
+		{"churn_mesh", 20, 12, 38},    // 128 variables x 16 rows
+		{"ingest_flood", 4, 12, 38},   // 48 x 13
+		{"churn_mesh_x4", 20, 48, 38}, // 554 x 52: four times the requests
 	}
 	modes := []struct {
 		name  string
@@ -97,13 +99,13 @@ func BenchmarkBuildLP(b *testing.B) {
 					}
 					opts.byReq = m.byReq
 					if mode.solve {
-						if y, _, _, err = m.solveWarm(nil, y); err != nil {
+						if y, _, err = m.solveWarm(nil, y); err != nil {
 							b.Fatal(err)
 						}
 					}
 				}
-				b.ReportMetric(float64(m.prob.NumVars()), "vars")
-				b.ReportMetric(float64(m.prob.NumConstraints()), "rows")
+				b.ReportMetric(float64(m.std.NumVars()), "vars")
+				b.ReportMetric(float64(m.std.NumRows()), "rows")
 			})
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,15 +16,38 @@ import (
 	"mecoffload/internal/topology"
 )
 
+// refModel is a reference build: the LP as an lp.Problem, built through
+// AddConstraint, with the builder's variable bookkeeping (variable idx is
+// column idx).
+type refModel struct {
+	prob  *lp.Problem
+	vars  []slotVar
+	byReq [][]int
+}
+
+// solve solves the reference LP and returns y aligned with vars and the
+// optimum, as lpModel.solve does.
+func (m *refModel) solve() ([]float64, float64, error) {
+	sol, err := m.prob.Solve()
+	if err != nil {
+		return nil, 0, err
+	}
+	if sol.Status != lp.StatusOptimal {
+		return nil, 0, fmt.Errorf("%w: %v", ErrLPFailed, sol.Status)
+	}
+	return sol.X, sol.Objective, nil
+}
+
 // referenceBuildLP is buildLP as it stood before the builder took its
-// storage from a scratch and bucketed variables by station: a fresh
-// problem, a term slice per row, and a scan of every variable for every
-// (station, slot) row. It is kept, body unchanged but for its names
-// (none, as the builder's), the per-station grid and the
-// dropped cap rows, as the reference the in-place builder must reproduce
-// row for row and bit for bit. With prune false it emits every cap row
-// that has a term: the unpruned LP the exactness test compares against.
-func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions, prune bool) (*lpModel, error) {
+// storage from a scratch, bucketed variables by station and wrote the
+// simplex's standard form: a fresh lp.Problem, a term slice per row, and
+// a scan of every variable for every (station, slot) row. It is kept,
+// body unchanged but for its names (none, as the builder's), the
+// per-station grid and the dropped cap rows, as the reference the
+// in-place builder must reproduce row for row and bit for bit. With
+// prune false it emits every cap row that has a term: the unpruned LP the
+// exactness test compares against.
+func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions, prune bool) (*refModel, error) {
 	if n == nil {
 		return nil, ErrNilNetwork
 	}
@@ -60,7 +84,7 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions, prune
 	if byReq == nil {
 		byReq = make([][]int, len(reqs))
 	}
-	m := &lpModel{prob: prob, byReq: byReq}
+	m := &refModel{prob: prob, byReq: byReq}
 
 	for _, j := range active {
 		r := reqs[j]
@@ -83,10 +107,9 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions, prune
 				if er <= 0 {
 					continue
 				}
-				v := prob.AddVariable("", er)
-				idx := len(m.vars)
-				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er, v: v})
-				m.byReq[j] = append(m.byReq[j], idx)
+				prob.AddVariable("", er)
+				m.byReq[j] = append(m.byReq[j], len(m.vars))
+				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er})
 			}
 		}
 	}
@@ -103,7 +126,7 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions, prune
 		}
 		terms := make([]lp.Term, 0, len(m.byReq[j]))
 		for _, idx := range m.byReq[j] {
-			terms = append(terms, lp.Term{Var: m.vars[idx].v, Coef: 1})
+			terms = append(terms, lp.Term{Var: lp.Var(idx), Coef: 1})
 		}
 		if _, err := prob.AddConstraint("", lp.LE, 1, terms...); err != nil {
 			return nil, err
@@ -136,7 +159,7 @@ func referenceBuildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions, prune
 				if coef <= 0 {
 					continue
 				}
-				terms = append(terms, lp.Term{Var: sv.v, Coef: coef})
+				terms = append(terms, lp.Term{Var: lp.Var(idx), Coef: coef})
 			}
 			if len(terms) == 0 {
 				continue
@@ -309,18 +332,18 @@ func diffOptions(rng *rand.Rand, net *mec.Network, numReqs int) lpOptions {
 }
 
 // requireSameModel fails unless the two builds agree on the variable
-// list, byReq, and every name, operator, right-hand side, objective and
-// matrix coefficient of the problem, floats compared by their bits. A
-// column's entries are kept in row order, so equal dense matrices mean
-// equal entry lists.
-func requireSameModel(t *testing.T, label string, got, want *lpModel, numReqs int) {
+// list, byReq, and the standard form the simplex reads: the one got wrote
+// must equal the lowering of want's problem field for field — costs,
+// right-hand sides, both copies of the matrix, slack columns and starting
+// basis — floats compared by their bits.
+func requireSameModel(t *testing.T, label string, got *lpModel, want *refModel, numReqs int) {
 	t.Helper()
 	if len(got.vars) != len(want.vars) {
 		t.Fatalf("%s: %d vars, want %d", label, len(got.vars), len(want.vars))
 	}
 	for idx := range want.vars {
 		g, w := got.vars[idx], want.vars[idx]
-		if g.req != w.req || g.station != w.station || g.slot != w.slot || g.v != w.v ||
+		if g.req != w.req || g.station != w.station || g.slot != w.slot ||
 			math.Float64bits(g.er) != math.Float64bits(w.er) {
 			t.Fatalf("%s: var %d = %+v, want %+v", label, idx, g, w)
 		}
@@ -330,26 +353,15 @@ func requireSameModel(t *testing.T, label string, got, want *lpModel, numReqs in
 			t.Fatalf("%s: byReq[%d] = %v, want %v", label, j, got.byReq[j], want.byReq[j])
 		}
 	}
-	gd, wd := got.prob.Dense(), want.prob.Dense()
-	if len(gd.Obj) != len(wd.Obj) || len(gd.A) != len(wd.A) {
-		t.Fatalf("%s: shape %dx%d, want %dx%d", label, len(gd.A), len(gd.Obj), len(wd.A), len(wd.Obj))
+	if got.std.NumVars() != want.prob.NumVars() || got.std.NumRows() != want.prob.NumConstraints() {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.std.NumRows(), got.std.NumVars(),
+			want.prob.NumConstraints(), want.prob.NumVars())
 	}
-	for v := range wd.Obj {
-		if gd.Names[v] != wd.Names[v] || math.Float64bits(gd.Obj[v]) != math.Float64bits(wd.Obj[v]) {
-			t.Fatalf("%s: column %d = %q obj %v, want %q obj %v", label, v, gd.Names[v], gd.Obj[v], wd.Names[v], wd.Obj[v])
-		}
+	if got.std.NumVars() == 0 {
+		return // nothing written: the slot path solves nothing
 	}
-	for r := range wd.A {
-		if gd.RowNames[r] != wd.RowNames[r] || gd.Ops[r] != wd.Ops[r] ||
-			math.Float64bits(gd.RHS[r]) != math.Float64bits(wd.RHS[r]) {
-			t.Fatalf("%s: row %d = %q %v %v, want %q %v %v", label, r,
-				gd.RowNames[r], gd.Ops[r], gd.RHS[r], wd.RowNames[r], wd.Ops[r], wd.RHS[r])
-		}
-		for v := range wd.A[r] {
-			if math.Float64bits(gd.A[r][v]) != math.Float64bits(wd.A[r][v]) {
-				t.Fatalf("%s: A[%s][%s] = %v, want %v", label, wd.RowNames[r], wd.Names[v], gd.A[r][v], wd.A[r][v])
-			}
-		}
+	if d := got.std.Diff(want.prob); d != "" {
+		t.Fatalf("%s: standard form: %s", label, d)
 	}
 }
 
@@ -421,18 +433,19 @@ func TestBuildLPMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		gotSol, err := got.prob.Solve()
+		gotX := make([]float64, got.std.NumVars())
+		gotStatus, gotObj, err := got.std.Solve(gotX, lp.SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if gotSol.Status != wantSol.Status || gotSol.Iterations != wantSol.Iterations ||
-			math.Float64bits(gotSol.Objective) != math.Float64bits(wantSol.Objective) {
-			t.Fatalf("%s: solve %v/%d/%v, want %v/%d/%v", label, gotSol.Status, gotSol.Iterations,
-				gotSol.Objective, wantSol.Status, wantSol.Iterations, wantSol.Objective)
+		if gotStatus != wantSol.Status || got.std.Iterations() != wantSol.Iterations ||
+			math.Float64bits(gotObj) != math.Float64bits(wantSol.Objective) {
+			t.Fatalf("%s: solve %v/%d/%v, want %v/%d/%v", label, gotStatus, got.std.Iterations(),
+				gotObj, wantSol.Status, wantSol.Iterations, wantSol.Objective)
 		}
 		for v := range wantSol.X {
-			if math.Float64bits(gotSol.X[v]) != math.Float64bits(wantSol.X[v]) {
-				t.Fatalf("%s: x[%d] = %v, want %v", label, v, gotSol.X[v], wantSol.X[v])
+			if math.Float64bits(gotX[v]) != math.Float64bits(wantSol.X[v]) {
+				t.Fatalf("%s: x[%d] = %v, want %v", label, v, gotX[v], wantSol.X[v])
 			}
 		}
 	}
@@ -514,5 +527,86 @@ func TestComponentResultsSurviveUntilMerge(t *testing.T) {
 			t.Fatalf("slot %d: merged holds %d vars, %d y, obj %v; components %d, obj %v",
 				slot, len(sc.merged.vars), len(sc.merged.y), sc.merged.obj, at, obj)
 		}
+	}
+}
+
+// TestBuildLPWritesStandardForm is the writer differential, modelled on
+// lp's TestToStandardMatchesReference. On churn_mesh-shaped slots —
+// BenchmarkBuildLP's three shapes, a tighter and a looser deadline — it
+// builds every component as the slot path does, from the candidate lists
+// splitComponents records and into one reused scratch, on pass 0's grid
+// and on the refined per-station grids of passes 1–3, share cap off and
+// on. The standard form buildLP writes must equal, field for field and bit
+// for bit, the lowering of the same LP built through
+// lp.Problem.AddConstraint (referenceBuildLP): costs, right-hand sides,
+// both copies of the matrix, the slack columns and the starting basis. A
+// NaN coefficient written through the same writer is refused with
+// lp.ErrBadCoef and leaves the form as it was.
+func TestBuildLPWritesStandardForm(t *testing.T) {
+	shapes := []struct {
+		stations, requests int
+		deadlineMS         float64
+	}{{20, 12, 38}, {4, 12, 38}, {20, 48, 38}, {20, 24, 31}, {20, 24, 200}}
+	sc := new(slotScratch)
+	builds, rows := 0, 0
+	for _, shape := range shapes {
+		net, reqs, used := churnBatch(t, shape.stations, shape.requests, shape.deadlineMS)
+		active := make([]int, len(reqs))
+		for j := range active {
+			active[j] = j
+		}
+		sc.reach.fill(net, reqs, active, nil, mec.DefaultSlotLengthMS)
+		for pass := 0; pass < 4; pass++ {
+			for _, capped := range []bool{false, true} {
+				label := fmt.Sprintf("%d stations x %d requests, deadline %v ms, pass %d, share cap %v",
+					shape.stations, shape.requests, shape.deadlineMS, pass, capped)
+				slotMHz := net.SlotMHz() / float64(int(1)<<pass)
+				opts := lpOptions{
+					active:       active,
+					capOf:        func(i int) float64 { return net.Capacity(i) - used[i] },
+					slotMHz:      slotMHz,
+					slotLengthMS: mec.DefaultSlotLengthMS,
+					reach:        &sc.reach,
+				}
+				if pass > 0 {
+					opts.grid = sc.fillGrid(net, used, slotMHz)
+				}
+				if capped {
+					opts.shareCapFor = func(i int) float64 { return net.Capacity(i) / float64(len(reqs)) / net.CUnit() }
+				}
+				sc.merged.reset(len(reqs), active)
+				copts := opts
+				copts.byReq, copts.scratch, copts.cands = sc.merged.byReq, &sc.build, &sc.cands
+				for k, comp := range splitComponents(net, reqs, opts, sc) {
+					copts.active, copts.stations, copts.vars = comp.reqs, comp.stations, sc.vars
+					got, err := buildLP(net, reqs, copts)
+					if err != nil {
+						t.Fatalf("%s, component %d: %v", label, k, err)
+					}
+					sc.vars = got.vars
+					ropts := opts
+					ropts.active, ropts.stations = comp.reqs, comp.stations
+					want, err := referenceBuildLP(net, reqs, ropts, true)
+					if err != nil {
+						t.Fatalf("%s, component %d: reference: %v", label, k, err)
+					}
+					requireSameModel(t, fmt.Sprintf("%s, component %d", label, k), got, want, len(reqs))
+					builds++
+					rows += got.std.NumRows()
+
+					got.std.Add(0, math.NaN())
+					if _, err := got.std.EndRow(1); !errors.Is(err, lp.ErrBadCoef) {
+						t.Fatalf("%s, component %d: a NaN coefficient was not refused: %v", label, k, err)
+					}
+					requireSameModel(t, fmt.Sprintf("%s, component %d, after the refusal", label, k), got, want, len(reqs))
+					for _, j := range comp.reqs {
+						got.byReq[j] = got.byReq[j][:0]
+					}
+				}
+			}
+		}
+	}
+	if builds < 60 || rows < 20*builds {
+		t.Fatalf("%d component builds with %d rows: the shapes lost their coverage", builds, rows)
 	}
 }

@@ -63,37 +63,75 @@ func (o *lpOptions) reachOf(n *mec.Network, reqs []*mec.Request, active []int, r
 	return rl
 }
 
-// hasCandidate reports whether at least one y_{j,i,l} variable would be
-// created for (request j, station i), given that i is on j's reach list:
-// slot l=1 has positive expected reward. ER_jil is non-increasing in l
-// (the rate ceiling (cap_i - l*C_l)/C_unit shrinks as l grows), so testing
-// l=1 is exact.
-func hasCandidate(n *mec.Network, r *mec.Request, capI, slotMHz float64) bool {
+// er1 returns ER_{j,i,1}, Eq. (8) at slot l = 1, of request r on a
+// station with usable capacity capI and slot size slotMHz: 0 when not
+// even one slot fits. ER_jil is non-increasing in l (the rate ceiling
+// (cap_i - l*C_l)/C_unit shrinks as l grows), so (r, i) gets a y_{j,i,l}
+// variable exactly when er1 is positive, and it is the value buildLP
+// would compute for slot 1, bit for bit.
+func er1(n *mec.Network, r *mec.Request, capI, slotMHz float64) float64 {
 	if capI < slotMHz { // L = floor(capI/slotMHz) < 1: no slots at all
-		return false
+		return 0
 	}
-	return r.Dist.RewardMassBelow((capI-slotMHz)/n.CUnit()) > 0
+	return r.Dist.RewardMassBelow((capI - slotMHz) / n.CUnit())
+}
+
+// candLists holds each active request's candidate stations — the
+// stations on its reach list where er1 is positive, ascending — each with
+// its er1. splitComponents fills them once per pass; the build and the
+// incremental signature of every component read them, so candidacy and
+// slot 1's reward are computed once.
+type candLists struct {
+	stations []int
+	er1      []float64
+	off      []int // request at active position k: stations[off[k]:off[k+1]]
+	pos      []int // global request index -> active position; valid for active requests only
+}
+
+// fill computes the candidate lists of opts.active from opts.reach, which
+// must be set, under opts.capOf and the pass's grid. A non-nil in keeps
+// only the stations it marks.
+func (cl *candLists) fill(n *mec.Network, reqs []*mec.Request, opts *lpOptions, in []bool) {
+	cl.stations, cl.er1 = cl.stations[:0], cl.er1[:0]
+	off := growInts(&cl.off, len(opts.active)+1)
+	pos := growInts(&cl.pos, len(reqs))
+	for k, j := range opts.active {
+		off[k], pos[j] = len(cl.stations), k
+		r := reqs[j]
+		for _, i := range opts.reach.of(j) {
+			if in != nil && !in[i] {
+				continue
+			}
+			if er := er1(n, r, opts.capOf(i), opts.slotOf(i)); er > 0 {
+				cl.stations = append(cl.stations, i)
+				cl.er1 = append(cl.er1, er)
+			}
+		}
+	}
+	off[len(opts.active)] = len(cl.stations)
+}
+
+// of returns request j's candidate stations and their er1.
+func (cl *candLists) of(j int) ([]int, []float64) {
+	k := cl.pos[j]
+	s, e := cl.off[k], cl.off[k+1]
+	return cl.stations[s:e], cl.er1[s:e]
 }
 
 // splitComponents partitions the active requests and their candidate
-// stations into connected components via union-find over stations. A
-// request's candidates are the stations on its reach list (opts.reach,
-// which the caller must set) that pass hasCandidate, so a request costs
-// the stations it can reach, not the network. Requests with no feasible
-// station appear in no component (the LP has no variable for them; they
-// stay undecided). Components are returned in ascending order of their
-// key, and their station and request lists preserve ascending-station and
-// caller-active order respectively — the orderings the deterministic merge
-// in solveDecomposed relies on.
+// stations into connected components via union-find over stations. It
+// first fills sc.cands from the reach lists (opts.reach, which the caller
+// must set), so a request costs the stations it can reach, not the
+// network. Requests with no candidate station appear in no
+// component (the LP has no variable for them; they stay undecided).
+// Components are returned in ascending order of their key, and their
+// station and request lists preserve ascending-station and caller-active
+// order respectively — the orderings the deterministic merge in
+// solveDecomposed relies on.
 //
 // The scan leaves each active request's component in sc.compOf, by
-// active position (-1 for none), and that position in sc.posOf, by global
-// index: drawRounding reads both. When record is set, it additionally
-// captures each active request's candidate station list
-// (sc.cands/sc.candOff, by active position) — the incremental signatures
-// consume them, and recording during this scan means candidacy is never
-// recomputed.
-func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *slotScratch, record bool) []component {
+// active position (-1 for none); drawRounding reads it.
+func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *slotScratch) []component {
 	nS := n.NumStations()
 	parent := growInts(&sc.parent, nS)
 	for i := range parent {
@@ -117,33 +155,16 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 		}
 	}
 
+	if opts.capOf == nil {
+		opts.capOf = n.Capacity
+	}
+	cl := &sc.cands
+	cl.fill(n, reqs, &opts, nil)
 	stUsed := growBoolsClear(&sc.stUsed, nS)
 	firstOf := growInts(&sc.firstOf, len(opts.active))
-	capOf := opts.capOf
-	if capOf == nil {
-		capOf = n.Capacity
-	}
-	var cands []int
-	var candOff []int
-	if record {
-		cands = sc.cands[:0]
-		candOff = growInts(&sc.candOff, len(opts.active)+1)
-	}
-	posOf := growInts(&sc.posOf, len(reqs))
-	for k, j := range opts.active {
-		r := reqs[j]
-		posOf[j] = k
-		if record {
-			candOff[k] = len(cands)
-		}
+	for k := range opts.active {
 		first := -1
-		for _, i := range opts.reach.of(j) {
-			if !hasCandidate(n, r, capOf(i), opts.slotOf(i)) {
-				continue
-			}
-			if record {
-				cands = append(cands, i)
-			}
+		for _, i := range cl.stations[cl.off[k]:cl.off[k+1]] {
 			stUsed[i] = true
 			if first < 0 {
 				first = i
@@ -152,10 +173,6 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 			}
 		}
 		firstOf[k] = first
-	}
-	if record {
-		candOff[len(opts.active)] = len(cands)
-		sc.cands = cands
 	}
 
 	// Components materialize in ascending-min-station order because the
@@ -219,7 +236,7 @@ func (sc *slotScratch) drawRounding(reqs []int, comps []component, rng *rand.Ran
 	live := growBoolsClear(&sc.live, len(comps))
 	reach := (1 + drawSlack) / denom
 	for p, j := range reqs {
-		c := sc.compOf[sc.posOf[j]]
+		c := sc.compOf[sc.cands.pos[j]]
 		if c < 0 {
 			continue // no variable: roundAssignments never reads draws[p]
 		}
@@ -323,7 +340,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	inc := cfg.inc
 	warm, pass := cfg.warm, cfg.pass
 	m.reset(len(reqs), opts.active)
-	comps := splitComponents(n, reqs, opts, sc, inc != nil)
+	comps := splitComponents(n, reqs, opts, sc)
 	if len(comps) == 0 {
 		return nil
 	}
@@ -365,6 +382,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	copts := opts
 	copts.byReq = m.byReq
 	copts.scratch = &sc.build
+	copts.cands = &sc.cands
 	for k, comp := range comps {
 		if cfg.skipDead && !live[k] {
 			continue
@@ -391,14 +409,16 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			return err
 		}
 		sc.vars = model.vars
-		y, obj, basis, err := model.solveWarm(warm.get(pass, comp.key), sc.y)
+		y, obj, err := model.solveWarm(warm.get(pass, comp.key), sc.y)
 		if err != nil {
 			return err
 		}
 		if y != nil {
 			sc.y = y
+			if warm != nil {
+				warm.put(pass, comp.key, model.std.Basis())
+			}
 		}
-		warm.put(pass, comp.key, basis)
 		m.vars = append(m.vars, model.vars...)
 		m.y = append(m.y, y...)
 		m.obj += obj

@@ -79,7 +79,7 @@ func TestSplitComponentsPartition(t *testing.T) {
 		slotMHz:      n.SlotMHz(),
 		slotLengthMS: mec.DefaultSlotLengthMS,
 		reach:        &sc.reach,
-	}, sc, false)
+	}, sc)
 	if len(comps) == 0 {
 		t.Fatal("no components over a dense workload")
 	}

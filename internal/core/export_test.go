@@ -8,14 +8,16 @@ import (
 )
 
 // PrunedLPPair is one random LP-PT instance built twice: Pruned by buildLP,
-// which drops the cap rows that cannot bind, and Full by the reference
-// builder with every cap row kept. Their columns are the same, and the
-// pruned rows are the full build's rows with the dropped ones left out, in
-// order, so a row of one is found in the other by its content. ColReq
-// holds the request index of each column.
+// which writes the simplex's standard form and drops the cap rows that
+// cannot bind, and Full by the reference builder, through lp.Problem, with
+// every cap row kept. Their columns are the same, and the pruned rows are
+// the full build's rows with the dropped ones left out, in order, so a
+// row of one is found in the other by its content. ColReq holds the
+// request index of each column.
 type PrunedLPPair struct {
-	Pruned, Full *lp.Problem
-	ColReq       []int
+	Pruned *lp.Standard
+	Full   *lp.Problem
+	ColReq []int
 }
 
 // RandomPrunedLPPair draws an instance the way the builder differential
@@ -41,12 +43,12 @@ func RandomPrunedLPPair(t *testing.T, rng *rand.Rand) PrunedLPPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.prob.NumVars() == 0 {
+	if len(pruned.vars) == 0 {
 		return PrunedLPPair{Full: full.prob}
 	}
 	colReq := make([]int, len(pruned.vars))
-	for _, sv := range pruned.vars {
-		colReq[sv.v] = sv.req
+	for idx, sv := range pruned.vars {
+		colReq[idx] = sv.req
 	}
-	return PrunedLPPair{Pruned: pruned.prob, Full: full.prob, ColReq: colReq}
+	return PrunedLPPair{Pruned: pruned.std, Full: full.prob, ColReq: colReq}
 }

@@ -137,8 +137,7 @@ func appendCompSig(buf []uint64, reqs []*mec.Request, opts lpOptions, comp compo
 	}
 	buf = append(buf, uint64(len(comp.reqs)))
 	for _, j := range comp.reqs {
-		k := sc.posOf[j]
-		cands := sc.cands[sc.candOff[k]:sc.candOff[k+1]]
+		cands, _ := sc.cands.of(j)
 		buf = append(buf, uint64(len(cands)))
 		for _, i := range cands {
 			buf = append(buf, uint64(i))

@@ -3,23 +3,26 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mecoffload/internal/lp"
 	"mecoffload/internal/mec"
 )
 
 // slotVar identifies one y_{jil} variable of the slot-indexed relaxation.
+// In a built model a variable's LP column is its index in the model's
+// variable list.
 type slotVar struct {
 	req     int // global request index within the workload slice
 	station int
 	slot    int // 1-based starting resource slot l
 	er      float64
-	v       lp.Var
 }
 
 // lpModel is the built LP relaxation plus variable bookkeeping.
 type lpModel struct {
-	prob *lp.Problem
+	// std is the LP itself, written in the simplex's standard form.
+	std  *lp.Standard
 	vars []slotVar
 	// byReq[j] lists indices into vars of request j's variables (indexed
 	// by global request index; empty for inactive requests).
@@ -43,7 +46,7 @@ type lpOptions struct {
 	// each station its own grid (roundingLoop). nil means slotMHz on every
 	// station.
 	grid []float64
-	// shareCap, when non-nil, additionally truncates the expected
+	// shareCapFor, when non-nil, additionally truncates the expected
 	// occupancy of constraint (10): LP-PT's min{C(bs_i)/|R_t|, rho_j,
 	// l*C_l/C_unit} term (constraint (23)). The returned value is in
 	// MB/s; non-positive values disable the truncation for that station.
@@ -58,6 +61,11 @@ type lpOptions struct {
 	// more), computed once per scheduling call; nil makes solveDecomposed
 	// and buildLP compute them for their own active requests.
 	reach *reachLists
+	// cands, when non-nil, holds the candidate stations of every active
+	// request under this pass's capacities and grid, with their slot-1
+	// reward (splitComponents fills them); nil makes buildLP compute them
+	// from reach for its own active requests and stations.
+	cands *candLists
 	// stations restricts variable and capacity-row creation to these
 	// station indices (ascending); nil means all. The per-component
 	// decomposition uses it to build one block of the block-diagonal LP.
@@ -84,20 +92,22 @@ func (o *lpOptions) slotOf(i int) float64 {
 	return o.slotMHz
 }
 
-// buildScratch is the reusable state of one LP build: the problem itself
-// (rebuilt in place through lp.Problem.Reset) and the builder's
+// buildScratch is the reusable state of one LP build: the LP itself
+// (rewritten in place through lp.Standard.Reset) and the builder's
 // temporaries. The model buildLP returns lives in it, so a scratch serves
 // one build at a time and the model is valid until the next build over the
 // same scratch. solveDecomposed builds every component of a slot in its
 // slotScratch's.
 type buildScratch struct {
 	model lpModel
-	terms []lp.Term
-	// default active / stations / reach lists when the options leave them
-	// nil
+	std   lp.Standard
+	// default active / stations / reach / candidate lists when the options
+	// leave them nil, and the station mask of a build over a subset
 	active   []int
 	stations []int
 	reach    reachLists
+	cands    candLists
+	in       []bool
 	// variables bucketed by station for the constraint-(10) rows: stPos
 	// maps a station index to its position in the stations list, bucket
 	// holds the variable indices of station position s, ascending, at
@@ -124,19 +134,22 @@ type buildScratch struct {
 //
 // Variables are created only for delay-feasible (j, i) pairs and slots
 // with positive expected reward ER_jil (Eq. (8)), which keeps the LP
-// compact. A request's delay-feasible stations are its reach list
-// (opts.reach), so constraint (11) costs the stations the request can
-// reach, not the build's station set. The paper's constraint (10) RHS is
-// written 2*l*C_l; the division by C_unit here converts it to data-rate
-// units so both sides of the inequality carry the same dimension. C_l is
-// the station's slot size (opts.slotOf), and a cap row that cannot bind
-// is not built.
+// compact: a request's variables sit on its candidate stations
+// (opts.cands, the reach list's stations where ER_ji1 > 0), so
+// constraint (11) costs the stations the request can reach, not the
+// build's station set, and slot 1's reward is the one the candidate scan
+// computed. The paper's constraint (10) RHS is written 2*l*C_l; the
+// division by C_unit here converts it to data-rate units so both sides of
+// the inequality carry the same dimension. C_l is the station's slot size
+// (opts.slotOf), and a cap row that cannot bind is not built.
 //
 // Variables are generated request by request (active order), station by
 // station (ascending), slot by slot; rows are the assign rows in active
 // order, then the cap rows station by station, slot by slot, each row's
-// terms in ascending variable order. The warm cache, the decision cache
-// and every pinned digest depend on exactly that order.
+// terms in ascending variable order. The LP is written straight into the
+// simplex's standard form (lp.Standard), row by row in that order. The
+// warm cache, the decision cache and every pinned digest depend on
+// exactly that order.
 func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, error) {
 	if n == nil {
 		return nil, ErrNilNetwork
@@ -157,11 +170,12 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		for j := range active {
 			active[j] = j
 		}
+		opts.active = active
+	}
+	if opts.capOf == nil {
+		opts.capOf = n.Capacity
 	}
 	capOf := opts.capOf
-	if capOf == nil {
-		capOf = n.Capacity
-	}
 	if opts.slotMHz <= 0 {
 		opts.slotMHz = n.SlotMHz()
 	}
@@ -172,22 +186,31 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 			stations[i] = i
 		}
 	}
-	reach := opts.reachOf(n, reqs, active, &bs.reach)
-	// stPos maps a station of this build to its position in stations. It is
-	// never cleared: an entry left by another build holds a position that
-	// is past the list or names another station.
+	cands := opts.cands
+	if cands == nil {
+		var in []bool
+		if opts.stations != nil {
+			in = growBoolsClear(&bs.in, n.NumStations())
+			for _, i := range stations {
+				in[i] = true
+			}
+		}
+		opts.reach = opts.reachOf(n, reqs, active, &bs.reach)
+		bs.cands.fill(n, reqs, &opts, in)
+		cands = &bs.cands
+	}
+	// stPos maps a station of this build to its position in stations; every
+	// candidate station is one of them. It is never cleared: an entry left
+	// by another build is never read.
 	stPos := growInts(&bs.stPos, n.NumStations())
 	for s, i := range stations {
 		stPos[i] = s
 	}
 
 	m := &bs.model
-	if m.prob == nil {
-		m.prob = lp.NewProblem(lp.Maximize)
-	} else {
-		m.prob.Reset()
-	}
-	prob := m.prob
+	m.std = &bs.std
+	w := m.std
+	w.Reset()
 	m.vars = opts.vars[:0]
 	m.byReq = opts.byReq
 	if m.byReq == nil {
@@ -197,52 +220,47 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 	// bucketOff[s+1] counts station position s's variables while they are
 	// generated, and becomes the bucket's end offset below.
 	bucketOff := growInts(&bs.bucketOff, len(stations)+1)
-	for s := range bucketOff {
-		bucketOff[s] = 0
-	}
+	clear(bucketOff)
 	for _, j := range active {
 		r := reqs[j]
-		// Constraint (11): only the stations that can meet the deadline
-		// with the current waiting time, ascending.
-		for _, i := range reach.of(j) {
+		sts, ers := cands.of(j)
+		for t, i := range sts {
 			s := stPos[i]
-			if s >= len(stations) || stations[s] != i {
-				continue
-			}
 			capI, slotMHz := capOf(i), opts.slotOf(i)
 			L := int(capI / slotMHz)
+			er := ers[t]
 			for l := 1; l <= L; l++ {
-				// Eq. (8): reward mass of rates that fit above slot l.
-				maxRate := (capI - float64(l)*slotMHz) / n.CUnit()
-				er := r.Dist.RewardMassBelow(maxRate)
-				if er <= 0 {
-					continue
+				if l > 1 {
+					// Eq. (8): reward mass of rates that fit above slot l.
+					// It is non-increasing in l, so the first slot without
+					// any ends the station.
+					maxRate := (capI - float64(l)*slotMHz) / n.CUnit()
+					if er = r.Dist.RewardMassBelow(maxRate); er <= 0 {
+						break
+					}
 				}
-				v := prob.AddVariable("", er)
-				idx := len(m.vars)
-				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er, v: v})
-				m.byReq[j] = append(m.byReq[j], idx)
+				w.AddVariable(er)
+				m.byReq[j] = append(m.byReq[j], len(m.vars))
+				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er})
 				bucketOff[s+1]++
 			}
 		}
 	}
-	if prob.NumVars() == 0 {
+	if len(m.vars) == 0 {
 		// No request can be feasibly served anywhere; the caller treats
 		// this as an all-reject solution rather than an error.
 		return m, nil
 	}
 
 	// Constraint (9): each request starts in at most one slot.
-	terms := bs.terms[:0]
 	for _, j := range active {
 		if len(m.byReq[j]) == 0 {
 			continue
 		}
-		terms = terms[:0]
 		for _, idx := range m.byReq[j] {
-			terms = append(terms, lp.Term{Var: m.vars[idx].v, Coef: 1})
+			w.Add(lp.Var(idx), 1)
 		}
-		if _, err := prob.AddConstraint("", lp.LE, 1, terms...); err != nil {
+		if _, err := w.EndRow(1); err != nil {
 			return nil, err
 		}
 	}
@@ -296,7 +314,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 			slotCap := float64(l) * slotMHz / n.CUnit() // l*C_l/C_unit in MB/s
 			trunc := slotCap
 			if shareCap > 0 {
-				trunc = math.Min(trunc, shareCap)
+				trunc = min(trunc, shareCap)
 			}
 			if trunc != lastTrunc {
 				lastTrunc, fill = trunc, 0
@@ -312,7 +330,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 			if fill < 2*slotCap*(1-1e-9) {
 				continue
 			}
-			terms = terms[:0]
+			terms := 0
 			req, coef := -1, 0.0
 			for k, idx := range own {
 				sv := &m.vars[idx]
@@ -322,45 +340,41 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 				if sv.slot > l || coef <= 0 {
 					continue
 				}
-				terms = append(terms, lp.Term{Var: sv.v, Coef: coef})
+				w.Add(lp.Var(idx), coef)
+				terms++
 			}
-			if len(terms) == 0 {
+			if terms == 0 {
 				continue
 			}
-			if _, err := prob.AddConstraint("", lp.LE, 2*slotCap, terms...); err != nil {
+			if _, err := w.EndRow(2 * slotCap); err != nil {
 				return nil, err
 			}
 		}
 	}
-	bs.terms = terms
 	return m, nil
 }
 
-// solve runs the simplex and returns the fractional y values aligned with
-// m.vars, plus the LP optimum.
+// solve runs the simplex cold and returns the fractional y values aligned
+// with m.vars, plus the LP optimum.
 func (m *lpModel) solve() ([]float64, float64, error) {
-	y, opt, _, err := m.solveWarm(nil, nil)
-	return y, opt, err
+	return m.solveWarm(nil, nil)
 }
 
 // solveWarm is solve seeded from a previous optimal basis (nil = cold),
-// writing the y values into ybuf's storage when it is large enough. It
-// additionally returns this solve's optimal basis so a WarmCache can seed
-// the same pass and shard of the next batch.
-func (m *lpModel) solveWarm(warm *lp.Basis, ybuf []float64) ([]float64, float64, *lp.Basis, error) {
-	if m.prob.NumVars() == 0 {
-		return nil, 0, nil, nil
+// writing the y values into ybuf's storage when it is large enough. The
+// solve's own optimal basis stays in m.std for a caller that files it
+// (lp.Standard.Basis).
+func (m *lpModel) solveWarm(warm *lp.Basis, ybuf []float64) ([]float64, float64, error) {
+	if len(m.vars) == 0 {
+		return nil, 0, nil
 	}
-	sol, err := m.prob.SolveWithOptions(lp.SolveOptions{WarmStart: warm})
+	y := slices.Grow(ybuf[:0], len(m.vars))[:len(m.vars)]
+	status, obj, err := m.std.Solve(y, lp.SolveOptions{WarmStart: warm})
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, 0, nil, fmt.Errorf("%w: %v", ErrLPFailed, sol.Status)
+	if status != lp.StatusOptimal {
+		return nil, 0, fmt.Errorf("%w: %v", ErrLPFailed, status)
 	}
-	y := ybuf[:0]
-	for idx := range m.vars {
-		y = append(y, sol.Value(m.vars[idx].v))
-	}
-	return y, sol.Objective, sol.Basis, nil
+	return y, obj, nil
 }

@@ -81,7 +81,7 @@ func TestBuildLPStructure(t *testing.T) {
 	// coefficient is E[min(rho, l*C_l/C_unit)] = E[rho] = 40 on every slot
 	// (l*C_l/C_unit = 50 l >= 50), so a row's two requests fill at most 80
 	// of its right-hand side 2*50*l = 100 l: none can bind, none is built.
-	if got := m.prob.NumConstraints(); got != 2 {
+	if got := m.std.NumRows(); got != 2 {
 		t.Fatalf("constraints = %d, want 2", got)
 	}
 
@@ -93,7 +93,7 @@ func TestBuildLPStructure(t *testing.T) {
 	if m, err = buildLP(net, reqs, lpOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.prob.NumConstraints(); got != 6+2*2 {
+	if got := m.std.NumRows(); got != 6+2*2 {
 		t.Fatalf("constraints = %d, want 10", got)
 	}
 }

@@ -71,14 +71,15 @@ func lpObjective(t *testing.T, n *mec.Network, reqs []*mec.Request) float64 {
 	if err != nil {
 		t.Fatalf("buildLP: %v", err)
 	}
-	sol, err := m.prob.Solve()
+	x := make([]float64, m.std.NumVars())
+	status, obj, err := m.std.Solve(x, lp.SolveOptions{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if sol.Status != lp.StatusOptimal {
-		t.Fatalf("status %v, want optimal", sol.Status)
+	if status != lp.StatusOptimal {
+		t.Fatalf("status %v, want optimal", status)
 	}
-	return sol.Objective
+	return obj
 }
 
 func relClose(a, b, tol float64) bool {

@@ -25,15 +25,11 @@ type slotScratch struct {
 	// roundingLoop call
 	reach reachLists
 
-	// per-request candidate station lists recorded during the
-	// splitComponents scan (flat list + offsets per active position),
-	// consumed by the incremental signatures; posOf maps global request
-	// index -> active position and compOf active position -> component
-	// (-1: no candidate station).
-	cands   []int
-	candOff []int
-	posOf   []int
-	compOf  []int
+	// the pass's candidate stations per request with their slot-1
+	// reward (splitComponents), and each active position's component
+	// (-1: no candidate station)
+	cands  candLists
+	compOf []int
 
 	// the pass's rounding draws, indexed by position in its sorted request
 	// list (mergedModel.reqs), and whether each component holds a draw
@@ -73,7 +69,7 @@ func getSlotScratch() *slotScratch   { return slotScratchPool.Get().(*slotScratc
 func putSlotScratch(sc *slotScratch) { slotScratchPool.Put(sc) }
 
 // growInts resizes *buf to n without clearing (callers overwrite). It
-// grows geometrically: posOf is sized by the request slice, which a live
+// grows geometrically: cands.pos is sized by the request slice, which a live
 // engine extends every slot, and an exact fit would reallocate every slot.
 func growInts(buf *[]int, n int) []int {
 	if cap(*buf) < n {

@@ -183,27 +183,32 @@ func (d *RateReward) ExpectedReward() float64 {
 }
 
 // ExpectedTruncatedRate returns E[min(rho, cap)], the truncated expectation
-// used in LP constraint (10) and in Lemma 2's occupancy bound.
+// used in LP constraint (10) and in Lemma 2's occupancy bound. Rates are
+// finite and non-negative and cap is positive here, where the builtin min
+// and math.Min agree.
 func (d *RateReward) ExpectedTruncatedRate(cap float64) float64 {
 	if cap <= 0 {
 		return 0
 	}
 	e := 0.0
 	for _, o := range d.outcomes {
-		e += o.Prob * math.Min(o.Rate, cap)
+		e += o.Prob * min(o.Rate, cap)
 	}
 	return e
 }
 
 // RewardMassBelow returns sum over {rho : rho <= maxRate} of pi_rho*RD_rho.
 // This is ER_{jil} of Eq. (8): the expected reward collectable when only
-// rates up to maxRate fit in the remaining resource of a base station.
+// rates up to maxRate fit in the remaining resource of a base station. The
+// support ascends in rate, so the sum is a prefix of it, added in order,
+// and the scan stops at the first rate that does not fit.
 func (d *RateReward) RewardMassBelow(maxRate float64) float64 {
 	e := 0.0
 	for _, o := range d.outcomes {
-		if o.Rate <= maxRate {
-			e += o.Prob * o.Reward
+		if !(o.Rate <= maxRate) {
+			break
 		}
+		e += o.Prob * o.Reward
 	}
 	return e
 }

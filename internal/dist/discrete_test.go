@@ -341,3 +341,83 @@ func TestNewRateRewardMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// referenceRewardMassBelow and referenceExpectedTruncatedRate are the
+// loops RewardMassBelow and ExpectedTruncatedRate ran before the first
+// stopped at the first rate above maxRate and the second took the builtin
+// min: every outcome visited, math.Min.
+func referenceRewardMassBelow(d *RateReward, maxRate float64) float64 {
+	e := 0.0
+	for _, o := range d.outcomes {
+		if o.Rate <= maxRate {
+			e += o.Prob * o.Reward
+		}
+	}
+	return e
+}
+
+func referenceExpectedTruncatedRate(d *RateReward, cap float64) float64 {
+	if cap <= 0 {
+		return 0
+	}
+	e := 0.0
+	for _, o := range d.outcomes {
+		e += o.Prob * math.Min(o.Rate, cap)
+	}
+	return e
+}
+
+// TestMassBelowMatchesReference: on random supports — some holding rate 0,
+// some a single outcome — RewardMassBelow and ExpectedTruncatedRate return
+// the reference loops' figures bit for bit, at every rate of the support
+// (a rate equal to maxRate fits; a cap equal to a rate), at 0, between and
+// around the rates, below 0, at ±Inf and at NaN (where a NaN cap gives NaN
+// either way, but not necessarily the same bits).
+func TestMassBelowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	zeroRate, atRate := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(6)
+		list := make([]Outcome, n)
+		weights := 0.0
+		for i := range list {
+			rate := 20 + 60*rng.Float64()
+			if i == 0 && trial%3 == 0 {
+				rate = 0
+				zeroRate++
+			}
+			w := 0.05 + rng.Float64()
+			list[i] = Outcome{Rate: rate, Prob: w, Reward: 100 + 900*rng.Float64()}
+			weights += w
+		}
+		for i := range list {
+			list[i].Prob /= weights
+		}
+		d := mustDist(t, list)
+		probes := []float64{0, -1, math.Inf(1), math.Inf(-1), math.NaN(), 1e-300, 200 * rng.Float64()}
+		for _, o := range d.outcomes {
+			probes = append(probes, o.Rate, math.Nextafter(o.Rate, math.Inf(1)), math.Nextafter(o.Rate, math.Inf(-1)))
+			atRate++
+		}
+		for _, x := range probes {
+			if g, w := d.RewardMassBelow(x), referenceRewardMassBelow(d, x); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("trial %d: RewardMassBelow(%v) = %v, reference %v (support %+v)", trial, x, g, w, d.outcomes)
+			}
+			g, w := d.ExpectedTruncatedRate(x), referenceExpectedTruncatedRate(d, x)
+			if math.IsNaN(x) {
+				// No caller truncates at NaN; both say NaN, if not the
+				// same one.
+				if !math.IsNaN(g) || !math.IsNaN(w) {
+					t.Fatalf("trial %d: ExpectedTruncatedRate(NaN) = %v, reference %v", trial, g, w)
+				}
+				continue
+			}
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("trial %d: ExpectedTruncatedRate(%v) = %v, reference %v (support %+v)", trial, x, g, w, d.outcomes)
+			}
+		}
+	}
+	if zeroRate < 500 || atRate < 3000 {
+		t.Fatalf("%d supports with rate 0, %d probes at a rate: the generator lost its coverage", zeroRate, atRate)
+	}
+}

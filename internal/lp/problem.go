@@ -10,29 +10,37 @@
 // offers none in the standard library.
 //
 // Scale notes: the relaxations solved here have a few hundred rows and up
-// to tens of thousands of columns. A Problem stores its constraints the
-// way they are built, row-wise and compressed (one flat row pointer,
-// column and value array): AddConstraint appends a row's terms
-// contiguously, accumulating duplicates in place, so building costs the
-// nonzeros and a rebuild through Reset allocates nothing. A solve copies
-// the rows straight into the standard form's row-wise matrix, slack and
-// artificial entries appended, and makes the compressed-sparse-column
-// matrix the simplex prices from with one transpose. The solver maintains
-// the basis inverse in product form (a periodically refactorized
-// reference inverse plus an eta file of pivot updates), and keeps every
-// column's reduced cost up to date from the pivot row — built from the
-// row-wise copy — instead of re-pricing each pivot, choosing the entering
-// column by the most negative reduced cost. It can warm-start from a
-// previous solution's basis, read by position (Solution.Basis and
-// SolveOptions.WarmStart), which pays when the next LP keeps the last
-// one's variables and rows in place: branch and bound seeds each node
-// with its parent's optimal basis plus the slack of the one bound row the
-// node appends. It does not pay on the per-slot online LP-PT, whose
-// request set turns over almost completely every slot: on 25 921 of the
-// benchmark's churn_mesh component solves (41 × 113 on average) a seed
-// from the previous slot saved one pivot in fourteen (12.6 against 13.6)
-// and still took longer than a cold solve (median 42 µs against 40 µs),
-// so that path solves cold.
+// to tens of thousands of columns. A problem reaches the simplex through
+// one standard-form writer: its columns, then its rows, each row its
+// structural entries in ascending column order followed by its slack (and
+// artificial, where the slack cannot start basic), and the
+// compressed-sparse-column matrix the simplex prices from is the rows'
+// one transpose. A Problem stores its constraints the way they are built,
+// row-wise and compressed (one flat row pointer, column and value array):
+// AddConstraint appends a row's terms contiguously, accumulating
+// duplicates in place, so building costs the nonzeros and a rebuild
+// through Reset allocates nothing; a solve lowers it through the writer.
+// A Standard skips the Problem: an LP of the form max c'x, rows <= b with
+// b >= 0, x >= 0, whose builder emits each row's terms in column order,
+// is written straight into the standard form, in storage the Standard
+// keeps across rebuilds, and its solve writes x into the caller's buffer
+// and captures a basis only when asked — the per-slot LP-PT components
+// are built and solved this way, with no allocation. The solver
+// maintains the basis inverse in product form (a periodically
+// refactorized reference inverse plus an eta file of pivot updates), and
+// keeps every column's reduced cost up to date from the pivot row — built
+// from the row-wise copy — instead of re-pricing each pivot, choosing the
+// entering column by the most negative reduced cost. It can warm-start
+// from a previous solution's basis, read by position (Solution.Basis,
+// Standard.Basis and SolveOptions.WarmStart), which pays when the next LP
+// keeps the last one's variables and rows in place: branch and bound
+// seeds each node with its parent's optimal basis plus the slack of the
+// one bound row the node appends. It does not pay on the per-slot online
+// LP-PT, whose request set turns over almost completely every slot: on
+// 25 921 of the benchmark's churn_mesh component solves (41 × 113 on
+// average) a seed from the previous slot saved one pivot in fourteen
+// (12.6 against 13.6) and still took longer than a cold solve (median
+// 42 µs against 40 µs), so that path solves cold.
 package lp
 
 import (

@@ -7,13 +7,14 @@ import "sync"
 // hundred kilobytes of matrix backing and state vectors that immediately
 // became garbage — enough for the collector to show up next to the
 // pricing loop in profiles. A solveScratch bundles every per-solve
-// buffer: the standard form (matrix arena, costs, and the conversion's
-// row-operator and slack-basis work lists), the simplex state vectors, and
-// the factorization. SolveWithOptions checks one out of the pool and returns it
-// when the solve finishes. Nothing reachable from a Solution may alias the
-// scratch (X, Dual, and Basis are freshly allocated), which is what makes
-// the recycling safe. The builder side recycles separately: a Problem is
-// rebuilt in place through Reset.
+// buffer: the standard form (matrix arena, costs, slack and starting-basis
+// lists), the simplex state vectors, and the factorization.
+// SolveWithOptions checks one out of the pool and returns it when the
+// solve finishes. Nothing reachable from a Solution may alias the scratch
+// (X, Dual, and Basis are freshly allocated), which is what makes the
+// recycling safe. The builder side recycles separately: a Problem is
+// rebuilt in place through Reset, and a Standard owns its own scratch,
+// written and solved in place.
 type solveScratch struct {
 	sf  standardForm
 	st  simplexState

@@ -51,113 +51,12 @@ type standardForm struct {
 	// flipped marks original rows whose sign was negated to make b >= 0;
 	// needed to map internal duals back to the caller's rows.
 	flipped []bool
-	// conversion scratch, reused across solves (see toStandard): each
-	// row's operator after sign normalization.
-	opsBuf []Op
+	// nSlack and nArt count the slack/surplus and artificial columns
+	// written so far (see endRow).
+	nSlack, nArt int
 	// resolve scratch, reused across solves (see resolveBasis).
 	colsBuf    []int
 	claimedBuf []bool
-}
-
-// toStandard converts the builder problem into sf, reusing whatever
-// storage sf already carries (it may be a recycled scratch or a zero
-// value). Maximization is handled by negating the objective. The problem's
-// rows become the row-wise copy at directly — each row's structural
-// entries (sign-flipped where b is), then its slack/surplus, then its
-// artificial, columns ascending — and the column-wise matrix a is at's one
-// transpose.
-func (p *Problem) toStandard(sf *standardForm) *standardForm {
-	m, n := len(p.rows), len(p.cols)
-	sf.m, sf.n = m, n
-	sf.b = growFloats(sf.b, m)
-	sf.flipped = growBools(sf.flipped, m)
-	if cap(sf.opsBuf) < m {
-		sf.opsBuf = make([]Op, m)
-	}
-	ops := sf.opsBuf[:m]
-	// Slack/surplus columns follow the structural ones, one per inequality
-	// row in row order; artificials follow those, one per row whose slack
-	// cannot start in the basis (a surplus on a >= row would be negative;
-	// an = row has none).
-	nSlack := 0
-	for i := range p.rows {
-		r := &p.rows[i]
-		rhs, op := r.rhs, r.op
-		neg := rhs < 0
-		if neg {
-			rhs = -rhs
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
-		}
-		sf.flipped[i] = neg
-		sf.b[i] = rhs
-		ops[i] = op
-		if op != EQ {
-			nSlack++
-		}
-	}
-	sf.artStart = n + nSlack
-	sf.slackCol = growInts(sf.slackCol, m)
-	sf.basis0 = growInts(sf.basis0, m)
-	sf.colRow = growInts(sf.colRow, sf.artStart)
-	sf.c = growFloats(sf.c, sf.artStart)
-	sign := 1.0
-	if p.sense == Maximize {
-		sign = -1
-	}
-	for j := range p.cols {
-		sf.c[j] = sign * p.cols[j].obj
-		sf.colRow[j] = -1
-	}
-
-	at := &sf.at
-	at.ptr = append(at.ptr[:0], 0)
-	at.ci, at.vx = at.ci[:0], at.vx[:0]
-	slack := n
-	for i, op := range ops {
-		cols, vals := p.rowEntries(i)
-		at.ci = append(at.ci, cols...)
-		k := len(at.vx)
-		at.vx = append(at.vx, vals...)
-		if sf.flipped[i] {
-			for ; k < len(at.vx); k++ {
-				at.vx[k] = -at.vx[k]
-			}
-		}
-		sf.slackCol[i] = -1
-		if op != EQ {
-			sgn := 1.0
-			if op == GE {
-				sgn = -1
-			}
-			at.ci = append(at.ci, slack)
-			at.vx = append(at.vx, sgn)
-			sf.slackCol[i] = slack
-			sf.c[slack], sf.colRow[slack] = 0, i
-			slack++
-		}
-		if op == LE {
-			sf.basis0[i] = sf.slackCol[i]
-		} else {
-			art := len(sf.c)
-			at.ci = append(at.ci, art)
-			at.vx = append(at.vx, 1)
-			sf.c = append(sf.c, 0)
-			sf.colRow = append(sf.colRow, i)
-			sf.basis0[i] = art
-		}
-		at.ptr = append(at.ptr, len(at.ci))
-	}
-	sf.nTotal = len(sf.c)
-	if sf.a == nil {
-		sf.a = &csc{}
-	}
-	sf.a.fromRows(at, sf.nTotal)
-	return sf
 }
 
 // simplexState is the mutable state of a revised-simplex run.
@@ -809,11 +708,49 @@ func (p *Problem) SolveWithOptions(opts SolveOptions) (*Solution, error) {
 	return p.solveIn(sc, opts), nil
 }
 
-// solveIn runs the two-phase simplex on the given scratch. Whatever the
-// scratch held from earlier solves, a cold solve's result depends on p
-// alone.
+// solveIn lowers p into the given scratch and runs the simplex on it.
+// Whatever the scratch held from earlier solves, a cold solve's result
+// depends on p alone.
 func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 	sf := p.toStandard(&sc.sf)
+	status := sc.simplex(opts)
+	st := &sc.st
+	sol := &Solution{Status: status, Iterations: st.iters, Nodes: 1}
+	if status != StatusOptimal {
+		return sol
+	}
+	sol.X = make([]float64, sf.n)
+	obj := sc.primal(sol.X)
+	if p.sense == Maximize {
+		obj = -obj
+	}
+	sol.Objective = obj
+
+	// Dual values: pi = c_B B^{-1} prices the internal rows (the optimal
+	// verdict came from a fresh pricing, so st.pi is this basis's); undo
+	// the sense negation and any row sign flips so Dual[i] =
+	// dObjective/db_i for the caller's row i.
+	pi := st.pi
+	sol.Dual = make([]float64, sf.m)
+	for i := range sol.Dual {
+		d := pi[i]
+		if p.sense == Maximize {
+			d = -d
+		}
+		if sf.flipped[i] {
+			d = -d
+		}
+		sol.Dual[i] = d
+	}
+	sol.Basis = captureBasis(sf, st.basis)
+	return sol
+}
+
+// simplex is the one simplex entry: it runs the two phases on the
+// standard form the scratch holds (written and finished), from its
+// default basis or from opts.WarmStart.
+func (sc *solveScratch) simplex(opts SolveOptions) Status {
+	sf := &sc.sf
 	st := &sc.st
 	st.init(sf, &sc.fac)
 	maxIters := opts.MaxIterations
@@ -844,7 +781,7 @@ func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 		}
 		status := st.run(c1, maxIters, true)
 		if status == StatusIterLimit {
-			return &Solution{Status: StatusIterLimit, Iterations: st.iters, Nodes: 1}
+			return StatusIterLimit
 		}
 		// Infeasible if any artificial remains positive.
 		artSum := 0.0
@@ -854,7 +791,7 @@ func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 			}
 		}
 		if artSum > artValueTol {
-			return &Solution{Status: StatusInfeasible, Iterations: st.iters, Nodes: 1}
+			return StatusInfeasible
 		}
 	}
 	// Pivot out any artificial stuck in the basis at value zero so that
@@ -865,13 +802,15 @@ func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 
 	// Phase 2.
 	maxIters += st.iters
-	status := st.run(sf.c, maxIters, false)
-	sol := &Solution{Status: status, Iterations: st.iters, Nodes: 1}
-	if status != StatusOptimal {
-		return sol
-	}
+	return st.run(sf.c, maxIters, false)
+}
 
-	sol.X = make([]float64, sf.n)
+// primal writes the optimal value of every structural column into x
+// (length n; nonbasic columns 0) and returns the standard form's objective
+// c'x, summed in basis order.
+func (sc *solveScratch) primal(x []float64) float64 {
+	sf, st := &sc.sf, &sc.st
+	clear(x)
 	obj := 0.0
 	for i, bj := range st.basis {
 		if bj < sf.n {
@@ -879,33 +818,11 @@ func (p *Problem) solveIn(sc *solveScratch, opts SolveOptions) *Solution {
 			if v < 0 && v > -feasTol {
 				v = 0
 			}
-			sol.X[bj] = v
+			x[bj] = v
 		}
 		obj += sf.c[bj] * st.xB[i]
 	}
-	if p.sense == Maximize {
-		obj = -obj
-	}
-	sol.Objective = obj
-
-	// Dual values: pi = c_B B^{-1} prices the internal rows (the optimal
-	// verdict came from a fresh pricing, so st.pi is this basis's); undo
-	// the sense negation and any row sign flips so Dual[i] =
-	// dObjective/db_i for the caller's row i.
-	pi := st.pi
-	sol.Dual = make([]float64, sf.m)
-	for i := range sol.Dual {
-		d := pi[i]
-		if p.sense == Maximize {
-			d = -d
-		}
-		if sf.flipped[i] {
-			d = -d
-		}
-		sol.Dual[i] = d
-	}
-	sol.Basis = captureBasis(sf, st.basis)
-	return sol
+	return obj
 }
 
 // needsPhase1 reports whether some artificial variable is basic above the

@@ -1,9 +1,11 @@
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -139,63 +141,6 @@ func referenceToStandard(r *refProblem) *standardForm {
 	return sf
 }
 
-// sameStandardForm reports the first field in which two standard forms
-// differ, floats compared by their bits ("" when they agree).
-func sameStandardForm(got, want *standardForm) string {
-	ints := func(name string, g, w []int) string {
-		if len(g) != len(w) {
-			return fmt.Sprintf("%s: length %d, want %d", name, len(g), len(w))
-		}
-		for i := range g {
-			if g[i] != w[i] {
-				return fmt.Sprintf("%s[%d] = %d, want %d", name, i, g[i], w[i])
-			}
-		}
-		return ""
-	}
-	floats := func(name string, g, w []float64) string {
-		if len(g) != len(w) {
-			return fmt.Sprintf("%s: length %d, want %d", name, len(g), len(w))
-		}
-		for i := range g {
-			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-				return fmt.Sprintf("%s[%d] = %v, want %v", name, i, g[i], w[i])
-			}
-		}
-		return ""
-	}
-	if got.m != want.m || got.n != want.n || got.nTotal != want.nTotal || got.artStart != want.artStart {
-		return fmt.Sprintf("shape m=%d n=%d nTotal=%d artStart=%d, want %d %d %d %d",
-			got.m, got.n, got.nTotal, got.artStart, want.m, want.n, want.nTotal, want.artStart)
-	}
-	if len(got.flipped) != len(want.flipped) {
-		return fmt.Sprintf("flipped: length %d, want %d", len(got.flipped), len(want.flipped))
-	}
-	for i := range want.flipped {
-		if got.flipped[i] != want.flipped[i] {
-			return fmt.Sprintf("flipped[%d] = %v, want %v", i, got.flipped[i], want.flipped[i])
-		}
-	}
-	for _, d := range []string{
-		ints("a.ptr", got.a.ptr, want.a.ptr),
-		ints("a.ri", got.a.ri, want.a.ri),
-		floats("a.vx", got.a.vx, want.a.vx),
-		ints("at.ptr", got.at.ptr, want.at.ptr),
-		ints("at.ci", got.at.ci, want.at.ci),
-		floats("at.vx", got.at.vx, want.at.vx),
-		floats("c", got.c, want.c),
-		floats("b", got.b, want.b),
-		ints("basis0", got.basis0, want.basis0),
-		ints("slackCol", got.slackCol, want.slackCol),
-		ints("colRow", got.colRow, want.colRow),
-	} {
-		if d != "" {
-			return d
-		}
-	}
-	return ""
-}
-
 // TestToStandardMatchesReference builds 400 seeded random problems into
 // the row-wise builder and the column-wise reference side by side — terms
 // out of column order, duplicates, pairs that cancel, zero coefficients,
@@ -259,4 +204,175 @@ func TestToStandardMatchesReference(t *testing.T) {
 	if sorted < 100 || unsorted < 100 || cancelled < 100 {
 		t.Fatalf("%d sorted, %d unsorted, %d cancelling rows: the generator lost its coverage", sorted, unsorted, cancelled)
 	}
+}
+
+// TestStandardMatchesProblem writes 400 seeded random "max c'x, rows <=
+// b >= 0" problems through Standard and builds them through AddConstraint
+// side by side — zero coefficients among the terms, empty rows, rows the
+// writer refuses — and requires the written standard form to equal the
+// problem's lowering bit for bit, the cold solves to agree in status,
+// pivots, objective and x bit for bit, and the written LP's basis to seed
+// the problem's solve as the problem's own basis does. One Standard serves
+// every round while the shape grows and shrinks, so stale storage would
+// show.
+func TestStandardMatchesProblem(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	var w Standard
+	var x []float64
+	refused, solved := 0, 0
+	for round := 0; round < 400; round++ {
+		w.Reset()
+		p := NewProblem(Maximize)
+		n, m := 1+rng.Intn(14), rng.Intn(12)
+		for j := 0; j < n; j++ {
+			obj := float64(rng.Intn(11)-3) / 2
+			p.AddVariable("", obj)
+			if v := w.AddVariable(obj); int(v) != j {
+				t.Fatalf("round %d: variable %d got handle %d", round, j, v)
+			}
+		}
+		for i := 0; i < m; i++ {
+			var terms []Term
+			for j := 0; j < n; j++ {
+				if rng.Intn(3) == 0 {
+					coef := float64(rng.Intn(9)-2) / 4 // zeros among them
+					terms = append(terms, Term{Var(j), coef})
+					w.Add(Var(j), coef)
+				}
+			}
+			rhs := float64(rng.Intn(15))
+			switch rng.Intn(8) {
+			case 0:
+				w.Add(Var(n-1), math.NaN())
+			case 1:
+				w.Add(Var(n), 1) // out of range
+			case 2:
+				rhs = -1
+			}
+			row, err := w.EndRow(rhs)
+			if err != nil {
+				if !errors.Is(err, ErrBadCoef) && !errors.Is(err, ErrBadVariable) {
+					t.Fatalf("round %d row %d: %v, want ErrBadCoef or ErrBadVariable", round, i, err)
+				}
+				refused++
+				continue
+			}
+			if row != p.NumConstraints() {
+				t.Fatalf("round %d: row index %d, want %d", round, row, p.NumConstraints())
+			}
+			mustConstraint(t, p, "", LE, rhs, terms...)
+		}
+		if rng.Intn(4) > 0 { // bound every variable, so most rounds solve
+			var terms []Term
+			for j := 0; j < n; j++ {
+				terms = append(terms, Term{Var(j), 1})
+				w.Add(Var(j), 1)
+			}
+			if _, err := w.EndRow(20); err != nil {
+				t.Fatal(err)
+			}
+			mustConstraint(t, p, "", LE, 20, terms...)
+		}
+		if w.NumVars() != p.NumVars() || w.NumRows() != p.NumConstraints() {
+			t.Fatalf("round %d: %dx%d written, want %dx%d", round, w.NumRows(), w.NumVars(), p.NumConstraints(), p.NumVars())
+		}
+		if d := w.Diff(p); d != "" {
+			t.Fatalf("round %d (%d x %d): %s", round, m, n, d)
+		}
+		if dw, dp := w.Dense(), p.Dense(); !reflect.DeepEqual(dw, dp) {
+			t.Fatalf("round %d: Dense %+v, problem's %+v", round, dw, dp)
+		}
+		want, err := p.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x = growFloats(x, n)
+		status, obj, err := w.Solve(x, SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != want.Status || w.Iterations() != want.Iterations {
+			t.Fatalf("round %d: %v after %d pivots, want %v after %d", round, status, w.Iterations(), want.Status, want.Iterations)
+		}
+		if status != StatusOptimal {
+			continue
+		}
+		solved++
+		if math.Float64bits(obj) != math.Float64bits(want.Objective) {
+			t.Fatalf("round %d: objective %v, want %v", round, obj, want.Objective)
+		}
+		for j := range want.X {
+			if math.Float64bits(x[j]) != math.Float64bits(want.X[j]) {
+				t.Fatalf("round %d: x[%d] = %v, want %v", round, j, x[j], want.X[j])
+			}
+		}
+		if b := w.Basis(); !reflect.DeepEqual(b, want.Basis) {
+			t.Fatalf("round %d: basis %+v, want %+v", round, b, want.Basis)
+		}
+		warm, err := p.SolveWithOptions(SolveOptions{WarmStart: w.Basis()})
+		if err != nil || warm.Status != StatusOptimal || warm.Iterations != 0 {
+			t.Fatalf("round %d: seeded with its own optimal basis: %v after %d pivots (%v)", round, warm.Status, warm.Iterations, err)
+		}
+	}
+	if refused < 200 || solved < 200 {
+		t.Fatalf("%d rows refused, %d problems solved: the generator lost its coverage", refused, solved)
+	}
+}
+
+// TestStandardRefusals: the writer refuses what AddConstraint refuses — a
+// NaN or infinite coefficient, a non-finite right-hand side — and what
+// its form rules out — a negative right-hand side, a variable out of
+// range or out of order, a variable added after the first row — and a
+// refused row leaves the LP as it was.
+func TestStandardRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(w *Standard)
+		rhs   float64
+		want  error
+	}{
+		{"NaN coefficient", func(w *Standard) { w.Add(0, math.NaN()) }, 1, ErrBadCoef},
+		{"infinite coefficient", func(w *Standard) { w.Add(1, math.Inf(-1)) }, 1, ErrBadCoef},
+		{"NaN rhs", func(w *Standard) { w.Add(0, 1) }, math.NaN(), ErrBadCoef},
+		{"infinite rhs", func(w *Standard) { w.Add(0, 1) }, math.Inf(1), ErrBadCoef},
+		{"negative rhs", func(w *Standard) { w.Add(0, 1) }, -2, ErrBadCoef},
+		{"variable out of range", func(w *Standard) { w.Add(2, 1) }, 1, ErrBadVariable},
+		{"variables out of order", func(w *Standard) { w.Add(1, 1); w.Add(0, 1) }, 1, ErrBadVariable},
+		{"variable twice", func(w *Standard) { w.Add(1, 1); w.Add(1, 1) }, 1, ErrBadVariable},
+	} {
+		var w Standard
+		w.AddVariable(3)
+		w.AddVariable(2)
+		w.Add(0, 1)
+		w.Add(1, 1)
+		if _, err := w.EndRow(4); err != nil {
+			t.Fatal(err)
+		}
+		tc.write(&w)
+		if _, err := w.EndRow(tc.rhs); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: EndRow = %v, want %v", tc.name, err, tc.want)
+		}
+		p := NewProblem(Maximize)
+		x0, x1 := p.AddVariable("", 3), p.AddVariable("", 2)
+		mustConstraint(t, p, "", LE, 4, Term{x0, 1}, Term{x1, 1})
+		if d := w.Diff(p); d != "" {
+			t.Fatalf("%s: the refused row stayed: %s", tc.name, d)
+		}
+		x := make([]float64, 2)
+		if status, obj, err := w.Solve(x, SolveOptions{}); err != nil || status != StatusOptimal || obj != 12 {
+			t.Fatalf("%s: after the refusal the LP solves to %v %v (%v), want optimal 12", tc.name, status, obj, err)
+		}
+	}
+	var w Standard
+	w.AddVariable(1)
+	w.Add(0, 1)
+	if _, err := w.EndRow(1); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddVariable after the first row did not panic")
+		}
+	}()
+	w.AddVariable(1)
 }
