@@ -115,23 +115,20 @@ func BenchmarkClusterServeSlot(b *testing.B) {
 // BenchmarkClusterTickJitter measures slot-time JITTER, the production
 // metric for a daemon that must emit a decision every slot: per-tick
 // latency distribution (p50/p99/max, via ReportMetric) on a loaded
-// 4-shard cluster with checkpoints firing every 16 slots — off
-// (baseline), async (the extraction-only clock path), and sync (the old
-// stop-the-world write). When async checkpoints landed its p99 measured
-// within 2x of checkpoint=off, which sync checkpointing misses by an
-// order of magnitude once fsync latency lands on the clock. The gate on
-// checkpoint pauses is TestTickPauseBoundWhileCheckpointing (`make
-// tick-jitter`).
+// 4-shard cluster, without checkpoints (baseline) and with one every 16
+// slots, whose clock path is the snapshot extraction alone. When
+// checkpoints moved off the clock their p99 measured within 2x of
+// checkpoint=off; a write on the clock missed that by an order of
+// magnitude once fsync latency landed there. The gate on checkpoint
+// pauses is TestTickPauseBoundWhileCheckpointing (`make tick-jitter`).
 func BenchmarkClusterTickJitter(b *testing.B) {
 	const islands, per, shards = 8, 4, 4
 	modes := []struct {
 		name    string
 		enabled bool
-		async   bool
 	}{
-		{"checkpoint=off", false, false},
-		{"checkpoint=async", true, true},
-		{"checkpoint=sync", true, false},
+		{"checkpoint=off", false},
+		{"checkpoint=on", true},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -144,7 +141,6 @@ func BenchmarkClusterTickJitter(b *testing.B) {
 			if m.enabled {
 				cfg.CheckpointPath = filepath.Join(b.TempDir(), "cluster.json")
 				cfg.CheckpointEvery = 16
-				cfg.AsyncCheckpoint = m.async
 			}
 			c, err := cluster.New(cfg)
 			if err != nil {
@@ -204,8 +200,7 @@ func BenchmarkClusterTickJitter(b *testing.B) {
 }
 
 // BenchmarkClusterTickBacklog measures what routing HISTORY costs the
-// cluster clock: the tick time of plain slots and of (async) checkpoint
-// slots on a 2-shard cluster whose every request spans both shards, after
+// cluster clock: the tick time of plain slots and of checkpoint slots on a 2-shard cluster whose every request spans both shards, after
 // 1k, 10k and 100k such requests have been routed and settled. A plain
 // tick schedules the shards' live requests and the manifest is built from
 // the shard snapshots' live requests, so both must cost the handful of
@@ -228,7 +223,6 @@ func BenchmarkClusterTickBacklog(b *testing.B) {
 				Seed:            17,
 				CheckpointPath:  filepath.Join(b.TempDir(), "cluster.json"),
 				CheckpointEvery: checkpointEvery,
-				AsyncCheckpoint: true,
 				// Small intake bounds make the backlog cheap to build: all but
 				// a few of each flood batch are shed on arrival — routed,
 				// spanning, and settled without costing an LP variable.

@@ -63,9 +63,8 @@ func run(args []string, out io.Writer) error {
 		tick       = fs.Duration("tick", 50*time.Millisecond, "wall-clock length of one scheduling slot")
 		slotMS     = fs.Float64("slot-ms", mec.DefaultSlotLengthMS, "model slot length in milliseconds")
 		shards     = fs.Int("shards", 1, "scheduler shards behind the request router (1 to the station count)")
-		ckptPath   = fs.String("checkpoint", "", "checkpoint manifest (restore on start at any shard count, rewrite periodically; per-shard snapshots are written beside it)")
+		ckptPath   = fs.String("checkpoint", "", "checkpoint manifest, one file holding every shard's snapshot (restore on start at any shard count; rewritten periodically off the slot clock, and synchronously at shutdown)")
 		ckptEvery  = fs.Int("checkpoint-every", 50, "ticks between checkpoints")
-		ckptAsync  = fs.Bool("checkpoint-async", true, "write periodic checkpoints on a background goroutine (copy-on-write snapshot off the slot clock); shutdown checkpoints are always synchronous")
 		trace      = fs.Bool("trace", false, "print one line per slot and shard (arsim trace format; prefixed [shard k] when -shards > 1)")
 		drainAfter = fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight streams on shutdown")
 		replay     = fs.String("replay", "", "replay a trace as a load generator instead of serving HTTP: a workload frame-trace JSON, or (*.ndjson) one request per line with blank lines as slot boundaries")
@@ -160,7 +159,6 @@ func run(args []string, out io.Writer) error {
 		Seed:            *seed,
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
-		AsyncCheckpoint: *ckptAsync,
 		DoorCapacity:    *doorCap,
 		MaxPending:      *maxPending,
 		Logf: func(format string, a ...any) {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"mecoffload/internal/cluster"
-	"mecoffload/internal/serve"
 	"mecoffload/internal/workload"
 )
 
@@ -246,15 +245,15 @@ func TestServeModeSignalDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no checkpoint written at shutdown: %v", err)
 	}
-	if err := json.Unmarshal(data, &man); err != nil || len(man.Shards) != 1 {
+	if err := json.Unmarshal(data, &man); err != nil || len(man.Shards) != 1 || man.Shards[0].Checkpoint == nil {
 		t.Fatalf("final manifest (err %v): %s", err, data)
 	}
-	ck, err := serve.LoadCheckpoint(filepath.Join(filepath.Dir(ckpt), man.Shards[0].File))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Totals.Submitted != 5 || ck.Totals.Ticks == 0 || ck.Bandit == nil || ck.Bandit.Policy.T == 0 {
+	if ck := man.Shards[0].Checkpoint; ck.Totals.Submitted != 5 || ck.Totals.Ticks == 0 || ck.Bandit == nil || ck.Bandit.Policy.T == 0 {
 		t.Fatalf("final checkpoint after a clean drain lost the shard's state: totals %+v bandit %+v", ck.Totals, ck.Bandit)
+	}
+	// The generation is that one file.
+	if entries, err := os.ReadDir(filepath.Dir(ckpt)); err != nil || len(entries) != 1 {
+		t.Fatalf("checkpoint directory holds %v (err %v), want only %s", entries, err, filepath.Base(ckpt))
 	}
 }
 
@@ -273,7 +272,7 @@ func TestBadFlags(t *testing.T) {
 		{"-loadgen"}, {"-offered", "100000"}, {"-load-duration", "2s"}, {"-load-batch", "500"},
 		{"-load-out", "load.json"}, {"-load-max-p99-ms", "50"}, {"-load-min-offered-frac", "0.9"},
 		{"-load-min-admitted", "1000"}, {"-ring", "4096"}, {"-stage", "4096"},
-		{"-bandit", "sw-ucb"}, {"-scheduler", "ocorp"},
+		{"-bandit", "sw-ucb"}, {"-scheduler", "ocorp"}, {"-checkpoint-async=false"},
 	} {
 		err := run(append(removed, "-replay", "/does/not/exist.json"), &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

@@ -10,8 +10,8 @@ import (
 // either the previous file or the complete new one: temp file in the
 // same directory, write, fsync, close, rename. Every step's failure is
 // reported under its own name; callers add which file they were writing.
-// It is the one durability primitive under both the per-shard
-// checkpoints and the cluster manifest.
+// It is the one durability primitive under the cluster manifest, which
+// holds a whole checkpoint generation in one file.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {

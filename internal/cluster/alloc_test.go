@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"maps"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -289,24 +290,24 @@ func TestClusterGoroutines(t *testing.T) {
 	}
 }
 
-// TestStopLeavesNoGoroutines: a started 2-shard cluster with async
-// checkpoints runs one epoch worker (shard 1's) and the checkpoint writer;
-// after a Stop that follows batches, slots, checkpoints and a drain, the
-// process is back to the goroutine count it had before New.
+// TestStopLeavesNoGoroutines: a started 2-shard cluster with a checkpoint
+// path runs one epoch worker (shard 1's) and the checkpoint writer; after
+// a Stop that follows batches, slots, checkpoints and a drain, neither is
+// left. The census counts goroutines by the function they run, so another
+// test's goroutine that comes or goes meanwhile does not enter it.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	net := allocTestNetwork(t)
-	base := settledGoroutines(t)
+	none := map[string]int{}
+	waitClusterGoroutines(t, none, "before New (an earlier cluster's)")
 	c, err := New(Config{
 		Net: net, Shards: 2, Seed: 5,
-		CheckpointPath: filepath.Join(t.TempDir(), "cluster.json"), CheckpointEvery: 2, AsyncCheckpoint: true,
+		CheckpointPath: filepath.Join(t.TempDir(), "cluster.json"), CheckpointEvery: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	if got := runtime.NumGoroutine() - base; got != 2 {
-		t.Fatalf("a started 2-shard cluster runs %d goroutines, want 2 (shard 1's epoch worker, the checkpoint writer)", got)
-	}
+	waitClusterGoroutines(t, map[string]int{epochWorker: 1, writerLoop: 1}, "a started 2-shard cluster (shard 1's epoch worker, the checkpoint writer)")
 	for slot := 0; slot < 6; slot++ {
 		if _, err := c.SubmitBatch([]serve.RequestSpec{{AccessStation: slot % 4, DurationSlots: 2}}); err != nil {
 			t.Fatal(err)
@@ -326,27 +327,53 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 	default:
 		t.Fatal("Stop returned with Done still open")
 	}
-	waitGoroutines(t, base)
+	waitClusterGoroutines(t, none, "after Stop")
 }
 
-// settledGoroutines waits until no epoch worker of an earlier cluster is
-// left (they leave after its Stop returns) and returns the goroutine count.
-func settledGoroutines(t *testing.T) int {
-	t.Helper()
-	workers := func() (n int) {
-		buf := make([]byte, 1<<20)
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, "cluster.(*shardNode).epochWorker") {
-				n++
+// The functions a cluster's goroutines run: the epoch worker of every
+// shard but shard 0, the checkpoint writer's loop with a checkpoint path,
+// and the wall clock with a tick interval.
+const (
+	epochWorker = "cluster.(*shardNode).epochWorker"
+	writerLoop  = "ckpt.(*Writer).loop"
+	ticker      = "cluster.(*Cluster).runTicker"
+)
+
+// clusterGoroutines counts the live goroutines running each cluster
+// function, leaving out the functions none runs.
+func clusterGoroutines() map[string]int {
+	n := map[string]int{}
+	buf := make([]byte, 1<<20)
+	for runtime.Stack(buf, true) == len(buf) {
+		buf = make([]byte, 2*len(buf)) // the dump was cut short
+	}
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		for _, fn := range []string{epochWorker, writerLoop, ticker} {
+			if strings.Contains(g, fn+"(") {
+				n[fn]++
 			}
 		}
-		return n
 	}
-	for deadline := time.Now().Add(5 * time.Second); workers() > 0; time.Sleep(time.Millisecond) {
+	return n
+}
+
+// waitClusterGoroutines waits until clusterGoroutines reports want: a
+// goroutine shows its function only once it first runs, and leaves only
+// after the close that retires it returns.
+func waitClusterGoroutines(t *testing.T, want map[string]int, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !maps.Equal(clusterGoroutines(), want); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d epoch workers of earlier clusters still running", workers())
+			t.Fatalf("%s: cluster goroutines %v, want %v", when, clusterGoroutines(), want)
 		}
 	}
+}
+
+// settledGoroutines waits until no goroutine of an earlier cluster is left
+// and returns the goroutine count.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	waitClusterGoroutines(t, map[string]int{}, "before New (an earlier cluster's)")
 	return runtime.NumGoroutine()
 }
 

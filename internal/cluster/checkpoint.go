@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 
@@ -17,28 +16,30 @@ import (
 )
 
 // ManifestVersion is the one cluster manifest format version written and
-// read. Its shard snapshots carry cluster request ids and global station
-// ids. Version 2, whose shard snapshots numbered stations densely within
-// each shard's partition, and version 1, which also numbered each shard's
+// read. One file holds the whole generation: each shard's snapshot sits in
+// its manifest entry, in cluster request ids and global station ids.
+// Version 3, whose shard snapshots were files beside the manifest,
+// version 2, whose shard snapshots numbered stations densely within each
+// shard's partition, and version 1, which also numbered each shard's
 // requests locally behind a per-shard id table, are refused.
-const ManifestVersion = 3
+const ManifestVersion = 4
 
 // ErrNoManifest reports a missing manifest file (a fresh start).
 var ErrNoManifest = errors.New("cluster: no manifest")
 
-// manifestShard describes one shard's snapshot: which global stations
-// it owned and the snapshot file (relative to the manifest).
+// manifestShard is one shard's part of a generation: the global stations
+// it owned and its snapshot.
 type manifestShard struct {
-	Index    int    `json:"index"`
-	Stations []int  `json:"stations"`
-	File     string `json:"file"`
+	Index      int               `json:"index"`
+	Stations   []int             `json:"stations"`
+	Checkpoint *serve.Checkpoint `json:"checkpoint"`
 }
 
-// Manifest composes per-shard serve checkpoints into one recoverable
-// cluster state. The manifest is written atomically AFTER every shard
-// file, so a crash mid-checkpoint leaves the previous generation fully
-// intact; restore is shard-count-agnostic because all state is recorded
-// in global station and request ids.
+// Manifest is one recoverable cluster state: every shard's serve
+// checkpoint in one file, published by one atomic rename, so a crash
+// mid-write leaves the previous generation whole. Restore is
+// shard-count-agnostic because all state is recorded in global station
+// and request ids.
 type Manifest struct {
 	Version      int             `json:"version"`
 	Generation   uint64          `json:"generation"`
@@ -48,29 +49,19 @@ type Manifest struct {
 	Shards       []manifestShard `json:"shards"`
 }
 
-// shardFile names one shard's snapshot for one manifest generation.
-func shardFile(base string, shard int, gen uint64) string {
-	return fmt.Sprintf("%s.shard%d.gen%d", base, shard, gen)
-}
-
 // checkpointLocked takes a full cluster checkpoint, split into a cheap
 // extraction under the clock lock and a disk job on the single-flight
 // writer. Extraction is one epSnapshot epoch — every shard flushes its
-// door's residue and hands back a copy-on-write snapshot — plus
-// the manifest skeleton; JSON encoding, temp files, fsync, the
-// generation-stamped shard renames, the manifest rename, and the
-// previous generation's sweep all run inside the writer job. With
-// syncWrite (Stop's final manifest, and every checkpoint when
-// AsyncCheckpoint is off) the call blocks until the generation is
-// durable; otherwise it returns right after extraction and the write
-// proceeds in the background, latest generation winning if the clock
-// laps the disk. The manifest is still written atomically AFTER every
-// shard file, so a crash mid-write leaves the previous generation fully
-// intact. A shard that already drained and exited contributes the
-// snapshot it took on the way out — learner, counters, no requests — so
-// the final manifest of a clean shutdown loses nothing; only a shard with
-// no snapshot at all gets an empty placeholder, so restore still sees
-// every partition.
+// door's residue and hands back a copy-on-write snapshot — plus the
+// manifest around them; JSON encoding, the temp file, fsync and the
+// rename run inside the writer job. With syncWrite (Stop's final
+// manifest) the call blocks until the generation is durable; otherwise it
+// returns right after extraction and the write proceeds in the
+// background, latest generation winning if the clock laps the disk. A
+// shard that already drained and exited contributes the snapshot it took
+// on the way out — learner, counters, no requests — so the final manifest
+// of a clean shutdown loses nothing; only a shard with no snapshot at all
+// gets an empty placeholder, so restore still sees every partition.
 func (c *Cluster) checkpointLocked(syncWrite bool) error {
 	if c.clockStopped {
 		return serve.ErrStopped
@@ -81,16 +72,13 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 		return err
 	}
 	c.epoch(epochMsg{op: epSnapshot})
-	base := c.cfg.CheckpointPath
 	gen := c.manifestGen + 1
 	man := &Manifest{
 		Version:    ManifestVersion,
 		Generation: gen,
 		Slot:       c.slot,
-		Scheduler:  "DynamicRR", // a record, as in every shard file
+		Scheduler:  "DynamicRR", // a record, as in every shard's snapshot
 	}
-	snaps := make([]*serve.Checkpoint, len(c.nodes))
-	files := make([]string, len(c.nodes))
 	for k, nd := range c.nodes {
 		if nd.snapErr != nil {
 			return fmt.Errorf("cluster: snapshotting shard %d: %w", k, nd.snapErr)
@@ -104,32 +92,20 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 				Scheduler: man.Scheduler,
 			}
 		}
-		snaps[k] = ck
-		files[k] = shardFile(base, k, gen)
 		man.Shards = append(man.Shards, manifestShard{
-			Index:    k,
-			Stations: append([]int(nil), c.parts[k]...),
-			File:     filepath.Base(files[k]),
+			Index:      k,
+			Stations:   append([]int(nil), c.parts[k]...),
+			Checkpoint: ck,
 		})
 	}
 	man.NextGlobalID = c.router.stats().Routed
 	// The generation number is consumed at extraction: if this write is
-	// later superseded or fails, the numbering simply skips — restore
-	// only ever follows the manifest, never guesses file names.
+	// later superseded or fails, the numbering simply skips.
 	c.manifestGen = gen
 	job := func() error {
-		for k, ck := range snaps {
-			if err := serve.WriteCheckpoint(files[k], ck); err != nil {
-				return fmt.Errorf("cluster: writing shard %d snapshot: %w", k, err)
-			}
-		}
-		if err := writeManifest(base, man); err != nil {
+		if err := writeManifest(c.cfg.CheckpointPath, man); err != nil {
 			return err
 		}
-		for _, old := range c.diskPrev {
-			os.Remove(old) // best-effort sweep of the superseded generation
-		}
-		c.diskPrev = files
 		c.checkpoints.Add(1)
 		return nil
 	}
@@ -151,40 +127,34 @@ func writeManifest(path string, man *Manifest) error {
 	return nil
 }
 
-// loadManifest reads a version-3 manifest and every shard snapshot it
-// names. Anything else — a missing or foreign shard file, an older
-// manifest, a single-engine checkpoint — is an error: the caller never
-// starts empty over a file it cannot read.
-func loadManifest(path string) (*Manifest, []*serve.Checkpoint, error) {
+// loadManifest reads a version-4 manifest, every shard's snapshot in it.
+// Anything else — an older manifest, a single-engine checkpoint, a shard
+// with no snapshot or one of another snapshot version — is an error: the
+// caller never starts empty over a file it cannot read.
+func loadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, ErrNoManifest
+		return nil, ErrNoManifest
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: reading manifest: %w", err)
+		return nil, fmt.Errorf("cluster: reading manifest: %w", err)
 	}
 	var man Manifest
 	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, nil, fmt.Errorf("cluster: decoding manifest %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: decoding manifest %s: %w", path, err)
 	}
 	if man.Version != ManifestVersion {
-		return nil, nil, fmt.Errorf("cluster: manifest %s has version %d, want %d", path, man.Version, ManifestVersion)
+		return nil, fmt.Errorf("cluster: manifest %s has version %d, want %d", path, man.Version, ManifestVersion)
 	}
-	dir := filepath.Dir(path)
-	snaps := make([]*serve.Checkpoint, len(man.Shards))
-	for i, sh := range man.Shards {
-		// The writer names files beside the manifest; a name that leaves
-		// its directory is corruption, not a file to open.
-		if filepath.Base(sh.File) != sh.File || !filepath.IsLocal(sh.File) {
-			return nil, nil, fmt.Errorf("cluster: manifest %s names shard file %q outside its directory", path, sh.File)
+	for _, sh := range man.Shards {
+		if sh.Checkpoint == nil {
+			return nil, fmt.Errorf("cluster: manifest %s: shard %d has no checkpoint", path, sh.Index)
 		}
-		ck, err := serve.LoadCheckpoint(filepath.Join(dir, sh.File))
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: shard %d snapshot: %w", sh.Index, err)
+		if v := sh.Checkpoint.Version; v != serve.CheckpointVersion {
+			return nil, fmt.Errorf("cluster: manifest %s: shard %d checkpoint has version %d, want %d", path, sh.Index, v, serve.CheckpointVersion)
 		}
-		snaps[i] = ck
 	}
-	return &man, snaps, nil
+	return &man, nil
 }
 
 // checkStations refuses a manifest written for another topology: its
@@ -221,7 +191,7 @@ func checkStations(man *Manifest, stations int) error {
 // The learner state is cloned into every new shard (each shard's bandit
 // continues from the global reward history) and lifetime totals
 // accumulate onto shard 0 so cluster-wide counters survive resharding.
-func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*serve.Checkpoint, error) {
+func (c *Cluster) composeRestore(man *Manifest) ([]*serve.Checkpoint, error) {
 	if err := checkStations(man, len(c.owner)); err != nil {
 		return nil, err
 	}
@@ -230,8 +200,8 @@ func (c *Cluster) composeRestore(man *Manifest, snaps []*serve.Checkpoint) ([]*s
 	var banditSnap *bandit.LipschitzSnapshot
 	var banditSlot int
 	var totals serve.Totals
-	for si, sh := range man.Shards {
-		ck := snaps[si]
+	for _, sh := range man.Shards {
+		ck := sh.Checkpoint
 		addTotals(&totals, ck.Totals)
 		// A shard that drained early stopped learning at its exit slot:
 		// take the learner that saw the most slots (first shard on a tie).

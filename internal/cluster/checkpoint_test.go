@@ -1,14 +1,14 @@
 package cluster
 
-// Restore reads one format, the one checkpointLocked writes: a version-3
-// manifest over version-1 shard snapshots in global station ids, whose
-// station lists cover the network it is restored onto exactly once.
+// Restore reads one format, the one checkpointLocked writes: a version-4
+// manifest holding every shard's version-1 snapshot in global station ids,
+// whose station lists cover the network it is restored onto exactly once.
 // Everything else fails New and stays on disk as it was.
 
 import (
 	"bytes"
 	"encoding/json"
-	"maps"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -20,16 +20,6 @@ import (
 	"mecoffload/internal/serve"
 	"mecoffload/internal/sim"
 )
-
-// generationFiles names the manifest and the two shard files of the one
-// generation a 2-shard liveGeneration writes.
-func generationFiles(manifest, shard0, shard1 []byte) map[string][]byte {
-	return map[string][]byte{
-		"cluster.json":             manifest,
-		"cluster.json.shard0.gen1": shard0,
-		"cluster.json.shard1.gen1": shard1,
-	}
-}
 
 // writeFiles writes files into a fresh directory and returns the path of
 // its cluster.json.
@@ -44,80 +34,112 @@ func writeFiles(t *testing.T, files map[string][]byte) string {
 	return filepath.Join(dir, "cluster.json")
 }
 
+// version3 rewrites a version-4 manifest as the generation the version-3
+// writer left: a manifest naming one file per shard, and those files.
+func version3(t *testing.T, manifest []byte) map[string][]byte {
+	t.Helper()
+	var man Manifest
+	if err := json.Unmarshal(manifest, &man); err != nil {
+		t.Fatal(err)
+	}
+	type fileShard struct {
+		Index    int    `json:"index"`
+		Stations []int  `json:"stations"`
+		File     string `json:"file"`
+	}
+	old := struct {
+		Version      int         `json:"version"`
+		Generation   uint64      `json:"generation"`
+		Slot         int         `json:"slot"`
+		Scheduler    string      `json:"scheduler"`
+		NextGlobalID uint64      `json:"nextGlobalId"`
+		Shards       []fileShard `json:"shards"`
+	}{3, man.Generation, man.Slot, man.Scheduler, man.NextGlobalID, nil}
+	files := map[string][]byte{}
+	for _, sh := range man.Shards {
+		name := fmt.Sprintf("cluster.json.shard%d.gen%d", sh.Index, man.Generation)
+		old.Shards = append(old.Shards, fileShard{sh.Index, sh.Stations, name})
+		data, err := json.MarshalIndent(sh.Checkpoint, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = data
+	}
+	data, err := json.MarshalIndent(old, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files["cluster.json"] = data
+	return files
+}
+
 // TestCheckpointRejected: a file at CheckpointPath that is not a manifest
 // of the one format, or was written for another topology, fails New at any
 // shard count, and every file in its directory is left byte for byte as it
 // was — the daemon never starts empty over state it cannot read.
 func TestCheckpointRejected(t *testing.T) {
 	net4, net8 := chainTestNetwork(t, 4), chainTestNetwork(t, 8)
-	man, s0, s1 := liveGeneration(t, Config{Net: net8}, 8)
-	live := generationFiles(man, s0, s1)
-	with := func(name string, data []byte) map[string][]byte {
-		files := maps.Clone(live)
-		files[name] = data
-		return files
-	}
-	wrongShard := bytes.Replace(s0, []byte(`"version": 1`), []byte(`"version": 2`), 1)
-	if bytes.Equal(wrongShard, s0) {
-		t.Fatal("shard file has no version field to corrupt")
-	}
-	retired := bytes.Replace(s0, []byte(`"kind": "successive-elimination"`), []byte(`"kind": "sw-ucb"`), 1)
-	if bytes.Equal(retired, s0) {
-		t.Fatal("shard file holds no learner kind to rewrite")
-	}
-	zeroMin := bytes.Replace(s0, []byte(`"min": 200`), []byte(`"min": 0`), 1)
-	if bytes.Equal(zeroMin, s0) {
-		t.Fatal("shard file holds no learner range to rewrite")
-	}
-	version2 := bytes.Replace(man, []byte(`"version": 3`), []byte(`"version": 2`), 1)
-	if bytes.Equal(version2, man) {
-		t.Fatal("manifest has no version field to rewrite")
+	man := liveGeneration(t, Config{Net: net8}, 8)
+	// Every rewrite below hits the first match, which lies in shard 0's
+	// checkpoint (the manifest's own fields precede its shards and hold
+	// none of these).
+	rewrite := func(old, new string) []byte {
+		out := bytes.Replace(man, []byte(old), []byte(new), 1)
+		if bytes.Equal(out, man) {
+			t.Fatalf("manifest holds no %s to rewrite", old)
+		}
+		return out
 	}
 	// Station ids are the network's; one past it is corruption.
 	offNet := func(field string) []byte {
 		re := regexp.MustCompile(`"` + field + `": \d+`)
-		loc := re.FindIndex(s0)
+		loc := re.FindIndex(man)
 		if loc == nil {
-			t.Fatalf("shard file has no %s to rewrite", field)
+			t.Fatalf("manifest has no %s to rewrite", field)
 		}
-		return slices.Concat(s0[:loc[0]], []byte(`"`+field+`": 8`), s0[loc[1]:])
+		return slices.Concat(man[:loc[0]], []byte(`"`+field+`": 8`), man[loc[1]:])
 	}
+	only := func(data []byte) map[string][]byte { return map[string][]byte{"cluster.json": data} }
+	v3 := version3(t, man)
 	cases := []struct {
 		name    string
 		files   map[string][]byte
 		net     *mec.Network
 		wantErr string
 	}{
-		{"truncated", with("cluster.json", man[:len(man)/2]), net8, "decoding manifest"},
-		{"empty", with("cluster.json", nil), net8, "decoding manifest"},
-		{"manifest version 1", with("cluster.json", []byte(`{"version": 1, "slot": 4, "nextGlobalId": 24, "shards": [`+
-			`{"index": 0, "stations": [0, 1, 2, 3], "file": "cluster.json.shard0.gen1", "ids": []}, `+
-			`{"index": 1, "stations": [4, 5, 6, 7], "file": "cluster.json.shard1.gen1", "ids": []}]}`)), net8, "has version 1, want 3"},
+		{"truncated", only(man[:len(man)/2]), net8, "decoding manifest"},
+		{"empty", only(nil), net8, "decoding manifest"},
+		{"manifest version 1", only([]byte(`{"version": 1, "slot": 4, "nextGlobalId": 24, "shards": [` +
+			`{"index": 0, "stations": [0, 1, 2, 3], "file": "cluster.json.shard0.gen1", "ids": []}, ` +
+			`{"index": 1, "stations": [4, 5, 6, 7], "file": "cluster.json.shard1.gen1", "ids": []}]}`)), net8, "has version 1, want 4"},
 		// Version 2 numbered each shard file's stations densely within its
 		// partition; read as global ids they would name other stations.
-		{"manifest version 2", with("cluster.json", version2), net8, "has version 2, want 3"},
-		// A shard file is a serve.Checkpoint, the format the single-engine
-		// daemon wrote at -checkpoint.
-		{"single-engine checkpoint", with("cluster.json", s0), net8, "has version 1, want 3"},
-		{"shard file outside", with("cluster.json", []byte(`{"version": 3, "shards": [`+
-			`{"index": 0, "stations": [0, 1, 2, 3, 4, 5, 6, 7], "file": "../cluster.json"}]}`)), net8, "outside its directory"},
-		{"shard file version", with("cluster.json.shard0.gen1", wrongShard), net8, "has version 2, want 1"},
-		{"access station off the network", with("cluster.json.shard0.gen1", offNet("accessStation")), net8, "access station 8 out of [0, 8)"},
-		{"stream station off the network", with("cluster.json.shard0.gen1", offNet("procStation")), net8, "station 8 out of range"},
+		{"manifest version 2", only(rewrite(`"version": 4`, `"version": 2`)), net8, "has version 2, want 4"},
+		// Version 3 kept each shard's snapshot in a file of its own beside
+		// the manifest; neither the manifest nor those files are touched.
+		{"manifest version 3", v3, net8, "has version 3, want 4"},
+		// A shard checkpoint is a serve.Checkpoint, the format the
+		// single-engine daemon wrote at -checkpoint.
+		{"single-engine checkpoint", only(v3["cluster.json.shard0.gen1"]), net8, "has version 1, want 4"},
+		{"shard without checkpoint", only([]byte(`{"version": 4, "shards": [` +
+			`{"index": 0, "stations": [0, 1, 2, 3, 4, 5, 6, 7]}]}`)), net8, "shard 0 has no checkpoint"},
+		{"shard checkpoint version", only(rewrite(`"version": 1`, `"version": 2`)), net8, "shard 0 checkpoint has version 2, want 1"},
+		{"access station off the network", only(offNet("accessStation")), net8, "access station 8 out of [0, 8)"},
+		{"stream station off the network", only(offNet("procStation")), net8, "station 8 out of range"},
 		// A negative share would hand its station capacity it does not
 		// have.
-		{"negative share", with("cluster.json.shard0.gen1", negatedShare(t, s0)), net8, "is negative or not finite"},
+		{"negative share", only(negatedShare(t, man)), net8, "is negative or not finite"},
 		// A learner written under a policy the daemon no longer has is
 		// refused, not restored as something else.
-		{"retired bandit policy", with("cluster.json.shard0.gen1", retired), net8, `bandit: policy does not support snapshots: kind "sw-ucb"`},
+		{"retired bandit policy", only(rewrite(`"kind": "successive-elimination"`, `"kind": "sw-ucb"`)), net8, `bandit: policy does not support snapshots: kind "sw-ucb"`},
 		// No engine plays a threshold range starting at 0 MHz; restoring
 		// one must not swap in the default range under the arm statistics.
-		{"learner range at 0", with("cluster.json.shard0.gen1", zeroMin), net8, "threshold range [0, 1200] MHz starts at or below 0"},
+		{"learner range at 0", only(rewrite(`"min": 200`, `"min": 0`)), net8, "threshold range [0, 1200] MHz starts at or below 0"},
 		// Every live request of either generation names only stations both
 		// networks have (each stays where the router homed it), so nothing
 		// but the guard tells the topologies apart.
-		{"topology 4 to 8", generationFiles(liveGeneration(t, Config{Net: net4}, 4)), net8, "lists 4 stations over its shards, not each of the network's 8"},
-		{"topology 8 to 4", generationFiles(liveGeneration(t, Config{Net: net8}, 4)), net4, "lists 8 stations over its shards, not each of the network's 4"},
+		{"topology 4 to 8", only(liveGeneration(t, Config{Net: net4}, 4)), net8, "lists 4 stations over its shards, not each of the network's 8"},
+		{"topology 8 to 4", only(liveGeneration(t, Config{Net: net8}, 4)), net4, "lists 8 stations over its shards, not each of the network's 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,32 +167,85 @@ func TestCheckpointRejected(t *testing.T) {
 	}
 }
 
-// negatedShare returns a shard file with the first realized share of its
+// TestGenerationIsOneFile: a generation is the manifest alone. A 2-shard
+// cluster that checkpoints, stops and restarts from its own manifest three
+// times leaves exactly cluster.json in the directory after every periodic
+// checkpoint, every Stop and every restore.
+func TestGenerationIsOneFile(t *testing.T) {
+	net := chainTestNetwork(t, 8)
+	dir := t.TempDir()
+	cfg := Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: filepath.Join(dir, "cluster.json"), CheckpointEvery: 2}
+	onlyManifest := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, []string{"cluster.json"}) {
+			t.Fatalf("%s: the checkpoint directory holds %v, want only cluster.json", when, names)
+		}
+	}
+	for run := 0; run < 3; run++ {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if run > 0 {
+			onlyManifest(fmt.Sprintf("run %d restored", run))
+		}
+		c.Start()
+		for slot := 0; slot < 5; slot++ {
+			specs := []serve.RequestSpec{{AccessStation: slot % 8, DurationSlots: 3}, {AccessStation: 7 - slot%8, DurationSlots: 3}}
+			if _, err := c.SubmitBatch(specs); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			c.WaitCheckpoints()
+			if c.Slot() >= cfg.CheckpointEvery {
+				onlyManifest(fmt.Sprintf("run %d slot %d", run, c.Slot()))
+			}
+		}
+		if err := c.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		onlyManifest(fmt.Sprintf("run %d stopped", run))
+	}
+}
+
+// negatedShare returns a manifest with the first realized share of its
 // first running stream negated.
-func negatedShare(tb testing.TB, shard []byte) []byte {
+func negatedShare(tb testing.TB, manifest []byte) []byte {
 	tb.Helper()
 	key := []byte(`"shares": {`)
-	at := bytes.Index(shard, key)
+	at := bytes.Index(manifest, key)
 	if at < 0 {
-		tb.Fatal("shard file holds no running stream")
+		tb.Fatal("manifest holds no running stream")
 	}
 	at += len(key)
-	at += bytes.Index(shard[at:], []byte(`": `)) + len(`": `)
-	return slices.Concat(shard[:at], []byte("-"), shard[at:])
+	at += bytes.Index(manifest[at:], []byte(`": `)) + len(`": `)
+	return slices.Concat(manifest[:at], []byte("-"), manifest[at:])
 }
 
 // TestRemovedSchedulerNameRestores: an older daemon run under a since
-// removed `-scheduler` recorded that name in its manifest and every shard
-// file: local-ratio (the deleted LP-free certificate) beside the learner it
-// held, ocorp (a baseline, which has no learner) with none. The field is a
-// record, not a selector: either generation restores under DynamicRR, with
-// the learner it holds or a fresh one, and the generation written back
-// names exactly "DynamicRR" in the manifest and "dynamicrr" in every shard
-// file.
+// removed `-scheduler` recorded that name for the manifest and for every
+// shard: local-ratio (the deleted LP-free certificate) beside the learner
+// it held, ocorp (a baseline, which has no learner) with none. The field is
+// a record, not a selector: either generation restores under DynamicRR,
+// with the learner it holds or a fresh one, and the generation written
+// back names exactly "DynamicRR" for the manifest and "dynamicrr" for
+// every shard.
 func TestRemovedSchedulerNameRestores(t *testing.T) {
 	net := chainTestNetwork(t, 8)
 	schedulerField := regexp.MustCompile(`"scheduler": "[^"]*"`)
-	banditField := regexp.MustCompile(`(?s)\n "bandit": \{\n.*?\n \},`)
+	// A shard's bandit object, at the indentation of a manifest's shard
+	// checkpoint.
+	banditField := regexp.MustCompile(`(?s)\n    "bandit": \{\n.*?\n    \},`)
 	drr, err := sim.NewDynamicRR(sim.DynamicRROptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -191,12 +266,12 @@ func TestRemovedSchedulerNameRestores(t *testing.T) {
 		{"ocorp", false},
 	} {
 		t.Run(tc.scheduler, func(t *testing.T) {
-			older := func(data []byte, shard bool) []byte {
+			older := func(data []byte) []byte {
 				if !schedulerField.Match(data) {
 					t.Fatal("no scheduler field to rename")
 				}
 				data = schedulerField.ReplaceAll(data, []byte(`"scheduler": "`+tc.scheduler+`"`))
-				if shard && !tc.learner {
+				if !tc.learner {
 					if !banditField.Match(data) {
 						t.Fatal("no bandit object to strip")
 					}
@@ -204,9 +279,8 @@ func TestRemovedSchedulerNameRestores(t *testing.T) {
 				}
 				return data
 			}
-			man, s0, s1 := liveGeneration(t, Config{Net: net}, 8)
-			path := writeFiles(t, generationFiles(older(man, false), older(s0, true), older(s1, true)))
-			old, snaps, err := loadManifest(path)
+			path := writeFiles(t, map[string][]byte{"cluster.json": older(liveGeneration(t, Config{Net: net}, 8))})
+			old, err := loadManifest(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,11 +288,11 @@ func TestRemovedSchedulerNameRestores(t *testing.T) {
 			// slots, or a fresh one when no shard holds one, and counts the
 			// lifetime totals of every shard.
 			var want serve.Totals
-			learner := snaps[0]
-			for _, ck := range snaps {
-				addTotals(&want, ck.Totals)
-				if ck.Slot > learner.Slot {
-					learner = ck
+			learner := old.Shards[0].Checkpoint
+			for _, sh := range old.Shards {
+				addTotals(&want, sh.Checkpoint.Totals)
+				if sh.Checkpoint.Slot > learner.Slot {
+					learner = sh.Checkpoint
 				}
 			}
 			wantBandit := freshBandit
@@ -244,34 +318,32 @@ func TestRemovedSchedulerNameRestores(t *testing.T) {
 				if err := c.Stop(); err != nil {
 					t.Fatal(err)
 				}
-				written, snaps, err := loadManifest(path)
+				written, err := loadManifest(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for k, ck := range snaps {
-					got, err := json.Marshal(ck.Bandit)
+				for _, sh := range written.Shards {
+					got, err := json.Marshal(sh.Checkpoint.Bandit)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(got, wantBandit) {
-						t.Fatalf("round %d shard %d: bandit %s, want %s", round, k, got, wantBandit)
+						t.Fatalf("round %d shard %d: bandit %s, want %s", round, sh.Index, got, wantBandit)
 					}
 				}
-				files := map[string]string{path: `"scheduler": "DynamicRR"`}
-				for _, sh := range written.Shards {
-					files[filepath.Join(filepath.Dir(path), sh.File)] = `"scheduler": "dynamicrr"`
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for file, field := range files {
-					data, err := os.ReadFile(file)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := schedulerField.FindAll(data, -1); len(got) != 1 || string(got[0]) != field {
-						t.Fatalf("round %d: %s records %q, want exactly %s", round, filepath.Base(file), got, field)
-					}
-					if err := os.WriteFile(file, older(data, file != path), 0o644); err != nil {
-						t.Fatal(err)
-					}
+				fields := []string{`"scheduler": "DynamicRR"`}
+				for range written.Shards {
+					fields = append(fields, `"scheduler": "dynamicrr"`)
+				}
+				if got := schedulerField.FindAll(data, -1); fmt.Sprintf("%s", got) != fmt.Sprint(fields) {
+					t.Fatalf("round %d: the manifest records %s, want exactly %s", round, got, fields)
+				}
+				if err := os.WriteFile(path, older(data), 0o644); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})

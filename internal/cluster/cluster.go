@@ -37,24 +37,24 @@ type Config struct {
 	// Seed derives every per-shard randomness stream (engine rng and
 	// Retry-After jitter) through internal/rnd labels.
 	Seed int64
-	// CheckpointPath, when set, names the cluster manifest; per-shard
-	// snapshots are written beside it. New restores from an existing
+	// CheckpointPath, when set, names the cluster manifest, one file that
+	// holds every shard's snapshot. New restores from an existing
 	// manifest at any shard count, provided its shards' station lists
 	// cover Net's stations exactly once (a manifest written for another
 	// topology, an older manifest version or any other file there fails
 	// New and is left as it was), and the cluster rewrites it every
-	// CheckpointEvery slots (default 50) and at Stop.
+	// CheckpointEvery slots (default 50) and at Stop. A periodic
+	// checkpoint only extracts copy-on-write shard snapshots under the
+	// clock lock (one epoch barrier); JSON encoding, the temp file, fsync
+	// and the rename run on a single-flight writer goroutine, and a
+	// generation still queued when the next one extracts is dropped
+	// (latest wins; counted on /metrics). Stop's final manifest is
+	// written synchronously.
 	CheckpointPath  string
 	CheckpointEvery int
-	// AsyncCheckpoint takes checkpoint I/O off the cluster clock: under
-	// the clock lock the periodic checkpoint only extracts copy-on-write
-	// shard snapshots (one epoch barrier), and JSON encoding, temp
-	// files, fsync, and the generation-stamped manifest rename run on a
-	// single-flight writer goroutine. A snapshot generation still queued
-	// when the next one extracts is dropped (latest wins; counted on
-	// /metrics). The written bytes are identical to a synchronous
-	// checkpoint at the same slot boundary, and Stop's final manifest is
-	// always written synchronously.
+	// AsyncCheckpoint is ignored: periodic checkpoints are always written
+	// off the clock. bench/rung.go, its sole setter, still compiles
+	// against it.
 	AsyncCheckpoint bool
 	// Per-shard engine bounds, passed through to serve.Config.
 	DoorCapacity int
@@ -255,12 +255,9 @@ type Cluster struct {
 	submitScratch sync.Pool
 
 	// ckw serializes every checkpoint's disk half (non-nil when
-	// CheckpointPath is set; both sync and async writes route through it
-	// so an older in-flight write can never clobber a newer manifest).
-	// diskPrev is the previous generation's shard files, touched only by
-	// writer-goroutine jobs — the writer's serial execution is its lock.
-	ckw      *ckpt.Writer
-	diskPrev []string
+	// CheckpointPath is set; periodic and final writes both route through
+	// it so an older in-flight write can never clobber a newer manifest).
+	ckw *ckpt.Writer
 
 	// done closes in the call that sees the last engine exit
 	// (markDoneLocked, mu-guarded).
@@ -323,12 +320,12 @@ func New(cfg Config) (*Cluster, error) {
 	// Restore from an existing manifest, shard-count-agnostic.
 	var restores []*serve.Checkpoint
 	if cfg.CheckpointPath != "" {
-		man, snaps, err := loadManifest(cfg.CheckpointPath)
+		man, err := loadManifest(cfg.CheckpointPath)
 		if err != nil && !errors.Is(err, ErrNoManifest) {
 			return nil, err
 		}
 		if man != nil {
-			restores, err = c.composeRestore(man, snaps)
+			restores, err = c.composeRestore(man)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: restoring manifest: %w", err)
 			}
@@ -496,7 +493,7 @@ func (c *Cluster) tickLocked() error {
 		c.cfg.SlotObserver(t, admitted, total)
 	}
 	if c.cfg.CheckpointPath != "" && c.slot%c.cfg.CheckpointEvery == 0 {
-		if err := c.checkpointLocked(!c.cfg.AsyncCheckpoint); err != nil {
+		if err := c.checkpointLocked(false); err != nil {
 			c.cfg.Logf("cluster: checkpoint failed: %v", err)
 		}
 	}
@@ -733,9 +730,8 @@ func (c *Cluster) Drain() error {
 	return nil
 }
 
-// Stop writes a final manifest — synchronously, even with
-// AsyncCheckpoint, so the newest generation is on disk when Stop
-// returns — then retires the epoch workers and the checkpoint writer
+// Stop writes a final manifest — synchronously, so the newest generation
+// is on disk when Stop returns — then retires the epoch workers and the checkpoint writer
 // and halts every shard.
 func (c *Cluster) Stop() error {
 	var err error

@@ -268,8 +268,8 @@ func TestShardNetwork(t *testing.T) {
 
 // TestClusterCheckpointReshard proves the manifest is shard-count
 // agnostic: a 2-shard cluster checkpoints mid-trace with streams in
-// service and live pending requests, its shard files naming only stations
-// of their own part, then 1- and 4-shard clusters restore from the same
+// service and live pending requests, its shard checkpoints naming only
+// stations of their own part, then 1- and 4-shard clusters restore from the same
 // manifest without losing a single live request.
 func TestClusterCheckpointReshard(t *testing.T) {
 	const islands, per = 4, 2
@@ -387,10 +387,10 @@ func TestClusterCheckpointReshard(t *testing.T) {
 	}
 }
 
-// ownStationsOnly checks that every shard file of the manifest at path
-// names only stations of that shard's part, in the network's station ids:
+// ownStationsOnly checks that every shard checkpoint of the manifest at
+// path names only stations of that shard's part, in the network's station ids:
 // the requests' access stations and the streams' shares and processing
-// stations. It returns how many streams the files hold.
+// stations. It returns how many streams the checkpoints hold.
 func ownStationsOnly(t *testing.T, path string) (streams int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -406,10 +406,7 @@ func ownStationsOnly(t *testing.T, path string) (streams int) {
 		for _, st := range sh.Stations {
 			owned[st] = true
 		}
-		ck, err := serve.LoadCheckpoint(filepath.Join(filepath.Dir(path), sh.File))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ck := sh.Checkpoint
 		for _, cr := range ck.Requests {
 			if !owned[cr.Spec.AccessStation] {
 				t.Fatalf("shard %d (stations %v): request %d accesses station %d", sh.Index, sh.Stations, cr.ExternalID, cr.Spec.AccessStation)

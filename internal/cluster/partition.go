@@ -6,8 +6,9 @@
 // The partition follows connected components of the backhaul graph (the
 // same components the LP decomposition splits along), shards tick in
 // lockstep under one cluster clock with globally aggregated bandit
-// feedback, a request stays on the shard it was homed on, and per-shard
-// checkpoints compose into one recoverable cluster manifest. A station id
+// feedback, a request stays on the shard it was homed on, and every
+// shard's checkpoint sits in one manifest file, a whole recoverable
+// generation published by one atomic rename. A station id
 // means the same station everywhere: every shard schedules over the whole
 // network's numbering, with the stations it does not own masked out. The
 // correctness contract is decision parity: on a trace whose candidate

@@ -14,25 +14,21 @@ import (
 	"mecoffload/internal/sim"
 )
 
-// FuzzCheckpointRestore writes fuzzed bytes as a manifest and its two
-// generation-1 shard files and restores a 2-shard cluster over
-// chainTestNetwork(8) from them. Restore must never panic. A refused
-// checkpoint is left byte for byte as it was; an accepted one runs a slot
-// under the oracle's per-slot invariant checker and stops cleanly, writing
-// its own manifest. The seeds are the one format read: a generation a live
-// cluster wrote over the same network, and one written over
-// chainTestNetwork(4), which the station guard refuses.
+// FuzzCheckpointRestore writes fuzzed bytes as a manifest and restores a
+// 2-shard cluster over chainTestNetwork(8) from it. Restore must never
+// panic. A refused manifest is left byte for byte as it was; an accepted
+// one runs a slot under the oracle's per-slot invariant checker and stops
+// cleanly, writing its own manifest. The seeds are the one format read: a
+// generation a live cluster wrote over the same network, and one written
+// over chainTestNetwork(4), which the station guard refuses.
 func FuzzCheckpointRestore(f *testing.F) {
 	net := chainTestNetwork(f, 8)
 	for _, n := range []*mec.Network{net, chainTestNetwork(f, 4)} {
-		man, s0, s1 := liveGeneration(f, Config{Net: n}, n.NumStations())
-		f.Add(man, s0, s1)
+		f.Add(liveGeneration(f, Config{Net: n}, n.NumStations()))
 	}
 
-	f.Fuzz(func(t *testing.T, manifest, shard0, shard1 []byte) {
-		files := generationFiles(manifest, shard0, shard1)
-		path := writeFiles(t, files)
-		dir := filepath.Dir(path)
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		path := writeFiles(t, map[string][]byte{"cluster.json": manifest})
 		// An engine logs a failed check and goes on; the first one fails
 		// the run.
 		var (
@@ -51,10 +47,8 @@ func FuzzCheckpointRestore(f *testing.F) {
 		}
 		c, err := New(Config{Net: net, Shards: 2, Seed: 7, CheckpointPath: path, StepChecker: keepFirst})
 		if err != nil {
-			for name, want := range files {
-				if got, rerr := os.ReadFile(filepath.Join(dir, name)); rerr != nil || !bytes.Equal(got, want) {
-					t.Fatalf("refused restore (%v) changed %s (read error %v)", err, name, rerr)
-				}
+			if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, manifest) {
+				t.Fatalf("refused restore (%v) changed the manifest (read error %v)", err, rerr)
 			}
 			return
 		}
@@ -75,9 +69,9 @@ func FuzzCheckpointRestore(f *testing.F) {
 
 // liveGeneration runs a 2-shard cluster under cfg (its network and any
 // tuning) for a few slots with pending and running requests accessing
-// stations 0..access-1, stops it, and returns the manifest and the two
-// shard files of the one generation Stop wrote.
-func liveGeneration(tb testing.TB, cfg Config, access int) (manifest, shard0, shard1 []byte) {
+// stations 0..access-1, stops it, and returns the manifest of the one
+// generation Stop wrote.
+func liveGeneration(tb testing.TB, cfg Config, access int) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
 	cfg.Shards, cfg.Seed, cfg.CheckpointPath = 2, 7, filepath.Join(dir, "cluster.json")
@@ -101,12 +95,9 @@ func liveGeneration(tb testing.TB, cfg Config, access int) (manifest, shard0, sh
 	if err := c.Stop(); err != nil {
 		tb.Fatal(err)
 	}
-	read := func(name string) []byte {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			tb.Fatalf("the live cluster's first generation: %v", err)
-		}
-		return data
+	data, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		tb.Fatalf("the live cluster's first generation: %v", err)
 	}
-	return read("cluster.json"), read("cluster.json.shard0.gen1"), read("cluster.json.shard1.gen1")
+	return data
 }

@@ -85,8 +85,8 @@ func TestClusterStopPersistsIngestResidue(t *testing.T) {
 	}
 }
 
-// shardSnapshots loads every shard snapshot the manifest at path names,
-// in manifest order.
+// shardSnapshots returns the manifest at path and every shard snapshot it
+// holds, in manifest order.
 func shardSnapshots(t *testing.T, path string) (cluster.Manifest, []*serve.Checkpoint) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -99,11 +99,7 @@ func shardSnapshots(t *testing.T, path string) (cluster.Manifest, []*serve.Check
 	}
 	snaps := make([]*serve.Checkpoint, len(man.Shards))
 	for i, sh := range man.Shards {
-		ck, err := serve.LoadCheckpoint(filepath.Join(filepath.Dir(path), sh.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps[i] = ck
+		snaps[i] = sh.Checkpoint
 	}
 	return man, snaps
 }
@@ -122,7 +118,7 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 			net := islandNetwork(t, 2, 2)
 			cfg := parityConfig(net, shards)
 			cfg.CheckpointPath = filepath.Join(t.TempDir(), "cluster.json")
-			cfg.CheckpointEvery = 1 // a synchronous manifest after every slot
+			cfg.CheckpointEvery = 1 // a manifest after every slot
 			c, err := cluster.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -165,6 +161,7 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 			if serving == 0 {
 				t.Fatal("nothing in service before the drain: the drain would be a no-op")
 			}
+			c.WaitCheckpoints()
 			_, before := shardSnapshots(t, cfg.CheckpointPath)
 			wantBandit := make([][]byte, shards)
 			for k, ck := range before {

@@ -127,10 +127,9 @@ func TestWorklistMatchesTableScan(t *testing.T) {
 	}
 }
 
-// TestManifestIDsAreLiveIDs: however much the router has routed, a
-// version-3 manifest carries no per-request entry at all — the shard
-// snapshots speak cluster ids themselves — and each shard file holds
-// exactly the requests live on that shard, which restore under their ids
+// TestManifestIDsAreLiveIDs: however much the router has routed, the
+// manifest carries no per-request entry of its own — the shard snapshots
+// speak cluster ids themselves — and each shard's snapshot holds exactly the requests live on that shard, which restore under their ids
 // at 1, 2 and 8 shards.
 func TestManifestIDsAreLiveIDs(t *testing.T) {
 	net := chainTestNetwork(t, 8)
@@ -198,25 +197,21 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
-	if man.Version != 3 || man.NextGlobalID != uint64(submitted) || bytes.Contains(data, []byte(`"ids"`)) {
-		t.Fatalf("manifest version %d, next id %d (want 3, %d), or it carries an id table:\n%s", man.Version, man.NextGlobalID, submitted, data)
+	if man.Version != ManifestVersion || man.NextGlobalID != uint64(submitted) || bytes.Contains(data, []byte(`"ids"`)) {
+		t.Fatalf("manifest version %d, next id %d (want %d, %d), or it carries an id table:\n%s", man.Version, man.NextGlobalID, ManifestVersion, submitted, data)
 	}
 	var inSnaps []uint64
 	for _, sh := range man.Shards {
-		ck, err := serve.LoadCheckpoint(filepath.Join(dir, sh.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cr := range ck.Requests {
+		for _, cr := range sh.Checkpoint.Requests {
 			if shard, ok := c.router.lookup(cr.ExternalID); !ok || shard != sh.Index {
-				t.Fatalf("shard %d file holds request %d, which the router placed on shard %d (known=%v)", sh.Index, cr.ExternalID, shard, ok)
+				t.Fatalf("shard %d checkpoint holds request %d, which the router placed on shard %d (known=%v)", sh.Index, cr.ExternalID, shard, ok)
 			}
 			inSnaps = append(inSnaps, cr.ExternalID)
 		}
 	}
 	slices.Sort(inSnaps)
 	if !slices.Equal(inSnaps, live) {
-		t.Fatalf("shard files hold requests %v, live are %v (of %d routed)", inSnaps, live, submitted)
+		t.Fatalf("shard checkpoints hold requests %v, live are %v (of %d routed)", inSnaps, live, submitted)
 	}
 
 	for _, shards := range []int{1, 2, 8} {

@@ -11,13 +11,7 @@ package oracle
 // provides a function that builds a cluster with the given shard count,
 // replays the trace, and returns the decision dump in global-id space.
 
-import (
-	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-)
+import "fmt"
 
 // DiffCluster replays the caller's trace at one shard and at each given
 // shard count, and fails on the first decision divergence: a different
@@ -60,61 +54,6 @@ func DiffCluster(run func(shards int) (*ReplayDump, error), shardCounts ...int) 
 		}
 		if d := refN.Diff(got.Normalized()); d != "" {
 			return fmt.Errorf("oracle: cluster shards=1 vs shards=%d diverge: %s", n, d)
-		}
-	}
-	return nil
-}
-
-// DiffCheckpointDirs byte-compares two checkpoint directories: the same
-// file names on both sides, every file's bytes identical. It is the
-// async-checkpoint equivalence oracle — a cluster checkpointing through
-// the background writer must leave a directory byte-for-byte equal to a
-// synchronous run of the same schedule (manifests record file names
-// relative to themselves, so the differing directory paths never leak
-// into the bytes). Both directories must be non-empty: a vacuous
-// equivalence proves nothing.
-func DiffCheckpointDirs(dirA, dirB string) error {
-	list := func(dir string) ([]string, error) {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		var names []string
-		for _, ent := range ents {
-			if ent.IsDir() {
-				return nil, fmt.Errorf("oracle: unexpected subdirectory %s in checkpoint dir %s", ent.Name(), dir)
-			}
-			names = append(names, ent.Name())
-		}
-		sort.Strings(names)
-		return names, nil
-	}
-	namesA, err := list(dirA)
-	if err != nil {
-		return fmt.Errorf("oracle: reading %s: %w", dirA, err)
-	}
-	namesB, err := list(dirB)
-	if err != nil {
-		return fmt.Errorf("oracle: reading %s: %w", dirB, err)
-	}
-	if len(namesA) == 0 {
-		return fmt.Errorf("oracle: checkpoint dir %s is empty (vacuous equivalence)", dirA)
-	}
-	if fmt.Sprint(namesA) != fmt.Sprint(namesB) {
-		return fmt.Errorf("oracle: checkpoint file sets diverge:\n%s: %v\n%s: %v", dirA, namesA, dirB, namesB)
-	}
-	for _, name := range namesA {
-		a, err := os.ReadFile(filepath.Join(dirA, name))
-		if err != nil {
-			return fmt.Errorf("oracle: reading %s: %w", filepath.Join(dirA, name), err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirB, name))
-		if err != nil {
-			return fmt.Errorf("oracle: reading %s: %w", filepath.Join(dirB, name), err)
-		}
-		if !bytes.Equal(a, b) {
-			return fmt.Errorf("oracle: checkpoint file %s differs between %s (%d bytes) and %s (%d bytes)",
-				name, dirA, len(a), dirB, len(b))
 		}
 	}
 	return nil

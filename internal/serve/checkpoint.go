@@ -2,9 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"sort"
 
 	"mecoffload/internal/bandit"
@@ -13,17 +11,10 @@ import (
 	"mecoffload/internal/sim"
 )
 
-// checkpointVersion guards the on-disk layout; a daemon refuses to
-// restore a checkpoint written by an incompatible build.
-const checkpointVersion = 1
-
-// CheckpointVersion is the current on-disk checkpoint layout version,
-// exported so the cluster manifest can stamp the per-shard checkpoints
-// it composes during a resharded restore.
-const CheckpointVersion = checkpointVersion
-
-// ErrNoCheckpoint reports that the checkpoint file does not exist.
-var ErrNoCheckpoint = errors.New("serve: no checkpoint")
+// CheckpointVersion is the Checkpoint layout version. The cluster manifest
+// stamps it on the per-shard checkpoints it composes and refuses a shard
+// checkpoint of any other version.
+const CheckpointVersion = 1
 
 // Totals persists the cumulative counters across restarts.
 type Totals struct {
@@ -71,9 +62,11 @@ type Checkpoint struct {
 	Totals         Totals                    `json:"totals"`
 }
 
-// WriteCheckpoint atomically persists a checkpoint (ckpt.WriteFileAtomic:
-// temp file in the same directory, fsync, rename). A crash mid-write
-// leaves the previous checkpoint intact.
+// WriteCheckpoint atomically persists one checkpoint as a file of its own
+// (ckpt.WriteFileAtomic: temp file in the same directory, fsync, rename).
+// The daemon writes none: its checkpoints live inside the cluster
+// manifest. It stays for measuring what one engine's snapshot costs to
+// encode and persist.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
 	data, err := json.MarshalIndent(ck, "", " ")
 	if err != nil {
@@ -83,26 +76,6 @@ func WriteCheckpoint(path string, ck *Checkpoint) error {
 		return fmt.Errorf("serve: writing checkpoint %s: %w", path, err)
 	}
 	return nil
-}
-
-// LoadCheckpoint reads and version-checks a checkpoint; ErrNoCheckpoint
-// when the file is absent.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, ErrNoCheckpoint
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
-	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("serve: decoding checkpoint %s: %w", path, err)
-	}
-	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("serve: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
-	}
-	return &ck, nil
 }
 
 // installEmpty sets up the new engine's planner with no requests; New
@@ -202,7 +175,7 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 		return nil, err
 	}
 	ck := &Checkpoint{
-		Version:        checkpointVersion,
+		Version:        CheckpointVersion,
 		Slot:           e.slot,
 		NextExternalID: e.nextExt.Load(),
 		Scheduler:      "dynamicrr",
