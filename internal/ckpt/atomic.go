@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // WriteFileAtomic persists data at path so a crash at any instant leaves
@@ -31,6 +33,30 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("renaming %s into place: %w", tmp.Name(), err)
+	}
+	return nil
+}
+
+// RemoveStaleTemps deletes the temp files WriteFileAtomic(path, …) left
+// behind when a crash cut it short: the files in path's directory whose
+// names start with path's base name followed by ".tmp". Nothing else in
+// the directory is touched. Call it before any write to path is under way,
+// since it cannot tell a stale temp file from a live one.
+func RemoveStaleTemps(path string) error {
+	dir, prefix := filepath.Dir(path), filepath.Base(path)+".tmp"
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		if ent.Type().IsRegular() && strings.HasPrefix(ent.Name(), prefix) {
+			if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -107,7 +108,7 @@ func readManifest(t *testing.T, path string) []byte {
 // background writer opens: generation G+1 was extracted and its temp file
 // partly written, but the process died before the rename. Restore must
 // come back from generation G with every request's ownership intact,
-// ignore the stray temp file, and keep scheduling.
+// remove the stray temp file (and nothing else), and keep scheduling.
 func TestAsyncCheckpointCrashRestore(t *testing.T) {
 	const islands, per = 4, 2
 	net := islandNetwork(t, islands, per)
@@ -167,7 +168,13 @@ func TestAsyncCheckpointCrashRestore(t *testing.T) {
 
 	// The crash residue of an unfinished generation G+1: a stray
 	// manifest temp file.
-	if err := os.WriteFile(filepath.Join(dir, "cluster.json.tmp123"), []byte("{"), 0o644); err != nil {
+	stray := filepath.Join(dir, "cluster.json.tmp123")
+	if err := os.WriteFile(stray, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A file outside the manifest's temp pattern is none of the cluster's.
+	other := filepath.Join(dir, "cluster.jsontmp1")
+	if err := os.WriteFile(other, []byte("keep"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,6 +183,12 @@ func TestAsyncCheckpointCrashRestore(t *testing.T) {
 	rc, err := cluster.New(rcfg)
 	if err != nil {
 		t.Fatalf("restore after simulated crash: %v", err)
+	}
+	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale manifest temp file survived the restore: %v", err)
+	}
+	if data, err := os.ReadFile(other); err != nil || string(data) != "keep" {
+		t.Fatalf("a file outside the temp pattern was touched: %q, %v", data, err)
 	}
 	rc.Start()
 	for _, id := range ids {

@@ -75,8 +75,8 @@ func TestClusterCandidateShrinksEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Non-vacuity at 2 shards: the born-empty request takes the
-	// router's no-candidate path, and both doomed requests expire.
+	// Non-vacuity at 2 shards: the born-empty request has no candidate,
+	// and both doomed requests expire.
 	c, err := cluster.New(checkedParityConfig(net, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -97,15 +97,18 @@ func TestClusterCandidateShrinksEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	born, _, err := c.Submit(serve.RequestSpec{
+	bornSpec := serve.RequestSpec{
 		AccessStation: 0, DeadlineMS: 300, DurationSlots: 2,
 		Outcomes: []serve.OutcomeSpec{{RateMBs: 400, Prob: 1, Reward: 900}},
-	})
+	}
+	// Islands leave the router no choice, so it builds no candidate list;
+	// the request is born empty all the same.
+	if cands, err := serve.SpecCandidates(net, bornSpec, nil); err != nil || len(cands) != 0 {
+		t.Fatalf("born-empty request has candidates %v (%v)", cands, err)
+	}
+	born, _, err := c.Submit(bornSpec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := c.RouterStats().NoCandidate; got == 0 {
-		t.Fatal("born-empty request did not take the router's no-candidate path")
 	}
 	if err := c.Tick(); err != nil {
 		t.Fatal(err)

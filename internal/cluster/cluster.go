@@ -320,6 +320,11 @@ func New(cfg Config) (*Cluster, error) {
 	// Restore from an existing manifest, shard-count-agnostic.
 	var restores []*serve.Checkpoint
 	if cfg.CheckpointPath != "" {
+		// A crash mid-write leaves the manifest's temp file behind; no
+		// write to this path is under way before the cluster exists.
+		if err := ckpt.RemoveStaleTemps(cfg.CheckpointPath); err != nil {
+			cfg.Logf("cluster: removing stale manifest temp files: %v", err)
+		}
 		man, err := loadManifest(cfg.CheckpointPath)
 		if err != nil && !errors.Is(err, ErrNoManifest) {
 			return nil, err
@@ -618,11 +623,16 @@ func (sc *batchScratch) reset(specs, shards int) {
 
 // SubmitBatch routes a batch across shards, reserves the batch's ids in
 // submission order, and submits each shard's slice under its ids through
-// the engine's door. The ids of the accepted requests come back in
-// submission order, with the accepting shards' shed counts summed and the
-// latest of their slots. Shards that refuse (saturation, drain) fail
-// their requests, whose ids stay unused, and each refused spec is listed
-// in Refused; the call errors only when every spec failed.
+// the engine's door. Routing is the one check a spec passes before its
+// shard: a spec checkSpec refuses (serve.ValidateSpec's error, wrapping
+// ErrBadSpec) takes no id, reaches no shard and is listed in Refused. The
+// ids of the accepted requests come back in submission order, with the
+// accepting shards' shed counts summed and the latest of their slots.
+// Shards that refuse (saturation, drain) fail their requests, whose ids
+// stay unused, and each refused spec is listed in Refused too; the call
+// errors, with the first shard's refusal, only when no spec was accepted
+// and a shard refused one. A batch whose every spec failed its check
+// answers with Refused alone.
 func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, error) {
 	if len(specs) == 0 {
 		return serve.BatchResult{}, nil
@@ -634,14 +644,17 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 	for i, spec := range specs {
 		shard, homed, err := c.place(sc, spec)
 		if err != nil {
-			return serve.BatchResult{}, err
+			routes[i] = routed{err: err}
+			continue
 		}
 		routes[i] = routed{shard: shard}
 		perShard[shard] = append(perShard[shard], homed)
 	}
 	c.router.reserve(routes)
 	for _, r := range routes {
-		sc.ids[r.shard] = append(sc.ids[r.shard], r.id)
+		if r.err == nil {
+			sc.ids[r.shard] = append(sc.ids[r.shard], r.id)
+		}
 	}
 	shardErr := sc.shardErr
 	for k, slice := range perShard {
@@ -653,22 +666,30 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 	return mergeShards(routes, sc.res, shardErr)
 }
 
-// mergeShards reports what the shards did with a batch, in submission
-// order: the ids they accepted, and the position of every spec a shard
-// refused with that shard's refusal; the accepting shards' shed counts
-// summed and the latest of their slots. It fails, with the first refusal,
-// only when no spec was accepted.
+// mergeShards reports what the router and the shards did with a batch, in
+// submission order: the ids the shards accepted, and the position of every
+// spec the router or its shard refused, with that refusal; the accepting
+// shards' shed counts summed and the latest of their slots. It fails, with
+// the first shard refusal, only when no spec was accepted and a shard
+// refused one.
 func mergeShards(routes []routed, results []serve.BatchResult, shardErr []error) (serve.BatchResult, error) {
 	out := serve.BatchResult{IDs: make([]uint64, 0, len(routes))}
+	var refusal error
 	for i, r := range routes {
-		if err := shardErr[r.shard]; err != nil {
-			out.Refused = append(out.Refused, serve.Refusal{Index: i, Err: err})
-			continue
+		switch {
+		case r.err != nil:
+			out.Refused = append(out.Refused, serve.Refusal{Index: i, Err: r.err})
+		case shardErr[r.shard] != nil:
+			if refusal == nil {
+				refusal = shardErr[r.shard]
+			}
+			out.Refused = append(out.Refused, serve.Refusal{Index: i, Err: shardErr[r.shard]})
+		default:
+			out.IDs = append(out.IDs, r.id)
 		}
-		out.IDs = append(out.IDs, r.id)
 	}
-	if len(out.IDs) == 0 {
-		return serve.BatchResult{}, out.Refused[0].Err
+	if len(out.IDs) == 0 && refusal != nil {
+		return serve.BatchResult{}, refusal
 	}
 	for k, res := range results {
 		if shardErr[k] == nil {
@@ -707,8 +728,10 @@ func (c *Cluster) Status(id uint64) (serve.RequestRecord, bool, error) {
 	return c.nodes[shard].eng.Status(id)
 }
 
-// ValidateSpec checks a spec against the full topology exactly as the
-// owning shard's intake would.
+// ValidateSpec checks a spec against the full topology exactly as
+// SubmitBatch's router does. Intake needs no separate check (SubmitBatch
+// lists a refused spec in Refused), so this stays only because the
+// benchmark's ladder (bench/ladder.go) calls it.
 func (c *Cluster) ValidateSpec(spec serve.RequestSpec) error {
 	return serve.ValidateSpec(c.net, spec)
 }

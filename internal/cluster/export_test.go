@@ -24,3 +24,21 @@ func (c *Cluster) Home(spec serve.RequestSpec) (shard int, spanning bool, access
 	_, _, spanning, _ = c.router.route(spec, nil)
 	return shard, spanning, homed.AccessStation, nil
 }
+
+// Place routes spec as SubmitBatch does and returns its home shard and the
+// spec as that shard takes it.
+func (c *Cluster) Place(spec serve.RequestSpec) (int, serve.RequestSpec, error) {
+	sc := c.scratch()
+	defer c.submitScratch.Put(sc)
+	return c.place(sc, spec)
+}
+
+// HomeSpec is spec as shard takes it, given the candidates of a spanning
+// request (nil otherwise).
+func (c *Cluster) HomeSpec(shard int, spec serve.RequestSpec, spanCands []int) serve.RequestSpec {
+	return c.homeSpec(shard, spec, spanCands)
+}
+
+// Solo reports whether the router homes a request arriving at station st
+// without building its candidate list.
+func (c *Cluster) Solo(st int) bool { return c.router.solo[st] }

@@ -13,13 +13,12 @@ import (
 	"mecoffload/internal/serve"
 )
 
-// batchBuf is one batch POST's decoded lines and validated specs, reused
-// from POST to POST. SubmitBatch copies every spec into its request's row,
-// so nothing outlives the handler that holds the buffer.
+// batchBuf is one batch POST's decoded lines and their specs, reused from
+// POST to POST. SubmitBatch copies every spec into its request's row, so
+// nothing outlives the handler that holds the buffer.
 type batchBuf struct {
 	lines []serve.BatchLine
-	specs []serve.RequestSpec
-	at    []int // the line number of each spec
+	specs []serve.RequestSpec // specs[i] is lines[i].Spec
 }
 
 var batchBufs = sync.Pool{New: func() any { return new(batchBuf) }}
@@ -29,7 +28,7 @@ var batchBufs = sync.Pool{New: func() any { return new(batchBuf) }}
 func (b *batchBuf) release() {
 	clear(b.lines)
 	clear(b.specs)
-	b.lines, b.specs, b.at = b.lines[:0], b.specs[:0], b.at[:0]
+	b.lines, b.specs = b.lines[:0], b.specs[:0]
 	batchBufs.Put(b)
 }
 
@@ -117,27 +116,23 @@ func Handler(c *Cluster) http.Handler {
 			serve.WriteJSON(w, status, errorResponse{Error: "bad batch: " + err.Error()})
 			return
 		}
-		// Validate up front so malformed specs come back as line errors
-		// instead of asynchronous sheds.
-		specs, at := buf.specs[:0], buf.at[:0]
-		for _, ln := range lines {
-			if verr := c.ValidateSpec(ln.Spec); verr != nil {
-				lineErrs = append(lineErrs, serve.LineError{Line: ln.Line, Error: verr.Error()})
-				continue
-			}
-			specs, at = append(specs, ln.Spec), append(at, ln.Line)
-		}
-		buf.specs, buf.at = specs, at
-		if len(specs) == 0 && len(lineErrs) == 0 {
+		if len(lines) == 0 && len(lineErrs) == 0 {
 			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
 			return
 		}
+		specs := buf.specs[:0]
+		for _, ln := range lines {
+			specs = append(specs, ln.Spec)
+		}
+		buf.specs = specs
 		res, err := c.SubmitBatch(specs)
 		switch {
 		case err == nil:
-			// A line its shard refused is an error of that line.
+			// A line the router's check or its shard refused is an error of
+			// that line, so a malformed spec is answered here instead of
+			// being shed later.
 			for _, r := range res.Refused {
-				lineErrs = append(lineErrs, serve.LineError{Line: at[r.Index], Error: r.Err.Error()})
+				lineErrs = append(lineErrs, serve.LineError{Line: lines[r.Index].Line, Error: r.Err.Error()})
 			}
 			slices.SortStableFunc(lineErrs, func(a, b serve.LineError) int { return a.Line - b.Line })
 			serve.WriteJSON(w, http.StatusOK, batchResponse{
@@ -258,7 +253,7 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	family("slot", "gauge", "The cluster clock's next scheduling slot.")
 	p("arserved_cluster_slot %d\n", c.Slot())
 	rs := c.RouterStats()
-	family("routed_total", "counter", "Requests routed, by path.")
+	family("routed_total", "counter", "Requests routed, by path: fast when the access station leaves no shard to choose (no candidate list is built) or one shard owns every candidate; spanning and no_candidate count only routes that built a candidate list.")
 	p("arserved_cluster_routed_total{path=\"fast\"} %d\n", rs.FastPath)
 	p("arserved_cluster_routed_total{path=\"spanning\"} %d\n", rs.Spanning)
 	p("arserved_cluster_routed_total{path=\"no_candidate\"} %d\n", rs.NoCandidate)

@@ -13,8 +13,8 @@ import (
 
 // TestClusterRefusesNonFiniteSpec: a NaN or infinite deadline, task work
 // or task output from a Go caller is refused with ErrBadSpec by Submit,
-// by SubmitBatch, and by ValidateSpec (the batch handler's line check),
-// so the manifest written on Stop still encodes.
+// by SubmitBatch (which lists it in Refused and takes the rest), and by
+// ValidateSpec, so the manifest written on Stop still encodes.
 func TestClusterRefusesNonFiniteSpec(t *testing.T) {
 	net := islandNetwork(t, 2, 2)
 	cfg := parityConfig(net, 2)
@@ -37,8 +37,10 @@ func TestClusterRefusesNonFiniteSpec(t *testing.T) {
 			if _, _, err := c.Submit(spec); !errors.Is(err, serve.ErrBadSpec) {
 				t.Fatalf("%+v: Submit error %v, want ErrBadSpec", spec, err)
 			}
-			if _, err := c.SubmitBatch([]serve.RequestSpec{good, spec}); !errors.Is(err, serve.ErrBadSpec) {
-				t.Fatalf("%+v: SubmitBatch error %v, want ErrBadSpec", spec, err)
+			res, err := c.SubmitBatch([]serve.RequestSpec{good, spec})
+			if err != nil || len(res.IDs) != 1 || len(res.Refused) != 1 ||
+				res.Refused[0].Index != 1 || !errors.Is(res.Refused[0].Err, serve.ErrBadSpec) {
+				t.Fatalf("%+v: SubmitBatch = %+v, %v; want the good spec taken and the bad one refused with ErrBadSpec", spec, res, err)
 			}
 			if err := c.ValidateSpec(spec); !errors.Is(err, serve.ErrBadSpec) {
 				t.Fatalf("%+v: ValidateSpec error %v, want ErrBadSpec", spec, err)

@@ -20,17 +20,17 @@ import (
 // refused line is an error of its physical line number and the ids still
 // match the accepted lines.
 func TestRefusedLinesReported(t *testing.T) {
-	refusal := errors.New("made-up refusal")
-	routes := []routed{{id: 10, shard: 0}, {id: 11, shard: 1}, {id: 12, shard: 0}, {id: 13, shard: 1}}
+	refusal, badSpec := errors.New("made-up refusal"), errors.New("made-up bad spec")
+	routes := []routed{{id: 10, shard: 0}, {id: 11, shard: 1}, {err: badSpec}, {id: 12, shard: 0}, {id: 13, shard: 1}}
 	res := []serve.BatchResult{{IDs: []uint64{10, 12}, Shed: 1, Slot: 3}, {}}
 	got, err := mergeShards(routes, res, []error{nil, refusal})
 	want := serve.BatchResult{IDs: []uint64{10, 12}, Shed: 1, Slot: 3,
-		Refused: []serve.Refusal{{Index: 1, Err: refusal}, {Index: 3, Err: refusal}}}
+		Refused: []serve.Refusal{{Index: 1, Err: refusal}, {Index: 2, Err: badSpec}, {Index: 4, Err: refusal}}}
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge = %+v, %v; want %+v", got, err, want)
 	}
 	if _, err := mergeShards(routes, make([]serve.BatchResult, 2), []error{refusal, refusal}); err != refusal {
-		t.Fatalf("merge of a batch every shard refused fails with %v, want the refusal", err)
+		t.Fatalf("merge of a batch every shard refused fails with %v, want the shards' refusal", err)
 	}
 
 	c, err := New(Config{Net: allocTestNetwork(t), Shards: 2, Seed: 5})

@@ -49,11 +49,13 @@ func ReplayNDJSON(c *Cluster, src io.Reader, lineErr func(line int, msg string))
 			}
 			specs = specs[:0]
 			for _, ln := range lines {
-				if verr := c.ValidateSpec(ln.Spec); verr != nil {
-					lineErrs = append(lineErrs, serve.LineError{Line: ln.Line, Error: verr.Error()})
-					continue
-				}
 				specs = append(specs, ln.Spec)
+			}
+			res, err := c.SubmitBatch(specs)
+			// A spec the router refused is a bad line, reported after the
+			// lines that did not decode.
+			for _, r := range res.Refused {
+				lineErrs = append(lineErrs, serve.LineError{Line: lines[r.Index].Line, Error: r.Err.Error()})
 			}
 			for _, le := range lineErrs {
 				if lineErr != nil {
@@ -61,7 +63,6 @@ func ReplayNDJSON(c *Cluster, src io.Reader, lineErr func(line int, msg string))
 				}
 				st.BadLines++
 			}
-			res, err := c.SubmitBatch(specs)
 			if err != nil {
 				return fmt.Errorf("cluster replay: slot %d: %w", st.Slots, err)
 			}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,9 +24,12 @@ const unknownShard = -1
 // engines then use as their own, so all it has to remember of a request is
 // the shard it homed it on, for status lookups.
 type router struct {
-	net    *mec.Network
-	owner  []int // global station -> shard
-	window int   // maxRouted; smaller only in tests
+	net   *mec.Network
+	owner []int // global station -> shard
+	// solo[s] reports that every station at a finite delay from s has s's
+	// owner, so a request arriving at s has no shard to choose.
+	solo   []bool
+	window int // maxRouted; smaller only in tests
 
 	mu         sync.RWMutex
 	nextGlobal uint64
@@ -44,19 +48,37 @@ type router struct {
 }
 
 func newRouter(net *mec.Network, owner []int, window int) *router {
-	return &router{net: net, owner: owner, window: window}
+	solo := make([]bool, len(owner))
+	for s := range solo {
+		solo[s] = !slices.ContainsFunc(net.NeighborsByDistance(s), func(j int) bool {
+			return owner[j] != owner[s] && !math.IsInf(net.OneWayDelayMS(s, j), 1)
+		})
+	}
+	return &router{net: net, owner: owner, solo: solo, window: window}
 }
 
-// route decides the owning shard for a spec: the shard owning every
+// route decides the owning shard for a spec. On a solo access station it
+// is the access station's owner: a candidate is delay-feasible under a
+// finite deadline, so it sits at a finite delay and has that owner, which
+// is the shard the rule below picks, whether there are candidates or not.
+// Elsewhere the rule reads the candidate list: the shard owning every
 // candidate station (fast path); when candidates span partitions, the
 // access station's owner if it owns one of them, else the owner of the
 // smallest candidate station (the deterministic home-shard rule); or the
 // access station's owner when partitioning leaves no candidate at all
 // (the request will expire there, exactly as it would in a single
 // engine). The candidate list, in global station ids, is built in buf's
-// storage and returned with it, so a caller that recycles it routes
-// without allocating.
+// storage and returned with it (buf[:0] on a solo station), so a caller
+// that recycles it routes without allocating. Either way the spec passes
+// checkSpec exactly once.
 func (rt *router) route(spec serve.RequestSpec, buf []int) (shard int, cands []int, spanning bool, err error) {
+	if a := spec.AccessStation; a >= 0 && a < len(rt.solo) && rt.solo[a] {
+		if err := serve.ValidateSpec(rt.net, spec); err != nil {
+			return 0, nil, false, err
+		}
+		rt.fastPath.Add(1)
+		return rt.owner[a], buf[:0], false, nil
+	}
 	cands, err = serve.SpecCandidates(rt.net, spec, buf)
 	if err != nil {
 		return 0, nil, false, err
@@ -82,21 +104,27 @@ func (rt *router) route(spec serve.RequestSpec, buf []int) (shard int, cands []i
 	return home, cands, false, nil
 }
 
-// routed is one request as the router knows it: its id and its shard.
+// routed is one request as the router knows it: its id and its shard, or
+// the error its check refused it with, and then neither.
 type routed struct {
 	id    uint64
 	shard int
+	err   error
 }
 
 // reserve numbers reqs with the next ids, in slice order under one lock
-// acquisition, and places each on its shard. Ids are dense submission
-// ordinals, which makes cluster decision dumps directly comparable across
-// shard counts. A reserved id whose engine then refuses the request stays a
-// hole: placed, and unknown to that shard.
+// acquisition, and places each on its shard; a refused spec is skipped.
+// Ids are dense submission ordinals of the routed specs, which makes
+// cluster decision dumps directly comparable across shard counts. A
+// reserved id whose engine then refuses the request stays a hole: placed,
+// and unknown to that shard.
 func (rt *router) reserve(reqs []routed) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for i := range reqs {
+		if reqs[i].err != nil {
+			continue
+		}
 		reqs[i].id = rt.nextGlobal
 		rt.nextGlobal++
 		rt.shards = append(rt.shards, int32(reqs[i].shard))

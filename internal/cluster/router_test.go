@@ -61,9 +61,30 @@ func bridgedNetwork(t testing.TB, islands, per int) *mec.Network {
 // TestRouterNoCandidate: a spec whose demand cannot fit any station has
 // an empty candidate set; the router must still home it — at the access
 // station's owner — where it expires exactly as it would in a single
-// engine, rather than erroring or landing on shard 0 by accident.
+// engine, rather than erroring or landing on shard 0 by accident. On
+// bridged islands the router has a choice and builds the list, so the
+// route counts as no_candidate; on islands it has none, builds nothing,
+// and counts the same spec as fast.
 func TestRouterNoCandidate(t *testing.T) {
-	net := islandNetwork(t, 2, 2)
+	// 1e6 MB/s needs 2e7 MHz of slot capacity: infeasible everywhere.
+	spec := serve.RequestSpec{
+		AccessStation: 2, // station 2 -> shard 1
+		DurationSlots: 1,
+		Outcomes:      []serve.OutcomeSpec{{RateMBs: 1e6, Prob: 1, Reward: 100}},
+	}
+	islands, err := cluster.New(parityConfig(islandNetwork(t, 2, 2), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := islands.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if rs := islands.RouterStats(); rs != (cluster.RouterStats{FastPath: 1, Routed: 1}) {
+		t.Fatalf("islands: stats = %+v, want one fast route", rs)
+	}
+	_ = islands.Stop()
+
+	net := bridgedNetwork(t, 2, 2)
 	c, err := cluster.New(parityConfig(net, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -71,17 +92,15 @@ func TestRouterNoCandidate(t *testing.T) {
 	c.Start()
 	defer func() { _ = c.Stop() }()
 
-	// 1e6 MB/s needs 2e7 MHz of slot capacity: infeasible everywhere.
-	id, _, err := c.Submit(serve.RequestSpec{
-		AccessStation: 2, // island 1 -> shard 1
-		DurationSlots: 1,
-		Outcomes:      []serve.OutcomeSpec{{RateMBs: 1e6, Prob: 1, Reward: 100}},
-	})
+	id, _, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.RouterStats().NoCandidate; got != 1 {
-		t.Fatalf("NoCandidate = %d, want 1", got)
+	if rs := c.RouterStats(); rs != (cluster.RouterStats{NoCandidate: 1, Routed: 1}) {
+		t.Fatalf("stats = %+v, want one no-candidate route", rs)
+	}
+	if shard, ok := c.ShardOf(id); !ok || shard != 1 {
+		t.Fatalf("homed on shard %d (known %v), want the access station's shard 1", shard, ok)
 	}
 	rec, ok, err := c.Status(id)
 	if err != nil || !ok {

@@ -53,24 +53,29 @@ type BatchResult struct {
 	Shed, Lost int
 	// Slot is the slot the batch arrived in: its rows' SubmittedSlot.
 	Slot int
-	// Refused lists the specs a cluster shard refused (it was saturated or
-	// draining) while another shard accepted the rest, by position in the
-	// batch, ascending; their ids are not in IDs. An engine refuses a batch
+	// Refused lists the specs of a cluster batch that took no id, by
+	// position in the batch, ascending: those the router's check refused
+	// (ValidateSpec's error) and those a shard refused (it was saturated or
+	// draining) while another spec was accepted. An engine refuses a batch
 	// whole, with an error, and leaves it empty.
 	Refused []Refusal
 }
 
-// Refusal is one spec of a batch that its shard refused, and why.
+// Refusal is one spec of a batch that was refused, and why.
 type Refusal struct {
 	Index int
 	Err   error
 }
 
 // Single answers a single-request caller from its batch of one: the
-// request's id and arrival slot, or ErrSaturated when the door shed it
-// on arrival.
+// request's id and arrival slot, the refusal of a spec the batch listed in
+// Refused, or ErrSaturated when the door shed it on arrival.
 func Single(res BatchResult, err error) (uint64, int, error) {
-	if err == nil && res.Lost > 0 {
+	switch {
+	case err != nil:
+	case len(res.Refused) > 0:
+		err = res.Refused[0].Err
+	case res.Lost > 0:
 		err = ErrSaturated
 	}
 	if err != nil {
@@ -93,12 +98,14 @@ func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
 	return Single(e.submitBatch(id[:0], []RequestSpec{spec}))
 }
 
-// SubmitBatch queues a pre-validated batch of specs for ingest under the
-// engine's own numbering. It fails fast with ErrSaturated when batchQueue
-// batches already wait at the door (the overload backstop behind the
-// door's shedding), and with ErrDraining / ErrStopped once intake has
-// closed. Specs should have passed ValidateSpec; a spec the planner still
-// rejects is counted and recorded as shed.
+// SubmitBatch queues a batch of specs for ingest under the engine's own
+// numbering. It fails fast with ErrSaturated when batchQueue batches
+// already wait at the door (the overload backstop behind the door's
+// shedding), and with ErrDraining / ErrStopped once intake has closed. It
+// does not check the specs: that is the caller's one pass (the cluster's
+// router, or Submit's ValidateSpec). A spec that would fail ValidateSpec
+// still takes an id and a row, and the planner, whose materializeSpec runs
+// the same check, counts it rejected and records it as shed.
 func (e *Engine) SubmitBatch(specs []RequestSpec) (BatchResult, error) {
 	return e.submitBatch(nil, specs)
 }

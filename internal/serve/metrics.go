@@ -54,14 +54,18 @@ func newHistogram(bounds []float64) *histogram {
 	return &histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds))}
 }
 
-func (h *histogram) Observe(x float64) {
+func (h *histogram) Observe(x float64) { h.ObserveN(x, 1) }
+
+// ObserveN records n observations of x at once: every bucket and the count
+// read as after n calls of Observe(x), and the sum grows by n·x.
+func (h *histogram) ObserveN(x float64, n uint64) {
 	for i, b := range h.bounds {
 		if x <= b {
-			h.counts[i].Add(1)
+			h.counts[i].Add(n)
 		}
 	}
-	h.sum.Add(x)
-	h.total.Inc()
+	h.sum.Add(x * float64(n))
+	h.total.Add(n)
 }
 
 // HistogramSnapshot is a point-in-time copy of one histogram, letting
@@ -114,7 +118,7 @@ type Metrics struct {
 	BatchRequests counter    // requests carried by those batches
 	Shed          counter    // requests dropped by reward-aware shedding
 	Saturated     counter    // batches refused with ErrSaturated (503)
-	IntakeLatency *histogram // door enqueue -> planner append, ms
+	IntakeLatency *histogram // door enqueue -> the planner's take, ms
 
 	// Gauges, written under the planner lock.
 	PendingDepth  atomic.Int64

@@ -19,7 +19,8 @@ import (
 // planner's arrays and at least half their entries (and more than
 // Config.CompactAfter) are settled, the planner is compacted first: the
 // arrays stay near twice the live set instead of growing with the backlog.
-func (e *Engine) ingestOne(ent ingestEntry) {
+// It reports whether the planner took the request.
+func (e *Engine) ingestOne(ent ingestEntry) bool {
 	if n := len(e.res.Decisions); n == cap(e.res.Decisions) && 2*e.settled >= n && e.settled > e.cfg.CompactAfter {
 		if err := e.compact(); err != nil {
 			e.cfg.Logf("arserved: compaction failed (continuing uncompacted): %v", err)
@@ -35,13 +36,41 @@ func (e *Engine) ingestOne(ent ingestEntry) {
 		e.table.mu.Lock()
 		e.table.shed(ent.req, e.slot)
 		e.table.mu.Unlock()
-		return
+		return false
 	}
 	e.res.Decisions = append(e.res.Decisions, core.Decision{RequestID: idx, Station: -1})
 	e.pending = append(e.pending, idx)
 	e.metrics.Submitted.Inc()
 	e.table.attach(ent.req, idx, e.slot)
-	e.metrics.IntakeLatency.Observe(float64(time.Now().UnixNano()-ent.enqNano) / 1e6)
+	return true
+}
+
+// admitTaken admits one take's entries in order and observes the intake
+// latency of those the planner took: the clock is read once per take, and
+// the histogram observed once per run of entries that share an enqueue
+// time (one batch), with the run's count.
+func (e *Engine) admitTaken(taken []ingestEntry) {
+	if len(taken) == 0 {
+		return
+	}
+	now := time.Now().UnixNano()
+	var enq int64
+	run := uint64(0)
+	observe := func() {
+		if run > 0 {
+			e.metrics.IntakeLatency.ObserveN(float64(now-enq)/1e6, run)
+		}
+	}
+	for _, ent := range taken {
+		if ent.enqNano != enq {
+			observe()
+			enq, run = ent.enqNano, 0
+		}
+		if e.ingestOne(ent) {
+			run++
+		}
+	}
+	observe()
 }
 
 // drainDoor admits the door's entries into the planner, oldest first.
@@ -61,9 +90,7 @@ func (e *Engine) drainDoor(force bool) {
 		taken := e.intake.take(limit, e.taken)
 		e.metrics.IntakeDepth.Store(int64(len(e.intake.entries)))
 		e.door.Unlock()
-		for _, ent := range taken {
-			e.ingestOne(ent)
-		}
+		e.admitTaken(taken)
 		consumed += len(taken)
 		clear(taken)
 		e.taken = taken[:0]

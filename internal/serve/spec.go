@@ -68,9 +68,8 @@ func ValidateSpec(net *mec.Network, spec RequestSpec) error {
 	return err
 }
 
-// ValidateSpec checks a spec against the engine's topology. Batch handlers
-// validate lines up front so per-line errors surface in the HTTP response
-// rather than as asynchronous sheds. Safe for concurrent use.
+// ValidateSpec checks a spec against the engine's topology: Submit's one
+// check before its spec takes an id. Safe for concurrent use.
 func (e *Engine) ValidateSpec(spec RequestSpec) error {
 	return ValidateSpec(e.cfg.Net, spec)
 }
