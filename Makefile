@@ -22,8 +22,9 @@ race:
 ## cluster-parity: the sharding correctness gate — the oracle replay
 ## differential proving 1-, 2-, and 8-shard clusters emit identical
 ## decision streams (a request whose candidate set is or becomes empty
-## among them), plus the reshard-restore contracts (a stream older
-## than the router's window among them) and the restore refusing every
+## among them), plus the reshard-restore contracts (a stream that keeps
+## answering serving through later submits and a restore among them) and
+## the restore refusing every
 ## file that is not a manifest of the one format written for this
 ## topology, concurrent intake, ticks and a drain losing no accepted
 ## request, the saturated batched intake
@@ -53,10 +54,13 @@ race:
 ## checkpoint generation that is the manifest file alone across
 ## checkpoints, stops and restarts, and the router's solo stations (a
 ## request that has no shard to choose is routed without a candidate
-## list, to the shard, and as the spec, the candidate rule gives), all
-## under the race detector (same as the CI cluster-parity job).
+## list, to the shard, and as the spec, the candidate rule gives), the
+## request row's layout (at most 56 pointer-free bytes, its chunk filling
+## its size class), and a status lookup that a stopped shard does not
+## hide from the shard holding the row, all under the race detector (same
+## as the CI cluster-parity job).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork|TestTableProperty|TestTableEvictionCostsWhatItEvicts|TestTableInsertAllocs|TestRefusedLinesReported|TestGenerationIsOneFile|TestSoloRouteMatchesCandidateRule' ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork|TestTableProperty|TestTableEvictionCostsWhatItEvicts|TestTableInsertAllocs|TestRefusedLinesReported|TestGenerationIsOneFile|TestSoloRouteMatchesCandidateRule|TestRequestRowIsCompact|TestStoppedShardHidesNoRow' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components

@@ -304,3 +304,47 @@ func BenchmarkClusterTickBacklog(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClusterStatus times a status lookup at 1, 2 and 8 shards over
+// the 8-island topology: a hit cycles through requests spread over every
+// island (so over every shard), and a miss asks for an id no shard holds,
+// which every shard's table is asked about.
+func BenchmarkClusterStatus(b *testing.B) {
+	const islands, per = 8, 4
+	for _, shards := range []int{1, 2, 8} {
+		net := benchIslandNetwork(b, islands, per)
+		c, err := cluster.New(cluster.Config{Net: net, Shards: shards, Seed: 17})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Start()
+		specs := make([]serve.RequestSpec, islands*per*4)
+		for i := range specs {
+			specs[i] = serve.RequestSpec{
+				AccessStation: i % (islands * per),
+				DurationSlots: 6,
+				Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 300}},
+			}
+		}
+		res, err := c.SubmitBatch(specs)
+		if err != nil || len(res.IDs) != len(specs) {
+			b.Fatalf("submitted %d of %d: %v", len(res.IDs), len(specs), err)
+		}
+		miss := c.RouterStats().Routed
+		b.Run(fmt.Sprintf("shards=%d/hit", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := c.Status(res.IDs[i%len(res.IDs)]); !ok || err != nil {
+					b.Fatalf("hit: ok=%v err=%v", ok, err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("shards=%d/miss", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := c.Status(miss); ok || err != nil {
+					b.Fatalf("miss: ok=%v err=%v", ok, err)
+				}
+			}
+		})
+		_ = c.Stop()
+	}
+}

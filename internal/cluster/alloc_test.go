@@ -52,7 +52,7 @@ func allocTestNetwork(t *testing.T) *mec.Network {
 // grown.
 func TestRouteFastPathAllocFree(t *testing.T) {
 	net := allocTestNetwork(t)
-	rt := newRouter(net, []int{0, 0, 1, 1}, maxRouted)
+	rt := newRouter(net, []int{0, 0, 1, 1})
 	spec := serve.RequestSpec{
 		AccessStation: 2,
 		DurationSlots: 6,

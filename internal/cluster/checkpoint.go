@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"sort"
 
 	"mecoffload/internal/bandit"
@@ -233,7 +232,9 @@ func (c *Cluster) composeRestore(man *Manifest) ([]*serve.Checkpoint, error) {
 			Scheduler: man.Scheduler,
 		}
 	}
-	live := make([]routed, 0, len(merged))
+	// Ids continue past the newest live one, should the manifest's counter
+	// be behind.
+	next := man.NextGlobalID
 	for i, cr := range merged {
 		id := cr.ExternalID
 		if i > 0 && merged[i-1].ExternalID == id {
@@ -257,43 +258,17 @@ func (c *Cluster) composeRestore(man *Manifest) ([]*serve.Checkpoint, error) {
 			}
 			out[shard].Running = append(out[shard].Running, *rs)
 		}
-		live = append(live, routed{id: id, shard: shard})
+		next = max(next, id+1)
 		cr.Spec = c.homeSpec(shard, cr.Spec, spanCands)
 		out[shard].Requests = append(out[shard].Requests, cr)
 	}
-	c.router.restore(man.NextGlobalID, live)
-	next := c.router.stats().Routed
+	c.router.restore(next)
 	for k := range out {
 		out[k].NextExternalID = next
 		out[k].Bandit = banditSnap.Clone()
 	}
 	addTotals(&out[0].Totals, totals)
 	return out, nil
-}
-
-// restore sets a fresh router to a manifest's state: ids continue at next
-// (or past the newest live id, should the manifest's counter be behind),
-// live are the restored requests in ascending id on the shards they were
-// re-partitioned onto. The window opens at the first live id it can cover;
-// what lies between the live ids is unknown.
-func (rt *router) restore(next uint64, live []routed) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if n := len(live); n > 0 && live[n-1].id >= next {
-		next = live[n-1].id + 1
-	}
-	rt.nextGlobal, rt.base = next, next
-	first, _ := slices.BinarySearchFunc(live, next-min(next, uint64(rt.window)), routed.compareID)
-	if first < len(live) {
-		rt.base = live[first].id
-	}
-	rt.shards = make([]int32, next-rt.base)
-	for i := range rt.shards {
-		rt.shards[i] = unknownShard
-	}
-	for _, sc := range live[first:] {
-		rt.shards[sc.id-rt.base] = int32(sc.shard)
-	}
 }
 
 // streamOwner finds the unique new shard owning every station a running

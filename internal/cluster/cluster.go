@@ -315,7 +315,7 @@ func New(cfg Config) (*Cluster, error) {
 		done:       make(chan struct{}),
 		tickerStop: make(chan struct{}),
 	}
-	c.router = newRouter(cfg.Net, owner, maxRouted)
+	c.router = newRouter(cfg.Net, owner)
 
 	// Restore from an existing manifest, shard-count-agnostic.
 	var restores []*serve.Checkpoint
@@ -718,14 +718,22 @@ func (c *Cluster) Flush() error {
 	return nil
 }
 
-// Status resolves an id to its current record at the shard the router
-// homed it on.
+// Status resolves an id to its current record by asking each shard's
+// table in turn: an id is held by at most one shard. A stopped shard hides
+// nothing another shard holds; the lookup fails with its ErrStopped only
+// when no shard holds the id.
 func (c *Cluster) Status(id uint64) (serve.RequestRecord, bool, error) {
-	shard, ok := c.router.lookup(id)
-	if !ok {
-		return serve.RequestRecord{}, false, nil
+	var stopped error
+	for _, nd := range c.nodes {
+		rec, ok, err := nd.eng.Status(id)
+		if ok {
+			return rec, true, nil
+		}
+		if err != nil {
+			stopped = err
+		}
 	}
-	return c.nodes[shard].eng.Status(id)
+	return serve.RequestRecord{}, false, stopped
 }
 
 // ValidateSpec checks a spec against the full topology exactly as

@@ -5,8 +5,15 @@ import (
 	"mecoffload/internal/serve"
 )
 
-// ShardOf reports the shard the router places request id on now.
-func (c *Cluster) ShardOf(id uint64) (int, bool) { return c.router.lookup(id) }
+// ShardOf reports the shard whose table holds request id.
+func (c *Cluster) ShardOf(id uint64) (int, bool) {
+	for k, nd := range c.nodes {
+		if _, ok, _ := nd.eng.Status(id); ok {
+			return k, true
+		}
+	}
+	return 0, false
+}
 
 // ShardNetwork returns the network shard k's engine schedules over.
 func (c *Cluster) ShardNetwork(k int) (*mec.Network, error) { return shardNetwork(c.net, c.owner, k) }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -11,35 +10,20 @@ import (
 	"mecoffload/internal/serve"
 )
 
-// maxRouted is how many of the newest ids the router can place on a shard
-// (serve's maxRecords is the engines' bound on what they remember of them).
-const maxRouted = 1 << 20
-
-// unknownShard marks an id in the router's window that a restore did not
-// bring back.
-const unknownShard = -1
-
 // router owns the id space and routing. Routing is pure (partition +
 // candidate rule). The router hands out every request's id, which the
-// engines then use as their own, so all it has to remember of a request is
-// the shard it homed it on, for status lookups.
+// engines then use as their own, and remembers nothing of a request: a
+// status lookup asks the shards, whose tables hold each id at most once
+// across the cluster.
 type router struct {
 	net   *mec.Network
 	owner []int // global station -> shard
 	// solo[s] reports that every station at a finite delay from s has s's
 	// owner, so a request arriving at s has no shard to choose.
-	solo   []bool
-	window int // maxRouted; smaller only in tests
+	solo []bool
 
 	mu         sync.RWMutex
 	nextGlobal uint64
-	// shards[id-base] is the shard holding request id. Ids are handed out,
-	// and restored, in ascending order, so the window is a slice that grows
-	// at its young end and drops from its old one once it is `window` long.
-	// An id below base answers Status as unknown and is otherwise
-	// unaffected: its engine still holds, schedules and checkpoints it.
-	base   uint64
-	shards []int32
 
 	// Routing counters (read via RouterStats).
 	fastPath    atomic.Uint64
@@ -47,14 +31,14 @@ type router struct {
 	noCandidate atomic.Uint64
 }
 
-func newRouter(net *mec.Network, owner []int, window int) *router {
+func newRouter(net *mec.Network, owner []int) *router {
 	solo := make([]bool, len(owner))
 	for s := range solo {
 		solo[s] = !slices.ContainsFunc(net.NeighborsByDistance(s), func(j int) bool {
 			return owner[j] != owner[s] && !math.IsInf(net.OneWayDelayMS(s, j), 1)
 		})
 	}
-	return &router{net: net, owner: owner, solo: solo, window: window}
+	return &router{net: net, owner: owner, solo: solo}
 }
 
 // route decides the owning shard for a spec. On a solo access station it
@@ -113,39 +97,27 @@ type routed struct {
 }
 
 // reserve numbers reqs with the next ids, in slice order under one lock
-// acquisition, and places each on its shard; a refused spec is skipped.
-// Ids are dense submission ordinals of the routed specs, which makes
-// cluster decision dumps directly comparable across shard counts. A
-// reserved id whose engine then refuses the request stays a hole: placed,
-// and unknown to that shard.
+// acquisition; a refused spec is skipped. Ids are dense submission
+// ordinals of the routed specs, which makes cluster decision dumps
+// directly comparable across shard counts. A reserved id whose engine then
+// refuses the request stays a hole that no shard knows.
 func (rt *router) reserve(reqs []routed) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for i := range reqs {
-		if reqs[i].err != nil {
-			continue
+		if reqs[i].err == nil {
+			reqs[i].id = rt.nextGlobal
+			rt.nextGlobal++
 		}
-		reqs[i].id = rt.nextGlobal
-		rt.nextGlobal++
-		rt.shards = append(rt.shards, int32(reqs[i].shard))
-	}
-	if over := len(rt.shards) - rt.window; over > 0 {
-		rt.shards = rt.shards[over:]
-		rt.base += uint64(over)
 	}
 }
 
-func (sc routed) compareID(id uint64) int { return cmp.Compare(sc.id, id) }
-
-// lookup resolves an id to the shard holding it.
-func (rt *router) lookup(id uint64) (shard int, ok bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if id < rt.base || id-rt.base >= uint64(len(rt.shards)) {
-		return 0, false
-	}
-	shard = int(rt.shards[id-rt.base])
-	return shard, shard != unknownShard
+// restore sets a fresh router's id allocator to a manifest's: ids continue
+// at next.
+func (rt *router) restore(next uint64) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.nextGlobal = next
 }
 
 // RouterStats is the routing counter snapshot exposed on /metrics.

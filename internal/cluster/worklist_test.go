@@ -1,14 +1,13 @@
 package cluster
 
-// The router's id window must agree with a model of the routing history
-// kept in the test, and the manifest must hold what the shard snapshots
-// hold, however much was routed before.
+// The manifest must hold what the shard snapshots hold, however much was
+// routed before, and a live request answers its status however much was
+// routed after it.
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
-	"math/rand"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -46,85 +45,6 @@ func chainTestNetwork(t testing.TB, n int) *mec.Network {
 		t.Fatal(err)
 	}
 	return net
-}
-
-// TestWorklistMatchesTableScan drives a router through seeded random
-// reservations (single and batched), window evictions and manifest-style
-// restores, which leave holes where an id was not brought
-// back, against a model held here — every id's shard — and requires, after
-// every step, that an id resolves to its shard exactly while the window
-// covers it and that the window never holds more than its bound.
-func TestWorklistMatchesTableScan(t *testing.T) {
-	const shards, window = 3, 48
-	net := chainTestNetwork(t, 6)
-	owner := []int{0, 0, 1, 1, 2, 2}
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rt := newRouter(net, owner, window)
-		placed := map[uint64]int{} // every id the router was told a shard for
-		var next uint64
-		reserve := func(n int) {
-			routes := make([]routed, n)
-			for i := range routes {
-				routes[i].shard = rng.Intn(shards)
-			}
-			rt.reserve(routes)
-			for i, r := range routes {
-				if r.id != next+uint64(i) {
-					t.Fatalf("seed %d: reserve handed out %d, want %d", seed, r.id, next+uint64(i))
-				}
-				placed[r.id] = r.shard
-			}
-			next += uint64(n)
-		}
-		check := func(step int, op string) {
-			t.Helper()
-			if rt.stats().Routed != next || len(rt.shards) > window {
-				t.Fatalf("seed %d step %d (%s): routed %d (want %d), window holds %d > %d",
-					seed, step, op, rt.stats().Routed, next, len(rt.shards), window)
-			}
-			for id := uint64(0); id <= next; id++ {
-				shard, known := placed[id]
-				known = known && id+window >= next
-				if got, ok := rt.lookup(id); ok != known || (ok && got != shard) {
-					t.Fatalf("seed %d step %d (%s): lookup(%d) = %d, %v; model %d, %v (next %d)", seed, step, op, id, got, ok, shard, known, next)
-				}
-			}
-		}
-		for step := 0; step < 600; step++ {
-			var op string
-			switch k := rng.Intn(11); {
-			case k < 8:
-				op = "reserve"
-				reserve(1)
-			case k < 10:
-				op = "reserve batch"
-				reserve(2 + rng.Intn(9))
-			default:
-				op = "restore"
-				// composeRestore: a fresh router told the live requests in
-				// ascending id — here a random third of the placed ones,
-				// some older than the window can cover.
-				var live []routed
-				for id, shard := range placed {
-					if rng.Intn(3) == 0 {
-						live = append(live, routed{id: id, shard: shard})
-					}
-				}
-				slices.SortFunc(live, func(a, b routed) int { return cmp.Compare(a.id, b.id) })
-				rt = newRouter(net, owner, window)
-				rt.restore(next, live)
-				placed = map[uint64]int{}
-				for _, sc := range live {
-					placed[sc.id] = sc.shard
-				}
-			}
-			check(step, op)
-		}
-		if next < 4*window {
-			t.Fatalf("seed %d: only %d ids, the window never moved", seed, next)
-		}
-	}
 }
 
 // TestManifestIDsAreLiveIDs: however much the router has routed, the
@@ -184,6 +104,14 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 		submitted++
 		live = append(live, id)
 	}
+	home := map[uint64]int{}
+	for _, id := range live {
+		shard, ok := c.ShardOf(id)
+		if !ok {
+			t.Fatalf("live request %d is on no shard", id)
+		}
+		home[id] = shard
+	}
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +131,8 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 	var inSnaps []uint64
 	for _, sh := range man.Shards {
 		for _, cr := range sh.Checkpoint.Requests {
-			if shard, ok := c.router.lookup(cr.ExternalID); !ok || shard != sh.Index {
-				t.Fatalf("shard %d checkpoint holds request %d, which the router placed on shard %d (known=%v)", sh.Index, cr.ExternalID, shard, ok)
+			if shard, ok := home[cr.ExternalID]; !ok || shard != sh.Index {
+				t.Fatalf("shard %d checkpoint holds request %d, which shard %d held (live=%v)", sh.Index, cr.ExternalID, shard, ok)
 			}
 			inSnaps = append(inSnaps, cr.ExternalID)
 		}
@@ -242,10 +170,12 @@ func TestManifestIDsAreLiveIDs(t *testing.T) {
 }
 
 // TestLiveRequestOutlivesRouterEntry: a stream that is still running after
-// the router's window has moved past its id is checkpointed and restored
-// like any other live request. (With a per-request router table bounded by
-// age, such a stream had no entry in the manifest's id table and every
-// manifest written from then on refused to restore.)
+// later submits answers its status as serving, and is checkpointed and
+// restored like any other live request, answering serving again. (With a
+// per-request router table bounded by age, such a stream first had no
+// entry in the manifest's id table and every manifest written from then on
+// refused to restore; later it answered unknown once the router's id window
+// had moved past it. The router now keeps no entry to outlive.)
 func TestLiveRequestOutlivesRouterEntry(t *testing.T) {
 	cfg := Config{
 		Net:            chainTestNetwork(t, 4),
@@ -257,7 +187,6 @@ func TestLiveRequestOutlivesRouterEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.router = newRouter(c.net, c.owner, 4)
 	c.Start()
 	spec := serve.RequestSpec{AccessStation: 1, DurationSlots: 500, Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}}
 	stream, _, err := c.Submit(spec)
@@ -276,8 +205,8 @@ func TestLiveRequestOutlivesRouterEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok, err := c.Status(stream); ok || err != nil {
-		t.Fatalf("stream %d is below a 4-id window after 8 more submits, but Status says known=%v err=%v", stream, ok, err)
+	if rec, ok, err := c.Status(stream); err != nil || !ok || rec.State != serve.StateServing {
+		t.Fatalf("stream %d after 8 more submits: %+v ok=%v err=%v, want serving", stream, rec, ok, err)
 	}
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
@@ -292,10 +221,61 @@ func TestLiveRequestOutlivesRouterEntry(t *testing.T) {
 	if rec, ok, err := rc.nodes[0].eng.Status(stream); err != nil || !ok || rec.State != serve.StateServing {
 		t.Fatalf("restored stream %d on its shard: %+v ok=%v err=%v, want serving", stream, rec, ok, err)
 	}
-	if rec, ok, err := rc.Status(stream); err != nil || (ok && rec.State != serve.StateServing) {
-		t.Fatalf("restored stream %d by its id: %+v ok=%v err=%v, want unknown or serving", stream, rec, ok, err)
+	if rec, ok, err := rc.Status(stream); err != nil || !ok || rec.State != serve.StateServing {
+		t.Fatalf("restored stream %d by its id: %+v ok=%v err=%v, want serving", stream, rec, ok, err)
 	}
 	if id, _, err := rc.Submit(spec); err != nil || id != 9 {
 		t.Fatalf("first id after the restore %d (err %v), want 9", id, err)
+	}
+}
+
+// TestStoppedShardHidesNoRow: Status asks every shard, so a shard that
+// answers ErrStopped hides nothing another shard holds. At 2 shards with
+// one engine stopped, an id the live shard holds answers its record
+// whichever shard is asked first; an id only the stopped shard held, and
+// an id no shard ever held, fail with ErrStopped.
+func TestStoppedShardHidesNoRow(t *testing.T) {
+	for stop := 0; stop < 2; stop++ {
+		c, err := New(Config{Net: chainTestNetwork(t, 4), Shards: 2, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		var onShard [2][]uint64
+		for st := 0; st < 4; st++ {
+			id, _, err := c.Submit(serve.RequestSpec{AccessStation: st, DurationSlots: 1, DeadlineMS: 1,
+				Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard, ok := c.ShardOf(id)
+			if !ok {
+				t.Fatalf("request %d is on no shard", id)
+			}
+			onShard[shard] = append(onShard[shard], id)
+		}
+		if len(onShard[0]) == 0 || len(onShard[1]) == 0 {
+			t.Fatalf("requests per shard %v: want both shards to hold some", onShard)
+		}
+		unknown := c.RouterStats().Routed
+		if _, ok, err := c.Status(unknown); ok || err != nil {
+			t.Fatalf("unknown id %d with both shards up: ok=%v err=%v, want unknown", unknown, ok, err)
+		}
+		if err := c.nodes[stop].eng.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range onShard[1-stop] {
+			if rec, ok, err := c.Status(id); err != nil || !ok || rec.ID != id || rec.State != serve.StatePending {
+				t.Fatalf("shard %d stopped: request %d on shard %d answers %+v ok=%v err=%v, want pending", stop, id, 1-stop, rec, ok, err)
+			}
+		}
+		for _, id := range append(onShard[stop], unknown) {
+			if _, ok, err := c.Status(id); ok || !errors.Is(err, serve.ErrStopped) {
+				t.Fatalf("shard %d stopped: request %d answers ok=%v err=%v, want ErrStopped", stop, id, ok, err)
+			}
+		}
+		if err := c.Stop(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

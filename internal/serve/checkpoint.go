@@ -150,12 +150,12 @@ func (e *Engine) install(ck *Checkpoint) error {
 		return err
 	}
 
-	rows := make([]*request, len(reqs))
+	lives := make([]*liveState, len(reqs))
 	for i, cr := range reqs {
-		rows[i] = newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
+		lives[i] = newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
 	}
 	e.table.mu.Lock()
-	e.table.restore(rows)
+	e.table.restore(lives)
 	for _, s := range running {
 		e.table.serving(s.Request, ck.Slot, s.ProcStation, 0, 0)
 	}
@@ -182,25 +182,25 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 		Bandit:         snap,
 		Totals:         e.metrics.Totals(),
 	}
-	for _, req := range e.table.byIdx {
-		if req != nil {
+	for _, live := range e.table.byIdx {
+		if live != nil {
 			ck.Requests = append(ck.Requests, CheckpointRequest{
-				ExternalID:  req.rec.ID,
-				ArrivalSlot: req.live.arrival,
-				Running:     req.rec.State == StateServing,
-				Spec:        req.live.spec,
+				ExternalID:  live.row.id,
+				ArrivalSlot: live.arrival,
+				Running:     live.row.state == rowServing,
+				Spec:        live.spec,
 			})
 		}
 	}
 	sort.Slice(ck.Requests, func(a, b int) bool { return ck.Requests[a].ExternalID < ck.Requests[b].ExternalID })
 	for _, s := range e.planner.SnapshotRunning() {
-		req := e.table.byIdx[s.Request]
-		if req == nil {
+		live := e.table.byIdx[s.Request]
+		if live == nil {
 			// A stream whose row settled would leak; fail loudly instead
 			// of checkpointing an unrecoverable state.
 			return nil, fmt.Errorf("serve: running request %d missing from the request table", s.Request)
 		}
-		s.Request = int(req.rec.ID)
+		s.Request = int(live.row.id)
 		ck.Running = append(ck.Running, s)
 	}
 	return ck, nil
@@ -208,14 +208,14 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 
 // compact drops the settled backlog from the planner so a long-running
 // daemon's memory stays bounded by its live request count rather than its
-// lifetime request count. The live requests — the rows byIdx still holds,
+// lifetime request count. The live requests — those byIdx still holds,
 // in planner order, which is arrival order — are renumbered densely in
 // place: the planner keeps their requests as they are (nothing is
-// re-materialized or re-drawn) and the rows learn their new indices.
+// re-materialized or re-drawn) and byIdx closes ranks to match.
 func (e *Engine) compact() error {
 	keep := e.keep[:0]
-	for idx, req := range e.table.byIdx {
-		if req != nil {
+	for idx, live := range e.table.byIdx {
+		if live != nil {
 			keep = append(keep, idx)
 		}
 	}

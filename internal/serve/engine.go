@@ -158,7 +158,7 @@ type Engine struct {
 	door    sync.Mutex
 	intake  doorBuffer
 	pumpSeq uint64
-	reqBuf  []*request    // per-batch rows, cleared after use
+	reqBuf  []*liveState  // per-batch live parts, cleared after use
 	shedBuf []ingestEntry // per-batch shed victims, reused across batches
 }
 

@@ -186,7 +186,8 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) BatchResult {
 		ids = slices.Grow(ids, len(specs))[:len(specs)]
 	}
 	reqs := slices.Grow(e.reqBuf, len(specs))[:len(specs)]
-	// Rows come rowChunk at a time, not two allocations a line.
+	// Rows and live parts come rowChunk at a time, not two allocations a
+	// line.
 	var rows []request
 	var lives []liveState
 	for i, spec := range specs {
@@ -204,8 +205,8 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) BatchResult {
 
 	first := e.pumpSeq
 	e.shedBuf = e.shedBuf[:0]
-	for i, req := range reqs {
-		ent := ingestEntry{req: req, price: specPrice(specs[i]), seq: e.pumpSeq, enqNano: now}
+	for i, live := range reqs {
+		ent := ingestEntry{live: live, price: specPrice(specs[i]), seq: e.pumpSeq, enqNano: now}
 		if victim, shed := e.intake.push(ent, e.cfg.DoorCapacity); shed {
 			e.shedBuf = append(e.shedBuf, victim)
 		}
@@ -218,7 +219,7 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) BatchResult {
 		e.metrics.Shed.Add(uint64(n))
 		e.table.mu.Lock()
 		for _, victim := range e.shedBuf {
-			e.table.shed(victim.req, res.Slot)
+			e.table.shed(victim.live.row, res.Slot)
 			if victim.seq >= first {
 				res.Lost++
 			}
@@ -253,10 +254,10 @@ func (e *Engine) StagedDepth() int64 { return 0 }
 
 // ingestEntry is one request waiting at the door.
 type ingestEntry struct {
-	req     *request // its row in the request table; the spec rides in req.live
-	price   float64  // expected reward under the spec's demand distribution
-	seq     uint64   // door-local arrival ordinal: the drain order and the shed tie-break
-	enqNano int64    // enqueue timestamp for the intake-latency histogram
+	live    *liveState // its spec, and the way to its row in the request table
+	price   float64    // expected reward under the spec's demand distribution
+	seq     uint64     // door-local arrival ordinal: the drain order and the shed tie-break
+	enqNano int64      // enqueue timestamp for the intake-latency histogram
 }
 
 // doorBuffer is the door's one bounded buffer, guarded by the door lock;

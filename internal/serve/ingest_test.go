@@ -136,8 +136,8 @@ func TestSubmitBatchShedsLowestReward(t *testing.T) {
 		t.Fatalf("submitted = %d, want 10 (2 flushed + 8 surviving batch)", got)
 	}
 	for i, id := range res.IDs[2:] {
-		if idx := e.table.row(id).live.idx; idx != 2+i {
-			t.Fatalf("price %d (id %d) admitted at planner index %d, want %d", i+3, id, idx, 2+i)
+		if got := e.table.byIdx[2+i].row.id; got != id {
+			t.Fatalf("price %d (id %d): planner index %d holds id %d", i+3, id, 2+i, got)
 		}
 	}
 	for _, id := range pre {

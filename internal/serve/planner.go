@@ -11,11 +11,11 @@ import (
 	"mecoffload/internal/core"
 )
 
-// ingestOne appends one request taken from the door to the planner as
-// pending: the planner's one way in. Its row already exists (the door
-// inserted it), and paper-default outcomes drawn for it are written into
-// the row's spec (see materializeSpec); a refusal surfaces as a shed
-// record so the id stays resolvable. When the append would grow the
+// ingestOne appends one request taken from the door to the planner: the
+// planner's one way in. Its row already exists (the door inserted it), and
+// paper-default outcomes drawn for it are written into its live part's
+// spec (see materializeSpec); admitTaken then records it as pending, or a
+// refusal as shed so the id stays resolvable. When the append would grow the
 // planner's arrays and at least half their entries (and more than
 // Config.CompactAfter) are settled, the planner is compacted first: the
 // arrays stay near twice the live set instead of growing with the backlog.
@@ -27,35 +27,34 @@ func (e *Engine) ingestOne(ent ingestEntry) bool {
 		}
 	}
 	idx := len(e.planner.Requests())
-	r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, idx, e.slot, &ent.req.live.spec)
+	r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, idx, e.slot, &ent.live.spec)
 	if err == nil {
 		err = e.planner.Append(r)
 	}
 	if err != nil {
 		e.metrics.Rejected.Inc()
-		e.table.mu.Lock()
-		e.table.shed(ent.req, e.slot)
-		e.table.mu.Unlock()
 		return false
 	}
 	e.res.Decisions = append(e.res.Decisions, core.Decision{RequestID: idx, Station: -1})
 	e.pending = append(e.pending, idx)
 	e.metrics.Submitted.Inc()
-	e.table.attach(ent.req, idx, e.slot)
+	e.table.attach(ent.live, e.slot)
 	return true
 }
 
-// admitTaken admits one take's entries in order and observes the intake
-// latency of those the planner took: the clock is read once per take, and
-// the histogram observed once per run of entries that share an enqueue
-// time (one batch), with the run's count.
+// admitTaken admits one take's entries in order, records their rows under
+// one acquisition of the table lock — pending where the planner took the
+// request, shed where it refused it — and observes the intake latency of
+// those the planner took: the clock is read once per take, and the
+// histogram observed once per run of entries that share an enqueue time
+// (one batch), with the run's count.
 func (e *Engine) admitTaken(taken []ingestEntry) {
 	if len(taken) == 0 {
 		return
 	}
 	now := time.Now().UnixNano()
 	var enq int64
-	run := uint64(0)
+	run, admitted := uint64(0), 0
 	observe := func() {
 		if run > 0 {
 			e.metrics.IntakeLatency.ObserveN(float64(now-enq)/1e6, run)
@@ -68,9 +67,18 @@ func (e *Engine) admitTaken(taken []ingestEntry) {
 		}
 		if e.ingestOne(ent) {
 			run++
+			admitted++
 		}
 	}
 	observe()
+	e.table.mu.Lock()
+	e.table.admit(admitted)
+	if admitted < len(taken) {
+		for _, ent := range taken {
+			e.table.shed(ent.live.row, e.slot) // a row still at the door was refused
+		}
+	}
+	e.table.mu.Unlock()
 }
 
 // drainDoor admits the door's entries into the planner, oldest first.

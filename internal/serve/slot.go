@@ -45,7 +45,7 @@ func (e *Engine) observe(t int, rep sim.SlotReport) {
 	if e.cfg.DecisionObserver != nil {
 		admitted := e.admittedBuf[:0]
 		for _, j := range rep.Admitted {
-			admitted = append(admitted, e.table.byIdx[j].rec.ID)
+			admitted = append(admitted, e.table.byIdx[j].row.id)
 		}
 		e.admittedBuf = admitted
 		e.cfg.DecisionObserver(t, admitted, rep.Reward)
@@ -63,17 +63,17 @@ func (e *Engine) settle(t int, rep sim.SlotReport) {
 	served := 0
 	e.table.mu.Lock()
 	for _, j := range rep.Departed {
-		e.table.finish(j, StateCompleted, t)
+		e.table.finish(j, rowCompleted, t)
 	}
 	for _, j := range rep.Expired {
-		e.table.finish(j, StateExpired, t)
+		e.table.finish(j, rowExpired, t)
 	}
 	for _, j := range rep.Admitted {
 		if d := e.res.Decisions[j]; d.Served {
 			e.table.serving(j, t, d.Station, d.Reward, d.LatencyMS)
 			served++
 		} else {
-			e.table.finish(j, StateEvicted, t).Station = d.Station
+			e.table.finish(j, rowEvicted, t).station = int32(d.Station)
 		}
 	}
 	// Occupancy only moves when streams start or end.

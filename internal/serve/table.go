@@ -10,27 +10,29 @@ import (
 
 // The request table: everything one engine knows about a request, keyed
 // by the id its caller knows it by (the cluster's id, or the engine's own
-// numbering when nobody hands one down), behind one RWMutex. A row is the
-// externally visible RequestRecord plus, only while the request is
-// undecided or in service, the planner-side state the planner needs. Every
-// state transition is a method called where the transition happens: the
-// door inserts and sheds, the planner lock's holder does the rest.
+// numbering when nobody hands one down), behind one RWMutex. A row is a
+// pointer-free record of what GET /v1/requests/{id} shows, its state a
+// one-byte code that status renders as a State* string. What the planner
+// needs of an undecided or in-service request — its spec and arrival — is
+// its liveState, held outside the table: by the door's entry until the
+// planner takes it, then by the planner's index (byIdx) until it settles.
+// Every state transition is a method called where the transition happens:
+// the door inserts and sheds, the planner lock's holder does the rest.
 //
-// A row is found by its id's offset, as the cluster's router finds a
-// shard: ids rise as they are handed out (1 in N of them at N shards), so
-// the rows live in a window indexed by id − base that grows at its young
-// end, and eviction walks a cursor up from base. The few rows whose ids
-// are below base — live rows the cursor stepped over, a concurrent batch's
-// late inserts, rows the window's span cap pushed out — sit in a small
-// spill map, found by hash.
+// A row is found by its id's offset, as ids are handed out: they rise (1
+// in N of them at N shards), so the rows live in a window indexed by
+// id − base that grows at its young end, and eviction walks a cursor up
+// from base. The few rows whose ids are below base — live rows the cursor
+// stepped over, a concurrent batch's late inserts, rows the window's span
+// cap pushed out — sit in a small spill map, found by hash.
 //
-// The window, the spill, the records and each row's live pointer are
-// written and read under mu. byIdx and what a live pointer leads to
-// belong to the planner lock (the door fills a row in before the planner
-// can take it from the door), so its holder reads them without the table
-// lock. Transition methods expect the caller to hold the write lock: once
-// per batch at the door, once per slot that decided something, never on
-// an idle slot.
+// The window, the spill and the rows are written and read under mu. byIdx
+// and the live parts belong to the planner lock (the door fills a row in
+// before the planner can take it from the door), so its holder reads them,
+// and a row's state, without the table lock. Transition methods expect the
+// caller to hold the write lock: once per batch at the door, once per take
+// from the door, once per slot that decided something, never on an idle
+// slot.
 
 // Request lifecycle states exposed by GET /v1/requests/{id}.
 const (
@@ -73,20 +75,68 @@ const maxRecords = 262144
 // spill instead of growing the window further.
 const spanPerRow = 16
 
-// request is one row. live is nil exactly when the record is terminal, so
-// a settled request keeps its 72-byte record and nothing else.
+// rowState is a row's lifecycle state, in the order a request moves
+// through them: the live states first, then the terminal ones.
+type rowState uint8
+
+const (
+	// rowDoor: waiting at the door, not yet taken by the planner. It
+	// renders as pending, and only a row in it can be shed.
+	rowDoor rowState = iota
+	rowPending
+	rowServing
+	rowCompleted
+	rowEvicted
+	rowExpired
+	rowShed
+)
+
+// stateNames renders each rowState as GET /v1/requests/{id} spells it.
+var stateNames = [...]string{
+	rowDoor:      StatePending,
+	rowPending:   StatePending,
+	rowServing:   StateServing,
+	rowCompleted: StateCompleted,
+	rowEvicted:   StateEvicted,
+	rowExpired:   StateExpired,
+	rowShed:      StateShed,
+}
+
+// live reports whether a request in this state is undecided or in
+// service, so its live part is held and its row is never evicted.
+func (s rowState) live() bool { return s <= rowServing }
+
+// request is one row: a RequestRecord with its state as a code, 56 bytes
+// that hold no pointer, so a settled request costs its row and its window
+// slot and nothing the garbage collector scans.
 type request struct {
-	rec  RequestRecord
-	live *liveState
+	id                          uint64
+	reward, latencyMS           float64
+	submitted, decision, depart int
+	station                     int32
+	state                       rowState
+}
+
+// record renders the row as the status lookup answers it.
+func (r *request) record() RequestRecord {
+	return RequestRecord{
+		ID:            r.id,
+		State:         stateNames[r.state],
+		Station:       int(r.station),
+		SubmittedSlot: r.submitted,
+		DecisionSlot:  r.decision,
+		DepartSlot:    r.depart,
+		Reward:        r.reward,
+		LatencyMS:     r.latencyMS,
+	}
 }
 
 // liveState is what the planner side needs of an undecided or in-service
-// request. idx is the planner's index for it, -1 until the planner
-// appends it (it is still waiting at the door).
+// request, and the way to its row.
 type liveState struct {
+	row     *request
 	spec    RequestSpec
 	arrival int
-	idx     int
 }
 
 type table struct {
@@ -106,10 +156,10 @@ type table struct {
 	// to go when the bound needs a place.
 	spill map[uint64]*request
 	done  doneHeap
-	// byIdx maps a planner index to its row, nil once that request
-	// settled. Compaction drops the nil entries in place, as the planner
-	// drops their requests, and renumbers each row's live.idx to match.
-	byIdx []*request
+	// byIdx maps a planner index to its request's live part, nil once
+	// that request settled. Compaction drops the nil entries in place, as
+	// the planner drops their requests.
+	byIdx []*liveState
 	// stations holds the capacities the engine was built with and the
 	// occupancy as of the last slot that moved it.
 	stations []StationGauge
@@ -119,25 +169,26 @@ func newTable(max int, stations []StationGauge) *table {
 	return &table{max: max, stations: stations}
 }
 
-// rowChunk is how many rows of a batch share one allocation. Rows carved
-// from one array are freed together: the records when eviction has passed
-// all of them, the live parts when the last of them settles, so one
-// long-lived stream pins at most rowChunk live parts (5.5 KB), not its
-// batch's.
-const rowChunk = 64
+// rowChunk is how many rows of a batch share one allocation: 73 rows of
+// 56 bytes fill 4 088 of the 4 096-byte size class. Rows carved from one
+// chunk are freed together, when eviction has passed all of them; the
+// live parts come in chunks of the same count and are freed when the last
+// of them settles, so one long-lived stream pins at most rowChunk live
+// parts (6.4 KB), not its batch's.
+const rowChunk = 73
 
-func newRequest(id uint64, slot int, spec RequestSpec) *request {
+// newRequest allocates a row at the door and its live part on their own
+// (a restore, and tests), and returns the live part.
+func newRequest(id uint64, slot int, spec RequestSpec) *liveState {
 	return initRequest(new(request), new(liveState), id, slot, spec)
 }
 
-// initRequest fills in a pending row in storage the caller provides.
-func initRequest(req *request, live *liveState, id uint64, slot int, spec RequestSpec) *request {
-	*live = liveState{spec: spec, idx: -1}
-	*req = request{
-		rec:  RequestRecord{ID: id, State: StatePending, Station: -1, SubmittedSlot: slot},
-		live: live,
-	}
-	return req
+// initRequest fills in a row at the door, and its live part, in storage
+// the caller provides.
+func initRequest(req *request, live *liveState, id uint64, slot int, spec RequestSpec) *liveState {
+	*req = request{id: id, station: -1, submitted: slot}
+	*live = liveState{row: req, spec: spec}
+	return live
 }
 
 // row is id's row, nil when the table holds none.
@@ -167,13 +218,13 @@ func (t *table) slot(k int) int {
 // places and evicts plus the live rows it steps over for the first time,
 // whatever the table's size. An id whose row the table still holds, live
 // or terminal, is the caller's bug: ids are never reused.
-func (t *table) insert(reqs ...*request) (evicted, skipped int) {
-	for _, req := range reqs {
-		t.place(req)
+func (t *table) insert(lives ...*liveState) (evicted, skipped int) {
+	for _, live := range lives {
+		t.place(live.row)
 	}
 	for t.nwin+len(t.spill) > t.max {
 		if len(t.done) > 0 {
-			delete(t.spill, heap.Pop(&t.done).(*request).rec.ID)
+			delete(t.spill, heap.Pop(&t.done).(*request).id)
 			evicted++
 			continue
 		}
@@ -182,7 +233,7 @@ func (t *table) insert(reqs ...*request) (evicted, skipped int) {
 		}
 		switch req := t.advance(); {
 		case req == nil:
-		case req.live != nil:
+		case req.state.live():
 			t.toSpill(req)
 			skipped++
 		default:
@@ -196,7 +247,7 @@ func (t *table) insert(reqs ...*request) (evicted, skipped int) {
 // restarts at the id when it is empty, and slides up (spilling what it
 // passes) when the id lies more than its span cap above base.
 func (t *table) place(req *request) {
-	id := req.rec.ID
+	id := req.id
 	if t.row(id) != nil {
 		panic(fmt.Sprintf("serve: request id %d submitted twice", id))
 	}
@@ -263,13 +314,13 @@ func (t *table) toSpill(req *request) {
 	if t.spill == nil {
 		t.spill = make(map[uint64]*request)
 	}
-	t.spill[req.rec.ID] = req
+	t.spill[req.id] = req
 	t.spilledDone(req)
 }
 
 // spilledDone queues a terminal spilled row for eviction.
 func (t *table) spilledDone(req *request) {
-	if req.live == nil && req.rec.ID < t.base {
+	if !req.state.live() && req.id < t.base {
 		heap.Push(&t.done, req)
 	}
 }
@@ -278,7 +329,7 @@ func (t *table) spilledDone(req *request) {
 type doneHeap []*request
 
 func (h doneHeap) Len() int           { return len(h) }
-func (h doneHeap) Less(i, j int) bool { return h[i].rec.ID < h[j].rec.ID }
+func (h doneHeap) Less(i, j int) bool { return h[i].id < h[j].id }
 func (h doneHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *doneHeap) Push(x any)        { *h = append(*h, x.(*request)) }
 func (h *doneHeap) Pop() any {
@@ -289,72 +340,75 @@ func (h *doneHeap) Pop() any {
 	return req
 }
 
-// restore loads a checkpoint's live rows, given in planner order, into the
-// empty table: inserted in id order, so the window starts at the oldest,
-// and attached at their positions.
-func (t *table) restore(reqs []*request) {
-	byID := slices.Clone(reqs)
-	slices.SortFunc(byID, func(a, b *request) int { return cmp.Compare(a.rec.ID, b.rec.ID) })
+// restore loads a checkpoint's live requests, given in planner order,
+// into the empty table: inserted in id order, so the window starts at the
+// oldest, and attached pending at their positions.
+func (t *table) restore(lives []*liveState) {
+	byID := slices.Clone(lives)
+	slices.SortFunc(byID, func(a, b *liveState) int { return cmp.Compare(a.row.id, b.row.id) })
 	t.insert(byID...)
-	for i, req := range reqs {
-		t.attach(req, i, req.rec.SubmittedSlot)
+	for _, live := range lives {
+		t.attach(live, live.row.submitted)
 	}
+	t.admit(len(lives))
 }
 
-// shed drops a pending request the planner has not seen: an overload
-// victim of the door, or one the planner refused at ingest. A request the
-// planner holds is the scheduler's to decide.
+// shed drops a request still waiting at the door: an overload victim of
+// the door, or one the planner refused at ingest. A request the planner
+// holds is the scheduler's to decide.
 func (t *table) shed(req *request, slot int) {
-	if req.live == nil || req.live.idx >= 0 {
+	if req.state != rowDoor {
 		return
 	}
-	req.rec.State, req.rec.DecisionSlot, req.live = StateShed, slot, nil
+	req.state, req.decision = rowShed, slot
 	t.spilledDone(req)
 }
 
-// attach records that the planner now holds req at index idx. Planner
-// lock held; needs no table lock (see the ownership note above).
-func (t *table) attach(req *request, idx, arrival int) {
-	req.live.idx, req.live.arrival = idx, arrival
-	t.byIdx = append(t.byIdx, req) // idx == len(byIdx): both count the planner's requests
+// attach appends a request the planner now holds to byIdx: its index there
+// is the planner's. Planner lock held; needs no table lock (see the
+// ownership note above), as it leaves the row alone.
+func (t *table) attach(live *liveState, arrival int) {
+	live.arrival = arrival
+	t.byIdx = append(t.byIdx, live) // both count the planner's requests
+}
+
+// admit moves the rows of the newest n planner indices from the door to
+// pending, once per take from the door: the write lock's one acquisition
+// the take needs.
+func (t *table) admit(n int) {
+	for _, live := range t.byIdx[len(t.byIdx)-n:] {
+		live.row.state = rowPending
+	}
 }
 
 // compact follows the planner's compaction: the settled (nil) entries of
-// byIdx go, and every live row's idx becomes its new, dense position.
-// Planner lock held, like attach.
+// byIdx go, and every live request keeps its order. Planner lock held,
+// like attach.
 func (t *table) compact() {
-	live := t.byIdx[:0]
-	for _, req := range t.byIdx {
-		if req != nil {
-			req.live.idx = len(live)
-			live = append(live, req)
-		}
-	}
-	clear(t.byIdx[len(live):])
-	t.byIdx = live
+	t.byIdx = slices.DeleteFunc(t.byIdx, func(l *liveState) bool { return l == nil })
 }
 
 // serving: the request at planner index idx was admitted and survived
 // settlement.
 func (t *table) serving(idx, slot, station int, reward, latencyMS float64) {
-	rec := &t.byIdx[idx].rec
-	rec.State, rec.Station, rec.DecisionSlot, rec.Reward, rec.LatencyMS = StateServing, station, slot, reward, latencyMS
+	req := t.byIdx[idx].row
+	req.state, req.station, req.decision, req.reward, req.latencyMS = rowServing, int32(station), slot, reward, latencyMS
 }
 
 // finish moves the request at planner index idx to a terminal state as of
-// slot and drops its live part. The record is returned for the one field
+// slot and drops its live part. The row is returned for the one field
 // some transitions add (an eviction at realization names its station).
-func (t *table) finish(idx int, state string, slot int) *RequestRecord {
-	req := t.byIdx[idx]
-	t.byIdx[idx], req.live = nil, nil
-	req.rec.State = state
-	if state == StateCompleted {
-		req.rec.DepartSlot = slot
+func (t *table) finish(idx int, state rowState, slot int) *request {
+	req := t.byIdx[idx].row
+	t.byIdx[idx] = nil
+	req.state = state
+	if state == rowCompleted {
+		req.depart = slot
 	} else {
-		req.rec.DecisionSlot = slot
+		req.decision = slot
 	}
 	t.spilledDone(req)
-	return &req.rec
+	return req
 }
 
 // status answers a lookup; unknown ids (never seen, or evicted) are not an
@@ -369,7 +423,7 @@ func (t *table) status(id uint64) (RequestRecord, bool, error) {
 	if req == nil {
 		return RequestRecord{}, false, nil
 	}
-	return req.rec, true, nil
+	return req.record(), true, nil
 }
 
 func (t *table) gauges() []StationGauge {

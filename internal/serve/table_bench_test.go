@@ -18,11 +18,13 @@ type tableFeed struct {
 	pool       []request
 	next       int
 	id, stride uint64
-	batch      []*request
+	lives      []liveState
+	batch      []*liveState
 }
 
 func newTableFeed(bound, batch int, stride uint64) *tableFeed {
-	f := &tableFeed{tb: newTable(bound, nil), pool: make([]request, bound+2*batch), stride: stride, batch: make([]*request, batch)}
+	f := &tableFeed{tb: newTable(bound, nil), pool: make([]request, bound+2*batch), stride: stride,
+		lives: make([]liveState, batch), batch: make([]*liveState, batch)}
 	for range bound/batch + 2 {
 		f.insert()
 	}
@@ -36,9 +38,10 @@ func (f *tableFeed) insert() int {
 		if f.next++; f.next == len(f.pool) {
 			f.next = 0
 		}
-		*req = request{rec: RequestRecord{ID: f.id, State: StateCompleted}}
+		*req = request{id: f.id, state: rowCompleted}
 		f.id += f.stride
-		f.batch[i] = req
+		f.lives[i].row = req
+		f.batch[i] = &f.lives[i]
 	}
 	evicted, _ := f.tb.insert(f.batch...)
 	return evicted

@@ -7,18 +7,20 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/metrics"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // modelRow is the map model's view of one request.
 type modelRow struct {
-	state string
+	state rowState
 	idx   int // planner index, -1 while unattached
-	req   *request
+	part  *liveState
 }
 
-func (m modelRow) live() bool { return m.state == StatePending || m.state == StateServing }
+func (m modelRow) live() bool { return m.state.live() }
 
 // checkTableShape checks the window and the spill against each other: every
 // window row sits at its id's offset from base, every spilled id is below
@@ -29,8 +31,8 @@ func checkTableShape(t *testing.T, tb *table) {
 	nwin := 0
 	for k := 0; k < tb.span; k++ {
 		if req := tb.win[tb.slot(k)]; req != nil {
-			if req.rec.ID != tb.base+uint64(k) {
-				t.Fatalf("window slot %d past base %d holds id %d", k, tb.base, req.rec.ID)
+			if req.id != tb.base+uint64(k) {
+				t.Fatalf("window slot %d past base %d holds id %d", k, tb.base, req.id)
 			}
 			nwin++
 		}
@@ -43,16 +45,16 @@ func checkTableShape(t *testing.T, tb *table) {
 	}
 	terminal := 0
 	for id, req := range tb.spill {
-		if id >= tb.base || req.rec.ID != id {
-			t.Fatalf("spill files row %d under %d, base %d", req.rec.ID, id, tb.base)
+		if id >= tb.base || req.id != id {
+			t.Fatalf("spill files row %d under %d, base %d", req.id, id, tb.base)
 		}
-		if req.live == nil {
+		if !req.state.live() {
 			terminal++
 		}
 	}
 	for _, req := range tb.done {
-		if req.live != nil || tb.spill[req.rec.ID] != req {
-			t.Fatalf("eviction heap holds row %d, which is not a terminal spilled row", req.rec.ID)
+		if req.state.live() || tb.spill[req.id] != req {
+			t.Fatalf("eviction heap holds row %d, which is not a terminal spilled row", req.id)
 		}
 	}
 	if terminal != len(tb.done) {
@@ -109,11 +111,17 @@ func TestTableProperty(t *testing.T) {
 			}
 			return n
 		}
-		attached := func(state string) func(*modelRow) bool {
+		attached := func(state rowState) func(*modelRow) bool {
 			return func(m *modelRow) bool { return m.state == state && m.idx >= 0 }
 		}
-		settle := func(m *modelRow, state string) {
-			if m.req.rec.ID < tb.base {
+		// take: the planner takes a row from the door.
+		take := func(m *modelRow) {
+			m.idx, m.state = len(tb.byIdx), rowPending
+			tb.attach(m.part, slot)
+			tb.admit(1)
+		}
+		settle := func(m *modelRow, state rowState) {
+			if m.part.row.id < tb.base {
 				settledInSpill++
 			}
 			m.state = state
@@ -145,13 +153,13 @@ func TestTableProperty(t *testing.T) {
 					}
 					continue
 				}
-				reqs := make([]*request, len(batch))
+				reqs := make([]*liveState, len(batch))
 				for i, id := range batch {
 					if id < tb.base {
 						belowBase++
 					}
 					reqs[i] = newRequest(id, slot, RequestSpec{})
-					model[id] = &modelRow{state: StatePending, idx: -1, req: reqs[i]}
+					model[id] = &modelRow{state: rowDoor, idx: -1, part: reqs[i]}
 					pos, _ := slices.BinarySearch(order, id)
 					order = slices.Insert(order, pos, id)
 					inserted = append(inserted, id)
@@ -186,39 +194,38 @@ func TestTableProperty(t *testing.T) {
 					t.Fatalf("seed %d step %d: evicted %d rows, model evicts %d", seed, step, evicted, want)
 				}
 			case op == 3: // a drain of the door appends an entry to the planner
-				if m := pick(func(m *modelRow) bool { return m.state == StatePending && m.idx < 0 }); m != nil {
-					m.idx = len(tb.byIdx)
-					tb.attach(m.req, m.idx, slot)
+				if m := pick(func(m *modelRow) bool { return m.state == rowDoor }); m != nil {
+					take(m)
 				}
 			case op == 4: // serving
-				if m := pick(attached(StatePending)); m != nil {
+				if m := pick(attached(rowPending)); m != nil {
 					tb.serving(m.idx, slot, 1, 2.5, 7)
-					m.state = StateServing
+					m.state = rowServing
 				}
 			case op == 5: // completed
-				if m := pick(attached(StateServing)); m != nil {
-					settle(m, StateCompleted)
+				if m := pick(attached(rowServing)); m != nil {
+					settle(m, rowCompleted)
 					tb.finish(m.idx, m.state, slot)
 				}
 			case op == 6: // expired, or evicted at realization
-				if m := pick(attached(StatePending)); m != nil {
-					settle(m, []string{StateExpired, StateEvicted}[rng.Intn(2)])
+				if m := pick(attached(rowPending)); m != nil {
+					settle(m, []rowState{rowExpired, rowEvicted}[rng.Intn(2)])
 					tb.finish(m.idx, m.state, slot)
 				}
 			case op == 7: // shed, aimed at a row in any state
 				if m := pick(func(*modelRow) bool { return true }); m != nil {
-					tb.shed(m.req, slot)
-					if m.state == StatePending && m.idx < 0 {
-						settle(m, StateShed)
+					tb.shed(m.part.row, slot)
+					if m.state == rowDoor {
+						settle(m, rowShed)
 					}
 				}
 			case op == 8: // an id submitted twice, whatever its row's state
 				if m := pick(func(*modelRow) bool { return true }); m != nil {
-					id := m.req.rec.ID
+					id := m.part.row.id
 					func() {
 						defer func() {
 							if recover() == nil {
-								t.Fatalf("seed %d step %d: id %d inserted again while its %s row is held", seed, step, id, m.state)
+								t.Fatalf("seed %d step %d: id %d inserted again while its %s row is held", seed, step, id, stateNames[m.state])
 							}
 						}()
 						tb.insert(newRequest(id, slot, RequestSpec{}))
@@ -235,24 +242,23 @@ func TestTableProperty(t *testing.T) {
 			case op == 10 && rng.Intn(128) == 0: // a restore from the live rows
 				restores++
 				for _, id := range order { // the door drains before a snapshot
-					if m := model[id]; m.state == StatePending && m.idx < 0 {
-						m.idx = len(tb.byIdx)
-						tb.attach(m.req, m.idx, slot)
+					if m := model[id]; m.state == rowDoor {
+						take(m)
 					}
 				}
-				var rows []*request
+				var rows []*liveState
 				var serving []int
-				for _, req := range tb.byIdx {
-					if req == nil {
+				for _, live := range tb.byIdx {
+					if live == nil {
 						continue
 					}
-					m := model[req.rec.ID]
+					m := model[live.row.id]
 					m.idx = len(rows)
-					m.req = newRequest(req.rec.ID, req.rec.SubmittedSlot, RequestSpec{})
-					if m.state == StateServing {
+					m.part = newRequest(live.row.id, live.row.submitted, RequestSpec{})
+					if m.state == rowServing {
 						serving = append(serving, m.idx)
 					}
-					rows = append(rows, m.req)
+					rows = append(rows, m.part)
 				}
 				tb = newTable(bound, nil)
 				tb.restore(rows)
@@ -292,23 +298,29 @@ func TestTableProperty(t *testing.T) {
 			if len(tb.done) > 0 {
 				spilledTerminal++
 			}
-			// Every retained id leads to its row, which carries live state
-			// exactly while it is live.
+			// Every retained id leads to its row, in the model's state, and
+			// the planner's indices lead to the live parts of exactly the
+			// live requests the planner holds.
 			for _, id := range order {
 				m := model[id]
 				req := tb.row(id)
-				if req != m.req {
+				if req != m.part.row {
 					t.Fatalf("seed %d step %d: id %d does not lead to its row", seed, step, id)
 				}
 				rec, ok, err := tb.status(id)
-				if err != nil || !ok || rec.State != m.state {
-					t.Fatalf("seed %d step %d: status(%d) = %+v ok=%v err=%v, model state %q", seed, step, id, rec, ok, err, m.state)
+				if err != nil || !ok || req.state != m.state || rec.State != stateNames[m.state] {
+					t.Fatalf("seed %d step %d: status(%d) = %+v ok=%v err=%v in state %d, model state %d", seed, step, id, rec, ok, err, req.state, m.state)
 				}
-				if (req.live != nil) != m.live() {
-					t.Fatalf("seed %d step %d: id %d in state %q has live part %v", seed, step, id, m.state, req.live != nil)
+				if m.live() && m.idx >= 0 && tb.byIdx[m.idx] != m.part {
+					t.Fatalf("seed %d step %d: planner index %d does not lead to id %d", seed, step, m.idx, id)
 				}
-				if m.live() && m.idx >= 0 && (tb.byIdx[m.idx] != req || req.live.idx != m.idx) {
-					t.Fatalf("seed %d step %d: planner index %d does not lead to id %d and back", seed, step, m.idx, id)
+			}
+			for idx, live := range tb.byIdx {
+				if live == nil {
+					continue
+				}
+				if m := model[live.row.id]; m == nil || !m.live() || m.idx != idx {
+					t.Fatalf("seed %d step %d: planner index %d holds id %d, which the model does not hold there", seed, step, idx, live.row.id)
 				}
 			}
 		}
@@ -329,7 +341,7 @@ func TestTableProperty(t *testing.T) {
 		last := newRequest(math.MaxUint64, slot, RequestSpec{})
 		tb.insert(last)
 		checkTableShape(t, tb)
-		if tb.row(math.MaxUint64) != last {
+		if tb.row(math.MaxUint64) != last.row {
 			t.Fatalf("seed %d: id 2^64-1 does not lead to its row", seed)
 		}
 	}
@@ -348,16 +360,14 @@ func TestTableProperty(t *testing.T) {
 func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 	const bound = 4096
 	tb := newTable(bound, nil)
-	old := make([]*request, 8)
-	for id := uint64(0); id < bound; id++ {
+	for id := uint64(0); id < bound; id++ { // planner index id
 		req := newRequest(id, 0, RequestSpec{})
 		tb.insert(req)
-		tb.attach(req, len(tb.byIdx), 0)
-		if id < 8 { // the eight oldest stay live, the rest settle
-			old[id] = req
-			continue
+		tb.attach(req, 0)
+		tb.admit(1)
+		if id >= 8 { // the eight oldest stay live, the rest settle
+			tb.finish(int(id), rowExpired, 1)
 		}
-		tb.finish(req.live.idx, StateExpired, 1)
 	}
 	for id := uint64(bound); id < bound+100; id++ {
 		want := 0
@@ -369,7 +379,7 @@ func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 		}
 	}
 	// A batch evicts its size and steps over nothing.
-	batch := make([]*request, 50)
+	batch := make([]*liveState, 50)
 	for i := range batch {
 		batch[i] = newRequest(uint64(bound+100+i), 3, RequestSpec{})
 	}
@@ -382,8 +392,8 @@ func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 		}
 	}
 	// The spilled rows settle and are the next to go, lowest id first.
-	for _, req := range old[:3] {
-		tb.finish(req.live.idx, StateCompleted, 4)
+	for idx := range 3 {
+		tb.finish(idx, rowCompleted, 4)
 	}
 	if evicted, skipped := tb.insert(newRequest(bound+150, 4, RequestSpec{}), newRequest(bound+151, 4, RequestSpec{})); evicted != 2 || skipped != 0 {
 		t.Fatalf("insert after settling: evicted %d and stepped over %d rows, want 2 and 0", evicted, skipped)
@@ -515,4 +525,52 @@ func TestEntryPointsAgree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRequestRowIsCompact pins the row layout a settled request costs: at
+// most 56 bytes, no field the garbage collector would scan (so row chunks
+// are allocated noscan), and a full chunk within one row of the malloc
+// size class it lands in, so rounding wastes less than a row per chunk.
+func TestRequestRowIsCompact(t *testing.T) {
+	size := unsafe.Sizeof(request{})
+	if size > 56 {
+		t.Errorf("a row is %d bytes, want at most 56", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("row field %s is a %s, which the garbage collector scans", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("request", reflect.TypeOf(request{}))
+
+	chunk := rowChunk * size
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	metrics.Read(sample)
+	if sample[0].Value.Kind() != metrics.KindFloat64Histogram {
+		t.Fatal("the runtime reports no allocation size classes")
+	}
+	// Bucket boundaries sit one byte above each size class.
+	class := uintptr(0)
+	for _, b := range sample[0].Value.Float64Histogram().Buckets[1:] {
+		if !math.IsInf(b, 1) && uintptr(b)-1 >= chunk {
+			class = uintptr(b) - 1
+			break
+		}
+	}
+	if class == 0 {
+		t.Fatalf("a %d-byte chunk is past every small size class", chunk)
+	}
+	if class-chunk >= size {
+		t.Errorf("%d rows of %d bytes fill %d bytes of a %d-byte size class: a row or more wasted per chunk", rowChunk, size, chunk, class)
+	}
+	t.Logf("%d rows of %d bytes: %d bytes in the %d-byte size class", rowChunk, size, chunk, class)
 }
