@@ -1,5 +1,7 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# commands; `make verify` is the tier-1 gate a change must keep green.
+# Developer entry points, and the one definition of every gate: each CI
+# job in .github/workflows/ci.yml runs its target here (TestGateListsAgree
+# checks the pairing). `make verify` is the tier-1 gate a change must keep
+# green.
 
 GO ?= go
 
@@ -14,8 +16,9 @@ build:
 test:
 	$(GO) test ./...
 
-## race: concurrency-sensitive packages under the race detector
-## (shortened experiment profile, same as the CI race job).
+## race: concurrency-sensitive packages — the online engine and the
+## experiment harness fan repetitions out across goroutines — under the
+## race detector, with the shortened experiment profile.
 race:
 	$(GO) test -race -short ./internal/lp/... ./internal/core/... ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/cluster/... ./internal/oracle/... ./cmd/arserved/...
 
@@ -57,10 +60,11 @@ race:
 ## list, to the shard, and as the spec, the candidate rule gives), the
 ## request row's layout (at most 56 pointer-free bytes, its chunk filling
 ## its size class), and a status lookup that a stopped shard does not
-## hide from the shard holding the row, all under the race detector (same
-## as the CI cluster-parity job).
+## hide from the shard holding the row, all under the race detector. The
+## binary's NDJSON replay path runs at 1 and 2 shards in `make test`
+## (TestNDJSONReplayMode in cmd/arserved).
 cluster-parity:
-	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork|TestTableProperty|TestTableEvictionCostsWhatItEvicts|TestTableInsertAllocs|TestRefusedLinesReported|TestGenerationIsOneFile|TestSoloRouteMatchesCandidateRule|TestRequestRowIsCompact|TestStoppedShardHidesNoRow' ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -v -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork|TestTableProperty|TestTableEvictionCostsWhatItEvicts|TestTableInsertAllocs|TestRefusedLinesReported|TestGenerationIsOneFile|TestSoloRouteMatchesCandidateRule|TestRequestRowIsCompact|TestStoppedShardHidesNoRow' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate — the oracle
 ## differential proving that DynamicRR as shipped (clean components
@@ -78,10 +82,9 @@ cluster-parity:
 ## solves every component before it draws, per slot and offline, and the
 ## assign-row margin its skip rests on; the standard form the slot LP's
 ## builder writes against the same LP built through lp.Problem, bit for
-## bit — all under the race detector (same as the CI incremental-parity
-## job).
+## bit — all under the race detector.
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack|TestBuildLPWritesStandardForm' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -v -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack|TestBuildLPWritesStandardForm' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 
 ## drift: the drift correctness gate — the metamorphic invariance suites
 ## (arm relabeling, scenario time shift), the learner's checkpoint/restore
@@ -89,26 +92,28 @@ incremental-parity:
 ## distribution surviving a checkpoint, and the simulator's drift script
 ## (an outage evicting running streams, a handover re-pointing the
 ## pending queue, a drift run deterministic and startable mid-horizon),
-## all with pinned seeds under the race detector (same as the CI
-## drift-parity job). Drift runs in the simulator only: the daemon
-## installs no drift script.
+## all with pinned seeds under the race detector. Drift runs in the
+## simulator only: the daemon installs no drift script.
 drift:
-	$(GO) test -race -count=1 -run \
+	$(GO) test -race -count=1 -v -run \
 		'TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDecisions|TestDrawnOutcomesSurviveCheckpoint|TestOutageEvictsRunningStreams|TestHandoverMovesPendingQueue|TestDriftRunDeterministic|TestDriftMidHorizonStart' \
 		./internal/bandit/ ./internal/scenario/ ./internal/serve/ ./internal/sim/
 
 ## oracle: differential oracle suite, the daemon's packages with the
 ## runtime invariant checker on every engine, and the mutation smoke
-## check, mirroring the CI oracle job — the oraclemutant build must FAIL
-## the suite, proving the oracle still catches seeded capacity bugs.
+## check — the oraclemutant build relaxes internal/core's capacity-fit
+## test, and the suite must FAIL on it (mutant.log keeps its output),
+## proving the oracle still catches seeded capacity bugs.
 oracle:
 	MEC_ORACLE=1 $(GO) test -count=1 ./internal/oracle/...
 	MEC_ORACLE=1 $(GO) test -count=1 ./internal/cluster/ ./internal/serve/ ./cmd/arserved/
 	$(GO) build -tags oraclemutant ./...
 	@if $(GO) test -count=1 -tags oraclemutant \
 		-run 'TestHeuRespectsCapacityAndLatency|TestDynamicRRInvariantsOnline' \
-		./internal/oracle/ >/dev/null 2>&1; then \
-		echo "seeded capacity mutant passed the oracle suite" >&2; exit 1; fi
+		./internal/oracle/ >mutant.log 2>&1; then \
+		echo "seeded capacity mutant passed the oracle suite" >&2; \
+		cat mutant.log >&2; exit 1; fi
+	@grep -q 'FAIL' mutant.log
 	@echo "oracle: mutant caught"
 
 ## bench: the repository benchmark — the paper's slot cycle end to end
@@ -119,8 +124,8 @@ oracle:
 bench:
 	$(GO) run ./bench
 
-## bench-smoke: compile-and-run-once pass over the benchmark harness,
-## mirroring the CI bench-smoke job. No regression gate here: at
+## bench-smoke: compile-and-run-once pass over the benchmark harness
+## (CI archives its output as bench-smoke.txt). No regression gate here: at
 ## -benchtime 1x neither timings nor allocation counts mean anything
 ## (`make bench` measures, the AllocsPerRun tests pin). The checks that
 ## do run are two backlog gates and a network-size gate:
@@ -145,21 +150,21 @@ bench-smoke:
 ## tick-jitter: the stop-the-world smoke gate — with checkpoints
 ## firing every 4 slots on a loaded 2-shard cluster, the max tick pause
 ## must stay within 5x the median (10ms absolute floor), under the race
-## detector (same as the CI tick-jitter job). A failure here means a
-## checkpoint write landed back on the cluster clock.
+## detector. A failure here means a checkpoint write landed back on the
+## cluster clock.
 tick-jitter:
-	$(GO) test -race -count=1 -run 'TestTickPauseBoundWhileCheckpointing' ./internal/cluster/
+	$(GO) test -race -count=1 -v -run 'TestTickPauseBoundWhileCheckpointing' ./internal/cluster/
 
 ## fuzz: seed-corpus regression then a short fuzzing budget (FuzzOracleLP,
 ## the differential behind the simplex's pricing, gets twice the others').
 ## FuzzCheckpointRestore's seeds are whole checkpoints (up to 22 KB), and
 ## the default 60 s minimization of each new input would eat its budget.
 fuzz:
-	$(GO) test -run 'FuzzParse|FuzzSolveInteger' ./internal/lp/
-	$(GO) test -run 'FuzzOracleLP|FuzzDirtySet' ./internal/oracle/
-	$(GO) test -run 'FuzzBatchDecode' ./internal/serve/
-	$(GO) test -run 'FuzzScenarioDecode|FuzzScenarioV1Decode' ./internal/scenario/
-	$(GO) test -run 'FuzzCheckpointRestore' ./internal/cluster/
+	$(GO) test -v -run 'FuzzParse|FuzzSolveInteger' ./internal/lp/
+	$(GO) test -v -run 'FuzzOracleLP|FuzzDirtySet' ./internal/oracle/
+	$(GO) test -v -run 'FuzzBatchDecode' ./internal/serve/
+	$(GO) test -v -run 'FuzzScenarioDecode|FuzzScenarioV1Decode' ./internal/scenario/
+	$(GO) test -v -run 'FuzzCheckpointRestore' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzParse' -fuzztime 30s ./internal/lp/
 	$(GO) test -fuzz 'FuzzSolveInteger' -fuzztime 30s ./internal/lp/
 	$(GO) test -fuzz 'FuzzOracleLP' -fuzztime 60s ./internal/oracle/
@@ -171,7 +176,7 @@ fuzz:
 
 ## lint: staticcheck (correctness checks only, see staticcheck.conf) and
 ## govulncheck, both at pinned versions via the module proxy — nothing is
-## added to go.mod. Needs network access; CI runs the same pins.
+## added to go.mod. Needs network access.
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 lint:
@@ -189,4 +194,4 @@ vet:
 	$(GO) vet ./...
 
 clean:
-	rm -f mecoffload.test bench-smoke.txt
+	rm -f mecoffload.test bench-smoke.txt mutant.log

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
@@ -44,26 +45,15 @@ func (ts *traceScheduler) Schedule(eng *sim.Engine, res *core.Result, t int, pen
 	if err != nil {
 		return nil, err
 	}
-	used := 0.0
-	for _, u := range eng.Used() {
-		used += u
-	}
-	total := eng.Net().TotalCapacity()
-	line := fmt.Sprintf("slot %4d  pending %3d  admitted %3d  utilization %5.1f%%",
-		t, len(pending), len(admitted), 100*used/total)
-	if d, ok := ts.Scheduler.(*sim.DynamicRR); ok && d.Bandit() != nil {
-		if best, ok := d.Bandit().Policy().(interface{ BestArm() int }); ok {
-			line += fmt.Sprintf("  threshold %4.0f MHz", d.Bandit().Value(best.BestArm()))
-		}
-	}
-	fmt.Fprintln(ts.out, line)
+	d, _ := ts.Scheduler.(*sim.DynamicRR)
+	sim.WriteTraceLine(ts.out, t, len(pending), len(admitted), eng.Used(), eng.Net().TotalCapacity(), d)
 	return admitted, nil
 }
 
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("arsim", flag.ContinueOnError)
 	var (
-		schedName = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, ocorp, greedy, heukkt")
+		schedName = fs.String("scheduler", "dynamicrr", "scheduler: "+strings.ToLower(strings.Join(sim.OnlineAlgorithms(), ", ")))
 		requests  = fs.Int("requests", 300, "number of AR requests")
 		stations  = fs.Int("stations", 20, "number of base stations")
 		horizon   = fs.Int("horizon", 120, "arrival horizon in slots")
@@ -136,21 +126,16 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
+	// The -scheduler values are the online algorithms' names in lower case.
 	var sched sim.Scheduler
-	switch *schedName {
-	case "dynamicrr":
-		d, err := sim.NewDynamicRR(sim.DynamicRROptions{})
-		if err != nil {
-			return err
+	for _, name := range sim.OnlineAlgorithms() {
+		if strings.ToLower(name) == *schedName {
+			if sched, err = sim.NewScheduler(name); err != nil {
+				return err
+			}
 		}
-		sched = d
-	case "ocorp":
-		sched = &sim.OnlineOCORP{}
-	case "greedy":
-		sched = &sim.OnlineGreedy{}
-	case "heukkt":
-		sched = &sim.OnlineHeuKKT{}
-	default:
+	}
+	if sched == nil {
 		return fmt.Errorf("unknown scheduler %q", *schedName)
 	}
 	if *trace {
@@ -163,16 +148,9 @@ func run(args []string, out io.Writer) (err error) {
 	}
 
 	simHorizon := *horizon + 20
-	eng, err := sim.NewEngine(net, reqs, rnd.New(*seed, "engine"), sim.Config{Horizon: simHorizon})
+	res, _, err := sim.Simulate(net, reqs, sched, rnd.New(*seed, "engine"), sim.RunOptions{Horizon: simHorizon, Audit: true})
 	if err != nil {
 		return err
-	}
-	res, err := eng.Run(sched)
-	if err != nil {
-		return err
-	}
-	if err := sim.AuditTimeline(net, reqs, res, simHorizon); err != nil {
-		return fmt.Errorf("audit: %w", err)
 	}
 
 	fmt.Fprintf(out, "\n%s over %d slots: reward=$%.0f served=%d/%d admitted=%d avgLatency=%.1fms runtime=%s\n",

@@ -3,12 +3,25 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"mecoffload/internal/sim"
 )
 
+// TestRunEachScheduler: the flag's four values are the table's online
+// algorithms in lower case, and each runs.
 func TestRunEachScheduler(t *testing.T) {
-	for _, sched := range []string{"dynamicrr", "ocorp", "greedy", "heukkt"} {
+	want := []string{"dynamicrr", "ocorp", "greedy", "heukkt"}
+	var table []string
+	for _, name := range sim.OnlineAlgorithms() {
+		table = append(table, strings.ToLower(name))
+	}
+	if !slices.Equal(table, want) {
+		t.Fatalf("online algorithms %v, want %v", table, want)
+	}
+	for _, sched := range want {
 		var out strings.Builder
 		err := run([]string{
 			"-scheduler", sched, "-requests", "60", "-horizon", "30", "-stations", "8",
@@ -35,17 +48,24 @@ func TestRunTraceFlag(t *testing.T) {
 	}
 }
 
+// TestRunUnknownScheduler: a name outside the table's online algorithms —
+// a removed scheduler, an offline-only algorithm, or a table name not in
+// lower case — is refused as an unknown scheduler.
 func TestRunUnknownScheduler(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-scheduler", "oracle"}, &out); err == nil {
-		t.Fatal("want error for unknown scheduler")
+	for _, name := range []string{"oracle", "local-ratio", "exact", "appro", "heu", "DynamicRR"} {
+		var out strings.Builder
+		err := run([]string{"-scheduler", name, "-requests", "10", "-horizon", "5"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
+			t.Errorf("-scheduler %s: %v, want an unknown-scheduler error", name, err)
+		}
 	}
 }
 
 // TestRemovedIncrementalFlag: decision reuse is the one path and its
 // component pass is sequential, so the flags that used to select either
-// fail at parsing instead of being ignored, and the scheduler name that
-// switched the local-ratio certificate on is an unknown one. The frame-trace
+// fail at parsing instead of being ignored (the scheduler name that
+// switched the local-ratio certificate on is an unknown one, checked by
+// TestRunUnknownScheduler). The frame-trace
 // replay mode and its flags are gone too: arserved -replay is the replay,
 // held to oracle.FrameReplay. So is -bandit: successive elimination is
 // the one arm policy.
@@ -60,10 +80,6 @@ func TestRemovedIncrementalFlag(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%v: %v, want an unknown-flag error", removed, err)
 		}
-	}
-	err := run([]string{"-scheduler", "local-ratio", "-requests", "10", "-horizon", "5"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("-scheduler local-ratio: %v, want an unknown-scheduler error", err)
 	}
 }
 

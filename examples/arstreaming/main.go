@@ -45,31 +45,14 @@ func run() error {
 	fmt.Printf("AR streaming scenario: %d users over %d slots (%.1f s), %d stations\n\n",
 		users, horizon, float64(horizon)*mec.DefaultSlotLengthMS/1000, stations)
 
-	type entry struct {
-		name string
-		mk   func() (sim.Scheduler, error)
-	}
-	for _, e := range []entry{
-		{"DynamicRR", func() (sim.Scheduler, error) { return sim.NewDynamicRR(sim.DynamicRROptions{}) }},
-		{"OCORP", func() (sim.Scheduler, error) { return &sim.OnlineOCORP{}, nil }},
-		{"Greedy", func() (sim.Scheduler, error) { return &sim.OnlineGreedy{}, nil }},
-		{"HeuKKT", func() (sim.Scheduler, error) { return &sim.OnlineHeuKKT{}, nil }},
-	} {
-		workload.Reset(reqs)
-		sched, err := e.mk()
+	for _, name := range sim.OnlineAlgorithms() {
+		sched, err := sim.NewScheduler(name)
 		if err != nil {
 			return err
 		}
-		eng, err := sim.NewEngine(net, reqs, rand.New(rand.NewSource(5)), sim.Config{Horizon: horizon + 20})
+		res, _, err := sim.Simulate(net, reqs, sched, rand.New(rand.NewSource(5)), sim.RunOptions{Horizon: horizon + 20, Audit: true})
 		if err != nil {
-			return err
-		}
-		res, err := eng.Run(sched)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
-		}
-		if err := sim.AuditTimeline(net, reqs, res, horizon+20); err != nil {
-			return fmt.Errorf("%s audit: %w", e.name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Printf("%-10s reward=$%-8.0f served=%3d/%d  avg latency=%5.1f ms\n",
 			res.Algorithm, res.TotalReward, res.Served, len(reqs), res.AvgLatencyMS())

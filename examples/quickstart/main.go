@@ -38,10 +38,10 @@ func run() error {
 
 	fmt.Printf("%-8s  %10s  %8s  %10s  %10s\n",
 		"algo", "reward($)", "served", "latency", "runtime")
-	for _, algo := range []mecoffload.Algorithm{
-		mecoffload.Appro, mecoffload.Heu,
-		mecoffload.OCORP, mecoffload.Greedy, mecoffload.HeuKKT,
-	} {
+	for _, algo := range mecoffload.OfflineAlgorithms() {
+		if algo == mecoffload.Exact {
+			continue // branch and bound is for small instances only
+		}
 		res, err := scn.RunOffline(algo, rand.New(rand.NewSource(7)))
 		if err != nil {
 			return fmt.Errorf("%s: %w", algo, err)

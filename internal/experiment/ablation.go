@@ -72,8 +72,7 @@ func AblationKappa(opts Options) (*Table, error) {
 		},
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runDynamicVariant(inst, sim.DynamicRROptions{Kappa: int(x)},
-				runSeed(opts.Seed, 22, xi, rep, 0), opts)
+			return opts.simulate(inst, runSeed(opts.Seed, 22, xi, rep, 0))(sim.NewDynamicRR(sim.DynamicRROptions{Kappa: int(x)}))
 		})
 	return tbl, err
 }
@@ -117,7 +116,7 @@ func AblationPolicy(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			return runDynamicVariant(inst, sim.DynamicRROptions{Kappa: policyKappaA, Policy: pol}, seed, opts)
+			return opts.simulate(inst, seed)(sim.NewDynamicRR(sim.DynamicRROptions{Kappa: policyKappaA, Policy: pol}))
 		})
 	return tbl, err
 }
@@ -135,29 +134,6 @@ func newPolicy(name string, seed int64) (bandit.Policy, error) {
 	default:
 		return nil, ErrUnknownAlgorithm
 	}
-}
-
-// runDynamicVariant runs a DynamicRR configuration over one instance.
-func runDynamicVariant(inst *instance, dopts sim.DynamicRROptions, seed int64, opts Options) (*core.Result, error) {
-	workload.Reset(inst.reqs)
-	sched, err := sim.NewDynamicRR(dopts)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.NewEngine(inst.net, inst.reqs, rand.New(rand.NewSource(seed)), sim.Config{Horizon: opts.Horizon + 20})
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Run(sched)
-	if err != nil {
-		return nil, err
-	}
-	if !opts.SkipAudit {
-		if err := sim.AuditTimeline(inst.net, inst.reqs, res, opts.Horizon+20); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }
 
 // Reward models compared by AblationRewardModel.
@@ -192,7 +168,8 @@ func AblationRewardModel(opts Options) (*Table, error) {
 		},
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runOffline(inst, algo, runSeed(opts.Seed, 26, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit)
+			rng := rand.New(rand.NewSource(runSeed(opts.Seed, 26, xi, rep, algoIndex(tbl, algo))))
+			return sim.RunOffline(algo, inst.net, inst.reqs, rng, !opts.SkipAudit)
 		})
 	return tbl, err
 }
@@ -242,7 +219,7 @@ func AblationDiscretization(opts Options) (*Table, error) {
 			default:
 				return nil, ErrUnknownAlgorithm
 			}
-			return runDynamicVariant(inst, dopts, seed, opts)
+			return opts.simulate(inst, seed)(sim.NewDynamicRR(dopts))
 		})
 	return tbl, err
 }
@@ -292,7 +269,8 @@ func AblationSlotSize(opts Options) (*Table, error) {
 		},
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runOffline(inst, algo, runSeed(opts.Seed, 24, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit)
+			rng := rand.New(rand.NewSource(runSeed(opts.Seed, 24, xi, rep, algoIndex(tbl, algo))))
+			return sim.RunOffline(algo, inst.net, inst.reqs, rng, !opts.SkipAudit)
 		})
 	return tbl, err
 }

@@ -1,6 +1,10 @@
 package experiment
 
-import "mecoffload/internal/core"
+import (
+	"mecoffload/internal/core"
+	"mecoffload/internal/oracle"
+	"mecoffload/internal/sim"
+)
 
 // DecisionCost compares the per-slot decision engines of the online
 // scheduler — the oracle's full re-solve of every component every slot
@@ -31,8 +35,11 @@ func DecisionCost(opts Options) (*Table, error) {
 			xi := indexOf(xs, x)
 			// Same run seed for every variant: fidelity columns compare
 			// like against like on identical realization draws.
-			return runOnline(inst, algo, runSeed(opts.Seed, 8, xi, rep, 0),
-				opts.Horizon+20, !opts.SkipAudit)
+			run := opts.simulate(inst, runSeed(opts.Seed, 8, xi, rep, 0))
+			if algo == AlgoFullResolve {
+				return run(oracle.ReferenceDynamicRR(sim.DynamicRROptions{}))
+			}
+			return run(sim.NewScheduler(algo))
 		})
 	return tbl, err
 }

@@ -3,13 +3,10 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/scenario"
-	"mecoffload/internal/sim"
 	"mecoffload/internal/stats"
-	"mecoffload/internal/workload"
 )
 
 // Drift experiment defaults: the scenario pack's horizon is set by each
@@ -108,13 +105,13 @@ func driftScenario(opts Options, si int, name string) (*DriftScenarioCurves, err
 			if err != nil {
 				return nil, err
 			}
-			cum, err := driftRun(inst, drift, fixed, runSeedRep, doc.Horizon)
+			slot, _, err := learnerRun(inst, driftKappa, fixed, runSeedRep*13+1, doc.Horizon, drift)
 			if err != nil {
 				return nil, err
 			}
-			for t := range best {
-				if cum[t] > best[t] {
-					best[t] = cum[t]
+			for t, c := range cumulative(slot) {
+				if c > best[t] {
+					best[t] = c
 				}
 			}
 		}
@@ -125,10 +122,11 @@ func driftScenario(opts Options, si int, name string) (*DriftScenarioCurves, err
 			if err != nil {
 				return nil, err
 			}
-			cum, err := driftRun(inst, drift, pol, runSeedRep, doc.Horizon)
+			slot, _, err := learnerRun(inst, driftKappa, pol, runSeedRep*13+1, doc.Horizon, drift)
 			if err != nil {
 				return nil, err
 			}
+			cum := cumulative(slot)
 			for i, cp := range checkpoints {
 				r := best[cp-1] - cum[cp-1]
 				if r < 0 {
@@ -140,35 +138,6 @@ func driftScenario(opts Options, si int, name string) (*DriftScenarioCurves, err
 		}
 	}
 	return curves, nil
-}
-
-// driftRun simulates DynamicRR with one arm policy under the scenario's
-// drift script and returns the cumulative reward series.
-func driftRun(inst *instance, drift *sim.Drift, pol bandit.Policy, seed int64, horizon int) ([]float64, error) {
-	workload.Reset(inst.reqs)
-	inst.net.ResetCapacityScales()
-	sched, err := sim.NewDynamicRR(sim.DynamicRROptions{Kappa: driftKappa, Policy: pol})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.NewEngine(inst.net, inst.reqs, rand.New(rand.NewSource(seed*13+1)), sim.Config{Horizon: horizon})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.SetDrift(drift); err != nil {
-		return nil, err
-	}
-	if _, err := eng.Run(sched); err != nil {
-		return nil, err
-	}
-	slot := eng.SlotRewards()
-	cum := make([]float64, len(slot))
-	acc := 0.0
-	for t, r := range slot {
-		acc += r
-		cum[t] = acc
-	}
-	return cum, nil
 }
 
 func driftCheckpoints(horizon int) []int {

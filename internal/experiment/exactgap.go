@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mecoffload/internal/core"
+	"mecoffload/internal/sim"
 	"mecoffload/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func ExactGap(opts Options) (*Table, error) {
 			if algo == AlgoHindsight {
 				return hindsightResult(inst, seed)
 			}
-			return runOffline(inst, algo, seed, !opts.SkipAudit)
+			return sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(seed)), !opts.SkipAudit)
 		})
 	return tbl, err
 }

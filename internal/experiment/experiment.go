@@ -16,10 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mecoffload/internal/baseline"
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
-	"mecoffload/internal/oracle"
 	"mecoffload/internal/sim"
 	"mecoffload/internal/stats"
 	"mecoffload/internal/workload"
@@ -43,8 +41,10 @@ const (
 
 // Errors returned by the harness.
 var (
-	ErrUnknownAlgorithm = errors.New("experiment: unknown algorithm")
-	ErrAuditFailed      = errors.New("experiment: result failed feasibility audit")
+	// ErrUnknownAlgorithm and ErrAuditFailed are the algorithm table's
+	// own errors, shared with the façade.
+	ErrUnknownAlgorithm = sim.ErrUnknownAlgorithm
+	ErrAuditFailed      = sim.ErrAuditFailed
 	// ErrNegativeSize rejects a negative Repetitions, Stations, Requests
 	// or Horizon (zero selects the default).
 	ErrNegativeSize = errors.New("experiment: negative size")
@@ -171,81 +171,20 @@ func genInstance(stations int, wcfg workload.Config, seed int64) (*instance, err
 	return &instance{net: net, reqs: reqs}, nil
 }
 
-// runOffline executes one offline algorithm on a fresh realization of the
-// instance's workload.
-func runOffline(inst *instance, algo string, seed int64, audit bool) (*core.Result, error) {
-	workload.Reset(inst.reqs)
-	rng := rand.New(rand.NewSource(seed))
-	var (
-		res *core.Result
-		err error
-	)
-	switch algo {
-	case AlgoAppro:
-		res, err = core.Appro(inst.net, inst.reqs, rng, core.ApproOptions{})
-	case AlgoHeu:
-		res, err = core.Heu(inst.net, inst.reqs, rng, core.HeuOptions{})
-	case AlgoExact:
-		res, err = core.Exact(inst.net, inst.reqs, rng, core.ExactOptions{})
-	case AlgoOCORP:
-		res, err = baseline.OCORP(inst.net, inst.reqs, rng, baseline.Options{})
-	case AlgoGreedy:
-		res, err = baseline.Greedy(inst.net, inst.reqs, rng, baseline.Options{})
-	case AlgoHeuKKT:
-		res, err = baseline.HeuKKT(inst.net, inst.reqs, rng, baseline.Options{})
-	default:
-		return nil, fmt.Errorf("%w: %q (offline)", ErrUnknownAlgorithm, algo)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", algo, err)
-	}
-	if audit {
-		if err := core.Audit(inst.net, inst.reqs, res); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrAuditFailed, algo, err)
+// simulate runs an online scheduler over inst for the sweep horizon (the
+// arrival horizon plus 20 slots to drain) on an engine seeded with seed.
+// It returns a function of the scheduler and its build error, so a call
+// site passes its constructor's results straight in:
+// opts.simulate(inst, seed)(sim.NewScheduler(algo)).
+func (o Options) simulate(inst *instance, seed int64) func(sim.Scheduler, error) (*core.Result, error) {
+	return func(sched sim.Scheduler, err error) (*core.Result, error) {
+		if err != nil {
+			return nil, err
 		}
+		res, _, err := sim.Simulate(inst.net, inst.reqs, sched, rand.New(rand.NewSource(seed)),
+			sim.RunOptions{Horizon: o.Horizon + 20, Audit: !o.SkipAudit})
+		return res, err
 	}
-	return res, nil
-}
-
-// newScheduler builds the online scheduler for an algorithm name.
-func newScheduler(algo string) (sim.Scheduler, error) {
-	switch algo {
-	case AlgoDynamicRR:
-		return sim.NewDynamicRR(sim.DynamicRROptions{})
-	case AlgoFullResolve:
-		return oracle.ReferenceDynamicRR(sim.DynamicRROptions{})
-	case AlgoOCORP:
-		return &sim.OnlineOCORP{}, nil
-	case AlgoGreedy:
-		return &sim.OnlineGreedy{}, nil
-	case AlgoHeuKKT:
-		return &sim.OnlineHeuKKT{}, nil
-	default:
-		return nil, fmt.Errorf("%w: %q (online)", ErrUnknownAlgorithm, algo)
-	}
-}
-
-// runOnline executes one online algorithm over the simulation horizon.
-func runOnline(inst *instance, algo string, seed int64, horizon int, audit bool) (*core.Result, error) {
-	workload.Reset(inst.reqs)
-	sched, err := newScheduler(algo)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.NewEngine(inst.net, inst.reqs, rand.New(rand.NewSource(seed)), sim.Config{Horizon: horizon})
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Run(sched)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", algo, err)
-	}
-	if audit {
-		if err := sim.AuditTimeline(inst.net, inst.reqs, res, horizon); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrAuditFailed, algo, err)
-		}
-	}
-	return res, nil
 }
 
 // cellJob is one repetition of one (row, algorithm) grid cell of a

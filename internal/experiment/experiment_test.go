@@ -3,8 +3,11 @@ package experiment
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"mecoffload/internal/sim"
 )
 
 func fastOpts() Options {
@@ -138,16 +141,25 @@ func TestRegretSublinear(t *testing.T) {
 	}
 }
 
+// TestUnknownAlgorithm: a name the algorithm table lacks, or holds only in
+// the other mode, fails the harness's offline and online runs with its
+// ErrUnknownAlgorithm.
 func TestUnknownAlgorithm(t *testing.T) {
 	inst, err := genInstance(4, offlineWorkload(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runOffline(inst, "Nope", 1, false); err == nil {
-		t.Error("want error for unknown offline algorithm")
+	for _, algo := range []string{"Nope", AlgoDynamicRR, AlgoFullResolve} {
+		_, err := sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(1)), false)
+		if !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("offline %s: %v, want ErrUnknownAlgorithm", algo, err)
+		}
 	}
-	if _, err := runOnline(inst, "Nope", 1, 10, false); err == nil {
-		t.Error("want error for unknown online algorithm")
+	opts := Options{Horizon: 10}
+	for _, algo := range []string{"Nope", AlgoExact, AlgoAppro, AlgoHeu} {
+		if _, err := opts.simulate(inst, 1)(sim.NewScheduler(algo)); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("online %s: %v, want ErrUnknownAlgorithm", algo, err)
+		}
 	}
 }
 

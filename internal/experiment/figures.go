@@ -6,6 +6,7 @@ import (
 
 	"mecoffload/internal/core"
 	"mecoffload/internal/rnd"
+	"mecoffload/internal/sim"
 	"mecoffload/internal/workload"
 )
 
@@ -74,7 +75,8 @@ func Fig3(opts Options) (*Table, error) {
 		},
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runOffline(inst, algo, runSeed(opts.Seed, 3, xi, rep, algoIndex(tbl, algo)), !opts.SkipAudit)
+			rng := rand.New(rand.NewSource(runSeed(opts.Seed, 3, xi, rep, algoIndex(tbl, algo))))
+			return sim.RunOffline(algo, inst.net, inst.reqs, rng, !opts.SkipAudit)
 		})
 	return tbl, err
 }
@@ -90,7 +92,7 @@ func Fig4(opts Options) (*Table, error) {
 		ID:         "fig4",
 		Title:      "Online dynamic reward maximization vs number of requests (Fig. 4)",
 		XLabel:     "requests",
-		Algorithms: []string{AlgoDynamicRR, AlgoOCORP, AlgoGreedy, AlgoHeuKKT},
+		Algorithms: sim.OnlineAlgorithms(),
 	}
 	xs := defaultXRequests()
 	err := sweep(opts, tbl, xs,
@@ -100,8 +102,7 @@ func Fig4(opts Options) (*Table, error) {
 		},
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runOnline(inst, algo, runSeed(opts.Seed, 4, xi, rep, algoIndex(tbl, algo)),
-				opts.Horizon+20, !opts.SkipAudit)
+			return opts.simulate(inst, runSeed(opts.Seed, 4, xi, rep, algoIndex(tbl, algo)))(sim.NewScheduler(algo))
 		})
 	return tbl, err
 }
@@ -133,10 +134,13 @@ func Fig5(opts Options) (*Table, error) {
 			if algo == AlgoDynamicRR {
 				// DynamicRR is inherently online: replay the same requests
 				// with arrivals spread over the horizon.
-				spread := spreadArrivals(inst, opts.Horizon, seed)
-				return runOnline(spread, algo, seed, opts.Horizon+20, !opts.SkipAudit)
+				spread := &instance{net: inst.net, reqs: workload.Clone(inst.reqs)}
+				if err := workload.ApplyArrivals(spread.reqs, workload.UniformArrivals{}, opts.Horizon, rand.New(rand.NewSource(seed))); err != nil {
+					return nil, err
+				}
+				return opts.simulate(spread, seed)(sim.NewScheduler(algo))
 			}
-			return runOffline(inst, algo, seed, !opts.SkipAudit)
+			return sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(seed)), !opts.SkipAudit)
 		})
 	return tbl, err
 }
@@ -152,7 +156,7 @@ func Fig6(opts Options) (*Table, error) {
 		ID:         "fig6",
 		Title:      "Online algorithms vs maximum data rate (Fig. 6)",
 		XLabel:     "maxRateMBs",
-		Algorithms: []string{AlgoDynamicRR, AlgoOCORP, AlgoGreedy, AlgoHeuKKT},
+		Algorithms: sim.OnlineAlgorithms(),
 	}
 	xs := []float64{15, 20, 25, 30, 35}
 	err := sweep(opts, tbl, xs,
@@ -165,8 +169,7 @@ func Fig6(opts Options) (*Table, error) {
 		},
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
-			return runOnline(inst, algo, runSeed(opts.Seed, 6, xi, rep, algoIndex(tbl, algo)),
-				opts.Horizon+20, !opts.SkipAudit)
+			return opts.simulate(inst, runSeed(opts.Seed, 6, xi, rep, algoIndex(tbl, algo)))(sim.NewScheduler(algo))
 		})
 	return tbl, err
 }
@@ -179,29 +182,4 @@ func indexOf(xs []float64, x float64) int {
 		}
 	}
 	return 0
-}
-
-// spreadArrivals clones an offline instance and re-draws arrival slots
-// uniformly over the horizon, keeping everything else identical.
-func spreadArrivals(inst *instance, horizon int, seed int64) *instance {
-	rng := rand.New(rand.NewSource(seed))
-	reqs := workload.Clone(inst.reqs)
-	arrivals := make([]int, len(reqs))
-	for i := range arrivals {
-		arrivals[i] = rng.Intn(horizon)
-	}
-	// Keep IDs aligned with non-decreasing arrival order.
-	sortInts(arrivals)
-	for i, r := range reqs {
-		r.ArrivalSlot = arrivals[i]
-	}
-	return &instance{net: inst.net, reqs: reqs}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -3,12 +3,9 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"mecoffload/internal/bandit"
-	"mecoffload/internal/sim"
 	"mecoffload/internal/stats"
-	"mecoffload/internal/workload"
 )
 
 // learningWindow is the slot-window width of the learning-curve series.
@@ -48,7 +45,7 @@ func Learning(opts Options) (*LearningCurve, error) {
 		if err != nil {
 			return nil, err
 		}
-		se, _, err := learningRun(inst, seed, nil)
+		se, _, err := learnerRun(inst, regretKappa, nil, seed*7+2, regretHorizon, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +53,7 @@ func Learning(opts Options) (*LearningCurve, error) {
 		if err != nil {
 			return nil, err
 		}
-		fx, _, err := learningRun(inst, seed, fixed)
+		fx, _, err := learnerRun(inst, regretKappa, fixed, seed*7+2, regretHorizon, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -74,23 +71,6 @@ func windowSum(slot []float64, w int) float64 {
 		sum += slot[t]
 	}
 	return sum
-}
-
-// learningRun simulates one policy and returns the raw slot rewards.
-func learningRun(inst *instance, seed int64, policy bandit.Policy) ([]float64, *sim.DynamicRR, error) {
-	workload.Reset(inst.reqs)
-	sched, err := sim.NewDynamicRR(sim.DynamicRROptions{Kappa: regretKappa, Policy: policy})
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := sim.NewEngine(inst.net, inst.reqs, rand.New(rand.NewSource(seed*7+2)), sim.Config{Horizon: regretHorizon})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := eng.Run(sched); err != nil {
-		return nil, nil, err
-	}
-	return eng.SlotRewards(), sched, nil
 }
 
 // WriteText renders the learning curve.

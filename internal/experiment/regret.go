@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/sim"
 	"mecoffload/internal/stats"
-	"mecoffload/internal/workload"
 )
 
 // Regret experiment defaults. The system is driven into saturation so the
@@ -66,10 +64,11 @@ func Regret(opts Options) (*RegretResult, error) {
 		}
 
 		// DynamicRR with successive elimination.
-		seCum, lip, err := regretRun(inst, seed, nil)
+		slot, lip, err := learnerRun(inst, regretKappa, nil, seed*13+1, regretHorizon, nil)
 		if err != nil {
 			return nil, err
 		}
+		seCum := cumulative(slot)
 		out.Epsilon = lip.Epsilon()
 
 		// Every fixed arm on the same workload.
@@ -79,13 +78,13 @@ func Regret(opts Options) (*RegretResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			cum, _, err := regretRun(inst, seed, fixed)
+			slot, _, err := learnerRun(inst, regretKappa, fixed, seed*13+1, regretHorizon, nil)
 			if err != nil {
 				return nil, err
 			}
-			for t := range best {
-				if cum[t] > best[t] {
-					best[t] = cum[t]
+			for t, c := range cumulative(slot) {
+				if c > best[t] {
+					best[t] = c
 				}
 			}
 		}
@@ -114,32 +113,29 @@ func Regret(opts Options) (*RegretResult, error) {
 	return out, nil
 }
 
-// regretRun simulates one policy (nil = successive elimination) and
-// returns the cumulative per-slot reward series.
-func regretRun(inst *instance, seed int64, policy bandit.Policy) ([]float64, *bandit.Lipschitz, error) {
-	workload.Reset(inst.reqs)
-	sched, err := sim.NewDynamicRR(sim.DynamicRROptions{Kappa: regretKappa, Policy: policy})
+// learnerRun simulates DynamicRR with kappa arms and arm policy pol (nil:
+// successive elimination) over inst for horizon slots, unaudited, on an
+// engine seeded with seed and under drift (nil: none), and returns its
+// per-slot rewards and its learner.
+func learnerRun(inst *instance, kappa int, pol bandit.Policy, seed int64, horizon int, drift *sim.Drift) ([]float64, *bandit.Lipschitz, error) {
+	sched, err := sim.NewDynamicRR(sim.DynamicRROptions{Kappa: kappa, Policy: pol})
 	if err != nil {
 		return nil, nil, err
 	}
-	eng, err := sim.NewEngine(inst.net, inst.reqs, rand.New(rand.NewSource(seed*13+1)), sim.Config{Horizon: regretHorizon})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := eng.Run(sched); err != nil {
-		return nil, nil, err
-	}
-	slot := eng.SlotRewards()
-	if len(slot) != regretHorizon {
-		return nil, nil, fmt.Errorf("experiment: regret run produced %d slots, want %d", len(slot), regretHorizon)
-	}
+	_, slot, err := sim.Simulate(inst.net, inst.reqs, sched, rand.New(rand.NewSource(seed)),
+		sim.RunOptions{Horizon: horizon, Drift: drift})
+	return slot, sched.Bandit(), err
+}
+
+// cumulative returns the prefix sums of a per-slot series.
+func cumulative(slot []float64) []float64 {
 	cum := make([]float64, len(slot))
 	acc := 0.0
 	for t, r := range slot {
 		acc += r
 		cum[t] = acc
 	}
-	return cum, sched.Bandit(), nil
+	return cum
 }
 
 // maxSlot returns the largest single-slot increment of a cumulative series.

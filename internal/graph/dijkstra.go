@@ -148,15 +148,6 @@ func (ap *AllPairs) Dist(u, v int) float64 {
 	return ap.sp[u].Dist[v]
 }
 
-// Path returns the vertex sequence of a shortest u..v path, nil when
-// disconnected.
-func (ap *AllPairs) Path(u, v int) []int {
-	if u < 0 || u >= ap.n {
-		return nil
-	}
-	return ap.sp[u].PathTo(v)
-}
-
 // PathEdges returns the edge indices of a shortest u..v path, nil when
 // disconnected.
 func (ap *AllPairs) PathEdges(u, v int) []int {

@@ -113,7 +113,6 @@ var (
 	ErrBadVariable   = errors.New("lp: invalid variable")
 	ErrBadCoef       = errors.New("lp: invalid coefficient")
 	ErrNoVariables   = errors.New("lp: problem has no variables")
-	ErrNotSolved     = errors.New("lp: problem not solved to optimality")
 	ErrNonIntegrable = errors.New("lp: integer variable required")
 )
 

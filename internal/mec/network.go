@@ -299,9 +299,6 @@ func (n *Network) RoundTripDelayMS(u, v int) float64 {
 	return 2 * n.OneWayDelayMS(u, v)
 }
 
-// PathBetween returns the station sequence of the shortest backhaul path.
-func (n *Network) PathBetween(u, v int) []int { return n.ap.Path(u, v) }
-
 // NearestStation returns the station closest (in backhaul delay) to "from"
 // among candidates, excluding "from" itself. Used by algorithm Heu to
 // migrate a task "to the closest base station" (Algorithm 2 step 13).

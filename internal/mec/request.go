@@ -11,12 +11,11 @@ import (
 
 // Errors returned by request constructors.
 var (
-	ErrNoTasks      = errors.New("mec: request needs at least one task")
-	ErrNoDist       = errors.New("mec: request needs a rate-reward distribution")
-	ErrNotRealized  = errors.New("mec: request rate not yet realized")
-	ErrBadTask      = errors.New("mec: invalid task")
-	ErrBadRequest   = errors.New("mec: invalid request")
-	ErrBadWorkloads = errors.New("mec: invalid workload parameters")
+	ErrNoTasks     = errors.New("mec: request needs at least one task")
+	ErrNoDist      = errors.New("mec: request needs a rate-reward distribution")
+	ErrNotRealized = errors.New("mec: request rate not yet realized")
+	ErrBadTask     = errors.New("mec: invalid task")
+	ErrBadRequest  = errors.New("mec: invalid request")
 )
 
 // Task is one stage M_{j,k} of an AR processing pipeline (pose estimation,

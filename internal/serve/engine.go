@@ -69,8 +69,9 @@ type Config struct {
 	// reproducible in tests and replay. The zero seed is a valid,
 	// deterministic stream of its own.
 	RetrySeed int64
-	// TraceWriter, when non-nil, receives one line per slot in arsim's
-	// trace format, so offline and online runs are diffable.
+	// TraceWriter, when non-nil, receives one line per slot from
+	// sim.WriteTraceLine, the formatter of arsim -trace, so offline and
+	// online runs are diffable.
 	TraceWriter io.Writer
 	// Logf, when non-nil, receives operational log lines (scheduler
 	// errors, compaction).

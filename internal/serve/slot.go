@@ -5,7 +5,6 @@ package serve
 // shares with Flush and Drain. Tick runs it with the planner lock held.
 
 import (
-	"fmt"
 	"time"
 
 	"mecoffload/internal/sim"
@@ -103,18 +102,8 @@ func (e *Engine) publish(t, depth int, rep sim.SlotReport, durMS float64) {
 	m.PendingDepth.Store(int64(len(e.pending)))
 	m.ActiveStreams.Store(int64(e.planner.NumRunning()))
 
-	// Per-slot trace line, format-compatible with arsim -trace.
 	if e.cfg.TraceWriter != nil {
-		sumUsed := 0.0
-		for _, u := range e.planner.Used() {
-			sumUsed += u
-		}
-		line := fmt.Sprintf("slot %4d  pending %3d  admitted %3d  utilization %5.1f%%",
-			t, depth, len(rep.Admitted), 100*sumUsed/e.cfg.Net.TotalCapacity())
-		if best, ok := e.sched.Bandit().Policy().(interface{ BestArm() int }); ok {
-			line += fmt.Sprintf("  threshold %4.0f MHz", e.sched.Bandit().Value(best.BestArm()))
-		}
-		fmt.Fprintln(e.cfg.TraceWriter, line)
+		sim.WriteTraceLine(e.cfg.TraceWriter, t, depth, len(rep.Admitted), e.planner.Used(), e.cfg.Net.TotalCapacity(), e.sched)
 	}
 }
 

@@ -192,3 +192,23 @@ func ReadRunTrace(r io.Reader) (*RunTrace, error) {
 	}
 	return &tr, nil
 }
+
+// WriteTraceLine writes one slot's trace line — the format of arsim
+// -trace and of the serving daemon's trace writer: the slot, the pending
+// queue's depth, the admitted count, the realized utilization of the
+// stations' capacity, and the threshold d's arm policy currently favors
+// when d is non-nil and its policy names a best arm.
+func WriteTraceLine(w io.Writer, t, pending, admitted int, used []float64, capacity float64, d *DynamicRR) {
+	sum := 0.0
+	for _, u := range used {
+		sum += u
+	}
+	line := fmt.Sprintf("slot %4d  pending %3d  admitted %3d  utilization %5.1f%%",
+		t, pending, admitted, 100*sum/capacity)
+	if d != nil && d.Bandit() != nil {
+		if best, ok := d.Bandit().Policy().(interface{ BestArm() int }); ok {
+			line += fmt.Sprintf("  threshold %4.0f MHz", d.Bandit().Value(best.BestArm()))
+		}
+	}
+	fmt.Fprintln(w, line)
+}

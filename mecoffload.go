@@ -36,12 +36,9 @@
 package mecoffload
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 
-	"mecoffload/internal/baseline"
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/scenario"
@@ -80,8 +77,10 @@ type (
 	Request = mec.Request
 )
 
-// ErrUnknownAlgorithm reports an Algorithm this facade cannot run.
-var ErrUnknownAlgorithm = errors.New("mecoffload: unknown algorithm")
+// ErrUnknownAlgorithm reports an Algorithm this facade cannot run in the
+// asked mode. It is the algorithm table's own error, so the experiment
+// harness's ErrUnknownAlgorithm is the same value.
+var ErrUnknownAlgorithm = sim.ErrUnknownAlgorithm
 
 // ScenarioConfig describes a synthetic evaluation scenario with the
 // paper's defaults for everything not set.
@@ -160,71 +159,18 @@ func NewScenario(cfg ScenarioConfig, rng *rand.Rand) (*Scenario, error) {
 // RunOffline executes an offline algorithm on a fresh realization of the
 // scenario's workload and audits the result.
 func (s *Scenario) RunOffline(algo Algorithm, rng *rand.Rand) (*Result, error) {
-	workload.Reset(s.Offline)
-	var (
-		res *core.Result
-		err error
-	)
-	switch algo {
-	case Exact:
-		res, err = core.Exact(s.Net, s.Offline, rng, core.ExactOptions{})
-	case Appro:
-		res, err = core.Appro(s.Net, s.Offline, rng, core.ApproOptions{})
-	case Heu:
-		res, err = core.Heu(s.Net, s.Offline, rng, core.HeuOptions{})
-	case OCORP:
-		res, err = baseline.OCORP(s.Net, s.Offline, rng, baseline.Options{})
-	case Greedy:
-		res, err = baseline.Greedy(s.Net, s.Offline, rng, baseline.Options{})
-	case HeuKKT:
-		res, err = baseline.HeuKKT(s.Net, s.Offline, rng, baseline.Options{})
-	default:
-		return nil, fmt.Errorf("%w: %q (offline)", ErrUnknownAlgorithm, algo)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := core.Audit(s.Net, s.Offline, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return sim.RunOffline(string(algo), s.Net, s.Offline, rng, true)
 }
 
 // RunOnline executes an online algorithm over the scenario's arrival
 // stream and audits the resulting timeline.
 func (s *Scenario) RunOnline(algo Algorithm, rng *rand.Rand) (*Result, error) {
-	workload.Reset(s.Online)
-	var (
-		sched sim.Scheduler
-		err   error
-	)
-	switch algo {
-	case DynamicRR:
-		sched, err = sim.NewDynamicRR(sim.DynamicRROptions{})
-	case OCORP:
-		sched = &sim.OnlineOCORP{}
-	case Greedy:
-		sched = &sim.OnlineGreedy{}
-	case HeuKKT:
-		sched = &sim.OnlineHeuKKT{}
-	default:
-		return nil, fmt.Errorf("%w: %q (online)", ErrUnknownAlgorithm, algo)
-	}
+	sched, err := sim.NewScheduler(string(algo))
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sim.NewEngine(s.Net, s.Online, rng, sim.Config{Horizon: s.Horizon})
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Run(sched)
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.AuditTimeline(s.Net, s.Online, res, s.Horizon); err != nil {
-		return nil, err
-	}
-	return res, nil
+	res, _, err := sim.Simulate(s.Net, s.Online, sched, rng, sim.RunOptions{Horizon: s.Horizon, Audit: true})
+	return res, err
 }
 
 // WriteJSON serializes the scenario (network plus the online workload,
@@ -259,13 +205,17 @@ func ReadScenarioJSON(r io.Reader) (*Scenario, error) {
 }
 
 // OfflineAlgorithms lists the algorithms RunOffline accepts.
-func OfflineAlgorithms() []Algorithm {
-	return []Algorithm{Exact, Appro, Heu, OCORP, Greedy, HeuKKT}
-}
+func OfflineAlgorithms() []Algorithm { return algorithmsOf(sim.OfflineAlgorithms()) }
 
 // OnlineAlgorithms lists the algorithms RunOnline accepts.
-func OnlineAlgorithms() []Algorithm {
-	return []Algorithm{DynamicRR, OCORP, Greedy, HeuKKT}
+func OnlineAlgorithms() []Algorithm { return algorithmsOf(sim.OnlineAlgorithms()) }
+
+func algorithmsOf(names []string) []Algorithm {
+	out := make([]Algorithm, len(names))
+	for i, n := range names {
+		out[i] = Algorithm(n)
+	}
+	return out
 }
 
 func sortByArrival(reqs []*mec.Request) {

@@ -2,6 +2,7 @@ package mecoffload
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -54,11 +55,10 @@ func TestRunOfflineAllAlgorithms(t *testing.T) {
 			t.Fatalf("%s served nothing", algo)
 		}
 	}
-	if _, err := scn.RunOffline("bogus", rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("want error for unknown algorithm")
-	}
-	if _, err := scn.RunOffline(DynamicRR, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("DynamicRR is online-only")
+	for _, algo := range []Algorithm{"bogus", DynamicRR} { // DynamicRR is online-only
+		if _, err := scn.RunOffline(algo, rand.New(rand.NewSource(1))); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("RunOffline(%s) = %v, want ErrUnknownAlgorithm", algo, err)
+		}
 	}
 }
 
@@ -84,8 +84,10 @@ func TestRunOnlineAllAlgorithms(t *testing.T) {
 			t.Fatalf("%s served nothing", algo)
 		}
 	}
-	if _, err := scn.RunOnline(Appro, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("Appro is offline-only")
+	for _, algo := range []Algorithm{"bogus", Exact, Appro, Heu} { // offline-only
+		if _, err := scn.RunOnline(algo, rand.New(rand.NewSource(1))); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("RunOnline(%s) = %v, want ErrUnknownAlgorithm", algo, err)
+		}
 	}
 }
 
