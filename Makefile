@@ -22,67 +22,25 @@ test:
 race:
 	$(GO) test -race -short ./internal/lp/... ./internal/core/... ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/cluster/... ./internal/oracle/... ./cmd/arserved/...
 
-## cluster-parity: the sharding correctness gate — the oracle replay
-## differential proving 1-, 2-, and 8-shard clusters emit identical
-## decision streams (a request whose candidate set is or becomes empty
-## among them), plus the reshard-restore contracts (a stream that keeps
-## answering serving through later submits and a restore among them) and
-## the restore refusing every
-## file that is not a manifest of the one format written for this
-## topology, concurrent intake, ticks and a drain losing no accepted
-## request, the saturated batched intake
-## staying inside its queue bounds and accounting for every accepted
-## request at 1 and 2 shards, one interleaving of batch and single
-## submits giving one outcome on every run, the door's buffer against
-## its naive reference and its overflow rule worked out entry by entry
-## (shed the cheapest, drain the survivors oldest first), the goroutine census (an
-## engine runs none, a cluster runs shards − 1), restore refusing a
-## running stream no engine could have written (a negative share among
-## them), the engine's stream ledgers bit-identical to a map-based
-## reference, every ledger equal bit for bit to its live holds (and 0
-## when none run) under any interleaving of admit, release, evict,
-## compaction and restore, a pre-grid snapshot restoring exact ledgers
-## that drain to 0, and the home-shard rule (a spanning request homes on its
-## access station's shard when that owns a candidate), a generation
-## naming a removed scheduler
-## restoring under DynamicRR and written back naming it, and the one
-## overload rule (a single POST the door sheds on arrival answers 503 +
-## Retry-After, like a refused batch), and the one station numbering (a
-## shard's masked network keeps the delays of its own stations bit for
-## bit, and a request's status names a station its shard owns), the
-## request table's id window against a map model in every id order a
-## cluster produces (strides, late batches, inserts below the window,
-## restores) and its bound costing what it evicts with no allocation, and
-## a line its shard refused reported as an error of that line, a
-## checkpoint generation that is the manifest file alone across
-## checkpoints, stops and restarts, and the router's solo stations (a
-## request that has no shard to choose is routed without a candidate
-## list, to the shard, and as the spec, the candidate rule gives), the
-## request row's layout (at most 56 pointer-free bytes, its chunk filling
-## its size class), and a status lookup that a stopped shard does not
-## hide from the shard holding the row, all under the race detector. The
-## binary's NDJSON replay path runs at 1 and 2 shards in `make test`
-## (TestNDJSONReplayMode in cmd/arserved).
+## cluster-parity: the sharding correctness gate, under the race
+## detector. It proves that 1-, 2- and 8-shard clusters decide what one
+## engine decides (the oracle replay differential), that a manifest
+## restores at any shard count and every other file is refused, and that
+## concurrent intake, ticks, drains and stops lose no accepted request.
+## The rest of the list pins what those rest on: the router's home-shard
+## rule, the door, the stream ledgers, the request table, the clock after
+## Stop and the goroutine census; each test's doc comment says what it
+## checks. The binary's NDJSON replay runs in `make test`.
 cluster-parity:
-	$(GO) test -race -count=1 -v -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork|TestTableProperty|TestTableEvictionCostsWhatItEvicts|TestTableInsertAllocs|TestRefusedLinesReported|TestGenerationIsOneFile|TestSoloRouteMatchesCandidateRule|TestRequestRowIsCompact|TestStoppedShardHidesNoRow' ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -v -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork|TestTableProperty|TestTableEvictionCostsWhatItEvicts|TestTableInsertAllocs|TestRefusedLinesReported|TestGenerationIsOneFile|TestSoloRouteMatchesCandidateRule|TestRequestRowIsCompact|TestStoppedShardHidesNoRow|TestClockAfterStop' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
-## incremental-parity: the decision path's correctness gate — the oracle
-## differential proving that DynamicRR as shipped (clean components
-## replay their cached decision) emits a decision stream identical to the
-## oracle's reference, which re-solves every component every slot; the
-## property that replay rests on (a cold solve is a function of its LP
-## alone, whatever the pooled scratch held); Appro and Heu over the shared
-## pass loop against the offline loop they used to run, decision for
-## decision; the dirty-set and first-sighting edge-case
-## suite; the default 1-shard cluster against the reference on the steady
-## wave; an engine that compacts every few slots against one that
-## never does; the slot LP's dropped cap rows against the unpruned LP and
-## the dense reference simplex; the per-station column cap of the
-## refined passes; the draw-first rounding pass against the loop that
-## solves every component before it draws, per slot and offline, and the
-## assign-row margin its skip rests on; the standard form the slot LP's
-## builder writes against the same LP built through lp.Problem, bit for
-## bit — all under the race detector.
+## incremental-parity: the decision path's correctness gate, under the
+## race detector. It proves that DynamicRR as shipped, which replays a
+## clean component's cached decision, decides exactly what the oracle's
+## reference decides by re-solving every component every slot, and that
+## each shortcut of the slot path (compaction, dropped cap rows, the
+## draw-first rounding pass, the standard-form LP builder) matches the
+## loop it replaced; each test's doc comment says what it checks.
 incremental-parity:
 	$(GO) test -race -count=1 -v -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack|TestBuildLPWritesStandardForm' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 

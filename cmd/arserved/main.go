@@ -129,9 +129,9 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-shards %d: want 1 to %d (at most one shard per station)", *shards, net_.NumStations())
 	}
 
-	// Contention profiles are sampled from process start so an epoch
-	// barrier or clock-lock stall is visible the moment the pprof
-	// endpoint is scraped — both default off because sampling every
+	// Contention profiles are sampled from process start so a door or
+	// clock-lock stall is visible the moment the pprof endpoint is
+	// scraped — both default off because sampling every
 	// blocking event costs on the hot path.
 	prof.EnableContentionProfiles(*blockRate, *mutexFrac)
 

@@ -87,11 +87,17 @@ func TestReplayMode(t *testing.T) {
 	}
 
 	// The same flags at two shards: frame traces replay through the
-	// router, and -trace reaches every shard under its own prefix.
-	sharded := &syncBuffer{}
-	err = run([]string{"-replay", path, "-stations", "4", "-seed", "7", "-trace", "-shards", "2"}, sharded)
-	if err != nil {
-		t.Fatal(err)
+	// router, and -trace reaches every shard under its own prefix. The
+	// clock runs the shards' slots in shard order, so a second run prints
+	// the same bytes.
+	var sharded, again bytes.Buffer
+	for _, buf := range []*bytes.Buffer{&sharded, &again} {
+		if err := run([]string{"-replay", path, "-stations", "4", "-seed", "7", "-trace", "-shards", "2"}, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(sharded.Bytes(), again.Bytes()) {
+		t.Fatalf("two 2-shard replays printed different output:\n%s\n---\n%s", sharded.String(), again.String())
 	}
 	text = sharded.String()
 	for _, want := range []string{"replayed 5 trace seconds", "[shard 0] slot    0  pending ", "[shard 1] slot    0  pending "} {

@@ -71,45 +71,11 @@ func TestRouteFastPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestTakeReportsDoubleBuffer pins the reward-aggregation floor: the
-// observe/takeReports cycle of a shard node reuses the same two report
-// buffers in steady state, so the lockstep tick's fan-in allocates
-// nothing once both buffers have grown to the slot's report count.
-func TestTakeReportsDoubleBuffer(t *testing.T) {
-	nd := &shardNode{}
-	ext := []uint64{1, 2, 3}
-	// Warm both halves of the double buffer.
-	for i := 0; i < 2; i++ {
-		nd.observe(i, ext, 10)
-		nd.takeReports()
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		nd.observe(7, ext, 10)
-		r := nd.takeReports()
-		if len(r) != 1 || r[0].reward != 10 {
-			t.Fatalf("reports = %+v", r)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("observe/takeReports cycle allocates %v per run, want 0", allocs)
-	}
-	// The handed-out slice must survive until the next takeReports even
-	// while new reports accumulate.
-	nd.observe(8, ext, 1)
-	r := nd.takeReports()
-	nd.observe(9, ext, 2)
-	if len(r) != 1 || r[0].slot != 8 {
-		t.Fatalf("stale buffer overwritten: %+v", r)
-	}
-}
-
-// TestIdleTickEpochAllocFree pins the epoch machine's floor: one cluster
-// tick — the epoch broadcast to the shard workers, the fused feedback
-// delivery, both engines' slots, the report fan-in, and the SlotObserver
-// callback — allocates NOTHING on an idle slot, across all goroutines. The
-// old per-tick `go func` spawn plus the `sort.Slice` closure made this
-// impossible; a regression here means something put per-slot garbage back
-// on the clock path. The pin is for the cluster as shipped: MEC_ORACLE=1
+// TestIdleTickEpochAllocFree pins the cluster clock's floor: one cluster
+// tick — both engines' slots, their decision reports, the feedback
+// delivery, and the SlotObserver callback — allocates NOTHING on an idle
+// slot. A regression here means something put per-slot garbage back on
+// the clock path. The pin is for the cluster as shipped: MEC_ORACLE=1
 // would install the allocating invariant checker on every shard, so the
 // test clears it.
 func TestIdleTickEpochAllocFree(t *testing.T) {
@@ -130,8 +96,8 @@ func TestIdleTickEpochAllocFree(t *testing.T) {
 	}
 	c.Start()
 	defer func() { _ = c.Stop() }()
-	// Warm every reusable buffer: the epoch WaitGroup, report
-	// double-buffers, the admitted scratch.
+	// Warm every reusable buffer: the engines' and the clock's admitted
+	// scratch.
 	for i := 0; i < 8; i++ {
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
@@ -241,7 +207,7 @@ func TestRefusedShardLeavesHoles(t *testing.T) {
 		return serve.RequestSpec{AccessStation: station, DurationSlots: 2, Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}}
 	}
 	// An idle engine exits as soon as it drains; its reply may lose to that.
-	if err := c.nodes[1].eng.Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
+	if err := c.engines[1].Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
 		t.Fatal(err)
 	}
 	// Stations 0,1 are shard 0's; 2,3 the draining shard 1's.
@@ -267,10 +233,10 @@ func TestRefusedShardLeavesHoles(t *testing.T) {
 	}
 }
 
-// TestClusterGoroutines: a shard costs one goroutine, its epoch worker,
-// and shard 0 not even that — the clock runs its share of every epoch
-// itself. New plus Start on the manual clock without a checkpoint path
-// adds exactly shards − 1 goroutines, and Stop takes them all down.
+// TestClusterGoroutines: a shard costs no goroutine — the clock runs every
+// shard's slot itself. New plus Start on the manual clock without a
+// checkpoint path adds no goroutine at any shard count, and Stop leaves
+// none.
 func TestClusterGoroutines(t *testing.T) {
 	net := allocTestNetwork(t)
 	for _, shards := range []int{1, 2, 4} {
@@ -280,8 +246,8 @@ func TestClusterGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Start()
-		if got := runtime.NumGoroutine() - base; got != shards-1 {
-			t.Fatalf("%d shards: New + Start added %d goroutines, want %d epoch workers", shards, got, shards-1)
+		if got := runtime.NumGoroutine() - base; got != 0 {
+			t.Fatalf("%d shards: New + Start added %d goroutines, want 0", shards, got)
 		}
 		if err := c.Stop(); err != nil {
 			t.Fatal(err)
@@ -291,9 +257,8 @@ func TestClusterGoroutines(t *testing.T) {
 }
 
 // TestStopLeavesNoGoroutines: a started 2-shard cluster with a checkpoint
-// path runs one epoch worker (shard 1's) and the checkpoint writer; after
-// a Stop that follows batches, slots, checkpoints and a drain, neither is
-// left. The census counts goroutines by the function they run, so another
+// path runs one goroutine, the checkpoint writer; after a Stop that
+// follows batches, slots, checkpoints and a drain, it is gone. The census counts goroutines by the function they run, so another
 // test's goroutine that comes or goes meanwhile does not enter it.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	net := allocTestNetwork(t)
@@ -307,7 +272,7 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	waitClusterGoroutines(t, map[string]int{epochWorker: 1, writerLoop: 1}, "a started 2-shard cluster (shard 1's epoch worker, the checkpoint writer)")
+	waitClusterGoroutines(t, map[string]int{writerLoop: 1}, "a started 2-shard cluster (the checkpoint writer)")
 	for slot := 0; slot < 6; slot++ {
 		if _, err := c.SubmitBatch([]serve.RequestSpec{{AccessStation: slot % 4, DurationSlots: 2}}); err != nil {
 			t.Fatal(err)
@@ -330,13 +295,11 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 	waitClusterGoroutines(t, none, "after Stop")
 }
 
-// The functions a cluster's goroutines run: the epoch worker of every
-// shard but shard 0, the checkpoint writer's loop with a checkpoint path,
-// and the wall clock with a tick interval.
+// The functions a cluster's goroutines run: the checkpoint writer's loop
+// with a checkpoint path, and the wall clock with a tick interval.
 const (
-	epochWorker = "cluster.(*shardNode).epochWorker"
-	writerLoop  = "ckpt.(*Writer).loop"
-	ticker      = "cluster.(*Cluster).runTicker"
+	writerLoop = "ckpt.(*Writer).loop"
+	ticker     = "cluster.(*Cluster).runTicker"
 )
 
 // clusterGoroutines counts the live goroutines running each cluster
@@ -348,7 +311,7 @@ func clusterGoroutines() map[string]int {
 		buf = make([]byte, 2*len(buf)) // the dump was cut short
 	}
 	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		for _, fn := range []string{epochWorker, writerLoop, ticker} {
+		for _, fn := range []string{writerLoop, ticker} {
 			if strings.Contains(g, fn+"(") {
 				n[fn]++
 			}

@@ -50,9 +50,9 @@ type Manifest struct {
 
 // checkpointLocked takes a full cluster checkpoint, split into a cheap
 // extraction under the clock lock and a disk job on the single-flight
-// writer. Extraction is one epSnapshot epoch — every shard flushes its
-// door's residue and hands back a copy-on-write snapshot — plus the
-// manifest around them; JSON encoding, the temp file, fsync and the
+// writer. Extraction has every shard, in shard order, flush its door's
+// residue and hand back a copy-on-write snapshot, and builds the manifest
+// around them; JSON encoding, the temp file, fsync and the
 // rename run inside the writer job. With syncWrite (Stop's final
 // manifest) the call blocks until the generation is durable; otherwise it
 // returns right after extraction and the write proceeds in the
@@ -62,15 +62,6 @@ type Manifest struct {
 // of a clean shutdown loses nothing; only a shard with no snapshot at all
 // gets an empty placeholder, so restore still sees every partition.
 func (c *Cluster) checkpointLocked(syncWrite bool) error {
-	if c.clockStopped {
-		return serve.ErrStopped
-	}
-	// Settle pending fused feedback first so the captured bandit state
-	// is post-feedback — byte-identical to the pre-fusion schedule's.
-	if err := c.settleFeedbackLocked(); err != nil {
-		return err
-	}
-	c.epoch(epochMsg{op: epSnapshot})
 	gen := c.manifestGen + 1
 	man := &Manifest{
 		Version:    ManifestVersion,
@@ -78,12 +69,18 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 		Slot:       c.slot,
 		Scheduler:  "DynamicRR", // a record, as in every shard's snapshot
 	}
-	for k, nd := range c.nodes {
-		if nd.snapErr != nil {
-			return fmt.Errorf("cluster: snapshotting shard %d: %w", k, nd.snapErr)
+	for k, eng := range c.engines {
+		// A shard that already drained and exited has nothing to flush
+		// and answers Snapshot with the state it exited in.
+		var ck *serve.Checkpoint
+		err := ignoreStopped(eng.Flush())
+		if err == nil {
+			ck, err = eng.Snapshot()
+			err = ignoreStopped(err)
 		}
-		ck := nd.snap
-		nd.snap = nil
+		if err != nil {
+			return fmt.Errorf("cluster: snapshotting shard %d: %w", k, err)
+		}
 		if ck == nil {
 			ck = &serve.Checkpoint{
 				Version:   serve.CheckpointVersion,

@@ -31,8 +31,9 @@ type Config struct {
 	SlotLengthMS float64
 	StepChecker  sim.StepChecker
 	// TickInterval drives the cluster clock: shards always run with
-	// manual ticks, and the cluster advances them in lockstep so slot
-	// rewards aggregate globally. Zero means manual Tick (tests, replay).
+	// manual ticks, and the cluster runs every shard's slot itself, in
+	// shard order, so slot rewards aggregate globally. Zero means manual
+	// Tick (tests, replay).
 	TickInterval time.Duration
 	// Seed derives every per-shard randomness stream (engine rng and
 	// Retry-After jitter) through internal/rnd labels.
@@ -45,7 +46,7 @@ type Config struct {
 	// New and is left as it was), and the cluster rewrites it every
 	// CheckpointEvery slots (default 50) and at Stop. A periodic
 	// checkpoint only extracts copy-on-write shard snapshots under the
-	// clock lock (one epoch barrier); JSON encoding, the temp file, fsync
+	// clock lock; JSON encoding, the temp file, fsync
 	// and the rename run on a single-flight writer goroutine, and a
 	// generation still queued when the next one extracts is dropped
 	// (latest wins; counted on /metrics). Stop's final manifest is
@@ -62,9 +63,9 @@ type Config struct {
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
 	// TraceWriter, when non-nil, receives every shard's per-slot trace
-	// line (arsim's trace format). With more than one shard each line is
-	// prefixed "[shard k] "; a single shard's output is byte-identical to
-	// arsim -trace.
+	// line (arsim's trace format), each slot's lines in shard order. With
+	// more than one shard each line is prefixed "[shard k] "; a single
+	// shard's output is byte-identical to arsim -trace.
 	TraceWriter io.Writer
 	// SlotObserver, when set, receives each cluster slot's admitted
 	// request ids (ascending) and the globally aggregated reward, after
@@ -74,108 +75,8 @@ type Config struct {
 	SlotObserver func(slot int, admitted []uint64, reward float64)
 }
 
-// shardSlotReport is one shard's decision report for one slot.
-type shardSlotReport struct {
-	slot     int
-	admitted []uint64 // request ids
-	reward   float64
-}
-
-// epochOp selects what one epoch barrier asks of every shard.
-type epochOp int
-
-const (
-	// epTick runs one slot, fused with the previous slot's deferred
-	// feedback when hasFB.
-	epTick epochOp = iota
-	// epSettle delivers pending deferred feedback without advancing the
-	// clock; checkpoints and Stop use it so captured bandit state
-	// matches what a synchronous schedule would have written.
-	epSettle
-	// epSnapshot flushes the door's residue and extracts the shard's
-	// copy-on-write checkpoint snapshot into nd.snap.
-	epSnapshot
-	// epFlush moves every accepted batch into the shard's planner.
-	epFlush
-)
-
-// epochMsg is one barrier broadcast to the shards. It is sent by value
-// (no allocation) and carries the reusable WaitGroup the clock waits on.
-type epochMsg struct {
-	op       epochOp
-	fbSlot   int
-	fbReward float64
-	hasFB    bool
-	wg       *sync.WaitGroup
-}
-
-// shardNode is one scheduler shard: an engine over the shard's masked
-// copy of the network (shardNetwork).
-type shardNode struct {
-	eng *serve.Engine
-
-	// Epoch results. run writes them inside an epoch (on the shard's
-	// worker, or on the clock's goroutine for shard 0) and the clock reads
-	// them only after the epoch's WaitGroup settles, so the barrier is the
-	// only synchronization they need. epochC is nil for shard 0.
-	epochC  chan epochMsg
-	err     error
-	snap    *serve.Checkpoint
-	snapErr error
-
-	// reports are the slot reports the engine's DecisionObserver appended
-	// inside the tick epoch; the clock takes them after its barrier.
-	reports []shardSlotReport
-	// spare is the report buffer the previous takeReports handed out,
-	// recycled once its consumer is done: takeReports swaps the two, so
-	// the steady-state tick appends into an already-sized array instead
-	// of growing a fresh slice every slot.
-	spare []shardSlotReport
-}
-
-// epochWorker is the persistent goroutine of a shard other than shard 0:
-// a slot costs it one channel send and one WaitGroup decrement, and the
-// slot itself runs here, inside the engine's Tick.
-func (nd *shardNode) epochWorker() {
-	for msg := range nd.epochC {
-		nd.run(msg)
-		msg.wg.Done()
-	}
-}
-
-// run carries out one epoch's operation on the shard's engine. An engine
-// that has exited answers ErrStopped, which the clock counts as a dead
-// shard.
-func (nd *shardNode) run(msg epochMsg) {
-	switch msg.op {
-	case epTick:
-		nd.err = nil
-		if msg.hasFB {
-			nd.err = nd.eng.DeliverFeedback(msg.fbSlot, msg.fbReward)
-		}
-		if nd.err == nil {
-			nd.err = nd.eng.Tick()
-		}
-	case epSettle:
-		nd.err = nil
-		if msg.hasFB {
-			nd.err = ignoreStopped(nd.eng.DeliverFeedback(msg.fbSlot, msg.fbReward))
-		}
-	case epSnapshot:
-		// A shard that already drained and exited has nothing to flush
-		// and answers Snapshot with the state it exited in.
-		nd.snap, nd.snapErr = nil, ignoreStopped(nd.eng.Flush())
-		if nd.snapErr == nil {
-			snap, err := nd.eng.Snapshot()
-			nd.snap, nd.snapErr = snap, ignoreStopped(err)
-		}
-	case epFlush:
-		nd.err = ignoreStopped(nd.eng.Flush())
-	}
-}
-
 // ignoreStopped drops serve.ErrStopped: a shard that exited has nothing
-// left to flush, settle or snapshot beyond what it left behind.
+// left to run, flush or snapshot beyond what it left behind.
 func ignoreStopped(err error) error {
 	if errors.Is(err, serve.ErrStopped) {
 		return nil
@@ -183,33 +84,16 @@ func ignoreStopped(err error) error {
 	return err
 }
 
-func (nd *shardNode) observe(slot int, admitted []uint64, reward float64) {
-	nd.reports = append(nd.reports, shardSlotReport{slot: slot, admitted: admitted, reward: reward})
-}
-
-// takeReports returns the accumulated slot reports and re-arms the node
-// with the previously returned buffer (double-buffering). The returned
-// slice is only valid until the next takeReports call — the tick loop
-// consumes it immediately.
-func (nd *shardNode) takeReports() []shardSlotReport {
-	r := nd.reports
-	nd.reports = nd.spare[:0]
-	nd.spare = r
-	return r
-}
-
-// shardTraceWriter labels one shard's trace lines and serializes them
-// with the other shards' onto the shared sink (the engines write from
-// their shares of the tick epoch, one Write per line).
+// shardTraceWriter labels one shard's trace lines on the shared sink. The
+// engines write one line per Write from inside their Ticks, which the
+// clock runs one after another, so each slot's lines come out in shard
+// order.
 type shardTraceWriter struct {
-	mu     *sync.Mutex
 	w      io.Writer
 	prefix string
 }
 
 func (s *shardTraceWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, err := io.WriteString(s.w, s.prefix); err != nil {
 		return 0, err
 	}
@@ -218,12 +102,12 @@ func (s *shardTraceWriter) Write(p []byte) (int, error) {
 
 // Cluster is N scheduler shards behind one router and one clock.
 type Cluster struct {
-	cfg    Config
-	net    *mec.Network
-	parts  [][]int
-	owner  []int // global station -> shard
-	nodes  []*shardNode
-	router *router
+	cfg     Config
+	net     *mec.Network
+	parts   [][]int
+	owner   []int // global station -> shard
+	engines []*serve.Engine
+	router  *router
 
 	// mu serializes the cluster clock: Tick, Flush, Drain and checkpoint
 	// extraction. Intake and Status take only the router's lock and the
@@ -231,24 +115,12 @@ type Cluster struct {
 	mu          sync.Mutex
 	slot        int
 	manifestGen uint64
-	// clockStopped marks the clock dead (mu-guarded): Stop sets it
-	// before closing the worker epoch channels, so a Tick that was
-	// blocked on mu across Stop returns ErrStopped instead of sending on
-	// a closed channel.
-	clockStopped bool
-	// epochWG is the reusable barrier the epoch broadcast waits on; the
-	// clock lock serializes epochs, so Add never races Wait.
-	epochWG sync.WaitGroup
-	// Deferred fused feedback (mu-guarded): slot fbSlot's aggregated
-	// reward, delivered inside the NEXT tick's epoch message so
-	// tick+feedback cost one barrier. The learner still sees feedback(t)
-	// before Step(t+1) — the decision stream is unchanged.
-	fbSlot   int
-	fbReward float64
-	fbValid  bool
-	// tickAdmitted is tickLocked's reusable list of the slot's admitted
-	// ids (mu-guarded), grown once and recycled every slot.
+	// tickAdmitted and tickReward are the slot's admitted ids and realized
+	// reward over every shard (mu-guarded), which observe collects while
+	// tickLocked runs the shards' slots. tickAdmitted is grown once and
+	// recycled every slot.
 	tickAdmitted []uint64
+	tickReward   float64
 	// submitScratch pools SubmitBatch's routing scratch (candidate list,
 	// route table, per-shard specs, ids and results) across concurrent
 	// calls.
@@ -339,9 +211,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	var traceMu sync.Mutex
 	for k := range parts {
-		nd := &shardNode{}
 		net, err := shardNetwork(cfg.Net, owner, k)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d network: %w", k, err)
@@ -353,7 +223,7 @@ func New(cfg Config) (*Cluster, error) {
 			Rng:              rnd.New(cfg.Seed, fmt.Sprintf("cluster-shard-%d", k)),
 			RetrySeed:        rnd.Derive(cfg.Seed, fmt.Sprintf("cluster-retry-%d", k)),
 			DeferFeedback:    true,
-			DecisionObserver: nd.observe,
+			DecisionObserver: c.observe,
 			StepChecker:      cfg.StepChecker,
 			DoorCapacity:     cfg.DoorCapacity,
 			MaxPending:       cfg.MaxPending,
@@ -369,41 +239,20 @@ func New(cfg Config) (*Cluster, error) {
 		case len(parts) == 1:
 			scfg.TraceWriter = cfg.TraceWriter
 		default:
-			scfg.TraceWriter = &shardTraceWriter{mu: &traceMu, w: cfg.TraceWriter, prefix: fmt.Sprintf("[shard %d] ", k)}
+			scfg.TraceWriter = &shardTraceWriter{w: cfg.TraceWriter, prefix: fmt.Sprintf("[shard %d] ", k)}
 		}
 		eng, err := serve.New(scfg)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d engine: %w", k, err)
 		}
-		nd.eng = eng
-		c.nodes = append(c.nodes, nd)
+		c.engines = append(c.engines, eng)
 	}
-	// The epoch workers and the checkpoint writer start last so no error
-	// path above leaks a goroutine. Stop closes both. Shard 0 has no
-	// worker: the clock runs its share of an epoch itself.
-	for _, nd := range c.nodes[1:] {
-		nd.epochC = make(chan epochMsg, 1)
-		go nd.epochWorker()
-	}
+	// The checkpoint writer starts last so no error path above leaks its
+	// goroutine; Stop closes it.
 	if cfg.CheckpointPath != "" {
 		c.ckw = ckpt.NewWriter(cfg.Logf)
 	}
 	return c, nil
-}
-
-// epoch runs one operation on every shard and waits for all of them: it
-// hands the message to the workers of shards 1…N−1, runs shard 0's share
-// on the calling goroutine, and waits — N−1 buffered channel sends plus
-// one WaitGroup wait, with no goroutine creation. Callers hold c.mu (which
-// serializes epochs) and must have checked clockStopped.
-func (c *Cluster) epoch(msg epochMsg) {
-	c.epochWG.Add(len(c.nodes) - 1)
-	msg.wg = &c.epochWG
-	for _, nd := range c.nodes[1:] {
-		nd.epochC <- msg
-	}
-	c.nodes[0].run(msg)
-	c.epochWG.Wait()
 }
 
 // markDoneLocked closes Done once no shard engine is alive; the clock
@@ -416,7 +265,7 @@ func (c *Cluster) markDoneLocked() {
 }
 
 // Start launches the cluster clock when there is a tick interval; the
-// engines and the epoch workers need no starting.
+// engines need no starting.
 func (c *Cluster) Start() {
 	c.startOnce.Do(func() {
 		if c.cfg.TickInterval > 0 {
@@ -445,12 +294,12 @@ func (c *Cluster) runTicker() {
 	}
 }
 
-// Tick advances every shard by one slot in lockstep, aggregates the
+// Tick advances every shard by one slot, in shard order, aggregates the
 // slot's realized reward across shards, and delivers that global signal
 // to every shard's threshold learner — the same reward stream a
 // single-engine bandit would see, which is what keeps learners
-// identical across shard counts. Returns serve.ErrStopped once every
-// shard has exited.
+// identical across shard counts. Once every shard has exited it returns
+// serve.ErrStopped and runs nothing.
 func (c *Cluster) Tick() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -458,72 +307,51 @@ func (c *Cluster) Tick() error {
 }
 
 func (c *Cluster) tickLocked() error {
-	if c.clockStopped {
+	// A cluster whose every shard exited has no slot left to run; after
+	// Stop this also keeps the clock from writing another manifest.
+	if !c.Alive() {
 		return serve.ErrStopped
 	}
-	// One barrier runs the slot on every shard, fused with the
-	// previous slot's deferred feedback.
-	c.epoch(epochMsg{op: epTick, fbSlot: c.fbSlot, fbReward: c.fbReward, hasFB: c.fbValid})
-	c.fbValid = false
-	c.markDoneLocked()
-	alive := 0
-	for _, nd := range c.nodes {
-		switch {
-		case nd.err == nil:
-			alive++
-		case !errors.Is(nd.err, serve.ErrStopped):
-			return nd.err
-		}
-	}
-
+	// The shards run the slot one after another, in shard order; a shard
+	// that already exited answers ErrStopped and sits it out.
 	t := c.slot
-	total := 0.0
-	admitted := c.tickAdmitted[:0]
-	for _, nd := range c.nodes {
-		for _, r := range nd.takeReports() {
-			total += r.reward
-			admitted = append(admitted, r.admitted...)
+	c.tickAdmitted, c.tickReward = c.tickAdmitted[:0], 0
+	for _, eng := range c.engines {
+		if err := ignoreStopped(eng.Tick()); err != nil {
+			return err
 		}
 	}
-	c.tickAdmitted = admitted
-	// Defer the globally aggregated reward to the next epoch: the
-	// learners see feedback(t) before Step(t+1), exactly as the serial
-	// DeliverFeedback loop delivered it, at no extra barrier.
-	c.fbSlot, c.fbReward, c.fbValid = t, total, true
+	c.markDoneLocked()
+	// Every learner sees the slot's global reward after Step(t) and before
+	// Step(t+1), and a checkpoint taken below captures it.
+	total := c.tickReward
+	for _, eng := range c.engines {
+		if err := ignoreStopped(eng.DeliverFeedback(t, total)); err != nil {
+			return err
+		}
+	}
 	c.slot++
 	c.lastTickNano.Store(time.Now().UnixNano())
 
 	if c.cfg.SlotObserver != nil {
-		slices.Sort(admitted)
-		c.cfg.SlotObserver(t, admitted, total)
+		slices.Sort(c.tickAdmitted)
+		c.cfg.SlotObserver(t, c.tickAdmitted, total)
 	}
 	if c.cfg.CheckpointPath != "" && c.slot%c.cfg.CheckpointEvery == 0 {
 		if err := c.checkpointLocked(false); err != nil {
 			c.cfg.Logf("cluster: checkpoint failed: %v", err)
 		}
 	}
-	if alive == 0 {
-		return serve.ErrStopped
-	}
 	return nil
 }
 
-// settleFeedbackLocked delivers any pending deferred feedback now, via
-// an epSettle barrier. Checkpoints call it first so the captured bandit
-// state is post-feedback — byte-identical to what the pre-fusion serial
-// schedule wrote — and a restored cluster starts with no feedback owed.
-func (c *Cluster) settleFeedbackLocked() error {
-	if !c.fbValid {
-		return nil
-	}
-	c.epoch(epochMsg{op: epSettle, fbSlot: c.fbSlot, fbReward: c.fbReward, hasFB: true})
-	c.fbValid = false
-	for _, nd := range c.nodes {
-		if nd.err != nil {
-			return nd.err
-		}
-	}
-	return nil
+// observe is every engine's DecisionObserver: it adds the shard's share of
+// the slot to tickAdmitted and tickReward. It runs inside the engine's
+// Tick, on the clock's goroutine under c.mu; admitted is the engine's
+// scratch, so it is copied.
+func (c *Cluster) observe(_ int, admitted []uint64, reward float64) {
+	c.tickAdmitted = append(c.tickAdmitted, admitted...)
+	c.tickReward += reward
 }
 
 // homeSpec returns spec as its home shard takes it. When the shard does
@@ -639,7 +467,7 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 	}
 	sc := c.scratch()
 	defer c.submitScratch.Put(sc)
-	sc.reset(len(specs), len(c.nodes))
+	sc.reset(len(specs), len(c.engines))
 	routes, perShard := sc.routes, sc.perShard
 	for i, spec := range specs {
 		shard, homed, err := c.place(sc, spec)
@@ -661,7 +489,7 @@ func (c *Cluster) SubmitBatch(specs []serve.RequestSpec) (serve.BatchResult, err
 		if len(slice) == 0 {
 			continue
 		}
-		sc.res[k], shardErr[k] = c.nodes[k].eng.SubmitBatchAs(sc.ids[k], slice)
+		sc.res[k], shardErr[k] = c.engines[k].SubmitBatchAs(sc.ids[k], slice)
 	}
 	return mergeShards(routes, sc.res, shardErr)
 }
@@ -701,18 +529,14 @@ func mergeShards(routes []routed, results []serve.BatchResult, shardErr []error)
 	return out, nil
 }
 
-// Flush moves every accepted batch into the shard planners, all shards in
-// one epoch; replay harnesses call it before ticking.
+// Flush moves every accepted batch into the shard planners, in shard
+// order; replay harnesses call it before ticking.
 func (c *Cluster) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.clockStopped {
-		return nil
-	}
-	c.epoch(epochMsg{op: epFlush})
-	for _, nd := range c.nodes {
-		if nd.err != nil {
-			return nd.err
+	for _, eng := range c.engines {
+		if err := ignoreStopped(eng.Flush()); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -724,8 +548,8 @@ func (c *Cluster) Flush() error {
 // when no shard holds the id.
 func (c *Cluster) Status(id uint64) (serve.RequestRecord, bool, error) {
 	var stopped error
-	for _, nd := range c.nodes {
-		rec, ok, err := nd.eng.Status(id)
+	for _, eng := range c.engines {
+		rec, ok, err := eng.Status(id)
 		if ok {
 			return rec, true, nil
 		}
@@ -753,8 +577,8 @@ func (c *Cluster) Drain() error {
 	defer c.mu.Unlock()
 	c.drainFlag.Store(true)
 	defer c.markDoneLocked()
-	for _, nd := range c.nodes {
-		if err := ignoreStopped(nd.eng.Drain()); err != nil {
+	for _, eng := range c.engines {
+		if err := ignoreStopped(eng.Drain()); err != nil {
 			return err
 		}
 	}
@@ -762,8 +586,8 @@ func (c *Cluster) Drain() error {
 }
 
 // Stop writes a final manifest — synchronously, so the newest generation
-// is on disk when Stop returns — then retires the epoch workers and the checkpoint writer
-// and halts every shard.
+// is on disk when Stop returns — then halts every shard and retires the
+// checkpoint writer.
 func (c *Cluster) Stop() error {
 	var err error
 	c.stopOnce.Do(func() {
@@ -775,15 +599,8 @@ func (c *Cluster) Stop() error {
 				err = cerr
 			}
 		}
-		// Mark the clock dead BEFORE closing the worker channels: a Tick
-		// blocked on c.mu across this critical section sees clockStopped
-		// instead of sending on a closed channel.
-		c.clockStopped = true
-		for _, nd := range c.nodes[1:] {
-			close(nd.epochC)
-		}
-		for _, nd := range c.nodes {
-			_ = nd.eng.Stop()
+		for _, eng := range c.engines {
+			_ = eng.Stop()
 		}
 		c.markDoneLocked()
 		c.mu.Unlock()
@@ -817,8 +634,8 @@ func (c *Cluster) Done() <-chan struct{} { return c.done }
 
 // Alive reports whether any shard engine still runs.
 func (c *Cluster) Alive() bool {
-	for _, nd := range c.nodes {
-		if nd.eng.Alive() {
+	for _, eng := range c.engines {
+		if eng.Alive() {
 			return true
 		}
 	}
@@ -835,8 +652,8 @@ func (c *Cluster) Ready() bool {
 	if c.Draining() {
 		return false
 	}
-	for _, nd := range c.nodes {
-		if !nd.eng.Alive() {
+	for _, eng := range c.engines {
+		if !eng.Alive() {
 			return false
 		}
 	}
@@ -851,7 +668,7 @@ func (c *Cluster) Ready() bool {
 }
 
 // Shards returns the shard count.
-func (c *Cluster) Shards() int { return len(c.nodes) }
+func (c *Cluster) Shards() int { return len(c.engines) }
 
 // Slot returns the cluster clock's next slot.
 func (c *Cluster) Slot() int {
@@ -870,8 +687,8 @@ func (c *Cluster) Totals() serve.Totals {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var t serve.Totals
-	for _, nd := range c.nodes {
-		addTotals(&t, nd.eng.Metrics().Totals())
+	for _, eng := range c.engines {
+		addTotals(&t, eng.Metrics().Totals())
 	}
 	return t
 }

@@ -7,8 +7,8 @@ import (
 
 // ShardOf reports the shard whose table holds request id.
 func (c *Cluster) ShardOf(id uint64) (int, bool) {
-	for k, nd := range c.nodes {
-		if _, ok, _ := nd.eng.Status(id); ok {
+	for k, eng := range c.engines {
+		if _, ok, _ := eng.Status(id); ok {
 			return k, true
 		}
 	}

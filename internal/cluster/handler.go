@@ -52,7 +52,7 @@ func (b *batchBuf) release() {
 // batches outright; a single POST it sheds on arrival answers 503.
 func Handler(c *Cluster) http.Handler {
 	mux := http.NewServeMux()
-	front := c.nodes[0].eng // overload contract + jitter stream
+	front := c.engines[0] // overload contract + jitter stream
 
 	type submitResponse struct {
 		ID    uint64 `json:"id"`
@@ -217,28 +217,28 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	}
 	// perShard renders one sample per shard; labeled renders one sample
 	// per shard and label value.
-	perShard := func(name, typ, help string, val func(nd *shardNode) any) {
+	perShard := func(name, typ, help string, val func(eng *serve.Engine) any) {
 		family(name, typ, help)
-		for k, nd := range c.nodes {
-			p("arserved_cluster_%s{shard=\"%d\"} %v\n", name, k, val(nd))
+		for k, eng := range c.engines {
+			p("arserved_cluster_%s{shard=\"%d\"} %v\n", name, k, val(eng))
 		}
 	}
 	type labeledValue struct {
 		label string
 		v     any
 	}
-	labeled := func(name, typ, help, key string, vals func(nd *shardNode) []labeledValue) {
+	labeled := func(name, typ, help, key string, vals func(eng *serve.Engine) []labeledValue) {
 		family(name, typ, help)
-		for k, nd := range c.nodes {
-			for _, lv := range vals(nd) {
+		for k, eng := range c.engines {
+			for _, lv := range vals(eng) {
 				p("arserved_cluster_%s{shard=\"%d\",%s=\"%s\"} %v\n", name, k, key, lv.label, lv.v)
 			}
 		}
 	}
 	histogram := func(name, help string, snap func(m *serve.Metrics) serve.HistogramSnapshot) {
 		family(name, "histogram", help)
-		for k, nd := range c.nodes {
-			h := snap(nd.eng.Metrics())
+		for k, eng := range c.engines {
+			h := snap(eng.Metrics())
 			for i, b := range h.Bounds {
 				p("arserved_cluster_%s_bucket{shard=\"%d\",le=\"%g\"} %d\n", name, k, b, h.Counts[i])
 			}
@@ -249,7 +249,7 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	}
 
 	family("shards", "gauge", "Configured scheduler shards.")
-	p("arserved_cluster_shards %d\n", len(c.nodes))
+	p("arserved_cluster_shards %d\n", len(c.engines))
 	family("slot", "gauge", "The cluster clock's next scheduling slot.")
 	p("arserved_cluster_slot %d\n", c.Slot())
 	rs := c.RouterStats()
@@ -262,8 +262,8 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	family("checkpoints_dropped_total", "counter", "Async snapshot generations superseded before reaching disk.")
 	p("arserved_cluster_checkpoints_dropped_total %d\n", c.CheckpointsDropped())
 
-	labeled("requests_total", "counter", "Per-shard requests by terminal result.", "result", func(nd *shardNode) []labeledValue {
-		m := nd.eng.Metrics()
+	labeled("requests_total", "counter", "Per-shard requests by terminal result.", "result", func(eng *serve.Engine) []labeledValue {
+		m := eng.Metrics()
 		return []labeledValue{
 			{"submitted", m.Submitted.Load()}, {"rejected", m.Rejected.Load()},
 			{"admitted", m.Admitted.Load()}, {"served", m.Served.Load()},
@@ -272,36 +272,36 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 		}
 	})
 	perShard("reward_dollars_total", "counter", "Per-shard realized reward.",
-		func(nd *shardNode) any { return nd.eng.Metrics().Reward.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().Reward.Load() })
 	perShard("ticks_total", "counter", "Per-shard scheduling slots executed.",
-		func(nd *shardNode) any { return nd.eng.Metrics().Ticks.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().Ticks.Load() })
 	perShard("slot_errors_total", "counter", "Per-shard slots whose scheduler returned an error.",
-		func(nd *shardNode) any { return nd.eng.Metrics().SlotErrors.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().SlotErrors.Load() })
 	perShard("pending_requests", "gauge", "Per-shard admission-queue depth.",
-		func(nd *shardNode) any { return nd.eng.Metrics().PendingDepth.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().PendingDepth.Load() })
 	perShard("active_streams", "gauge", "Per-shard streams occupying service instances.",
-		func(nd *shardNode) any { return nd.eng.Metrics().ActiveStreams.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().ActiveStreams.Load() })
 
 	perShard("batches_total", "counter", "Per-shard intake batches accepted at the door (a single POST is a batch of one).",
-		func(nd *shardNode) any { return nd.eng.Metrics().Batches.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().Batches.Load() })
 	perShard("batch_requests_total", "counter", "Per-shard requests carried by accepted intake batches.",
-		func(nd *shardNode) any { return nd.eng.Metrics().BatchRequests.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().BatchRequests.Load() })
 	perShard("saturated_total", "counter", "Per-shard intake batches refused because the door was saturated.",
-		func(nd *shardNode) any { return nd.eng.Metrics().Saturated.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().Saturated.Load() })
 	perShard("intake_depth", "gauge", "Per-shard requests waiting at the door for the planner.",
-		func(nd *shardNode) any { return nd.eng.Metrics().IntakeDepth.Load() })
+		func(eng *serve.Engine) any { return eng.Metrics().IntakeDepth.Load() })
 
 	histogram("slot_duration_ms", "Per-shard scheduling latency of one slot.", (*serve.Metrics).SlotDurationSnapshot)
 	histogram("intake_latency_ms", "Per-shard intake handoff latency (door enqueue to planner append, including the wait for the next flush or slot).", (*serve.Metrics).IntakeLatencySnapshot)
 
-	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, lp is a component solve. A component none of whose rounding draws can place a request is neither.", "path", func(nd *shardNode) []labeledValue {
-		inc := nd.eng.IncStats()
+	labeled("component_solves_total", "counter", "Per-shard per-slot LP component decisions by path: clean replays the cached decision, lp is a component solve. A component none of whose rounding draws can place a request is neither.", "path", func(eng *serve.Engine) []labeledValue {
+		inc := eng.IncStats()
 		return []labeledValue{{"clean", inc.CleanHits}, {"lp", inc.DirtySolves}}
 	})
 
-	gauges := make([][]serve.StationGauge, len(c.nodes))
-	for k, nd := range c.nodes {
-		gauges[k] = nd.eng.Gauges()
+	gauges := make([][]serve.StationGauge, len(c.engines))
+	for k, eng := range c.engines {
+		gauges[k] = eng.Gauges()
 	}
 	stations := func(name, help string, val func(g serve.StationGauge) float64) {
 		family(name, "gauge", help)

@@ -56,8 +56,8 @@ func TestSaturatedIngestConserves(t *testing.T) {
 				}
 				accepted += len(res.IDs)
 				shed += res.Shed
-				for k, nd := range c.nodes {
-					if d := nd.eng.Metrics().IntakeDepth.Load(); d > door {
+				for k, eng := range c.engines {
+					if d := eng.Metrics().IntakeDepth.Load(); d > door {
 						t.Fatalf("batch %d: shard %d door depth %d exceeds %d", b, k, d, door)
 					}
 				}

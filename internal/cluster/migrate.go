@@ -26,5 +26,5 @@ func (c *Cluster) Migrations() []Migration { return nil }
 
 // MigratedCounts always returns one zero per shard, in and out.
 func (c *Cluster) MigratedCounts() (in, out []uint64) {
-	return make([]uint64, len(c.nodes)), make([]uint64, len(c.nodes))
+	return make([]uint64, len(c.engines)), make([]uint64, len(c.engines))
 }

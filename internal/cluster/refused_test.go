@@ -40,10 +40,10 @@ func TestRefusedLinesReported(t *testing.T) {
 	c.Start()
 	defer func() { _ = c.Stop() }()
 	// An idle engine exits as soon as it drains; its refusal then says so.
-	if err := c.nodes[1].eng.Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
+	if err := c.engines[1].Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
 		t.Fatal(err)
 	}
-	_, refused := c.nodes[1].eng.SubmitBatch([]serve.RequestSpec{{AccessStation: 2}})
+	_, refused := c.engines[1].SubmitBatch([]serve.RequestSpec{{AccessStation: 2}})
 	if refused == nil {
 		t.Fatal("the drained shard accepted a request")
 	}

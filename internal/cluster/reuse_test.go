@@ -98,7 +98,7 @@ func TestDefaultClusterReusesDecisions(t *testing.T) {
 	var after core.IncStats
 	for slot := 0; slot < slots; slot++ {
 		if slot == warmup {
-			after = c.nodes[0].eng.IncStats()
+			after = c.engines[0].IncStats()
 		}
 		if _, err := c.SubmitBatch(specs); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestDefaultClusterReusesDecisions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.nodes[0].eng.IncStats()
+	st := c.engines[0].IncStats()
 	clean, dirty := st.CleanHits-after.CleanHits, st.DirtySolves-after.DirtySolves
 	if total := clean + dirty; total == 0 || float64(clean) < 0.99*float64(total) {
 		t.Fatalf("after warm-up %d of %d component solves were replays, want at least 99%%", clean, clean+dirty)

@@ -262,3 +262,55 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 		})
 	}
 }
+
+// TestClockAfterStop: once Stop returns, the clock is dead. Tick answers
+// ErrStopped and advances nothing, Flush answers nil, and neither writes a
+// manifest over the one Stop wrote, though every slot would checkpoint.
+func TestClockAfterStop(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := parityConfig(islandNetwork(t, 2, 2), shards)
+			cfg.CheckpointPath = filepath.Join(t.TempDir(), "cluster.json")
+			cfg.CheckpointEvery = 1
+			c, err := cluster.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			for st := 0; st < 4; st++ {
+				if _, _, err := c.Submit(serve.RequestSpec{AccessStation: st, DurationSlots: 4}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			final, err := os.ReadFile(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slot := c.Slot()
+			for i := 0; i < 3; i++ {
+				if err := c.Tick(); !errors.Is(err, serve.ErrStopped) {
+					t.Fatalf("Tick after Stop = %v, want ErrStopped", err)
+				}
+				if err := c.Flush(); err != nil {
+					t.Fatalf("Flush after Stop = %v, want nil", err)
+				}
+			}
+			if got := c.Slot(); got != slot {
+				t.Fatalf("slot %d after ticks on a stopped cluster, want %d", got, slot)
+			}
+			got, err := os.ReadFile(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, final) {
+				t.Fatalf("the manifest changed after Stop:\n%s\n---\n%s", got, final)
+			}
+		})
+	}
+}

@@ -218,7 +218,7 @@ func TestLiveRequestOutlivesRouterEntry(t *testing.T) {
 	}
 	rc.Start()
 	defer func() { _ = rc.Stop() }()
-	if rec, ok, err := rc.nodes[0].eng.Status(stream); err != nil || !ok || rec.State != serve.StateServing {
+	if rec, ok, err := rc.engines[0].Status(stream); err != nil || !ok || rec.State != serve.StateServing {
 		t.Fatalf("restored stream %d on its shard: %+v ok=%v err=%v, want serving", stream, rec, ok, err)
 	}
 	if rec, ok, err := rc.Status(stream); err != nil || !ok || rec.State != serve.StateServing {
@@ -261,7 +261,7 @@ func TestStoppedShardHidesNoRow(t *testing.T) {
 		if _, ok, err := c.Status(unknown); ok || err != nil {
 			t.Fatalf("unknown id %d with both shards up: ok=%v err=%v, want unknown", unknown, ok, err)
 		}
-		if err := c.nodes[stop].eng.Stop(); err != nil {
+		if err := c.engines[stop].Stop(); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range onShard[1-stop] {

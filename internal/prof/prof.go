@@ -19,9 +19,9 @@ import (
 // runtime.SetMutexProfileFraction (1 records every contended lock; 0
 // leaves mutex profiling off). The profiles are then readable from the
 // net/http/pprof endpoint (/debug/pprof/block, /debug/pprof/mutex),
-// which is how a stalled cluster clock — shard workers blocked on the
-// epoch barrier, or the checkpoint writer contending the clock lock —
-// is diagnosed in place.
+// which is how a stalled cluster clock — a batch waiting at an engine's
+// door, or the checkpoint writer contending the clock lock — is
+// diagnosed in place.
 func EnableContentionProfiles(blockRate, mutexFraction int) {
 	if blockRate > 0 {
 		runtime.SetBlockProfileRate(blockRate)

@@ -71,7 +71,9 @@ type Config struct {
 	RetrySeed int64
 	// TraceWriter, when non-nil, receives one line per slot from
 	// sim.WriteTraceLine, the formatter of arsim -trace, so offline and
-	// online runs are diffable.
+	// online runs are diffable. The line is written inside Tick; a cluster
+	// ticks its shards one after another, so their lines reach a shared
+	// sink in shard order.
 	TraceWriter io.Writer
 	// Logf, when non-nil, receives operational log lines (scheduler
 	// errors, compaction).
@@ -301,8 +303,8 @@ func (e *Engine) Status(id uint64) (RequestRecord, bool, error) { return e.table
 func (e *Engine) Gauges() []StationGauge { return e.table.gauges() }
 
 // Tick advances the engine by one scheduling slot, on the caller's
-// goroutine. The engine has no clock of its own: the cluster's epoch
-// workers (or a test) call it.
+// goroutine. The engine has no clock of its own: the cluster's clock (or
+// a test) calls it.
 func (e *Engine) Tick() error {
 	if err := e.lock(); err != nil {
 		return err

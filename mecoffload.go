@@ -108,8 +108,9 @@ type Scenario struct {
 	Net *mec.Network
 	// Offline holds the workload with all arrivals at slot 0.
 	Offline []*mec.Request
-	// Online holds the same workload with arrivals spread over the
-	// horizon.
+	// Online holds the same workload with arrivals spread uniformly over
+	// the horizon: Online[i] is Offline[i] arriving at the i-th earliest
+	// of the drawn slots.
 	Online []*mec.Request
 	// Horizon is the online simulation length in slots.
 	Horizon int
@@ -144,10 +145,9 @@ func NewScenario(cfg ScenarioConfig, rng *rand.Rand) (*Scenario, error) {
 		return nil, err
 	}
 	online := workload.Clone(offline)
-	for _, r := range online {
-		r.ArrivalSlot = rng.Intn(cfg.ArrivalHorizon)
+	if err := workload.ApplyArrivals(online, workload.UniformArrivals{}, cfg.ArrivalHorizon, rng); err != nil {
+		return nil, err
 	}
-	sortByArrival(online)
 	return &Scenario{
 		Net:     net,
 		Offline: offline,
@@ -216,15 +216,4 @@ func algorithmsOf(names []string) []Algorithm {
 		out[i] = Algorithm(n)
 	}
 	return out
-}
-
-func sortByArrival(reqs []*mec.Request) {
-	for i := 1; i < len(reqs); i++ {
-		for j := i; j > 0 && reqs[j].ArrivalSlot < reqs[j-1].ArrivalSlot; j-- {
-			reqs[j], reqs[j-1] = reqs[j-1], reqs[j]
-		}
-	}
-	for i, r := range reqs {
-		r.ID = i
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -37,6 +38,12 @@ func TestScenarioDefaults(t *testing.T) {
 		prev = r.ArrivalSlot
 		if r.ID != i {
 			t.Fatalf("online request %d has ID %d", i, r.ID)
+		}
+		// The online request is the offline one with an arrival slot.
+		same := *r
+		same.ArrivalSlot = 0
+		if !reflect.DeepEqual(&same, scn.Offline[i]) {
+			t.Fatalf("online request %d is not offline request %d with an arrival slot:\n%+v\n%+v", i, i, r, scn.Offline[i])
 		}
 	}
 }
