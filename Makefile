@@ -35,9 +35,11 @@ cluster-parity:
 	$(GO) test -race -count=1 -v -run 'TestClusterParity|TestClusterCheckpointReshard|TestClusterCandidateShrinksEmpty|TestLiveRequestOutlivesRouterEntry|TestCheckpointRejected|TestConcurrentIntakeLosesNothing|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore|TestSaturatedIngestConserves|TestInterleavedIntakeIsDeterministic|TestDoorMatchesReference|TestSubmitBatchShedsLowestReward|TestEngineRunsNoGoroutines|TestClusterGoroutines|FuzzCheckpointRestore|TestRestoreRunningRefusesImpossibleStreams|TestLedgerParityWithMapReference|TestLedgersExactUnderInterleaving|TestRestoreOffGridSharesDrainsToZero|TestRouterSpanningHome|TestRouterHomesAtAccessOwner|TestRemovedSchedulerNameRestores|TestHTTPOverloadContract|TestStatusReportsGlobalStation|TestShardNetwork|TestTableProperty|TestTableEvictionCostsWhatItEvicts|TestTableInsertAllocs|TestRefusedLinesReported|TestGenerationIsOneFile|TestSoloRouteMatchesCandidateRule|TestRequestRowIsCompact|TestStoppedShardHidesNoRow|TestClockAfterStop' ./internal/cluster/ ./internal/serve/ ./internal/sim/
 
 ## incremental-parity: the decision path's correctness gate, under the
-## race detector. It proves that DynamicRR as shipped, which replays a
-## clean component's cached decision, decides exactly what the oracle's
-## reference decides by re-solving every component every slot, and that
+## race detector. It proves that DynamicRR as shipped, which files a
+## component's solve once its signature repeats and replays it from the
+## third sighting, decides exactly what the oracle's reference decides
+## by re-solving every component every slot, that a signature hash only
+## decides what is filed (a collision solves, never replays), and that
 ## each shortcut of the slot path (compaction, dropped cap rows, the
 ## draw-first rounding pass, the standard-form LP builder) matches the
 ## loop it replaced; each test's doc comment says what it checks.

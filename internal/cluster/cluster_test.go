@@ -571,8 +571,10 @@ func TestClusterHandlerMetrics(t *testing.T) {
 
 	// The zero-value scheduler. The component-solve family is rendered
 	// from the first scrape on, before anything was solved. Then the same
-	// wave every slot: from its second sighting on the components replay,
-	// so path="clean" counts.
+	// wave every slot: a component files its solve at the second sighting
+	// and replays from the third, so path="clean" counts. Twelve slots,
+	// because a slot whose draws can round nothing looks nothing up: the
+	// first replay comes at the eighth.
 	def, err := cluster.New(cluster.Config{Net: islandNetwork(t, 2, 2), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -584,7 +586,7 @@ func TestClusterHandlerMetrics(t *testing.T) {
 			t.Errorf("idle exposition missing %q", want)
 		}
 	}
-	for slot := 0; slot < 6; slot++ {
+	for slot := 0; slot < 12; slot++ {
 		for st := 0; st < 4; st += 2 {
 			if _, _, err := def.Submit(serve.RequestSpec{
 				AccessStation: st,

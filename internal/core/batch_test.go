@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mecoffload/internal/dist"
@@ -189,16 +190,30 @@ func TestScheduleBatchSequentialFillsToCapacity(t *testing.T) {
 // R_i/⌈C(bs_i)/C_l⌉) <= C_l, so no pass builds more than ⌈C(bs_i)/C_l⌉
 // columns for a (request, station) pair, and a request's candidate
 // stations (positive er1, on the same grid) are exactly the stations it
-// has columns on. The decision cache files every component solve of every
-// pass under its signature, which names each station's g_i and residual
-// and each request's candidates, beside the columns the solve built; the
-// test reads both from there, over slots whose random ledgers leave
-// stations with whole slots free (the cap sets g_i) and with leftovers
-// below one paper slot (the fine grid does).
+// has columns on. The decision cache is offered every component solve of
+// every pass with its signature, which names each station's g_i and
+// residual and each request's candidates, beside the columns the solve
+// built; the test keeps the last solve offered under each key, whatever
+// the cache files, and reads both from there, over slots whose random
+// ledgers leave stations with whole slots free (the cap sets g_i) and
+// with leftovers below one paper slot (the fine grid does).
 func TestRefinedPassColumnsCapped(t *testing.T) {
 	net, reqs, _ := churnBatch(t, 20, 40, 200)
 	rng := rand.New(rand.NewSource(5))
 	inc := NewIncCache()
+	type solve struct {
+		sig  []uint64
+		vars []slotVar // req is the position within the component
+	}
+	last := map[warmKey]solve{}
+	inc.solved = func(pass, shard int, sig []uint64, vars []slotVar, compReqs []int) {
+		s := solve{sig: slices.Clone(sig)}
+		for _, sv := range vars {
+			sv.req = slices.Index(compReqs, sv.req)
+			s.vars = append(s.vars, sv)
+		}
+		last[warmKey{pass: pass, shard: shard}] = s
+	}
 	cl := net.SlotMHz()
 	cover := func(i int) int { return int(math.Ceil(net.Capacity(i) / cl)) }
 	capped, fine := 0, 0
@@ -224,7 +239,7 @@ func TestRefinedPassColumnsCapped(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		for key, e := range inc.entries {
+		for key, e := range last {
 			// slot length, station count, then per station its index,
 			// g_i, residual and share cap
 			nS := int(e.sig[1])
@@ -284,6 +299,7 @@ func TestRefinedPassColumnsCapped(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("refined stations: %d on the capped grid, %d on the fine one", capped, fine)
 	if capped < 100 || fine < 100 {
 		t.Fatalf("refined stations: %d on the capped grid, %d on the fine one; the ledgers lost their coverage", capped, fine)
 	}

@@ -287,8 +287,8 @@ func (m *mergedModel) reset(numReqs int, active []int) {
 type solveCfg struct {
 	warm *WarmCache
 	pass int
-	// inc, when non-nil, replays the cached decision of every component
-	// whose signature it has solved before; nil re-solves everything. The
+	// inc, when non-nil, replays the filed decision of every component
+	// whose signature it has filed; nil re-solves everything. The
 	// replay is only exact for cold solves, so inc and warm never meet
 	// (ScheduleBatch refuses the pair).
 	inc *IncCache
@@ -311,14 +311,16 @@ type solveCfg struct {
 // grid's cells their instances, and each calls this from one goroutine.
 //
 // cfg.inc enables decision reuse: a component whose exact input signature
-// matches the cached one is *clean* and replays the cached solution
+// matches the filed one is *clean* and replays the filed solution
 // without building an LP. A dirty component is solved exactly as without
-// the cache, cold, and its solution is cached. A cold solve is a pure
-// function of its LP, so a run with the cache and a run without agree
-// decision for decision — the oracle differential DiffIncrementalFull
-// pins that contract. A component cfg.skipDead leaves out is neither
-// clean nor dirty: it never reaches the look-up, and the entry filed
-// under its key stays the exact solution of that entry's own signature.
+// the cache, cold, and offered to the cache, which files it only when the
+// key's previous solve had the same signature hash (IncCache.put): a
+// signature seen once costs one hash and no copy, and a steady component
+// replays from its third sighting. A cold solve is a pure function of its
+// LP, so a run with the cache and a run without agree decision for
+// decision — the oracle differential DiffIncrementalFull pins that
+// contract. A component cfg.skipDead leaves out is neither clean nor
+// dirty: it never reaches the look-up, and its entry stays as it was.
 func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg solveCfg, sc *slotScratch, m *mergedModel) error {
 	if opts.slotLengthMS == 0 {
 		opts.slotLengthMS = mec.DefaultSlotLengthMS
@@ -350,9 +352,9 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 	}
 
 	// Look-up pass: a component's exact signature is compared word for
-	// word against the cached entry under the same (pass, shard) key. A
-	// match means its LP is bit-identical to the one the entry was solved
-	// on, and the entry is replayed with the solve skipped entirely.
+	// word against the copy filed under the same (pass, shard) key. A
+	// match means its LP is bit-identical to the one the copy was solved
+	// on, and the copy is replayed with the solve skipped entirely.
 	replays := growReplays(&sc.replays, len(comps))
 	var sigOff []int
 	if inc != nil {
@@ -377,8 +379,8 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 
 	// One pass in key order: replay or build-solve, append to the merged
 	// model with local variable indices rebased onto the concatenation,
-	// and cache. A clean component materializes its position-space cached
-	// vars back into global request indices.
+	// and offer a solve to the cache. A clean component materializes its
+	// position-space filed vars back into global request indices.
 	copts := opts
 	copts.byReq = m.byReq
 	copts.scratch = &sc.build

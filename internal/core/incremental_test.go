@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"mecoffload/internal/graph"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/topology"
+	"mecoffload/internal/workload"
 )
 
 // incTestNetwork builds the two-station bridge network the dirty-set edge
@@ -142,12 +144,21 @@ func (h *incHarness) slot(name string, active []int, used []float64, wantClean, 
 	return got
 }
 
-// TestIncCacheSecondSighting pins first-sighting replay: a signature miss
-// solves cold and caches the solution, and the second sighting already
-// replays it, building no LP. Any change — capacity, an arrival, a
-// departure — is a miss that caches the new signature, and a signature
-// coming back after another one took its cache slot misses again.
-func TestIncCacheSecondSighting(t *testing.T) {
+// filed reports whether the cache holds a filed copy under pass 0's key
+// of the component keyed at station key.
+func (h *incHarness) filed(key int) bool {
+	e := h.inc.get(0, key)
+	return e != nil && e.sig != nil
+}
+
+// TestIncCacheThirdSighting pins the filing rule: a signature met for the
+// first time is solved cold and only its hash is kept, the second
+// sighting in a row is solved again and filed with its solution, and the
+// third replays it, building no LP. A change — capacity, an arrival, a
+// departure — starts the count over. A signature passing through for one
+// slot leaves the filed copy in place, so the steady one replays as soon
+// as it is back; one met twice in a row replaces the copy.
+func TestIncCacheThirdSighting(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
 		incTestRequest(t, 0, 0, 40, 120), // station 0 only
@@ -158,6 +169,7 @@ func TestIncCacheSecondSighting(t *testing.T) {
 		active       []int
 		used         []float64
 		clean, dirty uint64
+		filed        bool // a copy is filed under key 0 after the step
 	}
 	one, both := []int{0}, []int{0, 1}
 	idle, loaded := []float64{0, 0}, []float64{500, 0}
@@ -165,32 +177,44 @@ func TestIncCacheSecondSighting(t *testing.T) {
 		name  string
 		steps []step
 	}{
-		{"miss, replay, replay", []step{
-			{"miss", one, idle, 0, 1},
-			{"replay", one, idle, 1, 0},
-			{"replay again", one, idle, 1, 0},
+		{"hash, file, replay", []step{
+			{"hash", one, idle, 0, 1, false},
+			{"file", one, idle, 0, 1, true},
+			{"replay", one, idle, 1, 0, true},
+			{"replay again", one, idle, 1, 0, true},
 		}},
 		{"capacity change between sightings", []step{
-			{"miss", one, idle, 0, 1},
-			{"capacity moved: miss", one, loaded, 0, 1},
-			{"replay the new level", one, loaded, 1, 0},
+			{"hash", one, idle, 0, 1, false},
+			{"capacity moved: hash", one, loaded, 0, 1, false},
+			{"file the new level", one, loaded, 0, 1, true},
+			{"replay the new level", one, loaded, 1, 0, true},
 		}},
 		{"arrival between sightings", []step{
-			{"miss", one, idle, 0, 1},
-			{"arrival: miss", both, idle, 0, 1},
-			{"replay", both, idle, 1, 0},
+			{"hash", one, idle, 0, 1, false},
+			{"arrival: hash", both, idle, 0, 1, false},
+			{"file", both, idle, 0, 1, true},
+			{"replay", both, idle, 1, 0, true},
 		}},
 		{"departure between sightings", []step{
-			{"miss", both, idle, 0, 1},
-			{"departure: miss", one, idle, 0, 1},
-			{"replay", one, idle, 1, 0},
+			{"hash", both, idle, 0, 1, false},
+			{"departure: hash", one, idle, 0, 1, false},
+			{"file", one, idle, 0, 1, true},
+			{"replay", one, idle, 1, 0, true},
 		}},
-		{"a signature that comes back starts over", []step{
-			{"miss", one, idle, 0, 1},
-			{"replay", one, idle, 1, 0},
-			{"capacity moved: miss", one, loaded, 0, 1},
-			{"back: miss again", one, idle, 0, 1},
-			{"replay", one, idle, 1, 0},
+		{"a one-slot blip keeps the filed copy", []step{
+			{"hash", one, idle, 0, 1, false},
+			{"file", one, idle, 0, 1, true},
+			{"capacity moved: solve, keep the copy", one, loaded, 0, 1, true},
+			{"back: replay", one, idle, 1, 0, true},
+			{"replay again", one, idle, 1, 0, true},
+		}},
+		{"a signature met twice in a row replaces the filed copy", []step{
+			{"hash", one, idle, 0, 1, false},
+			{"file", one, idle, 0, 1, true},
+			{"capacity moved: hash", one, loaded, 0, 1, true},
+			{"file the new level", one, loaded, 0, 1, true},
+			{"replay the new level", one, loaded, 1, 0, true},
+			{"back: hash again", one, idle, 0, 1, true},
 		}},
 	}
 	for _, tc := range cases {
@@ -198,6 +222,9 @@ func TestIncCacheSecondSighting(t *testing.T) {
 			h := newIncHarness(t, n, reqs)
 			for _, st := range tc.steps {
 				h.slot(st.name, st.active, st.used, st.clean, st.dirty)
+				if got := h.filed(0); got != st.filed {
+					t.Fatalf("%s: filed copy %v, want %v", st.name, got, st.filed)
+				}
 			}
 		})
 	}
@@ -206,8 +233,8 @@ func TestIncCacheSecondSighting(t *testing.T) {
 // TestIncCacheFeedbackOnlySlotStaysClean pins the quiet-slot contract:
 // slots with no arrivals, no departures, and unchanged residual capacity
 // (only bandit feedback happened elsewhere) re-present bit-identical
-// component signatures, so from the second such slot on every component
-// is a clean hit and the cached decisions are replayed exactly.
+// component signatures, so from the third such slot on every component
+// is a clean hit and the filed decisions are replayed exactly.
 func TestIncCacheFeedbackOnlySlotStaysClean(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
@@ -218,7 +245,8 @@ func TestIncCacheFeedbackOnlySlotStaysClean(t *testing.T) {
 	h := newIncHarness(t, n, reqs)
 
 	h.slot("slot 1 (cold cache)", []int{0, 1}, used, 0, 2)
-	for _, name := range []string{"slot 2 (feedback-only)", "slot 3 (feedback-only)"} {
+	h.slot("slot 2 (second sighting: filed)", []int{0, 1}, used, 0, 2)
+	for _, name := range []string{"slot 3 (feedback-only)", "slot 4 (feedback-only)"} {
 		res := h.slot(name, []int{0, 1}, used, 2, 0)
 		for j := range reqs {
 			if !res.Decisions[j].Admitted {
@@ -231,12 +259,13 @@ func TestIncCacheFeedbackOnlySlotStaysClean(t *testing.T) {
 // TestIncCacheDepartureDirtiesComponent pins the departure edge case: a
 // request leaving mid-stream changes its component's candidate list, so
 // that component (and only that component) re-solves; an untouched
-// component on another station stays clean. From the next slot on, the
-// stream's steady state is clean again.
+// component on another station stays clean. The shrunk component files
+// its new signature at the slot after the departure and replays from the
+// one after that.
 func TestIncCacheDepartureDirtiesComponent(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
-		incTestRequest(t, 0, 0, 40, 120), // station 0, departs after slot 2
+		incTestRequest(t, 0, 0, 40, 120), // station 0, departs after slot 3
 		incTestRequest(t, 1, 0, 40, 150), // station 0, stays
 		incTestRequest(t, 2, 1, 40, 180), // station 1, stays
 	}
@@ -244,21 +273,23 @@ func TestIncCacheDepartureDirtiesComponent(t *testing.T) {
 	h := newIncHarness(t, n, reqs)
 
 	h.slot("slot 1 (cold cache)", []int{0, 1, 2}, used, 0, 2)
-	h.slot("slot 2 (replay)", []int{0, 1, 2}, used, 2, 0)
+	h.slot("slot 2 (filed)", []int{0, 1, 2}, used, 0, 2)
+	h.slot("slot 3 (replay)", []int{0, 1, 2}, used, 2, 0)
 
 	// Request 0 departs: station 0's component shrinks (dirty), station
 	// 1's is untouched (clean).
-	h.slot("slot 3 (departure)", []int{1, 2}, used, 1, 1)
-	h.slot("slot 4 (post-departure steady state)", []int{1, 2}, used, 2, 0)
+	h.slot("slot 4 (departure)", []int{1, 2}, used, 1, 1)
+	h.slot("slot 5 (shrunk component filed)", []int{1, 2}, used, 1, 1)
+	h.slot("slot 6 (post-departure steady state)", []int{1, 2}, used, 2, 0)
 }
 
 // TestIncCacheBridgeMergesAndSplits pins the merge/split edge case: a
 // bridging request whose candidates span both stations fuses the two
 // single-station components into one (re-solved as a whole), and its
 // departure splits them apart again. The split re-solves only the
-// component whose cache slot the merged solve overwrote — the merged
+// component whose filed copy the merged solve replaced — the merged
 // component was filed under the smallest station key (0), so station 1's
-// pre-merge entry survives and replays clean immediately.
+// pre-merge copy survives and replays clean immediately.
 func TestIncCacheBridgeMergesAndSplits(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
@@ -270,25 +301,28 @@ func TestIncCacheBridgeMergesAndSplits(t *testing.T) {
 	h := newIncHarness(t, n, reqs)
 
 	h.slot("slot 1 (two islands)", []int{0, 1}, used, 0, 2)
-	h.slot("slot 2 (replay)", []int{0, 1}, used, 2, 0)
+	h.slot("slot 2 (filed)", []int{0, 1}, used, 0, 2)
+	h.slot("slot 3 (replay)", []int{0, 1}, used, 2, 0)
 
 	// The bridge arrives: one merged component, necessarily dirty; the
-	// same merged shape replays the slot after.
-	h.slot("slot 3 (merged by bridge)", []int{0, 1, 2}, used, 0, 1)
-	h.slot("slot 4 (merged replay)", []int{0, 1, 2}, used, 1, 0)
+	// same merged shape is filed the slot after and replays the next.
+	h.slot("slot 4 (merged by bridge)", []int{0, 1, 2}, used, 0, 1)
+	h.slot("slot 5 (merged filed)", []int{0, 1, 2}, used, 0, 1)
+	h.slot("slot 6 (merged replay)", []int{0, 1, 2}, used, 1, 0)
 
-	// The bridge departs: the islands reappear. Key 0 was overwritten by
-	// the merged solve (dirty again); key 1 still holds slot 1's entry.
-	h.slot("slot 5 (split)", []int{0, 1}, used, 1, 1)
-	h.slot("slot 6 (post-split steady state)", []int{0, 1}, used, 2, 0)
+	// The bridge departs: the islands reappear. Key 0's copy was replaced
+	// by the merged solve (dirty again); key 1 still holds slot 2's copy.
+	h.slot("slot 7 (split)", []int{0, 1}, used, 1, 1)
+	h.slot("slot 8 (island 0 filed again)", []int{0, 1}, used, 1, 1)
+	h.slot("slot 9 (post-split steady state)", []int{0, 1}, used, 2, 0)
 }
 
 // TestIncCacheCapacityChangeInvalidates pins the residual-capacity edge
 // case: occupancy committed on a station between slots changes that
-// station's residual-capacity signature word, invalidating its cached
+// station's residual-capacity signature word, invalidating its filed
 // decision even though the request population is unchanged. The other
 // station's component stays clean, and the new capacity level itself
-// caches.
+// files and replays.
 func TestIncCacheCapacityChangeInvalidates(t *testing.T) {
 	n := incTestNetwork(t)
 	reqs := []*mec.Request{
@@ -298,14 +332,138 @@ func TestIncCacheCapacityChangeInvalidates(t *testing.T) {
 	h := newIncHarness(t, n, reqs)
 
 	h.slot("slot 1 (cold cache)", []int{0, 1}, []float64{0, 0}, 0, 2)
-	h.slot("slot 2 (replay)", []int{0, 1}, []float64{0, 0}, 2, 0)
+	h.slot("slot 2 (filed)", []int{0, 1}, []float64{0, 0}, 0, 2)
+	h.slot("slot 3 (replay)", []int{0, 1}, []float64{0, 0}, 2, 0)
 
 	// 500 MHz lands on station 0 (a long-running admission elsewhere):
-	// its component's residual capacity changes, so the cached decision
+	// its component's residual capacity changes, so the filed decision
 	// must not be replayed; station 1 is untouched.
 	loaded := []float64{500, 0}
-	h.slot("slot 3 (capacity change)", []int{0, 1}, loaded, 1, 1)
-	h.slot("slot 4 (new level cached)", []int{0, 1}, loaded, 2, 0)
+	h.slot("slot 4 (capacity change)", []int{0, 1}, loaded, 1, 1)
+	h.slot("slot 5 (new level filed)", []int{0, 1}, loaded, 1, 1)
+	h.slot("slot 6 (new level replayed)", []int{0, 1}, loaded, 2, 0)
+}
+
+// filedWords counts the signature, variable and solution words the cache
+// holds in filed copies.
+func filedWords(c *IncCache) int {
+	w := 0
+	for _, e := range c.entries {
+		w += len(e.sig) + len(e.vars) + len(e.y)
+	}
+	return w
+}
+
+// TestIncCacheFilesOnlyRepeats pins what the filing rule saves: over
+// churn-like slots — a random third of 40 requests on 20 stations against
+// a random ledger, every slot — no signature repeats, so every component
+// is solved and the cache files not one signature, variable or solution
+// word. The same wave repeated files every component at its second
+// sighting and replays all of them, deciding as before, at its third.
+func TestIncCacheFilesOnlyRepeats(t *testing.T) {
+	net, reqs, _ := churnBatch(t, 20, 40, 200)
+	rng := rand.New(rand.NewSource(11))
+	wave := func() ([]int, []float64) {
+		var active []int
+		for j := range reqs {
+			if rng.Intn(3) == 0 {
+				active = append(active, j)
+			}
+		}
+		used := make([]float64, net.NumStations())
+		for i := range used {
+			used[i] = 0.95 * rng.Float64() * net.Capacity(i)
+		}
+		return active, used
+	}
+	slot := func(inc *IncCache, active []int, baseUsed []float64, seed int64) []Decision {
+		workload.Reset(reqs)
+		res := newBatchResult(reqs)
+		rt := float64(max(1, len(active)))
+		if _, err := ScheduleBatch(net, reqs, res, rand.New(rand.NewSource(seed)), BatchOptions{
+			Active:      active,
+			Used:        slices.Clone(baseUsed),
+			ShareCapMBs: func(i int) float64 { return net.Capacity(i) / rt / net.CUnit() },
+			Distribute:  true,
+			Inc:         inc,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return res.Decisions
+	}
+
+	churn := NewIncCache()
+	for s := 0; s < 40; s++ {
+		active, used := wave()
+		slot(churn, active, used, int64(s))
+	}
+	st := churn.Stats()
+	if st.DirtySolves < 100 || st.CleanHits != 0 {
+		t.Fatalf("churn: %d solves, %d replays; want a hundred solves and no replay", st.DirtySolves, st.CleanHits)
+	}
+	if w := filedWords(churn); w != 0 {
+		t.Fatalf("churn: %d words filed over %d keys, want 0", w, len(churn.entries))
+	}
+
+	steady := NewIncCache()
+	active, used := wave()
+	first := slot(steady, active, used, 3)
+	if w := filedWords(steady); w != 0 {
+		t.Fatalf("wave, first sighting: %d words filed, want 0", w)
+	}
+	slot(steady, active, used, 3)
+	for key, e := range steady.entries {
+		if e.sig == nil || len(e.vars) == 0 || len(e.y) != len(e.vars) {
+			t.Fatalf("wave, second sighting: pass %d key %d filed %d signature, %d variable and %d solution words",
+				key.pass, key.shard, len(e.sig), len(e.vars), len(e.y))
+		}
+	}
+	before := steady.Stats()
+	third := slot(steady, active, used, 3)
+	now := steady.Stats()
+	if solved, replayed := now.DirtySolves-before.DirtySolves, now.CleanHits-before.CleanHits; solved != 0 || replayed == 0 {
+		t.Fatalf("wave, third sighting: %d solves, %d replays; want every component replayed", solved, replayed)
+	}
+	if !reflect.DeepEqual(third, first) {
+		t.Fatal("wave, third sighting: the replay decides otherwise than the first solve")
+	}
+}
+
+// TestIncCacheCollisionSolves pins that the hash only decides what is
+// filed: an entry whose hash is this slot's signature's but whose filed
+// copy is another signature's — what a collision leaves — is solved, not
+// replayed, and decides what the reference with no cache decides (the
+// one DynamicRR's SetIncCache(nil) runs). The solve then files, since
+// the hash matched, and replays the slot after.
+func TestIncCacheCollisionSolves(t *testing.T) {
+	n := incTestNetwork(t)
+	reqs := []*mec.Request{
+		incTestRequest(t, 0, 0, 40, 120), // station 0 only
+		incTestRequest(t, 1, 0, 40, 150), // station 0 only
+	}
+	one := []int{0, 1}
+	idle, loaded := []float64{0, 0}, []float64{500, 0}
+
+	// The loaded level's signature, from a cache of its own.
+	other := NewIncCache()
+	for range 2 {
+		incSlot(t, n, reqs, one, loaded, BatchOptions{Inc: other})
+	}
+	want := other.get(0, 0).sig
+
+	h := newIncHarness(t, n, reqs)
+	h.slot("hash", one, idle, 0, 1)
+	h.slot("file", one, idle, 0, 1)
+	e := h.inc.get(0, 0)
+	if slices.Equal(e.sig, want) {
+		t.Fatal("the two levels share a signature")
+	}
+	e.hash = sigHash(want) // the idle copy under the loaded level's hash
+	h.slot("forged: solve", one, loaded, 0, 1)
+	if !slices.Equal(e.sig, want) {
+		t.Fatal("the solve whose hash matched was not filed")
+	}
+	h.slot("replay", one, loaded, 1, 0)
 }
 
 // TestScheduleBatchRefusesWarmWithInc pins why the decision cache may
