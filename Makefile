@@ -38,17 +38,20 @@ cluster-parity:
 ## race detector. It proves that DynamicRR as shipped, which files a
 ## component's solve once its signature repeats and replays it from the
 ## third sighting, decides exactly what the oracle's reference decides
-## by re-solving every component every slot, that a signature hash only
-## decides what is filed (a collision solves, never replays), and that
-## each shortcut of the slot path (compaction, dropped cap rows, the
-## draw-first rounding pass, the standard-form LP builder) matches the
-## loop it replaced; each test's doc comment says what it checks.
+## by re-solving every component every slot (on the fuzz corpus's wave
+## draws too), that a signature hash only decides what is filed (a
+## collision solves, never replays), that the planner builds a pending
+## request only when R_t selects it, and that each shortcut of the slot
+## path (compaction, dropped cap rows, the draw-first rounding pass, the
+## standard-form LP builder) matches the loop it replaced; each test's doc
+## comment says what it checks.
 incremental-parity:
-	$(GO) test -race -count=1 -v -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack|TestBuildLPWritesStandardForm' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -count=1 -v -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack|TestBuildLPWritesStandardForm|TestUnselectedRequestsNeverBuilt|TestDirtySetWaveDrawsReplay' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/
 
 ## drift: the drift correctness gate — the metamorphic invariance suites
 ## (arm relabeling, scenario time shift), the learner's checkpoint/restore
-## cycle deciding what the uninterrupted engine decides, a request's drawn
+## cycle deciding what the uninterrupted engine decides (also when the
+## pending requests are unbuilt keys), a request's drawn
 ## distribution surviving a checkpoint, and the simulator's drift script
 ## (an outage evicting running streams, a handover re-pointing the
 ## pending queue, a drift run deterministic and startable mid-horizon),
@@ -56,7 +59,7 @@ incremental-parity:
 ## simulator only: the daemon installs no drift script.
 drift:
 	$(GO) test -race -count=1 -v -run \
-		'TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDecisions|TestDrawnOutcomesSurviveCheckpoint|TestOutageEvictsRunningStreams|TestHandoverMovesPendingQueue|TestDriftRunDeterministic|TestDriftMidHorizonStart' \
+		'TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDecisions|TestCheckpointWithUnbuiltPendingResumes|TestDrawnOutcomesSurviveCheckpoint|TestOutageEvictsRunningStreams|TestHandoverMovesPendingQueue|TestDriftRunDeterministic|TestDriftMidHorizonStart' \
 		./internal/bandit/ ./internal/scenario/ ./internal/serve/ ./internal/sim/
 
 ## oracle: differential oracle suite, the daemon's packages with the
@@ -122,7 +125,7 @@ tick-jitter:
 fuzz:
 	$(GO) test -v -run 'FuzzParse|FuzzSolveInteger' ./internal/lp/
 	$(GO) test -v -run 'FuzzOracleLP|FuzzDirtySet' ./internal/oracle/
-	$(GO) test -v -run 'FuzzBatchDecode' ./internal/serve/
+	$(GO) test -v -run 'FuzzBatchDecode|FuzzSpecBuilds' ./internal/serve/
 	$(GO) test -v -run 'FuzzScenarioDecode|FuzzScenarioV1Decode' ./internal/scenario/
 	$(GO) test -v -run 'FuzzCheckpointRestore' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzParse' -fuzztime 30s ./internal/lp/
@@ -131,6 +134,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDirtySet' -fuzztime 30s ./internal/oracle/
 	$(GO) test -fuzz 'FuzzBatchDecode$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz 'FuzzBatchDecodeMatchesReference' -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz 'FuzzSpecBuilds' -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz 'FuzzScenarioDecode$$' -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz 'FuzzCheckpointRestore' -fuzztime 30s -fuzzminimizetime 5s ./internal/cluster/
 

@@ -9,10 +9,12 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -87,27 +89,54 @@ func (m *Mass) Check() error {
 }
 
 // NewRateReward validates and constructs a distribution. The outcomes are
-// copied once, sorted by rate (a list already strictly increasing in rate
-// is left as it is), and duplicate rates are merged (probabilities added,
-// rewards probability-weighted).
+// copied once and normalized (see Normalize): sorted by rate, zero
+// probabilities dropped and duplicate rates merged.
 func NewRateReward(outcomes []Outcome) (*RateReward, error) {
+	if err := checkMass(outcomes); err != nil {
+		return nil, err
+	}
+	os := Normalize(append(make([]Outcome, 0, len(outcomes)), outcomes...))
+	n := len(os)
+	return newRateReward(new(RateReward), os[:n:n], make([]float64, n)), nil
+}
+
+// checkMass runs the Mass rule over a whole list.
+func checkMass(outcomes []Outcome) error {
 	var mass Mass
 	for _, o := range outcomes {
 		if err := mass.Add(o); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := mass.Check(); err != nil {
-		return nil, err
-	}
-	os := make([]Outcome, len(outcomes))
-	copy(os, outcomes)
-	if !strictlyIncreasing(os) {
-		sort.Slice(os, func(i, j int) bool { return os[i].Rate < os[j].Rate })
-	}
+	return mass.Check()
+}
 
-	merged := os[:0]
-	for _, o := range os {
+// newRateReward fills d with a normalized support and the storage for its
+// cumulative probabilities, one per outcome.
+func newRateReward(d *RateReward, support []Outcome, cum []float64) *RateReward {
+	*d = RateReward{outcomes: support, cum: cum}
+	c := 0.0
+	for i, o := range support {
+		c += o.Prob
+		cum[i] = c
+	}
+	cum[len(cum)-1] = 1 // guard against float drift
+	return d
+}
+
+// Normalize puts a list of outcomes into the form a RateReward holds, in
+// place: sorted by increasing rate (a list already strictly increasing in
+// rate is left as it is), zero-probability outcomes dropped, and duplicate
+// rates merged (probabilities added, rewards probability-weighted). It
+// returns the merged prefix of outcomes. NewRateReward's support is
+// Normalize of a copy of its argument, so a caller that needs only a figure
+// of the distribution can work it out in a buffer of its own.
+func Normalize(outcomes []Outcome) []Outcome {
+	if !strictlyIncreasing(outcomes) {
+		slices.SortFunc(outcomes, func(a, b Outcome) int { return cmp.Compare(a.Rate, b.Rate) })
+	}
+	merged := outcomes[:0]
+	for _, o := range outcomes {
 		if o.Prob == 0 {
 			continue
 		}
@@ -119,15 +148,19 @@ func NewRateReward(outcomes []Outcome) (*RateReward, error) {
 		}
 		merged = append(merged, o)
 	}
-	n := len(merged)
-	d := &RateReward{outcomes: merged[:n:n], cum: make([]float64, n)}
-	c := 0.0
-	for i, o := range d.outcomes {
-		c += o.Prob
-		d.cum[i] = c
+	return merged
+}
+
+// ExpectedRateOf returns E[rho] over a support Normalize returned, summed
+// as (*RateReward).ExpectedRate sums it: for any list NewRateReward
+// accepts, ExpectedRateOf(Normalize(copy of the list)) equals
+// NewRateReward(list).ExpectedRate() bit for bit.
+func ExpectedRateOf(support []Outcome) float64 {
+	e := 0.0
+	for _, o := range support {
+		e += o.Prob * o.Rate
 	}
-	d.cum[len(d.cum)-1] = 1 // guard against float drift
-	return d, nil
+	return e
 }
 
 // strictlyIncreasing reports whether every outcome's rate exceeds the one
@@ -139,6 +172,50 @@ func strictlyIncreasing(os []Outcome) bool {
 		}
 	}
 	return true
+}
+
+// Arena builds distributions as NewRateReward does, but carves each one's
+// struct, outcomes and cumulative probabilities from chunks shared with
+// the distributions built before and after it, instead of making three
+// allocations. A chunk is freed once no distribution carved from it is
+// reachable, so chunks are sized for 16 five-outcome distributions: a
+// live distribution pins the storage of a few neighbours, not of a
+// hundred. The zero Arena is ready to use; it is not safe for concurrent
+// use.
+type Arena struct {
+	dists []RateReward
+	outs  []Outcome
+	cums  []float64
+}
+
+// Chunk lengths, each filling its size class: 16 distributions (768 B),
+// 85 outcomes (2 040 of 2 048 B) and 80 cumulative probabilities (640 B).
+const (
+	arenaDists    = 16
+	arenaOutcomes = 85
+	arenaCums     = 80
+)
+
+// New is NewRateReward with the storage carved from the arena.
+func (a *Arena) New(outcomes []Outcome) (*RateReward, error) {
+	if err := checkMass(outcomes); err != nil {
+		return nil, err
+	}
+	os := Normalize(append(carve(&a.outs, len(outcomes), arenaOutcomes), outcomes...))
+	n := len(os)
+	return newRateReward(&carve(&a.dists, 1, arenaDists)[:1][0], os[:n:n], carve(&a.cums, n, arenaCums)[:n]), nil
+}
+
+// carve takes room for n values from the front of *chunk, starting a new
+// chunk of max(n, size) values when fewer are left, and returns it empty,
+// with capacity n.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if len(*chunk) < n {
+		*chunk = make([]T, max(n, size))
+	}
+	s := (*chunk)[:0:n]
+	*chunk = (*chunk)[n:]
+	return s
 }
 
 // Outcomes returns a copy of the support, sorted by increasing rate.
@@ -164,13 +241,7 @@ func (d *RateReward) MinRate() float64 { return d.outcomes[0].Rate }
 func (d *RateReward) MaxRate() float64 { return d.outcomes[len(d.outcomes)-1].Rate }
 
 // ExpectedRate returns E[rho].
-func (d *RateReward) ExpectedRate() float64 {
-	e := 0.0
-	for _, o := range d.outcomes {
-		e += o.Prob * o.Rate
-	}
-	return e
-}
+func (d *RateReward) ExpectedRate() float64 { return ExpectedRateOf(d.outcomes) }
 
 // ExpectedReward returns E[RD] = sum_rho pi_rho * RD_rho, the
 // demand-independent expected reward of serving the request.

@@ -144,9 +144,12 @@ func (r *Request) WorkMS() float64 {
 
 // ProcDelayMS returns Eq. (2)'s processing term sum_k d^pro_{jki}: the
 // total pipeline processing delay of the request on station st.
-func (r *Request) ProcDelayMS(st BaseStation) float64 {
+func (r *Request) ProcDelayMS(st BaseStation) float64 { return procDelayMS(r.Tasks, st) }
+
+// procDelayMS is ProcDelayMS for a pipeline of tasks.
+func procDelayMS(tasks []Task, st BaseStation) float64 {
 	total := 0.0
-	for _, t := range r.Tasks {
+	for _, t := range tasks {
 		total += t.WorkMS * st.SpeedFactor
 	}
 	return total
@@ -165,7 +168,13 @@ func (r *Request) TaskProcDelayMS(k int, st BaseStation) (float64, error) {
 // the access station plus full pipeline processing. Adding the waiting
 // term (b_j - a_j) * slot length yields D_j of Eq. (2).
 func (r *Request) ServiceDelayMS(n *Network, i int) float64 {
-	return n.RoundTripDelayMS(r.AccessStation, i) + r.ProcDelayMS(n.stations[i])
+	return n.ServiceDelayMS(r.AccessStation, r.Tasks, i)
+}
+
+// ServiceDelayMS is Request.ServiceDelayMS for a request known by its
+// access station and its pipeline alone, computed the same way.
+func (n *Network) ServiceDelayMS(access int, tasks []Task, i int) float64 {
+	return n.RoundTripDelayMS(access, i) + procDelayMS(tasks, n.stations[i])
 }
 
 // DelayFeasible reports whether serving the request on station i can meet

@@ -101,28 +101,72 @@ func periodicIslands(t *testing.T, stations, waves int) (*mec.Network, []*mec.Re
 
 // FuzzDirtySet fuzzes the incremental scheduler's parity contract over
 // generated topologies and workloads: any (stations, requests, horizon,
-// seed) draw within the envelope must produce identical decisions with
-// and without the dirty-component cache. Traces that never go clean pass
-// vacuously (ErrNoCleanHits is tolerated — arbitrary draws need not
-// repeat a component); the curated seeds all exercise the cache.
+// seed, waves) draw within the envelope must produce identical decisions
+// with and without the dirty-component cache. Traces that never go clean
+// pass vacuously (ErrNoCleanHits is tolerated — arbitrary draws need not
+// repeat a component), as the first four seeds do: they are generated
+// workloads, whose components never repeat. The curated wave draws
+// (waveDraws) repeat every component, and TestDirtySetWaveDrawsReplay
+// requires each of them to replay.
 func FuzzDirtySet(f *testing.F) {
-	f.Add(int64(83), uint8(8), uint8(80), uint8(25))
-	f.Add(int64(7), uint8(4), uint8(30), uint8(10))
-	f.Add(int64(42), uint8(6), uint8(50), uint8(15))
-	f.Add(int64(1), uint8(2), uint8(12), uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, stations, requests, horizon uint8) {
-		nSt := int(stations)%12 + 1
-		nReq := int(requests)%100 + 1
-		hor := int(horizon)%30 + 1
-		n := oracleNet(t, nSt, seed)
-		reqs := oracleWorkload(t, workload.Config{
-			NumRequests:    nReq,
-			NumStations:    nSt,
-			ArrivalHorizon: hor,
-		}, seed+1)
-		err := DiffIncrementalFull(n, reqs, seed+2, sim.Config{Horizon: hor + 20}, sim.DynamicRROptions{})
+	f.Add(int64(83), uint8(8), uint8(80), uint8(25), uint8(0))
+	f.Add(int64(7), uint8(4), uint8(30), uint8(10), uint8(0))
+	f.Add(int64(42), uint8(6), uint8(50), uint8(15), uint8(0))
+	f.Add(int64(1), uint8(2), uint8(12), uint8(4), uint8(0))
+	for _, d := range waveDraws {
+		f.Add(d.seed, d.stations, d.requests, d.horizon, d.waves)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, stations, requests, horizon, waves uint8) {
+		err := dirtySetDraw(t, seed, stations, requests, horizon, waves)
 		if err != nil && !errors.Is(err, ErrNoCleanHits) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// dirtySetDraw runs one draw's differential. With waves%8 below 3 the
+// trace is a generated workload of requests%100+1 arrivals over
+// horizon%30+1 slots on stations%12+1 stations; from 3 on it is that many
+// waves of periodicIslands over stations%12+1 islands, scheduled with
+// rounding denominator 1 so the waves stay aligned, and requests and
+// horizon go unused. A component is replayed from its third sighting, so
+// three waves are the fewest that can.
+func dirtySetDraw(t *testing.T, seed int64, stations, requests, horizon, waves uint8) error {
+	nSt := int(stations)%12 + 1
+	if nWaves := int(waves) % 8; nWaves >= 3 {
+		net, reqs := periodicIslands(t, nSt, nWaves)
+		return DiffIncrementalFull(net, reqs, seed, sim.Config{Horizon: 8*nWaves + 10},
+			sim.DynamicRROptions{RoundingDenominator: 1})
+	}
+	nReq := int(requests)%100 + 1
+	hor := int(horizon)%30 + 1
+	n := oracleNet(t, nSt, seed)
+	reqs := oracleWorkload(t, workload.Config{
+		NumRequests:    nReq,
+		NumStations:    nSt,
+		ArrivalHorizon: hor,
+	}, seed+1)
+	return DiffIncrementalFull(n, reqs, seed+2, sim.Config{Horizon: hor + 20}, sim.DynamicRROptions{})
+}
+
+// waveDraws are FuzzDirtySet's curated draws with a repeating wave.
+var waveDraws = []struct {
+	seed                               int64
+	stations, requests, horizon, waves uint8
+}{
+	{83, 6, 0, 0, 4},
+	{7, 1, 0, 0, 3},
+	{42, 11, 0, 0, 7},
+}
+
+// TestDirtySetWaveDrawsReplay: every curated wave draw of FuzzDirtySet
+// decides as the reference and replays at least one component, so the
+// fuzz corpus checks the cache's reuse itself, not only its parity on
+// traces that never go clean.
+func TestDirtySetWaveDrawsReplay(t *testing.T) {
+	for _, d := range waveDraws {
+		if err := dirtySetDraw(t, d.seed, d.stations, d.requests, d.horizon, d.waves); err != nil {
+			t.Errorf("draw %+v: %v", d, err)
+		}
+	}
 }

@@ -66,8 +66,9 @@ func (NaiveScheduler) Schedule(eng *sim.Engine, res *core.Result, t int, pending
 	n := eng.Net()
 	load := eng.ExpectedUsed()
 	var admitted []int
+	reqs := eng.Build(pending)
 	for _, j := range pending {
-		r := eng.Requests()[j]
+		r := reqs[j]
 		i := r.AccessStation
 		wait := t - r.ArrivalSlot
 		if !r.DelayFeasible(n, i, wait, eng.SlotLengthMS()) {

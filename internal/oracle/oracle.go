@@ -174,7 +174,14 @@ func EngineChecker() sim.StepChecker {
 		}
 		if isDRR && len(info.Pending) > 0 {
 			if cth, ok := drr.LastThreshold(); ok {
-				allowed := NaiveAdmissionSet(e.Requests(), info.Pending, info.FreeBeforeMHz, cth)
+				// Each rate comes from the request's own distribution
+				// (built for the check where R_t did not select it), never
+				// from the key R_t's order reads, so a wrong key fails here.
+				reqs := make([]*mec.Request, len(e.Requests()))
+				for _, j := range info.Pending {
+					reqs[j] = e.Materialized(j)
+				}
+				allowed := NaiveAdmissionSet(reqs, info.Pending, info.FreeBeforeMHz, cth)
 				for _, j := range rep.Admitted {
 					if !allowed[j] {
 						return fmt.Errorf("slot %d: oracle: request %d admitted outside the C^th=%.1f MHz share rule", rep.Slot, j, cth)
@@ -218,7 +225,7 @@ func checkDriftTransitions(e *sim.Engine, res *core.Result, rep sim.SlotReport) 
 		if j < 0 || j >= len(e.Requests()) {
 			return fmt.Errorf("slot %d: oracle: handed-over request %d outside workload", rep.Slot, j)
 		}
-		if st := e.Requests()[j].AccessStation; st < 0 || st >= n {
+		if st := e.Materialized(j).AccessStation; st < 0 || st >= n {
 			return fmt.Errorf("slot %d: oracle: request %d handed over to station %d (out of range)", rep.Slot, j, st)
 		}
 	}

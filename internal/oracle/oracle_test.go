@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -501,5 +502,64 @@ func TestCheckBanditBounds(t *testing.T) {
 	}
 	if se.BestArm() != 2 {
 		t.Fatalf("best arm %d, want the dominating arm 2", se.BestArm())
+	}
+}
+
+// TestEngineCheckerCatchesWrongKey: the checker's admission set reads each
+// pending request's rate from its distribution, never from the key R_t's
+// order reads. Two pending requests on one station whose threshold leaves
+// room for one: with keys that swap their expected rates, R_t picks the
+// one with the larger true rate and the checker refuses the slot; with
+// true keys the same slot admits the smaller and passes.
+func TestEngineCheckerCatchesWrongKey(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		keyRates  [2]float64
+		wantError bool
+	}{
+		{"true keys", [2]float64{30, 40}, false},
+		{"swapped keys", [2]float64{50, 20}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := oracleNet(t, 1, 5)
+			reqs := make([]*mec.Request, 2)
+			for j, rate := range []float64{30, 40} {
+				d, err := dist.NewRateReward([]dist.Outcome{{Rate: rate, Prob: 1, Reward: 500}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reqs[j] = &mec.Request{Tasks: []mec.Task{{Name: "render", OutputKb: 100, WorkMS: 30}}, DeadlineMS: 500, DurationSlots: 2, Dist: d}
+			}
+			eng, err := sim.NewLiveEngine(net, rand.New(rand.NewSource(1)), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetBuilder(func(j int, _ sim.Key) *mec.Request { return reqs[j].CloneShallow() })
+			eng.SetStepChecker(EngineChecker())
+			res := &core.Result{}
+			for j := range reqs {
+				k := sim.KeyOf(reqs[j])
+				k.ExpectedRate = tc.keyRates[j]
+				if err := eng.AppendKey(k); err != nil {
+					t.Fatal(err)
+				}
+				res.Decisions = append(res.Decisions, core.Decision{RequestID: j, Station: -1})
+			}
+			cth := 0.6 * net.Capacity(0) // room for one request in R_t
+			drr, err := sim.NewDynamicRR(sim.DynamicRROptions{MinThresholdMHz: cth, MaxThresholdMHz: cth, Kappa: 1, RoundingDenominator: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := eng.Step(drr, res, 0, []int{0, 1})
+			if tc.wantError {
+				if err == nil || !strings.Contains(err.Error(), "share rule") {
+					t.Fatalf("slot admitted %v under swapped keys; checker said %v", rep.Admitted, err)
+				}
+				return
+			}
+			if err != nil || !slices.Equal(rep.Admitted, []int{0}) {
+				t.Fatalf("true keys: admitted %v, checker said %v; want request 0 admitted", rep.Admitted, err)
+			}
+		})
 	}
 }

@@ -82,7 +82,7 @@ func TestMaterializeSpecAllocs(t *testing.T) {
 	} {
 		allocs := testing.AllocsPerRun(200, func() {
 			spec := tc.spec
-			if _, err := materializeSpec(net, rng, 0, 0, &spec); err != nil {
+			if _, err := materializeSpec(net, rng, &spec); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -86,6 +86,7 @@ func (e *Engine) installEmpty() error {
 	if err != nil {
 		return err
 	}
+	planner.SetBuilder(e.build)
 	planner.SetStepChecker(e.cfg.StepChecker)
 	planner.SetFeedbackDeferred(e.cfg.DeferFeedback)
 	e.planner = planner
@@ -94,11 +95,12 @@ func (e *Engine) installEmpty() error {
 }
 
 // install restores the planner from a checkpoint: live requests append in
-// arrival order under dense planner indices, and in-flight streams restore
-// the holds release subtracts (sim.RestoreRunning refuses a stream no
-// engine could have written). A request whose spec carries no outcomes (a
-// checkpoint written before specs recorded the drawn default ones) draws
-// them here. Each restored request gets its row, so status lookups keep
+// arrival order under dense planner indices, as keys (specKey) the planner
+// builds from only when R_t selects them, as at the door, and in-flight
+// streams restore the holds release subtracts (sim.RestoreRunning refuses
+// a stream no engine could have written). A request whose spec carries no
+// outcomes (a checkpoint written before specs recorded the drawn default
+// ones) draws them here. Each restored request gets its row, so status lookups keep
 // answering for every live request across a restart.
 func (e *Engine) install(ck *Checkpoint) error {
 	if err := e.installEmpty(); err != nil {
@@ -120,11 +122,11 @@ func (e *Engine) install(ck *Checkpoint) error {
 		if _, dup := ext2int[cr.ExternalID]; dup {
 			return fmt.Errorf("request %d listed twice", cr.ExternalID)
 		}
-		r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, i, cr.ArrivalSlot, &cr.Spec)
+		k, err := specKey(e.cfg.Net, e.cfg.Rng, cr.ArrivalSlot, &cr.Spec)
 		if err != nil {
 			return fmt.Errorf("request %d: %w", cr.ExternalID, err)
 		}
-		if err := e.planner.Append(r); err != nil {
+		if err := e.planner.AppendKey(k); err != nil {
 			return err
 		}
 		d := core.Decision{RequestID: i, Station: -1}

@@ -16,12 +16,12 @@ import (
 )
 
 // pendingHeld maps every pending request's id to the demand distribution
-// the planner holds for it. The caller makes no engine call at the same
-// time.
+// the planner holds for it, or builds from its spec when R_t selects it.
+// The caller makes no engine call at the same time.
 func pendingHeld(e *Engine) map[uint64][]dist.Outcome {
 	out := map[uint64][]dist.Outcome{}
 	for _, j := range e.pending {
-		r := e.planner.Requests()[j]
+		r := e.planner.Materialized(j)
 		var outcomes []dist.Outcome
 		for k := 0; k < r.Dist.Len(); k++ {
 			outcomes = append(outcomes, r.Dist.OutcomeAt(k))

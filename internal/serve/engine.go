@@ -25,6 +25,7 @@ import (
 
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/core"
+	"mecoffload/internal/dist"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/oracle"
 	"mecoffload/internal/rnd"
@@ -151,6 +152,12 @@ type Engine struct {
 	// taken is drainDoor's spare storage for the entries it takes; it
 	// trades places with the door's buffer on every full take.
 	taken []ingestEntry
+	// reqChunk and arena are where build carves the planner's requests and
+	// their distributions from, and onBuild, when set, sees every build
+	// (a test's observer).
+	reqChunk []mec.Request
+	arena    dist.Arena
+	onBuild  func(idx int)
 	// done closes, under mu, when the engine exits: in the call that
 	// completes a drain, or at Stop. drainedSnap is the state a drain left
 	// behind, never modified after.

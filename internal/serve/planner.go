@@ -9,13 +9,16 @@ import (
 	"time"
 
 	"mecoffload/internal/core"
+	"mecoffload/internal/mec"
+	"mecoffload/internal/sim"
 )
 
 // ingestOne appends one request taken from the door to the planner: the
 // planner's one way in. Its row already exists (the door inserted it), and
 // paper-default outcomes drawn for it are written into its live part's
-// spec (see materializeSpec); admitTaken then records it as pending, or a
-// refusal as shed so the id stays resolvable. When the append would grow the
+// spec; the planner files its key (specKey) and builds the request only
+// when R_t first selects it (build). admitTaken then records it as
+// pending, or a refusal as shed so the id stays resolvable. When the append would grow the
 // planner's arrays and at least half their entries (and more than
 // Config.CompactAfter) are settled, the planner is compacted first: the
 // arrays stay near twice the live set instead of growing with the backlog.
@@ -27,9 +30,9 @@ func (e *Engine) ingestOne(ent ingestEntry) bool {
 		}
 	}
 	idx := len(e.planner.Requests())
-	r, err := materializeSpec(e.cfg.Net, e.cfg.Rng, idx, e.slot, &ent.live.spec)
+	k, err := specKey(e.cfg.Net, e.cfg.Rng, e.slot, &ent.live.spec)
 	if err == nil {
-		err = e.planner.Append(r)
+		err = e.planner.AppendKey(k)
 	}
 	if err != nil {
 		e.metrics.Rejected.Inc()
@@ -40,6 +43,28 @@ func (e *Engine) ingestOne(ent ingestEntry) bool {
 	e.metrics.Submitted.Inc()
 	e.table.attach(ent.live, e.slot)
 	return true
+}
+
+// reqChunk is how many planner requests share one allocation: 17 of 104
+// bytes fill 1 768 of the 1 792-byte size class. A request R_t selected
+// pins its chunk until compaction drops it, so a chunk is a few slots of
+// arrivals (as dist.Arena's are), not a hundred requests.
+const reqChunk = 17
+
+// build makes the planner request at index idx when R_t first selects it
+// (the planner's sim.Builder), from the spec its live part holds, which
+// specKey checked at the door. The request and its distribution are
+// carved from chunks, as the door carves rows.
+func (e *Engine) build(idx int, k sim.Key) *mec.Request {
+	if e.onBuild != nil {
+		e.onBuild(idx)
+	}
+	if len(e.reqChunk) == 0 {
+		e.reqChunk = make([]mec.Request, reqChunk)
+	}
+	r := &e.reqChunk[0]
+	e.reqChunk = e.reqChunk[1:]
+	return buildSpec(r, &e.arena, k, &e.table.byIdx[idx].spec)
 }
 
 // admitTaken admits one take's entries in order, records their rows under

@@ -1,8 +1,10 @@
 package serve
 
 // Spec materialization: the wire shape of a request, the one rule that
-// accepts or rejects it (checkSpec), and the one function, materializeSpec,
-// that turns an accepted one into the planner's mec.Request.
+// accepts or rejects it (checkSpec), and the two halves of turning an
+// accepted one into the planner's mec.Request: specKey at the door, which
+// files what the planner reads of a pending request, and buildSpec when
+// R_t first selects it.
 
 import (
 	"fmt"
@@ -11,6 +13,7 @@ import (
 
 	"mecoffload/internal/dist"
 	"mecoffload/internal/mec"
+	"mecoffload/internal/sim"
 	"mecoffload/internal/workload"
 )
 
@@ -57,7 +60,7 @@ var validationRng = rand.New(zeroSource{})
 // an arbitrary topology, without consuming any engine randomness. Safe for
 // concurrent use.
 func MaterializeSpec(net *mec.Network, spec RequestSpec) (*mec.Request, error) {
-	return materializeSpec(net, validationRng, 0, 0, &spec)
+	return materializeSpec(net, validationRng, &spec)
 }
 
 // ValidateSpec checks a spec against a topology exactly as intake would:
@@ -92,10 +95,10 @@ var canonicalWorkMS = func() float64 {
 	return total
 }()
 
-// checkSpec is the one accept/reject rule for a spec: materializeSpec
-// builds only what it accepted, and SpecCandidates routes only that. It
-// applies the paper defaults the way materializeSpec does and allocates
-// nothing on the accepting path.
+// checkSpec is the one accept/reject rule for a spec: specKey files only
+// what it accepted, and SpecCandidates routes only that. It applies the
+// paper defaults the way specKey and buildSpec do and allocates nothing on
+// the accepting path.
 func checkSpec(net *mec.Network, spec RequestSpec) (specFacts, error) {
 	if spec.AccessStation < 0 || spec.AccessStation >= net.NumStations() {
 		return specFacts{}, fmt.Errorf("%w: access station %d out of [0, %d)", ErrBadSpec, spec.AccessStation, net.NumStations())
@@ -146,21 +149,36 @@ func checkSpec(net *mec.Network, spec RequestSpec) (specFacts, error) {
 func nonNegFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // materializeSpec applies the paper-default pipeline, deadline, hold, and
-// demand distribution to a spec checkSpec accepts. rng feeds only the
-// default-outcome unit-reward draw, and the drawn outcomes are written into
-// spec: the caller's copy then names the distribution the request holds,
-// so a checkpoint hands that on instead of a second draw.
-func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec *RequestSpec) (*mec.Request, error) {
-	facts, err := checkSpec(net, *spec)
+// demand distribution to a spec checkSpec accepts, building the whole
+// request at once, as request 0 arriving at slot 0: specKey, then
+// buildSpec. rng feeds only the default-outcome unit-reward draw (see
+// specKey).
+func materializeSpec(net *mec.Network, rng *rand.Rand, spec *RequestSpec) (*mec.Request, error) {
+	k, err := specKey(net, rng, 0, spec)
 	if err != nil {
 		return nil, err
 	}
+	r := buildSpec(new(mec.Request), nil, k, spec)
+	r.AccessStation = k.AccessStation
+	return r, nil
+}
+
+// specKey is the door's half: it checks a spec (checkSpec) and returns
+// the planner's key of the request it becomes, arriving at arrival,
+// building no request and no distribution. rng feeds only the
+// default-outcome unit-reward draw, and the drawn outcomes are written
+// into spec: the caller's copy then names the distribution the request
+// will hold, so buildSpec and a checkpoint read it instead of a second
+// draw. The expected rate is summed over the outcomes sorted and merged as
+// dist.NewRateReward sorts and merges them, so it is the built
+// distribution's bit for bit.
+func specKey(net *mec.Network, rng *rand.Rand, arrival int, spec *RequestSpec) (sim.Key, error) {
+	facts, err := checkSpec(net, *spec)
+	if err != nil {
+		return sim.Key{}, err
+	}
 	if len(spec.Outcomes) == 0 {
 		spec.Outcomes = defaultOutcomes(rng)
-	}
-	dur := spec.DurationSlots
-	if dur == 0 {
-		dur = 20
 	}
 	tasks := defaultTasks
 	if len(spec.Tasks) > 0 {
@@ -169,30 +187,51 @@ func materializeSpec(net *mec.Network, rng *rand.Rand, id, arrival int, spec *Re
 			tasks[i] = mec.Task{Name: ts.Name, OutputKb: ts.OutputKb, WorkMS: ts.WorkMS}
 		}
 	}
-	// NewRateReward copies the list it reads, so a default-sized one can
-	// live on the stack.
 	var buf [workload.DefaultRateSupport]dist.Outcome
-	distOutcomes := buf[:0]
-	for _, o := range spec.Outcomes {
-		distOutcomes = append(distOutcomes, dist.Outcome{Rate: o.RateMBs, Prob: o.Prob, Reward: o.Reward})
-	}
-	d, err := dist.NewRateReward(distOutcomes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	r := &mec.Request{
-		ID:            id,
+	return sim.Key{
 		ArrivalSlot:   arrival,
 		AccessStation: spec.AccessStation,
-		Tasks:         tasks,
 		DeadlineMS:    facts.deadlineMS,
-		DurationSlots: dur,
-		Dist:          d,
+		ExpectedRate:  dist.ExpectedRateOf(dist.Normalize(distOutcomes(buf[:0], spec))),
+		Tasks:         tasks,
+	}, nil
+}
+
+// buildSpec is the planner's half: it fills r with the request a spec
+// specKey accepted becomes under its key k — the key's pipeline and
+// deadline, the spec's hold (default 20 slots) and distribution, carved
+// from arena (allocated on its own when arena is nil). The caller sets
+// the request's ID, arrival and access station. It cannot fail: checkSpec
+// applies dist.NewRateReward's own rule (dist.Mass) to the outcomes.
+func buildSpec(r *mec.Request, arena *dist.Arena, k sim.Key, spec *RequestSpec) *mec.Request {
+	dur := spec.DurationSlots
+	if dur == 0 {
+		dur = 20
 	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	// The distribution copies the list it reads, so a default-sized one
+	// can live on the stack.
+	var buf [workload.DefaultRateSupport]dist.Outcome
+	outs := distOutcomes(buf[:0], spec)
+	var d *dist.RateReward
+	var err error
+	if arena != nil {
+		d, err = arena.New(outs)
+	} else {
+		d, err = dist.NewRateReward(outs)
 	}
-	return r, nil
+	if err != nil {
+		panic(fmt.Sprintf("serve: a spec checkSpec accepted has outcomes the distribution refuses: %v", err))
+	}
+	*r = mec.Request{Tasks: k.Tasks, DeadlineMS: k.DeadlineMS, DurationSlots: dur, Dist: d}
+	return r
+}
+
+// distOutcomes appends a spec's outcomes to dst as the distribution's.
+func distOutcomes(dst []dist.Outcome, spec *RequestSpec) []dist.Outcome {
+	for _, o := range spec.Outcomes {
+		dst = append(dst, dist.Outcome{Rate: o.RateMBs, Prob: o.Prob, Reward: o.Reward})
+	}
+	return dst
 }
 
 // defaultTasks is the canonical pipeline every request submitted without

@@ -39,7 +39,7 @@ func (*OnlineOCORP) UncertaintyAware() bool { return false }
 
 // Schedule implements Scheduler.
 func (*OnlineOCORP) Schedule(eng *Engine, res *core.Result, t int, pending []int) ([]int, error) {
-	reqs := eng.Requests()
+	reqs := eng.Build(pending)
 	order := append([]int(nil), pending...)
 	sort.Slice(order, func(a, b int) bool {
 		ra, rb := reqs[order[a]], reqs[order[b]]
@@ -100,7 +100,7 @@ func (*OnlineGreedy) UncertaintyAware() bool { return false }
 
 // Schedule implements Scheduler.
 func (*OnlineGreedy) Schedule(eng *Engine, res *core.Result, t int, pending []int) ([]int, error) {
-	reqs := eng.Requests()
+	reqs := eng.Build(pending)
 	net := eng.Net()
 	order := append([]int(nil), pending...)
 	sort.Slice(order, func(a, b int) bool {
@@ -164,7 +164,7 @@ func (*OnlineHeuKKT) UncertaintyAware() bool { return false }
 
 // Schedule implements Scheduler.
 func (*OnlineHeuKKT) Schedule(eng *Engine, res *core.Result, t int, pending []int) ([]int, error) {
-	reqs := eng.Requests()
+	reqs := eng.Build(pending)
 	net := eng.Net()
 	expected := eng.ExpectedUsed()
 

@@ -158,8 +158,11 @@ func (e *Engine) applyDrift(t int, pending []int, rep *SlotReport) {
 			continue
 		}
 		for _, j := range pending {
-			if e.reqs[j].AccessStation == h.From {
-				e.reqs[j].AccessStation = h.To
+			if e.keys[j].AccessStation == h.From {
+				e.keys[j].AccessStation = h.To
+				if r := e.reqs[j]; r != nil {
+					r.AccessStation = h.To
+				}
 				rep.HandedOver = append(rep.HandedOver, j)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/core"
-	"mecoffload/internal/mec"
 )
 
 // ErrBadThreshold reports an invalid threshold range for DynamicRR.
@@ -54,7 +53,8 @@ type DynamicRROptions struct {
 //     admits them into R_t while the average free computing resource per
 //     admitted request stays at least C^th (the round-robin share test):
 //     R_t is the first ⌊free/C^th⌋ of that order, so only those are
-//     selected and sorted, never the whole parked backlog,
+//     selected and sorted, never the whole parked backlog, and only
+//     their requests are built (the order reads the engine's keys),
 //  3. schedules R_t with algorithm Heu, the LP replaced by LP-PT, and
 //  4. feeds the slot's realized reward back to the bandit.
 type DynamicRR struct {
@@ -164,8 +164,8 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 	if nMax <= 0 {
 		return nil, nil
 	}
-	reqs := eng.Requests()
-	sorted := d.sortByExpectedRate(reqs, pending, nMax)
+	sorted := d.sortByExpectedRate(eng.keys, pending, nMax)
+	reqs := eng.Build(sorted)
 
 	// Step 12: Heu with LP-PT (constraint (23) truncates by C(bs_i)/|R_t|),
 	// each dirty component solved cold: R_t turns over nearly completely
@@ -175,7 +175,7 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 	shareCap := func(i int) float64 {
 		return net.Capacity(i) / rt / net.CUnit()
 	}
-	waits := func(j int) int { return t - reqs[j].ArrivalSlot }
+	waits := func(j int) int { return t - eng.keys[j].ArrivalSlot }
 	_, err := core.ScheduleBatch(net, reqs, res, eng.Rng(), core.BatchOptions{
 		Active:              sorted,
 		Used:                eng.Used(),
@@ -205,13 +205,13 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 // increasing expected data rate, ties by request index (all of pending when
 // limit reaches its length), in a buffer the next call reuses. The pending
 // set runs to thousands of requests when arrivals outpace capacity, while
-// R_t takes a few dozen: each rate (a loop over the request's outcomes) is
-// computed once, not once per comparison, and only the limit smallest keys
-// are sorted. The order is total, so the prefix is exactly the full sort's.
-func (d *DynamicRR) sortByExpectedRate(reqs []*mec.Request, pending []int, limit int) []int {
+// R_t takes a few dozen: each rate is read from the request's key, and
+// only the limit smallest are sorted. The order is total, so the prefix is
+// exactly the full sort's.
+func (d *DynamicRR) sortByExpectedRate(reqKeys []Key, pending []int, limit int) []int {
 	keys := d.keyBuf[:0]
 	for _, j := range pending {
-		keys = append(keys, rateKey{rate: reqs[j].ExpectedRate(), req: j})
+		keys = append(keys, rateKey{rate: reqKeys[j].ExpectedRate, req: j})
 	}
 	d.keyBuf = keys
 	if limit < len(keys) {

@@ -10,9 +10,10 @@ import (
 )
 
 // TestSortByExpectedRateMatchesComparator pins R_t's admission order: the
-// key selection must return exactly the first limit entries of the order
-// the comparator it replaced produced — recomputing both expected rates on
-// every comparison, ties broken by request index — on random subsets, in
+// key selection, over the requests' keys, must return exactly the first
+// limit entries of the order the comparator it replaced produced —
+// recomputing both expected rates from the distributions on every
+// comparison, ties broken by request index — on random subsets, in
 // random input order, of a population where most rates are shared by
 // several requests, with limits below, at and above the subset's size.
 func TestSortByExpectedRateMatchesComparator(t *testing.T) {
@@ -30,8 +31,10 @@ func TestSortByExpectedRateMatchesComparator(t *testing.T) {
 		dists[k] = d
 	}
 	reqs := make([]*mec.Request, 400)
+	keys := make([]Key, len(reqs))
 	for j := range reqs {
 		reqs[j] = &mec.Request{ID: j, Dist: dists[rng.Intn(len(dists))]}
+		keys[j] = KeyOf(reqs[j])
 	}
 	d := &DynamicRR{}
 	for trial := 0; trial < 600; trial++ {
@@ -69,7 +72,7 @@ func TestSortByExpectedRateMatchesComparator(t *testing.T) {
 		}
 		want = want[:min(limit, n)]
 		before := slices.Clone(pending)
-		got := d.sortByExpectedRate(reqs, pending, limit)
+		got := d.sortByExpectedRate(keys, pending, limit)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d, limit=%d): order %v, want %v", trial, n, limit, got, want)
 		}

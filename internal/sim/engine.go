@@ -94,8 +94,12 @@ type running struct {
 // Step — the serving daemon's mode of operation. Run and Step are
 // mutually exclusive on one engine.
 type Engine struct {
-	net   *mec.Network
+	net *mec.Network
+	// keys[j] is request j's key, and reqs[j] the request itself: nil for
+	// a request appended as a key until Build makes it (see Key).
+	keys  []Key
 	reqs  []*mec.Request
+	build Builder
 	rng   *rand.Rand
 	slotL float64
 	// Horizon is the number of scheduling slots simulated. Arrivals beyond
@@ -114,6 +118,9 @@ type Engine struct {
 	overloaded []bool
 	batch      []member
 	holds      []hold
+	// departed, expired, admitted and served back the lists of the last
+	// SlotReport (see Step).
+	departed, expired, admitted, served []int
 	// check, when set, is invoked at the end of every Step (see
 	// SetStepChecker).
 	check StepChecker
@@ -193,8 +200,13 @@ func NewEngine(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, cfg Config) 
 		}
 		prev = r.ArrivalSlot
 	}
+	keys := make([]Key, len(reqs))
+	for j, r := range reqs {
+		keys[j] = KeyOf(r)
+	}
 	return &Engine{
 		net:      n,
+		keys:     keys,
 		reqs:     reqs,
 		rng:      rng,
 		slotL:    cfg.SlotLengthMS,
@@ -226,9 +238,51 @@ func NewLiveEngine(n *mec.Network, rng *rand.Rand, slotLengthMS float64) (*Engin
 	}, nil
 }
 
-// Append adds a request to a live engine's workload. The request must
-// carry the next dense ID (len(Requests())) and a non-decreasing arrival
-// slot, the same invariants NewEngine checks for batch workloads.
+// Key is what the engine reads of a request before DynamicRR's R_t
+// selects it: expiry reads the arrival, access station, pipeline and
+// deadline (and decides exactly as mec.Request.DelayFeasible), R_t's order
+// the expected rate, and the waits the arrival. The engine keeps one per
+// request index, densely, beside the requests.
+type Key struct {
+	ArrivalSlot   int
+	AccessStation int
+	DeadlineMS    float64
+	// ExpectedRate is E[ρ_j], bit for bit what the request's distribution
+	// returns.
+	ExpectedRate float64
+	// Tasks is the request's pipeline, shared with the request once built.
+	Tasks []mec.Task
+}
+
+// KeyOf returns a built request's key.
+func KeyOf(r *mec.Request) Key {
+	return Key{
+		ArrivalSlot:   r.ArrivalSlot,
+		AccessStation: r.AccessStation,
+		DeadlineMS:    r.DeadlineMS,
+		ExpectedRate:  r.ExpectedRate(),
+		Tasks:         r.Tasks,
+	}
+}
+
+// delayFeasible is mec.Request.DelayFeasible over the key's fields.
+func (k *Key) delayFeasible(n *mec.Network, i, waitSlots int, slotLengthMS float64) bool {
+	return float64(waitSlots)*slotLengthMS+n.ServiceDelayMS(k.AccessStation, k.Tasks, i) <= k.DeadlineMS
+}
+
+// Builder makes the request filed under key k at index j, for an engine
+// its caller appends keys to (AppendKey). It cannot fail: the caller
+// checked what it builds from before it filed the key. The engine sets
+// the request's ID, ArrivalSlot and AccessStation from the index and the
+// key (a handover may have moved the access station since).
+type Builder func(j int, k Key) *mec.Request
+
+// SetBuilder installs the builder of the requests AppendKey files.
+func (e *Engine) SetBuilder(b Builder) { e.build = b }
+
+// Append adds a built request to a live engine's workload. The request
+// must carry the next dense ID (len(Requests())) and a non-decreasing
+// arrival slot, the same invariants NewEngine checks for batch workloads.
 func (e *Engine) Append(r *mec.Request) error {
 	if r == nil {
 		return fmt.Errorf("sim: nil request")
@@ -236,23 +290,80 @@ func (e *Engine) Append(r *mec.Request) error {
 	if r.ID != len(e.reqs) {
 		return fmt.Errorf("sim: appended request has ID %d, want %d", r.ID, len(e.reqs))
 	}
-	if n := len(e.reqs); n > 0 && r.ArrivalSlot < e.reqs[n-1].ArrivalSlot {
-		return fmt.Errorf("sim: appended request arrives at slot %d before slot %d", r.ArrivalSlot, e.reqs[n-1].ArrivalSlot)
-	}
-	if r.AccessStation < 0 || r.AccessStation >= e.net.NumStations() {
-		return fmt.Errorf("sim: appended request access station %d out of range", r.AccessStation)
+	k := KeyOf(r)
+	if err := e.checkKey(k); err != nil {
+		return err
 	}
 	if err := r.Validate(); err != nil {
 		return err
 	}
+	e.keys = append(e.keys, k)
 	e.reqs = append(e.reqs, r)
 	return nil
+}
+
+// AppendKey adds a request to a live engine's workload as its key alone,
+// under the next dense index; the installed Builder makes the request when
+// Build first asks for it. The arrival must not precede the last one.
+func (e *Engine) AppendKey(k Key) error {
+	if e.build == nil {
+		return fmt.Errorf("sim: appended a key with no builder installed")
+	}
+	if err := e.checkKey(k); err != nil {
+		return err
+	}
+	e.keys = append(e.keys, k)
+	e.reqs = append(e.reqs, nil)
+	return nil
+}
+
+// checkKey checks an appended request's arrival order and access station.
+func (e *Engine) checkKey(k Key) error {
+	if n := len(e.keys); n > 0 && k.ArrivalSlot < e.keys[n-1].ArrivalSlot {
+		return fmt.Errorf("sim: appended request arrives at slot %d before slot %d", k.ArrivalSlot, e.keys[n-1].ArrivalSlot)
+	}
+	if k.AccessStation < 0 || k.AccessStation >= e.net.NumStations() {
+		return fmt.Errorf("sim: appended request access station %d out of range", k.AccessStation)
+	}
+	return nil
+}
+
+// Build makes every request among ids that is still a key alone, files
+// it, and returns the workload. A scheduler calls it with the requests it
+// is about to read: DynamicRR with R_t, a baseline with the whole queue.
+func (e *Engine) Build(ids []int) []*mec.Request {
+	for _, j := range ids {
+		if e.reqs[j] == nil {
+			e.reqs[j] = e.materialize(j)
+		}
+	}
+	return e.reqs
+}
+
+// Materialized returns request j: the filed one once built, else one the
+// Builder makes for the caller alone, which the engine does not keep. It
+// lets a checker read a pending request's distribution without reading
+// its key.
+func (e *Engine) Materialized(j int) *mec.Request {
+	if r := e.reqs[j]; r != nil {
+		return r
+	}
+	return e.materialize(j)
+}
+
+// materialize builds request j from its key.
+func (e *Engine) materialize(j int) *mec.Request {
+	k := e.keys[j]
+	r := e.build(j, k)
+	r.ID, r.ArrivalSlot, r.AccessStation = j, k.ArrivalSlot, k.AccessStation
+	return r
 }
 
 // Net returns the network under simulation.
 func (e *Engine) Net() *mec.Network { return e.net }
 
-// Requests returns the workload (shared slice; do not mutate).
+// Requests returns the workload (shared slice; do not mutate). A request
+// appended as a key is nil there until Build makes it.
 func (e *Engine) Requests() []*mec.Request { return e.reqs }
 
 // SlotLengthMS returns the scheduling slot length.
@@ -320,8 +431,8 @@ func (e *Engine) Run(sched Scheduler) (*core.Result, error) {
 	for t := 0; t < e.horizon; t++ {
 		// Arrivals. (Step releases departures itself; release and arrival
 		// collection commute because scheduling sees both.)
-		for next < len(e.reqs) && e.reqs[next].ArrivalSlot <= t {
-			if e.reqs[next].ArrivalSlot == t {
+		for next < len(e.keys) && e.keys[next].ArrivalSlot <= t {
+			if e.keys[next].ArrivalSlot == t {
 				pending = append(pending, next)
 			}
 			next++
@@ -343,7 +454,9 @@ func (e *Engine) Run(sched Scheduler) (*core.Result, error) {
 // SlotReport summarizes what one Step did: which requests departed,
 // expired, were admitted, and survived settlement, plus the realized
 // reward credited to the slot. The serving daemon turns these into
-// request-status events and metrics.
+// request-status events and metrics. Departed, Expired, Admitted and
+// Served are buffers the engine owns: they are valid until the next Step,
+// which writes over them, so a caller that keeps one past it copies it.
 type SlotReport struct {
 	// Slot is the time-slot index the report covers.
 	Slot int
@@ -379,10 +492,13 @@ func (e *Engine) Step(sched Scheduler, res *core.Result, t int, pending []int) (
 	if sched == nil {
 		return pending, SlotReport{Slot: t}, ErrNilScheduler
 	}
-	rep := SlotReport{Slot: t}
+	rep := SlotReport{Slot: t, Departed: e.departed[:0], Expired: e.expired[:0], Admitted: e.admitted[:0], Served: e.served[:0]}
+	defer func() {
+		e.departed, e.expired, e.admitted, e.served = rep.Departed, rep.Expired, rep.Admitted, rep.Served
+	}()
 
 	// Departures first: instances destroyed at the start of endSlot.
-	rep.Departed = e.release(t)
+	rep.Departed = e.release(t, rep.Departed)
 
 	// Scripted drift transitions fire after departures (a stream ending
 	// exactly now departs normally) and before expiry, so expiry and
@@ -442,10 +558,9 @@ func (e *Engine) Step(sched Scheduler, res *core.Result, t int, pending []int) (
 }
 
 // release frees the resources of requests departing at slot t by
-// subtracting the holds recorded at admission. It returns the ids of the
-// departed requests (nil when none depart).
-func (e *Engine) release(t int) []int {
-	var departed []int
+// subtracting the holds recorded at admission. It appends the ids of the
+// departed requests to departed.
+func (e *Engine) release(t int, departed []int) []int {
 	keep := e.active[:0]
 	for _, ru := range e.active {
 		if ru.endSlot > t {
@@ -473,17 +588,17 @@ func (e *Engine) drop(ru *running) {
 // scheduled this slot on the latency-optimal station, D_j would exceed
 // D̂_j. Only the stations within the request's reach of its current access
 // station (mec.Network.Reach) can meet it, and they are tested nearest
-// first, so a request that keeps its deadline usually costs one test.
-// Dropped requests stay rejected in the final result and are recorded in
-// rep.Expired.
+// first, so a request that keeps its deadline usually costs one test. It
+// reads the requests' keys alone. Dropped requests stay rejected in the
+// final result and are recorded in rep.Expired.
 func (e *Engine) expire(pending []int, t int, rep *SlotReport) []int {
 	keep := pending[:0]
 	for _, j := range pending {
-		r := e.reqs[j]
-		wait := t - r.ArrivalSlot
+		k := &e.keys[j]
+		wait := t - k.ArrivalSlot
 		ok := false
-		for _, i := range e.net.Reach(r.AccessStation, float64(wait)*e.slotL, r.DeadlineMS) {
-			if r.DelayFeasible(e.net, i, wait, e.slotL) {
+		for _, i := range e.net.Reach(k.AccessStation, float64(wait)*e.slotL, k.DeadlineMS) {
+			if k.delayFeasible(e.net, i, wait, e.slotL) {
 				ok = true
 				break
 			}
