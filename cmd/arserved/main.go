@@ -226,12 +226,10 @@ func serveHTTP(c *cluster.Cluster, addr string, drainAfter time.Duration, what s
 		fmt.Fprintf(out, "arserved: %v, draining\n", sig)
 	case err := <-httpDone:
 		return fmt.Errorf("http server: %w", err)
-	case <-c.Done():
-		// Every shard loop exited on its own (a drain requested elsewhere).
 	}
 
 	// Graceful drain: refuse new work, let streams depart, checkpoint.
-	if err := c.Drain(); err != nil && !errors.Is(err, serve.ErrStopped) {
+	if err := c.Drain(); err != nil {
 		fmt.Fprintf(out, "arserved: drain: %v\n", err)
 	}
 	select {

@@ -225,26 +225,40 @@ func TestAsyncCheckpointCrashRestore(t *testing.T) {
 }
 
 // TestTickPauseBoundWhileCheckpointing is the stop-the-world guard: with
-// checkpoints firing every 4 slots on a loaded cluster, no tick may stall far beyond the median — the old
-// synchronous path froze every shard for the full encode+fsync+rename.
-// The 10ms absolute floor keeps the 5× ratio from tripping on scheduler
-// noise when the median lands in the tens of microseconds (this test
-// runs under -race in CI, which inflates everything but the ratio).
+// checkpoints firing every 4 slots on a loaded cluster, the median tick of
+// the 16 checkpoint slots must stay within 5× the median of the 48 plain
+// ones — the old synchronous path froze every shard for the full
+// encode+fsync+rename. Medians, not the maximum, so one preemption of the
+// test process is not read as a checkpoint pause. The 10ms absolute floor
+// keeps the ratio from tripping on scheduler noise when the plain median
+// lands in the tens of microseconds (this test runs under -race in CI,
+// which inflates everything but the ratio).
 func TestTickPauseBoundWhileCheckpointing(t *testing.T) {
-	const islands, per, slots = 4, 2, 64
+	const islands, per, slots, every, backlogN = 4, 2, 64, 4, 2000
 	net := islandNetwork(t, islands, per)
 	dir := t.TempDir()
 	cfg := parityConfig(net, 2)
 	cfg.CheckpointPath = filepath.Join(dir, "cluster.json")
-	cfg.CheckpointEvery = 4
+	cfg.CheckpointEvery = every
 	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
 	defer func() { _ = c.Stop() }()
+	// A backlog no station can serve and none lets expire stays pending in
+	// every generation, so a manifest costs what a busy daemon's does to
+	// encode and write: far above the floor, were it written on the clock.
+	backlog := make([]serve.RequestSpec, backlogN)
+	for i := range backlog {
+		backlog[i] = serve.RequestSpec{AccessStation: i % (islands * per), DeadlineMS: 1e9,
+			Outcomes: []serve.OutcomeSpec{{RateMBs: 200, Prob: 1, Reward: 1}}}
+	}
+	if _, err := c.SubmitBatch(backlog); err != nil {
+		t.Fatal(err)
+	}
 
-	lat := make([]time.Duration, 0, slots)
+	var plain, ckpt []time.Duration
 	for s := 0; s < slots; s++ {
 		for isl := 0; isl < islands; isl++ {
 			if _, _, err := c.Submit(serve.RequestSpec{
@@ -259,15 +273,23 @@ func TestTickPauseBoundWhileCheckpointing(t *testing.T) {
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		lat = append(lat, time.Since(start))
+		// The tick of slot s checkpoints when the clock reaches a multiple
+		// of CheckpointEvery.
+		if lat := time.Since(start); (s+1)%every == 0 {
+			ckpt = append(ckpt, lat)
+		} else {
+			plain = append(plain, lat)
+		}
 	}
-	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-	median, max := lat[len(lat)/2], lat[len(lat)-1]
-	bound := 5 * median
-	if floor := 10 * time.Millisecond; bound < floor {
-		bound = floor
+	median := func(d []time.Duration) time.Duration {
+		sort.Slice(d, func(a, b int) bool { return d[a] < d[b] })
+		return d[len(d)/2]
 	}
-	if max > bound {
-		t.Fatalf("max tick pause %v exceeds bound %v (median %v): checkpointing is back on the clock path", max, bound, median)
+	plainMedian, ckptMedian := median(plain), median(ckpt)
+	bound := max(5*plainMedian, 10*time.Millisecond)
+	if ckptMedian > bound {
+		t.Fatalf("median checkpoint-slot tick %v exceeds bound %v (plain-slot median %v, %d and %d ticks): checkpointing is back on the clock path",
+			ckptMedian, bound, plainMedian, len(ckpt), len(plain))
 	}
+	t.Logf("median tick: checkpoint slots %v, plain slots %v (%d and %d ticks), bound %v", ckptMedian, plainMedian, len(ckpt), len(plain), bound)
 }

@@ -56,11 +56,11 @@ type Manifest struct {
 // rename run inside the writer job. With syncWrite (Stop's final
 // manifest) the call blocks until the generation is durable; otherwise it
 // returns right after extraction and the write proceeds in the
-// background, latest generation winning if the clock laps the disk. A
-// shard that already drained and exited contributes the snapshot it took
-// on the way out — learner, counters, no requests — so the final manifest
-// of a clean shutdown loses nothing; only a shard with no snapshot at all
-// gets an empty placeholder, so restore still sees every partition.
+// background, latest generation winning if the clock laps the disk. The
+// clock calls it only while every shard runs — periodically, and at Stop
+// before the shards stop — so every shard answers with its live state,
+// after a drain too: the learner as fed through the last slot, the
+// counters, and no requests.
 func (c *Cluster) checkpointLocked(syncWrite bool) error {
 	gen := c.manifestGen + 1
 	man := &Manifest{
@@ -70,23 +70,13 @@ func (c *Cluster) checkpointLocked(syncWrite bool) error {
 		Scheduler:  "DynamicRR", // a record, as in every shard's snapshot
 	}
 	for k, eng := range c.engines {
-		// A shard that already drained and exited has nothing to flush
-		// and answers Snapshot with the state it exited in.
+		err := eng.Flush()
 		var ck *serve.Checkpoint
-		err := ignoreStopped(eng.Flush())
 		if err == nil {
 			ck, err = eng.Snapshot()
-			err = ignoreStopped(err)
 		}
 		if err != nil {
 			return fmt.Errorf("cluster: snapshotting shard %d: %w", k, err)
-		}
-		if ck == nil {
-			ck = &serve.Checkpoint{
-				Version:   serve.CheckpointVersion,
-				Slot:      c.slot,
-				Scheduler: man.Scheduler,
-			}
 		}
 		man.Shards = append(man.Shards, manifestShard{
 			Index:      k,
@@ -155,8 +145,8 @@ func loadManifest(path string) (*Manifest, error) {
 
 // checkStations refuses a manifest written for another topology: its
 // shards' station lists, taken together, must name each of the network's
-// stations exactly once. Every manifest checkpointLocked writes does,
-// placeholder shards included, so only a foreign or corrupt file fails.
+// stations exactly once. Every manifest checkpointLocked writes does, so
+// only a foreign or corrupt file fails.
 func checkStations(man *Manifest, stations int) error {
 	seen := make([]bool, stations)
 	listed, covered := 0, 0
@@ -199,8 +189,10 @@ func (c *Cluster) composeRestore(man *Manifest) ([]*serve.Checkpoint, error) {
 	for _, sh := range man.Shards {
 		ck := sh.Checkpoint
 		addTotals(&totals, ck.Totals)
-		// A shard that drained early stopped learning at its exit slot:
-		// take the learner that saw the most slots (first shard on a tie).
+		// Take the learner that saw the most slots (first shard on a tie).
+		// Every shard of a manifest this code writes has the cluster's slot;
+		// an older writer let a drained shard exit early, and its snapshot
+		// stopped at that slot.
 		if ck.Bandit != nil && (banditSnap == nil || ck.Slot > banditSlot) {
 			banditSnap, banditSlot = ck.Bandit, ck.Slot
 		}

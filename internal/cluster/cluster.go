@@ -75,15 +75,6 @@ type Config struct {
 	SlotObserver func(slot int, admitted []uint64, reward float64)
 }
 
-// ignoreStopped drops serve.ErrStopped: a shard that exited has nothing
-// left to run, flush or snapshot beyond what it left behind.
-func ignoreStopped(err error) error {
-	if errors.Is(err, serve.ErrStopped) {
-		return nil
-	}
-	return err
-}
-
 // shardTraceWriter labels one shard's trace lines on the shared sink. The
 // engines write one line per Write from inside their Ticks, which the
 // clock runs one after another, so each slot's lines come out in shard
@@ -109,9 +100,9 @@ type Cluster struct {
 	engines []*serve.Engine
 	router  *router
 
-	// mu serializes the cluster clock: Tick, Flush, Drain and checkpoint
-	// extraction. Intake and Status take only the router's lock and the
-	// owning engines' door and table locks.
+	// mu serializes the cluster clock: Tick, Flush, Drain, Stop and
+	// checkpoint extraction. Intake and Status take only the router's lock
+	// and the owning engines' door and table locks.
 	mu          sync.Mutex
 	slot        int
 	manifestGen uint64
@@ -131,10 +122,9 @@ type Cluster struct {
 	// it so an older in-flight write can never clobber a newer manifest).
 	ckw *ckpt.Writer
 
-	// done closes in the call that sees the last engine exit
-	// (markDoneLocked, mu-guarded).
+	// done closes, under mu, in the call that finds a drain complete
+	// (Drain or Tick) or at Stop, whichever comes first (endLocked).
 	done         chan struct{}
-	doneClosed   bool
 	tickerStop   chan struct{}
 	startOnce    sync.Once
 	stopOnce     sync.Once
@@ -255,13 +245,26 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// markDoneLocked closes Done once no shard engine is alive; the clock
-// calls it after every call that can end an engine (callers hold c.mu).
-func (c *Cluster) markDoneLocked() {
-	if !c.doneClosed && !c.Alive() {
-		c.doneClosed = true
+// endLocked closes Done, once (callers hold c.mu).
+func (c *Cluster) endLocked() {
+	if c.Alive() {
 		close(c.done)
 	}
+}
+
+// endIfDrainedLocked closes Done once a drain has been asked for and no
+// shard holds a pending request or a running stream (callers hold c.mu).
+// Outside a drain it reads one flag and asks no shard.
+func (c *Cluster) endIfDrainedLocked() {
+	if !c.drainFlag.Load() {
+		return
+	}
+	for _, eng := range c.engines {
+		if !eng.Idle() {
+			return
+		}
+	}
+	c.endLocked()
 }
 
 // Start launches the cluster clock when there is a tick interval; the
@@ -298,8 +301,9 @@ func (c *Cluster) runTicker() {
 // slot's realized reward across shards, and delivers that global signal
 // to every shard's threshold learner — the same reward stream a
 // single-engine bandit would see, which is what keeps learners
-// identical across shard counts. Once every shard has exited it returns
-// serve.ErrStopped and runs nothing.
+// identical across shard counts. A drain keeps every shard ticking and
+// learning until the last one is idle; once the drain is complete, or
+// after Stop, Tick returns serve.ErrStopped and runs nothing.
 func (c *Cluster) Tick() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -307,26 +311,24 @@ func (c *Cluster) Tick() error {
 }
 
 func (c *Cluster) tickLocked() error {
-	// A cluster whose every shard exited has no slot left to run; after
-	// Stop this also keeps the clock from writing another manifest.
+	// A drained or stopped cluster has no slot left to run; after Stop
+	// this also keeps the clock from writing another manifest.
 	if !c.Alive() {
 		return serve.ErrStopped
 	}
-	// The shards run the slot one after another, in shard order; a shard
-	// that already exited answers ErrStopped and sits it out.
+	// The shards run the slot one after another, in shard order.
 	t := c.slot
 	c.tickAdmitted, c.tickReward = c.tickAdmitted[:0], 0
 	for _, eng := range c.engines {
-		if err := ignoreStopped(eng.Tick()); err != nil {
+		if err := eng.Tick(); err != nil {
 			return err
 		}
 	}
-	c.markDoneLocked()
 	// Every learner sees the slot's global reward after Step(t) and before
 	// Step(t+1), and a checkpoint taken below captures it.
 	total := c.tickReward
 	for _, eng := range c.engines {
-		if err := ignoreStopped(eng.DeliverFeedback(t, total)); err != nil {
+		if err := eng.DeliverFeedback(t, total); err != nil {
 			return err
 		}
 	}
@@ -342,6 +344,7 @@ func (c *Cluster) tickLocked() error {
 			c.cfg.Logf("cluster: checkpoint failed: %v", err)
 		}
 	}
+	c.endIfDrainedLocked()
 	return nil
 }
 
@@ -530,12 +533,16 @@ func mergeShards(routes []routed, results []serve.BatchResult, shardErr []error)
 }
 
 // Flush moves every accepted batch into the shard planners, in shard
-// order; replay harnesses call it before ticking.
+// order; replay harnesses call it before ticking. A drained or stopped
+// cluster's doors are closed and empty, so there it does nothing.
 func (c *Cluster) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.Alive() {
+		return nil
+	}
 	for _, eng := range c.engines {
-		if err := ignoreStopped(eng.Flush()); err != nil {
+		if err := eng.Flush(); err != nil {
 			return err
 		}
 	}
@@ -543,21 +550,15 @@ func (c *Cluster) Flush() error {
 }
 
 // Status resolves an id to its current record by asking each shard's
-// table in turn: an id is held by at most one shard. A stopped shard hides
-// nothing another shard holds; the lookup fails with its ErrStopped only
-// when no shard holds the id.
+// table in turn: an id is held by at most one shard. The shards stop
+// together, so after Stop the first one asked answers ErrStopped.
 func (c *Cluster) Status(id uint64) (serve.RequestRecord, bool, error) {
-	var stopped error
 	for _, eng := range c.engines {
-		rec, ok, err := eng.Status(id)
-		if ok {
-			return rec, true, nil
-		}
-		if err != nil {
-			stopped = err
+		if rec, ok, err := eng.Status(id); ok || err != nil {
+			return rec, ok, err
 		}
 	}
-	return serve.RequestRecord{}, false, stopped
+	return serve.RequestRecord{}, false, nil
 }
 
 // ValidateSpec checks a spec against the full topology exactly as
@@ -568,20 +569,26 @@ func (c *Cluster) ValidateSpec(spec serve.RequestSpec) error {
 	return serve.ValidateSpec(c.net, spec)
 }
 
-// Drain closes intake on every shard; the cluster keeps ticking (via
-// its internal clock or the caller's) until every shard has decided its
-// pending requests and released its streams. It takes the clock lock, so
-// no slot or checkpoint is under way while the shards close.
+// Drain closes intake on every shard and moves each door's residue into
+// its planner. The cluster keeps ticking every shard and feeding every
+// learner (via its internal clock or the caller's) until no shard holds a
+// pending request or a running stream; the call that sees that — this
+// one, or a Tick — closes Done. It takes the clock lock, so no slot or
+// checkpoint is under way while the shards close. On a drained or stopped
+// cluster it does nothing.
 func (c *Cluster) Drain() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.Alive() {
+		return nil
+	}
 	c.drainFlag.Store(true)
-	defer c.markDoneLocked()
 	for _, eng := range c.engines {
-		if err := ignoreStopped(eng.Drain()); err != nil {
+		if err := eng.Drain(); err != nil {
 			return err
 		}
 	}
+	c.endIfDrainedLocked()
 	return nil
 }
 
@@ -602,7 +609,7 @@ func (c *Cluster) Stop() error {
 		for _, eng := range c.engines {
 			_ = eng.Stop()
 		}
-		c.markDoneLocked()
+		c.endLocked()
 		c.mu.Unlock()
 		if c.ckw != nil {
 			c.ckw.Close()
@@ -628,34 +635,31 @@ func (c *Cluster) CheckpointsDropped() uint64 {
 	return c.ckw.Dropped()
 }
 
-// Done is closed when every shard engine has exited, by the cluster call
-// that saw the last one go.
+// Done closes when the cluster has no slot left to run: in the Drain or
+// Tick call that finds every shard idle after a drain was asked for, or
+// at Stop, whichever comes first.
 func (c *Cluster) Done() <-chan struct{} { return c.done }
 
-// Alive reports whether any shard engine still runs.
+// Alive reports whether Done is still open: it turns false when a drain
+// completes or at Stop, and never back.
 func (c *Cluster) Alive() bool {
-	for _, eng := range c.engines {
-		if eng.Alive() {
-			return true
-		}
+	select {
+	case <-c.done:
+		return false
+	default:
+		return true
 	}
-	return false
 }
 
 // Draining reports whether cluster intake is closed.
 func (c *Cluster) Draining() bool { return c.drainFlag.Load() || !c.Alive() }
 
-// Ready reports scheduling liveness: every shard alive, intake open,
-// and — under the internal clock — a cluster tick within the last three
-// intervals.
+// Ready reports scheduling liveness: intake open (so the cluster is
+// neither draining nor done) and — under the internal clock — a cluster
+// tick within the last three intervals.
 func (c *Cluster) Ready() bool {
 	if c.Draining() {
 		return false
-	}
-	for _, eng := range c.engines {
-		if !eng.Alive() {
-			return false
-		}
 	}
 	if c.cfg.TickInterval <= 0 {
 		return true

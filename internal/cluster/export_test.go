@@ -49,3 +49,7 @@ func (c *Cluster) HomeSpec(shard int, spec serve.RequestSpec, spanCands []int) s
 // Solo reports whether the router homes a request arriving at station st
 // without building its candidate list.
 func (c *Cluster) Solo(st int) bool { return c.router.solo[st] }
+
+// ShardIdle reports whether shard k holds no pending request and no
+// running stream.
+func (c *Cluster) ShardIdle(k int) bool { return c.engines[k].Idle() }

@@ -105,13 +105,22 @@ func shardSnapshots(t *testing.T, path string) (cluster.Manifest, []*serve.Check
 }
 
 // TestCleanDrainKeepsLearnedState is the daemon's normal shutdown —
-// Drain, tick until every shard has exited, Stop — and what the final
-// manifest must still hold although no engine loop is left to ask: every
-// shard's learner, the slot clock and the lifetime counters. Nothing is
-// pending when the drain starts, so the drain pulls no arm and each
-// shard's learner must come out exactly as the last pre-drain checkpoint
-// recorded it; island 1's streams run longer, so at 2 shards shard 0 exits
-// first and the restore must continue from shard 1's learner.
+// Drain, tick until Done, Stop — and what the final manifest must hold:
+// every shard's learner as fed through the drain's last slot, the slot
+// clock and the lifetime counters.
+//
+// In the first case nothing is pending when the drain starts, so the
+// drain pulls no arm and each shard's learner must come out exactly as
+// the last pre-drain checkpoint recorded it. Island 1's streams run
+// longer, so at 2 shards shard 0 is idle slots before shard 1; it keeps
+// ticking, so every shard snapshot carries the cluster's slot, and the
+// restore continues from the first shard's learner (the slots tie).
+//
+// In the second case the slot that completes the drain pulls an arm: it
+// admits a wave that realization evicts whole, and leaves nothing
+// running. The learners in the final manifest, and the one a restart
+// continues from, must equal those of the same run without the drain,
+// which were fed every slot's reward.
 func TestCleanDrainKeepsLearnedState(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -178,7 +187,7 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; c.Alive(); i++ {
-				if err := c.Tick(); err != nil && !errors.Is(err, serve.ErrStopped) {
+				if err := c.Tick(); err != nil {
 					t.Fatal(err)
 				}
 				if i > 100 {
@@ -200,7 +209,6 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 				t.Fatalf("final manifest slot %d next id %d, want %d and %d", man.Slot, man.NextGlobalID, wantSlot, len(ids))
 			}
 			var sum serve.Totals
-			last := 0
 			for k, ck := range after {
 				got, err := json.Marshal(ck.Bandit)
 				if err != nil {
@@ -212,25 +220,22 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 				if len(ck.Requests) != 0 || len(ck.Running) != 0 {
 					t.Fatalf("drained shard %d still lists %d requests, %d streams", k, len(ck.Requests), len(ck.Running))
 				}
+				if ck.Slot != wantSlot {
+					t.Fatalf("shard %d snapshot at slot %d, want the cluster's %d: a shard idle early still ticks", k, ck.Slot, wantSlot)
+				}
 				sum.Submitted += ck.Totals.Submitted
 				sum.Admitted += ck.Totals.Admitted
 				sum.Departed += ck.Totals.Departed
 				sum.Ticks += ck.Totals.Ticks
 				sum.Reward += ck.Totals.Reward
-				if ck.Slot > after[last].Slot {
-					last = k
-				}
 			}
 			if sum.Submitted != wantTotals.Submitted || sum.Admitted != wantTotals.Admitted ||
 				sum.Departed != wantTotals.Departed || sum.Ticks != wantTotals.Ticks || sum.Reward != wantTotals.Reward {
 				t.Fatalf("final manifest totals sum to %+v, want %+v", sum, wantTotals)
 			}
-			if shards == 2 && (last != 1 || after[0].Slot >= after[1].Slot) {
-				t.Fatalf("shard 0 was to exit first: exit slots %d and %d", after[0].Slot, after[1].Slot)
-			}
 
 			// The restart continues from it: clock, id allocator, counters,
-			// and the learner of the shard that ran longest.
+			// and the first shard's learner.
 			r, err := cluster.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -255,12 +260,152 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, wantBandit[last]) {
-					t.Fatalf("restored shard %d learner:\n  got:  %s\n  want: %s", k, got, wantBandit[last])
+				if !bytes.Equal(got, wantBandit[0]) {
+					t.Fatalf("restored shard %d learner:\n  got:  %s\n  want: %s", k, got, wantBandit[0])
 				}
 			}
 		})
+		t.Run(fmt.Sprintf("exit_slot_pulls/shards=%d", shards), func(t *testing.T) { drainFeedsExitSlot(t, shards) })
 	}
+}
+
+// drainFeedsExitSlot runs the same script with and without a drain: slots
+// of served requests until every stream has departed, then a wave at
+// every station that the next slot admits and evicts, so that slot pulls
+// every shard's arm and leaves nothing pending or running — with the
+// drain, it is the slot that completes it.
+func drainFeedsExitSlot(t *testing.T, shards int) {
+	net := islandNetwork(t, 2, 2)
+	run := func(drain bool) (path string, slot int) {
+		cfg := parityConfig(net, shards)
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "cluster.json")
+		c, err := cluster.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		defer func() { _ = c.Stop() }()
+		for round := 0; round < 4; round++ {
+			for st := 0; st < 4; st++ {
+				if _, _, err := c.Submit(serve.RequestSpec{AccessStation: st, DurationSlots: 2,
+					Outcomes: []serve.OutcomeSpec{{RateMBs: 10, Prob: 1, Reward: float64(100 + 10*round + st)}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		settleStreams(t, c)
+		wave := evictedWave([]int{0, 1, 2, 3}, 2)
+		if _, err := c.SubmitBatch(wave); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Totals()
+		if drain {
+			if err := c.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if !c.Alive() {
+				t.Fatal("the drain completed with the wave pending")
+			}
+		}
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		after := c.Totals()
+		if n := uint64(len(wave)); after.Admitted-before.Admitted != n || after.Evicted-before.Evicted != n {
+			t.Fatalf("the wave's slot admitted %d and evicted %d of %d requests, want all of them",
+				after.Admitted-before.Admitted, after.Evicted-before.Evicted, n)
+		}
+		if drain && c.Alive() {
+			t.Fatal("the drain did not complete in the slot that evicted the wave")
+		}
+		slot = c.Slot()
+		if err := c.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.CheckpointPath, slot
+	}
+	undrained, _ := run(false)
+	want := learnersIn(t, undrained)
+	drained, slot := run(true)
+	for k, got := range learnersIn(t, drained) {
+		if !bytes.Equal(got, want[k]) {
+			t.Fatalf("shard %d learner after the drain:\n  got:  %s\n  want: %s (fed every slot's reward)", k, got, want[k])
+		}
+	}
+
+	cfg := parityConfig(net, shards)
+	cfg.CheckpointPath = drained
+	r, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Slot(); got != slot {
+		t.Fatalf("restored slot %d, want %d", got, slot)
+	}
+	if err := r.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for k, got := range learnersIn(t, drained) {
+		if !bytes.Equal(got, want[0]) {
+			t.Fatalf("restored shard %d learner:\n  got:  %s\n  want: %s (fed every slot's reward)", k, got, want[0])
+		}
+	}
+}
+
+// settleStreams ticks until every stream the cluster served has departed
+// and nothing is pending.
+func settleStreams(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	for i := 0; ; i++ {
+		tot := c.Totals()
+		if tot.Departed == tot.Served && tot.Admitted+tot.Expired+tot.Rejected == tot.Submitted {
+			return
+		}
+		if i == 50 {
+			t.Fatalf("streams still running after 50 slots: %+v", tot)
+		}
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// evictedWave returns n requests at each of stations that R_t admits and
+// realization evicts: each needs 10 MB/s with probability 10⁻⁶ and
+// otherwise a 40 000 MB/s stream no station holds, so a station that
+// admits any of them is all but certainly overloaded and drops every
+// admission it made. The slot that schedules them pulls an arm and leaves
+// nothing running.
+func evictedWave(stations []int, n int) []serve.RequestSpec {
+	var wave []serve.RequestSpec
+	for _, st := range stations {
+		for i := 0; i < n; i++ {
+			wave = append(wave, serve.RequestSpec{AccessStation: st, DurationSlots: 2,
+				Outcomes: []serve.OutcomeSpec{{RateMBs: 10, Prob: 1e-6, Reward: 500}, {RateMBs: 40000, Prob: 1 - 1e-6, Reward: 500}}})
+		}
+	}
+	return wave
+}
+
+// learnersIn returns every shard's learner in the manifest at path, as
+// JSON, in manifest order.
+func learnersIn(t *testing.T, path string) [][]byte {
+	t.Helper()
+	_, snaps := shardSnapshots(t, path)
+	out := make([][]byte, len(snaps))
+	for k, ck := range snaps {
+		if ck.Bandit == nil {
+			t.Fatalf("shard %d of %s has no learner", k, path)
+		}
+		var err error
+		if out[k], err = json.Marshal(ck.Bandit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestClockAfterStop: once Stop returns, the clock is dead. Tick answers

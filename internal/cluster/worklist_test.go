@@ -7,7 +7,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -226,56 +225,5 @@ func TestLiveRequestOutlivesRouterEntry(t *testing.T) {
 	}
 	if id, _, err := rc.Submit(spec); err != nil || id != 9 {
 		t.Fatalf("first id after the restore %d (err %v), want 9", id, err)
-	}
-}
-
-// TestStoppedShardHidesNoRow: Status asks every shard, so a shard that
-// answers ErrStopped hides nothing another shard holds. At 2 shards with
-// one engine stopped, an id the live shard holds answers its record
-// whichever shard is asked first; an id only the stopped shard held, and
-// an id no shard ever held, fail with ErrStopped.
-func TestStoppedShardHidesNoRow(t *testing.T) {
-	for stop := 0; stop < 2; stop++ {
-		c, err := New(Config{Net: chainTestNetwork(t, 4), Shards: 2, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Start()
-		var onShard [2][]uint64
-		for st := 0; st < 4; st++ {
-			id, _, err := c.Submit(serve.RequestSpec{AccessStation: st, DurationSlots: 1, DeadlineMS: 1,
-				Outcomes: []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 100}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			shard, ok := c.ShardOf(id)
-			if !ok {
-				t.Fatalf("request %d is on no shard", id)
-			}
-			onShard[shard] = append(onShard[shard], id)
-		}
-		if len(onShard[0]) == 0 || len(onShard[1]) == 0 {
-			t.Fatalf("requests per shard %v: want both shards to hold some", onShard)
-		}
-		unknown := c.RouterStats().Routed
-		if _, ok, err := c.Status(unknown); ok || err != nil {
-			t.Fatalf("unknown id %d with both shards up: ok=%v err=%v, want unknown", unknown, ok, err)
-		}
-		if err := c.engines[stop].Stop(); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range onShard[1-stop] {
-			if rec, ok, err := c.Status(id); err != nil || !ok || rec.ID != id || rec.State != serve.StatePending {
-				t.Fatalf("shard %d stopped: request %d on shard %d answers %+v ok=%v err=%v, want pending", stop, id, 1-stop, rec, ok, err)
-			}
-		}
-		for _, id := range append(onShard[stop], unknown) {
-			if _, ok, err := c.Status(id); ok || !errors.Is(err, serve.ErrStopped) {
-				t.Fatalf("shard %d stopped: request %d answers ok=%v err=%v, want ErrStopped", stop, id, ok, err)
-			}
-		}
-		if err := c.Stop(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -168,7 +168,7 @@ func (e *Engine) install(ck *Checkpoint) error {
 }
 
 // snapshotState captures the live set as a checkpoint (planner lock
-// held): what Snapshot answers and a drained engine leaves behind.
+// held): what Snapshot answers.
 // Everything mutable is deep-copied, so the cluster's checkpoint writer
 // may encode the result while the engine keeps scheduling.
 func (e *Engine) snapshotState() (*Checkpoint, error) {

@@ -145,7 +145,6 @@ type Engine struct {
 	slot    int
 	settled int   // decided requests still occupying planner slices
 	keep    []int // compact's scratch: the planner indices it keeps
-	drain   bool
 	// admittedBuf is runSlot's reusable request-id scratch for the
 	// DecisionObserver; valid only until the next slot by contract.
 	admittedBuf []uint64
@@ -158,11 +157,8 @@ type Engine struct {
 	reqChunk []mec.Request
 	arena    dist.Arena
 	onBuild  func(idx int)
-	// done closes, under mu, when the engine exits: in the call that
-	// completes a drain, or at Stop. drainedSnap is the state a drain left
-	// behind, never modified after.
-	done        chan struct{}
-	drainedSnap *Checkpoint
+	// done closes, under mu, at Stop: the engine's one way to end.
+	done chan struct{}
 
 	// The door lock and what it guards (see ingest.go).
 	door    sync.Mutex
@@ -290,7 +286,7 @@ func (e *Engine) BanditSnapshot() (*bandit.LipschitzSnapshot, error) {
 }
 
 // lock takes the planner lock for a call that needs a running engine; once
-// the engine has exited it fails with ErrStopped, holding nothing.
+// the engine has stopped it fails with ErrStopped, holding nothing.
 func (e *Engine) lock() error {
 	e.mu.Lock()
 	if !e.Alive() {
@@ -301,9 +297,8 @@ func (e *Engine) lock() error {
 }
 
 // Status looks up a request's current record; an id the table never saw,
-// or has evicted, is unknown (false, nil error). The table outlives the
-// engine's exit — a drained engine still answers — and closes only at
-// Stop, after which lookups fail with ErrStopped.
+// or has evicted, is unknown (false, nil error). The table closes at Stop,
+// after which lookups fail with ErrStopped.
 func (e *Engine) Status(id uint64) (RequestRecord, bool, error) { return e.table.status(id) }
 
 // Gauges returns the per-station occupancy gauges, by station index.
@@ -318,27 +313,19 @@ func (e *Engine) Tick() error {
 	}
 	defer e.mu.Unlock()
 	e.runSlot()
-	e.exitIfDrained()
 	return nil
 }
 
 // Snapshot captures the engine's live state as an in-memory checkpoint.
 // It reflects only requests the planner has seen: callers who need the
 // door's residue included (the cluster checkpoint path) must Flush first.
-// An engine that drained to completion keeps answering with the state it
-// exited in (shared between calls: read, do not modify), so a checkpoint
-// taken after a clean drain still carries its learner and counters; one
-// Stop halted first fails with ErrStopped.
+// After Stop it fails with ErrStopped.
 func (e *Engine) Snapshot() (*Checkpoint, error) {
-	e.mu.Lock()
+	if err := e.lock(); err != nil {
+		return nil, err
+	}
 	defer e.mu.Unlock()
-	if e.Alive() {
-		return e.snapshotState()
-	}
-	if e.drainedSnap == nil {
-		return nil, ErrStopped
-	}
-	return e.drainedSnap, nil
+	return e.snapshotState()
 }
 
 // DeliverFeedback hands the scheduler a slot's (externally aggregated)
@@ -352,25 +339,30 @@ func (e *Engine) DeliverFeedback(slot int, reward float64) error {
 	return nil
 }
 
-// Drain stops intake (Submit fails with ErrDraining), moves every request
-// the door already accepted into the planner, and lets the engine run
-// until every pending request is decided and every stream departs. The
-// call that sees that — this one, or a later Tick — exits the engine.
+// Drain closes intake (Submit fails with ErrDraining) and moves every
+// request the door already accepted into the planner. The engine keeps
+// running: its caller ticks it, deciding what is pending and releasing
+// what runs, until it is Idle, and ends it with Stop.
 func (e *Engine) Drain() error {
 	if err := e.lock(); err != nil {
 		return err
 	}
 	defer e.mu.Unlock()
-	if !e.drain {
-		// The flag closes the door first, so the forced drain that follows
-		// hands the planner everything the door accepted: the residue is
-		// decided (and in any later Snapshot), not dropped.
-		e.metrics.drainFlag.Store(true)
-		e.drainDoor(true)
-		e.drain = true
-	}
-	e.exitIfDrained()
+	// The flag closes the door first, so the forced drain that follows
+	// hands the planner everything the door accepted: the residue is
+	// decided (and in any later Snapshot), not dropped.
+	e.metrics.drainFlag.Store(true)
+	e.drainDoor(true)
 	return nil
+}
+
+// Idle reports whether the planner holds no pending request and no
+// running stream: what a drain waits for. Requests still at the door are
+// not counted; after Drain there are none.
+func (e *Engine) Idle() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.pending) == 0 && e.planner.NumRunning() == 0
 }
 
 // Stop exits the engine at once, without waiting for in-flight streams; a
@@ -388,13 +380,10 @@ func (e *Engine) Stop() error {
 	return nil
 }
 
-// Done is closed when the engine has exited (drain complete or stopped).
-func (e *Engine) Done() <-chan struct{} { return e.done }
-
 // Draining reports whether intake is closed.
 func (e *Engine) Draining() bool { return !e.Alive() || e.metrics.drainFlag.Load() }
 
-// Alive reports whether the engine has not exited yet.
+// Alive reports whether the engine has not been stopped.
 func (e *Engine) Alive() bool {
 	select {
 	case <-e.done:

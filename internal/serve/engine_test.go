@@ -259,9 +259,10 @@ func readCheckpoint(t *testing.T, path string) *Checkpoint {
 	return &ck
 }
 
-// TestDrain closes intake and lets the engine run dry: the tick that
-// leaves nothing pending or running exits it, and late submissions get
-// ErrDraining.
+// TestDrain closes intake and lets the engine run dry: late submissions
+// get ErrDraining, the engine turns Idle once nothing is pending or
+// running, and it still ticks, refuses intake and snapshots its learner
+// and counters until Stop — the one call that ends it.
 func TestDrain(t *testing.T) {
 	e := testEngine(t, Config{})
 	submitN(t, e, 4)
@@ -274,33 +275,41 @@ func TestDrain(t *testing.T) {
 	if _, _, err := e.Submit(RequestSpec{AccessStation: 0}); err != ErrDraining {
 		t.Fatalf("submit during drain: %v, want ErrDraining", err)
 	}
-	for i := 0; i < 12 && e.Alive(); i++ {
-		if err := e.Tick(); err != nil && err != ErrStopped {
+	for i := 0; !e.Idle(); i++ {
+		if i == 12 {
+			t.Fatal("drained engine still busy after 12 slots")
+		}
+		if err := e.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case <-e.Done():
-	default:
-		t.Fatal("drained engine still alive after work ran dry")
+	for i := 0; i < 2; i++ {
+		if err := e.Tick(); err != nil || !e.Alive() || !e.Idle() {
+			t.Fatalf("idle drained engine: tick %v, alive %v, idle %v", err, e.Alive(), e.Idle())
+		}
+	}
+	if _, _, err := e.Submit(RequestSpec{AccessStation: 0}); err != ErrDraining {
+		t.Fatalf("submit to the idle drained engine: %v, want ErrDraining", err)
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Totals.Submitted != 4 || snap.Totals.Ticks == 0 || snap.Slot != int(snap.Totals.Ticks) ||
+		snap.NextExternalID != 4 || snap.Bandit == nil || len(snap.Requests) != 0 || len(snap.Running) != 0 {
+		t.Fatalf("snapshot of the idle drained engine: %+v", snap)
+	}
+	if err := e.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Snapshot(); err != ErrStopped {
+		t.Fatalf("snapshot after Stop: %v, want ErrStopped", err)
+	}
+	if err := e.Tick(); err != ErrStopped {
+		t.Fatalf("tick after Stop: %v, want ErrStopped", err)
 	}
 	if _, _, err := e.Submit(RequestSpec{AccessStation: 0}); err != ErrStopped {
-		t.Fatalf("submit after drain exit: %v, want ErrStopped", err)
-	}
-	// The exited engine left its final state behind for Snapshot, and a
-	// later Stop does not take it away.
-	for _, when := range []string{"after drain exit", "after Stop"} {
-		snap, err := e.Snapshot()
-		if err != nil {
-			t.Fatalf("snapshot %s: %v", when, err)
-		}
-		if snap.Totals.Submitted != 4 || snap.Totals.Ticks == 0 || snap.Slot != int(snap.Totals.Ticks) ||
-			snap.NextExternalID != 4 || snap.Bandit == nil || len(snap.Requests) != 0 || len(snap.Running) != 0 {
-			t.Fatalf("snapshot %s: %+v", when, snap)
-		}
-		if err := e.Stop(); err != nil {
-			t.Fatal(err)
-		}
+		t.Fatalf("submit after Stop: %v, want ErrStopped", err)
 	}
 }
 
@@ -327,8 +336,11 @@ func TestCompaction(t *testing.T) {
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12 && e.Alive(); i++ {
-		if err := e.Tick(); err != nil && err != ErrStopped {
+	for i := 0; !e.Idle(); i++ {
+		if i == 12 {
+			t.Fatal("drained engine still busy after 12 slots")
+		}
+		if err := e.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}

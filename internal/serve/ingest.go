@@ -153,7 +153,7 @@ func (e *Engine) submitBatch(ids []uint64, specs []RequestSpec) (BatchResult, er
 }
 
 // refusal is what closed intake answers: ErrStopped once the engine has
-// exited, ErrDraining before.
+// stopped, ErrDraining before.
 func (e *Engine) refusal() error {
 	if !e.Alive() {
 		return ErrStopped

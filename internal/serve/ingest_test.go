@@ -149,18 +149,19 @@ func TestSubmitBatchShedsLowestReward(t *testing.T) {
 }
 
 // TestSubmitBatchEdgeCases covers the empty batch and the
-// draining/stopped refusals.
+// draining/stopped refusals: a drained engine with nothing left to run
+// still answers ErrDraining, and only Stop turns that into ErrStopped.
 func TestSubmitBatchEdgeCases(t *testing.T) {
 	e := testEngine(t, Config{})
 	res, err := e.SubmitBatch(nil)
 	if err != nil || len(res.IDs) != 0 || res.Shed != 0 {
 		t.Fatalf("empty batch = (%+v, %v), want zero result", res, err)
 	}
-	// A pending request keeps a draining manual-tick engine alive (an
-	// empty drained engine exits immediately, which is the ErrStopped case).
-	submitN(t, e, 1)
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
+	}
+	if !e.Idle() {
+		t.Fatal("an engine drained with nothing submitted is not idle")
 	}
 	if _, err := e.SubmitBatch([]RequestSpec{{}}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining SubmitBatch err = %v, want ErrDraining", err)

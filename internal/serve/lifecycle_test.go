@@ -108,8 +108,8 @@ func TestStatusAcrossRestoreAndCompaction(t *testing.T) {
 	}
 }
 
-// TestStatusOutlivesDrainUntilStop: a drained engine keeps answering
-// lookups with the records it exited with; a stopped one fails them with
+// TestStatusOutlivesDrainUntilStop: a drained engine that has run dry
+// keeps answering lookups with its records; a stopped one fails them with
 // ErrStopped.
 func TestStatusOutlivesDrainUntilStop(t *testing.T) {
 	e := testEngine(t, Config{})
@@ -120,13 +120,13 @@ func TestStatusOutlivesDrainUntilStop(t *testing.T) {
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12 && e.Alive(); i++ {
-		if err := e.Tick(); err != nil && !errors.Is(err, ErrStopped) {
+	for i := 0; i < 12 && !e.Idle(); i++ {
+		if err := e.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e.Alive() {
-		t.Fatal("engine did not drain")
+	if !e.Idle() || !e.Alive() {
+		t.Fatalf("after the drain: idle %v, alive %v; want an idle engine still running", e.Idle(), e.Alive())
 	}
 	if rec, ok, err := e.Status(served); err != nil || !ok || rec.State != StateCompleted {
 		t.Fatalf("status on a drained engine: %+v ok=%v err=%v, want completed", rec, ok, err)

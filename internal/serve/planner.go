@@ -1,9 +1,8 @@
 package serve
 
-// What the planner lock guards between slots: the door's drain, the one
-// admission it makes per request, and the exit a drain ends in. Every
-// function here runs with e.mu held; a tick hands over to runSlot
-// (slot.go).
+// What the planner lock guards between slots: the door's drain and the one
+// admission it makes per request. Every function here runs with e.mu
+// held; a tick hands over to runSlot (slot.go).
 
 import (
 	"time"
@@ -137,20 +136,4 @@ func (e *Engine) drainDoor(force bool) {
 	if consumed > 0 {
 		e.metrics.PendingDepth.Store(int64(len(e.pending)))
 	}
-}
-
-// exitIfDrained exits a draining engine that has no work left, recording
-// its final state first: Snapshot answers with it from then on. Feedback
-// still deferred for the exit slot (Config.DeferFeedback) is not in it;
-// that matters only when the slot pulled an arm and left nothing running.
-func (e *Engine) exitIfDrained() {
-	if !e.drain || len(e.pending) != 0 || e.planner.NumRunning() != 0 {
-		return
-	}
-	ck, err := e.snapshotState()
-	if err != nil {
-		e.cfg.Logf("arserved: final snapshot of the drained engine failed: %v", err)
-	}
-	e.drainedSnap = ck
-	close(e.done)
 }

@@ -86,7 +86,7 @@ func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < ticks; i++ {
-			if err := e.Tick(); err != nil && !errors.Is(err, ErrStopped) {
+			if err := e.Tick(); err != nil {
 				t.Errorf("tick %d: %v", i, err)
 				return
 			}
@@ -95,7 +95,7 @@ func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
 				if err == nil {
 					err = WriteCheckpoint(ckptPath, snap)
 				}
-				if err != nil && !errors.Is(err, ErrStopped) {
+				if err != nil {
 					t.Errorf("checkpoint at tick %d: %v", i, err)
 					return
 				}
@@ -131,14 +131,11 @@ func TestConcurrentSubmitTickCheckpoint(t *testing.T) {
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; e.Alive(); i++ {
+	for i := 0; !e.Idle(); i++ {
 		if i > 10000 {
 			t.Fatal("drain did not settle within 10000 ticks")
 		}
 		if err := e.Tick(); err != nil {
-			if errors.Is(err, ErrStopped) {
-				break
-			}
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +226,7 @@ func TestFailingCheckerCountsSlotErrors(t *testing.T) {
 	if got := m.SlotErrors.Load(); got != 4 {
 		t.Fatalf("SlotErrors %d after 4 failing ticks, want 4", got)
 	}
-	if !e.Alive() && m.Ticks.Load() != 4 {
+	if m.Ticks.Load() != 4 {
 		t.Fatalf("engine stopped ticking after checker failures (ticks %d)", m.Ticks.Load())
 	}
 }
