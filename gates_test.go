@@ -1,6 +1,7 @@
 package mecoffload_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -146,6 +147,60 @@ func TestGateListsAgree(t *testing.T) {
 				if !slices.ContainsFunc(names, re.MatchString) {
 					t.Errorf("Makefile gate %s: %q matches no Test or Fuzz function in %v", gate, alt, run.pkgs)
 				}
+			}
+		}
+	}
+}
+
+var (
+	declaredFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	citedFunc    = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+)
+
+// TestDocsCiteExistingTests: every Test, Fuzz or Benchmark name cited in
+// README.md, DESIGN.md, EXPERIMENTS.md or the verify skill is declared in
+// some _test.go file of the module, or is the prefix of one (a -run list
+// such as TestIncCache). A deleted test's name left in a document sends
+// its reader to a check that no longer runs. ROADMAP.md and CHANGES.md
+// record history and may name deleted tests; bench/README.md belongs to
+// the benchmark.
+func TestDocsCiteExistingTests(t *testing.T) {
+	var declared []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range declaredFunc.FindAllStringSubmatch(string(data), -1) {
+			declared = append(declared, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, name := range citedFunc.FindAllString(string(data), -1) {
+			if seen[name] {
+				continue
+			}
+			seen[name] = true
+			if !slices.ContainsFunc(declared, func(d string) bool { return strings.HasPrefix(d, name) }) {
+				t.Errorf("%s cites %s, which no _test.go file declares", doc, name)
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func TestValidateSpecAllocatesNoSource(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(500, func() {
 		for _, spec := range specs {
-			if err := e.ValidateSpec(spec); err != nil {
+			if err := ValidateSpec(e.cfg.Net, spec); err != nil {
 				t.Fatalf("valid spec %+v rejected: %v", spec, err)
 			}
 		}

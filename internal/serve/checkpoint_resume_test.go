@@ -38,10 +38,7 @@ func TestCheckpointResumeDecisions(t *testing.T) {
 	if len(live) == 0 {
 		t.Fatal("test wants live requests at the kill point")
 	}
-	killed, err := e1.BanditSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	killed := learnerOf(t, e1)
 
 	rng.Seed(43)
 	cfg.Rng = rand.New(rand.NewSource(43))
@@ -69,14 +66,7 @@ func TestCheckpointResumeDecisions(t *testing.T) {
 					i, id, r2, ok2, err2, r1, ok1, err1)
 			}
 		}
-		b1, err := e1.BanditSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := e2.BanditSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		b1, b2 := learnerOf(t, e1), learnerOf(t, e2)
 		j1, _ := json.Marshal(b1)
 		j2, _ := json.Marshal(b2)
 		if string(j1) != string(j2) {

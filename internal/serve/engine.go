@@ -278,13 +278,6 @@ func (e *Engine) WarmStats() (hits, misses uint64) { return 0, 0 }
 // IncStats returns the decision cache's counters.
 func (e *Engine) IncStats() core.IncStats { return e.sched.IncStats() }
 
-// BanditSnapshot captures the DynamicRR threshold learner's state.
-func (e *Engine) BanditSnapshot() (*bandit.LipschitzSnapshot, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.sched.Bandit().Snapshot()
-}
-
 // lock takes the planner lock for a call that needs a running engine; once
 // the engine has stopped it fails with ErrStopped, holding nothing.
 func (e *Engine) lock() error {

@@ -163,10 +163,7 @@ func TestCheckpointResume(t *testing.T) {
 		}
 	}
 	cfg.Restore = snapshotViaDisk(t, e1, path)
-	want, err := e1.BanditSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := learnerOf(t, e1)
 	wantStreams := e1.Metrics().ActiveStreams.Load()
 	wantPending := e1.Metrics().PendingDepth.Load()
 	wantSlot := e1.Metrics().CurrentSlot.Load()
@@ -185,10 +182,7 @@ func TestCheckpointResume(t *testing.T) {
 	e2.Start()
 	t.Cleanup(func() { _ = e2.Stop() })
 
-	got, err := e2.BanditSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := learnerOf(t, e2)
 	wantJSON, _ := json.Marshal(want)
 	gotJSON, _ := json.Marshal(got)
 	if !reflect.DeepEqual(wantJSON, gotJSON) {
@@ -221,10 +215,7 @@ func TestCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, err := e2.BanditSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := learnerOf(t, e2)
 	if after.Policy.T <= got.Policy.T {
 		t.Fatalf("bandit rounds did not advance after restore: %d -> %d", got.Policy.T, after.Policy.T)
 	}
@@ -243,6 +234,20 @@ func snapshotViaDisk(t *testing.T, e *Engine, path string) *Checkpoint {
 		t.Fatal(err)
 	}
 	return readCheckpoint(t, path)
+}
+
+// learnerOf returns the engine's threshold learner as its Snapshot
+// carries it.
+func learnerOf(t *testing.T, e *Engine) *bandit.LipschitzSnapshot {
+	t.Helper()
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Bandit == nil {
+		t.Fatal("snapshot holds no learner")
+	}
+	return snap.Bandit
 }
 
 // readCheckpoint decodes the checkpoint file at path.

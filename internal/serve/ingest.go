@@ -90,7 +90,7 @@ func Single(res BatchResult, err error) (uint64, int, error) {
 // rejected and takes no id, and the request fails with ErrSaturated when
 // the door is saturated or sheds it on arrival.
 func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
-	if err := e.ValidateSpec(spec); err != nil {
+	if err := ValidateSpec(e.cfg.Net, spec); err != nil {
 		e.metrics.Rejected.Inc()
 		return 0, 0, err
 	}
@@ -104,8 +104,8 @@ func (e *Engine) Submit(spec RequestSpec) (uint64, int, error) {
 // shedding), and with ErrDraining / ErrStopped once intake has closed. It
 // does not check the specs: that is the caller's one pass (the cluster's
 // router, or Submit's ValidateSpec). A spec that would fail ValidateSpec
-// still takes an id and a row, and the planner, whose materializeSpec runs
-// the same check, counts it rejected and records it as shed.
+// still takes an id and a row, and the planner, whose specKey runs the
+// same check, counts it rejected and records it as shed.
 func (e *Engine) SubmitBatch(specs []RequestSpec) (BatchResult, error) {
 	return e.submitBatch(nil, specs)
 }

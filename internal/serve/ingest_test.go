@@ -179,11 +179,11 @@ func TestSubmitBatchEdgeCases(t *testing.T) {
 // decisions.
 func TestValidateSpec(t *testing.T) {
 	e := testEngine(t, Config{})
-	if err := e.ValidateSpec(RequestSpec{}); err != nil {
+	if err := ValidateSpec(e.cfg.Net, RequestSpec{}); err != nil {
 		t.Fatalf("default spec invalid: %v", err)
 	}
 	bad := RequestSpec{Outcomes: []OutcomeSpec{{Prob: -1, RateMBs: 40, Reward: 1}}}
-	if err := e.ValidateSpec(bad); err == nil {
+	if err := ValidateSpec(e.cfg.Net, bad); err == nil {
 		t.Fatal("negative-probability spec validated")
 	}
 }

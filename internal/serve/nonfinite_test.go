@@ -29,7 +29,7 @@ func TestNonFiniteSpecRejected(t *testing.T) {
 		if _, _, err := e.Submit(spec); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("%s: Submit error %v, want ErrBadSpec", label, err)
 		}
-		if err := e.ValidateSpec(spec); !errors.Is(err, ErrBadSpec) {
+		if err := ValidateSpec(e.cfg.Net, spec); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("%s: ValidateSpec error %v, want ErrBadSpec", label, err)
 		}
 	}

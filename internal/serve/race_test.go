@@ -231,7 +231,7 @@ func TestFailingCheckerCountsSlotErrors(t *testing.T) {
 	}
 }
 
-// TestBanditSnapshotWhileTicking: BanditSnapshot takes the planner lock, so
+// TestBanditSnapshotWhileTicking: Snapshot takes the planner lock, so
 // reading the learner while another goroutine ticks it is safe (this test
 // runs under -race in CI).
 func TestBanditSnapshotWhileTicking(t *testing.T) {
@@ -259,11 +259,7 @@ func TestBanditSnapshotWhileTicking(t *testing.T) {
 			ticking = false
 		default:
 		}
-		snap, err := e.BanditSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = snap
+		last = learnerOf(t, e)
 	}
 	if last.Policy.T == 0 {
 		t.Fatal("the learner never moved while it was snapshotted")

@@ -71,12 +71,6 @@ func ValidateSpec(net *mec.Network, spec RequestSpec) error {
 	return err
 }
 
-// ValidateSpec checks a spec against the engine's topology: Submit's one
-// check before its spec takes an id. Safe for concurrent use.
-func (e *Engine) ValidateSpec(spec RequestSpec) error {
-	return ValidateSpec(e.cfg.Net, spec)
-}
-
 // specFacts is what checkSpec works out on its way through a valid spec.
 type specFacts struct {
 	deadlineMS float64 // the spec's, or the default
