@@ -257,13 +257,13 @@ type replayParams struct {
 	dumpPath     string
 }
 
-// runReplay feeds a trace through the cluster as fast as the scheduler
-// runs, drains the tail so every admitted stream departs, stops the
-// cluster and prints the run's summary (one format per trace kind, at
-// any shard count). An .ndjson trace replays through
-// the batched intake (one request per line, blank lines marking slot
-// boundaries — the wire format of POST /v1/requests:batch); anything
-// else is a workload frame trace (replayFrames).
+// runReplay feeds a trace through the cluster's replay loop
+// (cluster.Replay) as fast as the scheduler runs, which drains the tail
+// so every admitted stream departs, then stops the cluster and prints the
+// run's summary (one format per trace kind, at any shard count). An
+// .ndjson trace is one request per line, blank lines marking slot
+// boundaries — the wire format of POST /v1/requests:batch; anything else
+// is a workload frame trace (replayFrames).
 func runReplay(c *cluster.Cluster, path string, rp replayParams, out io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -283,7 +283,11 @@ func runReplay(c *cluster.Cluster, path string, rp replayParams, out io.Writer) 
 			badShown++
 		})
 	} else {
-		seconds, st.Accepted, err = replayFrames(c, f, rp)
+		var tr *workload.FrameTrace
+		if tr, err = workload.ReadTrace(f); err == nil {
+			seconds = len(tr.FPS)
+			st.Accepted, err = cluster.Replay(c, replayFrames(tr, rp), nil)
+		}
 	}
 	_ = f.Close()
 	if err != nil {
@@ -316,65 +320,35 @@ func runReplay(c *cluster.Cluster, path string, rp replayParams, out io.Writer) 
 	return nil
 }
 
-// replayFrames turns a captured frame trace into load: every trace
-// second maps to 1000/slotMS slots, with a request volume proportional
-// to the second's frame rate and a demand distribution pinned to the
-// second's scaled pipeline rate. It returns the trace length in seconds
-// and the number of requests submitted.
-func replayFrames(c *cluster.Cluster, src io.Reader, rp replayParams) (seconds, submitted int, err error) {
-	tr, err := workload.ReadTrace(src)
-	if err != nil {
-		return 0, 0, err
-	}
+// replayFrames turns a captured frame trace into the replay's slot
+// groups: every trace second is one group, ticked for 1000/slotMS slots,
+// with a request volume proportional to the second's frame rate and a
+// demand distribution pinned to the second's scaled pipeline rate.
+func replayFrames(tr *workload.FrameTrace, rp replayParams) func(cluster.ReplayGroup) error {
 	rates := tr.ScaleToRate(workload.DefaultMinRate, workload.DefaultMaxRate)
-	slotsPerSecond := int(1000/rp.slotMS + 0.5)
-	if slotsPerSecond < 1 {
-		slotsPerSecond = 1
-	}
-	var specs []serve.RequestSpec // every second's group in turn
-	for s, fps := range tr.FPS {
-		n := rp.perThirtyFPS * fps / 30
-		if n < 1 {
-			n = 1
-		}
-		specs = specs[:0]
-		for k := 0; k < n; k++ {
-			unit := workload.DefaultMinUnitReward +
-				rp.rng.Float64()*(workload.DefaultMaxUnitReward-workload.DefaultMinUnitReward)
-			specs = append(specs, serve.RequestSpec{
-				AccessStation: (submitted + k) % rp.stations,
-				Outcomes: []serve.OutcomeSpec{
-					{RateMBs: rates[s], Prob: 1, Reward: unit * rates[s]},
-				},
-			})
-		}
-		// One group through the door, then Flush, which ignores MaxPending:
-		// the planner holds the whole second before its first slot.
-		res, err := c.SubmitBatch(specs)
-		if err == nil {
-			err = c.Flush()
-		}
-		if err != nil {
-			return 0, 0, fmt.Errorf("replay second %d: %w", s, err)
-		}
-		submitted += len(res.IDs)
-		for k := 0; k < slotsPerSecond; k++ {
-			if err := c.Tick(); err != nil {
-				return 0, 0, err
+	slotsPerSecond := max(1, int(1000/rp.slotMS+0.5))
+	return func(play cluster.ReplayGroup) error {
+		var specs []serve.RequestSpec // every second's group in turn
+		made := 0
+		for s, fps := range tr.FPS {
+			specs = specs[:0]
+			for n := max(1, rp.perThirtyFPS*fps/30); n > 0; n-- {
+				unit := workload.DefaultMinUnitReward +
+					rp.rng.Float64()*(workload.DefaultMaxUnitReward-workload.DefaultMinUnitReward)
+				specs = append(specs, serve.RequestSpec{
+					AccessStation: made % rp.stations,
+					Outcomes: []serve.OutcomeSpec{
+						{RateMBs: rates[s], Prob: 1, Reward: unit * rates[s]},
+					},
+				})
+				made++
+			}
+			// Flush ignores MaxPending: the planner holds the whole second
+			// before its first slot.
+			if err := play(specs, slotsPerSecond); err != nil {
+				return fmt.Errorf("replay second %d: %w", s, err)
 			}
 		}
+		return nil
 	}
-	// Drain the tail so every admitted stream departs before the summary.
-	if err := c.Drain(); err != nil {
-		return 0, 0, err
-	}
-	for c.Alive() {
-		if err := c.Tick(); err != nil {
-			if errors.Is(err, serve.ErrStopped) {
-				break
-			}
-			return 0, 0, err
-		}
-	}
-	return len(tr.FPS), submitted, nil
 }

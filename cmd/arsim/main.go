@@ -34,7 +34,8 @@ func main() {
 	}
 }
 
-// traceScheduler wraps a Scheduler and prints a line per slot.
+// traceScheduler wraps a Scheduler and prints a line per slot it
+// schedules; the embedded Scheduler's Feedback feeds the wrapped learner.
 type traceScheduler struct {
 	sim.Scheduler
 	out io.Writer

@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"mecoffload/internal/mec"
+	"mecoffload/internal/rnd"
 	"mecoffload/internal/sim"
+	"mecoffload/internal/workload"
 )
 
 // TestRunEachScheduler: the flag's four values are the table's online
@@ -45,6 +48,61 @@ func TestRunTraceFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "slot ") {
 		t.Fatalf("trace lines missing:\n%s", out.String())
+	}
+}
+
+// TestTraceFeedsLearner: the trace wrapper, alone and under -dump's
+// recorder, passes every slot's reward on to DynamicRR, so its bandit
+// plays once per traced slot and its per-arm plays equal those of the
+// unwrapped run on the same seed.
+func TestTraceFeedsLearner(t *testing.T) {
+	run := func(wrap func(sim.Scheduler, *strings.Builder) sim.Scheduler) ([]int, int) {
+		rng := rnd.New(5, "scenario")
+		net, err := mec.RandomNetwork(6, 3000, 3600, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, err := workload.Generate(workload.Config{
+			NumRequests: 600, NumStations: 6, GeometricRates: true, ArrivalHorizon: 60,
+		}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := sim.NewDynamicRR(sim.DynamicRROptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if _, _, err := sim.Simulate(net, reqs, wrap(d, &out), rnd.New(5, "engine"), sim.RunOptions{Horizon: 80}); err != nil {
+			t.Fatal(err)
+		}
+		pol := d.Bandit().Policy()
+		plays := make([]int, pol.NumArms())
+		for arm := range plays {
+			plays[arm] = pol.Plays(arm)
+		}
+		return plays, strings.Count(out.String(), "slot ")
+	}
+	want, _ := run(func(s sim.Scheduler, _ *strings.Builder) sim.Scheduler { return s })
+	for name, wrap := range map[string]func(sim.Scheduler, *strings.Builder) sim.Scheduler{
+		"trace": func(s sim.Scheduler, out *strings.Builder) sim.Scheduler {
+			return &traceScheduler{Scheduler: s, out: out}
+		},
+		"trace+recorder": func(s sim.Scheduler, out *strings.Builder) sim.Scheduler {
+			return sim.NewRecorder(&traceScheduler{Scheduler: s, out: out})
+		},
+	} {
+		plays, lines := run(wrap)
+		total := 0
+		for _, p := range plays {
+			total += p
+		}
+		if lines == 0 || total != lines {
+			t.Errorf("%s: %d traced slots, %d bandit plays: want one play per traced slot", name, lines, total)
+		}
+		if !slices.Equal(plays, want) {
+			t.Errorf("%s: plays per arm %v, unwrapped run %v", name, plays, want)
+		}
 	}
 }
 

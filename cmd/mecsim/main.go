@@ -6,9 +6,8 @@
 //	mecsim -experiment fig3 [-reps 5] [-seed 42] [-csv out.csv]
 //	mecsim -experiment all
 //
-// Experiments: fig3, fig4, fig5, fig6, regret, learning, drift, exactgap,
-// ablation-rounding, ablation-kappa, ablation-policy, ablation-slotsize,
-// ablation-discretization, ablation-rewardmodel, decision-cost, all.
+// The -experiment ids are those of the experiments list (mecsim -h prints
+// them), and all runs every one in that order.
 package main
 
 import (
@@ -16,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"mecoffload/internal/experiment"
 	"mecoffload/internal/prof"
@@ -28,10 +29,63 @@ func main() {
 	}
 }
 
+// report is what an experiment returns: its text tables and CSV rows.
+type report interface {
+	WriteText(io.Writer) error
+	WriteCSV(io.Writer) error
+}
+
+// allMetrics reports a figure table with every metric's text table.
+type allMetrics struct{ *experiment.Table }
+
+func (t allMetrics) WriteText(w io.Writer) error { return t.WriteAllText(w) }
+
+// table adapts a figure or ablation sweep to an experiment's run.
+func table(sweep func(experiment.Options) (*experiment.Table, error)) func(experiment.Options) (report, error) {
+	return func(opts experiment.Options) (report, error) {
+		tbl, err := sweep(opts)
+		return allMetrics{tbl}, err
+	}
+}
+
+// entry is one -experiment id and what it runs.
+type entry struct {
+	id  string
+	run func(experiment.Options) (report, error)
+}
+
+// experiments lists every -experiment id in the order "all" runs them.
+var experiments = []entry{
+	{"fig3", table(experiment.Fig3)},
+	{"fig4", table(experiment.Fig4)},
+	{"fig5", table(experiment.Fig5)},
+	{"fig6", table(experiment.Fig6)},
+	{"ablation-rounding", table(experiment.AblationRounding)},
+	{"ablation-kappa", table(experiment.AblationKappa)},
+	{"ablation-policy", table(experiment.AblationPolicy)},
+	{"ablation-slotsize", table(experiment.AblationSlotSize)},
+	{"ablation-discretization", table(experiment.AblationDiscretization)},
+	{"exactgap", table(experiment.ExactGap)},
+	{"ablation-rewardmodel", table(experiment.AblationRewardModel)},
+	{"decision-cost", table(experiment.DecisionCost)},
+	{"regret", func(opts experiment.Options) (report, error) { return experiment.Regret(opts) }},
+	{"learning", func(opts experiment.Options) (report, error) { return experiment.Learning(opts) }},
+	{"drift", func(opts experiment.Options) (report, error) { return experiment.Drift(opts) }},
+}
+
+// experimentIDs lists the ids -experiment accepts.
+func experimentIDs() string {
+	ids := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	return strings.Join(append(ids, "all"), ", ")
+}
+
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("mecsim", flag.ContinueOnError)
 	var (
-		exp      = fs.String("experiment", "all", "experiment id (fig3..fig6, regret, ablation-*, all)")
+		exp      = fs.String("experiment", "all", "experiment id: "+experimentIDs())
 		reps     = fs.Int("reps", experiment.DefaultRepetitions, "repetitions per cell")
 		seed     = fs.Int64("seed", 42, "base random seed")
 		stations = fs.Int("stations", experiment.DefaultStations, "number of base stations")
@@ -44,6 +98,9 @@ func run(args []string, out io.Writer) (err error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *exp != "all" && !slices.ContainsFunc(experiments, func(e entry) bool { return e.id == *exp }) {
+		return fmt.Errorf("unknown experiment %q (want one of %s)", *exp, experimentIDs())
 	}
 	for _, f := range []struct {
 		name string
@@ -86,91 +143,22 @@ func run(args []string, out io.Writer) (err error) {
 		csv = f
 	}
 
-	type figure struct {
-		id  string
-		run func(experiment.Options) (*experiment.Table, error)
-	}
-	figures := []figure{
-		{"fig3", experiment.Fig3},
-		{"fig4", experiment.Fig4},
-		{"fig5", experiment.Fig5},
-		{"fig6", experiment.Fig6},
-		{"ablation-rounding", experiment.AblationRounding},
-		{"ablation-kappa", experiment.AblationKappa},
-		{"ablation-policy", experiment.AblationPolicy},
-		{"ablation-slotsize", experiment.AblationSlotSize},
-		{"ablation-discretization", experiment.AblationDiscretization},
-		{"exactgap", experiment.ExactGap},
-		{"ablation-rewardmodel", experiment.AblationRewardModel},
-		{"decision-cost", experiment.DecisionCost},
-	}
-
-	ran := false
-	for _, f := range figures {
-		if *exp != "all" && *exp != f.id {
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.id {
 			continue
 		}
-		ran = true
-		tbl, err := f.run(opts)
+		rep, err := e.run(opts)
 		if err != nil {
-			return fmt.Errorf("%s: %w", f.id, err)
+			return fmt.Errorf("%s: %w", e.id, err)
 		}
-		if err := tbl.WriteAllText(out); err != nil {
+		if err := rep.WriteText(out); err != nil {
 			return err
 		}
 		if csv != nil {
-			if err := tbl.WriteCSV(csv); err != nil {
+			if err := rep.WriteCSV(csv); err != nil {
 				return err
 			}
 		}
-	}
-	if *exp == "all" || *exp == "regret" {
-		ran = true
-		reg, err := experiment.Regret(opts)
-		if err != nil {
-			return fmt.Errorf("regret: %w", err)
-		}
-		if err := reg.WriteText(out); err != nil {
-			return err
-		}
-		if csv != nil {
-			if err := reg.WriteCSV(csv); err != nil {
-				return err
-			}
-		}
-	}
-	if *exp == "all" || *exp == "learning" {
-		ran = true
-		lc, err := experiment.Learning(opts)
-		if err != nil {
-			return fmt.Errorf("learning: %w", err)
-		}
-		if err := lc.WriteText(out); err != nil {
-			return err
-		}
-		if csv != nil {
-			if err := lc.WriteCSV(csv); err != nil {
-				return err
-			}
-		}
-	}
-	if *exp == "all" || *exp == "drift" {
-		ran = true
-		dr, err := experiment.Drift(opts)
-		if err != nil {
-			return fmt.Errorf("drift: %w", err)
-		}
-		if err := dr.WriteText(out); err != nil {
-			return err
-		}
-		if csv != nil {
-			if err := dr.WriteCSV(csv); err != nil {
-				return err
-			}
-		}
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	return nil
 }

@@ -36,10 +36,22 @@ func TestRunWritesCSV(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an unknown id is refused before anything runs
+// or a CSV file is made, with an error that lists every id.
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-experiment", "fig99"}, &out); err == nil {
-		t.Fatal("want error for unknown experiment")
+	csv := filepath.Join(t.TempDir(), "out.csv")
+	err := run([]string{"-experiment", "fig99", "-csv", csv}, &out)
+	if err == nil || !strings.HasPrefix(err.Error(), `unknown experiment "fig99"`) {
+		t.Fatalf("err = %v, want an unknown-experiment error", err)
+	}
+	for _, e := range experiments {
+		if !strings.Contains(err.Error(), e.id) {
+			t.Errorf("error %q does not list %s", err, e.id)
+		}
+	}
+	if _, serr := os.Stat(csv); !os.IsNotExist(serr) {
+		t.Errorf("an unknown experiment made %s (%v)", csv, serr)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"mecoffload/internal/bandit"
@@ -174,9 +175,10 @@ func checkStations(man *Manifest, stations int) error {
 // rule (which also re-derives a spanning request's candidates); running
 // streams must land on a shard owning every station they hold shares on —
 // a stream split by the new partition is a loud error, not a silent drop.
-// The learner state is cloned into every new shard (each shard's bandit
-// continues from the global reward history) and lifetime totals
-// accumulate onto shard 0 so cluster-wide counters survive resharding.
+// Over the same partition every shard continues from its own learner;
+// after a reshard each new shard continues from a clone of the learner
+// that saw the most slots. Lifetime totals accumulate onto shard 0 so
+// cluster-wide counters survive resharding.
 func (c *Cluster) composeRestore(man *Manifest) ([]*serve.Checkpoint, error) {
 	if err := checkStations(man, len(c.owner)); err != nil {
 		return nil, err
@@ -252,8 +254,15 @@ func (c *Cluster) composeRestore(man *Manifest) ([]*serve.Checkpoint, error) {
 		out[shard].Requests = append(out[shard].Requests, cr)
 	}
 	c.router.restore(next)
+	same := len(man.Shards) == len(c.parts)
+	for k := 0; same && k < len(c.parts); k++ {
+		same = slices.Equal(man.Shards[k].Stations, c.parts[k])
+	}
 	for k := range out {
 		out[k].NextExternalID = next
+		if same {
+			banditSnap = man.Shards[k].Checkpoint.Bandit
+		}
 		out[k].Bandit = banditSnap.Clone()
 	}
 	addTotals(&out[0].Totals, totals)

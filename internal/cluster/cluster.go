@@ -63,9 +63,9 @@ type Config struct {
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
 	// TraceWriter, when non-nil, receives every shard's per-slot trace
-	// line (arsim's trace format), each slot's lines in shard order. With
-	// more than one shard each line is prefixed "[shard k] "; a single
-	// shard's output is byte-identical to arsim -trace.
+	// line (serve.Config.TraceWriter), each slot's lines in shard order, in
+	// the same sim.WriteTraceLine format as arsim -trace. With more than
+	// one shard each line is prefixed "[shard k] ".
 	TraceWriter io.Writer
 	// SlotObserver, when set, receives each cluster slot's admitted
 	// request ids (ascending) and the globally aggregated reward, after
@@ -299,11 +299,12 @@ func (c *Cluster) runTicker() {
 
 // Tick advances every shard by one slot, in shard order, aggregates the
 // slot's realized reward across shards, and delivers that global signal
-// to every shard's threshold learner — the same reward stream a
-// single-engine bandit would see, which is what keeps learners
-// identical across shard counts. A drain keeps every shard ticking and
-// learning until the last one is idle; once the drain is complete, or
-// after Stop, Tick returns serve.ErrStopped and runs nothing.
+// to every shard's threshold learner. A learner updates only in a slot
+// where its shard played an arm, one with requests pending, so shard
+// learners part ways as soon as one shard idles while another schedules.
+// A drain keeps every shard ticking and learning until the last one is
+// idle; once the drain is complete, or after Stop, Tick returns
+// serve.ErrStopped and runs nothing.
 func (c *Cluster) Tick() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -5,8 +5,9 @@
 // if that owns one of them, else on the owner of its smallest candidate.
 // The partition follows connected components of the backhaul graph (the
 // same components the LP decomposition splits along), shards tick in
-// lockstep under one cluster clock with globally aggregated bandit
-// feedback, a request stays on the shard it was homed on, and every
+// lockstep under one cluster clock, each shard's learner is fed the
+// globally aggregated slot reward in the slots where it played an arm, a
+// request stays on the shard it was homed on, and every
 // shard's checkpoint sits in one manifest file, a whole recoverable
 // generation published by one atomic rename. A station id
 // means the same station everywhere: every shard schedules over the whole

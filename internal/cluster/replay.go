@@ -18,105 +18,130 @@ type ReplayStats struct {
 	BadLines int
 }
 
-// ReplayNDJSON replays an NDJSON request trace through the cluster's
-// batched intake: every group of non-blank lines becomes one routed
-// SubmitBatch, every blank line a slot boundary (consecutive blanks
-// replay idle slots) — the exact wire format of POST /v1/requests:batch.
-// After the trace, intake drains and the cluster keeps ticking
-// until every shard has settled its pending requests and released its
-// streams. lineErr (optional) receives one callback per malformed line.
+// A ReplayGroup plays one slot group of a replay: it submits the specs
+// that arrive together through the door (none for an idle slot), flushes
+// them to the planners, and ticks the given number of slots.
+type ReplayGroup func(specs []serve.RequestSpec, ticks int) error
+
+// Replay is the cluster's replay loop, whatever the trace. groups calls
+// play once per slot group, in trace order; refused (optional) receives
+// the index in its group, and the reason, of every spec the router
+// refused, before the group's slots tick. Once groups returns, intake
+// drains and the cluster keeps ticking until every shard has settled its
+// pending requests and released its streams. Replay returns the number of
+// specs accepted.
+func Replay(c *Cluster, groups func(play ReplayGroup) error, refused func(index int, err error)) (accepted int, err error) {
+	err = groups(func(specs []serve.RequestSpec, ticks int) error {
+		res, err := c.SubmitBatch(specs)
+		for _, r := range res.Refused {
+			if refused != nil {
+				refused(r.Index, r.Err)
+			}
+		}
+		if err == nil {
+			accepted += len(res.IDs)
+			err = c.Flush()
+		}
+		for ; err == nil && ticks > 0; ticks-- {
+			err = c.Tick()
+		}
+		return err
+	})
+	if err != nil {
+		return accepted, err
+	}
+	if err := c.Drain(); err != nil {
+		return accepted, err
+	}
+	for c.Alive() {
+		// ErrStopped: the tick found the drain complete or the cluster
+		// stopped, and Alive ends the loop.
+		if err := c.Tick(); err != nil && !errors.Is(err, serve.ErrStopped) {
+			return accepted, err
+		}
+	}
+	return accepted, nil
+}
+
+// ReplayNDJSON replays an NDJSON request trace through Replay: every
+// group of non-blank lines is one slot's batch, every blank line a slot
+// boundary (consecutive blanks replay idle slots) — the exact wire format
+// of POST /v1/requests:batch. lineErr (optional) receives one callback per
+// malformed or refused line.
 func ReplayNDJSON(c *Cluster, src io.Reader, lineErr func(line int, msg string)) (ReplayStats, error) {
 	var (
 		st       ReplayStats
 		group    strings.Builder
-		baseLine = 1
+		baseLine = 1 // the trace line of the group's first line
 		lineNo   = 0
 		// lines and specs are every group's storage in turn: SubmitBatch
 		// copies each spec into its request's row.
 		lines []serve.BatchLine
 		specs []serve.RequestSpec
 	)
-	flushGroup := func() error {
-		defer func() {
-			group.Reset()
-			baseLine = lineNo + 1
-		}()
+	badLine := func(line int, msg string) {
+		if lineErr != nil {
+			lineErr(baseLine+line-1, msg)
+		}
+		st.BadLines++
+	}
+	// slot plays the lines read since the last boundary as one slot.
+	slot := func(play ReplayGroup) error {
+		specs = specs[:0]
 		if group.Len() > 0 {
-			decoded, lineErrs, err := serve.AppendBatch(lines[:0], strings.NewReader(group.String()), 0, 0)
-			lines = decoded
+			var lineErrs []serve.LineError
+			var err error
+			lines, lineErrs, err = serve.AppendBatch(lines[:0], strings.NewReader(group.String()), 0, 0)
 			if err != nil {
 				return fmt.Errorf("cluster replay: slot %d: %w", st.Slots, err)
 			}
-			specs = specs[:0]
+			for _, le := range lineErrs {
+				badLine(le.Line, le.Error)
+			}
 			for _, ln := range lines {
 				specs = append(specs, ln.Spec)
 			}
-			res, err := c.SubmitBatch(specs)
-			// A spec the router refused is a bad line, reported after the
-			// lines that did not decode.
-			for _, r := range res.Refused {
-				lineErrs = append(lineErrs, serve.LineError{Line: lines[r.Index].Line, Error: r.Err.Error()})
-			}
-			for _, le := range lineErrs {
-				if lineErr != nil {
-					lineErr(baseLine+le.Line-1, le.Error)
-				}
-				st.BadLines++
-			}
-			if err != nil {
-				return fmt.Errorf("cluster replay: slot %d: %w", st.Slots, err)
-			}
-			st.Accepted += len(res.IDs)
-			if err := c.Flush(); err != nil {
-				return err
-			}
+		}
+		if err := play(specs, 1); err != nil {
+			return fmt.Errorf("cluster replay: slot %d: %w", st.Slots, err)
 		}
 		st.Slots++
-		return c.Tick()
+		group.Reset()
+		baseLine = lineNo + 1
+		return nil
 	}
-
-	br := bufio.NewReaderSize(src, 1<<20)
-	for {
-		line, rerr := br.ReadString('\n')
-		if rerr != nil && !errors.Is(rerr, io.EOF) {
-			return st, rerr
-		}
-		if len(line) > 0 {
-			lineNo++
-		}
-		switch {
-		case strings.TrimSpace(line) != "":
-			group.WriteString(line)
-			if !strings.HasSuffix(line, "\n") {
-				group.WriteByte('\n')
+	groups := func(play ReplayGroup) error {
+		br := bufio.NewReaderSize(src, 1<<20)
+		for rerr := error(nil); rerr == nil; {
+			var line string
+			if line, rerr = br.ReadString('\n'); rerr != nil && !errors.Is(rerr, io.EOF) {
+				return rerr
 			}
-		case len(line) > 0:
-			if err := flushGroup(); err != nil {
-				return st, err
+			if len(line) > 0 {
+				lineNo++
+			}
+			switch {
+			case strings.TrimSpace(line) != "":
+				group.WriteString(line)
+				if !strings.HasSuffix(line, "\n") {
+					group.WriteByte('\n')
+				}
+			case len(line) > 0:
+				if err := slot(play); err != nil {
+					return err
+				}
 			}
 		}
-		if errors.Is(rerr, io.EOF) {
-			break
+		if group.Len() > 0 {
+			return slot(play)
 		}
+		return nil
 	}
-	if group.Len() > 0 {
-		if err := flushGroup(); err != nil {
-			return st, err
-		}
-	}
-
-	if err := c.Drain(); err != nil {
-		return st, err
-	}
-	for c.Alive() {
-		if err := c.Tick(); err != nil {
-			if errors.Is(err, serve.ErrStopped) {
-				break
-			}
-			return st, err
-		}
-	}
-	return st, nil
+	// A spec the router refused is a bad line, reported after the lines
+	// that did not decode.
+	var err error
+	st.Accepted, err = Replay(c, groups, func(i int, err error) { badLine(lines[i].Line, err.Error()) })
+	return st, err
 }
 
 // DumpObserver returns a Config.SlotObserver that records the decision

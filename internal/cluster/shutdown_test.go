@@ -114,7 +114,8 @@ func shardSnapshots(t *testing.T, path string) (cluster.Manifest, []*serve.Check
 // the last pre-drain checkpoint recorded it. Island 1's streams run
 // longer, so at 2 shards shard 0 is idle slots before shard 1; it keeps
 // ticking, so every shard snapshot carries the cluster's slot, and the
-// restore continues from the first shard's learner (the slots tie).
+// restore, over the same partition, continues from each shard's own
+// learner.
 //
 // In the second case the slot that completes the drain pulls an arm: it
 // admits a wave that realization evicts whole, and leaves nothing
@@ -235,7 +236,7 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 			}
 
 			// The restart continues from it: clock, id allocator, counters,
-			// and the first shard's learner.
+			// and each shard's learner.
 			r, err := cluster.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -260,8 +261,8 @@ func TestCleanDrainKeepsLearnedState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, wantBandit[0]) {
-					t.Fatalf("restored shard %d learner:\n  got:  %s\n  want: %s", k, got, wantBandit[0])
+				if !bytes.Equal(got, wantBandit[k]) {
+					t.Fatalf("restored shard %d learner:\n  got:  %s\n  want: %s", k, got, wantBandit[k])
 				}
 			}
 		})

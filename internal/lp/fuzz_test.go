@@ -20,6 +20,8 @@ func FuzzParse(f *testing.F) {
 		"nonsense",
 		"max: x\nc: x <= 1e9\n",
 		"min: -x\nc: -x >= -3\n",
+		"max: 3 x y\nc1: x + y - <= 4\n",
+		"max: 2e-3 x - 1E+2 y\nc: x + y <= 1\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -46,8 +46,10 @@ func (pp *ParsedProblem) VarByName(name string) (Var, bool) {
 // The first directive line must be "max:" or "min:" followed by a linear
 // expression. Each constraint line is "label: expr OP rhs" with OP one of
 // <=, >=, =. An optional "int" line lists integer variables. Variables are
-// implicitly >= 0, coefficients may use "*" (e.g. "3*x"), and unnamed
-// coefficients default to 1.
+// implicitly >= 0, coefficients may use "*" (e.g. "3*x") and an exponent
+// (e.g. "2e-3 x"), and unnamed coefficients default to 1. Every term after
+// the first follows a "+" or "-", and every sign is followed by a term:
+// "3 x y" and "x + y -" are errors.
 func Parse(r io.Reader) (*ParsedProblem, error) {
 	scanner := bufio.NewScanner(r)
 	var prob *Problem
@@ -179,48 +181,78 @@ func splitConstraint(body string) (Op, string, string, error) {
 	return 0, "", "", errors.New("no comparison operator")
 }
 
-// parseExpr parses "3 x + 2*y - z" into terms.
+// parseExpr parses "3 x + 2*y - z" into terms. A term is an optional
+// coefficient and a variable; every term after the first follows a sign,
+// and every sign is followed by a term.
 func parseExpr(expr string, getVar func(string, float64) Var) ([]Term, error) {
-	expr = strings.ReplaceAll(expr, "*", " ")
-	expr = strings.ReplaceAll(expr, "+", " + ")
-	expr = strings.ReplaceAll(expr, "-", " - ")
-	fields := strings.Fields(expr)
+	fields := exprTokens(expr)
 	if len(fields) == 0 {
 		return nil, errors.New("empty expression")
 	}
 	var terms []Term
 	sign := 1.0
 	coef := 1.0
-	haveCoef := false
-	flush := func(name string) {
-		terms = append(terms, Term{Var: getVar(name, 0), Coef: sign * coef})
-		sign, coef, haveCoef = 1, 1, false
-	}
+	haveCoef, haveSign := false, false
 	for _, f := range fields {
 		switch f {
-		case "+":
-			// sign already consumed into the next term
-		case "-":
-			sign = -sign
-		default:
-			if v, err := strconv.ParseFloat(f, 64); err == nil {
-				if haveCoef {
-					return nil, fmt.Errorf("two consecutive numbers near %q", f)
-				}
-				coef = v
-				haveCoef = true
-				continue
+		case "+", "-":
+			if f == "-" {
+				sign = -sign
 			}
-			if !isIdent(f) {
-				return nil, fmt.Errorf("bad token %q", f)
-			}
-			flush(f)
+			haveSign = true
+			continue
 		}
+		if len(terms) > 0 && !haveSign {
+			return nil, fmt.Errorf("no sign between two terms near %q", f)
+		}
+		if v, err := strconv.ParseFloat(f, 64); err == nil {
+			if haveCoef {
+				return nil, fmt.Errorf("two consecutive numbers near %q", f)
+			}
+			coef = v
+			haveCoef = true
+			continue
+		}
+		if !isIdent(f) {
+			return nil, fmt.Errorf("bad token %q", f)
+		}
+		terms = append(terms, Term{Var: getVar(f, 0), Coef: sign * coef})
+		sign, coef, haveCoef, haveSign = 1, 1, false, false
 	}
 	if haveCoef {
 		return nil, errors.New("dangling coefficient")
 	}
+	if haveSign {
+		return nil, errors.New("dangling sign")
+	}
 	return terms, nil
+}
+
+// exprTokens splits an expression into signs, numbers and names: blanks
+// and "*" separate tokens, and "+" and "-" are tokens of their own except
+// in a number's exponent ("2e-3").
+func exprTokens(expr string) []string {
+	var out []string
+	for _, f := range strings.Fields(strings.ReplaceAll(expr, "*", " ")) {
+		start := 0
+		for i := 0; i < len(f); i++ {
+			if f[i] != '+' && f[i] != '-' {
+				continue
+			}
+			if i > start && (f[i-1] == 'e' || f[i-1] == 'E') && strings.IndexByte("0123456789.", f[start]) >= 0 {
+				continue // an exponent's sign
+			}
+			if i > start {
+				out = append(out, f[start:i])
+			}
+			out = append(out, f[i:i+1])
+			start = i + 1
+		}
+		if start < len(f) {
+			out = append(out, f[start:])
+		}
+	}
+	return out
 }
 
 func isIdent(s string) bool {

@@ -99,6 +99,11 @@ func TestParseErrors(t *testing.T) {
 		{"dangling coefficient", "max: x\nc: x + 3 <= 1\n"},
 		{"missing colon", "max: x\nx <= 1\n"},
 		{"double number", "max: 3 4 x\nc: x <= 1\n"},
+		{"terms without a sign", "max: 3 x y\nc: x <= 1\n"},
+		{"number after a term without a sign", "max: x\nc: x 2 y <= 1\n"},
+		{"dangling sign", "max: 3 x\nc1: x + y - <= 4\n"},
+		{"sign alone", "max: +\nc: x <= 1\n"},
+		{"dangling sign and terms without one", "max: 3 x y\nc1: x + y - <= 4\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,5 +138,22 @@ int ghost
 `)
 	if _, ok := pp.VarByName("ghost"); !ok {
 		t.Fatal("declared-but-unused integer variable dropped")
+	}
+}
+
+// TestParseExponents: a coefficient may carry an exponent with either
+// sign, which is no term sign ("2e-3 x" is 0.002 x), while a "-" after a
+// name's "e" is one.
+func TestParseExponents(t *testing.T) {
+	pp := parseString(t, "max: 2e-3 x + 1.5E+1 y - .5e-1 z - e -2 re\nc: x + y + z + e + re <= 1\n")
+	want := map[string]float64{"x": 2e-3, "y": 15, "z": -0.05, "e": -1, "re": -2}
+	for name, coef := range want {
+		v, ok := pp.VarByName(name)
+		if !ok {
+			t.Fatalf("variable %s missing", name)
+		}
+		if got := pp.Problem.cols[v].obj; got != coef {
+			t.Errorf("objective coefficient of %s = %v, want %v", name, got, coef)
+		}
 	}
 }

@@ -61,6 +61,9 @@ func (NaiveScheduler) Name() string { return "Naive" }
 // expected demand and lets the engine settle realized rates.
 func (NaiveScheduler) UncertaintyAware() bool { return false }
 
+// Feedback implements sim.Scheduler: the naive reference does not learn.
+func (NaiveScheduler) Feedback(int, float64) {}
+
 // Schedule implements sim.Scheduler.
 func (NaiveScheduler) Schedule(eng *sim.Engine, res *core.Result, t int, pending []int) ([]int, error) {
 	n := eng.Net()

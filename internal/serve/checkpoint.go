@@ -35,12 +35,29 @@ type Totals struct {
 	Saturated uint64 `json:"saturated,omitempty"`
 }
 
-// CheckpointRequest is one live (pending or in-service) request.
+// CheckpointRequest is one live (pending or in-service) request. The
+// optional fields carry what its status record shows beyond the spec; a
+// file without them restores the arrival slot as the submission slot and,
+// for a running request, the restore slot as its decision slot, its
+// stream's processing station, and no reward or latency.
 type CheckpointRequest struct {
-	ExternalID  uint64      `json:"id"`
-	ArrivalSlot int         `json:"arrivalSlot"`
-	Running     bool        `json:"running,omitempty"`
-	Spec        RequestSpec `json:"spec"`
+	ExternalID  uint64 `json:"id"`
+	ArrivalSlot int    `json:"arrivalSlot"`
+	// SubmittedSlot is the slot the request reached the door, written
+	// when the door held it past its arrival slot.
+	SubmittedSlot *int        `json:"submittedSlot,omitempty"`
+	Running       bool        `json:"running,omitempty"`
+	Served        *ServedRow  `json:"served,omitempty"`
+	Spec          RequestSpec `json:"spec"`
+}
+
+// ServedRow is a running request's admission as its status record shows
+// it.
+type ServedRow struct {
+	DecisionSlot int     `json:"decisionSlot"`
+	Station      int     `json:"station"`
+	Reward       float64 `json:"reward"`
+	LatencyMS    float64 `json:"latencyMS"`
 }
 
 // Checkpoint is the daemon's durable state: the slot clock, the id
@@ -126,6 +143,14 @@ func (e *Engine) install(ck *Checkpoint) error {
 		if err != nil {
 			return fmt.Errorf("request %d: %w", cr.ExternalID, err)
 		}
+		if sv := cr.Served; sv != nil {
+			if !cr.Running {
+				return fmt.Errorf("request %d: a pending request has a served record", cr.ExternalID)
+			}
+			if sv.Station < 0 || sv.Station >= e.cfg.Net.NumStations() {
+				return fmt.Errorf("request %d: served on station %d out of range", cr.ExternalID, sv.Station)
+			}
+		}
 		if err := e.planner.AppendKey(k); err != nil {
 			return err
 		}
@@ -155,11 +180,18 @@ func (e *Engine) install(ck *Checkpoint) error {
 	lives := make([]*liveState, len(reqs))
 	for i, cr := range reqs {
 		lives[i] = newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
+		if cr.SubmittedSlot != nil {
+			lives[i].row.submitted = *cr.SubmittedSlot
+		}
 	}
 	e.table.mu.Lock()
 	e.table.restore(lives)
 	for _, s := range running {
-		e.table.serving(s.Request, ck.Slot, s.ProcStation, 0, 0)
+		if sv := reqs[s.Request].Served; sv != nil {
+			e.table.serving(s.Request, sv.DecisionSlot, sv.Station, sv.Reward, sv.LatencyMS)
+		} else {
+			e.table.serving(s.Request, ck.Slot, s.ProcStation, 0, 0)
+		}
 	}
 	e.table.mu.Unlock()
 	e.metrics.PendingDepth.Store(int64(len(e.pending)))
@@ -184,14 +216,27 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 		Bandit:         snap,
 		Totals:         e.metrics.Totals(),
 	}
+	if n := len(e.pending) + e.planner.NumRunning(); n > 0 {
+		ck.Requests = make([]CheckpointRequest, 0, n) // every live request
+	}
 	for _, live := range e.table.byIdx {
-		if live != nil {
-			ck.Requests = append(ck.Requests, CheckpointRequest{
-				ExternalID:  live.row.id,
-				ArrivalSlot: live.arrival,
-				Running:     live.row.state == rowServing,
-				Spec:        live.spec,
-			})
+		if live == nil {
+			continue
+		}
+		row := live.row
+		ck.Requests = append(ck.Requests, CheckpointRequest{
+			ExternalID:  row.id,
+			ArrivalSlot: live.arrival,
+			Running:     row.state == rowServing,
+			Spec:        live.spec,
+		})
+		cr := &ck.Requests[len(ck.Requests)-1]
+		if row.submitted != live.arrival {
+			sub := row.submitted
+			cr.SubmittedSlot = &sub
+		}
+		if cr.Running {
+			cr.Served = &ServedRow{DecisionSlot: row.decision, Station: int(row.station), Reward: row.reward, LatencyMS: row.latencyMS}
 		}
 	}
 	sort.Slice(ck.Requests, func(a, b int) bool { return ck.Requests[a].ExternalID < ck.Requests[b].ExternalID })

@@ -62,19 +62,21 @@ type Config struct {
 	// DeferFeedback suppresses the planner's in-slot bandit feedback;
 	// the caller delivers slot rewards explicitly via DeliverFeedback.
 	// The cluster defers feedback so every shard's threshold learner is
-	// updated with the globally aggregated slot reward, keeping learners
-	// in lockstep across shard counts.
+	// updated with the globally aggregated slot reward rather than its own
+	// shard's (a learner updates only in a slot where it played an arm).
 	DeferFeedback bool
 	// RetrySeed seeds the engine-scoped Retry-After jitter stream
 	// (internal/rnd label "retry-after"), making overload responses
 	// reproducible in tests and replay. The zero seed is a valid,
 	// deterministic stream of its own.
 	RetrySeed int64
-	// TraceWriter, when non-nil, receives one line per slot from
-	// sim.WriteTraceLine, the formatter of arsim -trace, so offline and
-	// online runs are diffable. The line is written inside Tick; a cluster
-	// ticks its shards one after another, so their lines reach a shared
-	// sink in shard order.
+	// TraceWriter, when non-nil, receives one line per slot in the same
+	// sim.WriteTraceLine format as arsim -trace. The lines are not arsim's:
+	// the engine writes every slot, with the pending depth taken before
+	// expiry, where arsim writes only the slots its scheduler ran, with the
+	// queue after expiry. The line is written inside Tick; a cluster ticks
+	// its shards one after another, so their lines reach a shared sink in
+	// shard order.
 	TraceWriter io.Writer
 	// Logf, when non-nil, receives operational log lines (scheduler
 	// errors, compaction).

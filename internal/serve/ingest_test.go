@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -264,7 +264,11 @@ func TestInterleavedIntakeIsDeterministic(t *testing.T) {
 	diverged := -1
 	for i := 0; i < runs; i++ {
 		got := run(true)
-		outcomes[fmt.Sprintf("%+v", got)]++
+		key, err := json.Marshal(got) // by value: a snapshot's optional fields are pointers
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes[string(key)]++
 		if diverged < 0 && !reflect.DeepEqual(got, want) {
 			diverged = i
 		}

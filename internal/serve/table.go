@@ -178,9 +178,12 @@ func newTable(max int, stations []StationGauge) *table {
 const rowChunk = 73
 
 // newRequest allocates a row at the door and its live part on their own
-// (a restore, and tests), and returns the live part.
+// (a restore, and tests), and returns the live part, arriving in the slot
+// it was submitted in.
 func newRequest(id uint64, slot int, spec RequestSpec) *liveState {
-	return initRequest(new(request), new(liveState), id, slot, spec)
+	live := initRequest(new(request), new(liveState), id, slot, spec)
+	live.arrival = slot
+	return live
 }
 
 // initRequest fills in a row at the door, and its live part, in storage
@@ -348,7 +351,7 @@ func (t *table) restore(lives []*liveState) {
 	slices.SortFunc(byID, func(a, b *liveState) int { return cmp.Compare(a.row.id, b.row.id) })
 	t.insert(byID...)
 	for _, live := range lives {
-		t.attach(live, live.row.submitted)
+		t.attach(live, live.arrival)
 	}
 	t.admit(len(lives))
 }

@@ -37,6 +37,11 @@ func (*OnlineOCORP) Name() string { return "OCORP" }
 // UncertaintyAware implements Scheduler.
 func (*OnlineOCORP) UncertaintyAware() bool { return false }
 
+// Feedback implements Scheduler: the online baselines do not learn.
+func (*OnlineOCORP) Feedback(int, float64)  {}
+func (*OnlineGreedy) Feedback(int, float64) {}
+func (*OnlineHeuKKT) Feedback(int, float64) {}
+
 // Schedule implements Scheduler.
 func (*OnlineOCORP) Schedule(eng *Engine, res *core.Result, t int, pending []int) ([]int, error) {
 	reqs := eng.Build(pending)

@@ -245,6 +245,7 @@ type noopScheduler struct{}
 
 func (noopScheduler) Name() string           { return "noop" }
 func (noopScheduler) UncertaintyAware() bool { return false }
+func (noopScheduler) Feedback(int, float64)  {}
 func (noopScheduler) Schedule(*Engine, *core.Result, int, []int) ([]int, error) {
 	return nil, nil
 }

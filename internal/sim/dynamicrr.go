@@ -85,7 +85,6 @@ type rateKey struct {
 }
 
 var _ Scheduler = (*DynamicRR)(nil)
-var _ FeedbackScheduler = (*DynamicRR)(nil)
 
 // NewDynamicRR builds the scheduler.
 func NewDynamicRR(opts DynamicRROptions) (*DynamicRR, error) {
@@ -283,7 +282,7 @@ func selectSmallest(keys []rateKey, k int) {
 	}
 }
 
-// Feedback implements FeedbackScheduler: the slot reward updates the arm
+// Feedback implements Scheduler: the slot reward updates the arm
 // that set this slot's threshold.
 func (d *DynamicRR) Feedback(_ int, slotReward float64) {
 	if !d.played {

@@ -39,11 +39,9 @@ type Scheduler interface {
 	UncertaintyAware() bool
 	// Schedule admits pending requests at slot t.
 	Schedule(eng *Engine, res *core.Result, t int, pending []int) ([]int, error)
-}
-
-// FeedbackScheduler is implemented by learning schedulers that want the
-// realized reward of each slot's admissions (DynamicRR's bandit update).
-type FeedbackScheduler interface {
+	// Feedback receives the realized reward of slot t's admissions after
+	// the slot settles (DynamicRR's bandit update); a scheduler that does
+	// not learn ignores it. A wrapper forwards it to the scheduler it wraps.
 	Feedback(t int, slotReward float64)
 }
 
@@ -158,11 +156,10 @@ type StepChecker func(e *Engine, res *core.Result, rep SlotReport, info StepInfo
 func (e *Engine) SetStepChecker(c StepChecker) { e.check = c }
 
 // SetFeedbackDeferred controls whether Step delivers the slot's realized
-// reward to a FeedbackScheduler itself (the default) or leaves feedback
-// to the caller. The sharded cluster defers it so every shard's
-// threshold learner can be updated with the globally aggregated slot
-// reward — the signal the single-engine bandit sees — keeping the
-// learners in lockstep across shard counts.
+// reward to the scheduler's Feedback itself (the default) or leaves
+// feedback to the caller. The sharded cluster defers it so every shard's
+// threshold learner is updated with the globally aggregated slot reward,
+// the signal a single engine's bandit sees, not with its own shard's.
 func (e *Engine) SetFeedbackDeferred(v bool) { e.deferFB = v }
 
 // Config parameterizes NewEngine.
@@ -529,8 +526,8 @@ func (e *Engine) Step(sched Scheduler, res *core.Result, t int, pending []int) (
 		return pending, rep, err
 	}
 	rep.Reward = e.settle(res, t, admitted, sched.UncertaintyAware())
-	if fb, ok := sched.(FeedbackScheduler); ok && !e.deferFB {
-		fb.Feedback(t, rep.Reward)
+	if !e.deferFB {
+		sched.Feedback(t, rep.Reward)
 	}
 	for _, j := range admitted {
 		if !res.Decisions[j].Admitted {

@@ -226,13 +226,6 @@ func (s *ledgerTap) Schedule(e *Engine, res *core.Result, t int, pending []int) 
 	return admitted, err
 }
 
-// Feedback forwards the slot reward to a learning scheduler.
-func (s *ledgerTap) Feedback(t int, slotReward float64) {
-	if fb, ok := s.Scheduler.(FeedbackScheduler); ok {
-		fb.Feedback(t, slotReward)
-	}
-}
-
 // ledgerCoverage counts what a parity run exercised.
 type ledgerCoverage struct {
 	streams, spread, stacked, dropped, outageEvicted, restored int

@@ -19,6 +19,7 @@ type accessStub struct{}
 
 func (accessStub) Name() string           { return "stub" }
 func (accessStub) UncertaintyAware() bool { return false }
+func (accessStub) Feedback(int, float64)  {}
 
 func (accessStub) Schedule(eng *Engine, res *core.Result, t int, pending []int) ([]int, error) {
 	reqs := eng.Requests()

@@ -44,7 +44,6 @@ type Recorder struct {
 }
 
 var _ Scheduler = (*Recorder)(nil)
-var _ FeedbackScheduler = (*Recorder)(nil)
 
 // NewRecorder wraps sched.
 func NewRecorder(sched Scheduler) *Recorder {
@@ -104,12 +103,8 @@ func (r *Recorder) StationReport() []StationUsage {
 	return out
 }
 
-// Feedback forwards learning feedback when the inner scheduler wants it.
-func (r *Recorder) Feedback(t int, slotReward float64) {
-	if fb, ok := r.inner.(FeedbackScheduler); ok {
-		fb.Feedback(t, slotReward)
-	}
-}
+// Feedback implements Scheduler and forwards the slot reward.
+func (r *Recorder) Feedback(t int, slotReward float64) { r.inner.Feedback(t, slotReward) }
 
 // Samples returns the recorded time series.
 func (r *Recorder) Samples() []SlotSample {
