@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race oracle cluster-parity incremental-parity drift bench bench-smoke tick-jitter fuzz lint fmt vet clean
+.PHONY: verify build test race oracle cluster-parity incremental-parity drift fidelity bench bench-smoke tick-jitter fuzz lint fmt vet clean
 
 ## verify: tier-1 gate — build everything, vet, gofmt check, full tests.
 verify: build vet fmt-check test
@@ -82,6 +82,16 @@ oracle:
 		cat mutant.log >&2; exit 1; fi
 	@grep -q 'FAIL' mutant.log
 	@echo "oracle: mutant caught"
+
+## fidelity: the committed results.csv still holds — `mecsim -experiment
+## all -reps 5 -seed 42` regenerates every figure's table and must equal it
+## on every row but the wall-clock runtimeMS ones. The run writes only to
+## a temporary directory, removed afterwards.
+fidelity:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/mecsim -experiment all -reps 5 -seed 42 -csv $$tmp/all.csv >$$tmp/all.txt && \
+	grep -v runtimeMS results.csv >$$tmp/want && grep -v runtimeMS $$tmp/all.csv >$$tmp/got && \
+	cmp $$tmp/want $$tmp/got && echo "fidelity: results.csv reproduced"
 
 ## bench: the repository benchmark — the paper's slot cycle end to end
 ## on the four workloads BENCHMARK.json declares, with per-layer figures.

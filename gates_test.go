@@ -111,6 +111,7 @@ func TestGateListsAgree(t *testing.T) {
 		"cluster-parity":     "cluster-parity",
 		"incremental-parity": "incremental-parity",
 		"drift":              "drift-parity",
+		"fidelity":           "fidelity",
 		"oracle":             "oracle",
 		"bench-smoke":        "bench-smoke",
 		"tick-jitter":        "tick-jitter",

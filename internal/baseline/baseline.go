@@ -13,229 +13,172 @@
 //     edge share optimally under Karush-Kuhn-Tucker conditions
 //     (water-filling over station capacities).
 //
+// Each baseline is one placement rule (OCORPSlot, GreedySlot, HeuKKTSlot)
+// over a Batch. The offline OCORP, Greedy and HeuKKT run their rule once
+// over the whole workload, nobody waiting, on empty ledgers; the online
+// schedulers in internal/sim run it every slot over the pending queue,
+// each request waiting since its arrival, on the running streams' ledgers.
+//
 // All three schedule on expected data rates — they are "coarse-grained"
 // about demand uncertainty, which is exactly the behaviour the paper's
 // evaluation contrasts against the slot-indexed algorithms. None of them
 // observes realized data rates, so none evicts overflowing requests;
-// rewards are settled by core.Evaluate under the shared overload
-// semantics.
+// rewards are settled by core.Evaluate (offline) or the engine (online)
+// under the shared overload semantics.
 package baseline
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
 )
 
-// Options tunes the offline baselines.
-type Options struct {
-	// SlotLengthMS converts waiting slots into milliseconds (default
-	// mec.DefaultSlotLengthMS).
+// Batch is one placement round: the requests a rule may place and how long
+// each has waited.
+type Batch struct {
+	Net *mec.Network
+	// Reqs is the workload indexed by request ID; a rule reads only the
+	// entries Pending names.
+	Reqs []*mec.Request
+	// Pending lists the IDs of the requests the rule may place.
+	Pending []int
+	// Wait returns the slots r has waited.
+	Wait func(r *mec.Request) int
+	// SlotLengthMS converts waiting slots into milliseconds.
 	SlotLengthMS float64
 }
 
-func (o *Options) fill() {
-	if o.SlotLengthMS == 0 {
-		o.SlotLengthMS = mec.DefaultSlotLengthMS
-	}
-}
-
-// admitConsolidated places a request on station i. The baselines are
-// demand-uncertainty-oblivious: they never observe realized rates and
-// never evict, so rewards are settled entirely by core.Evaluate.
-func admitConsolidated(n *mec.Network, r *mec.Request, i int, res *core.Result, slotLenMS float64) {
-	d := &res.Decisions[r.ID]
-	d.Admitted = true
-	d.Station = i
-	d.Slot = 1
+// place writes the consolidated placement of request j on station i after
+// wait slots: every task on i, served from the next slot. The baselines
+// are demand-uncertainty-oblivious: they never observe realized rates and
+// never evict.
+func (b *Batch) place(res *core.Result, j, i, wait int) {
+	r := b.Reqs[j]
+	d := &res.Decisions[j]
+	d.Admitted, d.Station, d.Slot, d.WaitSlots = true, i, 1, wait
 	d.TaskStations = make([]int, len(r.Tasks))
 	for k := range d.TaskStations {
 		d.TaskStations[k] = i
 	}
-	d.LatencyMS = float64(d.WaitSlots)*slotLenMS + r.ServiceDelayMS(n, i)
+	d.LatencyMS = float64(wait)*b.SlotLengthMS + r.ServiceDelayMS(b.Net, i)
 }
 
-// mustStation fetches a station by a known-valid index.
-func mustStation(n *mec.Network, i int) mec.BaseStation {
-	st, err := n.Station(i)
-	if err != nil {
-		// Unreachable: callers iterate valid station indices.
-		panic(err)
-	}
-	return st
-}
-
-// newResult allocates an all-rejected result for the workload.
-func newResult(name string, reqs []*mec.Request) *core.Result {
-	res := &core.Result{Algorithm: name, Decisions: make([]core.Decision, len(reqs))}
-	for j := range res.Decisions {
-		res.Decisions[j] = core.Decision{RequestID: j, Station: -1}
-	}
-	return res
-}
-
-// OCORP is the offline variant of the online-convex-optimization resource
-// packing baseline: jobs ordered by (arrival time, expected remaining
-// data), each placed by best fit — the delay-feasible station whose
-// residual expected capacity is smallest but still sufficient for the
-// job's expected demand.
-func OCORP(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Options) (*core.Result, error) {
-	if n == nil {
-		return nil, core.ErrNilNetwork
-	}
-	if len(reqs) == 0 {
-		return nil, core.ErrNoRequests
-	}
-	opts.fill()
-	start := time.Now()
-	res := newResult("OCORP", reqs)
-
-	order := make([]int, len(reqs))
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if ra.ArrivalSlot != rb.ArrivalSlot {
-			return ra.ArrivalSlot < rb.ArrivalSlot
-		}
-		da, db := ra.ExpectedRate(), rb.ExpectedRate()
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
+// OCORPSlot is the online-convex-optimization resource packing rule: jobs
+// ordered by (arrival time, expected remaining data), each placed by best
+// fit in the latency dimension — among the delay-feasible stations whose
+// residual expected capacity still holds the job, the lowest-latency one
+// ("OCORP and Greedy greedily select locations that achieve the lowest
+// latencies", Section VI-B). Packing is against expected rates with zero
+// headroom; expectedMHz, the expected load per station, grows in place.
+// It returns the placed requests in placement order.
+func OCORPSlot(b Batch, expectedMHz []float64, res *core.Result) ([]int, error) {
+	n := b.Net
+	order := slices.Clone(b.Pending)
+	slices.SortFunc(order, func(x, y int) int {
+		rx, ry := b.Reqs[x], b.Reqs[y]
+		return cmp.Or(cmp.Compare(rx.ArrivalSlot, ry.ArrivalSlot),
+			cmp.Compare(rx.ExpectedRate(), ry.ExpectedRate()), cmp.Compare(x, y))
 	})
-
-	expected := make([]float64, n.NumStations())
+	var placed []int
 	for _, j := range order {
-		r := reqs[j]
+		r := b.Reqs[j]
+		wait := b.Wait(r)
 		eDemand := n.RateToMHz(r.ExpectedRate())
-		// Best fit in the latency dimension: among stations whose
-		// expected residual capacity still holds the job, greedily take
-		// the lowest-latency one ("OCORP and Greedy greedily select
-		// locations that achieve the lowest latencies", Section VI-B).
-		// Packing is against expected rates with zero headroom.
 		best, bestLat := -1, 0.0
 		for i := 0; i < n.NumStations(); i++ {
-			lat := r.ServiceDelayMS(n, i)
-			if lat > r.DeadlineMS {
+			if !r.DelayFeasible(n, i, wait, b.SlotLengthMS) || n.Capacity(i)-expectedMHz[i] < eDemand {
 				continue
 			}
-			if n.Capacity(i)-expected[i] < eDemand {
-				continue
-			}
-			if best == -1 || lat < bestLat {
+			if lat := r.ServiceDelayMS(n, i); best == -1 || lat < bestLat {
 				best, bestLat = i, lat
 			}
 		}
 		if best == -1 {
 			continue
 		}
-		expected[best] += eDemand
-		admitConsolidated(n, r, best, res, opts.SlotLengthMS)
+		expectedMHz[best] += eDemand
+		b.place(res, j, best, wait)
+		placed = append(placed, j)
 	}
-	core.Evaluate(n, reqs, res, rng)
-	res.Runtime = time.Since(start)
-	return res, nil
+	return placed, nil
 }
 
-// Greedy is the latency-greedy baseline: requests ordered by decreasing
-// total execution time; each request's tasks are assigned one-by-one to
-// the station that minimizes the task's completion time given the
-// expected load already placed there, subject to the request's deadline.
-func Greedy(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Options) (*core.Result, error) {
-	if n == nil {
-		return nil, core.ErrNilNetwork
-	}
-	if len(reqs) == 0 {
-		return nil, core.ErrNoRequests
-	}
-	opts.fill()
-	start := time.Now()
-	res := newResult("Greedy", reqs)
-
-	order := make([]int, len(reqs))
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(a, b int) bool {
-		wa, wb := reqs[order[a]].WorkMS(), reqs[order[b]].WorkMS()
-		if wa != wb {
-			return wa > wb // decreasing execution time
-		}
-		return order[a] < order[b]
+// GreedySlot is the latency-greedy rule: requests ordered by decreasing
+// total execution time, each assigned to the station minimizing its
+// completion time — the station's backlog plus the request's own service
+// delay. A request whose best completion time misses what is left of its
+// deadline is rejected, so queues stay short and the greedy achieves low
+// latency at the cost of admitting far fewer requests (the paper's
+// "trade-off the reward for latency"). backlogMS, the execution time
+// already scheduled per station, grows in place. It returns the placed
+// requests in placement order.
+func GreedySlot(b Batch, backlogMS []float64, res *core.Result) ([]int, error) {
+	n := b.Net
+	order := slices.Clone(b.Pending)
+	slices.SortFunc(order, func(x, y int) int { // decreasing execution time
+		return cmp.Or(cmp.Compare(b.Reqs[y].WorkMS(), b.Reqs[x].WorkMS()), cmp.Compare(x, y))
 	})
-
-	// queueMS[i] accumulates the execution time already scheduled on
-	// station i: the cited heuristic minimizes completion time, which is
-	// the station's current backlog plus the request's own service delay.
-	queueMS := make([]float64, n.NumStations())
+	var placed []int
 	for _, j := range order {
-		r := reqs[j]
-		// The station minimizing completion time; requests whose best
-		// completion time misses the deadline are rejected, so queues
-		// stay short and the greedy achieves low latency — at the cost of
-		// admitting far fewer requests (the paper's "trade-off the reward
-		// for latency").
+		r := b.Reqs[j]
+		wait := b.Wait(r)
+		budget := r.DeadlineMS - float64(wait)*b.SlotLengthMS
 		best, bestDone := -1, 0.0
 		for i := 0; i < n.NumStations(); i++ {
-			done := queueMS[i] + r.ServiceDelayMS(n, i)
-			if done > r.DeadlineMS {
-				continue
-			}
-			if best == -1 || done < bestDone {
+			done := backlogMS[i] + r.ServiceDelayMS(n, i)
+			if done <= budget && (best == -1 || done < bestDone) {
 				best, bestDone = i, done
 			}
 		}
 		if best == -1 {
 			continue
 		}
-		queueMS[best] += r.ProcDelayMS(mustStation(n, best))
-		admitConsolidated(n, r, best, res, opts.SlotLengthMS)
+		st, err := n.Station(best)
+		if err != nil {
+			return nil, err
+		}
+		backlogMS[best] += r.ProcDelayMS(st)
+		b.place(res, j, best, wait)
+		placed = append(placed, j)
 	}
-	core.Evaluate(n, reqs, res, rng)
-	res.Runtime = time.Since(start)
-	return res, nil
+	return placed, nil
 }
 
-// HeuKKT first solves the uncapacitated relaxation: every request would
-// ideally run on its latency-optimal station. Stations whose ideal load
-// exceeds capacity offload the excess — lowest expected reward first — to
-// the remote cloud, which earns the MEC provider no edge reward. The
-// retained edge share is then scheduled by KKT-style water-filling:
-// overloaded stations shed their marginal requests to the least-loaded
-// feasible stations until every capacity constraint holds.
-func HeuKKT(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Options) (*core.Result, error) {
-	if n == nil {
-		return nil, core.ErrNilNetwork
-	}
-	if len(reqs) == 0 {
-		return nil, core.ErrNoRequests
-	}
-	opts.fill()
-	start := time.Now()
-	res := newResult("HeuKKT", reqs)
+// waterLevel is the interior optimum load fraction of HeuKKT's program:
+// the KKT conditions of the underlying convex latency-minimization program
+// put the optimum strictly inside the capacity region (the queueing-delay
+// term's gradient diverges at full load), so water-filling fills each
+// station only to this level. The safety margin is what makes HeuKKT the
+// most robust baseline.
+const waterLevel = 0.90
 
-	// The KKT conditions of the underlying convex latency-minimization
-	// program put the optimum strictly inside the capacity region (the
-	// queueing-delay term's gradient diverges at full load), so
-	// water-filling fills each station only to this interior water level.
-	// The safety margin is what makes HeuKKT the most robust baseline.
-	const waterLevel = 0.90
-
-	// Phase 1: uncapacitated assignment to the latency-optimal station.
+// HeuKKTSlot first solves the uncapacitated relaxation: every request
+// would ideally run on its latency-optimal feasible station. That overloads
+// attractive stations, so KKT water-filling retains the highest
+// reward-density requests on each station up to the water level of its
+// capacity (stationarity ranks requests by marginal value; the retention
+// headroom is the complementary-slackness multiplier of the capacity
+// constraint), and pours the overflow into the least-loaded stations that
+// still fit it and meet its deadline. Whatever fits nowhere is offloaded
+// to the remote cloud, which earns the MEC provider no edge reward (it
+// stays rejected). expectedMHz, the expected load per station, grows in
+// place. It returns the placed requests in placement order.
+func HeuKKTSlot(b Batch, expectedMHz []float64, res *core.Result) ([]int, error) {
+	n := b.Net
 	ideal := make([][]int, n.NumStations())
-	for j, r := range reqs {
+	for _, j := range b.Pending {
+		r := b.Reqs[j]
+		wait := b.Wait(r)
 		best, bestLat := -1, 0.0
 		for i := 0; i < n.NumStations(); i++ {
-			lat := r.ServiceDelayMS(n, i)
-			if lat > r.DeadlineMS {
+			if !r.DelayFeasible(n, i, wait, b.SlotLengthMS) {
 				continue
 			}
-			if best == -1 || lat < bestLat {
+			if lat := r.ServiceDelayMS(n, i); best == -1 || lat < bestLat {
 				best, bestLat = i, lat
 			}
 		}
@@ -244,82 +187,91 @@ func HeuKKT(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Options) (
 		}
 	}
 
-	// Phase 2: the uncapacitated solution overloads attractive stations;
-	// KKT water-filling retains the highest reward-density requests on
-	// each station up to a fraction of its capacity (stationarity ranks
-	// requests by marginal value; the retention headroom is the
-	// complementary-slackness multiplier of the capacity constraint) and
-	// rebalances a limited share to under-loaded stations. Whatever still
-	// exceeds edge capacity is offloaded to the remote cloud, which earns
-	// the MEC provider no edge reward.
-	expected := make([]float64, n.NumStations())
-	assign := make([]int, len(reqs))
-	for j := range assign {
-		assign[j] = -1
+	density := func(j int) float64 {
+		r := b.Reqs[j]
+		return r.ExpectedReward() / (n.RateToMHz(r.ExpectedRate()) + 1)
 	}
-	var overflow []int
-	for i := 0; i < n.NumStations(); i++ {
-		// Order local candidates by decreasing reward density, i.e. the
-		// marginal value KKT stationarity ranks them by.
-		cand := append([]int(nil), ideal[i]...)
-		sort.Slice(cand, func(a, b int) bool {
-			ra, rb := reqs[cand[a]], reqs[cand[b]]
-			da := ra.ExpectedReward() / (n.RateToMHz(ra.ExpectedRate()) + 1)
-			db := rb.ExpectedReward() / (n.RateToMHz(rb.ExpectedRate()) + 1)
-			if da != db {
-				return da > db
-			}
-			return cand[a] < cand[b]
-		})
+	byDensity := func(x, y int) int { // decreasing reward density
+		return cmp.Or(cmp.Compare(density(y), density(x)), cmp.Compare(x, y))
+	}
+	fits := func(i int, eDemand float64) bool {
+		return expectedMHz[i]+eDemand <= waterLevel*n.Capacity(i)
+	}
+	var placed, overflow []int
+	for i, cand := range ideal {
+		slices.SortFunc(cand, byDensity)
 		for _, j := range cand {
-			eDemand := n.RateToMHz(reqs[j].ExpectedRate())
-			if expected[i]+eDemand <= waterLevel*n.Capacity(i) {
-				assign[j] = i
-				expected[i] += eDemand
+			r := b.Reqs[j]
+			if eDemand := n.RateToMHz(r.ExpectedRate()); fits(i, eDemand) {
+				expectedMHz[i] += eDemand
+				b.place(res, j, i, b.Wait(r))
+				placed = append(placed, j)
 			} else {
 				overflow = append(overflow, j)
 			}
 		}
 	}
-	// Water-filling of the overflow: pour each shed request into the
-	// least-loaded station that still fits it and meets its deadline;
-	// requests that fit nowhere go to the cloud (assign stays -1).
-	sort.Slice(overflow, func(a, b int) bool {
-		ra, rb := reqs[overflow[a]], reqs[overflow[b]]
-		da := ra.ExpectedReward() / (n.RateToMHz(ra.ExpectedRate()) + 1)
-		db := rb.ExpectedReward() / (n.RateToMHz(rb.ExpectedRate()) + 1)
-		if da != db {
-			return da > db
-		}
-		return overflow[a] < overflow[b]
-	})
+	slices.SortFunc(overflow, byDensity)
 	for _, j := range overflow {
-		r := reqs[j]
+		r := b.Reqs[j]
+		wait := b.Wait(r)
 		eDemand := n.RateToMHz(r.ExpectedRate())
 		alt, altLoad := -1, 0.0
 		for i := 0; i < n.NumStations(); i++ {
-			if r.ServiceDelayMS(n, i) > r.DeadlineMS {
+			if !r.DelayFeasible(n, i, wait, b.SlotLengthMS) || !fits(i, eDemand) {
 				continue
 			}
-			if expected[i]+eDemand > waterLevel*n.Capacity(i) {
-				continue
-			}
-			load := expected[i] / n.Capacity(i)
-			if alt == -1 || load < altLoad {
+			if load := expectedMHz[i] / n.Capacity(i); alt == -1 || load < altLoad {
 				alt, altLoad = i, load
 			}
 		}
-		if alt >= 0 {
-			assign[j] = alt
-			expected[alt] += eDemand
-		}
-	}
-
-	for j, r := range reqs {
-		if assign[j] < 0 {
+		if alt == -1 {
 			continue
 		}
-		admitConsolidated(n, r, assign[j], res, opts.SlotLengthMS)
+		expectedMHz[alt] += eDemand
+		b.place(res, j, alt, wait)
+		placed = append(placed, j)
+	}
+	return placed, nil
+}
+
+// OCORP is the offline OCORP baseline: OCORPSlot over the whole workload.
+func OCORP(n *mec.Network, reqs []*mec.Request, rng *rand.Rand) (*core.Result, error) {
+	return offline("OCORP", OCORPSlot, n, reqs, rng)
+}
+
+// Greedy is the offline Greedy baseline: GreedySlot over the whole
+// workload.
+func Greedy(n *mec.Network, reqs []*mec.Request, rng *rand.Rand) (*core.Result, error) {
+	return offline("Greedy", GreedySlot, n, reqs, rng)
+}
+
+// HeuKKT is the offline HeuKKT baseline: HeuKKTSlot over the whole
+// workload.
+func HeuKKT(n *mec.Network, reqs []*mec.Request, rng *rand.Rand) (*core.Result, error) {
+	return offline("HeuKKT", HeuKKTSlot, n, reqs, rng)
+}
+
+// offline runs rule once over every request, nobody waiting, on a zeroed
+// ledger, and settles the rewards with core.Evaluate.
+func offline(name string, rule func(Batch, []float64, *core.Result) ([]int, error),
+	n *mec.Network, reqs []*mec.Request, rng *rand.Rand) (*core.Result, error) {
+	if n == nil {
+		return nil, core.ErrNilNetwork
+	}
+	if len(reqs) == 0 {
+		return nil, core.ErrNoRequests
+	}
+	start := time.Now()
+	res := core.NewResult(name, len(reqs))
+	all := make([]int, len(reqs))
+	for j := range all {
+		all[j] = j
+	}
+	b := Batch{Net: n, Reqs: reqs, Pending: all, SlotLengthMS: mec.DefaultSlotLengthMS,
+		Wait: func(*mec.Request) int { return 0 }}
+	if _, err := rule(b, make([]float64, n.NumStations()), res); err != nil {
+		return nil, err
 	}
 	core.Evaluate(n, reqs, res, rng)
 	res.Runtime = time.Since(start)

@@ -79,10 +79,9 @@ func solveOffline(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, name stri
 		return nil, ErrNoRequests
 	}
 	start := time.Now()
-	res := &Result{Algorithm: name, Decisions: make([]Decision, len(reqs))}
+	res := NewResult(name, len(reqs))
 	opts.Active = make([]int, len(reqs))
-	for j := range res.Decisions {
-		res.Decisions[j] = Decision{RequestID: j, Station: -1}
+	for j := range opts.Active {
 		opts.Active[j] = j
 	}
 	opts.Used = make([]float64, n.NumStations()) // realized MHz per station

@@ -69,10 +69,7 @@ func Exact(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ExactOption
 		}
 	}
 
-	res := &Result{Algorithm: "Exact", Decisions: make([]Decision, len(reqs))}
-	for j := range res.Decisions {
-		res.Decisions[j] = Decision{RequestID: j, Station: -1}
-	}
+	res := NewResult("Exact", len(reqs))
 	if len(vars) == 0 {
 		res.Runtime = time.Since(start)
 		return res, nil

@@ -79,6 +79,16 @@ type Result struct {
 	Runtime time.Duration
 }
 
+// NewResult returns the named algorithm's result over n requests with
+// every request rejected: decision j is request j's, on no station.
+func NewResult(name string, n int) *Result {
+	res := &Result{Algorithm: name, Decisions: make([]Decision, n)}
+	for j := range res.Decisions {
+		res.Decisions[j] = Decision{RequestID: j, Station: -1}
+	}
+	return res
+}
+
 // AvgLatencyMS returns the mean experienced latency over served requests,
 // 0 when none were served.
 func (r *Result) AvgLatencyMS() float64 {

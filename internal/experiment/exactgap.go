@@ -54,15 +54,7 @@ func hindsightResult(inst *instance, seed int64) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{
-		Algorithm:       AlgoHindsight,
-		Decisions:       make([]core.Decision, len(inst.reqs)),
-		TotalReward:     bound,
-		ExpectedLPBound: bound,
-		Runtime:         time.Since(start),
-	}
-	for j := range res.Decisions {
-		res.Decisions[j] = core.Decision{RequestID: j, Station: -1}
-	}
+	res := core.NewResult(AlgoHindsight, len(inst.reqs))
+	res.TotalReward, res.ExpectedLPBound, res.Runtime = bound, bound, time.Since(start)
 	return res, nil
 }

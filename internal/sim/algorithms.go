@@ -37,15 +37,9 @@ var algorithms = []struct {
 		return core.Heu(n, reqs, rng, core.HeuOptions{})
 	}, nil},
 	{"DynamicRR", nil, func() (Scheduler, error) { return NewDynamicRR(DynamicRROptions{}) }},
-	{"OCORP", func(n *mec.Network, reqs []*mec.Request, rng *rand.Rand) (*core.Result, error) {
-		return baseline.OCORP(n, reqs, rng, baseline.Options{})
-	}, func() (Scheduler, error) { return &OnlineOCORP{}, nil }},
-	{"Greedy", func(n *mec.Network, reqs []*mec.Request, rng *rand.Rand) (*core.Result, error) {
-		return baseline.Greedy(n, reqs, rng, baseline.Options{})
-	}, func() (Scheduler, error) { return &OnlineGreedy{}, nil }},
-	{"HeuKKT", func(n *mec.Network, reqs []*mec.Request, rng *rand.Rand) (*core.Result, error) {
-		return baseline.HeuKKT(n, reqs, rng, baseline.Options{})
-	}, func() (Scheduler, error) { return &OnlineHeuKKT{}, nil }},
+	{"OCORP", baseline.OCORP, func() (Scheduler, error) { return &OnlineOCORP{}, nil }},
+	{"Greedy", baseline.Greedy, func() (Scheduler, error) { return &OnlineGreedy{}, nil }},
+	{"HeuKKT", baseline.HeuKKT, func() (Scheduler, error) { return &OnlineHeuKKT{}, nil }},
 }
 
 // OfflineAlgorithms lists the names RunOffline accepts, in table order.

@@ -416,10 +416,7 @@ func (e *Engine) Run(sched Scheduler) (*core.Result, error) {
 		return nil, ErrNilScheduler
 	}
 	start := time.Now()
-	res := &core.Result{Algorithm: sched.Name(), Decisions: make([]core.Decision, len(e.reqs))}
-	for j := range res.Decisions {
-		res.Decisions[j] = core.Decision{RequestID: j, Station: -1}
-	}
+	res := core.NewResult(sched.Name(), len(e.reqs))
 
 	var pending []int
 	next := 0 // next arrival index (reqs sorted by ArrivalSlot)
