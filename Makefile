@@ -58,12 +58,13 @@ incremental-parity:
 ## pending requests are unbuilt keys), a request's drawn
 ## distribution surviving a checkpoint, and the simulator's drift script
 ## (an outage evicting running streams, a handover re-pointing the
-## pending queue, a drift run deterministic and startable mid-horizon),
-## all with pinned seeds under the race detector. Drift runs in the
+## pending queue and refiling each moved request's expiry, which must
+## match a full scan slot by slot, a drift run deterministic and
+## startable mid-horizon), all with pinned seeds under the race detector. Drift runs in the
 ## simulator only: the daemon installs no drift script.
 drift:
 	$(GO) test -race -count=1 -v -run \
-		'TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDecisions|TestCheckpointWithUnbuiltPendingResumes|TestDrawnOutcomesSurviveCheckpoint|TestOutageEvictsRunningStreams|TestHandoverMovesPendingQueue|TestDriftRunDeterministic|TestDriftMidHorizonStart' \
+		'TestMetamorphic|TestTimeShiftMetamorphic|TestCheckpointResumeDecisions|TestCheckpointWithUnbuiltPendingResumes|TestDrawnOutcomesSurviveCheckpoint|TestOutageEvictsRunningStreams|TestHandoverMovesPendingQueue|TestExpireMatchesFullScan|TestDriftRunDeterministic|TestDriftMidHorizonStart' \
 		./internal/bandit/ ./internal/scenario/ ./internal/serve/ ./internal/sim/
 
 ## oracle: differential oracle suite, the daemon's packages with the

@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -91,6 +92,8 @@ func run(args []string, out io.Writer) error {
 	switch {
 	case *ckptEvery < 1:
 		return fmt.Errorf("-checkpoint-every %d: want at least 1 tick", *ckptEvery)
+	case !(*slotMS > 0) || math.IsInf(*slotMS, 1):
+		return fmt.Errorf("-slot-ms %v: want a positive, finite model slot length", *slotMS)
 	case *doorCap < 0:
 		return fmt.Errorf("-door %d: want 0 (the default) or a positive capacity", *doorCap)
 	case *maxPending < 0:

@@ -304,7 +304,7 @@ func TestBadFlags(t *testing.T) {
 	// the error names its flag instead of running with something else.
 	for _, args := range [][]string{
 		{"-checkpoint-every", "-5"}, {"-checkpoint-every", "0"},
-		{"-max-pending", "-1"}, {"-door", "-1"},
+		{"-max-pending", "-1"}, {"-door", "-1"}, {"-slot-ms", "0"}, {"-slot-ms", "-50"},
 		{"-block-profile", "1000"}, {"-mutex-profile", "5"},
 	} {
 		err := run(append(args, "-replay", "/does/not/exist.json"), &out)

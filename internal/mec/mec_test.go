@@ -282,7 +282,8 @@ func reachTestNets(t *testing.T) []*Network {
 // plus a round trip, with zero processing delay, so the station at the cut
 // is feasible with equality) and on Eq. (2)'s exact delay, and include
 // NaN, +Inf and zero; waits run from 0 to past every deadline; work is
-// zero, positive, NaN or +Inf.
+// zero, positive, NaN or +Inf. MinServiceDelayMS matches the smallest
+// non-NaN ServiceDelayMS over every station, bit for bit.
 func TestReachMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	works := []float64{0, 0, 7, 42, math.NaN(), math.Inf(1)}
@@ -318,6 +319,15 @@ func TestReachMatchesFullScan(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("net %d access %d wait %d×%v deadline %v work %v: AppendReach %v, full scan %v",
 					ni, r.AccessStation, wait, slotLen, r.DeadlineMS, r.Tasks[0].WorkMS, got[2:], want[2:])
+			}
+			minS := math.NaN()
+			for i := 0; i < nS; i++ {
+				if s := net.ServiceDelayMS(r.AccessStation, r.Tasks, i); s < minS || minS != minS {
+					minS = s
+				}
+			}
+			if got := net.MinServiceDelayMS(r.AccessStation, r.Tasks); math.Float64bits(got) != math.Float64bits(minS) && !(got != got && minS != minS) {
+				t.Fatalf("net %d access %d work %v: MinServiceDelayMS %v, full scan %v", ni, r.AccessStation, r.Tasks[0].WorkMS, got, minS)
 			}
 			reach := net.Reach(r.AccessStation, waitMS, r.DeadlineMS)
 			if len(reach) < nS && len(want) > 2 {

@@ -3,6 +3,7 @@ package mec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -175,6 +176,29 @@ func (r *Request) ServiceDelayMS(n *Network, i int) float64 {
 // access station and its pipeline alone, computed the same way.
 func (n *Network) ServiceDelayMS(access int, tasks []Task, i int) float64 {
 	return n.RoundTripDelayMS(access, i) + procDelayMS(tasks, n.stations[i])
+}
+
+// MinServiceDelayMS returns the smallest ServiceDelayMS, bit for bit, of a
+// request entering at access with pipeline tasks over every station,
+// skipping NaN delays (a NaN speed factor or work): NaN when every
+// station's delay is NaN. It walks the stations nearest first and stops
+// at the first whose round trip alone is at least the smallest delay so
+// far: the processing term is never negative (the argument Reach makes),
+// so no later station's delay is smaller. It compares with <, which skips
+// a NaN delay where the builtin min would keep it.
+func (n *Network) MinServiceDelayMS(access int, tasks []Task) float64 {
+	k := len(n.stations)
+	sMin := math.NaN()
+	for _, i := range n.byDelay[access*k : (access+1)*k] {
+		rtt := n.RoundTripDelayMS(access, i)
+		if rtt >= sMin {
+			break
+		}
+		if s := rtt + procDelayMS(tasks, n.stations[i]); s < sMin || sMin != sMin {
+			sMin = s
+		}
+	}
+	return sMin
 }
 
 // DelayFeasible reports whether serving the request on station i can meet

@@ -132,12 +132,13 @@ func Check(s State) error {
 }
 
 // EngineChecker returns a sim.StepChecker that runs Check against the
-// engine after every slot and additionally enforces two scheduler-level
-// laws: an uncertainty-aware scheduler's admissions always settle (each
-// admitted request ends the slot served or explicitly evicted — aware
-// schedulers realize rates during admission, so settlement can never
-// surprise them), and DynamicRR's admitted set stays within the C^th
-// round-robin share rule re-derived independently by NaiveAdmissionSet.
+// engine after every slot and additionally enforces the slot's expiry
+// (checkExpiry) and two scheduler-level laws: an uncertainty-aware
+// scheduler's admissions always settle (each admitted request ends the
+// slot served or explicitly evicted — aware schedulers realize rates
+// during admission, so settlement can never surprise them), and
+// DynamicRR's admitted set stays within the C^th round-robin share rule
+// re-derived independently by NaiveAdmissionSet.
 func EngineChecker() sim.StepChecker {
 	return func(e *sim.Engine, res *core.Result, rep sim.SlotReport, info sim.StepInfo) error {
 		st := State{
@@ -163,6 +164,19 @@ func EngineChecker() sim.StepChecker {
 		if err := checkDriftTransitions(e, res, rep); err != nil {
 			return err
 		}
+		// Each pending request is built once for the checks that read it
+		// (where R_t did not select it, for the check alone), so they read
+		// its own deadline and distribution, never its key or its cut.
+		var reqs []*mec.Request
+		if len(info.Pending) > 0 {
+			reqs = make([]*mec.Request, len(e.Requests()))
+			for _, j := range info.Pending {
+				reqs[j] = e.Materialized(j)
+			}
+		}
+		if err := checkExpiry(e, rep, info, reqs); err != nil {
+			return err
+		}
 		if info.Sched != nil && info.Sched.UncertaintyAware() && res != nil {
 			for _, j := range rep.Admitted {
 				d := res.Decisions[j]
@@ -174,13 +188,9 @@ func EngineChecker() sim.StepChecker {
 		}
 		if isDRR && len(info.Pending) > 0 {
 			if cth, ok := drr.LastThreshold(); ok {
-				// Each rate comes from the request's own distribution
-				// (built for the check where R_t did not select it), never
-				// from the key R_t's order reads, so a wrong key fails here.
-				reqs := make([]*mec.Request, len(e.Requests()))
-				for _, j := range info.Pending {
-					reqs[j] = e.Materialized(j)
-				}
+				// Each rate comes from the request's own distribution,
+				// never from the key R_t's order reads, so a wrong key
+				// fails here.
 				allowed := NaiveAdmissionSet(reqs, info.Pending, info.FreeBeforeMHz, cth)
 				for _, j := range rep.Admitted {
 					if !allowed[j] {
@@ -191,6 +201,34 @@ func EngineChecker() sim.StepChecker {
 		}
 		return nil
 	}
+}
+
+// checkExpiry re-derives the slot's expiry from each request's own
+// deadline and pipeline, at its access station after this slot's
+// handovers, testing every station in index order: a request in
+// rep.Expired must be infeasible everywhere at its wait, and one the
+// scheduler saw (info.Pending, built in reqs) feasible somewhere. It never
+// reads the cut the engine filed, so a wrong key or a wrong cut fails here.
+func checkExpiry(e *sim.Engine, rep sim.SlotReport, info sim.StepInfo, reqs []*mec.Request) error {
+	feasible := func(r *mec.Request) bool {
+		for i := 0; i < e.Net().NumStations(); i++ {
+			if r.DelayFeasible(e.Net(), i, rep.Slot-r.ArrivalSlot, e.SlotLengthMS()) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, j := range rep.Expired {
+		if feasible(e.Materialized(j)) {
+			return fmt.Errorf("slot %d: oracle: request %d expired while its deadline is still reachable", rep.Slot, j)
+		}
+	}
+	for _, j := range info.Pending {
+		if !feasible(reqs[j]) {
+			return fmt.Errorf("slot %d: oracle: request %d stayed pending after its deadline became unreachable everywhere", rep.Slot, j)
+		}
+	}
+	return nil
 }
 
 // checkDriftTransitions enforces the conservation laws of drift slots:

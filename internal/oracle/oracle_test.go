@@ -563,3 +563,69 @@ func TestEngineCheckerCatchesWrongKey(t *testing.T) {
 		})
 	}
 }
+
+// admitNone is a scheduler that leaves every pending request pending.
+type admitNone struct{}
+
+func (admitNone) Name() string                                                  { return "none" }
+func (admitNone) UncertaintyAware() bool                                        { return false }
+func (admitNone) Schedule(*sim.Engine, *core.Result, int, []int) ([]int, error) { return nil, nil }
+func (admitNone) Feedback(int, float64)                                         {}
+
+// TestEngineCheckerCatchesWrongExpiry: the checker re-derives expiry from
+// each request's own deadline, never from the key the engine files its cut
+// from. A request that can meet its deadline at a wait of 0 slots but not
+// of 1 waits unadmitted: with its true key it expires at slot 1 and the
+// checker passes; a key with a later deadline keeps it pending at slot 1,
+// and one with an earlier deadline expires it at slot 0, and the checker
+// refuses either slot.
+func TestEngineCheckerCatchesWrongExpiry(t *testing.T) {
+	net := oracleNet(t, 1, 5)
+	tasks := []mec.Task{{Name: "render", OutputKb: 100, WorkMS: 30}}
+	service := net.ServiceDelayMS(0, tasks, 0)
+	deadline := service + 10 // met at a wait of 0 slots, missed at 1
+	for _, tc := range []struct {
+		name       string
+		keyMS      float64
+		wantError  string
+		wantExpiry []int // at slot 1
+	}{
+		{"true key", deadline, "", []int{0}},
+		{"later deadline", deadline + 100, "stayed pending", nil},
+		{"earlier deadline", service - 1, "expired while", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := dist.NewRateReward([]dist.Outcome{{Rate: 30, Prob: 1, Reward: 500}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := &mec.Request{Tasks: tasks, DeadlineMS: deadline, DurationSlots: 2, Dist: d}
+			eng, err := sim.NewLiveEngine(net, rand.New(rand.NewSource(1)), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetBuilder(func(int, sim.Key) *mec.Request { return req.CloneShallow() })
+			eng.SetStepChecker(EngineChecker())
+			k := sim.KeyOf(req)
+			k.DeadlineMS = tc.keyMS
+			if err := eng.AppendKey(k); err != nil {
+				t.Fatal(err)
+			}
+			res := &core.Result{Decisions: []core.Decision{{RequestID: 0, Station: -1}}}
+			pending := []int{0}
+			var rep sim.SlotReport
+			for slot := 0; slot < 2 && err == nil; slot++ {
+				pending, rep, err = eng.Step(admitNone{}, res, slot, pending)
+			}
+			if tc.wantError != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantError) {
+					t.Fatalf("key deadline %v ms against the request's %v: checker said %v, want %q", tc.keyMS, deadline, err, tc.wantError)
+				}
+				return
+			}
+			if err != nil || !slices.Equal(rep.Expired, tc.wantExpiry) {
+				t.Fatalf("true key: slot 1 expired %v, checker said %v; want %v expired", rep.Expired, err, tc.wantExpiry)
+			}
+		})
+	}
+}

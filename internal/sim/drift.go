@@ -124,7 +124,8 @@ func (e *Engine) SetDrift(d *Drift) error {
 
 // applyDrift fires every transition due at or before slot t: outage ends
 // (capacity restored), outage starts (capacity scaled, in-flight streams
-// on the station evicted), then handovers (pending queue re-pointed).
+// on the station evicted), then handovers (pending queue re-pointed, and
+// each moved request's cut filed again from its new access station).
 // Runs after release(t) so a stream departing exactly at t is a normal
 // departure, not an outage eviction. Eviction is set-based — every
 // running stream holding shares on the dead station goes — so the
@@ -160,6 +161,7 @@ func (e *Engine) applyDrift(t int, pending []int, rep *SlotReport) {
 		for _, j := range pending {
 			if e.keys[j].AccessStation == h.From {
 				e.keys[j].AccessStation = h.To
+				e.cut[j] = lastFeasibleSlot(e.net, &e.keys[j], e.slotL)
 				if r := e.reqs[j]; r != nil {
 					r.AccessStation = h.To
 				}

@@ -10,8 +10,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"time"
 
 	"mecoffload/internal/core"
@@ -22,6 +24,10 @@ import (
 var (
 	ErrNilScheduler = errors.New("sim: nil scheduler")
 	ErrBadHorizon   = errors.New("sim: horizon must be positive")
+	// ErrBadSlotLength rejects a slot length that is not positive and
+	// finite: expiry files each request's last feasible slot, which
+	// assumes that waiting a slot longer never shortens Eq. (2)'s delay.
+	ErrBadSlotLength = errors.New("sim: slot length must be positive and finite")
 )
 
 // Scheduler decides, once per time slot, which pending requests to admit
@@ -94,8 +100,11 @@ type running struct {
 type Engine struct {
 	net *mec.Network
 	// keys[j] is request j's key, and reqs[j] the request itself: nil for
-	// a request appended as a key until Build makes it (see Key).
+	// a request appended as a key until Build makes it (see Key). cut[j]
+	// is the last slot at which request j can still meet its deadline
+	// somewhere (see lastFeasibleSlot), filed with the key.
 	keys  []Key
+	cut   []int
 	reqs  []*mec.Request
 	build Builder
 	rng   *rand.Rand
@@ -184,6 +193,9 @@ func NewEngine(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, cfg Config) 
 	if cfg.SlotLengthMS == 0 {
 		cfg.SlotLengthMS = mec.DefaultSlotLengthMS
 	}
+	if !validSlotLength(cfg.SlotLengthMS) {
+		return nil, fmt.Errorf("%w: %v", ErrBadSlotLength, cfg.SlotLengthMS)
+	}
 	// The arrival scan and the Decisions indexing both assume requests
 	// sorted by arrival with IDs equal to slice positions; reject
 	// malformed workloads instead of silently misbehaving.
@@ -197,13 +209,15 @@ func NewEngine(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, cfg Config) 
 		}
 		prev = r.ArrivalSlot
 	}
-	keys := make([]Key, len(reqs))
+	keys, cut := make([]Key, len(reqs)), make([]int, len(reqs))
 	for j, r := range reqs {
 		keys[j] = KeyOf(r)
+		cut[j] = lastFeasibleSlot(n, &keys[j], cfg.SlotLengthMS)
 	}
 	return &Engine{
 		net:      n,
 		keys:     keys,
+		cut:      cut,
 		reqs:     reqs,
 		rng:      rng,
 		slotL:    cfg.SlotLengthMS,
@@ -225,6 +239,9 @@ func NewLiveEngine(n *mec.Network, rng *rand.Rand, slotLengthMS float64) (*Engin
 	if slotLengthMS == 0 {
 		slotLengthMS = mec.DefaultSlotLengthMS
 	}
+	if !validSlotLength(slotLengthMS) {
+		return nil, fmt.Errorf("%w: %v", ErrBadSlotLength, slotLengthMS)
+	}
 	return &Engine{
 		net:      n,
 		rng:      rng,
@@ -235,11 +252,15 @@ func NewLiveEngine(n *mec.Network, rng *rand.Rand, slotLengthMS float64) (*Engin
 	}, nil
 }
 
+// validSlotLength reports whether l is a slot length the engine runs on.
+func validSlotLength(l float64) bool { return l > 0 && l <= math.MaxFloat64 }
+
 // Key is what the engine reads of a request before DynamicRR's R_t
-// selects it: expiry reads the arrival, access station, pipeline and
-// deadline (and decides exactly as mec.Request.DelayFeasible), R_t's order
-// the expected rate, and the waits the arrival. The engine keeps one per
-// request index, densely, beside the requests.
+// selects it: filing reads the arrival, access station, pipeline and
+// deadline once to fix the request's last feasible slot (see
+// lastFeasibleSlot), R_t's order reads the expected rate, and the waits
+// the arrival. The engine keeps one per request index, densely, beside
+// the requests.
 type Key struct {
 	ArrivalSlot   int
 	AccessStation int
@@ -262,9 +283,63 @@ func KeyOf(r *mec.Request) Key {
 	}
 }
 
-// delayFeasible is mec.Request.DelayFeasible over the key's fields.
-func (k *Key) delayFeasible(n *mec.Network, i, waitSlots int, slotLengthMS float64) bool {
-	return float64(waitSlots)*slotLengthMS+n.ServiceDelayMS(k.AccessStation, k.Tasks, i) <= k.DeadlineMS
+// neverExpires is the cut of a request that no reachable wait can make
+// late; a span of more than maxSpan slots counts as one.
+const (
+	neverExpires = math.MaxInt
+	maxSpan      = 1 << 52
+)
+
+// lastFeasibleSlot returns the last slot at which a request filed under k
+// can still be served on some station within its deadline:
+// mec.Request.DelayFeasible holds for some station at every wait up to
+// the cut minus k.ArrivalSlot and at none after it. It is k.ArrivalSlot−1
+// when no station meets the deadline even at once, and neverExpires when
+// the deadline is met for more than maxSpan slots.
+//
+// The cut is exact, bit for bit. A wait of w slots is feasible on station
+// i when float64(w)·L + S_i <= D, S_i being Eq. (2)'s service delay.
+// Float addition is monotone, so some station is feasible exactly when
+// the one with the smallest non-NaN S_i is (mec.Network.MinServiceDelayMS),
+// and Eq. (2) has no capacity term, so that minimum is fixed at filing.
+// With L positive, feasibility falls monotonically with w, so the estimate
+// (D − S_min)/L is stepped with the exact predicate to the last feasible
+// wait. A few steps settle it whenever the sum resolves L; near a large
+// S_min the sum can stay put over up to ulp(S_min)/(2L) waits, so past
+// those steps the wait is bisected over [0, maxSpan] with the same
+// predicate, at most 53 probes, which monotonicity makes exact too. A NaN
+// deadline or S_min fails the predicate at every wait.
+func lastFeasibleSlot(n *mec.Network, k *Key, slotL float64) int {
+	sMin := n.MinServiceDelayMS(k.AccessStation, k.Tasks)
+	ok := func(w int) bool { return float64(w)*slotL+sMin <= k.DeadlineMS }
+	if !ok(0) {
+		return k.ArrivalSlot - 1
+	}
+	span := (k.DeadlineMS - sMin) / slotL
+	if !(span < maxSpan) { // +Inf, or +Inf − +Inf
+		return neverExpires
+	}
+	w, settled := int(span), false
+	for range 4 {
+		if !ok(w) { // w > 0, as ok(0) holds
+			w--
+		} else if ok(w + 1) {
+			w++
+		} else {
+			settled = true
+			break
+		}
+	}
+	if !settled {
+		if ok(maxSpan) {
+			return neverExpires
+		}
+		w = sort.Search(maxSpan, func(w int) bool { return !ok(w) }) - 1
+	}
+	if k.ArrivalSlot > neverExpires-w {
+		return neverExpires
+	}
+	return k.ArrivalSlot + w
 }
 
 // Builder makes the request filed under key k at index j, for an engine
@@ -294,7 +369,7 @@ func (e *Engine) Append(r *mec.Request) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	e.keys = append(e.keys, k)
+	e.file(k)
 	e.reqs = append(e.reqs, r)
 	return nil
 }
@@ -309,9 +384,15 @@ func (e *Engine) AppendKey(k Key) error {
 	if err := e.checkKey(k); err != nil {
 		return err
 	}
-	e.keys = append(e.keys, k)
+	e.file(k)
 	e.reqs = append(e.reqs, nil)
 	return nil
+}
+
+// file appends key k and its cut.
+func (e *Engine) file(k Key) {
+	e.keys = append(e.keys, k)
+	e.cut = append(e.cut, lastFeasibleSlot(e.net, &k, e.slotL))
 }
 
 // checkKey checks an appended request's arrival order and access station.
@@ -580,24 +661,14 @@ func (e *Engine) drop(ru *running) {
 
 // expire drops pending requests whose deadline is unreachable: even if
 // scheduled this slot on the latency-optimal station, D_j would exceed
-// D̂_j. Only the stations within the request's reach of its current access
-// station (mec.Network.Reach) can meet it, and they are tested nearest
-// first, so a request that keeps its deadline usually costs one test. It
-// reads the requests' keys alone. Dropped requests stay rejected in the
-// final result and are recorded in rep.Expired.
+// D̂_j. That is the case from the slot after the request's cut on, which
+// filing fixed (lastFeasibleSlot), so each pending request costs one
+// comparison. Dropped requests stay rejected in the final result and are
+// recorded in rep.Expired, in pending order.
 func (e *Engine) expire(pending []int, t int, rep *SlotReport) []int {
 	keep := pending[:0]
 	for _, j := range pending {
-		k := &e.keys[j]
-		wait := t - k.ArrivalSlot
-		ok := false
-		for _, i := range e.net.Reach(k.AccessStation, float64(wait)*e.slotL, k.DeadlineMS) {
-			if k.delayFeasible(e.net, i, wait, e.slotL) {
-				ok = true
-				break
-			}
-		}
-		if ok {
+		if t <= e.cut[j] {
 			keep = append(keep, j)
 		} else {
 			rep.Expired = append(rep.Expired, j)

@@ -40,7 +40,7 @@ func (accessStub) Schedule(eng *Engine, res *core.Result, t int, pending []int) 
 }
 
 // liveRequest builds a deterministic single-outcome request.
-func liveRequest(t *testing.T, id, arrival, station, durSlots int, rate float64) *mec.Request {
+func liveRequest(t testing.TB, id, arrival, station, durSlots int, rate float64) *mec.Request {
 	t.Helper()
 	d, err := dist.NewRateReward([]dist.Outcome{{Rate: rate, Prob: 1, Reward: 10 * rate}})
 	if err != nil {
@@ -57,7 +57,7 @@ func liveRequest(t *testing.T, id, arrival, station, durSlots int, rate float64)
 	}
 }
 
-func liveTestNetwork(t *testing.T, stations int) *mec.Network {
+func liveTestNetwork(t testing.TB, stations int) *mec.Network {
 	t.Helper()
 	net, err := mec.RandomNetwork(stations, 3000, 3600, rand.New(rand.NewSource(7)))
 	if err != nil {

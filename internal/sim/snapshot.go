@@ -152,17 +152,17 @@ func finiteNonNegative(v float64) bool {
 
 // Compact drops every request of a live engine but those at the strictly
 // ascending indices keep and renumbers the kept ones densely in that order:
-// keep[k] becomes request k. Each keeps its key and stays the same
+// keep[k] becomes request k. Each keeps its key, its cut and stays the same
 // *mec.Request value, with ID k (or stays a key alone, if it was not
 // built), so it keeps its demand distribution, the access station a
 // handover moved it to and the outcome it realized; its in-service stream,
 // its res.Decisions entry and its place in pending follow it. Every running
 // and every pending request must be kept. pending is remapped in place and
-// returned. The key and request slices and res.Decisions are renumbered in
-// place and keep their capacity, so Compact allocates nothing. The ledgers, the drift
-// cursors and the rng are not touched, so a compacted engine goes on
-// deciding exactly as an uncompacted one would. On error nothing has
-// changed.
+// returned. The key, cut and request slices and res.Decisions are
+// renumbered in place and keep their capacity, so Compact allocates
+// nothing. The ledgers, the drift cursors and the rng are not touched, so
+// a compacted engine goes on deciding exactly as an uncompacted one would.
+// On error nothing has changed.
 func (e *Engine) Compact(keep []int, res *core.Result, pending []int) ([]int, error) {
 	if len(res.Decisions) != len(e.reqs) {
 		return pending, fmt.Errorf("sim: compact: %d decisions for %d requests", len(res.Decisions), len(e.reqs))
@@ -194,7 +194,7 @@ func (e *Engine) Compact(keep []int, res *core.Result, pending []int) ([]int, er
 	// release the settled requests; the capacity stays for the arrivals
 	// that follow.
 	for k, j := range keep {
-		e.keys[k], e.reqs[k], res.Decisions[k] = e.keys[j], e.reqs[j], res.Decisions[j]
+		e.keys[k], e.cut[k], e.reqs[k], res.Decisions[k] = e.keys[j], e.cut[j], e.reqs[j], res.Decisions[j]
 		if r := e.reqs[k]; r != nil {
 			r.ID = k
 		}
@@ -203,6 +203,6 @@ func (e *Engine) Compact(keep []int, res *core.Result, pending []int) ([]int, er
 	clear(e.keys[len(keep):])
 	clear(e.reqs[len(keep):])
 	clear(res.Decisions[len(keep):])
-	e.keys, e.reqs, res.Decisions = e.keys[:len(keep)], e.reqs[:len(keep)], res.Decisions[:len(keep)]
+	e.keys, e.cut, e.reqs, res.Decisions = e.keys[:len(keep)], e.cut[:len(keep)], e.reqs[:len(keep)], res.Decisions[:len(keep)]
 	return pending, nil
 }
