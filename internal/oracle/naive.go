@@ -22,8 +22,10 @@ func NaiveAdmissionSet(reqs []*mec.Request, pending []int, freeMHz, cth float64)
 		}
 		return allowed
 	}
-	nMax := int(freeMHz / cth)
-	if nMax <= 0 {
+	// The share count stays a float until it is below len(pending): free
+	// MHz over MaxInt64·C^th would wrap a plain conversion negative.
+	ratio := freeMHz / cth
+	if !(ratio >= 1) {
 		return allowed
 	}
 	sorted := append([]int(nil), pending...)
@@ -34,8 +36,8 @@ func NaiveAdmissionSet(reqs []*mec.Request, pending []int, freeMHz, cth float64)
 		}
 		return sorted[a] < sorted[b]
 	})
-	if nMax < len(sorted) {
-		sorted = sorted[:nMax]
+	if ratio < float64(len(sorted)) {
+		sorted = sorted[:int(ratio)]
 	}
 	for _, j := range sorted {
 		allowed[j] = true

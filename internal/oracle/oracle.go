@@ -13,6 +13,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 
 	"mecoffload/internal/bandit"
 	"mecoffload/internal/core"
@@ -133,7 +134,8 @@ func Check(s State) error {
 
 // EngineChecker returns a sim.StepChecker that runs Check against the
 // engine after every slot and additionally enforces the slot's expiry
-// (checkExpiry) and two scheduler-level laws: an uncertainty-aware
+// (checkExpiry) and three scheduler-level laws: every admission of a
+// pending request is reported (checkReported), an uncertainty-aware
 // scheduler's admissions always settle (each admitted request ends the
 // slot served or explicitly evicted — aware schedulers realize rates
 // during admission, so settlement can never surprise them), and
@@ -177,6 +179,9 @@ func EngineChecker() sim.StepChecker {
 		if err := checkExpiry(e, rep, info, reqs); err != nil {
 			return err
 		}
+		if err := checkReported(res, rep, info); err != nil {
+			return err
+		}
 		if info.Sched != nil && info.Sched.UncertaintyAware() && res != nil {
 			for _, j := range rep.Admitted {
 				d := res.Decisions[j]
@@ -201,6 +206,24 @@ func EngineChecker() sim.StepChecker {
 		}
 		return nil
 	}
+}
+
+// checkReported enforces the Scheduler contract that every admission is
+// returned: a request the scheduler saw pending and admitted this slot is
+// in rep.Admitted. Step drops every admitted request from the queue, while
+// the daemon records an admission only from the report, so an unreported
+// one would leave its request undecided for good.
+func checkReported(res *core.Result, rep sim.SlotReport, info sim.StepInfo) error {
+	if res == nil {
+		return nil
+	}
+	for _, j := range info.Pending {
+		if res.Decisions[j].Admitted && !slices.Contains(rep.Admitted, j) {
+			return fmt.Errorf("slot %d: oracle: request %d admitted by %s but not reported",
+				rep.Slot, j, info.Sched.Name())
+		}
+	}
+	return nil
 }
 
 // checkExpiry re-derives the slot's expiry from each request's own

@@ -430,6 +430,12 @@ func TestNaiveAdmissionSetRule(t *testing.T) {
 	if got := NaiveAdmissionSet(reqs, pending, 400, 500); len(got) != 0 {
 		t.Fatalf("nMax=0 allowed %v, want none", got)
 	}
+	// free/cth past MaxInt64 is clamped, not wrapped: every request.
+	for _, free := range []float64{4e21, 4e300} {
+		if got := NaiveAdmissionSet(reqs, pending, free, 200); len(got) != 4 {
+			t.Fatalf("free %g MHz allowed %v, want all 4", free, got)
+		}
+	}
 }
 
 // TestCheckViolations drives the invariant checker over manufactured
@@ -627,5 +633,54 @@ func TestEngineCheckerCatchesWrongExpiry(t *testing.T) {
 				t.Fatalf("true key: slot 1 expired %v, checker said %v; want %v expired", rep.Expired, err, tc.wantExpiry)
 			}
 		})
+	}
+}
+
+// hideAdmission admits the first pending request on its access station
+// and, when hide is set, leaves it out of what it returns.
+type hideAdmission struct{ hide bool }
+
+func (hideAdmission) Name() string           { return "hide" }
+func (hideAdmission) UncertaintyAware() bool { return false }
+func (hideAdmission) Feedback(int, float64)  {}
+func (h hideAdmission) Schedule(eng *sim.Engine, res *core.Result, t int, pending []int) ([]int, error) {
+	j := pending[0]
+	r := eng.Build(pending)[j]
+	d := &res.Decisions[j]
+	d.Admitted, d.Station, d.Slot, d.WaitSlots = true, r.AccessStation, t, t-r.ArrivalSlot
+	d.TaskStations = make([]int, len(r.Tasks))
+	for k := range d.TaskStations {
+		d.TaskStations[k] = r.AccessStation
+	}
+	d.LatencyMS = float64(d.WaitSlots)*eng.SlotLengthMS() + r.ServiceDelayMS(eng.Net(), r.AccessStation)
+	if h.hide {
+		return nil, nil
+	}
+	return []int{j}, nil
+}
+
+// TestEngineCheckerCatchesUnreportedAdmission: the daemon learns of an
+// admission only from SlotReport.Admitted, which lists what the scheduler
+// returns, so a scheduler that admits a request without returning it
+// leaves the request's row waiting for a decision that never comes. The
+// checker must refuse that slot, and pass the same admission once it is
+// returned.
+func TestEngineCheckerCatchesUnreportedAdmission(t *testing.T) {
+	for _, hide := range []bool{false, true} {
+		net := oracleNet(t, 2, 5)
+		reqs := oracleWorkload(t, workload.Config{NumRequests: 3, NumStations: 2, ArrivalHorizon: 1}, 6)
+		eng, err := sim.NewEngine(net, reqs, rand.New(rand.NewSource(1)), sim.Config{Horizon: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetStepChecker(EngineChecker())
+		res := core.NewResult("hide", len(reqs))
+		_, rep, err := eng.Step(hideAdmission{hide: hide}, res, 0, []int{0, 1, 2})
+		switch {
+		case hide && (err == nil || !strings.Contains(err.Error(), "not reported")):
+			t.Fatalf("an unreported admission passed the checker: %v", err)
+		case !hide && (err != nil || !slices.Equal(rep.Admitted, []int{0})):
+			t.Fatalf("a reported admission: admitted %v, checker said %v; want request 0 admitted", rep.Admitted, err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"mecoffload/internal/bandit"
@@ -53,8 +52,8 @@ type DynamicRROptions struct {
 //     admits them into R_t while the average free computing resource per
 //     admitted request stays at least C^th (the round-robin share test):
 //     R_t is the first ⌊free/C^th⌋ of that order, so only those are
-//     selected and sorted, never the whole parked backlog, and only
-//     their requests are built (the order reads the engine's keys),
+//     kept and sorted, in one bounded pass over the engine's keys, and
+//     only their requests are built,
 //  3. schedules R_t with algorithm Heu, the LP replaced by LP-PT, and
 //  4. feeds the slot's realized reward back to the bandit.
 type DynamicRR struct {
@@ -157,11 +156,17 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 	d.lastArm, d.lastCth, d.played = arm, cth, true
 
 	// Step 10-11: increasing expected data rate; admit into R_t while the
-	// average share of the free capacity stays at least C^th; nMax bounds
-	// how much of the order is ever sorted.
-	nMax := int(eng.FreeCapacity() / cth)
-	if nMax <= 0 {
+	// average share of the free capacity stays at least C^th. R_t is the
+	// first nMax = ⌊free/C^th⌋ of the order, and only those are ever
+	// sorted. The ratio is clamped in float before it becomes an int: on a
+	// mesh whose free MHz exceed MaxInt64·C^th the conversion would wrap.
+	ratio := eng.FreeCapacity() / cth
+	if !(ratio >= 1) { // below one share, or NaN
 		return nil, nil
+	}
+	nMax := len(pending)
+	if ratio < float64(nMax) {
+		nMax = int(ratio)
 	}
 	sorted := d.sortByExpectedRate(eng.keys, pending, nMax)
 	reqs := eng.Build(sorted)
@@ -202,21 +207,38 @@ func (d *DynamicRR) Schedule(eng *Engine, res *core.Result, t int, pending []int
 
 // sortByExpectedRate returns the first limit requests of pending in
 // increasing expected data rate, ties by request index (all of pending when
-// limit reaches its length), in a buffer the next call reuses. The pending
-// set runs to thousands of requests when arrivals outpace capacity, while
-// R_t takes a few dozen: each rate is read from the request's key, and
-// only the limit smallest are sorted. The order is total, so the prefix is
-// exactly the full sort's.
+// limit reaches its length), in a buffer the next call reuses. Each rate
+// is read from the request's key. The pending set runs to thousands of
+// requests when arrivals outpace capacity, while R_t takes a few dozen,
+// so the limit smallest are kept in one pass: a max-heap of at most limit
+// keys, whose top a key replaces only when it orders before it. Once the
+// heap is full most keys cost that one compare, and no input order costs
+// more than O(len(pending)·log limit). compareRate is a total order (no
+// expected rate is NaN), so the heap, sorted, is exactly the prefix a
+// full sort gives.
 func (d *DynamicRR) sortByExpectedRate(reqKeys []Key, pending []int, limit int) []int {
 	keys := d.keyBuf[:0]
-	for _, j := range pending {
-		keys = append(keys, rateKey{rate: reqKeys[j].ExpectedRate, req: j})
+	if limit >= len(pending) {
+		for _, j := range pending {
+			keys = append(keys, rateKey{rate: reqKeys[j].ExpectedRate, req: j})
+		}
+	} else if limit > 0 {
+		for _, j := range pending[:limit] {
+			keys = append(keys, rateKey{rate: reqKeys[j].ExpectedRate, req: j})
+		}
+		for i := limit/2 - 1; i >= 0; i-- {
+			siftDown(keys, i)
+		}
+		top := keys[0]
+		for _, j := range pending[limit:] {
+			if r := reqKeys[j].ExpectedRate; r < top.rate || (r == top.rate && j < top.req) {
+				keys[0] = rateKey{rate: r, req: j}
+				siftDown(keys, 0)
+				top = keys[0]
+			}
+		}
 	}
 	d.keyBuf = keys
-	if limit < len(keys) {
-		selectSmallest(keys, limit)
-		keys = keys[:limit]
-	}
 	slices.SortFunc(keys, compareRate)
 	sorted := d.sortedBuf[:0]
 	for _, k := range keys {
@@ -238,47 +260,22 @@ func compareRate(a, b rateKey) int {
 	}
 }
 
-// selectSmallest reorders keys so that the k smallest under compareRate
-// come first, in no particular order (0 < k < len(keys)): quickselect with
-// a median-of-three pivot. Should the partitions keep coming out lopsided,
-// it sorts what is left instead, so a crafted rate sequence cannot make a
-// slot quadratic.
-func selectSmallest(keys []rateKey, k int) {
-	lo, hi := 0, len(keys)-1
-	for budget := 2 * bits.Len(uint(len(keys))); lo < hi; budget-- {
-		if budget == 0 {
-			slices.SortFunc(keys[lo:hi+1], compareRate)
+// siftDown restores the max-heap order under compareRate below index i of
+// heap, whose subtrees below i are already heaps.
+func siftDown(heap []rateKey, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(heap) {
 			return
 		}
-		// Median of keys[lo], keys[mid], keys[hi] to keys[hi] as the pivot.
-		mid := int(uint(lo+hi) >> 1)
-		if compareRate(keys[mid], keys[lo]) < 0 {
-			keys[mid], keys[lo] = keys[lo], keys[mid]
+		if c+1 < len(heap) && compareRate(heap[c+1], heap[c]) > 0 {
+			c++
 		}
-		if compareRate(keys[hi], keys[lo]) < 0 {
-			keys[hi], keys[lo] = keys[lo], keys[hi]
-		}
-		if compareRate(keys[mid], keys[hi]) < 0 {
-			keys[mid], keys[hi] = keys[hi], keys[mid]
-		}
-		p := lo
-		for j := lo; j < hi; j++ {
-			if compareRate(keys[j], keys[hi]) < 0 {
-				keys[p], keys[j] = keys[j], keys[p]
-				p++
-			}
-		}
-		keys[p], keys[hi] = keys[hi], keys[p]
-		// keys[lo:p] < keys[p] < keys[p+1:hi+1]; the k-th smallest is at
-		// index k-1, on one side of p or at it.
-		switch {
-		case p == k-1:
+		if compareRate(heap[c], heap[i]) <= 0 {
 			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
 		}
+		heap[i], heap[c] = heap[c], heap[i]
+		i = c
 	}
 }
 

@@ -34,7 +34,9 @@ var (
 // and where. Implementations mutate res.Decisions for the requests they
 // admit (Admitted, Station, Slot, TaskStations, WaitSlots, LatencyMS, and
 // — for uncertainty-aware schedulers — Evicted) and return the admitted
-// request ids. Uncertainty-aware schedulers realize data rates during
+// request ids, every one of them: SlotReport.Admitted lists only those,
+// and the daemon learns of an admission from the report alone.
+// Uncertainty-aware schedulers realize data rates during
 // admission and keep eng.Used consistent themselves; oblivious schedulers
 // must not touch realized state, and the engine settles it for them.
 type Scheduler interface {
