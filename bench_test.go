@@ -190,10 +190,7 @@ func BenchmarkDriftAdaptivity(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for _, sc := range driftResult.Scenarios {
-			for _, p := range sc.Policies {
-				last := len(sc.Checkpoints) - 1
-				b.ReportMetric(sc.Regret[p][last].Mean(), sc.Name+"_"+p+"_regret")
-			}
+			b.ReportMetric(sc.Regret[len(sc.Regret)-1].Mean(), sc.Name+"_se_regret")
 		}
 	}
 }

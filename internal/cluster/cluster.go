@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -131,6 +132,12 @@ type Cluster struct {
 	lastTickNano atomic.Int64
 	drainFlag    atomic.Bool
 	checkpoints  atomic.Uint64
+
+	// retryRng is the daemon's one Retry-After jitter stream: every
+	// Handler(c) draws its 503 hints from it, so overload answers replay
+	// for a given Seed. retryMu guards it; handlers draw concurrently.
+	retryMu  sync.Mutex
+	retryRng *rand.Rand
 }
 
 // New builds a cluster: the station partition, one engine per shard,
@@ -176,6 +183,7 @@ func New(cfg Config) (*Cluster, error) {
 		owner:      owner,
 		done:       make(chan struct{}),
 		tickerStop: make(chan struct{}),
+		retryRng:   rnd.New(rnd.Derive(cfg.Seed, "cluster-retry-0"), "retry-after"),
 	}
 	c.router = newRouter(cfg.Net, owner)
 
@@ -211,7 +219,6 @@ func New(cfg Config) (*Cluster, error) {
 			DynamicRR:        cfg.DynamicRR,
 			SlotLengthMS:     cfg.SlotLengthMS,
 			Rng:              rnd.New(cfg.Seed, fmt.Sprintf("cluster-shard-%d", k)),
-			RetrySeed:        rnd.Derive(cfg.Seed, fmt.Sprintf("cluster-retry-%d", k)),
 			DeferFeedback:    true,
 			DecisionObserver: c.observe,
 			StepChecker:      cfg.StepChecker,

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"time"
 
 	"mecoffload/internal/serve"
 )
@@ -46,13 +47,12 @@ func (b *batchBuf) release() {
 //
 // Overload contract: a 503 (draining, stopped, or ingest saturation)
 // always carries a Retry-After header and a JSON body with a jittered
-// retryAfterMS hint (serve.Engine.WriteUnavailable, from shard 0's seeded
+// retryAfterMS hint (writeUnavailable, from the cluster's seeded
 // stream). Both POSTs enter through the door, which under saturation
 // sheds the lowest expected-reward requests first and then refuses
 // batches outright; a single POST it sheds on arrival answers 503.
 func Handler(c *Cluster) http.Handler {
 	mux := http.NewServeMux()
-	front := c.engines[0] // overload contract + jitter stream
 
 	type submitResponse struct {
 		ID    uint64 `json:"id"`
@@ -80,23 +80,23 @@ func Handler(c *Cluster) http.Handler {
 			if bodyTooLarge(err) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			serve.WriteJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
+			writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
 			return
 		}
 		if dec.More() {
-			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: trailing data after JSON object"})
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: trailing data after JSON object"})
 			return
 		}
 		id, slot, err := c.Submit(spec)
 		switch {
 		case err == nil:
-			serve.WriteJSON(w, http.StatusAccepted, submitResponse{ID: id, Slot: slot, State: serve.StatePending})
+			writeJSON(w, http.StatusAccepted, submitResponse{ID: id, Slot: slot, State: serve.StatePending})
 		case errors.Is(err, serve.ErrSaturated), errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrStopped):
-			front.WriteUnavailable(w, err)
+			c.writeUnavailable(w, err)
 		case errors.Is(err, serve.ErrBadSpec):
-			serve.WriteJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 		default:
-			serve.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		}
 	})
 
@@ -113,11 +113,11 @@ func Handler(c *Cluster) http.Handler {
 			if errors.Is(err, serve.ErrBatchTooLarge) || bodyTooLarge(err) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			serve.WriteJSON(w, status, errorResponse{Error: "bad batch: " + err.Error()})
+			writeJSON(w, status, errorResponse{Error: "bad batch: " + err.Error()})
 			return
 		}
 		if len(lines) == 0 && len(lineErrs) == 0 {
-			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
 			return
 		}
 		specs := buf.specs[:0]
@@ -135,35 +135,35 @@ func Handler(c *Cluster) http.Handler {
 				lineErrs = append(lineErrs, serve.LineError{Line: lines[r.Index].Line, Error: r.Err.Error()})
 			}
 			slices.SortStableFunc(lineErrs, func(a, b serve.LineError) int { return a.Line - b.Line })
-			serve.WriteJSON(w, http.StatusOK, batchResponse{
+			writeJSON(w, http.StatusOK, batchResponse{
 				Accepted: len(res.IDs),
 				Shed:     res.Shed,
 				IDs:      res.IDs,
 				Errors:   lineErrs,
 			})
 		case errors.Is(err, serve.ErrSaturated), errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrStopped):
-			front.WriteUnavailable(w, err)
+			c.writeUnavailable(w, err)
 		default:
-			serve.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		}
 	})
 
 	mux.HandleFunc("GET /v1/requests/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 		if err != nil {
-			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request id"})
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request id"})
 			return
 		}
 		rec, ok, err := c.Status(id)
 		if err != nil {
-			front.WriteUnavailable(w, err)
+			c.writeUnavailable(w, err)
 			return
 		}
 		if !ok {
-			serve.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown request"})
+			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown request"})
 			return
 		}
-		serve.WriteJSON(w, http.StatusOK, rec)
+		writeJSON(w, http.StatusOK, rec)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -190,6 +190,46 @@ func Handler(c *Cluster) http.Handler {
 	})
 
 	return mux
+}
+
+// unavailableResponse is the structured body of a 503: a jittered client
+// backoff hint mirroring the Retry-After header at millisecond
+// resolution.
+type unavailableResponse struct {
+	Error        string `json:"error"`
+	RetryAfterMS int    `json:"retryAfterMS,omitempty"`
+}
+
+// retryAfterHint picks the jittered backoff hint for a 503: between one
+// and two base intervals, uniformly, so a synchronized burst of shed
+// clients does not return as a synchronized burst of retries.
+func (c *Cluster) retryAfterHint(base time.Duration) (header string, ms int) {
+	c.retryMu.Lock()
+	f := 1 + c.retryRng.Float64()
+	c.retryMu.Unlock()
+	d := time.Duration(f * float64(base))
+	secs := int((d + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	return strconv.Itoa(secs), int(d / time.Millisecond)
+}
+
+// writeUnavailable emits the 503 overload contract (draining, stopped,
+// or ingest saturation): Retry-After header plus the structured JSON
+// body with the millisecond hint.
+func (c *Cluster) writeUnavailable(w http.ResponseWriter, err error) {
+	header, ms := c.retryAfterHint(500 * time.Millisecond)
+	w.Header().Set("Retry-After", header)
+	writeJSON(w, http.StatusServiceUnavailable, unavailableResponse{Error: err.Error(), RetryAfterMS: ms})
+}
+
+// writeJSON writes v as the JSON body of a response with the given
+// status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // bodyTooLarge reports whether reading a request body stopped at its

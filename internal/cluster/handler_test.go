@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mecoffload/internal/cluster"
 	"mecoffload/internal/mec"
@@ -553,5 +554,46 @@ func TestHTTPOverloadContract(t *testing.T) {
 				t.Fatalf("first request %q after a dearer arrival at a full door, want %q", rec.State, serve.StateShed)
 			}
 		})
+	})
+}
+
+// TestHTTPRetryAfterHintsReplaySeed pins the 503 hints themselves: the
+// cluster keeps one Retry-After stream, seeded from Config.Seed under
+// the label "cluster-retry-0", and every handler built on it draws from
+// that one stream in turn, whatever the shard count.
+func TestHTTPRetryAfterHintsReplaySeed(t *testing.T) {
+	eachShardCount(t, func(t *testing.T, c *cluster.Cluster, url string) {
+		second := httptest.NewServer(cluster.Handler(c))
+		t.Cleanup(second.Close)
+		if _, _, err := c.Submit(serve.RequestSpec{AccessStation: 0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		want := rnd.New(rnd.Derive(5, "cluster-retry-0"), "retry-after")
+		for i, base := range []string{url, second.URL, url, second.URL, url, second.URL} {
+			var resp *http.Response
+			var out []byte
+			if i%2 == 0 {
+				resp, out = postJSON(t, base+"/v1/requests", serve.RequestSpec{})
+			} else {
+				resp, out = postNDJSON(t, base, "{}\n")
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("503 #%d -> %d, want 503: %s", i, resp.StatusCode, out)
+			}
+			var eresp errorResponse
+			if err := json.Unmarshal(out, &eresp); err != nil {
+				t.Fatal(err)
+			}
+			d := time.Duration((1 + want.Float64()) * float64(500*time.Millisecond))
+			if ms := int(d / time.Millisecond); eresp.RetryAfterMS != ms {
+				t.Fatalf("503 #%d retryAfterMS = %d, want %d from the cluster's seeded stream", i, eresp.RetryAfterMS, ms)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				t.Fatalf("503 #%d Retry-After = %q, want \"1\"", i, ra)
+			}
+		}
 	})
 }

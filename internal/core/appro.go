@@ -15,9 +15,6 @@ const maxAutoPasses = 16
 
 // ApproOptions tunes Algorithm 1.
 type ApproOptions struct {
-	// SlotLengthMS converts waiting slots into milliseconds (default
-	// mec.DefaultSlotLengthMS).
-	SlotLengthMS float64
 	// RoundingDenominator is the divisor in the rounding probability
 	// y_jil / denominator. The paper uses 4 (Lemma 2 depends on it);
 	// other values are exposed for the ablation study. Zero selects 4.
@@ -60,7 +57,6 @@ type tentative struct {
 // admission, exactly as in the paper's model of uncertain demands.
 func Appro(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ApproOptions) (*Result, error) {
 	return solveOffline(n, reqs, rng, "Appro", BatchOptions{
-		SlotLengthMS:        opts.SlotLengthMS,
 		RoundingDenominator: opts.RoundingDenominator,
 		Passes:              opts.Passes,
 	})

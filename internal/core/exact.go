@@ -11,18 +11,16 @@ import (
 
 // ExactOptions tunes the exact ILP solve.
 type ExactOptions struct {
-	// SlotLengthMS converts waiting slots into milliseconds for the delay
-	// filter (default mec.DefaultSlotLengthMS).
-	SlotLengthMS float64
-	// MaxNodes caps branch-and-bound nodes (0 selects 50000). The exact
-	// algorithm is intended for small instances only (Section I: "an
-	// exact solution for the problem if the problem size is small").
-	MaxNodes int
 	// RelativeGap is the branch-and-bound optimality gap (0 selects
 	// 1e-4): assignment ILPs with near-tied rewards otherwise spend
 	// exponential time separating equivalent optima.
 	RelativeGap float64
 }
+
+// exactMaxNodes caps Exact's branch-and-bound nodes. The exact algorithm
+// is intended for small instances only (Section I: "an exact solution for
+// the problem if the problem size is small").
+const exactMaxNodes = 50000
 
 // Exact solves ILP-RM (Section IV-A) by branch and bound over the
 // assignment variables x_ji:
@@ -43,9 +41,6 @@ func Exact(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ExactOption
 	if len(reqs) == 0 {
 		return nil, ErrNoRequests
 	}
-	if opts.SlotLengthMS == 0 {
-		opts.SlotLengthMS = mec.DefaultSlotLengthMS
-	}
 	start := time.Now()
 
 	prob := lp.NewProblem(lp.Maximize)
@@ -58,7 +53,7 @@ func Exact(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ExactOption
 	byStation := make([][]int, n.NumStations())
 	for j, r := range reqs {
 		for i := 0; i < n.NumStations(); i++ {
-			if !r.DelayFeasible(n, i, 0, opts.SlotLengthMS) {
+			if !r.DelayFeasible(n, i, 0, mec.DefaultSlotLengthMS) {
 				continue
 			}
 			v := prob.AddIntegerVariable(fmt.Sprintf("x[%d,%d]", j, i), r.ExpectedReward())
@@ -101,15 +96,11 @@ func Exact(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ExactOption
 		}
 	}
 
-	maxNodes := opts.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 50000
-	}
 	gap := opts.RelativeGap
 	if gap == 0 {
 		gap = 1e-4
 	}
-	sol, err := prob.SolveIntegerWithOptions(lp.IntegerOptions{MaxNodes: maxNodes, RelativeGap: gap})
+	sol, err := prob.SolveIntegerWithOptions(lp.IntegerOptions{MaxNodes: exactMaxNodes, RelativeGap: gap})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +126,7 @@ func Exact(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ExactOption
 		d.Station = xv.station
 		d.Slot = 1
 		d.TaskStations = consolidated(r, xv.station)
-		d.LatencyMS = latencyOf(n, r, d.TaskStations, 0, opts.SlotLengthMS)
+		d.LatencyMS = latencyOf(n, r, d.TaskStations, 0, mec.DefaultSlotLengthMS)
 		out := r.Realize(rng)
 		demand := n.RequestMHz(r, out.Rate)
 		if fitsWithin(used[xv.station], demand, n.Capacity(xv.station)) {

@@ -9,9 +9,6 @@ import (
 
 // HeuOptions tunes Algorithm 2.
 type HeuOptions struct {
-	// SlotLengthMS converts waiting slots into milliseconds (default
-	// mec.DefaultSlotLengthMS).
-	SlotLengthMS float64
 	// RoundingDenominator mirrors ApproOptions (default 4).
 	RoundingDenominator float64
 	// Passes mirrors ApproOptions: 1 = single literal pass, 0 = iterate
@@ -31,7 +28,6 @@ type HeuOptions struct {
 // the requests still rejected are distributed over the residual capacity.
 func Heu(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts HeuOptions) (*Result, error) {
 	return solveOffline(n, reqs, rng, "Heu", BatchOptions{
-		SlotLengthMS:        opts.SlotLengthMS,
 		RoundingDenominator: opts.RoundingDenominator,
 		Passes:              opts.Passes,
 		Distribute:          true,

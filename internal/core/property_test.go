@@ -69,60 +69,6 @@ func TestAuditHoldsOnRandomInstances(t *testing.T) {
 	}
 }
 
-// TestHindsightDominatesAlgorithms: the full-information LP bound must be
-// at least the realized reward of every algorithm on the same
-// realizations.
-func TestHindsightDominatesAlgorithms(t *testing.T) {
-	net := testNetwork(t, 6, 31)
-	reqs := testWorkload(t, 50, 6, 32)
-	workload.Reset(reqs)
-	rng := rand.New(rand.NewSource(33))
-	res, err := Heu(net, reqs, rng, HeuOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same realizations: HindsightBound realizes lazily, but Heu already
-	// realized scheduled requests; unscheduled ones realize now.
-	bound, err := HindsightBound(net, reqs, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound < res.TotalReward-1e-6 {
-		t.Fatalf("hindsight bound %v below Heu reward %v", bound, res.TotalReward)
-	}
-	if bound <= 0 {
-		t.Fatal("hindsight bound should be positive")
-	}
-}
-
-func TestHindsightValidation(t *testing.T) {
-	net := testNetwork(t, 3, 34)
-	rng := rand.New(rand.NewSource(35))
-	if _, err := HindsightBound(nil, testWorkload(t, 3, 3, 36), rng); err == nil {
-		t.Error("want error for nil network")
-	}
-	if _, err := HindsightBound(net, nil, rng); err == nil {
-		t.Error("want error for empty workload")
-	}
-}
-
-// TestHindsightZeroWhenNothingFeasible: impossible deadlines leave no
-// variables and a zero bound.
-func TestHindsightZeroWhenNothingFeasible(t *testing.T) {
-	net := testNetwork(t, 3, 37)
-	reqs := testWorkload(t, 5, 3, 38)
-	for _, r := range reqs {
-		r.DeadlineMS = 0.001
-	}
-	bound, err := HindsightBound(net, reqs, rand.New(rand.NewSource(39)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound != 0 {
-		t.Fatalf("bound %v, want 0", bound)
-	}
-}
-
 // TestEvaluateIdempotent: evaluating twice must not change anything (the
 // second pass sees the same realizations and placements).
 func TestEvaluateIdempotent(t *testing.T) {

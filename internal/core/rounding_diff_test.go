@@ -33,9 +33,6 @@ func referenceRunRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, o
 	if len(reqs) == 0 {
 		return nil, nil, ErrNoRequests
 	}
-	if opts.SlotLengthMS == 0 {
-		opts.SlotLengthMS = mec.DefaultSlotLengthMS
-	}
 	if opts.RoundingDenominator == 0 {
 		opts.RoundingDenominator = 4
 	}
@@ -57,7 +54,7 @@ func referenceRunRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, o
 	for j := range undecided {
 		undecided[j] = j
 	}
-	sc.reach.fill(n, reqs, undecided, nil, opts.SlotLengthMS)
+	sc.reach.fill(n, reqs, undecided, nil, mec.DefaultSlotLengthMS)
 	maxPasses := opts.Passes
 	if maxPasses <= 0 {
 		maxPasses = maxAutoPasses
@@ -75,7 +72,7 @@ func referenceRunRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, o
 			active:       undecided,
 			capOf:        capOf,
 			slotMHz:      slotMHz,
-			slotLengthMS: opts.SlotLengthMS,
+			slotLengthMS: mec.DefaultSlotLengthMS,
 			reach:        &sc.reach,
 		}, solveCfg{pass: pass}, sc, &sc.merged)
 		if err != nil {
@@ -90,7 +87,7 @@ func referenceRunRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, o
 
 		m := &sc.merged
 		pre := referenceRoundAssignments(m.vars, m.byReq, m.y, reqs, rng, opts.RoundingDenominator)
-		admitted := admitSlotBySlot(n, reqs, pre, rng, opts.SlotLengthMS, slotMHz, nil, res, hooks.admissionHooks, used, nil, sc)
+		admitted := admitSlotBySlot(n, reqs, pre, rng, mec.DefaultSlotLengthMS, slotMHz, nil, res, hooks.admissionHooks, used, nil, sc)
 		if admitted == 0 {
 			break
 		}
@@ -115,18 +112,14 @@ func referenceRunRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, o
 // migrator, the overflow splitter and the final distribution pass built
 // as closures over the run's result and ledger, each counted.
 func referenceHeu(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts ApproOptions) (*Result, *referenceHooks, error) {
-	slotLen := opts.SlotLengthMS
-	if slotLen == 0 {
-		slotLen = mec.DefaultSlotLengthMS
-	}
 	all := make([]int, len(reqs))
 	for j := range all {
 		all[j] = j
 	}
 	mk := func(res *Result, used []float64) *referenceHooks {
 		h := &referenceHooks{}
-		migrate := newTaskMigrator(n, reqs, res, used, slotLen, all)
-		overflow := newOverflowSplitter(n, reqs, res, used, slotLen)
+		migrate := newTaskMigrator(n, reqs, res, used, mec.DefaultSlotLengthMS, all)
+		overflow := newOverflowSplitter(n, reqs, res, used, mec.DefaultSlotLengthMS)
 		h.migrate = func(station, slot int, passUsed func(int) float64) bool {
 			ok := migrate(station, slot, passUsed)
 			if ok {
@@ -143,7 +136,7 @@ func referenceHeu(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Appr
 		}
 		h.finish = func() {
 			before := countAdmitted(res, all)
-			distributionPass(n, reqs, all, res, used, rng, slotLen, nil)
+			distributionPass(n, reqs, all, res, used, rng, mec.DefaultSlotLengthMS, nil)
 			h.distributed = countAdmitted(res, all) - before
 		}
 		return h

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"mecoffload/internal/bandit"
 	"mecoffload/internal/scenario"
 	"mecoffload/internal/stats"
 )
@@ -13,28 +12,24 @@ import (
 // document; the learner discretization matches the regret experiment.
 const driftKappa = 8
 
-// DriftPolicies lists the learners the drift experiment runs against the
-// best fixed threshold in hindsight: the paper's successive elimination
-// ("se"), the one arm policy DynamicRR ships.
-func DriftPolicies() []string {
-	return []string{"se"}
-}
+// driftPolicy labels the drift experiment's one learner, the paper's
+// successive elimination, in the text column and the CSV policy field.
+const driftPolicy = "se"
 
-// DriftScenarioCurves holds one scenario's per-policy reward and regret
-// curves, aggregated over repetitions at fixed checkpoints.
+// DriftScenarioCurves holds one scenario's reward and regret curves of
+// DynamicRR's successive-elimination learner, aggregated over repetitions
+// at fixed checkpoints.
 type DriftScenarioCurves struct {
 	// Name is the builtin scenario id.
 	Name string
 	// Checkpoints are the slots at which the curves are sampled.
 	Checkpoints []int
-	// Policies fixes column order (same as DriftPolicies).
-	Policies []string
-	// Reward[p][i] aggregates the cumulative realized reward of policy p
-	// at Checkpoints[i].
-	Reward map[string][]stats.Summary
-	// Regret[p][i] aggregates cumulative regret against the best fixed
+	// Reward[i] aggregates the learner's cumulative realized reward at
+	// Checkpoints[i].
+	Reward []stats.Summary
+	// Regret[i] aggregates cumulative regret against the best fixed
 	// threshold in hindsight at Checkpoints[i].
-	Regret map[string][]stats.Summary
+	Regret []stats.Summary
 }
 
 // DriftResult is the full non-stationary evaluation: one curve set per
@@ -76,13 +71,8 @@ func driftScenario(opts Options, si int, name string) (*DriftScenarioCurves, err
 	curves := &DriftScenarioCurves{
 		Name:        name,
 		Checkpoints: checkpoints,
-		Policies:    DriftPolicies(),
-		Reward:      map[string][]stats.Summary{},
-		Regret:      map[string][]stats.Summary{},
-	}
-	for _, p := range curves.Policies {
-		curves.Reward[p] = make([]stats.Summary, len(checkpoints))
-		curves.Regret[p] = make([]stats.Summary, len(checkpoints))
+		Reward:      make([]stats.Summary, len(checkpoints)),
+		Regret:      make([]stats.Summary, len(checkpoints)),
 	}
 
 	for rep := 0; rep < opts.Repetitions; rep++ {
@@ -98,43 +88,22 @@ func driftScenario(opts Options, si int, name string) (*DriftScenarioCurves, err
 		inst := &instance{net: net, reqs: reqs}
 		runSeedRep := runSeed(opts.Seed, 30, si, rep, 0)
 
-		// Best fixed threshold in hindsight on this instance.
-		best := make([]float64, doc.Horizon)
-		for arm := 0; arm < driftKappa; arm++ {
-			fixed, err := bandit.NewFixed(driftKappa, arm)
-			if err != nil {
-				return nil, err
-			}
-			slot, _, err := learnerRun(inst, driftKappa, fixed, runSeedRep*13+1, doc.Horizon, drift)
-			if err != nil {
-				return nil, err
-			}
-			for t, c := range cumulative(slot) {
-				if c > best[t] {
-					best[t] = c
-				}
-			}
+		best, err := bestFixedCumulative(inst, driftKappa, runSeedRep*13+1, doc.Horizon, drift)
+		if err != nil {
+			return nil, err
 		}
-
-		for _, spec := range curves.Policies {
-			// DriftPolicies names one learner, successive elimination.
-			pol, err := bandit.NewSuccessiveElimination(driftKappa)
-			if err != nil {
-				return nil, err
+		slot, _, err := learnerRun(inst, driftKappa, nil, runSeedRep*13+1, doc.Horizon, drift)
+		if err != nil {
+			return nil, err
+		}
+		cum := cumulative(slot)
+		for i, cp := range checkpoints {
+			r := best[cp-1] - cum[cp-1]
+			if r < 0 {
+				r = 0
 			}
-			slot, _, err := learnerRun(inst, driftKappa, pol, runSeedRep*13+1, doc.Horizon, drift)
-			if err != nil {
-				return nil, err
-			}
-			cum := cumulative(slot)
-			for i, cp := range checkpoints {
-				r := best[cp-1] - cum[cp-1]
-				if r < 0 {
-					r = 0
-				}
-				curves.Reward[spec][i].Add(cum[cp-1])
-				curves.Regret[spec][i].Add(r)
-			}
+			curves.Reward[i].Add(cum[cp-1])
+			curves.Regret[i].Add(r)
 		}
 	}
 	return curves, nil
@@ -149,28 +118,20 @@ func driftCheckpoints(horizon int) []int {
 }
 
 // WriteText renders the drift evaluation as aligned text blocks, one per
-// scenario: cumulative regret (vs best fixed threshold in hindsight) per
-// policy at each checkpoint.
+// scenario: the learner's cumulative regret (vs best fixed threshold in
+// hindsight) at each checkpoint.
 func (r *DriftResult) WriteText(w io.Writer) error {
 	for _, sc := range r.Scenarios {
 		if _, err := fmt.Fprintf(w, "Drift scenario %q — cumulative regret vs best fixed threshold (kappa=%d)\n",
 			sc.Name, r.Kappa); err != nil {
 			return err
 		}
-		header := fmt.Sprintf("%8s", "slot")
-		for _, p := range sc.Policies {
-			header += fmt.Sprintf("  %18s", p)
-		}
-		if _, err := fmt.Fprintln(w, header); err != nil {
+		if _, err := fmt.Fprintf(w, "%8s  %18s\n", "slot", driftPolicy); err != nil {
 			return err
 		}
 		for i, cp := range sc.Checkpoints {
-			line := fmt.Sprintf("%8d", cp)
-			for _, p := range sc.Policies {
-				s := sc.Regret[p][i]
-				line += fmt.Sprintf("  %10.1f ± %5.1f", s.Mean(), s.CI95())
-			}
-			if _, err := fmt.Fprintln(w, line); err != nil {
+			s := sc.Regret[i]
+			if _, err := fmt.Fprintf(w, "%8d  %10.1f ± %5.1f\n", cp, s.Mean(), s.CI95()); err != nil {
 				return err
 			}
 		}
@@ -181,24 +142,21 @@ func (r *DriftResult) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WriteCSV emits every (scenario, policy, checkpoint) sample of both
-// curves.
+// WriteCSV emits every (scenario, checkpoint) sample of both curves.
 func (r *DriftResult) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "experiment,scenario,policy,slot,metric,mean,ci95,n"); err != nil {
 		return err
 	}
 	for _, sc := range r.Scenarios {
-		for _, p := range sc.Policies {
-			for i, cp := range sc.Checkpoints {
-				rw, rg := sc.Reward[p][i], sc.Regret[p][i]
-				if _, err := fmt.Fprintf(w, "drift,%s,%s,%d,cumReward,%.4f,%.4f,%d\n",
-					sc.Name, p, cp, rw.Mean(), rw.CI95(), rw.N()); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "drift,%s,%s,%d,regret,%.4f,%.4f,%d\n",
-					sc.Name, p, cp, rg.Mean(), rg.CI95(), rg.N()); err != nil {
-					return err
-				}
+		for i, cp := range sc.Checkpoints {
+			rw, rg := sc.Reward[i], sc.Regret[i]
+			if _, err := fmt.Fprintf(w, "drift,%s,%s,%d,cumReward,%.4f,%.4f,%d\n",
+				sc.Name, driftPolicy, cp, rw.Mean(), rw.CI95(), rw.N()); err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(w, "drift,%s,%s,%d,regret,%.4f,%.4f,%d\n",
+				sc.Name, driftPolicy, cp, rg.Mean(), rg.CI95(), rg.N()); err != nil {
+				return err
 			}
 		}
 	}

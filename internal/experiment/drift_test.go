@@ -23,19 +23,16 @@ func TestDriftExperimentSmoke(t *testing.T) {
 		if len(sc.Checkpoints) == 0 {
 			t.Fatalf("%s: no checkpoints", sc.Name)
 		}
-		for _, p := range sc.Policies {
-			rw := sc.Reward[p]
-			if len(rw) != len(sc.Checkpoints) {
-				t.Fatalf("%s/%s: %d reward samples, want %d", sc.Name, p, len(rw), len(sc.Checkpoints))
-			}
-			last := rw[len(rw)-1]
-			if last.Mean() <= 0 {
-				t.Fatalf("%s/%s: no reward earned", sc.Name, p)
-			}
-			for i := range sc.Regret[p] {
-				if sc.Regret[p][i].Mean() < 0 {
-					t.Fatalf("%s/%s: negative regret", sc.Name, p)
-				}
+		rw := sc.Reward
+		if len(rw) != len(sc.Checkpoints) || len(sc.Regret) != len(sc.Checkpoints) {
+			t.Fatalf("%s: %d reward and %d regret samples, want %d", sc.Name, len(rw), len(sc.Regret), len(sc.Checkpoints))
+		}
+		if rw[len(rw)-1].Mean() <= 0 {
+			t.Fatalf("%s: no reward earned", sc.Name)
+		}
+		for i := range sc.Regret {
+			if sc.Regret[i].Mean() < 0 {
+				t.Fatalf("%s: negative regret", sc.Name)
 			}
 		}
 	}
@@ -45,11 +42,9 @@ func TestDriftExperimentSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sc := range res.Scenarios {
-		for _, p := range sc.Policies {
-			for j := range sc.Reward[p] {
-				if sc.Reward[p][j].Mean() != res2.Scenarios[i].Reward[p][j].Mean() {
-					t.Fatalf("%s/%s: drift experiment not deterministic", sc.Name, p)
-				}
+		for j := range sc.Reward {
+			if sc.Reward[j].Mean() != res2.Scenarios[i].Reward[j].Mean() {
+				t.Fatalf("%s: drift experiment not deterministic", sc.Name)
 			}
 		}
 	}

@@ -50,7 +50,7 @@ func ExactGap(opts Options) (*Table, error) {
 func hindsightResult(inst *instance, seed int64) (*core.Result, error) {
 	workload.Reset(inst.reqs)
 	start := time.Now()
-	bound, err := core.HindsightBound(inst.net, inst.reqs, rand.New(rand.NewSource(seed)))
+	bound, err := sim.HindsightBound(inst.net, inst.reqs, 1, rand.New(rand.NewSource(seed)), 0)
 	if err != nil {
 		return nil, err
 	}

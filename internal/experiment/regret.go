@@ -71,22 +71,9 @@ func Regret(opts Options) (*RegretResult, error) {
 		seCum := cumulative(slot)
 		out.Epsilon = lip.Epsilon()
 
-		// Every fixed arm on the same workload.
-		best := make([]float64, regretHorizon)
-		for arm := 0; arm < regretKappa; arm++ {
-			fixed, err := bandit.NewFixed(regretKappa, arm)
-			if err != nil {
-				return nil, err
-			}
-			slot, _, err := learnerRun(inst, regretKappa, fixed, seed*13+1, regretHorizon, nil)
-			if err != nil {
-				return nil, err
-			}
-			for t, c := range cumulative(slot) {
-				if c > best[t] {
-					best[t] = c
-				}
-			}
+		best, err := bestFixedCumulative(inst, regretKappa, seed*13+1, regretHorizon, nil)
+		if err != nil {
+			return nil, err
 		}
 
 		for i, T := range checkpoints {
@@ -125,6 +112,30 @@ func learnerRun(inst *instance, kappa int, pol bandit.Policy, seed int64, horizo
 	_, slot, err := sim.Simulate(inst.net, inst.reqs, sched, rand.New(rand.NewSource(seed)),
 		sim.RunOptions{Horizon: horizon, Drift: drift})
 	return slot, sched.Bandit(), err
+}
+
+// bestFixedCumulative runs every fixed threshold arm of a kappa-arm
+// discretization over inst as learnerRun does, and returns, per slot, the
+// largest cumulative reward any one arm has earned by then: the best
+// fixed threshold in hindsight that regret is measured against.
+func bestFixedCumulative(inst *instance, kappa int, seed int64, horizon int, drift *sim.Drift) ([]float64, error) {
+	best := make([]float64, horizon)
+	for arm := 0; arm < kappa; arm++ {
+		fixed, err := bandit.NewFixed(kappa, arm)
+		if err != nil {
+			return nil, err
+		}
+		slot, _, err := learnerRun(inst, kappa, fixed, seed, horizon, drift)
+		if err != nil {
+			return nil, err
+		}
+		for t, c := range cumulative(slot) {
+			if c > best[t] {
+				best[t] = c
+			}
+		}
+	}
+	return best, nil
 }
 
 // cumulative returns the prefix sums of a per-slot series.

@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// TestRingFIFO pins the door's single-goroutine contract below its bound:
+// TestDoorFIFO pins the door's single-goroutine contract below its bound:
 // entries drain in push order, a full door sheds instead of growing, and
 // an equal-priced arrival at a full door is itself the victim, so nothing
 // already queued is lost.
-func TestRingFIFO(t *testing.T) {
+func TestDoorFIFO(t *testing.T) {
 	var d doorBuffer
 	for i := 0; i < 4; i++ {
 		if _, shed := d.push(ingestEntry{seq: uint64(i)}, 4); shed {
@@ -41,11 +41,11 @@ func TestRingFIFO(t *testing.T) {
 	}
 }
 
-// TestRingSPSCNoDropNoDup is the concurrency property test (run under
-// -race by the CI race job): with one producer pushing under the door
-// lock without overfilling and one consumer taking bounded and forced
-// drains, every entry arrives exactly once, in order.
-func TestRingSPSCNoDropNoDup(t *testing.T) {
+// TestDoorConcurrentTakesLoseNothing is the concurrency property test
+// (run under -race by the CI race job): with one producer pushing under
+// the door lock without overfilling and one consumer taking bounded and
+// forced drains, every entry arrives exactly once, in order.
+func TestDoorConcurrentTakesLoseNothing(t *testing.T) {
 	n := 50000
 	if testing.Short() {
 		n = 5000
@@ -102,10 +102,10 @@ func TestRingSPSCNoDropNoDup(t *testing.T) {
 	}
 }
 
-// TestStageBufferOrder pins the door's shedding order once full: the
+// TestDoorShedOrder pins the door's shedding order once full: the
 // lowest price sheds first, the newest among ties, an arrival at or below
 // the floor sheds itself, and the survivors drain in arrival order.
-func TestStageBufferOrder(t *testing.T) {
+func TestDoorShedOrder(t *testing.T) {
 	var d doorBuffer
 	// Prices 3, 1, 2, and two entries tied at price 2 (seq 2 older, seq 3 newer).
 	for i, price := range []float64{3, 1, 2, 2} {

@@ -28,7 +28,6 @@ import (
 	"mecoffload/internal/dist"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/oracle"
-	"mecoffload/internal/rnd"
 	"mecoffload/internal/sim"
 )
 
@@ -65,10 +64,9 @@ type Config struct {
 	// updated with the globally aggregated slot reward rather than its own
 	// shard's (a learner updates only in a slot where it played an arm).
 	DeferFeedback bool
-	// RetrySeed seeds the engine-scoped Retry-After jitter stream
-	// (internal/rnd label "retry-after"), making overload responses
-	// reproducible in tests and replay. The zero seed is a valid,
-	// deterministic stream of its own.
+	// RetrySeed is ignored: the engine answers no HTTP request, and the
+	// cluster keeps the one Retry-After jitter stream. bench/ladder.go,
+	// its sole setter, still compiles against it.
 	RetrySeed int64
 	// TraceWriter, when non-nil, receives one line per slot in the same
 	// sim.WriteTraceLine format as arsim -trace. The lines are not arsim's:
@@ -124,13 +122,6 @@ type Engine struct {
 	metrics *Metrics
 	sched   *sim.DynamicRR
 	table   *table
-
-	// retryRng is the engine-scoped Retry-After jitter stream, seeded
-	// from Config.RetrySeed via internal/rnd so overload behaviour
-	// replays deterministically. Guarded by retryMu: HTTP handlers hit
-	// it concurrently.
-	retryMu  sync.Mutex
-	retryRng *rand.Rand
 
 	// nextExt numbers the requests of callers that hand no id down (Submit,
 	// SubmitBatch) and stays above every id a caller did hand down
@@ -205,11 +196,10 @@ func New(cfg Config) (*Engine, error) {
 		stations[i] = StationGauge{Station: i, CapacityMHz: cfg.Net.Capacity(i)}
 	}
 	e := &Engine{
-		cfg:      cfg,
-		metrics:  NewMetrics(),
-		table:    newTable(maxRecords, stations),
-		done:     make(chan struct{}),
-		retryRng: rnd.New(cfg.RetrySeed, "retry-after"),
+		cfg:     cfg,
+		metrics: NewMetrics(),
+		table:   newTable(maxRecords, stations),
+		done:    make(chan struct{}),
 	}
 
 	ck := cfg.Restore

@@ -23,10 +23,13 @@ import (
 //
 // Variables are (request, station, start-slot) triples; the deadline
 // budget keeps the start-slot fan-out small (a request can wait only a
-// few slots before no placement is feasible). internal/lp's sparse
-// revised simplex, which keeps its basis inverse as a product-form eta
-// file, handles the resulting row counts for moderate instances — use
-// this as a test/validation oracle, not inside large sweeps.
+// few slots before no placement is feasible). At horizon 1 over a
+// workload arriving at slot 0 it is the offline assignment LP, which the
+// exact-gap experiment (E11) solves on 4 stations and at most 24
+// requests. internal/lp's sparse revised simplex, which keeps its basis
+// inverse as a product-form eta file, handles the resulting row counts
+// for moderate instances — use this as a test/validation oracle, not
+// inside large sweeps.
 func HindsightBound(n *mec.Network, reqs []*mec.Request, horizon int, rng *rand.Rand, slotLenMS float64) (float64, error) {
 	if n == nil {
 		return 0, core.ErrNilNetwork
