@@ -47,10 +47,12 @@ cluster-parity:
 ## collision solves, never replays), that the planner builds a pending
 ## request only when R_t selects it, and that each shortcut of the slot
 ## path (compaction, dropped cap rows, the draw-first rounding pass, the
-## standard-form LP builder, R_t's bounded pass) matches the loop it
-## replaced; each test's doc comment says what it checks.
+## standard-form LP builder, R_t's bounded pass, a request's reach read
+## off the backhaul delay table) matches the loop it replaced, and that
+## the delay table agrees with Floyd-Warshall; each test's doc comment
+## says what it checks.
 incremental-parity:
-	$(GO) test -race -count=1 -v -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack|TestBuildLPWritesStandardForm|TestUnselectedRequestsNeverBuilt|TestDirtySetWaveDrawsReplay|TestSortByExpectedRateMatchesComparator|TestSortByExpectedRateBoundedPass' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/ ./internal/sim/
+	$(GO) test -race -count=1 -v -run 'TestDiffIncrementalFull|TestColdSolveIsPure|TestRoundingLoopMatchesReference|TestIncCache|TestDefaultClusterReusesDecisions|TestCompactionIsInvisible|TestCompactionHoldsCapacity|TestDroppedCapRowsAreExact|TestRefinedPassColumnsCapped|TestScheduleBatchMatchesSolveAllReference|TestOfflineBoundSolvesEveryComponent|TestAssignRowMassWithinSlack|TestBuildLPWritesStandardForm|TestUnselectedRequestsNeverBuilt|TestDirtySetWaveDrawsReplay|TestSortByExpectedRateMatchesComparator|TestSortByExpectedRateBoundedPass|TestReachMatchesFullScan|TestDijkstraMatchesFloydWarshall' ./internal/oracle/ ./internal/lp/ ./internal/core/ ./internal/cluster/ ./internal/serve/ ./internal/sim/ ./internal/mec/ ./internal/graph/
 
 ## drift: the drift correctness gate — the metamorphic invariance suites
 ## (arm relabeling, scenario time shift), the learner's checkpoint/restore

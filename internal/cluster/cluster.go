@@ -36,8 +36,9 @@ type Config struct {
 	// shard order, so slot rewards aggregate globally. Zero means manual
 	// Tick (tests, replay).
 	TickInterval time.Duration
-	// Seed derives every per-shard randomness stream (engine rng and
-	// Retry-After jitter) through internal/rnd labels.
+	// Seed derives, through internal/rnd labels, each shard's engine rng
+	// ("cluster-shard-k") and the cluster's one Retry-After jitter stream
+	// ("cluster-retry-0").
 	Seed int64
 	// CheckpointPath, when set, names the cluster manifest, one file that
 	// holds every shard's snapshot. New restores from an existing

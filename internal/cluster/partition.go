@@ -52,7 +52,12 @@ func Partition(net *mec.Network, n int) ([][]int, error) {
 	if n > nS {
 		n = nS
 	}
-	comps := components(net)
+	g, err := backhaul(net, func(graph.Edge) bool { return true })
+	if err != nil {
+		return nil, err
+	}
+	// Each component ascending, ordered by its smallest station.
+	comps := g.Components()
 	if len(comps) < n {
 		// Contiguous index chunks of near-equal size.
 		parts := make([][]int, n)
@@ -84,46 +89,18 @@ func Partition(net *mec.Network, n int) ([][]int, error) {
 	return parts, nil
 }
 
-// components returns the connected components of the backhaul graph,
-// each in ascending station order, ordered by their minimum station.
-func components(net *mec.Network) [][]int {
-	nS := net.NumStations()
-	parent := make([]int, nS)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
+// backhaul returns a graph over net's stations holding the backhaul links
+// keep accepts, at their delays.
+func backhaul(net *mec.Network, keep func(graph.Edge) bool) (*graph.Graph, error) {
+	g := graph.New(net.NumStations())
 	for _, e := range net.Edges() {
-		ru, rv := find(e.U), find(e.V)
-		if ru != rv {
-			if ru > rv {
-				ru, rv = rv, ru
+		if keep(e) {
+			if _, err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
+				return nil, err
 			}
-			parent[rv] = ru
 		}
 	}
-	byRoot := map[int][]int{}
-	for i := 0; i < nS; i++ {
-		r := find(i)
-		byRoot[r] = append(byRoot[r], i)
-	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, byRoot[r])
-	}
-	return out
+	return g, nil
 }
 
 // shardNetwork returns the network shard k schedules over: every station
@@ -140,13 +117,9 @@ func shardNetwork(net *mec.Network, owner []int, k int) (*mec.Network, error) {
 	if !slices.ContainsFunc(owner, func(o int) bool { return o != k }) {
 		return net, nil
 	}
-	g := graph.New(net.NumStations())
-	for _, e := range net.Edges() {
-		if owner[e.U] == k && owner[e.V] == k {
-			if _, err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
-				return nil, err
-			}
-		}
+	g, err := backhaul(net, func(e graph.Edge) bool { return owner[e.U] == k && owner[e.V] == k })
+	if err != nil {
+		return nil, err
 	}
 	sn, err := mec.NewNetwork(mec.NetworkConfig{
 		Stations: net.Stations(),

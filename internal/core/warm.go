@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"mecoffload/internal/lp"
-)
+import "mecoffload/internal/lp"
 
 // warmKey addresses one stored basis: the rounding-pass index plus the
 // shard the basis belongs to. A shard is one connected component of the
@@ -32,12 +28,8 @@ type warmKey struct {
 // The type survives for the benchmark's layer probes.
 //
 // A nil *WarmCache is valid and disables warm starting. A non-nil cache
-// belongs to one goroutine; only the hit/miss counters are atomic, so
-// another may read them.
+// belongs to one goroutine.
 type WarmCache struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
-
 	bases map[warmKey]*lp.Basis
 }
 
@@ -46,28 +38,13 @@ func NewWarmCache() *WarmCache {
 	return &WarmCache{bases: make(map[warmKey]*lp.Basis)}
 }
 
-// Stats returns how many basis lookups found a seed basis (hits) versus
-// fell back to a cold solve (misses).
-func (c *WarmCache) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Load(), c.misses.Load()
-}
-
 // get returns the stored basis for a (rounding pass, shard) pair, nil
 // when absent: a component re-seeds from its own previous basis or cold.
 func (c *WarmCache) get(pass, shard int) *lp.Basis {
 	if c == nil {
 		return nil
 	}
-	b := c.bases[warmKey{pass: pass, shard: shard}]
-	if b == nil {
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
-	return b
+	return c.bases[warmKey{pass: pass, shard: shard}]
 }
 
 // put stores the optimal basis of a (rounding pass, shard) pair,

@@ -23,10 +23,9 @@ const probEps = 1e-9
 
 // Errors returned by distribution constructors.
 var (
-	ErrEmpty       = errors.New("dist: empty distribution")
-	ErrBadProb     = errors.New("dist: probabilities must be non-negative and sum to 1")
-	ErrBadValue    = errors.New("dist: values must be finite and non-negative")
-	ErrUnsupported = errors.New("dist: value not in support")
+	ErrEmpty    = errors.New("dist: empty distribution")
+	ErrBadProb  = errors.New("dist: probabilities must be non-negative and sum to 1")
+	ErrBadValue = errors.New("dist: values must be finite and non-negative")
 )
 
 // Outcome is one point of a (data rate, reward) distribution.
@@ -282,27 +281,6 @@ func (d *RateReward) RewardMassBelow(maxRate float64) float64 {
 		e += o.Prob * o.Reward
 	}
 	return e
-}
-
-// ProbRateAtMost returns P[rho <= maxRate].
-func (d *RateReward) ProbRateAtMost(maxRate float64) float64 {
-	p := 0.0
-	for _, o := range d.outcomes {
-		if o.Rate <= maxRate {
-			p += o.Prob
-		}
-	}
-	return p
-}
-
-// RewardFor returns the reward attached to an exact rate in the support.
-func (d *RateReward) RewardFor(rate float64) (float64, error) {
-	for _, o := range d.outcomes {
-		if o.Rate == rate {
-			return o.Reward, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: rate %v", ErrUnsupported, rate)
 }
 
 // Sample draws one (rate, reward) outcome by inverse-transform sampling.

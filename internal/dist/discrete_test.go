@@ -51,12 +51,8 @@ func TestMergeDuplicateRates(t *testing.T) {
 		t.Fatalf("support size %d, want 2 after merge", d.Len())
 	}
 	// Probability-weighted reward of the merged outcome: (100+300)/2.
-	rw, err := d.RewardFor(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rw-200) > 1e-9 {
-		t.Fatalf("merged reward %v, want 200", rw)
+	if o := d.Outcomes()[0]; o.Rate != 10 || math.Abs(o.Reward-200) > 1e-9 {
+		t.Fatalf("merged outcome %+v, want rate 10 at reward 200", o)
 	}
 }
 
@@ -116,16 +112,6 @@ func TestRewardMassBelow(t *testing.T) {
 		if got := d.RewardMassBelow(tc.maxRate); math.Abs(got-tc.want) > 1e-9 {
 			t.Fatalf("RewardMassBelow(%v) = %v, want %v", tc.maxRate, got, tc.want)
 		}
-	}
-	if got := d.ProbRateAtMost(20); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("P[rate<=20] = %v, want 0.5", got)
-	}
-}
-
-func TestRewardForUnsupported(t *testing.T) {
-	d := mustDist(t, []Outcome{{Rate: 10, Prob: 1, Reward: 5}})
-	if _, err := d.RewardFor(11); err == nil {
-		t.Fatal("want error for unsupported rate")
 	}
 }
 
@@ -230,7 +216,7 @@ func TestOutcomesCopy(t *testing.T) {
 	d := mustDist(t, []Outcome{{Rate: 10, Prob: 1, Reward: 5}})
 	outs := d.Outcomes()
 	outs[0].Reward = 999
-	if got, _ := d.RewardFor(10); got != 5 {
+	if got := d.Outcomes()[0].Reward; got != 5 {
 		t.Fatal("Outcomes must return a copy")
 	}
 }

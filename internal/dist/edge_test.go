@@ -172,21 +172,6 @@ func TestRewardMassAndCDFEdges(t *testing.T) {
 	if got, want := d.RewardMassBelow(50), d.ExpectedReward(); got != want {
 		t.Errorf("RewardMassBelow(50) = %v, want full mass %v", got, want)
 	}
-	if got := d.ProbRateAtMost(0); got != 0 {
-		t.Errorf("ProbRateAtMost(0) = %v, want 0", got)
-	}
-	if got := d.ProbRateAtMost(30); got != 0.25 {
-		t.Errorf("ProbRateAtMost(30) = %v, want 0.25", got)
-	}
-	if got := d.ProbRateAtMost(1000); got != 1 {
-		t.Errorf("ProbRateAtMost(1000) = %v, want 1", got)
-	}
-	if _, err := d.RewardFor(40); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("RewardFor(40) error %v, want ErrUnsupported", err)
-	}
-	if r, err := d.RewardFor(50); err != nil || r != 160 {
-		t.Errorf("RewardFor(50) = %v, %v, want 160, nil", r, err)
-	}
 }
 
 // TestSampleMassConservation: inverse-transform sampling must never

@@ -135,7 +135,7 @@ func Fig5(opts Options) (*Table, error) {
 				// DynamicRR is inherently online: replay the same requests
 				// with arrivals spread over the horizon.
 				spread := &instance{net: inst.net, reqs: workload.Clone(inst.reqs)}
-				if err := workload.ApplyArrivals(spread.reqs, workload.UniformArrivals{}, opts.Horizon, rand.New(rand.NewSource(seed))); err != nil {
+				if err := workload.ApplyArrivals(spread.reqs, opts.Horizon, rand.New(rand.NewSource(seed))); err != nil {
 					return nil, err
 				}
 				return opts.simulate(spread, seed)(sim.NewScheduler(algo))

@@ -1,10 +1,10 @@
 // Package graph provides weighted undirected graph primitives used to model
 // the backhaul network that interconnects base stations in an MEC network.
 //
-// The package is deliberately small and allocation-conscious: the offloading
-// algorithms in internal/core query shortest paths between every (user,
-// base station) pair, so the all-pairs structures built here are reused
-// across an entire experiment run.
+// The package is deliberately small: Eq. (2) reads only the shortest-path
+// delay between two stations, so the package computes the all-pairs
+// distance table (Distances) and the connected components, and keeps no
+// path trees. internal/mec builds the table once per network.
 package graph
 
 import (
@@ -38,7 +38,6 @@ type Graph struct {
 type halfEdge struct {
 	to     int
 	weight float64
-	idx    int // index into edge slice
 }
 
 // New returns an empty graph with n vertices and no edges.
@@ -79,73 +78,13 @@ func (g *Graph) AddEdge(u, v int, weight float64) (int, error) {
 	}
 	idx := len(g.edge)
 	g.edge = append(g.edge, Edge{U: u, V: v, Weight: weight})
-	g.adj[u] = append(g.adj[u], halfEdge{to: v, weight: weight, idx: idx})
-	g.adj[v] = append(g.adj[v], halfEdge{to: u, weight: weight, idx: idx})
+	g.adj[u] = append(g.adj[u], halfEdge{to: v, weight: weight})
+	g.adj[v] = append(g.adj[v], halfEdge{to: u, weight: weight})
 	return idx, nil
 }
 
-// HasEdge reports whether an edge between u and v exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
-	}
-	if len(g.adj[u]) > len(g.adj[v]) {
-		u, v = v, u
-	}
-	for _, he := range g.adj[u] {
-		if he.to == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Degree returns the number of incident edges of vertex u.
-func (g *Graph) Degree(u int) int {
-	if u < 0 || u >= g.n {
-		return 0
-	}
-	return len(g.adj[u])
-}
-
-// Neighbors returns the vertices adjacent to u in ascending order.
-func (g *Graph) Neighbors(u int) []int {
-	if u < 0 || u >= g.n {
-		return nil
-	}
-	out := make([]int, 0, len(g.adj[u]))
-	for _, he := range g.adj[u] {
-		out = append(out, he.to)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Connected reports whether the graph is connected. The empty graph and the
-// single-vertex graph are connected by convention.
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, he := range g.adj[u] {
-			if !seen[he.to] {
-				seen[he.to] = true
-				count++
-				stack = append(stack, he.to)
-			}
-		}
-	}
-	return count == g.n
-}
-
-// Components returns the connected components as slices of vertex indices.
+// Components returns the connected components, each in ascending vertex
+// order, ordered by their smallest vertex.
 func (g *Graph) Components() [][]int {
 	seen := make([]bool, g.n)
 	var comps [][]int

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,8 +13,8 @@ func TestNewEmpty(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 {
 		t.Fatalf("empty graph has N=%d M=%d", g.N(), g.M())
 	}
-	if !g.Connected() {
-		t.Fatal("empty graph should count as connected")
+	if d := g.Distances(); len(d) != 0 {
+		t.Fatalf("empty graph has a %d-entry distance table", len(d))
 	}
 	g = New(-5)
 	if g.N() != 0 {
@@ -47,74 +48,48 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
-func TestHasEdgeAndDegree(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 1, 2, 1)
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
-		t.Fatal("edge (0,1) should exist in both directions")
-	}
-	if g.HasEdge(0, 2) {
-		t.Fatal("edge (0,2) should not exist")
-	}
-	if g.HasEdge(0, 99) || g.HasEdge(-1, 0) {
-		t.Fatal("out-of-range HasEdge should be false")
-	}
-	if d := g.Degree(1); d != 2 {
-		t.Fatalf("degree(1) = %d, want 2", d)
-	}
-	if d := g.Degree(99); d != 0 {
-		t.Fatalf("degree(99) = %d, want 0", d)
-	}
-	if ns := g.Neighbors(1); len(ns) != 2 || ns[0] != 0 || ns[1] != 2 {
-		t.Fatalf("neighbors(1) = %v, want [0 2]", ns)
-	}
-}
-
 func TestDijkstraSimple(t *testing.T) {
 	// 0 -1- 1 -1- 2, plus a heavy shortcut 0-2 of weight 5.
 	g := New(3)
 	mustEdge(t, g, 0, 1, 1)
 	mustEdge(t, g, 1, 2, 1)
 	mustEdge(t, g, 0, 2, 5)
-	sp, err := g.Dijkstra(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Dist[2] != 2 {
-		t.Fatalf("dist(0, 2) = %v, want 2", sp.Dist[2])
-	}
-	if path := sp.PathTo(2); len(path) != 3 || path[0] != 0 || path[1] != 1 || path[2] != 2 {
-		t.Fatalf("path = %v, want [0 1 2]", path)
-	}
-	if edges := sp.EdgesTo(2); len(edges) != 2 {
-		t.Fatalf("edge path length %d, want 2", len(edges))
-	}
-	if edges := sp.EdgesTo(0); len(edges) != 0 {
-		t.Fatalf("edge path to source should be empty, got %v", edges)
-	}
+	wantTable(t, g.Distances(), []float64{
+		0, 1, 2,
+		1, 0, 1,
+		2, 1, 0,
+	})
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
 	g := New(3)
 	mustEdge(t, g, 0, 1, 1)
-	sp, err := g.Dijkstra(0)
-	if err != nil {
-		t.Fatal(err)
+	inf := math.Inf(1)
+	wantTable(t, g.Distances(), []float64{
+		0, 1, inf,
+		1, 0, inf,
+		inf, inf, 0,
+	})
+}
+
+// wantTable fails unless the n×n distance table d equals want entry for
+// entry.
+func wantTable(t *testing.T, d, want []float64) {
+	t.Helper()
+	if len(d) != len(want) {
+		t.Fatalf("table has %d entries, want %d", len(d), len(want))
 	}
-	if !math.IsInf(sp.Dist[2], 1) {
-		t.Fatalf("dist to isolated vertex = %v, want +Inf", sp.Dist[2])
-	}
-	if sp.PathTo(2) != nil {
-		t.Fatal("path to unreachable vertex should be nil")
-	}
-	if _, err := g.Dijkstra(7); err == nil {
-		t.Fatal("want error for out-of-range source")
+	n := int(math.Sqrt(float64(len(want))))
+	for i, w := range want {
+		if d[i] != w {
+			t.Fatalf("dist(%d, %d) = %v, want %v", i/n, i%n, d[i], w)
+		}
 	}
 }
 
-// TestDijkstraMatchesFloydWarshall cross-checks the two shortest-path
-// implementations on random graphs.
+// TestDijkstraMatchesFloydWarshall cross-checks Distances' table against
+// the Floyd-Warshall oracle on random graphs, disconnected pairs (+Inf)
+// included.
 func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	f := func(seed int64) bool {
@@ -131,10 +106,13 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 			}
 		}
 		fw := g.FloydWarshall()
-		ap := g.AllPairsShortestPaths()
+		dist := g.Distances()
+		if len(dist) != n*n {
+			return false
+		}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				d1, d2 := ap.Dist(u, v), fw[u][v]
+				d1, d2 := dist[u*n+v], fw[u][v]
 				if math.IsInf(d1, 1) != math.IsInf(d2, 1) {
 					return false
 				}
@@ -150,76 +128,17 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 	}
 }
 
-// TestPathWeightsMatchDist verifies that reconstructed paths really carry
-// the reported distance.
-func TestPathWeightsMatchDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := New(15)
-	for u := 0; u < 15; u++ {
-		for v := u + 1; v < 15; v++ {
-			if rng.Float64() < 0.3 {
-				mustEdge(t, g, u, v, 1+rng.Float64()*4)
-			}
-		}
-	}
-	ap := g.AllPairsShortestPaths()
-	edges := g.Edges()
-	for u := 0; u < 15; u++ {
-		for v := 0; v < 15; v++ {
-			if math.IsInf(ap.Dist(u, v), 1) {
-				continue
-			}
-			total := 0.0
-			for _, ei := range ap.PathEdges(u, v) {
-				total += edges[ei].Weight
-			}
-			if math.Abs(total-ap.Dist(u, v)) > 1e-9 {
-				t.Fatalf("path weight %v != dist %v for (%d, %d)", total, ap.Dist(u, v), u, v)
-			}
-		}
-	}
-}
-
 func TestComponents(t *testing.T) {
 	g := New(5)
 	mustEdge(t, g, 0, 1, 1)
 	mustEdge(t, g, 2, 3, 1)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v, want 3 groups", comps)
-	}
-	if g.Connected() {
-		t.Fatal("disconnected graph reported connected")
+	mustEdge(t, g, 4, 1, 1)
+	if got, want := fmt.Sprint(g.Components()), "[[0 1 4] [2 3]]"; got != want {
+		t.Fatalf("components = %s, want %s (each ascending, by smallest vertex)", got, want)
 	}
 	mustEdge(t, g, 1, 2, 1)
-	mustEdge(t, g, 3, 4, 1)
-	if !g.Connected() {
-		t.Fatal("connected graph reported disconnected")
-	}
-}
-
-func TestNearest(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 0, 2, 3)
-	mustEdge(t, g, 0, 3, 2)
-	ap := g.AllPairsShortestPaths()
-	got, d := ap.Nearest(0, []int{1, 2, 3})
-	if got != 1 || d != 1 {
-		t.Fatalf("nearest = (%d, %v), want (1, 1)", got, d)
-	}
-	// Excluding self: candidates contain only the source.
-	got, _ = ap.Nearest(0, []int{0})
-	if got != 0 {
-		t.Fatalf("nearest among {self} = %d, want 0", got)
-	}
-	// No reachable candidate.
-	g2 := New(3)
-	mustEdge(t, g2, 0, 1, 1)
-	ap2 := g2.AllPairsShortestPaths()
-	got, d = ap2.Nearest(0, []int{2})
-	if got != -1 || !math.IsInf(d, 1) {
-		t.Fatalf("nearest unreachable = (%d, %v), want (-1, +Inf)", got, d)
+	if got := g.Components(); len(got) != 1 || len(got[0]) != 5 {
+		t.Fatalf("connected graph has components %v", got)
 	}
 }
 

@@ -165,9 +165,6 @@ func NewProblem(sense Sense) *Problem {
 	return &Problem{sense: sense, mat: csr{ptr: []int{0}}}
 }
 
-// Sense returns the optimization direction.
-func (p *Problem) Sense() Sense { return p.sense }
-
 // NumVars returns the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.cols) }
 

@@ -66,12 +66,6 @@ func TestNetworkDefaults(t *testing.T) {
 	if net.SlotMHz() != DefaultSlotMHz || net.CUnit() != DefaultCUnit {
 		t.Fatalf("defaults not applied: slot=%v cunit=%v", net.SlotMHz(), net.CUnit())
 	}
-	if net.NumSlots(0) != 3 || net.NumSlots(1) != 1 {
-		t.Fatalf("slots = %d, %d; want 3, 1", net.NumSlots(0), net.NumSlots(1))
-	}
-	if got := net.SlotRate(2); got != 2*DefaultSlotMHz/DefaultCUnit {
-		t.Fatalf("SlotRate(2) = %v", got)
-	}
 	if got := net.RateToMHz(40); got != 800 {
 		t.Fatalf("RateToMHz(40) = %v, want 800", got)
 	}
@@ -92,6 +86,14 @@ func TestDelaysSymmetricAndTriangle(t *testing.T) {
 	for u := 0; u < 12; u++ {
 		if net.OneWayDelayMS(u, u) != 0 {
 			t.Fatalf("self delay nonzero at %d", u)
+		}
+		for _, out := range []int{-1, 12} {
+			if d := net.OneWayDelayMS(u, out); !math.IsInf(d, 1) {
+				t.Fatalf("delay %d->%d to an out-of-range station = %v, want +Inf", u, out, d)
+			}
+			if d := net.OneWayDelayMS(out, u); !math.IsInf(d, 1) {
+				t.Fatalf("delay %d->%d from an out-of-range station = %v, want +Inf", out, u, d)
+			}
 		}
 		for v := 0; v < 12; v++ {
 			duv, dvu := net.OneWayDelayMS(u, v), net.OneWayDelayMS(v, u)
@@ -129,6 +131,64 @@ func TestNeighborsByDistance(t *testing.T) {
 	}
 }
 
+// TestNearestStation pins NearestStation's rule on a star (0 joined to 1,
+// 2, 3 at delays 1, 3, 2) beside an isolated pair, and on a unit ring: the
+// closest candidate other than "from", ties to the earlier candidate,
+// "from" itself (at 0) only when no other candidate is reachable, and
+// (-1, +Inf) when none is.
+func TestNearestStation(t *testing.T) {
+	g := graph.New(6)
+	for _, e := range []graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 0, V: 2, Weight: 3}, {U: 0, V: 3, Weight: 2}, {U: 4, V: 5, Weight: 1}} {
+		if _, err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stations := make([]BaseStation, 6)
+	for i := range stations {
+		stations[i].CapacityMHz = 1000
+	}
+	net, err := NewNetwork(NetworkConfig{Stations: stations, Topo: &topology.Topology{Graph: g, Nodes: make([]topology.Node, 6)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		from       int
+		candidates []int
+		want       int
+		wantD      float64
+	}{
+		{0, []int{1, 2, 3}, 1, 1},
+		{0, []int{0, 3, 2}, 3, 2},
+		{2, []int{3, 1}, 1, 4},
+		{1, []int{2, 3}, 3, 3},
+		{0, []int{0}, 0, 0},
+		{0, []int{4, 0, 5}, 0, 0},
+		{0, []int{4, 5}, -1, math.Inf(1)},
+		{0, nil, -1, math.Inf(1)},
+	} {
+		got, d := net.NearestStation(tc.from, tc.candidates)
+		if got != tc.want || d != tc.wantD {
+			t.Errorf("NearestStation(%d, %v) = (%d, %v), want (%d, %v)", tc.from, tc.candidates, got, d, tc.want, tc.wantD)
+		}
+	}
+	// On a unit ring 1 and 3 both sit at delay 1 from 0.
+	ring := graph.New(4)
+	for i := 0; i < 4; i++ {
+		if _, err := ring.AddEdge(i, (i+1)%4, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rnet, err := NewNetwork(NetworkConfig{Stations: stations[:4], Topo: &topology.Topology{Graph: ring, Nodes: make([]topology.Node, 4)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cands := range [][]int{{3, 1}, {1, 3}} {
+		if got, d := rnet.NearestStation(0, cands); got != cands[0] || d != 1 {
+			t.Errorf("ring NearestStation(0, %v) = (%d, %v), want the earlier candidate %d at 1", cands, got, d, cands[0])
+		}
+	}
+}
+
 // referenceNeighbors is NeighborsByDistance as it stood while it sorted on
 // every call: the other stations in index order, insertion-sorted by
 // delay, so equal delays keep index order.
@@ -140,7 +200,7 @@ func referenceNeighbors(n *Network, from int) []int {
 		}
 	}
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && n.ap.Dist(from, out[j]) < n.ap.Dist(from, out[j-1]); j-- {
+		for j := i; j > 0 && n.delay[from*len(n.stations)+out[j]] < n.delay[from*len(n.stations)+out[j-1]]; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
@@ -419,12 +479,6 @@ func TestRealizeOnce(t *testing.T) {
 	r.ResetRealization()
 	if _, ok := r.Realized(); ok {
 		t.Fatal("ResetRealization did not clear state")
-	}
-	forced := first
-	forced.Reward = 123
-	r.ForceOutcome(forced)
-	if got, _ := r.Realized(); got.Reward != 123 {
-		t.Fatal("ForceOutcome not applied")
 	}
 }
 

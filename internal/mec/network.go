@@ -57,8 +57,8 @@ type BaseStation struct {
 	SpeedFactor float64
 }
 
-// Network is an MEC network: base stations plus backhaul shortest-path
-// structure. Build one per experiment and share it across algorithm runs.
+// Network is an MEC network: base stations plus their backhaul delay
+// table. Build one per experiment and share it across algorithm runs.
 // The topology and nominal capacities are immutable and all methods are
 // safe for concurrent reads; the one mutable knob is the per-station
 // capacity scale (SetCapacityScale), which models outages and degraded
@@ -68,7 +68,9 @@ type BaseStation struct {
 type Network struct {
 	stations []BaseStation
 	topo     *topology.Topology
-	ap       *graph.AllPairs
+	// delay is the one-way shortest-path backhaul delay between every
+	// station pair, row-major: delay[u*N+v] (graph.Distances).
+	delay []float64
 	// slotMHz is C_l, the capacity of one resource slot.
 	slotMHz float64
 	// cUnit is C_unit, MHz consumed per MB/s of data rate.
@@ -98,8 +100,8 @@ type NetworkConfig struct {
 	CUnit float64
 }
 
-// NewNetwork validates the configuration and precomputes all-pairs
-// shortest backhaul paths.
+// NewNetwork validates the configuration and precomputes the all-pairs
+// shortest-path backhaul delays.
 func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if len(cfg.Stations) == 0 {
 		return nil, ErrNoStations
@@ -133,12 +135,14 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	n := &Network{
 		stations: stations,
 		topo:     cfg.Topo,
-		ap:       cfg.Topo.Graph.AllPairsShortestPaths(),
+		delay:    cfg.Topo.Graph.Distances(),
 		slotMHz:  cfg.SlotMHz,
 		cUnit:    cfg.CUnit,
 	}
-	n.byDelay = make([]int, 0, len(stations)*len(stations))
+	k := len(stations)
+	n.byDelay = make([]int, 0, k*k)
 	for from := range stations {
+		row := n.delay[from*k : (from+1)*k]
 		n.byDelay = append(n.byDelay, from)
 		start := len(n.byDelay)
 		for i := range stations {
@@ -148,7 +152,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		}
 		// Stable: stations at equal delay keep index order.
 		slices.SortStableFunc(n.byDelay[start:], func(a, b int) int {
-			return cmp.Compare(n.ap.Dist(from, a), n.ap.Dist(from, b))
+			return cmp.Compare(row[a], row[b])
 		})
 	}
 	return n, nil
@@ -226,18 +230,6 @@ func (n *Network) SlotMHz() float64 { return n.slotMHz }
 // CUnit returns the MHz consumed per MB/s of data rate.
 func (n *Network) CUnit() float64 { return n.cUnit }
 
-// NumSlots returns L = floor(C(bs_i)/C_l) for station i, using the
-// effective (outage-scaled) capacity.
-func (n *Network) NumSlots(i int) int {
-	return int(n.Capacity(i) / n.slotMHz)
-}
-
-// SlotRate converts l resource slots of station capacity into the maximum
-// data rate they can process: l*C_l/C_unit MB/s.
-func (n *Network) SlotRate(l int) float64 {
-	return float64(l) * n.slotMHz / n.cUnit
-}
-
 // RateToMHz converts a data rate into its computing demand rho*C_unit.
 func (n *Network) RateToMHz(rate float64) float64 { return rate * n.cUnit }
 
@@ -285,12 +277,16 @@ func (n *Network) RequestMHz(r *Request, rate float64) float64 {
 
 // OneWayDelayMS returns the shortest-path one-way transmission delay of
 // rho_unit data between stations u and v (0 when u == v, +Inf when
-// disconnected).
+// disconnected or when either is out of range).
 func (n *Network) OneWayDelayMS(u, v int) float64 {
 	if u == v {
 		return 0
 	}
-	return n.ap.Dist(u, v)
+	k := len(n.stations)
+	if u < 0 || u >= k || v < 0 || v >= k {
+		return math.Inf(1)
+	}
+	return n.delay[u*k+v]
 }
 
 // RoundTripDelayMS is Eq. (2)'s transmission term: 2 * sum of per-link
@@ -300,10 +296,24 @@ func (n *Network) RoundTripDelayMS(u, v int) float64 {
 }
 
 // NearestStation returns the station closest (in backhaul delay) to "from"
-// among candidates, excluding "from" itself. Used by algorithm Heu to
-// migrate a task "to the closest base station" (Algorithm 2 step 13).
+// among candidates, with its delay: ties go to the earlier candidate,
+// "from" itself (at delay 0) is chosen only when no other candidate is
+// reachable, and (-1, +Inf) is returned when none is. Used by algorithm Heu to migrate a task
+// "to the closest base station" (Algorithm 2 step 13).
 func (n *Network) NearestStation(from int, candidates []int) (int, float64) {
-	return n.ap.Nearest(from, candidates)
+	best, bestD := -1, math.Inf(1)
+	for _, c := range candidates {
+		if c == from {
+			continue
+		}
+		if d := n.OneWayDelayMS(from, c); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	if best == -1 && slices.Contains(candidates, from) {
+		return from, 0
+	}
+	return best, bestD
 }
 
 // NeighborsByDistance returns all other stations sorted by ascending

@@ -127,13 +127,6 @@ func (r *Request) ResetRealization() {
 	r.outcome = dist.Outcome{}
 }
 
-// ForceOutcome fixes the realized outcome; tests use it to make rate
-// revelation deterministic.
-func (r *Request) ForceOutcome(o dist.Outcome) {
-	r.outcome = o
-	r.realized = true
-}
-
 // WorkMS returns W = Σ_k WorkMS, the pipeline's total nominal work.
 func (r *Request) WorkMS() float64 {
 	total := 0.0

@@ -130,9 +130,6 @@ func (d *DynamicRR) UncertaintyAware() bool { return true }
 // nil when a custom Learner (e.g. zooming) is in use.
 func (d *DynamicRR) Bandit() *bandit.Lipschitz { return d.lip }
 
-// Learner exposes the active threshold learner.
-func (d *DynamicRR) Learner() ThresholdLearner { return d.learner }
-
 // IncStats reports the decision cache's clean/dirty counters.
 func (d *DynamicRR) IncStats() core.IncStats { return d.inc.Stats() }
 

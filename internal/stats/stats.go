@@ -71,28 +71,6 @@ func (s *Summary) StdErr() float64 {
 // interval around the mean.
 func (s *Summary) CI95() float64 { return 1.96 * s.StdErr() }
 
-// Merge folds another summary into s (parallel Welford merge).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}
-
 // String formats the summary as "mean ± ci95 (n=N)".
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.3f ± %.3f (n=%d)", s.Mean(), s.CI95(), s.n)
@@ -122,18 +100,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs, 0 when empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // Sum returns the total of xs.

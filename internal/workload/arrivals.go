@@ -2,121 +2,38 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 
 	"mecoffload/internal/mec"
 )
 
-// ArrivalProcess generates request arrival slots over a horizon.
-type ArrivalProcess interface {
-	// Arrivals returns n non-decreasing arrival slots in [0, horizon).
-	Arrivals(n, horizon int, rng *rand.Rand) ([]int, error)
-}
-
-// UniformArrivals scatters arrivals independently and uniformly — the
-// default process of Generate when ArrivalHorizon is set.
-type UniformArrivals struct{}
-
-// Arrivals implements ArrivalProcess.
-func (UniformArrivals) Arrivals(n, horizon int, rng *rand.Rand) ([]int, error) {
-	if n < 0 || horizon <= 0 {
-		return nil, fmt.Errorf("%w: n=%d horizon=%d", ErrBadConfig, n, horizon)
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = rng.Intn(horizon)
-	}
-	insertionSortInts(out)
-	return out, nil
-}
-
-// PoissonArrivals draws inter-arrival gaps from an exponential
-// distribution with the rate implied by n/horizon, then rescales into the
-// horizon — a memoryless stream of AR session starts.
-type PoissonArrivals struct{}
-
-// Arrivals implements ArrivalProcess.
-func (PoissonArrivals) Arrivals(n, horizon int, rng *rand.Rand) ([]int, error) {
-	if n < 0 || horizon <= 0 {
-		return nil, fmt.Errorf("%w: n=%d horizon=%d", ErrBadConfig, n, horizon)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	// Sort of a Poisson bridge: cumulative exponential gaps normalized to
-	// the horizon keep exactly n arrivals while preserving the clumping
-	// statistics of a Poisson process.
-	gaps := make([]float64, n)
-	total := 0.0
-	for i := range gaps {
-		gaps[i] = rng.ExpFloat64()
-		total += gaps[i]
-	}
-	out := make([]int, n)
-	acc := 0.0
-	for i, g := range gaps {
-		acc += g
-		slot := int(acc / total * float64(horizon))
-		if slot >= horizon {
-			slot = horizon - 1
-		}
-		out[i] = slot
-	}
-	return out, nil
-}
-
-// BurstArrivals packs arrivals into a number of bursts (users joining a
-// shared AR session in waves), each burst spanning burstWidth slots.
-type BurstArrivals struct {
-	// Bursts is the number of waves (minimum 1).
-	Bursts int
-	// BurstWidth is the spread of each wave in slots (minimum 1).
-	BurstWidth int
-}
-
-// Arrivals implements ArrivalProcess.
-func (b BurstArrivals) Arrivals(n, horizon int, rng *rand.Rand) ([]int, error) {
-	if n < 0 || horizon <= 0 {
-		return nil, fmt.Errorf("%w: n=%d horizon=%d", ErrBadConfig, n, horizon)
-	}
-	bursts := b.Bursts
-	if bursts < 1 {
-		bursts = 1
-	}
-	width := b.BurstWidth
-	if width < 1 {
-		width = 1
-	}
-	out := make([]int, n)
-	for i := range out {
-		wave := i * bursts / int(math.Max(float64(n), 1))
-		start := wave * horizon / bursts
-		slot := start + rng.Intn(width)
-		if slot >= horizon {
-			slot = horizon - 1
-		}
-		out[i] = slot
-	}
-	insertionSortInts(out)
-	return out, nil
-}
-
-// ApplyArrivals re-draws the arrival slots of an existing workload using
-// the given process, preserving everything else. Request IDs are
+// ApplyArrivals re-draws the arrival slots of an existing workload
+// uniformly over [0, horizon), preserving everything else. Request IDs are
 // renumbered to match the new time order; realization state is cleared.
-func ApplyArrivals(reqs []*mec.Request, proc ArrivalProcess, horizon int, rng *rand.Rand) error {
-	arrivals, err := proc.Arrivals(len(reqs), horizon, rng)
-	if err != nil {
-		return err
+func ApplyArrivals(reqs []*mec.Request, horizon int, rng *rand.Rand) error {
+	if horizon <= 0 {
+		return fmt.Errorf("%w: n=%d horizon=%d", ErrBadConfig, len(reqs), horizon)
 	}
-	for i, r := range reqs {
-		r.ArrivalSlot = arrivals[i]
-		r.ResetRealization()
-	}
-	// The processes return sorted slots, so IDs stay aligned with time.
-	for i, r := range reqs {
-		r.ID = i
+	for i, slot := range drawArrivals(len(reqs), horizon, rng) {
+		reqs[i].ArrivalSlot = slot
+		reqs[i].ResetRealization()
+		// The slots are sorted, so IDs stay aligned with time.
+		reqs[i].ID = i
 	}
 	return nil
+}
+
+// drawArrivals returns n arrival slots drawn independently and uniformly
+// from [0, horizon), one rng.Intn each, sorted ascending; horizon 0 puts
+// every arrival at slot 0 and draws nothing.
+func drawArrivals(n, horizon int, rng *rand.Rand) []int {
+	out := make([]int, n)
+	if horizon > 0 {
+		for i := range out {
+			out[i] = rng.Intn(horizon)
+		}
+	}
+	slices.Sort(out)
+	return out
 }

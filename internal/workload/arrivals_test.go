@@ -6,73 +6,68 @@ import (
 	"testing/quick"
 )
 
-func checkArrivalInvariants(t *testing.T, name string, proc ArrivalProcess) {
-	t.Helper()
+// TestArrivalProcessInvariants: ApplyArrivals gives every request a slot
+// in [0, horizon), non-decreasing in request order, and refuses a zero
+// horizon.
+func TestArrivalProcessInvariants(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(200)
+		n := 1 + rng.Intn(200)
 		horizon := 1 + rng.Intn(150)
-		out, err := proc.Arrivals(n, horizon, rng)
+		reqs, err := Generate(Config{NumRequests: n, NumStations: 3}, rng)
 		if err != nil {
 			return false
 		}
-		if len(out) != n {
+		if err := ApplyArrivals(reqs, horizon, rng); err != nil {
 			return false
 		}
 		prev := 0
-		for _, a := range out {
-			if a < prev || a >= horizon {
+		for _, r := range reqs {
+			if r.ArrivalSlot < prev || r.ArrivalSlot >= horizon {
 				return false
 			}
-			prev = a
+			prev = r.ArrivalSlot
 		}
 		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatal(err)
 	}
-	if _, err := proc.Arrivals(5, 0, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatalf("%s: want error for zero horizon", name)
-	}
-}
-
-func TestArrivalProcessInvariants(t *testing.T) {
-	checkArrivalInvariants(t, "uniform", UniformArrivals{})
-	checkArrivalInvariants(t, "poisson", PoissonArrivals{})
-	checkArrivalInvariants(t, "burst", BurstArrivals{Bursts: 4, BurstWidth: 3})
-	checkArrivalInvariants(t, "burst-defaults", BurstArrivals{})
-}
-
-func TestBurstArrivalsClump(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	out, err := BurstArrivals{Bursts: 4, BurstWidth: 2}.Arrivals(100, 100, rng)
+	reqs, err := Generate(Config{NumRequests: 5, NumStations: 2}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All arrivals must land within the 4 waves' windows: [0,2), [25,27),
-	// [50,52), [75,77).
-	occupied := map[int]int{}
-	for _, a := range out {
-		occupied[a]++
-	}
-	if len(occupied) > 8 {
-		t.Fatalf("burst arrivals spread over %d distinct slots, want <= 8", len(occupied))
+	if err := ApplyArrivals(reqs, 0, rand.New(rand.NewSource(1))); err == nil {
+		t.Fatal("want error for zero horizon")
 	}
 }
 
-func TestPoissonArrivalsSpread(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	out, err := PoissonArrivals{}.Arrivals(300, 100, rng)
-	if err != nil {
-		t.Fatal(err)
+// TestDrawArrivalsMatchesReference: the one arrival draw that Generate
+// and ApplyArrivals share makes one rng.Intn(horizon) per request in
+// request order and sorts the slots, so it leaves what the reference loop
+// below (draw, then insertion sort) leaves from the same stream; horizon 0
+// draws nothing.
+func TestDrawArrivalsMatchesReference(t *testing.T) {
+	const n, horizon = 40, 25
+	want := make([]int, n)
+	rng := rand.New(rand.NewSource(9))
+	for i := range want {
+		want[i] = rng.Intn(horizon)
 	}
-	distinct := map[int]bool{}
-	for _, a := range out {
-		distinct[a] = true
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && want[j] < want[j-1]; j-- {
+			want[j], want[j-1] = want[j-1], want[j]
+		}
 	}
-	if len(distinct) < 50 {
-		t.Fatalf("poisson arrivals hit only %d distinct slots", len(distinct))
+	got := drawArrivals(n, horizon, rand.New(rand.NewSource(9)))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("slot %d = %d, want %d (draws %v, want %v)", i, got[i], want[i], got, want)
+		}
+	}
+	if zero := drawArrivals(3, 0, nil); zero[0] != 0 || zero[1] != 0 || zero[2] != 0 {
+		t.Fatalf("horizon 0 slots = %v, want all 0", zero)
 	}
 }
 
@@ -85,7 +80,7 @@ func TestApplyArrivals(t *testing.T) {
 	for _, r := range reqs {
 		r.Realize(rng)
 	}
-	if err := ApplyArrivals(reqs, BurstArrivals{Bursts: 3, BurstWidth: 2}, 60, rng); err != nil {
+	if err := ApplyArrivals(reqs, 60, rng); err != nil {
 		t.Fatal(err)
 	}
 	prev := 0

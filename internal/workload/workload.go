@@ -135,14 +135,8 @@ func Generate(cfg Config, rng *rand.Rand) ([]*mec.Request, error) {
 	}
 	stages := CanonicalPipeline()
 	reqs := make([]*mec.Request, cfg.NumRequests)
-	arrivals := make([]int, cfg.NumRequests)
-	for i := range arrivals {
-		if cfg.ArrivalHorizon > 0 {
-			arrivals[i] = rng.Intn(cfg.ArrivalHorizon)
-		}
-	}
 	// Non-decreasing arrivals keep request IDs aligned with time order.
-	insertionSortInts(arrivals)
+	arrivals := drawArrivals(cfg.NumRequests, cfg.ArrivalHorizon, rng)
 
 	for j := range reqs {
 		nTasks := cfg.MinTasks
@@ -229,12 +223,4 @@ func Clone(reqs []*mec.Request) []*mec.Request {
 		out[i] = r.CloneShallow()
 	}
 	return out
-}
-
-func insertionSortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -145,7 +145,7 @@ func NewScenario(cfg ScenarioConfig, rng *rand.Rand) (*Scenario, error) {
 		return nil, err
 	}
 	online := workload.Clone(offline)
-	if err := workload.ApplyArrivals(online, workload.UniformArrivals{}, cfg.ArrivalHorizon, rng); err != nil {
+	if err := workload.ApplyArrivals(online, cfg.ArrivalHorizon, rng); err != nil {
 		return nil, err
 	}
 	return &Scenario{
