@@ -88,6 +88,12 @@ func TestDelaysSymmetricAndTriangle(t *testing.T) {
 			t.Fatalf("self delay nonzero at %d", u)
 		}
 		for _, out := range []int{-1, 12} {
+			if d := net.OneWayDelayMS(out, out); !math.IsInf(d, 1) {
+				t.Fatalf("delay %d->%d, out of range both ways, = %v, want +Inf", out, out, d)
+			}
+			if d := net.RoundTripDelayMS(out, out); !math.IsInf(d, 1) {
+				t.Fatalf("round trip %d->%d, out of range both ways, = %v, want +Inf", out, out, d)
+			}
 			if d := net.OneWayDelayMS(u, out); !math.IsInf(d, 1) {
 				t.Fatalf("delay %d->%d to an out-of-range station = %v, want +Inf", u, out, d)
 			}

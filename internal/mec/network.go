@@ -276,15 +276,15 @@ func (n *Network) RequestMHz(r *Request, rate float64) float64 {
 }
 
 // OneWayDelayMS returns the shortest-path one-way transmission delay of
-// rho_unit data between stations u and v (0 when u == v, +Inf when
-// disconnected or when either is out of range).
+// rho_unit data between stations u and v: +Inf when either is out of
+// range or they are disconnected, else 0 when u == v.
 func (n *Network) OneWayDelayMS(u, v int) float64 {
-	if u == v {
-		return 0
-	}
 	k := len(n.stations)
 	if u < 0 || u >= k || v < 0 || v >= k {
 		return math.Inf(1)
+	}
+	if u == v {
+		return 0
 	}
 	return n.delay[u*k+v]
 }

@@ -179,13 +179,15 @@ func (e *Engine) install(ck *Checkpoint) error {
 
 	lives := make([]*liveState, len(reqs))
 	for i, cr := range reqs {
-		lives[i] = newRequest(cr.ExternalID, cr.ArrivalSlot, cr.Spec)
-		if cr.SubmittedSlot != nil {
-			lives[i].row.submitted = *cr.SubmittedSlot
-		}
+		lives[i] = &liveState{id: cr.ExternalID, spec: cr.Spec, arrival: cr.ArrivalSlot}
 	}
 	e.table.mu.Lock()
 	e.table.restore(lives)
+	for i, cr := range reqs {
+		if cr.SubmittedSlot != nil {
+			e.table.at(lives[i].row).submitted = *cr.SubmittedSlot
+		}
+	}
 	for _, s := range running {
 		if sv := reqs[s.Request].Served; sv != nil {
 			e.table.serving(s.Request, sv.DecisionSlot, sv.Station, sv.Reward, sv.LatencyMS)
@@ -223,9 +225,9 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 		if live == nil {
 			continue
 		}
-		row := live.row
+		row := e.table.at(live.row)
 		ck.Requests = append(ck.Requests, CheckpointRequest{
-			ExternalID:  row.id,
+			ExternalID:  live.id,
 			ArrivalSlot: live.arrival,
 			Running:     row.state == rowServing,
 			Spec:        live.spec,
@@ -247,7 +249,7 @@ func (e *Engine) snapshotState() (*Checkpoint, error) {
 			// of checkpointing an unrecoverable state.
 			return nil, fmt.Errorf("serve: running request %d missing from the request table", s.Request)
 		}
-		s.Request = int(live.row.id)
+		s.Request = int(live.id)
 		ck.Running = append(ck.Running, s)
 	}
 	return ck, nil

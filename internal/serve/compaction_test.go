@@ -26,7 +26,7 @@ func pendingHeld(e *Engine) map[uint64][]dist.Outcome {
 		for k := 0; k < r.Dist.Len(); k++ {
 			outcomes = append(outcomes, r.Dist.OutcomeAt(k))
 		}
-		out[e.table.byIdx[j].row.id] = outcomes
+		out[e.table.byIdx[j].id] = outcomes
 	}
 	return out
 }

@@ -186,21 +186,20 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) BatchResult {
 		ids = slices.Grow(ids, len(specs))[:len(specs)]
 	}
 	reqs := slices.Grow(e.reqBuf, len(specs))[:len(specs)]
-	// Rows and live parts come rowChunk at a time, not two allocations a
-	// line.
-	var rows []request
+	// Live parts come liveChunk at a time, not an allocation a line; the
+	// rows come from the table's slab, which recycles evicted ones.
 	var lives []liveState
 	for i, spec := range specs {
-		if len(rows) == 0 {
-			n := min(rowChunk, len(specs)-i)
-			rows, lives = make([]request, n), make([]liveState, n)
+		if len(lives) == 0 {
+			lives = make([]liveState, min(liveChunk, len(specs)-i))
 		}
 		ids[i] = e.takeID(ids[i], numbered)
-		reqs[i] = initRequest(&rows[0], &lives[0], ids[i], res.Slot, spec)
-		rows, lives = rows[1:], lives[1:]
+		lives[0] = liveState{id: ids[i], spec: spec}
+		reqs[i] = &lives[0]
+		lives = lives[1:]
 	}
 	e.table.mu.Lock()
-	e.table.insert(reqs...)
+	e.table.insert(res.Slot, reqs...)
 	e.table.mu.Unlock()
 
 	first := e.pumpSeq
@@ -219,7 +218,7 @@ func (e *Engine) pumpBatch(ids []uint64, specs []RequestSpec) BatchResult {
 		e.metrics.Shed.Add(uint64(n))
 		e.table.mu.Lock()
 		for _, victim := range e.shedBuf {
-			e.table.shed(victim.live.row, res.Slot)
+			e.table.shed(victim.live, res.Slot)
 			if victim.seq >= first {
 				res.Lost++
 			}
@@ -254,7 +253,7 @@ func (e *Engine) StagedDepth() int64 { return 0 }
 
 // ingestEntry is one request waiting at the door.
 type ingestEntry struct {
-	live    *liveState // its spec, and the way to its row in the request table
+	live    *liveState // its id, its spec, and its row in the request table
 	price   float64    // expected reward under the spec's demand distribution
 	seq     uint64     // door-local arrival ordinal: the drain order and the shed tie-break
 	enqNano int64      // enqueue timestamp for the intake-latency histogram

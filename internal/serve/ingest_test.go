@@ -136,7 +136,7 @@ func TestSubmitBatchShedsLowestReward(t *testing.T) {
 		t.Fatalf("submitted = %d, want 10 (2 flushed + 8 surviving batch)", got)
 	}
 	for i, id := range res.IDs[2:] {
-		if got := e.table.byIdx[2+i].row.id; got != id {
+		if got := e.table.byIdx[2+i].id; got != id {
 			t.Fatalf("price %d (id %d): planner index %d holds id %d", i+3, id, 2+i, got)
 		}
 	}

@@ -51,7 +51,7 @@ func TestUnselectedRequestsNeverBuilt(t *testing.T) {
 		if !ok || !played || len(info.Pending) == 0 {
 			return nil
 		}
-		id := func(j int) uint64 { return e.table.byIdx[j].row.id }
+		id := func(j int) uint64 { return e.table.byIdx[j].id }
 		order := slices.Clone(info.Pending)
 		slices.SortFunc(order, func(a, b int) int {
 			if c := cmp.Compare(rates[id(a)], rates[id(b)]); c != 0 {
@@ -67,7 +67,7 @@ func TestUnselectedRequestsNeverBuilt(t *testing.T) {
 		return nil
 	}
 	e = testEngine(t, Config{Net: testNetwork(t, stations), Rng: rand.New(rand.NewSource(5)), StepChecker: check})
-	e.onBuild = func(idx int) { built[e.table.byIdx[idx].row.id]++ }
+	e.onBuild = func(idx int) { built[e.table.byIdx[idx].id]++ }
 
 	arrivals := rand.New(rand.NewSource(6))
 	for slot := 0; slot < slots; slot++ {

@@ -99,7 +99,7 @@ func (e *Engine) admitTaken(taken []ingestEntry) {
 	e.table.admit(admitted)
 	if admitted < len(taken) {
 		for _, ent := range taken {
-			e.table.shed(ent.live.row, e.slot) // a row still at the door was refused
+			e.table.shed(ent.live, e.slot) // a row still at the door was refused
 		}
 	}
 	e.table.mu.Unlock()

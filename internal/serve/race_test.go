@@ -265,3 +265,88 @@ func TestBanditSnapshotWhileTicking(t *testing.T) {
 		t.Fatal("the learner never moved while it was snapshotted")
 	}
 }
+
+// TestSlabGrowsUnderReaders: 500-line batches grow the row slab's page
+// directory while the clock ticks — settle writes rows under the table
+// lock — and snapshots, which read the rows of the live requests under the
+// planner lock alone, and status lookups read rows under the read lock.
+// The door waits out a slot after each batch, so every batch meets a
+// snapshot the door's next batch is not ordered after. Under -race this
+// checks how the directory is published (a plain slice the door appends
+// to is reported on the first run): a reader holding an older directory
+// must never meet a write to it.
+func TestSlabGrowsUnderReaders(t *testing.T) {
+	e := testEngine(t, Config{})
+	const batches, perBatch = 40, 500
+	var wg sync.WaitGroup
+	ids := make(chan uint64, batches)
+	fed, stopped := make(chan struct{}), make(chan struct{})
+	wg.Add(1)
+	go func() { // the door
+		defer wg.Done()
+		defer close(fed)
+		specs := make([]RequestSpec, perBatch)
+		for b := 0; b < batches; b++ {
+			for i := range specs {
+				specs[i] = RequestSpec{AccessStation: (b + i) % 4, DurationSlots: 1 + i%3}
+			}
+			res, err := e.SubmitBatch(specs)
+			for errors.Is(err, ErrSaturated) {
+				runtime.Gosched()
+				res, err = e.SubmitBatch(specs)
+			}
+			if err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+			ids <- res.IDs[perBatch/2]
+			// Wait out a slot. The tick counter orders the clock's slot
+			// before the next batch, but not the snapshot after it.
+			for ticks := e.metrics.Ticks.Load(); e.metrics.Ticks.Load() == ticks; {
+				select {
+				case <-stopped:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}
+	}()
+	var overlapped int // slots the clock ran while the door was still feeding
+	wg.Add(1)
+	go func() { // the clock
+		defer wg.Done()
+		defer close(stopped)
+		for feeding := true; feeding; {
+			select {
+			case <-fed:
+				feeding = false
+			default:
+				overlapped++
+			}
+			if err := e.Tick(); err != nil {
+				t.Errorf("tick: %v", err)
+				return
+			}
+			if _, err := e.Snapshot(); err != nil {
+				t.Errorf("snapshot: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // status lookups
+		defer wg.Done()
+		for id := range ids {
+			if _, ok, err := e.Status(id); !ok || err != nil {
+				t.Errorf("status %d: ok=%v err=%v", id, ok, err)
+			}
+		}
+	}()
+	<-fed
+	close(ids)
+	wg.Wait()
+	if pages := len(*e.table.rows.pages.Load()); pages*pageRows < batches*perBatch || overlapped < batches {
+		t.Fatalf("the slab holds %d pages and the clock ran %d slots while it grew: the readers never met a growing directory", pages, overlapped)
+	}
+}

@@ -44,7 +44,7 @@ func (e *Engine) observe(t int, rep sim.SlotReport) {
 	if e.cfg.DecisionObserver != nil {
 		admitted := e.admittedBuf[:0]
 		for _, j := range rep.Admitted {
-			admitted = append(admitted, e.table.byIdx[j].row.id)
+			admitted = append(admitted, e.table.byIdx[j].id)
 		}
 		e.admittedBuf = admitted
 		e.cfg.DecisionObserver(t, admitted, rep.Reward)

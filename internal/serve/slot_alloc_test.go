@@ -23,8 +23,8 @@ import (
 // run in this order on purpose: the plain slot's count includes the
 // pooled slot scratch, which holds the slot LP's storage, growing to this
 // shape, and the oracle case then finds it grown. A run after the rest of
-// the package reads the same 31 / 107 today, a second run in the same
-// process 30 / 107: the plain count depends on what the pools kept.
+// the package reads the same 27 / 103 today: the plain count depends on
+// what the pools kept.
 func TestServeSlotAllocBudget(t *testing.T) {
 	if oracleEnv() {
 		t.Skip("MEC_ORACLE installs the per-slot checker on every engine")
@@ -41,8 +41,8 @@ func TestServeSlotAllocBudget(t *testing.T) {
 		check  sim.StepChecker
 		budget float64
 	}{
-		{"plain", nil, 31},
-		{"oracle", oracle.EngineChecker(), 107},
+		{"plain", nil, 27},
+		{"oracle", oracle.EngineChecker(), 103},
 	} {
 		e := newEngine(tc.check)
 		i := 0

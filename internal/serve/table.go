@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // The request table: everything one engine knows about a request, keyed
@@ -20,19 +21,22 @@ import (
 // the door inserts and sheds, the planner lock's holder does the rest.
 //
 // A row is found by its id's offset, as ids are handed out: they rise (1
-// in N of them at N shards), so the rows live in a window indexed by
-// id − base that grows at its young end, and eviction walks a cursor up
+// in N of them at N shards), so the rows' indices live in a window indexed
+// by id − base that grows at its young end, and eviction walks a cursor up
 // from base. The few rows whose ids are below base — live rows the cursor
 // stepped over, a concurrent batch's late inserts, rows the window's span
-// cap pushed out — sit in a small spill map, found by hash.
+// cap pushed out — sit in a small spill map, found by hash. A row holds no
+// id and no pointer: it lives in a slab of pages that never move, found by
+// a 4-byte index, and an evicted row's index is handed to the next request.
 //
 // The window, the spill and the rows are written and read under mu. byIdx
 // and the live parts belong to the planner lock (the door fills a row in
 // before the planner can take it from the door), so its holder reads them,
-// and a row's state, without the table lock. Transition methods expect the
-// caller to hold the write lock: once per batch at the door, once per take
-// from the door, once per slot that decided something, never on an idle
-// slot.
+// and the rows of the live parts it holds, without the table lock; the
+// slab publishes its page directory atomically for that. Transition
+// methods expect the caller to hold the write lock: once per batch at the
+// door, once per take from the door, once per slot that decided something,
+// never on an idle slot.
 
 // Request lifecycle states exposed by GET /v1/requests/{id}.
 const (
@@ -106,21 +110,22 @@ var stateNames = [...]string{
 // service, so its live part is held and its row is never evicted.
 func (s rowState) live() bool { return s <= rowServing }
 
-// request is one row: a RequestRecord with its state as a code, 56 bytes
-// that hold no pointer, so a settled request costs its row and its window
-// slot and nothing the garbage collector scans.
+// request is one row: a RequestRecord without its id, found by it (its
+// window offset or its spill key is the id), its state a code. 45 bytes
+// of fields in 48 that hold no pointer, 3 of them spare, so a settled
+// request costs its row and its window slot and nothing the garbage
+// collector scans.
 type request struct {
-	id                          uint64
 	reward, latencyMS           float64
 	submitted, decision, depart int
 	station                     int32
 	state                       rowState
 }
 
-// record renders the row as the status lookup answers it.
-func (r *request) record() RequestRecord {
+// record renders id's row as the status lookup answers it.
+func (r *request) record(id uint64) RequestRecord {
 	return RequestRecord{
-		ID:            r.id,
+		ID:            id,
 		State:         stateNames[r.state],
 		Station:       int(r.station),
 		SubmittedSlot: r.submitted,
@@ -132,29 +137,88 @@ func (r *request) record() RequestRecord {
 }
 
 // liveState is what the planner side needs of an undecided or in-service
-// request, and the way to its row.
+// request: its id, its spec and arrival, and the index of its row.
 type liveState struct {
-	row     *request
+	id      uint64
 	spec    RequestSpec
 	arrival int
+	row     int32
+}
+
+// liveChunk is how many live parts of a batch share one allocation: 64
+// of 96 bytes fill the 6 144-byte size class. A chunk is freed when the
+// last of its live parts settles, so one long-lived stream pins at most
+// liveChunk of them, not its batch's.
+const liveChunk = 64
+
+// pageRows is how many rows a slab page holds: 85 rows of 48 bytes fill
+// 4 080 of the 4 096-byte size class.
+const pageRows = 85
+
+type rowPage [pageRows]request
+
+// noRow is the row index that names no row: index 0 is never handed out,
+// so an empty ring slot or spill lookup reads it.
+const noRow int32 = 0
+
+// rowSlab holds a table's rows in pages that are never moved or freed
+// while the table lives: row i is slot i%pageRows of page i/pageRows. An
+// evicted row's index goes on free, which newRow takes from before it
+// carves a new row, so a table at its bound files a batch without
+// allocating a row. The page directory is published through an atomic
+// pointer and grown copy-on-write under the table lock, so the planner
+// lock's holder reads its own rows without the table lock while the door
+// grows the slab: a published directory is never written below its
+// length, and a page never moves.
+type rowSlab struct {
+	pages atomic.Pointer[[]*rowPage]
+	n     int32 // rows carved, the null row 0 included
+	free  []int32
+}
+
+// at is row i.
+func (s *rowSlab) at(i int32) *request {
+	return &(*s.pages.Load())[i/pageRows][i%pageRows]
+}
+
+// newRow hands out a row index: a freed one if any, else the next carved,
+// from a new page when the last is full.
+func (s *rowSlab) newRow() int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		return i
+	}
+	if s.n%pageRows == 0 {
+		var pages []*rowPage
+		if p := s.pages.Load(); p != nil {
+			pages = *p
+		}
+		pages = append(pages, new(rowPage))
+		s.pages.Store(&pages)
+		s.n = max(s.n, 1) // row 0 stays the null row
+	}
+	s.n++
+	return s.n - 1
 }
 
 type table struct {
 	mu     sync.RWMutex
 	closed bool
 	max    int
-	// The window covers the ids base..base+span-1: the row of id base+k
-	// sits k slots after head in the ring win, a nil slot is a hole (an id
-	// this engine never held, or a row gone). nwin counts its rows. The
+	rows   rowSlab
+	// The window covers the ids base..base+span-1: the row index of id
+	// base+k sits k slots after head in the ring win, noRow in a hole (an
+	// id this engine never held, or a row gone). nwin counts its rows. The
 	// ring keeps its storage as base slides up and grows only when the
 	// span outgrows it.
-	win              []*request
+	win              []int32
 	head, span, nwin int
 	base             uint64
-	// spill holds every row whose id is below base, and done its terminal
-	// rows as a min-heap on id: they are the oldest, so they are the first
-	// to go when the bound needs a place.
-	spill map[uint64]*request
+	// spill holds the row of every id below base, and done the ids of its
+	// terminal rows as a min-heap: they are the oldest, so they are the
+	// first to go when the bound needs a place.
+	spill map[uint64]int32
 	done  doneHeap
 	// byIdx maps a planner index to its request's live part, nil once
 	// that request settled. Compaction drops the nil entries in place, as
@@ -169,40 +233,19 @@ func newTable(max int, stations []StationGauge) *table {
 	return &table{max: max, stations: stations}
 }
 
-// rowChunk is how many rows of a batch share one allocation: 73 rows of
-// 56 bytes fill 4 088 of the 4 096-byte size class. Rows carved from one
-// chunk are freed together, when eviction has passed all of them; the
-// live parts come in chunks of the same count and are freed when the last
-// of them settles, so one long-lived stream pins at most rowChunk live
-// parts (6.4 KB), not its batch's.
-const rowChunk = 73
+// at is row i: under the table lock, or by the planner lock's holder for
+// the row of a live part it holds.
+func (t *table) at(i int32) *request { return t.rows.at(i) }
 
-// newRequest allocates a row at the door and its live part on their own
-// (a restore, and tests), and returns the live part, arriving in the slot
-// it was submitted in.
-func newRequest(id uint64, slot int, spec RequestSpec) *liveState {
-	live := initRequest(new(request), new(liveState), id, slot, spec)
-	live.arrival = slot
-	return live
-}
-
-// initRequest fills in a row at the door, and its live part, in storage
-// the caller provides.
-func initRequest(req *request, live *liveState, id uint64, slot int, spec RequestSpec) *liveState {
-	*req = request{id: id, station: -1, submitted: slot}
-	*live = liveState{row: req, spec: spec}
-	return live
-}
-
-// row is id's row, nil when the table holds none.
-func (t *table) row(id uint64) *request {
+// row is id's row index, noRow when the table holds none.
+func (t *table) row(id uint64) int32 {
 	if id < t.base {
 		return t.spill[id]
 	}
 	if k := id - t.base; k < uint64(t.span) {
 		return t.win[t.slot(int(k))]
 	}
-	return nil
+	return noRow
 }
 
 // slot is the ring index of the window's k-th id.
@@ -213,49 +256,31 @@ func (t *table) slot(k int) int {
 	return k
 }
 
-// insert files pending rows by id and enforces the bound: oldest terminal
-// record first, a live one never. Spilled terminal rows go first; then a
-// cursor moves base up the window, skipping holes, evicting terminal rows
-// and moving live ones to the spill, until the table fits (or the window
-// is empty). The cursor passes each id once, so one call costs the rows it
-// places and evicts plus the live rows it steps over for the first time,
-// whatever the table's size. An id whose row the table still holds, live
-// or terminal, is the caller's bug: ids are never reused.
-func (t *table) insert(lives ...*liveState) (evicted, skipped int) {
+// insert gives each new request a row at the door, submitted in slot,
+// files it by id, and enforces the bound (fit).
+func (t *table) insert(slot int, lives ...*liveState) (evicted, skipped int) {
 	for _, live := range lives {
-		t.place(live.row)
+		t.file(live, slot)
 	}
-	for t.nwin+len(t.spill) > t.max {
-		if len(t.done) > 0 {
-			delete(t.spill, heap.Pop(&t.done).(*request).id)
-			evicted++
-			continue
-		}
-		if t.nwin == 0 {
-			break // every row held is live and spilled
-		}
-		switch req := t.advance(); {
-		case req == nil:
-		case req.state.live():
-			t.toSpill(req)
-			skipped++
-		default:
-			evicted++
-		}
-	}
-	return evicted, skipped
+	return t.fit()
 }
 
-// place files one row: in the spill below base, else in the window, which
-// restarts at the id when it is empty, and slides up (spilling what it
-// passes) when the id lies more than its span cap above base.
-func (t *table) place(req *request) {
-	id := req.id
-	if t.row(id) != nil {
+// file gives a request its row, waiting at the door since submitted, and
+// files it: in the spill below base, else in the window, which restarts
+// at the id when it is empty, and slides up (spilling what it passes) when
+// the id lies more than its span cap above base. An id whose row the
+// table still holds, live or terminal, is the caller's bug: ids are never
+// reused.
+func (t *table) file(live *liveState, submitted int) {
+	id := live.id
+	if t.row(id) != noRow {
 		panic(fmt.Sprintf("serve: request id %d submitted twice", id))
 	}
+	r := t.rows.newRow()
+	*t.at(r) = request{station: -1, submitted: submitted}
+	live.row = r
 	if id < t.base {
-		t.toSpill(req)
+		t.toSpill(id, r)
 		return
 	}
 	if t.nwin == 0 {
@@ -269,8 +294,40 @@ func (t *table) place(req *request) {
 		t.grow(k + 1)
 	}
 	t.span = max(t.span, k+1)
-	t.win[t.slot(k)] = req
+	t.win[t.slot(k)] = r
 	t.nwin++
+}
+
+// fit enforces the bound: oldest terminal record first, a live one never.
+// Spilled terminal rows go first; then a cursor moves base up the window,
+// skipping holes, evicting terminal rows and moving live ones to the
+// spill, until the table fits (or the window is empty). The cursor passes
+// each id once, so one call costs the rows it evicts plus the live rows it
+// steps over for the first time, whatever the table's size. An evicted
+// row's index goes on the slab's free list.
+func (t *table) fit() (evicted, skipped int) {
+	for t.nwin+len(t.spill) > t.max {
+		if len(t.done) > 0 {
+			id := heap.Pop(&t.done).(uint64)
+			t.rows.free = append(t.rows.free, t.spill[id])
+			delete(t.spill, id)
+			evicted++
+			continue
+		}
+		if t.nwin == 0 {
+			break // every row held is live and spilled
+		}
+		switch id, r := t.advance(); {
+		case r == noRow:
+		case t.at(r).state.live():
+			t.toSpill(id, r)
+			skipped++
+		default:
+			t.rows.free = append(t.rows.free, r)
+			evicted++
+		}
+	}
+	return evicted, skipped
 }
 
 // slide moves base up to to, spilling every row it passes, and jumps
@@ -281,75 +338,78 @@ func (t *table) slide(to uint64) {
 			t.base, t.head, t.span = to, 0, 0
 			return
 		}
-		if req := t.advance(); req != nil {
-			t.toSpill(req)
+		if id, r := t.advance(); r != noRow {
+			t.toSpill(id, r)
 		}
 	}
 }
 
-// advance moves base one id up and returns the row it passed, if any.
-// The window holds a row, so its span is not empty.
-func (t *table) advance() *request {
-	req := t.win[t.head]
-	t.win[t.head] = nil
+// advance moves base one id up and returns that id and its row index
+// (noRow in a hole). The window holds a row, so its span is not empty.
+func (t *table) advance() (uint64, int32) {
+	id, r := t.base, t.win[t.head]
+	t.win[t.head] = noRow
 	if t.head++; t.head == len(t.win) {
 		t.head = 0
 	}
 	t.base++
 	t.span--
-	if req != nil {
+	if r != noRow {
 		t.nwin--
 	}
-	return req
+	return id, r
 }
 
 // grow gives the ring room for n ids, with a quarter to spare so the
 // span's jitter as base slides does not grow it again.
 func (t *table) grow(n int) {
-	win := make([]*request, max(n+n/4, 64))
+	win := make([]int32, max(n+n/4, 64))
 	k := copy(win, t.win[t.head:min(t.head+t.span, len(t.win))])
 	copy(win[k:], t.win[:t.span-k])
 	t.win, t.head = win, 0
 }
 
-// toSpill files a row whose id is below base.
-func (t *table) toSpill(req *request) {
+// toSpill files the row of an id below base.
+func (t *table) toSpill(id uint64, r int32) {
 	if t.spill == nil {
-		t.spill = make(map[uint64]*request)
+		t.spill = make(map[uint64]int32)
 	}
-	t.spill[req.id] = req
-	t.spilledDone(req)
+	t.spill[id] = r
+	t.spilledDone(id, r)
 }
 
 // spilledDone queues a terminal spilled row for eviction.
-func (t *table) spilledDone(req *request) {
-	if !req.state.live() && req.id < t.base {
-		heap.Push(&t.done, req)
+func (t *table) spilledDone(id uint64, r int32) {
+	if !t.at(r).state.live() && id < t.base {
+		heap.Push(&t.done, id)
 	}
 }
 
-// doneHeap orders rows by id, lowest first.
-type doneHeap []*request
+// doneHeap is a min-heap of ids.
+type doneHeap []uint64
 
 func (h doneHeap) Len() int           { return len(h) }
-func (h doneHeap) Less(i, j int) bool { return h[i].id < h[j].id }
+func (h doneHeap) Less(i, j int) bool { return h[i] < h[j] }
 func (h doneHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *doneHeap) Push(x any)        { *h = append(*h, x.(*request)) }
+func (h *doneHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
 func (h *doneHeap) Pop() any {
 	old := *h
-	req := old[len(old)-1]
-	old[len(old)-1] = nil
+	id := old[len(old)-1]
 	*h = old[:len(old)-1]
-	return req
+	return id
 }
 
 // restore loads a checkpoint's live requests, given in planner order,
-// into the empty table: inserted in id order, so the window starts at the
-// oldest, and attached pending at their positions.
+// into the empty table: filed in id order, so the window starts at the
+// oldest, each submitted in its arrival slot, and attached pending at
+// their positions.
 func (t *table) restore(lives []*liveState) {
 	byID := slices.Clone(lives)
-	slices.SortFunc(byID, func(a, b *liveState) int { return cmp.Compare(a.row.id, b.row.id) })
-	t.insert(byID...)
+	slices.SortFunc(byID, func(a, b *liveState) int { return cmp.Compare(a.id, b.id) })
+	for _, live := range byID {
+		t.file(live, live.arrival)
+	}
+	t.fit()
 	for _, live := range lives {
 		t.attach(live, live.arrival)
 	}
@@ -359,12 +419,13 @@ func (t *table) restore(lives []*liveState) {
 // shed drops a request still waiting at the door: an overload victim of
 // the door, or one the planner refused at ingest. A request the planner
 // holds is the scheduler's to decide.
-func (t *table) shed(req *request, slot int) {
+func (t *table) shed(live *liveState, slot int) {
+	req := t.at(live.row)
 	if req.state != rowDoor {
 		return
 	}
 	req.state, req.decision = rowShed, slot
-	t.spilledDone(req)
+	t.spilledDone(live.id, live.row)
 }
 
 // attach appends a request the planner now holds to byIdx: its index there
@@ -380,7 +441,7 @@ func (t *table) attach(live *liveState, arrival int) {
 // the take needs.
 func (t *table) admit(n int) {
 	for _, live := range t.byIdx[len(t.byIdx)-n:] {
-		live.row.state = rowPending
+		t.at(live.row).state = rowPending
 	}
 }
 
@@ -394,7 +455,7 @@ func (t *table) compact() {
 // serving: the request at planner index idx was admitted and survived
 // settlement.
 func (t *table) serving(idx, slot, station int, reward, latencyMS float64) {
-	req := t.byIdx[idx].row
+	req := t.at(t.byIdx[idx].row)
 	req.state, req.station, req.decision, req.reward, req.latencyMS = rowServing, int32(station), slot, reward, latencyMS
 }
 
@@ -402,15 +463,16 @@ func (t *table) serving(idx, slot, station int, reward, latencyMS float64) {
 // slot and drops its live part. The row is returned for the one field
 // some transitions add (an eviction at realization names its station).
 func (t *table) finish(idx int, state rowState, slot int) *request {
-	req := t.byIdx[idx].row
+	live := t.byIdx[idx]
 	t.byIdx[idx] = nil
+	req := t.at(live.row)
 	req.state = state
 	if state == rowCompleted {
 		req.depart = slot
 	} else {
 		req.decision = slot
 	}
-	t.spilledDone(req)
+	t.spilledDone(live.id, live.row)
 	return req
 }
 
@@ -422,11 +484,11 @@ func (t *table) status(id uint64) (RequestRecord, bool, error) {
 	if t.closed {
 		return RequestRecord{}, false, ErrStopped
 	}
-	req := t.row(id)
-	if req == nil {
+	r := t.row(id)
+	if r == noRow {
 		return RequestRecord{}, false, nil
 	}
-	return req.record(), true, nil
+	return t.at(r).record(id), true, nil
 }
 
 func (t *table) gauges() []StationGauge {

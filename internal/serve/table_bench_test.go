@@ -8,22 +8,20 @@ import (
 )
 
 // tableFeed drives a table as a shard's door does at steady state: batches
-// of rows at a fixed id stride (every id at 1 shard, one in N at N), each
-// row already settled, so every insert evicts as many rows as it places.
-// Rows come from a ring of storage longer than the bound plus two batches,
-// so a row is reused only after eviction has dropped it and the feed
-// itself allocates nothing.
+// of requests at a fixed id stride (every id at 1 shard, one in N at N),
+// each settled as soon as it is filed, so every insert evicts as many rows
+// as it places and takes its rows from those the last one evicted. The
+// feed's own live parts are reused batch after batch, so it allocates
+// nothing itself.
 type tableFeed struct {
 	tb         *table
-	pool       []request
-	next       int
 	id, stride uint64
 	lives      []liveState
 	batch      []*liveState
 }
 
 func newTableFeed(bound, batch int, stride uint64) *tableFeed {
-	f := &tableFeed{tb: newTable(bound, nil), pool: make([]request, bound+2*batch), stride: stride,
+	f := &tableFeed{tb: newTable(bound, nil), stride: stride,
 		lives: make([]liveState, batch), batch: make([]*liveState, batch)}
 	for range bound/batch + 2 {
 		f.insert()
@@ -31,26 +29,25 @@ func newTableFeed(bound, batch int, stride uint64) *tableFeed {
 	return f
 }
 
-// insert files the next batch and returns how many rows it evicted.
+// insert files the next batch, settles it, and returns how many rows it
+// evicted.
 func (f *tableFeed) insert() int {
 	for i := range f.batch {
-		req := &f.pool[f.next]
-		if f.next++; f.next == len(f.pool) {
-			f.next = 0
-		}
-		*req = request{id: f.id, state: rowCompleted}
+		f.lives[i] = liveState{id: f.id}
 		f.id += f.stride
-		f.lives[i].row = req
 		f.batch[i] = &f.lives[i]
 	}
-	evicted, _ := f.tb.insert(f.batch...)
+	evicted, _ := f.tb.insert(0, f.batch...)
+	for _, live := range f.batch {
+		f.tb.at(live.row).state = rowCompleted
+	}
 	return evicted
 }
 
 // BenchmarkTableInsert times one 500-row batch into a table at its bound,
 // full of terminal rows, at id strides 1, 2 and 8 (a shard's share at 1, 2
 // and 8 shards): ns per row, and index-B, the heap the table holds beyond
-// the rows themselves.
+// its slab's pages of rows.
 func BenchmarkTableInsert(b *testing.B) {
 	const batch = 500
 	for _, stride := range []uint64{1, 2, 8} {
@@ -62,7 +59,7 @@ func BenchmarkTableInsert(b *testing.B) {
 			f := newTableFeed(maxRecords, batch, stride)
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
-			rows := int64(len(f.pool)) * int64(unsafe.Sizeof(request{}))
+			rows := int64(len(*f.tb.rows.pages.Load())) * int64(unsafe.Sizeof(rowPage{}))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -78,7 +75,8 @@ func BenchmarkTableInsert(b *testing.B) {
 
 // TestTableInsertAllocs: at its bound, a table files a batch and evicts as
 // many rows without allocating, whatever the id stride: the window slides
-// over its ring and never regrows.
+// over its ring and never regrows, and the batch's rows are the ones the
+// last batch evicted.
 func TestTableInsertAllocs(t *testing.T) {
 	for _, stride := range []uint64{1, 2, 8} {
 		f := newTableFeed(4096, 500, stride)

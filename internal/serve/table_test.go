@@ -22,18 +22,32 @@ type modelRow struct {
 
 func (m modelRow) live() bool { return m.state.live() }
 
-// checkTableShape checks the window and the spill against each other: every
-// window row sits at its id's offset from base, every spilled id is below
-// base, the row counts add up, the ring is within its span cap, and the
-// eviction heap holds exactly the spill's terminal rows.
+// newRequest is a request's live part before the table files it: id,
+// spec and arrival slot, and no row yet.
+func newRequest(id uint64, slot int, spec RequestSpec) *liveState {
+	return &liveState{id: id, spec: spec, arrival: slot}
+}
+
+// checkTableShape checks the window, the spill and the slab against each
+// other: every window slot and spill entry names a carved row, no row is
+// named twice or both held and free, every carved row is held or free (so
+// eviction loses none), every spilled id is below base, the row counts add
+// up, the ring is within its span cap, and the eviction heap holds exactly
+// the spill's terminal ids.
 func checkTableShape(t *testing.T, tb *table) {
 	t.Helper()
+	named := map[int32]bool{}
+	claim := func(r int32, where string, id uint64) {
+		t.Helper()
+		if r <= noRow || r >= tb.rows.n || named[r] {
+			t.Fatalf("%s %d names row %d: not one of the %d carved, or named twice", where, id, r, tb.rows.n)
+		}
+		named[r] = true
+	}
 	nwin := 0
 	for k := 0; k < tb.span; k++ {
-		if req := tb.win[tb.slot(k)]; req != nil {
-			if req.id != tb.base+uint64(k) {
-				t.Fatalf("window slot %d past base %d holds id %d", k, tb.base, req.id)
-			}
+		if r := tb.win[tb.slot(k)]; r != noRow {
+			claim(r, "window id", tb.base+uint64(k))
 			nwin++
 		}
 	}
@@ -44,17 +58,24 @@ func checkTableShape(t *testing.T, tb *table) {
 		t.Fatalf("window spans %d ids in a ring of %d, cap %d", tb.span, len(tb.win), limit)
 	}
 	terminal := 0
-	for id, req := range tb.spill {
-		if id >= tb.base || req.id != id {
-			t.Fatalf("spill files row %d under %d, base %d", req.id, id, tb.base)
+	for id, r := range tb.spill {
+		if id >= tb.base {
+			t.Fatalf("spill files id %d, base %d", id, tb.base)
 		}
-		if !req.state.live() {
+		claim(r, "spilled id", id)
+		if !tb.at(r).state.live() {
 			terminal++
 		}
 	}
-	for _, req := range tb.done {
-		if req.state.live() || tb.spill[req.id] != req {
-			t.Fatalf("eviction heap holds row %d, which is not a terminal spilled row", req.id)
+	for k, r := range tb.rows.free {
+		claim(r, "free list entry", uint64(k))
+	}
+	if carved := int(tb.rows.n) - 1; len(named) != max(carved, 0) {
+		t.Fatalf("%d rows carved, %d held or free: a row leaked", carved, len(named))
+	}
+	for _, id := range tb.done {
+		if r, ok := tb.spill[id]; !ok || tb.at(r).state.live() {
+			t.Fatalf("eviction heap holds id %d, which is not a terminal spilled row", id)
 		}
 	}
 	if terminal != len(tb.done) {
@@ -70,7 +91,9 @@ func checkTableShape(t *testing.T, tb *table) {
 // take the lowest-id terminal record first; no insert steps over more rows
 // than are live, and no row is stepped over twice; inserting an id whose
 // row the table holds, live or terminal, in the window or in the spill,
-// panics and changes nothing; and the window and spill keep their shape.
+// panics and changes nothing; the window, the spill and the slab keep
+// their shape; and an evicted id answers unknown once its row index is
+// handed to a new request, at every stride and after a restore.
 // Ids come in the orders a cluster produces: a stride per seed (1, 2 and 8
 // as at 1, 2 and 8 shards), runs of holes (some past the window's span
 // cap), and batches reserved early but inserted after later ones — some
@@ -79,8 +102,11 @@ func checkTableShape(t *testing.T, tb *table) {
 func TestTableProperty(t *testing.T) {
 	const bound, maxLive, steps = 48, 24, 20000
 	var belowBase, steppedOver, settledInSpill, spilledTerminal, wrappedGrows, restores int
+	var reuses, reusesAfterRestore [3]int // by stride: 1, 2, 8
 	for seed := int64(1); seed <= 6; seed++ {
 		stride := []uint64{1, 2, 8}[seed%3]
+		freed := map[int32]uint64{} // row index -> the id last evicted from it
+		restored := false
 		rng := rand.New(rand.NewSource(seed))
 		tb := newTable(bound, nil)
 		model := map[uint64]*modelRow{}
@@ -121,7 +147,7 @@ func TestTableProperty(t *testing.T) {
 			tb.admit(1)
 		}
 		settle := func(m *modelRow, state rowState) {
-			if m.part.row.id < tb.base {
+			if m.part.id < tb.base {
 				settledInSpill++
 			}
 			m.state = state
@@ -165,7 +191,20 @@ func TestTableProperty(t *testing.T) {
 					inserted = append(inserted, id)
 				}
 				wrapped, ring := tb.head+tb.span > len(tb.win), len(tb.win)
-				evicted, skipped := tb.insert(reqs...)
+				evicted, skipped := tb.insert(slot, reqs...)
+				for _, live := range reqs {
+					old, ok := freed[live.row]
+					if !ok {
+						continue
+					}
+					delete(freed, live.row)
+					if reuses[seed%3]++; restored {
+						reusesAfterRestore[seed%3]++
+					}
+					if _, ok, err := tb.status(old); ok || err != nil {
+						t.Fatalf("seed %d step %d: evicted id %d answers (ok=%v err=%v) once its row went to id %d", seed, step, old, ok, err, live.id)
+					}
+				}
 				if wrapped && len(tb.win) > ring {
 					wrappedGrows++
 				}
@@ -183,6 +222,7 @@ func TestTableProperty(t *testing.T) {
 				keep := order[:0]
 				for _, id := range order {
 					if len(order)-want > bound && !model[id].live() {
+						freed[model[id].part.row] = id
 						delete(model, id)
 						want++
 						continue
@@ -214,21 +254,21 @@ func TestTableProperty(t *testing.T) {
 				}
 			case op == 7: // shed, aimed at a row in any state
 				if m := pick(func(*modelRow) bool { return true }); m != nil {
-					tb.shed(m.part.row, slot)
+					tb.shed(m.part, slot)
 					if m.state == rowDoor {
 						settle(m, rowShed)
 					}
 				}
 			case op == 8: // an id submitted twice, whatever its row's state
 				if m := pick(func(*modelRow) bool { return true }); m != nil {
-					id := m.part.row.id
+					id := m.part.id
 					func() {
 						defer func() {
 							if recover() == nil {
 								t.Fatalf("seed %d step %d: id %d inserted again while its %s row is held", seed, step, id, stateNames[m.state])
 							}
 						}()
-						tb.insert(newRequest(id, slot, RequestSpec{}))
+						tb.insert(slot, newRequest(id, slot, RequestSpec{}))
 					}()
 				}
 			case op == 9: // a run of ids routed elsewhere, now and then past the span cap
@@ -252,9 +292,9 @@ func TestTableProperty(t *testing.T) {
 					if live == nil {
 						continue
 					}
-					m := model[live.row.id]
+					m := model[live.id]
 					m.idx = len(rows)
-					m.part = newRequest(live.row.id, live.row.submitted, RequestSpec{})
+					m.part = newRequest(live.id, tb.at(live.row).submitted, RequestSpec{})
 					if m.state == rowServing {
 						serving = append(serving, m.idx)
 					}
@@ -262,6 +302,8 @@ func TestTableProperty(t *testing.T) {
 				}
 				tb = newTable(bound, nil)
 				tb.restore(rows)
+				clear(freed)
+				restored = true
 				for _, idx := range serving {
 					tb.serving(idx, slot, 1, 2.5, 7)
 				}
@@ -303,10 +345,11 @@ func TestTableProperty(t *testing.T) {
 			// live requests the planner holds.
 			for _, id := range order {
 				m := model[id]
-				req := tb.row(id)
-				if req != m.part.row {
+				r := tb.row(id)
+				if r != m.part.row {
 					t.Fatalf("seed %d step %d: id %d does not lead to its row", seed, step, id)
 				}
+				req := tb.at(r)
 				rec, ok, err := tb.status(id)
 				if err != nil || !ok || req.state != m.state || rec.State != stateNames[m.state] {
 					t.Fatalf("seed %d step %d: status(%d) = %+v ok=%v err=%v in state %d, model state %d", seed, step, id, rec, ok, err, req.state, m.state)
@@ -319,8 +362,8 @@ func TestTableProperty(t *testing.T) {
 				if live == nil {
 					continue
 				}
-				if m := model[live.row.id]; m == nil || !m.live() || m.idx != idx {
-					t.Fatalf("seed %d step %d: planner index %d holds id %d, which the model does not hold there", seed, step, idx, live.row.id)
+				if m := model[live.id]; m == nil || !m.live() || m.idx != idx {
+					t.Fatalf("seed %d step %d: planner index %d holds id %d, which the model does not hold there", seed, step, idx, live.id)
 				}
 			}
 		}
@@ -339,15 +382,16 @@ func TestTableProperty(t *testing.T) {
 		// The last id there is: the span cap keeps the window's arithmetic
 		// in range.
 		last := newRequest(math.MaxUint64, slot, RequestSpec{})
-		tb.insert(last)
+		tb.insert(slot, last)
 		checkTableShape(t, tb)
 		if tb.row(math.MaxUint64) != last.row {
 			t.Fatalf("seed %d: id 2^64-1 does not lead to its row", seed)
 		}
 	}
-	t.Logf("inserts below base %d, inserts stepping over live rows %d, settles in the spill %d, steps with terminal spilled rows %d, ring grown wrapped %d, restores %d",
-		belowBase, steppedOver, settledInSpill, spilledTerminal, wrappedGrows, restores)
-	if belowBase == 0 || steppedOver == 0 || settledInSpill == 0 || spilledTerminal == 0 || wrappedGrows == 0 || restores == 0 {
+	t.Logf("inserts below base %d, inserts stepping over live rows %d, settles in the spill %d, steps with terminal spilled rows %d, ring grown wrapped %d, restores %d, rows reused at strides 1/2/8 %v (after a restore %v)",
+		belowBase, steppedOver, settledInSpill, spilledTerminal, wrappedGrows, restores, reuses, reusesAfterRestore)
+	if belowBase == 0 || steppedOver == 0 || settledInSpill == 0 || spilledTerminal == 0 || wrappedGrows == 0 || restores == 0 ||
+		slices.Contains(reuses[:], 0) || slices.Contains(reusesAfterRestore[:], 0) {
 		t.Fatal("a case the window must handle never came up")
 	}
 }
@@ -362,7 +406,7 @@ func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 	tb := newTable(bound, nil)
 	for id := uint64(0); id < bound; id++ { // planner index id
 		req := newRequest(id, 0, RequestSpec{})
-		tb.insert(req)
+		tb.insert(0, req)
 		tb.attach(req, 0)
 		tb.admit(1)
 		if id >= 8 { // the eight oldest stay live, the rest settle
@@ -374,7 +418,7 @@ func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 		if id == bound {
 			want = 8
 		}
-		if evicted, skipped := tb.insert(newRequest(id, 2, RequestSpec{})); evicted != 1 || skipped != want {
+		if evicted, skipped := tb.insert(2, newRequest(id, 2, RequestSpec{})); evicted != 1 || skipped != want {
 			t.Fatalf("insert %d: evicted %d and stepped over %d rows, want 1 and %d", id, evicted, skipped, want)
 		}
 	}
@@ -383,7 +427,7 @@ func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 	for i := range batch {
 		batch[i] = newRequest(uint64(bound+100+i), 3, RequestSpec{})
 	}
-	if evicted, skipped := tb.insert(batch...); evicted != 50 || skipped != 0 {
+	if evicted, skipped := tb.insert(3, batch...); evicted != 50 || skipped != 0 {
 		t.Fatalf("batch insert: evicted %d and stepped over %d rows, want 50 and 0", evicted, skipped)
 	}
 	for id := uint64(0); id < 8; id++ {
@@ -395,7 +439,7 @@ func TestTableEvictionCostsWhatItEvicts(t *testing.T) {
 	for idx := range 3 {
 		tb.finish(idx, rowCompleted, 4)
 	}
-	if evicted, skipped := tb.insert(newRequest(bound+150, 4, RequestSpec{}), newRequest(bound+151, 4, RequestSpec{})); evicted != 2 || skipped != 0 {
+	if evicted, skipped := tb.insert(4, newRequest(bound+150, 4, RequestSpec{}), newRequest(bound+151, 4, RequestSpec{})); evicted != 2 || skipped != 0 {
 		t.Fatalf("insert after settling: evicted %d and stepped over %d rows, want 2 and 0", evicted, skipped)
 	}
 	for id, want := range []bool{false, false, true, true} {
@@ -528,13 +572,18 @@ func TestEntryPointsAgree(t *testing.T) {
 }
 
 // TestRequestRowIsCompact pins the row layout a settled request costs: at
-// most 56 bytes, no field the garbage collector would scan (so row chunks
-// are allocated noscan), and a full chunk within one row of the malloc
-// size class it lands in, so rounding wastes less than a row per chunk.
+// most 48 bytes, no id field (the id is where the table keeps the row's
+// index), no field the garbage collector would scan (so slab pages are
+// allocated noscan), and a page of pageRows rows within one row of the
+// malloc size class it lands in, so rounding wastes less than a row per
+// page.
 func TestRequestRowIsCompact(t *testing.T) {
 	size := unsafe.Sizeof(request{})
-	if size > 56 {
-		t.Errorf("a row is %d bytes, want at most 56", size)
+	if size > 48 {
+		t.Errorf("a row is %d bytes, want at most 48", size)
+	}
+	if _, ok := reflect.TypeOf(request{}).FieldByName("id"); ok {
+		t.Error("a row holds its id, which the table already knows it by")
 	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -552,7 +601,7 @@ func TestRequestRowIsCompact(t *testing.T) {
 	}
 	walk("request", reflect.TypeOf(request{}))
 
-	chunk := rowChunk * size
+	chunk := unsafe.Sizeof(rowPage{})
 	sample := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
 	metrics.Read(sample)
 	if sample[0].Value.Kind() != metrics.KindFloat64Histogram {
@@ -567,10 +616,57 @@ func TestRequestRowIsCompact(t *testing.T) {
 		}
 	}
 	if class == 0 {
-		t.Fatalf("a %d-byte chunk is past every small size class", chunk)
+		t.Fatalf("a %d-byte page is past every small size class", chunk)
 	}
 	if class-chunk >= size {
-		t.Errorf("%d rows of %d bytes fill %d bytes of a %d-byte size class: a row or more wasted per chunk", rowChunk, size, chunk, class)
+		t.Errorf("%d rows of %d bytes fill %d bytes of a %d-byte size class: a row or more wasted per page", pageRows, size, chunk, class)
 	}
-	t.Logf("%d rows of %d bytes: %d bytes in the %d-byte size class", rowChunk, size, chunk, class)
+	t.Logf("%d rows of %d bytes: %d bytes in the %d-byte size class", pageRows, size, chunk, class)
+}
+
+// TestFullTableRecyclesRows: once an engine's table is at its bound, a
+// 500-line SubmitBatch files its rows in those the eviction before it
+// freed — the slab carves no row and grows no page — and the evicted ids
+// answer unknown. The table is filled with the bound's worth of settled
+// rows, as a long-running daemon's is; the first batch past the bound
+// carves its rows, and evicts as many for the next batch to take.
+func TestFullTableRecyclesRows(t *testing.T) {
+	e := testEngine(t, Config{})
+	lives := make([]liveState, maxRecords)
+	e.table.mu.Lock()
+	for i := range lives {
+		lives[i].id = uint64(i)
+		e.table.insert(0, &lives[i])
+		e.table.at(lives[i].row).state = rowCompleted
+	}
+	e.table.mu.Unlock()
+	e.nextExt.Store(maxRecords)
+
+	specs := make([]RequestSpec, 500)
+	for i := range specs {
+		specs[i] = RequestSpec{AccessStation: i % 4, DurationSlots: 2}
+	}
+	submit := func() {
+		t.Helper()
+		if _, err := e.SubmitBatch(specs); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit()
+	carved, pages := e.table.rows.n, len(*e.table.rows.pages.Load())
+	for round := 1; round <= 4; round++ {
+		submit()
+		if n, p := e.table.rows.n, len(*e.table.rows.pages.Load()); n != carved || p != pages {
+			t.Fatalf("batch %d at the bound carved the slab from %d rows in %d pages to %d in %d", round, carved, pages, n, p)
+		}
+		if _, ok, _ := e.Status(uint64(500*(round+1) - 1)); ok {
+			t.Fatalf("batch %d: id %d, evicted, still answers", round, 500*(round+1)-1)
+		}
+	}
+	if want := int32(maxRecords + 500 + 1); carved != want {
+		t.Fatalf("the slab carved %d rows (the null row included), want the bound plus one batch, %d", carved, want)
+	}
 }

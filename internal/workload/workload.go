@@ -67,7 +67,7 @@ type Config struct {
 	// dollars. Zero values select [12, 15].
 	MinUnitReward, MaxUnitReward float64
 	// MinTasks and MaxTasks bound pipeline length. Zero values select
-	// [3, 5].
+	// [DefaultMinTasks, DefaultMaxTasks] = [4, 4].
 	MinTasks, MaxTasks int
 	// DeadlineMS is the latency requirement (zero selects 200 ms).
 	DeadlineMS float64

@@ -28,8 +28,8 @@ func TestGenerateDefaults(t *testing.T) {
 		if r.AccessStation < 0 || r.AccessStation >= 10 {
 			t.Fatalf("access station %d out of range", r.AccessStation)
 		}
-		if len(r.Tasks) != DefaultMinTasks {
-			t.Fatalf("pipeline length %d, want %d", len(r.Tasks), DefaultMinTasks)
+		if len(r.Tasks) != 4 {
+			t.Fatalf("pipeline length %d, want the zero config's [DefaultMinTasks, DefaultMaxTasks] = [4, 4]", len(r.Tasks))
 		}
 		if r.Tasks[0].Name != "render" {
 			t.Fatalf("first task %q, want render", r.Tasks[0].Name)
