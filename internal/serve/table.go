@@ -2,7 +2,6 @@ package serve
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"slices"
 	"sync"
@@ -308,7 +307,7 @@ func (t *table) file(live *liveState, submitted int) {
 func (t *table) fit() (evicted, skipped int) {
 	for t.nwin+len(t.spill) > t.max {
 		if len(t.done) > 0 {
-			id := heap.Pop(&t.done).(uint64)
+			id := t.done.pop()
 			t.rows.free = append(t.rows.free, t.spill[id])
 			delete(t.spill, id)
 			evicted++
@@ -381,21 +380,47 @@ func (t *table) toSpill(id uint64, r int32) {
 // spilledDone queues a terminal spilled row for eviction.
 func (t *table) spilledDone(id uint64, r int32) {
 	if !t.at(r).state.live() && id < t.base {
-		heap.Push(&t.done, id)
+		t.done.push(id)
 	}
 }
 
-// doneHeap is a min-heap of ids.
+// doneHeap is a min-heap of ids, kept by hand so that an id is never
+// boxed into an interface on its way in or out.
 type doneHeap []uint64
 
-func (h doneHeap) Len() int           { return len(h) }
-func (h doneHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h doneHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *doneHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
-func (h *doneHeap) Pop() any {
-	old := *h
-	id := old[len(old)-1]
-	*h = old[:len(old)-1]
+func (h *doneHeap) push(id uint64) {
+	*h = append(*h, id)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+func (h *doneHeap) pop() uint64 {
+	s := *h
+	id, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if s[i] <= s[c] {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
 	return id
 }
 
