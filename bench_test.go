@@ -254,16 +254,11 @@ func BenchmarkDynamicRRRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		workload.Reset(reqs)
 		sched, err := sim.NewDynamicRR(sim.DynamicRROptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := sim.NewEngine(net, reqs, rand.New(rand.NewSource(int64(i))), sim.Config{Horizon: 120})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Run(sched); err != nil {
+		if _, _, err := sim.Simulate(net, reqs, sched, rand.New(rand.NewSource(int64(i))), sim.RunOptions{Horizon: 120}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -474,12 +469,7 @@ func BenchmarkOnlineBaselines(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sched := range scheds {
-			workload.Reset(reqs)
-			eng, err := sim.NewEngine(net, reqs, rand.New(rand.NewSource(int64(i))), sim.Config{Horizon: 120})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.Run(sched); err != nil {
+			if _, _, err := sim.Simulate(net, reqs, sched, rand.New(rand.NewSource(int64(i))), sim.RunOptions{Horizon: 120}); err != nil {
 				b.Fatal(err)
 			}
 		}

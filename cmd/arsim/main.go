@@ -34,21 +34,17 @@ func main() {
 	}
 }
 
-// traceScheduler wraps a Scheduler and prints a line per slot it
-// schedules; the embedded Scheduler's Feedback feeds the wrapped learner.
-type traceScheduler struct {
-	sim.Scheduler
-	out io.Writer
-}
-
-func (ts *traceScheduler) Schedule(eng *sim.Engine, res *core.Result, t int, pending []int) ([]int, error) {
-	admitted, err := ts.Scheduler.Schedule(eng, res, t, pending)
-	if err != nil {
-		return nil, err
+// observe returns the step hook of an arsim run: after each slot settles
+// it feeds rec and, with out non-nil, writes the slot's trace line, both
+// only on slots where sched ran.
+func observe(sched sim.Scheduler, rec *sim.Recorder, out io.Writer) sim.StepChecker {
+	d, _ := sched.(*sim.DynamicRR)
+	return func(eng *sim.Engine, res *core.Result, rep sim.SlotReport, info sim.StepInfo) error {
+		if out != nil && len(info.Pending) > 0 {
+			sim.WriteTraceLine(out, rep.Slot, len(info.Pending), len(rep.Admitted), eng.Used(), eng.Net().TotalCapacity(), d)
+		}
+		return rec.Record(eng, res, rep, info)
 	}
-	d, _ := ts.Scheduler.(*sim.DynamicRR)
-	sim.WriteTraceLine(ts.out, t, len(pending), len(admitted), eng.Used(), eng.Net().TotalCapacity(), d)
-	return admitted, nil
 }
 
 func run(args []string, out io.Writer) (err error) {
@@ -139,17 +135,17 @@ func run(args []string, out io.Writer) (err error) {
 	if sched == nil {
 		return fmt.Errorf("unknown scheduler %q", *schedName)
 	}
+	var (
+		rec      sim.Recorder
+		traceOut io.Writer
+	)
 	if *trace {
-		sched = &traceScheduler{Scheduler: sched, out: out}
-	}
-	var rec *sim.Recorder
-	if *dumpJSON != "" {
-		rec = sim.NewRecorder(sched)
-		sched = rec
+		traceOut = out
 	}
 
 	simHorizon := *horizon + 20
-	res, _, err := sim.Simulate(net, reqs, sched, rnd.New(*seed, "engine"), sim.RunOptions{Horizon: simHorizon, Audit: true})
+	res, _, err := sim.Simulate(net, reqs, sched, rnd.New(*seed, "engine"),
+		sim.RunOptions{Horizon: simHorizon, Audit: true, StepChecker: observe(sched, &rec, traceOut)})
 	if err != nil {
 		return err
 	}
@@ -174,7 +170,7 @@ func run(args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		werr := sim.NewRunTrace(res, rec).WriteJSON(f)
+		werr := sim.NewRunTrace(res, &rec).WriteJSON(f)
 		cerr := f.Close()
 		if werr != nil {
 			return werr

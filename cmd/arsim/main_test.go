@@ -1,6 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -51,12 +54,12 @@ func TestRunTraceFlag(t *testing.T) {
 	}
 }
 
-// TestTraceFeedsLearner: the trace wrapper, alone and under -dump's
-// recorder, passes every slot's reward on to DynamicRR, so its bandit
-// plays once per traced slot and its per-arm plays equal those of the
-// unwrapped run on the same seed.
+// TestTraceFeedsLearner: arsim's step hook, which writes -trace's lines
+// and feeds -dump's recorder, only observes, so DynamicRR's bandit plays
+// once per traced slot and its per-arm plays equal those of a run with no
+// hook on the same seed.
 func TestTraceFeedsLearner(t *testing.T) {
-	run := func(wrap func(sim.Scheduler, *strings.Builder) sim.Scheduler) ([]int, int) {
+	run := func(observed bool) ([]int, int) {
 		rng := rnd.New(5, "scenario")
 		net, err := mec.RandomNetwork(6, 3000, 3600, rng)
 		if err != nil {
@@ -72,37 +75,39 @@ func TestTraceFeedsLearner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out strings.Builder
-		if _, _, err := sim.Simulate(net, reqs, wrap(d, &out), rnd.New(5, "engine"), sim.RunOptions{Horizon: 80}); err != nil {
+		var (
+			out  strings.Builder
+			rec  sim.Recorder
+			opts = sim.RunOptions{Horizon: 80}
+		)
+		if observed {
+			opts.StepChecker = observe(d, &rec, &out)
+		}
+		if _, _, err := sim.Simulate(net, reqs, d, rnd.New(5, "engine"), opts); err != nil {
 			t.Fatal(err)
+		}
+		lines := strings.Count(out.String(), "slot ")
+		if lines != len(rec.Samples()) {
+			t.Errorf("%d traced slots, %d recorded", lines, len(rec.Samples()))
 		}
 		pol := d.Bandit().Policy()
 		plays := make([]int, pol.NumArms())
 		for arm := range plays {
 			plays[arm] = pol.Plays(arm)
 		}
-		return plays, strings.Count(out.String(), "slot ")
+		return plays, lines
 	}
-	want, _ := run(func(s sim.Scheduler, _ *strings.Builder) sim.Scheduler { return s })
-	for name, wrap := range map[string]func(sim.Scheduler, *strings.Builder) sim.Scheduler{
-		"trace": func(s sim.Scheduler, out *strings.Builder) sim.Scheduler {
-			return &traceScheduler{Scheduler: s, out: out}
-		},
-		"trace+recorder": func(s sim.Scheduler, out *strings.Builder) sim.Scheduler {
-			return sim.NewRecorder(&traceScheduler{Scheduler: s, out: out})
-		},
-	} {
-		plays, lines := run(wrap)
-		total := 0
-		for _, p := range plays {
-			total += p
-		}
-		if lines == 0 || total != lines {
-			t.Errorf("%s: %d traced slots, %d bandit plays: want one play per traced slot", name, lines, total)
-		}
-		if !slices.Equal(plays, want) {
-			t.Errorf("%s: plays per arm %v, unwrapped run %v", name, plays, want)
-		}
+	want, _ := run(false)
+	plays, lines := run(true)
+	total := 0
+	for _, p := range plays {
+		total += p
+	}
+	if lines == 0 || total != lines {
+		t.Errorf("%d traced slots, %d bandit plays: want one play per traced slot", lines, total)
+	}
+	if !slices.Equal(plays, want) {
+		t.Errorf("plays per arm %v, unobserved run %v", plays, want)
 	}
 }
 
@@ -180,4 +185,49 @@ func firstLine(s string) string {
 		s = s[:i]
 	}
 	return s
+}
+
+// TestDefaultRunsPinned: at default flags each scheduler's summary line
+// (runtime stripped) and a digest of its -dump decisions keep the values
+// recorded here, so a change that should move no decision is checked
+// against them rather than by hand.
+func TestDefaultRunsPinned(t *testing.T) {
+	for _, tc := range []struct{ sched, summary, decisions string }{
+		{"dynamicrr", "DynamicRR over 140 slots: reward=$125674 served=265/300 admitted=300 avgLatency=79.0ms", "820f1d4507dc18ba"},
+		{"ocorp", "OCORP over 140 slots: reward=$121077 served=250/300 admitted=259 avgLatency=104.1ms", "4c0b9c5f4430c9f8"},
+		{"greedy", "Greedy over 140 slots: reward=$73541 served=152/300 admitted=152 avgLatency=79.7ms", "dd5415c3dc840709"},
+		{"heukkt", "HeuKKT over 140 slots: reward=$111960 served=228/300 admitted=228 avgLatency=94.6ms", "fc59db30a8b4b1f5"},
+	} {
+		dump := filepath.Join(t.TempDir(), "trace.json")
+		var out strings.Builder
+		if err := run([]string{"-scheduler", tc.sched, "-dump", dump}, &out); err != nil {
+			t.Fatalf("%s: %v", tc.sched, err)
+		}
+		if got := firstLine(out.String()); got != tc.summary {
+			t.Errorf("%s: summary %q, want %q", tc.sched, got, tc.summary)
+		}
+		if got := decisionDigest(t, dump); got != tc.decisions {
+			t.Errorf("%s: decision digest %s, want %s", tc.sched, got, tc.decisions)
+		}
+	}
+}
+
+// decisionDigest hashes the decisions of the run trace dumped at path.
+func decisionDigest(t *testing.T, path string) string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := sim.ReadRunTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(tr.Decisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:8])
 }

@@ -10,18 +10,25 @@ import (
 	"testing"
 )
 
-// gateRun is one `go test -run '<list>' <packages>` command of a gate.
+// gateRun is one `go test -run '<list>' <packages>` command of a gate, or
+// the `-bench '<list>'` of one; decl matches the functions its list names.
 type gateRun struct {
 	list string
+	decl *regexp.Regexp
 	pkgs []string
 }
 
-var runFlag = regexp.MustCompile(`-run\s+'([^']*)'`)
+var (
+	runFlag   = regexp.MustCompile(`-run\s+'([^']*)'`)
+	benchFlag = regexp.MustCompile(`-bench\s+'([^']*)'`)
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	benchFunc = regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+)
 
-// gateRuns reads the named -run lists out of a Makefile or a workflow file,
-// keyed by the gate (Makefile target or CI job) whose header, matched by
-// header, last preceded them. Lists holding regexp anchors ('^$': run no
-// test) name no test and are skipped.
+// gateRuns reads the named -run and -bench lists out of a Makefile or a
+// workflow file, keyed by the gate (Makefile target or CI job) whose
+// header, matched by header, last preceded them. -run lists holding regexp
+// anchors ('^$': run no test) name no test and are skipped.
 func gateRuns(t *testing.T, path string, header *regexp.Regexp) map[string][]gateRun {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -35,26 +42,24 @@ func gateRuns(t *testing.T, path string, header *regexp.Regexp) map[string][]gat
 		if m := header.FindStringSubmatch(line); m != nil {
 			gate = m[1]
 		}
-		m := runFlag.FindStringSubmatch(line)
-		if m == nil || strings.ContainsAny(m[1], "^$") {
-			continue
-		}
-		run := gateRun{list: m[1]}
+		var pkgs []string
 		for _, f := range strings.Fields(line) {
-			if strings.HasPrefix(f, "./") {
-				run.pkgs = append(run.pkgs, f)
+			if f == "." || strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
 			}
 		}
-		gates[gate] = append(gates[gate], run)
+		if m := runFlag.FindStringSubmatch(line); m != nil && !strings.ContainsAny(m[1], "^$") {
+			gates[gate] = append(gates[gate], gateRun{list: m[1], decl: testFunc, pkgs: pkgs})
+		}
+		if m := benchFlag.FindStringSubmatch(line); m != nil {
+			gates[gate] = append(gates[gate], gateRun{list: m[1], decl: benchFunc, pkgs: pkgs})
+		}
 	}
 	return gates
 }
 
-var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
-
-// testFuncs lists the Test and Fuzz functions declared in a package's test
-// files.
-func testFuncs(t *testing.T, pkg string) []string {
+// testFuncs lists the functions decl matches in a package's test files.
+func testFuncs(t *testing.T, pkg string, decl *regexp.Regexp) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
 	if err != nil || len(files) == 0 {
@@ -66,7 +71,7 @@ func testFuncs(t *testing.T, pkg string) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range testFunc.FindAllStringSubmatch(string(data), -1) {
+		for _, m := range decl.FindAllStringSubmatch(string(data), -1) {
 			names = append(names, m[1])
 		}
 	}
@@ -97,8 +102,8 @@ func ciJobs(t *testing.T, path string) map[string]string {
 // TestGateListsAgree: every gate is defined once, in the Makefile. Each
 // paired CI job runs its target, no CI job names tests of its own, and
 // every alternative of a target's -run list matches a Test or Fuzz
-// function in the target's packages. A name that matches nothing would
-// pass silently.
+// function in the target's packages, and of its -bench list a Benchmark
+// function there. A name that matches nothing would pass silently.
 func TestGateListsAgree(t *testing.T) {
 	makeGates := gateRuns(t, "Makefile", regexp.MustCompile(`^([a-z][a-z-]*):`))
 	for job, runs := range gateRuns(t, ".github/workflows/ci.yml", regexp.MustCompile(`^  ([a-z][a-z-]*):\s*$`)) {
@@ -129,15 +134,20 @@ func TestGateListsAgree(t *testing.T) {
 		}
 	}
 
-	funcs := map[string][]string{}
+	type pkgDecl struct {
+		pkg  string
+		decl *regexp.Regexp
+	}
+	funcs := map[pkgDecl][]string{}
 	for gate, runs := range makeGates {
 		for _, run := range runs {
 			var names []string
 			for _, pkg := range run.pkgs {
-				if funcs[pkg] == nil {
-					funcs[pkg] = testFuncs(t, pkg)
+				k := pkgDecl{pkg, run.decl}
+				if funcs[k] == nil {
+					funcs[k] = testFuncs(t, pkg, run.decl)
 				}
-				names = append(names, funcs[pkg]...)
+				names = append(names, funcs[k]...)
 			}
 			for _, alt := range strings.Split(run.list, "|") {
 				re, err := regexp.Compile(alt)
@@ -146,7 +156,7 @@ func TestGateListsAgree(t *testing.T) {
 					continue
 				}
 				if !slices.ContainsFunc(names, re.MatchString) {
-					t.Errorf("Makefile gate %s: %q matches no Test or Fuzz function in %v", gate, alt, run.pkgs)
+					t.Errorf("Makefile gate %s: %q matches no function declared in %v", gate, alt, run.pkgs)
 				}
 			}
 		}

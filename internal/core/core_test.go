@@ -239,4 +239,16 @@ func TestAuditCatchesViolations(t *testing.T) {
 	if err := Audit(net, reqs, res); err == nil {
 		t.Fatal("audit accepted corrupted total reward")
 	}
+	res.TotalReward -= 1
+	// A negative wait, which the timeline audit always refused, fails the
+	// offline audit too: both run one body.
+	for i := range res.Decisions {
+		if res.Decisions[i].Admitted {
+			res.Decisions[i].WaitSlots = -1
+			break
+		}
+	}
+	if err := Audit(net, reqs, res); err == nil {
+		t.Fatal("audit accepted a negative wait")
+	}
 }

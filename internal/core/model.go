@@ -186,18 +186,30 @@ func Evaluate(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.Rand) 
 // Audit verifies the physical consistency of an evaluated result: station
 // capacities are respected by the realized demands of served requests,
 // latency requirements hold, rewards match realizations, and counters
-// balance. It returns nil when feasible.
+// balance. It returns nil when feasible. Offline, every served request
+// occupies its stations at the one same instant.
 //
 // Tests and the experiment harness run Audit after every algorithm; it is
 // the executable form of the paper's feasibility lemmas.
 func Audit(n *mec.Network, reqs []*mec.Request, res *Result) error {
+	return AuditOver(n, reqs, res, func(*mec.Request, *Decision) (int, int) { return 0, 1 })
+}
+
+// AuditOver is the one body of Audit and of the simulator's timeline
+// audit: it runs Audit's checks with every served request holding its
+// realized task shares on its task stations over the slots [start, end)
+// that span returns, and fails when at any slot a station's load exceeds
+// its capacity.
+func AuditOver(n *mec.Network, reqs []*mec.Request, res *Result, span func(r *mec.Request, d *Decision) (start, end int)) error {
 	if len(res.Decisions) != len(reqs) {
 		return fmt.Errorf("core: audit: %d decisions for %d requests", len(res.Decisions), len(reqs))
 	}
-	used := make([]float64, n.NumStations())
+	// diff[i][t] is the change of station i's load at slot t.
+	diff := make([][]float64, n.NumStations())
 	totalReward := 0.0
 	served, admitted := 0, 0
-	for id, d := range res.Decisions {
+	for id := range res.Decisions {
+		d := &res.Decisions[id]
 		if d.RequestID != id {
 			return fmt.Errorf("core: audit: decision %d has request ID %d", id, d.RequestID)
 		}
@@ -212,6 +224,9 @@ func Audit(n *mec.Network, reqs []*mec.Request, res *Result) error {
 		admitted++
 		if d.Station < 0 || d.Station >= n.NumStations() {
 			return fmt.Errorf("core: audit: request %d on invalid station %d", id, d.Station)
+		}
+		if d.WaitSlots < 0 {
+			return fmt.Errorf("core: audit: request %d has negative wait %d", id, d.WaitSlots)
 		}
 		if len(d.TaskStations) != len(r.Tasks) {
 			return fmt.Errorf("core: audit: request %d has %d task placements for %d tasks",
@@ -239,11 +254,17 @@ func Audit(n *mec.Network, reqs []*mec.Request, res *Result) error {
 			return fmt.Errorf("core: audit: request %d reward %v != realized %v", id, d.Reward, out.Reward)
 		}
 		totalReward += d.Reward
+		start, end := span(r, d)
 		for k, st := range d.TaskStations {
 			if st < 0 || st >= n.NumStations() {
 				return fmt.Errorf("core: audit: request %d task %d on invalid station %d", id, k, st)
 			}
-			used[st] += n.TaskMHz(r, k, out.Rate)
+			if len(diff[st]) <= end {
+				diff[st] = append(diff[st], make([]float64, end+1-len(diff[st]))...)
+			}
+			mhz := n.TaskMHz(r, k, out.Rate)
+			diff[st][start] += mhz
+			diff[st][end] -= mhz
 		}
 	}
 	if math.Abs(totalReward-res.TotalReward) > 1e-6*(1+math.Abs(res.TotalReward)) {
@@ -253,9 +274,13 @@ func Audit(n *mec.Network, reqs []*mec.Request, res *Result) error {
 		return fmt.Errorf("core: audit: counts served=%d/%d admitted=%d/%d",
 			res.Served, served, res.Admitted, admitted)
 	}
-	for i, u := range used {
-		if u > n.Capacity(i) {
-			return fmt.Errorf("core: audit: station %d used %.1f MHz of %.1f by served requests", i, u, n.Capacity(i))
+	for i, dl := range diff {
+		load := 0.0
+		for t, dt := range dl {
+			load += dt
+			if load > n.Capacity(i) {
+				return fmt.Errorf("core: audit: station %d carries %.1f MHz of %.1f at slot %d", i, load, n.Capacity(i), t)
+			}
 		}
 	}
 	return nil

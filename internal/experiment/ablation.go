@@ -39,10 +39,8 @@ func AblationRounding(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !opts.SkipAudit {
-				if err := core.Audit(inst.net, inst.reqs, res); err != nil {
-					return nil, err
-				}
+			if err := core.Audit(inst.net, inst.reqs, res); err != nil {
+				return nil, err
 			}
 			return res, nil
 		})
@@ -169,7 +167,7 @@ func AblationRewardModel(opts Options) (*Table, error) {
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			rng := rand.New(rand.NewSource(runSeed(opts.Seed, 26, xi, rep, algoIndex(tbl, algo))))
-			return sim.RunOffline(algo, inst.net, inst.reqs, rng, !opts.SkipAudit)
+			return sim.RunOffline(algo, inst.net, inst.reqs, rng)
 		})
 	return tbl, err
 }
@@ -270,7 +268,7 @@ func AblationSlotSize(opts Options) (*Table, error) {
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			rng := rand.New(rand.NewSource(runSeed(opts.Seed, 24, xi, rep, algoIndex(tbl, algo))))
-			return sim.RunOffline(algo, inst.net, inst.reqs, rng, !opts.SkipAudit)
+			return sim.RunOffline(algo, inst.net, inst.reqs, rng)
 		})
 	return tbl, err
 }

@@ -40,7 +40,7 @@ func ExactGap(opts Options) (*Table, error) {
 			if algo == AlgoHindsight {
 				return hindsightResult(inst, seed)
 			}
-			return sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(seed)), !opts.SkipAudit)
+			return sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(seed)))
 		})
 	return tbl, err
 }

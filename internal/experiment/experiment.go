@@ -77,8 +77,6 @@ type Options struct {
 	Horizon int
 	// Parallel bounds worker goroutines (zero selects GOMAXPROCS).
 	Parallel int
-	// SkipAudit disables the per-run feasibility audit (benchmarks only).
-	SkipAudit bool
 }
 
 // fill rejects a negative size and replaces each zero one by its default.
@@ -182,7 +180,7 @@ func (o Options) simulate(inst *instance, seed int64) func(sim.Scheduler, error)
 			return nil, err
 		}
 		res, _, err := sim.Simulate(inst.net, inst.reqs, sched, rand.New(rand.NewSource(seed)),
-			sim.RunOptions{Horizon: o.Horizon + 20, Audit: !o.SkipAudit})
+			sim.RunOptions{Horizon: o.Horizon + 20, Audit: true})
 		return res, err
 	}
 }

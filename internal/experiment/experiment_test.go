@@ -150,7 +150,7 @@ func TestUnknownAlgorithm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []string{"Nope", AlgoDynamicRR, AlgoFullResolve} {
-		_, err := sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(1)), false)
+		_, err := sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(1)))
 		if !errors.Is(err, ErrUnknownAlgorithm) {
 			t.Errorf("offline %s: %v, want ErrUnknownAlgorithm", algo, err)
 		}

@@ -76,7 +76,7 @@ func Fig3(opts Options) (*Table, error) {
 		func(inst *instance, algo string, x float64, rep int) (*core.Result, error) {
 			xi := indexOf(xs, x)
 			rng := rand.New(rand.NewSource(runSeed(opts.Seed, 3, xi, rep, algoIndex(tbl, algo))))
-			return sim.RunOffline(algo, inst.net, inst.reqs, rng, !opts.SkipAudit)
+			return sim.RunOffline(algo, inst.net, inst.reqs, rng)
 		})
 	return tbl, err
 }
@@ -140,7 +140,7 @@ func Fig5(opts Options) (*Table, error) {
 				}
 				return opts.simulate(spread, seed)(sim.NewScheduler(algo))
 			}
-			return sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(seed)), !opts.SkipAudit)
+			return sim.RunOffline(algo, inst.net, inst.reqs, rand.New(rand.NewSource(seed)))
 		})
 	return tbl, err
 }

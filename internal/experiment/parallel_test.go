@@ -42,7 +42,7 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 		t.Run(fig.name, func(t *testing.T) {
 			var want string
 			for _, workers := range []int{1, 2, 8} {
-				tbl, err := fig.run(Options{Repetitions: 2, Seed: 123, Parallel: workers, SkipAudit: true})
+				tbl, err := fig.run(Options{Repetitions: 2, Seed: 123, Parallel: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -32,10 +32,11 @@ func ReferenceDynamicRR(opts sim.DynamicRROptions) (*sim.DynamicRR, error) {
 	return sched, nil
 }
 
-// incRun executes one DynamicRR simulation — the production scheduler, or
-// the reference when reference is set — and returns the result, the
-// per-slot reward vector, and the scheduler (for its cache counters).
-func incRun(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions, reference bool) (*core.Result, []float64, *sim.DynamicRR, error) {
+// incRun executes one DynamicRR simulation of cloned requests — the
+// production scheduler, or the reference when reference is set — and
+// returns the result, the per-slot reward vector, and the scheduler (for
+// its cache counters).
+func incRun(n *mec.Network, reqs []*mec.Request, seed int64, horizon int, dopts sim.DynamicRROptions, reference bool) (*core.Result, []float64, *sim.DynamicRR, error) {
 	mk := sim.NewDynamicRR
 	if reference {
 		mk = ReferenceDynamicRR
@@ -44,16 +45,12 @@ func incRun(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dop
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	eng, err := sim.NewEngine(n, workload.Clone(reqs), rnd.New(seed, "engine"), cfg)
+	res, rewards, err := sim.Simulate(n, workload.Clone(reqs), sched, rnd.New(seed, "engine"),
+		sim.RunOptions{Horizon: horizon, StepChecker: EngineChecker()})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	eng.SetStepChecker(EngineChecker())
-	res, err := eng.Run(sched)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, eng.SlotRewards(), sched, nil
+	return res, rewards, sched, nil
 }
 
 // diffRuns compares two runs decision for decision.
@@ -83,14 +80,14 @@ func diffRuns(aName, bName string, a, b *core.Result, aRew, bRew []float64) erro
 // exercised the cache (CleanHits > 0): a trace where every component is
 // always dirty proves nothing.
 //
-// dopts carries the scheduler configuration both runs share (rounding
-// denominator, bandit shape).
-func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions) error {
-	full, fullRew, _, err := incRun(n, reqs, seed, cfg, dopts, true)
+// Both run horizon slots; dopts carries the scheduler configuration they
+// share (rounding denominator, bandit shape).
+func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, horizon int, dopts sim.DynamicRROptions) error {
+	full, fullRew, _, err := incRun(n, reqs, seed, horizon, dopts, true)
 	if err != nil {
 		return fmt.Errorf("oracle: full re-solve run: %w", err)
 	}
-	inc, incRew, sched, err := incRun(n, reqs, seed, cfg, dopts, false)
+	inc, incRew, sched, err := incRun(n, reqs, seed, horizon, dopts, false)
 	if err != nil {
 		return fmt.Errorf("oracle: reuse run: %w", err)
 	}

@@ -23,7 +23,7 @@ import (
 // denominator 1 keeps admission deterministic so the waves stay aligned.
 func TestDiffIncrementalFull(t *testing.T) {
 	net, reqs := periodicIslands(t, 6, 4)
-	err := DiffIncrementalFull(net, reqs, 83, sim.Config{Horizon: 50},
+	err := DiffIncrementalFull(net, reqs, 83, 50,
 		sim.DynamicRROptions{RoundingDenominator: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestDiffIncrementalGenericWorkload(t *testing.T) {
 		NumStations:    8,
 		ArrivalHorizon: 25,
 	}, 82)
-	err := DiffIncrementalFull(n, reqs, 83, sim.Config{Horizon: 60}, sim.DynamicRROptions{})
+	err := DiffIncrementalFull(n, reqs, 83, 60, sim.DynamicRROptions{})
 	if err != nil && !errors.Is(err, ErrNoCleanHits) {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func dirtySetDraw(t *testing.T, seed int64, stations, requests, horizon, waves u
 	nSt := int(stations)%12 + 1
 	if nWaves := int(waves) % 8; nWaves >= 3 {
 		net, reqs := periodicIslands(t, nSt, nWaves)
-		return DiffIncrementalFull(net, reqs, seed, sim.Config{Horizon: 8*nWaves + 10},
+		return DiffIncrementalFull(net, reqs, seed, 8*nWaves+10,
 			sim.DynamicRROptions{RoundingDenominator: 1})
 	}
 	nReq := int(requests)%100 + 1
@@ -146,7 +146,7 @@ func dirtySetDraw(t *testing.T, seed int64, stations, requests, horizon, waves u
 		NumStations:    nSt,
 		ArrivalHorizon: hor,
 	}, seed+1)
-	return DiffIncrementalFull(n, reqs, seed+2, sim.Config{Horizon: hor + 20}, sim.DynamicRROptions{})
+	return DiffIncrementalFull(n, reqs, seed+2, hor+20, sim.DynamicRROptions{})
 }
 
 // waveDraws are FuzzDirtySet's curated draws with a repeating wave.

@@ -356,18 +356,10 @@ func TestDynamicRRInvariantsOnline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		horizon := 50
-		eng, err := sim.NewEngine(net, reqs, rand.New(rand.NewSource(seed+2)), sim.Config{Horizon: horizon})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetStepChecker(EngineChecker())
-		res, err := eng.Run(sched)
+		_, _, err = sim.Simulate(net, reqs, sched, rand.New(rand.NewSource(seed+2)),
+			sim.RunOptions{Horizon: 50, Audit: true, StepChecker: EngineChecker()})
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
-		}
-		if err := sim.AuditTimeline(net, reqs, res, horizon); err != nil {
-			t.Fatalf("instance %d timeline audit: %v", k, err)
 		}
 	}
 }
@@ -389,18 +381,10 @@ func TestNaiveSchedulerInvariantsOnline(t *testing.T) {
 			NumStations:    stations,
 			ArrivalHorizon: 15,
 		}, seed+1)
-		horizon := 45
-		eng, err := sim.NewEngine(net, reqs, rand.New(rand.NewSource(seed+2)), sim.Config{Horizon: horizon})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetStepChecker(EngineChecker())
-		res, err := eng.Run(NaiveScheduler{})
+		_, _, err := sim.Simulate(net, reqs, NaiveScheduler{}, rand.New(rand.NewSource(seed+2)),
+			sim.RunOptions{Horizon: 45, Audit: true, StepChecker: EngineChecker()})
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
-		}
-		if err := sim.AuditTimeline(net, reqs, res, horizon); err != nil {
-			t.Fatalf("instance %d timeline audit: %v", k, err)
 		}
 	}
 }
@@ -669,9 +653,14 @@ func TestEngineCheckerCatchesUnreportedAdmission(t *testing.T) {
 	for _, hide := range []bool{false, true} {
 		net := oracleNet(t, 2, 5)
 		reqs := oracleWorkload(t, workload.Config{NumRequests: 3, NumStations: 2, ArrivalHorizon: 1}, 6)
-		eng, err := sim.NewEngine(net, reqs, rand.New(rand.NewSource(1)), sim.Config{Horizon: 1})
+		eng, err := sim.NewLiveEngine(net, rand.New(rand.NewSource(1)), 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, r := range reqs {
+			if err := eng.Append(r); err != nil {
+				t.Fatal(err)
+			}
 		}
 		eng.SetStepChecker(EngineChecker())
 		res := core.NewResult("hide", len(reqs))

@@ -177,27 +177,19 @@ func FrameReplay(net *mec.Network, tr *workload.FrameTrace, seed int64, slotMS f
 }
 
 // RecordReplay is the determinism checker: it runs the same workload
-// through a freshly built engine and scheduler twice — cloned requests,
-// identical seeds — and requires the two runs' decision tables, rewards,
-// and per-slot reward vectors to match bit for bit. Any hidden
-// nondeterminism in the solver or scheduler (map iteration leaking into
-// decisions, uncontrolled randomness) surfaces as a diff.
-func RecordReplay(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, mk func() (sim.Scheduler, error)) error {
+// over horizon slots through a freshly built engine and scheduler twice —
+// cloned requests, identical seeds — and requires the two runs' decision
+// tables, rewards, and per-slot reward vectors to match bit for bit. Any
+// hidden nondeterminism in the solver or scheduler (map iteration leaking
+// into decisions, uncontrolled randomness) surfaces as a diff.
+func RecordReplay(n *mec.Network, reqs []*mec.Request, seed int64, horizon int, mk func() (sim.Scheduler, error)) error {
 	run := func() (*core.Result, []float64, error) {
 		sched, err := mk()
 		if err != nil {
 			return nil, nil, err
 		}
-		eng, err := sim.NewEngine(n, workload.Clone(reqs), rnd.New(seed, "engine"), cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng.SetStepChecker(EngineChecker())
-		res, err := eng.Run(sched)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, eng.SlotRewards(), nil
+		return sim.Simulate(n, workload.Clone(reqs), sched, rnd.New(seed, "engine"),
+			sim.RunOptions{Horizon: horizon, StepChecker: EngineChecker()})
 	}
 	resA, rewA, err := run()
 	if err != nil {

@@ -89,13 +89,13 @@ func TestRecordReplaySchedulers(t *testing.T) {
 		mk := func() (sim.Scheduler, error) {
 			return sim.NewDynamicRR(sim.DynamicRROptions{})
 		}
-		if err := RecordReplay(net, reqs, 502, sim.Config{Horizon: 60}, mk); err != nil {
+		if err := RecordReplay(net, reqs, 502, 60, mk); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("naive", func(t *testing.T) {
 		mk := func() (sim.Scheduler, error) { return NaiveScheduler{}, nil }
-		if err := RecordReplay(net, reqs, 503, sim.Config{Horizon: 60}, mk); err != nil {
+		if err := RecordReplay(net, reqs, 503, 60, mk); err != nil {
 			t.Fatal(err)
 		}
 	})

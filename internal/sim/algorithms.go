@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"mecoffload/internal/baseline"
 	"mecoffload/internal/core"
@@ -65,9 +66,9 @@ func OnlineAlgorithms() []string {
 }
 
 // RunOffline runs the named offline algorithm on a fresh realization of
-// reqs, drawing from rng, and with audit set checks its result with
-// core.Audit. A name without an offline algorithm is ErrUnknownAlgorithm.
-func RunOffline(name string, n *mec.Network, reqs []*mec.Request, rng *rand.Rand, audit bool) (*core.Result, error) {
+// reqs, drawing from rng, and checks its result with core.Audit. A name
+// without an offline algorithm is ErrUnknownAlgorithm.
+func RunOffline(name string, n *mec.Network, reqs []*mec.Request, rng *rand.Rand) (*core.Result, error) {
 	for _, a := range algorithms {
 		if a.name != name || a.offline == nil {
 			continue
@@ -77,10 +78,8 @@ func RunOffline(name string, n *mec.Network, reqs []*mec.Request, rng *rand.Rand
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		if audit {
-			if err := core.Audit(n, reqs, res); err != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrAuditFailed, name, err)
-			}
+		if err := core.Audit(n, reqs, res); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrAuditFailed, name, err)
 		}
 		return res, nil
 	}
@@ -107,15 +106,38 @@ type RunOptions struct {
 	Drift *Drift
 	// Audit checks the result with AuditTimeline.
 	Audit bool
+	// StepChecker, when non-nil, is installed with SetStepChecker: it
+	// observes every slot after the slot settles.
+	StepChecker StepChecker
 }
 
-// Simulate runs sched over a fresh realization of reqs on a new engine
-// that draws from rng, and returns the result and its per-slot rewards.
+// Simulate runs sched over a fresh realization of reqs, sorted by arrival
+// with IDs equal to their positions, on a new engine that draws from rng:
+// it appends the whole workload, steps every slot of the horizon with that
+// slot's arrivals added to the queue, and returns the result and its
+// per-slot rewards. Arrivals past the horizon never enter the queue. It is
+// the one loop that runs a scheduler over a workload.
 func Simulate(n *mec.Network, reqs []*mec.Request, sched Scheduler, rng *rand.Rand, opts RunOptions) (*core.Result, []float64, error) {
+	if sched == nil {
+		return nil, nil, ErrNilScheduler
+	}
+	if len(reqs) == 0 {
+		return nil, nil, core.ErrNoRequests
+	}
+	if opts.Horizon <= 0 {
+		return nil, nil, fmt.Errorf("%w: %d", ErrBadHorizon, opts.Horizon)
+	}
 	workload.Reset(reqs)
-	eng, err := NewEngine(n, reqs, rng, Config{Horizon: opts.Horizon})
+	eng, err := NewLiveEngine(n, rng, 0)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The whole workload is known: size its filing columns once.
+	eng.keys, eng.cut, eng.reqs = make([]Key, 0, len(reqs)), make([]int, 0, len(reqs)), make([]*mec.Request, 0, len(reqs))
+	for _, r := range reqs {
+		if err := eng.Append(r); err != nil {
+			return nil, nil, err
+		}
 	}
 	if opts.Drift != nil {
 		n.ResetCapacityScales()
@@ -123,14 +145,31 @@ func Simulate(n *mec.Network, reqs []*mec.Request, sched Scheduler, rng *rand.Ra
 			return nil, nil, err
 		}
 	}
-	res, err := eng.Run(sched)
-	if err != nil {
-		return nil, nil, err
+	eng.SetStepChecker(opts.StepChecker)
+
+	start := time.Now()
+	res := core.NewResult(sched.Name(), len(reqs))
+	rewards := make([]float64, opts.Horizon)
+	var pending []int
+	next := 0
+	for t := range rewards {
+		for ; next < len(reqs) && reqs[next].ArrivalSlot <= t; next++ {
+			if reqs[next].ArrivalSlot == t {
+				pending = append(pending, next)
+			}
+		}
+		var rep SlotReport
+		if pending, rep, err = eng.Step(sched, res, t, pending); err != nil {
+			return nil, nil, err
+		}
+		rewards[t] = rep.Reward
 	}
+	res.Runtime = time.Since(start)
+
 	if opts.Audit {
-		if err := AuditTimeline(n, reqs, res, opts.Horizon); err != nil {
+		if err := AuditTimeline(n, reqs, res); err != nil {
 			return nil, nil, fmt.Errorf("%w: %s: %v", ErrAuditFailed, res.Algorithm, err)
 		}
 	}
-	return res, eng.SlotRewards(), nil
+	return res, rewards, nil
 }

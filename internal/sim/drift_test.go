@@ -9,8 +9,8 @@ import (
 	"mecoffload/internal/workload"
 )
 
-// driveWithReports runs the engine slot by slot exactly as Run does but
-// keeps every SlotReport for inspection.
+// driveWithReports runs the engine slot by slot exactly as Simulate does
+// but keeps every SlotReport for inspection.
 func driveWithReports(t *testing.T, eng *Engine, sched Scheduler, horizon int) (*core.Result, []SlotReport) {
 	t.Helper()
 	res := &core.Result{Algorithm: sched.Name(), Decisions: make([]core.Decision, len(eng.Requests()))}
@@ -42,8 +42,8 @@ func driveWithReports(t *testing.T, eng *Engine, sched Scheduler, horizon int) (
 
 // TestDriftScriptValidation: SetDrift must reject malformed scripts.
 func TestDriftScriptValidation(t *testing.T) {
-	net, reqs := fixture(t, 4, 10, 20, 1)
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(2)), Config{Horizon: 30})
+	net := liveTestNetwork(t, 4)
+	eng, err := NewLiveEngine(net, rand.New(rand.NewSource(2)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,7 @@ func TestDriftScriptValidation(t *testing.T) {
 func TestOutageEvictsRunningStreams(t *testing.T) {
 	const horizon = 60
 	net, reqs := fixture(t, 3, 80, 20, 7)
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(3)), Config{Horizon: horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := loadedEngine(t, net, reqs, rand.New(rand.NewSource(3)))
 	out := Outage{Station: 0, Start: 25, End: 40, Scale: 0}
 	if err := eng.SetDrift(&Drift{Outages: []Outage{out}}); err != nil {
 		t.Fatal(err)
@@ -113,6 +110,7 @@ func TestOutageEvictsRunningStreams(t *testing.T) {
 			next++
 		}
 		var rep SlotReport
+		var err error
 		pending, rep, err = eng.Step(sched, res, t2, pending)
 		if err != nil {
 			t.Fatal(err)
@@ -179,10 +177,7 @@ func TestHandoverMovesPendingQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(5)), Config{Horizon: horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := loadedEngine(t, net, reqs, rand.New(rand.NewSource(5)))
 	h := Handover{Slot: 7, From: 1, To: 2}
 	if err := eng.SetDrift(&Drift{Handovers: []Handover{h}}); err != nil {
 		t.Fatal(err)
@@ -255,11 +250,8 @@ func (noopScheduler) Schedule(*Engine, *core.Result, int, []int) ([]int, error) 
 func TestDriftRunDeterministic(t *testing.T) {
 	run := func() ([]SlotReport, float64) {
 		net, reqs := fixture(t, 3, 60, 30, 9)
-		eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(13)), Config{Horizon: 50})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = eng.SetDrift(&Drift{
+		eng := loadedEngine(t, net, reqs, rand.New(rand.NewSource(13)))
+		err := eng.SetDrift(&Drift{
 			Handovers: []Handover{{Slot: 10, From: 0, To: 1}},
 			Outages:   []Outage{{Station: 2, Start: 20, End: 35, Scale: 0}},
 		})
@@ -287,10 +279,7 @@ func TestDriftRunDeterministic(t *testing.T) {
 // outage window must never apply the stale transition.
 func TestDriftMidHorizonStart(t *testing.T) {
 	net, reqs := fixture(t, 3, 20, 5, 21)
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(6)), Config{Horizon: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := loadedEngine(t, net, reqs, rand.New(rand.NewSource(6)))
 	if err := eng.SetDrift(&Drift{Outages: []Outage{{Station: 0, Start: 2, End: 5, Scale: 0}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"time"
 
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
@@ -94,11 +93,10 @@ type running struct {
 	procMS      float64
 }
 
-// Engine drives one simulation run. Create with NewEngine, then Run. An
-// Engine is single-use: Run may be called once. Alternatively, create an
-// open-ended engine with NewLiveEngine and drive it slot by slot with
-// Step — the serving daemon's mode of operation. Run and Step are
-// mutually exclusive on one engine.
+// Engine drives the slotted system. Create it with NewLiveEngine, file
+// requests with Append or AppendKey as they arrive, and advance it one
+// Step per slot: the serving daemon does so on its clock, and Simulate
+// over a whole workload.
 type Engine struct {
 	net *mec.Network
 	// keys[j] is request j's key, and reqs[j] the request itself: nil for
@@ -111,17 +109,11 @@ type Engine struct {
 	build Builder
 	rng   *rand.Rand
 	slotL float64
-	// Horizon is the number of scheduling slots simulated. Arrivals beyond
-	// the horizon never enter the system.
-	horizon int
 
 	used     []float64 // realized MHz per station, authoritative
 	expected []float64 // expected MHz per station of running requests
 	procMS   []float64 // running pipeline work per station (backlog proxy)
 	active   []running
-	// slotRewards[t] is the realized reward credited at slot t; the regret
-	// experiment compares its prefix sums across policies.
-	slotRewards []float64
 	// overloaded, batch and holds are settle's per-slot scratch, reused
 	// across slots.
 	overloaded []bool
@@ -173,67 +165,11 @@ func (e *Engine) SetStepChecker(c StepChecker) { e.check = c }
 // the signal a single engine's bandit sees, not with its own shard's.
 func (e *Engine) SetFeedbackDeferred(v bool) { e.deferFB = v }
 
-// Config parameterizes NewEngine.
-type Config struct {
-	// Horizon is the number of slots to simulate.
-	Horizon int
-	// SlotLengthMS defaults to mec.DefaultSlotLengthMS.
-	SlotLengthMS float64
-}
-
-// NewEngine validates inputs and builds a ready-to-run engine.
-func NewEngine(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, cfg Config) (*Engine, error) {
-	if n == nil {
-		return nil, core.ErrNilNetwork
-	}
-	if len(reqs) == 0 {
-		return nil, core.ErrNoRequests
-	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadHorizon, cfg.Horizon)
-	}
-	if cfg.SlotLengthMS == 0 {
-		cfg.SlotLengthMS = mec.DefaultSlotLengthMS
-	}
-	if !validSlotLength(cfg.SlotLengthMS) {
-		return nil, fmt.Errorf("%w: %v", ErrBadSlotLength, cfg.SlotLengthMS)
-	}
-	// The arrival scan and the Decisions indexing both assume requests
-	// sorted by arrival with IDs equal to slice positions; reject
-	// malformed workloads instead of silently misbehaving.
-	prev := 0
-	for i, r := range reqs {
-		if r.ID != i {
-			return nil, fmt.Errorf("sim: request at index %d has ID %d (must match)", i, r.ID)
-		}
-		if r.ArrivalSlot < prev {
-			return nil, fmt.Errorf("sim: arrivals not sorted at index %d", i)
-		}
-		prev = r.ArrivalSlot
-	}
-	keys, cut := make([]Key, len(reqs)), make([]int, len(reqs))
-	for j, r := range reqs {
-		keys[j] = KeyOf(r)
-		cut[j] = lastFeasibleSlot(n, &keys[j], cfg.SlotLengthMS)
-	}
-	return &Engine{
-		net:      n,
-		keys:     keys,
-		cut:      cut,
-		reqs:     reqs,
-		rng:      rng,
-		slotL:    cfg.SlotLengthMS,
-		horizon:  cfg.Horizon,
-		used:     make([]float64, n.NumStations()),
-		expected: make([]float64, n.NumStations()),
-		procMS:   make([]float64, n.NumStations()),
-	}, nil
-}
-
-// NewLiveEngine builds an open-ended engine with no fixed horizon and no
-// pre-known workload: requests are appended as they arrive (Append) and
-// time advances one Step call at a time. The caller owns the pending
-// queue and the Result, both of which grow with the request stream.
+// NewLiveEngine builds an open-ended engine with no fixed horizon and an
+// empty workload: requests are appended as they arrive (Append, AppendKey)
+// and time advances one Step call at a time. The caller owns the pending
+// queue and the Result, both of which grow with the request stream. A
+// slot length of 0 selects mec.DefaultSlotLengthMS.
 func NewLiveEngine(n *mec.Network, rng *rand.Rand, slotLengthMS float64) (*Engine, error) {
 	if n == nil {
 		return nil, core.ErrNilNetwork
@@ -355,8 +291,9 @@ type Builder func(j int, k Key) *mec.Request
 func (e *Engine) SetBuilder(b Builder) { e.build = b }
 
 // Append adds a built request to a live engine's workload. The request
-// must carry the next dense ID (len(Requests())) and a non-decreasing
-// arrival slot, the same invariants NewEngine checks for batch workloads.
+// must carry the next dense ID (len(Requests())), a non-decreasing
+// arrival slot and an access station of the network, and pass
+// mec.Request.Validate.
 func (e *Engine) Append(r *mec.Request) error {
 	if r == nil {
 		return fmt.Errorf("sim: nil request")
@@ -473,14 +410,6 @@ func (e *Engine) RunningProcMS() []float64 {
 	return out
 }
 
-// SlotRewards returns the per-slot realized rewards of the completed run
-// (nil before Run). The regret experiment consumes its prefix sums.
-func (e *Engine) SlotRewards() []float64 {
-	out := make([]float64, len(e.slotRewards))
-	copy(out, e.slotRewards)
-	return out
-}
-
 // FreeCapacity returns the total realized spare MHz across stations.
 func (e *Engine) FreeCapacity() float64 {
 	total := 0.0
@@ -488,44 +417,6 @@ func (e *Engine) FreeCapacity() float64 {
 		total += e.net.Capacity(i) - u
 	}
 	return total
-}
-
-// Run simulates the horizon under the given scheduler and returns the
-// evaluated result. The returned Result uses the same conventions as the
-// offline algorithms; use AuditTimeline (not core.Audit) to verify it,
-// since capacity is shared over time rather than across the whole run.
-func (e *Engine) Run(sched Scheduler) (*core.Result, error) {
-	if sched == nil {
-		return nil, ErrNilScheduler
-	}
-	start := time.Now()
-	res := core.NewResult(sched.Name(), len(e.reqs))
-
-	var pending []int
-	next := 0 // next arrival index (reqs sorted by ArrivalSlot)
-	e.slotRewards = make([]float64, e.horizon)
-
-	for t := 0; t < e.horizon; t++ {
-		// Arrivals. (Step releases departures itself; release and arrival
-		// collection commute because scheduling sees both.)
-		for next < len(e.keys) && e.keys[next].ArrivalSlot <= t {
-			if e.keys[next].ArrivalSlot == t {
-				pending = append(pending, next)
-			}
-			next++
-		}
-
-		var rep SlotReport
-		var err error
-		pending, rep, err = e.Step(sched, res, t, pending)
-		if err != nil {
-			return nil, err
-		}
-		e.slotRewards[t] = rep.Reward
-	}
-
-	res.Runtime = time.Since(start)
-	return res, nil
 }
 
 // SlotReport summarizes what one Step did: which requests departed,

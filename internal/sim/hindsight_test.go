@@ -3,8 +3,6 @@ package sim
 import (
 	"math/rand"
 	"testing"
-
-	"mecoffload/internal/workload"
 )
 
 // TestHindsightDominatesOnlineSchedulers: the time-expanded
@@ -15,12 +13,7 @@ func TestHindsightDominatesOnlineSchedulers(t *testing.T) {
 	const horizon = 40
 
 	for name, mk := range allSchedulers(t) {
-		workload.Reset(reqs)
-		eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(52)), Config{Horizon: horizon})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(mk())
+		res, _, err := Simulate(net, reqs, mk(), rand.New(rand.NewSource(52)), RunOptions{Horizon: horizon})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

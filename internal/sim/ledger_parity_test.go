@@ -268,10 +268,7 @@ func TestLedgerParityWithMapReference(t *testing.T) {
 
 func ledgerParityRun(t *testing.T, sched Scheduler, seed int64, horizon int, cov *ledgerCoverage) {
 	net, reqs := fixture(t, 4, 240, 60, seed)
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(seed+100)), Config{Horizon: horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := loadedEngine(t, net, reqs, rand.New(rand.NewSource(seed+100)))
 	// One outage start per slot, so the reference evicts in the engine's
 	// order.
 	outages := []Outage{
@@ -297,6 +294,7 @@ func ledgerParityRun(t *testing.T, sched Scheduler, seed int64, horizon int, cov
 		}
 		tap.ran = false
 		var rep SlotReport
+		var err error
 		if pending, rep, err = eng.Step(tap, res, slot, pending); err != nil {
 			t.Fatal(err)
 		}

@@ -31,11 +31,12 @@ type StationUsage struct {
 	PeakUtilization float64 `json:"peakUtilization"`
 }
 
-// Recorder wraps a Scheduler and collects a per-slot time series of the
-// run. It forwards every call unchanged, so recording never perturbs the
-// scheduling decisions.
+// Recorder collects a per-slot time series of a run from the engine's
+// step hook: install its Record as the StepChecker (RunOptions.StepChecker).
+// It samples each slot where the scheduler ran after the slot settles,
+// and only reads the engine, so recording never perturbs the scheduling
+// decisions. The zero value is ready to use.
 type Recorder struct {
-	inner   Scheduler
 	samples []SlotSample
 	// Per-station running aggregates.
 	utilSum  []float64
@@ -43,24 +44,11 @@ type Recorder struct {
 	slots    int
 }
 
-var _ Scheduler = (*Recorder)(nil)
-
-// NewRecorder wraps sched.
-func NewRecorder(sched Scheduler) *Recorder {
-	return &Recorder{inner: sched}
-}
-
-// Name implements Scheduler.
-func (r *Recorder) Name() string { return r.inner.Name() }
-
-// UncertaintyAware implements Scheduler.
-func (r *Recorder) UncertaintyAware() bool { return r.inner.UncertaintyAware() }
-
-// Schedule implements Scheduler and records the slot sample.
-func (r *Recorder) Schedule(eng *Engine, res *core.Result, t int, pending []int) ([]int, error) {
-	admitted, err := r.inner.Schedule(eng, res, t, pending)
-	if err != nil {
-		return nil, err
+// Record is a StepChecker that records slot rep.Slot when the scheduler ran
+// there (info.Pending is not empty); it never fails.
+func (r *Recorder) Record(eng *Engine, _ *core.Result, rep SlotReport, info StepInfo) error {
+	if len(info.Pending) == 0 {
+		return nil
 	}
 	net := eng.Net()
 	if r.utilSum == nil {
@@ -78,12 +66,12 @@ func (r *Recorder) Schedule(eng *Engine, res *core.Result, t int, pending []int)
 	}
 	r.slots++
 	r.samples = append(r.samples, SlotSample{
-		Slot:        t,
-		Pending:     len(pending),
-		Admitted:    len(admitted),
+		Slot:        rep.Slot,
+		Pending:     len(info.Pending),
+		Admitted:    len(rep.Admitted),
 		Utilization: used / net.TotalCapacity(),
 	})
-	return admitted, nil
+	return nil
 }
 
 // StationReport returns per-station mean and peak utilization over the
@@ -102,9 +90,6 @@ func (r *Recorder) StationReport() []StationUsage {
 	}
 	return out
 }
-
-// Feedback implements Scheduler and forwards the slot reward.
-func (r *Recorder) Feedback(t int, slotReward float64) { r.inner.Feedback(t, slotReward) }
 
 // Samples returns the recorded time series.
 func (r *Recorder) Samples() []SlotSample {
@@ -139,7 +124,7 @@ type TraceEntry struct {
 	Tasks     []int   `json:"taskStations,omitempty"`
 }
 
-// NewRunTrace assembles a trace from a result and (optionally) a recorder.
+// NewRunTrace assembles a trace from a result and the recorder of its run.
 func NewRunTrace(res *core.Result, rec *Recorder) *RunTrace {
 	tr := &RunTrace{
 		Algorithm:   res.Algorithm,
@@ -147,10 +132,8 @@ func NewRunTrace(res *core.Result, rec *Recorder) *RunTrace {
 		Served:      res.Served,
 		Admitted:    res.Admitted,
 		AvgLatency:  res.AvgLatencyMS(),
-	}
-	if rec != nil {
-		tr.Slots = rec.Samples()
-		tr.Stations = rec.StationReport()
+		Slots:       rec.Samples(),
+		Stations:    rec.StationReport(),
 	}
 	tr.Decisions = make([]TraceEntry, len(res.Decisions))
 	for i, d := range res.Decisions {

@@ -2,97 +2,114 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
-	"mecoffload/internal/workload"
+	"mecoffload/internal/core"
 )
 
+// TestRecorderTransparent: a Recorder installed as the step hook only
+// observes. OCORP and DynamicRR decide the same with and without it, and
+// DynamicRR's bandit plays the same arms, so recording perturbs neither
+// the decisions nor the learner.
 func TestRecorderTransparent(t *testing.T) {
 	net, reqs := fixture(t, 8, 100, 40, 21)
-	const horizon = 60
-
-	run := func(wrap bool) (float64, *Recorder) {
-		workload.Reset(reqs)
-		var sched Scheduler = &OnlineOCORP{}
-		var rec *Recorder
-		if wrap {
-			rec = NewRecorder(sched)
-			sched = rec
+	run := func(sched Scheduler, rec *Recorder) *core.Result {
+		opts := RunOptions{Horizon: 60}
+		if rec != nil {
+			opts.StepChecker = rec.Record
 		}
-		eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(22)), Config{Horizon: horizon})
+		res, _, err := Simulate(net, reqs, sched, rand.New(rand.NewSource(22)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(sched)
-		if err != nil {
-			t.Fatal(err)
+		return res
+	}
+	plays := func(d *DynamicRR) []int {
+		pol := d.Bandit().Policy()
+		out := make([]int, pol.NumArms())
+		for arm := range out {
+			out[arm] = pol.Plays(arm)
 		}
-		return res.TotalReward, rec
+		return out
 	}
-
-	plain, _ := run(false)
-	wrapped, rec := run(true)
-	if plain != wrapped {
-		t.Fatalf("recording changed the outcome: %v vs %v", plain, wrapped)
-	}
-	samples := rec.Samples()
-	if len(samples) == 0 {
-		t.Fatal("no samples recorded")
-	}
-	for _, s := range samples {
-		if s.Utilization < 0 || s.Utilization > 1+1e-9 {
-			t.Fatalf("utilization %v out of [0, 1]", s.Utilization)
+	for _, mk := range []func() Scheduler{
+		func() Scheduler { return &OnlineOCORP{} },
+		func() Scheduler { return allSchedulers(t)["DynamicRR"]() },
+	} {
+		plainSched, recSched := mk(), mk()
+		var rec Recorder
+		plain, recorded := run(plainSched, nil), run(recSched, &rec)
+		if !reflect.DeepEqual(plain.Decisions, recorded.Decisions) {
+			t.Fatalf("%s: recording changed the decisions", plain.Algorithm)
 		}
-		if s.Admitted > s.Pending {
-			t.Fatalf("slot %d admitted %d of %d pending", s.Slot, s.Admitted, s.Pending)
+		if d, ok := plainSched.(*DynamicRR); ok {
+			if a, b := plays(d), plays(recSched.(*DynamicRR)); !slices.Equal(a, b) || slices.Max(a) == 0 {
+				t.Fatalf("DynamicRR plays per arm %v recorded, %v plain", b, a)
+			}
+		}
+		samples := rec.Samples()
+		if len(samples) == 0 {
+			t.Fatalf("%s: no samples recorded", plain.Algorithm)
+		}
+		for _, s := range samples {
+			if s.Utilization < 0 || s.Utilization > 1+1e-9 {
+				t.Fatalf("%s: utilization %v out of [0, 1]", plain.Algorithm, s.Utilization)
+			}
+			if s.Admitted > s.Pending {
+				t.Fatalf("%s: slot %d admitted %d of %d pending", plain.Algorithm, s.Slot, s.Admitted, s.Pending)
+			}
 		}
 	}
 }
 
-func TestRecorderForwardsFeedback(t *testing.T) {
-	net, reqs := fixture(t, 8, 120, 40, 23)
-	workload.Reset(reqs)
-	inner, err := NewDynamicRR(DynamicRROptions{})
-	if err != nil {
+// TestRecorderSamplesSettledSlot: a sample reads the ledger after the slot
+// settles, as SlotSample.Utilization says, so an oblivious scheduler's
+// admissions count in the slot that admits them. OCORP's first recorded
+// slot admits a request and must read a utilization above zero, and every
+// sample equals the realized load the step hook sees.
+func TestRecorderSamplesSettledSlot(t *testing.T) {
+	net, reqs := fixture(t, 8, 100, 40, 21)
+	var (
+		rec  Recorder
+		want []float64
+	)
+	hook := func(eng *Engine, res *core.Result, rep SlotReport, info StepInfo) error {
+		if len(info.Pending) > 0 {
+			want = append(want, (net.TotalCapacity()-eng.FreeCapacity())/net.TotalCapacity())
+		}
+		return rec.Record(eng, res, rep, info)
+	}
+	if _, _, err := Simulate(net, reqs, &OnlineOCORP{}, rand.New(rand.NewSource(22)), RunOptions{Horizon: 60, StepChecker: hook}); err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(inner)
-	if rec.Name() != "DynamicRR" || !rec.UncertaintyAware() {
-		t.Fatal("recorder must forward identity")
+	samples := rec.Samples()
+	if len(samples) != len(want) {
+		t.Fatalf("%d samples, %d scheduled slots", len(samples), len(want))
 	}
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(24)), Config{Horizon: 60})
-	if err != nil {
-		t.Fatal(err)
+	if first := samples[0]; first.Admitted == 0 || first.Utilization <= 0 {
+		t.Fatalf("first recorded slot %d admitted %d and reads utilization %v, want a settled load above 0",
+			first.Slot, first.Admitted, first.Utilization)
 	}
-	if _, err := eng.Run(rec); err != nil {
-		t.Fatal(err)
-	}
-	// Feedback must have reached the bandit: some arm was played.
-	pol := inner.Bandit().Policy()
-	plays := 0
-	for arm := 0; arm < pol.NumArms(); arm++ {
-		plays += pol.Plays(arm)
-	}
-	if plays == 0 {
-		t.Fatal("feedback never reached the wrapped learner")
+	for i, s := range samples {
+		if math.Abs(s.Utilization-want[i]) > 1e-12 {
+			t.Fatalf("slot %d: utilization %v, settled ledger %v", s.Slot, s.Utilization, want[i])
+		}
 	}
 }
 
 func TestRunTraceRoundTrip(t *testing.T) {
 	net, reqs := fixture(t, 6, 60, 30, 25)
-	workload.Reset(reqs)
-	rec := NewRecorder(&OnlineGreedy{})
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(26)), Config{Horizon: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(rec)
+	var rec Recorder
+	res, _, err := Simulate(net, reqs, &OnlineGreedy{}, rand.New(rand.NewSource(26)), RunOptions{Horizon: 50, StepChecker: rec.Record})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tr := NewRunTrace(res, rec)
+	tr := NewRunTrace(res, &rec)
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -124,13 +141,8 @@ func TestReadRunTraceRejectsGarbage(t *testing.T) {
 
 func TestStationReport(t *testing.T) {
 	net, reqs := fixture(t, 5, 80, 30, 27)
-	workload.Reset(reqs)
-	rec := NewRecorder(&OnlineOCORP{})
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(28)), Config{Horizon: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(rec)
+	var rec Recorder
+	res, _, err := Simulate(net, reqs, &OnlineOCORP{}, rand.New(rand.NewSource(28)), RunOptions{Horizon: 50, StepChecker: rec.Record})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +166,7 @@ func TestStationReport(t *testing.T) {
 		t.Fatal("served requests but no station shows utilization")
 	}
 	// The trace embeds the report.
-	tr := NewRunTrace(res, rec)
+	tr := NewRunTrace(res, &rec)
 	if len(tr.Stations) != net.NumStations() {
 		t.Fatal("trace lost station report")
 	}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/workload"
 )
@@ -41,23 +43,36 @@ func allSchedulers(t *testing.T) map[string]func() Scheduler {
 	}
 }
 
-func TestEngineValidation(t *testing.T) {
-	net, reqs := fixture(t, 4, 10, 20, 1)
-	rng := rand.New(rand.NewSource(2))
-	if _, err := NewEngine(nil, reqs, rng, Config{Horizon: 10}); err == nil {
-		t.Error("want error for nil network")
-	}
-	if _, err := NewEngine(net, nil, rng, Config{Horizon: 10}); err == nil {
-		t.Error("want error for empty workload")
-	}
-	if _, err := NewEngine(net, reqs, rng, Config{Horizon: 0}); err == nil {
-		t.Error("want error for zero horizon")
-	}
-	eng, err := NewEngine(net, reqs, rng, Config{Horizon: 10})
+// loadedEngine returns a live engine holding the whole workload reqs, for
+// a test that steps it slot by slot itself.
+func loadedEngine(t *testing.T, net *mec.Network, reqs []*mec.Request, rng *rand.Rand) *Engine {
+	t.Helper()
+	eng, err := NewLiveEngine(net, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(nil); err == nil {
+	for _, r := range reqs {
+		if err := eng.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng
+}
+
+func TestEngineValidation(t *testing.T) {
+	net, reqs := fixture(t, 4, 10, 20, 1)
+	rng := rand.New(rand.NewSource(2))
+	ok := RunOptions{Horizon: 10}
+	if _, _, err := Simulate(nil, reqs, &OnlineOCORP{}, rng, ok); err == nil {
+		t.Error("want error for nil network")
+	}
+	if _, _, err := Simulate(net, nil, &OnlineOCORP{}, rng, ok); err == nil {
+		t.Error("want error for empty workload")
+	}
+	if _, _, err := Simulate(net, reqs, &OnlineOCORP{}, rng, RunOptions{}); err == nil {
+		t.Error("want error for zero horizon")
+	}
+	if _, _, err := Simulate(net, reqs, nil, rng, ok); err == nil {
 		t.Error("want error for nil scheduler")
 	}
 }
@@ -67,24 +82,16 @@ func TestAllSchedulersFeasibleTimeline(t *testing.T) {
 	const horizon = 80
 	for name, mk := range allSchedulers(t) {
 		t.Run(name, func(t *testing.T) {
-			workload.Reset(reqs)
-			eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(4)), Config{Horizon: horizon})
+			res, rewards, err := Simulate(net, reqs, mk(), rand.New(rand.NewSource(4)), RunOptions{Horizon: horizon, Audit: true})
 			if err != nil {
 				t.Fatal(err)
-			}
-			res, err := eng.Run(mk())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := AuditTimeline(net, reqs, res, horizon); err != nil {
-				t.Fatalf("timeline audit: %v", err)
 			}
 			if res.Served == 0 {
 				t.Fatal("no requests served")
 			}
 			// Per-slot rewards must sum to the total.
 			total := 0.0
-			for _, r := range eng.SlotRewards() {
+			for _, r := range rewards {
 				total += r
 			}
 			if diff := total - res.TotalReward; diff > 1e-6 || diff < -1e-6 {
@@ -109,15 +116,8 @@ func TestDepartureFreesCapacity(t *testing.T) {
 	for i := 12; i < 24; i++ {
 		reqs = append(reqs, mk(i, 50))
 	}
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(6)), Config{Horizon: 70})
+	res, _, err := Simulate(net, reqs, &OnlineOCORP{}, rand.New(rand.NewSource(6)), RunOptions{Horizon: 70, Audit: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(&OnlineOCORP{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AuditTimeline(net, reqs, res, 70); err != nil {
 		t.Fatal(err)
 	}
 	secondWave := 0
@@ -153,17 +153,8 @@ func TestDeadlineExpiryRejects(t *testing.T) {
 	// budget (deadline 200ms, slot 50ms -> at most ~2-3 slots of queueing)
 	// and verify expired requests stay rejected rather than served late.
 	net, reqs := fixture(t, 5, 300, 30, 7)
-	const horizon = 60
-	workload.Reset(reqs)
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(8)), Config{Horizon: horizon})
+	res, _, err := Simulate(net, reqs, &OnlineOCORP{}, rand.New(rand.NewSource(8)), RunOptions{Horizon: 60, Audit: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(&OnlineOCORP{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AuditTimeline(net, reqs, res, horizon); err != nil {
 		t.Fatal(err)
 	}
 	rejected := 0
@@ -184,16 +175,8 @@ func TestDynamicRRBeatsGreedyOnline(t *testing.T) {
 	net, reqs := fixture(t, 20, 300, 100, 9)
 	const horizon = 120
 	run := func(mk func() Scheduler) float64 {
-		workload.Reset(reqs)
-		eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(10)), Config{Horizon: horizon})
+		res, _, err := Simulate(net, reqs, mk(), rand.New(rand.NewSource(10)), RunOptions{Horizon: horizon, Audit: true})
 		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := AuditTimeline(net, reqs, res, horizon); err != nil {
 			t.Fatal(err)
 		}
 		return res.TotalReward
@@ -225,30 +208,46 @@ func TestDynamicRROptionsValidation(t *testing.T) {
 	}
 }
 
+// TestAuditTimelineCatchesViolations: the timeline audit refuses a
+// corrupted served reward, and runs core.Audit's checks on every admitted
+// decision: an access station outside the network, and an admitted but
+// unserved decision whose placements do not cover its pipeline.
 func TestAuditTimelineCatchesViolations(t *testing.T) {
-	net, reqs := fixture(t, 5, 40, 20, 11)
-	const horizon = 40
-	workload.Reset(reqs)
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(12)), Config{Horizon: horizon})
+	net, reqs := fixture(t, 5, 300, 30, 7)
+	res, _, err := Simulate(net, reqs, &OnlineOCORP{}, rand.New(rand.NewSource(12)), RunOptions{Horizon: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(&OnlineHeuKKT{})
-	if err != nil {
+	if err := AuditTimeline(net, reqs, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := AuditTimeline(net, reqs, res, horizon); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the reward of a served decision.
-	for i := range res.Decisions {
-		if res.Decisions[i].Served {
-			res.Decisions[i].Reward += 5
-			break
+	first := func(keep func(d *core.Decision) bool) int {
+		for i := range res.Decisions {
+			if keep(&res.Decisions[i]) {
+				return i
+			}
 		}
+		t.Fatal("no decision to corrupt in the run")
+		return -1
 	}
-	if err := AuditTimeline(net, reqs, res, horizon); err == nil {
-		t.Fatal("audit accepted corrupted reward")
+	for name, corrupt := range map[string]func(d []core.Decision){
+		"served reward": func(d []core.Decision) {
+			d[first(func(d *core.Decision) bool { return d.Served })].Reward += 5
+		},
+		"station": func(d []core.Decision) {
+			d[first(func(d *core.Decision) bool { return d.Admitted })].Station = net.NumStations()
+		},
+		"unserved placements": func(d []core.Decision) {
+			j := first(func(d *core.Decision) bool { return d.Admitted && !d.Served })
+			d[j].TaskStations = d[j].TaskStations[:len(d[j].TaskStations)-1]
+		},
+	} {
+		bad := *res
+		bad.Decisions = slices.Clone(res.Decisions)
+		corrupt(bad.Decisions)
+		if err := AuditTimeline(net, reqs, &bad); err == nil {
+			t.Errorf("audit accepted a corrupted %s", name)
+		}
 	}
 }
 
@@ -274,13 +273,7 @@ func TestSchedulerIdentities(t *testing.T) {
 
 func TestEngineResultConsistentWithDecisions(t *testing.T) {
 	net, reqs := fixture(t, 8, 100, 40, 13)
-	const horizon = 60
-	workload.Reset(reqs)
-	eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(14)), Config{Horizon: horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(&OnlineGreedy{})
+	res, _, err := Simulate(net, reqs, &OnlineGreedy{}, rand.New(rand.NewSource(14)), RunOptions{Horizon: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,18 +303,13 @@ func TestDynamicRRThresholdBinds(t *testing.T) {
 	net, reqs := fixture(t, 6, 400, 40, 91)
 	const horizon = 60
 	run := func(th float64) int {
-		workload.Reset(reqs)
 		sched, err := NewDynamicRR(DynamicRROptions{
 			MinThresholdMHz: th, MaxThresholdMHz: th, Kappa: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(net, reqs, rand.New(rand.NewSource(92)), Config{Horizon: horizon})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(sched)
+		res, _, err := Simulate(net, reqs, sched, rand.New(rand.NewSource(92)), RunOptions{Horizon: horizon})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,16 +325,23 @@ func TestEngineRejectsMalformedWorkload(t *testing.T) {
 	net, reqs := fixture(t, 4, 10, 20, 93)
 	rng := rand.New(rand.NewSource(94))
 
+	opts := RunOptions{Horizon: 60}
 	unsorted := workload.Clone(reqs)
 	unsorted[0].ArrivalSlot = 50
-	if _, err := NewEngine(net, unsorted, rng, Config{Horizon: 60}); err == nil {
+	if _, _, err := Simulate(net, unsorted, &OnlineOCORP{}, rng, opts); err == nil {
 		t.Error("want error for unsorted arrivals")
 	}
 
 	misnumbered := workload.Clone(reqs)
 	misnumbered[3].ID = 99
-	if _, err := NewEngine(net, misnumbered, rng, Config{Horizon: 60}); err == nil {
+	if _, _, err := Simulate(net, misnumbered, &OnlineOCORP{}, rng, opts); err == nil {
 		t.Error("want error for mismatched IDs")
+	}
+
+	stray := workload.Clone(reqs)
+	stray[5].AccessStation = net.NumStations()
+	if _, _, err := Simulate(net, stray, &OnlineOCORP{}, rng, opts); err == nil {
+		t.Error("want error for an access station outside the network")
 	}
 }
 
@@ -357,11 +352,7 @@ func TestArrivalsBeyondHorizonIgnored(t *testing.T) {
 	for i := 15; i < 20; i++ {
 		late[i].ArrivalSlot = 100
 	}
-	eng, err := NewEngine(net, late, rand.New(rand.NewSource(96)), Config{Horizon: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(&OnlineOCORP{})
+	res, _, err := Simulate(net, late, &OnlineOCORP{}, rand.New(rand.NewSource(96)), RunOptions{Horizon: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

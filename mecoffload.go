@@ -159,7 +159,7 @@ func NewScenario(cfg ScenarioConfig, rng *rand.Rand) (*Scenario, error) {
 // RunOffline executes an offline algorithm on a fresh realization of the
 // scenario's workload and audits the result.
 func (s *Scenario) RunOffline(algo Algorithm, rng *rand.Rand) (*Result, error) {
-	return sim.RunOffline(string(algo), s.Net, s.Offline, rng, true)
+	return sim.RunOffline(string(algo), s.Net, s.Offline, rng)
 }
 
 // RunOnline executes an online algorithm over the scenario's arrival
