@@ -9,47 +9,38 @@ import (
 	"testing"
 
 	"mecoffload/internal/core"
+	"mecoffload/internal/mec"
 )
 
+// simulateRecorded runs sched over the fixture with rec, when not nil,
+// installed as the step hook.
+func simulateRecorded(t *testing.T, net *mec.Network, reqs []*mec.Request, sched Scheduler, rec *Recorder, seed int64) *core.Result {
+	t.Helper()
+	opts := RunOptions{Horizon: 60}
+	if rec != nil {
+		opts.StepChecker = rec.Record
+	}
+	res, _, err := Simulate(net, reqs, sched, rand.New(rand.NewSource(seed)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestRecorderTransparent: a Recorder installed as the step hook only
-// observes. OCORP and DynamicRR decide the same with and without it, and
-// DynamicRR's bandit plays the same arms, so recording perturbs neither
-// the decisions nor the learner.
+// observes. OCORP and DynamicRR decide the same with and without it, so
+// recording does not perturb the decisions.
 func TestRecorderTransparent(t *testing.T) {
 	net, reqs := fixture(t, 8, 100, 40, 21)
-	run := func(sched Scheduler, rec *Recorder) *core.Result {
-		opts := RunOptions{Horizon: 60}
-		if rec != nil {
-			opts.StepChecker = rec.Record
-		}
-		res, _, err := Simulate(net, reqs, sched, rand.New(rand.NewSource(22)), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plays := func(d *DynamicRR) []int {
-		pol := d.Bandit().Policy()
-		out := make([]int, pol.NumArms())
-		for arm := range out {
-			out[arm] = pol.Plays(arm)
-		}
-		return out
-	}
 	for _, mk := range []func() Scheduler{
 		func() Scheduler { return &OnlineOCORP{} },
 		func() Scheduler { return allSchedulers(t)["DynamicRR"]() },
 	} {
-		plainSched, recSched := mk(), mk()
 		var rec Recorder
-		plain, recorded := run(plainSched, nil), run(recSched, &rec)
+		plain := simulateRecorded(t, net, reqs, mk(), nil, 22)
+		recorded := simulateRecorded(t, net, reqs, mk(), &rec, 22)
 		if !reflect.DeepEqual(plain.Decisions, recorded.Decisions) {
 			t.Fatalf("%s: recording changed the decisions", plain.Algorithm)
-		}
-		if d, ok := plainSched.(*DynamicRR); ok {
-			if a, b := plays(d), plays(recSched.(*DynamicRR)); !slices.Equal(a, b) || slices.Max(a) == 0 {
-				t.Fatalf("DynamicRR plays per arm %v recorded, %v plain", b, a)
-			}
 		}
 		samples := rec.Samples()
 		if len(samples) == 0 {
@@ -63,6 +54,37 @@ func TestRecorderTransparent(t *testing.T) {
 				t.Fatalf("%s: slot %d admitted %d of %d pending", plain.Algorithm, s.Slot, s.Admitted, s.Pending)
 			}
 		}
+	}
+}
+
+// TestRecorderForwardsFeedback: with a Recorder as the step hook, the
+// slot's feedback still reaches DynamicRR's bandit: some arm is played,
+// each arm as often as in an unrecorded run, and the recorder samples.
+func TestRecorderForwardsFeedback(t *testing.T) {
+	net, reqs := fixture(t, 8, 120, 40, 23)
+	plays := func(rec *Recorder) []int {
+		d, err := NewDynamicRR(DynamicRROptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		simulateRecorded(t, net, reqs, d, rec, 24)
+		pol := d.Bandit().Policy()
+		out := make([]int, pol.NumArms())
+		for arm := range out {
+			out[arm] = pol.Plays(arm)
+		}
+		return out
+	}
+	var rec Recorder
+	plain, recorded := plays(nil), plays(&rec)
+	if slices.Max(recorded) == 0 {
+		t.Fatal("feedback never reached the learner")
+	}
+	if !slices.Equal(plain, recorded) {
+		t.Fatalf("DynamicRR plays per arm %v recorded, %v plain", recorded, plain)
+	}
+	if len(rec.Samples()) == 0 {
+		t.Fatal("no samples recorded")
 	}
 }
 
